@@ -779,6 +779,59 @@ mod tests {
         );
     }
 
+    /// Hex digits (whitespace ignored) → bytes, for the golden fixtures below.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        let byte = |pair: &[u8]| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap();
+        digits.chunks(2).map(byte).collect()
+    }
+
+    // `.stck` v1 golden bytes for `sample_snapshot()`, one section (12-byte section header, then
+    // payload) per line in wire order. A change to any byte here is a wire-format break and must
+    // bump VERSION.
+    const GOLDEN_POSITION: &str = "010000002000000000000000 \
+        0300000000000000020000000000000039000000000000000700000000000000";
+    const GOLDEN_SHUFFLE_RNG: &str = "020000002000000000000000 \
+        1111000000000000222200000000000033330000000000004444000000000000";
+    const GOLDEN_PLAN_TEXT: &str = "030000003300000000000000 2f000000 \
+        2320737061727365747261696e20657865637574696f6e20706c616e2076310a64656661756c74207363616c61720a";
+    const GOLDEN_PLAN_PROGRAM: &str = "060000000900000000000000 05000000535400ff01";
+    const GOLDEN_OPTIMIZER: &str = "040000002400000000000000 \
+        0ad7233c03000000030000000000003f000080be0000800000000000010000006042a20d";
+    const GOLDEN_LAYERS: &str = "05000000ed00000000000000 04000000 \
+        0105000000636f6e763102000000040000000000803f000000c000000000000000800100000000006040 \
+        020800000064726f705f6663310900000000000000080000000000000007000000000000000600000000000000 \
+        0305000000636f6e7631000000000000fc3f0400000000000000 \
+        040b0000007072756e655f636f6e7631cdccccccccccec3f0500000000000000 \
+        02000000000000000000c03f000000000000d03f0b00000000000000 \
+        010a000000000000000300000000000000570000000000000001a4703d0ad7a3c03f \
+        e17a14ae47e1f63f0b0000000000000001e17a14ae47e1ca3f00";
+
+    /// The whole golden file: header (magic, version 1, reserved, section count) + sections.
+    fn golden_file(section_count: u8, plan: &str) -> Vec<u8> {
+        unhex(&format!(
+            "5354434b50540100 0100 0000 {section_count:02x}000000 \
+             {GOLDEN_POSITION} {GOLDEN_SHUFFLE_RNG} {plan} {GOLDEN_OPTIMIZER} {GOLDEN_LAYERS}"
+        ))
+    }
+
+    #[test]
+    fn whole_file_golden_bytes() {
+        let text = sample_snapshot();
+        let mut program = sample_snapshot();
+        program.plan = Some(PlanPayload::Program(vec![0x53, 0x54, 0x00, 0xFF, 0x01]));
+        let mut bare = sample_snapshot();
+        bare.plan = None;
+        for (snap, golden) in [
+            (text, golden_file(5, GOLDEN_PLAN_TEXT)),
+            (program, golden_file(5, GOLDEN_PLAN_PROGRAM)),
+            (bare, golden_file(4, "")),
+        ] {
+            assert_eq!(snap.encode().unwrap(), golden, "plan {:?}", snap.plan);
+            assert_eq!(Snapshot::decode(&golden).unwrap(), snap);
+        }
+    }
+
     #[test]
     fn text_and_program_plan_sections_are_mutually_exclusive() {
         // Hand-build a container carrying both plan forms; the decoder must reject it as a

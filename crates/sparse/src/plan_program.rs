@@ -917,6 +917,40 @@ mod tests {
         assert_eq!(back.encode().unwrap(), bytes);
     }
 
+    /// Hex digits (whitespace ignored) → bytes, for the golden fixtures below.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        let byte = |pair: &[u8]| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap();
+        digits.chunks(2).map(byte).collect()
+    }
+
+    #[test]
+    fn whole_file_golden_bytes() {
+        // `STPLAN` v1, whole files: the header (magic, version 1, reserved, section count),
+        // then one section (12-byte section header, then payload) per line. A change to any
+        // byte here is a wire-format break and must bump VERSION.
+        let full = unhex(
+            "5354504c414e0100 0100 0000 04000000 \
+             010000004700000000000000 06000000 0400000073696d64 05000000636f6e7631 \
+                0f000000706172616c6c656c3a696d32726f77 060000007363616c6172 05000000636f6e7632 \
+                08000000706172616c6c656c \
+             020000002300000000000000 00000000 03000000 010000000002000000 010000000203000000 \
+                040000000105000000 \
+             030000001e00000000000000 02000000 01000000000010000000000000 04000000010002000000000000 \
+             040000001c00000000000000 02000000 010000007b00000000000000 040000002d00000000000000",
+        );
+        let minimal = unhex(
+            "5354504c414e0100 0100 0000 02000000 \
+             010000000c00000000000000 01000000 0400000073696d64 \
+             020000000800000000000000 00000000 00000000",
+        );
+        let default_simd = Plan::new(handle("simd")).to_program();
+        for (program, golden) in [(sample_program(), full), (default_simd, minimal)] {
+            assert_eq!(program.encode().unwrap(), golden);
+            assert_eq!(ExecutionProgram::decode(&golden).unwrap(), program);
+        }
+    }
+
     #[test]
     fn interning_dedupes_names() {
         let prog = sample_program();
