@@ -1,21 +1,15 @@
-//! Derive-free binary codec for [`Snapshot`].
+//! Derive-free binary codec for [`Snapshot`]: the `.stck` instance of the house container.
 //!
-//! Wire format (all integers little-endian, floats as IEEE-754 bit patterns):
-//!
-//! ```text
-//! header:   magic [u8; 8] | version u16 | reserved u16 | section_count u32
-//! section:  tag u16 | reserved u16 | payload_len u64 | payload [u8; payload_len]
-//! ```
+//! The framing — header, tagged length-prefixed sections, primitive encodings, and every
+//! strictness rule of decoding — is `sparsetrain_container`; this module supplies the magic,
+//! the version, the section table and the payload field layouts.
 //!
 //! Sections appear at most once each; `Position`, `ShuffleRng`, `Optimizer`, and `Layers` are
 //! mandatory, `Plan` and `PlanProgram` are optional (and mutually exclusive: a snapshot carries
 //! its frozen plan either as legacy text or as a compiled `STPLAN` binary program, never both).
-//! Decoding is strict: unknown tags, duplicate or missing
-//! sections, short payloads, and trailing bytes are all typed [`DecodeError`]s that name the
-//! offending section — corrupt snapshots must never panic.
+//! Corrupt snapshots are typed [`DecodeError`]s that name the offending section, never panics.
 
-use std::error::Error;
-use std::fmt;
+use sparsetrain_container::{Reader, SectionId, Sections, Writer};
 
 use crate::snapshot::{LayerState, OptimizerState, PlanPayload, PrunerState, RunPosition, Snapshot};
 
@@ -23,13 +17,6 @@ use crate::snapshot::{LayerState, OptimizerState, PlanPayload, PrunerState, RunP
 pub const MAGIC: [u8; 8] = *b"STCKPT\x01\x00";
 /// Current snapshot format version.
 pub const VERSION: u16 = 1;
-
-const TAG_POSITION: u16 = 1;
-const TAG_SHUFFLE_RNG: u16 = 2;
-const TAG_PLAN: u16 = 3;
-const TAG_OPTIMIZER: u16 = 4;
-const TAG_LAYERS: u16 = 5;
-const TAG_PLAN_PROGRAM: u16 = 6;
 
 const KIND_PARAMS: u8 = 1;
 const KIND_RNG: u8 = 2;
@@ -47,379 +34,69 @@ pub enum Section {
     PlanProgram,
 }
 
-impl Section {
-    fn from_tag(tag: u16) -> Option<Self> {
-        match tag {
-            TAG_POSITION => Some(Section::Position),
-            TAG_SHUFFLE_RNG => Some(Section::ShuffleRng),
-            TAG_PLAN => Some(Section::Plan),
-            TAG_OPTIMIZER => Some(Section::Optimizer),
-            TAG_LAYERS => Some(Section::Layers),
-            TAG_PLAN_PROGRAM => Some(Section::PlanProgram),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Section {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Section::Position => "position",
-            Section::ShuffleRng => "shuffle-rng",
-            Section::Plan => "plan",
-            Section::Optimizer => "optimizer",
-            Section::Layers => "layers",
-            Section::PlanProgram => "plan-program",
-        };
-        f.write_str(name)
-    }
+impl SectionId for Section {
+    const MAGIC: [u8; 8] = MAGIC;
+    const VERSION: u16 = VERSION;
+    const DOCUMENT: &'static str = "snapshot";
+    const TABLE: &'static [(Self, u16, &'static str)] = &[
+        (Section::Position, 1, "position"),
+        (Section::ShuffleRng, 2, "shuffle-rng"),
+        (Section::Plan, 3, "plan"),
+        (Section::Optimizer, 4, "optimizer"),
+        (Section::Layers, 5, "layers"),
+        (Section::PlanProgram, 6, "plan-program"),
+    ];
 }
 
 /// Errors raised while encoding a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EncodeError {
-    /// A count or length exceeded the width reserved for it on the wire.
-    FieldOverflow {
-        section: Section,
-        field: &'static str,
-        value: usize,
-    },
-}
-
-impl fmt::Display for EncodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EncodeError::FieldOverflow {
-                section,
-                field,
-                value,
-            } => {
-                write!(
-                    f,
-                    "section {section}: field {field} value {value} exceeds wire width"
-                )
-            }
-        }
-    }
-}
-
-impl Error for EncodeError {}
-
+pub type EncodeError = sparsetrain_container::EncodeError<Section>;
 /// Errors raised while decoding a snapshot. Every variant names the region at fault.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Fewer bytes than the fixed header.
-    TruncatedHeader,
-    /// Header magic does not match [`MAGIC`].
-    BadMagic,
-    /// Header version is not [`VERSION`].
-    UnsupportedVersion(u16),
-    /// A section body ended before its declared content did.
-    TruncatedSection { section: Section },
-    /// A section header declared a tag this version does not know.
-    UnknownSection { tag: u16 },
-    /// The same section appeared twice.
-    DuplicateSection { section: Section },
-    /// A mandatory section was absent.
-    MissingSection { section: Section },
-    /// Bytes remained after the last declared section.
-    TrailingBytes { extra: usize },
-    /// A field inside a section held an invalid value.
-    InvalidField { section: Section, field: &'static str },
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::TruncatedHeader => write!(f, "snapshot shorter than its header"),
-            DecodeError::BadMagic => write!(f, "bad snapshot magic (not a sparsetrain checkpoint)"),
-            DecodeError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (this build reads {VERSION})")
-            }
-            DecodeError::TruncatedSection { section } => {
-                write!(f, "section {section} is truncated")
-            }
-            DecodeError::UnknownSection { tag } => write!(f, "unknown section tag {tag}"),
-            DecodeError::DuplicateSection { section } => {
-                write!(f, "section {section} appears more than once")
-            }
-            DecodeError::MissingSection { section } => {
-                write!(f, "mandatory section {section} is missing")
-            }
-            DecodeError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing byte(s) after the last section")
-            }
-            DecodeError::InvalidField { section, field } => {
-                write!(f, "section {section}: invalid value for field {field}")
-            }
-        }
-    }
-}
-
-impl Error for DecodeError {}
-
-// ---------------------------------------------------------------------------
-// Writer / Reader helpers
-// ---------------------------------------------------------------------------
-
-struct Writer {
-    section: Section,
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new(section: Section) -> Self {
-        Writer {
-            section,
-            buf: Vec::new(),
-        }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f32_bits(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn f64_bits(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn count(&mut self, field: &'static str, n: usize) -> Result<(), EncodeError> {
-        let v = u32::try_from(n).map_err(|_| EncodeError::FieldOverflow {
-            section: self.section,
-            field,
-            value: n,
-        })?;
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn str(&mut self, field: &'static str, s: &str) -> Result<(), EncodeError> {
-        self.count(field, s.len())?;
-        self.buf.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-
-    fn bytes(&mut self, field: &'static str, xs: &[u8]) -> Result<(), EncodeError> {
-        self.count(field, xs.len())?;
-        self.buf.extend_from_slice(xs);
-        Ok(())
-    }
-
-    fn f32_slice(&mut self, field: &'static str, xs: &[f32]) -> Result<(), EncodeError> {
-        self.count(field, xs.len())?;
-        for &x in xs {
-            self.f32_bits(x);
-        }
-        Ok(())
-    }
-
-    fn f64_slice(&mut self, field: &'static str, xs: &[f64]) -> Result<(), EncodeError> {
-        self.count(field, xs.len())?;
-        for &x in xs {
-            self.f64_bits(x);
-        }
-        Ok(())
-    }
-
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64_bits(x);
-            }
-            None => self.u8(0),
-        }
-    }
-}
-
-struct Reader<'a> {
-    section: Section,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(section: Section, bytes: &'a [u8]) -> Self {
-        Reader {
-            section,
-            bytes,
-            pos: 0,
-        }
-    }
-
-    fn truncated(&self) -> DecodeError {
-        DecodeError::TruncatedSection {
-            section: self.section,
-        }
-    }
-
-    fn invalid(&self, field: &'static str) -> DecodeError {
-        DecodeError::InvalidField {
-            section: self.section,
-            field,
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| self.truncated())?;
-        if end > self.bytes.len() {
-            return Err(self.truncated());
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn f32_bits(&mut self) -> Result<f32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
-    }
-
-    fn f64_bits(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn count(&mut self) -> Result<usize, DecodeError> {
-        Ok(self.u32()? as usize)
-    }
-
-    fn str(&mut self, field: &'static str) -> Result<String, DecodeError> {
-        let n = self.count()?;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| self.invalid(field))
-    }
-
-    fn byte_vec(&mut self) -> Result<Vec<u8>, DecodeError> {
-        let n = self.count()?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn f32_vec(&mut self) -> Result<Vec<f32>, DecodeError> {
-        let n = self.count()?;
-        let mut out = Vec::with_capacity(n.min(self.bytes.len() / 4 + 1));
-        for _ in 0..n {
-            out.push(self.f32_bits()?);
-        }
-        Ok(out)
-    }
-
-    fn f64_vec(&mut self) -> Result<Vec<f64>, DecodeError> {
-        let n = self.count()?;
-        let mut out = Vec::with_capacity(n.min(self.bytes.len() / 8 + 1));
-        for _ in 0..n {
-            out.push(self.f64_bits()?);
-        }
-        Ok(out)
-    }
-
-    fn opt_f64(&mut self, field: &'static str) -> Result<Option<f64>, DecodeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64_bits()?)),
-            _ => Err(self.invalid(field)),
-        }
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos != self.bytes.len() {
-            return Err(DecodeError::InvalidField {
-                section: self.section,
-                field: "section length",
-            });
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
+pub type DecodeError = sparsetrain_container::DecodeError<Section>;
 
 /// Serialize a snapshot into the versioned container format.
 pub fn encode_snapshot(snap: &Snapshot) -> Result<Vec<u8>, EncodeError> {
-    let mut sections: Vec<(u16, Vec<u8>)> = Vec::with_capacity(5);
+    let mut w = Writer::new();
 
-    let mut w = Writer::new(Section::Position);
+    w.begin(Section::Position);
     w.u64(snap.position.seed);
     w.u64(snap.position.epoch);
     w.u64(snap.position.step);
     w.u64(snap.position.steps_into_epoch);
-    sections.push((TAG_POSITION, w.buf));
 
-    let mut w = Writer::new(Section::ShuffleRng);
+    w.begin(Section::ShuffleRng);
     for &word in &snap.shuffle_rng {
         w.u64(word);
     }
-    sections.push((TAG_SHUFFLE_RNG, w.buf));
 
     match &snap.plan {
         Some(PlanPayload::Text(text)) => {
-            let mut w = Writer::new(Section::Plan);
+            w.begin(Section::Plan);
             w.str("plan text", text)?;
-            sections.push((TAG_PLAN, w.buf));
         }
         Some(PlanPayload::Program(bytes)) => {
-            let mut w = Writer::new(Section::PlanProgram);
+            w.begin(Section::PlanProgram);
             w.bytes("plan program bytes", bytes)?;
-            sections.push((TAG_PLAN_PROGRAM, w.buf));
         }
         None => {}
     }
 
-    let mut w = Writer::new(Section::Optimizer);
-    w.f32_bits(snap.optimizer.lr);
+    w.begin(Section::Optimizer);
+    w.f32(snap.optimizer.lr);
     w.count("velocity buffers", snap.optimizer.velocities.len())?;
     for vel in &snap.optimizer.velocities {
         w.f32_slice("velocity values", vel)?;
     }
-    sections.push((TAG_OPTIMIZER, w.buf));
 
-    let mut w = Writer::new(Section::Layers);
+    w.begin(Section::Layers);
     w.count("layer entries", snap.layers.len())?;
     for entry in &snap.layers {
         encode_layer_state(&mut w, entry)?;
     }
-    sections.push((TAG_LAYERS, w.buf));
 
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&[0u8; 2]);
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    for (tag, payload) in sections {
-        out.extend_from_slice(&tag.to_le_bytes());
-        out.extend_from_slice(&[0u8; 2]);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-    }
-    Ok(out)
+    Ok(w.finish())
 }
 
-fn encode_layer_state(w: &mut Writer, entry: &LayerState) -> Result<(), EncodeError> {
+fn encode_layer_state(w: &mut Writer<Section>, entry: &LayerState) -> Result<(), EncodeError> {
     match entry {
         LayerState::Params { layer, tensors } => {
             w.u8(KIND_PARAMS);
@@ -439,13 +116,13 @@ fn encode_layer_state(w: &mut Writer, entry: &LayerState) -> Result<(), EncodeEr
         LayerState::Density { layer, sum, count } => {
             w.u8(KIND_DENSITY);
             w.str("layer name", layer)?;
-            w.f64_bits(*sum);
+            w.f64(*sum);
             w.u64(*count);
         }
         LayerState::Pruner { layer, state } => {
             w.u8(KIND_PRUNER);
             w.str("layer name", layer)?;
-            w.f64_bits(state.target_sparsity);
+            w.f64(state.target_sparsity);
             w.u64(state.fifo_depth);
             w.f64_slice("fifo values", &state.fifo)?;
             w.u64(state.batches);
@@ -459,7 +136,7 @@ fn encode_layer_state(w: &mut Writer, entry: &LayerState) -> Result<(), EncodeEr
                 None => w.u8(0),
             }
             w.opt_f64(state.last_density);
-            w.f64_bits(state.density_sum);
+            w.f64(state.density_sum);
             w.u64(state.density_count);
             w.opt_f64(state.last_predicted_tau);
             w.opt_f64(state.last_determined_tau);
@@ -468,155 +145,68 @@ fn encode_layer_state(w: &mut Writer, entry: &LayerState) -> Result<(), EncodeEr
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
 /// Parse a snapshot from the versioned container format.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, DecodeError> {
-    if bytes.len() < 16 {
-        return Err(DecodeError::TruncatedHeader);
-    }
-    if bytes[..8] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-    if version != VERSION {
-        return Err(DecodeError::UnsupportedVersion(version));
-    }
-    let section_count = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
+    let sections = Sections::parse(bytes)?;
 
-    let mut position: Option<RunPosition> = None;
-    let mut shuffle_rng: Option<[u64; 4]> = None;
-    let mut plan: Option<PlanPayload> = None;
-    let mut optimizer: Option<OptimizerState> = None;
-    let mut layers: Option<Vec<LayerState>> = None;
-
-    let mut pos = 16usize;
-    for _ in 0..section_count {
-        if bytes.len() < pos + 12 {
-            // We cannot know which section the short header belonged to.
-            return Err(DecodeError::TruncatedHeader);
-        }
-        let tag = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]);
-        let section = Section::from_tag(tag).ok_or(DecodeError::UnknownSection { tag })?;
-        let mut raw_len = [0u8; 8];
-        raw_len.copy_from_slice(&bytes[pos + 4..pos + 12]);
-        let len = u64::from_le_bytes(raw_len) as usize;
-        pos += 12;
-        let end = pos
-            .checked_add(len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or(DecodeError::TruncatedSection { section })?;
-        let payload = &bytes[pos..end];
-        pos = end;
-
-        match section {
-            Section::Position => {
-                if position.is_some() {
-                    return Err(DecodeError::DuplicateSection { section });
-                }
-                let mut r = Reader::new(section, payload);
-                let parsed = RunPosition {
-                    seed: r.u64()?,
-                    epoch: r.u64()?,
-                    step: r.u64()?,
-                    steps_into_epoch: r.u64()?,
-                };
-                r.finish()?;
-                position = Some(parsed);
-            }
-            Section::ShuffleRng => {
-                if shuffle_rng.is_some() {
-                    return Err(DecodeError::DuplicateSection { section });
-                }
-                let mut r = Reader::new(section, payload);
-                let state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-                r.finish()?;
-                shuffle_rng = Some(state);
-            }
-            Section::Plan => {
-                // Shares the plan slot with PlanProgram: a snapshot carries one frozen plan.
-                if plan.is_some() {
-                    return Err(DecodeError::DuplicateSection { section });
-                }
-                let mut r = Reader::new(section, payload);
-                let text = r.str("plan text")?;
-                r.finish()?;
-                plan = Some(PlanPayload::Text(text));
-            }
-            Section::PlanProgram => {
-                if plan.is_some() {
-                    return Err(DecodeError::DuplicateSection { section });
-                }
-                let mut r = Reader::new(section, payload);
-                let bytes = r.byte_vec()?;
-                r.finish()?;
-                plan = Some(PlanPayload::Program(bytes));
-            }
-            Section::Optimizer => {
-                if optimizer.is_some() {
-                    return Err(DecodeError::DuplicateSection { section });
-                }
-                let mut r = Reader::new(section, payload);
-                let lr = r.f32_bits()?;
-                let n = r.count()?;
-                let mut velocities = Vec::with_capacity(n.min(payload.len() / 4 + 1));
-                for _ in 0..n {
-                    velocities.push(r.f32_vec()?);
-                }
-                r.finish()?;
-                optimizer = Some(OptimizerState { lr, velocities });
-            }
-            Section::Layers => {
-                if layers.is_some() {
-                    return Err(DecodeError::DuplicateSection { section });
-                }
-                let mut r = Reader::new(section, payload);
-                let n = r.count()?;
-                let mut entries = Vec::with_capacity(n.min(payload.len() + 1));
-                for _ in 0..n {
-                    entries.push(decode_layer_state(&mut r)?);
-                }
-                r.finish()?;
-                layers = Some(entries);
-            }
-        }
+    // One plan slot: a file carrying both forms repeats it, and the second is the duplicate.
+    let mut plans = sections
+        .present()
+        .filter(|s| matches!(s, Section::Plan | Section::PlanProgram));
+    if let Some(section) = plans.nth(1) {
+        return Err(DecodeError::DuplicateSection { section });
     }
 
-    if pos != bytes.len() {
-        return Err(DecodeError::TrailingBytes {
-            extra: bytes.len() - pos,
-        });
+    let mut r = sections.required(Section::Position)?;
+    let position = RunPosition {
+        seed: r.u64()?,
+        epoch: r.u64()?,
+        step: r.u64()?,
+        steps_into_epoch: r.u64()?,
+    };
+    r.finish()?;
+
+    let mut r = sections.required(Section::ShuffleRng)?;
+    let shuffle_rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+    r.finish()?;
+
+    let mut plan = None;
+    if let Some(mut r) = sections.optional(Section::Plan) {
+        plan = Some(PlanPayload::Text(r.str("plan text")?));
+        r.finish()?;
     }
+    if let Some(mut r) = sections.optional(Section::PlanProgram) {
+        plan = Some(PlanPayload::Program(r.byte_vec()?));
+        r.finish()?;
+    }
+
+    let mut r = sections.required(Section::Optimizer)?;
+    let optimizer = OptimizerState {
+        lr: r.f32()?,
+        velocities: r.seq(4, Reader::f32_vec)?,
+    };
+    r.finish()?;
+
+    let mut r = sections.required(Section::Layers)?;
+    // The smallest entry: a kind byte, an empty name, an empty tensor list.
+    let layers = r.seq(9, decode_layer_state)?;
+    r.finish()?;
 
     Ok(Snapshot {
-        position: position.ok_or(DecodeError::MissingSection {
-            section: Section::Position,
-        })?,
-        shuffle_rng: shuffle_rng.ok_or(DecodeError::MissingSection {
-            section: Section::ShuffleRng,
-        })?,
+        position,
+        shuffle_rng,
         plan,
-        optimizer: optimizer.ok_or(DecodeError::MissingSection {
-            section: Section::Optimizer,
-        })?,
-        layers: layers.ok_or(DecodeError::MissingSection {
-            section: Section::Layers,
-        })?,
+        optimizer,
+        layers,
     })
 }
 
-fn decode_layer_state(r: &mut Reader<'_>) -> Result<LayerState, DecodeError> {
+fn decode_layer_state(r: &mut Reader<'_, Section>) -> Result<LayerState, DecodeError> {
     let kind = r.u8()?;
     let layer = r.str("layer name")?;
     match kind {
         KIND_PARAMS => {
-            let n = r.count()?;
-            let mut tensors = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                tensors.push(r.f32_vec()?);
-            }
+            let tensors = r.seq(4, Reader::f32_vec)?;
             Ok(LayerState::Params { layer, tensors })
         }
         KIND_RNG => {
@@ -624,12 +214,12 @@ fn decode_layer_state(r: &mut Reader<'_>) -> Result<LayerState, DecodeError> {
             Ok(LayerState::Rng { layer, state })
         }
         KIND_DENSITY => {
-            let sum = r.f64_bits()?;
+            let sum = r.f64()?;
             let count = r.u64()?;
             Ok(LayerState::Density { layer, sum, count })
         }
         KIND_PRUNER => {
-            let target_sparsity = r.f64_bits()?;
+            let target_sparsity = r.f64()?;
             let fifo_depth = r.u64()?;
             let fifo = r.f64_vec()?;
             let batches = r.u64()?;
@@ -639,7 +229,7 @@ fn decode_layer_state(r: &mut Reader<'_>) -> Result<LayerState, DecodeError> {
                 _ => return Err(r.invalid("pruner outcome tag")),
             };
             let last_density = r.opt_f64("pruner last density")?;
-            let density_sum = r.f64_bits()?;
+            let density_sum = r.f64()?;
             let density_count = r.u64()?;
             let last_predicted_tau = r.opt_f64("pruner predicted tau")?;
             let last_determined_tau = r.opt_f64("pruner determined tau")?;
@@ -728,57 +318,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrips() {
-        let snap = sample_snapshot();
-        let bytes = snap.encode().unwrap();
-        let back = Snapshot::decode(&bytes).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn roundtrips_without_plan() {
-        let mut snap = sample_snapshot();
-        snap.plan = None;
-        let bytes = snap.encode().unwrap();
-        let back = Snapshot::decode(&bytes).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn roundtrips_with_binary_plan_program() {
-        let mut snap = sample_snapshot();
-        snap.plan = Some(PlanPayload::Program(vec![0x53, 0x54, 0x00, 0xFF, 0x01]));
-        let bytes = snap.encode().unwrap();
-        let back = Snapshot::decode(&bytes).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn plan_program_section_golden_bytes() {
-        // The tag-6 payload layout is pinned: count u32 (LE) + raw bytes. A change here is a
-        // wire-format break and must bump VERSION.
-        let mut snap = sample_snapshot();
-        snap.plan = Some(PlanPayload::Program(vec![1, 2, 3]));
-        let bytes = snap.encode().unwrap();
-        // Locate the tag-6 section by walking the container.
-        let mut pos = 16usize;
-        let mut found = None;
-        while pos + 12 <= bytes.len() {
-            let tag = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]);
-            let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
-            if tag == TAG_PLAN_PROGRAM {
-                found = Some(&bytes[pos + 12..pos + 12 + len]);
-                break;
-            }
-            pos += 12 + len;
-        }
-        assert_eq!(
-            found.expect("tag-6 section present"),
-            &[0x03, 0x00, 0x00, 0x00, 1, 2, 3]
-        );
-    }
-
     /// Hex digits (whitespace ignored) → bytes, for the golden fixtures below.
     fn unhex(hex: &str) -> Vec<u8> {
         let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
@@ -832,41 +371,74 @@ mod tests {
         }
     }
 
+    /// A container file holding exactly the given golden sections, in the given order.
+    fn file_of(sections: &[&str]) -> Vec<u8> {
+        let mut bytes = golden_file(sections.len() as u8, "");
+        bytes.truncate(16);
+        bytes.extend(unhex(&sections.concat()));
+        bytes
+    }
+
     #[test]
     fn text_and_program_plan_sections_are_mutually_exclusive() {
-        // Hand-build a container carrying both plan forms; the decoder must reject it as a
-        // duplicate of the (single) plan slot.
-        let text_snap = sample_snapshot();
-        let text_bytes = text_snap.encode().unwrap();
-        let mut program_snap = sample_snapshot();
-        program_snap.plan = Some(PlanPayload::Program(vec![9, 9]));
-        let program_bytes = program_snap.encode().unwrap();
+        // A container carrying both plan forms repeats the (single) plan slot: whichever form
+        // comes second is the duplicate, before anything else about the file is judged.
+        for (first, second, duplicate) in [
+            (GOLDEN_PLAN_TEXT, GOLDEN_PLAN_PROGRAM, Section::PlanProgram),
+            (GOLDEN_PLAN_PROGRAM, GOLDEN_PLAN_TEXT, Section::Plan),
+        ] {
+            assert_eq!(
+                Snapshot::decode(&file_of(&[first, second])),
+                Err(DecodeError::DuplicateSection { section: duplicate })
+            );
+        }
+    }
 
-        let section = |bytes: &[u8], want: u16| -> Vec<u8> {
-            let mut pos = 16usize;
-            loop {
-                let tag = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]);
-                let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
-                if tag == want {
-                    return bytes[pos..pos + 12 + len].to_vec();
-                }
-                pos += 12 + len;
-            }
-        };
+    #[test]
+    fn mandatory_sections_are_required() {
+        // The framing itself is tested once, in `sparsetrain-container`; which sections a
+        // snapshot cannot do without is this format's.
+        let all = [
+            (Section::Position, GOLDEN_POSITION),
+            (Section::ShuffleRng, GOLDEN_SHUFFLE_RNG),
+            (Section::Optimizer, GOLDEN_OPTIMIZER),
+            (Section::Layers, GOLDEN_LAYERS),
+        ];
+        for (missing, _) in all {
+            let rest: Vec<&str> = all
+                .iter()
+                .filter(|(s, _)| *s != missing)
+                .map(|(_, hex)| *hex)
+                .collect();
+            let err = Snapshot::decode(&file_of(&rest)).unwrap_err();
+            assert_eq!(err, DecodeError::MissingSection { section: missing });
+        }
+        let err = Snapshot::decode(&file_of(&[GOLDEN_POSITION])).unwrap_err();
+        assert_eq!(err.to_string(), "mandatory section shuffle-rng is missing");
+    }
 
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 2]);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&section(&text_bytes, TAG_PLAN));
-        bytes.extend_from_slice(&section(&program_bytes, TAG_PLAN_PROGRAM));
-        assert_eq!(
-            Snapshot::decode(&bytes),
-            Err(DecodeError::DuplicateSection {
-                section: Section::PlanProgram
-            })
-        );
+    #[test]
+    fn invalid_payload_fields_are_typed() {
+        let cases = [
+            // One layer entry of unknown kind 9 with an empty name.
+            (
+                "050000000900000000000000 01000000 09 00000000",
+                "layer state kind",
+            ),
+            // A density entry whose name is not UTF-8.
+            (
+                "050000001a00000000000000 01000000 03 01000000ff 0000000000000000 0000000000000000",
+                "layer name",
+            ),
+        ];
+        for (layers, field) in cases {
+            let file = file_of(&[GOLDEN_POSITION, GOLDEN_SHUFFLE_RNG, GOLDEN_OPTIMIZER, layers]);
+            let section = Section::Layers;
+            assert_eq!(
+                Snapshot::decode(&file),
+                Err(DecodeError::InvalidField { section, field })
+            );
+        }
     }
 
     #[test]
@@ -884,139 +456,5 @@ mod tests {
             [f32::NAN.to_bits(), (-0.0f32).to_bits(), f32::INFINITY.to_bits()],
             "IEEE bit patterns must be preserved exactly"
         );
-    }
-
-    #[test]
-    fn flipped_magic_is_rejected() {
-        let mut bytes = sample_snapshot().encode().unwrap();
-        bytes[0] ^= 0xFF;
-        assert_eq!(Snapshot::decode(&bytes), Err(DecodeError::BadMagic));
-    }
-
-    #[test]
-    fn bad_version_is_rejected() {
-        let mut bytes = sample_snapshot().encode().unwrap();
-        bytes[8] = 0x7F;
-        assert_eq!(
-            Snapshot::decode(&bytes),
-            Err(DecodeError::UnsupportedVersion(0x7F))
-        );
-    }
-
-    #[test]
-    fn short_header_is_rejected() {
-        assert_eq!(Snapshot::decode(&[]), Err(DecodeError::TruncatedHeader));
-        let bytes = sample_snapshot().encode().unwrap();
-        assert_eq!(Snapshot::decode(&bytes[..10]), Err(DecodeError::TruncatedHeader));
-    }
-
-    #[test]
-    fn truncated_section_names_the_section() {
-        let bytes = sample_snapshot().encode().unwrap();
-        // Cut into the first section's payload (position starts right after the 16-byte
-        // header and its own 12-byte section header).
-        let err = Snapshot::decode(&bytes[..16 + 12 + 3]).unwrap_err();
-        assert_eq!(
-            err,
-            DecodeError::TruncatedSection {
-                section: Section::Position
-            }
-        );
-        assert!(
-            err.to_string().contains("position"),
-            "error should name the section: {err}"
-        );
-    }
-
-    #[test]
-    fn trailing_garbage_is_rejected() {
-        let mut bytes = sample_snapshot().encode().unwrap();
-        bytes.extend_from_slice(b"junk");
-        assert_eq!(
-            Snapshot::decode(&bytes),
-            Err(DecodeError::TrailingBytes { extra: 4 })
-        );
-    }
-
-    #[test]
-    fn unknown_section_is_rejected() {
-        let mut bytes = sample_snapshot().encode().unwrap();
-        // First section tag lives at offset 16.
-        bytes[16] = 0xEE;
-        bytes[17] = 0xEE;
-        assert_eq!(
-            Snapshot::decode(&bytes),
-            Err(DecodeError::UnknownSection { tag: 0xEEEE })
-        );
-    }
-
-    #[test]
-    fn missing_section_is_rejected() {
-        // Hand-build a container with only the position section.
-        let full = sample_snapshot().encode().unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 2]);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        // Copy the position section (12-byte header + 32-byte payload) from a real encode.
-        bytes.extend_from_slice(&full[16..16 + 12 + 32]);
-        assert_eq!(
-            Snapshot::decode(&bytes),
-            Err(DecodeError::MissingSection {
-                section: Section::ShuffleRng
-            })
-        );
-    }
-
-    #[test]
-    fn duplicate_section_is_rejected() {
-        let full = sample_snapshot().encode().unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 2]);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        let position = &full[16..16 + 12 + 32];
-        bytes.extend_from_slice(position);
-        bytes.extend_from_slice(position);
-        assert_eq!(
-            Snapshot::decode(&bytes),
-            Err(DecodeError::DuplicateSection {
-                section: Section::Position
-            })
-        );
-    }
-
-    #[test]
-    fn error_messages_are_nonempty() {
-        let errors: Vec<Box<dyn std::error::Error>> = vec![
-            Box::new(EncodeError::FieldOverflow {
-                section: Section::Layers,
-                field: "param tensors",
-                value: usize::MAX,
-            }),
-            Box::new(DecodeError::TruncatedHeader),
-            Box::new(DecodeError::BadMagic),
-            Box::new(DecodeError::UnsupportedVersion(9)),
-            Box::new(DecodeError::TruncatedSection {
-                section: Section::Optimizer,
-            }),
-            Box::new(DecodeError::UnknownSection { tag: 99 }),
-            Box::new(DecodeError::DuplicateSection {
-                section: Section::Plan,
-            }),
-            Box::new(DecodeError::MissingSection {
-                section: Section::Layers,
-            }),
-            Box::new(DecodeError::TrailingBytes { extra: 1 }),
-            Box::new(DecodeError::InvalidField {
-                section: Section::Layers,
-                field: "layer name",
-            }),
-        ];
-        for err in errors {
-            assert!(!err.to_string().is_empty());
-        }
     }
 }

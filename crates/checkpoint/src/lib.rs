@@ -10,8 +10,9 @@
 //! identical** to the uninterrupted run.
 //!
 //! The trainer-facing integration (`Trainer::snapshot` / `Trainer::resume`) lives in
-//! `sparsetrain-nn`; this crate is deliberately plain data + IO (its only dependency is the
-//! zero-cost `sparsetrain-faults` injection seams threaded through save and load).
+//! `sparsetrain-nn`; this crate is deliberately plain data + IO (its only dependencies are the
+//! shared container framing, `sparsetrain-container`, and the zero-cost `sparsetrain-faults`
+//! injection seams threaded through save and load).
 //!
 //! Recovery support: [`policy::scan_latest_valid`] walks a run directory newest-first and
 //! returns the newest snapshot that actually decodes, reporting (not aborting on) corrupt or

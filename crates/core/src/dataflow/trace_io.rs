@@ -24,12 +24,15 @@ use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::SparseVec;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::Tensor3;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::str::SplitWhitespace;
+
+const HEADER: &str = "sparsetrain-trace v1";
 
 /// Serializes a trace to the text format.
 pub fn to_text(trace: &NetworkTrace) -> String {
     let mut out = String::new();
-    out.push_str("sparsetrain-trace v1\n");
+    let _ = writeln!(out, "{HEADER}");
     let _ = writeln!(out, "model {}", trace.model);
     let _ = writeln!(out, "dataset {}", trace.dataset);
     for layer in &trace.layers {
@@ -93,49 +96,140 @@ fn write_row(out: &mut String, row: &SparseVec) {
     out.push('\n');
 }
 
+/// What was wrong with the line a [`TraceParseError`] points at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceParseErrorKind {
+    /// The input ended where another line was required (`end` included).
+    UnexpectedEnd,
+    /// The first line is not `sparsetrain-trace v1`.
+    BadHeader,
+    /// The line lacks what is required here: an opening keyword, a directive, a layer name.
+    Expected(&'static str),
+    /// A token is not a number (or not an `offset:value` pair).
+    BadNumber,
+    /// The line carries the wrong number of numeric fields.
+    WrongArity { expected: usize, found: usize },
+    /// A row offset lies outside the declared row width.
+    OffsetOutOfRange { offset: usize, width: usize },
+    /// A row lists a different number of non-zeros than it declares.
+    NnzMismatch { declared: usize, listed: usize },
+}
+
+/// A malformed trace: the 1-based line at fault and what was wrong with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceParseError {
+    /// 1-based line number (one past the last line when the input ended early).
+    pub line: usize,
+    /// What was wrong with that line.
+    pub kind: TraceParseErrorKind,
+}
+
+impl fmt::Display for TraceParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use TraceParseErrorKind::*;
+        write!(f, "trace line {}: ", self.line)?;
+        match self.kind {
+            UnexpectedEnd => write!(f, "input ended, more lines expected"),
+            BadHeader => write!(f, "unrecognized header (expected `{HEADER}`)"),
+            Expected(what) => write!(f, "expected {what}"),
+            BadNumber => write!(f, "malformed number"),
+            WrongArity { expected, found } => write!(f, "expected {expected} numbers, got {found}"),
+            OffsetOutOfRange { offset, width } => write!(f, "offset {offset} out of range {width}"),
+            NnzMismatch { declared, listed } => {
+                write!(f, "row declared {declared} non-zeros but listed {listed}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TraceParseError {}
+
+/// The input's lines with the number of the one last handed out.
+struct Cursor<'a> {
+    lines: std::str::Lines<'a>,
+    line: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn err(&self, kind: TraceParseErrorKind) -> TraceParseError {
+        TraceParseError {
+            line: self.line,
+            kind,
+        }
+    }
+
+    /// The next line, which must exist.
+    fn next(&mut self) -> Result<&'a str, TraceParseError> {
+        self.line += 1;
+        self.lines
+            .next()
+            .ok_or_else(|| self.err(TraceParseErrorKind::UnexpectedEnd))
+    }
+
+    /// The tokens after the `keyword` the next line must open with.
+    fn expect(&mut self, keyword: &'static str) -> Result<SplitWhitespace<'a>, TraceParseError> {
+        let mut parts = self.next()?.split_whitespace();
+        if parts.next() == Some(keyword) {
+            Ok(parts)
+        } else {
+            Err(self.err(TraceParseErrorKind::Expected(keyword)))
+        }
+    }
+
+    /// The rest of the next line, which must open with `key` (names may hold spaces).
+    fn value_of(&mut self, key: &'static str) -> Result<String, TraceParseError> {
+        let rest = self.next()?.strip_prefix(key);
+        let rest = rest.ok_or_else(|| self.err(TraceParseErrorKind::Expected(key)))?;
+        Ok(rest.trim().to_string())
+    }
+
+    fn number<T: std::str::FromStr>(&self, token: &str) -> Result<T, TraceParseError> {
+        token
+            .parse()
+            .map_err(|_| self.err(TraceParseErrorKind::BadNumber))
+    }
+
+    /// Exactly `N` numbers: the remaining tokens of the current line.
+    fn numbers<const N: usize>(&self, parts: SplitWhitespace<'a>) -> Result<[usize; N], TraceParseError> {
+        let nums = parts.map(|p| self.number(p)).collect::<Result<Vec<usize>, _>>()?;
+        let found = nums.len();
+        nums.try_into()
+            .map_err(|_| self.err(TraceParseErrorKind::WrongArity { expected: N, found }))
+    }
+}
+
 /// Parses a trace from the text format.
 ///
 /// # Errors
 ///
-/// Returns a message describing the first malformed line.
-pub fn from_text(text: &str) -> Result<NetworkTrace, String> {
-    let mut lines = text.lines().peekable();
-    let header = lines.next().ok_or("empty input")?;
-    if header != "sparsetrain-trace v1" {
-        return Err(format!("unrecognized header: {header}"));
+/// Returns the first malformed line, by 1-based number, and what was wrong with it.
+pub fn from_text(text: &str) -> Result<NetworkTrace, TraceParseError> {
+    use TraceParseErrorKind::*;
+    let mut cur = Cursor {
+        lines: text.lines(),
+        line: 0,
+    };
+    if cur.next()? != HEADER {
+        return Err(cur.err(BadHeader));
     }
-    let model = parse_kv(lines.next(), "model")?;
-    let dataset = parse_kv(lines.next(), "dataset")?;
+    let model = cur.value_of("model")?;
+    let dataset = cur.value_of("dataset")?;
     let mut trace = NetworkTrace::new(model, dataset);
 
-    while let Some(line) = lines.next() {
-        let mut parts = line.split_whitespace();
+    loop {
+        let mut parts = cur.next()?.split_whitespace();
         match parts.next() {
             Some("end") => return Ok(trace),
             Some("conv") => {
-                let name = parts.next().ok_or("conv: missing name")?.to_string();
-                let nums: Vec<usize> = parts
-                    .map(|p| p.parse().map_err(|_| format!("conv: bad number {p}")))
-                    .collect::<Result<_, _>>()?;
-                if nums.len() != 8 {
-                    return Err(format!("conv {name}: expected 8 numbers, got {}", nums.len()));
-                }
-                let [k, stride, pad, filters, c, h, w, nig] = [
-                    nums[0], nums[1], nums[2], nums[3], nums[4], nums[5], nums[6], nums[7],
-                ];
-                let input = read_map(&mut lines, c, h, w)?;
-                let dout_header = lines.next().ok_or("missing dout header")?;
-                let mut dp = dout_header.split_whitespace();
-                if dp.next() != Some("dout") {
-                    return Err(format!("expected dout header, got {dout_header}"));
-                }
-                let dnums: Vec<usize> = dp
-                    .map(|p| p.parse().map_err(|_| format!("dout: bad number {p}")))
-                    .collect::<Result<_, _>>()?;
-                if dnums.len() != 3 {
-                    return Err("dout: expected 3 numbers".to_string());
-                }
-                let dout = read_map(&mut lines, dnums[0], dnums[1], dnums[2])?;
+                let name = parts
+                    .next()
+                    .ok_or_else(|| cur.err(Expected("layer name")))?
+                    .to_string();
+                let [k, stride, pad, filters, c, h, w, nig] = cur.numbers(parts)?;
+                let input = read_map(&mut cur, c, h, w)?;
+                let dout_header = cur.expect("dout")?;
+                let [f, ho, wo] = cur.numbers(dout_header)?;
+                let dout = read_map(&mut cur, f, ho, wo)?;
                 let needs_input_grad = nig != 0;
                 let input_masks = if needs_input_grad {
                     input.masks()
@@ -153,69 +247,47 @@ pub fn from_text(text: &str) -> Result<NetworkTrace, String> {
                 }));
             }
             Some("fc") => {
-                let name = parts.next().ok_or("fc: missing name")?.to_string();
-                let nums: Vec<usize> = parts
-                    .map(|p| p.parse().map_err(|_| format!("fc: bad number {p}")))
-                    .collect::<Result<_, _>>()?;
-                if nums.len() != 6 {
-                    return Err(format!("fc {name}: expected 6 numbers"));
-                }
+                let name = parts
+                    .next()
+                    .ok_or_else(|| cur.err(Expected("layer name")))?
+                    .to_string();
+                let [in_features, out_features, input_nnz, dout_nnz, mask_nnz, nig] = cur.numbers(parts)?;
                 trace.layers.push(LayerTrace::Fc(FcLayerTrace {
                     name,
-                    in_features: nums[0],
-                    out_features: nums[1],
-                    input_nnz: nums[2],
-                    dout_nnz: nums[3],
-                    mask_nnz: nums[4],
-                    needs_input_grad: nums[5] != 0,
+                    in_features,
+                    out_features,
+                    input_nnz,
+                    dout_nnz,
+                    mask_nnz,
+                    needs_input_grad: nig != 0,
                 }));
             }
-            Some(other) => return Err(format!("unexpected directive: {other}")),
+            Some(_) => return Err(cur.err(Expected("conv, fc or end"))),
             None => continue,
         }
     }
-    Err("missing end directive".to_string())
 }
 
-fn parse_kv(line: Option<&str>, key: &str) -> Result<String, String> {
-    let line = line.ok_or_else(|| format!("missing {key} line"))?;
-    line.strip_prefix(key)
-        .map(|rest| rest.trim().to_string())
-        .ok_or_else(|| format!("expected {key} line, got: {line}"))
-}
-
-fn read_map<'a>(
-    lines: &mut std::iter::Peekable<impl Iterator<Item = &'a str>>,
-    c: usize,
-    h: usize,
-    w: usize,
-) -> Result<SparseFeatureMap, String> {
+fn read_map(cur: &mut Cursor<'_>, c: usize, h: usize, w: usize) -> Result<SparseFeatureMap, TraceParseError> {
+    use TraceParseErrorKind::*;
     let mut dense = Tensor3::zeros(c, h, w);
     for ci in 0..c {
         for y in 0..h {
-            let line = lines.next().ok_or("unexpected end of rows")?;
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some("row") {
-                return Err(format!("expected row line, got: {line}"));
-            }
-            let nnz: usize = parts
-                .next()
-                .ok_or("row: missing nnz")?
-                .parse()
-                .map_err(|_| "row: bad nnz".to_string())?;
-            let mut seen = 0usize;
+            let mut parts = cur.expect("row")?;
+            let declared: usize = cur.number(parts.next().ok_or_else(|| cur.err(BadNumber))?)?;
+            let mut listed = 0usize;
             for pair in parts {
-                let (o, v) = pair.split_once(':').ok_or_else(|| format!("bad pair {pair}"))?;
-                let o: usize = o.parse().map_err(|_| format!("bad offset {o}"))?;
-                let v: f32 = v.parse().map_err(|_| format!("bad value {v}"))?;
-                if o >= w {
-                    return Err(format!("offset {o} out of range {w}"));
+                let (o, v) = pair.split_once(':').ok_or_else(|| cur.err(BadNumber))?;
+                let offset: usize = cur.number(o)?;
+                let v: f32 = cur.number(v)?;
+                if offset >= w {
+                    return Err(cur.err(OffsetOutOfRange { offset, width: w }));
                 }
-                dense.set(ci, y, o, v);
-                seen += 1;
+                dense.set(ci, y, offset, v);
+                listed += 1;
             }
-            if seen != nnz {
-                return Err(format!("row declared {nnz} non-zeros but listed {seen}"));
+            if listed != declared {
+                return Err(cur.err(NnzMismatch { declared, listed }));
             }
         }
     }
@@ -301,7 +373,16 @@ mod tests {
     fn rejects_nnz_mismatch() {
         let text = "sparsetrain-trace v1\nmodel m\ndataset d\nconv c 1 1 0 1 1 1 2 1\nrow 2 0:1.0\ndout 1 1 2\nrow 0\nrow 0\nend\n";
         let err = from_text(text).unwrap_err();
-        assert!(err.contains("declared"), "unexpected error: {err}");
+        // The malformed row is the fifth line: declared 2 non-zeros, listed 1.
+        assert_eq!(err.line, 5);
+        assert_eq!(
+            err.kind,
+            TraceParseErrorKind::NnzMismatch {
+                declared: 2,
+                listed: 1
+            }
+        );
+        assert!(err.to_string().contains("line 5") && err.to_string().contains("declared"));
     }
 
     #[test]

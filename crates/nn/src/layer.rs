@@ -231,10 +231,11 @@ pub trait Layer: Send {
 
     /// Freezes (or thaws) pruning state: while frozen, pruning hooks still
     /// prune under their currently-predicted threshold but accumulate no
-    /// `Σ|g|`, push no FIFO entry and record no statistics. Probe passes
-    /// (trace capture, gradient taps) freeze the network so inspecting a
-    /// training run never perturbs its trajectory. Layers without pruning
-    /// state ignore the call.
+    /// `Σ|g|`, push no FIFO entry and record no statistics, and `Conv2d`
+    /// holds its `dO` density accumulators. Probe passes (trace capture,
+    /// gradient taps) freeze the network so inspecting a training run
+    /// never perturbs its trajectory or the state a snapshot records.
+    /// Layers without such state ignore the call.
     fn set_prune_frozen(&mut self, _frozen: bool) {}
 
     /// Switches layers with a sparse row-dataflow path (`Conv2d`) between

@@ -58,6 +58,9 @@ pub struct Conv2d {
     captured: Option<ConvLayerTrace>,
     dout_density_sum: f64,
     dout_density_count: usize,
+    // Set during probe passes, which must leave the accumulators (snapshot
+    // state) untouched.
+    stats_frozen: bool,
 }
 
 impl Conv2d {
@@ -96,6 +99,7 @@ impl Conv2d {
             captured: None,
             dout_density_sum: 0.0,
             dout_density_count: 0,
+            stats_frozen: false,
         }
     }
 
@@ -210,7 +214,7 @@ impl Layer for Conv2d {
             nnz += stats::nnz(g.as_slice());
             total += g.len();
         }
-        if total > 0 {
+        if total > 0 && !self.stats_frozen {
             self.dout_density_sum += nnz as f64 / total as f64;
             self.dout_density_count += 1;
         }
@@ -348,6 +352,10 @@ impl Layer for Conv2d {
     fn reset_density_stats(&mut self) {
         self.dout_density_sum = 0.0;
         self.dout_density_count = 0;
+    }
+
+    fn set_prune_frozen(&mut self, frozen: bool) {
+        self.stats_frozen = frozen;
     }
 
     fn collect_state(&self, out: &mut Vec<LayerState>) {

@@ -1052,15 +1052,20 @@ mod tests {
     fn probe_passes_do_not_perturb_training() {
         // capture_trace and tap_gradients run real backward passes, but
         // with pruning state frozen and the stream ladder unadvanced —
-        // inspecting a run must leave its trajectory bitwise unchanged.
+        // inspecting a run must leave its trajectory and the state a
+        // snapshot records (conv density accumulators included) bitwise
+        // unchanged.
         let (train, _) = SyntheticSpec::tiny(3).generate();
         let run = |probe: bool| -> Vec<f32> {
             let net = models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2)));
             let mut trainer = Trainer::new(net, TrainConfig::quick());
             trainer.train_epoch(&train);
             if probe {
+                let before = trainer.snapshot().encode().unwrap();
                 trainer.capture_trace(&train, "m", "d");
+                assert_eq!(trainer.snapshot().encode().unwrap(), before, "capture_trace");
                 trainer.tap_gradients(&train);
+                assert_eq!(trainer.snapshot().encode().unwrap(), before, "tap_gradients");
             }
             trainer.train_epoch(&train);
             let mut weights = Vec::new();

@@ -36,21 +36,16 @@ use crate::mask::RowMask;
 use crate::planner::{Plan, PlanError, Stage};
 use crate::registry::lookup_or_parse;
 use crate::rowconv::SparseFeatureMap;
+use sparsetrain_container::{Reader, SectionId, Sections, Writer};
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
 use std::collections::BTreeSet;
-use std::error::Error;
 use std::fmt;
 
 /// File magic: "STPLAN" + format epoch byte + NUL.
 pub const MAGIC: [u8; 8] = *b"STPLAN\x01\x00";
 /// Current execution-program format version.
 pub const VERSION: u16 = 1;
-
-const TAG_STRINGS: u16 = 1;
-const TAG_CELLS: u16 = 2;
-const TAG_WORKSPACE: u16 = 3;
-const TAG_PRUNE: u16 = 4;
 
 /// Whether `bytes` look like an `STPLAN` binary program (vs the legacy
 /// text plan format). Only the six ASCII magic bytes are sniffed, so a
@@ -73,109 +68,23 @@ pub enum Section {
     Prune,
 }
 
-impl Section {
-    fn from_tag(tag: u16) -> Option<Self> {
-        match tag {
-            TAG_STRINGS => Some(Section::Strings),
-            TAG_CELLS => Some(Section::Cells),
-            TAG_WORKSPACE => Some(Section::Workspace),
-            TAG_PRUNE => Some(Section::Prune),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Section {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Section::Strings => "strings",
-            Section::Cells => "cells",
-            Section::Workspace => "workspace",
-            Section::Prune => "prune",
-        };
-        f.write_str(name)
-    }
+impl SectionId for Section {
+    const MAGIC: [u8; 8] = MAGIC;
+    const VERSION: u16 = VERSION;
+    const DOCUMENT: &'static str = "program";
+    const TABLE: &'static [(Self, u16, &'static str)] = &[
+        (Section::Strings, 1, "strings"),
+        (Section::Cells, 2, "cells"),
+        (Section::Workspace, 3, "workspace"),
+        (Section::Prune, 4, "prune"),
+    ];
 }
 
 /// Errors raised while encoding a program.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EncodeError {
-    /// A count or length exceeded the width reserved for it on the wire.
-    FieldOverflow {
-        section: Section,
-        field: &'static str,
-        value: usize,
-    },
-}
-
-impl fmt::Display for EncodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EncodeError::FieldOverflow {
-                section,
-                field,
-                value,
-            } => write!(
-                f,
-                "section {section}: field {field} value {value} exceeds wire width"
-            ),
-        }
-    }
-}
-
-impl Error for EncodeError {}
-
+pub type EncodeError = sparsetrain_container::EncodeError<Section>;
 /// Errors raised while decoding a program. Every variant names the region
 /// at fault; corrupt inputs must never panic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Fewer bytes than the fixed header.
-    TruncatedHeader,
-    /// Header magic does not match [`MAGIC`].
-    BadMagic,
-    /// Header version is not [`VERSION`].
-    UnsupportedVersion(u16),
-    /// A section body ended before its declared content did.
-    TruncatedSection { section: Section },
-    /// A section header declared a tag this version does not know.
-    UnknownSection { tag: u16 },
-    /// The same section appeared twice.
-    DuplicateSection { section: Section },
-    /// A mandatory section was absent.
-    MissingSection { section: Section },
-    /// Bytes remained after the last declared section.
-    TrailingBytes { extra: usize },
-    /// A field inside a section held an invalid value.
-    InvalidField { section: Section, field: &'static str },
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::TruncatedHeader => write!(f, "program shorter than its header"),
-            DecodeError::BadMagic => write!(f, "bad program magic (not an STPLAN execution program)"),
-            DecodeError::UnsupportedVersion(v) => {
-                write!(f, "unsupported program version {v} (this build reads {VERSION})")
-            }
-            DecodeError::TruncatedSection { section } => write!(f, "section {section} is truncated"),
-            DecodeError::UnknownSection { tag } => write!(f, "unknown section tag {tag}"),
-            DecodeError::DuplicateSection { section } => {
-                write!(f, "section {section} appears more than once")
-            }
-            DecodeError::MissingSection { section } => {
-                write!(f, "mandatory section {section} is missing")
-            }
-            DecodeError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing byte(s) after the last section")
-            }
-            DecodeError::InvalidField { section, field } => {
-                write!(f, "section {section}: invalid value for field {field}")
-            }
-        }
-    }
-}
-
-impl Error for DecodeError {}
+pub type DecodeError = sparsetrain_container::DecodeError<Section>;
 
 /// Stable on-wire stage codes (`0`/`1`/`2` in [`Stage::ALL`] order).
 fn stage_code(stage: Stage) -> u8 {
@@ -381,16 +290,15 @@ impl ExecutionProgram {
     ///
     /// Returns [`EncodeError`] when a count exceeds its wire width.
     pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
-        let mut sections: Vec<(u16, Vec<u8>)> = Vec::with_capacity(4);
+        let mut w = Writer::new();
 
-        let mut w = Writer::new(Section::Strings);
+        w.begin(Section::Strings);
         w.count("string entries", self.strings.len())?;
         for s in &self.strings {
             w.str("string bytes", s)?;
         }
-        sections.push((TAG_STRINGS, w.buf));
 
-        let mut w = Writer::new(Section::Cells);
+        w.begin(Section::Cells);
         w.u32(self.default_engine);
         w.count("cell entries", self.cells.len())?;
         for c in &self.cells {
@@ -398,41 +306,27 @@ impl ExecutionProgram {
             w.u8(stage_code(c.stage));
             w.u32(c.engine);
         }
-        sections.push((TAG_CELLS, w.buf));
 
         if !self.workspace_hints.is_empty() {
-            let mut w = Writer::new(Section::Workspace);
+            w.begin(Section::Workspace);
             w.count("workspace hints", self.workspace_hints.len())?;
             for h in &self.workspace_hints {
                 w.u32(h.layer);
                 w.u8(stage_code(h.stage));
                 w.u64(h.elements);
             }
-            sections.push((TAG_WORKSPACE, w.buf));
         }
 
         if !self.prune_points.is_empty() {
-            let mut w = Writer::new(Section::Prune);
+            w.begin(Section::Prune);
             w.count("prune points", self.prune_points.len())?;
             for p in &self.prune_points {
                 w.u32(p.layer);
                 w.u64(p.grad_nnz);
             }
-            sections.push((TAG_PRUNE, w.buf));
         }
 
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&[0u8; 2]);
-        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        for (tag, payload) in sections {
-            out.extend_from_slice(&tag.to_le_bytes());
-            out.extend_from_slice(&[0u8; 2]);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&payload);
-        }
-        Ok(out)
+        Ok(w.finish())
     }
 
     /// Parses a program from the versioned `STPLAN` container.
@@ -444,124 +338,70 @@ impl ExecutionProgram {
     /// bytes, out-of-range string ids, invalid stage codes, duplicate
     /// cells/hints/points, or duplicate string-table entries.
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        if bytes.len() < 16 {
-            return Err(DecodeError::TruncatedHeader);
-        }
-        if bytes[..8] != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-        if version != VERSION {
-            return Err(DecodeError::UnsupportedVersion(version));
-        }
-        let section_count = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
+        let sections = Sections::parse(bytes)?;
 
-        // Slice the container first (order-independent), then parse the
-        // payloads strings-first so the id-bearing sections can validate.
-        let mut payloads: [Option<&[u8]>; 4] = [None; 4];
-        let mut pos = 16usize;
-        for _ in 0..section_count {
-            if bytes.len() < pos + 12 {
-                return Err(DecodeError::TruncatedHeader);
-            }
-            let tag = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]);
-            let section = Section::from_tag(tag).ok_or(DecodeError::UnknownSection { tag })?;
-            let mut raw_len = [0u8; 8];
-            raw_len.copy_from_slice(&bytes[pos + 4..pos + 12]);
-            let len = u64::from_le_bytes(raw_len) as usize;
-            pos += 12;
-            let end = pos
-                .checked_add(len)
-                .filter(|&e| e <= bytes.len())
-                .ok_or(DecodeError::TruncatedSection { section })?;
-            let slot = &mut payloads[tag as usize - 1];
-            if slot.is_some() {
-                return Err(DecodeError::DuplicateSection { section });
-            }
-            *slot = Some(&bytes[pos..end]);
-            pos = end;
-        }
-        if pos != bytes.len() {
-            return Err(DecodeError::TrailingBytes {
-                extra: bytes.len() - pos,
-            });
-        }
-
-        let mandatory = |tag: u16| {
-            payloads[tag as usize - 1].ok_or(DecodeError::MissingSection {
-                section: Section::from_tag(tag).expect("known tag"),
-            })
-        };
-
-        let r = Reader::new(Section::Strings, mandatory(TAG_STRINGS)?);
-        let n = r.count()?;
-        let mut strings = Vec::with_capacity(n.min(r.remaining() + 1));
-        for _ in 0..n {
-            let s = r.str("string bytes")?;
-            if strings.contains(&s) {
-                return Err(r.invalid("duplicate string"));
-            }
-            strings.push(s);
+        // Strings first, so the id-bearing sections can validate against the table.
+        let mut r = sections.required(Section::Strings)?;
+        let strings = r.seq(4, |r| r.str("string bytes"))?;
+        if (1..strings.len()).any(|i| strings[..i].contains(&strings[i])) {
+            return Err(r.invalid("duplicate string"));
         }
         r.finish()?;
-        let string_id = |r: &Reader<'_>, field: &'static str, id: u32| {
+        let string_id = |r: &mut Reader<'_, Section>, field| {
+            let id = r.u32()?;
             if (id as usize) < strings.len() {
                 Ok(id)
             } else {
                 Err(r.invalid(field))
             }
         };
+        let stage =
+            |r: &mut Reader<'_, Section>, field| stage_from_code(r.u8()?).ok_or_else(|| r.invalid(field));
 
-        let r = Reader::new(Section::Cells, mandatory(TAG_CELLS)?);
-        let default_engine = string_id(&r, "default engine id", r.u32()?)?;
-        let n = r.count()?;
-        let mut cells = Vec::with_capacity(n.min(r.remaining() + 1));
-        let mut seen_cells = BTreeSet::new();
-        for _ in 0..n {
-            let layer = string_id(&r, "cell layer id", r.u32()?)?;
-            let stage = stage_from_code(r.u8()?).ok_or_else(|| r.invalid("cell stage"))?;
-            let engine = string_id(&r, "cell engine id", r.u32()?)?;
-            if !seen_cells.insert((layer, stage_code(stage))) {
+        let mut r = sections.required(Section::Cells)?;
+        let default_engine = string_id(&mut r, "default engine id")?;
+        let mut seen = BTreeSet::new();
+        let cells = r.seq(9, |r| {
+            let layer = string_id(r, "cell layer id")?;
+            let stage = stage(r, "cell stage")?;
+            let engine = string_id(r, "cell engine id")?;
+            if !seen.insert((layer, stage_code(stage))) {
                 return Err(r.invalid("duplicate cell"));
             }
-            cells.push(ProgramCell { layer, stage, engine });
-        }
+            Ok(ProgramCell { layer, stage, engine })
+        })?;
         r.finish()?;
 
         let mut workspace_hints = Vec::new();
-        if let Some(payload) = payloads[TAG_WORKSPACE as usize - 1] {
-            let r = Reader::new(Section::Workspace, payload);
-            let n = r.count()?;
+        if let Some(mut r) = sections.optional(Section::Workspace) {
             let mut seen = BTreeSet::new();
-            for _ in 0..n {
-                let layer = string_id(&r, "hint layer id", r.u32()?)?;
-                let stage = stage_from_code(r.u8()?).ok_or_else(|| r.invalid("hint stage"))?;
+            workspace_hints = r.seq(13, |r| {
+                let layer = string_id(r, "hint layer id")?;
+                let stage = stage(r, "hint stage")?;
                 let elements = r.u64()?;
                 if !seen.insert((layer, stage_code(stage))) {
                     return Err(r.invalid("duplicate workspace hint"));
                 }
-                workspace_hints.push(WorkspaceHint {
+                Ok(WorkspaceHint {
                     layer,
                     stage,
                     elements,
-                });
-            }
+                })
+            })?;
             r.finish()?;
         }
 
         let mut prune_points = Vec::new();
-        if let Some(payload) = payloads[TAG_PRUNE as usize - 1] {
-            let r = Reader::new(Section::Prune, payload);
-            let n = r.count()?;
+        if let Some(mut r) = sections.optional(Section::Prune) {
             let mut seen = BTreeSet::new();
-            for _ in 0..n {
-                let layer = string_id(&r, "prune layer id", r.u32()?)?;
+            prune_points = r.seq(12, |r| {
+                let layer = string_id(r, "prune layer id")?;
                 let grad_nnz = r.u64()?;
                 if !seen.insert(layer) {
                     return Err(r.invalid("duplicate prune point"));
                 }
-                prune_points.push(PrunePoint { layer, grad_nnz });
-            }
+                Ok(PrunePoint { layer, grad_nnz })
+            })?;
             r.finish()?;
         }
 
@@ -572,131 +412,6 @@ impl ExecutionProgram {
             workspace_hints,
             prune_points,
         })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Writer / Reader helpers (checkpoint-codec style)
-// ---------------------------------------------------------------------------
-
-struct Writer {
-    section: Section,
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new(section: Section) -> Self {
-        Writer {
-            section,
-            buf: Vec::new(),
-        }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn count(&mut self, field: &'static str, n: usize) -> Result<(), EncodeError> {
-        let v = u32::try_from(n).map_err(|_| EncodeError::FieldOverflow {
-            section: self.section,
-            field,
-            value: n,
-        })?;
-        self.u32(v);
-        Ok(())
-    }
-
-    fn str(&mut self, field: &'static str, s: &str) -> Result<(), EncodeError> {
-        self.count(field, s.len())?;
-        self.buf.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-}
-
-struct Reader<'a> {
-    section: Section,
-    bytes: &'a [u8],
-    pos: std::cell::Cell<usize>,
-}
-
-impl<'a> Reader<'a> {
-    fn new(section: Section, bytes: &'a [u8]) -> Self {
-        Reader {
-            section,
-            bytes,
-            pos: std::cell::Cell::new(0),
-        }
-    }
-
-    fn truncated(&self) -> DecodeError {
-        DecodeError::TruncatedSection {
-            section: self.section,
-        }
-    }
-
-    fn invalid(&self, field: &'static str) -> DecodeError {
-        DecodeError::InvalidField {
-            section: self.section,
-            field,
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos.get()
-    }
-
-    fn take(&self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let start = self.pos.get();
-        let end = start.checked_add(n).ok_or_else(|| self.truncated())?;
-        if end > self.bytes.len() {
-            return Err(self.truncated());
-        }
-        self.pos.set(end);
-        Ok(&self.bytes[start..end])
-    }
-
-    fn u8(&self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn count(&self) -> Result<usize, DecodeError> {
-        Ok(self.u32()? as usize)
-    }
-
-    fn str(&self, field: &'static str) -> Result<String, DecodeError> {
-        let n = self.count()?;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| self.invalid(field))
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos.get() != self.bytes.len() {
-            return Err(DecodeError::InvalidField {
-                section: self.section,
-                field: "section length",
-            });
-        }
-        Ok(())
     }
 }
 
@@ -990,152 +705,96 @@ mod tests {
         assert!(is_binary_plan(&epoch2));
     }
 
-    #[test]
-    fn flipped_magic_is_rejected() {
-        let mut bytes = sample_program().encode().unwrap();
-        bytes[0] ^= 0xFF;
-        assert_eq!(ExecutionProgram::decode(&bytes), Err(DecodeError::BadMagic));
-    }
+    // Sections of hand-built programs over the string table ["s", "c"] with no cells; the
+    // framing itself is tested once, in `sparsetrain-container`.
+    const HEADER: &str = "5354504c414e0100 0100 0000";
+    const STRINGS: &str = "010000000e00000000000000 02000000 0100000073 0100000063";
+    const NO_CELLS: &str = "020000000800000000000000 00000000 00000000";
 
     #[test]
-    fn bad_version_is_rejected() {
-        let mut bytes = sample_program().encode().unwrap();
-        bytes[8] = 0x7F;
-        assert_eq!(
-            ExecutionProgram::decode(&bytes),
-            Err(DecodeError::UnsupportedVersion(0x7F))
-        );
-    }
-
-    #[test]
-    fn truncations_are_typed() {
-        let bytes = sample_program().encode().unwrap();
-        assert_eq!(ExecutionProgram::decode(&[]), Err(DecodeError::TruncatedHeader));
-        assert_eq!(
-            ExecutionProgram::decode(&bytes[..10]),
-            Err(DecodeError::TruncatedHeader)
-        );
-        // Cut inside the first (strings) section's payload.
-        let err = ExecutionProgram::decode(&bytes[..16 + 12 + 2]).unwrap_err();
-        assert_eq!(
-            err,
-            DecodeError::TruncatedSection {
-                section: Section::Strings
-            }
-        );
-        // Every prefix must fail without panicking.
-        for cut in 0..bytes.len() {
-            assert!(ExecutionProgram::decode(&bytes[..cut]).is_err(), "cut {cut}");
+    fn mandatory_sections_are_required() {
+        for (only, missing) in [(STRINGS, Section::Cells), (NO_CELLS, Section::Strings)] {
+            let err = ExecutionProgram::decode(&unhex(&format!("{HEADER} 01000000 {only}"))).unwrap_err();
+            assert_eq!(err, DecodeError::MissingSection { section: missing });
         }
+        let both = unhex(&format!("{HEADER} 02000000 {STRINGS} {NO_CELLS}"));
+        assert_eq!(ExecutionProgram::decode(&both).unwrap().strings(), ["s", "c"]);
     }
 
     #[test]
-    fn trailing_garbage_is_rejected() {
-        let mut bytes = sample_program().encode().unwrap();
-        bytes.extend_from_slice(b"junk");
-        assert_eq!(
-            ExecutionProgram::decode(&bytes),
-            Err(DecodeError::TrailingBytes { extra: 4 })
-        );
-    }
-
-    #[test]
-    fn unknown_and_duplicate_sections_are_rejected() {
-        let full = sample_program().encode().unwrap();
-        let mut bytes = full.clone();
-        bytes[16] = 0xEE;
-        bytes[17] = 0xEE;
-        assert_eq!(
-            ExecutionProgram::decode(&bytes),
-            Err(DecodeError::UnknownSection { tag: 0xEEEE })
-        );
-
-        // Duplicate the strings section (first section after the header).
-        let strings_len = u64::from_le_bytes(full[16 + 4..16 + 12].try_into().unwrap()) as usize + 12;
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 2]);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&full[16..16 + strings_len]);
-        bytes.extend_from_slice(&full[16..16 + strings_len]);
-        assert_eq!(
-            ExecutionProgram::decode(&bytes),
-            Err(DecodeError::DuplicateSection {
-                section: Section::Strings
-            })
-        );
-
-        // Strings alone is missing the mandatory cells section.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 2]);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&full[16..16 + strings_len]);
-        assert_eq!(
-            ExecutionProgram::decode(&bytes),
-            Err(DecodeError::MissingSection {
-                section: Section::Cells
-            })
-        );
-    }
-
-    #[test]
-    fn out_of_range_ids_and_stages_are_rejected() {
-        // Locate the cells section and corrupt fields inside it.
-        let prog = sample_program();
-        let bytes = prog.encode().unwrap();
-        let strings_len = u64::from_le_bytes(bytes[16 + 4..16 + 12].try_into().unwrap()) as usize;
-        let cells_payload = 16 + 12 + strings_len + 12;
-
-        // Default engine id out of range.
-        let mut bad = bytes.clone();
-        bad[cells_payload..cells_payload + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            ExecutionProgram::decode(&bad),
-            Err(DecodeError::InvalidField {
-                section: Section::Cells,
-                field: "default engine id"
-            })
-        );
-
-        // First cell's stage byte invalid (offset: default u32 + count u32 + layer u32).
-        let mut bad = bytes.clone();
-        bad[cells_payload + 12] = 9;
-        assert_eq!(
-            ExecutionProgram::decode(&bad),
-            Err(DecodeError::InvalidField {
-                section: Section::Cells,
-                field: "cell stage"
-            })
-        );
-
-        // First cell's layer id out of range.
-        let mut bad = bytes.clone();
-        bad[cells_payload + 8..cells_payload + 12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            ExecutionProgram::decode(&bad),
-            Err(DecodeError::InvalidField {
-                section: Section::Cells,
-                field: "cell layer id"
-            })
-        );
-    }
-
-    #[test]
-    fn duplicate_cells_are_rejected() {
-        let mut prog = ExecutionProgram::new("scalar");
-        prog.push_cell("c1", Stage::Forward, "simd");
-        prog.push_cell("c1", Stage::Forward, "im2row");
-        let bytes = prog.encode().unwrap();
-        assert_eq!(
-            ExecutionProgram::decode(&bytes),
-            Err(DecodeError::InvalidField {
-                section: Section::Cells,
-                field: "duplicate cell"
-            })
-        );
+    fn invalid_payload_fields_are_typed() {
+        use Section::*;
+        // Each case is one section payload for the two-string program: ids must be < 2, stages < 3.
+        let cases = [
+            (Strings, 1, "duplicate string", "02000000 0100000073 0100000073"),
+            (Cells, 2, "default engine id", "02000000 00000000"),
+            (
+                Cells,
+                2,
+                "cell layer id",
+                "00000000 01000000 02000000 00 00000000",
+            ),
+            (Cells, 2, "cell stage", "00000000 01000000 01000000 09 00000000"),
+            (
+                Cells,
+                2,
+                "cell engine id",
+                "00000000 01000000 01000000 00 02000000",
+            ),
+            (
+                Cells,
+                2,
+                "duplicate cell",
+                "00000000 02000000 01000000 00 00000000 01000000 00 00000000",
+            ),
+            (
+                Workspace,
+                3,
+                "hint layer id",
+                "01000000 02000000 00 0100000000000000",
+            ),
+            (
+                Workspace,
+                3,
+                "hint stage",
+                "01000000 01000000 03 0100000000000000",
+            ),
+            (
+                Workspace,
+                3,
+                "duplicate workspace hint",
+                "02000000 01000000 00 0100000000000000 01000000 00 0200000000000000",
+            ),
+            (Prune, 4, "prune layer id", "01000000 02000000 0100000000000000"),
+            (
+                Prune,
+                4,
+                "duplicate prune point",
+                "02000000 01000000 0100000000000000 01000000 0200000000000000",
+            ),
+        ];
+        let (strings, no_cells) = (unhex(STRINGS), unhex(NO_CELLS));
+        for (section, tag, field, payload) in cases {
+            let payload = unhex(payload);
+            let case = [
+                &[tag, 0, 0, 0][..],
+                &(payload.len() as u64).to_le_bytes(),
+                &payload,
+            ]
+            .concat();
+            // The case stands in for the good section of its kind, or follows the two good ones.
+            let sections = match section {
+                Strings => vec![&case, &no_cells],
+                Cells => vec![&strings, &case],
+                _ => vec![&strings, &no_cells, &case],
+            };
+            let mut file = unhex(&format!("{HEADER} 0{}000000", sections.len()));
+            sections.iter().for_each(|s| file.extend_from_slice(s));
+            assert_eq!(
+                ExecutionProgram::decode(&file),
+                Err(DecodeError::InvalidField { section, field })
+            );
+        }
     }
 
     #[test]
