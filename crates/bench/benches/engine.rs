@@ -38,7 +38,7 @@ use rand::stream::StreamKey;
 use rand::{Rng, SeedableRng};
 use sparsetrain_core::prune::{BatchStream, LayerPruner, PruneConfig};
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
-use sparsetrain_sparse::{registry, EngineHandle, ExecutionContext, Workspace};
+use sparsetrain_sparse::{registry, BatchOut, EngineHandle, ExecutionContext, StageOp, Workspace};
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
 use std::hint::black_box;
@@ -103,6 +103,20 @@ fn fixture(c: usize, f: usize, hw: usize, in_density: f64, dout_density: f64) ->
     fixture_seeded(c, f, hw, in_density, dout_density, 42)
 }
 
+fn forward_op<'a>(
+    input: &'a SparseFeatureMap,
+    weights: &'a Tensor4,
+    bias: &'a [f32],
+    geom: ConvGeometry,
+) -> StageOp<'a> {
+    StageOp::Forward {
+        input,
+        weights,
+        bias: Some(bias),
+        geom,
+    }
+}
+
 /// The engines under test: the `SPARSETRAIN_ENGINE` override alone when
 /// set, every registered engine otherwise.
 fn engines() -> Vec<EngineHandle> {
@@ -120,13 +134,8 @@ fn bench_forward(c: &mut Criterion) {
         let fx = fixture(ci, fi, hw, din, dout);
         for handle in engines() {
             group.bench_with_input(BenchmarkId::new(handle.name(), name), &fx, |b, fx| {
-                b.iter(|| {
-                    black_box(
-                        handle
-                            .engine()
-                            .forward(&fx.input, &fx.weights, Some(&fx.bias), fx.geom),
-                    )
-                });
+                let op = forward_op(&fx.input, &fx.weights, &fx.bias, fx.geom);
+                b.iter(|| black_box(op.run_on(handle.engine())));
             });
         }
     }
@@ -141,13 +150,15 @@ fn bench_input_grad(c: &mut Criterion) {
         let masks = fx.input.masks();
         for handle in engines() {
             group.bench_with_input(BenchmarkId::new(handle.name(), name), &fx, |b, fx| {
-                b.iter(|| {
-                    black_box(
-                        handle
-                            .engine()
-                            .input_grad(&fx.dout, &fx.weights, fx.geom, hw, hw, &masks),
-                    )
-                });
+                let op = StageOp::InputGrad {
+                    dout: &fx.dout,
+                    weights: &fx.weights,
+                    geom: fx.geom,
+                    masks: &masks,
+                    in_h: hw,
+                    in_w: hw,
+                };
+                b.iter(|| black_box(op.run_on(handle.engine())));
             });
         }
     }
@@ -161,7 +172,12 @@ fn bench_weight_grad(c: &mut Criterion) {
         let fx = fixture(ci, fi, hw, din, dout);
         for handle in engines() {
             group.bench_with_input(BenchmarkId::new(handle.name(), name), &fx, |b, fx| {
-                b.iter(|| black_box(handle.engine().weight_grad(&fx.input, &fx.dout, fx.geom)));
+                let op = StageOp::WeightGrad {
+                    input: &fx.input,
+                    dout: &fx.dout,
+                    geom: fx.geom,
+                };
+                b.iter(|| black_box(op.run_on(handle.engine())));
             });
         }
     }
@@ -186,18 +202,20 @@ fn bench_batched_vs_per_sample(c: &mut Criterion) {
     let fxs: Vec<LayerFixture> = (0..BATCH)
         .map(|s| fixture_seeded(ci, fi, hw, din, dout, 42 + s as u64))
         .collect();
-    let inputs: Vec<SparseFeatureMap> = fxs.iter().map(|fx| fx.input.clone()).collect();
     let weights = &fxs[0].weights;
     let bias = &fxs[0].bias;
-    let geom = fxs[0].geom;
+    let ops: Vec<StageOp<'_>> = fxs
+        .iter()
+        .map(|fx| forward_op(&fx.input, weights, bias, fxs[0].geom))
+        .collect();
     for handle in engines() {
         let engine = handle.engine();
         group.bench_function(
             BenchmarkId::new(format!("{}/per_sample", handle.name()), name),
             |b| {
                 b.iter(|| {
-                    for input in &inputs {
-                        black_box(engine.forward(input, weights, Some(bias), geom));
+                    for op in &ops {
+                        black_box(op.run_on(engine));
                     }
                 });
             },
@@ -205,7 +223,14 @@ fn bench_batched_vs_per_sample(c: &mut Criterion) {
         group.bench_function(
             BenchmarkId::new(format!("{}/batched", handle.name()), name),
             |b| {
-                b.iter(|| black_box(engine.forward_batch(&inputs, weights, Some(bias), geom)));
+                b.iter(|| {
+                    let mut outs: Vec<Vec<f32>> = ops.iter().map(|op| vec![0.0; op.out_len()]).collect();
+                    engine.run_batch(
+                        &ops,
+                        BatchOut::PerSample(outs.iter_mut().map(Vec::as_mut_slice).collect()),
+                    );
+                    black_box(outs)
+                });
             },
         );
     }

@@ -14,9 +14,9 @@
 use sparsetrain_bench::profile::Profile;
 use sparsetrain_bench::table::{fmt, render};
 use sparsetrain_core::prune::PruneConfig;
-use sparsetrain_nn::layer::param_count;
 use sparsetrain_nn::models::ModelKind;
 use sparsetrain_nn::train::{TrainConfig, Trainer};
+use sparsetrain_nn::Layer;
 use sparsetrain_sim::update::{update_cost_per_sample, UpdateRule};
 use sparsetrain_sim::{ArchConfig, Machine};
 
@@ -47,7 +47,7 @@ fn main() {
             Some(PruneConfig::paper_default()),
             29,
         );
-        let params = param_count(&net) as u64;
+        let params = net.param_count() as u64;
         let mut trainer = Trainer::new(
             net,
             TrainConfig {

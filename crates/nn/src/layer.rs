@@ -201,33 +201,62 @@ pub trait Layer: Send {
         streams: &StepStreams,
     ) -> Vec<Tensor3>;
 
+    /// Visits this layer's direct children, in forward order. Containers
+    /// ([`crate::Sequential`], [`crate::residual::ResidualBlock`])
+    /// implement this and [`Layer::for_each_child_mut`]; leaves have no
+    /// children. Every hook below defaults to calling the same hook on
+    /// each child in this order, so a container forwards them all by
+    /// implementing the two visitors and a leaf with nothing to do
+    /// inherits a no-op.
+    fn for_each_child(&self, _f: &mut dyn FnMut(&dyn Layer)) {}
+
+    /// Mutable counterpart of [`Layer::for_each_child`] (same children,
+    /// same order).
+    fn for_each_child_mut(&mut self, _f: &mut dyn FnMut(&mut dyn Layer)) {}
+
     /// Visits every `(parameter, gradient)` slice pair, in a stable order.
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+        self.for_each_child_mut(&mut |c| c.visit_params(f));
+    }
 
     /// Clears accumulated parameter gradients.
-    fn zero_grads(&mut self) {}
+    fn zero_grads(&mut self) {
+        self.for_each_child_mut(&mut |c| c.zero_grads());
+    }
 
     /// Enables or disables dataflow trace capture for the next
     /// forward/backward pass (sample 0 of the batch is traced).
-    fn set_capture(&mut self, _enable: bool) {}
+    fn set_capture(&mut self, enable: bool) {
+        self.for_each_child_mut(&mut |c| c.set_capture(enable));
+    }
 
     /// Appends any traces captured since `set_capture(true)` to `out`, in
     /// forward order.
-    fn collect_traces(&self, _out: &mut Vec<LayerTrace>) {}
+    fn collect_traces(&self, out: &mut Vec<LayerTrace>) {
+        self.for_each_child(&mut |c| c.collect_traces(out));
+    }
 
     /// Appends `(layer name, last activation-gradient density)` pairs.
-    fn grad_densities(&self, _out: &mut Vec<(String, f64)>) {}
+    fn grad_densities(&self, out: &mut Vec<(String, f64)>) {
+        self.for_each_child(&mut |c| c.grad_densities(out));
+    }
 
     /// Enables or disables gradient tapping at pruning positions: the
     /// next backward pass stores a copy of the *pre-prune* activation
     /// gradients for distribution diagnostics.
-    fn set_grad_tap(&mut self, _enable: bool) {}
+    fn set_grad_tap(&mut self, enable: bool) {
+        self.for_each_child_mut(&mut |c| c.set_grad_tap(enable));
+    }
 
     /// Moves any tapped gradients out as `(layer name, values)` pairs.
-    fn take_tapped_grads(&mut self, _out: &mut Vec<(String, Vec<f32>)>) {}
+    fn take_tapped_grads(&mut self, out: &mut Vec<(String, Vec<f32>)>) {
+        self.for_each_child_mut(&mut |c| c.take_tapped_grads(out));
+    }
 
     /// Resets accumulated density statistics.
-    fn reset_density_stats(&mut self) {}
+    fn reset_density_stats(&mut self) {
+        self.for_each_child_mut(&mut |c| c.reset_density_stats());
+    }
 
     /// Freezes (or thaws) pruning state: while frozen, pruning hooks still
     /// prune under their currently-predicted threshold but accumulate no
@@ -236,29 +265,46 @@ pub trait Layer: Send {
     /// gradient taps) freeze the network so inspecting a training run
     /// never perturbs its trajectory or the state a snapshot records.
     /// Layers without such state ignore the call.
-    fn set_prune_frozen(&mut self, _frozen: bool) {}
+    fn set_prune_frozen(&mut self, frozen: bool) {
+        self.for_each_child_mut(&mut |c| c.set_prune_frozen(frozen));
+    }
 
     /// Switches layers with a sparse row-dataflow path (`Conv2d`) between
     /// dense execution and engine-driven SRC/MSRC/OSRC execution on the
     /// context's engine. Layers without such a path ignore the call.
-    fn set_sparse_execution(&mut self, _enabled: bool) {}
+    fn set_sparse_execution(&mut self, enabled: bool) {
+        self.for_each_child_mut(&mut |c| c.set_sparse_execution(enabled));
+    }
 
     /// Appends this layer's checkpointable state entries to `out`, in a
     /// stable traversal order (parameters, embedded RNGs, density
     /// accumulators, pruner state). Stateless layers append nothing.
-    fn collect_state(&self, _out: &mut Vec<LayerState>) {}
+    fn collect_state(&self, out: &mut Vec<LayerState>) {
+        self.for_each_child(&mut |c| c.collect_state(out));
+    }
 
     /// Offers one snapshot entry back to the layer tree. Returns
     /// `Ok(true)` if this layer consumed it, `Ok(false)` if the entry
     /// belongs to some other layer, and `Err` if the entry names this
-    /// layer but does not fit (shape or config mismatch).
-    fn restore_state(&mut self, _state: &LayerState) -> Result<bool, String> {
-        Ok(false)
+    /// layer but does not fit (shape or config mismatch). The default
+    /// offers it to each child in order: the first to consume it wins and
+    /// the first error propagates.
+    fn restore_state(&mut self, state: &LayerState) -> Result<bool, String> {
+        let mut result = Ok(false);
+        self.for_each_child_mut(&mut |c| {
+            if result == Ok(false) {
+                result = c.restore_state(state);
+            }
+        });
+        result
     }
 
-    /// Number of trainable parameters (for reporting).
+    /// Number of trainable parameters (for reporting); the default sums
+    /// the children.
     fn param_count(&self) -> usize {
-        0
+        let mut total = 0;
+        self.for_each_child(&mut |c| total += c.param_count());
+        total
     }
 
     /// Attempts to clone this layer into an independent replica (shard
@@ -277,7 +323,9 @@ pub trait Layer: Send {
     /// state) or embedded sequential RNGs (train-mode Dropout draws from
     /// a stream whose position depends on every prior draw). The sharded
     /// trainer refuses construction while this list is non-empty.
-    fn shard_blockers(&self, _out: &mut Vec<String>) {}
+    fn shard_blockers(&self, out: &mut Vec<String>) {
+        self.for_each_child(&mut |c| c.shard_blockers(out));
+    }
 
     /// Switches pruning hooks between normal (stepping) mode and shard
     /// *worker* mode. In worker mode a hook's backward pass prunes
@@ -285,30 +333,35 @@ pub trait Layer: Send {
     /// step via [`Layer::set_shard_taus`]) and records per-backward
     /// [`SiteStats`] for [`Layer::take_shard_stats`] instead of stepping
     /// its own pruner. Layers without pruning state ignore the call.
-    fn set_shard_prune(&mut self, _worker: bool) {}
+    fn set_shard_prune(&mut self, worker: bool) {
+        self.for_each_child_mut(&mut |c| c.set_shard_prune(worker));
+    }
 
     /// Broadcasts this step's predicted thresholds to worker-mode pruning
     /// hooks: each hook adopts the entry whose name matches its own.
-    fn set_shard_taus(&mut self, _taus: &[(String, Option<f64>)]) {}
+    fn set_shard_taus(&mut self, taus: &[(String, Option<f64>)]) {
+        self.for_each_child_mut(&mut |c| c.set_shard_taus(taus));
+    }
 
     /// Moves the [`SiteStats`] recorded by worker-mode pruning hooks
     /// since the last call out as `(site name, stats)` pairs, in forward
     /// order.
-    fn take_shard_stats(&mut self, _out: &mut Vec<(String, SiteStats)>) {}
+    fn take_shard_stats(&mut self, out: &mut Vec<(String, SiteStats)>) {
+        self.for_each_child_mut(&mut |c| c.take_shard_stats(out));
+    }
 
     /// Coordinator side of the broadcast: appends each pruning hook's
     /// `(site name, predicted threshold)` for the upcoming step, in
     /// forward order.
-    fn collect_prune_taus(&self, _out: &mut Vec<(String, Option<f64>)>) {}
+    fn collect_prune_taus(&self, out: &mut Vec<(String, Option<f64>)>) {
+        self.for_each_child(&mut |c| c.collect_prune_taus(out));
+    }
 
     /// Coordinator side of the reduction: advances each pruning hook's
     /// authoritative pruner by one batch using the granule-order-reduced
     /// stats whose name matches (see
     /// `sparsetrain_core::prune::LayerPruner::absorb_batch`).
-    fn absorb_prune_stats(&mut self, _stats: &[(String, SiteStats)]) {}
-}
-
-/// Helper: total parameter count of a layer tree.
-pub fn param_count(layer: &dyn Layer) -> usize {
-    layer.param_count()
+    fn absorb_prune_stats(&mut self, stats: &[(String, SiteStats)]) {
+        self.for_each_child_mut(&mut |c| c.absorb_prune_stats(stats));
+    }
 }

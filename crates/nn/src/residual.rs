@@ -3,8 +3,6 @@
 use crate::layer::{Batch, Layer};
 use crate::layers::Relu;
 use crate::sequential::Sequential;
-use sparsetrain_checkpoint::LayerState;
-use sparsetrain_core::dataflow::LayerTrace;
 use sparsetrain_core::prune::StepStreams;
 use sparsetrain_sparse::ExecutionContext;
 use sparsetrain_tensor::Tensor3;
@@ -72,99 +70,22 @@ impl Layer for ResidualBlock {
         din
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.main.visit_params(f);
-        if let Some(s) = &mut self.shortcut {
-            s.visit_params(f);
-        }
-    }
-
-    fn zero_grads(&mut self) {
-        self.main.zero_grads();
-        if let Some(s) = &mut self.shortcut {
-            s.zero_grads();
-        }
-    }
-
-    fn set_capture(&mut self, enable: bool) {
-        self.main.set_capture(enable);
-        if let Some(s) = &mut self.shortcut {
-            s.set_capture(enable);
-        }
-    }
-
-    fn collect_traces(&self, out: &mut Vec<LayerTrace>) {
-        self.main.collect_traces(out);
+    // The children in forward order; the output ReLU is one of them, so
+    // state, freeze and every other hook reach it like any other layer.
+    fn for_each_child(&self, f: &mut dyn FnMut(&dyn Layer)) {
+        f(&self.main);
         if let Some(s) = &self.shortcut {
-            s.collect_traces(out);
+            f(s);
         }
+        f(&self.relu);
     }
 
-    fn grad_densities(&self, out: &mut Vec<(String, f64)>) {
-        self.main.grad_densities(out);
-        if let Some(s) = &self.shortcut {
-            s.grad_densities(out);
-        }
-    }
-
-    fn reset_density_stats(&mut self) {
-        self.main.reset_density_stats();
+    fn for_each_child_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        f(&mut self.main);
         if let Some(s) = &mut self.shortcut {
-            s.reset_density_stats();
+            f(s);
         }
-    }
-
-    fn set_prune_frozen(&mut self, frozen: bool) {
-        self.main.set_prune_frozen(frozen);
-        if let Some(s) = &mut self.shortcut {
-            s.set_prune_frozen(frozen);
-        }
-        self.relu.set_prune_frozen(frozen);
-    }
-
-    fn set_grad_tap(&mut self, enable: bool) {
-        self.main.set_grad_tap(enable);
-        if let Some(s) = &mut self.shortcut {
-            s.set_grad_tap(enable);
-        }
-    }
-
-    fn take_tapped_grads(&mut self, out: &mut Vec<(String, Vec<f32>)>) {
-        self.main.take_tapped_grads(out);
-        if let Some(s) = &mut self.shortcut {
-            s.take_tapped_grads(out);
-        }
-    }
-
-    fn set_sparse_execution(&mut self, enabled: bool) {
-        self.main.set_sparse_execution(enabled);
-        if let Some(s) = &mut self.shortcut {
-            s.set_sparse_execution(enabled);
-        }
-    }
-
-    fn collect_state(&self, out: &mut Vec<LayerState>) {
-        self.main.collect_state(out);
-        if let Some(s) = &self.shortcut {
-            s.collect_state(out);
-        }
-        self.relu.collect_state(out);
-    }
-
-    fn restore_state(&mut self, state: &LayerState) -> Result<bool, String> {
-        if self.main.restore_state(state)? {
-            return Ok(true);
-        }
-        if let Some(s) = &mut self.shortcut {
-            if s.restore_state(state)? {
-                return Ok(true);
-            }
-        }
-        self.relu.restore_state(state)
-    }
-
-    fn param_count(&self) -> usize {
-        self.main.param_count() + self.shortcut.as_ref().map_or(0, |s| s.param_count())
+        f(&mut self.relu);
     }
 
     fn try_clone(&self) -> Option<Box<dyn Layer>> {
@@ -179,48 +100,6 @@ impl Layer for ResidualBlock {
             shortcut,
             relu: self.relu.clone(),
         }))
-    }
-
-    fn shard_blockers(&self, out: &mut Vec<String>) {
-        self.main.shard_blockers(out);
-        if let Some(s) = &self.shortcut {
-            s.shard_blockers(out);
-        }
-    }
-
-    fn set_shard_prune(&mut self, worker: bool) {
-        self.main.set_shard_prune(worker);
-        if let Some(s) = &mut self.shortcut {
-            s.set_shard_prune(worker);
-        }
-    }
-
-    fn set_shard_taus(&mut self, taus: &[(String, Option<f64>)]) {
-        self.main.set_shard_taus(taus);
-        if let Some(s) = &mut self.shortcut {
-            s.set_shard_taus(taus);
-        }
-    }
-
-    fn take_shard_stats(&mut self, out: &mut Vec<(String, sparsetrain_core::prune::SiteStats)>) {
-        self.main.take_shard_stats(out);
-        if let Some(s) = &mut self.shortcut {
-            s.take_shard_stats(out);
-        }
-    }
-
-    fn collect_prune_taus(&self, out: &mut Vec<(String, Option<f64>)>) {
-        self.main.collect_prune_taus(out);
-        if let Some(s) = &self.shortcut {
-            s.collect_prune_taus(out);
-        }
-    }
-
-    fn absorb_prune_stats(&mut self, stats: &[(String, sparsetrain_core::prune::SiteStats)]) {
-        self.main.absorb_prune_stats(stats);
-        if let Some(s) = &mut self.shortcut {
-            s.absorb_prune_stats(stats);
-        }
     }
 }
 

@@ -1,8 +1,6 @@
 //! Sequential composition of layers.
 
 use crate::layer::{Batch, Layer};
-use sparsetrain_checkpoint::LayerState;
-use sparsetrain_core::dataflow::LayerTrace;
 use sparsetrain_core::prune::StepStreams;
 use sparsetrain_sparse::ExecutionContext;
 use sparsetrain_tensor::Tensor3;
@@ -47,7 +45,6 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Iterates over the direct children.
     /// Renders a one-line-per-layer summary table: name and parameter
     /// count, with the total at the end — the `print(model)` of this
     /// framework.
@@ -64,6 +61,7 @@ impl Sequential {
         out
     }
 
+    /// Iterates over the direct children.
     pub fn iter(&self) -> impl Iterator<Item = &dyn Layer> {
         self.layers.iter().map(|b| b.as_ref())
     }
@@ -109,123 +107,20 @@ impl Layer for Sequential {
         grads
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        for layer in &mut self.layers {
-            layer.visit_params(f);
-        }
-    }
-
-    fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
-    }
-
-    fn set_capture(&mut self, enable: bool) {
-        for layer in &mut self.layers {
-            layer.set_capture(enable);
-        }
-    }
-
-    fn collect_traces(&self, out: &mut Vec<LayerTrace>) {
+    fn for_each_child(&self, f: &mut dyn FnMut(&dyn Layer)) {
         for layer in &self.layers {
-            layer.collect_traces(out);
+            f(layer.as_ref());
         }
     }
 
-    fn grad_densities(&self, out: &mut Vec<(String, f64)>) {
-        for layer in &self.layers {
-            layer.grad_densities(out);
-        }
-    }
-
-    fn reset_density_stats(&mut self) {
+    fn for_each_child_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         for layer in &mut self.layers {
-            layer.reset_density_stats();
+            f(layer.as_mut());
         }
-    }
-
-    fn set_prune_frozen(&mut self, frozen: bool) {
-        for layer in &mut self.layers {
-            layer.set_prune_frozen(frozen);
-        }
-    }
-
-    fn set_grad_tap(&mut self, enable: bool) {
-        for layer in &mut self.layers {
-            layer.set_grad_tap(enable);
-        }
-    }
-
-    fn take_tapped_grads(&mut self, out: &mut Vec<(String, Vec<f32>)>) {
-        for layer in &mut self.layers {
-            layer.take_tapped_grads(out);
-        }
-    }
-
-    fn set_sparse_execution(&mut self, enabled: bool) {
-        for layer in &mut self.layers {
-            layer.set_sparse_execution(enabled);
-        }
-    }
-
-    fn collect_state(&self, out: &mut Vec<LayerState>) {
-        for layer in &self.layers {
-            layer.collect_state(out);
-        }
-    }
-
-    fn restore_state(&mut self, state: &LayerState) -> Result<bool, String> {
-        for layer in &mut self.layers {
-            if layer.restore_state(state)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
     }
 
     fn try_clone(&self) -> Option<Box<dyn Layer>> {
         self.try_replicate().map(|s| Box::new(s) as Box<dyn Layer>)
-    }
-
-    fn shard_blockers(&self, out: &mut Vec<String>) {
-        for layer in &self.layers {
-            layer.shard_blockers(out);
-        }
-    }
-
-    fn set_shard_prune(&mut self, worker: bool) {
-        for layer in &mut self.layers {
-            layer.set_shard_prune(worker);
-        }
-    }
-
-    fn set_shard_taus(&mut self, taus: &[(String, Option<f64>)]) {
-        for layer in &mut self.layers {
-            layer.set_shard_taus(taus);
-        }
-    }
-
-    fn take_shard_stats(&mut self, out: &mut Vec<(String, sparsetrain_core::prune::SiteStats)>) {
-        for layer in &mut self.layers {
-            layer.take_shard_stats(out);
-        }
-    }
-
-    fn collect_prune_taus(&self, out: &mut Vec<(String, Option<f64>)>) {
-        for layer in &self.layers {
-            layer.collect_prune_taus(out);
-        }
-    }
-
-    fn absorb_prune_stats(&mut self, stats: &[(String, sparsetrain_core::prune::SiteStats)]) {
-        for layer in &mut self.layers {
-            layer.absorb_prune_stats(stats);
-        }
     }
 }
 
@@ -295,6 +190,6 @@ mod tests {
             .unwrap()
             .parse()
             .unwrap();
-        assert_eq!(total, crate::layer::param_count(&net));
+        assert_eq!(total, net.param_count());
     }
 }

@@ -12,15 +12,18 @@
 //! changes a call-site signature again: the simd and im2row engines each
 //! slotted into every selection path without touching one. Per-call
 //! operand state travels on the engine seam itself
-//! ([`crate::engine::BandContext`], built by the engine's `prepare_*`
-//! hooks), not in this context, so a context stays valid across calls of
-//! any shape.
+//! ([`crate::engine::BandContext`], built by the engine's `prepare`), not
+//! in this context, so a context stays valid across calls of any shape.
 //!
 //! # Planned execution
 //!
-//! Selecting the `"auto"` engine attaches a [`Planner`]: the planned
-//! entry points ([`ExecutionContext::forward_batch_for`] and friends) then
-//! resolve their engine **per (layer, stage) cell** instead of globally.
+//! Convolutions run through three entry points keyed by a layer id —
+//! [`ExecutionContext::forward_batch_for`],
+//! [`ExecutionContext::input_grad_batch_for_into`] and
+//! [`ExecutionContext::weight_grad_batch_for`] — each a thin wrapper that
+//! builds the batch's [`StageOp`]s and hands them to one planned-dispatch
+//! function. Selecting the `"auto"` engine attaches a [`Planner`], and they
+//! then resolve their engine **per (layer, stage) cell** instead of globally.
 //! The first execution of an undecided cell races every bitwise-safe
 //! candidate engine and freezes the fastest (probe mode); when
 //! `SPARSETRAIN_PLAN` names a serialized plan file, that plan replays
@@ -38,7 +41,7 @@
 //! ctx.workspace().row(64); // reusable zeroed scratch
 //! ```
 
-use crate::engine::{KernelEngine, Workspace};
+use crate::engine::{BatchOut, KernelEngine, StageOp, Workspace};
 use crate::mask::RowMask;
 use crate::planner::{batch_density, env_plan, Plan, Planner, Stage};
 use crate::registry::{env_override, lookup, EngineHandle, UnknownEngine};
@@ -46,7 +49,7 @@ use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
 use std::cell::Cell;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A resolved engine plus the scratch it executes with.
 ///
@@ -141,7 +144,13 @@ impl ExecutionContext {
     }
 
     /// The resolved engine (quarantine-mapped; see
-    /// [`quarantine`](ExecutionContext::quarantine)).
+    /// [`quarantine`](ExecutionContext::quarantine)), for the elementwise
+    /// seam: the pruning stage runs its position-pure work through
+    /// [`KernelEngine::for_each_batch_chunk`] on it. Convolutions go
+    /// through the planned entry points instead — on an `"auto"` context
+    /// this is the heuristic [`crate::planner::AutoEngine`], whose
+    /// delegates are picked per call and do not pass through the plan or
+    /// the quarantine mapping.
     pub fn engine(&self) -> &'static dyn KernelEngine {
         self.dispatch(self.handle)
     }
@@ -220,99 +229,12 @@ impl ExecutionContext {
         &mut self.workspace
     }
 
-    /// Batched forward step on the resolved engine (see
-    /// [`KernelEngine::forward_batch_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    pub fn forward_batch(
-        &mut self,
-        inputs: &[SparseFeatureMap],
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-    ) -> Vec<Tensor3> {
-        self.engine().forward_batch(inputs, weights, bias, geom)
-    }
-
-    /// Batched GTA step on the resolved engine (see
-    /// [`KernelEngine::input_grad_batch_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    pub fn input_grad_batch(
-        &mut self,
-        douts: &[SparseFeatureMap],
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        in_h: usize,
-        in_w: usize,
-        masks: &[Vec<RowMask>],
-    ) -> Vec<Tensor3> {
-        self.engine()
-            .input_grad_batch(douts, weights, geom, in_h, in_w, masks)
-    }
-
-    /// Batched GTW step on the resolved engine, accumulating into `dw`
-    /// (see [`KernelEngine::weight_grad_batch_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    pub fn weight_grad_batch(
-        &mut self,
-        inputs: &[SparseFeatureMap],
-        douts: &[SparseFeatureMap],
-        geom: ConvGeometry,
-        dw: &mut Tensor4,
-    ) {
-        self.engine().weight_grad_batch_into(inputs, douts, geom, dw);
-    }
-
     // -- Planned entry points ------------------------------------------------
     //
     // The per-(layer, stage) seam: callers with a layer identity (Conv2d,
-    // the dataflow executor) resolve their engine through the plan. Each
-    // method decides its cell once — probing every candidate with a timed
-    // full execution, or taking the replayed/heuristic decision — and then
-    // replays the frozen choice forever. Probe runs execute candidates
-    // into cloned scratch so accumulate-into contracts see exactly one
-    // execution's worth of updates, and every candidate is bitwise equal
-    // to scalar, so which one's output is kept can never matter.
-
-    /// Resolves the engine for one planned cell, deciding (and freezing)
-    /// it if necessary. Returns `None` when the cell is undecided and must
-    /// be probed by the caller.
-    fn planned_engine(
-        &mut self,
-        layer: &str,
-        stage: Stage,
-        density: impl Fn() -> f64,
-    ) -> Option<EngineHandle> {
-        match &mut self.planner {
-            None => Some(self.handle),
-            Some(p) => {
-                if let Some(h) = p.decided(layer, stage) {
-                    Some(h)
-                } else if p.probing_enabled() {
-                    None
-                } else {
-                    let h = p.fallback(stage, density());
-                    p.record(layer, stage, h);
-                    Some(h)
-                }
-            }
-        }
-    }
-
-    fn record(&mut self, layer: &str, stage: Stage, handle: EngineHandle) {
-        self.planner
-            .as_mut()
-            .expect("probe implies a planner")
-            .record(layer, stage, handle);
-    }
+    // the dataflow executor) resolve their engine through the plan. The
+    // three public methods only build the batch's `StageOp`s and its
+    // `BatchOut`; `run_planned` holds the one copy of the decision logic.
 
     fn probe_candidates(&self) -> Vec<EngineHandle> {
         // Quarantined engines never compete (their wins would be remapped to
@@ -329,9 +251,55 @@ impl ExecutionContext {
             .collect()
     }
 
-    /// Planned batched forward step: like
-    /// [`ExecutionContext::forward_batch`], but the engine is resolved per
-    /// `(layer, Forward)` cell on planned contexts.
+    /// Runs one batch of `stage` ops for `layer` into `out`, on the engine
+    /// its `(layer, stage)` cell resolves to — every execution, decided or
+    /// probed, goes through [`dispatch`](Self::dispatch).
+    ///
+    /// A decided cell — any cell of an unplanned context, a cell the plan
+    /// pins, or one a replaying planner fills from the density heuristic
+    /// (once, then frozen) — is one dispatched call. An undecided cell of
+    /// a probing context races every candidate with a timed full execution
+    /// into a clone of `out` — so accumulate-into contracts see exactly one
+    /// execution's worth of updates — keeps the fastest run's output and
+    /// freezes its engine. Every candidate is bitwise equal to scalar, so
+    /// which one's output is kept can never matter.
+    fn run_planned(&mut self, layer: &str, stage: Stage, ops: &[StageOp<'_>], mut out: BatchOut<'_>) {
+        let decided = match &mut self.planner {
+            None => Some(self.handle),
+            Some(p) if p.probing_enabled() => p.decided(layer, stage),
+            Some(p) => Some(p.decided(layer, stage).unwrap_or_else(|| {
+                let h = p.fallback(stage, batch_density(ops.iter().map(StageOp::operand)));
+                p.record(layer, stage, h);
+                h
+            })),
+        };
+        if let Some(h) = decided {
+            self.dispatch(h).run_batch(ops, out);
+            return;
+        }
+        let mut best: Option<(Duration, EngineHandle, Vec<Vec<f32>>)> = None;
+        for cand in self.probe_candidates() {
+            let mut scratch: Vec<Vec<f32>> = out.slices().iter().map(|s| s.to_vec()).collect();
+            let start = Instant::now();
+            self.dispatch(cand).run_batch(ops, out.like(&mut scratch));
+            let elapsed = start.elapsed();
+            if best.as_ref().is_none_or(|(t, _, _)| elapsed < *t) {
+                best = Some((elapsed, cand, scratch));
+            }
+        }
+        let (_, winner, scratch) = best.expect("candidate set is never empty");
+        self.planner
+            .as_mut()
+            .expect("probe implies a planner")
+            .record(layer, stage, winner);
+        for (dst, src) in out.slices().iter_mut().zip(&scratch) {
+            dst.copy_from_slice(src);
+        }
+    }
+
+    /// Planned batched forward step: one freshly allocated output per
+    /// input, computed on the engine the `(layer, Forward)` cell resolves
+    /// to (the context's own engine when it is not planned).
     ///
     /// # Panics
     ///
@@ -344,31 +312,37 @@ impl ExecutionContext {
         bias: Option<&[f32]>,
         geom: ConvGeometry,
     ) -> Vec<Tensor3> {
-        if let Some(h) = self.planned_engine(layer, Stage::Forward, || batch_density(inputs)) {
-            return self.dispatch(h).forward_batch(inputs, weights, bias, geom);
-        }
-        let mut best: Option<(std::time::Duration, EngineHandle, Vec<Tensor3>)> = None;
-        for cand in self.probe_candidates() {
-            let start = Instant::now();
-            let outs = self.dispatch(cand).forward_batch(inputs, weights, bias, geom);
-            let elapsed = start.elapsed();
-            if best.as_ref().is_none_or(|(t, _, _)| elapsed < *t) {
-                best = Some((elapsed, cand, outs));
-            }
-        }
-        let (_, winner, outs) = best.expect("candidate set is never empty");
-        self.record(layer, Stage::Forward, winner);
+        let ops: Vec<StageOp<'_>> = inputs
+            .iter()
+            .map(|input| StageOp::Forward {
+                input,
+                weights,
+                bias,
+                geom,
+            })
+            .collect();
+        let mut outs: Vec<Tensor3> = inputs
+            .iter()
+            .map(|input| {
+                let oh = geom.output_extent(input.height());
+                let ow = geom.output_extent(input.width());
+                Tensor3::zeros(weights.filters(), oh, ow)
+            })
+            .collect();
+        let slices = outs.iter_mut().map(Tensor3::as_mut_slice).collect();
+        self.run_planned(layer, Stage::Forward, &ops, BatchOut::PerSample(slices));
         outs
     }
 
-    /// Planned batched GTA step, accumulating into the pre-seeded `dins`:
-    /// like [`KernelEngine::input_grad_batch_into`] on the resolved
-    /// engine, but resolved per `(layer, InputGrad)` cell on planned
-    /// contexts.
+    /// Planned batched GTA step, accumulating into the pre-seeded `dins`
+    /// (each sample's `din` sets its own spatial extent; `masks[s]` are
+    /// sample `s`'s forward non-zero masks), resolved per
+    /// `(layer, InputGrad)` cell on planned contexts.
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatches.
+    /// Panics if the batch slices disagree in length or on shape
+    /// mismatches.
     pub fn input_grad_batch_for_into(
         &mut self,
         layer: &str,
@@ -378,38 +352,33 @@ impl ExecutionContext {
         masks: &[Vec<RowMask>],
         dins: &mut [Tensor3],
     ) {
-        if let Some(h) = self.planned_engine(layer, Stage::InputGrad, || batch_density(douts)) {
-            self.dispatch(h)
-                .input_grad_batch_into(douts, weights, geom, masks, dins);
-            return;
-        }
-        let mut best: Option<(std::time::Duration, EngineHandle, Vec<Tensor3>)> = None;
-        for cand in self.probe_candidates() {
-            let mut scratch: Vec<Tensor3> = dins.to_vec();
-            let start = Instant::now();
-            self.dispatch(cand)
-                .input_grad_batch_into(douts, weights, geom, masks, &mut scratch);
-            let elapsed = start.elapsed();
-            if best.as_ref().is_none_or(|(t, _, _)| elapsed < *t) {
-                best = Some((elapsed, cand, scratch));
-            }
-        }
-        let (_, winner, scratch) = best.expect("candidate set is never empty");
-        self.record(layer, Stage::InputGrad, winner);
-        for (din, s) in dins.iter_mut().zip(scratch) {
-            *din = s;
-        }
+        assert_eq!(douts.len(), dins.len(), "batch length mismatch");
+        assert_eq!(douts.len(), masks.len(), "batch mask length mismatch");
+        let ops: Vec<StageOp<'_>> = douts
+            .iter()
+            .zip(masks)
+            .zip(dins.iter())
+            .map(|((dout, masks), din)| StageOp::InputGrad {
+                dout,
+                weights,
+                geom,
+                masks,
+                in_h: din.height(),
+                in_w: din.width(),
+            })
+            .collect();
+        let slices = dins.iter_mut().map(Tensor3::as_mut_slice).collect();
+        self.run_planned(layer, Stage::InputGrad, &ops, BatchOut::PerSample(slices));
     }
 
-    /// Planned batched GTW step, accumulating into `dw`: like
-    /// [`ExecutionContext::weight_grad_batch`], but resolved per
-    /// `(layer, WeightGrad)` cell on planned contexts. Probe runs
-    /// accumulate each candidate into a clone of `dw`, so `dw` receives
-    /// exactly one execution's gradients.
+    /// Planned batched GTW step: every sample's weight gradient is added
+    /// into the shared `dw` in sample order, resolved per
+    /// `(layer, WeightGrad)` cell on planned contexts. A probed cell still
+    /// adds exactly one execution's gradients.
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatches.
+    /// Panics if `inputs.len() != douts.len()` or on shape mismatches.
     pub fn weight_grad_batch_for(
         &mut self,
         layer: &str,
@@ -418,24 +387,22 @@ impl ExecutionContext {
         geom: ConvGeometry,
         dw: &mut Tensor4,
     ) {
-        if let Some(h) = self.planned_engine(layer, Stage::WeightGrad, || batch_density(douts)) {
-            self.dispatch(h).weight_grad_batch_into(inputs, douts, geom, dw);
-            return;
+        assert_eq!(inputs.len(), douts.len(), "batch length mismatch");
+        let ops: Vec<StageOp<'_>> = inputs
+            .iter()
+            .zip(douts)
+            .map(|(input, dout)| StageOp::WeightGrad { input, dout, geom })
+            .collect();
+        if let Some(StageOp::WeightGrad { input, dout, .. }) = ops.first() {
+            let shape = (dout.channels(), input.channels(), geom.kernel, geom.kernel);
+            assert_eq!(dw.shape(), shape, "dw tensor shape mismatch");
         }
-        let mut best: Option<(std::time::Duration, EngineHandle, Tensor4)> = None;
-        for cand in self.probe_candidates() {
-            let mut scratch = dw.clone();
-            let start = Instant::now();
-            self.dispatch(cand)
-                .weight_grad_batch_into(inputs, douts, geom, &mut scratch);
-            let elapsed = start.elapsed();
-            if best.as_ref().is_none_or(|(t, _, _)| elapsed < *t) {
-                best = Some((elapsed, cand, scratch));
-            }
-        }
-        let (_, winner, scratch) = best.expect("candidate set is never empty");
-        self.record(layer, Stage::WeightGrad, winner);
-        *dw = scratch;
+        self.run_planned(
+            layer,
+            Stage::WeightGrad,
+            &ops,
+            BatchOut::Shared(dw.as_mut_slice()),
+        );
     }
 }
 
@@ -491,30 +458,36 @@ mod tests {
         (inputs, weights, geom)
     }
 
-    #[test]
-    fn batch_helpers_execute_on_the_resolved_engine() {
-        let mut ctx = ExecutionContext::by_name("parallel").unwrap();
-        let (inputs, weights, geom) = batch_fixture();
-        let outs = ctx.forward_batch(&inputs, &weights, None, geom);
-        assert_eq!(outs.len(), 3);
-        for (input, out) in inputs.iter().zip(&outs) {
-            let want = crate::engine::ScalarEngine.forward(input, &weights, None, geom);
-            assert_eq!(out.as_slice(), want.as_slice());
+    /// Asserts `outs` is, bit for bit, the scalar engine's forward of
+    /// `inputs` sample by sample.
+    fn assert_scalar_forward(
+        outs: &[Tensor3],
+        inputs: &[SparseFeatureMap],
+        weights: &Tensor4,
+        geom: ConvGeometry,
+    ) {
+        assert_eq!(outs.len(), inputs.len());
+        for (input, out) in inputs.iter().zip(outs) {
+            let op = StageOp::Forward {
+                input,
+                weights,
+                bias: None,
+                geom,
+            };
+            assert_eq!(out.as_slice(), op.run_on(&crate::engine::ScalarEngine));
         }
-        let mut dw = Tensor4::zeros(2, 2, 3, 3);
-        ctx.weight_grad_batch(&inputs, &inputs, geom, &mut dw);
-        assert!(dw.as_slice().iter().any(|&v| v != 0.0));
     }
 
     #[test]
-    fn planned_entry_points_are_plain_calls_on_unplanned_contexts() {
-        let mut ctx = ExecutionContext::by_name("simd").unwrap();
+    fn planned_entry_points_run_the_resolved_engine_on_unplanned_contexts() {
+        let mut ctx = ExecutionContext::by_name("parallel").unwrap();
         let (inputs, weights, geom) = batch_fixture();
-        let planned = ctx.forward_batch_for("conv1", &inputs, &weights, None, geom);
-        let plain = ctx.forward_batch(&inputs, &weights, None, geom);
-        for (a, b) in planned.iter().zip(&plain) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
+        let outs = ctx.forward_batch_for("conv1", &inputs, &weights, None, geom);
+        assert_scalar_forward(&outs, &inputs, &weights, geom);
+        assert_eq!(ctx.last_dispatched_engine(), Some("parallel"));
+        let mut dw = Tensor4::zeros(2, 2, 3, 3);
+        ctx.weight_grad_batch_for("conv1", &inputs, &inputs, geom, &mut dw);
+        assert!(dw.as_slice().iter().any(|&v| v != 0.0));
         assert!(ctx.plan().is_none(), "no plan state accrues without a planner");
     }
 
@@ -567,7 +540,7 @@ mod tests {
     fn quarantine_falls_back_to_scalar_bitwise() {
         let mut ctx = ExecutionContext::by_name("parallel:simd").unwrap();
         let (inputs, weights, geom) = batch_fixture();
-        let before = ctx.forward_batch(&inputs, &weights, None, geom);
+        let before = ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
         assert_eq!(ctx.last_dispatched_engine(), Some("parallel:simd"));
 
         assert!(ctx.quarantine("parallel:simd"));
@@ -575,7 +548,7 @@ mod tests {
         assert!(!ctx.quarantine("scalar"), "the fallback engine is untouchable");
         assert_eq!(ctx.quarantined(), ["parallel:simd".to_string()]);
 
-        let after = ctx.forward_batch(&inputs, &weights, None, geom);
+        let after = ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
         assert_eq!(ctx.last_dispatched_engine(), Some("scalar"));
         assert_eq!(ctx.engine_name(), "parallel:simd", "configured name survives");
         for (a, b) in after.iter().zip(&before) {
@@ -603,10 +576,7 @@ mod tests {
             .get("c1", Stage::Forward)
             .expect("cell frozen");
         assert_eq!(decided.name(), "scalar", "only unquarantined candidate left");
-        let reference = crate::engine::ScalarEngine.forward_batch(&inputs, &weights, None, geom);
-        for (a, b) in outs.iter().zip(&reference) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
+        assert_scalar_forward(&outs, &inputs, &weights, geom);
     }
 
     #[test]
@@ -614,7 +584,9 @@ mod tests {
         let mut plan = Plan::new(lookup("scalar").unwrap());
         plan.set("c1", Stage::Forward, lookup("simd").unwrap());
         let mut ctx = ExecutionContext::with_plan(plan);
-        ctx.quarantine("simd");
+        for name in crate::planner::CANDIDATE_NAMES {
+            ctx.quarantine(name);
+        }
         let (inputs, weights, geom) = batch_fixture();
         let outs = ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
         assert_eq!(
@@ -622,10 +594,28 @@ mod tests {
             Some("scalar"),
             "pinned cell remapped"
         );
-        let reference = crate::engine::ScalarEngine.forward_batch(&inputs, &weights, None, geom);
-        for (a, b) in outs.iter().zip(&reference) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
+        assert_scalar_forward(&outs, &inputs, &weights, geom);
+
+        // A cell the replayed plan misses is filled by the density
+        // heuristic — here a non-scalar engine, all of which are
+        // quarantined — and must be remapped at dispatch just the same.
+        let outs = ctx.forward_batch_for("c2", &inputs, &weights, None, geom);
+        let filled = ctx
+            .plan()
+            .unwrap()
+            .get("c2", Stage::Forward)
+            .expect("heuristic froze the cell");
+        assert_ne!(
+            filled.name(),
+            "scalar",
+            "the fixture must land outside scalar's win region"
+        );
+        assert_eq!(
+            ctx.last_dispatched_engine(),
+            Some("scalar"),
+            "heuristic cell remapped"
+        );
+        assert_scalar_forward(&outs, &inputs, &weights, geom);
     }
 
     #[test]
@@ -636,10 +626,7 @@ mod tests {
         assert_eq!(ctx.engine_name(), "auto");
         let (inputs, weights, geom) = batch_fixture();
         let outs = ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
-        let reference = crate::engine::ScalarEngine.forward_batch(&inputs, &weights, None, geom);
-        for (a, b) in outs.iter().zip(&reference) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
+        assert_scalar_forward(&outs, &inputs, &weights, geom);
         // The pinned cell stays pinned; an unplanned cell is decided by
         // the heuristic (never probed) and then frozen.
         assert_eq!(

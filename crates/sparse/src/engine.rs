@@ -1,45 +1,51 @@
 //! Pluggable kernel execution engines for the SRC/MSRC/OSRC hot paths.
 //!
-//! [`KernelEngine`] is the seam between the functional dataflow model and
-//! how it actually runs: every layer-level operation writes into
-//! caller-provided tensors through the kernels' accumulate-into-scratch
-//! APIs ([`crate::src::src_accumulate`], [`crate::msrc::msrc_accumulate`],
+//! The paper's accelerator has one 1-D convolution datapath switched
+//! between three modes — SRC for Forward, MSRC for GTA, OSRC for GTW — and
+//! this module is the software seam that models it: a training-stage
+//! convolution is a **value**, [`StageOp`], and [`KernelEngine`] has one
+//! method per call shape, each taking the op. Every op accumulates into a
+//! caller-provided slice through the kernels' accumulate-into-scratch APIs
+//! ([`crate::src::src_accumulate`], [`crate::msrc::msrc_accumulate`],
 //! [`crate::osrc::osrc_accumulate`]), so the inner loops perform **zero
 //! per-row heap allocations** on every engine.
+//!
+//! The call shapes:
+//!
+//! * [`KernelEngine::run`] — one op into one output slice,
+//! * [`KernelEngine::run_batch`] — a whole batch in one engine call, into a
+//!   [`BatchOut`]: one slice per sample (Forward, GTA) or one shared
+//!   accumulator every sample adds into in sample order (GTW's `dW`). The
+//!   default runs the samples in order, which *defines* the result,
+//! * [`KernelEngine::prepare`] / [`KernelEngine::band`] — the banding seam:
+//!   an op's output splits into independent contiguous *units*
+//!   ([`StageOp::split`]: filters for Forward/GTW, channels for GTA), and
+//!   `band` computes any contiguous run of them given the per-call state
+//!   `prepare` built once.
 //!
 //! The float engines shipped here:
 //!
 //! * [`ScalarEngine`] — the reference single-threaded semantics. Iteration
 //!   order is the specification; every other engine must match it
 //!   bit-for-bit.
-//! * [`ParallelEngine`] — band-parallel execution over the layer's
-//!   *independent* output units (filters for Forward/GTW, channels for
-//!   GTA) on the rayon fork-join API. Because parallelism is only ever
-//!   across disjoint output rows while the per-row accumulation order is
-//!   untouched, its results are **bitwise identical** to the scalar
-//!   engine's — verified by the `engine_parity` property tests. Each
-//!   band's computation is delegated to an *inner* engine through the
-//!   [`KernelEngine`] band methods (`forward_band` / `input_grad_band` /
-//!   `weight_grad_band`), so lane-level backends compose with banding —
-//!   [`crate::simd_engine::SimdEngine`] inside rayon bands is registered
-//!   as `"parallel:simd"`.
-//!
-//! Both engines also serve whole batches: the [`KernelEngine`] batch entry
-//! points (`forward_batch_into`, `input_grad_batch_into`,
-//! `weight_grad_batch_into`) default to sample-order fallbacks that define
-//! the result, and [`ParallelEngine`] overrides them to band across
-//! `samples × filters` so multi-core speedup scales with batch size, not
-//! just layer width.
+//! * [`ParallelEngine`] — band-parallel execution over the op's units (and
+//!   over `samples × units` for a batch, so multi-core speedup scales with
+//!   batch size, not just layer width) on the rayon fork-join API. Because
+//!   parallelism is only ever across disjoint output units while the
+//!   per-row accumulation order is untouched, its results are **bitwise
+//!   identical** to the scalar engine's — verified by the `engine_parity`
+//!   property tests. Each band's computation is delegated to an *inner*
+//!   engine through `prepare` / `band`, so lane-level backends compose with
+//!   banding — [`crate::simd_engine::SimdEngine`] inside rayon bands is
+//!   registered as `"parallel:simd"`.
 //!
 //! [`BandContext`] is the per-call operand state on the band seam: before
-//! fanning a stage out into bands, the caller asks the inner engine to
-//! **prepare** the call once (`prepare_forward` / `prepare_input_grad` /
-//! `prepare_weight_grad`) and passes the resulting context by reference
-//! into every band worker. Backends use it to hoist per-call operand
+//! fanning an op out into bands, the caller asks the inner engine to
+//! `prepare` it once and passes the resulting context by reference into
+//! every band worker. Backends use it to hoist per-call operand
 //! transformations — the simd engine's densified operand maps, the im2row
 //! engine's blocked patch matrix — above the fan-out, so `B` bands share
-//! one preparation instead of redoing it `B` times (the documented
-//! few-percent loss of the earlier per-band densification).
+//! one preparation instead of redoing it `B` times.
 //!
 //! Beyond the convolutions, [`KernelEngine::for_each_batch_chunk`] is the
 //! elementwise batch seam: position-pure per-element work (stochastic
@@ -65,46 +71,43 @@ use crate::compressed::SparseVec;
 use crate::mask::RowMask;
 use crate::msrc::msrc_accumulate;
 use crate::osrc::osrc_accumulate;
+use crate::planner::Stage;
 use crate::rowconv::SparseFeatureMap;
 use crate::src::src_accumulate;
 use sparsetrain_tensor::conv::ConvGeometry;
-use sparsetrain_tensor::{Tensor3, Tensor4};
+use sparsetrain_tensor::Tensor4;
 
 /// Per-call operand state shared by every band of one engine call.
 ///
-/// A `BandContext` is built **once per engine call** by the executing
-/// engine's `prepare_*` hook ([`KernelEngine::prepare_forward`] and
-/// friends), *above* the band fan-out, and then passed by reference into
-/// every band worker. It carries whatever per-call operand transformation
-/// the backend wants to hoist out of the bands:
+/// A `BandContext` is built **once per op** by the executing engine's
+/// [`KernelEngine::prepare`], *above* the band fan-out, and then passed by
+/// reference into every band worker. It carries whatever per-call operand
+/// transformation the backend wants to hoist out of the bands:
 ///
-/// * `dense` — a densified copy of the call's sparse operand map
+/// * `dense` — a densified copy of the op's sparse operand map
 ///   (channel-major `C × H × W`; the simd engine's row sweeps read it),
 /// * `patches` / `patch_len` / `dense_rows` — the im2row engine's blocked
-///   receptive-field patch matrix plus its per-output-row classification,
-/// * `ext` — an arbitrary payload for backends registered outside this
-///   crate.
+///   receptive-field patch matrix plus its per-output-row classification.
 ///
 /// The scalar reference needs no preparation and returns an empty context;
 /// band workers must treat an empty context as "prepare locally or fall
 /// back to the scalar path", so a context from the wrong engine can never
 /// change results — only speed. A context is only valid for the exact
-/// operands it was prepared from.
+/// op it was prepared from.
 ///
-/// Memory tradeoff: the batched entry points hold **one context per
-/// sample** for the duration of the call (every sample's bands may run
-/// concurrently, so no context can be dropped early). With a preparing
-/// engine that is `batch × per-sample state` — e.g. the im2row patch
-/// matrix, `Oh·Ow·C·K²` floats per sample. Callers streaming very large
-/// batches through memory-hungry engines should split the batch; the
-/// per-call preparation cost is already amortized within each sub-batch.
+/// Memory tradeoff: a batched call holds **one context per sample** for
+/// the duration of the call (every sample's bands may run concurrently,
+/// so no context can be dropped early). With a preparing engine that is
+/// `batch × per-sample state` — e.g. the im2row patch matrix,
+/// `Oh·Ow·C·K²` floats per sample. Callers streaming very large batches
+/// through memory-hungry engines should split the batch; the per-call
+/// preparation cost is already amortized within each sub-batch.
 #[derive(Debug, Default)]
 pub struct BandContext {
     dense: Vec<f32>,
     patches: Vec<f32>,
     patch_len: usize,
     dense_rows: Vec<bool>,
-    ext: Option<Box<dyn std::any::Any + Send + Sync>>,
 }
 
 impl BandContext {
@@ -115,7 +118,7 @@ impl BandContext {
 
     /// Whether no prepared state is attached at all.
     pub fn is_empty(&self) -> bool {
-        self.dense.is_empty() && self.patches.is_empty() && self.ext.is_none()
+        self.dense.is_empty() && self.patches.is_empty()
     }
 
     /// Attaches a densified operand map (channel-major `C × H × W`).
@@ -152,295 +155,300 @@ impl BandContext {
     pub fn dense_rows(&self) -> &[bool] {
         &self.dense_rows
     }
+}
 
-    /// Attaches an engine-specific payload (for backends outside this
-    /// crate).
-    pub fn set_ext<T: std::any::Any + Send + Sync>(&mut self, value: T) {
-        self.ext = Some(Box::new(value));
+/// One training-stage convolution of one sample, as a value: the borrowed
+/// operands an engine needs to run it.
+///
+/// The output is not part of the op — engines accumulate into a caller
+/// slice of [`StageOp::out_len`] elements, which the caller pre-zeroes or
+/// pre-seeds. Its layout is `units × unit_len` ([`StageOp::split`]):
+///
+/// | stage | output | units | unit |
+/// |---|---|---|---|
+/// | `Forward` | `out[F][Oh][Ow]` | filters | one `Oh × Ow` plane |
+/// | `InputGrad` | `din[C][H][W]` | channels | one `H × W` plane |
+/// | `WeightGrad` | `dW[F][C][K][K]` | filters | one `C × K × K` block |
+#[derive(Debug, Clone, Copy)]
+pub enum StageOp<'a> {
+    /// SRC: `out[fi] += Σ_ci SRC(input[ci], W[fi][ci])`; a bias, when
+    /// given, overwrites `out` first.
+    Forward {
+        /// The sparse activations.
+        input: &'a SparseFeatureMap,
+        /// The layer's `F × C × K × K` kernels.
+        weights: &'a Tensor4,
+        /// Optional per-filter bias.
+        bias: Option<&'a [f32]>,
+        /// Kernel size, stride and padding.
+        geom: ConvGeometry,
+    },
+    /// MSRC / GTA: scatters `dout` through the rotated kernels into `din`,
+    /// skipping positions absent from `masks`.
+    InputGrad {
+        /// The sparse output gradients.
+        dout: &'a SparseFeatureMap,
+        /// The layer's `F × C × K × K` kernels.
+        weights: &'a Tensor4,
+        /// Kernel size, stride and padding.
+        geom: ConvGeometry,
+        /// The forward non-zero masks, one per `(channel, input row)` in
+        /// channel-major order.
+        masks: &'a [RowMask],
+        /// Height of the input-gradient planes.
+        in_h: usize,
+        /// Width of the input-gradient planes.
+        in_w: usize,
+    },
+    /// OSRC / GTW: `dW[fi][ci][u] += Σ_oy OSRC(I row, dO row)`, accumulated
+    /// directly into the kernel rows of `dW`.
+    WeightGrad {
+        /// The sparse activations of the forward pass.
+        input: &'a SparseFeatureMap,
+        /// The sparse output gradients.
+        dout: &'a SparseFeatureMap,
+        /// Kernel size, stride and padding.
+        geom: ConvGeometry,
+    },
+}
+
+impl StageOp<'_> {
+    /// Which of the three training stages this op is.
+    pub fn stage(&self) -> Stage {
+        match self {
+            StageOp::Forward { .. } => Stage::Forward,
+            StageOp::InputGrad { .. } => Stage::InputGrad,
+            StageOp::WeightGrad { .. } => Stage::WeightGrad,
+        }
     }
 
-    /// Downcasts the engine-specific payload, if one of type `T` is
-    /// attached.
-    pub fn ext<T: std::any::Any>(&self) -> Option<&T> {
-        self.ext.as_deref().and_then(|e| e.downcast_ref())
+    /// The output's `(units, unit_len)` split: `units` independent
+    /// contiguous blocks of `unit_len` elements, any contiguous run of
+    /// which one [`KernelEngine::band`] call computes.
+    pub fn split(&self) -> (usize, usize) {
+        match *self {
+            StageOp::Forward {
+                input, weights, geom, ..
+            } => (
+                weights.filters(),
+                geom.output_extent(input.height()) * geom.output_extent(input.width()),
+            ),
+            StageOp::InputGrad {
+                weights, in_h, in_w, ..
+            } => (weights.channels(), in_h * in_w),
+            StageOp::WeightGrad { input, dout, geom } => {
+                (dout.channels(), input.channels() * geom.kernel * geom.kernel)
+            }
+        }
+    }
+
+    /// Number of output elements (`units × unit_len`).
+    pub fn out_len(&self) -> usize {
+        let (units, unit_len) = self.split();
+        units * unit_len
+    }
+
+    /// The sparse operand whose density decides the op's win region
+    /// ([`crate::planner::heuristic_name`]): the activations for Forward,
+    /// the (pruned) output gradients for GTA and GTW.
+    pub fn operand(&self) -> &SparseFeatureMap {
+        match *self {
+            StageOp::Forward { input, .. } => input,
+            StageOp::InputGrad { dout, .. } | StageOp::WeightGrad { dout, .. } => dout,
+        }
+    }
+
+    /// Rough MAC count *per output unit*: every non-zero of the swept
+    /// operand (the activations for Forward and GTW, the gradients for
+    /// GTA) meets `K` kernel taps.
+    pub fn work(&self) -> usize {
+        match *self {
+            StageOp::Forward { input, geom, .. } | StageOp::WeightGrad { input, geom, .. } => {
+                input.nnz() * geom.kernel
+            }
+            StageOp::InputGrad { dout, geom, .. } => dout.nnz() * geom.kernel,
+        }
+    }
+
+    /// Validates the operands against each other and against an output of
+    /// `out_len` elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub fn check(&self, out_len: usize) {
+        match *self {
+            StageOp::Forward {
+                input,
+                weights,
+                bias,
+                geom,
+            } => {
+                let (f, wc, kh, kw) = weights.shape();
+                assert_eq!(wc, input.channels(), "weight/input channel mismatch");
+                assert_eq!(kh, geom.kernel);
+                assert_eq!(kw, geom.kernel);
+                if let Some(b) = bias {
+                    assert_eq!(b.len(), f, "bias length mismatch");
+                }
+            }
+            StageOp::InputGrad {
+                dout,
+                weights,
+                geom,
+                masks,
+                in_h,
+                ..
+            } => {
+                let (f, c, kh, kw) = weights.shape();
+                assert_eq!(f, dout.channels(), "weight filters != dout channels");
+                assert_eq!(kh, geom.kernel);
+                assert_eq!(kw, geom.kernel);
+                assert_eq!(masks.len(), c * in_h, "need one mask per (channel, input row)");
+            }
+            StageOp::WeightGrad { input, dout, geom } => {
+                assert_eq!(dout.height(), geom.output_extent(input.height()));
+                assert_eq!(dout.width(), geom.output_extent(input.width()));
+            }
+        }
+        assert_eq!(out_len, self.out_len(), "{} output length mismatch", self.stage());
+    }
+
+    /// Runs this op on `engine` into a freshly zeroed output buffer — the
+    /// allocating convenience for tests, benches and one-off calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches.
+    pub fn run_on<E: KernelEngine + ?Sized>(&self, engine: &E) -> Vec<f32> {
+        let mut out = vec![0.0; self.out_len()];
+        engine.run(self, &mut out);
+        out
     }
 }
 
-/// Layer-level execution of the three training-stage convolutions.
+/// Where the results of a [`KernelEngine::run_batch`] call land.
+#[derive(Debug)]
+pub enum BatchOut<'a> {
+    /// One output slice per sample (Forward, GTA).
+    PerSample(Vec<&'a mut [f32]>),
+    /// One accumulator every sample adds into, in sample order — GTW's
+    /// batch-level `dW`, the gradient the optimizer consumes.
+    Shared(&'a mut [f32]),
+}
+
+impl<'a> BatchOut<'a> {
+    /// The output slices: one per sample, or the one shared accumulator.
+    pub fn slices(&mut self) -> &mut [&'a mut [f32]] {
+        match self {
+            BatchOut::PerSample(outs) => outs,
+            BatchOut::Shared(acc) => std::slice::from_mut(acc),
+        }
+    }
+
+    /// A `BatchOut` of the same kind over `bufs` (one buffer per slice of
+    /// `self`) — how a caller redirects a batch into scratch.
+    pub(crate) fn like<'b>(&self, bufs: &'b mut [Vec<f32>]) -> BatchOut<'b> {
+        match self {
+            BatchOut::PerSample(_) => BatchOut::PerSample(bufs.iter_mut().map(Vec::as_mut_slice).collect()),
+            BatchOut::Shared(_) => BatchOut::Shared(&mut bufs[0]),
+        }
+    }
+
+    /// Validates a batch of ops against this output: one slice per op (or
+    /// one output shape across the batch when shared) and every op's own
+    /// [`StageOp::check`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a batch length or shape mismatch.
+    pub fn check(&self, ops: &[StageOp<'_>]) {
+        match self {
+            BatchOut::PerSample(outs) => {
+                assert_eq!(ops.len(), outs.len(), "batch length mismatch");
+                for (op, out) in ops.iter().zip(outs) {
+                    op.check(out.len());
+                }
+            }
+            BatchOut::Shared(acc) => {
+                for op in ops {
+                    op.check(acc.len());
+                    assert_eq!(op.split(), ops[0].split(), "shared output shape mismatch");
+                }
+            }
+        }
+    }
+}
+
+/// Execution of the three training-stage convolutions, one [`StageOp`] at
+/// a time or a batch of them per call.
 ///
-/// All methods accumulate into caller-provided tensors (which the `*_into`
-/// contract requires to be pre-zeroed or pre-seeded by the caller) and
-/// must produce results bitwise identical to [`ScalarEngine`].
+/// Every method accumulates into caller-provided slices (pre-zeroed or
+/// pre-seeded by the caller) and must produce results bitwise identical to
+/// [`ScalarEngine`], whose defaults these are. A backend overrides
+/// `prepare` + `band` (and composes with [`ParallelEngine`] for free), or
+/// `run` when banding it would model nothing
+/// ([`crate::fixed_engine::FixedPointEngine`]).
 pub trait KernelEngine: Send + Sync {
     /// Engine name for reports and benches.
     fn name(&self) -> &'static str;
 
-    /// Forward step: `out[fi] += Σ_ci SRC(input[ci], W[fi][ci])` (+ bias if
-    /// given, which overwrites `out` first).
-    ///
-    /// The default validates shapes and runs [`KernelEngine::forward_band`]
-    /// over the whole filter range.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches between `input`, `weights`, `geom` and
-    /// `out`.
-    fn forward_into(
-        &self,
-        input: &SparseFeatureMap,
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-        out: &mut Tensor3,
-    ) {
-        check_forward(input, weights, bias, geom, out);
-        let (_, oh, ow) = out.shape();
-        let ctx = self.prepare_forward(input, weights, bias, geom);
-        self.forward_band(&ctx, input, weights, bias, geom, oh, ow, 0, out.as_mut_slice());
-    }
-
-    /// GTA step: scatters `dout` through the rotated kernels into `din`,
-    /// skipping positions absent from `masks` (the forward non-zero masks,
-    /// one per `(channel, input row)` in channel-major order).
-    ///
-    /// The default validates shapes and runs
-    /// [`KernelEngine::input_grad_band`] over the whole channel range.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    fn input_grad_into(
-        &self,
-        dout: &SparseFeatureMap,
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        masks: &[RowMask],
-        din: &mut Tensor3,
-    ) {
-        check_input_grad(dout, weights, geom, masks, din);
-        let (_, in_h, in_w) = din.shape();
-        let ctx = self.prepare_input_grad(dout, weights, geom, masks, in_h, in_w);
-        self.input_grad_band(
-            &ctx,
-            dout,
-            weights,
-            geom,
-            masks,
-            in_h,
-            in_w,
-            0,
-            din.as_mut_slice(),
-        );
-    }
-
-    /// GTW step: accumulates `dW[fi][ci][u] += Σ_oy OSRC(I row, dO row)`
-    /// directly into the kernel rows of `dw`.
-    ///
-    /// The default validates shapes and runs
-    /// [`KernelEngine::weight_grad_band`] over the whole filter range.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    fn weight_grad_into(
-        &self,
-        input: &SparseFeatureMap,
-        dout: &SparseFeatureMap,
-        geom: ConvGeometry,
-        dw: &mut Tensor4,
-    ) {
-        check_weight_grad(input, dout, geom, dw);
-        let ctx = self.prepare_weight_grad(input, dout, geom);
-        self.weight_grad_band(&ctx, input, dout, geom, 0, dw.as_mut_slice());
-    }
-
-    // -- Band-level workers --------------------------------------------------
-    //
-    // The banding seam: `ParallelEngine` splits a stage's independent
-    // output units into contiguous bands and delegates the per-band
-    // computation to an *inner* engine through these methods, so a
-    // vectorized backend composes with band parallelism (`"parallel:simd"`,
-    // `"parallel:im2row"`) without reimplementing the banding. The defaults
-    // are the scalar reference loops; every override must stay bitwise
-    // identical to them. Band methods trust their caller for shape
-    // validation (the `*_into` entry points run the checks), and every
-    // band of one call shares the [`BandContext`] the executing engine's
-    // matching `prepare_*` hook built from the same operands. An empty or
-    // foreign context never changes results: band workers re-prepare
-    // locally or take the scalar path.
-
-    /// Builds the per-call operand state for a forward call — invoked
-    /// **once**, above the band fan-out. The default prepares nothing.
-    fn prepare_forward(
-        &self,
-        input: &SparseFeatureMap,
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-    ) -> BandContext {
-        let _ = (input, weights, bias, geom);
-        BandContext::empty()
-    }
-
-    /// Builds the per-call operand state for a GTA call — invoked once,
+    /// Builds the per-call operand state for `op` — invoked **once**,
     /// above the band fan-out. The default prepares nothing.
-    fn prepare_input_grad(
-        &self,
-        dout: &SparseFeatureMap,
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        masks: &[RowMask],
-        in_h: usize,
-        in_w: usize,
-    ) -> BandContext {
-        let _ = (dout, weights, geom, masks, in_h, in_w);
+    fn prepare(&self, op: &StageOp<'_>) -> BandContext {
+        let _ = op;
         BandContext::empty()
     }
 
-    /// Builds the per-call operand state for a GTW call — invoked once,
-    /// above the band fan-out. The default prepares nothing.
-    fn prepare_weight_grad(
-        &self,
-        input: &SparseFeatureMap,
-        dout: &SparseFeatureMap,
-        geom: ConvGeometry,
-    ) -> BandContext {
-        let _ = (input, dout, geom);
-        BandContext::empty()
-    }
-
-    /// Computes the forward rows of filters `f_lo..f_lo + n` into
-    /// `out_band`, which holds `n` contiguous pre-seeded `oh × ow` filter
-    /// planes. `ctx` is the call's shared [`BandContext`] (from
-    /// [`KernelEngine::prepare_forward`] on the same operands).
-    #[allow(clippy::too_many_arguments)]
-    fn forward_band(
-        &self,
-        ctx: &BandContext,
-        input: &SparseFeatureMap,
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-        oh: usize,
-        ow: usize,
-        f_lo: usize,
-        out_band: &mut [f32],
-    ) {
+    /// Computes the output units `lo..lo + n` of `op` into `out`, which
+    /// holds those `n` contiguous pre-seeded units ([`StageOp::split`]).
+    /// `ctx` is the call's shared [`BandContext`], from `prepare` on the
+    /// same op; an empty or foreign context never changes results — band
+    /// workers re-prepare locally or take the scalar path. Band calls
+    /// trust their caller for shape validation (`run` / `run_batch` run
+    /// the checks). The default is the scalar reference loop; every
+    /// override must stay bitwise identical to it.
+    fn band(&self, ctx: &BandContext, op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
         let _ = ctx;
-        scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band);
+        scalar_band(op, lo, out);
     }
 
-    /// Computes the input-gradient rows of channels `c_lo..c_lo + n` into
-    /// `din_band`, which holds `n` contiguous pre-seeded `in_h × in_w`
-    /// channel planes. `ctx` is the call's shared [`BandContext`].
-    #[allow(clippy::too_many_arguments)]
-    fn input_grad_band(
-        &self,
-        ctx: &BandContext,
-        dout: &SparseFeatureMap,
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        masks: &[RowMask],
-        in_h: usize,
-        in_w: usize,
-        c_lo: usize,
-        din_band: &mut [f32],
-    ) {
-        let _ = ctx;
-        scalar_input_grad_band(dout, weights, geom, masks, in_h, in_w, c_lo, din_band);
-    }
-
-    /// Accumulates the weight gradients of filters `f_lo..f_lo + n` into
-    /// `dw_band`, which holds `n` contiguous `C × K × K` filter blocks.
-    /// `ctx` is the call's shared [`BandContext`].
-    fn weight_grad_band(
-        &self,
-        ctx: &BandContext,
-        input: &SparseFeatureMap,
-        dout: &SparseFeatureMap,
-        geom: ConvGeometry,
-        f_lo: usize,
-        dw_band: &mut [f32],
-    ) {
-        let _ = ctx;
-        scalar_weight_grad_band(input, dout, geom, f_lo, dw_band);
-    }
-
-    // -- Batched entry points ------------------------------------------------
-    //
-    // One engine call per batch: the accelerator streams whole batches
-    // through the datapath to amortize control overhead, and the software
-    // engines mirror that here. The defaults fall back to the per-sample
-    // methods in sample order, which *defines* the result: every override
-    // must stay bitwise identical to it (verified by the `engine_parity`
-    // property tests).
-
-    /// Forward step for a whole batch: `outs[s]` receives the forward
-    /// output of `inputs[s]`, exactly as `forward_into` would produce it.
+    /// Runs one op into `out`. The default validates shapes, prepares, and
+    /// computes the whole unit range as one band.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len() != outs.len()` or on per-sample shape
-    /// mismatches.
-    fn forward_batch_into(
-        &self,
-        inputs: &[SparseFeatureMap],
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-        outs: &mut [Tensor3],
-    ) {
-        assert_eq!(inputs.len(), outs.len(), "batch length mismatch");
-        for (input, out) in inputs.iter().zip(outs.iter_mut()) {
-            self.forward_into(input, weights, bias, geom, out);
-        }
+    /// Panics on shape mismatches ([`StageOp::check`]).
+    fn run(&self, op: &StageOp<'_>, out: &mut [f32]) {
+        op.check(out.len());
+        let ctx = self.prepare(op);
+        self.band(&ctx, op, 0, out);
     }
 
-    /// GTA step for a whole batch; `masks[s]` carries sample `s`'s forward
-    /// non-zero masks (one per `(channel, input row)` in channel-major
-    /// order).
+    /// Runs a whole batch in one engine call — the accelerator streams
+    /// batches through the datapath to amortize control overhead, and the
+    /// software engines mirror that. The default runs the samples in
+    /// order, which *defines* the result: every override must stay bitwise
+    /// identical to it (verified by the `engine_parity` property tests).
     ///
     /// # Panics
     ///
-    /// Panics if the batch slices disagree in length or on per-sample shape
-    /// mismatches.
-    fn input_grad_batch_into(
-        &self,
-        douts: &[SparseFeatureMap],
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        masks: &[Vec<RowMask>],
-        dins: &mut [Tensor3],
-    ) {
-        assert_eq!(douts.len(), dins.len(), "batch length mismatch");
-        assert_eq!(douts.len(), masks.len(), "batch mask length mismatch");
-        for ((dout, mask), din) in douts.iter().zip(masks).zip(dins.iter_mut()) {
-            self.input_grad_into(dout, weights, geom, mask, din);
+    /// Panics on batch length or shape mismatches ([`BatchOut::check`]).
+    fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
+        out.check(ops);
+        match out {
+            BatchOut::PerSample(outs) => {
+                for (op, out) in ops.iter().zip(outs) {
+                    self.run(op, out);
+                }
+            }
+            BatchOut::Shared(acc) => {
+                for op in ops {
+                    self.run(op, acc);
+                }
+            }
         }
     }
-
-    /// GTW step for a whole batch: accumulates every sample's weight
-    /// gradient into the shared `dw`, in sample order — the batch-level
-    /// gradient the optimizer consumes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != douts.len()` or on per-sample shape
-    /// mismatches.
-    fn weight_grad_batch_into(
-        &self,
-        inputs: &[SparseFeatureMap],
-        douts: &[SparseFeatureMap],
-        geom: ConvGeometry,
-        dw: &mut Tensor4,
-    ) {
-        assert_eq!(inputs.len(), douts.len(), "batch length mismatch");
-        for (input, dout) in inputs.iter().zip(douts) {
-            self.weight_grad_into(input, dout, geom, dw);
-        }
-    }
-
-    // -- Elementwise batch work ----------------------------------------------
 
     /// Runs `work` over a batch of independent mutable parts (e.g. one
     /// gradient tensor per sample), covering every element of every part
@@ -460,175 +468,48 @@ pub trait KernelEngine: Send + Sync {
             work(p, 0, part);
         }
     }
-
-    // -- Allocating conveniences ---------------------------------------------
-
-    /// Forward step into a freshly allocated output tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    fn forward(
-        &self,
-        input: &SparseFeatureMap,
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-    ) -> Tensor3 {
-        let oh = geom.output_extent(input.height());
-        let ow = geom.output_extent(input.width());
-        let mut out = Tensor3::zeros(weights.filters(), oh, ow);
-        self.forward_into(input, weights, bias, geom, &mut out);
-        out
-    }
-
-    /// GTA step into a freshly allocated input-gradient tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    fn input_grad(
-        &self,
-        dout: &SparseFeatureMap,
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        in_h: usize,
-        in_w: usize,
-        masks: &[RowMask],
-    ) -> Tensor3 {
-        let mut din = Tensor3::zeros(weights.channels(), in_h, in_w);
-        self.input_grad_into(dout, weights, geom, masks, &mut din);
-        din
-    }
-
-    /// GTW step into a freshly allocated weight-gradient tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    fn weight_grad(&self, input: &SparseFeatureMap, dout: &SparseFeatureMap, geom: ConvGeometry) -> Tensor4 {
-        let mut dw = Tensor4::zeros(dout.channels(), input.channels(), geom.kernel, geom.kernel);
-        self.weight_grad_into(input, dout, geom, &mut dw);
-        dw
-    }
-
-    /// Batched forward step into freshly allocated output tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on per-sample shape mismatches.
-    fn forward_batch(
-        &self,
-        inputs: &[SparseFeatureMap],
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-    ) -> Vec<Tensor3> {
-        let mut outs: Vec<Tensor3> = inputs
-            .iter()
-            .map(|input| {
-                let oh = geom.output_extent(input.height());
-                let ow = geom.output_extent(input.width());
-                Tensor3::zeros(weights.filters(), oh, ow)
-            })
-            .collect();
-        self.forward_batch_into(inputs, weights, bias, geom, &mut outs);
-        outs
-    }
-
-    /// Batched GTA step into freshly allocated input-gradient tensors (all
-    /// samples share the `in_h × in_w` spatial extent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch slices disagree in length or on per-sample shape
-    /// mismatches.
-    fn input_grad_batch(
-        &self,
-        douts: &[SparseFeatureMap],
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        in_h: usize,
-        in_w: usize,
-        masks: &[Vec<RowMask>],
-    ) -> Vec<Tensor3> {
-        let mut dins: Vec<Tensor3> = douts
-            .iter()
-            .map(|_| Tensor3::zeros(weights.channels(), in_h, in_w))
-            .collect();
-        self.input_grad_batch_into(douts, weights, geom, masks, &mut dins);
-        dins
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Shared shape validation
-// ---------------------------------------------------------------------------
-
-fn check_forward(
-    input: &SparseFeatureMap,
-    weights: &Tensor4,
-    bias: Option<&[f32]>,
-    geom: ConvGeometry,
-    out: &Tensor3,
-) {
-    let (f, wc, kh, kw) = weights.shape();
-    assert_eq!(wc, input.channels(), "weight/input channel mismatch");
-    assert_eq!(kh, geom.kernel);
-    assert_eq!(kw, geom.kernel);
-    if let Some(b) = bias {
-        assert_eq!(b.len(), f, "bias length mismatch");
-    }
-    let oh = geom.output_extent(input.height());
-    let ow = geom.output_extent(input.width());
-    assert_eq!(out.shape(), (f, oh, ow), "output tensor shape mismatch");
-}
-
-fn check_input_grad(
-    dout: &SparseFeatureMap,
-    weights: &Tensor4,
-    geom: ConvGeometry,
-    masks: &[RowMask],
-    din: &Tensor3,
-) {
-    let (f, c, kh, kw) = weights.shape();
-    assert_eq!(f, dout.channels(), "weight filters != dout channels");
-    assert_eq!(kh, geom.kernel);
-    assert_eq!(kw, geom.kernel);
-    let (dc, in_h, _) = din.shape();
-    assert_eq!(dc, c, "din channels != weight channels");
-    assert_eq!(masks.len(), c * in_h, "need one mask per (channel, input row)");
-}
-
-fn check_weight_grad(input: &SparseFeatureMap, dout: &SparseFeatureMap, geom: ConvGeometry, dw: &Tensor4) {
-    assert_eq!(dout.height(), geom.output_extent(input.height()));
-    assert_eq!(dout.width(), geom.output_extent(input.width()));
-    assert_eq!(
-        dw.shape(),
-        (dout.channels(), input.channels(), geom.kernel, geom.kernel),
-        "dw tensor shape mismatch"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Scalar band workers (the trait's default band bodies; the scalar engine
+// Scalar band workers (the trait's default `band` body; the scalar engine
 // is one big band)
 // ---------------------------------------------------------------------------
 
+/// The scalar reference for units `lo..` of `op` — the default
+/// [`KernelEngine::band`] and every backend's fallback.
+pub(crate) fn scalar_band(op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
+    match *op {
+        StageOp::Forward {
+            input,
+            weights,
+            bias,
+            geom,
+        } => scalar_forward_band(input, weights, bias, geom, lo, out),
+        StageOp::InputGrad {
+            dout,
+            weights,
+            geom,
+            masks,
+            in_h,
+            in_w,
+        } => scalar_input_grad_band(dout, weights, geom, masks, in_h, in_w, lo, out),
+        StageOp::WeightGrad { input, dout, geom } => scalar_weight_grad_band(input, dout, geom, lo, out),
+    }
+}
+
 /// Computes the forward rows of filters `f_lo..f_lo + n` into `out_band`
 /// (`n` contiguous `Oh × Ow` filter planes).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scalar_forward_band(
+fn scalar_forward_band(
     input: &SparseFeatureMap,
     weights: &Tensor4,
     bias: Option<&[f32]>,
     geom: ConvGeometry,
-    oh: usize,
-    ow: usize,
     f_lo: usize,
     out_band: &mut [f32],
 ) {
     let h = input.height() as isize;
+    let oh = geom.output_extent(input.height());
+    let ow = geom.output_extent(input.width());
     for (bf, plane) in out_band.chunks_mut(oh * ow).enumerate() {
         let fi = f_lo + bf;
         if let Some(b) = bias {
@@ -652,7 +533,7 @@ pub(crate) fn scalar_forward_band(
 /// Computes the input-gradient rows of channels `c_lo..c_lo + n` into
 /// `din_band` (`n` contiguous `H × W` channel planes).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn scalar_input_grad_band(
+fn scalar_input_grad_band(
     dout: &SparseFeatureMap,
     weights: &Tensor4,
     geom: ConvGeometry,
@@ -692,7 +573,7 @@ pub(crate) fn scalar_input_grad_band(
 
 /// Accumulates the weight gradients of filters `f_lo..f_lo + n` into
 /// `dw_band` (`n` contiguous `C × K × K` filter blocks).
-pub(crate) fn scalar_weight_grad_band(
+fn scalar_weight_grad_band(
     input: &SparseFeatureMap,
     dout: &SparseFeatureMap,
     geom: ConvGeometry,
@@ -722,7 +603,6 @@ pub(crate) fn scalar_weight_grad_band(
         }
     }
 }
-
 // ---------------------------------------------------------------------------
 // ScalarEngine
 // ---------------------------------------------------------------------------
@@ -749,10 +629,11 @@ impl KernelEngine for ScalarEngine {
 /// bands on rayon's fork-join scope.
 ///
 /// The per-band computation is delegated to an **inner** engine through
-/// the [`KernelEngine`] band methods — the scalar reference by default
-/// (`"parallel"`), or any other backend (the registry wires
-/// `"parallel:simd"` as bands over [`crate::simd_engine::SimdEngine`]), so
-/// thread-level and lane-level parallelism compose.
+/// [`KernelEngine::prepare`] / [`KernelEngine::band`] — the scalar
+/// reference by default (`"parallel"`), or any other backend (the
+/// registry wires `"parallel:simd"` as bands over
+/// [`crate::simd_engine::SimdEngine`]), so thread-level and lane-level
+/// parallelism compose.
 ///
 /// Each band writes a disjoint region of the output tensor and the inner
 /// engine reproduces the exact scalar per-row accumulation order, so
@@ -831,6 +712,11 @@ impl ParallelEngine {
 
     fn bands(&self, units: usize, ops_per_unit: usize) -> usize {
         self.bands_for_total(units, units.saturating_mul(ops_per_unit))
+    }
+
+    /// One preparation per sample, shared by every band that touches it.
+    fn prepare_each(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
+        ops.iter().map(|op| self.inner.prepare(op)).collect()
     }
 
     /// Band count for `units` independent output units carrying `total_ops`
@@ -975,150 +861,59 @@ fn for_each_element_chunk(
         }
     });
 }
-
 impl KernelEngine for ParallelEngine {
     fn name(&self) -> &'static str {
         self.name
     }
 
-    fn forward_into(
-        &self,
-        input: &SparseFeatureMap,
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-        out: &mut Tensor3,
-    ) {
-        check_forward(input, weights, bias, geom, out);
-        let (f, oh, ow) = out.shape();
-        // Per-filter work ≈ every input non-zero hits K kernel taps.
-        let bands = self.bands(f, input.nnz() * geom.kernel);
+    fn run(&self, op: &StageOp<'_>, out: &mut [f32]) {
+        op.check(out.len());
+        let (units, unit_len) = op.split();
+        let bands = self.bands(units, op.work());
         // One preparation for the whole call: every band borrows the same
         // operand state instead of rebuilding it.
-        let ctx = self.inner.prepare_forward(input, weights, bias, geom);
-        for_each_band(out.as_mut_slice(), f, oh * ow, bands, |f_lo, band| {
-            self.inner
-                .forward_band(&ctx, input, weights, bias, geom, oh, ow, f_lo, band);
+        let ctx = self.inner.prepare(op);
+        for_each_band(out, units, unit_len, bands, |lo, band| {
+            self.inner.band(&ctx, op, lo, band);
         });
     }
 
-    fn input_grad_into(
-        &self,
-        dout: &SparseFeatureMap,
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        masks: &[RowMask],
-        din: &mut Tensor3,
-    ) {
-        check_input_grad(dout, weights, geom, masks, din);
-        let (c, in_h, in_w) = din.shape();
-        // Per-channel work ≈ every gradient non-zero scatters K taps.
-        let bands = self.bands(c, dout.nnz() * geom.kernel);
-        let ctx = self
-            .inner
-            .prepare_input_grad(dout, weights, geom, masks, in_h, in_w);
-        for_each_band(din.as_mut_slice(), c, in_h * in_w, bands, |c_lo, band| {
-            self.inner
-                .input_grad_band(&ctx, dout, weights, geom, masks, in_h, in_w, c_lo, band);
-        });
-    }
-
-    fn weight_grad_into(
-        &self,
-        input: &SparseFeatureMap,
-        dout: &SparseFeatureMap,
-        geom: ConvGeometry,
-        dw: &mut Tensor4,
-    ) {
-        check_weight_grad(input, dout, geom, dw);
-        let (f, c, k, _) = dw.shape();
-        // Per-filter work ≈ the input swept once per kernel row.
-        let bands = self.bands(f, input.nnz() * geom.kernel);
-        let ctx = self.inner.prepare_weight_grad(input, dout, geom);
-        for_each_band(dw.as_mut_slice(), f, c * k * k, bands, |f_lo, band| {
-            self.inner.weight_grad_band(&ctx, input, dout, geom, f_lo, band);
-        });
-    }
-
-    fn forward_batch_into(
-        &self,
-        inputs: &[SparseFeatureMap],
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-        outs: &mut [Tensor3],
-    ) {
-        assert_eq!(inputs.len(), outs.len(), "batch length mismatch");
-        let Some(first) = inputs.first() else { return };
-        // Mixed-shape batches band per sample instead (still bitwise equal
-        // to the scalar order — banding never reorders accumulation).
-        if !inputs
-            .iter()
-            .all(|i| i.height() == first.height() && i.width() == first.width())
-        {
-            for (input, out) in inputs.iter().zip(outs.iter_mut()) {
-                self.forward_into(input, weights, bias, geom, out);
+    fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
+        out.check(ops);
+        let Some(first) = ops.first() else { return };
+        let (units, unit_len) = first.split();
+        let total_ops: usize = ops.iter().map(StageOp::work).sum();
+        match out {
+            BatchOut::PerSample(outs) => {
+                // Mixed-shape batches band per sample instead (still bitwise
+                // equal to the scalar order — banding never reorders
+                // accumulation).
+                if ops.iter().any(|op| op.split() != (units, unit_len)) {
+                    for (op, out) in ops.iter().zip(outs) {
+                        self.run(op, out);
+                    }
+                    return;
+                }
+                let bands = self.bands_for_total(ops.len() * units, total_ops);
+                let ctxs = self.prepare_each(ops);
+                for_each_batch_band(outs, units, unit_len, bands, |s, lo, chunk| {
+                    self.inner.band(&ctxs[s], &ops[s], lo, chunk);
+                });
             }
-            return;
-        }
-        let mut oh = 0;
-        let mut ow = 0;
-        for (input, out) in inputs.iter().zip(outs.iter()) {
-            check_forward(input, weights, bias, geom, out);
-            (_, oh, ow) = out.shape();
-        }
-        let f = weights.filters();
-        let total_ops: usize = inputs.iter().map(|i| i.nnz() * geom.kernel).sum();
-        let bands = self.bands_for_total(inputs.len() * f, total_ops);
-        // One preparation per sample, shared by every band that touches it.
-        let ctxs: Vec<BandContext> = inputs
-            .iter()
-            .map(|input| self.inner.prepare_forward(input, weights, bias, geom))
-            .collect();
-        let slices: Vec<&mut [f32]> = outs.iter_mut().map(Tensor3::as_mut_slice).collect();
-        for_each_batch_band(slices, f, oh * ow, bands, |s, f_lo, chunk| {
-            self.inner
-                .forward_band(&ctxs[s], &inputs[s], weights, bias, geom, oh, ow, f_lo, chunk);
-        });
-    }
-
-    fn input_grad_batch_into(
-        &self,
-        douts: &[SparseFeatureMap],
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        masks: &[Vec<RowMask>],
-        dins: &mut [Tensor3],
-    ) {
-        assert_eq!(douts.len(), dins.len(), "batch length mismatch");
-        assert_eq!(douts.len(), masks.len(), "batch mask length mismatch");
-        let Some(first) = dins.first() else { return };
-        let (c, in_h, in_w) = first.shape();
-        if !dins.iter().all(|d| d.shape() == (c, in_h, in_w)) {
-            for ((dout, mask), din) in douts.iter().zip(masks).zip(dins.iter_mut()) {
-                self.input_grad_into(dout, weights, geom, mask, din);
+            BatchOut::Shared(acc) => {
+                // The batch shares one output, so parallelism stays across
+                // its units; each band accumulates its samples in order,
+                // keeping the per-element accumulation sequence identical
+                // to the per-sample path.
+                let bands = self.bands_for_total(units, total_ops);
+                let ctxs = self.prepare_each(ops);
+                for_each_band(acc, units, unit_len, bands, |lo, band| {
+                    for (op, ctx) in ops.iter().zip(&ctxs) {
+                        self.inner.band(ctx, op, lo, band);
+                    }
+                });
             }
-            return;
         }
-        for ((dout, mask), din) in douts.iter().zip(masks).zip(dins.iter()) {
-            check_input_grad(dout, weights, geom, mask, din);
-        }
-        let total_ops: usize = douts.iter().map(|d| d.nnz() * geom.kernel).sum();
-        let bands = self.bands_for_total(dins.len() * c, total_ops);
-        let ctxs: Vec<BandContext> = douts
-            .iter()
-            .zip(masks)
-            .map(|(dout, mask)| {
-                self.inner
-                    .prepare_input_grad(dout, weights, geom, mask, in_h, in_w)
-            })
-            .collect();
-        let slices: Vec<&mut [f32]> = dins.iter_mut().map(Tensor3::as_mut_slice).collect();
-        for_each_batch_band(slices, c, in_h * in_w, bands, |s, c_lo, chunk| {
-            self.inner.input_grad_band(
-                &ctxs[s], &douts[s], weights, geom, &masks[s], in_h, in_w, c_lo, chunk,
-            );
-        });
     }
 
     fn for_each_batch_chunk(&self, parts: Vec<&mut [f32]>, work: &(dyn Fn(usize, usize, &mut [f32]) + Sync)) {
@@ -1128,35 +923,6 @@ impl KernelEngine for ParallelEngine {
         // accordingly when sizing bands in auto mode.
         let bands = self.bands_for_total(total, total.saturating_mul(8));
         for_each_element_chunk(parts, bands, work);
-    }
-
-    fn weight_grad_batch_into(
-        &self,
-        inputs: &[SparseFeatureMap],
-        douts: &[SparseFeatureMap],
-        geom: ConvGeometry,
-        dw: &mut Tensor4,
-    ) {
-        assert_eq!(inputs.len(), douts.len(), "batch length mismatch");
-        for (input, dout) in inputs.iter().zip(douts) {
-            check_weight_grad(input, dout, geom, dw);
-        }
-        let (f, c, k, _) = dw.shape();
-        // The batch shares one dW, so parallelism stays across filters;
-        // each filter band accumulates its samples in order, keeping the
-        // per-tap accumulation sequence identical to the per-sample path.
-        let total_ops: usize = inputs.iter().map(|i| i.nnz() * geom.kernel).sum();
-        let bands = self.bands_for_total(f, total_ops);
-        let ctxs: Vec<BandContext> = inputs
-            .iter()
-            .zip(douts)
-            .map(|(input, dout)| self.inner.prepare_weight_grad(input, dout, geom))
-            .collect();
-        for_each_band(dw.as_mut_slice(), f, c * k * k, bands, |f_lo, band| {
-            for ((input, dout), ctx) in inputs.iter().zip(douts).zip(&ctxs) {
-                self.inner.weight_grad_band(ctx, input, dout, geom, f_lo, band);
-            }
-        });
     }
 }
 
@@ -1268,20 +1034,21 @@ impl Workspace {
         taps
     }
 }
-
+/// The one copy of the pseudo-random sparse fixtures the engine unit
+/// tests (here, `simd_engine`, `im2row_engine`) share.
 #[cfg(test)]
-mod tests {
+pub(crate) mod test_fixtures {
     use super::*;
     use sparsetrain_tensor::Tensor3;
 
-    fn pseudo(seed: &mut u64) -> f32 {
+    pub fn pseudo(seed: &mut u64) -> f32 {
         *seed ^= *seed << 13;
         *seed ^= *seed >> 7;
         *seed ^= *seed << 17;
         ((*seed % 2000) as f32 / 1000.0) - 1.0
     }
 
-    fn sparse_tensor(c: usize, h: usize, w: usize, density_pct: u64, seed: &mut u64) -> Tensor3 {
+    pub fn sparse_tensor(c: usize, h: usize, w: usize, density_pct: u64, seed: &mut u64) -> Tensor3 {
         Tensor3::from_fn(c, h, w, |_, _, _| {
             let v = pseudo(seed);
             let keep = {
@@ -1297,125 +1064,148 @@ mod tests {
         })
     }
 
-    fn fixtures(
+    /// A `3 × 9 × 11` input, `filters` kernels, a bias and a matching
+    /// output gradient, all at `density_pct` percent density.
+    pub fn fixtures(
         seed: u64,
-    ) -> (
-        SparseFeatureMap,
-        Tensor4,
-        Vec<f32>,
-        SparseFeatureMap,
-        ConvGeometry,
-    ) {
-        let geom = ConvGeometry::new(3, 1, 1);
+        density_pct: u64,
+        filters: usize,
+        geom: ConvGeometry,
+    ) -> (SparseFeatureMap, Tensor4, Vec<f32>, SparseFeatureMap) {
         let mut s = seed;
-        let input = sparse_tensor(3, 8, 8, 40, &mut s);
-        let weights = Tensor4::from_fn(4, 3, 3, 3, |_, _, _, _| pseudo(&mut s));
-        let bias: Vec<f32> = (0..4).map(|_| pseudo(&mut s)).collect();
-        let dout = sparse_tensor(4, 8, 8, 35, &mut s);
+        let (h, w) = (9, 11);
+        let input = sparse_tensor(3, h, w, density_pct, &mut s);
+        let weights = Tensor4::from_fn(filters, 3, geom.kernel, geom.kernel, |_, _, _, _| {
+            // Sprinkle exact zeros so the w == 0 tap skip is exercised.
+            let v = pseudo(&mut s);
+            if v.abs() < 0.1 {
+                0.0
+            } else {
+                v
+            }
+        });
+        let bias: Vec<f32> = (0..filters).map(|_| pseudo(&mut s)).collect();
+        let (oh, ow) = (geom.output_extent(h), geom.output_extent(w));
+        let dout = sparse_tensor(filters, oh, ow, density_pct, &mut s);
         (
             SparseFeatureMap::from_tensor(&input),
             weights,
             bias,
             SparseFeatureMap::from_tensor(&dout),
-            geom,
         )
     }
 
-    #[test]
-    fn parallel_forward_bitwise_matches_scalar() {
-        let (input, weights, bias, _, geom) = fixtures(99);
-        let scalar = ScalarEngine.forward(&input, &weights, Some(&bias), geom);
-        let parallel = ParallelEngine::auto().forward(&input, &weights, Some(&bias), geom);
-        assert_eq!(scalar.as_slice(), parallel.as_slice());
+    /// The three stage ops of one fixture (GTA onto the input's extent).
+    pub fn stage_ops<'a>(
+        input: &'a SparseFeatureMap,
+        weights: &'a Tensor4,
+        bias: Option<&'a [f32]>,
+        dout: &'a SparseFeatureMap,
+        masks: &'a [RowMask],
+        geom: ConvGeometry,
+    ) -> [StageOp<'a>; 3] {
+        [
+            StageOp::Forward {
+                input,
+                weights,
+                bias,
+                geom,
+            },
+            StageOp::InputGrad {
+                dout,
+                weights,
+                geom,
+                masks,
+                in_h: input.height(),
+                in_w: input.width(),
+            },
+            StageOp::WeightGrad { input, dout, geom },
+        ]
     }
+}
 
+#[cfg(test)]
+mod tests {
+    use super::test_fixtures::{fixtures, stage_ops};
+    use super::*;
+
+    const GEOM: ConvGeometry = ConvGeometry {
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+
+    /// Every stage, auto-sized and explicit band counts (clamped to the
+    /// unit count): banding never moves a bit.
     #[test]
-    fn parallel_input_grad_bitwise_matches_scalar() {
-        let (input, weights, _, dout, geom) = fixtures(7);
+    fn parallel_matches_scalar_on_every_stage() {
+        let (input, weights, bias, dout) = fixtures(99, 40, 4, GEOM);
         let masks = input.masks();
-        let scalar = ScalarEngine.input_grad(&dout, &weights, geom, 8, 8, &masks);
-        let parallel = ParallelEngine::auto().input_grad(&dout, &weights, geom, 8, 8, &masks);
-        assert_eq!(scalar.as_slice(), parallel.as_slice());
-    }
-
-    #[test]
-    fn parallel_weight_grad_bitwise_matches_scalar() {
-        let (input, _, _, dout, geom) = fixtures(23);
-        let scalar = ScalarEngine.weight_grad(&input, &dout, geom);
-        let parallel = ParallelEngine::auto().weight_grad(&input, &dout, geom);
-        assert_eq!(scalar.as_slice(), parallel.as_slice());
-    }
-
-    fn batch_fixtures(n: usize) -> (Vec<SparseFeatureMap>, Tensor4, Vec<f32>, Vec<SparseFeatureMap>) {
-        let mut inputs = Vec::new();
-        let mut douts = Vec::new();
-        let (mut weights, mut bias) = (None, None);
-        for s in 0..n {
-            let (input, w, b, dout, _) = fixtures(100 + s as u64 * 17);
-            inputs.push(input);
-            douts.push(dout);
-            weights.get_or_insert(w);
-            bias.get_or_insert(b);
-        }
-        (inputs, weights.unwrap(), bias.unwrap(), douts)
-    }
-
-    #[test]
-    fn parallel_batched_forward_matches_per_sample() {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let (inputs, weights, bias, _) = batch_fixtures(5);
-        for threads in [1usize, 2, 3, 8] {
-            let engine = ParallelEngine::with_threads(threads);
-            let batched = engine.forward_batch(&inputs, &weights, Some(&bias), geom);
-            for (input, got) in inputs.iter().zip(&batched) {
-                let want = ScalarEngine.forward(input, &weights, Some(&bias), geom);
-                assert_eq!(got.as_slice(), want.as_slice(), "threads {threads}");
+        for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, GEOM) {
+            let want = op.run_on(&ScalarEngine);
+            for threads in [0usize, 1, 2, 7, 64] {
+                let got = op.run_on(&ParallelEngine::with_threads(threads));
+                assert_eq!(got, want, "{} threads {threads}", op.stage());
             }
         }
     }
 
+    /// Every stage's batch — per-sample outputs for Forward/GTA, the
+    /// shared accumulator for GTW — equals the scalar engine sample by
+    /// sample, at every band count.
     #[test]
-    fn parallel_batched_weight_grad_matches_per_sample() {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let (inputs, _, _, douts) = batch_fixtures(4);
-        for threads in [1usize, 2, 7] {
-            let engine = ParallelEngine::with_threads(threads);
-            let mut batched = Tensor4::zeros(4, 3, 3, 3);
-            engine.weight_grad_batch_into(&inputs, &douts, geom, &mut batched);
-            let mut want = Tensor4::zeros(4, 3, 3, 3);
-            for (input, dout) in inputs.iter().zip(&douts) {
-                ScalarEngine.weight_grad_into(input, dout, geom, &mut want);
+    fn parallel_batches_match_per_sample_scalar() {
+        let samples: Vec<_> = (0..5).map(|s| fixtures(100 + s * 17, 40, 4, GEOM)).collect();
+        let weights = &samples[0].1;
+        let masks: Vec<Vec<RowMask>> = samples.iter().map(|s| s.0.masks()).collect();
+        for stage in 0..3 {
+            let ops: Vec<StageOp<'_>> = samples
+                .iter()
+                .zip(&masks)
+                .map(|((input, _, bias, dout), m)| {
+                    stage_ops(input, weights, Some(bias), dout, m, GEOM)[stage]
+                })
+                .collect();
+            let shared = ops[0].stage() == Stage::WeightGrad;
+            let mut want: Vec<Vec<f32>> =
+                vec![vec![0.0; ops[0].out_len()]; if shared { 1 } else { ops.len() }];
+            for (s, op) in ops.iter().enumerate() {
+                ScalarEngine.run(op, &mut want[if shared { 0 } else { s }]);
             }
-            assert_eq!(batched.as_slice(), want.as_slice(), "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_batched_input_grad_matches_per_sample() {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let (inputs, weights, _, douts) = batch_fixtures(3);
-        let masks: Vec<Vec<RowMask>> = inputs.iter().map(SparseFeatureMap::masks).collect();
-        for threads in [1usize, 2, 5] {
-            let engine = ParallelEngine::with_threads(threads);
-            let batched = engine.input_grad_batch(&douts, &weights, geom, 8, 8, &masks);
-            for ((dout, mask), got) in douts.iter().zip(&masks).zip(&batched) {
-                let want = ScalarEngine.input_grad(dout, &weights, geom, 8, 8, mask);
-                assert_eq!(got.as_slice(), want.as_slice(), "threads {threads}");
+            for threads in [1usize, 2, 3, 7, 8] {
+                let mut got: Vec<Vec<f32>> = vec![vec![0.0; ops[0].out_len()]; want.len()];
+                let out = if shared {
+                    BatchOut::Shared(&mut got[0])
+                } else {
+                    BatchOut::PerSample(got.iter_mut().map(Vec::as_mut_slice).collect())
+                };
+                ParallelEngine::with_threads(threads).run_batch(&ops, out);
+                assert_eq!(got, want, "{} threads {threads}", ops[0].stage());
             }
         }
     }
 
     #[test]
     fn empty_batches_are_no_ops() {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let weights = Tensor4::from_fn(2, 2, 3, 3, |_, _, _, _| 1.0);
-        let mut dw = Tensor4::zeros(2, 2, 3, 3);
+        let mut dw = vec![0.0f32; 36];
         for engine in [&ScalarEngine as &dyn KernelEngine, &ParallelEngine::auto()] {
-            engine.forward_batch_into(&[], &weights, None, geom, &mut []);
-            engine.input_grad_batch_into(&[], &weights, geom, &[], &mut []);
-            engine.weight_grad_batch_into(&[], &[], geom, &mut dw);
+            engine.run_batch(&[], BatchOut::PerSample(Vec::new()));
+            engine.run_batch(&[], BatchOut::Shared(&mut dw));
         }
-        assert!(dw.as_slice().iter().all(|&v| v == 0.0));
+        assert!(dw.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "output length mismatch")]
+    fn run_rejects_a_mis_sized_output() {
+        let (input, weights, _, _) = fixtures(5, 40, 4, GEOM);
+        let op = StageOp::Forward {
+            input: &input,
+            weights: &weights,
+            bias: None,
+            geom: GEOM,
+        };
+        ScalarEngine.run(&op, &mut vec![0.0; op.out_len() - 1]);
     }
 
     #[test]
@@ -1526,16 +1316,5 @@ mod tests {
         let grad = SparseVec::from_dense(&[1.0, 1.0, 1.0]);
         let mask = RowMask::from_offsets(3, &[1]);
         assert_eq!(ws.msrc(&grad, &[1.0], geom, &mask, 3), &[0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn explicit_thread_counts_are_clamped() {
-        let (input, weights, bias, _, geom) = fixtures(5);
-        for threads in [1usize, 2, 7, 64] {
-            let engine = ParallelEngine::with_threads(threads);
-            let got = engine.forward(&input, &weights, Some(&bias), geom);
-            let want = ScalarEngine.forward(&input, &weights, Some(&bias), geom);
-            assert_eq!(got.as_slice(), want.as_slice(), "threads {threads}");
-        }
     }
 }

@@ -19,19 +19,20 @@
 //!   `engine_parity` suite).
 //!
 //! This is a *modelling* backend: it clones and quantizes its operands per
-//! call and makes no attempt at speed. It overrides the `*_into` entry
-//! points directly (quantize, run the scalar reference, round the store),
-//! so the band seam ([`crate::engine::BandContext`], the `prepare_*` /
-//! `*_band` split the float engines hoist operand state through) never
-//! engages — banding a quantization model would model nothing. Select it
-//! by name (`"fixed"`) via the [registry](crate::registry).
+//! call and makes no attempt at speed. It overrides [`KernelEngine::run`]
+//! directly (quantize the [`StageOp`]'s operands, run the scalar
+//! reference, round the store), so the band seam
+//! ([`crate::engine::BandContext`], the `prepare` / `band` split the float
+//! engines hoist operand state through) never engages — banding a
+//! quantization model would model nothing. A batch is the default
+//! sample-order [`KernelEngine::run_batch`], so a shared `dW` is rounded
+//! after every sample. Select it by name (`"fixed"`) via the
+//! [registry](crate::registry).
 
-use crate::engine::{KernelEngine, ScalarEngine};
-use crate::mask::RowMask;
+use crate::engine::{KernelEngine, ScalarEngine, StageOp};
 use crate::rowconv::SparseFeatureMap;
-use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::qformat::QFormat;
-use sparsetrain_tensor::{Tensor3, Tensor4};
+use sparsetrain_tensor::Tensor4;
 
 /// Kernel engine that executes all three training stages on a 16-bit
 /// Q-format grid (default Q8.8, the paper-typical activation format).
@@ -78,54 +79,83 @@ impl KernelEngine for FixedPointEngine {
         "fixed"
     }
 
-    fn forward_into(
-        &self,
-        input: &SparseFeatureMap,
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-        out: &mut Tensor3,
-    ) {
-        let q_input = self.quantize_map(input);
-        let q_weights = self.quantize_weights(weights);
-        let q_bias = bias.map(|b| b.iter().map(|&v| self.fmt.roundtrip(v)).collect::<Vec<f32>>());
-        ScalarEngine.forward_into(&q_input, &q_weights, q_bias.as_deref(), geom, out);
-        self.fmt.roundtrip_slice(out.as_mut_slice());
-    }
-
-    fn input_grad_into(
-        &self,
-        dout: &SparseFeatureMap,
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        masks: &[RowMask],
-        din: &mut Tensor3,
-    ) {
-        let q_dout = self.quantize_map(dout);
-        let q_weights = self.quantize_weights(weights);
-        ScalarEngine.input_grad_into(&q_dout, &q_weights, geom, masks, din);
-        self.fmt.roundtrip_slice(din.as_mut_slice());
-    }
-
-    fn weight_grad_into(
-        &self,
-        input: &SparseFeatureMap,
-        dout: &SparseFeatureMap,
-        geom: ConvGeometry,
-        dw: &mut Tensor4,
-    ) {
-        let q_input = self.quantize_map(input);
-        let q_dout = self.quantize_map(dout);
-        ScalarEngine.weight_grad_into(&q_input, &q_dout, geom, dw);
-        // dW accumulates across the batch in caller-owned storage; rounding
-        // after every sample models a Q-format gradient accumulator memory.
-        self.fmt.roundtrip_slice(dw.as_mut_slice());
+    fn run(&self, op: &StageOp<'_>, out: &mut [f32]) {
+        match *op {
+            StageOp::Forward {
+                input,
+                weights,
+                bias,
+                geom,
+            } => {
+                let q_input = self.quantize_map(input);
+                let q_weights = self.quantize_weights(weights);
+                let q_bias = bias.map(|b| b.iter().map(|&v| self.fmt.roundtrip(v)).collect::<Vec<f32>>());
+                let q_op = StageOp::Forward {
+                    input: &q_input,
+                    weights: &q_weights,
+                    bias: q_bias.as_deref(),
+                    geom,
+                };
+                ScalarEngine.run(&q_op, out);
+            }
+            StageOp::InputGrad {
+                dout,
+                weights,
+                geom,
+                masks,
+                in_h,
+                in_w,
+            } => {
+                let q_dout = self.quantize_map(dout);
+                let q_weights = self.quantize_weights(weights);
+                let q_op = StageOp::InputGrad {
+                    dout: &q_dout,
+                    weights: &q_weights,
+                    geom,
+                    masks,
+                    in_h,
+                    in_w,
+                };
+                ScalarEngine.run(&q_op, out);
+            }
+            StageOp::WeightGrad { input, dout, geom } => {
+                let q_input = self.quantize_map(input);
+                let q_dout = self.quantize_map(dout);
+                let q_op = StageOp::WeightGrad {
+                    input: &q_input,
+                    dout: &q_dout,
+                    geom,
+                };
+                ScalarEngine.run(&q_op, out);
+            }
+        }
+        // The store is rounded after every op. For GTW that means after
+        // every sample of a batch (the default `run_batch` runs this in
+        // sample order on the shared `dW`), modelling a Q-format gradient
+        // accumulator memory.
+        self.fmt.roundtrip_slice(out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparsetrain_tensor::conv::ConvGeometry;
+    use sparsetrain_tensor::Tensor3;
+
+    fn forward<'a>(
+        input: &'a SparseFeatureMap,
+        weights: &'a Tensor4,
+        bias: Option<&'a [f32]>,
+        geom: ConvGeometry,
+    ) -> StageOp<'a> {
+        StageOp::Forward {
+            input,
+            weights,
+            bias,
+            geom,
+        }
+    }
 
     /// A feature map whose values (multiples of 0.25) and whose products
     /// with 0.25-grid weights stay exactly representable in Q8.8.
@@ -151,9 +181,8 @@ mod tests {
         let input = grid_map();
         let weights = grid_weights();
         let bias = [0.5f32, -0.25, 0.0];
-        let fixed = FixedPointEngine::q8_8().forward(&input, &weights, Some(&bias), geom);
-        let float = ScalarEngine.forward(&input, &weights, Some(&bias), geom);
-        assert_eq!(fixed.as_slice(), float.as_slice());
+        let op = forward(&input, &weights, Some(&bias), geom);
+        assert_eq!(op.run_on(&FixedPointEngine::q8_8()), op.run_on(&ScalarEngine));
     }
 
     #[test]
@@ -166,9 +195,9 @@ mod tests {
             ((f * 31 + c * 17 + u * 5 + v) % 9) as f32 * 0.211 - 0.8
         });
         let engine = FixedPointEngine::q8_8();
-        let out = engine.forward(&input, &weights, None, geom);
+        let out = forward(&input, &weights, None, geom).run_on(&engine);
         let eps = engine.format().epsilon();
-        for &v in out.as_slice() {
+        for &v in &out {
             let steps = v / eps;
             assert_eq!(steps, steps.round(), "output {v} is off the Q8.8 grid");
         }
@@ -180,13 +209,12 @@ mod tests {
         let input = SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, 2, vec![100.0, -100.0]));
         let weights = Tensor4::from_vec(1, 1, 1, 1, vec![100.0]);
         let engine = FixedPointEngine::q8_8();
-        let out = engine.forward(&input, &weights, None, geom);
+        let out = forward(&input, &weights, None, geom).run_on(&engine);
         let eps = engine.format().epsilon();
         // The operands are representable but their product is far outside
         // the format's range; the 16-bit store saturates it (two's
         // complement: the negative rail reaches one epsilon further).
-        assert_eq!(out.get(0, 0, 0), engine.format().max_value());
-        assert_eq!(out.get(0, 0, 1), i16::MIN as f32 * eps);
+        assert_eq!(out, [engine.format().max_value(), i16::MIN as f32 * eps]);
     }
 
     #[test]
@@ -198,8 +226,8 @@ mod tests {
         let input = SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, 1, vec![0.51]));
         let weights = Tensor4::from_vec(1, 1, 1, 1, vec![1.0]);
         // Q11.4 rounds 0.51 to 0.5.
-        let out = coarse.forward(&input, &weights, None, geom);
-        assert_eq!(out.get(0, 0, 0), 0.5);
+        let out = forward(&input, &weights, None, geom).run_on(&coarse);
+        assert_eq!(out, [0.5]);
     }
 
     #[test]
@@ -214,14 +242,18 @@ mod tests {
                 0.0
             }
         }));
-        let mut dw = Tensor4::zeros(3, 2, 3, 3);
-        engine.weight_grad_into(&input, &dout, geom, &mut dw);
-        engine.weight_grad_into(&input, &dout, geom, &mut dw);
+        let op = StageOp::WeightGrad {
+            input: &input,
+            dout: &dout,
+            geom,
+        };
+        let mut dw = vec![0.0f32; op.out_len()];
+        engine.run_batch(&[op, op], crate::engine::BatchOut::Shared(&mut dw));
         let eps = engine.format().epsilon();
-        for &v in dw.as_slice() {
+        for &v in &dw {
             let steps = v / eps;
             assert_eq!(steps, steps.round(), "dW {v} is off the Q8.8 grid");
         }
-        assert!(dw.as_slice().iter().any(|&v| v != 0.0));
+        assert!(dw.iter().any(|&v| v != 0.0));
     }
 }

@@ -31,7 +31,7 @@
 //!   and `prune_determinism` suites.
 //!
 //! The patch matrix is built **once per engine call** into the
-//! [`BandContext`] by [`KernelEngine::prepare_forward`], above the band
+//! [`BandContext`] by [`KernelEngine::prepare`], above the band
 //! fan-out, and every band borrows it — under `"parallel:im2row"` the
 //! rayon bands share one lowering. Inside a band the loop order is
 //! filter-tile ⇒ output row ⇒ output position: the repacked weight tile
@@ -40,13 +40,12 @@
 //! patch block is reused by every tile — the cache blocking that gives the
 //! engine its name.
 //!
-//! The **density cutoff** is the knob deciding when a row is worth the
+//! The **density cutoff** ([`CUTOFF`]) decides when a row is worth the
 //! dense treatment: an output row takes the micro-kernel only when every
 //! in-bounds input row feeding it carries at least one non-zero per
-//! `cutoff` elements (density ≥ 1/cutoff, default 1/8 — the same
-//! break-even as the simd engine's sweeps) **or is empty** (empty rows
-//! cost the reduction only exact zero terms, so they never veto a row).
-//! [`Im2RowEngine::with_cutoff`] tunes it; output rows fed by
+//! `CUTOFF` elements (density ≥ 1/8 — the same break-even as the simd
+//! engine's sweeps) **or is empty** (empty rows cost the reduction only
+//! exact zero terms, so they never veto a row). Output rows fed by
 //! below-cutoff rows keep the work-proportional sparse kernels.
 //!
 //! GTA and GTW inherit the scalar band defaults: the backward operand (the
@@ -62,7 +61,7 @@
 //! the portable path.
 
 use crate::compressed::SparseVec;
-use crate::engine::{scalar_forward_band, BandContext, KernelEngine};
+use crate::engine::{scalar_band, BandContext, KernelEngine, StageOp};
 use crate::rowconv::SparseFeatureMap;
 use crate::simd_engine::{avx2_available, contains_negative_zero, densify_map};
 use crate::src::src_accumulate;
@@ -73,11 +72,11 @@ use sparsetrain_tensor::Tensor4;
 /// accumulators; the portable path uses the same block width).
 pub const TILE: usize = 8;
 
-/// Default density cutoff: a row qualifies for the dense lowering when it
-/// averages at least one non-zero per `8` elements — the break-even where
-/// an 8-lane dense sweep costs what the sparse kernel's per-non-zero work
-/// does.
-pub const DEFAULT_CUTOFF: usize = 8;
+/// Density cutoff: a row qualifies for the dense lowering when it averages
+/// at least one non-zero per `8` elements (`nnz · CUTOFF ≥ len`) — the
+/// break-even where an 8-lane dense sweep costs what the sparse kernel's
+/// per-non-zero work does.
+pub const CUTOFF: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Micro-kernel
@@ -142,16 +141,9 @@ unsafe fn tile_kernel_avx2(acc: &mut [f32; TILE], prow: &[f32], wt: &[f32]) {
 /// // the AVX2 one.
 /// assert_eq!(Im2RowEngine::portable().active_path(), "portable");
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Im2RowEngine {
-    cutoff: usize,
     force_portable: bool,
-}
-
-impl Default for Im2RowEngine {
-    fn default() -> Self {
-        Self::auto()
-    }
 }
 
 /// The forward lowering of one engine call: the patch matrix, its row
@@ -163,37 +155,16 @@ struct ForwardPlan {
 }
 
 impl Im2RowEngine {
-    /// Engine with the default density cutoff, dispatching to AVX2 when
-    /// the CPU reports it.
+    /// Engine dispatching to AVX2 when the CPU reports it.
     pub const fn auto() -> Self {
         Self {
-            cutoff: DEFAULT_CUTOFF,
             force_portable: false,
         }
     }
 
     /// Engine pinned to the portable micro-kernel (tests, cross-checks).
     pub const fn portable() -> Self {
-        Self {
-            cutoff: DEFAULT_CUTOFF,
-            force_portable: true,
-        }
-    }
-
-    /// This engine with an explicit density cutoff: a row qualifies for
-    /// the dense lowering when `nnz · cutoff ≥ len` (density ≥ 1/cutoff).
-    /// `1` restricts the micro-kernel to fully dense rows; larger values
-    /// lower the entry bar. A cutoff of `0` is treated as `1`.
-    pub const fn with_cutoff(self, cutoff: usize) -> Self {
-        Self {
-            cutoff: if cutoff == 0 { 1 } else { cutoff },
-            ..self
-        }
-    }
-
-    /// The configured density cutoff (see [`Im2RowEngine::with_cutoff`]).
-    pub const fn cutoff(&self) -> usize {
-        self.cutoff
+        Self { force_portable: true }
     }
 
     fn use_avx2(&self) -> bool {
@@ -210,21 +181,16 @@ impl Im2RowEngine {
         }
     }
 
-    fn row_worthy(&self, row: &SparseVec) -> bool {
-        row.nnz().saturating_mul(self.cutoff) >= row.len()
+    fn row_worthy(row: &SparseVec) -> bool {
+        row.nnz() * CUTOFF >= row.len()
     }
 
     /// Builds the call's forward lowering, or `None` when no output row
     /// qualifies (the whole call routes to the scalar band code). Only
     /// valid at stride 1 — the caller guards.
-    fn build_forward_plan(
-        &self,
-        input: &SparseFeatureMap,
-        geom: ConvGeometry,
-        oh: usize,
-        ow: usize,
-    ) -> Option<ForwardPlan> {
+    fn build_forward_plan(&self, input: &SparseFeatureMap, geom: ConvGeometry) -> Option<ForwardPlan> {
         let (c, h, w) = (input.channels(), input.height(), input.width());
+        let (oh, ow) = (geom.output_extent(h), geom.output_extent(w));
         let (k, pad) = (geom.kernel, geom.pad as isize);
         let plen = c * k * k;
         if plen == 0 || oh * ow == 0 {
@@ -240,7 +206,7 @@ impl Im2RowEngine {
             .map(|iy| {
                 (0..c).all(|ci| {
                     let row = input.row(ci, iy);
-                    row.nnz() == 0 || self.row_worthy(row)
+                    row.nnz() == 0 || Self::row_worthy(row)
                 })
             })
             .collect();
@@ -257,7 +223,7 @@ impl Im2RowEngine {
         }
         // Dense staging for the worthy rows, then window copies into the
         // (u, ci, v)-ordered patch rows; padding stays zero.
-        let dense = densify_map(input, |row| self.row_worthy(row));
+        let dense = densify_map(input, Self::row_worthy);
         let mut patches = vec![0.0f32; oh * ow * plen];
         for (oy, patch_plane) in patches.chunks_mut(ow * plen).enumerate() {
             if !dense_rows[oy] {
@@ -321,69 +287,42 @@ fn interleave_weights(weights: &Tensor4, f_lo: usize, n: usize, c: usize, k: usi
     wt
 }
 
-impl KernelEngine for Im2RowEngine {
-    fn name(&self) -> &'static str {
-        "im2row"
-    }
-
-    fn prepare_forward(
-        &self,
-        input: &SparseFeatureMap,
-        _weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-    ) -> BandContext {
-        let mut ctx = BandContext::empty();
-        // When every band will fall back anyway (stride ≠ 1, literal -0.0
-        // bias), the lowering would be wasted work.
-        if geom.stride == 1 && !bias.is_some_and(contains_negative_zero) {
-            let oh = geom.output_extent(input.height());
-            let ow = geom.output_extent(input.width());
-            if let Some(plan) = self.build_forward_plan(input, geom, oh, ow) {
-                ctx.set_patches(plan.patches, plan.plen, plan.dense_rows);
-            }
-        }
-        ctx
-    }
-
-    fn forward_band(
+impl Im2RowEngine {
+    /// The lowered forward of filters `f_lo..` into `out_band` (stride 1
+    /// only): micro-kernel on the dense output rows, sparse row loops on
+    /// the rest.
+    #[allow(clippy::too_many_arguments)]
+    fn src_band(
         &self,
         ctx: &BandContext,
         input: &SparseFeatureMap,
         weights: &Tensor4,
         bias: Option<&[f32]>,
         geom: ConvGeometry,
-        oh: usize,
-        ow: usize,
         f_lo: usize,
         out_band: &mut [f32],
     ) {
-        // Stride ≠ 1 and literal -0.0 seeds (bias, or the pre-seeded
-        // accumulator when there is none) are only preserved by the scalar
-        // skips.
-        if geom.stride != 1
-            || match bias {
-                Some(b) => contains_negative_zero(b),
-                None => contains_negative_zero(out_band),
-            }
-        {
-            scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band);
-            return;
-        }
+        let oh = geom.output_extent(input.height());
+        let ow = geom.output_extent(input.width());
         // Borrow the lowering the call prepared once above the band
         // fan-out; rebuild locally only when invoked without one.
         let local;
         let (patches, plen, dense_rows): (&[f32], usize, &[bool]) = if ctx.patch_len() != 0 {
             (ctx.patches(), ctx.patch_len(), ctx.dense_rows())
         } else {
-            match self.build_forward_plan(input, geom, oh, ow) {
+            match self.build_forward_plan(input, geom) {
                 Some(plan) => {
                     local = plan;
                     (&local.patches, local.plen, &local.dense_rows)
                 }
                 None => {
-                    scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band);
-                    return;
+                    let op = StageOp::Forward {
+                        input,
+                        weights,
+                        bias,
+                        geom,
+                    };
+                    return scalar_band(&op, f_lo, out_band);
                 }
             }
         };
@@ -446,57 +385,77 @@ impl KernelEngine for Im2RowEngine {
     }
 }
 
+impl KernelEngine for Im2RowEngine {
+    fn name(&self) -> &'static str {
+        "im2row"
+    }
+
+    fn prepare(&self, op: &StageOp<'_>) -> BandContext {
+        let mut ctx = BandContext::empty();
+        // Only Forward is lowered; and when every band will fall back
+        // anyway (stride ≠ 1, literal -0.0 bias), the lowering would be
+        // wasted work.
+        if let StageOp::Forward {
+            input, bias, geom, ..
+        } = *op
+        {
+            if geom.stride == 1 && !bias.is_some_and(contains_negative_zero) {
+                if let Some(plan) = self.build_forward_plan(input, geom) {
+                    ctx.set_patches(plan.patches, plan.plen, plan.dense_rows);
+                }
+            }
+        }
+        ctx
+    }
+
+    fn band(&self, ctx: &BandContext, op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
+        match *op {
+            // Stride ≠ 1 and literal -0.0 seeds (bias, or the pre-seeded
+            // accumulator when there is none) are only preserved by the
+            // scalar skips.
+            StageOp::Forward {
+                input,
+                weights,
+                bias,
+                geom,
+            } if geom.stride == 1 && !contains_negative_zero(bias.unwrap_or(&*out)) => {
+                self.src_band(ctx, input, weights, bias, geom, lo, out);
+            }
+            _ => scalar_band(op, lo, out),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_fixtures::{fixtures, stage_ops};
     use crate::engine::{ParallelEngine, ScalarEngine};
     use sparsetrain_tensor::Tensor3;
-
-    fn pseudo(seed: &mut u64) -> f32 {
-        *seed ^= *seed << 13;
-        *seed ^= *seed >> 7;
-        *seed ^= *seed << 17;
-        ((*seed % 2000) as f32 / 1000.0) - 1.0
-    }
-
-    fn sparse_tensor(c: usize, h: usize, w: usize, density_pct: u64, seed: &mut u64) -> Tensor3 {
-        Tensor3::from_fn(c, h, w, |_, _, _| {
-            let v = pseudo(seed);
-            let keep = {
-                *seed ^= *seed << 13;
-                *seed ^= *seed >> 7;
-                *seed % 100 < density_pct
-            };
-            if keep {
-                v
-            } else {
-                0.0
-            }
-        })
-    }
-
-    fn fixtures(seed: u64, density_pct: u64, geom: ConvGeometry) -> (SparseFeatureMap, Tensor4, Vec<f32>) {
-        let mut s = seed;
-        let input = sparse_tensor(3, 9, 11, density_pct, &mut s);
-        let weights = Tensor4::from_fn(10, 3, geom.kernel, geom.kernel, |_, _, _, _| {
-            // Sprinkle exact zeros so the scalar w == 0 tap skip meets the
-            // dense reduction's zero terms.
-            let v = pseudo(&mut s);
-            if v.abs() < 0.1 {
-                0.0
-            } else {
-                v
-            }
-        });
-        let bias: Vec<f32> = (0..10).map(|_| pseudo(&mut s)).collect();
-        (SparseFeatureMap::from_tensor(&input), weights, bias)
-    }
 
     fn engines() -> Vec<(&'static str, Im2RowEngine)> {
         vec![
             ("auto", Im2RowEngine::auto()),
             ("portable", Im2RowEngine::portable()),
         ]
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn forward<'a>(
+        input: &'a SparseFeatureMap,
+        weights: &'a Tensor4,
+        bias: Option<&'a [f32]>,
+        geom: ConvGeometry,
+    ) -> StageOp<'a> {
+        StageOp::Forward {
+            input,
+            weights,
+            bias,
+            geom,
+        }
     }
 
     /// Dense, mixed and very sparse fixtures across geometries (micro-
@@ -512,16 +471,15 @@ mod tests {
             ConvGeometry::new(1, 1, 0),
         ] {
             for density in [3u64, 20, 55, 100] {
-                let (input, weights, bias) = fixtures(7 + density, density, geom);
-                for (label, engine) in engines() {
-                    let ctx = format!("{label} k={} s={} d={density}", geom.kernel, geom.stride);
-                    let want = ScalarEngine.forward(&input, &weights, Some(&bias), geom);
-                    let got = engine.forward(&input, &weights, Some(&bias), geom);
-                    assert_eq!(got.as_slice(), want.as_slice(), "forward {ctx}");
-                    // Without bias (accumulate into zeros) too.
-                    let want = ScalarEngine.forward(&input, &weights, None, geom);
-                    let got = engine.forward(&input, &weights, None, geom);
-                    assert_eq!(got.as_slice(), want.as_slice(), "forward no-bias {ctx}");
+                let (input, weights, bias, _) = fixtures(7 + density, density, 10, geom);
+                // With bias, and without (accumulate into zeros).
+                for bias in [Some(&bias[..]), None] {
+                    let op = forward(&input, &weights, bias, geom);
+                    let want = op.run_on(&ScalarEngine);
+                    for (label, engine) in engines() {
+                        let ctx = format!("{label} k={} s={} d={density}", geom.kernel, geom.stride);
+                        assert_eq!(op.run_on(&engine), want, "forward bias={} {ctx}", bias.is_some());
+                    }
                 }
             }
         }
@@ -533,9 +491,9 @@ mod tests {
     #[test]
     fn cutoff_boundary_rows_match_scalar() {
         let geom = ConvGeometry::new(3, 1, 1);
-        const W: usize = 2 * DEFAULT_CUTOFF; // boundary: exactly 2 non-zeros per row
+        const W: usize = 2 * CUTOFF; // boundary: exactly 2 non-zeros per row
         let w = W;
-        let at_boundary = |y: usize, x: usize| (x + y).is_multiple_of(DEFAULT_CUTOFF);
+        let at_boundary = |y: usize, x: usize| (x + y).is_multiple_of(CUTOFF);
         let below = |y: usize, x: usize| (x + y).is_multiple_of(W);
         for (label, keep) in [("at", at_boundary as fn(usize, usize) -> bool), ("below", below)] {
             let input = SparseFeatureMap::from_tensor(&Tensor3::from_fn(2, 6, w, |c, y, x| {
@@ -550,30 +508,15 @@ mod tests {
             let weights = Tensor4::from_fn(9, 2, 3, 3, |f, c, u, v| {
                 ((f * 5 + c * 3 + u * 2 + v) % 7) as f32 * 0.25 - 0.75
             });
+            let op = forward(&input, &weights, None, geom);
+            let want = op.run_on(&ScalarEngine);
             for (path, engine) in engines() {
-                let want = ScalarEngine.forward(&input, &weights, None, geom);
-                let got = engine.forward(&input, &weights, None, geom);
-                assert_eq!(got.as_slice(), want.as_slice(), "{label} boundary, {path}");
+                assert_eq!(op.run_on(&engine), want, "{label} boundary, {path}");
             }
             // Sanity-pin the classification itself, not just the result.
             let row = input.row(0, 0);
             let expect_worthy = label == "at";
-            assert_eq!(Im2RowEngine::auto().row_worthy(row), expect_worthy, "{label}");
-        }
-    }
-
-    /// The cutoff knob moves the dense/sparse split without moving a bit
-    /// of the result.
-    #[test]
-    fn cutoff_knob_preserves_parity() {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let (input, weights, bias) = fixtures(91, 30, geom);
-        let want = ScalarEngine.forward(&input, &weights, Some(&bias), geom);
-        for cutoff in [0usize, 1, 2, 8, 64, usize::MAX] {
-            let engine = Im2RowEngine::auto().with_cutoff(cutoff);
-            assert_eq!(engine.cutoff(), cutoff.max(1));
-            let got = engine.forward(&input, &weights, Some(&bias), geom);
-            assert_eq!(got.as_slice(), want.as_slice(), "cutoff {cutoff}");
+            assert_eq!(Im2RowEngine::row_worthy(row), expect_worthy, "{label}");
         }
     }
 
@@ -583,30 +526,28 @@ mod tests {
         let geom = ConvGeometry::new(3, 1, 1);
         let input = SparseFeatureMap::from_tensor(&Tensor3::zeros(2, 5, 5));
         let weights = Tensor4::from_fn(2, 2, 3, 3, |_, _, _, _| 0.5);
-        let bias = [-0.0f32, 1.0];
+        let op = forward(&input, &weights, Some(&[-0.0f32, 1.0]), geom);
+        let want = op.run_on(&ScalarEngine);
         for (label, engine) in engines() {
-            let want = ScalarEngine.forward(&input, &weights, Some(&bias), geom);
-            let got = engine.forward(&input, &weights, Some(&bias), geom);
-            let bits = |t: &Tensor3| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "{label}");
+            assert_eq!(bits(&op.run_on(&engine)), bits(&want), "{label}");
         }
     }
 
     /// Accumulators pre-seeded with literal -0.0 take the scalar fallback,
-    /// so `forward_into` accumulation parity is bitwise even there.
+    /// so accumulation parity is bitwise even there.
     #[test]
     fn negative_zero_preseeded_accumulators_are_preserved() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let (input, weights, _) = fixtures(17, 70, geom);
+        let (input, weights, _, _) = fixtures(17, 70, 10, geom);
+        let op = forward(&input, &weights, None, geom);
+        let seeded: Vec<f32> = (0..op.out_len())
+            .map(|i| if i % 3 == 0 { -0.0 } else { 0.25 })
+            .collect();
+        let mut want = seeded.clone();
+        ScalarEngine.run(&op, &mut want);
         for (label, engine) in engines() {
-            let mut want = Tensor3::zeros(10, 9, 11);
-            for (i, v) in want.as_mut_slice().iter_mut().enumerate() {
-                *v = if i % 3 == 0 { -0.0 } else { 0.25 };
-            }
-            let mut got = want.clone();
-            ScalarEngine.forward_into(&input, &weights, None, geom, &mut want);
-            engine.forward_into(&input, &weights, None, geom, &mut got);
-            let bits = |t: &Tensor3| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut got = seeded.clone();
+            engine.run(&op, &mut got);
             assert_eq!(bits(&got), bits(&want), "{label}");
         }
     }
@@ -617,12 +558,12 @@ mod tests {
     fn banded_im2row_matches_scalar() {
         static IM2ROW: Im2RowEngine = Im2RowEngine::auto();
         let geom = ConvGeometry::new(3, 1, 1);
-        let (input, weights, bias) = fixtures(5, 60, geom);
+        let (input, weights, bias, _) = fixtures(5, 60, 10, geom);
+        let op = forward(&input, &weights, Some(&bias), geom);
+        let want = op.run_on(&ScalarEngine);
         for threads in [0usize, 1, 2, 3, 8] {
             let banded = ParallelEngine::over("test:parallel-im2row", &IM2ROW).banded(threads);
-            let want = ScalarEngine.forward(&input, &weights, Some(&bias), geom);
-            let got = banded.forward(&input, &weights, Some(&bias), geom);
-            assert_eq!(got.as_slice(), want.as_slice(), "threads {threads}");
+            assert_eq!(op.run_on(&banded), want, "threads {threads}");
         }
     }
 
@@ -632,13 +573,11 @@ mod tests {
     #[test]
     fn portable_and_dispatched_paths_agree() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let (input, weights, bias) = fixtures(41, 80, geom);
+        let (input, weights, bias, _) = fixtures(41, 80, 10, geom);
         let auto = Im2RowEngine::auto();
         let portable = Im2RowEngine::portable();
-        assert_eq!(
-            auto.forward(&input, &weights, Some(&bias), geom).as_slice(),
-            portable.forward(&input, &weights, Some(&bias), geom).as_slice(),
-        );
+        let op = forward(&input, &weights, Some(&bias), geom);
+        assert_eq!(op.run_on(&auto), op.run_on(&portable));
         assert_eq!(portable.active_path(), "portable");
         if avx2_available() {
             assert_eq!(auto.active_path(), "avx2");
@@ -652,21 +591,15 @@ mod tests {
     #[test]
     fn backward_stages_are_the_scalar_reference() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let mut s = 3u64;
-        let input = SparseFeatureMap::from_tensor(&sparse_tensor(3, 9, 11, 50, &mut s));
-        let dout = SparseFeatureMap::from_tensor(&sparse_tensor(10, 9, 11, 20, &mut s));
-        let weights = Tensor4::from_fn(10, 3, 3, 3, |_, _, _, _| pseudo(&mut s));
+        let (input, weights, _, dout) = fixtures(3, 35, 10, geom);
         let masks = input.masks();
-        let engine = Im2RowEngine::auto();
-        assert_eq!(
-            engine.input_grad(&dout, &weights, geom, 9, 11, &masks).as_slice(),
-            ScalarEngine
-                .input_grad(&dout, &weights, geom, 9, 11, &masks)
-                .as_slice(),
-        );
-        assert_eq!(
-            engine.weight_grad(&input, &dout, geom).as_slice(),
-            ScalarEngine.weight_grad(&input, &dout, geom).as_slice(),
-        );
+        for op in &stage_ops(&input, &weights, None, &dout, &masks, geom)[1..] {
+            assert_eq!(
+                op.run_on(&Im2RowEngine::auto()),
+                op.run_on(&ScalarEngine),
+                "{}",
+                op.stage()
+            );
+        }
     }
 }

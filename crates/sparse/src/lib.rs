@@ -26,26 +26,25 @@
 //! hot loops never touch the heap. [`engine`] builds the layer-level
 //! execution seam on top of them:
 //!
-//! * [`engine::KernelEngine`] — the trait every backend implements. The
-//!   required methods execute Forward / GTA / GTW of one sample,
-//!   accumulating into caller tensors; the provided **batch entry points**
-//!   (`forward_batch_into`, `input_grad_batch_into`,
-//!   `weight_grad_batch_into`) stream a whole batch through one engine
-//!   call, defaulting to sample-order fallbacks that every override must
-//!   match bit for bit.
+//! * [`engine::StageOp`] — one Forward / GTA / GTW convolution of one
+//!   sample as a borrowed value, and [`engine::KernelEngine`] — the trait
+//!   every backend implements, one method per call shape:
+//!   [`KernelEngine::run`] accumulates one op into a caller slice, and
+//!   [`KernelEngine::run_batch`] streams a whole batch through one engine
+//!   call, defaulting to the sample-order execution that every override
+//!   must match bit for bit.
 //! * [`engine::ScalarEngine`] — the reference semantics; its iteration
 //!   order *is* the floating-point specification.
 //! * [`engine::ParallelEngine`] — band-parallel over the batch's
 //!   `samples × filters` (or channels) on the batched paths, so multi-core
 //!   speedup scales with batch size as well as layer width; bitwise
 //!   identical to the scalar engine (disjoint output bands, same per-row
-//!   order). Bands delegate to an **inner engine** through the trait's
-//!   band methods ([`KernelEngine::forward_band`] and friends), so
-//!   thread-level and lane-level parallelism compose.
+//!   order). Bands delegate to an **inner engine** through
+//!   [`KernelEngine::band`], so thread-level and lane-level parallelism
+//!   compose.
 //! * [`engine::BandContext`] — the **band-context seam**: per-call operand
-//!   state (densified rows, im2row patch matrices, engine-specific
-//!   payloads) built exactly once by the inner engine's `prepare_*` hooks
-//!   ([`KernelEngine::prepare_forward`] and friends) *above* the band
+//!   state (densified rows, im2row patch matrices) built exactly once by
+//!   the inner engine's [`KernelEngine::prepare`] *above* the band
 //!   fan-out, then shared by reference across every band — so banding an
 //!   engine never multiplies its per-call operand transformations.
 //! * [`simd_engine::SimdEngine`] — the vectorized backend: lanes run
@@ -116,7 +115,7 @@ pub mod work;
 
 pub use compressed::SparseVec;
 pub use context::ExecutionContext;
-pub use engine::{BandContext, KernelEngine, ParallelEngine, ScalarEngine, Workspace};
+pub use engine::{BandContext, BatchOut, KernelEngine, ParallelEngine, ScalarEngine, StageOp, Workspace};
 pub use fixed_engine::FixedPointEngine;
 pub use im2row_engine::Im2RowEngine;
 pub use mask::RowMask;

@@ -594,7 +594,6 @@ impl fmt::Debug for PlanVm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::KernelEngine;
     use crate::registry::lookup;
 
     fn handle(name: &str) -> crate::registry::EngineHandle {
@@ -832,9 +831,13 @@ mod tests {
         let weights = Tensor4::from_fn(2, 2, 3, 3, |f, c, u, v| (f + c + u + v) as f32 * 0.1 - 0.3);
 
         let outs = vm.forward_batch("conv1", std::slice::from_ref(&input), &weights, None, geom);
-        let reference =
-            crate::engine::ScalarEngine.forward_batch(std::slice::from_ref(&input), &weights, None, geom);
-        assert_eq!(outs[0].as_slice(), reference[0].as_slice());
+        let op = crate::engine::StageOp::Forward {
+            input: &input,
+            weights: &weights,
+            bias: None,
+            geom,
+        };
+        assert_eq!(outs[0].as_slice(), op.run_on(&crate::engine::ScalarEngine));
 
         let mut dw = Tensor4::zeros(2, 2, 3, 3);
         vm.weight_grad_batch(

@@ -38,12 +38,9 @@
 //!   planned entry points on `ExecutionContext` add the per-cell
 //!   measure-and-cache layer on top.
 
-use crate::engine::KernelEngine;
-use crate::mask::RowMask;
+use crate::engine::{BatchOut, KernelEngine, StageOp};
 use crate::registry::{lookup, lookup_or_parse, EngineHandle};
 use crate::rowconv::SparseFeatureMap;
-use sparsetrain_tensor::conv::ConvGeometry;
-use sparsetrain_tensor::{Tensor3, Tensor4};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -156,7 +153,7 @@ pub fn heuristic_handle(stage: Stage, density: f64) -> EngineHandle {
 }
 
 /// Mean density over a batch of sparse maps (total nnz / total elements).
-pub fn batch_density(maps: &[SparseFeatureMap]) -> f64 {
+pub fn batch_density<'a>(maps: impl IntoIterator<Item = &'a SparseFeatureMap>) -> f64 {
     let mut nnz = 0usize;
     let mut total = 0usize;
     for m in maps {
@@ -506,70 +503,14 @@ impl KernelEngine for AutoEngine {
         "auto"
     }
 
-    fn forward_into(
-        &self,
-        input: &SparseFeatureMap,
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-        out: &mut Tensor3,
-    ) {
-        Self::pick(Stage::Forward, input.density()).forward_into(input, weights, bias, geom, out);
+    fn run(&self, op: &StageOp<'_>, out: &mut [f32]) {
+        Self::pick(op.stage(), op.operand().density()).run(op, out);
     }
 
-    fn input_grad_into(
-        &self,
-        dout: &SparseFeatureMap,
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        masks: &[RowMask],
-        din: &mut Tensor3,
-    ) {
-        Self::pick(Stage::InputGrad, dout.density()).input_grad_into(dout, weights, geom, masks, din);
-    }
-
-    fn weight_grad_into(
-        &self,
-        input: &SparseFeatureMap,
-        dout: &SparseFeatureMap,
-        geom: ConvGeometry,
-        dw: &mut Tensor4,
-    ) {
-        Self::pick(Stage::WeightGrad, dout.density()).weight_grad_into(input, dout, geom, dw);
-    }
-
-    fn forward_batch_into(
-        &self,
-        inputs: &[SparseFeatureMap],
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-        outs: &mut [Tensor3],
-    ) {
-        Self::pick(Stage::Forward, batch_density(inputs))
-            .forward_batch_into(inputs, weights, bias, geom, outs);
-    }
-
-    fn input_grad_batch_into(
-        &self,
-        douts: &[SparseFeatureMap],
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        masks: &[Vec<RowMask>],
-        dins: &mut [Tensor3],
-    ) {
-        Self::pick(Stage::InputGrad, batch_density(douts))
-            .input_grad_batch_into(douts, weights, geom, masks, dins);
-    }
-
-    fn weight_grad_batch_into(
-        &self,
-        inputs: &[SparseFeatureMap],
-        douts: &[SparseFeatureMap],
-        geom: ConvGeometry,
-        dw: &mut Tensor4,
-    ) {
-        Self::pick(Stage::WeightGrad, batch_density(douts)).weight_grad_batch_into(inputs, douts, geom, dw);
+    fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
+        // An empty batch has no stage; it is the same no-op on any delegate.
+        let stage = ops.first().map_or(Stage::Forward, StageOp::stage);
+        Self::pick(stage, batch_density(ops.iter().map(StageOp::operand))).run_batch(ops, out);
     }
 
     fn for_each_batch_chunk(&self, parts: Vec<&mut [f32]>, work: &(dyn Fn(usize, usize, &mut [f32]) + Sync)) {
@@ -588,7 +529,8 @@ impl KernelEngine for AutoEngine {
 mod tests {
     use super::*;
     use crate::engine::ScalarEngine;
-    use sparsetrain_tensor::Tensor3;
+    use sparsetrain_tensor::conv::ConvGeometry;
+    use sparsetrain_tensor::{Tensor3, Tensor4};
 
     fn handle(name: &str) -> EngineHandle {
         lookup(name).expect(name)
@@ -810,23 +752,30 @@ mod tests {
             let dout = SparseFeatureMap::from_tensor(&dout);
             let masks = input.masks();
 
-            let auto = AutoEngine;
-            assert_eq!(
-                auto.forward(&input, &weights, Some(&bias), geom).as_slice(),
-                ScalarEngine
-                    .forward(&input, &weights, Some(&bias), geom)
-                    .as_slice()
-            );
-            assert_eq!(
-                auto.input_grad(&dout, &weights, geom, 9, 9, &masks).as_slice(),
-                ScalarEngine
-                    .input_grad(&dout, &weights, geom, 9, 9, &masks)
-                    .as_slice()
-            );
-            assert_eq!(
-                auto.weight_grad(&input, &dout, geom).as_slice(),
-                ScalarEngine.weight_grad(&input, &dout, geom).as_slice()
-            );
+            let ops = [
+                StageOp::Forward {
+                    input: &input,
+                    weights: &weights,
+                    bias: Some(&bias),
+                    geom,
+                },
+                StageOp::InputGrad {
+                    dout: &dout,
+                    weights: &weights,
+                    geom,
+                    masks: &masks,
+                    in_h: 9,
+                    in_w: 9,
+                },
+                StageOp::WeightGrad {
+                    input: &input,
+                    dout: &dout,
+                    geom,
+                },
+            ];
+            for op in ops {
+                assert_eq!(op.run_on(&AutoEngine), op.run_on(&ScalarEngine), "{}", op.stage());
+            }
         }
     }
 

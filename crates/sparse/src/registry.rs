@@ -339,6 +339,7 @@ pub fn env_override() -> Result<Option<EngineHandle>, UnknownEngine> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StageOp;
     use crate::rowconv::SparseFeatureMap;
     use sparsetrain_tensor::conv::ConvGeometry;
     use sparsetrain_tensor::{Tensor3, Tensor4};
@@ -377,10 +378,13 @@ mod tests {
         let coarse = lookup("fixed:q14.2").expect("valid spec");
         let input = SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, 1, vec![0.51]));
         let weights = Tensor4::from_vec(1, 1, 1, 1, vec![1.0]);
-        let out = coarse
-            .engine()
-            .forward(&input, &weights, None, ConvGeometry::unit());
-        assert_eq!(out.get(0, 0, 0), 0.5);
+        let op = StageOp::Forward {
+            input: &input,
+            weights: &weights,
+            bias: None,
+            geom: ConvGeometry::unit(),
+        };
+        assert_eq!(op.run_on(coarse.engine()), [0.5]);
         // `fixed:q8.8` is the parameterized spelling of the built-in grid.
         let q88 = lookup("fixed:q8.8").expect("valid spec");
         assert_ne!(q88, lookup("fixed").unwrap(), "distinct registration");
@@ -440,9 +444,12 @@ mod tests {
         // The handle executes like any other engine.
         let input = SparseFeatureMap::from_tensor(&Tensor3::from_fn(1, 3, 3, |_, y, x| (y * x) as f32));
         let weights = Tensor4::from_fn(1, 1, 1, 1, |_, _, _, _| 2.0);
-        let out = handle
-            .engine()
-            .forward(&input, &weights, None, ConvGeometry::unit());
-        assert_eq!(out.get(0, 2, 2), 8.0);
+        let op = StageOp::Forward {
+            input: &input,
+            weights: &weights,
+            bias: None,
+            geom: ConvGeometry::unit(),
+        };
+        assert_eq!(op.run_on(handle.engine())[8], 8.0);
     }
 }

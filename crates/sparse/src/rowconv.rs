@@ -7,16 +7,16 @@
 //! the dense references in [`sparsetrain_tensor::conv`] (up to f32
 //! accumulation order), which the tests verify.
 //!
-//! Execution is delegated to a [`KernelEngine`]: the plain functions keep
-//! the original signatures and run on [`crate::engine::ScalarEngine`],
-//! while arbitrary engines are driven through the trait's own convenience
-//! methods ([`KernelEngine::forward`], [`KernelEngine::input_grad`],
-//! [`KernelEngine::weight_grad`] and their batched variants).
+//! Execution is delegated to a [`crate::engine::KernelEngine`]: the plain
+//! functions keep the original signatures and run the stage's
+//! [`StageOp`] on [`crate::engine::ScalarEngine`]; arbitrary engines take
+//! the same op through [`StageOp::run_on`] or the trait's `run` /
+//! `run_batch`.
 //! All engines accumulate through the kernels' scratch APIs, so no per-row
 //! heap allocation happens on any path.
 
 use crate::compressed::SparseVec;
-use crate::engine::{KernelEngine, ScalarEngine};
+use crate::engine::{ScalarEngine, StageOp};
 use crate::mask::RowMask;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
@@ -166,7 +166,15 @@ pub fn forward_rows(
     bias: Option<&[f32]>,
     geom: ConvGeometry,
 ) -> Tensor3 {
-    ScalarEngine.forward(input, weights, bias, geom)
+    let op = StageOp::Forward {
+        input,
+        weights,
+        bias,
+        geom,
+    };
+    let oh = geom.output_extent(input.height());
+    let ow = geom.output_extent(input.width());
+    Tensor3::from_vec(weights.filters(), oh, ow, op.run_on(&ScalarEngine))
 }
 
 /// GTA step on the reference [`ScalarEngine`].
@@ -191,7 +199,15 @@ pub fn input_grad_rows(
     in_w: usize,
     masks: &[RowMask],
 ) -> Tensor3 {
-    ScalarEngine.input_grad(dout, weights, geom, in_h, in_w, masks)
+    let op = StageOp::InputGrad {
+        dout,
+        weights,
+        geom,
+        masks,
+        in_h,
+        in_w,
+    };
+    Tensor3::from_vec(weights.channels(), in_h, in_w, op.run_on(&ScalarEngine))
 }
 
 /// GTW step on the reference [`ScalarEngine`].
@@ -204,7 +220,9 @@ pub fn input_grad_rows(
 ///
 /// Panics on shape mismatches.
 pub fn weight_grad_rows(input: &SparseFeatureMap, dout: &SparseFeatureMap, geom: ConvGeometry) -> Tensor4 {
-    ScalarEngine.weight_grad(input, dout, geom)
+    let op = StageOp::WeightGrad { input, dout, geom };
+    let (f, c, k) = (dout.channels(), input.channels(), geom.kernel);
+    Tensor4::from_vec(f, c, k, k, op.run_on(&ScalarEngine))
 }
 
 #[cfg(test)]

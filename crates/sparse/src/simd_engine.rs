@@ -39,8 +39,8 @@
 //! the scalar code itself, so parity is unconditional.
 //!
 //! Densification is hoisted **above the band fan-out**: the engine's
-//! `prepare_*` hooks build the densified operand map once per engine call
-//! into a [`crate::engine::BandContext`], and every band worker borrows it
+//! `prepare` builds the densified operand map once per engine call into a
+//! [`crate::engine::BandContext`], and every band worker borrows it
 //! — under `"parallel:simd"` the `B` bands share one `O(C·H·W)` fill
 //! instead of redoing it `B` times (the few-percent per-band loss the
 //! first release documented). A band invoked without a prepared context
@@ -62,7 +62,7 @@
 //! `"parallel:simd"` runs these band workers inside each rayon band.
 
 use crate::compressed::SparseVec;
-use crate::engine::{scalar_forward_band, scalar_input_grad_band, BandContext, KernelEngine};
+use crate::engine::{scalar_band, BandContext, KernelEngine, StageOp};
 use crate::mask::RowMask;
 use crate::msrc::msrc_accumulate;
 use crate::osrc::osrc_accumulate;
@@ -318,65 +318,23 @@ impl SimdEngine {
     }
 }
 
-impl KernelEngine for SimdEngine {
-    fn name(&self) -> &'static str {
-        "simd"
-    }
-
-    fn prepare_forward(
+impl SimdEngine {
+    /// SRC sweep of filters `f_lo..` into `out_band` (stride 1 only);
+    /// `idense` is the densified input map.
+    #[allow(clippy::too_many_arguments)]
+    fn src_band(
         &self,
-        input: &SparseFeatureMap,
-        _weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-    ) -> BandContext {
-        let mut ctx = BandContext::empty();
-        // When every band will take the scalar fallback anyway (stride ≠ 1,
-        // literal -0.0 bias), densifying would be wasted work.
-        if geom.stride == 1 && !bias.is_some_and(contains_negative_zero) {
-            if let Some(dense) = densify_worthy(input) {
-                ctx.set_dense(dense);
-            }
-        }
-        ctx
-    }
-
-    fn forward_band(
-        &self,
-        ctx: &BandContext,
+        idense: &[f32],
         input: &SparseFeatureMap,
         weights: &Tensor4,
         bias: Option<&[f32]>,
         geom: ConvGeometry,
-        oh: usize,
-        ow: usize,
         f_lo: usize,
         out_band: &mut [f32],
     ) {
-        // Stride ≠ 1 would make the row gather non-contiguous; a literal
-        // -0.0 in the bias (or, with no bias to overwrite it, in the
-        // pre-seeded accumulator) is only preserved by the scalar skip of
-        // zero inputs.
-        if geom.stride != 1
-            || match bias {
-                Some(b) => contains_negative_zero(b),
-                None => contains_negative_zero(out_band),
-            }
-        {
-            scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band);
-            return;
-        }
         let avx2 = self.use_avx2();
         let (h, w_in, k, pad) = (input.height(), input.width(), geom.kernel, geom.pad);
-        // Borrow the densified map the call prepared once above the band
-        // fan-out; densify locally only when invoked without one.
-        let local;
-        let idense: &[f32] = if !ctx.dense().is_empty() {
-            ctx.dense()
-        } else {
-            local = densify_worthy(input).unwrap_or_default();
-            &local
-        };
+        let (oh, ow) = (geom.output_extent(h), geom.output_extent(w_in));
         for (bf, plane) in out_band.chunks_mut(oh * ow).enumerate() {
             let fi = f_lo + bf;
             if let Some(b) = bias {
@@ -421,27 +379,12 @@ impl KernelEngine for SimdEngine {
         }
     }
 
-    fn prepare_input_grad(
+    /// MSRC sweep of channels `c_lo..` into `din_band` (stride 1 only);
+    /// `gdense` is the densified gradient map.
+    #[allow(clippy::too_many_arguments)]
+    fn msrc_band(
         &self,
-        dout: &SparseFeatureMap,
-        _weights: &Tensor4,
-        geom: ConvGeometry,
-        _masks: &[RowMask],
-        _in_h: usize,
-        _in_w: usize,
-    ) -> BandContext {
-        let mut ctx = BandContext::empty();
-        if geom.stride == 1 {
-            if let Some(dense) = densify_worthy(dout) {
-                ctx.set_dense(dense);
-            }
-        }
-        ctx
-    }
-
-    fn input_grad_band(
-        &self,
-        ctx: &BandContext,
+        gdense: &[f32],
         dout: &SparseFeatureMap,
         weights: &Tensor4,
         geom: ConvGeometry,
@@ -451,22 +394,9 @@ impl KernelEngine for SimdEngine {
         c_lo: usize,
         din_band: &mut [f32],
     ) {
-        // Stride ≠ 1 gathers non-contiguously; a pre-seeded -0.0 in the
-        // accumulator is only preserved by the scalar skips.
-        if geom.stride != 1 || contains_negative_zero(din_band) {
-            scalar_input_grad_band(dout, weights, geom, masks, in_h, in_w, c_lo, din_band);
-            return;
-        }
         let avx2 = self.use_avx2();
         let (k, pad, ow) = (geom.kernel, geom.pad, dout.width());
         let oh = dout.height();
-        let local;
-        let gdense: &[f32] = if !ctx.dense().is_empty() {
-            ctx.dense()
-        } else {
-            local = densify_worthy(dout).unwrap_or_default();
-            &local
-        };
         let any_worthy = !gdense.is_empty();
         let worthy = |row: &SparseVec| dense_worthwhile(row.nnz(), row.len());
         // The dense mask factors are per *band channel* (each band touches
@@ -526,44 +456,20 @@ impl KernelEngine for SimdEngine {
         }
     }
 
-    fn prepare_weight_grad(
+    /// OSRC sweep of filters `f_lo..` into `dw_band`; `idense` is the
+    /// densified input map.
+    fn osrc_band(
         &self,
-        input: &SparseFeatureMap,
-        _dout: &SparseFeatureMap,
-        _geom: ConvGeometry,
-    ) -> BandContext {
-        let mut ctx = BandContext::empty();
-        if let Some(dense) = densify_worthy(input) {
-            ctx.set_dense(dense);
-        }
-        ctx
-    }
-
-    fn weight_grad_band(
-        &self,
-        ctx: &BandContext,
+        idense: &[f32],
         input: &SparseFeatureMap,
         dout: &SparseFeatureMap,
         geom: ConvGeometry,
         f_lo: usize,
         dw_band: &mut [f32],
     ) {
-        // A pre-seeded -0.0 in the accumulator is only preserved by the
-        // scalar skip of zero window positions.
-        if contains_negative_zero(dw_band) {
-            crate::engine::scalar_weight_grad_band(input, dout, geom, f_lo, dw_band);
-            return;
-        }
         let avx2 = self.use_avx2();
         let (c, h, w_in) = (input.channels(), input.height(), input.width());
         let (k, stride, pad) = (geom.kernel, geom.stride as isize, geom.pad as isize);
-        let local;
-        let idense: &[f32] = if !ctx.dense().is_empty() {
-            ctx.dense()
-        } else {
-            local = densify_worthy(input).unwrap_or_default();
-            &local
-        };
         for (bf, block) in dw_band.chunks_mut(c * k * k).enumerate() {
             let fi = f_lo + bf;
             for ci in 0..c {
@@ -607,65 +513,99 @@ impl KernelEngine for SimdEngine {
     }
 }
 
+/// The sparse map a stage's sweeps read densified: the activations for
+/// Forward and GTW, the output gradients for GTA.
+fn swept<'a>(op: &StageOp<'a>) -> &'a SparseFeatureMap {
+    match *op {
+        StageOp::Forward { input, .. } | StageOp::WeightGrad { input, .. } => input,
+        StageOp::InputGrad { dout, .. } => dout,
+    }
+}
+
+impl KernelEngine for SimdEngine {
+    fn name(&self) -> &'static str {
+        "simd"
+    }
+
+    fn prepare(&self, op: &StageOp<'_>) -> BandContext {
+        let mut ctx = BandContext::empty();
+        // When every band will take the scalar fallback anyway (stride ≠ 1
+        // on the row sweeps, literal -0.0 bias), densifying would be wasted
+        // work.
+        let wasted = match *op {
+            StageOp::Forward { bias, geom, .. } => {
+                geom.stride != 1 || bias.is_some_and(contains_negative_zero)
+            }
+            StageOp::InputGrad { geom, .. } => geom.stride != 1,
+            StageOp::WeightGrad { .. } => false,
+        };
+        if !wasted {
+            if let Some(dense) = densify_worthy(swept(op)) {
+                ctx.set_dense(dense);
+            }
+        }
+        ctx
+    }
+
+    fn band(&self, ctx: &BandContext, op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
+        // The scalar band code itself serves what the sweeps cannot
+        // reproduce bit for bit. Stride ≠ 1 would make the Forward/GTA row
+        // gather non-contiguous (the GTW window stays contiguous at any
+        // stride); a literal -0.0 in the bias — or, with no bias to
+        // overwrite it, in the pre-seeded accumulator — is only preserved
+        // by the scalar skip of zero operands.
+        let scalar_only = match *op {
+            StageOp::Forward { bias, geom, .. } => {
+                geom.stride != 1 || contains_negative_zero(bias.unwrap_or(&*out))
+            }
+            StageOp::InputGrad { geom, .. } => geom.stride != 1 || contains_negative_zero(out),
+            StageOp::WeightGrad { .. } => contains_negative_zero(out),
+        };
+        if scalar_only {
+            return scalar_band(op, lo, out);
+        }
+        // Borrow the densified map the call prepared once above the band
+        // fan-out; densify locally only when invoked without one.
+        let local;
+        let dense: &[f32] = if !ctx.dense().is_empty() {
+            ctx.dense()
+        } else {
+            local = densify_worthy(swept(op)).unwrap_or_default();
+            &local
+        };
+        match *op {
+            StageOp::Forward {
+                input,
+                weights,
+                bias,
+                geom,
+            } => self.src_band(dense, input, weights, bias, geom, lo, out),
+            StageOp::InputGrad {
+                dout,
+                weights,
+                geom,
+                masks,
+                in_h,
+                in_w,
+            } => self.msrc_band(dense, dout, weights, geom, masks, in_h, in_w, lo, out),
+            StageOp::WeightGrad { input, dout, geom } => self.osrc_band(dense, input, dout, geom, lo, out),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_fixtures::{fixtures, stage_ops};
     use crate::engine::{ParallelEngine, ScalarEngine};
     use sparsetrain_tensor::Tensor3;
 
-    fn pseudo(seed: &mut u64) -> f32 {
-        *seed ^= *seed << 13;
-        *seed ^= *seed >> 7;
-        *seed ^= *seed << 17;
-        ((*seed % 2000) as f32 / 1000.0) - 1.0
-    }
-
-    fn sparse_tensor(c: usize, h: usize, w: usize, density_pct: u64, seed: &mut u64) -> Tensor3 {
-        Tensor3::from_fn(c, h, w, |_, _, _| {
-            let v = pseudo(seed);
-            let keep = {
-                *seed ^= *seed << 13;
-                *seed ^= *seed >> 7;
-                *seed % 100 < density_pct
-            };
-            if keep {
-                v
-            } else {
-                0.0
-            }
-        })
-    }
-
-    fn fixtures(
-        seed: u64,
-        density_pct: u64,
-        geom: ConvGeometry,
-    ) -> (SparseFeatureMap, Tensor4, Vec<f32>, SparseFeatureMap) {
-        let mut s = seed;
-        let input = sparse_tensor(3, 9, 11, density_pct, &mut s);
-        let weights = Tensor4::from_fn(4, 3, geom.kernel, geom.kernel, |_, _, _, _| {
-            // Sprinkle exact zeros so the w == 0 tap skip is exercised.
-            let v = pseudo(&mut s);
-            if v.abs() < 0.1 {
-                0.0
-            } else {
-                v
-            }
-        });
-        let bias: Vec<f32> = (0..4).map(|_| pseudo(&mut s)).collect();
-        let oh = geom.output_extent(9);
-        let ow = geom.output_extent(11);
-        let dout = sparse_tensor(4, oh, ow, density_pct, &mut s);
-        (
-            SparseFeatureMap::from_tensor(&input),
-            weights,
-            bias,
-            SparseFeatureMap::from_tensor(&dout),
-        )
-    }
-
     fn engines() -> Vec<(&'static str, SimdEngine)> {
         vec![("auto", SimdEngine::auto()), ("portable", SimdEngine::portable())]
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     /// Dense and very sparse fixtures at stride 1 and 2 (vector path,
@@ -679,21 +619,14 @@ mod tests {
             ConvGeometry::new(2, 1, 0),
         ] {
             for density in [5u64, 40, 90] {
-                let (input, weights, bias, dout) = fixtures(11 + density, density, geom);
+                let (input, weights, bias, dout) = fixtures(11 + density, density, 4, geom);
                 let masks = input.masks();
-                for (label, simd) in engines() {
-                    let ctx = format!("{label} k={} s={} d={density}", geom.kernel, geom.stride);
-                    let want = ScalarEngine.forward(&input, &weights, Some(&bias), geom);
-                    let got = simd.forward(&input, &weights, Some(&bias), geom);
-                    assert_eq!(got.as_slice(), want.as_slice(), "forward {ctx}");
-
-                    let want = ScalarEngine.input_grad(&dout, &weights, geom, 9, 11, &masks);
-                    let got = simd.input_grad(&dout, &weights, geom, 9, 11, &masks);
-                    assert_eq!(got.as_slice(), want.as_slice(), "input_grad {ctx}");
-
-                    let want = ScalarEngine.weight_grad(&input, &dout, geom);
-                    let got = simd.weight_grad(&input, &dout, geom);
-                    assert_eq!(got.as_slice(), want.as_slice(), "weight_grad {ctx}");
+                for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
+                    let want = op.run_on(&ScalarEngine);
+                    for (label, simd) in engines() {
+                        let ctx = format!("{label} k={} s={} d={density}", geom.kernel, geom.stride);
+                        assert_eq!(op.run_on(&simd), want, "{} {ctx}", op.stage());
+                    }
                 }
             }
         }
@@ -704,17 +637,16 @@ mod tests {
     #[test]
     fn portable_and_dispatched_paths_agree() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let (input, weights, bias, dout) = fixtures(77, 55, geom);
-        let auto = SimdEngine::auto();
-        let portable = SimdEngine::portable();
-        assert_eq!(
-            auto.forward(&input, &weights, Some(&bias), geom).as_slice(),
-            portable.forward(&input, &weights, Some(&bias), geom).as_slice(),
-        );
-        assert_eq!(
-            auto.weight_grad(&input, &dout, geom).as_slice(),
-            portable.weight_grad(&input, &dout, geom).as_slice(),
-        );
+        let (input, weights, bias, dout) = fixtures(77, 55, 4, geom);
+        let masks = input.masks();
+        for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
+            assert_eq!(
+                op.run_on(&SimdEngine::auto()),
+                op.run_on(&SimdEngine::portable()),
+                "{}",
+                op.stage()
+            );
+        }
     }
 
     /// Dispatch contract: forcing portable always reports portable, and
@@ -737,53 +669,38 @@ mod tests {
         // All-zero input: the output is exactly the bias fill.
         let input = SparseFeatureMap::from_tensor(&Tensor3::zeros(2, 5, 5));
         let weights = Tensor4::from_fn(2, 2, 3, 3, |_, _, _, _| 0.5);
-        let bias = [-0.0f32, 1.0];
+        let op = StageOp::Forward {
+            input: &input,
+            weights: &weights,
+            bias: Some(&[-0.0f32, 1.0]),
+            geom,
+        };
+        let want = op.run_on(&ScalarEngine);
         for (label, simd) in engines() {
-            let want = ScalarEngine.forward(&input, &weights, Some(&bias), geom);
-            let got = simd.forward(&input, &weights, Some(&bias), geom);
-            let want_bits: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
-            let got_bits: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got_bits, want_bits, "{label}");
+            assert_eq!(bits(&op.run_on(&simd)), bits(&want), "{label}");
         }
     }
 
     /// Accumulators pre-seeded with literal -0.0 take the scalar fallback
-    /// on every stage, so `*_into` accumulation parity is bitwise even for
-    /// that representable corner (the dense sweeps' spurious `+0.0` adds
-    /// would otherwise flip the sign bit).
+    /// on every stage, so accumulation parity is bitwise even for that
+    /// representable corner (the dense sweeps' spurious `+0.0` adds would
+    /// otherwise flip the sign bit).
     #[test]
     fn negative_zero_preseeded_accumulators_are_preserved() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let (input, weights, _, dout) = fixtures(31, 60, geom);
+        let (input, weights, _, dout) = fixtures(31, 60, 4, geom);
         let masks = input.masks();
-        let seed = |slice: &mut [f32]| {
-            for (i, v) in slice.iter_mut().enumerate() {
-                *v = if i % 3 == 0 { -0.0 } else { 0.25 };
+        for op in stage_ops(&input, &weights, None, &dout, &masks, geom) {
+            let seeded: Vec<f32> = (0..op.out_len())
+                .map(|i| if i % 3 == 0 { -0.0 } else { 0.25 })
+                .collect();
+            let mut want = seeded.clone();
+            ScalarEngine.run(&op, &mut want);
+            for (label, simd) in engines() {
+                let mut got = seeded.clone();
+                simd.run(&op, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{} {label}", op.stage());
             }
-        };
-        for (label, simd) in engines() {
-            let mut want = Tensor3::zeros(4, 9, 11);
-            seed(want.as_mut_slice());
-            let mut got = want.clone();
-            ScalarEngine.forward_into(&input, &weights, None, geom, &mut want);
-            simd.forward_into(&input, &weights, None, geom, &mut got);
-            let bits = |t: &Tensor3| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "forward {label}");
-
-            let mut want = Tensor3::zeros(3, 9, 11);
-            seed(want.as_mut_slice());
-            let mut got = want.clone();
-            ScalarEngine.input_grad_into(&dout, &weights, geom, &masks, &mut want);
-            simd.input_grad_into(&dout, &weights, geom, &masks, &mut got);
-            assert_eq!(bits(&got), bits(&want), "input_grad {label}");
-
-            let mut want = Tensor4::zeros(4, 3, 3, 3);
-            seed(want.as_mut_slice());
-            let mut got = want.clone();
-            ScalarEngine.weight_grad_into(&input, &dout, geom, &mut want);
-            simd.weight_grad_into(&input, &dout, geom, &mut got);
-            let bits4 = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits4(&got), bits4(&want), "weight_grad {label}");
         }
     }
 
@@ -793,21 +710,14 @@ mod tests {
     fn banded_simd_matches_scalar() {
         static SIMD: SimdEngine = SimdEngine::auto();
         let geom = ConvGeometry::new(3, 1, 1);
-        let (input, weights, bias, dout) = fixtures(5, 45, geom);
+        let (input, weights, bias, dout) = fixtures(5, 45, 4, geom);
         let masks = input.masks();
-        for threads in [0usize, 1, 2, 3, 8] {
-            let banded = ParallelEngine::over("test:parallel-simd", &SIMD).banded(threads);
-            let want = ScalarEngine.forward(&input, &weights, Some(&bias), geom);
-            let got = banded.forward(&input, &weights, Some(&bias), geom);
-            assert_eq!(got.as_slice(), want.as_slice(), "threads {threads}");
-
-            let want = ScalarEngine.input_grad(&dout, &weights, geom, 9, 11, &masks);
-            let got = banded.input_grad(&dout, &weights, geom, 9, 11, &masks);
-            assert_eq!(got.as_slice(), want.as_slice(), "threads {threads}");
-
-            let want = ScalarEngine.weight_grad(&input, &dout, geom);
-            let got = banded.weight_grad(&input, &dout, geom);
-            assert_eq!(got.as_slice(), want.as_slice(), "threads {threads}");
+        for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
+            let want = op.run_on(&ScalarEngine);
+            for threads in [0usize, 1, 2, 3, 8] {
+                let banded = ParallelEngine::over("test:parallel-simd", &SIMD).banded(threads);
+                assert_eq!(op.run_on(&banded), want, "{} threads {threads}", op.stage());
+            }
         }
     }
 }

@@ -1,22 +1,21 @@
 //! Property tests pinning the engine contracts:
 //!
-//! * the parallel engine is bitwise-identical to the scalar reference on
-//!   the per-sample paths, and both match the dense reference in
-//!   `sparsetrain-tensor`;
+//! * **one differential oracle, stage as an input** — `single_op_parity`
+//!   and `batch_parity` generate the stage, the shapes (1-wide and 1-high
+//!   maps, kernels wider than the unpadded map, strides, padding), the
+//!   per-row densities (empty rows, empty maps), a pre-seeded output and
+//!   the band count, and hold every engine under test to the scalar
+//!   reference bit for bit, the scalar reference to the dense
+//!   `sparsetrain_tensor::conv` within tolerance, and every engine's
+//!   `run_batch` (fixed-point included) to its own sample-by-sample `run`;
 //! * the registry enumeration below automatically covers every registered
 //!   backend — including `simd` (runtime-dispatched AVX2/portable lanes),
 //!   `im2row` (cache-blocked dense lowering) and their `parallel:*` banded
-//!   compositions, which must match the scalar reference bitwise on every
-//!   leg;
+//!   compositions — or just the `SPARSETRAIN_ENGINE` override when set, as
+//!   in the CI engine matrix;
 //! * one engine call prepares its [`BandContext`] (densified operands,
 //!   im2row patches) exactly once regardless of band count, and every band
 //!   borrows the shared state;
-//! * for **every registered engine** (or just the `SPARSETRAIN_ENGINE`
-//!   override when set, as in the CI engine matrix), the batched entry
-//!   points (`forward_batch_into` / `input_grad_batch_into` /
-//!   `weight_grad_batch_into`) are bitwise-identical to running that
-//!   engine sample by sample — and for the float engines, to the scalar
-//!   reference itself;
 //! * the Q8.8 [`FixedPointEngine`] stays within its analytic quantization
 //!   error bounds against the scalar reference (golden tests).
 //!
@@ -27,8 +26,8 @@
 use proptest::prelude::*;
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::{
-    registry, BandContext, FixedPointEngine, KernelEngine, ParallelEngine, ScalarEngine, SimdEngine,
-    Workspace,
+    registry, BandContext, BatchOut, FixedPointEngine, KernelEngine, ParallelEngine, RowMask, ScalarEngine,
+    SimdEngine, Stage, StageOp, Workspace,
 };
 use sparsetrain_tensor::conv::{self, ConvGeometry};
 use sparsetrain_tensor::{Tensor3, Tensor4};
@@ -45,10 +44,6 @@ fn arb_feature_map(channels: usize) -> impl Strategy<Value = SparseFeatureMap> {
         channels * H * W,
     )
     .prop_map(move |data| SparseFeatureMap::from_tensor(&Tensor3::from_vec(channels, H, W, data)))
-}
-
-fn arb_batch(channels: usize, max_len: usize) -> impl Strategy<Value = Vec<SparseFeatureMap>> {
-    proptest::collection::vec(arb_feature_map(channels), 1..=max_len)
 }
 
 fn arb_weights(f: usize, c: usize, k: usize) -> impl Strategy<Value = Tensor4> {
@@ -69,6 +64,208 @@ fn engines_under_test() -> Vec<registry::EngineHandle> {
     }
 }
 
+fn forward_op<'a>(input: &'a SparseFeatureMap, weights: &'a Tensor4, geom: ConvGeometry) -> StageOp<'a> {
+    StageOp::Forward {
+        input,
+        weights,
+        bias: None,
+        geom,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The differential oracle
+// ---------------------------------------------------------------------------
+
+/// What every sample of one generated case shares: the stage, the layer
+/// shape, and the band count of the explicit-threads parallel engine.
+#[derive(Debug, Clone, Copy)]
+struct Layer {
+    stage: Stage,
+    c: usize,
+    f: usize,
+    geom: ConvGeometry,
+    bias: bool,
+    threads: usize,
+}
+
+fn arb_layer() -> impl Strategy<Value = Layer> {
+    (
+        0usize..3,
+        (1usize..=4, 1usize..=4),
+        (1usize..=5, 1usize..=3, 0usize..=2),
+        any::<bool>(),
+        1usize..=9,
+    )
+        .prop_map(|(stage, (c, f), (k, s, p), bias, threads)| Layer {
+            stage: Stage::ALL[stage],
+            c,
+            f,
+            geom: ConvGeometry::new(k, s, p),
+            bias,
+            threads,
+        })
+}
+
+/// Deterministic content generator for one case (xorshift64*): the
+/// proptest strategies draw the structure, this fills the tensors, whose
+/// sizes depend on it.
+struct Fill(u64);
+
+impl Fill {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 16
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A non-zero value in `(-2, 2)`.
+    fn value(&mut self) -> f32 {
+        let magnitude = 0.01 + self.below(1990) as f32 / 1000.0;
+        if self.below(2) == 0 {
+            magnitude
+        } else {
+            -magnitude
+        }
+    }
+
+    fn values(&mut self, n: usize) -> Vec<f32> {
+        (0..n).map(|_| self.value()).collect()
+    }
+
+    /// A `c × h × w` map where every row draws its own density — empty,
+    /// full, or anything between — and one map in eight is empty.
+    fn map(&mut self, c: usize, h: usize, w: usize) -> SparseFeatureMap {
+        let empty_map = self.below(8) == 0;
+        let mut data = vec![0.0f32; c * h * w];
+        for row in data.chunks_mut(w) {
+            let density_pct = match self.below(6) {
+                _ if empty_map => 0,
+                0 | 1 => 0,
+                2 => 100,
+                _ => 5 + self.below(91),
+            };
+            for v in row {
+                if self.below(100) < density_pct {
+                    *v = self.value();
+                }
+            }
+        }
+        SparseFeatureMap::from_tensor(&Tensor3::from_vec(c, h, w, data))
+    }
+}
+
+/// One sample's operands plus the pre-seeded (non-zero) output.
+struct Sample {
+    input: SparseFeatureMap,
+    dout: SparseFeatureMap,
+    masks: Vec<RowMask>,
+    seed: Vec<f32>,
+}
+
+impl Layer {
+    /// A sample on an `h × w` map drawn from `1..=9` each — as small as
+    /// the padded extent still covering the kernel allows, so kernels
+    /// wider than the unpadded map occur.
+    fn sample(&self, fill: &mut Fill) -> Sample {
+        let lo = self.geom.kernel.saturating_sub(2 * self.geom.pad).max(1);
+        let (h, w) = (lo + fill.below(10 - lo), lo + fill.below(10 - lo));
+        self.sample_on(h, w, fill)
+    }
+
+    fn sample_on(&self, h: usize, w: usize, fill: &mut Fill) -> Sample {
+        let (oh, ow) = (self.geom.output_extent(h), self.geom.output_extent(w));
+        let out_len = match self.stage {
+            Stage::Forward => self.f * oh * ow,
+            Stage::InputGrad => self.c * h * w,
+            Stage::WeightGrad => self.f * self.c * self.geom.kernel * self.geom.kernel,
+        };
+        Sample {
+            input: fill.map(self.c, h, w),
+            dout: fill.map(self.f, oh, ow),
+            masks: fill.map(self.c, h, w).masks(),
+            seed: fill.values(out_len),
+        }
+    }
+
+    fn weights(&self, fill: &mut Fill) -> (Tensor4, Vec<f32>) {
+        let k = self.geom.kernel;
+        let weights = Tensor4::from_vec(self.f, self.c, k, k, fill.values(self.f * self.c * k * k));
+        (weights, fill.values(self.f))
+    }
+
+    fn op<'a>(&self, s: &'a Sample, weights: &'a Tensor4, bias: Option<&'a [f32]>) -> StageOp<'a> {
+        match self.stage {
+            Stage::Forward => StageOp::Forward {
+                input: &s.input,
+                weights,
+                bias,
+                geom: self.geom,
+            },
+            Stage::InputGrad => StageOp::InputGrad {
+                dout: &s.dout,
+                weights,
+                geom: self.geom,
+                masks: &s.masks,
+                in_h: s.input.height(),
+                in_w: s.input.width(),
+            },
+            Stage::WeightGrad => StageOp::WeightGrad {
+                input: &s.input,
+                dout: &s.dout,
+                geom: self.geom,
+            },
+        }
+    }
+
+    /// The dense reference of one sample's op on top of its seed.
+    fn dense_reference(&self, s: &Sample, weights: &Tensor4, bias: Option<&[f32]>) -> Vec<f32> {
+        let dense: Vec<f32> = match self.stage {
+            Stage::Forward => {
+                let out = conv::forward(&s.input.to_tensor(), weights, bias, self.geom);
+                if bias.is_some() {
+                    // A bias overwrites the seed.
+                    return out.as_slice().to_vec();
+                }
+                out.as_slice().to_vec()
+            }
+            Stage::InputGrad => {
+                let (h, w) = (s.input.height(), s.input.width());
+                let mut din = conv::input_grad(&s.dout.to_tensor(), weights, self.geom, h, w);
+                for (row, mask) in din.as_mut_slice().chunks_mut(w).zip(&s.masks) {
+                    for (x, v) in row.iter_mut().enumerate() {
+                        if !mask.contains(x) {
+                            *v = 0.0;
+                        }
+                    }
+                }
+                din.as_slice().to_vec()
+            }
+            Stage::WeightGrad => conv::weight_grad(&s.input.to_tensor(), &s.dout.to_tensor(), self.geom)
+                .as_slice()
+                .to_vec(),
+        };
+        dense.iter().zip(&s.seed).map(|(d, seed)| seed + d).collect()
+    }
+}
+
+/// Every engine under test plus `banded` (the parallel engine at the
+/// case's explicit band count), each with whether it is a float engine —
+/// bitwise equal to scalar by contract.
+fn oracle_engines(banded: &ParallelEngine) -> Vec<(&'static str, &dyn KernelEngine, bool)> {
+    let mut engines: Vec<(&'static str, &dyn KernelEngine, bool)> = engines_under_test()
+        .into_iter()
+        .map(|h| (h.name(), h.engine(), !h.name().starts_with("fixed")))
+        .collect();
+    engines.push(("parallel (explicit bands)", banded, true));
+    engines
+}
+
 fn assert_close(a: &[f32], b: &[f32], tol: f32) -> Result<(), proptest::test_runner::TestCaseError> {
     prop_assert_eq!(a.len(), b.len());
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -84,151 +281,72 @@ fn assert_close(a: &[f32], b: &[f32], tol: f32) -> Result<(), proptest::test_run
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Forward: parallel == scalar bitwise, for every band count.
+    /// One op of a generated stage and shape, into a pre-seeded output:
+    /// every float engine — and the parallel engine at every band count —
+    /// equals the scalar reference bitwise, and the scalar reference
+    /// agrees with the dense convolution.
     #[test]
-    fn forward_parity(
-        input in arb_feature_map(3),
-        weights in arb_weights(4, 3, 3),
-        geom in arb_geom().prop_filter("kernel 3", |g| g.kernel == 3),
-        threads in 1usize..=9,
-    ) {
-        let scalar = ScalarEngine.forward(&input, &weights, None, geom);
-        let parallel = ParallelEngine::with_threads(threads).forward(&input, &weights, None, geom);
-        prop_assert_eq!(scalar.as_slice(), parallel.as_slice());
-    }
+    fn single_op_parity(layer in arb_layer(), fill in any::<u64>()) {
+        let mut fill = Fill(fill | 1);
+        let (weights, bias) = layer.weights(&mut fill);
+        let bias = layer.bias.then_some(&bias[..]);
+        let sample = layer.sample(&mut fill);
+        let op = layer.op(&sample, &weights, bias);
 
-    /// GTA: parallel == scalar bitwise under arbitrary masks.
-    #[test]
-    fn input_grad_parity(
-        dout in arb_feature_map(4),
-        mask_src in arb_feature_map(3),
-        weights in arb_weights(4, 3, 3),
-        threads in 1usize..=9,
-    ) {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let masks = mask_src.masks();
-        let scalar = ScalarEngine.input_grad(&dout, &weights, geom, H, W, &masks);
-        let parallel = ParallelEngine::with_threads(threads)
-            .input_grad(&dout, &weights, geom, H, W, &masks);
-        prop_assert_eq!(scalar.as_slice(), parallel.as_slice());
-    }
-
-    /// GTW: parallel == scalar bitwise.
-    #[test]
-    fn weight_grad_parity(
-        input in arb_feature_map(2),
-        dout in arb_feature_map(3),
-        threads in 1usize..=9,
-    ) {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let scalar = ScalarEngine.weight_grad(&input, &dout, geom);
-        let parallel = ParallelEngine::with_threads(threads).weight_grad(&input, &dout, geom);
-        prop_assert_eq!(scalar.as_slice(), parallel.as_slice());
-    }
-
-    /// Batched forward: for every registered engine, one batch-level call
-    /// is bitwise-identical to that engine's per-sample execution — and
-    /// therefore (fixed-point excepted) to the per-sample scalar reference.
-    #[test]
-    fn forward_batch_parity_all_engines(
-        inputs in arb_batch(3, 5),
-        weights in arb_weights(4, 3, 3),
-        geom in arb_geom().prop_filter("kernel 3", |g| g.kernel == 3),
-    ) {
-        for handle in engines_under_test() {
-            let engine = handle.engine();
-            let batched = engine.forward_batch(&inputs, &weights, None, geom);
-            prop_assert_eq!(batched.len(), inputs.len());
-            for (input, got) in inputs.iter().zip(&batched) {
-                let per_sample = engine.forward(input, &weights, None, geom);
-                prop_assert_eq!(got.as_slice(), per_sample.as_slice(), "engine {}", handle.name());
-                if handle.name() != "fixed" {
-                    let reference = ScalarEngine.forward(input, &weights, None, geom);
-                    prop_assert_eq!(got.as_slice(), reference.as_slice(), "engine {}", handle.name());
-                }
+        let mut want = sample.seed.clone();
+        ScalarEngine.run(&op, &mut want);
+        assert_close(&want, &layer.dense_reference(&sample, &weights, bias), 1e-4)?;
+        for (name, engine, float) in oracle_engines(&ParallelEngine::with_threads(layer.threads)) {
+            let mut got = sample.seed.clone();
+            engine.run(&op, &mut got);
+            if float {
+                prop_assert_eq!(&got, &want, "engine {} on {:?} {:?}", name, layer, op.split());
             }
         }
     }
 
-    /// Batched GTA: bitwise-identical to per-sample execution on every
-    /// registered engine, under arbitrary per-sample masks.
+    /// A batch of up to four samples of a generated stage — mixed shapes
+    /// half of the time — in one `run_batch` call: per-sample outputs for
+    /// Forward and GTA, the shared accumulator for GTW. Every engine,
+    /// fixed-point included, equals its own sample-by-sample `run`, and
+    /// every float engine the scalar reference.
     #[test]
-    fn input_grad_batch_parity_all_engines(
-        douts in arb_batch(4, 4),
-        mask_srcs in arb_batch(3, 4),
-        weights in arb_weights(4, 3, 3),
-    ) {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let n = douts.len().min(mask_srcs.len());
-        let douts = &douts[..n];
-        let masks: Vec<_> = mask_srcs[..n].iter().map(SparseFeatureMap::masks).collect();
-        for handle in engines_under_test() {
-            let engine = handle.engine();
-            let batched = engine.input_grad_batch(douts, &weights, geom, H, W, &masks);
-            for ((dout, mask), got) in douts.iter().zip(&masks).zip(&batched) {
-                let per_sample = engine.input_grad(dout, &weights, geom, H, W, mask);
-                prop_assert_eq!(got.as_slice(), per_sample.as_slice(), "engine {}", handle.name());
-                if handle.name() != "fixed" {
-                    let reference = ScalarEngine.input_grad(dout, &weights, geom, H, W, mask);
-                    prop_assert_eq!(got.as_slice(), reference.as_slice(), "engine {}", handle.name());
-                }
+    fn batch_parity(layer in arb_layer(), n in 1usize..=4, mixed in any::<bool>(), fill in any::<u64>()) {
+        let mut fill = Fill(fill | 1);
+        let (weights, bias) = layer.weights(&mut fill);
+        let bias = layer.bias.then_some(&bias[..]);
+        let first = layer.sample(&mut fill);
+        let (h, w) = (first.input.height(), first.input.width());
+        let mut samples = vec![first];
+        while samples.len() < n {
+            samples.push(if mixed { layer.sample(&mut fill) } else { layer.sample_on(h, w, &mut fill) });
+        }
+        let ops: Vec<StageOp<'_>> = samples.iter().map(|s| layer.op(s, &weights, bias)).collect();
+        let shared = layer.stage == Stage::WeightGrad;
+        let seeds: Vec<Vec<f32>> = samples.iter().take(if shared { 1 } else { n }).map(|s| s.seed.clone()).collect();
+
+        let sample_by_sample = |engine: &dyn KernelEngine| {
+            let mut outs = seeds.clone();
+            for (s, op) in ops.iter().enumerate() {
+                engine.run(op, &mut outs[if shared { 0 } else { s }]);
             }
-        }
-    }
-
-    /// Batched GTW: the shared batch accumulator is bitwise-identical to
-    /// accumulating sample by sample on every registered engine.
-    #[test]
-    fn weight_grad_batch_parity_all_engines(
-        inputs in arb_batch(2, 4),
-        douts in arb_batch(3, 4),
-    ) {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let n = inputs.len().min(douts.len());
-        let (inputs, douts) = (&inputs[..n], &douts[..n]);
-        for handle in engines_under_test() {
-            let engine = handle.engine();
-            let mut batched = Tensor4::zeros(3, 2, 3, 3);
-            engine.weight_grad_batch_into(inputs, douts, geom, &mut batched);
-            let mut per_sample = Tensor4::zeros(3, 2, 3, 3);
-            for (input, dout) in inputs.iter().zip(douts) {
-                engine.weight_grad_into(input, dout, geom, &mut per_sample);
+            outs
+        };
+        let want = sample_by_sample(&ScalarEngine);
+        for (name, engine, float) in oracle_engines(&ParallelEngine::with_threads(layer.threads)) {
+            let mut got = seeds.clone();
+            let out = if shared {
+                BatchOut::Shared(&mut got[0])
+            } else {
+                BatchOut::PerSample(got.iter_mut().map(Vec::as_mut_slice).collect())
+            };
+            engine.run_batch(&ops, out);
+            prop_assert_eq!(&got, &sample_by_sample(engine), "engine {} batch vs per-sample, {:?}", name, layer);
+            if float {
+                prop_assert_eq!(&got, &want, "engine {} batch vs scalar, {:?}", name, layer);
             }
-            prop_assert_eq!(batched.as_slice(), per_sample.as_slice(), "engine {}", handle.name());
-        }
-    }
-
-    /// Both float engines match the dense reference forward within
-    /// accumulation tolerance.
-    #[test]
-    fn forward_matches_dense_reference(
-        input in arb_feature_map(3),
-        weights in arb_weights(4, 3, 3),
-        geom in arb_geom().prop_filter("kernel 3", |g| g.kernel == 3),
-    ) {
-        let dense_in = input.to_tensor();
-        let want = conv::forward(&dense_in, &weights, None, geom);
-        for name in ["scalar", "parallel"] {
-            let engine = registry::lookup(name).unwrap().engine();
-            let got = engine.forward(&input, &weights, None, geom);
-            assert_close(got.as_slice(), want.as_slice(), 1e-4)?;
-        }
-    }
-
-    /// Both float engines match the dense reference weight gradient.
-    #[test]
-    fn weight_grad_matches_dense_reference(
-        input in arb_feature_map(2),
-        dout in arb_feature_map(3),
-    ) {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let want = conv::weight_grad(&input.to_tensor(), &dout.to_tensor(), geom);
-        for name in ["scalar", "parallel"] {
-            let engine = registry::lookup(name).unwrap().engine();
-            let got = engine.weight_grad(&input, &dout, geom);
-            assert_close(got.as_slice(), want.as_slice(), 1e-4)?;
         }
     }
 
@@ -246,12 +364,13 @@ proptest! {
         geom in arb_geom().prop_filter("kernel 3", |g| g.kernel == 3),
     ) {
         let fixed = registry::lookup("fixed").unwrap().engine();
-        let got = fixed.forward(&input, &weights, None, geom);
-        let want = ScalarEngine.forward(&input, &weights, None, geom);
+        let op = forward_op(&input, &weights, geom);
+        let got = op.run_on(fixed);
+        let want = op.run_on(&ScalarEngine);
         let eps = FixedPointEngine::q8_8().format().epsilon();
         let terms = (3 * geom.kernel * geom.kernel) as f32;
         let bound = terms * 1.76 * eps + eps / 2.0;
-        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             prop_assert!(
                 (g - w).abs() <= bound,
                 "output {} error {} exceeds bound {}",
@@ -273,13 +392,14 @@ proptest! {
     ) {
         let geom = ConvGeometry::new(3, 1, 1);
         let fixed = registry::lookup("fixed").unwrap().engine();
-        let got = fixed.weight_grad(&input, &dout, geom);
-        let want = ScalarEngine.weight_grad(&input, &dout, geom);
+        let op = StageOp::WeightGrad { input: &input, dout: &dout, geom };
+        let got = op.run_on(fixed);
+        let want = op.run_on(&ScalarEngine);
         let eps = FixedPointEngine::q8_8().format().epsilon();
         // Each tap accumulates at most Ho × Ow products.
         let terms = (H * W) as f32;
         let bound = terms * 2.1 * eps + eps / 2.0;
-        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             prop_assert!(
                 (g - w).abs() <= bound,
                 "tap {} error {} exceeds bound {}",
@@ -442,22 +562,30 @@ fn simd_portable_path_matches_dispatched() {
         ((f * 7 + c * 5 + u * 3 + v) % 9) as f32 * 0.125 - 0.5
     });
     let masks = input.masks();
-    let auto = SimdEngine::auto();
-    let portable = SimdEngine::portable();
-    assert_eq!(
-        auto.forward(&input, &weights, None, geom).as_slice(),
-        portable.forward(&input, &weights, None, geom).as_slice()
-    );
-    assert_eq!(
-        auto.input_grad(&dout, &weights, geom, H, W, &masks).as_slice(),
-        portable
-            .input_grad(&dout, &weights, geom, H, W, &masks)
-            .as_slice()
-    );
-    assert_eq!(
-        auto.weight_grad(&input, &dout, geom).as_slice(),
-        portable.weight_grad(&input, &dout, geom).as_slice()
-    );
+    let ops = [
+        forward_op(&input, &weights, geom),
+        StageOp::InputGrad {
+            dout: &dout,
+            weights: &weights,
+            geom,
+            masks: &masks,
+            in_h: H,
+            in_w: W,
+        },
+        StageOp::WeightGrad {
+            input: &input,
+            dout: &dout,
+            geom,
+        },
+    ];
+    for op in ops {
+        assert_eq!(
+            op.run_on(&SimdEngine::auto()),
+            op.run_on(&SimdEngine::portable()),
+            "{}",
+            op.stage()
+        );
+    }
 }
 
 /// BandContext reuse: one engine call prepares (densifies) its operands
@@ -479,30 +607,12 @@ fn band_context_prepared_once_per_engine_call() {
             "counting-simd"
         }
 
-        fn prepare_forward(
-            &self,
-            input: &SparseFeatureMap,
-            weights: &Tensor4,
-            bias: Option<&[f32]>,
-            geom: ConvGeometry,
-        ) -> BandContext {
+        fn prepare(&self, op: &StageOp<'_>) -> BandContext {
             self.prepares.fetch_add(1, Ordering::SeqCst);
-            SimdEngine::auto().prepare_forward(input, weights, bias, geom)
+            SimdEngine::auto().prepare(op)
         }
 
-        #[allow(clippy::too_many_arguments)]
-        fn forward_band(
-            &self,
-            ctx: &BandContext,
-            input: &SparseFeatureMap,
-            weights: &Tensor4,
-            bias: Option<&[f32]>,
-            geom: ConvGeometry,
-            oh: usize,
-            ow: usize,
-            f_lo: usize,
-            out_band: &mut [f32],
-        ) {
+        fn band(&self, ctx: &BandContext, op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
             self.bands.fetch_add(1, Ordering::SeqCst);
             // The input below is dense, so the preparation must have
             // densified it — every band borrows that one map instead of
@@ -511,7 +621,7 @@ fn band_context_prepared_once_per_engine_call() {
                 !ctx.dense().is_empty(),
                 "band did not receive the prepared densified operand map"
             );
-            SimdEngine::auto().forward_band(ctx, input, weights, bias, geom, oh, ow, f_lo, out_band);
+            SimdEngine::auto().band(ctx, op, lo, out);
         }
     }
 
@@ -526,14 +636,14 @@ fn band_context_prepared_once_per_engine_call() {
         0.25 + (c + y + x) as f32 * 0.125
     }));
     let weights = Tensor4::from_fn(8, 3, 3, 3, |f, c, u, v| ((f + c + u + v) % 5) as f32 * 0.25 - 0.5);
-    let want = ScalarEngine.forward(&input, &weights, None, geom);
+    let op = forward_op(&input, &weights, geom);
+    let want = op.run_on(&ScalarEngine);
 
     let mut expected_prepares = 0;
     for threads in [1usize, 2, 4, 7] {
         let engine = ParallelEngine::over("test:counting", &COUNTING).banded(threads);
         let bands_before = COUNTING.bands.load(Ordering::SeqCst);
-        let got = engine.forward(&input, &weights, None, geom);
-        assert_eq!(got.as_slice(), want.as_slice(), "threads {threads}");
+        assert_eq!(op.run_on(&engine), want, "threads {threads}");
         expected_prepares += 1;
         assert_eq!(
             COUNTING.prepares.load(Ordering::SeqCst),
@@ -551,15 +661,19 @@ fn band_context_prepared_once_per_engine_call() {
     }
 
     // Batched entry point: one preparation per sample, not per band chunk.
-    let inputs = vec![input.clone(), input.clone(), input];
+    let ops = [op; 3];
     let engine = ParallelEngine::over("test:counting", &COUNTING).banded(5);
-    let outs = engine.forward_batch(&inputs, &weights, None, geom);
+    let mut outs = vec![vec![0.0f32; op.out_len()]; ops.len()];
+    engine.run_batch(
+        &ops,
+        BatchOut::PerSample(outs.iter_mut().map(Vec::as_mut_slice).collect()),
+    );
     for out in &outs {
-        assert_eq!(out.as_slice(), want.as_slice());
+        assert_eq!(out, &want);
     }
     assert_eq!(
         COUNTING.prepares.load(Ordering::SeqCst),
-        expected_prepares + inputs.len(),
+        expected_prepares + ops.len(),
         "batched call prepares once per sample"
     );
 }
@@ -585,16 +699,28 @@ fn im2row_fallback_legs_match_scalar() {
     }));
 
     for geom in [ConvGeometry::new(3, 1, 1), ConvGeometry::new(3, 2, 1)] {
-        let want = ScalarEngine.forward(&input, &weights, None, geom);
-        let got = engine.forward(&input, &weights, None, geom);
-        assert_eq!(got.as_slice(), want.as_slice(), "stride {}", geom.stride);
+        let op = forward_op(&input, &weights, geom);
+        assert_eq!(
+            op.run_on(engine),
+            op.run_on(&ScalarEngine),
+            "stride {}",
+            geom.stride
+        );
     }
 
     let geom = ConvGeometry::new(3, 1, 1);
     let mut bias = vec![0.5f32; 9];
     bias[4] = -0.0;
-    let want = ScalarEngine.forward(&input, &weights, Some(&bias), geom);
-    let got = engine.forward(&input, &weights, Some(&bias), geom);
-    let bits = |t: &Tensor3| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&got), bits(&want), "-0.0 bias leg");
+    let op = StageOp::Forward {
+        input: &input,
+        weights: &weights,
+        bias: Some(&bias),
+        geom,
+    };
+    let bits = |values: Vec<f32>| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(op.run_on(engine)),
+        bits(op.run_on(&ScalarEngine)),
+        "-0.0 bias leg"
+    );
 }

@@ -3,9 +3,9 @@
 
 use sparsetrain::core::prune::PruneConfig;
 use sparsetrain::nn::data::SyntheticSpec;
-use sparsetrain::nn::layer::param_count;
 use sparsetrain::nn::models;
 use sparsetrain::nn::train::{TrainConfig, Trainer};
+use sparsetrain::nn::Layer;
 use sparsetrain::sim::update::{update_cost_per_sample, UpdateRule};
 use sparsetrain::sim::{ArchConfig, Machine};
 
@@ -21,7 +21,7 @@ fn weight_update_is_a_small_fraction_of_a_resnet_step() {
     spec.test_samples = 4;
     let (train, _) = spec.generate();
     let net = models::resnet18(3, 8, 8, Some(PruneConfig::paper_default()), 3);
-    let params = param_count(&net) as u64;
+    let params = net.param_count() as u64;
     let mut trainer = Trainer::new(net, TrainConfig::quick());
     trainer.train_epoch(&train);
     let trace = trainer.capture_trace(&train, "resnet18", "tiny");
@@ -53,7 +53,7 @@ fn update_share_shrinks_as_convs_grow() {
         spec.size = size;
         let (train, _) = spec.generate();
         let net = models::mini_cnn_for(3, spec.size, 3, 8, None, 4);
-        let params = param_count(&net) as u64;
+        let params = net.param_count() as u64;
         let mut trainer = Trainer::new(net, TrainConfig::quick());
         trainer.train_epoch(&train);
         let trace = trainer.capture_trace(&train, "mini", "tiny");
