@@ -17,11 +17,11 @@
 //! cores for the batched shapes below, parity on 1 core where it
 //! degenerates to one band — the CI multi-core leg gates on exactly this
 //! ratio via `sparsetrain-bench multicore`). The simd engine's win is
-//! lane-level and shows up even on one core wherever rows are dense
-//! enough to sweep (`≥1.5×` expected on AVX2 at the forward densities
-//! below); the im2row engine targets the dense early-layer forward legs
-//! (`conv1`/`conv2`), where its register-tiled patch reduction beats the
-//! row sweeps. The `engine_end_to_end` group runs all three stages of each
+//! lane-level — it walks the non-zeros with its lanes across the filter /
+//! channel axis — and shows up even on one core at every density and row
+//! width below; the im2row engine targets the near-dense `conv1` forward
+//! leg, the one place its register-tiled patch reduction still beats the
+//! non-zero walk. The `engine_end_to_end` group runs all three stages of each
 //! layer through the planned `ExecutionContext` seam, pitting the `auto`
 //! planner's per-(layer, stage) choices against every single global
 //! engine. The `pruning` group covers the stochastic pruning stage:

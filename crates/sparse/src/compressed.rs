@@ -39,8 +39,11 @@ impl SparseVec {
 
     /// Compresses a dense slice, dropping exact zeros.
     pub fn from_dense(dense: &[f32]) -> Self {
-        let mut offsets = Vec::new();
-        let mut values = Vec::new();
+        // Count first: one exact allocation per part instead of growing
+        // both from empty, row after row.
+        let nnz = dense.iter().filter(|&&v| v != 0.0).count();
+        let mut offsets = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
         for (i, &v) in dense.iter().enumerate() {
             if v != 0.0 {
                 offsets.push(i as u32);

@@ -20,8 +20,9 @@
 //! * [`KernelEngine::prepare`] / [`KernelEngine::band`] — the banding seam:
 //!   an op's output splits into independent contiguous *units*
 //!   ([`StageOp::split`]: filters for Forward/GTW, channels for GTA), and
-//!   `band` computes any contiguous run of them given the per-call state
-//!   `prepare` built once.
+//!   `band` computes any contiguous run of them — for one op, or for every
+//!   op of a batch that adds into one shared output — given the per-call
+//!   state `prepare` built once for the whole batch.
 //!
 //! The float engines shipped here:
 //!
@@ -40,12 +41,14 @@
 //!   registered as `"parallel:simd"`.
 //!
 //! [`BandContext`] is the per-call operand state on the band seam: before
-//! fanning an op out into bands, the caller asks the inner engine to
-//! `prepare` it once and passes the resulting context by reference into
-//! every band worker. Backends use it to hoist per-call operand
-//! transformations — the simd engine's densified operand maps, the im2row
-//! engine's blocked patch matrix — above the fan-out, so `B` bands share
-//! one preparation instead of redoing it `B` times.
+//! fanning a call out into bands, the caller asks the inner engine to
+//! `prepare` its ops once and passes the resulting contexts by reference
+//! into every band worker. Backends use it to hoist per-call operand
+//! transformations — the simd engine's channel-contiguous weight re-layout
+//! (one per call, shared by every sample's context) and channels-last
+//! input copy, the im2row engine's blocked patch matrix — above the
+//! fan-out, so `B` bands share one preparation instead of redoing it `B`
+//! times.
 //!
 //! Beyond the convolutions, [`KernelEngine::for_each_batch_chunk`] is the
 //! elementwise batch seam: position-pure per-element work (stochastic
@@ -76,24 +79,32 @@ use crate::rowconv::SparseFeatureMap;
 use crate::src::src_accumulate;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::Tensor4;
+use std::sync::Arc;
 
-/// Per-call operand state shared by every band of one engine call.
+/// Per-call operand state of one op, shared by every band of one engine
+/// call.
 ///
-/// A `BandContext` is built **once per op** by the executing engine's
-/// [`KernelEngine::prepare`], *above* the band fan-out, and then passed by
-/// reference into every band worker. It carries whatever per-call operand
-/// transformation the backend wants to hoist out of the bands:
+/// The contexts of a call are built **once** by the executing engine's
+/// [`KernelEngine::prepare`] — one per op, *above* the band fan-out — and
+/// then passed by reference into every band worker. A context carries
+/// whatever per-call operand transformation the backend wants to hoist out
+/// of the bands:
 ///
-/// * `dense` — a densified copy of the op's sparse operand map
-///   (channel-major `C × H × W`; the simd engine's row sweeps read it),
+/// * `weights` — the call's kernel weights re-laid so the lane axis is
+///   contiguous (the simd engine's `[u][ci][v][F]` / `[fi][u][v][C]`
+///   copies). The re-layout does not depend on the sample, so the contexts
+///   of one call hold the **same** allocation by reference count,
+/// * `dense` — a dense copy of the op's sparse operand map, in the layout
+///   the preparing engine reads (the simd engine's channels-last
+///   `H × W × C` input copy for GTW),
 /// * `patches` / `patch_len` / `dense_rows` — the im2row engine's blocked
 ///   receptive-field patch matrix plus its per-output-row classification.
 ///
-/// The scalar reference needs no preparation and returns an empty context;
-/// band workers must treat an empty context as "prepare locally or fall
-/// back to the scalar path", so a context from the wrong engine can never
-/// change results — only speed. A context is only valid for the exact
-/// op it was prepared from.
+/// The scalar reference needs no preparation and returns empty contexts;
+/// band workers must treat a context lacking their state as "prepare
+/// locally or fall back to the scalar path", so a context from the wrong
+/// engine can never change results — only speed. A context is only valid
+/// for the exact op it was prepared from.
 ///
 /// Memory tradeoff: a batched call holds **one context per sample** for
 /// the duration of the call (every sample's bands may run concurrently,
@@ -104,6 +115,7 @@ use sparsetrain_tensor::Tensor4;
 /// preparation cost is already amortized within each sub-batch.
 #[derive(Debug, Default)]
 pub struct BandContext {
+    weights: Option<Arc<[f32]>>,
     dense: Vec<f32>,
     patches: Vec<f32>,
     patch_len: usize,
@@ -118,15 +130,27 @@ impl BandContext {
 
     /// Whether no prepared state is attached at all.
     pub fn is_empty(&self) -> bool {
-        self.dense.is_empty() && self.patches.is_empty()
+        self.weights.is_none() && self.dense.is_empty() && self.patches.is_empty()
     }
 
-    /// Attaches a densified operand map (channel-major `C × H × W`).
+    /// Attaches the call's re-laid kernel weights; every context of one
+    /// engine call is handed a clone of the same `Arc`.
+    pub fn set_weights(&mut self, weights: Arc<[f32]>) {
+        self.weights = Some(weights);
+    }
+
+    /// The call's re-laid kernel weights, or `None` when none were
+    /// prepared.
+    pub fn weights(&self) -> Option<&Arc<[f32]>> {
+        self.weights.as_ref()
+    }
+
+    /// Attaches a dense copy of the op's sparse operand map.
     pub fn set_dense(&mut self, map: Vec<f32>) {
         self.dense = map;
     }
 
-    /// The densified operand map, or `&[]` when none was prepared.
+    /// The dense operand copy, or `&[]` when none was prepared.
     pub fn dense(&self) -> &[f32] {
         &self.dense
     }
@@ -258,15 +282,19 @@ impl StageOp<'_> {
         }
     }
 
-    /// Rough MAC count *per output unit*: every non-zero of the swept
-    /// operand (the activations for Forward and GTW, the gradients for
-    /// GTA) meets `K` kernel taps.
+    /// Rough MAC count *per output unit*, priced by what the kernels
+    /// iterate: every stored non-zero of the swept operand meets `K × K`
+    /// kernel taps — the activations for a Forward filter, the output
+    /// gradients for a GTA channel, and for a GTW filter its own share of
+    /// the output gradients against all `C` input channels.
     pub fn work(&self) -> usize {
+        let taps = |geom: ConvGeometry| geom.kernel * geom.kernel;
         match *self {
-            StageOp::Forward { input, geom, .. } | StageOp::WeightGrad { input, geom, .. } => {
-                input.nnz() * geom.kernel
+            StageOp::Forward { input, geom, .. } => input.nnz() * taps(geom),
+            StageOp::InputGrad { dout, geom, .. } => dout.nnz() * taps(geom),
+            StageOp::WeightGrad { input, dout, geom } => {
+                dout.nnz() * taps(geom) * input.channels() / dout.channels().max(1)
             }
-            StageOp::InputGrad { dout, geom, .. } => dout.nnz() * geom.kernel,
         }
     }
 
@@ -386,31 +414,40 @@ impl<'a> BatchOut<'a> {
 /// Every method accumulates into caller-provided slices (pre-zeroed or
 /// pre-seeded by the caller) and must produce results bitwise identical to
 /// [`ScalarEngine`], whose defaults these are. A backend overrides
-/// `prepare` + `band` (and composes with [`ParallelEngine`] for free), or
-/// `run` when banding it would model nothing
-/// ([`crate::fixed_engine::FixedPointEngine`]).
+/// `prepare` + `band` (and composes with [`ParallelEngine`] for free);
+/// `run` and `run_batch` are those two plus the shape checks.
 pub trait KernelEngine: Send + Sync {
     /// Engine name for reports and benches.
     fn name(&self) -> &'static str;
 
-    /// Builds the per-call operand state for `op` — invoked **once**,
-    /// above the band fan-out. The default prepares nothing.
-    fn prepare(&self, op: &StageOp<'_>) -> BandContext {
-        let _ = op;
-        BandContext::empty()
+    /// Builds the per-call operand state of `ops`, one context per op in
+    /// order — invoked **once** per engine call, above the band fan-out,
+    /// so state that does not depend on the sample (a weight re-layout) is
+    /// built once and shared by the call's contexts. The default prepares
+    /// nothing.
+    fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
+        ops.iter().map(|_| BandContext::empty()).collect()
     }
 
-    /// Computes the output units `lo..lo + n` of `op` into `out`, which
-    /// holds those `n` contiguous pre-seeded units ([`StageOp::split`]).
-    /// `ctx` is the call's shared [`BandContext`], from `prepare` on the
-    /// same op; an empty or foreign context never changes results — band
-    /// workers re-prepare locally or take the scalar path. Band calls
-    /// trust their caller for shape validation (`run` / `run_batch` run
-    /// the checks). The default is the scalar reference loop; every
-    /// override must stay bitwise identical to it.
-    fn band(&self, ctx: &BandContext, op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
-        let _ = ctx;
-        scalar_band(op, lo, out);
+    /// Adds the output units `lo..lo + n` of every op of `ops`, in order,
+    /// into `out`, which holds those `n` contiguous pre-seeded units
+    /// ([`StageOp::split`]): one op for a per-sample output, the whole
+    /// batch for a shared one (all ops then split alike). `ctxs` are the
+    /// ops' [`BandContext`]s, from `prepare` on the same ops; a context
+    /// lacking the engine's state never changes results — band workers
+    /// re-prepare locally or take the scalar path. Band calls trust their
+    /// caller for shape validation (`run` / `run_batch` run the checks).
+    /// The default is the scalar reference loop; every override must stay
+    /// bitwise identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Overrides may panic when `ctxs` and `ops` differ in length.
+    fn band(&self, ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
+        let _ = ctxs;
+        for op in ops {
+            scalar_band(op, lo, out);
+        }
     }
 
     /// Runs one op into `out`. The default validates shapes, prepares, and
@@ -421,32 +458,30 @@ pub trait KernelEngine: Send + Sync {
     /// Panics on shape mismatches ([`StageOp::check`]).
     fn run(&self, op: &StageOp<'_>, out: &mut [f32]) {
         op.check(out.len());
-        let ctx = self.prepare(op);
-        self.band(&ctx, op, 0, out);
+        let ops = std::slice::from_ref(op);
+        self.band(&self.prepare(ops), ops, 0, out);
     }
 
     /// Runs a whole batch in one engine call — the accelerator streams
     /// batches through the datapath to amortize control overhead, and the
-    /// software engines mirror that. The default runs the samples in
-    /// order, which *defines* the result: every override must stay bitwise
-    /// identical to it (verified by the `engine_parity` property tests).
+    /// software engines mirror that. The default prepares the batch once
+    /// and runs the samples in order as whole-range bands, which *defines*
+    /// the result: every override must stay bitwise identical to it
+    /// (verified by the `engine_parity` property tests).
     ///
     /// # Panics
     ///
     /// Panics on batch length or shape mismatches ([`BatchOut::check`]).
     fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
         out.check(ops);
+        let ctxs = self.prepare(ops);
         match out {
             BatchOut::PerSample(outs) => {
-                for (op, out) in ops.iter().zip(outs) {
-                    self.run(op, out);
+                for (s, out) in outs.into_iter().enumerate() {
+                    self.band(&ctxs[s..=s], &ops[s..=s], 0, out);
                 }
             }
-            BatchOut::Shared(acc) => {
-                for op in ops {
-                    self.run(op, acc);
-                }
-            }
+            BatchOut::Shared(acc) => self.band(&ctxs, ops, 0, acc),
         }
     }
 
@@ -714,11 +749,6 @@ impl ParallelEngine {
         self.bands_for_total(units, units.saturating_mul(ops_per_unit))
     }
 
-    /// One preparation per sample, shared by every band that touches it.
-    fn prepare_each(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
-        ops.iter().map(|op| self.inner.prepare(op)).collect()
-    }
-
     /// Band count for `units` independent output units carrying `total_ops`
     /// MACs altogether (used directly by the batched paths, where per-unit
     /// work varies across samples).
@@ -872,9 +902,10 @@ impl KernelEngine for ParallelEngine {
         let bands = self.bands(units, op.work());
         // One preparation for the whole call: every band borrows the same
         // operand state instead of rebuilding it.
-        let ctx = self.inner.prepare(op);
+        let ops = std::slice::from_ref(op);
+        let ctxs = self.inner.prepare(ops);
         for_each_band(out, units, unit_len, bands, |lo, band| {
-            self.inner.band(&ctx, op, lo, band);
+            self.inner.band(&ctxs, ops, lo, band);
         });
     }
 
@@ -895,9 +926,9 @@ impl KernelEngine for ParallelEngine {
                     return;
                 }
                 let bands = self.bands_for_total(ops.len() * units, total_ops);
-                let ctxs = self.prepare_each(ops);
+                let ctxs = self.inner.prepare(ops);
                 for_each_batch_band(outs, units, unit_len, bands, |s, lo, chunk| {
-                    self.inner.band(&ctxs[s], &ops[s], lo, chunk);
+                    self.inner.band(&ctxs[s..=s], &ops[s..=s], lo, chunk);
                 });
             }
             BatchOut::Shared(acc) => {
@@ -906,11 +937,9 @@ impl KernelEngine for ParallelEngine {
                 // keeping the per-element accumulation sequence identical
                 // to the per-sample path.
                 let bands = self.bands_for_total(units, total_ops);
-                let ctxs = self.prepare_each(ops);
+                let ctxs = self.inner.prepare(ops);
                 for_each_band(acc, units, unit_len, bands, |lo, band| {
-                    for (op, ctx) in ops.iter().zip(&ctxs) {
-                        self.inner.band(ctx, op, lo, band);
-                    }
+                    self.inner.band(&ctxs, ops, lo, band);
                 });
             }
         }
@@ -1072,10 +1101,21 @@ pub(crate) mod test_fixtures {
         filters: usize,
         geom: ConvGeometry,
     ) -> (SparseFeatureMap, Tensor4, Vec<f32>, SparseFeatureMap) {
+        fixtures_with(seed, density_pct, 3, filters, geom)
+    }
+
+    /// [`fixtures`] on a `channels × 9 × 11` input.
+    pub fn fixtures_with(
+        seed: u64,
+        density_pct: u64,
+        channels: usize,
+        filters: usize,
+        geom: ConvGeometry,
+    ) -> (SparseFeatureMap, Tensor4, Vec<f32>, SparseFeatureMap) {
         let mut s = seed;
         let (h, w) = (9, 11);
-        let input = sparse_tensor(3, h, w, density_pct, &mut s);
-        let weights = Tensor4::from_fn(filters, 3, geom.kernel, geom.kernel, |_, _, _, _| {
+        let input = sparse_tensor(channels, h, w, density_pct, &mut s);
+        let weights = Tensor4::from_fn(filters, channels, geom.kernel, geom.kernel, |_, _, _, _| {
             // Sprinkle exact zeros so the w == 0 tap skip is exercised.
             let v = pseudo(&mut s);
             if v.abs() < 0.1 {
@@ -1183,6 +1223,29 @@ mod tests {
                 assert_eq!(got, want, "{} threads {threads}", ops[0].stage());
             }
         }
+    }
+
+    /// GTW is priced by the gradient it walks: against the same dense
+    /// input, a 5 %-dense `dout` stays on one band at any thread count
+    /// where a dense one fans out.
+    #[test]
+    fn weight_grad_bands_follow_the_gradient_density() {
+        let mut s = 7u64;
+        let input = SparseFeatureMap::from_tensor(&test_fixtures::sparse_tensor(16, 16, 16, 100, &mut s));
+        let douts = [5, 100]
+            .map(|pct| SparseFeatureMap::from_tensor(&test_fixtures::sparse_tensor(16, 16, 16, pct, &mut s)));
+        let [sparse, dense] = douts.each_ref().map(|dout| StageOp::WeightGrad {
+            input: &input,
+            dout,
+            geom: GEOM,
+        });
+        assert!(
+            sparse.work() * 10 < dense.work(),
+            "work must follow dout's non-zeros"
+        );
+        let bands = |op: &StageOp<'_>| ParallelEngine::auto().bands(op.split().0, op.work());
+        assert_eq!(bands(&sparse), 1);
+        assert_eq!(bands(&dense), rayon::current_num_threads().min(5));
     }
 
     #[test]

@@ -13,23 +13,23 @@
 //!
 //! * values already on the grid round-trip exactly, so a convolution whose
 //!   inputs, taps and exact results are representable matches
-//!   [`ScalarEngine`] bit for bit;
+//!   [`crate::engine::ScalarEngine`] bit for bit;
 //! * otherwise the error per output is bounded by the accumulated
 //!   per-term rounding (see `fixed_point_error_bounds` in the
 //!   `engine_parity` suite).
 //!
 //! This is a *modelling* backend: it clones and quantizes its operands per
-//! call and makes no attempt at speed. It overrides [`KernelEngine::run`]
-//! directly (quantize the [`StageOp`]'s operands, run the scalar
-//! reference, round the store), so the band seam
-//! ([`crate::engine::BandContext`], the `prepare` / `band` split the float
-//! engines hoist operand state through) never engages — banding a
-//! quantization model would model nothing. A batch is the default
-//! sample-order [`KernelEngine::run_batch`], so a shared `dW` is rounded
-//! after every sample. Select it by name (`"fixed"`) via the
+//! call and makes no attempt at speed. It overrides [`KernelEngine::band`]
+//! alone (per op: quantize the [`StageOp`]'s operands, run the scalar
+//! reference band, round the store) and prepares nothing
+//! ([`crate::engine::BandContext`] stays empty); it is never composed with
+//! [`crate::engine::ParallelEngine`] — banding a quantization model would
+//! model nothing. A batch is the default sample-order
+//! [`KernelEngine::run_batch`], so a shared `dW` is rounded after every
+//! sample. Select it by name (`"fixed"`) via the
 //! [registry](crate::registry).
 
-use crate::engine::{KernelEngine, ScalarEngine, StageOp};
+use crate::engine::{scalar_band, BandContext, KernelEngine, StageOp};
 use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::qformat::QFormat;
 use sparsetrain_tensor::Tensor4;
@@ -79,7 +79,16 @@ impl KernelEngine for FixedPointEngine {
         "fixed"
     }
 
-    fn run(&self, op: &StageOp<'_>, out: &mut [f32]) {
+    fn band(&self, _ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
+        for op in ops {
+            self.quantized_band(op, lo, out);
+        }
+    }
+}
+
+impl FixedPointEngine {
+    /// One op's band: operands rounded, scalar reference, store rounded.
+    fn quantized_band(&self, op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
         match *op {
             StageOp::Forward {
                 input,
@@ -96,7 +105,7 @@ impl KernelEngine for FixedPointEngine {
                     bias: q_bias.as_deref(),
                     geom,
                 };
-                ScalarEngine.run(&q_op, out);
+                scalar_band(&q_op, lo, out);
             }
             StageOp::InputGrad {
                 dout,
@@ -116,7 +125,7 @@ impl KernelEngine for FixedPointEngine {
                     in_h,
                     in_w,
                 };
-                ScalarEngine.run(&q_op, out);
+                scalar_band(&q_op, lo, out);
             }
             StageOp::WeightGrad { input, dout, geom } => {
                 let q_input = self.quantize_map(input);
@@ -126,13 +135,12 @@ impl KernelEngine for FixedPointEngine {
                     dout: &q_dout,
                     geom,
                 };
-                ScalarEngine.run(&q_op, out);
+                scalar_band(&q_op, lo, out);
             }
         }
         // The store is rounded after every op. For GTW that means after
-        // every sample of a batch (the default `run_batch` runs this in
-        // sample order on the shared `dW`), modelling a Q-format gradient
-        // accumulator memory.
+        // every sample of a batch (`band` runs this in sample order on the
+        // shared `dW`), modelling a Q-format gradient accumulator memory.
         self.fmt.roundtrip_slice(out);
     }
 }
@@ -140,6 +148,7 @@ impl KernelEngine for FixedPointEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ScalarEngine;
     use sparsetrain_tensor::conv::ConvGeometry;
     use sparsetrain_tensor::Tensor3;
 

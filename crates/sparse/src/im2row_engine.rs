@@ -43,16 +43,17 @@
 //! The **density cutoff** ([`CUTOFF`]) decides when a row is worth the
 //! dense treatment: an output row takes the micro-kernel only when every
 //! in-bounds input row feeding it carries at least one non-zero per
-//! `CUTOFF` elements (density ≥ 1/8 — the same break-even as the simd
-//! engine's sweeps) **or is empty** (empty rows cost the reduction only
-//! exact zero terms, so they never veto a row). Output rows fed by
-//! below-cutoff rows keep the work-proportional sparse kernels.
+//! `CUTOFF` elements (density ≥ 1/8 — where an 8-lane dense reduction
+//! costs what the per-non-zero kernels do) **or is empty** (empty rows
+//! cost the reduction only exact zero terms, so they never veto a row).
+//! Output rows fed by below-cutoff rows keep the work-proportional sparse
+//! kernels.
 //!
 //! GTA and GTW inherit the scalar band defaults: the backward operand (the
 //! pruned output gradient) is sparse by construction, which is the regime
-//! the SRC-family kernels and the simd sweeps already serve; lowering it
-//! densely would do strictly more work. Use `"simd"` / `"parallel:simd"`
-//! when the backward stages dominate.
+//! the SRC-family kernels and the simd engine's non-zero walks already
+//! serve; lowering it densely would do strictly more work. Use `"simd"` /
+//! `"parallel:simd"` when the backward stages dominate.
 //!
 //! Like the simd engine, the micro-kernel is runtime-dispatched between an
 //! x86_64 AVX2 implementation (`vmulps`/`vaddps`, never `vfmadd`) and a
@@ -63,7 +64,7 @@
 use crate::compressed::SparseVec;
 use crate::engine::{scalar_band, BandContext, KernelEngine, StageOp};
 use crate::rowconv::SparseFeatureMap;
-use crate::simd_engine::{avx2_available, contains_negative_zero, densify_map};
+use crate::simd_engine::{avx2_available, contains_negative_zero};
 use crate::src::src_accumulate;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::Tensor4;
@@ -144,6 +145,26 @@ unsafe fn tile_kernel_avx2(acc: &mut [f32; TILE], prow: &[f32], wt: &[f32]) {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Im2RowEngine {
     force_portable: bool,
+}
+
+/// Writes the rows of `fm` selected by `select` into a dense
+/// channel-major buffer (`channels × height × width`); unselected rows are
+/// left zero (they are only read through the sparse fallback).
+fn densify_map(fm: &SparseFeatureMap, select: impl Fn(&SparseVec) -> bool) -> Vec<f32> {
+    let (c, h, w) = (fm.channels(), fm.height(), fm.width());
+    let mut dense = vec![0.0f32; c * h * w];
+    for ci in 0..c {
+        for y in 0..h {
+            let row = fm.row(ci, y);
+            if select(row) {
+                let out = &mut dense[(ci * h + y) * w..(ci * h + y + 1) * w];
+                for (ix, val) in row.iter() {
+                    out[ix] = val;
+                }
+            }
+        }
+    }
+    dense
 }
 
 /// The forward lowering of one engine call: the patch matrix, its row
@@ -383,14 +404,9 @@ impl Im2RowEngine {
             }
         }
     }
-}
 
-impl KernelEngine for Im2RowEngine {
-    fn name(&self) -> &'static str {
-        "im2row"
-    }
-
-    fn prepare(&self, op: &StageOp<'_>) -> BandContext {
+    /// The patch matrix of one op; nothing is shared across a batch.
+    fn prepare_one(&self, op: &StageOp<'_>) -> BandContext {
         let mut ctx = BandContext::empty();
         // Only Forward is lowered; and when every band will fall back
         // anyway (stride ≠ 1, literal -0.0 bias), the lowering would be
@@ -407,21 +423,34 @@ impl KernelEngine for Im2RowEngine {
         }
         ctx
     }
+}
 
-    fn band(&self, ctx: &BandContext, op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
-        match *op {
-            // Stride ≠ 1 and literal -0.0 seeds (bias, or the pre-seeded
-            // accumulator when there is none) are only preserved by the
-            // scalar skips.
-            StageOp::Forward {
-                input,
-                weights,
-                bias,
-                geom,
-            } if geom.stride == 1 && !contains_negative_zero(bias.unwrap_or(&*out)) => {
-                self.src_band(ctx, input, weights, bias, geom, lo, out);
+impl KernelEngine for Im2RowEngine {
+    fn name(&self) -> &'static str {
+        "im2row"
+    }
+
+    fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
+        ops.iter().map(|op| self.prepare_one(op)).collect()
+    }
+
+    fn band(&self, ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
+        assert_eq!(ctxs.len(), ops.len(), "one context per op");
+        for (ctx, op) in ctxs.iter().zip(ops) {
+            match *op {
+                // Stride ≠ 1 and literal -0.0 seeds (bias, or the pre-seeded
+                // accumulator when there is none) are only preserved by the
+                // scalar skips.
+                StageOp::Forward {
+                    input,
+                    weights,
+                    bias,
+                    geom,
+                } if geom.stride == 1 && !contains_negative_zero(bias.unwrap_or(&*out)) => {
+                    self.src_band(ctx, input, weights, bias, geom, lo, out);
+                }
+                _ => scalar_band(op, lo, out),
             }
-            _ => scalar_band(op, lo, out),
         }
     }
 }

@@ -43,19 +43,21 @@
 //!   [`KernelEngine::band`], so thread-level and lane-level parallelism
 //!   compose.
 //! * [`engine::BandContext`] — the **band-context seam**: per-call operand
-//!   state (densified rows, im2row patch matrices) built exactly once by
-//!   the inner engine's [`KernelEngine::prepare`] *above* the band
-//!   fan-out, then shared by reference across every band — so banding an
-//!   engine never multiplies its per-call operand transformations.
-//! * [`simd_engine::SimdEngine`] — the vectorized backend: lanes run
-//!   across *independent output elements* (output pixels, weight-gradient
-//!   cells) with the scalar operand broadcast, never across a reduction,
-//!   so every element keeps the scalar per-element accumulation order and
-//!   the engine stays bitwise identical to the reference. Runtime
-//!   dispatch picks x86_64 AVX2+FMA intrinsics when the CPU reports them
-//!   and a portable `[f32; 8]` lane-blocked path otherwise; rows too
-//!   sparse to densify, strides ≠ 1 on the row sweeps, and `-0.0` biases
-//!   fall back to the scalar code itself.
+//!   state (channel-contiguous weight re-layouts, im2row patch matrices)
+//!   built exactly once per engine call by the inner engine's
+//!   [`KernelEngine::prepare`] *above* the band fan-out, then shared by
+//!   reference across every band — so banding an engine never multiplies
+//!   its per-call operand transformations.
+//! * [`simd_engine::SimdEngine`] — the vectorized backend: it walks the
+//!   stored non-zeros in the scalar engine's order and runs its lanes
+//!   across the *filter / channel axis* (always dense, never a reduction),
+//!   so work follows the non-zeros, every element keeps the scalar
+//!   per-element accumulation order and the engine stays bitwise
+//!   identical to the reference. Runtime dispatch, once per band, picks
+//!   the x86_64 AVX2+FMA build of the kernels when the CPU reports them
+//!   and the portable `[f32; 8]` lane-blocked build otherwise; only
+//!   literal `-0.0` biases or pre-seeded accumulators fall back to the
+//!   scalar code itself.
 //! * [`im2row_engine::Im2RowEngine`] — the cache-blocked dense lowering
 //!   for dense early layers: receptive fields are materialized once per
 //!   call into `(u, ci, v)`-ordered patch rows (the scalar accumulation

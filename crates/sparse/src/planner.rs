@@ -112,14 +112,10 @@ pub fn candidates() -> Vec<EngineHandle> {
 }
 
 /// Density above which the forward stage takes the cache-blocked im2row
-/// dense lowering (its internal per-row cutoff is 1/8; by 0.20 aggregate
-/// density the dense micro-kernel carries the call).
-const IM2ROW_FORWARD_DENSITY: f64 = 0.20;
-
-/// Density below which rows are too sparse for lane sweeps to pay off and
-/// the work-proportional sparse scalar kernels win (the d ≈ 0.05 regime of
-/// pruned gradients).
-const SPARSE_SCALAR_DENSITY: f64 = 0.08;
+/// dense lowering: near-dense inputs (the raw image in front of `conv1`),
+/// where there is nothing to skip and the register-tiled patch reduction
+/// carries the call.
+const IM2ROW_FORWARD_DENSITY: f64 = 0.90;
 
 /// The win-region heuristic: the engine name for one cell, given the
 /// stage, the observed density of the cell's sparse operand (activations
@@ -127,21 +123,18 @@ const SPARSE_SCALAR_DENSITY: f64 = 0.08;
 /// whether band parallelism is worth composing (more than one rayon
 /// worker).
 ///
-/// Rules distilled from the committed bench baselines: im2row dominates
-/// dense forward legs (aggregate density ≥ 0.20), simd wins mid-density
-/// legs on every stage, and below ≈ 0.08 density the sparse scalar kernels
-/// win — work proportional to nnz beats any dense sweep.
+/// Rules distilled from the committed bench baselines: im2row wins the
+/// near-dense forward leg (`conv1`, density 0.95) and loses or ties from
+/// density 0.45 down; simd — work proportional to the non-zeros, lanes
+/// across the always-dense channel axis — wins every other leg on every
+/// stage, the d ≈ 0.05 pruned-gradient regime included, so the scalar
+/// kernels are never the heuristic's answer.
 pub fn heuristic_name(stage: Stage, density: f64, parallel: bool) -> &'static str {
-    let base = match stage {
-        Stage::Forward if density >= IM2ROW_FORWARD_DENSITY => "im2row",
-        _ if density >= SPARSE_SCALAR_DENSITY => "simd",
-        _ => "scalar",
-    };
-    match (parallel, base) {
-        (false, base) => base,
-        (true, "im2row") => "parallel:im2row",
-        (true, "simd") => "parallel:simd",
-        (true, _) => "parallel",
+    match (stage, parallel) {
+        (Stage::Forward, false) if density >= IM2ROW_FORWARD_DENSITY => "im2row",
+        (Stage::Forward, true) if density >= IM2ROW_FORWARD_DENSITY => "parallel:im2row",
+        (_, false) => "simd",
+        (_, true) => "parallel:simd",
     }
 }
 
@@ -538,22 +531,23 @@ mod tests {
 
     #[test]
     fn heuristic_matches_the_measured_win_regions() {
-        // Dense forward → the cache-blocked im2row lowering.
+        // Near-dense forward → the cache-blocked im2row lowering.
         assert_eq!(heuristic_name(Stage::Forward, 0.95, false), "im2row");
-        assert_eq!(heuristic_name(Stage::Forward, 0.30, false), "im2row");
-        // Mid-density forward and gradient legs → lane sweeps.
+        // Every other leg → the non-zero walk with channel lanes.
+        assert_eq!(heuristic_name(Stage::Forward, 0.45, false), "simd");
         assert_eq!(heuristic_name(Stage::Forward, 0.10, false), "simd");
         assert_eq!(heuristic_name(Stage::InputGrad, 0.15, false), "simd");
         assert_eq!(heuristic_name(Stage::WeightGrad, 0.25, false), "simd");
-        // The pruned d ≈ 0.05 backward regime → sparse scalar kernels.
-        assert_eq!(heuristic_name(Stage::InputGrad, 0.05, false), "scalar");
-        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05, false), "scalar");
+        // The pruned d ≈ 0.05 backward regime included: simd's work is
+        // proportional to the non-zeros too.
+        assert_eq!(heuristic_name(Stage::InputGrad, 0.05, false), "simd");
+        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05, false), "simd");
         // Gradient stages never take the forward-only im2row lowering.
         assert_eq!(heuristic_name(Stage::InputGrad, 0.95, false), "simd");
         // Band parallelism composes on multi-worker pools.
         assert_eq!(heuristic_name(Stage::Forward, 0.95, true), "parallel:im2row");
         assert_eq!(heuristic_name(Stage::InputGrad, 0.15, true), "parallel:simd");
-        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05, true), "parallel");
+        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05, true), "parallel:simd");
     }
 
     #[test]
@@ -722,9 +716,9 @@ mod tests {
     #[test]
     fn auto_engine_is_bitwise_identical_to_scalar() {
         let geom = ConvGeometry::new(3, 1, 1);
-        // One dense map (im2row territory) and one sparse map (scalar
+        // One near-dense map (im2row territory) and one sparse map (simd
         // territory): the delegate changes, the bits must not.
-        for density in [90u64, 5] {
+        for density in [97u64, 5] {
             let mut seed = 0x5EED + density;
             let mut pseudo = move || {
                 seed = seed

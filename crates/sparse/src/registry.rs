@@ -173,8 +173,8 @@ fn table() -> &'static RwLock<Vec<EngineHandle>> {
             },
             EngineHandle {
                 name: "simd",
-                summary: "vector lanes across output elements (AVX2+FMA when detected, \
-                          portable blocks otherwise), bitwise equal to scalar",
+                summary: "walks the non-zeros with vector lanes across filters / channels \
+                          (AVX2+FMA when detected, portable blocks otherwise), bitwise equal to scalar",
                 engine: &SIMD,
             },
             EngineHandle {

@@ -1,89 +1,78 @@
 //! Runtime-dispatched vectorized kernel engine (`"simd"`).
 //!
-//! [`SimdEngine`] executes the SRC / MSRC / OSRC inner loops across wide
-//! lanes while staying **bitwise identical** to
-//! [`crate::engine::ScalarEngine`]. The trick is the choice of vector
-//! axis: lanes always run across *independent output elements* — output
-//! pixels for Forward/GTA, weight-gradient cells for GTW — with the scalar
-//! operand (one kernel tap, one gradient value) broadcast, and never
-//! across a reduction dimension. Each output element therefore accumulates
-//! its contributions in exactly the scalar engine's per-element order, one
-//! two-rounding `acc + x·w` at a time (the scalar kernels never fuse into
-//! `mul_add`, so neither does this engine — an FMA would change the
-//! rounding):
+//! [`SimdEngine`] walks the **stored non-zeros** of the sparse operand in
+//! exactly [`crate::engine::ScalarEngine`]'s order — one `(offset, value)`
+//! at a time, skipping everything the compressed rows skip — and spends
+//! its vector lanes on the **filter / channel axis**, the one axis of a
+//! convolution that is always dense and always wide (16–512). Work stays
+//! proportional to the non-zeros at any row width, any density and any
+//! stride; the results stay **bitwise identical** to the scalar engine.
 //!
-//! * **SRC (Forward)** — for each kernel tap `v` (ascending, the scalar
-//!   per-element order), the whole output row takes
-//!   `out[ox] += in_dense[ox − pad + v] · w[v]`: a shifted contiguous
-//!   *axpy* sweep with the tap broadcast.
-//! * **MSRC (GTA)** — the same sweep with the taps walked *descending*
-//!   (the scatter direction reverses the per-element order) and a dense
-//!   `0.0/1.0` mask factor standing in for the skip:
-//!   `din[ix] += m[ix] · (g_dense[ix + pad − v] · w[v])`. Multiplying by
-//!   `1.0` is exact and by `0.0` contributes `±0.0`, so results match the
-//!   scalar skip bit for bit on finite data.
-//! * **OSRC (GTW)** — for each gradient non-zero (ascending, the scalar
-//!   per-tap order), all `K` taps take `dw[v] += g · in_dense[base + v]`:
-//!   a `K`-lane sweep over the contiguous input window with the gradient
-//!   broadcast. Works at any stride.
+//! The kernel weights are re-laid once per engine call so the lane axis is
+//! contiguous ([`KernelEngine::prepare`]; the contexts of a batch share
+//! the one copy), and each stage accumulates into a small tile laid out
+//! the same way:
 //!
-//! The dense sweeps touch stored zeros the scalar kernels skip; those
-//! contribute `x + (±0.0·w) = x` exactly, because an accumulator that
-//! starts at `+0.0` can never become `-0.0` under round-to-nearest (an
-//! exactly cancelling sum rounds to `+0.0`). The one representable hazard
-//! — a caller-supplied literal `-0.0` in the bias or the pre-seeded
-//! accumulator — falls back to the scalar band (a cheap one-pass bit scan
-//! guards every band), as do strides ≠ 1 on the row sweeps (the gather
-//! would be non-contiguous) and rows too sparse to be worth densifying
-//! (fewer than one non-zero per lane block on average); every fallback is
-//! the scalar code itself, so parity is unconditional.
+//! * **SRC (Forward)** — per output row a `[Ow][F-band]` tile seeded from
+//!   the bias or the pre-seeded `out`; then
+//!   `for u, ci, (ix, x) in input.row(ci, iy), v:`
+//!   `tile[ox] += x · wT[u][ci][v][·]`, and the tile is transposed back
+//!   into the `[F][Oh][Ow]` planes.
+//! * **MSRC (GTA)** — an `[H][W][C-band]` tile seeded from `din`; then
+//!   `for fi, oy, u, (ox, g) in dout.row(fi, oy), v:`
+//!   `tile[iy][ix] += g · wT[fi][u][v][·]`, written back **only where the
+//!   forward mask allows** — a masked-out position keeps its seed bits, as
+//!   the scalar skip leaves it.
+//! * **OSRC (GTW)** — the `dW` band transposed to `[f][u][v][C]` once per
+//!   band call (however many samples add into it); then
+//!   `for sample, fi, oy, u, (ox, g) in dout.row(fi, oy):`
+//!   `dwT[f][u][v_lo..v_hi] += g · inCL[iy][ix_lo..ix_hi]` — one run over
+//!   the taps the non-zero reaches, against a channels-last dense copy of
+//!   the input built in `prepare` — and transposed back.
 //!
-//! Densification is hoisted **above the band fan-out**: the engine's
-//! `prepare` builds the densified operand map once per engine call into a
-//! [`crate::engine::BandContext`], and every band worker borrows it
-//! — under `"parallel:simd"` the `B` bands share one `O(C·H·W)` fill
-//! instead of redoing it `B` times (the few-percent per-band loss the
-//! first release documented). A band invoked without a prepared context
-//! (direct band calls) densifies locally, so results never depend on who
-//! prepared.
+//! Every output element still receives its contributions in the scalar
+//! per-element order — Forward `(u, ci, ix↑)`, GTA `(fi, oy↑, ox↑)`, GTW
+//! `(sample, oy↑, ox↑)`: the loop nests above are the scalar ones with the
+//! per-filter (per-channel) loop moved innermost, and no two lanes ever
+//! share an element — one two-rounding `acc + x·w` at a time (the scalar
+//! kernels never fuse into `mul_add`, so neither does this engine — an FMA
+//! would change the rounding). The only extra terms are the `x · 0 = ±0.0`
+//! of a zero weight or zero input in some lane where the scalar kernels
+//! skip; `acc + ±0.0 = acc` exactly, because an accumulator that starts
+//! as anything but `-0.0` can never become `-0.0` under round-to-nearest
+//! (an exactly cancelling sum rounds to `+0.0`). The one representable
+//! hazard — a caller-supplied literal `-0.0` in the bias or the pre-seeded
+//! accumulator — falls back to the scalar band code itself (a cheap
+//! one-pass bit scan guards every band). That is the only fallback: no
+//! density cutoff, no stride condition.
 //!
-//! Two implementations sit behind one runtime dispatch:
+//! A band invoked with contexts lacking the prepared state (direct band
+//! calls, a foreign engine's contexts) prepares locally, so results never
+//! depend on who prepared.
 //!
-//! * a **portable** lane-blocked path (fixed `[f32; 8]` blocks that LLVM
-//!   autovectorizes on every target), and
-//! * an **x86_64 AVX2+FMA** path (`#[target_feature]` + `std::arch`
-//!   intrinsics, selected per process via `is_x86_feature_detected!`;
-//!   `vmulps`/`vaddps` only — the FMA feature is enabled for the encoder
-//!   but never used to contract, see above).
-//!
-//! Both produce identical bits; [`SimdEngine::portable`] pins the portable
-//! path for tests and cross-checks. Thread-level parallelism composes
-//! through [`crate::engine::ParallelEngine::over`]: the registry's
+//! Two instantiations of the same loops sit behind one runtime dispatch,
+//! taken **once per band**: the portable one (fixed `[f32; 8]` blocks that
+//! LLVM autovectorizes on every target), and on x86_64 the same source
+//! compiled under `#[target_feature(enable = "avx2,fma")]`, selected per
+//! process via `is_x86_feature_detected!` (`vmulps`/`vaddps` on 256-bit
+//! registers; Rust never contracts a separate multiply and add, so the
+//! enabled FMA feature is not used to fuse). Both produce identical bits;
+//! [`SimdEngine::portable`] pins the portable one for tests and
+//! cross-checks. Thread-level parallelism composes through
+//! [`crate::engine::ParallelEngine::over`]: the registry's
 //! `"parallel:simd"` runs these band workers inside each rayon band.
 
-use crate::compressed::SparseVec;
 use crate::engine::{scalar_band, BandContext, KernelEngine, StageOp};
 use crate::mask::RowMask;
-use crate::msrc::msrc_accumulate;
-use crate::osrc::osrc_accumulate;
+use crate::planner::Stage;
 use crate::rowconv::SparseFeatureMap;
-use crate::src::src_accumulate;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::Tensor4;
+use std::sync::Arc;
 
-/// Vector lane-block width of the portable path (f32 lanes per block, one
-/// AVX2 register). Also the chunk-alignment granularity of the parallel
-/// element seam.
+/// Vector lane-block width (f32 lanes per block, one AVX2 register). Also
+/// the chunk-alignment granularity of the parallel element seam.
 pub(crate) const LANES: usize = 8;
-
-/// A sparse row is worth the dense sweep once it averages at least one
-/// non-zero per vector block: the sweep costs `len / LANES` block ops
-/// where the sparse kernel costs `nnz` scalar ops.
-const DENSE_CUTOFF_LANES: usize = LANES;
-
-fn dense_worthwhile(nnz: usize, len: usize) -> bool {
-    nnz * DENSE_CUTOFF_LANES >= len
-}
 
 pub(crate) fn contains_negative_zero(values: &[f32]) -> bool {
     values.iter().any(|v| v.to_bits() == (-0.0f32).to_bits())
@@ -104,166 +93,339 @@ pub(crate) fn avx2_available() -> bool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The two vector primitives (portable + AVX2)
-// ---------------------------------------------------------------------------
-
 /// `dst[i] += src[i] * w` — multiply then add, two roundings, exactly the
-/// scalar kernels' arithmetic.
-fn saxpy(avx2: bool, dst: &mut [f32], src: &[f32], w: f32) {
+/// scalar kernels' arithmetic. Each `[f32; LANES]` block is copied out,
+/// updated and stored back by value: that shape compiles to one vector
+/// load-multiply-add-store per block at whatever width the enclosing band
+/// function was compiled for, where updating the block through the slice
+/// makes LLVM re-vectorize across blocks (8× unrolled, masked tail) at
+/// 2.3× the cost on the 16–48-wide rows these kernels sweep.
+#[inline(always)]
+fn axpy(dst: &mut [f32], src: &[f32], w: f32) {
     debug_assert_eq!(dst.len(), src.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx2 {
-        // SAFETY: `avx2` is only true when runtime detection reported
-        // AVX2+FMA support for this process.
-        unsafe { saxpy_avx2(dst, src, w) };
-        return;
-    }
-    let _ = avx2;
-    saxpy_portable(dst, src, w);
-}
-
-/// `dst[i] += mask[i] * (src[i] * w)` with `mask` ∈ {0.0, 1.0}.
-fn saxpy_masked(avx2: bool, dst: &mut [f32], src: &[f32], mask: &[f32], w: f32) {
-    debug_assert_eq!(dst.len(), src.len());
-    debug_assert_eq!(dst.len(), mask.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx2 {
-        // SAFETY: as in `saxpy`.
-        unsafe { saxpy_masked_avx2(dst, src, mask, w) };
-        return;
-    }
-    let _ = avx2;
-    saxpy_masked_portable(dst, src, mask, w);
-}
-
-/// Portable lane-blocked axpy: fixed-width `[f32; LANES]` blocks keep the
-/// loop free of trip-count surprises so LLVM emits one vector multiply and
-/// one vector add per block on every target.
-fn saxpy_portable(dst: &mut [f32], src: &[f32], w: f32) {
     let mut d = dst.chunks_exact_mut(LANES);
     let mut s = src.chunks_exact(LANES);
     for (db, sb) in (&mut d).zip(&mut s) {
-        let db: &mut [f32; LANES] = db.try_into().expect("exact chunk");
-        let sb: &[f32; LANES] = sb.try_into().expect("exact chunk");
+        let mut acc: [f32; LANES] = (&*db).try_into().expect("exact chunk");
+        let sv: [f32; LANES] = sb.try_into().expect("exact chunk");
         for i in 0..LANES {
-            db[i] += sb[i] * w;
+            acc[i] += sv[i] * w;
         }
+        db.copy_from_slice(&acc);
     }
     for (d1, s1) in d.into_remainder().iter_mut().zip(s.remainder()) {
         *d1 += *s1 * w;
     }
 }
 
-fn saxpy_masked_portable(dst: &mut [f32], src: &[f32], mask: &[f32], w: f32) {
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    let mut m = mask.chunks_exact(LANES);
-    for ((db, sb), mb) in (&mut d).zip(&mut s).zip(&mut m) {
-        let db: &mut [f32; LANES] = db.try_into().expect("exact chunk");
-        let sb: &[f32; LANES] = sb.try_into().expect("exact chunk");
-        let mb: &[f32; LANES] = mb.try_into().expect("exact chunk");
-        for i in 0..LANES {
-            db[i] += mb[i] * (sb[i] * w);
+// ---------------------------------------------------------------------------
+// Prepared operand state
+// ---------------------------------------------------------------------------
+
+/// The kernel weights re-laid with the stage's lane axis innermost:
+/// `[u][ci][v][F]` for Forward (lanes across filters), `[fi][u][v][C]`
+/// for GTA (lanes across channels).
+fn relay_weights(weights: &Tensor4, stage: Stage) -> Arc<[f32]> {
+    let (f, c, k, kw) = weights.shape();
+    let mut wt = vec![0.0f32; weights.len()];
+    for fi in 0..f {
+        for ci in 0..c {
+            for u in 0..k {
+                for (v, &w) in weights.kernel_row(fi, ci, u).iter().enumerate() {
+                    let at = match stage {
+                        Stage::Forward => ((u * c + ci) * kw + v) * f + fi,
+                        _ => ((fi * k + u) * kw + v) * c + ci,
+                    };
+                    wt[at] = w;
+                }
+            }
         }
     }
-    for ((d1, s1), m1) in d
-        .into_remainder()
-        .iter_mut()
-        .zip(s.remainder())
-        .zip(m.remainder())
-    {
-        *d1 += *m1 * (*s1 * w);
-    }
+    wt.into()
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn saxpy_avx2(dst: &mut [f32], src: &[f32], w: f32) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let wv = _mm256_set1_ps(w);
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-        let s = _mm256_loadu_ps(src.as_ptr().add(i));
-        // Deliberately vmulps + vaddps, not vfmadd: the scalar reference
-        // rounds the product before the add.
-        let r = _mm256_add_ps(d, _mm256_mul_ps(s, wv));
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i), r);
-        i += LANES;
-    }
-    while i < n {
-        *dst.get_unchecked_mut(i) += *src.get_unchecked(i) * w;
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn saxpy_masked_avx2(dst: &mut [f32], src: &[f32], mask: &[f32], w: f32) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let wv = _mm256_set1_ps(w);
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-        let s = _mm256_loadu_ps(src.as_ptr().add(i));
-        let m = _mm256_loadu_ps(mask.as_ptr().add(i));
-        let r = _mm256_add_ps(d, _mm256_mul_ps(m, _mm256_mul_ps(s, wv)));
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i), r);
-        i += LANES;
-    }
-    while i < n {
-        *dst.get_unchecked_mut(i) += *mask.get_unchecked(i) * (*src.get_unchecked(i) * w);
-        i += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Densification scratch
-// ---------------------------------------------------------------------------
-
-/// Writes the rows of `fm` selected by `select(nnz, len)` into a dense
-/// channel-major buffer (`channels × height × width`); unselected rows are
-/// left zero (they are only read through the sparse fallback).
-pub(crate) fn densify_map(fm: &SparseFeatureMap, select: impl Fn(&SparseVec) -> bool) -> Vec<f32> {
+/// A dense channels-last (`[H][W][C]`) copy of `fm`: the `C` values one
+/// GTW tap reads are contiguous, and so are the taps of one kernel row.
+fn channels_last(fm: &SparseFeatureMap) -> Vec<f32> {
     let (c, h, w) = (fm.channels(), fm.height(), fm.width());
     let mut dense = vec![0.0f32; c * h * w];
     for ci in 0..c {
         for y in 0..h {
-            let row = fm.row(ci, y);
-            if select(row) {
-                let out = &mut dense[(ci * h + y) * w..(ci * h + y + 1) * w];
-                for (ix, val) in row.iter() {
-                    out[ix] = val;
-                }
+            for (ix, x) in fm.row(ci, y).iter() {
+                dense[(y * w + ix) * c + ci] = x;
             }
         }
     }
     dense
 }
 
-/// Densifies every dense-worthy row of `fm`, or `None` when no row
-/// qualifies for the vector sweeps (the whole map routes to the sparse
-/// kernels and no buffer is needed).
-fn densify_worthy(fm: &SparseFeatureMap) -> Option<Vec<f32>> {
-    let worthy = |row: &SparseVec| dense_worthwhile(row.nnz(), row.len());
-    let any = (0..fm.channels()).any(|ci| (0..fm.height()).any(|y| worthy(fm.row(ci, y))));
-    any.then(|| densify_map(fm, worthy))
-}
-
-/// Expands one channel's row masks into dense `0.0 / 1.0` factors.
-fn densify_masks(masks: &[RowMask], ci: usize, in_h: usize, in_w: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), in_h * in_w);
-    out.fill(0.0);
-    for iy in 0..in_h {
-        let mask = &masks[ci * in_h + iy];
-        let row = &mut out[iy * in_w..(iy + 1) * in_w];
-        for ix in mask.iter() {
-            row[ix] = 1.0;
+/// Whether `ctx` carries the state `op`'s kernel reads, at the size the
+/// kernel will index it.
+fn prepared(ctx: &BandContext, op: &StageOp<'_>) -> bool {
+    match *op {
+        StageOp::Forward { weights, .. } | StageOp::InputGrad { weights, .. } => {
+            ctx.weights().is_some_and(|wt| wt.len() == weights.len())
+        }
+        StageOp::WeightGrad { input, .. } => {
+            ctx.dense().len() == input.channels() * input.height() * input.width()
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The three band kernels
+// ---------------------------------------------------------------------------
+
+/// The input row that output row `oy` reads through kernel row `u`, when
+/// it lies on the `h`-row map.
+#[inline(always)]
+fn input_row(oy: usize, u: usize, geom: ConvGeometry, h: usize) -> Option<usize> {
+    (oy * geom.stride + u).checked_sub(geom.pad).filter(|&iy| iy < h)
+}
+
+/// The taps `v_lo..v_hi` through which output column `ox` reaches an
+/// `in_w`-wide input row; tap `v` reaches column `ox·stride + v − pad`.
+#[inline(always)]
+fn taps_on_row(ox: usize, geom: ConvGeometry, in_w: usize) -> (usize, usize) {
+    let left = ox * geom.stride;
+    (
+        geom.pad.saturating_sub(left),
+        geom.kernel.min((in_w + geom.pad).saturating_sub(left)),
+    )
+}
+
+/// SRC of filters `f_lo..` of `f` into `out` (whole `Oh × Ow` planes);
+/// `wt` is the `[u][ci][v][F]` re-layout.
+#[inline(always)]
+fn forward_band(
+    wt: &[f32],
+    f: usize,
+    input: &SparseFeatureMap,
+    bias: Option<&[f32]>,
+    geom: ConvGeometry,
+    f_lo: usize,
+    out: &mut [f32],
+) {
+    let (c, h, k) = (input.channels(), input.height(), geom.kernel);
+    let (oh, ow) = (geom.output_extent(h), geom.output_extent(input.width()));
+    let n = out.len() / (oh * ow);
+    let mut tile = vec![0.0f32; ow * n];
+    for oy in 0..oh {
+        for (fi, plane) in out.chunks(oh * ow).enumerate() {
+            for ox in 0..ow {
+                tile[ox * n + fi] = bias.map_or(plane[oy * ow + ox], |b| b[f_lo + fi]);
+            }
+        }
+        for u in 0..k {
+            let Some(iy) = input_row(oy, u, geom, h) else {
+                continue;
+            };
+            for ci in 0..c {
+                let taps = &wt[(u * c + ci) * k * f..][..k * f];
+                for (ix, x) in input.row(ci, iy).iter() {
+                    // Tap `v` carries column `ix` to `ox = (ix + pad − v) /
+                    // stride` when that divides: start at the first tap on
+                    // the stride grid and step along it, `ox` descending
+                    // (it wraps only on the step that ends the walk).
+                    let t = ix + geom.pad;
+                    let (mut v, mut ox) = (t % geom.stride, t / geom.stride);
+                    while v < k && v <= t {
+                        if ox < ow {
+                            axpy(&mut tile[ox * n..][..n], &taps[v * f + f_lo..][..n], x);
+                        }
+                        v += geom.stride;
+                        ox = ox.wrapping_sub(1);
+                    }
+                }
+            }
+        }
+        for (fi, plane) in out.chunks_mut(oh * ow).enumerate() {
+            for ox in 0..ow {
+                plane[oy * ow + ox] = tile[ox * n + fi];
+            }
+        }
+    }
+}
+
+/// MSRC of channels `c_lo..` of `c` into `din` (whole `H × W` planes);
+/// `wt` is the `[fi][u][v][C]` re-layout.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn input_grad_band(
+    wt: &[f32],
+    c: usize,
+    dout: &SparseFeatureMap,
+    geom: ConvGeometry,
+    masks: &[RowMask],
+    in_h: usize,
+    in_w: usize,
+    c_lo: usize,
+    din: &mut [f32],
+) {
+    let (f, k, plane) = (dout.channels(), geom.kernel, in_h * in_w);
+    let n = din.len() / plane;
+    let mut tile = vec![0.0f32; plane * n];
+    for (ci, seed) in din.chunks(plane).enumerate() {
+        for (p, &v) in seed.iter().enumerate() {
+            tile[p * n + ci] = v;
+        }
+    }
+    for fi in 0..f {
+        for oy in 0..dout.height() {
+            let grow = dout.row(fi, oy);
+            if grow.nnz() == 0 {
+                continue;
+            }
+            for u in 0..k {
+                let Some(iy) = input_row(oy, u, geom, in_h) else {
+                    continue;
+                };
+                let taps = &wt[(fi * k + u) * k * c..][..k * c];
+                for (ox, g) in grow.iter() {
+                    let (v_lo, v_hi) = taps_on_row(ox, geom, in_w);
+                    for v in v_lo..v_hi {
+                        let ix = ox * geom.stride + v - geom.pad;
+                        axpy(
+                            &mut tile[(iy * in_w + ix) * n..][..n],
+                            &taps[v * c + c_lo..][..n],
+                            g,
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // Only the positions the forward mask allows take the tile's value;
+    // the rest keep their seed, as the scalar skip leaves them.
+    for (ci, dst) in din.chunks_mut(plane).enumerate() {
+        for iy in 0..in_h {
+            let mask = &masks[(c_lo + ci) * in_h + iy];
+            assert_eq!(mask.len(), in_w, "mask length must match the input row");
+            for ix in mask.iter() {
+                dst[iy * in_w + ix] = tile[(iy * in_w + ix) * n + ci];
+            }
+        }
+    }
+}
+
+/// Calls `visit(at, relaid)` for every cell of an `n`-filter `dW` band:
+/// its index in the band's own `[f][ci][u][v]` order and in the
+/// `[f][u][v][C]` re-layout.
+#[inline(always)]
+fn for_each_dw_cell(n: usize, c: usize, k: usize, mut visit: impl FnMut(usize, usize)) {
+    let mut at = 0;
+    for f in 0..n {
+        for ci in 0..c {
+            for u in 0..k {
+                for v in 0..k {
+                    visit(at, ((f * k + u) * k + v) * c + ci);
+                    at += 1;
+                }
+            }
+        }
+    }
+}
+
+/// OSRC of filters `f_lo..` of every op, in order, into `dw` (whole
+/// `C × K × K` blocks); each context's `dense` is its op's channels-last
+/// input copy.
+#[inline(always)]
+fn weight_grad_band(
+    ctxs: &[BandContext],
+    ops: &[StageOp<'_>],
+    c: usize,
+    k: usize,
+    f_lo: usize,
+    dw: &mut [f32],
+) {
+    let n = dw.len() / (c * k * k);
+    // The band re-laid `[f][u][v][C]`: the taps one gradient non-zero
+    // feeds through one kernel row are then one contiguous run, matching
+    // the channels-last input window it reads.
+    let mut dwt = vec![0.0f32; dw.len()];
+    for_each_dw_cell(n, c, k, |at, relaid| dwt[relaid] = dw[at]);
+    for (ctx, op) in ctxs.iter().zip(ops) {
+        let StageOp::WeightGrad { input, dout, geom } = *op else {
+            unreachable!("weight_grad_band is only handed GTW ops");
+        };
+        let (h, w_in) = (input.height(), input.width());
+        for f in 0..n {
+            for oy in 0..dout.height() {
+                let grow = dout.row(f_lo + f, oy);
+                if grow.nnz() == 0 {
+                    continue;
+                }
+                for u in 0..k {
+                    let Some(iy) = input_row(oy, u, geom, h) else {
+                        continue;
+                    };
+                    let taps = &mut dwt[(f * k + u) * k * c..][..k * c];
+                    let irow = &ctx.dense()[iy * w_in * c..][..w_in * c];
+                    for (ox, g) in grow.iter() {
+                        let (v_lo, v_hi) = taps_on_row(ox, geom, w_in);
+                        if v_lo < v_hi {
+                            let ix = ox * geom.stride + v_lo - geom.pad;
+                            axpy(
+                                &mut taps[v_lo * c..v_hi * c],
+                                &irow[ix * c..][..(v_hi - v_lo) * c],
+                                g,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for_each_dw_cell(n, c, k, |at, relaid| dw[at] = dwt[relaid]);
+}
+
+/// One stage's kernel over `ops` — a single Forward or GTA op, or the GTW
+/// ops of one shared accumulator — with prepared `ctxs`.
+#[inline(always)]
+fn stage_band(ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
+    let relaid = || ctxs[0].weights().expect("prepared above");
+    match ops[0] {
+        StageOp::Forward {
+            input,
+            weights,
+            bias,
+            geom,
+        } => forward_band(relaid(), weights.filters(), input, bias, geom, lo, out),
+        StageOp::InputGrad {
+            dout,
+            weights,
+            geom,
+            masks,
+            in_h,
+            in_w,
+        } => input_grad_band(
+            relaid(),
+            weights.channels(),
+            dout,
+            geom,
+            masks,
+            in_h,
+            in_w,
+            lo,
+            out,
+        ),
+        StageOp::WeightGrad { input, geom, .. } => {
+            weight_grad_band(ctxs, ops, input.channels(), geom.kernel, lo, out)
+        }
+    }
+}
+
+/// [`stage_band`] compiled for 256-bit vectors.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA ([`avx2_available`]). The body is
+/// safe code — every slice access is bounds-checked, there is no pointer
+/// arithmetic — so the target features are the only obligation.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn stage_band_avx2(ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
+    stage_band(ctxs, ops, lo, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +467,7 @@ impl SimdEngine {
         !self.force_portable && avx2_available()
     }
 
-    /// Which implementation this engine's sweeps run on right now:
+    /// Which implementation this engine's kernels run on right now:
     /// `"avx2"` or `"portable"`. When AVX2 (or FMA) is reported absent —
     /// or the engine was built with [`SimdEngine::portable`] — this is
     /// always `"portable"`.
@@ -316,209 +478,40 @@ impl SimdEngine {
             "portable"
         }
     }
-}
 
-impl SimdEngine {
-    /// SRC sweep of filters `f_lo..` into `out_band` (stride 1 only);
-    /// `idense` is the densified input map.
-    #[allow(clippy::too_many_arguments)]
-    fn src_band(
-        &self,
-        idense: &[f32],
-        input: &SparseFeatureMap,
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-        f_lo: usize,
-        out_band: &mut [f32],
-    ) {
-        let avx2 = self.use_avx2();
-        let (h, w_in, k, pad) = (input.height(), input.width(), geom.kernel, geom.pad);
-        let (oh, ow) = (geom.output_extent(h), geom.output_extent(w_in));
-        for (bf, plane) in out_band.chunks_mut(oh * ow).enumerate() {
-            let fi = f_lo + bf;
-            if let Some(b) = bias {
-                plane.fill(b[fi]);
-            }
-            for (oy, out_row) in plane.chunks_mut(ow).enumerate() {
-                for u in 0..k {
-                    let iy = oy as isize - pad as isize + u as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ci in 0..input.channels() {
-                        let row = input.row(ci, iy);
-                        let krow = weights.kernel_row(fi, ci, u);
-                        if !dense_worthwhile(row.nnz(), row.len()) {
-                            src_accumulate(row, krow, geom, out_row);
-                            continue;
-                        }
-                        let in_row = &idense[(ci * h + iy) * w_in..(ci * h + iy + 1) * w_in];
-                        // Taps ascending: for a fixed output pixel, ascending
-                        // tap index is ascending input index — the scalar
-                        // per-element accumulation order.
-                        for (v, &w) in krow.iter().enumerate() {
-                            if w == 0.0 {
-                                continue;
-                            }
-                            // out[ox] += in[ox - pad + v] * w over the ox
-                            // range whose input index is in bounds.
-                            let shift = v as isize - pad as isize;
-                            let lo = (-shift).max(0) as usize;
-                            let hi = (w_in as isize - shift).clamp(0, ow as isize) as usize;
-                            if lo < hi {
-                                let src =
-                                    &in_row[(lo as isize + shift) as usize..(hi as isize + shift) as usize];
-                                saxpy(avx2, &mut out_row[lo..hi], src, w);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// MSRC sweep of channels `c_lo..` into `din_band` (stride 1 only);
-    /// `gdense` is the densified gradient map.
-    #[allow(clippy::too_many_arguments)]
-    fn msrc_band(
-        &self,
-        gdense: &[f32],
-        dout: &SparseFeatureMap,
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        masks: &[RowMask],
-        in_h: usize,
-        in_w: usize,
-        c_lo: usize,
-        din_band: &mut [f32],
-    ) {
-        let avx2 = self.use_avx2();
-        let (k, pad, ow) = (geom.kernel, geom.pad, dout.width());
-        let oh = dout.height();
-        let any_worthy = !gdense.is_empty();
-        let worthy = |row: &SparseVec| dense_worthwhile(row.nnz(), row.len());
-        // The dense mask factors are per *band channel* (each band touches
-        // disjoint channels), so this scratch stays band-local.
-        let mut maskf = if any_worthy {
-            vec![0.0f32; in_h * in_w]
-        } else {
-            Vec::new()
+    /// Runs one stage's kernel over `ops` (see [`stage_band`]) — or the
+    /// scalar band code itself when the seed holds a literal `-0.0`, which
+    /// only the scalar skip of zero operands preserves: in the bias, or in
+    /// the pre-seeded accumulator no bias overwrites. (An accumulator free
+    /// of `-0.0` stays so, so one scan covers every op adding into it.)
+    fn kernel(&self, ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
+        let seed = match ops[0] {
+            StageOp::Forward { bias: Some(b), .. } => b,
+            _ => &*out,
         };
-        for (bc, plane) in din_band.chunks_mut(in_h * in_w).enumerate() {
-            let ci = c_lo + bc;
-            if any_worthy {
-                densify_masks(masks, ci, in_h, in_w, &mut maskf);
-            }
-            for fi in 0..dout.channels() {
-                for oy in 0..oh {
-                    let grow = dout.row(fi, oy);
-                    if grow.nnz() == 0 {
-                        continue;
-                    }
-                    for u in 0..k {
-                        let iy = oy as isize - pad as isize + u as isize;
-                        if iy < 0 || iy >= in_h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        let out_row = &mut plane[iy * in_w..(iy + 1) * in_w];
-                        let krow = weights.kernel_row(fi, ci, u);
-                        if !worthy(grow) {
-                            msrc_accumulate(grow, krow, geom, &masks[ci * in_h + iy], out_row);
-                            continue;
-                        }
-                        let g_row = &gdense[(fi * oh + oy) * ow..(fi * oh + oy + 1) * ow];
-                        let m_row = &maskf[iy * in_w..(iy + 1) * in_w];
-                        // Taps descending: the scatter reverses the map, so
-                        // for a fixed input pixel the scalar order (gradient
-                        // non-zeros ascending) is descending tap index.
-                        for v in (0..k).rev() {
-                            let w = krow[v];
-                            if w == 0.0 {
-                                continue;
-                            }
-                            // din[ix] += m[ix]·(g[ix + pad - v]·w) over the
-                            // ix range whose gradient index is in bounds.
-                            let shift = pad as isize - v as isize;
-                            let lo = (-shift).max(0) as usize;
-                            let hi = (ow as isize - shift).clamp(0, in_w as isize) as usize;
-                            if lo < hi {
-                                let src =
-                                    &g_row[(lo as isize + shift) as usize..(hi as isize + shift) as usize];
-                                saxpy_masked(avx2, &mut out_row[lo..hi], src, &m_row[lo..hi], w);
-                            }
-                        }
-                    }
-                }
-            }
+        if contains_negative_zero(seed) {
+            return ops.iter().for_each(|op| scalar_band(op, lo, out));
         }
-    }
-
-    /// OSRC sweep of filters `f_lo..` into `dw_band`; `idense` is the
-    /// densified input map.
-    fn osrc_band(
-        &self,
-        idense: &[f32],
-        input: &SparseFeatureMap,
-        dout: &SparseFeatureMap,
-        geom: ConvGeometry,
-        f_lo: usize,
-        dw_band: &mut [f32],
-    ) {
-        let avx2 = self.use_avx2();
-        let (c, h, w_in) = (input.channels(), input.height(), input.width());
-        let (k, stride, pad) = (geom.kernel, geom.stride as isize, geom.pad as isize);
-        for (bf, block) in dw_band.chunks_mut(c * k * k).enumerate() {
-            let fi = f_lo + bf;
-            for ci in 0..c {
-                for u in 0..k {
-                    let taps = &mut block[(ci * k + u) * k..(ci * k + u + 1) * k];
-                    for oy in 0..dout.height() {
-                        let iy = (oy * geom.stride) as isize - pad + u as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let irow = input.row(ci, iy as usize);
-                        let grow = dout.row(fi, oy);
-                        if irow.nnz() == 0 || grow.nnz() == 0 {
-                            continue;
-                        }
-                        if !dense_worthwhile(irow.nnz(), irow.len()) {
-                            osrc_accumulate(irow, grow, geom, taps);
-                            continue;
-                        }
-                        let in_row =
-                            &idense[(ci * h + iy as usize) * w_in..(ci * h + iy as usize + 1) * w_in];
-                        // Gradient non-zeros ascending: the scalar per-tap
-                        // accumulation order. All K weight-gradient cells
-                        // take the broadcast gradient in one sweep over the
-                        // contiguous input window (stride only moves the
-                        // window base, the window itself stays contiguous).
-                        for (ox, g) in grow.iter() {
-                            let base = ox as isize * stride - pad;
-                            let v_lo = (-base).max(0).min(k as isize) as usize;
-                            let v_hi = (w_in as isize - base).clamp(0, k as isize) as usize;
-                            if v_lo < v_hi {
-                                let window =
-                                    &in_row[(base + v_lo as isize) as usize..(base + v_hi as isize) as usize];
-                                saxpy(avx2, &mut taps[v_lo..v_hi], window, g);
-                            }
-                        }
-                    }
-                }
-            }
+        if out.is_empty() {
+            return;
         }
-    }
-}
-
-/// The sparse map a stage's sweeps read densified: the activations for
-/// Forward and GTW, the output gradients for GTA.
-fn swept<'a>(op: &StageOp<'a>) -> &'a SparseFeatureMap {
-    match *op {
-        StageOp::Forward { input, .. } | StageOp::WeightGrad { input, .. } => input,
-        StageOp::InputGrad { dout, .. } => dout,
+        // Borrow the state the call prepared once above the band fan-out;
+        // prepare locally only when invoked without it.
+        let local;
+        let ctxs = if ctxs.iter().zip(ops).all(|(ctx, op)| prepared(ctx, op)) {
+            ctxs
+        } else {
+            local = self.prepare(ops);
+            &local
+        };
+        #[cfg(target_arch = "x86_64")]
+        if self.use_avx2() {
+            // SAFETY: `use_avx2` is only true when runtime detection
+            // reported AVX2+FMA support for this process, the one thing
+            // `stage_band_avx2` asks of its caller.
+            return unsafe { stage_band_avx2(ctxs, ops, lo, out) };
+        }
+        stage_band(ctxs, ops, lo, out);
     }
 }
 
@@ -527,68 +520,45 @@ impl KernelEngine for SimdEngine {
         "simd"
     }
 
-    fn prepare(&self, op: &StageOp<'_>) -> BandContext {
-        let mut ctx = BandContext::empty();
-        // When every band will take the scalar fallback anyway (stride ≠ 1
-        // on the row sweeps, literal -0.0 bias), densifying would be wasted
-        // work.
-        let wasted = match *op {
-            StageOp::Forward { bias, geom, .. } => {
-                geom.stride != 1 || bias.is_some_and(contains_negative_zero)
-            }
-            StageOp::InputGrad { geom, .. } => geom.stride != 1,
-            StageOp::WeightGrad { .. } => false,
-        };
-        if !wasted {
-            if let Some(dense) = densify_worthy(swept(op)) {
-                ctx.set_dense(dense);
-            }
-        }
-        ctx
+    fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
+        // The re-layout depends on the weights and the stage alone: ops
+        // that repeat the previous op's pair (every op of a training
+        // batch does) share its copy.
+        let mut last: Option<(Stage, &Tensor4, Arc<[f32]>)> = None;
+        ops.iter()
+            .map(|op| {
+                let mut ctx = BandContext::empty();
+                match *op {
+                    StageOp::Forward { weights, .. } | StageOp::InputGrad { weights, .. } => {
+                        let stage = op.stage();
+                        let relaid = match &last {
+                            Some((s, w, wt)) if *s == stage && std::ptr::eq(*w, weights) => wt.clone(),
+                            _ => relay_weights(weights, stage),
+                        };
+                        last = Some((stage, weights, relaid.clone()));
+                        ctx.set_weights(relaid);
+                    }
+                    StageOp::WeightGrad { input, .. } => ctx.set_dense(channels_last(input)),
+                }
+                ctx
+            })
+            .collect()
     }
 
-    fn band(&self, ctx: &BandContext, op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
-        // The scalar band code itself serves what the sweeps cannot
-        // reproduce bit for bit. Stride ≠ 1 would make the Forward/GTA row
-        // gather non-contiguous (the GTW window stays contiguous at any
-        // stride); a literal -0.0 in the bias — or, with no bias to
-        // overwrite it, in the pre-seeded accumulator — is only preserved
-        // by the scalar skip of zero operands.
-        let scalar_only = match *op {
-            StageOp::Forward { bias, geom, .. } => {
-                geom.stride != 1 || contains_negative_zero(bias.unwrap_or(&*out))
-            }
-            StageOp::InputGrad { geom, .. } => geom.stride != 1 || contains_negative_zero(out),
-            StageOp::WeightGrad { .. } => contains_negative_zero(out),
+    fn band(&self, ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
+        assert_eq!(ctxs.len(), ops.len(), "one context per op");
+        let Some(first) = ops.first() else { return };
+        // GTW ops of one layer shape add into `out` through one transposed
+        // accumulator; anything else runs op by op.
+        let gtw_shape = |op: &StageOp<'_>| match *op {
+            StageOp::WeightGrad { input, geom, .. } => Some((input.channels(), geom.kernel)),
+            _ => None,
         };
-        if scalar_only {
-            return scalar_band(op, lo, out);
+        if gtw_shape(first).is_some() && ops.iter().all(|op| gtw_shape(op) == gtw_shape(first)) {
+            return self.kernel(ctxs, ops, lo, out);
         }
-        // Borrow the densified map the call prepared once above the band
-        // fan-out; densify locally only when invoked without one.
-        let local;
-        let dense: &[f32] = if !ctx.dense().is_empty() {
-            ctx.dense()
-        } else {
-            local = densify_worthy(swept(op)).unwrap_or_default();
-            &local
-        };
-        match *op {
-            StageOp::Forward {
-                input,
-                weights,
-                bias,
-                geom,
-            } => self.src_band(dense, input, weights, bias, geom, lo, out),
-            StageOp::InputGrad {
-                dout,
-                weights,
-                geom,
-                masks,
-                in_h,
-                in_w,
-            } => self.msrc_band(dense, dout, weights, geom, masks, in_h, in_w, lo, out),
-            StageOp::WeightGrad { input, dout, geom } => self.osrc_band(dense, input, dout, geom, lo, out),
+        for (ctx, op) in ctxs.iter().zip(ops) {
+            self.kernel(std::slice::from_ref(ctx), std::slice::from_ref(op), lo, out);
         }
     }
 }
@@ -596,9 +566,14 @@ impl KernelEngine for SimdEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::test_fixtures::{fixtures, stage_ops};
+    use crate::engine::test_fixtures::{fixtures_with, stage_ops};
     use crate::engine::{ParallelEngine, ScalarEngine};
     use sparsetrain_tensor::Tensor3;
+
+    /// `(channels, filters)` of the fixtures: inside one lane block, and
+    /// `17 × 9` — two blocks plus a remainder along the GTA / GTW lane
+    /// axis, one block plus a remainder along the Forward one.
+    const SHAPES: [(usize, usize); 2] = [(3, 4), (17, 9)];
 
     fn engines() -> Vec<(&'static str, SimdEngine)> {
         vec![("auto", SimdEngine::auto()), ("portable", SimdEngine::portable())]
@@ -608,9 +583,8 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Dense and very sparse fixtures at stride 1 and 2 (vector path,
-    /// sparse-row fallback, stride fallback): every path must match the
-    /// scalar reference bitwise.
+    /// Dense and very sparse fixtures at stride 1 and 2, padded and not:
+    /// every stage must match the scalar reference bitwise.
     #[test]
     fn simd_matches_scalar_bitwise_on_all_paths() {
         for geom in [
@@ -619,13 +593,16 @@ mod tests {
             ConvGeometry::new(2, 1, 0),
         ] {
             for density in [5u64, 40, 90] {
-                let (input, weights, bias, dout) = fixtures(11 + density, density, 4, geom);
-                let masks = input.masks();
-                for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
-                    let want = op.run_on(&ScalarEngine);
-                    for (label, simd) in engines() {
-                        let ctx = format!("{label} k={} s={} d={density}", geom.kernel, geom.stride);
-                        assert_eq!(op.run_on(&simd), want, "{} {ctx}", op.stage());
+                for (c, f) in SHAPES {
+                    let (input, weights, bias, dout) = fixtures_with(11 + density, density, c, f, geom);
+                    let masks = input.masks();
+                    for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
+                        let want = op.run_on(&ScalarEngine);
+                        for (label, simd) in engines() {
+                            let ctx =
+                                format!("{label} k={} s={} d={density} c={c}", geom.kernel, geom.stride);
+                            assert_eq!(op.run_on(&simd), want, "{} {ctx}", op.stage());
+                        }
                     }
                 }
             }
@@ -637,15 +614,17 @@ mod tests {
     #[test]
     fn portable_and_dispatched_paths_agree() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let (input, weights, bias, dout) = fixtures(77, 55, 4, geom);
-        let masks = input.masks();
-        for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
-            assert_eq!(
-                op.run_on(&SimdEngine::auto()),
-                op.run_on(&SimdEngine::portable()),
-                "{}",
-                op.stage()
-            );
+        for (c, f) in SHAPES {
+            let (input, weights, bias, dout) = fixtures_with(77, 55, c, f, geom);
+            let masks = input.masks();
+            for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
+                assert_eq!(
+                    op.run_on(&SimdEngine::auto()),
+                    op.run_on(&SimdEngine::portable()),
+                    "{} c={c}",
+                    op.stage()
+                );
+            }
         }
     }
 
@@ -666,40 +645,45 @@ mod tests {
     #[test]
     fn negative_zero_bias_is_preserved() {
         let geom = ConvGeometry::new(3, 1, 1);
-        // All-zero input: the output is exactly the bias fill.
-        let input = SparseFeatureMap::from_tensor(&Tensor3::zeros(2, 5, 5));
-        let weights = Tensor4::from_fn(2, 2, 3, 3, |_, _, _, _| 0.5);
-        let op = StageOp::Forward {
-            input: &input,
-            weights: &weights,
-            bias: Some(&[-0.0f32, 1.0]),
-            geom,
-        };
-        let want = op.run_on(&ScalarEngine);
-        for (label, simd) in engines() {
-            assert_eq!(bits(&op.run_on(&simd)), bits(&want), "{label}");
+        for (c, f) in SHAPES {
+            // All-zero input: the output is exactly the bias fill.
+            let input = SparseFeatureMap::from_tensor(&Tensor3::zeros(c, 5, 5));
+            let weights = Tensor4::from_fn(f, c, 3, 3, |_, _, _, _| 0.5);
+            let bias: Vec<f32> = (0..f).map(|fi| if fi % 2 == 0 { -0.0 } else { 1.0 }).collect();
+            let op = StageOp::Forward {
+                input: &input,
+                weights: &weights,
+                bias: Some(&bias),
+                geom,
+            };
+            let want = op.run_on(&ScalarEngine);
+            for (label, simd) in engines() {
+                assert_eq!(bits(&op.run_on(&simd)), bits(&want), "{label} c={c}");
+            }
         }
     }
 
     /// Accumulators pre-seeded with literal -0.0 take the scalar fallback
     /// on every stage, so accumulation parity is bitwise even for that
-    /// representable corner (the dense sweeps' spurious `+0.0` adds would
-    /// otherwise flip the sign bit).
+    /// representable corner (the `+0.0` a zero weight or zero input adds
+    /// in some lane would otherwise flip the sign bit).
     #[test]
     fn negative_zero_preseeded_accumulators_are_preserved() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let (input, weights, _, dout) = fixtures(31, 60, 4, geom);
-        let masks = input.masks();
-        for op in stage_ops(&input, &weights, None, &dout, &masks, geom) {
-            let seeded: Vec<f32> = (0..op.out_len())
-                .map(|i| if i % 3 == 0 { -0.0 } else { 0.25 })
-                .collect();
-            let mut want = seeded.clone();
-            ScalarEngine.run(&op, &mut want);
-            for (label, simd) in engines() {
-                let mut got = seeded.clone();
-                simd.run(&op, &mut got);
-                assert_eq!(bits(&got), bits(&want), "{} {label}", op.stage());
+        for (c, f) in SHAPES {
+            let (input, weights, _, dout) = fixtures_with(31, 60, c, f, geom);
+            let masks = input.masks();
+            for op in stage_ops(&input, &weights, None, &dout, &masks, geom) {
+                let seeded: Vec<f32> = (0..op.out_len())
+                    .map(|i| if i % 3 == 0 { -0.0 } else { 0.25 })
+                    .collect();
+                let mut want = seeded.clone();
+                ScalarEngine.run(&op, &mut want);
+                for (label, simd) in engines() {
+                    let mut got = seeded.clone();
+                    simd.run(&op, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{} {label} c={c}", op.stage());
+                }
             }
         }
     }
@@ -710,13 +694,43 @@ mod tests {
     fn banded_simd_matches_scalar() {
         static SIMD: SimdEngine = SimdEngine::auto();
         let geom = ConvGeometry::new(3, 1, 1);
-        let (input, weights, bias, dout) = fixtures(5, 45, 4, geom);
-        let masks = input.masks();
-        for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
-            let want = op.run_on(&ScalarEngine);
-            for threads in [0usize, 1, 2, 3, 8] {
-                let banded = ParallelEngine::over("test:parallel-simd", &SIMD).banded(threads);
-                assert_eq!(op.run_on(&banded), want, "{} threads {threads}", op.stage());
+        for (c, f) in SHAPES {
+            let (input, weights, bias, dout) = fixtures_with(5, 45, c, f, geom);
+            let masks = input.masks();
+            for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
+                let want = op.run_on(&ScalarEngine);
+                for threads in [0usize, 1, 2, 3, 8] {
+                    let banded = ParallelEngine::over("test:parallel-simd", &SIMD).banded(threads);
+                    assert_eq!(op.run_on(&banded), want, "{} threads {threads} c={c}", op.stage());
+                }
+            }
+        }
+    }
+
+    /// A batch of GTW ops into one shared `dW` goes through one transposed
+    /// accumulator; it must equal the scalar engine sample by sample, from
+    /// a non-zero seed, with prepared and with empty contexts alike.
+    #[test]
+    fn shared_weight_grad_batch_matches_sample_order() {
+        let geom = ConvGeometry::new(3, 2, 1);
+        let samples: Vec<_> = (0..3).map(|s| fixtures_with(40 + s, 35, 17, 9, geom)).collect();
+        let ops: Vec<StageOp<'_>> = samples
+            .iter()
+            .map(|(input, _, _, dout)| StageOp::WeightGrad { input, dout, geom })
+            .collect();
+        let seed: Vec<f32> = (0..ops[0].out_len())
+            .map(|i| 0.5 - (i % 7) as f32 * 0.125)
+            .collect();
+        let mut want = seed.clone();
+        for op in &ops {
+            ScalarEngine.run(op, &mut want);
+        }
+        for (label, simd) in engines() {
+            let unprepared: Vec<BandContext> = ops.iter().map(|_| BandContext::empty()).collect();
+            for ctxs in [simd.prepare(&ops), unprepared] {
+                let mut got = seed.clone();
+                simd.band(&ctxs, &ops, 0, &mut got);
+                assert_eq!(got, want, "{label}");
             }
         }
     }
