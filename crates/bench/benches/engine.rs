@@ -38,7 +38,7 @@ use rand::stream::StreamKey;
 use rand::{Rng, SeedableRng};
 use sparsetrain_core::prune::{BatchStream, LayerPruner, PruneConfig};
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
-use sparsetrain_sparse::{registry, BatchOut, EngineHandle, ExecutionContext, StageOp, Workspace};
+use sparsetrain_sparse::{registry, BatchOut, EngineHandle, ExecutionContext, StageOp};
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
 use std::hint::black_box;
@@ -351,37 +351,6 @@ fn bench_pruning(c: &mut Criterion) {
     group.finish();
 }
 
-/// Row-at-a-time kernels: allocating wrapper vs Workspace scratch reuse —
-/// the per-row allocation the engine layer eliminated.
-fn bench_workspace_vs_alloc(c: &mut Criterion) {
-    let mut group = c.benchmark_group("row_kernel_alloc");
-    group.sample_size(20);
-    let geom = ConvGeometry::new(3, 1, 1);
-    let kernel = [0.25f32, 0.5, 0.25];
-    let mut rng = StdRng::seed_from_u64(7);
-    let dense: Vec<f32> = (0..512)
-        .map(|_| {
-            if rng.gen::<f64>() < 0.3 {
-                rng.gen::<f32>() - 0.5
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let row = sparsetrain_sparse::SparseVec::from_dense(&dense);
-    group.bench_function("src_alloc_per_row", |b| {
-        b.iter(|| black_box(sparsetrain_sparse::src::src_conv(&row, &kernel, geom, 512)));
-    });
-    let mut ws = Workspace::with_capacity(512, 3);
-    group.bench_function("src_workspace_reuse", |b| {
-        b.iter(|| {
-            let out = ws.src(&row, &kernel, geom, 512);
-            black_box(out[0])
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_forward,
@@ -389,7 +358,6 @@ criterion_group!(
     bench_weight_grad,
     bench_batched_vs_per_sample,
     bench_end_to_end,
-    bench_pruning,
-    bench_workspace_vs_alloc
+    bench_pruning
 );
 criterion_main!(benches);

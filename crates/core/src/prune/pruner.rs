@@ -226,49 +226,17 @@ impl LayerPruner {
         self.prune_parts_impl(parts, stream, Some(engine))
     }
 
-    /// Like [`LayerPruner::prune_batch_parts_on`], but **stateless**:
-    /// prunes under the currently-predicted threshold without accumulating
-    /// `Σ|g|`, pushing a FIFO entry, or touching statistics. Probe passes
-    /// (dataflow trace capture, gradient taps) prune through this so that
-    /// *inspecting* a training run never perturbs its trajectory.
-    pub fn preview_batch_parts_on(
-        &self,
-        parts: &mut [&mut [f32]],
-        stream: &BatchStream,
-        engine: &dyn KernelEngine,
-    ) -> PruneOutcome {
-        match self.predicted_threshold() {
-            Some(tau) if tau > 0.0 => prune_parts_under(parts, tau, stream, Some(engine)),
-            _ => passthrough_outcome(parts),
-        }
-    }
-
+    /// One stepped batch: the stateless pass under this pruner's own
+    /// prediction, then [`LayerPruner::absorb_batch`] of what it returned.
     fn prune_parts_impl(
         &mut self,
         parts: &mut [&mut [f32]],
         stream: &BatchStream,
         engine: Option<&dyn KernelEngine>,
     ) -> PruneOutcome {
-        // Σ|g| accumulates over the incoming (un-pruned) gradients — in
-        // hardware the PPU taps the stream before the pruning stage.
-        let mut abs_sum = 0.0f64;
-        let mut n = 0usize;
-        for part in parts.iter() {
-            abs_sum += part.iter().map(|&g| (g as f64).abs()).sum::<f64>();
-            n += part.len();
-        }
-
-        let outcome = match self.predicted_threshold() {
-            Some(tau) if tau > 0.0 => prune_parts_under(parts, tau, stream, engine),
-            _ => passthrough_outcome(parts),
-        };
-
-        self.absorb_batch(&SiteStats {
-            abs_sum,
-            elements: n,
-            outcome,
-        });
-        outcome
+        let stats = prune_pass(self.predicted_threshold(), parts, stream, engine);
+        self.absorb_batch(&stats);
+        stats.outcome
     }
 
     /// Advances the pruner's state by one batch whose prune pass already
@@ -276,10 +244,10 @@ impl LayerPruner {
     /// workers prune statelessly under this pruner's
     /// [`LayerPruner::predicted_threshold`] (via [`shard_prune_parts_on`])
     /// and the coordinator reduces their [`SiteStats`] in fixed granule
-    /// order before absorbing them here. This is, by construction, the
-    /// exact state tail of the in-process stepping path
-    /// ([`LayerPruner::prune_batch_parts_on`] calls it), so one absorbed
-    /// batch is indistinguishable from one pruned batch.
+    /// order before absorbing them here. The in-process stepping path
+    /// ([`LayerPruner::prune_batch_parts_on`]) is that same pass followed
+    /// by this call, so one absorbed batch is indistinguishable from one
+    /// pruned batch.
     pub fn absorb_batch(&mut self, batch: &SiteStats) {
         // The prediction that pruned this batch — read before the FIFO
         // push below changes it.
@@ -397,25 +365,42 @@ pub struct PrunerSnapshot {
     pub last_determined_tau: Option<f64>,
 }
 
-/// The worker side of a sharded prune: prunes `parts` statelessly under
-/// the coordinator-broadcast threshold (`None` while the coordinator's
-/// FIFO is cold — pass-through, exactly like the in-process cold path)
-/// and returns the [`SiteStats`] the coordinator needs to advance the
-/// authoritative [`LayerPruner`] via [`LayerPruner::absorb_batch`].
+/// Algorithm 1's single pass, stateless: accumulates `Σ|g|` over the
+/// incoming gradients, prunes `parts` under `tau` (`None` while the FIFO
+/// that predicted it is cold — pass-through) and returns the
+/// [`SiteStats`] that advance a [`LayerPruner`] via
+/// [`LayerPruner::absorb_batch`]. Every caller runs this one pass and
+/// differs only in what it does with the stats: the stepping path absorbs
+/// them at once, a shard worker hands them to the coordinator (which
+/// reduces them in granule order and absorbs them into the authoritative
+/// pruner), a probe pass drops them — so *inspecting* a training run
+/// never perturbs its trajectory.
 ///
 /// `stream` must carry the part's *global* batch position
 /// ([`BatchStream::with_base`] /
 /// [`super::stream::StepStreams::with_sample_base`]) so the draws are the
 /// whole-batch run's draws. The `Σ|g|` accumulation visits parts in
-/// order, exactly as [`LayerPruner::prune_batch_parts`] does, so a
-/// granule-ordered reduction of the returned stats reproduces the
-/// in-process sum bitwise when each granule is one part.
+/// order, so a granule-ordered reduction of the returned stats reproduces
+/// the whole-batch sum bitwise when each granule is one part.
 pub fn shard_prune_parts_on(
     tau: Option<f64>,
     parts: &mut [&mut [f32]],
     stream: &BatchStream,
     engine: &dyn KernelEngine,
 ) -> SiteStats {
+    prune_pass(tau, parts, stream, Some(engine))
+}
+
+/// [`shard_prune_parts_on`] with the sequential reference (`engine: None`)
+/// still selectable.
+fn prune_pass(
+    tau: Option<f64>,
+    parts: &mut [&mut [f32]],
+    stream: &BatchStream,
+    engine: Option<&dyn KernelEngine>,
+) -> SiteStats {
+    // Σ|g| accumulates over the incoming (un-pruned) gradients — in
+    // hardware the PPU taps the stream before the pruning stage.
     let mut abs_sum = 0.0f64;
     let mut n = 0usize;
     for part in parts.iter() {
@@ -423,7 +408,7 @@ pub fn shard_prune_parts_on(
         n += part.len();
     }
     let outcome = match tau {
-        Some(tau) if tau > 0.0 => prune_parts_under(parts, tau, stream, Some(engine)),
+        Some(tau) if tau > 0.0 => prune_parts_under(parts, tau, stream, engine),
         _ => passthrough_outcome(parts),
     };
     SiteStats {
@@ -435,9 +420,8 @@ pub fn shard_prune_parts_on(
 
 /// Prunes `parts` under the fixed threshold `tau` with `stream`'s
 /// coordinates — sequentially, or banded through `engine`'s batched
-/// element path. The stateless core shared by the stepping and preview
-/// paths; bitwise-identical either way because every draw is keyed by
-/// position.
+/// element path; bitwise-identical either way because every draw is keyed
+/// by position.
 fn prune_parts_under(
     parts: &mut [&mut [f32]],
     tau: f64,
@@ -630,9 +614,10 @@ mod tests {
 
     #[test]
     fn preview_prunes_identically_to_the_stepping_path() {
-        // `preview_batch_parts_on` takes `&self`, so statelessness is
-        // type-enforced; what needs pinning is that its *values* equal the
-        // stepping path's under the same threshold and streams.
+        // A probe pass is the stateless pass under the pruner's prediction
+        // (`&self`, so statelessness is type-enforced); what needs pinning
+        // is that its *values* equal the stepping path's under the same
+        // threshold and streams.
         use sparsetrain_sparse::ScalarEngine;
         let mut rng = StdRng::seed_from_u64(7);
         let mut pruner = LayerPruner::new(PruneConfig::new(0.9, 1));
@@ -641,7 +626,8 @@ mod tests {
 
         let batch = normal_batch(&mut rng, 2000, 0.05);
         let mut previewed = batch.clone();
-        let out_p = pruner.preview_batch_parts_on(&mut [&mut previewed], &stream(1), &ScalarEngine);
+        let tau = pruner.predicted_threshold();
+        let out_p = shard_prune_parts_on(tau, &mut [&mut previewed], &stream(1), &ScalarEngine).outcome;
         let mut stepped = batch.clone();
         let out_s = pruner.prune_batch_parts_on(&mut [&mut stepped], &stream(1), &ScalarEngine);
         assert_eq!(previewed, stepped, "preview diverged from the stepping prune");
@@ -649,7 +635,8 @@ mod tests {
         // A cold pruner's preview is a pass-through.
         let cold = LayerPruner::new(PruneConfig::new(0.9, 4));
         let mut untouched = batch.clone();
-        let out = cold.preview_batch_parts_on(&mut [&mut untouched], &stream(2), &ScalarEngine);
+        let tau = cold.predicted_threshold();
+        let out = shard_prune_parts_on(tau, &mut [&mut untouched], &stream(2), &ScalarEngine).outcome;
         assert_eq!(untouched, batch);
         assert_eq!(out.snapped, 0);
     }

@@ -104,16 +104,20 @@ impl Layer for PruneHook {
             // shard worker's slice.
             let stream = streams.site(&self.name);
             let mut parts: Vec<&mut [f32]> = grads.iter_mut().map(|g| g.as_mut_slice()).collect();
-            match (&mut self.shard, self.frozen) {
-                (Some(shard), false) => {
-                    let stats = shard_prune_parts_on(shard.tau, &mut parts, &stream, ctx.engine());
-                    shard.recorded.push(stats);
-                }
-                (_, true) => {
-                    pruner.preview_batch_parts_on(&mut parts, &stream, ctx.engine());
-                }
-                (None, false) => {
-                    pruner.prune_batch_parts_on(&mut parts, &stream, ctx.engine());
+            // One pass in every mode — under the coordinator-broadcast
+            // threshold on a shard worker, this pruner's own prediction
+            // otherwise — and the modes differ only in what becomes of the
+            // stats: a probe (frozen) drops them, a worker records them for
+            // the coordinator, a local step absorbs them.
+            let tau = match &self.shard {
+                Some(shard) if !self.frozen => shard.tau,
+                _ => pruner.predicted_threshold(),
+            };
+            let stats = shard_prune_parts_on(tau, &mut parts, &stream, ctx.engine());
+            if !self.frozen {
+                match &mut self.shard {
+                    Some(shard) => shard.recorded.push(stats),
+                    None => pruner.absorb_batch(&stats),
                 }
             }
         }

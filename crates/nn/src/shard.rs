@@ -43,14 +43,24 @@
 //! ```
 
 use crate::layer::{Batch, Layer};
-use crate::loss::{argmax, softmax_cross_entropy};
 use crate::sequential::Sequential;
+use crate::supervisor::{panic_text, SupervisorConfig};
+use crate::train::{plan_from_bytes, step_body};
 use sparsetrain_core::prune::{SiteStats, StreamSeeds};
-use sparsetrain_sparse::{EngineHandle, ExecutionContext, ExecutionProgram, Plan};
+use sparsetrain_sparse::{EngineHandle, ExecutionContext};
 use sparsetrain_tensor::Tensor3;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::time::Duration;
+
+/// The per-rank retry policy — the supervisor's, at step scale:
+/// consecutive failures tolerated before escalating, and the backoff
+/// before a retry (doubling per consecutive failure, capped).
+const RETRY: SupervisorConfig = SupervisorConfig {
+    max_retries: 5,
+    backoff_base: Duration::from_millis(1),
+    backoff_max: Duration::from_millis(100),
+};
 
 /// How a training run is sharded across workers.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,37 +72,18 @@ pub struct ShardSpec {
     /// configuration — deriving it from the worker count would change the
     /// f32/f64 summation bracketing across `N` and break invariance.
     pub granule: usize,
-    /// Consecutive failures tolerated per rank before escalating.
-    pub max_retries: usize,
-    /// Backoff before the first retry; doubles per consecutive failure.
-    pub backoff_base: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub backoff_max: Duration,
 }
 
 impl ShardSpec {
-    /// A spec with `workers` workers, one-sample granules and the default
-    /// retry policy.
+    /// A spec with `workers` workers and one-sample granules.
     pub fn new(workers: usize) -> Self {
-        ShardSpec {
-            workers,
-            granule: 1,
-            max_retries: 5,
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(100),
-        }
+        ShardSpec { workers, granule: 1 }
     }
 
     /// Returns the spec with `granule` samples per granule.
     pub fn with_granule(mut self, granule: usize) -> Self {
         self.granule = granule.max(1);
         self
-    }
-
-    /// The exponential backoff before retry `attempt` (1-based).
-    pub fn backoff_delay(&self, attempt: usize) -> Duration {
-        let factor = 1u32 << (attempt.saturating_sub(1)).min(20) as u32;
-        self.backoff_base.saturating_mul(factor).min(self.backoff_max)
     }
 }
 
@@ -264,11 +255,9 @@ impl EngineSetup {
         match self {
             EngineSetup::Dense => ExecutionContext::scalar(),
             EngineSetup::Engine(handle) => ExecutionContext::new(*handle),
-            EngineSetup::Program(bytes) => {
-                let program = ExecutionProgram::decode(bytes).expect("coordinator-encoded plan must decode");
-                let plan = Plan::from_program(&program).expect("coordinator plan must parse");
-                ExecutionContext::with_plan(plan)
-            }
+            EngineSetup::Program(bytes) => ExecutionContext::with_plan(
+                plan_from_bytes(bytes).expect("coordinator-encoded plan must decode"),
+            ),
         }
     }
 
@@ -463,7 +452,9 @@ fn worker_loop(
                 Err(payload) => WorkerReply::Failed {
                     rank,
                     granule: granule.index,
-                    detail: panic_detail(payload.as_ref()),
+                    detail: panic_text(payload.as_ref())
+                        .unwrap_or("non-string panic payload")
+                        .to_string(),
                 },
             };
             if replies.send(reply).is_err() {
@@ -473,7 +464,7 @@ fn worker_loop(
     }
 }
 
-/// Forward/backward over one granule on a worker replica. Pure in the
+/// [`step_body`] over one granule on a worker replica. Pure in the
 /// granule given the command's parameters and thresholds: replaying it on
 /// any rank reproduces the identical result.
 fn run_granule(
@@ -482,25 +473,14 @@ fn run_granule(
     cmd: &StepCommand,
     granule: &GranuleSpec,
 ) -> GranuleResult {
-    net.zero_grads();
-    let xs = Batch::borrowed(&granule.images);
-    let outs = net.forward(xs, ctx, true);
-    let mut loss = 0.0f64;
-    let mut correct = 0usize;
-    let mut grads = Vec::with_capacity(outs.len());
-    for (out, &label) in outs.iter().zip(&granule.labels) {
-        let logits = out.as_slice();
-        let (sample_loss, dlogits) = softmax_cross_entropy(logits, label);
-        loss += sample_loss as f64;
-        if argmax(logits) == label {
-            correct += 1;
-        }
-        grads.push(Tensor3::from_vec(logits.len(), 1, 1, dlogits));
-    }
     let streams = StreamSeeds::at(cmd.seed, cmd.epoch, cmd.step)
         .streams()
         .with_sample_base(granule.sample_base);
-    net.backward(grads, ctx, &streams);
+    let xs = Batch::borrowed(&granule.images);
+    // A fresh accumulator per granule: the coordinator sums granule losses
+    // in granule order, which is what makes the loss worker-count-invariant.
+    let mut loss = 0.0f64;
+    let correct = step_body(net, ctx, xs, &granule.labels, &streams, &mut loss);
     let mut prune_stats = Vec::new();
     net.take_shard_stats(&mut prune_stats);
     let mut flat = Vec::new();
@@ -513,15 +493,6 @@ fn run_granule(
         grads: flat,
         prune_stats,
     }
-}
-
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("non-string panic payload")
-        .to_string()
 }
 
 /// One step's coordinator-side inputs, already granule-partitioned.
@@ -572,7 +543,6 @@ pub struct ShardHealth {
 /// template and the per-rank failure bookkeeping, and runs the
 /// deterministic scatter/reduce of each optimizer step.
 pub struct ShardPool {
-    spec: ShardSpec,
     template: Sequential,
     setup: EngineSetup,
     transport: Box<dyn WorkerTransport>,
@@ -595,20 +565,18 @@ impl ShardPool {
             return Err(ShardError::NoWorkers);
         }
         let transport = ThreadTransport::spawn(spec.workers, &template, setup.clone())?;
-        Ok(Self::with_transport(spec, template, setup, Box::new(transport)))
+        Ok(Self::with_transport(template, setup, Box::new(transport)))
     }
 
     /// A pool over an externally built transport (the seam for process or
     /// socket backends).
     pub fn with_transport(
-        spec: ShardSpec,
         template: Sequential,
         setup: EngineSetup,
         transport: Box<dyn WorkerTransport>,
     ) -> Self {
         let workers = transport.workers();
         ShardPool {
-            spec,
             template,
             setup,
             transport,
@@ -633,7 +601,7 @@ impl ShardPool {
     ///
     /// # Panics
     ///
-    /// Panics when a rank exceeds the spec's retry budget; the outer
+    /// Panics when a rank exceeds the retry budget; the outer
     /// supervisor classifies and recovers at epoch scale.
     pub fn run_step(&mut self, input: &StepInput) -> StepReduction {
         let workers = self.transport.workers();
@@ -698,13 +666,13 @@ impl ShardPool {
     fn note_failure(&mut self, rank: usize, detail: &str) {
         self.streaks[rank] += 1;
         let streak = self.streaks[rank];
-        if streak > self.spec.max_retries {
+        if streak > RETRY.max_retries {
             panic!(
                 "shard worker {rank} exhausted {} retries (last failure: {detail})",
-                self.spec.max_retries
+                RETRY.max_retries
             );
         }
-        std::thread::sleep(self.spec.backoff_delay(streak));
+        std::thread::sleep(RETRY.backoff_delay(streak));
         let engine = self.setup.engine_label();
         if streak >= 2 && engine != "scalar" && !self.quarantined[rank].iter().any(|e| e == engine) {
             self.quarantined[rank].push(engine.to_string());
@@ -800,7 +768,7 @@ mod tests {
         let spec = ShardSpec::new(4);
         assert_eq!(spec.workers, 4);
         assert_eq!(spec.granule, 1);
-        assert!(spec.backoff_delay(1) <= spec.backoff_delay(2));
+        assert!(RETRY.backoff_delay(1) <= RETRY.backoff_delay(2));
         assert_eq!(
             ShardSpec::new(1).with_granule(0).granule,
             1,

@@ -39,7 +39,7 @@
 //! ```
 
 use crate::data::Dataset;
-use crate::metrics::{MetricRecord, MetricStore, RecoveryRecord, StopCondition};
+use crate::metrics::{MetricStore, RecoveryRecord, StopCondition};
 use crate::train::{TrainOutcome, Trainer};
 use sparsetrain_checkpoint::{scan_latest_valid, LoadError, Snapshot};
 use sparsetrain_faults::{InjectedFault, Site};
@@ -133,6 +133,14 @@ struct Failure {
     quarantine: Option<String>,
 }
 
+/// The text of a string panic payload (what `panic!` carries), if any.
+pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+}
+
 fn classify(payload: &(dyn Any + Send), last_engine: Option<&'static str>, streak: usize) -> Failure {
     if let Some(fault) = payload.downcast_ref::<InjectedFault>() {
         let detail = fault.to_string();
@@ -163,10 +171,7 @@ fn classify(payload: &(dyn Any + Send), last_engine: Option<&'static str>, strea
             },
         };
     }
-    let text = payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied());
+    let text = panic_text(payload);
     let detail = text.unwrap_or("non-string panic payload").to_string();
     if text.is_some_and(|t| t.contains("cannot write checkpoint")) {
         return Failure {
@@ -204,12 +209,8 @@ impl HookGuard {
         std::panic::set_hook(Box::new(move |info| {
             let payload = info.payload();
             let silenced = payload.is::<InjectedFault>()
-                || payload
-                    .downcast_ref::<String>()
-                    .is_some_and(|s| s.contains("injected") || s.contains("cannot write checkpoint"))
-                || payload
-                    .downcast_ref::<&str>()
-                    .is_some_and(|s| s.contains("injected"));
+                || panic_text(payload)
+                    .is_some_and(|s| s.contains("injected") || s.contains("cannot write checkpoint"));
             if !silenced {
                 prev(info);
             }
@@ -272,8 +273,9 @@ impl Supervisor {
         let mut recoveries = 0usize;
         let mut quarantined: Vec<String> = Vec::new();
         let mut streak = 0usize;
+        let mut stopped = None;
 
-        while trainer.stream_seeds().epoch() < target {
+        while trainer.stream_seeds().epoch() < target && stopped.is_none() {
             // The shadow snapshot: whatever happens to the disk, this
             // epoch's starting state stays restorable. (Mid-epoch positions
             // snapshot correctly too — resume replays the shuffle and skips
@@ -288,33 +290,9 @@ impl Supervisor {
                     if epoch <= last_recorded {
                         continue; // replaying an already-recorded epoch
                     }
-                    let elapsed = started.elapsed();
-                    let steps = trainer.stream_seeds().step() - step_before;
-                    let vstats = val.map(|d| trainer.evaluate_stats(d));
-                    metrics.record(MetricRecord {
-                        epoch,
-                        loss: stats.loss,
-                        accuracy: stats.accuracy,
-                        val_loss: vstats.map(|s| s.loss),
-                        val_accuracy: vstats.map(|s| s.accuracy),
-                        rho_nnz: trainer.mean_grad_density(),
-                        step_latency_ns: (steps > 0).then(|| elapsed.as_nanos() as f64 / steps as f64),
-                    });
                     last_recorded = epoch;
                     epochs_run += 1;
-                    let record = metrics.last().expect("record just pushed").clone();
-                    for stop in stops.iter_mut() {
-                        if let Some(reason) = stop.check(&record) {
-                            return Ok(SupervisedOutcome {
-                                outcome: TrainOutcome {
-                                    epochs_run,
-                                    stopped: Some(reason),
-                                },
-                                recoveries,
-                                quarantined,
-                            });
-                        }
-                    }
+                    stopped = trainer.record_epoch(stats, step_before, started, val, metrics, stops);
                 }
                 Err(payload) => {
                     streak += 1;
@@ -370,10 +348,7 @@ impl Supervisor {
             }
         }
         Ok(SupervisedOutcome {
-            outcome: TrainOutcome {
-                epochs_run,
-                stopped: None,
-            },
+            outcome: TrainOutcome { epochs_run, stopped },
             recoveries,
             quarantined,
         })

@@ -120,7 +120,7 @@ impl TrainConfig {
     }
 
     /// Returns the config with sharded data-parallel training over
-    /// `workers` workers (one-sample granules, default retry policy).
+    /// `workers` workers (one-sample granules).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.shard = Some(ShardSpec::new(workers));
         self
@@ -351,15 +351,19 @@ impl Trainer {
 
     /// Runs one epoch over `data` and returns loss/accuracy.
     ///
+    /// This is the one epoch scaffold — seeded shuffle, resume skip, fault
+    /// seams, stream-ladder advance, optimizer step, checkpoint cadence —
+    /// for both execution modes; only the step in the middle differs
+    /// (computed on the coordinator, or scattered to the worker pool when
+    /// the config shards training — see [`crate::shard`]).
+    ///
     /// After a mid-epoch [`Trainer::resume`], the first call replays the
     /// snapshot epoch's shuffle and skips the batches trained before the
     /// snapshot, so the trajectory continues bitwise where it left off (the
     /// returned stats then cover only the remaining batches).
     pub fn train_epoch(&mut self, data: &Dataset) -> EpochStats {
-        if self.config.shard.is_some() {
-            return self.train_epoch_sharded(data);
-        }
         assert!(!data.is_empty(), "cannot train on an empty dataset");
+        self.ensure_shard_pool();
         let n = data.len();
         self.epoch_start_rng = self.rng.state();
         let mut order: Vec<usize> = (0..n).collect();
@@ -386,24 +390,11 @@ impl Trainer {
                 );
             }
             seen += chunk.len();
-            // The batch borrows straight from the dataset — no per-image
-            // clone; layers take ownership only where backward needs it.
-            let xs = Batch::gather(&data.images, chunk);
-            let labels: Vec<usize> = chunk.iter().map(|&i| data.labels[i]).collect();
-            self.net.zero_grads();
-            let outs = self.net.forward(xs, &mut self.ctx, true);
-            let mut grads = Vec::with_capacity(outs.len());
-            for (out, &label) in outs.iter().zip(&labels) {
-                let logits = out.as_slice();
-                let (loss, dlogits) = softmax_cross_entropy(logits, label);
-                total_loss += loss as f64;
-                if argmax(logits) == label {
-                    correct += 1;
-                }
-                grads.push(Tensor3::from_vec(logits.len(), 1, 1, dlogits));
-            }
-            let step = self.streams.streams();
-            self.net.backward(grads, &mut self.ctx, &step);
+            correct += if self.shard_pool.is_some() {
+                self.sharded_step(data, chunk, &mut total_loss)
+            } else {
+                self.local_step(data, chunk, &mut total_loss)
+            };
             self.streams.advance_step();
             self.sgd.step(&mut self.net, 1.0 / chunk.len() as f32);
             self.steps_into_epoch += 1;
@@ -428,86 +419,49 @@ impl Trainer {
         }
     }
 
-    /// The sharded mirror of [`Trainer::train_epoch`]: identical shuffle,
-    /// fault seams, checkpoint cadence and stream-ladder advancement, but
-    /// each batch is scattered as granules to the worker pool and the
-    /// gradients/pruning statistics are reduced in fixed granule order
-    /// before the (coordinator-side) optimizer step — see [`crate::shard`].
-    fn train_epoch_sharded(&mut self, data: &Dataset) -> EpochStats {
-        assert!(!data.is_empty(), "cannot train on an empty dataset");
-        self.ensure_shard_pool();
-        let granule = self.config.shard.as_ref().expect("sharded path").granule;
-        let n = data.len();
-        self.epoch_start_rng = self.rng.state();
-        let mut order: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            let j = self.rng.gen_range(0..=i);
-            order.swap(i, j);
-        }
+    /// One step computed on the coordinator: [`step_body`] over the batch
+    /// `chunk` indexes, leaving the gradients in the network. Each
+    /// sample's loss is added to `loss` in sample order; returns the
+    /// correctly classified count.
+    fn local_step(&mut self, data: &Dataset, chunk: &[usize], loss: &mut f64) -> usize {
+        // The batch borrows straight from the dataset — no per-image
+        // clone; layers take ownership only where backward needs it.
+        let xs = Batch::gather(&data.images, chunk);
+        let labels: Vec<usize> = chunk.iter().map(|&i| data.labels[i]).collect();
+        let step = self.streams.streams();
+        step_body(&mut self.net, &mut self.ctx, xs, &labels, &step, loss)
+    }
 
-        let skip = std::mem::take(&mut self.resume_skip);
-        self.steps_into_epoch = skip;
-        let mut total_loss = 0.0f64;
-        let mut correct = 0usize;
-        let mut seen = 0usize;
-        for (chunk_idx, chunk) in order.chunks(self.config.batch_size).enumerate() {
-            if (chunk_idx as u64) < skip {
-                continue; // trained before the snapshot this run resumed from
-            }
-            // Same loader fault seam as the single-threaded path.
-            if sparsetrain_faults::on_loader() {
-                sparsetrain_faults::panic_injected(
-                    sparsetrain_faults::Site::LoaderError,
-                    format!("batch {chunk_idx} of epoch {}", self.streams.epoch() + 1),
-                );
-            }
-            seen += chunk.len();
-            let mut taus = Vec::new();
-            self.net.collect_prune_taus(&mut taus);
-            let mut params = Vec::new();
-            self.net.visit_params(&mut |p, _| params.extend_from_slice(p));
-            let input = StepInput {
-                seed: self.streams.seed(),
-                epoch: self.streams.epoch(),
-                step: self.streams.step(),
-                params,
-                taus,
-                granules: shard::granules_of(data, chunk, granule),
-            };
-            let pool = self.shard_pool.as_mut().expect("pool spawned above");
-            let reduced = pool.run_step(&input);
-            total_loss += reduced.loss;
-            correct += reduced.correct;
-            // Install the granule-order-reduced gradients and advance the
-            // authoritative pruners, exactly where the single-threaded
-            // backward pass would have left them.
-            self.net.zero_grads();
-            let mut offset = 0usize;
-            self.net.visit_params(&mut |_, g| {
-                g.copy_from_slice(&reduced.grads[offset..offset + g.len()]);
-                offset += g.len();
-            });
-            self.net.absorb_prune_stats(&reduced.prune_stats);
-            self.streams.advance_step();
-            self.sgd.step(&mut self.net, 1.0 / chunk.len() as f32);
-            self.steps_into_epoch += 1;
-            self.write_due_checkpoint(false);
-            // Same step-kill fault seam as the single-threaded path.
-            if sparsetrain_faults::on_step_kill() {
-                sparsetrain_faults::panic_injected(
-                    sparsetrain_faults::Site::StepKill,
-                    format!("after step {}", self.streams.step()),
-                );
-            }
-        }
-        self.streams.advance_epoch();
-        self.steps_into_epoch = 0;
-        self.write_due_checkpoint(true);
-        let denom = seen.max(1) as f64;
-        EpochStats {
-            loss: total_loss / denom,
-            accuracy: correct as f64 / denom,
-        }
+    /// The sharded counterpart of [`Trainer::local_step`]: the batch is
+    /// scattered as granules to the worker pool and the gradients and
+    /// pruning statistics, reduced in fixed granule order, are installed
+    /// exactly where the local backward pass would have left them. The
+    /// batch's reduced loss is added to `loss` once.
+    fn sharded_step(&mut self, data: &Dataset, chunk: &[usize], loss: &mut f64) -> usize {
+        let granule = self.config.shard.as_ref().expect("sharded path").granule;
+        let mut taus = Vec::new();
+        self.net.collect_prune_taus(&mut taus);
+        let mut params = Vec::new();
+        self.net.visit_params(&mut |p, _| params.extend_from_slice(p));
+        let input = StepInput {
+            seed: self.streams.seed(),
+            epoch: self.streams.epoch(),
+            step: self.streams.step(),
+            params,
+            taus,
+            granules: shard::granules_of(data, chunk, granule),
+        };
+        let pool = self.shard_pool.as_mut().expect("sharded path");
+        let reduced = pool.run_step(&input);
+        *loss += reduced.loss;
+        self.net.zero_grads();
+        let mut offset = 0usize;
+        self.net.visit_params(&mut |_, g| {
+            g.copy_from_slice(&reduced.grads[offset..offset + g.len()]);
+            offset += g.len();
+        });
+        self.net.absorb_prune_stats(&reduced.prune_stats);
+        reduced.correct
     }
 
     /// Spawns the worker pool if the config shards training and no pool is
@@ -522,11 +476,7 @@ impl Trainer {
             return;
         }
         let setup = if let Some(plan) = self.ctx.plan() {
-            let bytes = plan
-                .to_program()
-                .encode()
-                .expect("frozen plans are always encodable");
-            EngineSetup::Program(bytes)
+            EngineSetup::Program(plan_to_bytes(plan))
         } else if let Some(handle) = self.config.engine {
             EngineSetup::Engine(handle)
         } else {
@@ -594,13 +544,10 @@ impl Trainer {
                 steps_into_epoch: self.steps_into_epoch,
             },
             shuffle_rng,
-            plan: self.ctx.plan().map(|plan| {
-                let bytes = plan
-                    .to_program()
-                    .encode()
-                    .expect("frozen plans are always encodable");
-                PlanPayload::Program(bytes)
-            }),
+            plan: self
+                .ctx
+                .plan()
+                .map(|plan| PlanPayload::Program(plan_to_bytes(plan))),
             optimizer: OptimizerState {
                 lr: self.sgd.learning_rate(),
                 velocities: self.sgd.velocities().to_vec(),
@@ -647,10 +594,7 @@ impl Trainer {
                             sparsetrain_faults::flip_bit(&mut bytes, salt);
                             bytes
                         });
-                        let bytes = flipped.as_deref().unwrap_or(bytes);
-                        let program =
-                            ExecutionProgram::decode(bytes).map_err(|e| ResumeError::Plan(e.to_string()))?;
-                        Plan::from_program(&program).map_err(|e| ResumeError::Plan(e.to_string()))?
+                        plan_from_bytes(flipped.as_deref().unwrap_or(bytes)).map_err(ResumeError::Plan)?
                     }
                 };
                 self.ctx = ExecutionContext::with_plan(plan);
@@ -700,87 +644,81 @@ impl Trainer {
         stops: &mut [Box<dyn StopCondition>],
     ) -> TrainOutcome {
         let mut epochs_run = 0;
-        for _ in 0..epochs {
+        let mut stopped = None;
+        while epochs_run < epochs && stopped.is_none() {
             let step_before = self.streams.step();
             let started = std::time::Instant::now();
             let stats = self.train_epoch(train);
-            let elapsed = started.elapsed();
-            let steps = self.streams.step() - step_before;
             epochs_run += 1;
-            let vstats = val.map(|d| self.evaluate_stats(d));
-            metrics.record(MetricRecord {
-                epoch: self.streams.epoch(),
-                loss: stats.loss,
-                accuracy: stats.accuracy,
-                val_loss: vstats.map(|s| s.loss),
-                val_accuracy: vstats.map(|s| s.accuracy),
-                rho_nnz: self.mean_grad_density(),
-                step_latency_ns: (steps > 0).then(|| elapsed.as_nanos() as f64 / steps as f64),
-            });
-            let record = metrics.last().expect("record just pushed").clone();
-            for stop in stops.iter_mut() {
-                if let Some(reason) = stop.check(&record) {
-                    return TrainOutcome {
-                        epochs_run,
-                        stopped: Some(reason),
-                    };
-                }
-            }
+            stopped = self.record_epoch(stats, step_before, started, val, metrics, stops);
         }
-        TrainOutcome {
-            epochs_run,
-            stopped: None,
+        TrainOutcome { epochs_run, stopped }
+    }
+
+    /// Records the epoch that just finished — its training stats,
+    /// validation stats when `val` is given, mean ρ_nnz, and the mean
+    /// per-step latency since `started` — as one [`MetricRecord`], then
+    /// asks the stop conditions; returns the first stop reason. The epoch
+    /// loops of [`Trainer::train`] and the supervisor both end in this.
+    pub(crate) fn record_epoch(
+        &mut self,
+        stats: EpochStats,
+        step_before: u64,
+        started: std::time::Instant,
+        val: Option<&Dataset>,
+        metrics: &mut MetricStore,
+        stops: &mut [Box<dyn StopCondition>],
+    ) -> Option<String> {
+        let elapsed = started.elapsed();
+        let steps = self.streams.step() - step_before;
+        let vstats = val.map(|d| self.evaluate_stats(d));
+        metrics.record(MetricRecord {
+            epoch: self.streams.epoch(),
+            loss: stats.loss,
+            accuracy: stats.accuracy,
+            val_loss: vstats.map(|s| s.loss),
+            val_accuracy: vstats.map(|s| s.accuracy),
+            rho_nnz: self.mean_grad_density(),
+            step_latency_ns: (steps > 0).then(|| elapsed.as_nanos() as f64 / steps as f64),
+        });
+        let record = metrics.last().expect("record just pushed").clone();
+        stops.iter_mut().find_map(|stop| stop.check(&record))
+    }
+
+    /// The one evaluation walk: evaluation-mode forward passes over `data`
+    /// in batch-size chunks (no parameter updates — trajectory-neutral),
+    /// handing every sample's logits and label to `visit` in dataset order.
+    fn for_each_eval_sample(&mut self, data: &Dataset, visit: &mut dyn FnMut(&[f32], usize)) {
+        for chunk_start in (0..data.len()).step_by(self.config.batch_size) {
+            let end = (chunk_start + self.config.batch_size).min(data.len());
+            let xs = Batch::borrowed(&data.images[chunk_start..end]);
+            let outs = self.net.forward(xs, &mut self.ctx, false);
+            for (out, &label) in outs.iter().zip(&data.labels[chunk_start..end]) {
+                visit(out.as_slice(), label);
+            }
         }
     }
 
     /// Evaluates mean loss and accuracy on `data` (no parameter updates,
     /// evaluation-mode batch norm and dropout — trajectory-neutral).
     pub fn evaluate_stats(&mut self, data: &Dataset) -> EpochStats {
-        if data.is_empty() {
-            return EpochStats {
-                loss: 0.0,
-                accuracy: 0.0,
-            };
-        }
         let mut total_loss = 0.0f64;
         let mut correct = 0usize;
-        for chunk_start in (0..data.len()).step_by(self.config.batch_size) {
-            let end = (chunk_start + self.config.batch_size).min(data.len());
-            let xs = Batch::borrowed(&data.images[chunk_start..end]);
-            let outs = self.net.forward(xs, &mut self.ctx, false);
-            for (out, &label) in outs.iter().zip(&data.labels[chunk_start..end]) {
-                let logits = out.as_slice();
-                let (loss, _) = softmax_cross_entropy(logits, label);
-                total_loss += loss as f64;
-                if argmax(logits) == label {
-                    correct += 1;
-                }
-            }
-        }
+        self.for_each_eval_sample(data, &mut |logits, label| {
+            total_loss += softmax_cross_entropy(logits, label).0 as f64;
+            correct += usize::from(argmax(logits) == label);
+        });
+        let denom = data.len().max(1) as f64;
         EpochStats {
-            loss: total_loss / data.len() as f64,
-            accuracy: correct as f64 / data.len() as f64,
+            loss: total_loss / denom,
+            accuracy: correct as f64 / denom,
         }
     }
 
     /// Evaluates classification accuracy on `data` (no parameter updates,
     /// evaluation-mode batch norm).
     pub fn evaluate(&mut self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let mut correct = 0usize;
-        for chunk_start in (0..data.len()).step_by(self.config.batch_size) {
-            let end = (chunk_start + self.config.batch_size).min(data.len());
-            let xs = Batch::borrowed(&data.images[chunk_start..end]);
-            let outs = self.net.forward(xs, &mut self.ctx, false);
-            for (out, &label) in outs.iter().zip(&data.labels[chunk_start..end]) {
-                if argmax(out.as_slice()) == label {
-                    correct += 1;
-                }
-            }
-        }
-        correct as f64 / data.len() as f64
+        self.evaluate_stats(data).accuracy
     }
 
     /// Evaluates `data` into a confusion matrix over `classes` classes
@@ -788,16 +726,11 @@ impl Trainer {
     /// label is out of range are skipped.
     pub fn evaluate_confusion(&mut self, data: &Dataset, classes: usize) -> ConfusionMatrix {
         let mut cm = ConfusionMatrix::new(classes);
-        for chunk_start in (0..data.len()).step_by(self.config.batch_size) {
-            let end = (chunk_start + self.config.batch_size).min(data.len());
-            let xs = Batch::borrowed(&data.images[chunk_start..end]);
-            let outs = self.net.forward(xs, &mut self.ctx, false);
-            for (out, &label) in outs.iter().zip(&data.labels[chunk_start..end]) {
-                if label < classes {
-                    cm.record_logits(label, out.as_slice());
-                }
+        self.for_each_eval_sample(data, &mut |logits, label| {
+            if label < classes {
+                cm.record_logits(label, logits);
             }
-        }
+        });
         cm
     }
 
@@ -808,16 +741,9 @@ impl Trainer {
             return None;
         }
         let mut hits = 0usize;
-        for chunk_start in (0..data.len()).step_by(self.config.batch_size) {
-            let end = (chunk_start + self.config.batch_size).min(data.len());
-            let xs = Batch::borrowed(&data.images[chunk_start..end]);
-            let outs = self.net.forward(xs, &mut self.ctx, false);
-            for (out, &label) in outs.iter().zip(&data.labels[chunk_start..end]) {
-                if crate::metrics::in_top_k(out.as_slice(), label, k) {
-                    hits += 1;
-                }
-            }
-        }
+        self.for_each_eval_sample(data, &mut |logits, label| {
+            hits += usize::from(crate::metrics::in_top_k(logits, label, k));
+        });
         Some(hits as f64 / data.len() as f64)
     }
 
@@ -863,33 +789,8 @@ impl Trainer {
         model: &str,
         dataset: &str,
     ) -> NetworkTrace {
-        assert!(!data.is_empty(), "cannot capture a trace from an empty dataset");
-        let n = data.len();
-        let bs = self.config.batch_size.min(n);
-        let indices: Vec<usize> = (0..bs).map(|i| (start + i) % n).collect();
-        let xs = Batch::gather(&data.images, &indices);
-        let labels: Vec<usize> = indices.iter().map(|&i| data.labels[i]).collect();
-        let labels = &labels[..];
         self.net.set_capture(true);
-        self.net.zero_grads();
-        let outs = self.net.forward(xs, &mut self.ctx, true);
-        let grads: Vec<Tensor3> = outs
-            .iter()
-            .zip(labels)
-            .map(|(out, &label)| {
-                let (_, dlogits) = softmax_cross_entropy(out.as_slice(), label);
-                Tensor3::from_vec(out.len(), 1, 1, dlogits)
-            })
-            .collect();
-        // Probe passes reuse the upcoming step's stream coordinates
-        // without advancing the ladder, and run with pruning state frozen
-        // (predicted thresholds applied, no FIFO/statistics updates): they
-        // are off the training path and must not perturb it.
-        let step = self.streams.streams();
-        self.net.set_prune_frozen(true);
-        self.net.backward(grads, &mut self.ctx, &step);
-        self.net.set_prune_frozen(false);
-        self.net.zero_grads(); // discard the gradient side effects
+        self.probe_pass(data, start);
         let mut trace = NetworkTrace::new(model, dataset);
         self.net.collect_traces(&mut trace.layers);
         self.net.set_capture(false);
@@ -905,35 +806,79 @@ impl Trainer {
     ///
     /// Panics if `data` is empty.
     pub fn tap_gradients(&mut self, data: &Dataset) -> Vec<(String, Vec<f32>)> {
-        assert!(!data.is_empty(), "cannot tap gradients from an empty dataset");
-        let n = data.len();
-        let bs = self.config.batch_size.min(n);
-        let indices: Vec<usize> = (0..bs).map(|i| i % n).collect();
-        let xs = Batch::gather(&data.images, &indices);
-        let labels: Vec<usize> = indices.iter().map(|&i| data.labels[i]).collect();
         self.net.set_grad_tap(true);
-        self.net.zero_grads();
-        let outs = self.net.forward(xs, &mut self.ctx, true);
-        let grads: Vec<Tensor3> = outs
-            .iter()
-            .zip(&labels)
-            .map(|(out, &label)| {
-                let (_, dlogits) = softmax_cross_entropy(out.as_slice(), label);
-                Tensor3::from_vec(out.len(), 1, 1, dlogits)
-            })
-            .collect();
-        // Frozen probe pass, like `capture_trace_at`: same stream
-        // coordinates as the upcoming step, no pruner state mutation.
-        let step = self.streams.streams();
-        self.net.set_prune_frozen(true);
-        self.net.backward(grads, &mut self.ctx, &step);
-        self.net.set_prune_frozen(false);
-        self.net.zero_grads();
+        self.probe_pass(data, 0);
         let mut tapped = Vec::new();
         self.net.take_tapped_grads(&mut tapped);
         self.net.set_grad_tap(false);
         tapped
     }
+
+    /// The one probe pass behind [`Trainer::capture_trace_at`] and
+    /// [`Trainer::tap_gradients`]: a local step over the batch starting at
+    /// `start` (wrapped), off the training path. It reuses the upcoming
+    /// step's stream coordinates without advancing the ladder and runs
+    /// with pruning state frozen (predicted thresholds applied, no
+    /// FIFO/statistics updates), then discards the gradient side effects,
+    /// so inspecting a run never perturbs it.
+    fn probe_pass(&mut self, data: &Dataset, start: usize) {
+        assert!(!data.is_empty(), "cannot probe an empty dataset");
+        let n = data.len();
+        let bs = self.config.batch_size.min(n);
+        let indices: Vec<usize> = (0..bs).map(|i| (start + i) % n).collect();
+        self.net.set_prune_frozen(true);
+        self.local_step(data, &indices, &mut 0.0);
+        self.net.set_prune_frozen(false);
+        self.net.zero_grads();
+    }
+}
+
+/// The one training-step body — zero the gradients, forward in training
+/// mode, per-sample cross-entropy loss and `dlogits`, backward under
+/// `streams` — leaving the batch's summed gradients in `net`. The local
+/// step, a shard worker's granule and the probe pass all run exactly this.
+///
+/// Each sample's loss is added to the caller's `loss` accumulator in
+/// sample order. The bracketing is contract: the local path hands in the
+/// epoch's running total (per-sample adds across batch boundaries), a
+/// worker hands in a fresh `0.0` per granule. Returns the number of
+/// correctly classified samples.
+pub(crate) fn step_body(
+    net: &mut Sequential,
+    ctx: &mut ExecutionContext,
+    xs: Batch<'_>,
+    labels: &[usize],
+    streams: &StepStreams,
+    loss: &mut f64,
+) -> usize {
+    net.zero_grads();
+    let outs = net.forward(xs, ctx, true);
+    let mut correct = 0usize;
+    let mut grads = Vec::with_capacity(outs.len());
+    for (out, &label) in outs.iter().zip(labels) {
+        let logits = out.as_slice();
+        let (sample_loss, dlogits) = softmax_cross_entropy(logits, label);
+        *loss += sample_loss as f64;
+        correct += usize::from(argmax(logits) == label);
+        grads.push(Tensor3::from_vec(logits.len(), 1, 1, dlogits));
+    }
+    net.backward(grads, ctx, streams);
+    correct
+}
+
+/// A frozen plan as compiled `STPLAN` bytes — the form in which it is
+/// embedded in snapshots and broadcast to shard workers.
+pub(crate) fn plan_to_bytes(plan: &Plan) -> Vec<u8> {
+    plan.to_program()
+        .encode()
+        .expect("frozen plans are always encodable")
+}
+
+/// The inverse of [`plan_to_bytes`]; the error is the rendered decode or
+/// registry-resolution failure.
+pub(crate) fn plan_from_bytes(bytes: &[u8]) -> Result<Plan, String> {
+    let program = ExecutionProgram::decode(bytes).map_err(|e| e.to_string())?;
+    Plan::from_program(&program).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

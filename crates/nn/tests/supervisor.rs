@@ -67,13 +67,19 @@ fn steps_per_epoch(train: &Dataset) -> u64 {
     probe.stream_seeds().step()
 }
 
+/// The fixture config on the coordinator (`None`) or sharded over
+/// `Some(n)` workers: the epoch scaffold's fault seams and resume skip
+/// must behave identically around either kind of step.
+fn config_for(workers: Option<usize>) -> TrainConfig {
+    match workers {
+        Some(n) => TrainConfig::quick().with_workers(n),
+        None => TrainConfig::quick(),
+    }
+}
+
 /// Plain, unfaulted, checkpoint-free 3-epoch run: the bitwise reference
 /// every recovered run must reproduce.
-fn reference(train: &Dataset, engine: Option<&str>) -> (Vec<u32>, MetricStore) {
-    let mut config = TrainConfig::quick();
-    if let Some(name) = engine {
-        config = config.with_engine_name(name);
-    }
+fn reference(train: &Dataset, config: TrainConfig) -> (Vec<u32>, MetricStore) {
     let mut trainer = make_trainer(config);
     let mut metrics = MetricStore::new();
     trainer.train(train, None, 3, &mut metrics, &mut []);
@@ -90,7 +96,7 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
 fn fault_free_supervised_run_matches_plain_train() {
     let _g = FaultGuard::lock();
     let train = dataset();
-    let (ref_bits, ref_metrics) = reference(&train, None);
+    let (ref_bits, ref_metrics) = reference(&train, TrainConfig::quick());
 
     let mut trainer = make_trainer(TrainConfig::quick());
     let mut metrics = MetricStore::new();
@@ -119,36 +125,38 @@ fn kill_mid_epoch_recovers_bitwise_from_disk() {
     let _g = FaultGuard::lock();
     let train = dataset();
     let e = steps_per_epoch(&train);
-    let (ref_bits, _) = reference(&train, None);
+    let (ref_bits, _) = reference(&train, TrainConfig::quick());
 
-    let dir = temp_dir("kill");
-    let config =
-        TrainConfig::quick().with_checkpoint_policy(CheckpointPolicy::every_steps(&dir, 3).with_keep(3));
-    // The step-kill site is checked once per completed step, so At(n)
-    // crashes the epoch loop right after step n+1 — aimed mid-epoch 2.
-    faults::install(FaultPlan::new(42).with(Site::StepKill, Trigger::At(e + e / 2)));
-    let mut trainer = make_trainer(config);
-    let mut metrics = MetricStore::new();
-    let out = quick_supervisor()
-        .train(&mut trainer, &train, None, 3, &mut metrics, &mut [])
-        .unwrap();
+    for workers in [None, Some(2)] {
+        let dir = temp_dir("kill");
+        let config =
+            config_for(workers).with_checkpoint_policy(CheckpointPolicy::every_steps(&dir, 3).with_keep(3));
+        // The step-kill site is checked once per completed step, so At(n)
+        // crashes the epoch loop right after step n+1 — aimed mid-epoch 2.
+        faults::install(FaultPlan::new(42).with(Site::StepKill, Trigger::At(e + e / 2)));
+        let mut trainer = make_trainer(config);
+        let mut metrics = MetricStore::new();
+        let out = quick_supervisor()
+            .train(&mut trainer, &train, None, 3, &mut metrics, &mut [])
+            .unwrap();
 
-    assert_eq!(out.recoveries, 1);
-    assert_eq!(out.outcome.epochs_run, 3);
-    let rec = &metrics.recoveries()[0];
-    assert_eq!(rec.kind, "kill");
-    assert_eq!(
-        rec.source, "disk",
-        "a mid-epoch-2 snapshot must beat the epoch-1 shadow"
-    );
-    assert!(rec.resumed_step > e, "expected a mid-epoch-2 resume point");
-    assert_eq!(rec.resumed_step % 3, 0, "disk snapshots land on the step cadence");
-    assert_eq!(
-        param_bits(&mut trainer),
-        ref_bits,
-        "recovered run diverged from reference"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(out.recoveries, 1, "workers {workers:?}");
+        assert_eq!(out.outcome.epochs_run, 3);
+        let rec = &metrics.recoveries()[0];
+        assert_eq!(rec.kind, "kill");
+        assert_eq!(
+            rec.source, "disk",
+            "a mid-epoch-2 snapshot must beat the epoch-1 shadow"
+        );
+        assert!(rec.resumed_step > e, "expected a mid-epoch-2 resume point");
+        assert_eq!(rec.resumed_step % 3, 0, "disk snapshots land on the step cadence");
+        assert_eq!(
+            param_bits(&mut trainer),
+            ref_bits,
+            "recovered run diverged from reference (workers {workers:?})"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]
@@ -156,40 +164,47 @@ fn loader_fault_retries_via_shadow_and_stays_bitwise() {
     let _g = FaultGuard::lock();
     let train = dataset();
     let e = steps_per_epoch(&train);
-    let (ref_bits, ref_metrics) = reference(&train, None);
+    let (ref_bits, _) = reference(&train, TrainConfig::quick());
 
-    // No checkpoint policy: recovery can only use the in-memory shadow.
-    // The loader site is checked once per trained batch, so At(e + 1)
-    // fires on the second batch of epoch 2.
-    faults::install(FaultPlan::new(7).with(Site::LoaderError, Trigger::At(e + 1)));
-    let mut trainer = make_trainer(TrainConfig::quick());
-    let mut metrics = MetricStore::new();
-    let out = quick_supervisor()
-        .train(&mut trainer, &train, None, 3, &mut metrics, &mut [])
-        .unwrap();
+    for workers in [None, Some(2)] {
+        // The metric trajectory is compared against an unfaulted run on
+        // the same path: the two paths bracket the epoch loss differently.
+        faults::clear();
+        let (_, ref_metrics) = reference(&train, config_for(workers));
 
-    assert_eq!(out.recoveries, 1);
-    assert_eq!(out.outcome.epochs_run, 3);
-    let rec = &metrics.recoveries()[0];
-    assert_eq!(rec.kind, "loader");
-    assert_eq!(rec.source, "shadow");
-    assert_eq!(rec.attempt, 1);
-    assert_eq!(rec.resumed_epoch, 1, "shadow was taken at the epoch-1 boundary");
-    assert_eq!(rec.resumed_step, e);
-    assert!(
-        rec.backoff_ms >= 1,
-        "loader faults are transient and must back off"
-    );
-    assert_eq!(param_bits(&mut trainer), ref_bits);
-    // A full epoch replay reproduces the reference metric records exactly.
-    assert_eq!(metrics.records(), ref_metrics.records());
+        // No checkpoint policy: recovery can only use the in-memory shadow.
+        // The loader site is checked once per trained batch, so At(e + 1)
+        // fires on the second batch of epoch 2.
+        faults::install(FaultPlan::new(7).with(Site::LoaderError, Trigger::At(e + 1)));
+        let mut trainer = make_trainer(config_for(workers));
+        let mut metrics = MetricStore::new();
+        let out = quick_supervisor()
+            .train(&mut trainer, &train, None, 3, &mut metrics, &mut [])
+            .unwrap();
+
+        assert_eq!(out.recoveries, 1, "workers {workers:?}");
+        assert_eq!(out.outcome.epochs_run, 3);
+        let rec = &metrics.recoveries()[0];
+        assert_eq!(rec.kind, "loader");
+        assert_eq!(rec.source, "shadow");
+        assert_eq!(rec.attempt, 1);
+        assert_eq!(rec.resumed_epoch, 1, "shadow was taken at the epoch-1 boundary");
+        assert_eq!(rec.resumed_step, e);
+        assert!(
+            rec.backoff_ms >= 1,
+            "loader faults are transient and must back off"
+        );
+        assert_eq!(param_bits(&mut trainer), ref_bits, "workers {workers:?}");
+        // A full epoch replay reproduces the reference metric records exactly.
+        assert_eq!(metrics.records(), ref_metrics.records());
+    }
 }
 
 #[test]
 fn engine_panic_quarantines_and_stays_bitwise() {
     let _g = FaultGuard::lock();
     let train = dataset();
-    let (ref_bits, _) = reference(&train, Some("parallel:simd"));
+    let (ref_bits, _) = reference(&train, TrainConfig::quick().with_engine_name("parallel:simd"));
 
     // Panic the 6th parallel:simd dispatch (early in epoch 1). After the
     // quarantine every dispatch degrades to scalar — which is parity-pinned,
@@ -228,7 +243,7 @@ fn corrupt_newest_snapshot_is_skipped_and_reported() {
     let _g = FaultGuard::lock();
     let train = dataset();
     let e = steps_per_epoch(&train);
-    let (ref_bits, _) = reference(&train, None);
+    let (ref_bits, _) = reference(&train, TrainConfig::quick());
 
     let dir = temp_dir("torn");
     let config =

@@ -1,11 +1,11 @@
-//! The execution context: one resolved engine plus reusable scratch.
+//! The execution context: one resolved engine plus its execution plan.
 //!
 //! [`ExecutionContext`] is the object call sites thread through a training
 //! or executor pass instead of re-resolving an engine token at every
 //! layer: it owns the resolved `&'static dyn KernelEngine` (picked once,
-//! by [`EngineHandle`]) and a [`Workspace`] of reusable scratch buffers for
-//! row-at-a-time callers. Construction is name-driven — from a registry
-//! handle, a string (`"scalar"`, `"parallel"`, `"simd"`,
+//! by [`EngineHandle`]) and, on the `"auto"` engine, the [`Planner`] that
+//! decides each (layer, stage) cell. Construction is name-driven — from a
+//! registry handle, a string (`"scalar"`, `"parallel"`, `"simd"`,
 //! `"parallel:simd"`, `"im2row"`, `"parallel:im2row"`, `"fixed"`,
 //! `"fixed:qI.F"`, `"auto"`, or anything registered), or the
 //! `SPARSETRAIN_ENGINE` environment variable — so adding a backend never
@@ -38,10 +38,9 @@
 //! let mut ctx = ExecutionContext::by_name("parallel:simd").unwrap();
 //! assert_eq!(ctx.engine_name(), "parallel:simd");
 //! assert!(ctx.plan().is_none()); // not a planned context
-//! ctx.workspace().row(64); // reusable zeroed scratch
 //! ```
 
-use crate::engine::{BatchOut, KernelEngine, StageOp, Workspace};
+use crate::engine::{BatchOut, KernelEngine, StageOp};
 use crate::mask::RowMask;
 use crate::planner::{batch_density, env_plan, Plan, Planner, Stage};
 use crate::registry::{env_override, lookup, EngineHandle, UnknownEngine};
@@ -51,11 +50,7 @@ use sparsetrain_tensor::{Tensor3, Tensor4};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-/// A resolved engine plus the scratch it executes with.
-///
-/// Cheap to construct; the workspace grows lazily to the largest row it is
-/// asked for and is then reused, so one context per trainer/executor keeps
-/// every row-level call allocation-free.
+/// A resolved engine plus, on the `"auto"` engine, its execution plan.
 ///
 /// # Quarantine
 ///
@@ -70,7 +65,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub struct ExecutionContext {
     handle: EngineHandle,
-    workspace: Workspace,
     planner: Option<Planner>,
     quarantined: Vec<String>,
     last_dispatch: Cell<Option<&'static str>>,
@@ -93,7 +87,6 @@ impl ExecutionContext {
         });
         Self {
             handle,
-            workspace: Workspace::new(),
             planner,
             quarantined: Vec::new(),
             last_dispatch: Cell::new(None),
@@ -111,7 +104,6 @@ impl ExecutionContext {
     pub fn with_plan(plan: Plan) -> Self {
         Self {
             handle: lookup("auto").expect("auto engine is always registered"),
-            workspace: Workspace::new(),
             planner: Some(Planner::replay(plan)),
             quarantined: Vec::new(),
             last_dispatch: Cell::new(None),
@@ -222,11 +214,6 @@ impl ExecutionContext {
     /// execution froze a winner.
     pub fn plan(&self) -> Option<&Plan> {
         self.planner.as_ref().map(Planner::plan)
-    }
-
-    /// The reusable scratch buffers for row-at-a-time execution.
-    pub fn workspace(&mut self) -> &mut Workspace {
-        &mut self.workspace
     }
 
     // -- Planned entry points ------------------------------------------------

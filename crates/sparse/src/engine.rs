@@ -56,10 +56,6 @@
 //! across the `samples × elements` space on the parallel engine with —
 //! again — bitwise-identical results at every thread count.
 //!
-//! [`Workspace`] is the companion scratch-buffer type for row-at-a-time
-//! callers (benches, op-stream execution): it owns reusable output/tap
-//! buffers so single-row kernel calls need no allocation either.
-//!
 //! Engine selection is name-keyed: the open registry in
 //! [`crate::registry`] maps `"scalar"` / `"parallel"` / `"simd"` /
 //! `"parallel:simd"` / `"fixed"` / `"fixed:qI.F"` (and
@@ -70,7 +66,6 @@
 //! consumes the same op enumeration and is engine-agnostic by
 //! construction.
 
-use crate::compressed::SparseVec;
 use crate::mask::RowMask;
 use crate::msrc::msrc_accumulate;
 use crate::osrc::osrc_accumulate;
@@ -955,114 +950,6 @@ impl KernelEngine for ParallelEngine {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Workspace
-// ---------------------------------------------------------------------------
-
-/// Reusable scratch buffers for row-at-a-time kernel execution.
-///
-/// A `Workspace` owns one output-row buffer and one tap buffer that grow to
-/// the largest size requested and are then reused, so driving the 1-D
-/// kernels row by row (op-stream executors, benches, PE-level harnesses)
-/// performs no per-row allocation:
-///
-/// ```
-/// use sparsetrain_sparse::{engine::Workspace, SparseVec};
-/// use sparsetrain_tensor::conv::ConvGeometry;
-///
-/// let mut ws = Workspace::new();
-/// let row = SparseVec::from_dense(&[0.0, 2.0, 0.0, 4.0]);
-/// let out = ws.src(&row, &[1.0], ConvGeometry::new(1, 1, 0), 4);
-/// assert_eq!(out, &[0.0, 2.0, 0.0, 4.0]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Workspace {
-    row: Vec<f32>,
-    taps: Vec<f32>,
-}
-
-impl Workspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A workspace pre-sized for rows of `row_len` and kernels of `k` taps.
-    pub fn with_capacity(row_len: usize, k: usize) -> Self {
-        Self {
-            row: vec![0.0; row_len],
-            taps: vec![0.0; k],
-        }
-    }
-
-    /// A zeroed output-row buffer of length `len`, reused across calls.
-    pub fn row(&mut self, len: usize) -> &mut [f32] {
-        if self.row.len() < len {
-            self.row.resize(len, 0.0);
-        }
-        let row = &mut self.row[..len];
-        row.fill(0.0);
-        row
-    }
-
-    /// A zeroed tap buffer of length `k`, reused across calls.
-    pub fn taps(&mut self, k: usize) -> &mut [f32] {
-        if self.taps.len() < k {
-            self.taps.resize(k, 0.0);
-        }
-        let taps = &mut self.taps[..k];
-        taps.fill(0.0);
-        taps
-    }
-
-    /// One SRC operation into the reused row buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel_row.len() != geom.kernel`.
-    pub fn src(
-        &mut self,
-        input: &SparseVec,
-        kernel_row: &[f32],
-        geom: ConvGeometry,
-        out_len: usize,
-    ) -> &[f32] {
-        let out = self.row(out_len);
-        src_accumulate(input, kernel_row, geom, out);
-        out
-    }
-
-    /// One MSRC operation into the reused row buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel_row.len() != geom.kernel` or
-    /// `mask.len() != out_len`.
-    pub fn msrc(
-        &mut self,
-        grad: &SparseVec,
-        kernel_row: &[f32],
-        geom: ConvGeometry,
-        mask: &RowMask,
-        out_len: usize,
-    ) -> &[f32] {
-        let out = self.row(out_len);
-        msrc_accumulate(grad, kernel_row, geom, mask, out);
-        out
-    }
-
-    /// One OSRC operation into the reused tap buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if operand lengths are inconsistent with
-    /// `geom`.
-    pub fn osrc(&mut self, input: &SparseVec, grad: &SparseVec, geom: ConvGeometry) -> &[f32] {
-        let taps = self.taps(geom.kernel);
-        osrc_accumulate(input, grad, geom, taps);
-        taps
-    }
-}
 /// The one copy of the pseudo-random sparse fixtures the engine unit
 /// tests (here, `simd_engine`, `im2row_engine`) share.
 #[cfg(test)]
@@ -1345,39 +1232,5 @@ mod tests {
             );
         }
         assert_eq!(run(&ParallelEngine::auto()), scalar);
-    }
-
-    #[test]
-    fn workspace_reuses_buffers() {
-        let mut ws = Workspace::new();
-        let row = SparseVec::from_dense(&[1.0, 0.0, 2.0]);
-        let geom = ConvGeometry::new(1, 1, 0);
-        let a = ws.src(&row, &[2.0], geom, 3).to_vec();
-        assert_eq!(a, vec![2.0, 0.0, 4.0]);
-        // A second call must see a freshly zeroed buffer, not stale data.
-        let b = ws.src(&row, &[1.0], geom, 3).to_vec();
-        assert_eq!(b, vec![1.0, 0.0, 2.0]);
-        // Shrinking requests reuse the same storage.
-        let c = ws.src(&row, &[1.0], geom, 2).to_vec();
-        assert_eq!(c, vec![1.0, 0.0]);
-    }
-
-    #[test]
-    fn workspace_osrc_matches_allocating_wrapper() {
-        let mut ws = Workspace::new();
-        let geom = ConvGeometry::new(3, 1, 1);
-        let input = SparseVec::from_dense(&[0.0, 1.0, 0.0, 2.0, 3.0, 0.0]);
-        let grad = SparseVec::from_dense(&[1.0, 0.0, -1.0, 0.0, 2.0, 0.0]);
-        let got = ws.osrc(&input, &grad, geom).to_vec();
-        assert_eq!(got, crate::osrc::osrc_conv(&input, &grad, geom));
-    }
-
-    #[test]
-    fn workspace_msrc_honours_mask() {
-        let mut ws = Workspace::new();
-        let geom = ConvGeometry::new(1, 1, 0);
-        let grad = SparseVec::from_dense(&[1.0, 1.0, 1.0]);
-        let mask = RowMask::from_offsets(3, &[1]);
-        assert_eq!(ws.msrc(&grad, &[1.0], geom, &mask, 3), &[0.0, 1.0, 0.0]);
     }
 }

@@ -69,8 +69,6 @@
 //!   mirroring the paper's 16-bit RTL, built on
 //!   `sparsetrain_tensor::qformat`. Other 16-bit grids resolve by name:
 //!   `"fixed:q4.12"` interns a Q4.12 engine on first lookup.
-//! * [`engine::Workspace`] — reusable scratch buffers for row-at-a-time
-//!   callers.
 //!
 //! Selection is **name-keyed and open**: [`registry`] maps `"scalar"`,
 //! `"parallel"`, `"simd"`, `"parallel:simd"`, `"im2row"`,
@@ -79,7 +77,7 @@
 //! [`registry::register`] — to [`registry::EngineHandle`] tokens, resolved
 //! from strings (`FromStr`), configuration, or the `SPARSETRAIN_ENGINE`
 //! environment variable ([`registry::env_override`]). A resolved engine
-//! travels as a [`context::ExecutionContext`] (engine + workspace), which
+//! travels as a [`context::ExecutionContext`] (engine + plan), which
 //! `sparsetrain-nn` threads through every `Layer::forward`/`backward` and
 //! `sparsetrain-core` through the dataflow executor — no call site ever
 //! re-resolves a token.
@@ -117,7 +115,7 @@ pub mod work;
 
 pub use compressed::SparseVec;
 pub use context::ExecutionContext;
-pub use engine::{BandContext, BatchOut, KernelEngine, ParallelEngine, ScalarEngine, StageOp, Workspace};
+pub use engine::{BandContext, BatchOut, KernelEngine, ParallelEngine, ScalarEngine, StageOp};
 pub use fixed_engine::FixedPointEngine;
 pub use im2row_engine::Im2RowEngine;
 pub use mask::RowMask;

@@ -25,8 +25,8 @@
 //!   [`ExecutionContext`] (`forward_batch_for` and friends). Every planned
 //!   engine is bitwise-identical to the scalar reference, so a VM replay
 //!   is bitwise-identical to the probing run that produced the program.
-//!   The VM pre-sizes its workspace from the program's hints and tracks
-//!   which program cells have executed ([`PlanVm::pending_cells`]).
+//!   The VM tracks which program cells have executed
+//!   ([`PlanVm::pending_cells`]).
 //!
 //! `SPARSETRAIN_PLAN` accepts both formats: [`crate::planner::load_plan`]
 //! sniffs the magic and routes binary files here.
@@ -118,8 +118,8 @@ pub struct ProgramCell {
 
 /// A workspace-size hint: the largest single-instruction operand
 /// population (values streamed through one row op) observed for a cell
-/// when the program was compiled. Advisory — the VM pre-sizes scratch from
-/// it, capped at [`PlanVm::MAX_PREWARM_ELEMENTS`].
+/// when the program was compiled. Advisory — execution never depends on
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkspaceHint {
     /// String-table id of the layer name.
@@ -467,13 +467,7 @@ pub struct PlanVm {
 }
 
 impl PlanVm {
-    /// Cap on workspace pre-sizing from (untrusted) program hints, in f32
-    /// elements. Larger hints are clamped; the workspace still grows
-    /// on demand if a call genuinely needs more.
-    pub const MAX_PREWARM_ELEMENTS: u64 = 1 << 20;
-
-    /// A VM executing `program`. The workspace is pre-sized from the
-    /// program's hints (clamped to [`PlanVm::MAX_PREWARM_ELEMENTS`]).
+    /// A VM executing `program`.
     ///
     /// # Errors
     ///
@@ -481,13 +475,9 @@ impl PlanVm {
     /// [`Plan::from_program`]).
     pub fn new(program: ExecutionProgram) -> Result<Self, PlanError> {
         let plan = Plan::from_program(&program)?;
-        let mut ctx = ExecutionContext::with_plan(plan);
-        if let Some(max) = program.max_workspace_elements() {
-            ctx.workspace().row(max.min(Self::MAX_PREWARM_ELEMENTS) as usize);
-        }
         Ok(PlanVm {
             program,
-            ctx,
+            ctx: ExecutionContext::with_plan(plan),
             executed: BTreeSet::new(),
         })
     }

@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::{
     registry, BandContext, BatchOut, FixedPointEngine, KernelEngine, ParallelEngine, RowMask, ScalarEngine,
-    SimdEngine, Stage, StageOp, Workspace,
+    SimdEngine, Stage, StageOp,
 };
 use sparsetrain_tensor::conv::{self, ConvGeometry};
 use sparsetrain_tensor::{Tensor3, Tensor4};
@@ -431,23 +431,6 @@ proptest! {
                 bound
             );
         }
-    }
-
-    /// Workspace row-at-a-time SRC agrees with the allocating wrapper for
-    /// arbitrary rows — the zero-allocation path computes the same values.
-    #[test]
-    fn workspace_src_matches_wrapper(
-        row in proptest::collection::vec(
-            prop_oneof![1u32 => Just(0.0f32), 1u32 => -3.0f32..3.0], 24),
-        geom in arb_geom(),
-    ) {
-        let sparse = sparsetrain_sparse::SparseVec::from_dense(&row);
-        let kernel: Vec<f32> = (0..geom.kernel).map(|i| 0.75 - i as f32 * 0.5).collect();
-        let out_len = geom.output_extent(24);
-        let mut ws = Workspace::new();
-        let fast = ws.src(&sparse, &kernel, geom, out_len).to_vec();
-        let slow = sparsetrain_sparse::src::src_conv(&sparse, &kernel, geom, out_len);
-        prop_assert_eq!(fast, slow);
     }
 }
 
