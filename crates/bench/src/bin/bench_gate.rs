@@ -1,26 +1,16 @@
-//! `sparsetrain-bench` — the bench-trajectory gate behind the CI perf jobs.
+//! `sparsetrain-bench` — the tooling behind the CI perf and artifact jobs.
 //!
 //! The criterion shim appends every measurement as one JSON line to
-//! `target/bench-results.jsonl`. This binary turns that trajectory into
-//! enforcement:
+//! `target/bench-results.jsonl`; `multicore` reads that trajectory, the
+//! other subcommands run their own fixtures. Kernel-ratio regression
+//! gating is not done here — `stbench compare` is the repo's one perf gate.
 //!
-//! * `baseline` — collapse a results file into a committed per-leg
-//!   baseline (`crates/bench/baseline.json`, median ns per label).
-//! * `check` — regression-gate the conv legs of a fresh run against the
-//!   baseline. The gated metric is the **speedup relative to the same
-//!   run's scalar leg** (`engine_ns / scalar_ns`), so a uniformly faster
-//!   or slower runner cancels out and the gate survives runner-class
-//!   changes; a leg whose normalized ratio degrades by more than
-//!   `--max-regression` (default 20 %) fails the job. The pruning group's
-//!   engine-banded legs are gated the same way, normalized by the same
-//!   run's sequential (`pruning/seq/…`) reference leg. Also renders the
-//!   scalar/parallel/simd/im2row ratio table as Markdown (to
-//!   `--summary`, e.g. `$GITHUB_STEP_SUMMARY`).
-//! * `plan` — probe the density-adaptive planner on the AlexNet-shape
+//! * `plan` — run the density-adaptive planner over the AlexNet-shape
 //!   bench fixtures and print the frozen per-(layer, stage) execution
-//!   plan as a Markdown table (what the `auto` engine decides on this
-//!   machine at these densities). `--emit <file>` compiles the probed
-//!   plan into a binary `STPLAN` execution program; `--replay <file>`
+//!   plan as a Markdown table (what the `auto` engine decides at these
+//!   densities and this pool size — the same bytes on every run).
+//!   `--emit <file>` compiles the plan into a binary `STPLAN` execution
+//!   program; `--replay <file>`
 //!   decodes such a program in a fresh process and replays it through
 //!   the plan VM over the same fixtures, failing unless every program
 //!   cell executes. The emitted artifact is also what `SPARSETRAIN_PLAN`
@@ -54,25 +44,10 @@
 //!   land **bitwise** on the fault-free run's parameters. `--seed` fixes
 //!   the campaign, `--extra` appends seeded randomized kill scenarios,
 //!   and one `{"chaos":{...}}` line per scenario is appended to `--out`.
-//!
-//! Regenerate the committed baseline after intentional perf changes.
-//! Always at **one rayon worker** — the gate's ratios are single-threaded
-//! kernel comparisons, and pinning the thread count keeps a baseline from
-//! an N-core box comparable to any runner:
-//!
-//! ```sh
-//! rm -f target/bench-results.jsonl
-//! RAYON_NUM_THREADS=1 cargo bench -p sparsetrain-bench --bench engine
-//! cargo run --release -p sparsetrain-bench --bin sparsetrain-bench -- \
-//!     baseline --results target/bench-results.jsonl --out crates/bench/baseline.json
-//! ```
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-
-/// The per-stage conv bench groups the regression gate covers.
-const CONV_GROUPS: [&str; 3] = ["engine_forward", "engine_input_grad", "engine_weight_grad"];
 
 /// The group the multi-core assertion reads.
 const BATCHED_GROUP: &str = "engine_forward_batched";
@@ -92,8 +67,6 @@ fn main() -> ExitCode {
     };
     let run = || -> Result<bool, String> {
         match cmd.as_str() {
-            "baseline" => cmd_baseline(&opts),
-            "check" => cmd_check(&opts),
             "multicore" => cmd_multicore(&opts),
             "shard" => cmd_shard(&opts),
             "doccheck" => cmd_doccheck(&opts),
@@ -114,11 +87,8 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-usage: sparsetrain-bench <baseline|check|multicore|shard|doccheck|plan|ckpt|chaos> [options]
+usage: sparsetrain-bench <multicore|shard|doccheck|plan|ckpt|chaos> [options]
 
-  baseline  --results <jsonl> --out <json>
-  check     --results <jsonl> --baseline <json>
-            [--max-regression 0.20] [--summary <path>]
   multicore --results <jsonl> [--min-ratio 1.5] [--summary <path>]
   shard     [--min-ratio 1.5] [--summary <path>]
   doccheck  [--summary <path>]
@@ -129,12 +99,10 @@ usage: sparsetrain-bench <baseline|check|multicore|shard|doccheck|plan|ckpt|chao
 
 struct Opts {
     results: Option<String>,
-    baseline: Option<String>,
     out: Option<String>,
     summary: Option<String>,
     emit: Option<String>,
     replay: Option<String>,
-    max_regression: f64,
     min_ratio: f64,
     seed: u64,
     extra: usize,
@@ -144,12 +112,10 @@ impl Opts {
     fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = Opts {
             results: None,
-            baseline: None,
             out: None,
             summary: None,
             emit: None,
             replay: None,
-            max_regression: 0.20,
             min_ratio: 1.5,
             seed: 42,
             extra: 2,
@@ -163,14 +129,10 @@ impl Opts {
             };
             match flag.as_str() {
                 "--results" => opts.results = Some(value()?.to_string()),
-                "--baseline" => opts.baseline = Some(value()?.to_string()),
                 "--out" => opts.out = Some(value()?.to_string()),
                 "--summary" => opts.summary = Some(value()?.to_string()),
                 "--emit" => opts.emit = Some(value()?.to_string()),
                 "--replay" => opts.replay = Some(value()?.to_string()),
-                "--max-regression" => {
-                    opts.max_regression = value()?.parse().map_err(|e| format!("--max-regression: {e}"))?;
-                }
                 "--min-ratio" => {
                     opts.min_ratio = value()?.parse().map_err(|e| format!("--min-ratio: {e}"))?;
                 }
@@ -194,7 +156,7 @@ impl Opts {
 }
 
 // ---------------------------------------------------------------------------
-// Trajectory / baseline parsing (our own shim's flat formats; no JSON crate)
+// Trajectory parsing (our own shim's flat format; no JSON crate)
 // ---------------------------------------------------------------------------
 
 /// Extracts `(label, mean_ns)` from one shim-written JSONL line.
@@ -239,39 +201,6 @@ fn median(mut values: Vec<f64>) -> f64 {
     }
 }
 
-/// Writes the baseline as a flat, sorted `{"label": ns}` JSON object.
-fn render_baseline(legs: &BTreeMap<String, f64>) -> String {
-    let mut out = String::from("{\n");
-    for (i, (label, ns)) in legs.iter().enumerate() {
-        let comma = if i + 1 == legs.len() { "" } else { "," };
-        let _ = writeln!(out, "  \"{label}\": {ns:.1}{comma}");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Parses the flat baseline object by scanning `"label": number` pairs
-/// (labels never contain quotes).
-fn parse_baseline(text: &str) -> BTreeMap<String, f64> {
-    let mut legs = BTreeMap::new();
-    let mut rest = text;
-    while let Some(start) = rest.find('"') {
-        rest = &rest[start + 1..];
-        let Some(end) = rest.find('"') else { break };
-        let label = &rest[..end];
-        rest = &rest[end + 1..];
-        let value = rest
-            .trim_start_matches([':', ' '])
-            .split([',', '\n', '}'])
-            .next()
-            .unwrap_or("");
-        if let Ok(ns) = value.trim().parse::<f64>() {
-            legs.insert(label.to_string(), ns);
-        }
-    }
-    legs
-}
-
 /// Splits a per-stage label `group/engine/layer` (engine names may contain
 /// `:` but never `/`).
 fn split_leg(label: &str) -> Option<(&str, &str, &str)> {
@@ -282,204 +211,6 @@ fn split_leg(label: &str) -> Option<(&str, &str, &str)> {
 // ---------------------------------------------------------------------------
 // Subcommands
 // ---------------------------------------------------------------------------
-
-fn cmd_baseline(opts: &Opts) -> Result<bool, String> {
-    let results = load_results(opts.results()?)?;
-    let out = opts.out.as_deref().ok_or("--out is required")?;
-    std::fs::write(out, render_baseline(&results)).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {} legs to {out}", results.len());
-    Ok(true)
-}
-
-fn cmd_check(opts: &Opts) -> Result<bool, String> {
-    let current = load_results(opts.results()?)?;
-    let baseline_path = opts.baseline.as_deref().ok_or("--baseline is required")?;
-    let baseline_text =
-        std::fs::read_to_string(baseline_path).map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
-    let baseline = parse_baseline(&baseline_text);
-    if baseline.is_empty() {
-        return Err(format!("{baseline_path} contains no legs"));
-    }
-
-    let (mut failures, mut fresh) = gate_conv_legs(&baseline, &current, opts.max_regression);
-    let (prune_failures, prune_fresh) = gate_pruning_legs(&baseline, &current, opts.max_regression);
-    failures.extend(prune_failures);
-    fresh.extend(prune_fresh);
-    let mut summary = render_ratio_table(&current);
-    let _ = writeln!(
-        summary,
-        "\nGate: normalized conv-leg ratio (engine/scalar, same run) and banded-pruning \
-         ratio (banded/seq, same run) vs baseline, threshold +{:.0} %.\n",
-        opts.max_regression * 100.0
-    );
-    if failures.is_empty() {
-        let _ = writeln!(summary, "**PASS** — no gated leg regressed.");
-    } else {
-        let _ = writeln!(summary, "**FAIL** — {} leg(s) regressed:\n", failures.len());
-        for f in &failures {
-            let _ = writeln!(summary, "- {f}");
-        }
-    }
-    for leg in &fresh {
-        let _ = writeln!(
-            summary,
-            "- note: `{leg}` has no baseline entry — regenerate `crates/bench/baseline.json`."
-        );
-    }
-    emit_summary(opts, &summary);
-    Ok(failures.is_empty())
-}
-
-/// Gates every conv leg present in the baseline. Returns (failures,
-/// current legs missing from the baseline).
-fn gate_conv_legs(
-    baseline: &BTreeMap<String, f64>,
-    current: &BTreeMap<String, f64>,
-    max_regression: f64,
-) -> (Vec<String>, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut fresh = Vec::new();
-    let scalar_leg = |legs: &BTreeMap<String, f64>, group: &str, layer: &str| {
-        legs.get(&format!("{group}/scalar/{layer}")).copied()
-    };
-    for (label, &base_ns) in baseline {
-        let Some((group, engine, layer)) = split_leg(label) else {
-            continue;
-        };
-        if !CONV_GROUPS.contains(&group) {
-            continue;
-        }
-        let Some(&cur_ns) = current.get(label) else {
-            failures.push(format!("`{label}`: leg missing from this run"));
-            continue;
-        };
-        if engine == "scalar" {
-            continue; // the normalization reference
-        }
-        let (Some(base_scalar), Some(cur_scalar)) = (
-            scalar_leg(baseline, group, layer),
-            scalar_leg(current, group, layer),
-        ) else {
-            continue;
-        };
-        let base_rel = base_ns / base_scalar;
-        let cur_rel = cur_ns / cur_scalar;
-        let regression = cur_rel / base_rel - 1.0;
-        if regression > max_regression {
-            failures.push(format!(
-                "`{label}`: {:.2}× scalar, was {:.2}× (+{:.0} %)",
-                cur_rel,
-                base_rel,
-                regression * 100.0
-            ));
-        }
-    }
-    for label in current.keys() {
-        if let Some((group, _, _)) = split_leg(label) {
-            if CONV_GROUPS.contains(&group) && !baseline.contains_key(label) {
-                fresh.push(label.clone());
-            }
-        }
-    }
-    (failures, fresh)
-}
-
-/// Gates the pruning group's engine-banded legs
-/// (`pruning/banded/{engine}/t{threads}/b{batch}`) against the baseline,
-/// normalized by the same run's sequential reference leg
-/// (`pruning/seq/t{threads}/b{batch}`). The seq legs themselves are
-/// reference-only and never gated. Returns (failures, current banded legs
-/// missing from the baseline).
-fn gate_pruning_legs(
-    baseline: &BTreeMap<String, f64>,
-    current: &BTreeMap<String, f64>,
-    max_regression: f64,
-) -> (Vec<String>, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut fresh = Vec::new();
-    // "pruning/banded/{engine}/{tail}" → its "pruning/seq/{tail}" reference
-    // (engine names may contain ':' but never '/').
-    let seq_ref = |label: &str| -> Option<String> {
-        let spec = label.strip_prefix("pruning/banded/")?;
-        let (_engine, tail) = spec.split_once('/')?;
-        Some(format!("pruning/seq/{tail}"))
-    };
-    for (label, &base_ns) in baseline {
-        let Some(seq) = seq_ref(label) else { continue };
-        let Some(&cur_ns) = current.get(label) else {
-            failures.push(format!("`{label}`: leg missing from this run"));
-            continue;
-        };
-        let (Some(&base_seq), Some(&cur_seq)) = (baseline.get(&seq), current.get(&seq)) else {
-            continue;
-        };
-        let base_rel = base_ns / base_seq;
-        let cur_rel = cur_ns / cur_seq;
-        let regression = cur_rel / base_rel - 1.0;
-        if regression > max_regression {
-            failures.push(format!(
-                "`{label}`: {:.2}× seq, was {:.2}× (+{:.0} %)",
-                cur_rel,
-                base_rel,
-                regression * 100.0
-            ));
-        }
-    }
-    for label in current.keys() {
-        if seq_ref(label).is_some() && !baseline.contains_key(label) {
-            fresh.push(label.clone());
-        }
-    }
-    (failures, fresh)
-}
-
-/// Renders the per-stage engine comparison as Markdown: one table per conv
-/// group, one row per layer, speedups relative to the same run's scalar
-/// leg.
-fn render_ratio_table(current: &BTreeMap<String, f64>) -> String {
-    let mut out = String::from("## Engine bench ratios\n");
-    for group in CONV_GROUPS {
-        // Engines and layers present for this group, in first-seen order.
-        let mut engines: Vec<&str> = Vec::new();
-        let mut layers: Vec<&str> = Vec::new();
-        for label in current.keys() {
-            if let Some((g, engine, layer)) = split_leg(label) {
-                if g == group {
-                    if !engines.contains(&engine) {
-                        engines.push(engine);
-                    }
-                    if !layers.contains(&layer) {
-                        layers.push(layer);
-                    }
-                }
-            }
-        }
-        if layers.is_empty() {
-            continue;
-        }
-        engines.sort_by_key(|e| (*e != "scalar", *e));
-        let _ = writeln!(out, "\n### {group}\n");
-        let _ = writeln!(out, "| leg | {} |", engines.join(" | "));
-        let _ = writeln!(out, "|---|{}", "---|".repeat(engines.len()));
-        for layer in layers {
-            let scalar_ns = current.get(&format!("{group}/scalar/{layer}")).copied();
-            let cells: Vec<String> = engines
-                .iter()
-                .map(|engine| {
-                    let Some(&ns) = current.get(&format!("{group}/{engine}/{layer}")) else {
-                        return "—".to_string();
-                    };
-                    match (*engine, scalar_ns) {
-                        ("scalar", _) | (_, None) => format_ns(ns),
-                        (_, Some(s)) => format!("{} ({:.2}×)", format_ns(ns), s / ns),
-                    }
-                })
-                .collect();
-            let _ = writeln!(out, "| {layer} | {} |", cells.join(" | "));
-        }
-    }
-    out
-}
 
 fn format_ns(ns: f64) -> String {
     if ns >= 1e6 {
@@ -782,9 +513,9 @@ fn plan_fixtures() -> Vec<PlanFixture> {
         .collect()
 }
 
-/// Probes the density-adaptive planner on the AlexNet-shape bench
+/// Runs the density-adaptive planner over the AlexNet-shape bench
 /// fixtures and prints the frozen plan as a Markdown table. `--emit`
-/// compiles the probed plan into a binary `STPLAN` program on disk;
+/// compiles the plan into a binary `STPLAN` program on disk;
 /// `--replay` instead decodes such a program and replays it through the
 /// plan VM over the same fixtures, passing only when every program cell
 /// executed (so a stale artifact that no longer matches the fixtures
@@ -1106,119 +837,6 @@ mod tests {
         assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(vec![7.0]), 7.0);
-    }
-
-    #[test]
-    fn baseline_roundtrips() {
-        let mut legs = BTreeMap::new();
-        legs.insert("engine_forward/scalar/conv1_3x64x32".to_string(), 100.0);
-        legs.insert("engine_forward/parallel:im2row/conv1_3x64x32".to_string(), 40.5);
-        let text = render_baseline(&legs);
-        assert_eq!(parse_baseline(&text), legs);
-    }
-
-    fn legs(entries: &[(&str, f64)]) -> BTreeMap<String, f64> {
-        entries.iter().map(|(l, ns)| (l.to_string(), *ns)).collect()
-    }
-
-    #[test]
-    fn gate_normalizes_by_the_same_runs_scalar_leg() {
-        let baseline = legs(&[
-            ("engine_forward/scalar/conv1", 100.0),
-            ("engine_forward/simd/conv1", 50.0), // 0.5× scalar
-        ]);
-        // A uniformly 3× slower machine: same normalized ratio — no fail.
-        let slower = legs(&[
-            ("engine_forward/scalar/conv1", 300.0),
-            ("engine_forward/simd/conv1", 150.0),
-        ]);
-        let (failures, fresh) = gate_conv_legs(&baseline, &slower, 0.20);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(fresh.is_empty());
-        // A genuine 30 % relative regression on the simd leg: fail.
-        let regressed = legs(&[
-            ("engine_forward/scalar/conv1", 100.0),
-            ("engine_forward/simd/conv1", 65.0),
-        ]);
-        let (failures, _) = gate_conv_legs(&baseline, &regressed, 0.20);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("engine_forward/simd/conv1"), "{failures:?}");
-        // Within threshold: 10 % does not fail.
-        let mild = legs(&[
-            ("engine_forward/scalar/conv1", 100.0),
-            ("engine_forward/simd/conv1", 55.0),
-        ]);
-        assert!(gate_conv_legs(&baseline, &mild, 0.20).0.is_empty());
-    }
-
-    #[test]
-    fn gate_flags_missing_and_fresh_legs() {
-        let baseline = legs(&[
-            ("engine_forward/scalar/conv1", 100.0),
-            ("engine_forward/simd/conv1", 50.0),
-        ]);
-        let current = legs(&[
-            ("engine_forward/scalar/conv1", 100.0),
-            ("engine_forward/im2row/conv1", 30.0),
-        ]);
-        let (failures, fresh) = gate_conv_legs(&baseline, &current, 0.20);
-        assert_eq!(failures.len(), 1, "baseline leg vanished must fail: {failures:?}");
-        assert_eq!(fresh, vec!["engine_forward/im2row/conv1".to_string()]);
-        // Non-conv groups are never gated by the conv gate.
-        let baseline = legs(&[("pruning/seq/t1/b8", 10.0)]);
-        let (failures, fresh) = gate_conv_legs(&baseline, &legs(&[]), 0.20);
-        assert!(failures.is_empty() && fresh.is_empty());
-    }
-
-    #[test]
-    fn pruning_gate_normalizes_banded_legs_by_the_seq_reference() {
-        let baseline = legs(&[
-            ("pruning/seq/t1/b8", 100.0),
-            ("pruning/banded/parallel:simd/t1/b8", 50.0), // 0.5× seq
-        ]);
-        // Uniformly slower runner, same ratio: pass.
-        let slower = legs(&[
-            ("pruning/seq/t1/b8", 200.0),
-            ("pruning/banded/parallel:simd/t1/b8", 100.0),
-        ]);
-        let (failures, fresh) = gate_pruning_legs(&baseline, &slower, 0.20);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(fresh.is_empty());
-        // Genuine 30 % relative regression on the banded leg: fail.
-        let regressed = legs(&[
-            ("pruning/seq/t1/b8", 100.0),
-            ("pruning/banded/parallel:simd/t1/b8", 65.0),
-        ]);
-        let (failures, _) = gate_pruning_legs(&baseline, &regressed, 0.20);
-        assert_eq!(failures.len(), 1);
-        assert!(
-            failures[0].contains("pruning/banded/parallel:simd/t1/b8"),
-            "{failures:?}"
-        );
-        // A baseline banded leg missing from the run fails; a fresh banded
-        // leg is only noted; seq legs are never gated themselves.
-        let missing = legs(&[("pruning/seq/t1/b8", 100.0), ("pruning/banded/auto/t1/b8", 60.0)]);
-        let (failures, fresh) = gate_pruning_legs(&baseline, &missing, 0.20);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("leg missing"), "{failures:?}");
-        assert_eq!(fresh, vec!["pruning/banded/auto/t1/b8".to_string()]);
-        // A seq-only baseline gates nothing.
-        let seq_only = legs(&[("pruning/seq/t1/b8", 10.0)]);
-        let (failures, fresh) = gate_pruning_legs(&seq_only, &legs(&[]), 0.20);
-        assert!(failures.is_empty() && fresh.is_empty());
-    }
-
-    #[test]
-    fn ratio_table_lists_scalar_first_with_speedups() {
-        let current = legs(&[
-            ("engine_forward/scalar/conv1", 100.0),
-            ("engine_forward/im2row/conv1", 25.0),
-            ("engine_forward/simd/conv1", 50.0),
-        ]);
-        let table = render_ratio_table(&current);
-        assert!(table.contains("| leg | scalar | im2row | simd |"), "{table}");
-        assert!(table.contains("(4.00×)"), "{table}");
-        assert!(table.contains("(2.00×)"), "{table}");
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl LayerState {
 /// resolves them through the planner's parsers on resume.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanPayload {
-    /// The line-oriented text format (`Plan::to_text`) — what snapshots before the binary
+    /// The line-oriented text format (`Plan::from_text` parses it) — what snapshots before the binary
     /// program format carried.
     Text(String),
     /// A compiled `STPLAN` binary execution program (`ExecutionProgram::encode`).

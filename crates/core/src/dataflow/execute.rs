@@ -161,15 +161,15 @@ mod tests {
     }
 
     #[test]
-    fn planned_execution_probes_each_stage_and_matches_scalar() {
+    fn planned_execution_decides_each_stage_and_matches_scalar() {
         let t = trace();
         let w = weights();
         let scalar = execute_conv(&t, &mut ExecutionContext::scalar(), &w, None);
         let mut auto = ExecutionContext::by_name("auto").unwrap();
-        // First execution probes and freezes the plan; the second replays
+        // First execution decides and freezes the plan; the second replays
         // it. Both must be bitwise equal to the scalar reference.
-        let probed = execute_conv(&t, &mut auto, &w, None);
-        assert_eq!(scalar, probed);
+        let first = execute_conv(&t, &mut auto, &w, None);
+        assert_eq!(scalar, first);
         let plan = auto.plan().expect("auto context is planned");
         assert_eq!(plan.len(), 3, "forward, GTA and GTW cells all frozen");
         let replayed = execute_conv(&t, &mut auto, &w, None);

@@ -563,8 +563,8 @@ impl Trainer {
     ///
     /// When the snapshot embeds an execution plan — binary program or
     /// legacy text payload — and this trainer runs on the `auto` engine,
-    /// the frozen plan is replayed instead of re-probing (an explicitly
-    /// pinned engine takes precedence over the plan).
+    /// the frozen plan is replayed instead of being decided afresh (an
+    /// explicitly pinned engine takes precedence over the plan).
     ///
     /// # Errors
     ///

@@ -93,33 +93,59 @@ fn scalar_and_parallel_training_trajectories_are_bitwise_equal() {
     assert_eq!(scalar, parallel);
 }
 
-/// The planner's probe epoch leaves the training trajectory unchanged:
-/// every probe candidate is bitwise-identical to scalar, so which engine
-/// wins each (layer, stage) race can never show up in the weights. Two
-/// epochs under `auto` — the first probing and freezing the plan, the
-/// second replaying it — must land bit-for-bit on the scalar trajectory.
+/// The planner leaves the training trajectory unchanged and decides the
+/// same plan every time: every engine the density rule names is
+/// bitwise-identical to scalar, so two epochs under `auto` — the first
+/// deciding and freezing each (layer, stage) cell, the second replaying
+/// the plan — must land bit-for-bit on the scalar trajectory; and since no
+/// clock is read, a second `auto` run of the same seed and data must freeze
+/// a byte-identical program, which a resumed trainer carries on unchanged.
 #[test]
 fn auto_planner_training_trajectory_is_bitwise_scalar() {
     let (train, _) = SyntheticSpec::tiny(2).generate();
-    let collect_params = |name: &str| -> Vec<f32> {
-        let net = models::mini_cnn(2, 4, None);
-        let mut trainer = Trainer::new(net, TrainConfig::quick().with_engine_name(name));
+    let fresh = |name: &str| {
+        Trainer::new(
+            models::mini_cnn(2, 4, None),
+            TrainConfig::quick().with_engine_name(name),
+        )
+    };
+    // The plan and snapshot after one epoch, the parameters after two.
+    let run = |name: &str| {
+        let mut trainer = fresh(name);
         trainer.train_epoch(&train);
-        if name == "auto" {
-            let plan = trainer.context_mut().plan().expect("auto context is planned");
-            assert!(
-                !plan.is_empty(),
-                "the first (probe) epoch must freeze at least one plan cell"
-            );
-        }
+        let plan = trainer.context_mut().plan().cloned();
+        let snap = trainer.snapshot();
         trainer.train_epoch(&train);
         let mut params = Vec::new();
         trainer.network_mut().visit_params(&mut |w: &mut [f32], _| {
             params.extend_from_slice(w);
         });
-        params
+        (params, plan, snap)
     };
-    assert_eq!(collect_params("auto"), collect_params("scalar"));
+    let (auto_params, auto_plan, auto_snap) = run("auto");
+    let (scalar_params, scalar_plan, _) = run("scalar");
+    assert_eq!(auto_params, scalar_params);
+    assert!(scalar_plan.is_none());
+    let auto_plan = auto_plan.expect("auto context is planned");
+    assert!(
+        !auto_plan.is_empty(),
+        "the first epoch must freeze at least one plan cell"
+    );
+
+    let (_, again_plan, _) = run("auto");
+    let encode = |plan: &sparsetrain_sparse::Plan| plan.to_program().encode().expect("frozen plans encode");
+    assert_eq!(
+        encode(&auto_plan),
+        encode(&again_plan.expect("auto context is planned")),
+        "two auto runs of one seed froze different plans"
+    );
+    let mut resumed = fresh("auto");
+    resumed.resume(&auto_snap).expect("resume");
+    assert_eq!(
+        resumed.context_mut().plan(),
+        Some(&auto_plan),
+        "the resumed trainer reports different cells"
+    );
 }
 
 /// A replayed plan is honoured end to end: pin one conv's forward cell to

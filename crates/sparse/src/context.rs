@@ -3,8 +3,8 @@
 //! [`ExecutionContext`] is the object call sites thread through a training
 //! or executor pass instead of re-resolving an engine token at every
 //! layer: it owns the resolved `&'static dyn KernelEngine` (picked once,
-//! by [`EngineHandle`]) and, on the `"auto"` engine, the [`Planner`] that
-//! decides each (layer, stage) cell. Construction is name-driven — from a
+//! by [`EngineHandle`]) and, on the `"auto"` engine, the [`Plan`] that
+//! holds each decided (layer, stage) cell. Construction is name-driven — from a
 //! registry handle, a string (`"scalar"`, `"parallel"`, `"simd"`,
 //! `"parallel:simd"`, `"im2row"`, `"parallel:im2row"`, `"fixed"`,
 //! `"fixed:qI.F"`, `"auto"`, or anything registered), or the
@@ -22,15 +22,17 @@
 //! [`ExecutionContext::input_grad_batch_for_into`] and
 //! [`ExecutionContext::weight_grad_batch_for`] — each a thin wrapper that
 //! builds the batch's [`StageOp`]s and hands them to one planned-dispatch
-//! function. Selecting the `"auto"` engine attaches a [`Planner`], and they
+//! function. Selecting the `"auto"` engine attaches a [`Plan`], and they
 //! then resolve their engine **per (layer, stage) cell** instead of globally.
-//! The first execution of an undecided cell races every bitwise-safe
-//! candidate engine and freezes the fastest (probe mode); when
-//! `SPARSETRAIN_PLAN` names a serialized plan file, that plan replays
-//! instead and no probing happens. Every candidate is bitwise-identical
-//! to the scalar reference, so planning — probed or replayed — affects
-//! speed, never results. Contexts on any other engine treat the planned
-//! entry points as plain batched calls on the resolved engine.
+//! The first execution of an undecided cell decides it — the win-region
+//! rule ([`heuristic_handle`]) names the engine from the stage and the
+//! batch's operand density — and freezes the decision; no clock is read,
+//! so the same run always freezes the same plan. The plan starts empty, or
+//! from the serialized plan file `SPARSETRAIN_PLAN` names, whose cells
+//! then stay as pinned. Every engine the rule names is bitwise-identical
+//! to the scalar reference, so planning affects speed, never results.
+//! Contexts on any other engine treat the planned entry points as plain
+//! batched calls on the resolved engine.
 //!
 //! ```
 //! use sparsetrain_sparse::ExecutionContext;
@@ -42,13 +44,17 @@
 
 use crate::engine::{BatchOut, KernelEngine, StageOp};
 use crate::mask::RowMask;
-use crate::planner::{batch_density, env_plan, Plan, Planner, Stage};
+use crate::planner::{batch_density, env_plan, heuristic_handle, Plan, Stage};
 use crate::registry::{env_override, lookup, EngineHandle, UnknownEngine};
 use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
 use std::cell::Cell;
-use std::time::{Duration, Instant};
+
+/// The reference engine: the quarantine fallback and a fresh plan's default.
+fn scalar_handle() -> EngineHandle {
+    lookup("scalar").expect("scalar engine is always registered")
+}
 
 /// A resolved engine plus, on the `"auto"` engine, its execution plan.
 ///
@@ -56,7 +62,7 @@ use std::time::{Duration, Instant};
 ///
 /// A supervisor that catches an engine panicking mid-band can
 /// [`quarantine`](ExecutionContext::quarantine) that engine: every
-/// subsequent dispatch of it (direct, planned, or probed) silently falls
+/// subsequent dispatch of it (direct or planned) silently falls
 /// back to the `scalar` reference engine instead. Because every float
 /// engine is parity-pinned bitwise to scalar, quarantine degrades speed,
 /// never the training trajectory. (`fixed` is outside that parity
@@ -65,15 +71,15 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub struct ExecutionContext {
     handle: EngineHandle,
-    planner: Option<Planner>,
+    plan: Option<Plan>,
     quarantined: Vec<String>,
     last_dispatch: Cell<Option<&'static str>>,
 }
 
 impl ExecutionContext {
     /// Context executing on the engine `handle` resolves to. Selecting the
-    /// `"auto"` engine attaches a [`Planner`] — probing by default,
-    /// replaying the plan file `SPARSETRAIN_PLAN` names when set.
+    /// `"auto"` engine attaches a [`Plan`] — empty by default, the one
+    /// loaded from the plan file `SPARSETRAIN_PLAN` names when set.
     ///
     /// # Panics
     ///
@@ -81,13 +87,14 @@ impl ExecutionContext {
     /// be read or parsed (consistent with the other misconfigured-
     /// environment panics on the selection paths).
     pub fn new(handle: EngineHandle) -> Self {
-        let planner = (handle.name() == "auto").then(|| match env_plan().unwrap_or_else(|e| panic!("{e}")) {
-            Some(plan) => Planner::replay(plan),
-            None => Planner::probing(),
+        let plan = (handle.name() == "auto").then(|| {
+            env_plan()
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or_else(|| Plan::new(scalar_handle()))
         });
         Self {
             handle,
-            planner,
+            plan,
             quarantined: Vec::new(),
             last_dispatch: Cell::new(None),
         }
@@ -95,16 +102,16 @@ impl ExecutionContext {
 
     /// Context on the reference scalar engine.
     pub fn scalar() -> Self {
-        Self::new(lookup("scalar").expect("scalar engine is always registered"))
+        Self::new(scalar_handle())
     }
 
-    /// A planned context replaying `plan`: the planned entry points
-    /// resolve each (layer, stage) cell through it, with the density
-    /// heuristic (not probing) deciding cells the plan misses.
+    /// A planned context starting from `plan`: the planned entry points
+    /// resolve each (layer, stage) cell through it, the density rule
+    /// deciding (and freezing) cells the plan misses.
     pub fn with_plan(plan: Plan) -> Self {
         Self {
             handle: lookup("auto").expect("auto engine is always registered"),
-            planner: Some(Planner::replay(plan)),
+            plan: Some(plan),
             quarantined: Vec::new(),
             last_dispatch: Cell::new(None),
         }
@@ -191,7 +198,7 @@ impl ExecutionContext {
     /// resolves to `scalar`, anything else resolves to itself.
     fn effective(&self, handle: EngineHandle) -> EngineHandle {
         if self.is_quarantined(handle.name()) {
-            lookup("scalar").expect("scalar engine is always registered")
+            scalar_handle()
         } else {
             handle
         }
@@ -210,10 +217,10 @@ impl ExecutionContext {
     }
 
     /// The execution plan as decided so far — `Some` only on planned
-    /// (`"auto"`) contexts. Probed cells appear here once their first
-    /// execution froze a winner.
+    /// (`"auto"`) contexts. A cell appears here once its first execution
+    /// froze its engine.
     pub fn plan(&self) -> Option<&Plan> {
-        self.planner.as_ref().map(Planner::plan)
+        self.plan.as_ref()
     }
 
     // -- Planned entry points ------------------------------------------------
@@ -223,65 +230,22 @@ impl ExecutionContext {
     // three public methods only build the batch's `StageOp`s and its
     // `BatchOut`; `run_planned` holds the one copy of the decision logic.
 
-    fn probe_candidates(&self) -> Vec<EngineHandle> {
-        // Quarantined engines never compete (their wins would be remapped to
-        // scalar at dispatch anyway, freezing a lie into the plan). `scalar`
-        // is always a candidate and never quarantinable, so the set stays
-        // non-empty.
-        self.planner
-            .as_ref()
-            .expect("probe implies a planner")
-            .candidates()
-            .iter()
-            .filter(|h| !self.is_quarantined(h.name()))
-            .copied()
-            .collect()
-    }
-
     /// Runs one batch of `stage` ops for `layer` into `out`, on the engine
-    /// its `(layer, stage)` cell resolves to — every execution, decided or
-    /// probed, goes through [`dispatch`](Self::dispatch).
-    ///
-    /// A decided cell — any cell of an unplanned context, a cell the plan
-    /// pins, or one a replaying planner fills from the density heuristic
-    /// (once, then frozen) — is one dispatched call. An undecided cell of
-    /// a probing context races every candidate with a timed full execution
-    /// into a clone of `out` — so accumulate-into contracts see exactly one
-    /// execution's worth of updates — keeps the fastest run's output and
-    /// freezes its engine. Every candidate is bitwise equal to scalar, so
-    /// which one's output is kept can never matter.
-    fn run_planned(&mut self, layer: &str, stage: Stage, ops: &[StageOp<'_>], mut out: BatchOut<'_>) {
-        let decided = match &mut self.planner {
-            None => Some(self.handle),
-            Some(p) if p.probing_enabled() => p.decided(layer, stage),
-            Some(p) => Some(p.decided(layer, stage).unwrap_or_else(|| {
-                let h = p.fallback(stage, batch_density(ops.iter().map(StageOp::operand)));
-                p.record(layer, stage, h);
-                h
-            })),
+    /// its `(layer, stage)` cell resolves to, through
+    /// [`dispatch`](Self::dispatch): the context's own engine when it is
+    /// not planned, otherwise the cell's frozen engine — decided here, on
+    /// the cell's first execution, from the stage and the batch's operand
+    /// density when the plan does not hold it yet.
+    fn run_planned(&mut self, layer: &str, stage: Stage, ops: &[StageOp<'_>], out: BatchOut<'_>) {
+        let handle = match &mut self.plan {
+            None => self.handle,
+            Some(plan) => plan.get(layer, stage).unwrap_or_else(|| {
+                let decided = heuristic_handle(stage, batch_density(ops.iter().map(StageOp::operand)));
+                plan.set(layer, stage, decided);
+                decided
+            }),
         };
-        if let Some(h) = decided {
-            self.dispatch(h).run_batch(ops, out);
-            return;
-        }
-        let mut best: Option<(Duration, EngineHandle, Vec<Vec<f32>>)> = None;
-        for cand in self.probe_candidates() {
-            let mut scratch: Vec<Vec<f32>> = out.slices().iter().map(|s| s.to_vec()).collect();
-            let start = Instant::now();
-            self.dispatch(cand).run_batch(ops, out.like(&mut scratch));
-            let elapsed = start.elapsed();
-            if best.as_ref().is_none_or(|(t, _, _)| elapsed < *t) {
-                best = Some((elapsed, cand, scratch));
-            }
-        }
-        let (_, winner, scratch) = best.expect("candidate set is never empty");
-        self.planner
-            .as_mut()
-            .expect("probe implies a planner")
-            .record(layer, stage, winner);
-        for (dst, src) in out.slices().iter_mut().zip(&scratch) {
-            dst.copy_from_slice(src);
-        }
+        self.dispatch(handle).run_batch(ops, out);
     }
 
     /// Planned batched forward step: one freshly allocated output per
@@ -360,8 +324,7 @@ impl ExecutionContext {
 
     /// Planned batched GTW step: every sample's weight gradient is added
     /// into the shared `dw` in sample order, resolved per
-    /// `(layer, WeightGrad)` cell on planned contexts. A probed cell still
-    /// adds exactly one execution's gradients.
+    /// `(layer, WeightGrad)` cell on planned contexts.
     ///
     /// # Panics
     ///
@@ -422,7 +385,7 @@ mod tests {
         for name in ["scalar", "parallel", "fixed"] {
             let ctx = ExecutionContext::by_name(name).unwrap();
             assert_eq!(ctx.engine_name(), name);
-            assert!(ctx.plan().is_none(), "{name} must not attach a planner");
+            assert!(ctx.plan().is_none(), "{name} must not attach a plan");
         }
         assert_eq!(ExecutionContext::by_name("auto").unwrap().engine_name(), "auto");
         assert!(ExecutionContext::by_name("nope").is_err());
@@ -475,20 +438,24 @@ mod tests {
         let mut dw = Tensor4::zeros(2, 2, 3, 3);
         ctx.weight_grad_batch_for("conv1", &inputs, &inputs, geom, &mut dw);
         assert!(dw.as_slice().iter().any(|&v| v != 0.0));
-        assert!(ctx.plan().is_none(), "no plan state accrues without a planner");
+        assert!(
+            ctx.plan().is_none(),
+            "no plan state accrues on an unplanned context"
+        );
     }
 
     #[test]
-    fn probing_context_freezes_each_cell_and_stays_bitwise_scalar() {
+    fn auto_context_freezes_each_cell_and_stays_bitwise_scalar() {
         let mut auto = ExecutionContext::by_name("auto").unwrap();
         let mut scalar = ExecutionContext::scalar();
         let (inputs, weights, geom) = batch_fixture();
         assert_eq!(auto.plan().map(Plan::len), Some(0));
 
-        // Forward: the probe decides the cell and returns scalar's bits.
-        let probed = auto.forward_batch_for("c1", &inputs, &weights, None, geom);
+        // Forward: the first execution decides the cell and returns
+        // scalar's bits.
+        let first = auto.forward_batch_for("c1", &inputs, &weights, None, geom);
         let reference = scalar.forward_batch_for("c1", &inputs, &weights, None, geom);
-        for (a, b) in probed.iter().zip(&reference) {
+        for (a, b) in first.iter().zip(&reference) {
             assert_eq!(a.as_slice(), b.as_slice());
         }
         let frozen = auto
@@ -503,7 +470,8 @@ mod tests {
         }
         assert_eq!(auto.plan().unwrap().get("c1", Stage::Forward), Some(frozen));
 
-        // GTW: probing must accumulate exactly one execution into dw.
+        // GTW: the deciding call must accumulate exactly one execution
+        // into dw.
         let mut dw_auto = Tensor4::zeros(2, 2, 3, 3);
         let mut dw_scalar = Tensor4::zeros(2, 2, 3, 3);
         auto.weight_grad_batch_for("c1", &inputs, &inputs, geom, &mut dw_auto);
@@ -548,31 +516,12 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_engines_never_win_probes() {
-        let mut auto = ExecutionContext::by_name("auto").unwrap();
-        for name in crate::planner::CANDIDATE_NAMES {
-            if name != "scalar" {
-                assert!(auto.quarantine(name));
-            }
-        }
-        let (inputs, weights, geom) = batch_fixture();
-        let outs = auto.forward_batch_for("c1", &inputs, &weights, None, geom);
-        let decided = auto
-            .plan()
-            .unwrap()
-            .get("c1", Stage::Forward)
-            .expect("cell frozen");
-        assert_eq!(decided.name(), "scalar", "only unquarantined candidate left");
-        assert_scalar_forward(&outs, &inputs, &weights, geom);
-    }
-
-    #[test]
     fn replayed_plan_cells_respect_quarantine_at_dispatch() {
         let mut plan = Plan::new(lookup("scalar").unwrap());
         plan.set("c1", Stage::Forward, lookup("simd").unwrap());
         let mut ctx = ExecutionContext::with_plan(plan);
-        for name in crate::planner::CANDIDATE_NAMES {
-            ctx.quarantine(name);
+        for handle in crate::registry::registry() {
+            ctx.quarantine(handle.name());
         }
         let (inputs, weights, geom) = batch_fixture();
         let outs = ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
@@ -584,8 +533,8 @@ mod tests {
         assert_scalar_forward(&outs, &inputs, &weights, geom);
 
         // A cell the replayed plan misses is filled by the density
-        // heuristic — never the scalar engine, and every other candidate
-        // is quarantined — and must be remapped at dispatch just the same.
+        // heuristic — never the scalar engine, and every other engine is
+        // quarantined — and must be remapped at dispatch just the same.
         let outs = ctx.forward_batch_for("c2", &inputs, &weights, None, geom);
         let filled = ctx
             .plan()
@@ -615,7 +564,7 @@ mod tests {
         let outs = ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
         assert_scalar_forward(&outs, &inputs, &weights, geom);
         // The pinned cell stays pinned; an unplanned cell is decided by
-        // the heuristic (never probed) and then frozen.
+        // the heuristic and then frozen.
         assert_eq!(
             ctx.plan().unwrap().get("c1", Stage::Forward).unwrap().name(),
             "simd"

@@ -369,15 +369,6 @@ impl<'a> BatchOut<'a> {
         }
     }
 
-    /// A `BatchOut` of the same kind over `bufs` (one buffer per slice of
-    /// `self`) — how a caller redirects a batch into scratch.
-    pub(crate) fn like<'b>(&self, bufs: &'b mut [Vec<f32>]) -> BatchOut<'b> {
-        match self {
-            BatchOut::PerSample(_) => BatchOut::PerSample(bufs.iter_mut().map(Vec::as_mut_slice).collect()),
-            BatchOut::Shared(_) => BatchOut::Shared(&mut bufs[0]),
-        }
-    }
-
     /// Validates a batch of ops against this output: one slice per op (or
     /// one output shape across the batch when shared) and every op's own
     /// [`StageOp::check`].

@@ -85,16 +85,16 @@
 //! [`planner`] closes the loop the paper's scheduler closes in hardware:
 //! operand density differs per layer and per stage and keeps falling as
 //! pruning bites, and the engines have *disjoint* win regions (im2row on
-//! dense forward legs, simd at mid density, the sparse scalar kernels on
-//! heavily pruned backward operands). A [`planner::Plan`] maps
-//! `(layer, stage)` cells to engines; the `"auto"` engine
-//! ([`planner::AutoEngine`]) dispatches per call on observed density, and
-//! a planned [`ExecutionContext`] upgrades that to measure-and-cache: the
-//! first execution of each cell races every bitwise-safe candidate and
-//! freezes the fastest, later executions replay the frozen plan (or a
-//! plan file named by `SPARSETRAIN_PLAN`). Every candidate is bitwise
-//! identical to the scalar reference, so planning affects speed, never
-//! results.
+//! near-dense forward legs, simd's non-zero walk everywhere else). A
+//! [`planner::Plan`] maps `(layer, stage)` cells to engines; the `"auto"`
+//! engine ([`planner::AutoEngine`]) applies the win-region rule per call
+//! on observed density, and a planned [`ExecutionContext`] upgrades that
+//! to decide-once: the first execution of each cell names its engine from
+//! the stage and operand density and freezes it, later executions replay
+//! the frozen plan (or a plan file named by `SPARSETRAIN_PLAN`). No clock
+//! is read, so the same run always freezes the same plan, and every engine
+//! the rule names is bitwise identical to the scalar reference, so
+//! planning affects speed, never results.
 
 pub mod compressed;
 pub mod context;
@@ -120,6 +120,6 @@ pub use fixed_engine::FixedPointEngine;
 pub use im2row_engine::Im2RowEngine;
 pub use mask::RowMask;
 pub use plan_program::{ExecutionProgram, PlanVm};
-pub use planner::{AutoEngine, Plan, PlanError, Planner, Stage, PLAN_ENV};
+pub use planner::{AutoEngine, Plan, PlanError, Stage, PLAN_ENV};
 pub use registry::{EngineHandle, UnknownEngine, ENGINE_ENV};
 pub use simd_engine::SimdEngine;

@@ -1,8 +1,8 @@
 //! Compiled binary execution plans: the `STPLAN` container and its VM.
 //!
-//! The planner's [`Plan`] (one engine per `(layer, stage)` cell) froze as a
-//! line-oriented text file until now. This module gives it a compact,
-//! versioned **binary program** — the artifact an ahead-of-time compiler
+//! This module gives the planner's [`Plan`] (one engine per
+//! `(layer, stage)` cell) its serialized form, a compact, versioned
+//! **binary program** — the artifact an ahead-of-time compiler
 //! ships to a fresh process, the sharded workers, or the checkpoint file —
 //! plus a small VM that replays it against the engine registry:
 //!
@@ -24,7 +24,7 @@
 //! * [`PlanVm`] — executes a program through the planned entry points of
 //!   [`ExecutionContext`] (`forward_batch_for` and friends). Every planned
 //!   engine is bitwise-identical to the scalar reference, so a VM replay
-//!   is bitwise-identical to the probing run that produced the program.
+//!   is bitwise-identical to the run that froze the program's plan.
 //!   The VM tracks which program cells have executed
 //!   ([`PlanVm::pending_cells`]).
 //!
@@ -457,8 +457,8 @@ impl Plan {
 ///
 /// The VM wraps a planned [`ExecutionContext`] replaying the program's
 /// plan: every batched call resolves its engine through the program's cell
-/// table (cells the program misses fall back to the density heuristic,
-/// never to probing), so a replay is **bitwise-identical** to the probing
+/// table (cells the program misses are decided by the density rule like
+/// any other undecided cell), so a replay is **bitwise-identical** to the
 /// run that emitted the program — planning affects speed, never results.
 pub struct PlanVm {
     program: ExecutionProgram,

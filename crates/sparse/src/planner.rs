@@ -1,42 +1,40 @@
 //! Density-adaptive execution planning: one engine per (layer, stage).
 //!
 //! The registry's engines have *disjoint win regions* — the cache-blocked
-//! im2row lowering dominates dense forward legs, the simd engine wins
-//! mid-density gradient legs, and the sparse scalar kernels win once
-//! pruning pushes operand density toward 0.05 — yet a global engine name
-//! applies one backend to every convolution of every stage. This module
-//! closes that gap the way the paper's hardware scheduler does: execution
-//! is planned **per cell**, where a cell is a `(layer id, stage)` pair and
-//! the stages are the three training convolutions ([`Stage::Forward`],
-//! [`Stage::InputGrad`] for GTA, [`Stage::WeightGrad`] for GTW).
+//! im2row lowering dominates near-dense forward legs, the simd engine's
+//! non-zero walk wins everything else — yet a global engine name applies
+//! one backend to every convolution of every stage. This module closes
+//! that gap the way the paper's compiler does: execution is planned **per
+//! cell**, where a cell is a `(layer id, stage)` pair and the stages are
+//! the three training convolutions ([`Stage::Forward`],
+//! [`Stage::InputGrad`] for GTA, [`Stage::WeightGrad`] for GTW), and a
+//! cell is **decided, not raced**: the first time it executes, the
+//! win-region rule ([`heuristic_name`]) names its engine from the stage
+//! and the density of the operands in hand, and the decision is frozen.
+//! No clock is read, so a plan is a pure function of what the cells saw on
+//! their first execution (hence of model and seed) and of whether the
+//! rayon pool has more than one worker.
 //!
-//! Three layers of machinery:
+//! Two pieces of machinery:
 //!
 //! * [`Plan`] — the frozen decision table mapping cells to
-//!   [`EngineHandle`]s, with a default engine for unplanned cells. Plans
-//!   serialize to a line-oriented text format (see [`Plan::from_text`])
-//!   and to the compiled binary program format
+//!   [`EngineHandle`]s, with a default engine for unplanned cells. An
+//!   `"auto"` [`crate::ExecutionContext`] carries one (empty at first,
+//!   filled cell by cell). Plans compile to the binary program format
 //!   ([`crate::plan_program::ExecutionProgram`], via [`Plan::to_program`])
-//!   so a probed plan can be saved and replayed via the
-//!   [`PLAN_ENV`] (`SPARSETRAIN_PLAN`) environment variable — which
-//!   accepts either format, sniffing the binary magic — and render
-//!   as a Markdown table ([`Plan::to_markdown`]) for reports.
-//! * [`Planner`] — the online decision state
-//!   [`crate::ExecutionContext`] carries when the `"auto"` engine is
-//!   selected. In **probe mode** the first execution of each cell times
-//!   every candidate engine (via `std::time::Instant`) and caches the
-//!   winner; afterwards the frozen plan replays. Probing happens entirely
-//!   outside the deterministic numeric path: every candidate is
+//!   so a plan can be saved and replayed via the [`PLAN_ENV`]
+//!   (`SPARSETRAIN_PLAN`) environment variable — which also accepts the
+//!   legacy line-oriented text format ([`Plan::from_text`]), sniffing the
+//!   binary magic — and render as a Markdown table
+//!   ([`Plan::to_markdown`]) for reports. Every engine the rule names is
 //!   bitwise-identical to the scalar reference (the parity suites enforce
-//!   this), so the plan affects speed, never results — the fixed-point
-//!   engines are deliberately **not** candidates.
+//!   this; the fixed-point engines are never named), so a plan affects
+//!   speed, never results.
 //! * [`AutoEngine`] — the `"auto"` registry entry itself: a
-//!   [`KernelEngine`] that picks a delegate per call from the observed
-//!   operand density ([`SparseFeatureMap::density`]) and the win-region
-//!   heuristic ([`heuristic_name`]). It covers every call site that has
-//!   no layer identity to plan against (benches, raw engine calls); the
-//!   planned entry points on `ExecutionContext` add the per-cell
-//!   measure-and-cache layer on top.
+//!   [`KernelEngine`] that applies the same rule per call. It covers every
+//!   call site that has no layer identity to plan against (benches, raw
+//!   engine calls); the planned entry points on `ExecutionContext` add the
+//!   decide-once-and-freeze layer on top.
 
 use crate::engine::{BatchOut, KernelEngine, StageOp};
 use crate::registry::{lookup, lookup_or_parse, EngineHandle};
@@ -47,8 +45,8 @@ use std::fmt;
 /// Environment variable naming a serialized plan file — either the
 /// line-oriented text format or a compiled `STPLAN` binary program
 /// ([`load_plan`] sniffs the magic). When set (and the `"auto"` engine is
-/// selected), the plan is loaded and replayed instead of probing — see
-/// [`env_plan`].
+/// selected), the context starts from the loaded plan instead of an empty
+/// one — see [`env_plan`].
 pub const PLAN_ENV: &str = "SPARSETRAIN_PLAN";
 
 /// The three training-stage convolutions a plan decides independently.
@@ -90,27 +88,6 @@ impl fmt::Display for Stage {
     }
 }
 
-/// The probe candidate set: every float engine, all bitwise-identical to
-/// the scalar reference. The fixed-point engines are excluded on purpose —
-/// swapping one in would change numeric results, and the planner must only
-/// ever trade speed.
-pub const CANDIDATE_NAMES: [&str; 6] = [
-    "scalar",
-    "parallel",
-    "simd",
-    "parallel:simd",
-    "im2row",
-    "parallel:im2row",
-];
-
-/// Resolves [`CANDIDATE_NAMES`] to handles.
-pub fn candidates() -> Vec<EngineHandle> {
-    CANDIDATE_NAMES
-        .iter()
-        .map(|name| lookup(name).expect("candidate engines are always registered"))
-        .collect()
-}
-
 /// Density above which the forward stage takes the cache-blocked im2row
 /// dense lowering: near-dense inputs (the raw image in front of `conv1`),
 /// where there is nothing to skip and the register-tiled patch reduction
@@ -123,7 +100,7 @@ const IM2ROW_FORWARD_DENSITY: f64 = 0.90;
 /// whether band parallelism is worth composing (more than one rayon
 /// worker).
 ///
-/// Rules distilled from the committed bench baselines: im2row wins the
+/// Rules distilled from the engine benches: im2row wins the
 /// near-dense forward leg (`conv1`, density 0.95) and loses or ties from
 /// density 0.45 down; simd — work proportional to the non-zeros, lanes
 /// across the always-dense channel axis — wins every other leg on every
@@ -178,10 +155,10 @@ impl fmt::Display for PlanError {
     }
 }
 
-/// Layer ids must survive the text format, where they are
-/// whitespace-delimited and `#` starts a comment; both serializers refuse
-/// anything else up front rather than emitting lines that parse back
-/// differently (or not at all).
+/// Layer ids must be writable in the text format, where they are
+/// whitespace-delimited and `#` starts a comment; insertion refuses
+/// anything else up front, so every plan in memory has a text form that
+/// parses back to it.
 fn check_layer_id(layer: &str) -> Result<(), PlanError> {
     if layer.is_empty() || layer.chars().any(char::is_whitespace) || layer.contains('#') {
         return Err(PlanError(format!(
@@ -204,13 +181,17 @@ impl std::error::Error for PlanError {}
 /// plan.set("conv1", Stage::Forward, registry::lookup("im2row").unwrap());
 /// assert_eq!(plan.resolve("conv1", Stage::Forward).name(), "im2row");
 /// assert_eq!(plan.resolve("conv1", Stage::WeightGrad).name(), "scalar");
-/// let text = plan.to_text();
-/// assert_eq!(Plan::from_text(&text).unwrap(), plan);
+/// let text = "default scalar\nconv1 forward im2row\n";
+/// assert_eq!(Plan::from_text(text).unwrap(), plan);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
     default: EngineHandle,
-    cells: BTreeMap<(String, Stage), EngineHandle>,
+    /// Per layer, the decided engine of each stage (indexed by
+    /// `Stage as usize`, i.e. in [`Stage::ALL`] order). A layer is present
+    /// only once one of its stages is decided, so derived equality is
+    /// equality of the decided cells.
+    cells: BTreeMap<String, [Option<EngineHandle>; 3]>,
 }
 
 impl Plan {
@@ -232,7 +213,7 @@ impl Plan {
     /// # Panics
     ///
     /// Panics when `layer` is empty, contains whitespace, or contains
-    /// `#` — ids the text format cannot round-trip (whitespace-delimited
+    /// `#` — ids the text format cannot express (whitespace-delimited
     /// fields, `#` comments). Use [`Plan::try_set`] where the layer id is
     /// untrusted input.
     pub fn set(&mut self, layer: &str, stage: Stage, engine: EngineHandle) {
@@ -242,7 +223,7 @@ impl Plan {
 
     /// Fallible [`Plan::set`]: the insertion path deserializers use
     /// ([`Plan::from_text`], [`Plan::from_program`]), rejecting layer ids
-    /// the text format cannot round-trip instead of panicking.
+    /// the text format cannot express instead of panicking.
     ///
     /// # Errors
     ///
@@ -250,13 +231,13 @@ impl Plan {
     /// or contains `#`.
     pub fn try_set(&mut self, layer: &str, stage: Stage, engine: EngineHandle) -> Result<(), PlanError> {
         check_layer_id(layer)?;
-        self.cells.insert((layer.to_string(), stage), engine);
+        self.cells.entry(layer.to_string()).or_default()[stage as usize] = Some(engine);
         Ok(())
     }
 
     /// The planned engine for a cell, if one was decided.
     pub fn get(&self, layer: &str, stage: Stage) -> Option<EngineHandle> {
-        self.cells.get(&(layer.to_string(), stage)).copied()
+        self.cells.get(layer)?[stage as usize]
     }
 
     /// The engine a cell executes on: the planned one, or the default.
@@ -266,7 +247,7 @@ impl Plan {
 
     /// Number of decided cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.cells().count()
     }
 
     /// Whether no cell has been decided yet.
@@ -276,23 +257,11 @@ impl Plan {
 
     /// Iterates the decided cells in `(layer, stage)` order.
     pub fn cells(&self) -> impl Iterator<Item = (&str, Stage, EngineHandle)> {
-        self.cells
-            .iter()
-            .map(|((layer, stage), h)| (layer.as_str(), *stage, *h))
-    }
-
-    /// Serializes the plan to the line-oriented text format
-    /// [`Plan::from_text`] parses.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("# sparsetrain execution plan v1\n");
-        out.push_str(&format!("default {}\n", self.default.name()));
-        for (layer, stage, handle) in self.cells() {
-            // `set`/`try_set` enforce serializable ids; a violation here
-            // means a cell bypassed them.
-            debug_assert!(check_layer_id(layer).is_ok(), "unserializable layer id {layer:?}");
-            out.push_str(&format!("{layer} {stage} {}\n", handle.name()));
-        }
-        out
+        self.cells.iter().flat_map(|(layer, stages)| {
+            Stage::ALL
+                .into_iter()
+                .filter_map(move |stage| Some((layer.as_str(), stage, stages[stage as usize]?)))
+        })
     }
 
     /// Parses the text format: one `layer stage engine` triple per line
@@ -343,16 +312,10 @@ impl Plan {
     /// Renders the plan as a Markdown table: one row per layer, one column
     /// per stage, unplanned cells shown as the default engine.
     pub fn to_markdown(&self) -> String {
-        let mut layers: Vec<&str> = Vec::new();
-        for (layer, _, _) in self.cells() {
-            if layers.last() != Some(&layer) {
-                layers.push(layer);
-            }
-        }
         let mut out = String::from("| layer | forward | input_grad | weight_grad |\n|---|---|---|---|\n");
-        for layer in layers {
-            let cell = |stage| {
-                self.get(layer, stage)
+        for (layer, stages) in &self.cells {
+            let cell = |stage: Stage| {
+                stages[stage as usize]
                     .map_or_else(|| format!("({})", self.default.name()), |h| h.name().to_string())
             };
             out.push_str(&format!(
@@ -408,69 +371,6 @@ pub fn env_plan() -> Result<Option<Plan>, PlanError> {
     }
 }
 
-/// The online decision state a planned [`crate::ExecutionContext`]
-/// carries: a [`Plan`] under construction (probe mode) or under replay,
-/// plus the probe candidate set.
-#[derive(Debug, Clone)]
-pub struct Planner {
-    plan: Plan,
-    probe: bool,
-    candidates: Vec<EngineHandle>,
-}
-
-impl Planner {
-    /// A measure-and-cache planner: the first execution of each cell
-    /// probes every candidate and freezes the fastest.
-    pub fn probing() -> Self {
-        Self {
-            plan: Plan::new(lookup("scalar").expect("scalar engine is always registered")),
-            probe: true,
-            candidates: candidates(),
-        }
-    }
-
-    /// A replay planner: cells named by `plan` execute on their pinned
-    /// engine; cells the plan misses fall back to the density heuristic
-    /// (decided once, then frozen) instead of probing.
-    pub fn replay(plan: Plan) -> Self {
-        Self {
-            plan,
-            probe: false,
-            candidates: candidates(),
-        }
-    }
-
-    /// Whether undecided cells are probed (vs decided heuristically).
-    pub fn probing_enabled(&self) -> bool {
-        self.probe
-    }
-
-    /// The engines an undecided cell races in probe mode.
-    pub fn candidates(&self) -> &[EngineHandle] {
-        &self.candidates
-    }
-
-    /// The plan as decided so far.
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// The frozen decision for a cell, if one exists.
-    pub fn decided(&self, layer: &str, stage: Stage) -> Option<EngineHandle> {
-        self.plan.get(layer, stage)
-    }
-
-    /// Freezes a cell's decision.
-    pub fn record(&mut self, layer: &str, stage: Stage, engine: EngineHandle) {
-        self.plan.set(layer, stage, engine);
-    }
-
-    /// The heuristic fallback for an undecided cell in replay mode.
-    pub fn fallback(&self, stage: Stage, density: f64) -> EngineHandle {
-        heuristic_handle(stage, density)
-    }
-}
-
 /// The `"auto"` registry engine: density-adaptive per-call dispatch.
 ///
 /// Every call inspects its sparse operand's density and delegates to the
@@ -479,7 +379,7 @@ impl Planner {
 /// delegates are float engines bitwise-identical to the scalar reference,
 /// so `auto` is itself bitwise-identical to `scalar` on every call, at
 /// whatever speed the densities allow. Call sites with a layer identity
-/// get the stronger per-(layer, stage) measure-and-cache treatment through
+/// get the per-(layer, stage) decide-once-and-freeze treatment through
 /// [`crate::ExecutionContext`]'s planned entry points; this engine is the
 /// zero-configuration floor underneath.
 #[derive(Debug, Default, Clone, Copy)]
@@ -548,19 +448,25 @@ mod tests {
         assert_eq!(heuristic_name(Stage::Forward, 0.95, true), "parallel:im2row");
         assert_eq!(heuristic_name(Stage::InputGrad, 0.15, true), "parallel:simd");
         assert_eq!(heuristic_name(Stage::WeightGrad, 0.05, true), "parallel:simd");
-    }
-
-    #[test]
-    fn candidates_exclude_fixed_point_engines() {
-        let set = candidates();
-        assert_eq!(set.len(), CANDIDATE_NAMES.len());
-        for h in &set {
-            assert!(
-                !h.name().starts_with("fixed"),
-                "{} would change numerics",
-                h.name()
-            );
-            assert_ne!(h.name(), "auto", "auto must not probe itself");
+        // Over the whole domain the rule only ever names a float engine
+        // that beats scalar — never `scalar`, a `fixed*` grid (that would
+        // change numerics) or `auto` itself — and the pool size decides
+        // the `parallel:` wrap and nothing else.
+        for stage in Stage::ALL {
+            for density in [0.0, 0.05, 0.45, 0.89, 0.90, 1.0] {
+                let seq = heuristic_name(stage, density, false);
+                assert!(["simd", "im2row"].contains(&seq), "{stage} at {density}: {seq}");
+                assert_eq!(
+                    heuristic_name(stage, density, true),
+                    format!("parallel:{seq}"),
+                    "{stage} at {density}"
+                );
+                assert_eq!(
+                    seq == "im2row",
+                    stage == Stage::Forward && density >= 0.90,
+                    "{stage} at {density}"
+                );
+            }
         }
     }
 
@@ -587,9 +493,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "'#'")]
     fn plan_rejects_comment_chars_in_layer_ids() {
-        // Regression: `to_text` wrote `conv#1` unescaped while `from_text`
-        // strips everything after `#`, so the round-trip silently dropped
-        // the cell. Such ids are now rejected at insertion.
+        // `from_text` strips everything after `#`, so a `conv#1` cell has
+        // no text form; such ids are rejected at insertion.
         Plan::new(handle("scalar")).set("conv#1", Stage::Forward, handle("simd"));
     }
 
@@ -603,18 +508,22 @@ mod tests {
         }
         plan.try_set("conv1", Stage::Forward, handle("simd")).unwrap();
         assert_eq!(plan.resolve("conv1", Stage::Forward).name(), "simd");
-        // The serialized form stays parseable — the round-trip the bug broke.
-        assert_eq!(Plan::from_text(&plan.to_text()).unwrap(), plan);
+        assert_eq!(Plan::from_text("conv1 forward simd").unwrap(), plan);
     }
 
     #[test]
-    fn plan_text_roundtrips() {
+    fn plan_text_parses() {
         let mut plan = Plan::new(handle("simd"));
         plan.set("conv1", Stage::Forward, handle("parallel:im2row"));
         plan.set("conv2", Stage::InputGrad, handle("scalar"));
         plan.set("conv2", Stage::WeightGrad, handle("fixed:q4.12"));
-        let text = plan.to_text();
-        assert_eq!(Plan::from_text(&text).unwrap(), plan);
+        // The v1 text form, as legacy snapshots and plan files carry it.
+        let text = "# sparsetrain execution plan v1\n\
+                    default simd\n\
+                    conv1 forward parallel:im2row\n\
+                    conv2 input_grad scalar\n\
+                    conv2 weight_grad fixed:q4.12\n";
+        assert_eq!(Plan::from_text(text).unwrap(), plan);
         // Comments, blank lines and inline comments are tolerated.
         let relaxed = format!("\n# a comment\n{text}\nconv3 forward im2row # trailing\n");
         let parsed = Plan::from_text(&relaxed).unwrap();
@@ -685,32 +594,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let err = load_plan(&path).unwrap_err();
         assert!(err.to_string().contains("cannot read"), "{err}");
-    }
-
-    #[test]
-    fn planner_probe_and_replay_state() {
-        let mut probing = Planner::probing();
-        assert!(probing.probing_enabled());
-        assert!(probing.decided("c1", Stage::Forward).is_none());
-        probing.record("c1", Stage::Forward, handle("im2row"));
-        assert_eq!(
-            probing.decided("c1", Stage::Forward).map(|h| h.name()),
-            Some("im2row")
-        );
-
-        let mut plan = Plan::new(handle("scalar"));
-        plan.set("c1", Stage::InputGrad, handle("simd"));
-        let replay = Planner::replay(plan);
-        assert!(!replay.probing_enabled());
-        assert_eq!(
-            replay.decided("c1", Stage::InputGrad).map(|h| h.name()),
-            Some("simd")
-        );
-        // Replay fallback is the heuristic, never a probe.
-        assert_eq!(
-            replay.fallback(Stage::WeightGrad, 0.05).name(),
-            heuristic_name(Stage::WeightGrad, 0.05, rayon::current_num_threads() > 1)
-        );
     }
 
     #[test]

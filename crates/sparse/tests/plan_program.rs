@@ -161,14 +161,15 @@ fn magic_and_version_are_the_stplan_ones() {
 fn load_plan_sniffs_binary_and_text() {
     let dir = std::env::temp_dir().join(format!("sparsetrain-plan-sniff-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let plan = Plan::from_text("default parallel:simd\nconv1 forward im2row\n").unwrap();
+    let source = "default parallel:simd\nconv1 forward im2row\n";
+    let plan = Plan::from_text(source).unwrap();
 
     let bin = dir.join("plan.stplan");
     std::fs::write(&bin, plan.to_program().encode().unwrap()).unwrap();
     assert_eq!(load_plan(bin.to_str().unwrap()).expect("binary plan loads"), plan);
 
     let text = dir.join("plan.txt");
-    std::fs::write(&text, plan.to_text()).unwrap();
+    std::fs::write(&text, source).unwrap();
     assert_eq!(load_plan(text.to_str().unwrap()).expect("text plan loads"), plan);
 
     let junk = dir.join("plan.junk");

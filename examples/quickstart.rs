@@ -9,9 +9,9 @@
 //!
 //! Set `SPARSETRAIN_ENGINE` to `scalar`, `parallel`, `simd`,
 //! `parallel:simd`, `im2row`, `parallel:im2row`, `fixed`, a
-//! `fixed:qI.F` format, or `auto` (the density-adaptive planner: probes
-//! each layer/stage cell once, then replays the frozen plan — identical
-//! output, adaptive speed) to run the training step's convolutions on a
+//! `fixed:qI.F` format, or `auto` (the density-adaptive planner: decides
+//! each layer/stage cell from its operand density once, then replays the
+//! frozen plan — identical output, adaptive speed) to run the training step's convolutions on a
 //! named kernel engine from the registry.
 
 use rand::rngs::StdRng;

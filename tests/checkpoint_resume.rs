@@ -193,7 +193,7 @@ fn resume_replays_the_frozen_auto_plan() {
 
     let mut resumed = trainer("auto", None);
     resumed.resume(&snap).expect("resume");
-    // The replayed context carries the frozen plan instead of re-probing.
+    // The resumed context carries the frozen plan instead of deciding afresh.
     let replayed = resumed.snapshot().plan.expect("plan survives resume");
     assert_eq!(payload, replayed, "plan changed across resume");
 
@@ -206,17 +206,18 @@ fn resume_replays_the_frozen_auto_plan() {
 
 #[test]
 fn resume_accepts_legacy_text_plan_payloads() {
-    // Snapshots written before the binary program format carried
-    // `Plan::to_text`; resume must keep honouring them.
+    // Snapshots written before the binary program format carried the
+    // line-oriented text form; resume must keep honouring them.
     let (train, _) = data();
     let mut first = trainer("auto", None);
     first.train_epoch(&train);
     let mut snap = first.snapshot();
-    let PlanPayload::Program(bytes) = snap.plan.clone().expect("plan embedded") else {
-        panic!("expected binary payload");
-    };
-    let plan = Plan::from_program(&ExecutionProgram::decode(&bytes).expect("decodes")).expect("resolves");
-    snap.plan = Some(PlanPayload::Text(plan.to_text()));
+    let text = "# sparsetrain execution plan v1\n\
+                default scalar\n\
+                conv1 forward im2row\n\
+                conv1 weight_grad simd\n";
+    let plan = Plan::from_text(text).expect("legacy text parses");
+    snap.plan = Some(PlanPayload::Text(text.to_string()));
 
     let mut resumed = trainer("auto", None);
     resumed.resume(&snap).expect("text-payload resume");
