@@ -9,17 +9,11 @@
 //!   bench fixtures and print the frozen per-(layer, stage) execution
 //!   plan as a Markdown table (what the `auto` engine decides at these
 //!   densities and this pool size — the same bytes on every run).
-//!   `--emit <file>` compiles the plan into a binary `STPLAN` execution
-//!   program; `--replay <file>`
-//!   decodes such a program in a fresh process and replays it through
-//!   the plan VM over the same fixtures, failing unless every program
-//!   cell executes. The emitted artifact is also what `SPARSETRAIN_PLAN`
+//!   `--emit <file>` writes the plan as a binary `STPLAN` execution
+//!   program; `--replay <file>` decodes such a program in a fresh process
+//!   and runs the same fixtures under it, failing unless every program
+//!   cell executed. The emitted artifact is also what `SPARSETRAIN_PLAN`
 //!   accepts (alongside the legacy text format).
-//! * `ckpt` — measure the checkpoint subsystem on an AlexNet-shape model:
-//!   snapshot encode, decode, and the atomic save round-trip (write +
-//!   fsync + rename), plus the snapshot size. Appends one shim-format
-//!   line per leg to the results trajectory (default
-//!   `target/bench-results.jsonl`; `--results` overrides).
 //! * `multicore` — assert the parallel engine's multi-core win on the
 //!   batched forward leg (`--min-ratio`, default the ROADMAP's 1.5×) and
 //!   record the measured ratios. Run it from a bench invocation with
@@ -34,10 +28,6 @@
 //!   4-worker runs to be bitwise identical. Run it on a multi-core
 //!   runner; on one core the workers serialise and the ratio assertion
 //!   would rightly fail.
-//! * `doccheck` — verify every relative Markdown link in `README.md` and
-//!   `docs/*.md` resolves to an existing file (external URLs and pure
-//!   `#anchor` links are skipped; fenced code blocks are ignored). The
-//!   CI docs job runs this so the architecture book cannot rot silently.
 //! * `chaos` — run the seeded fault-injection campaign: kill mid-epoch,
 //!   torn/failed checkpoint writes, truncated reads and injected engine
 //!   panics, each recovered by the training supervisor and required to
@@ -69,9 +59,7 @@ fn main() -> ExitCode {
         match cmd.as_str() {
             "multicore" => cmd_multicore(&opts),
             "shard" => cmd_shard(&opts),
-            "doccheck" => cmd_doccheck(&opts),
             "plan" => cmd_plan(&opts),
-            "ckpt" => cmd_ckpt(&opts),
             "chaos" => cmd_chaos(&opts),
             other => Err(format!("unknown subcommand {other:?}")),
         }
@@ -87,13 +75,11 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-usage: sparsetrain-bench <multicore|shard|doccheck|plan|ckpt|chaos> [options]
+usage: sparsetrain-bench <multicore|shard|plan|chaos> [options]
 
   multicore --results <jsonl> [--min-ratio 1.5] [--summary <path>]
   shard     [--min-ratio 1.5] [--summary <path>]
-  doccheck  [--summary <path>]
   plan      [--emit <file>] [--replay <file>] [--summary <path>]
-  ckpt      [--results <jsonl>] [--summary <path>]
   chaos     [--seed 42] [--extra 2] [--out target/chaos-results.jsonl]
             [--summary <path>]";
 
@@ -372,90 +358,6 @@ fn cmd_shard(opts: &Opts) -> Result<bool, String> {
     Ok(pass)
 }
 
-/// Extracts inline Markdown link targets (`[text](target)`) from one line.
-fn markdown_link_targets(line: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut rest = line;
-    while let Some(pos) = rest.find("](") {
-        let after = &rest[pos + 2..];
-        let Some(end) = after.find(')') else { break };
-        // Drop an optional `"title"` suffix inside the parentheses.
-        let target = after[..end].split_whitespace().next().unwrap_or("");
-        if !target.is_empty() {
-            out.push(target);
-        }
-        rest = &after[end + 1..];
-    }
-    out
-}
-
-fn cmd_doccheck(opts: &Opts) -> Result<bool, String> {
-    let mut files = vec![std::path::PathBuf::from("README.md")];
-    let docs = std::path::Path::new("docs");
-    if docs.is_dir() {
-        let mut entries: Vec<_> = std::fs::read_dir(docs)
-            .map_err(|e| format!("cannot read docs/: {e}"))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "md"))
-            .collect();
-        entries.sort();
-        files.extend(entries);
-    }
-
-    let mut checked = 0usize;
-    let mut broken = Vec::new();
-    for file in &files {
-        let text =
-            std::fs::read_to_string(file).map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-        let dir = file.parent().filter(|p| !p.as_os_str().is_empty());
-        let dir = dir.unwrap_or_else(|| std::path::Path::new("."));
-        let mut in_fence = false;
-        for (idx, line) in text.lines().enumerate() {
-            if line.trim_start().starts_with("```") {
-                in_fence = !in_fence;
-                continue;
-            }
-            if in_fence {
-                continue;
-            }
-            for target in markdown_link_targets(line) {
-                if target.starts_with("http://")
-                    || target.starts_with("https://")
-                    || target.starts_with("mailto:")
-                    || target.starts_with('#')
-                {
-                    continue;
-                }
-                let path_part = target.split('#').next().unwrap_or("");
-                if path_part.is_empty() {
-                    continue;
-                }
-                checked += 1;
-                if !dir.join(path_part).exists() {
-                    broken.push(format!("{}:{}: broken link `{target}`", file.display(), idx + 1));
-                }
-            }
-        }
-    }
-
-    let mut summary = String::from("## Documentation link check\n\n");
-    let _ = writeln!(
-        summary,
-        "Checked {checked} relative link(s) across {} file(s).",
-        files.len()
-    );
-    if broken.is_empty() {
-        let _ = writeln!(summary, "\n**PASS** — every relative link resolves.");
-    } else {
-        let _ = writeln!(summary, "\n**FAIL** — {} broken link(s):\n", broken.len());
-        for b in &broken {
-            let _ = writeln!(summary, "- {b}");
-        }
-    }
-    emit_summary(opts, &summary);
-    Ok(broken.is_empty())
-}
-
 /// One AlexNet-shape bench layer's deterministic operands (same shapes,
 /// densities and seed as `benches/engine.rs`).
 struct PlanFixture {
@@ -513,75 +415,18 @@ fn plan_fixtures() -> Vec<PlanFixture> {
         .collect()
 }
 
-/// Runs the density-adaptive planner over the AlexNet-shape bench
-/// fixtures and prints the frozen plan as a Markdown table. `--emit`
-/// compiles the plan into a binary `STPLAN` program on disk;
-/// `--replay` instead decodes such a program and replays it through the
-/// plan VM over the same fixtures, passing only when every program cell
-/// executed (so a stale artifact that no longer matches the fixtures
-/// fails loudly).
-fn cmd_plan(opts: &Opts) -> Result<bool, String> {
-    use sparsetrain_sparse::{ExecutionContext, ExecutionProgram, PlanVm, Stage};
+/// Runs every fixture's three stages through `ctx`'s planned entry points
+/// and returns the `(layer, stage)` cells that executed.
+fn run_fixtures(
+    ctx: &mut sparsetrain_sparse::ExecutionContext,
+    fixtures: &[PlanFixture],
+) -> Vec<(&'static str, sparsetrain_sparse::Stage)> {
+    use sparsetrain_sparse::Stage;
     use sparsetrain_tensor::conv::ConvGeometry;
     use sparsetrain_tensor::{Tensor3, Tensor4};
 
     let geom = ConvGeometry::new(3, 1, 1);
-    let fixtures = plan_fixtures();
-
-    if let Some(path) = &opts.replay {
-        let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let program = ExecutionProgram::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
-        let mut vm = PlanVm::new(program).map_err(|e| format!("{path}: {e}"))?;
-        for fix in &fixtures {
-            vm.forward_batch(
-                fix.name,
-                std::slice::from_ref(&fix.input),
-                &fix.weights,
-                None,
-                geom,
-            );
-            let masks = vec![fix.input.masks()];
-            let mut dins = vec![Tensor3::zeros(fix.c, fix.hw, fix.hw)];
-            vm.input_grad_batch_into(
-                fix.name,
-                std::slice::from_ref(&fix.dout),
-                &fix.weights,
-                geom,
-                &masks,
-                &mut dins,
-            );
-            let mut dw = Tensor4::zeros(fix.f, fix.c, 3, 3);
-            vm.weight_grad_batch(
-                fix.name,
-                std::slice::from_ref(&fix.input),
-                std::slice::from_ref(&fix.dout),
-                geom,
-                &mut dw,
-            );
-        }
-        let pending = vm.pending_cells();
-        let mut summary = String::from("## Replayed execution program\n\n");
-        summary.push_str(&vm.plan().to_markdown());
-        let pass = pending.is_empty();
-        if pass {
-            let _ = writeln!(
-                summary,
-                "\nEvery program cell executed ({} cells).",
-                vm.program().cells().len()
-            );
-        } else {
-            let _ = writeln!(summary, "\n**Unreplayed program cells:**\n");
-            for (layer, stage) in &pending {
-                let _ = writeln!(summary, "- `{layer}` / {}", stage.name());
-            }
-        }
-        emit_summary(opts, &summary);
-        return Ok(pass);
-    }
-
-    let mut ctx = ExecutionContext::by_name("auto").map_err(|e| e.to_string())?;
-    for fix in &fixtures {
-        let masks = vec![fix.input.masks()];
+    for fix in fixtures {
         ctx.forward_batch_for(
             fix.name,
             std::slice::from_ref(&fix.input),
@@ -589,6 +434,7 @@ fn cmd_plan(opts: &Opts) -> Result<bool, String> {
             None,
             geom,
         );
+        let masks = vec![fix.input.masks()];
         let mut dins = vec![Tensor3::zeros(fix.c, fix.hw, fix.hw)];
         ctx.input_grad_batch_for_into(
             fix.name,
@@ -607,147 +453,65 @@ fn cmd_plan(opts: &Opts) -> Result<bool, String> {
             &mut dw,
         );
     }
+    fixtures
+        .iter()
+        .flat_map(|fix| Stage::ALL.map(|stage| (fix.name, stage)))
+        .collect()
+}
+
+/// Runs the density-adaptive planner over the AlexNet-shape bench
+/// fixtures and prints the frozen plan as a Markdown table. `--emit`
+/// writes the plan as a binary `STPLAN` program on disk; `--replay`
+/// instead decodes such a program and runs the same fixtures under it,
+/// passing only when every program cell executed (so a stale artifact
+/// that no longer matches the fixtures fails loudly).
+fn cmd_plan(opts: &Opts) -> Result<bool, String> {
+    use sparsetrain_sparse::{ExecutionContext, Plan};
+
+    let fixtures = plan_fixtures();
+
+    if let Some(path) = &opts.replay {
+        let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let program = Plan::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        let mut ctx = ExecutionContext::with_plan(program.clone());
+        let executed = run_fixtures(&mut ctx, &fixtures);
+        let pending: Vec<_> = program
+            .cells()
+            .filter(|(layer, stage, _)| !executed.contains(&(layer, *stage)))
+            .collect();
+        let mut summary = String::from("## Replayed execution program\n\n");
+        summary.push_str(&program.to_markdown());
+        if pending.is_empty() {
+            let _ = writeln!(
+                summary,
+                "\nEvery program cell executed ({} cells).",
+                program.len()
+            );
+        } else {
+            let _ = writeln!(summary, "\n**Unreplayed program cells:**\n");
+            for (layer, stage, _) in &pending {
+                let _ = writeln!(summary, "- `{layer}` / {}", stage.name());
+            }
+        }
+        emit_summary(opts, &summary);
+        return Ok(pending.is_empty());
+    }
+
+    let mut ctx = ExecutionContext::by_name("auto").map_err(|e| e.to_string())?;
+    run_fixtures(&mut ctx, &fixtures);
     let plan = ctx.plan().expect("auto context is planned");
     let mut summary = String::from("## Density-adaptive execution plan\n\n");
     summary.push_str(&plan.to_markdown());
     if let Some(path) = &opts.emit {
-        let mut program = plan.to_program();
-        for fix in &fixtures {
-            let (in_nnz, out_nnz) = (fix.input.nnz() as u64, fix.dout.nnz() as u64);
-            program.note_workspace(fix.name, Stage::Forward, in_nnz);
-            program.note_workspace(fix.name, Stage::InputGrad, out_nnz);
-            program.note_workspace(fix.name, Stage::WeightGrad, in_nnz + out_nnz);
-            program.note_prune_point(fix.name, out_nnz);
-        }
-        let bytes = program.encode().map_err(|e| format!("encode: {e}"))?;
+        let bytes = plan.encode().map_err(|e| format!("encode: {e}"))?;
         std::fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(
             summary,
             "\nCompiled program: `{path}` ({} bytes, {} cells).",
             bytes.len(),
-            program.cells().len()
+            plan.len()
         );
     }
-    emit_summary(opts, &summary);
-    Ok(true)
-}
-
-/// Measures the checkpoint subsystem on an AlexNet-shape model: snapshot
-/// encode, decode, and the atomic save round-trip (write + fsync +
-/// rename), plus the snapshot size. Appends shim-format lines to the
-/// results trajectory so the numbers travel with the bench history.
-fn cmd_ckpt(opts: &Opts) -> Result<bool, String> {
-    use sparsetrain_checkpoint::{CheckpointManager, CheckpointPolicy, Snapshot};
-    use sparsetrain_core::prune::PruneConfig;
-    use sparsetrain_nn::data::SyntheticSpec;
-    use sparsetrain_nn::models::ModelKind;
-    use sparsetrain_nn::train::{TrainConfig, Trainer};
-
-    // AlexNet on the CIFAR-10-like fixture, trained one short epoch so the
-    // snapshot carries developed state (velocities, FIFOs, densities) —
-    // an untrained model would undersell the payload.
-    let mut spec = SyntheticSpec::cifar10_like();
-    spec.size = 16;
-    spec.train_samples = 64;
-    spec.test_samples = 0;
-    let (train, _) = spec.generate();
-    let net = ModelKind::Alexnet.build(
-        spec.channels,
-        spec.size,
-        spec.classes,
-        Some(PruneConfig::new(0.9, 4)),
-        7,
-    );
-    let mut trainer = Trainer::new(
-        net,
-        TrainConfig {
-            batch_size: 16,
-            lr: 0.01,
-            momentum: 0.9,
-            weight_decay: 1e-4,
-            seed: 3,
-            engine: None,
-            checkpoint: None,
-            shard: None,
-        },
-    );
-    trainer.train_epoch(&train);
-
-    let snap = trainer.snapshot();
-    let bytes = snap.encode().map_err(|e| format!("encode failed: {e}"))?;
-    let size = bytes.len();
-
-    let dir = std::env::temp_dir().join(format!("sparsetrain-ckpt-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut mgr = CheckpointManager::new(CheckpointPolicy::every_epochs(&dir, 1).with_keep(1))
-        .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-
-    const SAMPLES: usize = 10;
-    let encode = measure(SAMPLES, 5, || {
-        let bytes = snap.encode().unwrap();
-        std::hint::black_box(bytes.len());
-    });
-    let decode = measure(SAMPLES, 5, || {
-        let decoded = Snapshot::decode(&bytes).unwrap();
-        std::hint::black_box(decoded.layers.len());
-    });
-    let save = measure(SAMPLES, 1, || {
-        let path = mgr.save(&snap).unwrap();
-        std::hint::black_box(&path);
-    });
-    std::fs::remove_dir_all(&dir).map_err(|e| format!("cannot clean {}: {e}", dir.display()))?;
-
-    let results = opts.results.as_deref().unwrap_or("target/bench-results.jsonl");
-    if let Some(parent) = std::path::Path::new(results).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let legs = [
-        ("ckpt/encode/alexnet", encode, SAMPLES, 5),
-        ("ckpt/decode/alexnet", decode, SAMPLES, 5),
-        ("ckpt/save_fsync/alexnet", save, SAMPLES, 1),
-        // Size rides the same trajectory: the "ns" field carries bytes.
-        ("ckpt/snapshot_bytes/alexnet", (size as f64, 0.0), 1, 1),
-    ];
-    {
-        use std::io::Write as _;
-        let unix_time = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(results)
-            .map_err(|e| format!("cannot open {results}: {e}"))?;
-        for (label, (mean, stddev), samples, iters) in &legs {
-            writeln!(
-                file,
-                "{{\"bench\":\"{label}\",\"mean_ns\":{mean:.3},\"stddev_ns\":{stddev:.3},\
-                 \"samples\":{samples},\"iters\":{iters},\"unix_time\":{unix_time}}}"
-            )
-            .map_err(|e| format!("cannot write {results}: {e}"))?;
-        }
-    }
-
-    let mut summary = String::from("## Checkpoint round-trip (AlexNet-shape)\n\n");
-    let _ = writeln!(summary, "| leg | mean | stddev |");
-    let _ = writeln!(summary, "|---|---|---|");
-    for (label, (mean, stddev), _, _) in legs.iter().take(3) {
-        let _ = writeln!(
-            summary,
-            "| {label} | {} | {} |",
-            format_ns(*mean),
-            format_ns(*stddev)
-        );
-    }
-    let _ = writeln!(
-        summary,
-        "\nSnapshot size: **{:.1} KiB** ({size} bytes, {} layer-state entries). \
-         Appended {} legs to `{results}`.",
-        size as f64 / 1024.0,
-        snap.layers.len(),
-        legs.len()
-    );
     emit_summary(opts, &summary);
     Ok(true)
 }
@@ -783,22 +547,6 @@ fn cmd_chaos(opts: &Opts) -> Result<bool, String> {
     );
     emit_summary(opts, &summary);
     Ok(report.all_pass())
-}
-
-/// Mean/stddev ns of `iters` calls to `f`, over `samples` timed samples.
-fn measure(samples: usize, iters: usize, mut f: impl FnMut()) -> (f64, f64) {
-    f(); // warm-up
-    let mut per_iter = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let started = std::time::Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        per_iter.push(started.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
-    let var = per_iter.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / per_iter.len() as f64;
-    (mean, var.sqrt())
 }
 
 /// Appends Markdown to `--summary` (e.g. `$GITHUB_STEP_SUMMARY`) and

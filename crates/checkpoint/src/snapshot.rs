@@ -87,7 +87,7 @@ pub enum PlanPayload {
     /// The line-oriented text format (`Plan::from_text` parses it) — what snapshots before the binary
     /// program format carried.
     Text(String),
-    /// A compiled `STPLAN` binary execution program (`ExecutionProgram::encode`).
+    /// A compiled `STPLAN` binary execution program (`Plan::encode`).
     Program(Vec<u8>),
 }
 

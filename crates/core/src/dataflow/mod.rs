@@ -22,7 +22,6 @@ pub mod compiler;
 pub mod encoding;
 pub mod execute;
 pub mod ops;
-pub mod plan_program;
 pub mod synth;
 pub mod trace;
 pub mod trace_io;
@@ -32,5 +31,4 @@ pub use execute::{execute_conv, ExecutedConv};
 pub use ops::{
     for_each_forward_op, for_each_gta_op, for_each_gtw_op, MsrcOp, OsrcOp, SrcOp, StepKind, TaskId,
 };
-pub use plan_program::{compile_plan, stage_of};
 pub use trace::{ConvLayerTrace, FcLayerTrace, LayerTrace, NetworkTrace};

@@ -47,7 +47,6 @@
 //! assert!(acc >= 0.0 && acc <= 1.0);
 //! ```
 
-pub mod compress;
 pub mod data;
 pub mod layer;
 pub mod layers;

@@ -45,9 +45,9 @@
 use crate::layer::{Batch, Layer};
 use crate::sequential::Sequential;
 use crate::supervisor::{panic_text, SupervisorConfig};
-use crate::train::{plan_from_bytes, step_body};
+use crate::train::step_body;
 use sparsetrain_core::prune::{SiteStats, StreamSeeds};
-use sparsetrain_sparse::{EngineHandle, ExecutionContext};
+use sparsetrain_sparse::{EngineHandle, ExecutionContext, Plan};
 use sparsetrain_tensor::Tensor3;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -239,7 +239,8 @@ pub enum EngineSetup {
     Dense,
     /// Engine-driven sparse execution on the named backend.
     Engine(EngineHandle),
-    /// Sparse execution replaying an encoded execution program.
+    /// Sparse execution replaying an encoded execution program
+    /// ([`Plan::encode`]).
     Program(Vec<u8>),
 }
 
@@ -256,7 +257,7 @@ impl EngineSetup {
             EngineSetup::Dense => ExecutionContext::scalar(),
             EngineSetup::Engine(handle) => ExecutionContext::new(*handle),
             EngineSetup::Program(bytes) => ExecutionContext::with_plan(
-                plan_from_bytes(bytes).expect("coordinator-encoded plan must decode"),
+                Plan::decode(bytes).expect("coordinator-encoded plan must decode"),
             ),
         }
     }

@@ -14,7 +14,7 @@ use sparsetrain_checkpoint::{
 };
 use sparsetrain_core::dataflow::NetworkTrace;
 use sparsetrain_core::prune::{StepStreams, StreamSeeds};
-use sparsetrain_sparse::{registry, EngineHandle, ExecutionContext, ExecutionProgram, Plan};
+use sparsetrain_sparse::{registry, EngineHandle, ExecutionContext, Plan, PlanError};
 use sparsetrain_tensor::Tensor3;
 
 /// Training hyper-parameters.
@@ -169,8 +169,9 @@ pub enum ResumeError {
         /// The state kind (`"params"`, `"rng"`, …).
         kind: &'static str,
     },
-    /// The embedded execution plan did not parse against the registry.
-    Plan(String),
+    /// The embedded execution plan did not decode, or names an engine the
+    /// registry does not have.
+    Plan(PlanError),
 }
 
 impl std::fmt::Display for ResumeError {
@@ -187,7 +188,7 @@ impl std::fmt::Display for ResumeError {
                 "no layer in the network claimed the snapshot's {kind} state for layer \"{layer}\" \
                  (the snapshot was taken from a differently-shaped model)"
             ),
-            ResumeError::Plan(msg) => write!(f, "embedded execution plan rejected: {msg}"),
+            ResumeError::Plan(e) => write!(f, "embedded execution plan rejected: {e}"),
         }
     }
 }
@@ -476,7 +477,7 @@ impl Trainer {
             return;
         }
         let setup = if let Some(plan) = self.ctx.plan() {
-            EngineSetup::Program(plan_to_bytes(plan))
+            EngineSetup::Program(plan.encode().expect("frozen plans are always encodable"))
         } else if let Some(handle) = self.config.engine {
             EngineSetup::Engine(handle)
         } else {
@@ -522,8 +523,8 @@ impl Trainer {
     /// Captures the complete mutable training state as a [`Snapshot`]:
     /// parameters, optimizer velocities, pruner statistics, RNG positions,
     /// the `(seed, epoch, step)` ladder, and the active execution plan (if
-    /// the `auto` planner froze one — embedded as a compiled binary
-    /// `ExecutionProgram`). Feeding it to [`Trainer::resume`] on a fresh
+    /// the `auto` planner froze one — embedded as its `STPLAN` bytes,
+    /// [`Plan::encode`]). Feeding it to [`Trainer::resume`] on a fresh
     /// trainer reproduces the remaining run bitwise.
     pub fn snapshot(&self) -> Snapshot {
         // Mid-epoch the shuffle must be replayed from the epoch's start, so
@@ -547,7 +548,7 @@ impl Trainer {
             plan: self
                 .ctx
                 .plan()
-                .map(|plan| PlanPayload::Program(plan_to_bytes(plan))),
+                .map(|plan| PlanPayload::Program(plan.encode().expect("frozen plans are always encodable"))),
             optimizer: OptimizerState {
                 lr: self.sgd.learning_rate(),
                 velocities: self.sgd.velocities().to_vec(),
@@ -581,9 +582,7 @@ impl Trainer {
         if let Some(payload) = &snap.plan {
             if self.ctx.engine_name() == "auto" {
                 let plan = match payload {
-                    PlanPayload::Text(text) => {
-                        Plan::from_text(text).map_err(|e| ResumeError::Plan(e.to_string()))?
-                    }
+                    PlanPayload::Text(text) => Plan::from_text(text),
                     PlanPayload::Program(bytes) => {
                         // Fault seam: a plan-decode fault flips one seeded
                         // bit in the embedded program (cloning only when the
@@ -594,9 +593,10 @@ impl Trainer {
                             sparsetrain_faults::flip_bit(&mut bytes, salt);
                             bytes
                         });
-                        plan_from_bytes(flipped.as_deref().unwrap_or(bytes)).map_err(ResumeError::Plan)?
+                        Plan::decode(flipped.as_deref().unwrap_or(bytes))
                     }
-                };
+                }
+                .map_err(ResumeError::Plan)?;
                 self.ctx = ExecutionContext::with_plan(plan);
             }
         }
@@ -864,21 +864,6 @@ pub(crate) fn step_body(
     }
     net.backward(grads, ctx, streams);
     correct
-}
-
-/// A frozen plan as compiled `STPLAN` bytes — the form in which it is
-/// embedded in snapshots and broadcast to shard workers.
-pub(crate) fn plan_to_bytes(plan: &Plan) -> Vec<u8> {
-    plan.to_program()
-        .encode()
-        .expect("frozen plans are always encodable")
-}
-
-/// The inverse of [`plan_to_bytes`]; the error is the rendered decode or
-/// registry-resolution failure.
-pub(crate) fn plan_from_bytes(bytes: &[u8]) -> Result<Plan, String> {
-    let program = ExecutionProgram::decode(bytes).map_err(|e| e.to_string())?;
-    Plan::from_program(&program).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -1214,8 +1199,8 @@ mod tests {
             "{unclaimed}"
         );
 
-        let plan = ResumeError::Plan("bad magic".into()).to_string();
-        assert!(plan.contains("bad magic"), "{plan}");
+        let plan = ResumeError::Plan(Plan::decode(b"not a plan").unwrap_err()).to_string();
+        assert!(plan.contains("shorter than its header"), "{plan}");
     }
 
     #[test]

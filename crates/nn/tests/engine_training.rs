@@ -133,7 +133,7 @@ fn auto_planner_training_trajectory_is_bitwise_scalar() {
     );
 
     let (_, again_plan, _) = run("auto");
-    let encode = |plan: &sparsetrain_sparse::Plan| plan.to_program().encode().expect("frozen plans encode");
+    let encode = |plan: &sparsetrain_sparse::Plan| plan.encode().expect("frozen plans encode");
     assert_eq!(
         encode(&auto_plan),
         encode(&again_plan.expect("auto context is planned")),

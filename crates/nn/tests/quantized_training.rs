@@ -8,7 +8,7 @@ use sparsetrain_nn::layer::Layer;
 use sparsetrain_nn::loss::softmax_cross_entropy;
 use sparsetrain_nn::models;
 use sparsetrain_sparse::ExecutionContext;
-use sparsetrain_tensor::fixed::{quantization_error, quantize_slice};
+use sparsetrain_tensor::qformat::QFormat;
 use sparsetrain_tensor::Tensor3;
 
 #[test]
@@ -34,8 +34,8 @@ fn activations_and_gradients_fit_q88_range() {
     );
 
     for t in outs.iter().chain(&dins) {
-        let (_err, saturated) = quantization_error::<8>(t.as_slice());
-        assert_eq!(saturated, 0, "tensor saturates Q8.8");
+        let err = QFormat::q8_8().roundtrip_error(t.as_slice());
+        assert_eq!(err.saturated, 0, "tensor saturates Q8.8");
     }
 }
 
@@ -47,7 +47,7 @@ fn quantized_step_matches_float_step_closely() {
     let logits = vec![1.25f32, -0.75, 0.5, 2.0];
     let (_, grad_f32) = softmax_cross_entropy(&logits, 3);
     let mut q = logits.clone();
-    quantize_slice::<12>(&mut q);
+    QFormat::new(12).roundtrip_slice(&mut q);
     let (_, grad_q) = softmax_cross_entropy(&q, 3);
     for (a, b) in grad_f32.iter().zip(&grad_q) {
         assert!((a - b).abs() < 1e-3, "quantization changed gradient: {a} vs {b}");
@@ -61,7 +61,7 @@ fn pruned_gradients_survive_quantization() {
     // thresholds (~1e-2) with <0.02% relative error.
     let tau = 0.0173f32;
     let mut vals = vec![tau, -tau];
-    quantize_slice::<12>(&mut vals);
+    QFormat::new(12).roundtrip_slice(&mut vals);
     for v in &vals {
         assert!((v.abs() - tau).abs() / tau < 2e-3, "tau {tau} quantized to {v}");
     }

@@ -14,8 +14,9 @@ use sparsetrain_nn::data::{Dataset, SyntheticSpec};
 use sparsetrain_nn::metrics::MetricStore;
 use sparsetrain_nn::models;
 use sparsetrain_nn::supervisor::{SuperviseError, Supervisor, SupervisorConfig};
-use sparsetrain_nn::train::{TrainConfig, Trainer};
+use sparsetrain_nn::train::{ResumeError, TrainConfig, Trainer};
 use sparsetrain_nn::Layer;
+use sparsetrain_sparse::PlanError;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -315,6 +316,38 @@ fn exhausted_retries_surface_as_typed_error() {
     }
     // The two recoveries before giving up are still on record.
     assert_eq!(metrics.recoveries().len(), 2);
+}
+
+#[test]
+fn flipped_plan_bit_is_a_typed_resume_error_never_a_panic() {
+    let _g = FaultGuard::lock();
+    let train = dataset();
+    let auto = || make_trainer(TrainConfig::quick().with_engine_name("auto"));
+    let mut first = auto();
+    first.train_epoch(&train);
+    let snap = first.snapshot();
+    assert!(snap.plan.is_some(), "an auto run embeds its frozen plan");
+
+    // One seeded bit of the embedded STPLAN bytes flips on the first
+    // decode. Wherever it lands — header, section frame, string id, stage
+    // code, a name's bytes — the resume either still succeeds (the flip
+    // renamed a layer or swapped one registered engine for another) or is
+    // rejected with the typed plan error recovery skips the snapshot on.
+    let mut typed_cause = false;
+    for seed in 0..32 {
+        faults::install(FaultPlan::new(seed).with(Site::PlanDecodeFlip, Trigger::At(0)));
+        match auto().resume(&snap) {
+            Ok(()) => {}
+            Err(ResumeError::Plan(e)) => {
+                typed_cause |= matches!(e, PlanError::Decode(_) | PlanError::Engine(_));
+            }
+            Err(other) => panic!("seed {seed}: a flipped plan bit surfaced as {other}"),
+        }
+    }
+    assert!(
+        typed_cause,
+        "32 flips never hit the container framing or an engine name"
+    );
 }
 
 #[test]

@@ -95,6 +95,9 @@
 //! is read, so the same run always freezes the same plan, and every engine
 //! the rule names is bitwise identical to the scalar reference, so
 //! planning affects speed, never results.
+//! A plan is its own serialized form: [`Plan::encode`] / [`Plan::decode`]
+//! ([`plan_program`], the `STPLAN` codec) are the one way it crosses a
+//! process, worker or checkpoint boundary.
 
 pub mod compressed;
 pub mod context;
@@ -119,7 +122,6 @@ pub use engine::{BandContext, BatchOut, KernelEngine, ParallelEngine, ScalarEngi
 pub use fixed_engine::FixedPointEngine;
 pub use im2row_engine::Im2RowEngine;
 pub use mask::RowMask;
-pub use plan_program::{ExecutionProgram, PlanVm};
 pub use planner::{AutoEngine, Plan, PlanError, Stage, PLAN_ENV};
 pub use registry::{EngineHandle, UnknownEngine, ENGINE_ENV};
 pub use simd_engine::SimdEngine;

@@ -1,46 +1,33 @@
-//! Compiled binary execution plans: the `STPLAN` container and its VM.
+//! The `STPLAN` codec: a [`Plan`]'s compact, versioned binary form.
 //!
-//! This module gives the planner's [`Plan`] (one engine per
-//! `(layer, stage)` cell) its serialized form, a compact, versioned
-//! **binary program** — the artifact an ahead-of-time compiler
-//! ships to a fresh process, the sharded workers, or the checkpoint file —
-//! plus a small VM that replays it against the engine registry:
+//! This is the artifact an ahead-of-time planner ships to a fresh process
+//! (`SPARSETRAIN_PLAN`), to the sharded workers, and into the checkpoint
+//! file. There is one plan type and it encodes itself:
 //!
-//! * [`ExecutionProgram`] — the container: a header (magic `STPLAN`,
-//!   version), a string table interning layer and engine names, the
-//!   stage-ordered cell table (layer id, stage, engine id), optional
-//!   per-cell workspace-size hints, and optional per-layer prune points
-//!   (the pruned gradient population the plan was compiled against).
-//!   `sparsetrain_core::dataflow::compile_plan` lowers a [`Plan`] plus a
-//!   compiled instruction `Program` into one.
-//! * [`ExecutionProgram::encode`] / [`ExecutionProgram::decode`] — the
-//!   derive-free section codec, in the same length-prefixed shape as the
-//!   checkpoint `.stck` container and the kernel ISA in
-//!   `sparsetrain-core`: corruption returns a typed [`DecodeError`] naming
-//!   the offending section and field, never a panic.
-//! * [`Plan::to_program`] / [`Plan::from_program`] — the lossless bridge:
-//!   every cell and the default engine fold into the program and come back
-//!   out identical.
-//! * [`PlanVm`] — executes a program through the planned entry points of
-//!   [`ExecutionContext`] (`forward_batch_for` and friends). Every planned
-//!   engine is bitwise-identical to the scalar reference, so a VM replay
-//!   is bitwise-identical to the run that froze the program's plan.
-//!   The VM tracks which program cells have executed
-//!   ([`PlanVm::pending_cells`]).
+//! * [`Plan::encode`] writes a header (magic `STPLAN`, version) and two
+//!   sections: a string table interning the layer and engine names, and
+//!   the cell table (default engine id, then one `(layer id, stage,
+//!   engine id)` row per decided cell in [`Plan::cells`] order). The
+//!   encoding is canonical — one byte string per plan.
+//! * [`Plan::decode`] is the inverse, over the same length-prefixed
+//!   section framing as the checkpoint `.stck` container
+//!   (`sparsetrain-container`): corruption returns a typed
+//!   [`DecodeError`] naming the offending section and field, an engine
+//!   name the registry cannot resolve or a layer id no plan can hold a
+//!   typed [`PlanError`] — never a panic.
+//! * Two further sections, `workspace` (tag 3) and `prune` (tag 4), are
+//!   **reserved**: version-1 writers once attached advisory sizing hints
+//!   in them, which nothing read. Writers no longer emit them; `decode`
+//!   still validates their fields and then ignores them, so old files
+//!   keep loading.
 //!
 //! `SPARSETRAIN_PLAN` accepts both formats: [`crate::planner::load_plan`]
 //! sniffs the magic and routes binary files here.
 
-use crate::context::ExecutionContext;
-use crate::mask::RowMask;
 use crate::planner::{Plan, PlanError, Stage};
 use crate::registry::lookup_or_parse;
-use crate::rowconv::SparseFeatureMap;
 use sparsetrain_container::{Reader, SectionId, Sections, Writer};
-use sparsetrain_tensor::conv::ConvGeometry;
-use sparsetrain_tensor::{Tensor3, Tensor4};
 use std::collections::BTreeSet;
-use std::fmt;
 
 /// File magic: "STPLAN" + format epoch byte + NUL.
 pub const MAGIC: [u8; 8] = *b"STPLAN\x01\x00";
@@ -62,9 +49,11 @@ pub enum Section {
     Strings,
     /// Default engine + the `(layer, stage, engine)` cell table (mandatory).
     Cells,
-    /// Per-cell workspace-size hints (optional).
+    /// Reserved: per-cell `(layer id, stage, u64)` rows. Validated and
+    /// ignored by [`Plan::decode`], never written.
     Workspace,
-    /// Per-layer prune points (optional).
+    /// Reserved: per-layer `(layer id, u64)` rows. Validated and ignored
+    /// by [`Plan::decode`], never written.
     Prune,
 }
 
@@ -104,252 +93,87 @@ fn stage_from_code(code: u8) -> Option<Stage> {
     }
 }
 
-/// One decided cell: `(layer, stage) → engine`, with names interned in the
-/// program's string table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgramCell {
-    /// String-table id of the layer name.
-    pub layer: u32,
-    /// The training stage the cell decides.
-    pub stage: Stage,
-    /// String-table id of the engine name.
-    pub engine: u32,
-}
-
-/// A workspace-size hint: the largest single-instruction operand
-/// population (values streamed through one row op) observed for a cell
-/// when the program was compiled. Advisory — execution never depends on
-/// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkspaceHint {
-    /// String-table id of the layer name.
-    pub layer: u32,
-    /// The stage the hint applies to.
-    pub stage: Stage,
-    /// Largest per-instruction operand population for the cell.
-    pub elements: u64,
-}
-
-/// A prune point: the total pruned output-gradient population of one layer
-/// at plan-compile time — the density regime the plan's backward-stage
-/// decisions were made for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrunePoint {
-    /// String-table id of the layer name.
-    pub layer: u32,
-    /// Non-zeros of the layer's (pruned) output-gradient stream.
-    pub grad_nnz: u64,
-}
-
-/// A compiled, serializable execution program: the binary form of a
-/// planner [`Plan`], enriched with the workspace and prune metadata of the
-/// instruction program it was lowered against.
-///
-/// ```
-/// use sparsetrain_sparse::planner::{Plan, Stage};
-/// use sparsetrain_sparse::plan_program::ExecutionProgram;
-/// use sparsetrain_sparse::registry;
-///
-/// let mut plan = Plan::new(registry::lookup("scalar").unwrap());
-/// plan.set("conv1", Stage::Forward, registry::lookup("im2row").unwrap());
-/// let bytes = plan.to_program().encode().unwrap();
-/// let back = Plan::from_program(&ExecutionProgram::decode(&bytes).unwrap()).unwrap();
-/// assert_eq!(back, plan);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecutionProgram {
-    strings: Vec<String>,
-    default_engine: u32,
-    cells: Vec<ProgramCell>,
-    workspace_hints: Vec<WorkspaceHint>,
-    prune_points: Vec<PrunePoint>,
-}
-
-impl ExecutionProgram {
-    /// An empty program whose unplanned cells resolve to `default_engine`.
-    pub fn new(default_engine: &str) -> Self {
-        let mut prog = ExecutionProgram {
-            strings: Vec::new(),
-            default_engine: 0,
-            cells: Vec::new(),
-            workspace_hints: Vec::new(),
-            prune_points: Vec::new(),
-        };
-        prog.default_engine = prog.intern(default_engine);
-        prog
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.strings.iter().position(|have| have == s) {
-            return id as u32;
-        }
-        self.strings.push(s.to_string());
-        (self.strings.len() - 1) as u32
-    }
-
-    fn name(&self, id: u32) -> &str {
-        &self.strings[id as usize]
-    }
-
-    /// The interned name table (layer and engine names).
-    pub fn strings(&self) -> &[String] {
-        &self.strings
-    }
-
-    /// The engine unplanned cells resolve to.
-    pub fn default_engine_name(&self) -> &str {
-        self.name(self.default_engine)
-    }
-
-    /// Appends a decided cell. Cells keep insertion order on the wire;
-    /// [`Plan::to_program`] inserts in the plan's canonical
-    /// `(layer, stage)` order.
-    pub fn push_cell(&mut self, layer: &str, stage: Stage, engine: &str) {
-        let layer = self.intern(layer);
-        let engine = self.intern(engine);
-        self.cells.push(ProgramCell { layer, stage, engine });
-    }
-
-    /// The decided cells, in table order.
-    pub fn cells(&self) -> &[ProgramCell] {
-        &self.cells
-    }
-
-    /// The decided cells with names resolved: `(layer, stage, engine)`.
-    pub fn cell_names(&self) -> impl Iterator<Item = (&str, Stage, &str)> {
-        self.cells
-            .iter()
-            .map(|c| (self.name(c.layer), c.stage, self.name(c.engine)))
-    }
-
-    /// Records a workspace-size observation for a cell, keeping the
-    /// maximum across calls.
-    pub fn note_workspace(&mut self, layer: &str, stage: Stage, elements: u64) {
-        let layer = self.intern(layer);
-        if let Some(hint) = self
-            .workspace_hints
-            .iter_mut()
-            .find(|h| h.layer == layer && h.stage == stage)
-        {
-            hint.elements = hint.elements.max(elements);
-            return;
-        }
-        self.workspace_hints.push(WorkspaceHint {
-            layer,
-            stage,
-            elements,
-        });
-    }
-
-    /// The recorded workspace hints, in insertion order.
-    pub fn workspace_hints(&self) -> &[WorkspaceHint] {
-        &self.workspace_hints
-    }
-
-    /// The workspace hint for one cell, if recorded.
-    pub fn workspace_hint(&self, layer: &str, stage: Stage) -> Option<u64> {
-        let layer = self.strings.iter().position(|s| s == layer)? as u32;
-        self.workspace_hints
-            .iter()
-            .find(|h| h.layer == layer && h.stage == stage)
-            .map(|h| h.elements)
-    }
-
-    /// The largest recorded workspace hint, if any.
-    pub fn max_workspace_elements(&self) -> Option<u64> {
-        self.workspace_hints.iter().map(|h| h.elements).max()
-    }
-
-    /// Records (or replaces) a layer's prune point.
-    pub fn note_prune_point(&mut self, layer: &str, grad_nnz: u64) {
-        let layer = self.intern(layer);
-        if let Some(point) = self.prune_points.iter_mut().find(|p| p.layer == layer) {
-            point.grad_nnz = grad_nnz;
-            return;
-        }
-        self.prune_points.push(PrunePoint { layer, grad_nnz });
-    }
-
-    /// The recorded prune points, in insertion order.
-    pub fn prune_points(&self) -> &[PrunePoint] {
-        &self.prune_points
-    }
-
-    /// A layer's prune point, if recorded.
-    pub fn prune_point(&self, layer: &str) -> Option<u64> {
-        let layer = self.strings.iter().position(|s| s == layer)? as u32;
-        self.prune_points
-            .iter()
-            .find(|p| p.layer == layer)
-            .map(|p| p.grad_nnz)
-    }
-
-    /// Serializes the program into the versioned `STPLAN` container.
+impl Plan {
+    /// Serializes the plan into the versioned `STPLAN` container: the
+    /// string table, then the default engine and every decided cell in
+    /// [`Plan::cells`] order. Names are interned in first-use order
+    /// (default engine, then each cell's layer and engine), so equal plans
+    /// encode to equal bytes.
+    ///
+    /// ```
+    /// use sparsetrain_sparse::planner::{Plan, Stage};
+    /// use sparsetrain_sparse::registry;
+    ///
+    /// let mut plan = Plan::new(registry::lookup("scalar").unwrap());
+    /// plan.set("conv1", Stage::Forward, registry::lookup("im2row").unwrap());
+    /// let bytes = plan.encode().unwrap();
+    /// assert_eq!(Plan::decode(&bytes).unwrap(), plan);
+    /// ```
     ///
     /// # Errors
     ///
     /// Returns [`EncodeError`] when a count exceeds its wire width.
     pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
+        let mut strings: Vec<&str> = Vec::new();
+        let mut intern = |s| {
+            let known = strings.iter().position(|have| *have == s);
+            known.unwrap_or_else(|| {
+                strings.push(s);
+                strings.len() - 1
+            }) as u32
+        };
+        let default_engine = intern(self.default_engine().name());
+        let cells: Vec<(u32, Stage, u32)> = self
+            .cells()
+            .map(|(layer, stage, engine)| (intern(layer), stage, intern(engine.name())))
+            .collect();
+
         let mut w = Writer::new();
 
         w.begin(Section::Strings);
-        w.count("string entries", self.strings.len())?;
-        for s in &self.strings {
+        w.count("string entries", strings.len())?;
+        for s in &strings {
             w.str("string bytes", s)?;
         }
 
         w.begin(Section::Cells);
-        w.u32(self.default_engine);
-        w.count("cell entries", self.cells.len())?;
-        for c in &self.cells {
-            w.u32(c.layer);
-            w.u8(stage_code(c.stage));
-            w.u32(c.engine);
-        }
-
-        if !self.workspace_hints.is_empty() {
-            w.begin(Section::Workspace);
-            w.count("workspace hints", self.workspace_hints.len())?;
-            for h in &self.workspace_hints {
-                w.u32(h.layer);
-                w.u8(stage_code(h.stage));
-                w.u64(h.elements);
-            }
-        }
-
-        if !self.prune_points.is_empty() {
-            w.begin(Section::Prune);
-            w.count("prune points", self.prune_points.len())?;
-            for p in &self.prune_points {
-                w.u32(p.layer);
-                w.u64(p.grad_nnz);
-            }
+        w.u32(default_engine);
+        w.count("cell entries", cells.len())?;
+        for (layer, stage, engine) in cells {
+            w.u32(layer);
+            w.u8(stage_code(stage));
+            w.u32(engine);
         }
 
         Ok(w.finish())
     }
 
-    /// Parses a program from the versioned `STPLAN` container.
+    /// Parses a plan from the versioned `STPLAN` container: the inverse of
+    /// [`Plan::encode`]. The whole file is validated — the reserved
+    /// sections included — before any name is resolved.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`DecodeError`] on any malformation — bad magic or
+    /// Returns [`PlanError::Decode`] on any malformation — bad magic or
     /// version, truncated/duplicate/unknown/missing sections, trailing
     /// bytes, out-of-range string ids, invalid stage codes, duplicate
-    /// cells/hints/points, or duplicate string-table entries.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+    /// cells or reserved rows, or duplicate string-table entries;
+    /// [`PlanError::Engine`] when an engine name does not resolve through
+    /// the registry; [`PlanError::LayerId`] when a layer name is unusable
+    /// as a plan key.
+    pub fn decode(bytes: &[u8]) -> Result<Plan, PlanError> {
         let sections = Sections::parse(bytes)?;
 
         // Strings first, so the id-bearing sections can validate against the table.
         let mut r = sections.required(Section::Strings)?;
         let strings = r.seq(4, |r| r.str("string bytes"))?;
         if (1..strings.len()).any(|i| strings[..i].contains(&strings[i])) {
-            return Err(r.invalid("duplicate string"));
+            return Err(r.invalid("duplicate string").into());
         }
         r.finish()?;
         let string_id = |r: &mut Reader<'_, Section>, field| {
-            let id = r.u32()?;
-            if (id as usize) < strings.len() {
+            let id = r.u32()? as usize;
+            if id < strings.len() {
                 Ok(id)
             } else {
                 Err(r.invalid(field))
@@ -365,219 +189,46 @@ impl ExecutionProgram {
             let layer = string_id(r, "cell layer id")?;
             let stage = stage(r, "cell stage")?;
             let engine = string_id(r, "cell engine id")?;
-            if !seen.insert((layer, stage_code(stage))) {
+            if !seen.insert((layer, stage)) {
                 return Err(r.invalid("duplicate cell"));
             }
-            Ok(ProgramCell { layer, stage, engine })
+            Ok((layer, stage, engine))
         })?;
         r.finish()?;
 
-        let mut workspace_hints = Vec::new();
         if let Some(mut r) = sections.optional(Section::Workspace) {
             let mut seen = BTreeSet::new();
-            workspace_hints = r.seq(13, |r| {
+            r.seq(13, |r| {
                 let layer = string_id(r, "hint layer id")?;
                 let stage = stage(r, "hint stage")?;
-                let elements = r.u64()?;
-                if !seen.insert((layer, stage_code(stage))) {
+                r.u64()?;
+                if !seen.insert((layer, stage)) {
                     return Err(r.invalid("duplicate workspace hint"));
                 }
-                Ok(WorkspaceHint {
-                    layer,
-                    stage,
-                    elements,
-                })
+                Ok(())
             })?;
             r.finish()?;
         }
 
-        let mut prune_points = Vec::new();
         if let Some(mut r) = sections.optional(Section::Prune) {
             let mut seen = BTreeSet::new();
-            prune_points = r.seq(12, |r| {
+            r.seq(12, |r| {
                 let layer = string_id(r, "prune layer id")?;
-                let grad_nnz = r.u64()?;
+                r.u64()?;
                 if !seen.insert(layer) {
                     return Err(r.invalid("duplicate prune point"));
                 }
-                Ok(PrunePoint { layer, grad_nnz })
+                Ok(())
             })?;
             r.finish()?;
         }
 
-        Ok(ExecutionProgram {
-            strings,
-            default_engine,
-            cells,
-            workspace_hints,
-            prune_points,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Plan bridge
-// ---------------------------------------------------------------------------
-
-impl Plan {
-    /// Lowers this plan losslessly into a binary [`ExecutionProgram`]
-    /// (cells in canonical `(layer, stage)` order; no workspace or prune
-    /// metadata — `sparsetrain_core::dataflow::compile_plan` adds those
-    /// from a compiled instruction program).
-    pub fn to_program(&self) -> ExecutionProgram {
-        let mut prog = ExecutionProgram::new(self.default_engine().name());
-        for (layer, stage, handle) in self.cells() {
-            prog.push_cell(layer, stage, handle.name());
-        }
-        prog
-    }
-
-    /// Rebuilds the plan a program was lowered from: the inverse of
-    /// [`Plan::to_program`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] when an engine name does not resolve through
-    /// the registry or a layer id is unusable as a plan key.
-    pub fn from_program(program: &ExecutionProgram) -> Result<Self, PlanError> {
-        let resolve = |name: &str| lookup_or_parse(name).map_err(|e| PlanError::new(e.to_string()));
-        let mut plan = Plan::new(resolve(program.default_engine_name())?);
-        for (layer, stage, engine) in program.cell_names() {
-            plan.try_set(layer, stage, resolve(engine)?)?;
+        let resolve = |id: usize| lookup_or_parse(&strings[id]);
+        let mut plan = Plan::new(resolve(default_engine)?);
+        for (layer, stage, engine) in cells {
+            plan.try_set(&strings[layer], stage, resolve(engine)?)?;
         }
         Ok(plan)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The VM
-// ---------------------------------------------------------------------------
-
-/// Executes a compiled [`ExecutionProgram`] against the engine registry.
-///
-/// The VM wraps a planned [`ExecutionContext`] replaying the program's
-/// plan: every batched call resolves its engine through the program's cell
-/// table (cells the program misses are decided by the density rule like
-/// any other undecided cell), so a replay is **bitwise-identical** to the
-/// run that emitted the program — planning affects speed, never results.
-pub struct PlanVm {
-    program: ExecutionProgram,
-    ctx: ExecutionContext,
-    executed: BTreeSet<(String, Stage)>,
-}
-
-impl PlanVm {
-    /// A VM executing `program`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] when the program's plan does not resolve (see
-    /// [`Plan::from_program`]).
-    pub fn new(program: ExecutionProgram) -> Result<Self, PlanError> {
-        let plan = Plan::from_program(&program)?;
-        Ok(PlanVm {
-            program,
-            ctx: ExecutionContext::with_plan(plan),
-            executed: BTreeSet::new(),
-        })
-    }
-
-    /// A VM decoded straight from `STPLAN` container bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] wrapping the decode failure or unresolvable
-    /// plan.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, PlanError> {
-        let program = ExecutionProgram::decode(bytes).map_err(|e| PlanError::new(e.to_string()))?;
-        Self::new(program)
-    }
-
-    /// The program under execution.
-    pub fn program(&self) -> &ExecutionProgram {
-        &self.program
-    }
-
-    /// The replayed plan.
-    pub fn plan(&self) -> &Plan {
-        self.ctx.plan().expect("a plan VM context is always planned")
-    }
-
-    /// The underlying planned execution context.
-    pub fn context_mut(&mut self) -> &mut ExecutionContext {
-        &mut self.ctx
-    }
-
-    fn mark(&mut self, layer: &str, stage: Stage) {
-        self.executed.insert((layer.to_string(), stage));
-    }
-
-    /// Executes a batched forward step on the cell's planned engine.
-    pub fn forward_batch(
-        &mut self,
-        layer: &str,
-        inputs: &[SparseFeatureMap],
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-    ) -> Vec<Tensor3> {
-        self.mark(layer, Stage::Forward);
-        self.ctx.forward_batch_for(layer, inputs, weights, bias, geom)
-    }
-
-    /// Executes a batched GTA step on the cell's planned engine,
-    /// accumulating into the pre-seeded `dins`.
-    pub fn input_grad_batch_into(
-        &mut self,
-        layer: &str,
-        douts: &[SparseFeatureMap],
-        weights: &Tensor4,
-        geom: ConvGeometry,
-        masks: &[Vec<RowMask>],
-        dins: &mut [Tensor3],
-    ) {
-        self.mark(layer, Stage::InputGrad);
-        self.ctx
-            .input_grad_batch_for_into(layer, douts, weights, geom, masks, dins);
-    }
-
-    /// Executes a batched GTW step on the cell's planned engine,
-    /// accumulating into `dw`.
-    pub fn weight_grad_batch(
-        &mut self,
-        layer: &str,
-        inputs: &[SparseFeatureMap],
-        douts: &[SparseFeatureMap],
-        geom: ConvGeometry,
-        dw: &mut Tensor4,
-    ) {
-        self.mark(layer, Stage::WeightGrad);
-        self.ctx.weight_grad_batch_for(layer, inputs, douts, geom, dw);
-    }
-
-    /// Number of distinct `(layer, stage)` cells executed so far.
-    pub fn executed_cells(&self) -> usize {
-        self.executed.len()
-    }
-
-    /// Program cells that have not executed yet — replay coverage: empty
-    /// once every pinned decision has been exercised.
-    pub fn pending_cells(&self) -> Vec<(&str, Stage)> {
-        self.program
-            .cell_names()
-            .filter(|(layer, stage, _)| !self.executed.contains(&((*layer).to_string(), *stage)))
-            .map(|(layer, stage, _)| (layer, stage))
-            .collect()
-    }
-}
-
-impl fmt::Debug for PlanVm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlanVm")
-            .field("cells", &self.program.cells().len())
-            .field("executed", &self.executed.len())
-            .field("default", &self.program.default_engine_name())
-            .finish()
     }
 }
 
@@ -598,25 +249,12 @@ mod tests {
         plan
     }
 
-    fn sample_program() -> ExecutionProgram {
-        let mut prog = sample_plan().to_program();
-        prog.note_workspace("conv1", Stage::Forward, 4096);
-        prog.note_workspace("conv2", Stage::InputGrad, 512);
-        prog.note_prune_point("conv1", 123);
-        prog.note_prune_point("conv2", 45);
-        prog
-    }
-
     #[test]
-    fn plan_program_roundtrips_losslessly() {
+    fn plan_roundtrips_losslessly() {
         let plan = sample_plan();
-        let prog = plan.to_program();
-        assert_eq!(Plan::from_program(&prog).unwrap(), plan);
-
-        let bytes = sample_program().encode().unwrap();
-        let back = ExecutionProgram::decode(&bytes).unwrap();
-        assert_eq!(back, sample_program());
-        assert_eq!(Plan::from_program(&back).unwrap(), plan);
+        let bytes = plan.encode().unwrap();
+        let back = Plan::decode(&bytes).unwrap();
+        assert_eq!(back, plan);
         // Canonical bytes: encode ∘ decode is the identity on our output.
         assert_eq!(back.encode().unwrap(), bytes);
     }
@@ -648,43 +286,23 @@ mod tests {
              010000000c00000000000000 01000000 0400000073696d64 \
              020000000800000000000000 00000000 00000000",
         );
-        let default_simd = Plan::new(handle("simd")).to_program();
-        for (program, golden) in [(sample_program(), full), (default_simd, minimal)] {
-            assert_eq!(program.encode().unwrap(), golden);
-            assert_eq!(ExecutionProgram::decode(&golden).unwrap(), program);
-        }
-    }
+        let default_simd = Plan::new(handle("simd"));
+        assert_eq!(default_simd.encode().unwrap(), minimal);
+        assert_eq!(Plan::decode(&minimal).unwrap(), default_simd);
 
-    #[test]
-    fn interning_dedupes_names() {
-        let prog = sample_program();
-        let mut seen = std::collections::BTreeSet::new();
-        for s in prog.strings() {
-            assert!(seen.insert(s.clone()), "duplicate interned string {s:?}");
-        }
-        assert_eq!(prog.default_engine_name(), "simd");
-        assert_eq!(prog.workspace_hint("conv1", Stage::Forward), Some(4096));
-        assert_eq!(prog.workspace_hint("conv1", Stage::InputGrad), None);
-        assert_eq!(prog.prune_point("conv2"), Some(45));
-        assert_eq!(prog.max_workspace_elements(), Some(4096));
-    }
-
-    #[test]
-    fn workspace_notes_keep_the_max() {
-        let mut prog = ExecutionProgram::new("scalar");
-        prog.note_workspace("c", Stage::Forward, 10);
-        prog.note_workspace("c", Stage::Forward, 7);
-        prog.note_workspace("c", Stage::Forward, 19);
-        assert_eq!(prog.workspace_hint("c", Stage::Forward), Some(19));
-        prog.note_prune_point("c", 5);
-        prog.note_prune_point("c", 9);
-        assert_eq!(prog.prune_point("c"), Some(9));
-        assert_eq!(prog.prune_points().len(), 1);
+        // `full` carries the two reserved sections (its last two lines): it decodes to the
+        // plan of its first two, which is what the writer emits — the same header with a
+        // section count of 2, then the `strings` and `cells` lines byte for byte.
+        assert_eq!(Plan::decode(&full).unwrap(), sample_plan());
+        let mut cells_only = full[..16 + (12 + 0x47) + (12 + 0x23)].to_vec();
+        cells_only[12] = 2;
+        assert_eq!(sample_plan().encode().unwrap(), cells_only);
+        assert_eq!(Plan::decode(&cells_only).unwrap(), sample_plan());
     }
 
     #[test]
     fn magic_sniff_distinguishes_binary_from_text() {
-        let bytes = sample_program().encode().unwrap();
+        let bytes = sample_plan().encode().unwrap();
         assert!(is_binary_plan(&bytes));
         assert!(!is_binary_plan(b"# sparsetrain execution plan v1\n"));
         assert!(!is_binary_plan(b"STPL"));
@@ -694,7 +312,7 @@ mod tests {
         assert!(is_binary_plan(&epoch2));
     }
 
-    // Sections of hand-built programs over the string table ["s", "c"] with no cells; the
+    // Sections of hand-built files over the string table ["s", "c"] with no cells; the
     // framing itself is tested once, in `sparsetrain-container`.
     const HEADER: &str = "5354504c414e0100 0100 0000";
     const STRINGS: &str = "010000000e00000000000000 02000000 0100000073 0100000063";
@@ -703,17 +321,22 @@ mod tests {
     #[test]
     fn mandatory_sections_are_required() {
         for (only, missing) in [(STRINGS, Section::Cells), (NO_CELLS, Section::Strings)] {
-            let err = ExecutionProgram::decode(&unhex(&format!("{HEADER} 01000000 {only}"))).unwrap_err();
-            assert_eq!(err, DecodeError::MissingSection { section: missing });
+            let err = Plan::decode(&unhex(&format!("{HEADER} 01000000 {only}"))).unwrap_err();
+            assert_eq!(
+                err,
+                PlanError::Decode(DecodeError::MissingSection { section: missing })
+            );
         }
+        // With both present the container is well-formed; decoding gets as far as resolving
+        // the default engine, string 0.
         let both = unhex(&format!("{HEADER} 02000000 {STRINGS} {NO_CELLS}"));
-        assert_eq!(ExecutionProgram::decode(&both).unwrap().strings(), ["s", "c"]);
+        assert!(matches!(Plan::decode(&both), Err(PlanError::Engine(e)) if e.name() == "s"));
     }
 
     #[test]
     fn invalid_payload_fields_are_typed() {
         use Section::*;
-        // Each case is one section payload for the two-string program: ids must be < 2, stages < 3.
+        // Each case is one section payload for the two-string file: ids must be < 2, stages < 3.
         let cases = [
             (Strings, 1, "duplicate string", "02000000 0100000073 0100000073"),
             (Cells, 2, "default engine id", "02000000 00000000"),
@@ -780,64 +403,46 @@ mod tests {
             let mut file = unhex(&format!("{HEADER} 0{}000000", sections.len()));
             sections.iter().for_each(|s| file.extend_from_slice(s));
             assert_eq!(
-                ExecutionProgram::decode(&file),
-                Err(DecodeError::InvalidField { section, field })
+                Plan::decode(&file),
+                Err(PlanError::Decode(DecodeError::InvalidField { section, field }))
             );
         }
     }
 
     #[test]
-    fn from_program_rejects_unknown_engines_and_hostile_layers() {
-        let mut prog = ExecutionProgram::new("warp-drive");
-        let err = Plan::from_program(&prog).unwrap_err();
+    fn decode_rejects_unknown_engines_and_hostile_layers() {
+        // Well-formed containers whose names no plan can hold: string 0 is the default engine,
+        // the one cell (when present) is (string 1, forward, string 2).
+        let file = |names: [&str; 3], with_cell: bool| {
+            let mut w = Writer::new();
+            w.begin(Section::Strings);
+            w.count("string entries", names.len()).unwrap();
+            names.iter().for_each(|s| w.str("string bytes", s).unwrap());
+            w.begin(Section::Cells);
+            w.u32(0);
+            w.u32(u32::from(with_cell));
+            if with_cell {
+                w.u32(1);
+                w.u8(0);
+                w.u32(2);
+            }
+            w.finish()
+        };
+        let err = Plan::decode(&file(["warp-drive", "conv1", "simd"], false)).unwrap_err();
+        assert!(
+            matches!(&err, PlanError::Engine(e) if e.name() == "warp-drive"),
+            "{err}"
+        );
         assert!(err.to_string().contains("warp-drive"), "{err}");
 
-        prog = ExecutionProgram::new("scalar");
-        prog.push_cell("conv #1", Stage::Forward, "simd");
-        let err = Plan::from_program(&prog).unwrap_err();
-        assert!(err.to_string().contains("conv #1"), "{err}");
-    }
-
-    #[test]
-    fn vm_replays_and_tracks_coverage() {
-        use sparsetrain_tensor::Tensor3;
-
-        let mut plan = Plan::new(handle("scalar"));
-        plan.set("conv1", Stage::Forward, handle("simd"));
-        plan.set("conv1", Stage::WeightGrad, handle("scalar"));
-        let mut prog = plan.to_program();
-        prog.note_workspace("conv1", Stage::Forward, 64);
-        let mut vm = PlanVm::new(prog).unwrap();
-        assert_eq!(vm.plan().resolve("conv1", Stage::Forward).name(), "simd");
-        assert_eq!(vm.pending_cells().len(), 2);
-
-        let geom = ConvGeometry::new(3, 1, 1);
-        let input = SparseFeatureMap::from_tensor(&Tensor3::from_fn(2, 5, 5, |c, y, x| {
-            ((c + y + x) % 3) as f32 * 0.25
-        }));
-        let dout = SparseFeatureMap::from_tensor(&Tensor3::from_fn(2, 5, 5, |c, y, x| {
-            ((c + 2 * y + x) % 4) as f32 * 0.125
-        }));
-        let weights = Tensor4::from_fn(2, 2, 3, 3, |f, c, u, v| (f + c + u + v) as f32 * 0.1 - 0.3);
-
-        let outs = vm.forward_batch("conv1", std::slice::from_ref(&input), &weights, None, geom);
-        let op = crate::engine::StageOp::Forward {
-            input: &input,
-            weights: &weights,
-            bias: None,
-            geom,
-        };
-        assert_eq!(outs[0].as_slice(), op.run_on(&crate::engine::ScalarEngine));
-
-        let mut dw = Tensor4::zeros(2, 2, 3, 3);
-        vm.weight_grad_batch(
-            "conv1",
-            std::slice::from_ref(&input),
-            std::slice::from_ref(&dout),
-            geom,
-            &mut dw,
+        let err = Plan::decode(&file(["scalar", "conv1", "warp-drive"], true)).unwrap_err();
+        assert!(
+            matches!(&err, PlanError::Engine(e) if e.name() == "warp-drive"),
+            "{err}"
         );
-        assert_eq!(vm.executed_cells(), 2);
-        assert!(vm.pending_cells().is_empty(), "{:?}", vm.pending_cells());
+
+        let err = Plan::decode(&file(["scalar", "conv #1", "simd"], true)).unwrap_err();
+        assert_eq!(err, PlanError::LayerId("conv #1".into()));
+        assert!(err.to_string().contains("conv #1"), "{err}");
     }
 }

@@ -20,12 +20,12 @@
 //! * [`Plan`] — the frozen decision table mapping cells to
 //!   [`EngineHandle`]s, with a default engine for unplanned cells. An
 //!   `"auto"` [`crate::ExecutionContext`] carries one (empty at first,
-//!   filled cell by cell). Plans compile to the binary program format
-//!   ([`crate::plan_program::ExecutionProgram`], via [`Plan::to_program`])
-//!   so a plan can be saved and replayed via the [`PLAN_ENV`]
-//!   (`SPARSETRAIN_PLAN`) environment variable — which also accepts the
-//!   legacy line-oriented text format ([`Plan::from_text`]), sniffing the
-//!   binary magic — and render as a Markdown table
+//!   filled cell by cell). A plan serializes itself to the binary
+//!   `STPLAN` format ([`Plan::encode`] / [`Plan::decode`], in
+//!   [`crate::plan_program`]) so it can be saved and replayed via the
+//!   [`PLAN_ENV`] (`SPARSETRAIN_PLAN`) environment variable — which also
+//!   accepts the legacy line-oriented text format ([`Plan::from_text`]),
+//!   sniffing the binary magic — and renders as a Markdown table
 //!   ([`Plan::to_markdown`]) for reports. Every engine the rule names is
 //!   bitwise-identical to the scalar reference (the parity suites enforce
 //!   this; the fixed-point engines are never named), so a plan affects
@@ -37,7 +37,8 @@
 //!   decide-once-and-freeze layer on top.
 
 use crate::engine::{BatchOut, KernelEngine, StageOp};
-use crate::registry::{lookup, lookup_or_parse, EngineHandle};
+use crate::plan_program::{is_binary_plan, DecodeError};
+use crate::registry::{lookup, lookup_or_parse, EngineHandle, UnknownEngine};
 use crate::rowconv::SparseFeatureMap;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -137,21 +138,88 @@ pub fn batch_density<'a>(maps: impl IntoIterator<Item = &'a SparseFeatureMap>) -
     }
 }
 
-/// Error from plan parsing or loading ([`Plan::from_text`], [`env_plan`]).
+/// Error from plan decoding, parsing or loading ([`Plan::decode`],
+/// [`Plan::from_text`], [`load_plan`], [`env_plan`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanError(String);
+pub enum PlanError {
+    /// The bytes are not a well-formed `STPLAN` document.
+    Decode(DecodeError),
+    /// A named engine does not resolve through the registry.
+    Engine(UnknownEngine),
+    /// A layer id no plan can key a cell by: empty, or containing
+    /// whitespace or `#` (see [`Plan::try_set`]).
+    LayerId(String),
+    /// A malformed line of the text format.
+    Text {
+        /// The 1-based line number.
+        line: usize,
+        /// What is wrong with the line, rendered.
+        detail: String,
+        /// The typed fault, when the line is well-formed but names an
+        /// unknown engine; `None` for a syntax fault.
+        cause: Option<Box<PlanError>>,
+    },
+    /// A plan file that cannot be read, or whose content is rejected.
+    Io {
+        /// The file, as named by the caller.
+        path: String,
+        /// What is wrong with the file, rendered.
+        detail: String,
+        /// The typed fault in the content; `None` when the file could not
+        /// be read at all.
+        cause: Option<Box<PlanError>>,
+    },
+}
 
 impl PlanError {
-    /// A plan error carrying `detail` — the crate-internal constructor
-    /// sibling modules (the binary program codec) build errors through.
-    pub(crate) fn new(detail: impl Into<String>) -> Self {
-        PlanError(detail.into())
+    /// The message without the "invalid execution plan" lead-in, so an
+    /// error wrapped in its line or file renders the lead-in once.
+    fn detail(&self) -> String {
+        match self {
+            PlanError::Decode(e) => e.to_string(),
+            PlanError::Engine(e) => e.to_string(),
+            PlanError::LayerId(layer) => {
+                format!("layer id {layer:?} must be non-empty, whitespace-free and '#'-free")
+            }
+            PlanError::Text { line, detail, .. } => format!("line {line}: {detail}"),
+            PlanError::Io { path, detail, .. } => format!("{path}: {detail}"),
+        }
+    }
+
+    fn at_line(self, line: usize) -> Self {
+        PlanError::Text {
+            line,
+            detail: self.detail(),
+            cause: Some(Box::new(self)),
+        }
+    }
+
+    fn in_file(self, path: &str) -> Self {
+        PlanError::Io {
+            path: path.to_string(),
+            detail: self.detail(),
+            cause: Some(Box::new(self)),
+        }
     }
 }
 
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid execution plan: {}", self.0)
+        write!(f, "invalid execution plan: {}", self.detail())
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+impl From<DecodeError> for PlanError {
+    fn from(e: DecodeError) -> Self {
+        PlanError::Decode(e)
+    }
+}
+
+impl From<UnknownEngine> for PlanError {
+    fn from(e: UnknownEngine) -> Self {
+        PlanError::Engine(e)
     }
 }
 
@@ -161,14 +229,10 @@ impl fmt::Display for PlanError {
 /// parses back to it.
 fn check_layer_id(layer: &str) -> Result<(), PlanError> {
     if layer.is_empty() || layer.chars().any(char::is_whitespace) || layer.contains('#') {
-        return Err(PlanError(format!(
-            "layer id {layer:?} must be non-empty, whitespace-free and '#'-free"
-        )));
+        return Err(PlanError::LayerId(layer.to_string()));
     }
     Ok(())
 }
-
-impl std::error::Error for PlanError {}
 
 /// A frozen execution plan: `(layer id, stage) → engine`, with a default
 /// engine for cells the plan does not name.
@@ -218,17 +282,17 @@ impl Plan {
     /// untrusted input.
     pub fn set(&mut self, layer: &str, stage: Stage, engine: EngineHandle) {
         self.try_set(layer, stage, engine)
-            .unwrap_or_else(|e| panic!("{}", e.0));
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Fallible [`Plan::set`]: the insertion path deserializers use
-    /// ([`Plan::from_text`], [`Plan::from_program`]), rejecting layer ids
+    /// ([`Plan::from_text`], [`Plan::decode`]), rejecting layer ids
     /// the text format cannot express instead of panicking.
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError`] when `layer` is empty, contains whitespace,
-    /// or contains `#`.
+    /// Returns [`PlanError::LayerId`] when `layer` is empty, contains
+    /// whitespace, or contains `#`.
     pub fn try_set(&mut self, layer: &str, stage: Stage, engine: EngineHandle) -> Result<(), PlanError> {
         check_layer_id(layer)?;
         self.cells.entry(layer.to_string()).or_default()[stage as usize] = Some(engine);
@@ -276,8 +340,12 @@ impl Plan {
     /// Returns [`PlanError`] on malformed lines, unknown stages, or engine
     /// names that do not resolve.
     pub fn from_text(text: &str) -> Result<Self, PlanError> {
-        let engine = |name: &str, line_no: usize| {
-            lookup_or_parse(name).map_err(|e| PlanError(format!("line {line_no}: {e}")))
+        let engine =
+            |name: &str, line: usize| lookup_or_parse(name).map_err(|e| PlanError::Engine(e).at_line(line));
+        let syntax = |line: usize, detail: String| PlanError::Text {
+            line,
+            detail,
+            cause: None,
         };
         let mut plan = Plan::new(lookup("scalar").expect("scalar engine is always registered"));
         for (i, raw) in text.lines().enumerate() {
@@ -290,19 +358,19 @@ impl Plan {
                 ["default", name] => plan.default = engine(name, i + 1)?,
                 [layer, stage, name] => {
                     let stage = Stage::parse(stage).ok_or_else(|| {
-                        PlanError(format!(
-                            "line {}: unknown stage {stage:?} (expected forward, input_grad or weight_grad)",
-                            i + 1
-                        ))
+                        syntax(
+                            i + 1,
+                            format!("unknown stage {stage:?} (expected forward, input_grad or weight_grad)"),
+                        )
                     })?;
                     plan.try_set(layer, stage, engine(name, i + 1)?)
-                        .map_err(|e| PlanError(format!("line {}: {}", i + 1, e.0)))?;
+                        .map_err(|e| e.at_line(i + 1))?;
                 }
                 _ => {
-                    return Err(PlanError(format!(
-                        "line {}: expected \"layer stage engine\" or \"default engine\", got {line:?}",
-                        i + 1
-                    )))
+                    return Err(syntax(
+                        i + 1,
+                        format!("expected \"layer stage engine\" or \"default engine\", got {line:?}"),
+                    ))
                 }
             }
         }
@@ -336,26 +404,28 @@ impl Plan {
 ///
 /// # Errors
 ///
-/// Returns [`PlanError`] when the file cannot be read or parsed in the
-/// format its leading bytes select.
+/// Returns [`PlanError::Io`] when the file cannot be read or parsed in
+/// the format its leading bytes select.
 pub fn load_plan(path: &str) -> Result<Plan, PlanError> {
-    let mut bytes = std::fs::read(path).map_err(|e| PlanError(format!("cannot read {path}: {e}")))?;
+    let unreadable = |detail: String| PlanError::Io {
+        path: path.to_string(),
+        detail,
+        cause: None,
+    };
+    let mut bytes = std::fs::read(path).map_err(|e| unreadable(format!("cannot read the file: {e}")))?;
     // Fault seam: a plan-decode fault flips one seeded bit in the bytes
     // read, which must surface as a typed PlanError, never a panic.
     if let Some(salt) = sparsetrain_faults::on_plan_decode() {
         sparsetrain_faults::flip_bit(&mut bytes, salt);
     }
-    if crate::plan_program::is_binary_plan(&bytes) {
-        let program = crate::plan_program::ExecutionProgram::decode(&bytes)
-            .map_err(|e| PlanError(format!("{path}: {e}")))?;
-        return Plan::from_program(&program).map_err(|e| PlanError(format!("{path}: {}", e.0)));
-    }
-    let text = String::from_utf8(bytes).map_err(|_| {
-        PlanError(format!(
-            "{path}: not UTF-8 text (and not an STPLAN binary program)"
-        ))
-    })?;
-    Plan::from_text(&text).map_err(|e| PlanError(format!("{path}: {}", e.0)))
+    let parsed = if is_binary_plan(&bytes) {
+        Plan::decode(&bytes)
+    } else {
+        let text = String::from_utf8(bytes)
+            .map_err(|_| unreadable("not UTF-8 text (and not an STPLAN binary program)".into()))?;
+        Plan::from_text(&text)
+    };
+    parsed.map_err(|e| e.in_file(path))
 }
 
 /// Reads the [`PLAN_ENV`] override: `Ok(None)` when unset or empty,

@@ -1,16 +1,19 @@
 //! Property and corruption tests for the binary `STPLAN` execution-program
 //! format: arbitrary plans over every registered engine name round-trip
-//! losslessly through `Plan::to_program` → `encode` → `decode` →
-//! `Plan::from_program`, encoding is canonical (encode∘decode is the
-//! identity on bytes), and corrupted input — truncations, random byte
-//! mutations — returns a typed [`DecodeError`], never panics. The framing's
-//! own corruption matrix is tested once, in `sparsetrain-container`; the
-//! wiring test below pins this format's magic, version and sniffing.
+//! losslessly through `Plan::encode` → `Plan::decode`, encoding is
+//! canonical (encode∘decode is the identity on bytes), the reserved
+//! `workspace` / `prune` sections are validated and ignored, and corrupted
+//! input — truncations, random byte mutations — returns a typed
+//! [`PlanError`], never panics. The framing's own corruption matrix is
+//! tested once, in `sparsetrain-container`; the wiring test below pins this
+//! format's magic, version and sniffing.
 
 use proptest::prelude::*;
-use sparsetrain_sparse::plan_program::{is_binary_plan, DecodeError};
+use sparsetrain_container::Writer;
+use sparsetrain_sparse::plan_program::{is_binary_plan, DecodeError, Section};
 use sparsetrain_sparse::planner::load_plan;
-use sparsetrain_sparse::{ExecutionProgram, Plan, Stage};
+use sparsetrain_sparse::{Plan, PlanError, Stage};
+use std::collections::BTreeMap;
 
 /// Every engine name the plan grammar can pin a cell to: the six float
 /// autotuning candidates plus a parsed fixed-point format.
@@ -61,99 +64,145 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
     })
 }
 
-/// A plan plus trace-style metadata (workspace hints, prune points), as
-/// `compile_plan` would attach.
-fn arb_program() -> impl Strategy<Value = ExecutionProgram> {
-    let hint = (arb_layer(), arb_stage(), 0u64..=u64::MAX);
-    let prune = (arb_layer(), 0u64..=u64::MAX);
+/// A plan plus the file a version-1 writer that filled the reserved
+/// sections would have produced for it: the plan's own `strings` and
+/// `cells` (`Plan::encode`'s layout, written out independently here),
+/// then `workspace` and `prune` rows keyed by arbitrary ids of the string
+/// table (the decoder checks their range, not what they name), one row
+/// per key.
+fn arb_file_with_reserved_sections() -> impl Strategy<Value = (Plan, Vec<u8>)> {
+    let hint = ((0u32..64, arb_stage()), 0u64..=u64::MAX);
+    let prune = (0u32..64, 0u64..=u64::MAX);
     (
         arb_plan(),
         prop::collection::vec(hint, 0..8),
         prop::collection::vec(prune, 0..6),
     )
         .prop_map(|(plan, hints, prunes)| {
-            let mut program = plan.to_program();
-            for (layer, stage, elements) in hints {
-                program.note_workspace(&layer, stage, elements);
+            let mut strings: Vec<&str> = Vec::new();
+            let mut intern = |s| {
+                let known = strings.iter().position(|have| *have == s);
+                known.unwrap_or_else(|| {
+                    strings.push(s);
+                    strings.len() - 1
+                }) as u32
+            };
+            let default = intern(plan.default_engine().name());
+            let cells: Vec<(u32, Stage, u32)> = plan
+                .cells()
+                .map(|(layer, stage, engine)| (intern(layer), stage, intern(engine.name())))
+                .collect();
+            let ids = strings.len() as u32;
+            let hints: BTreeMap<(u32, Stage), u64> = hints
+                .into_iter()
+                .map(|((pick, stage), elements)| ((pick % ids, stage), elements))
+                .collect();
+            let prunes: BTreeMap<u32, u64> = prunes
+                .into_iter()
+                .map(|(pick, grad_nnz)| (pick % ids, grad_nnz))
+                .collect();
+
+            let mut w = Writer::new();
+            w.begin(Section::Strings);
+            w.count("string entries", strings.len()).unwrap();
+            strings.iter().for_each(|s| w.str("string bytes", s).unwrap());
+            w.begin(Section::Cells);
+            w.u32(default);
+            w.count("cell entries", cells.len()).unwrap();
+            for (layer, stage, engine) in cells {
+                w.u32(layer);
+                w.u8(stage as u8);
+                w.u32(engine);
             }
-            for (layer, grad_nnz) in prunes {
-                program.note_prune_point(&layer, grad_nnz);
+            if !hints.is_empty() {
+                w.begin(Section::Workspace);
+                w.count("workspace hints", hints.len()).unwrap();
+                for ((layer, stage), elements) in hints {
+                    w.u32(layer);
+                    w.u8(stage as u8);
+                    w.u64(elements);
+                }
             }
-            program
+            if !prunes.is_empty() {
+                w.begin(Section::Prune);
+                w.count("prune points", prunes.len()).unwrap();
+                for (layer, grad_nnz) in prunes {
+                    w.u32(layer);
+                    w.u64(grad_nnz);
+                }
+            }
+            let file = w.finish();
+            (plan, file)
         })
 }
 
 proptest! {
     #[test]
     fn arbitrary_plans_roundtrip_losslessly(plan in arb_plan()) {
-        let program = plan.to_program();
-        let bytes = program.encode().expect("frozen plans encode");
+        let bytes = plan.encode().expect("frozen plans encode");
         prop_assert!(is_binary_plan(&bytes));
-        let decoded = ExecutionProgram::decode(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(&decoded, &program);
-        let back = Plan::from_program(&decoded).expect("engine names resolve");
-        prop_assert_eq!(back, plan);
-    }
-
-    #[test]
-    fn encoding_is_canonical(program in arb_program()) {
-        let bytes = program.encode().expect("programs encode");
-        let decoded = ExecutionProgram::decode(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(&decoded, &program);
+        let back = Plan::decode(&bytes).expect("own encoding decodes");
+        prop_assert_eq!(&back, &plan);
         // encode ∘ decode is the identity on bytes: the format has one
-        // canonical serialization per program.
-        prop_assert_eq!(decoded.encode().expect("re-encodes"), bytes);
+        // canonical serialization per plan.
+        prop_assert_eq!(back.encode().expect("re-encodes"), bytes);
     }
 
     #[test]
-    fn every_truncation_is_a_typed_error(program in arb_program(), cut in 0.0f64..1.0) {
-        let bytes = program.encode().expect("programs encode");
+    fn reserved_sections_are_validated_and_ignored((plan, file) in arb_file_with_reserved_sections()) {
+        // The file decodes to the plan of its first two sections, and the
+        // plan re-encodes to exactly those two sections: the same file
+        // without the reserved ones.
+        let decoded = Plan::decode(&file).expect("reserved sections are tolerated");
+        prop_assert_eq!(&decoded, &plan);
+        let without = decoded.encode().expect("re-encodes");
+        prop_assert_eq!(&without[16..], &file[16..without.len()]);
+        prop_assert_eq!(Plan::decode(&without).expect("decodes"), plan);
+    }
+
+    #[test]
+    fn every_truncation_is_a_typed_error((_, bytes) in arb_file_with_reserved_sections(), cut in 0.0f64..1.0) {
         let len = (cut * bytes.len() as f64) as usize;
         prop_assume!(len < bytes.len());
         // Every strict prefix fails with a typed error — never panics,
-        // never decodes to a wrong program.
-        prop_assert!(ExecutionProgram::decode(&bytes[..len]).is_err());
+        // never decodes to a wrong plan.
+        prop_assert!(matches!(Plan::decode(&bytes[..len]), Err(PlanError::Decode(_))));
     }
 
     #[test]
     fn single_byte_mutations_never_panic(
-        program in arb_program(),
+        (_, mut bytes) in arb_file_with_reserved_sections(),
         pos in 0.0f64..1.0,
         delta in 1u8..=255,
     ) {
-        let mut bytes = program.encode().expect("programs encode");
         let i = (pos * bytes.len() as f64) as usize % bytes.len();
         bytes[i] = bytes[i].wrapping_add(delta);
         // A flipped byte either still decodes (it hit a don't-care value
-        // like a workspace element count) or returns a typed error; the
+        // like a reserved element count) or returns a typed error; the
         // decoder must never panic or loop.
-        let _ = ExecutionProgram::decode(&bytes);
+        let _ = Plan::decode(&bytes);
     }
 }
 
 #[test]
 fn magic_and_version_are_the_stplan_ones() {
-    let good = Plan::from_text("default simd\n")
-        .unwrap()
-        .to_program()
-        .encode()
-        .unwrap();
+    let good = Plan::from_text("default simd\n").unwrap().encode().unwrap();
     assert_eq!(&good[..10], b"STPLAN\x01\x00\x01\x00");
 
     let mut bytes = good.clone();
     bytes[0] ^= 0xFF;
     assert!(!is_binary_plan(&bytes));
-    assert!(matches!(
-        ExecutionProgram::decode(&bytes),
-        Err(DecodeError::BadMagic)
-    ));
+    assert_eq!(
+        Plan::decode(&bytes),
+        Err(PlanError::Decode(DecodeError::BadMagic))
+    );
 
     let mut bytes = good;
     bytes[8] = 0xFF; // version u16 LE lives right after the 8-byte magic
     assert!(is_binary_plan(&bytes), "version bumps must still sniff as binary");
     assert!(matches!(
-        ExecutionProgram::decode(&bytes),
-        Err(DecodeError::UnsupportedVersion(v)) if v != 1
+        Plan::decode(&bytes),
+        Err(PlanError::Decode(DecodeError::UnsupportedVersion(v))) if v != 1
     ));
 }
 
@@ -165,7 +214,7 @@ fn load_plan_sniffs_binary_and_text() {
     let plan = Plan::from_text(source).unwrap();
 
     let bin = dir.join("plan.stplan");
-    std::fs::write(&bin, plan.to_program().encode().unwrap()).unwrap();
+    std::fs::write(&bin, plan.encode().unwrap()).unwrap();
     assert_eq!(load_plan(bin.to_str().unwrap()).expect("binary plan loads"), plan);
 
     let text = dir.join("plan.txt");
@@ -176,6 +225,10 @@ fn load_plan_sniffs_binary_and_text() {
     std::fs::write(&junk, b"STPLAN\x01\x00 but then nonsense").unwrap();
     let err = load_plan(junk.to_str().unwrap()).expect_err("corrupt binary rejected");
     assert!(err.to_string().contains("plan.junk"), "{err}");
+    assert!(
+        matches!(&err, PlanError::Io { cause: Some(cause), .. } if matches!(**cause, PlanError::Decode(_))),
+        "{err:?}"
+    );
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

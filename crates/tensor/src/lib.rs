@@ -25,7 +25,6 @@
 //! ```
 
 pub mod conv;
-pub mod fixed;
 pub mod im2row;
 pub mod init;
 pub mod matrix;

@@ -1,10 +1,12 @@
 //! Runtime-selected Q-format quantization and headroom analysis.
 //!
-//! [`crate::fixed::Fixed16`] fixes the fractional bit count at compile
-//! time; hardware design-space exploration needs the *runtime* question:
-//! for this tensor's value distribution, which 16-bit Q-format keeps
-//! saturation and rounding error simultaneously negligible? This module
-//! answers it with [`QFormat::best_for`] and quantifies the cost of any
+//! The paper's RTL computes in 16-bit fixed point (the simulator's word
+//! accounting assumes 2-byte operands). [`QFormat`] is that datapath's
+//! number format with the fractional bit count chosen at run time, since
+//! hardware design-space exploration asks a runtime question: for this
+//! tensor's value distribution, which 16-bit Q-format keeps saturation
+//! and rounding error simultaneously negligible? This module answers it
+//! with [`QFormat::best_for`] and quantifies the cost of any
 //! choice with [`QuantError`] — the evidence behind the paper's 16-bit
 //! datapath (its RTL computes in 16-bit fixed point while the reference
 //! training runs in float).

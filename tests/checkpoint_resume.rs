@@ -12,7 +12,7 @@ use sparsetrain::nn::layer::Layer;
 use sparsetrain::nn::metrics::MetricStore;
 use sparsetrain::nn::models;
 use sparsetrain::nn::train::{TrainConfig, Trainer};
-use sparsetrain::sparse::{ExecutionProgram, Plan};
+use sparsetrain::sparse::Plan;
 
 /// The float engines the bitwise-resume guarantee is enforced on (`auto`
 /// additionally exercises plan embed/replay; fixed-point engines are
@@ -188,8 +188,8 @@ fn resume_replays_the_frozen_auto_plan() {
     let PlanPayload::Program(bytes) = &payload else {
         panic!("snapshots embed the binary program form, got {payload:?}");
     };
-    let program = ExecutionProgram::decode(bytes).expect("embedded program decodes");
-    assert!(!Plan::from_program(&program).expect("program resolves").is_empty());
+    let plan = Plan::decode(bytes).expect("embedded program decodes");
+    assert!(!plan.is_empty());
 
     let mut resumed = trainer("auto", None);
     resumed.resume(&snap).expect("resume");
@@ -226,8 +226,7 @@ fn resume_accepts_legacy_text_plan_payloads() {
     let PlanPayload::Program(replayed_bytes) = &replayed else {
         panic!("snapshots always re-embed the binary form, got {replayed:?}");
     };
-    let replayed_plan =
-        Plan::from_program(&ExecutionProgram::decode(replayed_bytes).expect("decodes")).expect("resolves");
+    let replayed_plan = Plan::decode(replayed_bytes).expect("decodes");
     assert_eq!(replayed_plan, plan, "plan changed across text-payload resume");
 
     // A corrupt text payload surfaces as a typed resume error.
