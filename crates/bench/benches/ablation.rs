@@ -1,10 +1,13 @@
-//! Design-choice ablations called out in DESIGN.md:
+//! Design-choice ablations of the pruning algorithm (§III):
 //!
 //! * FIFO depth `N_F` — prediction accuracy vs adaptation lag,
 //! * stochastic vs hard (deterministic) pruning — the bias the stochastic
 //!   rule removes,
 //! * predicted vs exactly-determined thresholds — the cost of the
-//!   single-pass constraint.
+//!   single-pass constraint,
+//! * the achieved density per target pruning rate,
+//! * streaming O(n) vs sort-based O(n log n) threshold selection,
+//! * the PPU's LFSR pruning stage vs the software pruner.
 //!
 //! These report their measured quantities via Criterion so a regression in
 //! any of them shows up as a timing/aggregate change.
@@ -13,7 +16,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::stream::StreamKey;
 use rand::SeedableRng;
-use sparsetrain_core::prune::{prune_slice, threshold_from_slice, BatchStream, LayerPruner, PruneConfig};
+use sparsetrain_core::prune::{
+    determine_threshold, prune_slice, sigma_hat, threshold_from_slice, BatchStream, LayerPruner, PruneConfig,
+};
+use sparsetrain_sim::prune_unit::PruneUnit;
 use sparsetrain_tensor::init::sample_standard_normal;
 use std::hint::black_box;
 
@@ -140,8 +146,8 @@ fn bench_predicted_vs_exact(c: &mut Criterion) {
 }
 
 fn bench_density_sweep(c: &mut Criterion) {
-    // Not the paper's figure, but the ablation DESIGN.md lists: pruning-rate
-    // sweep showing achieved density per target p.
+    // Not a figure of the paper: the achieved density per target pruning
+    // rate p.
     let mut group = c.benchmark_group("ablation_density_sweep");
     group.sample_size(10);
     for p in [0.5f64, 0.7, 0.9, 0.99] {
@@ -163,11 +169,72 @@ fn bench_density_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// The naive alternative: sort |g| and read the p-quantile threshold.
+fn sort_based_threshold(grads: &[f32], p: f64) -> f64 {
+    let mut mags: Vec<f32> = grads.iter().map(|g| g.abs()).collect();
+    mags.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let idx = ((mags.len() as f64 * p) as usize).min(mags.len() - 1);
+    mags[idx] as f64
+}
+
+/// §III-B's complexity claim: the paper's O(n) single-pass threshold vs
+/// the O(n log n) sort-based selection it replaces.
+fn bench_streaming_vs_sort(c: &mut Criterion) {
+    let mut group = c.benchmark_group("threshold_selection");
+    group.sample_size(15);
+    for n in [16_384usize, 65_536, 262_144] {
+        let grads = batch(&mut StdRng::seed_from_u64(7), n, 0.05);
+        group.bench_with_input(BenchmarkId::new("streaming_o_n", n), &grads, |b, g| {
+            b.iter(|| {
+                // One pass: Σ|g| + analytic quantile (the paper's method).
+                let abs_sum: f64 = g.iter().map(|&v| (v as f64).abs()).sum();
+                let sigma = sigma_hat(abs_sum, g.len());
+                black_box(determine_threshold(sigma, 0.9))
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("sort_o_nlogn", n), &grads, |b, g| {
+            b.iter(|| black_box(sort_based_threshold(g, 0.9)));
+        });
+    }
+    group.finish();
+}
+
+/// The PPU's in-stream hardware pruning stage (LFSR lanes) vs the
+/// software pruner on the same batch: the hardware model must not be
+/// slower at simulation time, and its one-value-per-cycle structure is
+/// what the machine's zero-overhead accounting rests on.
+fn bench_hardware_prune_unit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hardware_prune");
+    group.sample_size(20);
+    let grads = batch(&mut StdRng::seed_from_u64(11), 65_536, 0.05);
+    group.bench_function("ppu_lfsr_stream", |b| {
+        b.iter(|| {
+            let mut unit = PruneUnit::new(0xACE1);
+            unit.set_threshold(0.08);
+            let mut sink = 0.0f32;
+            for &g in black_box(&grads) {
+                sink += unit.process_one(g);
+            }
+            sink
+        })
+    });
+    group.bench_function("software_prune_slice", |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut batch = grads.clone();
+            prune_slice(black_box(&mut batch), 0.08, &mut rng)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fifo_depth,
     bench_stochastic_vs_hard,
     bench_predicted_vs_exact,
-    bench_density_sweep
+    bench_density_sweep,
+    bench_streaming_vs_sort,
+    bench_hardware_prune_unit
 );
 criterion_main!(benches);

@@ -13,10 +13,11 @@
 //! that single backend (`scalar`, `parallel`, `fixed`, …).
 //!
 //! The parallel engine bands work across `samples × filters`; its win
-//! scales with hardware threads and batch size (`≥1.5×` expected on 4+
-//! cores for the batched shapes below, parity on 1 core where it
-//! degenerates to one band — the CI multi-core leg gates on exactly this
-//! ratio via `sparsetrain-bench multicore`). The simd engine's win is
+//! scales with hardware threads and batch size, and on 1 core it
+//! degenerates to one band (parity). No committed number shows a
+//! multi-core win yet; the place to measure one is `stbench`'s
+//! `resnet_pruned_mt` workload, not a ratio of these legs on a shared
+//! runner. The simd engine's win is
 //! lane-level — it walks the non-zeros with its lanes across the filter /
 //! channel axis — and shows up even on one core at every density and row
 //! width below; the im2row engine targets the near-dense `conv1` forward
@@ -36,86 +37,14 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::stream::StreamKey;
 use rand::{Rng, SeedableRng};
+use sparsetrain_bench::fixtures::{fixture, fixture_seeded, LayerFixture, LAYERS};
 use sparsetrain_core::prune::{BatchStream, LayerPruner, PruneConfig};
-use sparsetrain_sparse::rowconv::SparseFeatureMap;
-use sparsetrain_sparse::{registry, BatchOut, EngineHandle, ExecutionContext, StageOp};
-use sparsetrain_tensor::conv::ConvGeometry;
-use sparsetrain_tensor::{Tensor3, Tensor4};
+use sparsetrain_sparse::{registry, BatchOut, EngineHandle, ExecutionContext, Stage, StageOp};
 use std::hint::black_box;
-
-/// AlexNet-style layer shapes (channels, filters, spatial size) at the
-/// width the paper's Table I evaluates, with representative densities for
-/// the input activations and pruned output gradients. `conv1` is the
-/// dense early layer (near-dense raw-image input, wide rows) where the
-/// cache-blocked `im2row` lowering is expected to win; sparsity grows and
-/// rows shrink down the stack, handing the advantage to the sparse
-/// row kernels.
-const LAYERS: [(&str, usize, usize, usize, f64, f64); 4] = [
-    ("conv1_3x64x32", 3, 64, 32, 0.95, 0.25),
-    ("conv2_64x128x16", 64, 128, 16, 0.45, 0.15),
-    ("conv3_128x192x8", 128, 192, 8, 0.35, 0.10),
-    ("conv4_192x192x8", 192, 192, 8, 0.30, 0.05),
-];
 
 /// Batched comparison shape: one AlexNet conv3-like layer over a
 /// mini-batch.
 const BATCH: usize = 8;
-
-struct LayerFixture {
-    input: SparseFeatureMap,
-    dout: SparseFeatureMap,
-    weights: Tensor4,
-    bias: Vec<f32>,
-    geom: ConvGeometry,
-}
-
-fn fixture_seeded(
-    c: usize,
-    f: usize,
-    hw: usize,
-    in_density: f64,
-    dout_density: f64,
-    seed: u64,
-) -> LayerFixture {
-    let geom = ConvGeometry::new(3, 1, 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sparse = |rng: &mut StdRng, density: f64| {
-        if rng.gen::<f64>() < density {
-            rng.gen::<f32>() - 0.5
-        } else {
-            0.0
-        }
-    };
-    let input = Tensor3::from_fn(c, hw, hw, |_, _, _| sparse(&mut rng, in_density));
-    let dout = Tensor3::from_fn(f, hw, hw, |_, _, _| sparse(&mut rng, dout_density));
-    let weights = Tensor4::from_fn(f, c, 3, 3, |_, _, _, _| rng.gen::<f32>() - 0.5);
-    let bias: Vec<f32> = (0..f).map(|_| rng.gen::<f32>() - 0.5).collect();
-    LayerFixture {
-        input: SparseFeatureMap::from_tensor(&input),
-        dout: SparseFeatureMap::from_tensor(&dout),
-        weights,
-        bias,
-        geom,
-    }
-}
-
-fn fixture(c: usize, f: usize, hw: usize, in_density: f64, dout_density: f64) -> LayerFixture {
-    fixture_seeded(c, f, hw, in_density, dout_density, 42)
-}
-
-fn forward_op<'a>(
-    input: &'a SparseFeatureMap,
-    weights: &'a Tensor4,
-    bias: &'a [f32],
-    geom: ConvGeometry,
-) -> StageOp<'a> {
-    StageOp::Forward {
-        input,
-        weights,
-        bias: Some(bias),
-        geom,
-    }
-}
 
 /// The engines under test: the `SPARSETRAIN_ENGINE` override alone when
 /// set, every registered engine otherwise.
@@ -126,62 +55,24 @@ fn engines() -> Vec<EngineHandle> {
     }
 }
 
-fn bench_forward(c: &mut Criterion) {
+/// One full layer stage per bench — `engine_forward`, `engine_input_grad`,
+/// `engine_weight_grad` — on every layer, per engine.
+fn bench_stages(c: &mut Criterion) {
     println!("hardware threads: {}", rayon::current_num_threads());
-    let mut group = c.benchmark_group("engine_forward");
-    group.sample_size(10);
-    for (name, ci, fi, hw, din, dout) in LAYERS {
-        let fx = fixture(ci, fi, hw, din, dout);
-        for handle in engines() {
-            group.bench_with_input(BenchmarkId::new(handle.name(), name), &fx, |b, fx| {
-                let op = forward_op(&fx.input, &fx.weights, &fx.bias, fx.geom);
-                b.iter(|| black_box(op.run_on(handle.engine())));
-            });
+    for stage in Stage::ALL {
+        let mut group = c.benchmark_group(format!("engine_{}", stage.name()));
+        group.sample_size(10);
+        for (name, ci, fi, hw, din, dout) in LAYERS {
+            let fx = fixture(ci, fi, hw, din, dout);
+            for handle in engines() {
+                group.bench_with_input(BenchmarkId::new(handle.name(), name), &fx, |b, fx| {
+                    let op = fx.op(stage);
+                    b.iter(|| black_box(op.run_on(handle.engine())));
+                });
+            }
         }
+        group.finish();
     }
-    group.finish();
-}
-
-fn bench_input_grad(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_input_grad");
-    group.sample_size(10);
-    for (name, ci, fi, hw, din, dout) in LAYERS {
-        let fx = fixture(ci, fi, hw, din, dout);
-        let masks = fx.input.masks();
-        for handle in engines() {
-            group.bench_with_input(BenchmarkId::new(handle.name(), name), &fx, |b, fx| {
-                let op = StageOp::InputGrad {
-                    dout: &fx.dout,
-                    weights: &fx.weights,
-                    geom: fx.geom,
-                    masks: &masks,
-                    in_h: hw,
-                    in_w: hw,
-                };
-                b.iter(|| black_box(op.run_on(handle.engine())));
-            });
-        }
-    }
-    group.finish();
-}
-
-fn bench_weight_grad(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_weight_grad");
-    group.sample_size(10);
-    for (name, ci, fi, hw, din, dout) in LAYERS {
-        let fx = fixture(ci, fi, hw, din, dout);
-        for handle in engines() {
-            group.bench_with_input(BenchmarkId::new(handle.name(), name), &fx, |b, fx| {
-                let op = StageOp::WeightGrad {
-                    input: &fx.input,
-                    dout: &fx.dout,
-                    geom: fx.geom,
-                };
-                b.iter(|| black_box(op.run_on(handle.engine())));
-            });
-        }
-    }
-    group.finish();
 }
 
 /// Batched vs per-sample execution of one AlexNet-shape layer over a
@@ -191,10 +82,9 @@ fn bench_weight_grad(c: &mut Criterion) {
 fn bench_batched_vs_per_sample(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_forward_batched");
     group.sample_size(10);
-    // Selected by name, not position: this trajectory series (and the CI
-    // multicore gate reading it) has used the conv3 shape since the
-    // batched entry points landed — prepending layers must not silently
-    // move it.
+    // Selected by name, not position: this trajectory series has used
+    // the conv3 shape since the batched entry points landed — prepending
+    // layers must not silently move it.
     let (name, ci, fi, hw, din, dout) = *LAYERS
         .iter()
         .find(|l| l.0 == "conv3_128x192x8")
@@ -202,11 +92,16 @@ fn bench_batched_vs_per_sample(c: &mut Criterion) {
     let fxs: Vec<LayerFixture> = (0..BATCH)
         .map(|s| fixture_seeded(ci, fi, hw, din, dout, 42 + s as u64))
         .collect();
-    let weights = &fxs[0].weights;
-    let bias = &fxs[0].bias;
+    // One layer, so every sample runs under the first fixture's weights.
+    let (weights, bias, geom) = (&fxs[0].weights, Some(fxs[0].bias.as_slice()), fxs[0].geom);
     let ops: Vec<StageOp<'_>> = fxs
         .iter()
-        .map(|fx| forward_op(&fx.input, weights, bias, fxs[0].geom))
+        .map(|fx| StageOp::Forward {
+            input: &fx.input,
+            weights,
+            bias,
+            geom,
+        })
         .collect();
     for handle in engines() {
         let engine = handle.engine();
@@ -249,38 +144,10 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.sample_size(10);
     for (name, ci, fi, hw, din, dout) in LAYERS {
         let fx = fixture(ci, fi, hw, din, dout);
-        let masks = vec![fx.input.masks()];
         for handle in engines() {
             group.bench_with_input(BenchmarkId::new(handle.name(), name), &fx, |b, fx| {
                 let mut ctx = ExecutionContext::new(handle);
-                b.iter(|| {
-                    black_box(ctx.forward_batch_for(
-                        name,
-                        std::slice::from_ref(&fx.input),
-                        &fx.weights,
-                        Some(&fx.bias),
-                        fx.geom,
-                    ));
-                    let mut dins = vec![Tensor3::zeros(ci, hw, hw)];
-                    ctx.input_grad_batch_for_into(
-                        name,
-                        std::slice::from_ref(&fx.dout),
-                        &fx.weights,
-                        fx.geom,
-                        &masks,
-                        &mut dins,
-                    );
-                    black_box(&dins);
-                    let mut dw = Tensor4::zeros(fi, ci, 3, 3);
-                    ctx.weight_grad_batch_for(
-                        name,
-                        std::slice::from_ref(&fx.input),
-                        std::slice::from_ref(&fx.dout),
-                        fx.geom,
-                        &mut dw,
-                    );
-                    black_box(dw);
-                });
+                b.iter(|| black_box(fx.train_step(&mut ctx, name)));
             });
         }
     }
@@ -353,9 +220,7 @@ fn bench_pruning(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_forward,
-    bench_input_grad,
-    bench_weight_grad,
+    bench_stages,
     bench_batched_vs_per_sample,
     bench_end_to_end,
     bench_pruning

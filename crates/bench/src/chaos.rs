@@ -14,6 +14,10 @@
 //! ones, so successive CI runs with different seeds keep widening
 //! coverage without losing reproducibility.
 
+mod report;
+
+pub use report::{CampaignReport, ScenarioOutcome};
+
 use rand::stream::StreamKey;
 use sparsetrain_checkpoint::CheckpointPolicy;
 use sparsetrain_core::prune::PruneConfig;
@@ -25,6 +29,7 @@ use sparsetrain_nn::models;
 use sparsetrain_nn::supervisor::{Supervisor, SupervisorConfig};
 use sparsetrain_nn::train::{TrainConfig, Trainer};
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -42,120 +47,6 @@ const CADENCE: u64 = 3;
 /// Domain separator for the campaign's own randomized-scenario draws
 /// (disjoint from the faults crate's `FAULT_DOMAIN`: b"CHAOS").
 const CHAOS_DOMAIN: u64 = 0x0043_4841_4F53;
-
-/// One scenario's verdict.
-pub struct ScenarioOutcome {
-    /// Scenario name (stable across runs; keys the jsonl record).
-    pub name: String,
-    /// Whether every assertion held.
-    pub pass: bool,
-    /// `"ok"`, or what went wrong.
-    pub detail: String,
-    /// Recoveries the supervisor performed.
-    pub recoveries: usize,
-    /// Engines quarantined during the run.
-    pub quarantined: Vec<String>,
-    /// Recovery kinds observed, in order (`kill`, `engine-panic`, ...).
-    pub kinds: Vec<String>,
-    /// Corrupt/unreadable snapshots skipped across all recoveries.
-    pub skipped: usize,
-    /// Total backoff slept across recoveries, in milliseconds.
-    pub backoff_ms: u64,
-    /// Total time spent restoring state across recoveries (time to
-    /// recover), in milliseconds.
-    pub recover_ms: u64,
-    /// Scenario wall-clock, in milliseconds.
-    pub elapsed_ms: u64,
-}
-
-impl ScenarioOutcome {
-    /// Renders the outcome as one `{"chaos":{...}}` jsonl line.
-    pub fn to_jsonl(&self) -> String {
-        let quarantined: Vec<String> = self.quarantined.iter().map(|q| format!("\"{q}\"")).collect();
-        let kinds: Vec<String> = self.kinds.iter().map(|k| format!("\"{k}\"")).collect();
-        format!(
-            "{{\"chaos\":{{\"name\":\"{}\",\"pass\":{},\"recoveries\":{},\"quarantined\":[{}],\
-             \"kinds\":[{}],\"skipped\":{},\"backoff_ms\":{},\"recover_ms\":{},\"elapsed_ms\":{},\
-             \"detail\":\"{}\"}}}}",
-            self.name,
-            self.pass,
-            self.recoveries,
-            quarantined.join(","),
-            kinds.join(","),
-            self.skipped,
-            self.backoff_ms,
-            self.recover_ms,
-            self.elapsed_ms,
-            self.detail.replace('\\', "\\\\").replace('"', "\\\""),
-        )
-    }
-}
-
-/// The whole campaign's verdict.
-pub struct CampaignReport {
-    /// Campaign seed (feeds every scenario's fault plan).
-    pub seed: u64,
-    /// Optimizer steps per epoch of the fixture (fault triggers are
-    /// expressed relative to it).
-    pub steps_per_epoch: u64,
-    /// Per-scenario verdicts, in execution order.
-    pub outcomes: Vec<ScenarioOutcome>,
-}
-
-impl CampaignReport {
-    /// Whether every scenario passed.
-    pub fn all_pass(&self) -> bool {
-        self.outcomes.iter().all(|o| o.pass)
-    }
-
-    /// Renders the campaign as a Markdown summary table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!(
-            "## Chaos campaign (seed {}, {} steps/epoch, engine `{ENGINE}`)\n\n",
-            self.seed, self.steps_per_epoch
-        );
-        let _ = writeln!(
-            out,
-            "| scenario | verdict | recoveries | kinds | quarantined | skipped | backoff | recover |"
-        );
-        let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
-        for o in &self.outcomes {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | {} | {} | {} ms | {} ms |",
-                o.name,
-                if o.pass { "PASS" } else { "**FAIL**" },
-                o.recoveries,
-                if o.kinds.is_empty() {
-                    "—".to_string()
-                } else {
-                    o.kinds.join(", ")
-                },
-                if o.quarantined.is_empty() {
-                    "—".to_string()
-                } else {
-                    o.quarantined.join(", ")
-                },
-                o.skipped,
-                o.backoff_ms,
-                o.recover_ms,
-            );
-        }
-        let failed: Vec<&ScenarioOutcome> = self.outcomes.iter().filter(|o| !o.pass).collect();
-        if failed.is_empty() {
-            let _ = writeln!(
-                out,
-                "\n**PASS** — every recovered run matched the fault-free run bitwise."
-            );
-        } else {
-            let _ = writeln!(out, "\n**FAIL** — {} scenario(s) diverged:\n", failed.len());
-            for o in failed {
-                let _ = writeln!(out, "- `{}`: {}", o.name, o.detail);
-            }
-        }
-        out
-    }
-}
 
 /// What a scenario injects and what it must observe beyond bitwise
 /// equality.
@@ -312,6 +203,32 @@ pub fn run_campaign(seed: u64, extra: usize) -> Result<CampaignReport, String> {
     })
 }
 
+/// The `chaos` subcommand: runs the campaign, appends one
+/// `{"chaos":{...}}` jsonl line per scenario to `out`, and returns the
+/// Markdown summary and whether every scenario landed bitwise on the
+/// fault-free run.
+pub fn run(seed: u64, extra: usize, out: &str) -> Result<(String, bool), String> {
+    let report = run_campaign(seed, extra)?;
+    if let Some(parent) = std::path::Path::new(out).parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(out)
+        .map_err(|e| format!("cannot open {out}: {e}"))?;
+    for outcome in &report.outcomes {
+        writeln!(file, "{}", outcome.to_jsonl()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    }
+    let mut summary = report.to_markdown();
+    let _ = writeln!(
+        summary,
+        "\nAppended {} scenario records to `{out}`.",
+        report.outcomes.len()
+    );
+    Ok((summary, report.all_pass()))
+}
+
 fn scenario_dir(name: &str) -> PathBuf {
     let slug: String = name
         .chars()
@@ -423,28 +340,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scenario_outcomes_render_jsonl() {
-        let outcome = ScenarioOutcome {
-            name: "torn-write-newest".into(),
-            pass: true,
-            detail: "ok".into(),
-            recoveries: 1,
-            quarantined: vec![],
-            kinds: vec!["kill".into()],
-            skipped: 1,
-            backoff_ms: 0,
-            recover_ms: 2,
-            elapsed_ms: 100,
-        };
-        assert_eq!(
-            outcome.to_jsonl(),
-            "{\"chaos\":{\"name\":\"torn-write-newest\",\"pass\":true,\"recoveries\":1,\
-             \"quarantined\":[],\"kinds\":[\"kill\"],\"skipped\":1,\"backoff_ms\":0,\
-             \"recover_ms\":2,\"elapsed_ms\":100,\"detail\":\"ok\"}}"
-        );
-    }
-
-    #[test]
     fn scenario_list_scales_with_extra_and_stays_seeded() {
         let a = scenarios(42, 2, 13);
         let b = scenarios(42, 2, 13);
@@ -457,29 +352,5 @@ mod tests {
         // A different campaign seed produces different fault plans.
         let c = scenarios(43, 2, 13);
         assert_ne!(a[5].plan, c[5].plan);
-    }
-
-    #[test]
-    fn markdown_report_flags_failures() {
-        let report = CampaignReport {
-            seed: 42,
-            steps_per_epoch: 13,
-            outcomes: vec![ScenarioOutcome {
-                name: "kill-mid-epoch".into(),
-                pass: false,
-                detail: "final parameters diverged from the fault-free run (3 of 9 words differ)".into(),
-                recoveries: 1,
-                quarantined: vec![],
-                kinds: vec!["kill".into()],
-                skipped: 0,
-                backoff_ms: 0,
-                recover_ms: 1,
-                elapsed_ms: 10,
-            }],
-        };
-        let md = report.to_markdown();
-        assert!(md.contains("**FAIL**"), "{md}");
-        assert!(md.contains("parameters diverged"), "{md}");
-        assert!(!report.all_pass());
     }
 }

@@ -5,41 +5,16 @@
 //! Sweeps PE count and buffer size on one captured trace and prints
 //! latency/energy for SparseTrain and the baseline at each point.
 
-use sparsetrain_bench::profile::Profile;
-use sparsetrain_bench::table::{fmt, render};
-use sparsetrain_core::prune::PruneConfig;
+use super::{warmed_up, Session};
+use crate::table::{fmt, render};
 use sparsetrain_nn::models::ModelKind;
-use sparsetrain_nn::train::{TrainConfig, Trainer};
 use sparsetrain_sim::baseline::simulate_baseline;
 use sparsetrain_sim::{ArchConfig, Machine};
 
-fn main() {
-    let profile = Profile::from_env();
-    let spec = profile.sim_dataset("cifar10");
-    let (train, _) = spec.generate();
-    let net = ModelKind::Resnet18.build(
-        spec.channels,
-        spec.size,
-        spec.classes,
-        Some(PruneConfig::paper_default()),
-        11,
-    );
-    let mut trainer = Trainer::new(
-        net,
-        TrainConfig {
-            batch_size: 16,
-            lr: 0.01,
-            momentum: 0.9,
-            weight_decay: 1e-4,
-            seed: 5,
-            engine: None,
-            checkpoint: None,
-            shard: None,
-        },
-    );
-    for _ in 0..profile.sim_warmup_epochs() {
-        trainer.train_epoch(&train);
-    }
+/// Prints the PE-count sweep, then the buffer-size sweep.
+pub fn print(session: &mut Session) {
+    let profile = session.profile;
+    let (mut trainer, train) = warmed_up(ModelKind::Resnet18, "cifar10", profile);
     let trace = trainer.capture_trace(&train, "resnet18", "cifar10");
 
     println!("Architecture sweep on resnet18/cifar10 trace ({profile:?} profile)\n");

@@ -1,28 +1,29 @@
-//! Checks the §III modelling assumption on live training gradients.
+//! §III: the modelling assumption, checked on live training gradients.
 //!
 //! The threshold determination assumes activation gradients at the
-//! pruning positions are zero-mean normal. This binary trains each
+//! pruning positions are zero-mean normal. This experiment trains each
 //! evaluated model briefly, taps the pre-prune gradients at every pruning
 //! position, and prints the distribution diagnostics: σ-band coverage,
 //! the half-normal ratio `E|g|/σ` (√(2/π) ≈ 0.798 under the model) and a
 //! composite normality score. High scores justify the determined
 //! threshold; low scores would flag layers where the achieved sparsity
 //! can miss the target.
-//!
-//! Run with: `cargo run --release -p sparsetrain-bench --bin repro_distribution`
-//! (set `SPARSETRAIN_PROFILE=full` for the larger configuration).
 
-use sparsetrain_bench::profile::Profile;
-use sparsetrain_bench::table::{fmt, render};
+use super::{trainer, Session};
+use crate::table::{fmt, render};
 use sparsetrain_core::prune::diagnostics::{DistributionSummary, HALF_NORMAL_RATIO};
 use sparsetrain_core::prune::PruneConfig;
 use sparsetrain_nn::models::ModelKind;
-use sparsetrain_nn::train::{TrainConfig, Trainer};
 
-fn main() {
-    let profile = Profile::from_env();
+/// The line printed under the title: what the paper says.
+pub(super) const PAPER: &str = "model assumption: zero-mean normal";
+
+/// Prints the per-model distribution diagnostics and, per model, the
+/// least and most normal pruning position.
+pub fn print(session: &mut Session) {
+    let profile = session.profile;
     println!("gradient-distribution check ({profile:?} profile)");
-    println!("model assumption: zero-mean normal; E|g|/sigma = {HALF_NORMAL_RATIO:.4}\n");
+    println!("{PAPER}; E|g|/sigma = {HALF_NORMAL_RATIO:.4}\n");
 
     let mut rows: Vec<Vec<String>> = vec![vec![
         "model".into(),
@@ -37,26 +38,7 @@ fn main() {
     for model in [ModelKind::Alexnet, ModelKind::Resnet18] {
         let spec = profile.sim_dataset("cifar10");
         let (train, _) = spec.generate();
-        let net = model.build(
-            spec.channels,
-            spec.size,
-            spec.classes,
-            Some(PruneConfig::paper_default()),
-            23,
-        );
-        let mut trainer = Trainer::new(
-            net,
-            TrainConfig {
-                batch_size: 16,
-                lr: 0.01,
-                momentum: 0.9,
-                weight_decay: 1e-4,
-                seed: 5,
-                engine: None,
-                checkpoint: None,
-                shard: None,
-            },
-        );
+        let mut trainer = trainer(model, &spec, Some(PruneConfig::paper_default()), 23, 5);
         // A little training so the gradients are shaped by the data, not
         // just by initialization.
         for _ in 0..profile.epochs().min(3) {
@@ -91,14 +73,10 @@ fn main() {
         ]);
 
         // Per-position detail for the most and least normal positions.
-        let mut scored: Vec<(String, f64)> = tapped
+        let mut scored: Vec<(&str, f64)> = tapped
             .iter()
-            .map(|(name, v)| {
-                (
-                    name.clone(),
-                    DistributionSummary::from_nonzero(v).normality_score(),
-                )
-            })
+            .zip(&summaries)
+            .map(|((name, _), summary)| (name.as_str(), summary.normality_score()))
             .collect();
         scored.sort_by(|a, b| a.1.total_cmp(&b.1));
         if let (Some(worst), Some(best)) = (scored.first(), scored.last()) {

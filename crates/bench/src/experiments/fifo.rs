@@ -6,13 +6,12 @@
 //! several depths, an EMA family, and the last-value baseline, and
 //! reports prediction error plus the cold-start cost (batches left
 //! unpruned during warm-up).
-//!
-//! Run with: `cargo run --release -p sparsetrain-bench --bin sweep_fifo`
 
+use super::Session;
+use crate::table::{fmt, render};
 use rand::rngs::StdRng;
 use rand::stream::StreamKey;
 use rand::SeedableRng;
-use sparsetrain_bench::table::{fmt, render};
 use sparsetrain_core::prune::predictor::{
     evaluate_predictor, EmaPredictor, FifoPredictor, LastValuePredictor, ThresholdPredictor,
 };
@@ -40,7 +39,9 @@ fn determined_thresholds(batches: usize) -> Vec<f64> {
     taus
 }
 
-fn main() {
+/// Prints each predictor's cold-start cost and prediction error over one
+/// determined-threshold sequence.
+pub fn print(_session: &mut Session) {
     let taus = determined_thresholds(256);
     println!(
         "threshold-predictor sweep over {} determined thresholds\n(decaying gradient scale with sinusoidal noise)\n",

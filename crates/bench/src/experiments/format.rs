@@ -6,17 +6,18 @@
 //! `sparsetrain_sparse::formats` across the pruning-sparsity range,
 //! showing where each encoding wins and how much traffic the format
 //! choice is actually worth.
-//!
-//! Run with: `cargo run --release -p sparsetrain-bench --bin sweep_format`
 
+use super::Session;
+use crate::table::{fmt, render};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparsetrain_bench::table::{fmt, render};
 use sparsetrain_core::dataflow::synth::{SynthLayer, SynthNet};
 use sparsetrain_core::dataflow::LayerTrace;
 use sparsetrain_sparse::formats::{storage_words, RowFormat};
 
-fn main() {
+/// Prints the mean storage words per operand row under each format, per
+/// density, and the cheapest format.
+pub fn print(_session: &mut Session) {
     println!("storage words per operand row, by format and gradient density");
     println!("(64ch x 32x32 conv layer, Bernoulli sparsity — scattered non-zeros)\n");
 

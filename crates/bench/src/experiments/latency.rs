@@ -7,10 +7,10 @@
 //! the trace on the SparseTrain machine and its densified-baseline
 //! configuration.
 
+use super::{warmed_up, Session};
 use crate::profile::Profile;
-use sparsetrain_core::prune::PruneConfig;
+use crate::table::{fmt, render};
 use sparsetrain_nn::models::ModelKind;
-use sparsetrain_nn::train::{TrainConfig, Trainer};
 use sparsetrain_sim::baseline::simulate_baseline;
 use sparsetrain_sim::energy::EnergyBreakdown;
 use sparsetrain_sim::{ArchConfig, Machine};
@@ -38,33 +38,7 @@ pub struct LatencyRow {
 
 /// Runs one model/dataset simulation pair.
 pub fn run_pair(model: ModelKind, dataset_name: &str, profile: Profile) -> LatencyRow {
-    let spec = profile.sim_dataset(dataset_name);
-    let (train, _) = spec.generate();
-    let net = model.build(
-        spec.channels,
-        spec.size,
-        spec.classes,
-        Some(PruneConfig::paper_default()),
-        11,
-    );
-    let mut trainer = Trainer::new(
-        net,
-        TrainConfig {
-            batch_size: 16,
-            lr: 0.01,
-            momentum: 0.9,
-            weight_decay: 1e-4,
-            seed: 5,
-            engine: None,
-            checkpoint: None,
-            shard: None,
-        },
-    );
-    // Warm-up epochs: fill the pruning FIFOs and develop realistic
-    // activation sparsity before the traced step.
-    for _ in 0..profile.sim_warmup_epochs() {
-        trainer.train_epoch(&train);
-    }
+    let (mut trainer, train) = warmed_up(model, dataset_name, profile);
 
     // Average over several traced samples: Fig. 8 reports *average*
     // latency per sample, and per-sample sparsity varies.
@@ -125,6 +99,98 @@ fn geometric_mean(values: impl Iterator<Item = f64>) -> f64 {
         return 1.0;
     }
     (log_sum / n as f64).exp()
+}
+
+/// The line printed under the title: what the paper says.
+pub(super) const PAPER_FIG8: &str = "paper: up to 4.5x speedup (AlexNet/CIFAR-10), ~2.7x average";
+
+/// Prints Fig. 8: latency per sample of each model/dataset pair on both
+/// machines, with speedups.
+pub fn print_fig8(session: &mut Session) {
+    println!("Fig. 8 reproduction ({:?} profile)", session.profile);
+    println!("{PAPER_FIG8}\n");
+
+    let rows = session.latency_grid();
+    let mut out = vec![vec![
+        "model".to_string(),
+        "dataset".to_string(),
+        "dense ms/sample".to_string(),
+        "sparse ms/sample".to_string(),
+        "speedup".to_string(),
+    ]];
+    for r in rows {
+        out.push(vec![
+            r.model.name().to_string(),
+            r.dataset.clone(),
+            fmt(r.dense_ms, 3),
+            fmt(r.sparse_ms, 3),
+            format!("{}x", fmt(r.speedup, 2)),
+        ]);
+    }
+    println!("{}", render(&out));
+    println!("geometric-mean speedup: {}x", fmt(mean_speedup(rows), 2));
+}
+
+/// The line printed under the title: what the paper says.
+pub(super) const PAPER_FIG9: &str = "paper: baseline SRAM share 62-71%; SparseTrain cuts SRAM 30-59%, comb 53-88%; 1.5-2.8x efficiency (avg 2.2x)";
+
+/// Prints Fig. 9: energy per sample broken down into DRAM / SRAM /
+/// register / combinational components, with efficiency ratios.
+pub fn print_fig9(session: &mut Session) {
+    println!(
+        "Fig. 9 reproduction ({:?} profile) — energy in uJ/sample",
+        session.profile
+    );
+    println!("{PAPER_FIG9}\n");
+
+    let rows = session.latency_grid();
+    let mut out = vec![vec![
+        "model".to_string(),
+        "dataset".to_string(),
+        "arch".to_string(),
+        "DRAM".to_string(),
+        "SRAM".to_string(),
+        "Reg".to_string(),
+        "Comb".to_string(),
+        "total".to_string(),
+        "SRAM share".to_string(),
+        "efficiency".to_string(),
+    ]];
+    let arch_row = |model: &str, dataset: &str, arch: &str, e: &EnergyBreakdown, efficiency: String| {
+        vec![
+            model.to_string(),
+            dataset.to_string(),
+            arch.to_string(),
+            fmt(e.dram_pj / 1e6, 2),
+            fmt(e.sram_pj / 1e6, 2),
+            fmt(e.reg_pj / 1e6, 2),
+            fmt(e.comb_pj / 1e6, 2),
+            fmt(e.total_uj(), 2),
+            format!("{}%", fmt(e.sram_share() * 100.0, 0)),
+            efficiency,
+        ]
+    };
+    for r in rows {
+        out.push(arch_row(
+            r.model.name(),
+            &r.dataset,
+            "baseline",
+            &r.dense_energy,
+            "1.00x".into(),
+        ));
+        out.push(arch_row(
+            "",
+            "",
+            "sparsetrain",
+            &r.sparse_energy,
+            format!("{}x", fmt(r.energy_efficiency, 2)),
+        ));
+    }
+    println!("{}", render(&out));
+    println!(
+        "geometric-mean energy efficiency: {}x",
+        fmt(mean_energy_efficiency(rows), 2)
+    );
 }
 
 #[cfg(test)]

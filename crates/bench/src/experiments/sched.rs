@@ -7,19 +7,21 @@
 //! least-loaded controller is within a few percent of the bound at every
 //! density, so SparseTrain's speedups are not an artifact of scheduling
 //! slack in the baseline.
-//!
-//! Run with: `cargo run --release -p sparsetrain-bench --bin sweep_sched`
 
+use super::Session;
+use crate::table::{fmt, render};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparsetrain_bench::table::{fmt, render};
 use sparsetrain_core::dataflow::synth::{SynthLayer, SynthNet};
-use sparsetrain_core::dataflow::{for_each_forward_op, for_each_gta_op, for_each_gtw_op, LayerTrace};
+use sparsetrain_core::dataflow::{
+    for_each_forward_op, for_each_gta_op, for_each_gtw_op, ConvLayerTrace, LayerTrace,
+};
 use sparsetrain_sim::sched::{lower_bound, schedule, Policy};
+use sparsetrain_sim::{ArchConfig, Machine};
 use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
 
 /// Per-task cycle totals of every stage of one conv layer.
-fn task_cycles(layer: &sparsetrain_core::dataflow::ConvLayerTrace) -> Vec<u64> {
+fn task_cycles(layer: &ConvLayerTrace) -> Vec<u64> {
     let mut tasks: Vec<u64> = Vec::new();
     let mut push = |task: usize, cycles: u64, last: &mut usize| {
         if task != *last {
@@ -43,7 +45,9 @@ fn task_cycles(layer: &sparsetrain_core::dataflow::ConvLayerTrace) -> Vec<u64> {
     tasks
 }
 
-fn main() {
+/// Prints single-layer makespans relative to the lower bound, then
+/// whole-machine latency, under each controller policy.
+pub fn print(_session: &mut Session) {
     println!("scheduler-policy sweep: makespan / lower-bound (lower is better)\n");
     let mut rows: Vec<Vec<String>> = vec![vec![
         "density".into(),
@@ -87,7 +91,6 @@ fn main() {
 
     // End-to-end: the same comparison through the whole machine (all
     // layers, all stages, bandwidth bounds included).
-    use sparsetrain_sim::{ArchConfig, Machine};
     println!("end-to-end machine latency by controller policy (cycles/sample):\n");
     let mut rows: Vec<Vec<String>> = vec![vec![
         "density".into(),

@@ -6,11 +6,12 @@
 //! and output-activation gradients sparse, output activations (pre-ReLU)
 //! and input gradients (pre-mask) dense.
 
+use super::{trainer, Session};
 use crate::profile::Profile;
+use crate::table::{fmt, render};
 use sparsetrain_core::dataflow::LayerTrace;
 use sparsetrain_core::prune::PruneConfig;
 use sparsetrain_nn::models::ModelKind;
-use sparsetrain_nn::train::{TrainConfig, Trainer};
 
 /// Density observations for the six data types of Table I.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,25 +34,12 @@ pub struct Table1Row {
 pub fn run(profile: Profile) -> Table1Row {
     let spec = profile.dataset("cifar10");
     let (train, _) = spec.generate();
-    let net = ModelKind::Alexnet.build(
-        spec.channels,
-        spec.size,
-        spec.classes,
+    let mut trainer = trainer(
+        ModelKind::Alexnet,
+        &spec,
         Some(PruneConfig::paper_default()),
         13,
-    );
-    let mut trainer = Trainer::new(
-        net,
-        TrainConfig {
-            batch_size: 16,
-            lr: 0.01,
-            momentum: 0.9,
-            weight_decay: 1e-4,
-            seed: 5,
-            engine: None,
-            checkpoint: None,
-            shard: None,
-        },
+        5,
     );
     for _ in 0..2 {
         trainer.train_epoch(&train);
@@ -81,6 +69,41 @@ pub fn run(profile: Profile) -> Table1Row {
         output_activations: 1.0,
         output_grads: dout_nnz as f64 / dout_total.max(1) as f64,
     }
+}
+
+/// The line printed under the title: what the paper says.
+pub(super) const PAPER: &str = "paper: W, dW, dI, O dense; I, dO sparse";
+
+/// Prints Table I: one row per data type, measured density beside the
+/// paper's classification.
+pub fn print(session: &mut Session) {
+    let profile = session.profile;
+    println!("Table I reproduction ({profile:?} profile)");
+    println!("{PAPER}\n");
+    let row = run(profile);
+    let line = |name: &str, symbol: &str, density: f64, class: &str| -> Vec<String> {
+        vec![name.into(), symbol.into(), fmt(density, 2), class.into()]
+    };
+    let out = render(&[
+        vec![
+            "data type".into(),
+            "symbol".into(),
+            "density".into(),
+            "paper".into(),
+        ],
+        line("Weights", "W", row.weights, "dense"),
+        line("Weight gradients", "dW", row.weight_grads, "dense"),
+        line("Input activations", "I", row.input_activations, "sparse"),
+        line("Gradients to input activations", "dI", row.input_grads, "dense"),
+        line("Output activations", "O", row.output_activations, "dense"),
+        line(
+            "Gradients to output activations",
+            "dO",
+            row.output_grads,
+            "sparse",
+        ),
+    ]);
+    println!("{out}");
 }
 
 #[cfg(test)]

@@ -1,31 +1,33 @@
-//! Validates §II's claim: "weight update stage is not a performance
-//! bottleneck for CNN training".
+//! §II: "weight update stage is not a performance bottleneck for CNN
+//! training".
 //!
 //! The paper costs only Forward / GTA / GTW and drops the update stage
-//! from the accelerated path. This binary makes that a measured number:
-//! it captures a training-step trace per model, simulates the three
-//! accelerated stages, costs the weight-update pass with the elementwise
-//! stream model (`sparsetrain_sim::update`), and reports the update's
-//! share of the whole step — for the paper's SGD(+momentum) and, as a
-//! stress case, Adam.
-//!
-//! Run with: `cargo run --release -p sparsetrain-bench --bin repro_update`
+//! from the accelerated path. This experiment makes that a measured
+//! number: it captures a training-step trace per model, simulates the
+//! three accelerated stages, costs the weight-update pass with the
+//! elementwise stream model (`sparsetrain_sim::update`), and reports the
+//! update's share of the whole step — for the paper's SGD(+momentum) and,
+//! as a stress case, Adam.
 
-use sparsetrain_bench::profile::Profile;
-use sparsetrain_bench::table::{fmt, render};
+use super::{trainer, Session};
+use crate::table::{fmt, render};
 use sparsetrain_core::prune::PruneConfig;
 use sparsetrain_nn::models::ModelKind;
-use sparsetrain_nn::train::{TrainConfig, Trainer};
 use sparsetrain_nn::Layer;
 use sparsetrain_sim::update::{update_cost_per_sample, UpdateRule};
 use sparsetrain_sim::{ArchConfig, Machine};
 
-fn main() {
-    let profile = Profile::from_env();
+/// The line printed under the title: what the paper says.
+pub(super) const PAPER: &str = "paper claim (§II): the update stage is not a bottleneck";
+
+/// Prints the update stage's cycle share of one simulated training step,
+/// per evaluated model.
+pub fn print(session: &mut Session) {
+    let profile = session.profile;
     let cfg = ArchConfig::paper_default();
     let machine = Machine::new(cfg);
     println!("weight-update share of one training step ({profile:?} profile)");
-    println!("paper claim (§II): the update stage is not a bottleneck\n");
+    println!("{PAPER}\n");
 
     let mut rows: Vec<Vec<String>> = vec![vec![
         "model".into(),
@@ -40,27 +42,8 @@ fn main() {
     for model in ModelKind::ALL {
         let spec = profile.sim_dataset("cifar10");
         let (train, _) = spec.generate();
-        let net = model.build(
-            spec.channels,
-            spec.size,
-            spec.classes,
-            Some(PruneConfig::paper_default()),
-            29,
-        );
-        let params = net.param_count() as u64;
-        let mut trainer = Trainer::new(
-            net,
-            TrainConfig {
-                batch_size: 16,
-                lr: 0.01,
-                momentum: 0.9,
-                weight_decay: 1e-4,
-                seed: 5,
-                engine: None,
-                checkpoint: None,
-                shard: None,
-            },
-        );
+        let mut trainer = trainer(model, &spec, Some(PruneConfig::paper_default()), 29, 5);
+        let params = trainer.network().param_count() as u64;
         for _ in 0..2 {
             trainer.train_epoch(&train);
         }

@@ -1,24 +1,39 @@
-//! Benchmark harness and paper-experiment reproduction for SparseTrain.
+//! The paper's evaluation and the CI artifact tooling, behind one binary.
 //!
-//! Each experiment in the paper's evaluation section has a module here and
-//! a binary in `src/bin` that prints the same rows/series the paper
-//! reports:
+//! `sparsetrain-bench repro <name>…` / `sweep <name>…` print the
+//! experiments of [`experiments::EXPERIMENTS`]; each has a module here:
 //!
-//! | Paper artefact | Module | Binary |
+//! | Paper artefact | Module | Command |
 //! |---|---|---|
-//! | Table I (data sparsity) | [`experiments::table1`] | `repro_table1` |
-//! | Table II (accuracy & density) | [`experiments::table2`] | `repro_table2` |
-//! | Fig. 8 (latency / speedup) | [`experiments::latency`] | `repro_fig8` |
-//! | Fig. 9 (energy breakdown) | [`experiments::latency`] | `repro_fig9` |
-//! | §VI-B convergence | [`experiments::convergence`] | `repro_convergence` |
+//! | Table I (data sparsity) | [`experiments::table1`] | `repro table1` |
+//! | Table II (accuracy & density) | [`experiments::table2`] | `repro table2` |
+//! | Fig. 8 (latency / speedup) | [`experiments::latency`] | `repro fig8` |
+//! | Fig. 9 (energy breakdown) | [`experiments::latency`] | `repro fig9` |
+//! | §VI-B convergence | [`experiments::convergence`] | `repro convergence` |
+//! | §III gradient normality | [`experiments::distribution`] | `repro distribution` |
+//! | §II weight-update share | [`experiments::update`] | `repro update` |
+//! | §VI PE count / buffer size | [`experiments::arch`] | `sweep arch` |
+//! | Fig. 9 energy-table sensitivity | [`experiments::energy`] | `sweep energy` |
+//! | §III-B threshold predictor | [`experiments::fifo`] | `sweep fifo` |
+//! | Compressed-row format (extension) | [`experiments::format`] | `sweep format` |
+//! | Scheduling policy (extension) | [`experiments::sched`] | `sweep sched` |
 //!
-//! The Criterion benches in `benches/` cover the kernel, pruning, simulator
-//! and training-step micro-costs plus the design-choice ablations listed in
-//! DESIGN.md. [`chaos`] holds the fault-injection campaign behind
-//! `sparsetrain-bench chaos`: seeded crash/corruption scenarios that must
-//! recover bitwise through the training supervisor.
+//! [`cli`] is the argument parser, [`profile`] the one scale switch
+//! (`SPARSETRAIN_PROFILE`; the substitutions it scales are listed in
+//! `docs/ARCHITECTURE.md`, *Substitutions*). [`plan`] is the compiled-plan
+//! emit/replay loop behind `sparsetrain-bench plan` (over [`fixtures`],
+//! the layer operands it shares with the engine bench), and [`chaos`] the
+//! fault-injection campaign behind `sparsetrain-bench chaos`: seeded
+//! crash/corruption scenarios that must recover bitwise through the
+//! training supervisor. The Criterion benches in `benches/` are local
+//! tools — kernel engines, the ISA codec, the memory and simulator models
+//! and the pruning design-choice ablations; wall-clock training numbers
+//! are `stbench`'s.
 
 pub mod chaos;
+pub mod cli;
 pub mod experiments;
+pub mod fixtures;
+pub mod plan;
 pub mod profile;
 pub mod table;

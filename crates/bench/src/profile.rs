@@ -2,8 +2,8 @@
 //!
 //! The paper trains for 300 epochs on real datasets on GPUs; the
 //! reproduction substitutes synthetic data and CPU-scale models
-//! (DESIGN.md §5). Two profiles trade fidelity for runtime; both exercise
-//! the full pipeline.
+//! (`docs/ARCHITECTURE.md`, *Substitutions*). Two profiles trade fidelity
+//! for runtime; both exercise the full pipeline.
 
 use sparsetrain_nn::data::SyntheticSpec;
 
@@ -18,11 +18,23 @@ pub enum Profile {
 
 impl Profile {
     /// Reads the profile from the `SPARSETRAIN_PROFILE` environment
-    /// variable (`quick`/`full`), defaulting to `Quick`.
-    pub fn from_env() -> Self {
-        match std::env::var("SPARSETRAIN_PROFILE").as_deref() {
-            Ok("full") => Profile::Full,
-            _ => Profile::Quick,
+    /// variable: unset or empty is `Quick`, `quick` / `full` are
+    /// themselves, and anything else is an error (the message `main`
+    /// prints above the usage text) — a typo must not regenerate the
+    /// paper tables at the wrong scale without a word.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var_os("SPARSETRAIN_PROFILE");
+        Self::parse(value.as_deref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// [`Profile::from_env`] on a given value of the variable.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("") | Some("quick") => Ok(Profile::Quick),
+            Some("full") => Ok(Profile::Full),
+            Some(other) => Err(format!(
+                "unknown SPARSETRAIN_PROFILE {other:?} (one of: quick, full)"
+            )),
         }
     }
 
@@ -105,6 +117,23 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_the_two_spellings_and_unset_are_profiles() {
+        assert_eq!(Profile::parse(None), Ok(Profile::Quick));
+        assert_eq!(Profile::parse(Some("")), Ok(Profile::Quick));
+        assert_eq!(Profile::parse(Some("quick")), Ok(Profile::Quick));
+        assert_eq!(Profile::parse(Some("full")), Ok(Profile::Full));
+        // Each of these ran the Quick profile silently before.
+        for typo in ["Full", "ful", "quick "] {
+            assert_eq!(
+                Profile::parse(Some(typo)),
+                Err(format!(
+                    "unknown SPARSETRAIN_PROFILE {typo:?} (one of: quick, full)"
+                ))
+            );
+        }
+    }
 
     #[test]
     fn quick_datasets_are_small() {

@@ -1,4 +1,4 @@
-//! Minimal fixed-width table printing for the repro binaries.
+//! Minimal fixed-width table printing for the experiments.
 
 /// Renders rows of cells as an aligned text table with a header rule.
 ///
@@ -11,10 +11,10 @@
 /// assert!(out.contains("alexnet"));
 /// ```
 pub fn render(rows: &[Vec<String>]) -> String {
-    if rows.is_empty() {
+    let cols = rows.iter().map(Vec::len).max().unwrap_or(0);
+    if cols == 0 {
         return String::new();
     }
-    let cols = rows.iter().map(Vec::len).max().unwrap_or(0);
     let mut widths = vec![0usize; cols];
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -60,6 +60,9 @@ mod tests {
     #[test]
     fn empty_input_empty_output() {
         assert_eq!(render(&[]), "");
+        // Rows without a single cell used to underflow the rule's width.
+        assert_eq!(render(&[vec![]]), "");
+        assert_eq!(render(&[vec![], vec![]]), "");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! fits that model — moments, the half-normal consistency ratio behind
 //! the σ̂ estimator, and coverage of the 1σ/2σ bands — so the assumption
 //! can be *checked* on every workload instead of trusted
-//! (`repro_distribution` prints the check for the evaluated networks).
+//! (`sparsetrain-bench repro distribution` prints the check for the
+//! evaluated networks).
 //!
 //! # Example
 //!

@@ -2,7 +2,8 @@
 //!
 //! The paper trains on CIFAR-10/100 and ImageNet. Those datasets are not
 //! available offline, so we substitute structured synthetic data that
-//! exercises the identical code paths (see DESIGN.md §5): each class has a
+//! exercises the identical code paths (see `docs/ARCHITECTURE.md`,
+//! *Substitutions*): each class has a
 //! smooth random prototype image plus a class-specific frequency pattern;
 //! samples are noisy draws around their prototype. Networks must genuinely
 //! learn the class structure — a random-guess classifier scores `1/K`.

@@ -16,8 +16,8 @@
 //!   ResNet-style basic blocks).
 //! * [`models`] — AlexNet- and ResNet-style CIFAR-scale model builders.
 //! * [`data`] — synthetic labelled image datasets (the stand-in for
-//!   CIFAR-10/100 and ImageNet; see DESIGN.md §5 for the substitution
-//!   rationale).
+//!   CIFAR-10/100 and ImageNet; see `docs/ARCHITECTURE.md`,
+//!   *Substitutions*, for the rationale).
 //! * [`loss`] / [`optim`] — softmax cross-entropy and SGD with momentum.
 //! * [`train`] — the batch training loop with pruning, density metrics and
 //!   trace capture for the accelerator simulator.

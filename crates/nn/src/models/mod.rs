@@ -7,13 +7,9 @@
 
 mod alexnet;
 mod resnet;
-mod vgg;
 
 pub use alexnet::{alexnet, mini_cnn, mini_cnn_for};
-pub use resnet::{
-    resnet, resnet18, resnet34, resnet50ish, resnet_bottleneck, resnet_deep, ResnetSpec, BOTTLENECK_EXPANSION,
-};
-pub use vgg::{vgg11, vgg_from_config, VggEntry};
+pub use resnet::{resnet, resnet18, resnet34, resnet_deep, ResnetSpec};
 
 use sparsetrain_core::prune::PruneConfig;
 
@@ -26,7 +22,8 @@ pub enum ModelKind {
     Resnet18,
     /// ResNet-34-like.
     Resnet34,
-    /// Deep ResNet (the ResNet-152 stand-in; see DESIGN.md §5).
+    /// Deep ResNet (the ResNet-152 stand-in; see `docs/ARCHITECTURE.md`,
+    /// *Substitutions*).
     ResnetDeep,
 }
 

@@ -147,8 +147,8 @@ pub fn resnet34(
 }
 
 /// Deep ResNet variant (`[4, 6, 4]`), the tractable stand-in for the
-/// paper's ResNet-152 (see DESIGN.md §5: the reproduced trend is
-/// depth → lower gradient density).
+/// paper's ResNet-152 (see `docs/ARCHITECTURE.md`, *Substitutions*: the
+/// reproduced trend is depth → lower gradient density).
 pub fn resnet_deep(
     in_channels: usize,
     classes: usize,
@@ -166,115 +166,6 @@ pub fn resnet_deep(
         prune,
         seed,
     )
-}
-
-/// Channel expansion of a bottleneck block (output = `expansion × mid`).
-pub const BOTTLENECK_EXPANSION: usize = 4;
-
-/// Builds a *bottleneck* ResNet: each block is 1×1 reduce → 3×3 → 1×1
-/// expand (expansion 4), the block structure of ResNet-50/101/152.
-/// Pruning hooks follow every CONV, as in [`resnet`].
-///
-/// Bottleneck blocks matter to the dataflow study because their 1×1
-/// convolutions have no row reuse (`K = 1`): SRC degenerates to a sparse
-/// scale-and-add and the MAC-lane utilisation argument changes — the
-/// ablation benches compare both block types.
-pub fn resnet_bottleneck(
-    in_channels: usize,
-    classes: usize,
-    blocks: [usize; 3],
-    width: usize,
-    prune: Option<PruneConfig>,
-    seed: u64,
-) -> Sequential {
-    let g3 = ConvGeometry::new(3, 1, 1);
-    let g1 = |stride| ConvGeometry::new(1, stride, 0);
-    let mut net = Sequential::new("resnet-bottleneck");
-    let mut seed = seed;
-    let mut next_seed = move || {
-        seed += 1;
-        seed
-    };
-
-    let mut stem_conv = Conv2d::new("stem.conv", in_channels, width, g3, next_seed());
-    stem_conv.set_first_layer(true);
-    net.push_boxed(Box::new(stem_conv));
-    net.push_boxed(Box::new(PruneHook::new("stem.prune", prune)));
-    net.push_boxed(Box::new(BatchNorm2d::new("stem.bn", width)));
-    net.push_boxed(Box::new(Relu::new("stem.relu")));
-
-    let mids = [width, 2 * width, 4 * width];
-    let mut in_w = width;
-    for (stage, (&n_blocks, &mid)) in blocks.iter().zip(&mids).enumerate() {
-        let out_w = mid * BOTTLENECK_EXPANSION;
-        for b in 0..n_blocks {
-            let stride = if stage > 0 && b == 0 { 2 } else { 1 };
-            let name = format!("s{stage}n{b}");
-            let main = Sequential::new(format!("{name}.main"))
-                .push(Conv2d::new(
-                    format!("{name}.conv1"),
-                    in_w,
-                    mid,
-                    g1(1),
-                    next_seed(),
-                ))
-                .push(PruneHook::new(format!("{name}.prune1"), prune))
-                .push(BatchNorm2d::new(format!("{name}.bn1"), mid))
-                .push(Relu::new(format!("{name}.relu1")))
-                .push(Conv2d::new(
-                    format!("{name}.conv2"),
-                    mid,
-                    mid,
-                    ConvGeometry::new(3, stride, 1),
-                    next_seed(),
-                ))
-                .push(PruneHook::new(format!("{name}.prune2"), prune))
-                .push(BatchNorm2d::new(format!("{name}.bn2"), mid))
-                .push(Relu::new(format!("{name}.relu2")))
-                .push(Conv2d::new(
-                    format!("{name}.conv3"),
-                    mid,
-                    out_w,
-                    g1(1),
-                    next_seed(),
-                ))
-                .push(PruneHook::new(format!("{name}.prune3"), prune))
-                .push(BatchNorm2d::new(format!("{name}.bn3"), out_w));
-            let shortcut = if stride != 1 || in_w != out_w {
-                Some(
-                    Sequential::new(format!("{name}.short"))
-                        .push(Conv2d::new(
-                            format!("{name}.short_conv"),
-                            in_w,
-                            out_w,
-                            g1(stride),
-                            next_seed(),
-                        ))
-                        .push(BatchNorm2d::new(format!("{name}.short_bn"), out_w)),
-                )
-            } else {
-                None
-            };
-            net.push_boxed(Box::new(ResidualBlock::new(name, main, shortcut)));
-            in_w = out_w;
-        }
-    }
-
-    net.push_boxed(Box::new(GlobalAvgPool::new("gap")));
-    net.push_boxed(Box::new(Flatten::new("flatten")));
-    net.push_boxed(Box::new(Linear::new("fc", in_w, classes, next_seed())));
-    net
-}
-
-/// ResNet-50-style variant at CIFAR scale: `[3, 4, 3]` bottleneck blocks.
-pub fn resnet50ish(
-    in_channels: usize,
-    classes: usize,
-    width: usize,
-    prune: Option<PruneConfig>,
-    seed: u64,
-) -> Sequential {
-    resnet_bottleneck(in_channels, classes, [3, 4, 3], width, prune, seed)
 }
 
 #[cfg(test)]
@@ -369,48 +260,5 @@ mod tests {
         let shallow = resnet18(3, 10, 4, None, 1).param_count();
         let deep = resnet_deep(3, 10, 4, None, 1).param_count();
         assert!(deep > shallow);
-    }
-
-    #[test]
-    fn bottleneck_forward_shape() {
-        let mut net = resnet_bottleneck(3, 10, [1, 1, 1], 4, None, 7);
-        let out = net.forward(
-            vec![Tensor3::zeros(3, 16, 16)].into(),
-            &mut ExecutionContext::scalar(),
-            false,
-        );
-        assert_eq!(out[0].shape(), (10, 1, 1));
-    }
-
-    #[test]
-    fn bottleneck_train_step_runs() {
-        let mut net = resnet_bottleneck(3, 4, [1, 1, 1], 2, Some(PruneConfig::paper_default()), 8);
-        let xs = vec![Tensor3::from_fn(3, 8, 8, |c, y, x| {
-            ((c + y * x) % 3) as f32 * 0.3
-        })];
-        let out = net.forward(xs.into(), &mut ExecutionContext::scalar(), true);
-        assert_eq!(out[0].shape(), (4, 1, 1));
-        let din = net.backward(
-            vec![Tensor3::from_fn(4, 1, 1, |_, _, _| 0.1)],
-            &mut ExecutionContext::scalar(),
-            &StepStreams::new(0, 0, 0),
-        );
-        assert_eq!(din[0].shape(), (3, 8, 8));
-    }
-
-    #[test]
-    fn bottleneck_has_more_params_than_basic_at_same_blocks() {
-        let basic = resnet(
-            3,
-            10,
-            ResnetSpec {
-                blocks: [3, 4, 3],
-                width: 4,
-            },
-            None,
-            1,
-        );
-        let bottleneck = resnet50ish(3, 10, 4, None, 1);
-        assert!(bottleneck.param_count() > basic.param_count());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper trains with the standard step-decay recipes of its era (SGD
 //! with momentum, rate drops at fixed epochs). [`StepDecay`] reproduces
-//! that; [`CosineDecay`] is provided for the full-profile runs.
+//! that.
 
 /// A learning-rate schedule: maps an epoch index to a rate.
 pub trait LrSchedule {
@@ -54,39 +54,6 @@ impl LrSchedule for StepDecay {
     }
 }
 
-/// Cosine annealing from the base rate to `min_rate` over `total_epochs`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CosineDecay {
-    base: f32,
-    min_rate: f32,
-    total_epochs: usize,
-}
-
-impl CosineDecay {
-    /// Creates a cosine schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base <= min_rate`, `min_rate < 0`, or `total_epochs == 0`.
-    pub fn new(base: f32, min_rate: f32, total_epochs: usize) -> Self {
-        assert!(base > min_rate, "base must exceed the minimum rate");
-        assert!(min_rate >= 0.0, "minimum rate must be non-negative");
-        assert!(total_epochs > 0, "total epochs must be positive");
-        Self {
-            base,
-            min_rate,
-            total_epochs,
-        }
-    }
-}
-
-impl LrSchedule for CosineDecay {
-    fn rate(&self, epoch: usize) -> f32 {
-        let t = (epoch.min(self.total_epochs) as f32) / self.total_epochs as f32;
-        self.min_rate + 0.5 * (self.base - self.min_rate) * (1.0 + (std::f32::consts::PI * t).cos())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,24 +80,5 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_milestones_rejected() {
         let _ = StepDecay::new(0.1, 0.1, vec![5, 5]);
-    }
-
-    #[test]
-    fn cosine_decays_monotonically() {
-        let s = CosineDecay::new(0.1, 0.001, 10);
-        let mut prev = f32::INFINITY;
-        for e in 0..=10 {
-            let r = s.rate(e);
-            assert!(r <= prev, "rate increased at epoch {e}");
-            prev = r;
-        }
-        assert!((s.rate(0) - 0.1).abs() < 1e-7);
-        assert!((s.rate(10) - 0.001).abs() < 1e-7);
-    }
-
-    #[test]
-    fn cosine_clamps_beyond_horizon() {
-        let s = CosineDecay::new(0.1, 0.01, 5);
-        assert_eq!(s.rate(5), s.rate(50));
     }
 }

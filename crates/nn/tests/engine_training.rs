@@ -6,8 +6,8 @@
 //! forward matches im2row numerically, training still learns, the scalar
 //! and parallel engines produce *bitwise identical* training trajectories,
 //! and engine selection works end to end by name — including through the
-//! `SPARSETRAIN_ENGINE` environment variable (which the CI matrix sets to
-//! every registered engine in turn).
+//! `SPARSETRAIN_ENGINE` environment variable (unset, every test here walks
+//! the registry itself; the CI engine matrix sets it in one cell).
 
 use sparsetrain_core::prune::StepStreams;
 use sparsetrain_nn::data::SyntheticSpec;
@@ -210,7 +210,7 @@ fn every_registered_engine_trains_by_name() {
 }
 
 /// The `SPARSETRAIN_ENGINE` environment override reaches the trainer: the
-/// CI matrix runs this suite once per registered engine name.
+/// CI engine matrix runs this suite once with it set (`parallel:simd`).
 #[test]
 fn env_override_selects_engine_end_to_end() {
     let (train, _) = SyntheticSpec::tiny(2).generate();

@@ -2,11 +2,11 @@
 //!
 //! The paper reports *relative* energy between SparseTrain and the dense
 //! baseline, both simulated with the same synthesized-RTL/PCACTI constants.
-//! We substitute a fixed per-event energy table (DESIGN.md §5): the same
-//! table prices both architectures, so the ratios are meaningful. The
-//! constants are chosen from published 14/16 nm per-operation figures such
-//! that the dense baseline's SRAM share lands in the paper's reported
-//! 62–71 % band.
+//! We substitute a fixed per-event energy table (`docs/ARCHITECTURE.md`,
+//! *Substitutions*): the same table prices both architectures, so the
+//! ratios are meaningful. The constants are chosen from published 14/16 nm
+//! per-operation figures such that the dense baseline's SRAM share lands
+//! in the paper's reported 62–71 % band.
 
 /// Energy cost table, picojoules per event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,10 +27,10 @@ impl EnergyModel {
     /// Default 14 nm-class constants.
     ///
     /// These are the single calibrated degree of freedom of the energy
-    /// model (DESIGN.md §5): chosen from published 14/16 nm per-op ranges
-    /// so the *dense baseline's* SRAM share lands in the paper's reported
-    /// 62–71 % band, then held fixed for every experiment and both
-    /// architectures.
+    /// model (`docs/ARCHITECTURE.md`, *Substitutions*): chosen from
+    /// published 14/16 nm per-op ranges so the *dense baseline's* SRAM
+    /// share lands in the paper's reported 62–71 % band, then held fixed
+    /// for every experiment and both architectures.
     pub fn finfet_14nm() -> Self {
         Self {
             mac_pj: 1.3,

@@ -50,17 +50,19 @@ fn simulation_identical_across_engines() {
         ((f * 31 + c * 13 + u * 5 + v) % 7) as f32 * 0.125 - 0.375
     });
 
-    // Execute the trace numerics on both float engines, resolved by name
-    // through the registry (honouring a SPARSETRAIN_ENGINE override when it
-    // names a float engine — the fixed-point backend is intentionally not
+    // Execute the trace numerics on scalar and on every other float engine
+    // of the registry, or on the SPARSETRAIN_ENGINE override alone when it
+    // is set (the fixed-point backends are intentionally not
     // bitwise-comparable).
     let scalar = execute_conv(&conv, &mut ExecutionContext::scalar(), &weights, None);
-    let selected = registry::env_override()
-        .expect("SPARSETRAIN_ENGINE must name a registered engine")
-        .filter(|h| h.name() != "fixed")
-        .unwrap_or_else(|| registry::lookup("parallel").unwrap());
-    let other = execute_conv(&conv, &mut ExecutionContext::new(selected), &weights, None);
-    assert_eq!(scalar, other, "engine parity violated on {}", selected.name());
+    let selected = match registry::env_override().expect("SPARSETRAIN_ENGINE must name a registered engine") {
+        Some(handle) => vec![handle],
+        None => registry::registry(),
+    };
+    for handle in selected.into_iter().filter(|h| !h.name().starts_with("fixed")) {
+        let other = execute_conv(&conv, &mut ExecutionContext::new(handle), &weights, None);
+        assert_eq!(scalar, other, "engine parity violated on {}", handle.name());
+    }
 
     // The simulator consumes only the trace's op enumeration: one report,
     // no matter which engine computes the values.

@@ -17,7 +17,7 @@
 //!
 //! The crossover structure (bitmap beats offsets above ~25% density,
 //! dense beats everything above ~80%) is asserted by the tests and
-//! printed by the `sweep_format` binary.
+//! printed by `sparsetrain-bench sweep format`.
 //!
 //! # Example
 //!

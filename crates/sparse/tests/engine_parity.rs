@@ -12,7 +12,7 @@
 //!   backend — including `simd` (runtime-dispatched AVX2/portable lanes),
 //!   `im2row` (cache-blocked dense lowering) and their `parallel:*` banded
 //!   compositions — or just the `SPARSETRAIN_ENGINE` override when set, as
-//!   in the CI engine matrix;
+//!   in one cell of the CI engine matrix;
 //! * one engine call prepares its [`BandContext`]s (the weight re-layout
 //!   every sample shares, im2row patches) exactly once regardless of band
 //!   count, and every band borrows the shared state;

@@ -1,7 +1,10 @@
 //! Dead-link check for the prose docs: every relative Markdown link in
 //! `README.md` and `docs/*.md` must resolve to an existing file, so the
 //! architecture book cannot rot silently. External URLs and pure
-//! `#anchor` links are skipped; fenced code blocks are ignored.
+//! `#anchor` links are skipped; fenced code blocks are ignored — except
+//! that every `--example X`, `--bench X` and `--bin X` inside one must
+//! name a cargo target that exists, so a quoted command cannot outlive the
+//! target it runs.
 
 use std::path::{Path, PathBuf};
 
@@ -22,9 +25,9 @@ fn markdown_link_targets(line: &str) -> Vec<&str> {
     out
 }
 
-#[test]
-fn relative_links_in_readme_and_docs_resolve() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+/// Calls `visit(file, line number, line, inside a fenced block)` for every
+/// line of `README.md` and `docs/*.md` that is not itself a fence marker.
+fn for_each_doc_line(root: &Path, mut visit: impl FnMut(&Path, usize, &str, bool)) {
     let mut files = vec![root.join("README.md")];
     let mut docs: Vec<PathBuf> = std::fs::read_dir(root.join("docs"))
         .expect("docs/ is readable")
@@ -34,39 +37,47 @@ fn relative_links_in_readme_and_docs_resolve() {
     docs.sort();
     files.extend(docs);
 
-    let mut checked = 0usize;
-    let mut broken = Vec::new();
     for file in &files {
         let text =
             std::fs::read_to_string(file).unwrap_or_else(|e| panic!("cannot read {}: {e}", file.display()));
-        let dir = file.parent().expect("doc files live in a directory");
         let mut in_fence = false;
         for (idx, line) in text.lines().enumerate() {
             if line.trim_start().starts_with("```") {
                 in_fence = !in_fence;
-                continue;
-            }
-            if in_fence {
-                continue;
-            }
-            for target in markdown_link_targets(line) {
-                if ["http://", "https://", "mailto:", "#"]
-                    .iter()
-                    .any(|skip| target.starts_with(skip))
-                {
-                    continue;
-                }
-                let path_part = target.split('#').next().unwrap_or("");
-                if path_part.is_empty() {
-                    continue;
-                }
-                checked += 1;
-                if !dir.join(path_part).exists() {
-                    broken.push(format!("{}:{}: broken link `{target}`", file.display(), idx + 1));
-                }
+            } else {
+                visit(file, idx + 1, line, in_fence);
             }
         }
     }
+}
+
+#[test]
+fn relative_links_in_readme_and_docs_resolve() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0usize;
+    let mut broken = Vec::new();
+    for_each_doc_line(root, |file, line_no, line, in_fence| {
+        if in_fence {
+            return;
+        }
+        let dir = file.parent().expect("doc files live in a directory");
+        for target in markdown_link_targets(line) {
+            if ["http://", "https://", "mailto:", "#"]
+                .iter()
+                .any(|skip| target.starts_with(skip))
+            {
+                continue;
+            }
+            let path_part = target.split('#').next().unwrap_or("");
+            if path_part.is_empty() {
+                continue;
+            }
+            checked += 1;
+            if !dir.join(path_part).exists() {
+                broken.push(format!("{}:{line_no}: broken link `{target}`", file.display()));
+            }
+        }
+    });
     assert!(
         checked > 0,
         "the docs contain relative links; finding none means the walk broke"
@@ -76,5 +87,66 @@ fn relative_links_in_readme_and_docs_resolve() {
         "{} broken link(s):\n{}",
         broken.len(),
         broken.join("\n")
+    );
+}
+
+/// Whether some workspace package (the root, `crates/*`, `crates/compat/*`)
+/// has a target `name` of the kind `flag` selects: an auto-discovered file
+/// (`examples/`, `benches/`, `src/bin/`), or for `--bin` a package of that
+/// name with a `src/main.rs`.
+fn target_exists(root: &Path, flag: &str, name: &str) -> bool {
+    let mut packages = vec![root.to_path_buf()];
+    for parent in ["crates", "crates/compat"] {
+        let entries = std::fs::read_dir(root.join(parent)).expect("crate directories are readable");
+        packages.extend(entries.filter_map(|entry| entry.ok().map(|e| e.path())));
+    }
+    packages.iter().any(|dir| match flag {
+        "--example" => dir.join(format!("examples/{name}.rs")).exists(),
+        "--bench" => dir.join(format!("benches/{name}.rs")).exists(),
+        _ => {
+            let package_is_named = |manifest: String| {
+                let mut package = manifest.lines().skip_while(|l| l.trim() != "[package]");
+                package.find(|l| l.starts_with("name = ")) == Some(&format!("name = \"{name}\""))
+            };
+            dir.join(format!("src/bin/{name}.rs")).exists()
+                || (dir.join("src/main.rs").exists()
+                    && std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(package_is_named))
+        }
+    })
+}
+
+#[test]
+fn cargo_targets_named_in_fenced_blocks_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0usize;
+    let mut stale = Vec::new();
+    for_each_doc_line(root, |file, line_no, line, in_fence| {
+        if !in_fence {
+            return;
+        }
+        let mut words = line.split_whitespace();
+        while let Some(flag) = words.next() {
+            if !matches!(flag, "--example" | "--bench" | "--bin") {
+                continue;
+            }
+            let Some(name) = words.next() else { continue };
+            checked += 1;
+            if !target_exists(root, flag, name) {
+                stale.push(format!(
+                    "{}:{line_no}: no target for `{flag} {name}`",
+                    file.display()
+                ));
+            }
+        }
+    });
+    assert!(
+        checked > 0,
+        "the docs quote cargo commands; finding none means the walk broke"
+    );
+    assert!(
+        stale.is_empty(),
+        "{} stale cargo command(s):\n{}",
+        stale.len(),
+        stale.join("\n")
     );
 }

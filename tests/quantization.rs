@@ -90,7 +90,7 @@ fn gradient_statistics_survive_quantization() {
     // is the algorithm's behaviour: the determined threshold (derived
     // from Σ|g|) and the achieved density may move by no more than the
     // FIFO prediction noise the scheme already tolerates (~20%, see the
-    // sweep_fifo ablation).
+    // `sweep fifo` ablation).
     use sparsetrain::core::prune::{sigma_hat, LayerPruner};
     for (name, values) in &tapped {
         let s = DistributionSummary::from_slice(values);
