@@ -27,7 +27,8 @@
 //! planner's per-(layer, stage) choices against every single global
 //! engine. The `pruning` group covers the stochastic pruning stage:
 //! sequential `prune_batch_parts` vs engine-banded `prune_batch_parts_on`
-//! across batch sizes, with the rayon worker count in the label.
+//! across batch sizes and input densities, with the rayon worker count in
+//! the label.
 //!
 //! CI runs this bench as a smoke and uploads the resulting
 //! `target/bench-results.jsonl`; it gates on no ratio from it (`stbench
@@ -155,52 +156,57 @@ fn bench_end_to_end(c: &mut Criterion) {
 }
 
 /// Stochastic pruning throughput: the sequential `prune_batch_parts`
-/// golden vs the engine-banded `prune_batch_parts_on` across batch sizes,
-/// per registered engine. Labels carry the rayon worker count so the CI
-/// matrix legs (`RAYON_NUM_THREADS` ∈ {1, 4}) land as distinct series in
-/// the `target/bench-results.jsonl` trajectory; the gap between `seq` and
-/// a parallel engine's `banded` leg is the batch-parallel prune win, and
-/// the `seq` cost itself tracks the (amortized) Philox draw price on the
-/// snap/zero path.
+/// golden vs the engine-banded `prune_batch_parts_on` across batch sizes
+/// and input densities, per registered engine. Labels carry the rayon
+/// worker count so the CI matrix legs (`RAYON_NUM_THREADS` ∈ {1, 4}) land
+/// as distinct series in the `target/bench-results.jsonl` trajectory; the
+/// gap between `seq` and a parallel engine's `banded` leg is the
+/// batch-parallel prune win. The pruner's work follows the non-zeros, so
+/// the input density is an axis: the two values are what `stbench` reads
+/// as `core.prune.density_in` on AlexNet (ReLU-masked gradients, 0.17) and
+/// on ResNet (dense until pruned, 1.0).
 fn bench_pruning(c: &mut Criterion) {
     const ELEMENTS: usize = 4096; // one sample's activation-gradient tensor
     let threads = rayon::current_num_threads();
     let mut group = c.benchmark_group("pruning");
     group.sample_size(10);
-    for batch in [8usize, 32, 128] {
+    for (batch, density) in [8usize, 32, 128]
+        .into_iter()
+        .flat_map(|b| [(b, 0.17f64), (b, 1.0)])
+    {
         let mut rng = StdRng::seed_from_u64(0x5EED + batch as u64);
-        // Gradient-like data: ~90 % of magnitudes under the threshold the
-        // warmed pruner predicts, so most elements consume a draw.
+        // Gradient-like data: a `density` share of non-zeros, ~90 % of the
+        // magnitudes under the threshold the warmed pruner predicts.
+        let mut element = || match rng.gen::<f64>() < density {
+            true => (rng.gen::<f32>() - 0.5) * 0.02,
+            false => 0.0,
+        };
         let samples: Vec<Vec<f32>> = (0..batch)
-            .map(|_| (0..ELEMENTS).map(|_| (rng.gen::<f32>() - 0.5) * 0.02).collect())
+            .map(|_| (0..ELEMENTS).map(|_| element()).collect())
             .collect();
         let stream = BatchStream::per_sample(StreamKey::new(0xBE7C).derive(batch as u64));
         let warm = {
-            let mut pruner = LayerPruner::new(PruneConfig::new(0.9, 2));
+            let mut pruner = LayerPruner::new(PruneConfig::new(0.9, 1));
             let mut data = samples.clone();
             let mut parts: Vec<&mut [f32]> = data.iter_mut().map(|v| v.as_mut_slice()).collect();
             pruner.prune_batch_parts(&mut parts, &stream);
+            assert!(pruner.is_warm(), "a cold pruner passes through and draws nothing");
             pruner
         };
-        group.bench_function(
-            BenchmarkId::new(format!("seq/t{threads}"), format!("b{batch}")),
-            |b| {
-                b.iter_batched(
-                    || (warm.clone(), samples.clone()),
-                    |(mut pruner, mut data)| {
-                        let mut parts: Vec<&mut [f32]> = data.iter_mut().map(|v| v.as_mut_slice()).collect();
-                        black_box(pruner.prune_batch_parts(&mut parts, &stream));
-                    },
-                    BatchSize::LargeInput,
-                );
-            },
-        );
+        let case = format!("b{batch}/d{density}");
+        group.bench_function(BenchmarkId::new(format!("seq/t{threads}"), &case), |b| {
+            b.iter_batched(
+                || (warm.clone(), samples.clone()),
+                |(mut pruner, mut data)| {
+                    let mut parts: Vec<&mut [f32]> = data.iter_mut().map(|v| v.as_mut_slice()).collect();
+                    black_box(pruner.prune_batch_parts(&mut parts, &stream));
+                },
+                BatchSize::LargeInput,
+            );
+        });
         for handle in engines() {
             group.bench_function(
-                BenchmarkId::new(
-                    format!("banded/{}/t{threads}", handle.name()),
-                    format!("b{batch}"),
-                ),
+                BenchmarkId::new(format!("banded/{}/t{threads}", handle.name()), &case),
                 |b| {
                     b.iter_batched(
                         || (warm.clone(), samples.clone()),

@@ -39,8 +39,8 @@ const PHILOX_W: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Number of Philox rounds; 10 is the full-strength Random123 default.
 const PHILOX_ROUNDS: u32 = 10;
 
-/// The Weyl key schedule `kᵣ = key + r·W`: counter-independent, so bulk
-/// consumers fold it once per run of draws.
+/// The Weyl key schedule `kᵣ = key + r·W`: counter-independent, so a
+/// consumer of many draws folds it once ([`StreamKey::schedule`]).
 #[inline]
 const fn philox_round_keys(key: u64) -> [u64; PHILOX_ROUNDS as usize] {
     let mut keys = [0u64; PHILOX_ROUNDS as usize];
@@ -54,29 +54,40 @@ const fn philox_round_keys(key: u64) -> [u64; PHILOX_ROUNDS as usize] {
     keys
 }
 
-/// The Philox 2×64 round core: encrypts the 128-bit counter `(x0, x1)`
-/// under pre-folded round keys and returns both output words. The single
-/// source of the round arithmetic, shared by [`philox2x64`] and
-/// [`StreamKey::fill_uniform_at`].
+/// The Philox 2×64 round core over `N` independent counters: encrypts
+/// each 128-bit counter `(x0[lane], 0)` under pre-folded round keys and
+/// returns each block's first output word. The single source of the round
+/// arithmetic, shared by [`StreamKey::word_at`] and [`KeySchedule`]; with
+/// `N > 1` the lanes' multiply chains are independent, so they overlap in
+/// the pipeline instead of waiting on one another.
 #[inline]
-const fn philox_block(round_keys: &[u64; PHILOX_ROUNDS as usize], mut x0: u64, mut x1: u64) -> (u64, u64) {
+const fn philox_blocks<const N: usize>(
+    round_keys: &[u64; PHILOX_ROUNDS as usize],
+    mut x0: [u64; N],
+) -> [u64; N] {
+    let mut x1 = [0u64; N];
     let mut round = 0;
     while round < round_keys.len() {
-        let product = (x0 as u128).wrapping_mul(PHILOX_M as u128);
-        let hi = (product >> 64) as u64;
-        let lo = product as u64;
-        x0 = hi ^ round_keys[round] ^ x1;
-        x1 = lo;
+        let mut lane = 0;
+        while lane < N {
+            let product = (x0[lane] as u128).wrapping_mul(PHILOX_M as u128);
+            x0[lane] = (product >> 64) as u64 ^ round_keys[round] ^ x1[lane];
+            x1[lane] = product as u64;
+            lane += 1;
+        }
         round += 1;
     }
-    (x0, x1)
+    x0
 }
 
-/// One Philox 2×64 block: encrypts the 128-bit counter `(x0, x1)` under
-/// `key` and returns both output words.
+/// The `[0, 1)` draw of an output word, rounded to `f32`: bitwise
+/// `uniform as f32` of the 53-bit [`StreamKey::uniform_at`] value. The
+/// 53-bit integer is exact in `f64` and the scale is a power of two, so
+/// rounding the integer straight to `f32` and scaling rounds the same real
+/// number once, to the same bits (pinned by the stability goldens).
 #[inline]
-const fn philox2x64(key: u64, x0: u64, x1: u64) -> (u64, u64) {
-    philox_block(&philox_round_keys(key), x0, x1)
+fn unit_f32(word: u64) -> f32 {
+    (word >> 11) as f32 * (1.0 / (1u64 << 53) as f32)
 }
 
 /// SplitMix64 finalizer: a strong 64-bit bijective mixer, used to fold
@@ -139,7 +150,7 @@ impl StreamKey {
     /// The random 64-bit word at position `offset` of this stream — a pure
     /// function of `(key, offset)`.
     pub const fn word_at(self, offset: u64) -> u64 {
-        philox2x64(self.key, offset, 0).0
+        philox_blocks(&philox_round_keys(self.key), [offset])[0]
     }
 
     /// The uniform `[0, 1)` draw at position `offset` of this stream (53
@@ -148,19 +159,12 @@ impl StreamKey {
         (self.word_at(offset) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Fills `out[i]` with the uniform draw at position
-    /// `offset.wrapping_add(i)`, each bitwise equal to
-    /// `uniform_at(offset + i) as f32` (pinned by the stability goldens).
-    ///
-    /// Philox's per-round keys `kᵣ = key + r·W` do not depend on the
-    /// counter, so a run of consecutive draws folds the key schedule
-    /// **once** instead of once per element — the amortization the bulk
-    /// consumers (stochastic pruning's snap/zero pass) draw through.
-    pub fn fill_uniform_at(&self, offset: u64, out: &mut [f32]) {
-        let round_keys = philox_round_keys(self.key);
-        for (i, draw) in out.iter_mut().enumerate() {
-            let (word, _) = philox_block(&round_keys, offset.wrapping_add(i as u64), 0);
-            *draw = ((word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) as f32;
+    /// This stream's key schedule, folded once: the handle a consumer of
+    /// many scattered draws (stochastic pruning's snap/zero sweep) reads
+    /// them through.
+    pub const fn schedule(self) -> KeySchedule {
+        KeySchedule {
+            round_keys: philox_round_keys(self.key),
         }
     }
 
@@ -171,6 +175,35 @@ impl StreamKey {
             key: self,
             counter: offset,
         }
+    }
+}
+
+/// One stream's pre-folded Philox round keys ([`StreamKey::schedule`]).
+///
+/// Philox's per-round keys `kᵣ = key + r·W` do not depend on the counter,
+/// so they are computed once and every draw after that costs only the ten
+/// multiply rounds. Draws stay pure functions of `(key, position)`: which
+/// positions are evaluated, in what order and how many at a time cannot
+/// change any of them.
+#[derive(Debug, Clone, Copy)]
+pub struct KeySchedule {
+    round_keys: [u64; PHILOX_ROUNDS as usize],
+}
+
+impl KeySchedule {
+    /// The uniform `[0, 1)` draw at position `pos`, bitwise equal to
+    /// `uniform_at(pos) as f32`.
+    #[inline]
+    pub fn uniform_f32_at(&self, pos: u64) -> f32 {
+        unit_f32(philox_blocks(&self.round_keys, [pos])[0])
+    }
+
+    /// The draws at four positions (any four — they need not be
+    /// consecutive), each bitwise equal to `uniform_at(pos[i]) as f32`,
+    /// with the four counters in flight through one round loop.
+    #[inline]
+    pub fn uniform_f32_at4(&self, pos: [u64; 4]) -> [f32; 4] {
+        philox_blocks(&self.round_keys, pos).map(unit_f32)
     }
 }
 
@@ -331,22 +364,66 @@ mod tests {
             assert_eq!(got, want, "golden {i}: got {got:#018X}, want {want:#018X}");
         }
 
-        // The bulk fill is pinned to the per-element ladder: every filled
-        // draw must be bitwise `uniform_at` rounded to f32, for fresh,
-        // derived and named keys, at plain and counter-wrapping offsets.
+        // The schedule's draws are pinned to the per-element ladder: one
+        // at a time and four in flight, at scattered (non-consecutive)
+        // positions, every draw must be bitwise `uniform_at` rounded to
+        // f32, for fresh, derived and named keys, at plain and
+        // counter-wrapping offsets.
         for key in [root, derived, named] {
+            let schedule = key.schedule();
             for offset in [0u64, 1, 12_345, u64::MAX - 3] {
-                let mut buf = [0.0f32; 19];
-                key.fill_uniform_at(offset, &mut buf);
-                for (i, &got) in buf.iter().enumerate() {
-                    let want = key.uniform_at(offset.wrapping_add(i as u64)) as f32;
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "fill diverged from uniform_at at offset {offset}+{i}"
-                    );
-                }
+                let pos: Vec<u64> = (0..20u64).map(|i| offset.wrapping_add(i * i * 7)).collect();
+                let want: Vec<u32> = pos
+                    .iter()
+                    .map(|&p| (key.uniform_at(p) as f32).to_bits())
+                    .collect();
+                let single: Vec<u32> = pos
+                    .iter()
+                    .map(|&p| schedule.uniform_f32_at(p).to_bits())
+                    .collect();
+                assert_eq!(
+                    single, want,
+                    "single draws diverged from uniform_at at offset {offset}"
+                );
+                let four: Vec<u32> = pos
+                    .chunks_exact(4)
+                    .flat_map(|p| schedule.uniform_f32_at4([p[0], p[1], p[2], p[3]]))
+                    .map(f32::to_bits)
+                    .collect();
+                assert_eq!(
+                    four, want,
+                    "four-in-flight draws diverged from uniform_at at offset {offset}"
+                );
             }
+        }
+    }
+
+    /// `unit_f32` rounds the 53-bit integer once where `uniform_at(..) as
+    /// f32` rounds its exact f64 value once — the same real number up to a
+    /// power-of-two scale, so the same bits. Walk the cases where a second
+    /// rounding would show: ties, the carry into the next binade, and the
+    /// largest word.
+    #[test]
+    fn f32_draw_rounds_like_the_f64_draw() {
+        let reference = |word: u64| ((word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) as f32;
+        let mut words = vec![0u64, 1 << 11, u64::MAX, u64::MAX - (1 << 11)];
+        for top in [24u32, 30, 40, 52] {
+            // A 24-bit significand ending in a tie, just below it, just
+            // above it, and all-ones (rounds up into the next binade).
+            let lead = 1u64 << top;
+            let half = lead >> 24;
+            for low in [half, half.wrapping_sub(1), half + 1, lead - 1, half | (half << 1)] {
+                words.push((lead | low) << 11);
+            }
+        }
+        let key = StreamKey::new(99);
+        words.extend((0..4096).map(|i| key.word_at(i)));
+        for word in words {
+            assert_eq!(
+                unit_f32(word).to_bits(),
+                reference(word).to_bits(),
+                "word {word:#018X}"
+            );
         }
     }
 

@@ -34,7 +34,9 @@ pub mod threshold;
 pub use diagnostics::DistributionSummary;
 pub use fifo::ThresholdFifo;
 pub use predictor::{EmaPredictor, FifoPredictor, LastValuePredictor, ThresholdPredictor};
-pub use pruner::{shard_prune_parts_on, LayerPruner, PruneConfig, PruneStats, PrunerSnapshot, SiteStats};
+pub use pruner::{
+    shard_prune_parts_on, LayerPruner, PruneConfig, PruneStats, PrunerRestoreError, PrunerSnapshot, SiteStats,
+};
 pub use stochastic::{prune_slice, prune_slice_at, PruneOutcome};
 pub use stream::{BatchStream, StepStreams, StreamSeeds, SHARD_DOMAIN};
 pub use threshold::{determine_threshold, sigma_hat, threshold_from_slice};

@@ -1,10 +1,11 @@
 //! The per-layer pruning state machine — Algorithm 1 of the paper.
 
 use super::fifo::ThresholdFifo;
-use super::stochastic::{prune_slice_at, PruneOutcome};
+use super::stochastic::{abs_sum_nonzeros, prune_slice_at, PruneOutcome};
 use super::stream::BatchStream;
 use super::threshold::{determine_threshold, sigma_hat};
 use sparsetrain_sparse::KernelEngine;
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of the layer-wise gradient pruner.
@@ -304,25 +305,24 @@ impl LayerPruner {
     /// snapshot's config echo must match this pruner's configuration —
     /// restoring into a differently-configured pruner would silently change
     /// the trajectory, so it is an error instead.
-    pub fn restore_state(&mut self, snap: &PrunerSnapshot) -> Result<(), String> {
+    pub fn restore_state(&mut self, snap: &PrunerSnapshot) -> Result<(), PrunerRestoreError> {
         if snap.target_sparsity != self.config.target_sparsity {
-            return Err(format!(
-                "pruner target sparsity mismatch: snapshot {}, configured {}",
-                snap.target_sparsity, self.config.target_sparsity
-            ));
+            return Err(PrunerRestoreError::SparsityMismatch {
+                snapshot: snap.target_sparsity,
+                configured: self.config.target_sparsity,
+            });
         }
         if snap.fifo_depth != self.config.fifo_depth {
-            return Err(format!(
-                "pruner FIFO depth mismatch: snapshot {}, configured {}",
-                snap.fifo_depth, self.config.fifo_depth
-            ));
+            return Err(PrunerRestoreError::FifoDepthMismatch {
+                snapshot: snap.fifo_depth,
+                configured: self.config.fifo_depth,
+            });
         }
         if snap.fifo.len() > self.config.fifo_depth {
-            return Err(format!(
-                "pruner snapshot holds {} thresholds for a depth-{} FIFO",
-                snap.fifo.len(),
-                self.config.fifo_depth
-            ));
+            return Err(PrunerRestoreError::FifoOverflow {
+                held: snap.fifo.len(),
+                depth: self.config.fifo_depth,
+            });
         }
         self.fifo.load(&snap.fifo);
         self.stats = PruneStats {
@@ -337,6 +337,53 @@ impl LayerPruner {
         Ok(())
     }
 }
+
+/// Why [`LayerPruner::restore_state`] refused a snapshot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PrunerRestoreError {
+    /// The snapshot was taken at another target sparsity `p`.
+    SparsityMismatch {
+        /// The snapshot's config echo.
+        snapshot: f64,
+        /// This pruner's configuration.
+        configured: f64,
+    },
+    /// The snapshot was taken with another FIFO depth `N_F`.
+    FifoDepthMismatch {
+        /// The snapshot's config echo.
+        snapshot: usize,
+        /// This pruner's configuration.
+        configured: usize,
+    },
+    /// The snapshot holds more thresholds than its own FIFO depth allows.
+    FifoOverflow {
+        /// Thresholds in the snapshot.
+        held: usize,
+        /// The FIFO depth they must fit.
+        depth: usize,
+    },
+}
+
+impl fmt::Display for PrunerRestoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Self::SparsityMismatch { snapshot, configured } => write!(
+                f,
+                "pruner target sparsity mismatch: snapshot {snapshot}, configured {configured}"
+            ),
+            Self::FifoDepthMismatch { snapshot, configured } => write!(
+                f,
+                "pruner FIFO depth mismatch: snapshot {snapshot}, configured {configured}"
+            ),
+            Self::FifoOverflow { held, depth } => write!(
+                f,
+                "pruner snapshot holds {held} thresholds for a depth-{depth} FIFO"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PrunerRestoreError {}
 
 /// Plain-data export of a [`LayerPruner`]'s mutable state plus a config
 /// echo, produced by [`LayerPruner::snapshot_state`] and consumed by
@@ -400,16 +447,28 @@ fn prune_pass(
     engine: Option<&dyn KernelEngine>,
 ) -> SiteStats {
     // Σ|g| accumulates over the incoming (un-pruned) gradients — in
-    // hardware the PPU taps the stream before the pruning stage.
+    // hardware the PPU taps the stream before the pruning stage — and,
+    // like the PPU, touches the non-zeros only. It is a floating-point sum
+    // (element order within a part, parts in order), so it stays here,
+    // ahead of the snap/zero sweep that an engine may band in any order.
     let mut abs_sum = 0.0f64;
     let mut n = 0usize;
+    let mut nonzeros = 0usize;
     for part in parts.iter() {
-        abs_sum += part.iter().map(|&g| (g as f64).abs()).sum::<f64>();
+        let (part_sum, part_nonzeros) = abs_sum_nonzeros(part);
+        abs_sum += part_sum;
+        nonzeros += part_nonzeros;
         n += part.len();
     }
     let outcome = match tau {
         Some(tau) if tau > 0.0 => prune_parts_under(parts, tau, stream, engine),
-        _ => passthrough_outcome(parts),
+        // Pass-through (cold FIFO or disabled pruning): nothing changes,
+        // the natural zero pattern is still counted.
+        _ => PruneOutcome {
+            kept: nonzeros,
+            snapped: 0,
+            zeroed: n - nonzeros,
+        },
     };
     SiteStats {
         abs_sum,
@@ -452,11 +511,9 @@ fn prune_parts_under(
         }
         Some(engine) => {
             // Outcome counts are order-free sums, so relaxed atomics keep
-            // the banded pass deterministic. Both this banded path and the
-            // sequential one above draw through `prune_slice_at`'s
-            // buffered `StreamKey::fill_uniform_at` runs, and parallel
-            // engines hand out lane-aligned chunks, so the per-chunk
-            // buffers fill whole lane blocks.
+            // the banded pass deterministic; the values are, because
+            // `prune_slice_at` evaluates each draw at the element's own
+            // position wherever the engine cuts its chunks.
             let kept = AtomicUsize::new(0);
             let snapped = AtomicUsize::new(0);
             let zeroed = AtomicUsize::new(0);
@@ -474,21 +531,6 @@ fn prune_parts_under(
                 zeroed: zeroed.into_inner(),
             }
         }
-    }
-}
-
-/// Outcome counts of a pass-through (cold FIFO or disabled pruning):
-/// nothing changes, the natural zero pattern is still counted.
-fn passthrough_outcome(parts: &[&mut [f32]]) -> PruneOutcome {
-    let n: usize = parts.iter().map(|p| p.len()).sum();
-    let kept = parts
-        .iter()
-        .map(|p| p.iter().filter(|&&g| g != 0.0).count())
-        .sum();
-    PruneOutcome {
-        kept,
-        snapped: 0,
-        zeroed: n - kept,
     }
 }
 
@@ -683,10 +725,46 @@ mod tests {
         let snap = warm.snapshot_state();
         let mut other = LayerPruner::new(PruneConfig::new(0.8, 3));
         let err = other.restore_state(&snap).unwrap_err();
-        assert!(err.contains("target sparsity"), "unexpected error: {err}");
+        assert_eq!(
+            err,
+            PrunerRestoreError::SparsityMismatch {
+                snapshot: 0.9,
+                configured: 0.8
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "pruner target sparsity mismatch: snapshot 0.9, configured 0.8"
+        );
         let mut other = LayerPruner::new(PruneConfig::new(0.9, 4));
         let err = other.restore_state(&snap).unwrap_err();
-        assert!(err.contains("FIFO depth"), "unexpected error: {err}");
+        assert_eq!(
+            err,
+            PrunerRestoreError::FifoDepthMismatch {
+                snapshot: 3,
+                configured: 4
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "pruner FIFO depth mismatch: snapshot 3, configured 4"
+        );
+        // A snapshot whose FIFO holds more than its own depth (only a
+        // corrupted or hand-built one can) is refused, not truncated.
+        let mut overfull = snap.clone();
+        overfull.fifo = vec![0.1; 4];
+        let mut same = LayerPruner::new(PruneConfig::new(0.9, 3));
+        let err = same.restore_state(&overfull).unwrap_err();
+        assert_eq!(err, PrunerRestoreError::FifoOverflow { held: 4, depth: 3 });
+        assert_eq!(
+            err.to_string(),
+            "pruner snapshot holds 4 thresholds for a depth-3 FIFO"
+        );
+        assert_eq!(
+            same.snapshot_state(),
+            snap,
+            "a refused restore changed the pruner"
+        );
     }
 
     #[test]
@@ -729,6 +807,60 @@ mod tests {
         }
         assert_eq!(sharded.stats(), legacy.stats());
         assert_eq!(sharded.snapshot_state(), legacy.snapshot_state());
+    }
+
+    #[test]
+    fn abs_sum_bits_match_the_all_elements_sum() {
+        // Σ|g| visits the non-zeros only; it must still be, bit for bit,
+        // the left-to-right sum over every element of each part, parts in
+        // order — the zeros (of either sign) it skips would each have
+        // added +0.0. Pass-through and pruning passes, sequential and
+        // banded over four threads.
+        use sparsetrain_sparse::ParallelEngine;
+        let mut rng = StdRng::seed_from_u64(9);
+        // Part lengths around the sweep's 64-element run, an empty part,
+        // an all-zero part, and one left dense.
+        let mut data: Vec<Vec<f32>> = [777usize, 64, 0, 1, 65, 63, 1000]
+            .iter()
+            .map(|&len| normal_batch(&mut rng, len, 0.05))
+            .collect();
+        for (p, part) in data.iter_mut().enumerate().take(6) {
+            for (i, g) in part.iter_mut().enumerate() {
+                match (i * 7 + p) % 10 {
+                    0..=5 => *g = 0.0,
+                    6 => *g = -0.0,
+                    _ => {}
+                }
+            }
+        }
+        data[1].fill(0.0);
+        let mut want = 0.0f64;
+        for part in &data {
+            want += part.iter().map(|&g| (g as f64).abs()).sum::<f64>();
+        }
+        let elements: usize = data.iter().map(Vec::len).sum();
+        let nonzeros = data.iter().flatten().filter(|&&g| g != 0.0).count();
+        let four_threads = ParallelEngine::with_threads(4);
+        let engines: [Option<&dyn KernelEngine>; 2] = [None, Some(&four_threads)];
+        for tau in [None, Some(0.04)] {
+            for engine in engines {
+                let mut work = data.clone();
+                let mut parts: Vec<&mut [f32]> = work.iter_mut().map(|v| v.as_mut_slice()).collect();
+                let stats = prune_pass(tau, &mut parts, &stream(0), engine);
+                let ctx = format!("τ {tau:?}, banded {}", engine.is_some());
+                assert_eq!(stats.abs_sum.to_bits(), want.to_bits(), "{ctx}");
+                assert_eq!(stats.elements, elements, "{ctx}");
+                assert_eq!(stats.outcome.total(), elements, "{ctx}");
+                match tau {
+                    None => assert_eq!(
+                        (stats.outcome.kept, stats.outcome.snapped),
+                        (nonzeros, 0),
+                        "{ctx}"
+                    ),
+                    Some(_) => assert!(stats.outcome.snapped > 0, "{ctx}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! * [`prune_slice_at`] — the production path: each element's draw is read
 //!   from a counter-based stream ([`rand::stream::StreamKey`]) at that
 //!   element's position, so results are independent of visitation order
-//!   and thread count (see [`crate::prune::stream`]).
+//!   and thread count (see [`crate::prune::stream`]). Like the PPU, which
+//!   only ever sees the non-zeros of the compressed stream, its work
+//!   follows the non-zeros: a draw is evaluated only where a non-zero
+//!   lies below `τ`.
 //! * [`prune_slice`] — the element-order reference mirroring the hardware
 //!   PPU, whose LFSR lanes hand one draw per *non-zero sub-threshold*
 //!   value in stream order. Order-dependent by design; used by the
@@ -99,6 +102,51 @@ pub fn prune_slice<R: Rng + ?Sized>(grads: &mut [f32], tau: f64, rng: &mut R) ->
     outcome
 }
 
+/// Elements classified per step of a sweep: one bit each in a `u64` mask.
+const RUN: usize = 64;
+
+/// Bit `i` of the result is `pred(run[i])`, for a run of at most [`RUN`]
+/// elements. Branch-free: the predicate is evaluated into a byte per
+/// element (a loop the compiler vectorises), then eight bytes at a time
+/// are packed into eight bits by one multiply.
+#[inline]
+fn mask_of(run: &[f32], pred: impl Fn(f32) -> bool) -> u64 {
+    let mut flags = [0u8; RUN];
+    for (flag, &g) in flags.iter_mut().zip(run) {
+        *flag = pred(g) as u8;
+    }
+    let mut mask = 0u64;
+    for (byte, group) in flags.chunks_exact(8).enumerate() {
+        let bytes = u64::from_le_bytes(group.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        // Byte `i` (0 or 1) lands on bit `56 + i`; no two partial products
+        // share a bit, so nothing carries into the top byte.
+        mask |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * byte);
+    }
+    mask
+}
+
+/// `Σ|g|` over `part` and its non-zero count, visiting the non-zeros only.
+///
+/// Bitwise equal to the left-to-right sum over *all* elements: the
+/// accumulator starts at `+0.0` and only ever adds non-negative terms, so
+/// it is never `-0.0`, and adding the `+0.0` an exact zero (of either
+/// sign) would contribute leaves every such accumulator unchanged. The
+/// non-zeros are still added in element order — the sum is a
+/// floating-point one, so its order is part of the result.
+pub(super) fn abs_sum_nonzeros(part: &[f32]) -> (f64, usize) {
+    let mut sum = 0.0f64;
+    let mut nonzeros = 0usize;
+    for run in part.chunks(RUN) {
+        let mut nonzero = mask_of(run, |g| g != 0.0);
+        nonzeros += nonzero.count_ones() as usize;
+        while nonzero != 0 {
+            sum += (run[nonzero.trailing_zeros() as usize] as f64).abs();
+            nonzero &= nonzero - 1;
+        }
+    }
+    (sum, nonzeros)
+}
+
 /// Applies the stochastic pruning rule to every element of `grads` with
 /// threshold `tau`, in place, drawing each element's randomness from the
 /// counter-based stream `key` at position `offset + index`. Returns the
@@ -110,13 +158,13 @@ pub fn prune_slice<R: Rng + ?Sized>(grads: &mut [f32], tau: f64, rng: &mut R) ->
 /// threads produces bitwise-identical gradients. `tau <= 0` disables
 /// pruning, and exact zeros stay zero, exactly as in [`prune_slice`].
 ///
-/// Draws are read in fixed-width runs through
-/// [`StreamKey::fill_uniform_at`], which folds the Philox key schedule
-/// once per run instead of once per element; a run's buffer is only
-/// filled when one of its elements actually needs a draw, and each
-/// element still reads the draw at its own position (the f32 rounding of
-/// the stream's 53-bit uniform), so any partition of the element space
-/// keeps producing identical results.
+/// The work follows the non-zeros. Each 64-element run is classified
+/// branch-free into bitmasks; only the positions where a non-zero lies
+/// below `tau` are visited at all, and only there is a draw evaluated —
+/// on demand, at the element's own position (the f32 rounding of the
+/// stream's 53-bit uniform), through the key schedule folded once per
+/// call and four positions at a time. Zeros and kept values cost their
+/// share of the classification and nothing else.
 ///
 /// ```
 /// use sparsetrain_core::prune::prune_slice_at;
@@ -135,47 +183,58 @@ pub fn prune_slice<R: Rng + ?Sized>(grads: &mut [f32], tau: f64, rng: &mut R) ->
 /// assert_eq!(parts, whole);
 /// ```
 pub fn prune_slice_at(grads: &mut [f32], tau: f64, key: StreamKey, offset: u64) -> PruneOutcome {
-    let mut outcome = PruneOutcome::default();
     if tau <= 0.0 {
-        outcome.kept = grads.iter().filter(|&&g| g != 0.0).count();
-        outcome.zeroed = grads.len() - outcome.kept;
-        return outcome;
+        let kept = grads.iter().filter(|&&g| g != 0.0).count();
+        return PruneOutcome {
+            kept,
+            snapped: 0,
+            zeroed: grads.len() - kept,
+        };
     }
     let tau_f = tau as f32;
-    // One run of buffered draws per fixed-width chunk: the chunk size is a
-    // multiple of the engine lane width, so lane-aligned banded callers
-    // fill whole runs.
-    const RUN: usize = 64;
-    let mut draws = [0.0f32; RUN];
-    for (run, chunk) in grads.chunks_mut(RUN).enumerate() {
-        let base = offset.wrapping_add((run * RUN) as u64);
-        let len = chunk.len();
-        let mut filled = false;
-        for (i, g) in chunk.iter_mut().enumerate() {
-            let a = g.abs();
-            if *g == 0.0 {
-                outcome.zeroed += 1;
-            } else if (a as f64) < tau {
-                if !filled {
-                    key.fill_uniform_at(base, &mut draws[..len]);
-                    filled = true;
+    let schedule = key.schedule();
+    // r ~ U[0,1) at the element's stream position: keep ±τ iff |g| > τ·r
+    // ⇔ with probability |g|/τ. A select, not a branch — the outcome is a
+    // coin flip by construction.
+    let settle = |g: &mut f32, r: f32| -> usize {
+        let snap = (g.abs() as f64) > tau * r as f64;
+        *g = if snap { tau_f.copysign(*g) } else { 0.0 };
+        snap as usize
+    };
+    let (mut nonzeros, mut drawn, mut snapped) = (0usize, 0usize, 0usize);
+    // Indices awaiting a draw, carried across runs so the draws are taken
+    // four at a time however the candidates are scattered.
+    let mut pending = [0usize; 4];
+    let mut waiting = 0usize;
+    for start in (0..grads.len()).step_by(RUN) {
+        let run = &grads[start..(start + RUN).min(grads.len())];
+        nonzeros += mask_of(run, |g| g != 0.0).count_ones() as usize;
+        // NaN and ±∞ compare false here and are kept; −0.0 is a zero.
+        let mut candidates = mask_of(run, |g| g != 0.0 && (g.abs() as f64) < tau);
+        drawn += candidates.count_ones() as usize;
+        while candidates != 0 {
+            pending[waiting] = start + candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            waiting += 1;
+            if waiting == pending.len() {
+                waiting = 0;
+                let draws = schedule.uniform_f32_at4(pending.map(|i| offset.wrapping_add(i as u64)));
+                for (&i, r) in pending.iter().zip(draws) {
+                    snapped += settle(&mut grads[i], r);
                 }
-                // r ~ U[0,1) at this element's stream position: keep ±τ
-                // iff |g| > τ·r ⇔ with probability |g|/τ.
-                let r = draws[i] as f64;
-                if (a as f64) > tau * r {
-                    *g = if *g > 0.0 { tau_f } else { -tau_f };
-                    outcome.snapped += 1;
-                } else {
-                    *g = 0.0;
-                    outcome.zeroed += 1;
-                }
-            } else {
-                outcome.kept += 1;
             }
         }
     }
-    outcome
+    for &i in &pending[..waiting] {
+        let r = schedule.uniform_f32_at(offset.wrapping_add(i as u64));
+        snapped += settle(&mut grads[i], r);
+    }
+    let kept = nonzeros - drawn;
+    PruneOutcome {
+        kept,
+        snapped,
+        zeroed: grads.len() - kept - snapped,
+    }
 }
 
 #[cfg(test)]
@@ -288,6 +347,104 @@ mod tests {
             let b = prune_slice_at(tail, 0.008, key, split as u64);
             assert_eq!(parts, whole, "split at {split} diverged");
             assert_eq!(a.total() + b.total(), 512);
+        }
+    }
+
+    /// The rule one element at a time, each draw read straight off the
+    /// stream at the element's position: what [`prune_slice_at`] must equal
+    /// bit for bit however it batches its work.
+    fn prune_reference(grads: &mut [f32], tau: f64, key: StreamKey, offset: u64) -> PruneOutcome {
+        let mut out = PruneOutcome::default();
+        for (i, g) in grads.iter_mut().enumerate() {
+            let a = g.abs() as f64;
+            if *g == 0.0 {
+                out.zeroed += 1;
+            } else if a < tau {
+                let r = key.uniform_at(offset.wrapping_add(i as u64)) as f32 as f64;
+                if a > tau * r {
+                    *g = if *g > 0.0 { tau as f32 } else { -(tau as f32) };
+                    out.snapped += 1;
+                } else {
+                    *g = 0.0;
+                    out.zeroed += 1;
+                }
+            } else {
+                out.kept += 1;
+            }
+        }
+        out
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn sweep_matches_the_per_element_reference() {
+        // τ exactly an f32 (so |g| == τ occurs), τ between two f32s (its
+        // f32 neighbours fall on either side), and a subnormal τ.
+        let taus = [0.01f32 as f64, 0.01f64, 1e-40f64];
+        let mut seed = 0x5EED_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for tau in taus {
+            let t = tau as f32;
+            let specials = [
+                -0.0,
+                t,
+                -t,
+                t.next_up(),
+                t.next_down(),
+                -t.next_down(),
+                f32::from_bits(1),
+                -f32::from_bits(0x007F_FFFF),
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ];
+            for density in [0.0, 0.05, 0.17, 0.5, 1.0] {
+                for len in [0usize, 1, 63, 64, 65, 1000] {
+                    let base: Vec<f32> = (0..len)
+                        .map(|_| {
+                            if next() >= density {
+                                0.0
+                            } else if next() < 0.1 {
+                                specials[(next() * specials.len() as f64) as usize]
+                            } else {
+                                // Magnitudes on both sides of τ, both signs.
+                                ((next() * 4.0 - 2.0) * tau) as f32
+                            }
+                        })
+                        .collect();
+                    let key = StreamKey::new(len as u64).derive((density * 100.0) as u64);
+                    for offset in [0u64, 12_345, u64::MAX - 3] {
+                        let mut want = base.clone();
+                        let want_out = prune_reference(&mut want, tau, key, offset);
+                        // Every two-way split, the whole slice (split 0)
+                        // included: a draw depends on the element's
+                        // position, never on where a call or a run begins.
+                        for split in 0..=len {
+                            let mut got = base.clone();
+                            let (head, tail) = got.split_at_mut(split);
+                            let a = prune_slice_at(head, tau, key, offset);
+                            let b = prune_slice_at(tail, tau, key, offset.wrapping_add(split as u64));
+                            let ctx =
+                                format!("τ {tau} density {density} len {len} offset {offset} split {split}");
+                            assert_eq!(bits(&got), bits(&want), "{ctx}");
+                            assert_eq!(
+                                (a.kept + b.kept, a.snapped + b.snapped, a.zeroed + b.zeroed),
+                                (want_out.kept, want_out.snapped, want_out.zeroed),
+                                "{ctx}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -139,6 +139,16 @@ impl Conv2d {
             Some(self.dout_density_sum / self.dout_density_count as f64)
         }
     }
+
+    /// Instruments ρ_nnz of dO over the whole batch: `nnz` non-zeros among
+    /// the elements of `grads`.
+    fn note_dout_density(&mut self, nnz: usize, grads: &[Tensor3]) {
+        let total: usize = grads.iter().map(Tensor3::len).sum();
+        if total > 0 && !self.stats_frozen {
+            self.dout_density_sum += nnz as f64 / total as f64;
+            self.dout_density_count += 1;
+        }
+    }
 }
 
 impl Layer for Conv2d {
@@ -207,18 +217,6 @@ impl Layer for Conv2d {
             "{}: backward called with mismatched batch",
             self.name
         );
-        // Instrument ρ_nnz of dO over the whole batch.
-        let mut nnz = 0usize;
-        let mut total = 0usize;
-        for g in &grads {
-            nnz += stats::nnz(g.as_slice());
-            total += g.len();
-        }
-        if total > 0 && !self.stats_frozen {
-            self.dout_density_sum += nnz as f64 / total as f64;
-            self.dout_density_count += 1;
-        }
-
         if self.capture {
             // Snapshot sample 0 as a dataflow trace, reusing the forward
             // pass's compression when the sparse-rows mode cached it.
@@ -244,6 +242,7 @@ impl Layer for Conv2d {
 
         match self.execution {
             ConvExecution::Im2row => {
+                self.note_dout_density(grads.iter().map(|g| stats::nnz(g.as_slice())).sum(), &grads);
                 let mut dins = Vec::with_capacity(grads.len());
                 for (x, g) in self.ctx_inputs.iter().zip(&grads) {
                     let dw = conv::weight_grad(x, g, self.geom);
@@ -268,6 +267,8 @@ impl Layer for Conv2d {
             ConvExecution::SparseRows => {
                 let dout_fms: Vec<SparseFeatureMap> =
                     grads.iter().map(SparseFeatureMap::from_tensor).collect();
+                // The compressed maps already counted their non-zeros.
+                self.note_dout_density(dout_fms.iter().map(SparseFeatureMap::nnz).sum(), &grads);
                 // Batched GTW accumulates every sample straight into the
                 // batch gradient — one engine call, no per-sample scratch.
                 ctx.weight_grad_batch_for(
@@ -487,6 +488,46 @@ mod tests {
         assert_eq!(conv.mean_dout_density(), Some(0.25));
         conv.reset_density_stats();
         assert_eq!(conv.mean_dout_density(), None);
+
+        // The sparse-rows arm counts through the compressed maps it builds,
+        // the im2row arm scans the dense gradients: the same integers, so
+        // the checkpointed accumulators hold the same bits — over a batch
+        // with natural zeros, −0.0 (a zero to both) and an all-zero sample.
+        let density_state = |sparse: bool| {
+            let mut conv = Conv2d::new("c", 2, 3, ConvGeometry::new(3, 1, 1), 5);
+            conv.set_sparse_execution(sparse);
+            for step in 0..3 {
+                let xs: Vec<Tensor3> = (0..3)
+                    .map(|s| Tensor3::from_fn(2, 4, 5, |c, y, x| ((c + y * x + s + step) % 3) as f32))
+                    .collect();
+                conv.forward(xs.into(), &mut ctx(), true);
+                let grads: Vec<Tensor3> = (0..3)
+                    .map(|s| {
+                        Tensor3::from_fn(3, 4, 5, |c, y, x| match (c + y + 2 * x + step) % 4 {
+                            _ if s == 2 => 0.0,
+                            0 => 0.5,
+                            1 => -0.0,
+                            2 => -1.5,
+                            _ => 0.0,
+                        })
+                    })
+                    .collect();
+                conv.backward(grads, &mut ctx(), &StepStreams::new(0, 0, step as u64));
+            }
+            let mut state = Vec::new();
+            conv.collect_state(&mut state);
+            state
+                .into_iter()
+                .find_map(|s| match s {
+                    LayerState::Density { sum, count, .. } => Some((sum.to_bits(), count)),
+                    _ => None,
+                })
+                .expect("a conv layer snapshots its density accumulators")
+        };
+        let (sum, count) = density_state(true);
+        assert_eq!(count, 3);
+        assert!(f64::from_bits(sum) > 0.0 && f64::from_bits(sum) < 3.0);
+        assert_eq!(density_state(false), (sum, count));
     }
 
     #[test]

@@ -211,7 +211,9 @@ impl Layer for PruneHook {
                         self.name
                     )
                 })?;
-                pruner.restore_state(&pruner_snapshot_from(state))?;
+                pruner
+                    .restore_state(&pruner_snapshot_from(state))
+                    .map_err(|e| e.to_string())?;
                 Ok(true)
             }
             _ => Ok(false),

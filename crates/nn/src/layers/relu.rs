@@ -55,10 +55,10 @@ impl Layer for Relu {
     ) -> Vec<Tensor3> {
         assert_eq!(grads.len(), self.masks.len(), "{}: no stored mask", self.name);
         for (g, mask) in grads.iter_mut().zip(&self.masks) {
+            // A select, not a branch: whether an activation was positive
+            // is close to a coin flip, so a branch here mispredicts.
             for (v, &keep) in g.as_mut_slice().iter_mut().zip(mask) {
-                if !keep {
-                    *v = 0.0;
-                }
+                *v = if keep { *v } else { 0.0 };
             }
         }
         grads

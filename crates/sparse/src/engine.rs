@@ -830,13 +830,10 @@ where
 ///
 /// Chunks never span parts (a global band crossing a part boundary becomes
 /// one chunk per part), mirroring [`for_each_batch_band`] with per-element
-/// granularity and non-uniform part lengths. Chunk boundaries are rounded
-/// up to the vector lane-block width: every chunk starts at a part-local
-/// offset that is a multiple of [`crate::simd_engine::LANES`], so
-/// lane-blocked consumers of the seam (the pruned-gradient snap/zero
-/// writes, whose draw buffers fill in fixed-width runs) see whole blocks.
-/// Position-pure work is chunking-invariant, so the alignment never
-/// changes a result.
+/// granularity and non-uniform part lengths. A chunk may begin at any
+/// element: the seam's one consumer, the pruned-gradient snap/zero sweep,
+/// evaluates each draw at the element's own position and buffers nothing,
+/// so no boundary is better than another.
 fn for_each_element_chunk(
     parts: Vec<&mut [f32]>,
     bands: usize,
@@ -857,16 +854,9 @@ fn for_each_element_chunk(
             let mut offset = 0usize;
             while !rest.is_empty() {
                 // End of the global band this element falls into, clamped
-                // to the part boundary, then lane-aligned within the part
-                // (the final chunk keeps its remainder).
+                // to the part boundary.
                 let band_end = (global / per_band + 1) * per_band;
-                let mut n = (band_end - global).min(rest.len());
-                if n < rest.len() {
-                    n = (offset + n)
-                        .next_multiple_of(crate::simd_engine::LANES)
-                        .saturating_sub(offset)
-                        .min(rest.len());
-                }
+                let n = (band_end - global).min(rest.len());
                 let (chunk, tail) = rest.split_at_mut(n);
                 rest = tail;
                 let first = offset;

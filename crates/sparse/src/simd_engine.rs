@@ -70,9 +70,8 @@ use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::Tensor4;
 use std::sync::Arc;
 
-/// Vector lane-block width (f32 lanes per block, one AVX2 register). Also
-/// the chunk-alignment granularity of the parallel element seam.
-pub(crate) const LANES: usize = 8;
+/// Vector lane-block width (f32 lanes per block, one AVX2 register).
+const LANES: usize = 8;
 
 pub(crate) fn contains_negative_zero(values: &[f32]) -> bool {
     values.iter().any(|v| v.to_bits() == (-0.0f32).to_bits())
