@@ -25,10 +25,9 @@
 //! non-zero walk. The `engine_end_to_end` group runs all three stages of each
 //! layer through the planned `ExecutionContext` seam, pitting the `auto`
 //! planner's per-(layer, stage) choices against every single global
-//! engine. The `pruning` group covers the stochastic pruning stage:
-//! sequential `prune_batch_parts` vs engine-banded `prune_batch_parts_on`
-//! across batch sizes and input densities, with the rayon worker count in
-//! the label.
+//! engine. The `pruning` group covers the stochastic pruning stage: the
+//! one pass on 1 band vs on pool-sized bands, across batch sizes and input
+//! densities, with the rayon worker count in the label.
 //!
 //! CI runs this bench as a smoke and uploads the resulting
 //! `target/bench-results.jsonl`; it gates on no ratio from it (`stbench
@@ -39,7 +38,8 @@ use rand::rngs::StdRng;
 use rand::stream::StreamKey;
 use rand::{Rng, SeedableRng};
 use sparsetrain_bench::fixtures::{fixture, fixture_seeded, LayerFixture, LAYERS};
-use sparsetrain_core::prune::{BatchStream, LayerPruner, PruneConfig};
+use sparsetrain_core::prune::pruner::prune_pass_in_bands;
+use sparsetrain_core::prune::{prune_pass, BatchStream, LayerPruner, PruneConfig, SiteStats};
 use sparsetrain_sparse::{registry, BatchOut, EngineHandle, ExecutionContext, Stage, StageOp};
 use std::hint::black_box;
 
@@ -155,16 +155,17 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-/// Stochastic pruning throughput: the sequential `prune_batch_parts`
-/// golden vs the engine-banded `prune_batch_parts_on` across batch sizes
-/// and input densities, per registered engine. Labels carry the rayon
-/// worker count so the CI matrix legs (`RAYON_NUM_THREADS` ∈ {1, 4}) land
-/// as distinct series in the `target/bench-results.jsonl` trajectory; the
-/// gap between `seq` and a parallel engine's `banded` leg is the
-/// batch-parallel prune win. The pruner's work follows the non-zeros, so
-/// the input density is an axis: the two values are what `stbench` reads
-/// as `core.prune.density_in` on AlexNet (ReLU-masked gradients, 0.17) and
-/// on ResNet (dense until pruned, 1.0).
+/// Stochastic pruning throughput: the one pass with its snap/zero sweep on
+/// 1 band vs on the band count `prune_pass` sizes from the rayon pool,
+/// across batch sizes and input densities. Labels carry the rayon worker
+/// count so the CI matrix legs (`RAYON_NUM_THREADS` ∈ {1, 4}) land as
+/// distinct series in the `target/bench-results.jsonl` trajectory; the gap
+/// between the `1band` and `pool` legs is the batch-parallel prune win
+/// (none on one worker, where both legs run the same single band). The
+/// pruner's work follows the non-zeros, so the input density is an axis:
+/// the two values are what `stbench` reads as `core.prune.density_in` on
+/// AlexNet (ReLU-masked gradients, 0.17) and on ResNet (dense until
+/// pruned, 1.0).
 fn bench_pruning(c: &mut Criterion) {
     const ELEMENTS: usize = 4096; // one sample's activation-gradient tensor
     let threads = rayon::current_num_threads();
@@ -185,41 +186,29 @@ fn bench_pruning(c: &mut Criterion) {
             .map(|_| (0..ELEMENTS).map(|_| element()).collect())
             .collect();
         let stream = BatchStream::per_sample(StreamKey::new(0xBE7C).derive(batch as u64));
-        let warm = {
+        let tau = {
             let mut pruner = LayerPruner::new(PruneConfig::new(0.9, 1));
             let mut data = samples.clone();
             let mut parts: Vec<&mut [f32]> = data.iter_mut().map(|v| v.as_mut_slice()).collect();
             pruner.prune_batch_parts(&mut parts, &stream);
-            assert!(pruner.is_warm(), "a cold pruner passes through and draws nothing");
-            pruner
+            pruner.predicted_threshold()
         };
+        assert!(tau.is_some(), "a cold pruner passes through and draws nothing");
         let case = format!("b{batch}/d{density}");
-        group.bench_function(BenchmarkId::new(format!("seq/t{threads}"), &case), |b| {
-            b.iter_batched(
-                || (warm.clone(), samples.clone()),
-                |(mut pruner, mut data)| {
-                    let mut parts: Vec<&mut [f32]> = data.iter_mut().map(|v| v.as_mut_slice()).collect();
-                    black_box(pruner.prune_batch_parts(&mut parts, &stream));
-                },
-                BatchSize::LargeInput,
-            );
-        });
-        for handle in engines() {
-            group.bench_function(
-                BenchmarkId::new(format!("banded/{}/t{threads}", handle.name()), &case),
-                |b| {
-                    b.iter_batched(
-                        || (warm.clone(), samples.clone()),
-                        |(mut pruner, mut data)| {
-                            let mut parts: Vec<&mut [f32]> =
-                                data.iter_mut().map(|v| v.as_mut_slice()).collect();
-                            black_box(pruner.prune_batch_parts_on(&mut parts, &stream, handle.engine()));
-                        },
-                        BatchSize::LargeInput,
-                    );
-                },
-            );
-        }
+        let mut leg = |label: &str, pass: &dyn Fn(&mut [&mut [f32]]) -> SiteStats| {
+            group.bench_function(BenchmarkId::new(format!("{label}/t{threads}"), &case), |b| {
+                b.iter_batched(
+                    || samples.clone(),
+                    |mut data| {
+                        let mut parts: Vec<&mut [f32]> = data.iter_mut().map(|v| v.as_mut_slice()).collect();
+                        black_box(pass(&mut parts));
+                    },
+                    BatchSize::LargeInput,
+                );
+            });
+        };
+        leg("1band", &|parts| prune_pass_in_bands(tau, parts, &stream, 1));
+        leg("pool", &|parts| prune_pass(tau, parts, &stream));
     }
     group.finish();
 }

@@ -133,13 +133,16 @@ fn scenarios(seed: u64, extra: usize, e: u64) -> Vec<Scenario> {
             expect_skipped: true,
         },
         // Everything at once: an ENOSPC-shaped write failure, a torn write,
-        // an engine panic and a kill, in one run.
+        // an engine panic and a kill, in one run. `engine.panic` counts
+        // convolution dispatches, five a step on this net: occurrence 143
+        // is conv2's second backward dispatch of the 29th executed step,
+        // after the kill and its replay.
         Scenario {
             name: "storm".into(),
             plan: FaultPlan::new(seed)
                 .with(Site::CkptWriteError, Trigger::At(2))
                 .with(Site::CkptWriteTorn, Trigger::At(4))
-                .with_engine(Site::EnginePanic, Trigger::At(200), ENGINE)
+                .with_engine(Site::EnginePanic, Trigger::At(143), ENGINE)
                 .with(Site::StepKill, Trigger::At(s - 1)),
             min_recoveries: 3,
             expect_quarantined: Some(ENGINE),

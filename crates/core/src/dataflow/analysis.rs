@@ -89,24 +89,6 @@ pub fn analyze_conv(conv: &ConvLayerTrace) -> WorkSummary {
     s
 }
 
-/// Element operations of the Weight Update stage: one multiply–add per
-/// parameter (SGD). The paper excludes this stage from acceleration
-/// because it is "not a performance bottleneck" (§II) —
-/// the `weight_update_is_negligible` unit test quantifies that claim against
-/// the trace's training MACs.
-pub fn weight_update_ops(trace: &NetworkTrace) -> u64 {
-    trace
-        .layers
-        .iter()
-        .map(|l| match l {
-            LayerTrace::Conv(c) => {
-                (c.filters * c.input.channels() * c.geom.kernel * c.geom.kernel + c.filters) as u64
-            }
-            LayerTrace::Fc(f) => f.dense_macs() + f.out_features as u64,
-        })
-        .sum()
-}
-
 /// Computes the static work summary of a whole trace (CONV layers only —
 /// FC layers are costed by the simulator's analytic path).
 pub fn analyze(trace: &NetworkTrace) -> WorkSummary {
@@ -210,22 +192,6 @@ mod tests {
         let both = analyze(&trace);
         assert_eq!(both.total_dense_macs(), 2 * one.total_dense_macs());
         assert_eq!(both.total_sparse_macs(), 2 * one.total_sparse_macs());
-    }
-
-    #[test]
-    fn weight_update_is_negligible() {
-        // The paper's §II justification for ignoring the Weight Update
-        // stage: its element ops are a tiny fraction of the training MACs
-        // (here <2% even for this small layer; real networks are far
-        // lower because MACs scale with spatial size and update does not).
-        let mut trace = NetworkTrace::new("m", "d");
-        trace.layers.push(LayerTrace::Conv(conv_trace(2)));
-        let update = weight_update_ops(&trace);
-        let training = 3 * trace.dense_macs();
-        assert!(
-            (update as f64) < 0.02 * training as f64,
-            "weight update {update} not negligible vs {training}"
-        );
     }
 
     #[test]

@@ -20,14 +20,12 @@ pub mod analysis;
 pub mod asm;
 pub mod compiler;
 pub mod encoding;
-pub mod execute;
 pub mod ops;
 pub mod synth;
 pub mod trace;
 pub mod trace_io;
 
 pub use compiler::{compile, Instr, Program};
-pub use execute::{execute_conv, ExecutedConv};
 pub use ops::{
     for_each_forward_op, for_each_gta_op, for_each_gtw_op, MsrcOp, OsrcOp, SrcOp, StepKind, TaskId,
 };

@@ -18,9 +18,8 @@
 //! The stochastic draws come from counter-based RNG streams keyed by each
 //! element's training-run coordinates ([`stream`]): pruning is a pure
 //! function of the gradients and the `(seed, epoch, step, site, sample,
-//! offset)` ladder, bitwise-identical at every thread count and on every
-//! kernel engine, and prunable batch-parallel through
-//! [`LayerPruner::prune_batch_parts_on`].
+//! offset)` ladder, so the one pass ([`prune_pass`]) bands its sweep across
+//! the rayon pool and stays bitwise-identical at every band count.
 
 pub mod diagnostics;
 pub mod fifo;
@@ -35,7 +34,7 @@ pub use diagnostics::DistributionSummary;
 pub use fifo::ThresholdFifo;
 pub use predictor::{EmaPredictor, FifoPredictor, LastValuePredictor, ThresholdPredictor};
 pub use pruner::{
-    shard_prune_parts_on, LayerPruner, PruneConfig, PruneStats, PrunerRestoreError, PrunerSnapshot, SiteStats,
+    prune_pass, LayerPruner, PruneConfig, PruneStats, PrunerRestoreError, PrunerSnapshot, SiteStats,
 };
 pub use stochastic::{prune_slice, prune_slice_at, PruneOutcome};
 pub use stream::{BatchStream, StepStreams, StreamSeeds, SHARD_DOMAIN};

@@ -191,11 +191,6 @@ pub struct PredictionReport {
 }
 
 impl PredictionReport {
-    /// Mean absolute error, if any batch was scored.
-    pub fn mean_abs_error(&self) -> Option<f64> {
-        (self.scored > 0).then(|| self.abs_error_sum / self.scored as f64)
-    }
-
     /// Mean absolute *relative* error, if any batch was scored.
     pub fn mean_abs_rel_error(&self) -> Option<f64> {
         (self.scored > 0).then(|| self.rel_error_sum / self.scored as f64)
@@ -296,7 +291,7 @@ mod tests {
         let r = evaluate_predictor(&mut FifoPredictor::new(3), &taus);
         assert_eq!(r.cold, 3);
         assert_eq!(r.scored, 1);
-        assert_eq!(r.mean_abs_error(), Some(0.0));
+        assert_eq!(r.abs_error_sum, 0.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use super::fifo::ThresholdFifo;
 use super::stochastic::{abs_sum_nonzeros, prune_slice_at, PruneOutcome};
 use super::stream::BatchStream;
 use super::threshold::{determine_threshold, sigma_hat};
-use sparsetrain_sparse::KernelEngine;
+use sparsetrain_sparse::engine::{bands_for, for_each_band};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -109,7 +109,7 @@ fn add_outcomes(a: PruneOutcome, b: PruneOutcome) -> PruneOutcome {
 /// What one pruned batch (or one shard of it) contributes to a
 /// [`LayerPruner`]'s state: the `Σ|g|` of the incoming gradients, their
 /// count, and the prune outcome. Produced worker-side by
-/// [`shard_prune_parts_on`], reduced in fixed granule order by a shard
+/// [`prune_pass`], reduced in fixed granule order by a shard
 /// coordinator ([`SiteStats::accumulate`] — `abs_sum` is an f64 sum, so
 /// the order is part of the result), and absorbed into the authoritative
 /// pruner by [`LayerPruner::absorb_batch`].
@@ -208,34 +208,7 @@ impl LayerPruner {
     /// sample under [`BatchStream::per_sample`], one contiguous stream
     /// (invariant to the split points) under [`BatchStream::contiguous`].
     pub fn prune_batch_parts(&mut self, parts: &mut [&mut [f32]], stream: &BatchStream) -> PruneOutcome {
-        self.prune_parts_impl(parts, stream, None)
-    }
-
-    /// Like [`LayerPruner::prune_batch_parts`], but the pruning pass runs
-    /// through `engine`'s batched element path
-    /// ([`KernelEngine::for_each_batch_chunk`]), banding the `samples ×
-    /// elements` space across workers on parallel engines. Because every
-    /// draw is keyed by position, the result is bitwise-identical to the
-    /// sequential [`LayerPruner::prune_batch_parts`] on every engine and
-    /// at every thread count.
-    pub fn prune_batch_parts_on(
-        &mut self,
-        parts: &mut [&mut [f32]],
-        stream: &BatchStream,
-        engine: &dyn KernelEngine,
-    ) -> PruneOutcome {
-        self.prune_parts_impl(parts, stream, Some(engine))
-    }
-
-    /// One stepped batch: the stateless pass under this pruner's own
-    /// prediction, then [`LayerPruner::absorb_batch`] of what it returned.
-    fn prune_parts_impl(
-        &mut self,
-        parts: &mut [&mut [f32]],
-        stream: &BatchStream,
-        engine: Option<&dyn KernelEngine>,
-    ) -> PruneOutcome {
-        let stats = prune_pass(self.predicted_threshold(), parts, stream, engine);
+        let stats = prune_pass(self.predicted_threshold(), parts, stream);
         self.absorb_batch(&stats);
         stats.outcome
     }
@@ -243,10 +216,10 @@ impl LayerPruner {
     /// Advances the pruner's state by one batch whose prune pass already
     /// happened elsewhere — the coordinator side of a sharded step. The
     /// workers prune statelessly under this pruner's
-    /// [`LayerPruner::predicted_threshold`] (via [`shard_prune_parts_on`])
+    /// [`LayerPruner::predicted_threshold`] (via [`prune_pass`])
     /// and the coordinator reduces their [`SiteStats`] in fixed granule
     /// order before absorbing them here. The in-process stepping path
-    /// ([`LayerPruner::prune_batch_parts_on`]) is that same pass followed
+    /// ([`LayerPruner::prune_batch_parts`]) is that same pass followed
     /// by this call, so one absorbed batch is indistinguishable from one
     /// pruned batch.
     pub fn absorb_batch(&mut self, batch: &SiteStats) {
@@ -429,28 +402,34 @@ pub struct PrunerSnapshot {
 /// whole-batch run's draws. The `Σ|g|` accumulation visits parts in
 /// order, so a granule-ordered reduction of the returned stats reproduces
 /// the whole-batch sum bitwise when each granule is one part.
-pub fn shard_prune_parts_on(
-    tau: Option<f64>,
-    parts: &mut [&mut [f32]],
-    stream: &BatchStream,
-    engine: &dyn KernelEngine,
-) -> SiteStats {
-    prune_pass(tau, parts, stream, Some(engine))
+///
+/// The snap/zero sweep is banded across the rayon pool when the site is
+/// large enough to amortize it ([`bands_for`]); every draw is keyed by its
+/// element's position, so the result is bitwise-identical at every band
+/// count.
+pub fn prune_pass(tau: Option<f64>, parts: &mut [&mut [f32]], stream: &BatchStream) -> SiteStats {
+    let elements: usize = parts.iter().map(|part| part.len()).sum();
+    // A position-keyed element visit costs a handful of MACs' worth of
+    // work (one counter-based draw at most); weight elements accordingly.
+    let bands = bands_for(elements, elements.saturating_mul(8));
+    prune_pass_in_bands(tau, parts, stream, bands)
 }
 
-/// [`shard_prune_parts_on`] with the sequential reference (`engine: None`)
-/// still selectable.
-fn prune_pass(
+/// [`prune_pass`] with the sweep's band count given instead of sized from
+/// the pool — for the band-count invariance test and the `pruning` bench
+/// group, which must compare band counts inside one process.
+#[doc(hidden)]
+pub fn prune_pass_in_bands(
     tau: Option<f64>,
     parts: &mut [&mut [f32]],
     stream: &BatchStream,
-    engine: Option<&dyn KernelEngine>,
+    bands: usize,
 ) -> SiteStats {
     // Σ|g| accumulates over the incoming (un-pruned) gradients — in
     // hardware the PPU taps the stream before the pruning stage — and,
     // like the PPU, touches the non-zeros only. It is a floating-point sum
     // (element order within a part, parts in order), so it stays here,
-    // ahead of the snap/zero sweep that an engine may band in any order.
+    // ahead of the snap/zero sweep whose bands run in any order.
     let mut abs_sum = 0.0f64;
     let mut n = 0usize;
     let mut nonzeros = 0usize;
@@ -461,7 +440,7 @@ fn prune_pass(
         n += part.len();
     }
     let outcome = match tau {
-        Some(tau) if tau > 0.0 => prune_parts_under(parts, tau, stream, engine),
+        Some(tau) if tau > 0.0 => prune_parts_under(parts, tau, stream, bands),
         // Pass-through (cold FIFO or disabled pruning): nothing changes,
         // the natural zero pattern is still counted.
         _ => PruneOutcome {
@@ -478,17 +457,10 @@ fn prune_pass(
 }
 
 /// Prunes `parts` under the fixed threshold `tau` with `stream`'s
-/// coordinates — sequentially, or banded through `engine`'s batched
-/// element path; bitwise-identical either way because every draw is keyed
-/// by position.
-fn prune_parts_under(
-    parts: &mut [&mut [f32]],
-    tau: f64,
-    stream: &BatchStream,
-    engine: Option<&dyn KernelEngine>,
-) -> PruneOutcome {
+/// coordinates, the element space cut into `bands`.
+fn prune_parts_under(parts: &mut [&mut [f32]], tau: f64, stream: &BatchStream, bands: usize) -> PruneOutcome {
     // Every part's stream coordinates are fixed before pruning starts,
-    // so the pass below may visit parts in any order or in chunks.
+    // so the sweep below may visit the parts' pieces in any order.
     let coords: Vec<(rand::stream::StreamKey, u64)> = {
         let mut before = 0u64;
         parts
@@ -501,36 +473,25 @@ fn prune_parts_under(
             })
             .collect()
     };
-    match engine {
-        None => {
-            let mut total = PruneOutcome::default();
-            for (part, &(key, base)) in parts.iter_mut().zip(&coords) {
-                total = add_outcomes(total, prune_slice_at(part, tau, key, base));
-            }
-            total
-        }
-        Some(engine) => {
-            // Outcome counts are order-free sums, so relaxed atomics keep
-            // the banded pass deterministic; the values are, because
-            // `prune_slice_at` evaluates each draw at the element's own
-            // position wherever the engine cuts its chunks.
-            let kept = AtomicUsize::new(0);
-            let snapped = AtomicUsize::new(0);
-            let zeroed = AtomicUsize::new(0);
-            let views: Vec<&mut [f32]> = parts.iter_mut().map(|p| &mut **p).collect();
-            engine.for_each_batch_chunk(views, &|s, offset, chunk| {
-                let (key, base) = coords[s];
-                let out = prune_slice_at(chunk, tau, key, base + offset as u64);
-                kept.fetch_add(out.kept, Ordering::Relaxed);
-                snapped.fetch_add(out.snapped, Ordering::Relaxed);
-                zeroed.fetch_add(out.zeroed, Ordering::Relaxed);
-            });
-            PruneOutcome {
-                kept: kept.into_inner(),
-                snapped: snapped.into_inner(),
-                zeroed: zeroed.into_inner(),
-            }
-        }
+    // Outcome counts are order-free sums, so relaxed atomics keep the
+    // banded pass deterministic; the values are, because `prune_slice_at`
+    // evaluates each draw at the element's own position wherever the
+    // splitter cuts its pieces.
+    let kept = AtomicUsize::new(0);
+    let snapped = AtomicUsize::new(0);
+    let zeroed = AtomicUsize::new(0);
+    let views: Vec<&mut [f32]> = parts.iter_mut().map(|p| &mut **p).collect();
+    for_each_band(views, 1, bands, &|s, offset, piece| {
+        let (key, base) = coords[s];
+        let out = prune_slice_at(piece, tau, key, base + offset as u64);
+        kept.fetch_add(out.kept, Ordering::Relaxed);
+        snapped.fetch_add(out.snapped, Ordering::Relaxed);
+        zeroed.fetch_add(out.zeroed, Ordering::Relaxed);
+    });
+    PruneOutcome {
+        kept: kept.into_inner(),
+        snapped: snapped.into_inner(),
+        zeroed: zeroed.into_inner(),
     }
 }
 
@@ -660,7 +621,6 @@ mod tests {
         // (`&self`, so statelessness is type-enforced); what needs pinning
         // is that its *values* equal the stepping path's under the same
         // threshold and streams.
-        use sparsetrain_sparse::ScalarEngine;
         let mut rng = StdRng::seed_from_u64(7);
         let mut pruner = LayerPruner::new(PruneConfig::new(0.9, 1));
         let mut warm = normal_batch(&mut rng, 2000, 0.05);
@@ -669,16 +629,16 @@ mod tests {
         let batch = normal_batch(&mut rng, 2000, 0.05);
         let mut previewed = batch.clone();
         let tau = pruner.predicted_threshold();
-        let out_p = shard_prune_parts_on(tau, &mut [&mut previewed], &stream(1), &ScalarEngine).outcome;
+        let out_p = prune_pass(tau, &mut [&mut previewed], &stream(1)).outcome;
         let mut stepped = batch.clone();
-        let out_s = pruner.prune_batch_parts_on(&mut [&mut stepped], &stream(1), &ScalarEngine);
+        let out_s = pruner.prune_batch(&mut stepped, &stream(1));
         assert_eq!(previewed, stepped, "preview diverged from the stepping prune");
         assert_eq!(out_p, out_s);
         // A cold pruner's preview is a pass-through.
         let cold = LayerPruner::new(PruneConfig::new(0.9, 4));
         let mut untouched = batch.clone();
         let tau = cold.predicted_threshold();
-        let out = shard_prune_parts_on(tau, &mut [&mut untouched], &stream(2), &ScalarEngine).outcome;
+        let out = prune_pass(tau, &mut [&mut untouched], &stream(2)).outcome;
         assert_eq!(untouched, batch);
         assert_eq!(out.snapped, 0);
     }
@@ -770,12 +730,11 @@ mod tests {
     #[test]
     fn sharded_prune_and_absorb_match_the_stepping_path() {
         // The sharded decomposition — workers prune statelessly under the
-        // broadcast prediction via `shard_prune_parts_on`, the coordinator
+        // broadcast prediction via `prune_pass`, the coordinator
         // reduces their stats in granule order and `absorb_batch`es them —
         // must be indistinguishable from the in-process stepping path:
         // same pruned values, same FIFO, same statistics, over a sequence
         // of batches (so the FIFO warms and predictions flow through).
-        use sparsetrain_sparse::ScalarEngine;
         let mut rng = StdRng::seed_from_u64(8);
         let batches: Vec<Vec<Vec<f32>>> = (0..6)
             .map(|_| (0..5).map(|_| normal_batch(&mut rng, 400, 0.05)).collect())
@@ -788,7 +747,7 @@ mod tests {
 
             let mut want = batch.clone();
             let mut parts: Vec<&mut [f32]> = want.iter_mut().map(|v| v.as_mut_slice()).collect();
-            legacy.prune_batch_parts_on(&mut parts, &BatchStream::per_sample(key), &ScalarEngine);
+            legacy.prune_batch_parts(&mut parts, &BatchStream::per_sample(key));
 
             // Sharded: one granule per sample, each pruned on its own
             // base-shifted stream slice as a worker would, reduced in
@@ -798,7 +757,7 @@ mod tests {
             let mut reduced = SiteStats::default();
             for (s, sample) in got.iter_mut().enumerate() {
                 let slice = BatchStream::per_sample(key).with_base(s as u64);
-                let stats = shard_prune_parts_on(tau, &mut [sample.as_mut_slice()], &slice, &ScalarEngine);
+                let stats = prune_pass(tau, &mut [sample.as_mut_slice()], &slice);
                 reduced.accumulate(&stats);
             }
             sharded.absorb_batch(&reduced);
@@ -814,9 +773,7 @@ mod tests {
         // Σ|g| visits the non-zeros only; it must still be, bit for bit,
         // the left-to-right sum over every element of each part, parts in
         // order — the zeros (of either sign) it skips would each have
-        // added +0.0. Pass-through and pruning passes, sequential and
-        // banded over four threads.
-        use sparsetrain_sparse::ParallelEngine;
+        // added +0.0. Pass-through and pruning passes.
         let mut rng = StdRng::seed_from_u64(9);
         // Part lengths around the sweep's 64-element run, an empty part,
         // an all-zero part, and one left dense.
@@ -840,67 +797,17 @@ mod tests {
         }
         let elements: usize = data.iter().map(Vec::len).sum();
         let nonzeros = data.iter().flatten().filter(|&&g| g != 0.0).count();
-        let four_threads = ParallelEngine::with_threads(4);
-        let engines: [Option<&dyn KernelEngine>; 2] = [None, Some(&four_threads)];
         for tau in [None, Some(0.04)] {
-            for engine in engines {
-                let mut work = data.clone();
-                let mut parts: Vec<&mut [f32]> = work.iter_mut().map(|v| v.as_mut_slice()).collect();
-                let stats = prune_pass(tau, &mut parts, &stream(0), engine);
-                let ctx = format!("τ {tau:?}, banded {}", engine.is_some());
-                assert_eq!(stats.abs_sum.to_bits(), want.to_bits(), "{ctx}");
-                assert_eq!(stats.elements, elements, "{ctx}");
-                assert_eq!(stats.outcome.total(), elements, "{ctx}");
-                match tau {
-                    None => assert_eq!(
-                        (stats.outcome.kept, stats.outcome.snapped),
-                        (nonzeros, 0),
-                        "{ctx}"
-                    ),
-                    Some(_) => assert!(stats.outcome.snapped > 0, "{ctx}"),
-                }
+            let mut work = data.clone();
+            let mut parts: Vec<&mut [f32]> = work.iter_mut().map(|v| v.as_mut_slice()).collect();
+            let stats = prune_pass(tau, &mut parts, &stream(0));
+            assert_eq!(stats.abs_sum.to_bits(), want.to_bits(), "τ {tau:?}");
+            assert_eq!(stats.elements, elements, "τ {tau:?}");
+            assert_eq!(stats.outcome.total(), elements, "τ {tau:?}");
+            match tau {
+                None => assert_eq!((stats.outcome.kept, stats.outcome.snapped), (nonzeros, 0)),
+                Some(_) => assert!(stats.outcome.snapped > 0),
             }
-        }
-    }
-
-    #[test]
-    fn engine_banded_prune_matches_sequential() {
-        use sparsetrain_sparse::{ParallelEngine, ScalarEngine};
-        let mut rng = StdRng::seed_from_u64(6);
-        let batches: Vec<Vec<Vec<f32>>> = (0..6)
-            .map(|_| (0..4).map(|_| normal_batch(&mut rng, 700, 0.05)).collect())
-            .collect();
-        let engines: [&dyn KernelEngine; 3] = [
-            &ScalarEngine,
-            &ParallelEngine::with_threads(1),
-            &ParallelEngine::with_threads(4),
-        ];
-        let run = |engine: Option<&dyn KernelEngine>| -> (Vec<Vec<Vec<f32>>>, Vec<PruneOutcome>) {
-            let mut pruner = LayerPruner::new(PruneConfig::new(0.9, 2));
-            let mut outs = Vec::new();
-            let mut pruned = Vec::new();
-            for (step, batch) in batches.iter().enumerate() {
-                let mut data = batch.clone();
-                let mut parts: Vec<&mut [f32]> = data.iter_mut().map(|v| v.as_mut_slice()).collect();
-                let s = BatchStream::per_sample(StreamKey::new(1).derive(step as u64));
-                outs.push(match engine {
-                    None => pruner.prune_batch_parts(&mut parts, &s),
-                    Some(e) => pruner.prune_batch_parts_on(&mut parts, &s, e),
-                });
-                pruned.push(data);
-            }
-            (pruned, outs)
-        };
-        let (want_data, want_outs) = run(None);
-        for engine in engines {
-            let (data, outs) = run(Some(engine));
-            assert_eq!(data, want_data, "engine {} diverged", engine.name());
-            assert_eq!(
-                outs,
-                want_outs,
-                "engine {} outcome counts diverged",
-                engine.name()
-            );
         }
     }
 }

@@ -20,11 +20,10 @@
 //!
 //! Consequences, all by construction rather than by careful locking:
 //!
-//! * **Thread-count invariance** — banding the element space across any
-//!   number of workers is bitwise-identical to the sequential visit.
-//! * **Engine invariance** — every [`sparsetrain_sparse::KernelEngine`]
-//!   produces the same pruned tensors, because none of them can reorder a
-//!   draw's coordinates.
+//! * **Band-count invariance** — banding the element space across any
+//!   number of workers is bitwise-identical to the sequential visit, so
+//!   the pruned tensors do not depend on the rayon pool (nor on the kernel
+//!   engine, which the pruner never sees).
 //! * **Sample independence** — with the [`BatchStream::per_sample`]
 //!   layout, removing a sample from a batch leaves every other sample's
 //!   pruning decisions untouched.
@@ -131,11 +130,6 @@ impl StepStreams {
                 .derive(step),
             sample_base: 0,
         }
-    }
-
-    /// Coordinates from an already-derived key (tests, custom ladders).
-    pub const fn from_key(key: StreamKey) -> Self {
-        Self { key, sample_base: 0 }
     }
 
     /// The same step coordinates, with every site's batch stream shifted

@@ -5,9 +5,8 @@
 //! each element's `(stream key, position)` coordinates, so the pruned
 //! gradients are bitwise-identical
 //!
-//! * across thread counts (1 vs 4 worker bands, and auto),
-//! * across sequential vs engine-banded execution on every registered
-//!   engine (`scalar`, `parallel`, `fixed`, …),
+//! * across band counts of the snap/zero sweep (1 / 2 / 3 / 4 / 7 bands,
+//!   and the pool-sized count `prune_pass` picks itself),
 //! * across the split points of a contiguous batch
 //!   (`prune_batch_parts` over any partition == the whole-slice prune),
 //!
@@ -16,8 +15,10 @@
 
 use proptest::prelude::*;
 use rand::stream::StreamKey;
-use sparsetrain_core::prune::{prune_slice_at, BatchStream, LayerPruner, PruneConfig, PruneOutcome};
-use sparsetrain_sparse::{registry, ParallelEngine};
+use sparsetrain_core::prune::pruner::prune_pass_in_bands;
+use sparsetrain_core::prune::{
+    prune_pass, prune_slice_at, BatchStream, LayerPruner, PruneConfig, PruneOutcome,
+};
 
 /// Sparse-ish gradient values spanning the keep/snap/zero regimes for the
 /// thresholds the tests use.
@@ -92,47 +93,35 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Banding across 1 vs 4 worker threads (and auto sizing) is
-    /// bitwise-identical to the sequential prune.
+    /// However many bands the snap/zero sweep is cut into — the pool-sized
+    /// count included — the pruned values, the outcome counts and `Σ|g|`
+    /// are bitwise those of the one-band pass; and under a contiguous
+    /// stream the values and counts are those of the whole-slice prune of
+    /// the concatenated parts (`Σ|g|` is summed part by part, so its bits
+    /// belong to the partition, not to the band count).
     #[test]
-    fn thread_count_invariance(batch in arb_batch(), warm in arb_grads(400)) {
-        let stream = BatchStream::per_sample(StreamKey::new(3).derive(1));
-        let mut want_data = batch.clone();
-        let want_out = {
-            let mut parts: Vec<&mut [f32]> = want_data.iter_mut().map(|v| v.as_mut_slice()).collect();
-            warmed(0.9, &warm).prune_batch_parts(&mut parts, &stream)
-        };
-        for threads in [1usize, 4, 0] {
-            let engine = if threads == 0 {
-                ParallelEngine::auto()
-            } else {
-                ParallelEngine::with_threads(threads)
+    fn band_count_invariance(batch in arb_batch(), tau in 0.005f64..0.05, contiguous in any::<bool>()) {
+        let key = StreamKey::new(3).derive(1);
+        let stream = if contiguous { BatchStream::contiguous(key) } else { BatchStream::per_sample(key) };
+        let run = |bands: Option<usize>| {
+            let mut data = batch.clone();
+            let mut parts: Vec<&mut [f32]> = data.iter_mut().map(|v| v.as_mut_slice()).collect();
+            let stats = match bands {
+                Some(bands) => prune_pass_in_bands(Some(tau), &mut parts, &stream, bands),
+                None => prune_pass(Some(tau), &mut parts, &stream),
             };
-            let mut data = batch.clone();
-            let mut parts: Vec<&mut [f32]> = data.iter_mut().map(|v| v.as_mut_slice()).collect();
-            let out = warmed(0.9, &warm).prune_batch_parts_on(&mut parts, &stream, &engine);
-            prop_assert_eq!(&data, &want_data, "threads {} diverged", threads);
-            prop_assert_eq!(out, want_out, "threads {} outcome diverged", threads);
+            let bits: Vec<u32> = data.iter().flatten().map(|v| v.to_bits()).collect();
+            (bits, stats.outcome, stats.elements, stats.abs_sum.to_bits())
+        };
+        let want = run(Some(1));
+        for bands in [Some(2), Some(3), Some(4), Some(7), None] {
+            prop_assert_eq!(&run(bands), &want, "{:?} bands diverged", bands);
         }
-    }
-
-    /// Every registered engine's banded prune path equals the sequential
-    /// golden, bitwise — including backends whose *convolution* datapath
-    /// differs (the fixed-point engine), because pruning is position-keyed
-    /// element work, not arithmetic the engine may re-model.
-    #[test]
-    fn engine_invariance(batch in arb_batch(), warm in arb_grads(400)) {
-        let stream = BatchStream::per_sample(StreamKey::new(5).derive(2));
-        let mut want = batch.clone();
-        {
-            let mut parts: Vec<&mut [f32]> = want.iter_mut().map(|v| v.as_mut_slice()).collect();
-            warmed(0.9, &warm).prune_batch_parts(&mut parts, &stream);
-        }
-        for handle in registry::registry() {
-            let mut data = batch.clone();
-            let mut parts: Vec<&mut [f32]> = data.iter_mut().map(|v| v.as_mut_slice()).collect();
-            warmed(0.9, &warm).prune_batch_parts_on(&mut parts, &stream, handle.engine());
-            prop_assert_eq!(&data, &want, "engine {} diverged", handle.name());
+        if contiguous {
+            let mut whole: Vec<f32> = batch.concat();
+            let stats = prune_pass_in_bands(Some(tau), &mut [&mut whole], &stream, 1);
+            let bits: Vec<u32> = whole.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!((&bits, stats.outcome, stats.elements), (&want.0, want.1, want.2));
         }
     }
 

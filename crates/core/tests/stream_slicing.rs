@@ -12,10 +12,7 @@
 
 use proptest::prelude::*;
 use rand::stream::StreamKey;
-use sparsetrain_core::prune::{
-    shard_prune_parts_on, BatchStream, LayerPruner, PruneConfig, SiteStats, StepStreams,
-};
-use sparsetrain_sparse::ScalarEngine;
+use sparsetrain_core::prune::{prune_pass, BatchStream, LayerPruner, PruneConfig, SiteStats, StepStreams};
 
 /// Deterministically generated gradient batch spanning the keep/snap/zero
 /// regimes (proptest shrinks the *shape*, the values are seed-derived).
@@ -75,7 +72,7 @@ proptest! {
         let mut want = batch.clone();
         {
             let mut parts: Vec<&mut [f32]> = want.iter_mut().map(|v| v.as_mut_slice()).collect();
-            shard_prune_parts_on(Some(tau), &mut parts, &site, &ScalarEngine);
+            prune_pass(Some(tau), &mut parts, &site);
         }
 
         for (start, end) in contiguous_ranges(samples, workers, drop_tail.min(samples - 1)) {
@@ -83,7 +80,7 @@ proptest! {
             let sliced_site = step.with_sample_base(start as u64).site("conv1");
             let mut parts: Vec<&mut [f32]> =
                 slice.iter_mut().map(|v| v.as_mut_slice()).collect();
-            shard_prune_parts_on(Some(tau), &mut parts, &sliced_site, &ScalarEngine);
+            prune_pass(Some(tau), &mut parts, &sliced_site);
             prop_assert_eq!(
                 &slice[..],
                 &want[start..end],
@@ -108,12 +105,12 @@ proptest! {
         let stream = BatchStream::contiguous(StreamKey::new(seed).derive(7));
 
         let mut want = flat.clone();
-        shard_prune_parts_on(Some(tau), &mut [want.as_mut_slice()], &stream, &ScalarEngine);
+        prune_pass(Some(tau), &mut [want.as_mut_slice()], &stream);
 
         for (start, end) in contiguous_ranges(len, workers, 0) {
             let mut piece = flat[start..end].to_vec();
             let based = stream.with_base(start as u64);
-            shard_prune_parts_on(Some(tau), &mut [piece.as_mut_slice()], &based, &ScalarEngine);
+            prune_pass(Some(tau), &mut [piece.as_mut_slice()], &based);
             prop_assert_eq!(
                 &piece[..],
                 &want[start..end],
@@ -150,12 +147,7 @@ proptest! {
             let mut reduced = SiteStats::default();
             for (s, sample) in want.iter_mut().enumerate() {
                 let site = seeds_single.streams().with_sample_base(s as u64).site("fc");
-                reduced.accumulate(&shard_prune_parts_on(
-                    tau,
-                    &mut [sample.as_mut_slice()],
-                    &site,
-                    &ScalarEngine,
-                ));
+                reduced.accumulate(&prune_pass(tau, &mut [sample.as_mut_slice()], &site));
             }
             single.absorb_batch(&reduced);
             seeds_single.advance_step();
@@ -168,12 +160,7 @@ proptest! {
             for (start, end) in contiguous_ranges(samples, workers, 0) {
                 for s in start..end {
                     let site = seeds_sharded.streams().with_sample_base(s as u64).site("fc");
-                    let st = shard_prune_parts_on(
-                        tau,
-                        &mut [got[s].as_mut_slice()],
-                        &site,
-                        &ScalarEngine,
-                    );
+                    let st = prune_pass(tau, &mut [got[s].as_mut_slice()], &site);
                     stats.push((s, st));
                 }
             }

@@ -10,20 +10,20 @@
 use crate::layer::{Batch, Layer};
 use sparsetrain_checkpoint::{LayerState, PrunerState};
 use sparsetrain_core::prune::{
-    shard_prune_parts_on, LayerPruner, PruneConfig, PruneOutcome, PrunerSnapshot, SiteStats, StepStreams,
+    prune_pass, LayerPruner, PruneConfig, PruneOutcome, PrunerSnapshot, SiteStats, StepStreams,
 };
 use sparsetrain_sparse::ExecutionContext;
 use sparsetrain_tensor::Tensor3;
 
 /// A pruning point in the backward graph.
 ///
-/// The prune executes through the [`ExecutionContext`]'s engine: each
-/// sample of the batch draws from its own counter-based RNG stream
+/// Each sample of the batch draws from its own counter-based RNG stream
 /// (derived from the step's [`StepStreams`] by this hook's name and the
-/// sample index), so the engine may band the `samples × elements` space
-/// across threads and the pruned gradients stay bitwise-identical to the
-/// sequential order on every engine and at every thread count. Dropping a
-/// sample from a batch leaves every other sample's decisions unchanged.
+/// sample index), so [`prune_pass`] may band the `samples × elements`
+/// space across the rayon pool and the pruned gradients stay
+/// bitwise-identical to the sequential order at every thread count — the
+/// session's engine plays no part. Dropping a sample from a batch leaves
+/// every other sample's decisions unchanged.
 #[derive(Clone)]
 pub struct PruneHook {
     name: String,
@@ -62,11 +62,6 @@ impl PruneHook {
         }
     }
 
-    /// Whether pruning is active.
-    pub fn is_enabled(&self) -> bool {
-        self.pruner.is_some()
-    }
-
     /// Access to the underlying pruner's statistics.
     pub fn pruner(&self) -> Option<&LayerPruner> {
         self.pruner.as_ref()
@@ -85,7 +80,7 @@ impl Layer for PruneHook {
     fn backward(
         &mut self,
         mut grads: Vec<Tensor3>,
-        ctx: &mut ExecutionContext,
+        _ctx: &mut ExecutionContext,
         streams: &StepStreams,
     ) -> Vec<Tensor3> {
         if self.tap_enabled {
@@ -113,7 +108,7 @@ impl Layer for PruneHook {
                 Some(shard) if !self.frozen => shard.tau,
                 _ => pruner.predicted_threshold(),
             };
-            let stats = shard_prune_parts_on(tau, &mut parts, &stream, ctx.engine());
+            let stats = prune_pass(tau, &mut parts, &stream);
             if !self.frozen {
                 match &mut self.shard {
                     Some(shard) => shard.recorded.push(stats),
@@ -285,7 +280,7 @@ mod tests {
         let before = grads.clone();
         let after = hook.backward(grads, &mut ExecutionContext::scalar(), &step(0));
         assert_eq!(after, before);
-        assert!(!hook.is_enabled());
+        assert!(hook.pruner().is_none());
     }
 
     #[test]
@@ -359,27 +354,6 @@ mod tests {
         hook.grad_densities(&mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].1 > 0.0 && out[0].1 <= 1.0);
-    }
-
-    #[test]
-    fn pruning_is_engine_invariant_and_repeatable() {
-        // The same step coordinates must give bitwise-identical pruned
-        // gradients on every context engine — and on repeat runs.
-        let mut rng = StdRng::seed_from_u64(4);
-        let grads = batch(&mut rng, 3);
-        let run = |engine: &str| -> Vec<Vec<f32>> {
-            let mut hook = PruneHook::new("h", Some(PruneConfig::new(0.9, 1)));
-            let mut ctx = ExecutionContext::by_name(engine).unwrap();
-            hook.backward(grads.clone(), &mut ctx, &step(0)); // warm
-            hook.backward(grads.clone(), &mut ctx, &step(1))
-                .into_iter()
-                .map(|g| g.as_slice().to_vec())
-                .collect()
-        };
-        let scalar = run("scalar");
-        assert_eq!(run("scalar"), scalar, "repeat run diverged");
-        assert_eq!(run("parallel"), scalar, "parallel engine diverged");
-        assert_eq!(run("fixed"), scalar, "fixed engine diverged");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Table II reports top-1 accuracy; the convergence study (§VI-B) needs a
 //! finer view to show that pruned and unpruned runs agree not just in the
 //! headline number but in *which* classes they learn. This module
-//! provides top-k accuracy and a confusion matrix with the derived
-//! per-class precision / recall / F1.
+//! provides a confusion matrix with the derived per-class precision /
+//! recall / F1.
 //!
 //! # Example
 //!
@@ -18,40 +18,6 @@
 //! assert_eq!(cm.accuracy(), 2.0 / 3.0);
 //! assert_eq!(cm.recall(2), Some(0.0));
 //! ```
-
-/// Whether `label` is among the `k` largest logits.
-///
-/// Ties are broken pessimistically: a logit equal to the label's own
-/// counts against it, so the result never overstates accuracy.
-pub fn in_top_k(logits: &[f32], label: usize, k: usize) -> bool {
-    if label >= logits.len() || k == 0 {
-        return false;
-    }
-    let own = logits[label];
-    let better = logits
-        .iter()
-        .enumerate()
-        .filter(|&(i, &v)| i != label && v >= own)
-        .count();
-    better < k
-}
-
-/// Top-k accuracy over an iterator of `(logits, label)` pairs
-/// (`None` when the iterator is empty).
-pub fn top_k_accuracy<'a, I>(pairs: I, k: usize) -> Option<f64>
-where
-    I: IntoIterator<Item = (&'a [f32], usize)>,
-{
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    for (logits, label) in pairs {
-        total += 1;
-        if in_top_k(logits, label, k) {
-            hits += 1;
-        }
-    }
-    (total > 0).then(|| hits as f64 / total as f64)
-}
 
 /// A square confusion matrix: `count(true class, predicted class)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,13 +109,6 @@ impl ConfusionMatrix {
             return None;
         }
         Some(2.0 * p * r / (p + r))
-    }
-
-    /// Macro-averaged F1 over the classes where F1 is defined (`None`
-    /// when it is defined nowhere).
-    pub fn macro_f1(&self) -> Option<f64> {
-        let scores: Vec<f64> = (0..self.classes).filter_map(|c| self.f1(c)).collect();
-        (!scores.is_empty()).then(|| scores.iter().sum::<f64>() / scores.len() as f64)
     }
 
     /// Merges another matrix into this one.
@@ -414,11 +373,6 @@ impl MetricStore {
         self.record_latency = enable;
     }
 
-    /// Whether step latency is being recorded.
-    pub fn records_latency(&self) -> bool {
-        self.record_latency
-    }
-
     /// Appends one record (and writes its jsonl line, if a path is set).
     ///
     /// # Panics
@@ -580,38 +534,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn top1_matches_argmax() {
-        let logits = [0.1f32, 0.9, 0.3];
-        assert!(in_top_k(&logits, 1, 1));
-        assert!(!in_top_k(&logits, 0, 1));
-        assert!(in_top_k(&logits, 2, 2));
-        assert!(!in_top_k(&logits, 0, 2));
-        assert!(in_top_k(&logits, 0, 3));
-    }
-
-    #[test]
-    fn ties_count_against_the_label() {
-        let logits = [0.5f32, 0.5];
-        assert!(!in_top_k(&logits, 0, 1), "tie must not count as a hit");
-        assert!(in_top_k(&logits, 0, 2));
-    }
-
-    #[test]
-    fn top_k_edge_cases() {
-        assert!(!in_top_k(&[0.1], 5, 1), "out-of-range label");
-        assert!(!in_top_k(&[0.1], 0, 0), "k = 0 hits nothing");
-        assert_eq!(top_k_accuracy(std::iter::empty(), 1), None);
-    }
-
-    #[test]
-    fn top_k_accuracy_averages() {
-        let a = [1.0f32, 0.0];
-        let b = [0.0f32, 1.0];
-        let pairs = vec![(&a[..], 0usize), (&b[..], 0usize)];
-        assert_eq!(top_k_accuracy(pairs, 1), Some(0.5));
-    }
-
-    #[test]
     fn confusion_matrix_basic_counts() {
         let mut cm = ConfusionMatrix::new(2);
         cm.record(0, 0);
@@ -640,7 +562,6 @@ mod tests {
         // Class 2 never occurred as truth: recall undefined.
         assert_eq!(cm.recall(2), None);
         assert_eq!(cm.f1(2), None);
-        assert!(cm.macro_f1().is_some());
     }
 
     #[test]
@@ -652,7 +573,6 @@ mod tests {
             }
         }
         assert_eq!(cm.accuracy(), 1.0);
-        assert_eq!(cm.macro_f1(), Some(1.0));
     }
 
     #[test]

@@ -45,22 +45,6 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Renders a one-line-per-layer summary table: name and parameter
-    /// count, with the total at the end — the `print(model)` of this
-    /// framework.
-    pub fn describe(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{} ({} layers)\n", self.name, self.layers.len()));
-        let mut total = 0usize;
-        for layer in &self.layers {
-            let params = layer.param_count();
-            total += params;
-            out.push_str(&format!("  {:<28} {:>10}\n", layer.name(), params));
-        }
-        out.push_str(&format!("  {:<28} {:>10}\n", "total parameters", total));
-        out
-    }
-
     /// Iterates over the direct children.
     pub fn iter(&self) -> impl Iterator<Item = &dyn Layer> {
         self.layers.iter().map(|b| b.as_ref())
@@ -169,27 +153,5 @@ mod tests {
         net.visit_params(&mut |p, _| sizes_b.push(p.len()));
         assert_eq!(sizes_a, sizes_b);
         assert_eq!(sizes_a.len(), 4); // two convs × (weights, bias)
-    }
-
-    #[test]
-    fn describe_lists_layers_and_totals() {
-        let net = crate::models::mini_cnn(3, 8, None);
-        let d = net.describe();
-        assert!(d.contains("total parameters"));
-        // Every layer name appears once.
-        for layer in net.iter() {
-            assert!(d.contains(layer.name()), "missing {}", layer.name());
-        }
-        // The printed total matches param_count.
-        let total: usize = d
-            .lines()
-            .last()
-            .unwrap()
-            .split_whitespace()
-            .last()
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert_eq!(total, net.param_count());
     }
 }

@@ -79,12 +79,6 @@ impl ShardSpec {
     pub fn new(workers: usize) -> Self {
         ShardSpec { workers, granule: 1 }
     }
-
-    /// Returns the spec with `granule` samples per granule.
-    pub fn with_granule(mut self, granule: usize) -> Self {
-        self.granule = granule.max(1);
-        self
-    }
 }
 
 /// Why a network/spec pair cannot be sharded.
@@ -770,11 +764,6 @@ mod tests {
         assert_eq!(spec.workers, 4);
         assert_eq!(spec.granule, 1);
         assert!(RETRY.backoff_delay(1) <= RETRY.backoff_delay(2));
-        assert_eq!(
-            ShardSpec::new(1).with_granule(0).granule,
-            1,
-            "granule clamps to at least one sample"
-        );
     }
 
     #[test]

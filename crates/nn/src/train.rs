@@ -3,7 +3,7 @@
 use crate::data::Dataset;
 use crate::layer::{Batch, Layer};
 use crate::loss::{argmax, softmax_cross_entropy};
-use crate::metrics::{ConfusionMatrix, MetricRecord, MetricStore, StopCondition};
+use crate::metrics::{MetricRecord, MetricStore, StopCondition};
 use crate::optim::Sgd;
 use crate::sequential::Sequential;
 use crate::shard::{self, EngineSetup, ShardError, ShardPool, ShardSpec, StepInput};
@@ -123,12 +123,6 @@ impl TrainConfig {
     /// `workers` workers (one-sample granules).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.shard = Some(ShardSpec::new(workers));
-        self
-    }
-
-    /// Returns the config with the full shard spec.
-    pub fn with_shard_spec(mut self, spec: ShardSpec) -> Self {
-        self.shard = Some(spec);
         self
     }
 }
@@ -327,11 +321,6 @@ impl Trainer {
     /// advances once per trained batch and once per epoch.
     pub fn stream_seeds(&self) -> StreamSeeds {
         self.streams
-    }
-
-    /// The stream coordinates the next backward pass will prune under.
-    pub fn step_streams(&self) -> StepStreams {
-        self.streams.streams()
     }
 
     /// Name of the resolved kernel engine (`"scalar"` when training on the
@@ -685,29 +674,21 @@ impl Trainer {
         stops.iter_mut().find_map(|stop| stop.check(&record))
     }
 
-    /// The one evaluation walk: evaluation-mode forward passes over `data`
-    /// in batch-size chunks (no parameter updates — trajectory-neutral),
-    /// handing every sample's logits and label to `visit` in dataset order.
-    fn for_each_eval_sample(&mut self, data: &Dataset, visit: &mut dyn FnMut(&[f32], usize)) {
+    /// Evaluates mean loss and accuracy on `data`: evaluation-mode forward
+    /// passes (batch norm and dropout included) in batch-size chunks, in
+    /// dataset order, with no parameter updates — trajectory-neutral.
+    pub fn evaluate_stats(&mut self, data: &Dataset) -> EpochStats {
+        let mut total_loss = 0.0f64;
+        let mut correct = 0usize;
         for chunk_start in (0..data.len()).step_by(self.config.batch_size) {
             let end = (chunk_start + self.config.batch_size).min(data.len());
             let xs = Batch::borrowed(&data.images[chunk_start..end]);
             let outs = self.net.forward(xs, &mut self.ctx, false);
             for (out, &label) in outs.iter().zip(&data.labels[chunk_start..end]) {
-                visit(out.as_slice(), label);
+                total_loss += softmax_cross_entropy(out.as_slice(), label).0 as f64;
+                correct += usize::from(argmax(out.as_slice()) == label);
             }
         }
-    }
-
-    /// Evaluates mean loss and accuracy on `data` (no parameter updates,
-    /// evaluation-mode batch norm and dropout — trajectory-neutral).
-    pub fn evaluate_stats(&mut self, data: &Dataset) -> EpochStats {
-        let mut total_loss = 0.0f64;
-        let mut correct = 0usize;
-        self.for_each_eval_sample(data, &mut |logits, label| {
-            total_loss += softmax_cross_entropy(logits, label).0 as f64;
-            correct += usize::from(argmax(logits) == label);
-        });
         let denom = data.len().max(1) as f64;
         EpochStats {
             loss: total_loss / denom,
@@ -719,32 +700,6 @@ impl Trainer {
     /// evaluation-mode batch norm).
     pub fn evaluate(&mut self, data: &Dataset) -> f64 {
         self.evaluate_stats(data).accuracy
-    }
-
-    /// Evaluates `data` into a confusion matrix over `classes` classes
-    /// (no parameter updates, evaluation-mode batch norm). Samples whose
-    /// label is out of range are skipped.
-    pub fn evaluate_confusion(&mut self, data: &Dataset, classes: usize) -> ConfusionMatrix {
-        let mut cm = ConfusionMatrix::new(classes);
-        self.for_each_eval_sample(data, &mut |logits, label| {
-            if label < classes {
-                cm.record_logits(label, logits);
-            }
-        });
-        cm
-    }
-
-    /// Top-k evaluation accuracy on `data` (`None` when the dataset is
-    /// empty).
-    pub fn evaluate_top_k(&mut self, data: &Dataset, k: usize) -> Option<f64> {
-        if data.is_empty() {
-            return None;
-        }
-        let mut hits = 0usize;
-        self.for_each_eval_sample(data, &mut |logits, label| {
-            hits += usize::from(crate::metrics::in_top_k(logits, label, k));
-        });
-        Some(hits as f64 / data.len() as f64)
     }
 
     /// Mean activation-gradient density over all instrumented layers
@@ -928,34 +883,6 @@ mod tests {
         // mini_cnn has 2 convs + 1 fc = 3 traced layers.
         assert_eq!(trace.layers.len(), 3);
         assert!(trace.dense_macs() > 0);
-    }
-
-    #[test]
-    fn confusion_matrix_agrees_with_accuracy() {
-        let (train, test) = SyntheticSpec::tiny(3).generate();
-        let net = models::mini_cnn(3, 8, None);
-        let mut trainer = Trainer::new(net, TrainConfig::quick());
-        for _ in 0..3 {
-            trainer.train_epoch(&train);
-        }
-        let acc = trainer.evaluate(&test);
-        let cm = trainer.evaluate_confusion(&test, 3);
-        assert_eq!(cm.total() as usize, test.len());
-        assert!((cm.accuracy() - acc).abs() < 1e-12);
-    }
-
-    #[test]
-    fn top_k_accuracy_is_monotone_in_k() {
-        let (train, test) = SyntheticSpec::tiny(4).generate();
-        let net = models::mini_cnn(4, 8, None);
-        let mut trainer = Trainer::new(net, TrainConfig::quick());
-        trainer.train_epoch(&train);
-        let top1 = trainer.evaluate_top_k(&test, 1).unwrap();
-        let top2 = trainer.evaluate_top_k(&test, 2).unwrap();
-        let top4 = trainer.evaluate_top_k(&test, 4).unwrap();
-        assert!(top1 <= top2 && top2 <= top4);
-        assert_eq!(top4, 1.0, "top-4 of 4 classes must be perfect");
-        assert!((top1 - trainer.evaluate(&test)).abs() < 1e-12);
     }
 
     #[test]

@@ -22,89 +22,6 @@ pub fn simulate_baseline(machine: &Machine, trace: &NetworkTrace) -> SimReport {
     machine.simulate_with_format(&densified(trace), OperandFormat::Raw)
 }
 
-/// Analytic row-stationary (RS) baseline — an alternative comparator that
-/// models Eyeriss's defining feature explicitly: the RS dataflow reuses
-/// each fetched operand across the PE array (filter rows stay in PE
-/// register files, input rows diagonally forward between PEs), so SRAM
-/// traffic per MAC is divided by a reuse factor instead of streaming every
-/// operand per op.
-///
-/// Defaults: `utilization = 0.85` (RS mapping efficiency on typical layer
-/// shapes), `reuse = kernel size` per stage (each fetched word serves one
-/// full kernel-row of MACs). Cycles are dense-compute bound:
-/// `macs / (PEs · utilization)`.
-pub fn row_stationary_report(
-    trace: &NetworkTrace,
-    cfg: &crate::config::ArchConfig,
-    energy: crate::energy::EnergyModel,
-) -> SimReport {
-    use crate::energy::EnergyMeter;
-    use crate::report::{LayerReport, StepReport};
-
-    let utilization = 0.85f64;
-    let pes = cfg.total_pes() as f64;
-    let mut meter = EnergyMeter::new(energy);
-    let mut layers = Vec::new();
-    let mut total_cycles = 0u64;
-    let mut total_macs = 0u64;
-
-    for layer in &trace.layers {
-        let (name, dense, k, needs_gta, params) = match layer {
-            LayerTrace::Conv(c) => (
-                c.name.clone(),
-                c.dense_macs(),
-                c.geom.kernel as u64,
-                c.needs_input_grad,
-                (c.filters * c.input.channels() * c.geom.kernel * c.geom.kernel) as u64,
-            ),
-            LayerTrace::Fc(f) => (
-                f.name.clone(),
-                f.dense_macs(),
-                1,
-                f.needs_input_grad,
-                f.dense_macs(),
-            ),
-        };
-        let mut steps = [
-            StepReport::default(),
-            StepReport::default(),
-            StepReport::default(),
-        ];
-        for (i, step) in steps.iter_mut().enumerate() {
-            if i == 1 && !needs_gta {
-                continue;
-            }
-            let macs = dense;
-            let cycles = (macs as f64 / (pes * utilization)).ceil() as u64;
-            let sram_words = macs / k.max(1) + params;
-            let dram_words = params.div_ceil(cfg.batch_size as u64);
-            *step = StepReport {
-                cycles,
-                macs,
-                sram_words,
-                dram_words,
-                active_cycles: cycles * cfg.total_pes() as u64 / 2,
-            };
-            meter.record_macs(macs);
-            meter.record_sram_words(sram_words);
-            meter.record_dram_words(dram_words);
-            meter.record_active_cycles(step.active_cycles);
-        }
-        total_cycles += steps.iter().map(|s| s.cycles).sum::<u64>();
-        total_macs += steps.iter().map(|s| s.macs).sum::<u64>();
-        layers.push(LayerReport { name, steps });
-    }
-
-    SimReport {
-        model: trace.model.clone(),
-        dataset: trace.dataset.clone(),
-        total_cycles,
-        total_macs,
-        energy: meter.breakdown(),
-        layers,
-    }
-}
-
 /// Returns a copy of `trace` with every operand densified: input feature
 /// maps and output gradients become all-non-zero, masks become full, FC
 /// sparsity counts become their dense sizes.
@@ -208,36 +125,6 @@ mod tests {
         assert!(dense_report.total_cycles >= sparse_report.total_cycles);
         assert!(dense_report.energy.total_pj() >= sparse_report.energy.total_pj());
         assert!(dense_report.total_macs > sparse_report.total_macs);
-    }
-
-    #[test]
-    fn row_stationary_is_dense_compute_bound() {
-        let trace = sparse_net();
-        let cfg = ArchConfig::tiny();
-        let rs = row_stationary_report(&trace, &cfg, crate::energy::EnergyModel::finfet_14nm());
-        // Three stages of dense MACs for a layer that needs its input grad.
-        assert_eq!(rs.total_macs, 3 * trace.dense_macs());
-        assert!(rs.total_cycles > 0);
-        assert!(rs.energy.total_pj() > 0.0);
-    }
-
-    #[test]
-    fn row_stationary_comparable_to_densified_machine() {
-        // Two independent models of the same dense baseline should land in
-        // the same ballpark (within ~3x of each other) — a sanity check
-        // that neither is wildly mis-calibrated.
-        let trace = sparse_net();
-        let cfg = ArchConfig::tiny();
-        let machine = Machine::new(cfg);
-        let densified_report = simulate_baseline(&machine, &trace);
-        let rs = row_stationary_report(&trace, &cfg, crate::energy::EnergyModel::finfet_14nm());
-        let ratio = rs.total_cycles as f64 / densified_report.total_cycles.max(1) as f64;
-        assert!(
-            (0.2..=5.0).contains(&ratio),
-            "RS {} vs densified {} cycles (ratio {ratio})",
-            rs.total_cycles,
-            densified_report.total_cycles
-        );
     }
 
     #[test]

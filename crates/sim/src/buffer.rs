@@ -107,15 +107,6 @@ impl BufferStats {
             self.words as f64 / self.cycles as f64
         }
     }
-
-    /// Fraction of cycles lost to conflicts (0 when idle).
-    pub fn conflict_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.conflict_cycles as f64 / self.cycles as f64
-        }
-    }
 }
 
 /// A banked SRAM with word-interleaved bank mapping (`bank = addr % banks`).
@@ -305,9 +296,8 @@ mod tests {
     }
 
     #[test]
-    fn conflict_fraction_is_zero_when_idle() {
+    fn achieved_bandwidth_is_zero_when_idle() {
         let buf = BankedBuffer::new(BufferConfig::tiny());
-        assert_eq!(buf.stats().conflict_fraction(), 0.0);
         assert_eq!(buf.stats().achieved_bandwidth(), 0.0);
     }
 }

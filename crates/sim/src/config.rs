@@ -71,11 +71,6 @@ impl ArchConfig {
         self.pe_groups * self.pes_per_group
     }
 
-    /// Converts a cycle count to milliseconds at the configured clock.
-    pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.clock_mhz * 1e3)
-    }
-
     /// Checks the configuration for degenerate values.
     ///
     /// # Errors
@@ -117,13 +112,6 @@ mod tests {
         assert_eq!(cfg.total_pes(), 168);
         assert_eq!(cfg.buffer_bytes, 386 * 1024);
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn cycles_to_ms_conversion() {
-        let cfg = ArchConfig::paper_default();
-        // 800 MHz: 800k cycles per ms.
-        assert!((cfg.cycles_to_ms(800_000) - 1.0).abs() < 1e-9);
     }
 
     #[test]

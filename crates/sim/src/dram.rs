@@ -96,15 +96,6 @@ pub struct DramStats {
 }
 
 impl DramStats {
-    /// Fraction of bursts that hit the open row (1.0 when no bursts).
-    pub fn hit_rate(&self) -> f64 {
-        if self.bursts == 0 {
-            1.0
-        } else {
-            self.row_hits as f64 / self.bursts as f64
-        }
-    }
-
     /// Component-wise sum.
     pub fn add(&self, other: &DramStats) -> DramStats {
         DramStats {
@@ -256,11 +247,8 @@ mod tests {
         let s = d.read(0, words);
         let rows_touched = words / d.config().row_words as u64;
         assert_eq!(s.row_misses, rows_touched, "one miss per new row");
-        assert!(
-            s.hit_rate() > 0.9,
-            "hit rate {} too low for a stream",
-            s.hit_rate()
-        );
+        let hit_rate = s.row_hits as f64 / s.bursts as f64;
+        assert!(hit_rate > 0.9, "hit rate {hit_rate} too low for a stream");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! PE-group co-simulation: 3 cycle-exact PEs + 1 PPU executing assigned
-//! task queues.
+//! PE-group co-simulation: 3 cycle-exact PEs executing assigned task
+//! queues (the group's PPU is modelled on its own, in [`crate::ppu`]).
 //!
 //! This is the bridge between the cycle-exact PE model and the whole-
 //! machine scheduler: a group executes its queues one op at a time, ticking
@@ -8,7 +8,6 @@
 //! scheduler uses. The tests pin that equality down.
 
 use crate::pe::CycleExactPe;
-use crate::ppu::Ppu;
 use sparsetrain_core::dataflow::{MsrcOp, OsrcOp, SrcOp};
 
 /// One operation assigned to a PE queue.
@@ -21,11 +20,10 @@ pub enum QueuedOp<'a> {
     Osrc(OsrcOp<'a>),
 }
 
-/// A PE group: `n` cycle-exact PEs sharing one PPU.
+/// A PE group: `n` cycle-exact PEs.
 pub struct PeGroup<'a> {
     pes: Vec<CycleExactPe>,
     queues: Vec<std::collections::VecDeque<QueuedOp<'a>>>,
-    ppu: Ppu,
 }
 
 impl<'a> PeGroup<'a> {
@@ -40,7 +38,6 @@ impl<'a> PeGroup<'a> {
         Self {
             pes: (0..pes).map(|_| CycleExactPe::new(mac_lanes)).collect(),
             queues: (0..pes).map(|_| std::collections::VecDeque::new()).collect(),
-            ppu: Ppu::new(),
         }
     }
 
@@ -56,11 +53,6 @@ impl<'a> PeGroup<'a> {
     /// Panics if `pe` is out of range.
     pub fn enqueue(&mut self, pe: usize, op: QueuedOp<'a>) {
         self.queues[pe].push_back(op);
-    }
-
-    /// Access to the group's PPU.
-    pub fn ppu_mut(&mut self) -> &mut Ppu {
-        &mut self.ppu
     }
 
     /// Runs every queue to completion, ticking all PEs in lock-step.
@@ -95,11 +87,6 @@ impl<'a> PeGroup<'a> {
             cycles += 1;
         }
         cycles
-    }
-
-    /// Total busy cycles across the group's PEs.
-    pub fn total_busy_cycles(&self) -> u64 {
-        self.pes.iter().map(|p| p.busy_cycles).sum()
     }
 
     /// Total MACs performed across the group's PEs.
@@ -167,7 +154,6 @@ mod tests {
             expected = expected.add(&src_work(row, geom));
         }
         group.run();
-        assert_eq!(group.total_busy_cycles(), expected.cycles);
         assert_eq!(group.total_macs(), expected.macs);
     }
 
@@ -209,12 +195,5 @@ mod tests {
         );
         let makespan = group.run();
         assert_eq!(makespan, src_work(&nonzero, geom).cycles);
-    }
-
-    #[test]
-    fn ppu_reachable_for_postprocessing() {
-        let mut group = PeGroup::new(1, 2);
-        let compressed = group.ppu_mut().process_row(&[-1.0, 2.0], true);
-        assert_eq!(compressed.nnz(), 1);
     }
 }

@@ -57,18 +57,6 @@ impl SparseVec {
         }
     }
 
-    /// Builds a sparse vector from pre-sorted parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the invariants do not hold (mismatched part lengths,
-    /// unsorted or out-of-range offsets, stored zeros).
-    pub fn from_parts(len: usize, offsets: Vec<u32>, values: Vec<f32>) -> Self {
-        let v = Self { len, offsets, values };
-        v.validate().expect("invalid SparseVec parts");
-        v
-    }
-
     /// Checks the representation invariants.
     ///
     /// # Errors
@@ -269,15 +257,13 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_validates() {
-        let ok = SparseVec::from_parts(4, vec![1, 3], vec![1.0, 2.0]);
-        assert_eq!(ok.nnz(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid SparseVec parts")]
-    fn from_parts_rejects_unsorted() {
-        let _ = SparseVec::from_parts(4, vec![3, 1], vec![1.0, 2.0]);
+    fn validate_rejects_unsorted_offsets() {
+        let unsorted = SparseVec {
+            len: 4,
+            offsets: vec![3, 1],
+            values: vec![1.0, 2.0],
+        };
+        assert!(unsorted.validate().is_err());
     }
 
     #[test]

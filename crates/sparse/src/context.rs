@@ -1,8 +1,7 @@
 //! The execution context: one resolved engine plus its execution plan.
 //!
 //! [`ExecutionContext`] is the object call sites thread through a training
-//! or executor pass instead of re-resolving an engine token at every
-//! layer: it owns the resolved `&'static dyn KernelEngine` (picked once,
+//! pass instead of re-resolving an engine token at every layer: it owns the resolved `&'static dyn KernelEngine` (picked once,
 //! by [`EngineHandle`]) and, on the `"auto"` engine, the [`Plan`] that
 //! holds each decided (layer, stage) cell. Construction is name-driven — from a
 //! registry handle, a string (`"scalar"`, `"parallel"`, `"simd"`,
@@ -142,18 +141,6 @@ impl ExecutionContext {
         self.handle
     }
 
-    /// The resolved engine (quarantine-mapped; see
-    /// [`quarantine`](ExecutionContext::quarantine)), for the elementwise
-    /// seam: the pruning stage runs its position-pure work through
-    /// [`KernelEngine::for_each_batch_chunk`] on it. Convolutions go
-    /// through the planned entry points instead — on an `"auto"` context
-    /// this is the heuristic [`crate::planner::AutoEngine`], whose
-    /// delegates are picked per call and do not pass through the plan or
-    /// the quarantine mapping.
-    pub fn engine(&self) -> &'static dyn KernelEngine {
-        self.dispatch(self.handle)
-    }
-
     /// The resolved engine's registered name. This is the *configured*
     /// name — it does not change when the engine is quarantined, so
     /// identity checks (auto-selection reporting, snapshot validation)
@@ -225,10 +212,10 @@ impl ExecutionContext {
 
     // -- Planned entry points ------------------------------------------------
     //
-    // The per-(layer, stage) seam: callers with a layer identity (Conv2d,
-    // the dataflow executor) resolve their engine through the plan. The
-    // three public methods only build the batch's `StageOp`s and its
-    // `BatchOut`; `run_planned` holds the one copy of the decision logic.
+    // The per-(layer, stage) seam: callers with a layer identity (Conv2d)
+    // resolve their engine through the plan. The three public methods only
+    // build the batch's `StageOp`s and its `BatchOut`; `run_planned` holds
+    // the one copy of the decision logic.
 
     /// Runs one batch of `stage` ops for `layer` into `out`, on the engine
     /// its `(layer, stage)` cell resolves to, through

@@ -12,11 +12,11 @@
 //!
 //! The call shapes:
 //!
-//! * [`KernelEngine::run`] — one op into one output slice,
 //! * [`KernelEngine::run_batch`] — a whole batch in one engine call, into a
 //!   [`BatchOut`]: one slice per sample (Forward, GTA) or one shared
 //!   accumulator every sample adds into in sample order (GTW's `dW`). The
-//!   default runs the samples in order, which *defines* the result,
+//!   default runs the samples in order, which *defines* the result;
+//!   [`KernelEngine::run`] is the batch of one op,
 //! * [`KernelEngine::prepare`] / [`KernelEngine::band`] — the banding seam:
 //!   an op's output splits into independent contiguous *units*
 //!   ([`StageOp::split`]: filters for Forward/GTW, channels for GTA), and
@@ -29,9 +29,10 @@
 //! * [`ScalarEngine`] — the reference single-threaded semantics. Iteration
 //!   order is the specification; every other engine must match it
 //!   bit-for-bit.
-//! * [`ParallelEngine`] — band-parallel execution over the op's units (and
-//!   over `samples × units` for a batch, so multi-core speedup scales with
-//!   batch size, not just layer width) on the rayon fork-join API. Because
+//! * [`ParallelEngine`] — band-parallel execution over the batch's
+//!   `samples × units` space (so multi-core speedup scales with batch
+//!   size, not just layer width), one task per band, through the one
+//!   splitter [`for_each_band`] on the rayon fork-join API. Because
 //!   parallelism is only ever across disjoint output units while the
 //!   per-row accumulation order is untouched, its results are **bitwise
 //!   identical** to the scalar engine's — verified by the `engine_parity`
@@ -50,21 +51,20 @@
 //! fan-out, so `B` bands share one preparation instead of redoing it `B`
 //! times.
 //!
-//! Beyond the convolutions, [`KernelEngine::for_each_batch_chunk`] is the
-//! elementwise batch seam: position-pure per-element work (stochastic
-//! pruning with counter-based RNG streams) executes through it, banded
-//! across the `samples × elements` space on the parallel engine with —
-//! again — bitwise-identical results at every thread count.
+//! [`for_each_band`] is a free function, not an engine method: the other
+//! position-pure batch work in a step — the stochastic pruner's snap/zero
+//! sweep, whose draws are keyed by element position — calls it directly
+//! (`unit_len = 1`), sized by the same [`bands_for`] rule, and is
+//! bitwise-identical at every band count for the same reason.
 //!
 //! Engine selection is name-keyed: the open registry in
 //! [`crate::registry`] maps `"scalar"` / `"parallel"` / `"simd"` /
 //! `"parallel:simd"` / `"fixed"` / `"fixed:qI.F"` (and
 //! anything registered at runtime) to engine instances, and
-//! [`crate::context::ExecutionContext`] carries the resolved engine plus
-//! scratch through `sparsetrain-nn`'s `Trainer`/`Conv2d` and the dataflow
-//! executor in `sparsetrain-core`; the simulator's cycle accounting
-//! consumes the same op enumeration and is engine-agnostic by
-//! construction.
+//! [`crate::context::ExecutionContext`] carries the resolved engine (and,
+//! on `auto`, its plan) through `sparsetrain-nn`'s `Trainer`/`Conv2d`; the
+//! simulator's cycle accounting consumes the same op enumeration and is
+//! engine-agnostic by construction.
 
 use crate::mask::RowMask;
 use crate::msrc::msrc_accumulate;
@@ -394,14 +394,15 @@ impl<'a> BatchOut<'a> {
     }
 }
 
-/// Execution of the three training-stage convolutions, one [`StageOp`] at
-/// a time or a batch of them per call.
+/// Execution of the three training-stage convolutions, a batch of
+/// [`StageOp`]s per call.
 ///
 /// Every method accumulates into caller-provided slices (pre-zeroed or
 /// pre-seeded by the caller) and must produce results bitwise identical to
 /// [`ScalarEngine`], whose defaults these are. A backend overrides
 /// `prepare` + `band` (and composes with [`ParallelEngine`] for free);
-/// `run` and `run_batch` are those two plus the shape checks.
+/// `run_batch` is those two plus the shape checks, and `run` is the
+/// `run_batch` of one op — not an override point.
 pub trait KernelEngine: Send + Sync {
     /// Engine name for reports and benches.
     fn name(&self) -> &'static str;
@@ -422,7 +423,7 @@ pub trait KernelEngine: Send + Sync {
     /// ops' [`BandContext`]s, from `prepare` on the same ops; a context
     /// lacking the engine's state never changes results — band workers
     /// re-prepare locally or take the scalar path. Band calls trust their
-    /// caller for shape validation (`run` / `run_batch` run the checks).
+    /// caller for shape validation (`run_batch` runs the checks).
     /// The default is the scalar reference loop; every override must stay
     /// bitwise identical to it.
     ///
@@ -434,18 +435,6 @@ pub trait KernelEngine: Send + Sync {
         for op in ops {
             scalar_band(op, lo, out);
         }
-    }
-
-    /// Runs one op into `out`. The default validates shapes, prepares, and
-    /// computes the whole unit range as one band.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches ([`StageOp::check`]).
-    fn run(&self, op: &StageOp<'_>, out: &mut [f32]) {
-        op.check(out.len());
-        let ops = std::slice::from_ref(op);
-        self.band(&self.prepare(ops), ops, 0, out);
     }
 
     /// Runs a whole batch in one engine call — the accelerator streams
@@ -471,23 +460,14 @@ pub trait KernelEngine: Send + Sync {
         }
     }
 
-    /// Runs `work` over a batch of independent mutable parts (e.g. one
-    /// gradient tensor per sample), covering every element of every part
-    /// exactly once: each invocation `work(part, offset, chunk)` receives a
-    /// sub-slice of `parts[part]` beginning at element `offset` of that
-    /// part. The default visits whole parts sequentially in order; engines
-    /// may split parts into chunks and run them concurrently in any order.
+    /// Runs one op into `out`: the [`KernelEngine::run_batch`] of a batch
+    /// of one. Engines override `run_batch`, never this.
     ///
-    /// This is the seam the stochastic pruning stage executes through:
-    /// because its per-element decisions are keyed by *position*
-    /// (counter-based RNG streams), any chunking of the element space
-    /// produces bitwise-identical results. `work` must therefore be
-    /// position-pure — its effect on an element may depend only on
-    /// `(part, element index, element value)`, never on visitation order.
-    fn for_each_batch_chunk(&self, parts: Vec<&mut [f32]>, work: &(dyn Fn(usize, usize, &mut [f32]) + Sync)) {
-        for (p, part) in parts.into_iter().enumerate() {
-            work(p, 0, part);
-        }
+    /// # Panics
+    ///
+    /// Panics on shape mismatches ([`StageOp::check`]).
+    fn run(&self, op: &StageOp<'_>, out: &mut [f32]) {
+        self.run_batch(std::slice::from_ref(op), BatchOut::PerSample(vec![out]));
     }
 }
 
@@ -723,211 +703,133 @@ impl ParallelEngine {
         self.inner
     }
 
-    /// Rough MAC count below which a band is not worth a worker: spawning
-    /// a scope task costs on the order of tens of microseconds (a fresh OS
-    /// thread under the compat rayon shim), which is itself worth tens of
-    /// thousands of sparse MACs — a band must carry several multiples of
-    /// that to amortize the fork-join. Applied in auto mode only — an
-    /// explicit `with_threads` count is honoured as given.
-    const MIN_OPS_PER_BAND: usize = 128 * 1024;
-
-    fn bands(&self, units: usize, ops_per_unit: usize) -> usize {
-        self.bands_for_total(units, units.saturating_mul(ops_per_unit))
-    }
-
-    /// Band count for `units` independent output units carrying `total_ops`
-    /// MACs altogether (used directly by the batched paths, where per-unit
-    /// work varies across samples).
-    fn bands_for_total(&self, units: usize, total_ops: usize) -> usize {
-        if self.threads != 0 {
-            return self.threads.clamp(1, units.max(1));
+    /// Band count for `units` output units carrying `work` MACs: an
+    /// explicit `with_threads` count is honoured as given, auto mode asks
+    /// [`bands_for`].
+    fn bands(&self, units: usize, work: usize) -> usize {
+        match self.threads {
+            0 => bands_for(units, work),
+            threads => threads.clamp(1, units.max(1)),
         }
-        let by_work = total_ops.max(1).div_ceil(Self::MIN_OPS_PER_BAND);
-        rayon::current_num_threads().min(by_work).clamp(1, units.max(1))
     }
 }
 
-/// Splits `data` (holding `units` blocks of `unit_len` elements) into
-/// `bands` near-equal contiguous bands and runs `work(first_unit, band)`
-/// for each band in parallel.
-fn for_each_band<F>(data: &mut [f32], units: usize, unit_len: usize, bands: usize, work: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    debug_assert_eq!(data.len(), units * unit_len);
-    if bands <= 1 || units <= 1 {
-        work(0, data);
-        return;
-    }
-    let per_band = units.div_ceil(bands);
-    let work = &work;
-    rayon::scope(|scope| {
-        let mut rest = data;
-        let mut unit = 0usize;
-        while unit < units {
-            let n = per_band.min(units - unit);
-            let (band, tail) = rest.split_at_mut(n * unit_len);
-            rest = tail;
-            let first = unit;
-            unit += n;
-            if unit >= units {
-                // Final band runs on the calling thread, which would
-                // otherwise idle inside the scope — saves one task spawn.
-                work(first, band);
-            } else {
-                scope.spawn(move |_| work(first, band));
-            }
-        }
-    });
+/// Rough MAC count below which a band is not worth a worker: spawning a
+/// scope task costs on the order of tens of microseconds (a fresh OS
+/// thread under the compat rayon shim), which is itself worth tens of
+/// thousands of sparse MACs — a band must carry several multiples of that
+/// to amortize the fork-join.
+const MIN_OPS_PER_BAND: usize = 128 * 1024;
+
+/// How many bands [`for_each_band`] should cut `units` independent units
+/// carrying `work` MACs altogether into: one per rayon worker, but no more
+/// than the work amortizes (`MIN_OPS_PER_BAND` MACs each) and never more
+/// than there are units.
+pub fn bands_for(units: usize, work: usize) -> usize {
+    let by_work = work.max(1).div_ceil(MIN_OPS_PER_BAND);
+    rayon::current_num_threads().min(by_work).clamp(1, units.max(1))
 }
 
-/// Splits a batch of per-sample slices (each holding `units` blocks of
-/// `unit_len` elements) into `bands` near-equal contiguous chunks of the
-/// *global* `samples × units` space and runs
-/// `work(sample, first_unit, chunk)` for each chunk in parallel.
+/// The one band splitter. `parts` are independent slices of whole
+/// `unit_len`-element units (lengths may differ); their concatenated unit
+/// space is cut into at most `bands` near-equal contiguous runs and **one
+/// task per band** calls `work(part, first_unit, piece)` for each of its
+/// pieces in order — a run crossing a part boundary is one piece per part,
+/// so a piece is always a contiguous unit range of one part, starting at
+/// that part's unit `first_unit`. The last band runs on the calling
+/// thread, which would otherwise idle inside the scope; one band spawns
+/// nothing.
 ///
-/// Chunks never span samples (a global band that crosses a sample boundary
-/// becomes one chunk per sample), so each worker sees one sample's
-/// contiguous unit range — the per-unit iteration order is exactly the
-/// scalar order and results stay bitwise identical.
-fn for_each_batch_band<F>(samples: Vec<&mut [f32]>, units: usize, unit_len: usize, bands: usize, work: F)
-where
-    F: Fn(usize, usize, &mut [f32]) + Sync,
-{
-    let total_units = samples.len() * units;
-    if bands <= 1 || total_units <= 1 {
-        for (s, slice) in samples.into_iter().enumerate() {
-            work(s, 0, slice);
-        }
-        return;
-    }
-    let per_band = total_units.div_ceil(bands);
-    let work = &work;
-    rayon::scope(|scope| {
-        for (s, slice) in samples.into_iter().enumerate() {
-            debug_assert_eq!(slice.len(), units * unit_len);
-            let mut rest = slice;
-            let mut unit = 0usize;
-            while unit < units {
-                let global = s * units + unit;
-                // End of the global band this unit falls into, clamped to
-                // the sample boundary.
-                let band_end = (global / per_band + 1) * per_band;
-                let n = (band_end - global).min(units - unit);
-                let (chunk, tail) = rest.split_at_mut(n * unit_len);
-                rest = tail;
-                let first = unit;
-                unit += n;
-                scope.spawn(move |_| work(s, first, chunk));
-            }
-        }
-    });
-}
-
-/// Splits a batch of per-part element slices (lengths may differ) into
-/// `bands` near-equal contiguous chunks of the *global* element space and
-/// runs `work(part, first_element, chunk)` for each chunk in parallel.
+/// Every unit is visited exactly once, but in no defined order across
+/// bands: `work` must be position-pure — its effect on a unit may depend
+/// only on `(part, unit index, unit contents)`. The convolution bands are
+/// (disjoint output units, per-unit accumulation order untouched) and so
+/// is the pruner's snap/zero sweep (draws keyed by element position),
+/// which is why results are bitwise identical at every band count.
 ///
-/// Chunks never span parts (a global band crossing a part boundary becomes
-/// one chunk per part), mirroring [`for_each_batch_band`] with per-element
-/// granularity and non-uniform part lengths. A chunk may begin at any
-/// element: the seam's one consumer, the pruned-gradient snap/zero sweep,
-/// evaluates each draw at the element's own position and buffers nothing,
-/// so no boundary is better than another.
-fn for_each_element_chunk(
+/// # Panics
+///
+/// Panics if a part is not a whole number of units.
+pub fn for_each_band(
     parts: Vec<&mut [f32]>,
+    unit_len: usize,
     bands: usize,
     work: &(dyn Fn(usize, usize, &mut [f32]) + Sync),
 ) {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    if bands <= 1 || total <= 1 {
-        for (p, part) in parts.into_iter().enumerate() {
-            work(p, 0, part);
+    let unit_len = unit_len.max(1);
+    let units: usize = parts.iter().map(|part| part.len() / unit_len).sum();
+    let per_band = units.div_ceil(bands.max(1)).max(1);
+    let run = move |band: Vec<(usize, usize, &mut [f32])>| {
+        for (part, first_unit, piece) in band {
+            work(part, first_unit, piece);
         }
-        return;
-    }
-    let per_band = total.div_ceil(bands);
+    };
     rayon::scope(|scope| {
-        let mut global = 0usize;
-        for (p, part) in parts.into_iter().enumerate() {
-            let mut rest = part;
-            let mut offset = 0usize;
+        let mut band = Vec::new();
+        let mut room = per_band;
+        for (p, mut rest) in parts.into_iter().enumerate() {
+            assert_eq!(rest.len() % unit_len, 0, "part {p} is not whole units");
+            let mut first_unit = 0;
             while !rest.is_empty() {
-                // End of the global band this element falls into, clamped
-                // to the part boundary.
-                let band_end = (global / per_band + 1) * per_band;
-                let n = (band_end - global).min(rest.len());
-                let (chunk, tail) = rest.split_at_mut(n);
+                if room == 0 {
+                    let full = std::mem::take(&mut band);
+                    scope.spawn(move |_| run(full));
+                    room = per_band;
+                }
+                let n = room.min(rest.len() / unit_len);
+                let (piece, tail) = rest.split_at_mut(n * unit_len);
+                band.push((p, first_unit, piece));
                 rest = tail;
-                let first = offset;
-                offset += n;
-                global += n;
-                scope.spawn(move |_| work(p, first, chunk));
+                first_unit += n;
+                room -= n;
             }
         }
+        run(band);
     });
 }
+
 impl KernelEngine for ParallelEngine {
     fn name(&self) -> &'static str {
         self.name
-    }
-
-    fn run(&self, op: &StageOp<'_>, out: &mut [f32]) {
-        op.check(out.len());
-        let (units, unit_len) = op.split();
-        let bands = self.bands(units, op.work());
-        // One preparation for the whole call: every band borrows the same
-        // operand state instead of rebuilding it.
-        let ops = std::slice::from_ref(op);
-        let ctxs = self.inner.prepare(ops);
-        for_each_band(out, units, unit_len, bands, |lo, band| {
-            self.inner.band(&ctxs, ops, lo, band);
-        });
     }
 
     fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
         out.check(ops);
         let Some(first) = ops.first() else { return };
         let (units, unit_len) = first.split();
-        let total_ops: usize = ops.iter().map(StageOp::work).sum();
+        let uniform = ops.iter().all(|op| op.split() == (units, unit_len));
+        let work: usize = ops.iter().map(StageOp::work).sum();
+        // One preparation per call: every band borrows the same operand
+        // state instead of rebuilding it.
         match out {
-            BatchOut::PerSample(outs) => {
-                // Mixed-shape batches band per sample instead (still bitwise
-                // equal to the scalar order — banding never reorders
-                // accumulation).
-                if ops.iter().any(|op| op.split() != (units, unit_len)) {
-                    for (op, out) in ops.iter().zip(outs) {
-                        self.run(op, out);
-                    }
-                    return;
+            // Mixed-shape batches band per sample instead (still bitwise
+            // equal to the scalar order — banding never reorders
+            // accumulation).
+            BatchOut::PerSample(outs) if !uniform => {
+                for (op, out) in ops.iter().zip(outs) {
+                    self.run(op, out);
                 }
-                let bands = self.bands_for_total(ops.len() * units, total_ops);
+            }
+            // The samples are the parts: bands cut `samples × units`.
+            BatchOut::PerSample(outs) => {
+                let bands = self.bands(ops.len() * units, work);
                 let ctxs = self.inner.prepare(ops);
-                for_each_batch_band(outs, units, unit_len, bands, |s, lo, chunk| {
-                    self.inner.band(&ctxs[s..=s], &ops[s..=s], lo, chunk);
+                for_each_band(outs, unit_len, bands, &|s, lo, piece| {
+                    self.inner.band(&ctxs[s..=s], &ops[s..=s], lo, piece);
                 });
             }
+            // The batch shares one output, so parallelism stays across its
+            // units; each band accumulates its samples in order, keeping
+            // the per-element accumulation sequence identical to the
+            // per-sample path.
             BatchOut::Shared(acc) => {
-                // The batch shares one output, so parallelism stays across
-                // its units; each band accumulates its samples in order,
-                // keeping the per-element accumulation sequence identical
-                // to the per-sample path.
-                let bands = self.bands_for_total(units, total_ops);
+                let bands = self.bands(units, work);
                 let ctxs = self.inner.prepare(ops);
-                for_each_band(acc, units, unit_len, bands, |lo, band| {
-                    self.inner.band(&ctxs, ops, lo, band);
+                for_each_band(vec![acc], unit_len, bands, &|_, lo, piece| {
+                    self.inner.band(&ctxs, ops, lo, piece);
                 });
             }
         }
-    }
-
-    fn for_each_batch_chunk(&self, parts: Vec<&mut [f32]>, work: &(dyn Fn(usize, usize, &mut [f32]) + Sync)) {
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        // A position-keyed element visit costs a handful of MACs' worth of
-        // work (one counter-based draw at most), so weight elements
-        // accordingly when sizing bands in auto mode.
-        let bands = self.bands_for_total(total, total.saturating_mul(8));
-        for_each_element_chunk(parts, bands, work);
     }
 }
 
@@ -1094,8 +996,8 @@ mod tests {
     }
 
     /// GTW is priced by the gradient it walks: against the same dense
-    /// input, a 5 %-dense `dout` stays on one band at any thread count
-    /// where a dense one fans out.
+    /// input, a 16-sample batch of 5 %-dense `dout`s stays on one band at
+    /// any thread count where a dense one fans out.
     #[test]
     fn weight_grad_bands_follow_the_gradient_density() {
         let mut s = 7u64;
@@ -1111,7 +1013,7 @@ mod tests {
             sparse.work() * 10 < dense.work(),
             "work must follow dout's non-zeros"
         );
-        let bands = |op: &StageOp<'_>| ParallelEngine::auto().bands(op.split().0, op.work());
+        let bands = |op: &StageOp<'_>| bands_for(op.split().0, 16 * op.work());
         assert_eq!(bands(&sparse), 1);
         assert_eq!(bands(&dense), rayon::current_num_threads().min(5));
     }
@@ -1139,79 +1041,64 @@ mod tests {
         ScalarEngine.run(&op, &mut vec![0.0; op.out_len() - 1]);
     }
 
+    /// The splitter deals work per band, not per piece: 16 equal parts on
+    /// 2 bands are two tasks of eight pieces each, the last on the caller.
     #[test]
-    fn band_split_covers_all_units_for_any_band_count() {
-        for units in 1..10usize {
-            for bands in 1..6usize {
-                let mut data = vec![0.0f32; units * 4];
-                for_each_band(&mut data, units, 4, bands, |first, band| {
-                    for (i, chunk) in band.chunks_mut(4).enumerate() {
-                        chunk.fill((first + i) as f32 + 1.0);
-                    }
-                });
-                for u in 0..units {
-                    assert!(
-                        data[u * 4..(u + 1) * 4].iter().all(|&v| v == u as f32 + 1.0),
-                        "unit {u} not covered for units {units} bands {bands}"
-                    );
+    fn for_each_band_runs_one_task_per_band() {
+        use std::sync::Mutex;
+        let mut data = vec![[0.0f32; 8]; 16];
+        let parts: Vec<&mut [f32]> = data.iter_mut().map(|p| &mut p[..]).collect();
+        let seen = Mutex::new(Vec::new());
+        for_each_band(parts, 1, 2, &|part, _, _| {
+            seen.lock().unwrap().push((part, std::thread::current().id()));
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|&(part, _)| part);
+        assert_eq!(seen.len(), 16, "one piece per part");
+        let (first, last) = seen.split_at(8);
+        assert!(
+            first.iter().all(|&(_, id)| id == first[0].1),
+            "band 0 changed threads"
+        );
+        assert!(last.iter().all(|&(_, id)| id == std::thread::current().id()));
+        assert_ne!(first[0].1, last[0].1, "two bands, two tasks");
+    }
+
+    /// Parts of unequal length (empty ones included) × unit length × band
+    /// count: every unit is visited exactly once, a piece is a whole-unit
+    /// range of one part starting at `first_unit`, and no more than `bands`
+    /// tasks run.
+    #[test]
+    fn for_each_band_visits_every_unit_once_at_its_own_coordinates() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let code = |part: usize, element: usize| (part * 1000 + element) as f32 + 1.0;
+        let shapes: [&[usize]; 6] = [&[5, 0, 9, 2], &[0, 0, 1], &[1; 16], &[], &[7], &[0, 4, 4, 0]];
+        for units_per_part in shapes {
+            for unit_len in [1usize, 3] {
+                for bands in 1..=9usize {
+                    let ctx = format!("{units_per_part:?} × {unit_len} on {bands} bands");
+                    let mut data: Vec<Vec<f32>> = units_per_part
+                        .iter()
+                        .enumerate()
+                        .map(|(p, &units)| (0..units * unit_len).map(|i| code(p, i)).collect())
+                        .collect();
+                    let parts: Vec<&mut [f32]> = data.iter_mut().map(Vec::as_mut_slice).collect();
+                    let tasks = Mutex::new(HashSet::new());
+                    for_each_band(parts, unit_len, bands, &|part, first_unit, piece| {
+                        tasks.lock().unwrap().insert(std::thread::current().id());
+                        assert!(!piece.is_empty() && piece.len() % unit_len == 0, "{ctx}");
+                        for (i, v) in piece.iter_mut().enumerate() {
+                            // A piece off its coordinates, spanning parts or
+                            // visited twice would not hold its own code.
+                            assert_eq!(*v, code(part, first_unit * unit_len + i), "{ctx}");
+                            *v = 0.0;
+                        }
+                    });
+                    assert!(data.iter().flatten().all(|&v| v == 0.0), "unit missed: {ctx}");
+                    assert!(tasks.into_inner().unwrap().len() <= bands, "{ctx}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn element_chunk_split_covers_every_element_once() {
-        // Uneven part lengths, including an empty part, for several band
-        // counts: every element must be visited exactly once with its
-        // correct (part, offset) coordinates.
-        for bands in 1..8usize {
-            let mut a = vec![0.0f32; 5];
-            let mut b: Vec<f32> = Vec::new();
-            let mut c = vec![0.0f32; 9];
-            let mut d = vec![0.0f32; 2];
-            let parts: Vec<&mut [f32]> = vec![&mut a, &mut b, &mut c, &mut d];
-            for_each_element_chunk(parts, bands, &|p, offset, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    // Encode the coordinates; a second visit would clobber.
-                    assert_eq!(*v, 0.0, "element visited twice (bands {bands})");
-                    *v = (p * 100 + offset + i) as f32 + 1.0;
-                }
-            });
-            for (p, part) in [&a[..], &b[..], &c[..], &d[..]].iter().enumerate() {
-                for (i, &v) in part.iter().enumerate() {
-                    assert_eq!(v, (p * 100 + i) as f32 + 1.0, "bands {bands}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn engines_agree_on_position_pure_batch_work() {
-        // A position-pure transform must come out identical under the
-        // default sequential visit and the parallel chunked visit.
-        let make = || -> Vec<Vec<f32>> {
-            (0..4)
-                .map(|p| (0..257).map(|i| (p * 1000 + i) as f32).collect())
-                .collect()
-        };
-        let run = |engine: &dyn KernelEngine| -> Vec<Vec<f32>> {
-            let mut data = make();
-            let parts: Vec<&mut [f32]> = data.iter_mut().map(|v| v.as_mut_slice()).collect();
-            engine.for_each_batch_chunk(parts, &|p, offset, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = v.mul_add(0.5, (p + offset + i) as f32);
-                }
-            });
-            data
-        };
-        let scalar = run(&ScalarEngine);
-        for threads in [1usize, 2, 5, 16] {
-            assert_eq!(
-                run(&ParallelEngine::with_threads(threads)),
-                scalar,
-                "threads {threads}"
-            );
-        }
-        assert_eq!(run(&ParallelEngine::auto()), scalar);
     }
 }

@@ -78,9 +78,8 @@
 //! from strings (`FromStr`), configuration, or the `SPARSETRAIN_ENGINE`
 //! environment variable ([`registry::env_override`]). A resolved engine
 //! travels as a [`context::ExecutionContext`] (engine + plan), which
-//! `sparsetrain-nn` threads through every `Layer::forward`/`backward` and
-//! `sparsetrain-core` through the dataflow executor — no call site ever
-//! re-resolves a token.
+//! `sparsetrain-nn` threads through every `Layer::forward`/`backward` — no
+//! call site ever re-resolves a token.
 //!
 //! [`planner`] closes the loop the paper's scheduler closes in hardware:
 //! operand density differs per layer and per stage and keeps falling as

@@ -455,36 +455,17 @@ pub fn env_plan() -> Result<Option<Plan>, PlanError> {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AutoEngine;
 
-impl AutoEngine {
-    fn pick(stage: Stage, density: f64) -> &'static dyn KernelEngine {
-        heuristic_handle(stage, density).engine()
-    }
-}
-
 impl KernelEngine for AutoEngine {
     fn name(&self) -> &'static str {
         "auto"
     }
 
-    fn run(&self, op: &StageOp<'_>, out: &mut [f32]) {
-        Self::pick(op.stage(), op.operand().density()).run(op, out);
-    }
-
     fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
         // An empty batch has no stage; it is the same no-op on any delegate.
         let stage = ops.first().map_or(Stage::Forward, StageOp::stage);
-        Self::pick(stage, batch_density(ops.iter().map(StageOp::operand))).run_batch(ops, out);
-    }
-
-    fn for_each_batch_chunk(&self, parts: Vec<&mut [f32]>, work: &(dyn Fn(usize, usize, &mut [f32]) + Sync)) {
-        // Elementwise batch work (the pruning seam) is position-pure by
-        // contract, so any chunking is bitwise-identical — hand it to the
-        // band-parallel engine, which degenerates to sequential on one
-        // worker.
-        lookup("parallel")
-            .expect("parallel engine is always registered")
+        heuristic_handle(stage, batch_density(ops.iter().map(StageOp::operand)))
             .engine()
-            .for_each_batch_chunk(parts, work);
+            .run_batch(ops, out);
     }
 }
 

@@ -203,7 +203,7 @@ fn table() -> &'static RwLock<Vec<EngineHandle>> {
             EngineHandle {
                 name: "auto",
                 summary: "density-adaptive selection over the float engines (per-call win-region \
-                          heuristic; per-(layer, stage) measure-and-cache through the planner), \
+                          heuristic; decided once per (layer, stage) and frozen in the plan), \
                           bitwise equal to scalar",
                 engine: &AUTO,
             },

@@ -438,12 +438,11 @@ proptest! {
 // Pruning leg of the engine matrix
 // ---------------------------------------------------------------------------
 
-/// One pruned training epoch's observables: final weights, per-site
-/// pre-prune gradient taps, and the next step's stream coordinates.
+/// One pruned training epoch's observables: final weights and per-site
+/// pre-prune gradient taps.
 struct PrunedEpoch {
     weights: Vec<f32>,
     tapped: Vec<(String, Vec<f32>)>,
-    streams: sparsetrain_core::prune::StepStreams,
 }
 
 /// Trains one epoch of a pruned mini CNN on `handle`'s engine.
@@ -457,27 +456,18 @@ fn pruned_epoch(handle: registry::EngineHandle) -> PrunedEpoch {
     let mut trainer = Trainer::new(net, TrainConfig::quick().with_engine_handle(handle));
     trainer.train_epoch(&train);
     let tapped = trainer.tap_gradients(&train);
-    let streams = trainer.step_streams();
     let mut weights = Vec::new();
     trainer
         .network_mut()
         .visit_params(&mut |w, _| weights.extend_from_slice(w));
-    PrunedEpoch {
-        weights,
-        tapped,
-        streams,
-    }
+    PrunedEpoch { weights, tapped }
 }
 
 /// For every registered engine: a pruned training epoch is deterministic
-/// (two independent runs agree bitwise), and the engine's banded pruning
-/// path reproduces the scalar/sequential golden bitwise on that run's
-/// *actual* activation gradients. The pruning stage is engine-invariant
-/// even for backends whose convolution datapath is not (fixed-point).
+/// (two independent runs agree bitwise) — the fixed-point engine included,
+/// whose convolution datapath is outside the float parity guarantee.
 #[test]
 fn pruning_parity_across_engines() {
-    use sparsetrain_core::prune::{LayerPruner, PruneConfig};
-
     for handle in engines_under_test() {
         let a = pruned_epoch(handle);
         let b = pruned_epoch(handle);
@@ -493,27 +483,6 @@ fn pruning_parity_across_engines() {
             "engine {}: gradients not reproducible",
             handle.name()
         );
-
-        // Banded pruning on this engine == sequential scalar golden, on
-        // the real gradient tensors this engine produced, under the exact
-        // streams the trainer's PruneHook would derive for this step.
-        for (site, grads) in &a.tapped {
-            let stream = a.streams.site(site);
-            let mut warm = LayerPruner::new(PruneConfig::new(0.9, 1));
-            warm.prune_batch(&mut grads.clone(), &stream); // warm the FIFO
-            let mut sequential = warm.clone();
-            let mut banded = warm;
-            let mut seq_data = grads.clone();
-            sequential.prune_batch_parts(&mut [&mut seq_data], &stream);
-            let mut band_data = grads.clone();
-            banded.prune_batch_parts_on(&mut [&mut band_data], &stream, handle.engine());
-            assert_eq!(
-                seq_data,
-                band_data,
-                "engine {}: banded prune of {site} diverged from sequential golden",
-                handle.name()
-            );
-        }
     }
 }
 

@@ -80,11 +80,6 @@ impl QFormat {
         self.dequantize(self.quantize(v))
     }
 
-    /// Quantizes a slice into raw 16-bit values.
-    pub fn quantize_slice(&self, values: &[f32]) -> Vec<i16> {
-        values.iter().map(|&v| self.quantize(v)).collect()
-    }
-
     /// Applies the roundtrip in place (simulating a fixed-point store).
     pub fn roundtrip_slice(&self, values: &mut [f32]) {
         for v in values.iter_mut() {
@@ -241,16 +236,6 @@ mod tests {
     #[should_panic(expected = "frac_bits")]
     fn sixteen_frac_bits_panics() {
         let _ = QFormat::new(16);
-    }
-
-    #[test]
-    fn quantize_slice_matches_scalar_path() {
-        let q = QFormat::new(8);
-        let values = [0.1f32, -0.2, 3.0];
-        let bits = q.quantize_slice(&values);
-        for (b, v) in bits.iter().zip(values.iter()) {
-            assert_eq!(*b, q.quantize(*v));
-        }
     }
 
     #[test]

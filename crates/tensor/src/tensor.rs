@@ -64,11 +64,6 @@ impl Tensor3 {
         (self.shape.c, self.shape.h, self.shape.w)
     }
 
-    /// The tensor's shape descriptor.
-    pub fn shape3(&self) -> Shape3 {
-        self.shape
-    }
-
     /// Number of channels.
     pub fn channels(&self) -> usize {
         self.shape.c
@@ -258,11 +253,6 @@ impl Tensor4 {
         (self.shape.f, self.shape.c, self.shape.kh, self.shape.kw)
     }
 
-    /// The tensor's shape descriptor.
-    pub fn shape4(&self) -> Shape4 {
-        self.shape
-    }
-
     /// Number of filters (output channels).
     pub fn filters(&self) -> usize {
         self.shape.f
@@ -271,16 +261,6 @@ impl Tensor4 {
     /// Number of input channels.
     pub fn channels(&self) -> usize {
         self.shape.c
-    }
-
-    /// Kernel height.
-    pub fn kernel_h(&self) -> usize {
-        self.shape.kh
-    }
-
-    /// Kernel width.
-    pub fn kernel_w(&self) -> usize {
-        self.shape.kw
     }
 
     /// Total number of elements.
@@ -332,13 +312,6 @@ impl Tensor4 {
     pub fn kernel_row(&self, f: usize, c: usize, u: usize) -> &[f32] {
         let start = self.shape.index(f, c, u, 0);
         &self.data[start..start + self.shape.kw]
-    }
-
-    /// Mutable view of one kernel row — the accumulation target of an OSRC
-    /// operation, so weight gradients build up in place without scratch.
-    pub fn kernel_row_mut(&mut self, f: usize, c: usize, u: usize) -> &mut [f32] {
-        let start = self.shape.index(f, c, u, 0);
-        &mut self.data[start..start + self.shape.kw]
     }
 
     /// The underlying data slice in (F, C, KH, KW) row-major order.

@@ -4,7 +4,9 @@
 //! `#anchor` links are skipped; fenced code blocks are ignored — except
 //! that every `--example X`, `--bench X` and `--bin X` inside one must
 //! name a cargo target that exists, so a quoted command cannot outlive the
-//! target it runs.
+//! target it runs. Source files the prose names in back-ticks by their
+//! repository path must exist too, so a deleted file cannot leave its
+//! mention behind.
 
 use std::path::{Path, PathBuf};
 
@@ -148,5 +150,41 @@ fn cargo_targets_named_in_fenced_blocks_exist() {
         "{} stale cargo command(s):\n{}",
         stale.len(),
         stale.join("\n")
+    );
+}
+
+#[test]
+fn backticked_repository_paths_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0usize;
+    let mut missing = Vec::new();
+    for_each_doc_line(root, |file, line_no, line, in_fence| {
+        if in_fence {
+            return;
+        }
+        // Inline code spans are the odd pieces between back-ticks.
+        for span in line.split('`').skip(1).step_by(2) {
+            let is_path = span.contains('/')
+                && [".rs", ".md", ".json", ".yml", ".toml"]
+                    .iter()
+                    .any(|ext| span.ends_with(ext));
+            if !is_path {
+                continue;
+            }
+            checked += 1;
+            if !root.join(span).exists() {
+                missing.push(format!("{}:{line_no}: no file `{span}`", file.display()));
+            }
+        }
+    });
+    assert!(
+        checked > 0,
+        "the docs name source files by path; finding none means the walk broke"
+    );
+    assert!(
+        missing.is_empty(),
+        "{} missing file(s):\n{}",
+        missing.len(),
+        missing.join("\n")
     );
 }
