@@ -27,7 +27,10 @@
 //! planner's per-(layer, stage) choices against every single global
 //! engine. The `pruning` group covers the stochastic pruning stage: the
 //! one pass on 1 band vs on pool-sized bands, across batch sizes and input
-//! densities, with the rayon worker count in the label.
+//! densities, with the rayon worker count in the label. The `fork_join`
+//! group is the measurement the banding threshold
+//! (`engine::MIN_OPS_PER_BAND`) is derived from: the round trip of a
+//! two-task `rayon::scope` at four gaps between calls.
 //!
 //! CI runs this bench as a smoke and uploads the resulting
 //! `target/bench-results.jsonl`; it gates on no ratio from it (`stbench
@@ -41,7 +44,10 @@ use sparsetrain_bench::fixtures::{fixture, fixture_seeded, LayerFixture, LAYERS}
 use sparsetrain_core::prune::pruner::prune_pass_in_bands;
 use sparsetrain_core::prune::{prune_pass, BatchStream, LayerPruner, PruneConfig, SiteStats};
 use sparsetrain_sparse::{registry, BatchOut, EngineHandle, ExecutionContext, Stage, StageOp};
+use std::cell::RefCell;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// Batched comparison shape: one AlexNet conv3-like layer over a
 /// mini-batch.
@@ -213,11 +219,76 @@ fn bench_pruning(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fork-join round trip `engine::MIN_OPS_PER_BAND` is derived from:
+/// two 100 µs tasks through `rayon::scope` the way `for_each_band` deals
+/// two bands (one spawned, one on the caller), so 100 µs is the ideal and
+/// the rest is overhead. The caller stays busy for 0 / 300 / 1 000 µs
+/// between calls — the sequential work between two fan-outs of a training
+/// step — or for 10 ms, longer than the pool's workers keep polling: the
+/// last leg is what a call pays to wake a parked worker. Besides the mean
+/// the harness records, prints the round-trip quartiles and how many
+/// spawned jobs ended up on the owner (nobody picked them up before it was
+/// done with its own).
+fn bench_fork_join(c: &mut Criterion) {
+    const TASK: Duration = Duration::from_micros(100);
+    let busy = |d: Duration| {
+        let start = Instant::now();
+        while start.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    };
+    let threads = rayon::current_num_threads();
+    let mut group = c.benchmark_group("fork_join");
+    group.sample_size(20);
+    for gap_us in [0u64, 300, 1000, 10_000] {
+        let trips = RefCell::new(Vec::new());
+        let on_owner = AtomicUsize::new(0);
+        let id = BenchmarkId::new(format!("2x100us/t{threads}"), format!("gap{gap_us}us"));
+        group.bench_function(id, |b| {
+            b.iter_batched(
+                || busy(Duration::from_micros(gap_us)),
+                |()| {
+                    let owner = std::thread::current().id();
+                    let start = Instant::now();
+                    rayon::scope(|s| {
+                        s.spawn(|_| {
+                            if std::thread::current().id() == owner {
+                                on_owner.fetch_add(1, Ordering::Relaxed);
+                            }
+                            busy(TASK);
+                        });
+                        busy(TASK);
+                    });
+                    trips.borrow_mut().push(start.elapsed());
+                },
+                BatchSize::PerIteration,
+            );
+        });
+        let mut trips = trips.into_inner();
+        if trips.is_empty() {
+            continue; // filtered out
+        }
+        trips.sort();
+        let at = |q: usize| trips[(trips.len() - 1) * q / 100].as_secs_f64() * 1e6;
+        println!(
+            "fork_join gap {gap_us:>5} µs: round trip p25 / p50 / p90 = {:.0} / {:.0} / {:.0} µs over {} trips, \
+             {} spawned jobs ran on the owner",
+            at(25),
+            at(50),
+            at(90),
+            trips.len(),
+            on_owner.into_inner(),
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_stages,
     bench_batched_vs_per_sample,
     bench_end_to_end,
-    bench_pruning
+    bench_pruning,
+    bench_fork_join
 );
 criterion_main!(benches);

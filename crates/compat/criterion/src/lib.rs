@@ -166,6 +166,9 @@ impl Bencher {
 pub struct Criterion {
     default_samples: usize,
     results: Vec<Measurement>,
+    /// Only benchmarks whose label contains this run (`cargo bench -- <filter>`,
+    /// as in criterion).
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -173,11 +176,20 @@ impl Default for Criterion {
         Self {
             default_samples: 10,
             results: Vec::new(),
+            filter: None,
         }
     }
 }
 
 impl Criterion {
+    /// Takes the label filter from the command line, as criterion's bench
+    /// entry points do: `cargo bench` forwards harness flags like
+    /// `--bench`; the first argument that is not a flag is the filter.
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = std::env::args().skip(1).find(|arg| !arg.starts_with('-'));
+        self
+    }
+
     /// Runs one stand-alone benchmark.
     pub fn bench_function(&mut self, id: impl IntoBenchmarkId, f: impl FnMut(&mut Bencher)) -> &mut Self {
         let label = id.into_label();
@@ -196,6 +208,13 @@ impl Criterion {
     }
 
     fn run_one(&mut self, label: String, samples: usize, mut f: impl FnMut(&mut Bencher)) {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|filter| !label.contains(filter.as_str()))
+        {
+            return;
+        }
         let mut bencher = Bencher::new(samples);
         f(&mut bencher);
         let (mean_ns, stddev_ns, samples, iters) = bencher.result.unwrap_or((f64::NAN, f64::NAN, 0, 0));
@@ -301,14 +320,14 @@ impl BenchmarkGroup<'_> {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $( $target(&mut criterion); )+
             criterion.write_json();
         }
     };
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = { $config };
+            let mut criterion = { $config }.configure_from_args();
             $( $target(&mut criterion); )+
             criterion.write_json();
         }
@@ -321,7 +340,7 @@ macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             // `cargo bench` forwards harness flags like `--bench`; the shim
-            // runs every group unconditionally and ignores them.
+            // ignores them (a bare argument filters benchmarks by label).
             $( $group(); )+
         }
     };
@@ -338,6 +357,18 @@ mod tests {
         assert_eq!(c.results.len(), 1);
         assert!(c.results[0].mean_ns.is_finite());
         assert!(c.results[0].samples > 0);
+    }
+
+    #[test]
+    fn filter_skips_other_labels() {
+        let mut c = Criterion {
+            filter: Some("keep".into()),
+            ..Criterion::default()
+        };
+        c.bench_function("skipped", |_| panic!("filtered out"));
+        c.bench_function("group/keep/1", |b| b.iter(|| black_box(1u64) + 1));
+        assert_eq!(c.results.len(), 1);
+        assert_eq!(c.results[0].label, "group/keep/1");
     }
 
     #[test]

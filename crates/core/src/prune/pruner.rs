@@ -4,7 +4,7 @@ use super::fifo::ThresholdFifo;
 use super::stochastic::{abs_sum_nonzeros, prune_slice_at, PruneOutcome};
 use super::stream::BatchStream;
 use super::threshold::{determine_threshold, sigma_hat};
-use sparsetrain_sparse::engine::{bands_for, for_each_band};
+use sparsetrain_sparse::engine::{bands_for, for_each_band, map_in_bands};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -427,14 +427,16 @@ pub fn prune_pass_in_bands(
 ) -> SiteStats {
     // Σ|g| accumulates over the incoming (un-pruned) gradients — in
     // hardware the PPU taps the stream before the pruning stage — and,
-    // like the PPU, touches the non-zeros only. It is a floating-point sum
-    // (element order within a part, parts in order), so it stays here,
-    // ahead of the snap/zero sweep whose bands run in any order.
+    // like the PPU, touches the non-zeros only. It is a floating-point
+    // sum, so its order is fixed: each part's partial (element order, a
+    // run of parts per band) is reduced here in part order, ahead of the
+    // snap/zero sweep whose bands run in any order.
+    let shared: &[&mut [f32]] = parts;
+    let partials = map_in_bands(shared.len(), bands, &|s| abs_sum_nonzeros(&*shared[s]));
     let mut abs_sum = 0.0f64;
     let mut n = 0usize;
     let mut nonzeros = 0usize;
-    for part in parts.iter() {
-        let (part_sum, part_nonzeros) = abs_sum_nonzeros(part);
+    for (part, (part_sum, part_nonzeros)) in parts.iter().zip(partials) {
         abs_sum += part_sum;
         nonzeros += part_nonzeros;
         n += part.len();

@@ -3,6 +3,7 @@
 use crate::layer::{Batch, Layer};
 use sparsetrain_checkpoint::LayerState;
 use sparsetrain_core::prune::StepStreams;
+use sparsetrain_sparse::engine::{bands_for, for_each_band};
 use sparsetrain_sparse::ExecutionContext;
 use sparsetrain_tensor::Tensor3;
 
@@ -55,6 +56,125 @@ impl BatchNorm2d {
     }
 }
 
+/// Deals the channels of a batch to the pool: `work(channel, stat, planes)`
+/// runs once per channel, a contiguous channel range per band, with the
+/// channel's slot of `stats` and its plane of every tensor of `tensors` in
+/// order. A band owns its channels across the whole batch, so a channel's
+/// reductions run start to finish on one thread, in one order, whatever the
+/// band count.
+fn for_each_channel<S: Send>(
+    tensors: &mut [Tensor3],
+    stats: &mut [S],
+    bands: usize,
+    work: impl Fn(usize, &mut S, &mut [&mut [f32]]) + Sync,
+) {
+    let per_channel = tensors.len();
+    let mut planes_of: Vec<_> = tensors
+        .iter_mut()
+        .map(|t| {
+            let plane = t.height() * t.width();
+            t.as_mut_slice().chunks_mut(plane.max(1))
+        })
+        .collect();
+    // Channel-major: channel 0's plane of every tensor, then channel 1's.
+    let mut planes: Vec<&mut [f32]> = Vec::with_capacity(stats.len() * per_channel);
+    for _ in 0..stats.len() {
+        planes.extend(planes_of.iter_mut().map(|it| it.next().unwrap_or_default()));
+    }
+    let mut channels: Vec<(&mut S, &mut [&mut [f32]])> = stats
+        .iter_mut()
+        .zip(planes.chunks_mut(per_channel.max(1)))
+        .collect();
+    for_each_band(vec![&mut channels[..]], 1, bands, &|_, first, piece| {
+        for (i, (stat, planes)) in piece.iter_mut().enumerate() {
+            work(first + i, stat, planes);
+        }
+    });
+}
+
+impl BatchNorm2d {
+    /// The training-mode forward pass over `bands` channel bands: batch
+    /// statistics, running-statistics update, `x̂` kept for backward.
+    fn forward_train_in_bands(&mut self, xs: &Batch<'_>, bands: usize) -> Vec<Tensor3> {
+        let n = xs.len();
+        let (c, h, w) = xs[0].shape();
+        let m = (n * h * w) as f32;
+        let (gamma, beta, eps) = (&self.gamma, &self.beta, self.eps);
+        // x̂ of every sample, then the output of every sample.
+        let mut tensors: Vec<Tensor3> = (0..2 * n).map(|_| Tensor3::zeros(c, h, w)).collect();
+        // (mean, var, inv_std) per channel.
+        let mut stats = vec![(0.0f32, 0.0f32, 0.0f32); c];
+        for_each_channel(&mut tensors, &mut stats, bands, |ci, stat, planes| {
+            // Each chain visits samples in order, elements in order.
+            let mut mean = 0.0f32;
+            for x in xs.iter() {
+                for &v in x.channel(ci) {
+                    mean += v;
+                }
+            }
+            mean /= m;
+            let mut var = 0.0f32;
+            for x in xs.iter() {
+                for &v in x.channel(ci) {
+                    let d = v - mean;
+                    var += d * d;
+                }
+            }
+            var /= m;
+            let inv_std = 1.0 / (var + eps).sqrt();
+            let (xhats, outs) = planes.split_at_mut(n);
+            for ((x, xhat), out) in xs.iter().zip(xhats).zip(outs) {
+                for ((&v, xh), o) in x.channel(ci).iter().zip(xhat.iter_mut()).zip(out.iter_mut()) {
+                    *xh = (v - mean) * inv_std;
+                    *o = gamma[ci] * *xh + beta[ci];
+                }
+            }
+            *stat = (mean, var, inv_std);
+        });
+        for (ci, &(mean, var, _)) in stats.iter().enumerate() {
+            self.running_mean[ci] = (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean;
+            self.running_var[ci] = (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var;
+        }
+        let outs = tensors.split_off(n);
+        self.ctx_xhat = tensors;
+        self.ctx_inv_std = stats.iter().map(|&(_, _, inv_std)| inv_std).collect();
+        outs
+    }
+
+    /// The backward pass over `bands` channel bands.
+    fn backward_in_bands(&mut self, grads: &[Tensor3], bands: usize) -> Vec<Tensor3> {
+        let (c, h, w) = grads[0].shape();
+        let m = (grads.len() * h * w) as f32;
+        let (gamma, inv_std, xhats) = (&self.gamma, &self.ctx_inv_std, &self.ctx_xhat);
+        let mut dins: Vec<Tensor3> = grads.iter().map(|_| Tensor3::zeros(c, h, w)).collect();
+        // (Σ dy, Σ dy·x̂) per channel.
+        let mut sums = vec![(0.0f32, 0.0f32); c];
+        for_each_channel(&mut dins, &mut sums, bands, |ci, sum, planes| {
+            // Each chain visits samples in order, elements in order.
+            let (mut sum_dy, mut sum_dy_xhat) = (0.0f32, 0.0f32);
+            for (g, xhat) in grads.iter().zip(xhats) {
+                for (gv, xh) in g.channel(ci).iter().zip(xhat.channel(ci)) {
+                    sum_dy += gv;
+                    sum_dy_xhat += gv * xh;
+                }
+            }
+            // dx = (gamma * inv_std / m) * (m*dy − Σdy − x̂·Σ(dy·x̂))
+            let scale = gamma[ci] * inv_std[ci] / m;
+            for ((g, xhat), din) in grads.iter().zip(xhats).zip(planes.iter_mut()) {
+                for ((dy, xh), d) in g.channel(ci).iter().zip(xhat.channel(ci)).zip(din.iter_mut()) {
+                    *d = scale * (m * dy - sum_dy - xh * sum_dy_xhat);
+                }
+            }
+            *sum = (sum_dy, sum_dy_xhat);
+        });
+        for (ci, &(sum_dy, sum_dy_xhat)) in sums.iter().enumerate() {
+            self.dgamma[ci] += sum_dy_xhat;
+            self.dbeta[ci] += sum_dy;
+        }
+        dins
+    }
+}
+
 impl Layer for BatchNorm2d {
     fn name(&self) -> &str {
         &self.name
@@ -74,61 +194,13 @@ impl Layer for BatchNorm2d {
         assert!(!xs.is_empty(), "{}: empty batch", self.name);
         let (c, h, w) = xs[0].shape();
         assert_eq!(c, self.channels, "{}: channel mismatch", self.name);
-        let m = (xs.len() * h * w) as f32;
+        for x in xs.iter() {
+            assert_eq!(x.shape(), (c, h, w), "{}: mixed-shape batch", self.name);
+        }
 
         if train {
-            // Batch statistics per channel.
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for x in &xs {
-                for (ci, m) in mean.iter_mut().enumerate() {
-                    for &v in x.channel(ci) {
-                        *m += v;
-                    }
-                }
-            }
-            for mu in &mut mean {
-                *mu /= m;
-            }
-            for x in &xs {
-                for (ci, vv) in var.iter_mut().enumerate() {
-                    for &v in x.channel(ci) {
-                        let d = v - mean[ci];
-                        *vv += d * d;
-                    }
-                }
-            }
-            for v in &mut var {
-                *v /= m;
-            }
-            let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-
-            for ci in 0..c {
-                self.running_mean[ci] =
-                    (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean[ci];
-                self.running_var[ci] = (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var[ci];
-            }
-
-            let mut outs = Vec::with_capacity(xs.len());
-            let mut xhats = Vec::with_capacity(xs.len());
-            for x in &xs {
-                let mut xhat = Tensor3::zeros(c, h, w);
-                let mut out = Tensor3::zeros(c, h, w);
-                for ci in 0..c {
-                    for y in 0..h {
-                        for xi in 0..w {
-                            let xh = (x.get(ci, y, xi) - mean[ci]) * inv_std[ci];
-                            xhat.set(ci, y, xi, xh);
-                            out.set(ci, y, xi, self.gamma[ci] * xh + self.beta[ci]);
-                        }
-                    }
-                }
-                outs.push(out);
-                xhats.push(xhat);
-            }
-            self.ctx_xhat = xhats;
-            self.ctx_inv_std = inv_std;
-            outs.into()
+            let bands = bands_for(c, xs.len() * c * h * w);
+            self.forward_train_in_bands(&xs, bands).into()
         } else {
             let outs: Batch<'static> = xs
                 .iter()
@@ -163,43 +235,7 @@ impl Layer for BatchNorm2d {
             self.name
         );
         let (c, h, w) = grads[0].shape();
-        let m = (grads.len() * h * w) as f32;
-
-        // Per-channel reductions: Σ dy and Σ dy·x̂.
-        let mut sum_dy = vec![0.0f32; c];
-        let mut sum_dy_xhat = vec![0.0f32; c];
-        for (g, xhat) in grads.iter().zip(&self.ctx_xhat) {
-            for ci in 0..c {
-                for (gv, xh) in g.channel(ci).iter().zip(xhat.channel(ci)) {
-                    sum_dy[ci] += gv;
-                    sum_dy_xhat[ci] += gv * xh;
-                }
-            }
-        }
-        for ci in 0..c {
-            self.dgamma[ci] += sum_dy_xhat[ci];
-            self.dbeta[ci] += sum_dy[ci];
-        }
-
-        // dx = (gamma * inv_std / m) * (m*dy − Σdy − x̂·Σ(dy·x̂))
-        grads
-            .iter()
-            .zip(&self.ctx_xhat)
-            .map(|(g, xhat)| {
-                let mut din = Tensor3::zeros(c, h, w);
-                for ci in 0..c {
-                    let scale = self.gamma[ci] * self.ctx_inv_std[ci] / m;
-                    for y in 0..h {
-                        for xi in 0..w {
-                            let dy = g.get(ci, y, xi);
-                            let xh = xhat.get(ci, y, xi);
-                            din.set(ci, y, xi, scale * (m * dy - sum_dy[ci] - xh * sum_dy_xhat[ci]));
-                        }
-                    }
-                }
-                din
-            })
-            .collect()
+        self.backward_in_bands(&grads, bands_for(c, grads.len() * c * h * w))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
@@ -366,6 +402,163 @@ mod tests {
         let vals: Vec<f32> = out.iter().flat_map(|o| o.as_slice().to_vec()).collect();
         let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
         assert!(mean.abs() < 0.4, "eval mean {mean} not near 0");
+    }
+
+    /// The pre-banding training forward, kept verbatim: every channel's
+    /// sums interleaved sample by sample on one thread.
+    fn oracle_forward(bn: &mut BatchNorm2d, xs: &[Tensor3]) -> Vec<Tensor3> {
+        let (c, h, w) = xs[0].shape();
+        let m = (xs.len() * h * w) as f32;
+        let mut mean = vec![0.0f32; c];
+        let mut var = vec![0.0f32; c];
+        for x in xs {
+            for (ci, m) in mean.iter_mut().enumerate() {
+                for &v in x.channel(ci) {
+                    *m += v;
+                }
+            }
+        }
+        for mu in &mut mean {
+            *mu /= m;
+        }
+        for x in xs {
+            for (ci, vv) in var.iter_mut().enumerate() {
+                for &v in x.channel(ci) {
+                    let d = v - mean[ci];
+                    *vv += d * d;
+                }
+            }
+        }
+        for v in &mut var {
+            *v /= m;
+        }
+        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + bn.eps).sqrt()).collect();
+
+        for ci in 0..c {
+            bn.running_mean[ci] = (1.0 - bn.momentum) * bn.running_mean[ci] + bn.momentum * mean[ci];
+            bn.running_var[ci] = (1.0 - bn.momentum) * bn.running_var[ci] + bn.momentum * var[ci];
+        }
+
+        let mut outs = Vec::with_capacity(xs.len());
+        let mut xhats = Vec::with_capacity(xs.len());
+        for x in xs {
+            let mut xhat = Tensor3::zeros(c, h, w);
+            let mut out = Tensor3::zeros(c, h, w);
+            for ci in 0..c {
+                for y in 0..h {
+                    for xi in 0..w {
+                        let xh = (x.get(ci, y, xi) - mean[ci]) * inv_std[ci];
+                        xhat.set(ci, y, xi, xh);
+                        out.set(ci, y, xi, bn.gamma[ci] * xh + bn.beta[ci]);
+                    }
+                }
+            }
+            outs.push(out);
+            xhats.push(xhat);
+        }
+        bn.ctx_xhat = xhats;
+        bn.ctx_inv_std = inv_std;
+        outs
+    }
+
+    /// The pre-banding backward, kept verbatim.
+    fn oracle_backward(bn: &mut BatchNorm2d, grads: &[Tensor3]) -> Vec<Tensor3> {
+        let (c, h, w) = grads[0].shape();
+        let m = (grads.len() * h * w) as f32;
+        let mut sum_dy = vec![0.0f32; c];
+        let mut sum_dy_xhat = vec![0.0f32; c];
+        for (g, xhat) in grads.iter().zip(&bn.ctx_xhat) {
+            for ci in 0..c {
+                for (gv, xh) in g.channel(ci).iter().zip(xhat.channel(ci)) {
+                    sum_dy[ci] += gv;
+                    sum_dy_xhat[ci] += gv * xh;
+                }
+            }
+        }
+        for ci in 0..c {
+            bn.dgamma[ci] += sum_dy_xhat[ci];
+            bn.dbeta[ci] += sum_dy[ci];
+        }
+        grads
+            .iter()
+            .zip(&bn.ctx_xhat)
+            .map(|(g, xhat)| {
+                let mut din = Tensor3::zeros(c, h, w);
+                for ci in 0..c {
+                    let scale = bn.gamma[ci] * bn.ctx_inv_std[ci] / m;
+                    for y in 0..h {
+                        for xi in 0..w {
+                            let dy = g.get(ci, y, xi);
+                            let xh = xhat.get(ci, y, xi);
+                            din.set(ci, y, xi, scale * (m * dy - sum_dy[ci] - xh * sum_dy_xhat[ci]));
+                        }
+                    }
+                }
+                din
+            })
+            .collect()
+    }
+
+    /// Everything a training step leaves behind, as bits.
+    fn step_bits(bn: &BatchNorm2d, outs: &[Tensor3], dins: &[Tensor3]) -> Vec<Vec<u32>> {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let tensors = |ts: &[Tensor3]| ts.iter().flat_map(|t| bits(t.as_slice())).collect::<Vec<u32>>();
+        vec![
+            tensors(outs),
+            tensors(&bn.ctx_xhat),
+            tensors(dins),
+            bits(&bn.dgamma),
+            bits(&bn.dbeta),
+            bits(&bn.running_mean),
+            bits(&bn.running_var),
+            bits(&bn.ctx_inv_std),
+        ]
+    }
+
+    /// A band owns whole channels, so every sum keeps its order: outputs,
+    /// `x̂`, `din`, `dgamma`, `dbeta` and the running statistics are the
+    /// pre-banding loops' bits at every band count.
+    #[test]
+    fn channel_bands_leave_every_bit_alone() {
+        for channels in [8usize, 19] {
+            let mut rng = StdRng::seed_from_u64(channels as u64);
+            let batch = |rng: &mut StdRng| -> Vec<Tensor3> {
+                (0..16)
+                    .map(|_| {
+                        Tensor3::from_fn(channels, 5, 3, |_, _, _| sample_standard_normal(rng) * 2.0 + 0.5)
+                    })
+                    .collect()
+            };
+            let (xs, grads) = (batch(&mut rng), batch(&mut rng));
+            let mut fresh = BatchNorm2d::new("bn", channels);
+            for (ci, (g, b)) in fresh.gamma.iter_mut().zip(&mut fresh.beta).enumerate() {
+                (*g, *b) = (0.5 + ci as f32 * 0.1, ci as f32 * 0.01 - 0.05);
+            }
+            let want = {
+                let mut bn = fresh.clone();
+                let outs = oracle_forward(&mut bn, &xs);
+                let dins = oracle_backward(&mut bn, &grads);
+                step_bits(&bn, &outs, &dins)
+            };
+            for bands in [1usize, 2, 3, 4, 7] {
+                let mut bn = fresh.clone();
+                let outs = bn.forward_train_in_bands(&Batch::borrowed(&xs), bands);
+                let dins = bn.backward_in_bands(&grads, bands);
+                assert_eq!(
+                    step_bits(&bn, &outs, &dins),
+                    want,
+                    "{channels} channels on {bands} bands"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bn_mixed: mixed-shape batch")]
+    fn forward_rejects_a_mixed_shape_batch() {
+        let mut bn = BatchNorm2d::new("bn_mixed", 2);
+        let xs = vec![Tensor3::zeros(2, 4, 4), Tensor3::zeros(2, 2, 8)];
+        bn.forward(xs.into(), &mut ExecutionContext::scalar(), true);
     }
 
     #[test]

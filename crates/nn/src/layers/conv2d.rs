@@ -6,6 +6,7 @@ use rand::SeedableRng;
 use sparsetrain_checkpoint::LayerState;
 use sparsetrain_core::dataflow::{ConvLayerTrace, LayerTrace};
 use sparsetrain_core::prune::StepStreams;
+use sparsetrain_sparse::engine::map_banded;
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::{ExecutionContext, RowMask};
 use sparsetrain_tensor::conv::{self, ConvGeometry};
@@ -151,6 +152,14 @@ impl Conv2d {
     }
 }
 
+/// Compresses the `n` dense maps `sample` yields, one contiguous run of
+/// samples per band (a map is its own sample's value, so the band count
+/// cannot show).
+fn compress<'t>(n: usize, sample: impl Fn(usize) -> &'t Tensor3 + Sync) -> Vec<SparseFeatureMap> {
+    let elements = (0..n).map(|s| sample(s).len()).sum();
+    map_banded(n, elements, &|s| SparseFeatureMap::from_tensor(sample(s)))
+}
+
 impl Layer for Conv2d {
     fn name(&self) -> &str {
         &self.name
@@ -187,7 +196,7 @@ impl Layer for Conv2d {
                 // One batched engine call; the compressed maps alone are
                 // cached for backward, so dense activations borrowed from
                 // the dataset are never cloned.
-                let fms: Vec<SparseFeatureMap> = xs.iter().map(SparseFeatureMap::from_tensor).collect();
+                let fms = compress(xs.len(), |s| &xs[s]);
                 let out = ctx
                     .forward_batch_for(&self.name, &fms, &self.weights, Some(&self.bias), self.geom)
                     .into_iter()
@@ -265,8 +274,7 @@ impl Layer for Conv2d {
                 dins
             }
             ConvExecution::SparseRows => {
-                let dout_fms: Vec<SparseFeatureMap> =
-                    grads.iter().map(SparseFeatureMap::from_tensor).collect();
+                let dout_fms = compress(grads.len(), |s| &grads[s]);
                 // The compressed maps already counted their non-zeros.
                 self.note_dout_density(dout_fms.iter().map(SparseFeatureMap::nnz).sum(), &grads);
                 // Batched GTW accumulates every sample straight into the
@@ -297,8 +305,9 @@ impl Layer for Conv2d {
                     // forward input was zero keep a zero gradient. The
                     // first layer skips GTA — the network input needs no
                     // gradient — and returns the zero tensors as-is.
-                    let masks: Vec<Vec<RowMask>> =
-                        self.ctx_input_fms.iter().map(SparseFeatureMap::masks).collect();
+                    let fms = &self.ctx_input_fms;
+                    let elements = dins.iter().map(Tensor3::len).sum();
+                    let masks: Vec<Vec<RowMask>> = map_banded(fms.len(), elements, &|s| fms[s].masks());
                     ctx.input_grad_batch_for_into(
                         &self.name,
                         &dout_fms,

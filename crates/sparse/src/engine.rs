@@ -714,16 +714,20 @@ impl ParallelEngine {
     }
 }
 
-/// Rough MAC count below which a band is not worth a worker: spawning a
-/// scope task costs on the order of tens of microseconds (a fresh OS
-/// thread under the compat rayon shim), which is itself worth tens of
-/// thousands of sparse MACs — a band must carry several multiples of that
-/// to amortize the fork-join.
-const MIN_OPS_PER_BAND: usize = 128 * 1024;
+/// Ops (sparse MACs, or elements of per-element glue) a band must carry to
+/// be worth dealing to a pool worker. Derived from the `fork_join` group
+/// of `crates/bench/benches/engine.rs`: a two-task `rayon::scope` whose
+/// worker is still polling costs ≈ 2 µs over its tasks on the 2-core KVM
+/// guest (a parked worker ≈ 80 µs, but the pool polls across the gaps of a
+/// training step), which is a few thousand ops — a band carries a few
+/// multiples of that. On `stbench`'s `resnet_pruned_mt` 1 K, 2 K, 4 K and
+/// 8 K read alike and 32 K and 128 K read worse (sweep in CHANGES.md,
+/// PR 24); 8 K is the largest of the plateau, the fewest fork-joins.
+const MIN_OPS_PER_BAND: usize = 8 * 1024;
 
 /// How many bands [`for_each_band`] should cut `units` independent units
-/// carrying `work` MACs altogether into: one per rayon worker, but no more
-/// than the work amortizes (`MIN_OPS_PER_BAND` MACs each) and never more
+/// carrying `work` ops altogether into: one per rayon worker, but no more
+/// than the work amortizes (`MIN_OPS_PER_BAND` ops each) and never more
 /// than there are units.
 pub fn bands_for(units: usize, work: usize) -> usize {
     let by_work = work.max(1).div_ceil(MIN_OPS_PER_BAND);
@@ -743,23 +747,26 @@ pub fn bands_for(units: usize, work: usize) -> usize {
 /// Every unit is visited exactly once, but in no defined order across
 /// bands: `work` must be position-pure — its effect on a unit may depend
 /// only on `(part, unit index, unit contents)`. The convolution bands are
-/// (disjoint output units, per-unit accumulation order untouched) and so
-/// is the pruner's snap/zero sweep (draws keyed by element position),
-/// which is why results are bitwise identical at every band count.
+/// (disjoint output units, per-unit accumulation order untouched), so is
+/// the pruner's snap/zero sweep (draws keyed by element position) and so
+/// is the per-sample and per-channel glue dealt through [`map_in_bands`]
+/// and `BatchNorm2d` (an element is one sample's value, or one channel's
+/// whole reduction), which is why results are bitwise identical at every
+/// band count.
 ///
 /// # Panics
 ///
 /// Panics if a part is not a whole number of units.
-pub fn for_each_band(
-    parts: Vec<&mut [f32]>,
+pub fn for_each_band<T: Send>(
+    parts: Vec<&mut [T]>,
     unit_len: usize,
     bands: usize,
-    work: &(dyn Fn(usize, usize, &mut [f32]) + Sync),
+    work: &(dyn Fn(usize, usize, &mut [T]) + Sync),
 ) {
     let unit_len = unit_len.max(1);
     let units: usize = parts.iter().map(|part| part.len() / unit_len).sum();
     let per_band = units.div_ceil(bands.max(1)).max(1);
-    let run = move |band: Vec<(usize, usize, &mut [f32])>| {
+    let run = move |band: Vec<(usize, usize, &mut [T])>| {
         for (part, first_unit, piece) in band {
             work(part, first_unit, piece);
         }
@@ -786,6 +793,35 @@ pub fn for_each_band(
         }
         run(band);
     });
+}
+
+/// `(0..n).map(f).collect()` with the index range dealt to the pool in
+/// contiguous runs: the per-sample glue of a step (compressing a batch,
+/// building its masks, its channels-last copies). `work` prices the whole
+/// call in ops, one per element touched, for [`bands_for`]. Each value
+/// depends on its index alone, so the result equals the sequential map at
+/// every band count.
+pub fn map_banded<T: Send>(n: usize, work: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    map_in_bands(n, bands_for(n, work), f)
+}
+
+/// [`map_banded`] with the band count given instead of sized from the
+/// pool — for the band-count invariance tests.
+#[doc(hidden)]
+pub fn map_in_bands<T: Send>(n: usize, bands: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    if bands <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for_each_band(vec![&mut slots[..]], 1, bands, &|_, first, piece| {
+        for (i, slot) in piece.iter_mut().enumerate() {
+            *slot = Some(f(first + i));
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("the splitter visits every unit"))
+        .collect()
 }
 
 impl KernelEngine for ParallelEngine {
@@ -996,8 +1032,9 @@ mod tests {
     }
 
     /// GTW is priced by the gradient it walks: against the same dense
-    /// input, a 16-sample batch of 5 %-dense `dout`s stays on one band at
-    /// any thread count where a dense one fans out.
+    /// input, a 16-sample batch of 5 %-dense `dout`s is worth a tenth of
+    /// the bands a dense one is, and each gets what its work amortizes —
+    /// `MIN_OPS_PER_BAND` ops a band, within the pool and the unit count.
     #[test]
     fn weight_grad_bands_follow_the_gradient_density() {
         let mut s = 7u64;
@@ -1013,9 +1050,14 @@ mod tests {
             sparse.work() * 10 < dense.work(),
             "work must follow dout's non-zeros"
         );
-        let bands = |op: &StageOp<'_>| bands_for(op.split().0, 16 * op.work());
-        assert_eq!(bands(&sparse), 1);
-        assert_eq!(bands(&dense), rayon::current_num_threads().min(5));
+        for op in [&sparse, &dense] {
+            let (units, work) = (op.split().0, 16 * op.work());
+            let amortized = work.div_ceil(MIN_OPS_PER_BAND);
+            assert_eq!(
+                bands_for(units, work),
+                rayon::current_num_threads().min(amortized).min(units)
+            );
+        }
     }
 
     #[test]
@@ -1043,8 +1085,11 @@ mod tests {
 
     /// The splitter deals work per band, not per piece: 16 equal parts on
     /// 2 bands are two tasks of eight pieces each, the last on the caller.
+    /// Which thread runs the other is the pool's business (the caller
+    /// itself, when no worker picked it up).
     #[test]
     fn for_each_band_runs_one_task_per_band() {
+        use std::collections::HashSet;
         use std::sync::Mutex;
         let mut data = vec![[0.0f32; 8]; 16];
         let parts: Vec<&mut [f32]> = data.iter_mut().map(|p| &mut p[..]).collect();
@@ -1061,7 +1106,32 @@ mod tests {
             "band 0 changed threads"
         );
         assert!(last.iter().all(|&(_, id)| id == std::thread::current().id()));
-        assert_ne!(first[0].1, last[0].1, "two bands, two tasks");
+        let ids: HashSet<_> = seen.iter().map(|&(_, id)| id).collect();
+        assert!(ids.len() <= 2, "two bands, at most two threads");
+    }
+
+    /// Values built per index through the splitter equal the sequential
+    /// map at every band count — empty and single-element ranges included
+    /// — for the three per-sample values a step builds this way.
+    #[test]
+    fn map_in_bands_equals_the_sequential_map() {
+        let mut s = 11u64;
+        let tensors: Vec<_> = (0..16)
+            .map(|i| test_fixtures::sparse_tensor(3, 5 + i % 2, 7, 40, &mut s))
+            .collect();
+        for n in [0usize, 1, 16] {
+            let compress = |i: usize| SparseFeatureMap::from_tensor(&tensors[i]);
+            let want: Vec<SparseFeatureMap> = (0..n).map(compress).collect();
+            let want_masks: Vec<Vec<RowMask>> = want.iter().map(SparseFeatureMap::masks).collect();
+            for bands in [1usize, 2, 3, 4, 7] {
+                assert_eq!(map_in_bands(n, bands, &compress), want, "{n} on {bands}");
+                assert_eq!(
+                    map_in_bands(n, bands, &|i| want[i].masks()),
+                    want_masks,
+                    "{n} on {bands}"
+                );
+            }
+        }
     }
 
     /// Parts of unequal length (empty ones included) × unit length × band

@@ -62,7 +62,7 @@
 //! [`crate::engine::ParallelEngine::over`]: the registry's
 //! `"parallel:simd"` runs these band workers inside each rayon band.
 
-use crate::engine::{scalar_band, BandContext, KernelEngine, StageOp};
+use crate::engine::{map_banded, scalar_band, BandContext, KernelEngine, StageOp};
 use crate::mask::RowMask;
 use crate::planner::Stage;
 use crate::rowconv::SparseFeatureMap;
@@ -520,24 +520,39 @@ impl KernelEngine for SimdEngine {
     }
 
     fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
+        // GTW's channels-last copies are per sample: a contiguous run of
+        // samples per band, priced one op per element copied.
+        fn gtw_input<'a>(op: &StageOp<'a>) -> Option<&'a SparseFeatureMap> {
+            match *op {
+                StageOp::WeightGrad { input, .. } => Some(input),
+                _ => None,
+            }
+        }
+        let elements = ops
+            .iter()
+            .filter_map(gtw_input)
+            .map(|fm| fm.channels() * fm.height() * fm.width())
+            .sum();
+        let copies = map_banded(ops.len(), elements, &|s| gtw_input(&ops[s]).map(channels_last));
         // The re-layout depends on the weights and the stage alone: ops
         // that repeat the previous op's pair (every op of a training
         // batch does) share its copy.
         let mut last: Option<(Stage, &Tensor4, Arc<[f32]>)> = None;
         ops.iter()
-            .map(|op| {
+            .zip(copies)
+            .map(|(op, copy)| {
                 let mut ctx = BandContext::empty();
-                match *op {
-                    StageOp::Forward { weights, .. } | StageOp::InputGrad { weights, .. } => {
-                        let stage = op.stage();
-                        let relaid = match &last {
-                            Some((s, w, wt)) if *s == stage && std::ptr::eq(*w, weights) => wt.clone(),
-                            _ => relay_weights(weights, stage),
-                        };
-                        last = Some((stage, weights, relaid.clone()));
-                        ctx.set_weights(relaid);
-                    }
-                    StageOp::WeightGrad { input, .. } => ctx.set_dense(channels_last(input)),
+                if let Some(dense) = copy {
+                    ctx.set_dense(dense);
+                }
+                if let StageOp::Forward { weights, .. } | StageOp::InputGrad { weights, .. } = *op {
+                    let stage = op.stage();
+                    let relaid = match &last {
+                        Some((s, w, wt)) if *s == stage && std::ptr::eq(*w, weights) => wt.clone(),
+                        _ => relay_weights(weights, stage),
+                    };
+                    last = Some((stage, weights, relaid.clone()));
+                    ctx.set_weights(relaid);
                 }
                 ctx
             })
@@ -565,7 +580,7 @@ impl KernelEngine for SimdEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::test_fixtures::{fixtures_with, stage_ops};
+    use crate::engine::test_fixtures::{fixtures_with, sparse_tensor, stage_ops};
     use crate::engine::{ParallelEngine, ScalarEngine};
     use sparsetrain_tensor::Tensor3;
 
@@ -580,6 +595,24 @@ mod tests {
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// GTW's per-sample channels-last copies, built a run of samples per
+    /// band, are the sequential ones at every band count.
+    #[test]
+    fn banded_channels_last_copies_equal_the_sequential_ones() {
+        use crate::engine::map_in_bands;
+        let mut s = 5u64;
+        let fms: Vec<SparseFeatureMap> = (0..16)
+            .map(|_| SparseFeatureMap::from_tensor(&sparse_tensor(5, 6, 7, 30, &mut s)))
+            .collect();
+        for n in [0usize, 1, 16] {
+            let want: Vec<Vec<f32>> = fms[..n].iter().map(channels_last).collect();
+            for bands in [1usize, 2, 3, 4, 7] {
+                let got = map_in_bands(n, bands, &|i| channels_last(&fms[i]));
+                assert_eq!(got, want, "{n} samples on {bands} bands");
+            }
+        }
     }
 
     /// Dense and very sparse fixtures at stride 1 and 2, padded and not:
