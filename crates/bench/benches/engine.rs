@@ -30,7 +30,9 @@
 //! densities, with the rayon worker count in the label. The `fork_join`
 //! group is the measurement the banding threshold
 //! (`engine::MIN_OPS_PER_BAND`) is derived from: the round trip of a
-//! two-task `rayon::scope` at four gaps between calls.
+//! two-task `rayon::scope` at four gaps between calls. The `compress`
+//! group is the glue around the kernels: compressing a batch of dense
+//! maps and taking their masks.
 //!
 //! CI runs this bench as a smoke and uploads the resulting
 //! `target/bench-results.jsonl`; it gates on no ratio from it (`stbench
@@ -43,7 +45,9 @@ use rand::{Rng, SeedableRng};
 use sparsetrain_bench::fixtures::{fixture, fixture_seeded, LayerFixture, LAYERS};
 use sparsetrain_core::prune::pruner::prune_pass_in_bands;
 use sparsetrain_core::prune::{prune_pass, BatchStream, LayerPruner, PruneConfig, SiteStats};
+use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::{registry, BatchOut, EngineHandle, ExecutionContext, Stage, StageOp};
+use sparsetrain_tensor::Tensor3;
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -283,12 +287,65 @@ fn bench_fork_join(c: &mut Criterion) {
     group.finish();
 }
 
+/// What `Conv2d` does to a batch before and after its kernels: compress
+/// 16 dense maps (`SparseFeatureMap::from_tensor`) and take their forward
+/// masks, at a map of AlexNet w=16 (`conv2`'s input, 16 × 16 rows of 16)
+/// and of ResNet w=8 (stage 2, 16 × 8 rows of 8), as activations (density
+/// 0.66) and as pruned gradients (0.05). Besides the mean the harness
+/// records, prints the per-batch quartiles.
+fn bench_compress(c: &mut Criterion) {
+    const BATCH: usize = 16;
+    let mut group = c.benchmark_group("compress");
+    group.sample_size(20);
+    for (net, (ch, hw)) in [("alexnet_w16", (16, 16)), ("resnet_w8", (16, 8))] {
+        for (kind, density) in [("act", 0.66), ("grad", 0.05)] {
+            let mut rng = StdRng::seed_from_u64(0xC0DE);
+            let maps: Vec<Tensor3> = (0..BATCH)
+                .map(|_| {
+                    Tensor3::from_fn(ch, hw, hw, |_, _, _| match rng.gen::<f64>() < density {
+                        true => rng.gen::<f32>() - 0.5,
+                        false => 0.0,
+                    })
+                })
+                .collect();
+            let batches = RefCell::new(Vec::new());
+            group.bench_function(BenchmarkId::new(net, kind), |b| {
+                b.iter(|| {
+                    let start = Instant::now();
+                    for t in &maps {
+                        let fm = SparseFeatureMap::from_tensor(black_box(t));
+                        black_box(fm.masks());
+                        black_box(fm);
+                    }
+                    batches.borrow_mut().push(start.elapsed());
+                });
+            });
+            let mut batches = batches.into_inner();
+            if batches.is_empty() {
+                continue; // filtered out
+            }
+            batches.sort();
+            let at = |q: usize| batches[(batches.len() - 1) * q / 100].as_secs_f64() * 1e6;
+            println!(
+                "compress {net} {kind} (d {density}): from_tensor + masks of {BATCH} maps, \
+                 p25 / p50 / p90 = {:.1} / {:.1} / {:.1} µs per batch over {} batches",
+                at(25),
+                at(50),
+                at(90),
+                batches.len(),
+            );
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_stages,
     bench_batched_vs_per_sample,
     bench_end_to_end,
     bench_pruning,
-    bench_fork_join
+    bench_fork_join,
+    bench_compress
 );
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 //! lifetime — this is the scheduling contract the simulator implements.
 
 use super::trace::ConvLayerTrace;
-use sparsetrain_sparse::{RowMask, SparseVec};
+use sparsetrain_sparse::{RowMask, SparseRow};
 use sparsetrain_tensor::conv::ConvGeometry;
 
 /// Identifies one scheduling task (one output row's worth of work).
@@ -42,7 +42,7 @@ impl StepKind {
 #[derive(Debug, Clone, Copy)]
 pub struct SrcOp<'a> {
     /// The sparse input-activation row streamed through Port-1.
-    pub input: &'a SparseVec,
+    pub input: SparseRow<'a>,
     /// Convolution geometry of the row operation.
     pub geom: ConvGeometry,
     /// Length of the output row being accumulated.
@@ -53,7 +53,7 @@ pub struct SrcOp<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct MsrcOp<'a> {
     /// The sparse output-gradient row streamed through Port-1.
-    pub grad: &'a SparseVec,
+    pub grad: SparseRow<'a>,
     /// Non-zero mask of the forward input row being written (Port-3).
     pub mask: &'a RowMask,
     /// Convolution geometry of the row operation.
@@ -66,9 +66,9 @@ pub struct MsrcOp<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct OsrcOp<'a> {
     /// The sparse input-activation row (Port-1).
-    pub input: &'a SparseVec,
+    pub input: SparseRow<'a>,
     /// The sparse output-gradient row (Port-2, cached `K` at a time).
-    pub grad: &'a SparseVec,
+    pub grad: SparseRow<'a>,
     /// Convolution geometry of the row operation.
     pub geom: ConvGeometry,
 }

@@ -152,6 +152,10 @@ impl FcLayerTrace {
 }
 
 /// One layer of a network trace.
+// A trace holds one of these per layer, so the size gap between the
+// variants (a conv trace holds two arena maps) costs a few hundred bytes a
+// trace — not worth a box at every construction site.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum LayerTrace {
     /// A convolutional layer, simulated at row-operation granularity.

@@ -21,7 +21,7 @@
 
 use super::trace::{ConvLayerTrace, FcLayerTrace, LayerTrace, NetworkTrace};
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
-use sparsetrain_sparse::SparseVec;
+use sparsetrain_sparse::SparseRow;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::Tensor3;
 use std::fmt::{self, Write as _};
@@ -88,7 +88,7 @@ pub fn to_text(trace: &NetworkTrace) -> String {
     out
 }
 
-fn write_row(out: &mut String, row: &SparseVec) {
+fn write_row(out: &mut String, row: SparseRow<'_>) {
     let _ = write!(out, "row {}", row.nnz());
     for (o, v) in row.iter() {
         let _ = write!(out, " {o}:{v}");

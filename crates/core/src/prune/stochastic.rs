@@ -22,6 +22,7 @@
 
 use rand::stream::StreamKey;
 use rand::Rng;
+use sparsetrain_sparse::mask::{mask_of, RUN};
 
 /// Outcome counts of one pruning pass, for instrumentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,29 +101,6 @@ pub fn prune_slice<R: Rng + ?Sized>(grads: &mut [f32], tau: f64, rng: &mut R) ->
         }
     }
     outcome
-}
-
-/// Elements classified per step of a sweep: one bit each in a `u64` mask.
-const RUN: usize = 64;
-
-/// Bit `i` of the result is `pred(run[i])`, for a run of at most [`RUN`]
-/// elements. Branch-free: the predicate is evaluated into a byte per
-/// element (a loop the compiler vectorises), then eight bytes at a time
-/// are packed into eight bits by one multiply.
-#[inline]
-fn mask_of(run: &[f32], pred: impl Fn(f32) -> bool) -> u64 {
-    let mut flags = [0u8; RUN];
-    for (flag, &g) in flags.iter_mut().zip(run) {
-        *flag = pred(g) as u8;
-    }
-    let mut mask = 0u64;
-    for (byte, group) in flags.chunks_exact(8).enumerate() {
-        let bytes = u64::from_le_bytes(group.try_into().expect("chunks_exact(8) yields 8 bytes"));
-        // Byte `i` (0 or 1) lands on bit `56 + i`; no two partial products
-        // share a bit, so nothing carries into the top byte.
-        mask |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * byte);
-    }
-    mask
 }
 
 /// `Σ|g|` over `part` and its non-zero count, visiting the non-zeros only.

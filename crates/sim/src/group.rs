@@ -125,7 +125,7 @@ mod tests {
             group.enqueue(
                 pe,
                 QueuedOp::Src(SrcOp {
-                    input: row,
+                    input: row.as_row(),
                     geom,
                     out_len: 8,
                 }),
@@ -146,7 +146,7 @@ mod tests {
             group.enqueue(
                 i % 2,
                 QueuedOp::Src(SrcOp {
-                    input: row,
+                    input: row.as_row(),
                     geom,
                     out_len: 8,
                 }),
@@ -172,7 +172,7 @@ mod tests {
         group.enqueue(
             0,
             QueuedOp::Src(SrcOp {
-                input: &zero,
+                input: zero.as_row(),
                 geom,
                 out_len: 8,
             }),
@@ -180,7 +180,7 @@ mod tests {
         group.enqueue(
             0,
             QueuedOp::Src(SrcOp {
-                input: &nonzero,
+                input: nonzero.as_row(),
                 geom,
                 out_len: 8,
             }),
@@ -188,7 +188,7 @@ mod tests {
         group.enqueue(
             0,
             QueuedOp::Src(SrcOp {
-                input: &zero,
+                input: zero.as_row(),
                 geom,
                 out_len: 8,
             }),

@@ -14,7 +14,7 @@
 
 use sparsetrain_core::dataflow::{MsrcOp, OsrcOp, SrcOp};
 use sparsetrain_sparse::work::{OpWork, OP_SETUP_CYCLES};
-use sparsetrain_sparse::SparseVec;
+use sparsetrain_sparse::SparseRow;
 
 /// Internal pipeline state of the PE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,7 +199,7 @@ impl CycleExactPe {
     }
 }
 
-fn count_pairs(input: &SparseVec, grad: &SparseVec, k: usize, stride: usize, pad: usize) -> u64 {
+fn count_pairs(input: SparseRow<'_>, grad: SparseRow<'_>, k: usize, stride: usize, pad: usize) -> u64 {
     let k = k as isize;
     let stride = stride as isize;
     let pad = pad as isize;
@@ -225,7 +225,7 @@ fn count_pairs(input: &SparseVec, grad: &SparseVec, k: usize, stride: usize, pad
 mod tests {
     use super::*;
     use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
-    use sparsetrain_sparse::RowMask;
+    use sparsetrain_sparse::{RowMask, SparseVec};
     use sparsetrain_tensor::conv::ConvGeometry;
 
     fn sparse(pattern: &[f32]) -> SparseVec {
@@ -243,7 +243,7 @@ mod tests {
         ] {
             let input = sparse(&pattern);
             let op = SrcOp {
-                input: &input,
+                input: input.as_row(),
                 geom,
                 out_len: pattern.len(),
             };
@@ -262,7 +262,7 @@ mod tests {
         for mask_offsets in [vec![3u32], vec![0, 1, 2, 3, 4, 5, 6, 7], vec![], vec![7]] {
             let mask = RowMask::from_offsets(8, &mask_offsets);
             let op = MsrcOp {
-                grad: &grad,
+                grad: grad.as_row(),
                 mask: &mask,
                 geom,
                 out_len: 8,
@@ -290,8 +290,8 @@ mod tests {
             let input = sparse(&i_pat);
             let grad = sparse(&g_pat);
             let op = OsrcOp {
-                input: &input,
-                grad: &grad,
+                input: input.as_row(),
+                grad: grad.as_row(),
                 geom,
             };
             let mut pe = CycleExactPe::new(11);
@@ -309,7 +309,7 @@ mod tests {
         let geom = ConvGeometry::new(3, 1, 1);
         let input = sparse(&[0.0; 8]);
         let op = SrcOp {
-            input: &input,
+            input: input.as_row(),
             geom,
             out_len: 8,
         };
@@ -326,13 +326,13 @@ mod tests {
         let b = sparse(&[3.0]);
         let mut pe = CycleExactPe::new(1);
         pe.issue_src(&SrcOp {
-            input: &a,
+            input: a.as_row(),
             geom,
             out_len: 2,
         });
         pe.run_to_completion();
         pe.issue_src(&SrcOp {
-            input: &b,
+            input: b.as_row(),
             geom,
             out_len: 1,
         });
@@ -348,12 +348,12 @@ mod tests {
         let a = sparse(&[1.0]);
         let mut pe = CycleExactPe::new(1);
         pe.issue_src(&SrcOp {
-            input: &a,
+            input: a.as_row(),
             geom,
             out_len: 1,
         });
         pe.issue_src(&SrcOp {
-            input: &a,
+            input: a.as_row(),
             geom,
             out_len: 1,
         });

@@ -30,7 +30,7 @@ proptest! {
 
     #[test]
     fn src_pe_equals_work_model(row in arb_sparse_row(40), geom in arb_geom()) {
-        let op = SrcOp { input: &row, geom, out_len: 40 };
+        let op = SrcOp { input: row.as_row(), geom, out_len: 40 };
         let mut pe = CycleExactPe::new(11);
         pe.issue_src(&op);
         let got = pe.run_to_completion();
@@ -44,7 +44,7 @@ proptest! {
         geom in arb_geom(),
     ) {
         let mask = RowMask::from_offsets(40, mask_pattern.offsets());
-        let op = MsrcOp { grad: &grad, mask: &mask, geom, out_len: 40 };
+        let op = MsrcOp { grad: grad.as_row(), mask: &mask, geom, out_len: 40 };
         let mut pe = CycleExactPe::new(11);
         pe.issue_msrc(&op);
         let got = pe.run_to_completion();
@@ -59,7 +59,7 @@ proptest! {
             .map(|i| if i % 3 == 0 { 1.0 } else { 0.0 })
             .collect();
         let grad = SparseVec::from_dense(&grad_dense);
-        let op = OsrcOp { input: &input, grad: &grad, geom };
+        let op = OsrcOp { input: input.as_row(), grad: grad.as_row(), geom };
         let mut pe = CycleExactPe::new(11);
         pe.issue_osrc(&op);
         let got = pe.run_to_completion();
@@ -78,7 +78,7 @@ proptest! {
         let mut expected = vec![0u64; pes];
         for (i, row) in rows.iter().enumerate() {
             let pe = i % pes;
-            group.enqueue(pe, QueuedOp::Src(SrcOp { input: row, geom, out_len: 24 }));
+            group.enqueue(pe, QueuedOp::Src(SrcOp { input: row.as_row(), geom, out_len: 24 }));
             expected[pe] += src_work(row, geom).cycles;
         }
         let makespan = group.run();

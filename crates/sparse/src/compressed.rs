@@ -4,15 +4,222 @@
 //! (§V: "resulting vector will be converted into a compressed format") and
 //! the format PE Port-1 consumes: a list of `(offset, value)` pairs with
 //! strictly increasing offsets.
+//!
+//! [`SparseRow`] is the format as a borrowed view — what every kernel and
+//! cost model reads, and what a row of a
+//! [`SparseFeatureMap`](crate::rowconv::SparseFeatureMap) lends out.
+//! [`SparseVec`] is one row that owns its storage. The public row
+//! functions (the SRC / MSRC / OSRC kernels, the work model, the format
+//! costs) take `impl Into<SparseRow>`, so a map's row and a `&SparseVec`
+//! go in alike.
 
 use std::fmt;
 
-/// A sparse 1-D vector of logical length `len`, stored as sorted
-/// `(offset, value)` pairs.
+/// A broken compressed-row invariant, as reported by
+/// [`SparseRow::validate`] and
+/// [`SparseFeatureMap::validate`](crate::rowconv::SparseFeatureMap::validate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowError {
+    /// `offsets` and `values` differ in length.
+    LengthMismatch {
+        /// Stored offsets.
+        offsets: usize,
+        /// Stored values.
+        values: usize,
+    },
+    /// An offset lies at or past the row's logical length.
+    OffsetOutOfRange {
+        /// The offending offset.
+        offset: u32,
+        /// The row's logical length.
+        len: usize,
+    },
+    /// An offset is not greater than the one before it.
+    NotIncreasing {
+        /// The offending offset.
+        offset: u32,
+    },
+    /// A stored value is `±0.0`.
+    StoredZero {
+        /// Where the zero is stored.
+        offset: u32,
+    },
+    /// A map's row pointers are not `c·h + 1` non-decreasing entries from
+    /// 0 to the stored non-zero count; `row` is the first row they fail to
+    /// delimit.
+    RowPtr {
+        /// The row (channel-major `c·h + y`).
+        row: usize,
+    },
+    /// A map's mask words do not have exactly the stored offsets of `row`
+    /// set.
+    MaskDisagrees {
+        /// The row (channel-major `c·h + y`).
+        row: usize,
+    },
+}
+
+impl fmt::Display for RowError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            RowError::LengthMismatch { offsets, values } => {
+                write!(f, "offsets ({offsets}) and values ({values}) length mismatch")
+            }
+            RowError::OffsetOutOfRange { offset, len } => {
+                write!(f, "offset {offset} out of range for len {len}")
+            }
+            RowError::NotIncreasing { offset } => write!(f, "offsets not strictly increasing at {offset}"),
+            RowError::StoredZero { offset } => write!(f, "stored value at offset {offset} is zero"),
+            RowError::RowPtr { row } => write!(f, "row pointers do not delimit row {row}"),
+            RowError::MaskDisagrees { row } => write!(f, "mask words of row {row} disagree with its offsets"),
+        }
+    }
+}
+
+impl std::error::Error for RowError {}
+
+/// A borrowed compressed row: logical length `len`, sorted `(offset,
+/// value)` pairs. `Copy`, so kernels take it by value.
 ///
-/// Invariants (checked by constructors and [`SparseVec::validate`]):
-/// offsets strictly increase, every offset is `< len`, and stored values
-/// are non-zero.
+/// Built by [`SparseVec::as_row`] and
+/// [`SparseFeatureMap::row`](crate::rowconv::SparseFeatureMap::row); the
+/// invariants of [`SparseVec`] hold for every view (see
+/// [`SparseRow::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SparseRow<'a> {
+    len: usize,
+    offsets: &'a [u32],
+    values: &'a [f32],
+}
+
+impl<'a> SparseRow<'a> {
+    /// A view of `len` positions over parallel `offsets` / `values`.
+    pub(crate) fn new(len: usize, offsets: &'a [u32], values: &'a [f32]) -> Self {
+        Self { len, offsets, values }
+    }
+
+    /// Checks the representation invariants.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), RowError> {
+        if self.offsets.len() != self.values.len() {
+            return Err(RowError::LengthMismatch {
+                offsets: self.offsets.len(),
+                values: self.values.len(),
+            });
+        }
+        let mut prev: Option<u32> = None;
+        for (&offset, &value) in self.offsets.iter().zip(self.values) {
+            if offset as usize >= self.len {
+                return Err(RowError::OffsetOutOfRange {
+                    offset,
+                    len: self.len,
+                });
+            }
+            if prev.is_some_and(|p| offset <= p) {
+                return Err(RowError::NotIncreasing { offset });
+            }
+            if value == 0.0 {
+                return Err(RowError::StoredZero { offset });
+            }
+            prev = Some(offset);
+        }
+        Ok(())
+    }
+
+    /// Logical length of the row.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if the logical length is zero.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of stored non-zeros.
+    pub fn nnz(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Fraction of non-zero elements (1.0 for a zero-length row).
+    pub fn density(&self) -> f64 {
+        if self.len == 0 {
+            1.0
+        } else {
+            self.nnz() as f64 / self.len as f64
+        }
+    }
+
+    /// The sorted offsets of the non-zero elements.
+    pub fn offsets(&self) -> &'a [u32] {
+        self.offsets
+    }
+
+    /// The non-zero values, parallel to [`SparseRow::offsets`].
+    pub fn values(&self) -> &'a [f32] {
+        self.values
+    }
+
+    /// Iterates over `(offset, value)` pairs in increasing offset order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, f32)> + 'a {
+        self.offsets
+            .iter()
+            .zip(self.values)
+            .map(|(&o, &v)| (o as usize, v))
+    }
+
+    /// Value at `index` (zero when not stored).
+    ///
+    /// `O(log nnz)` binary search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len`.
+    pub fn get(&self, index: usize) -> f32 {
+        assert!(index < self.len, "index {index} out of range {}", self.len);
+        match self.offsets.binary_search(&(index as u32)) {
+            Ok(pos) => self.values[pos],
+            Err(_) => 0.0,
+        }
+    }
+
+    /// Index of the first stored offset `>= index`, for cursor-based scans.
+    pub fn lower_bound(&self, index: usize) -> usize {
+        self.offsets.partition_point(|&o| (o as usize) < index)
+    }
+
+    /// Expands back to a dense vector.
+    pub fn to_dense(&self) -> Vec<f32> {
+        let mut dense = vec![0.0; self.len];
+        for (o, v) in self.iter() {
+            dense[o] = v;
+        }
+        dense
+    }
+
+    /// Number of 16-bit words this row occupies in the compressed on-chip
+    /// format (one word per value plus one offset word per value).
+    pub fn storage_words(&self) -> usize {
+        2 * self.nnz()
+    }
+}
+
+impl<'a> From<&'a SparseVec> for SparseRow<'a> {
+    fn from(v: &'a SparseVec) -> Self {
+        v.as_row()
+    }
+}
+
+/// A sparse 1-D vector of logical length `len` that owns its sorted
+/// `(offset, value)` pairs — the single-row counterpart of a map's arena.
+///
+/// Invariants (kept by every constructor, checked by
+/// [`SparseVec::validate`]): offsets strictly increase, every offset is
+/// `< len`, and stored values are non-zero. The read API is
+/// [`SparseRow`]'s, through [`SparseVec::as_row`].
 ///
 /// ```
 /// use sparsetrain_sparse::SparseVec;
@@ -37,19 +244,15 @@ impl SparseVec {
         }
     }
 
-    /// Compresses a dense slice, dropping exact zeros.
+    /// Compresses a dense slice, dropping exact zeros (`±0.0`; NaN and
+    /// ±∞ are kept).
     pub fn from_dense(dense: &[f32]) -> Self {
-        // Count first: one exact allocation per part instead of growing
-        // both from empty, row after row.
-        let nnz = dense.iter().filter(|&&v| v != 0.0).count();
-        let mut offsets = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for (i, &v) in dense.iter().enumerate() {
-            if v != 0.0 {
-                offsets.push(i as u32);
-                values.push(v);
-            }
-        }
+        let (offsets, values) = dense
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != 0.0)
+            .map(|(i, &v)| (i as u32, v))
+            .unzip();
         Self {
             len: dense.len(),
             offsets,
@@ -57,35 +260,18 @@ impl SparseVec {
         }
     }
 
+    /// This vector as a borrowed row.
+    pub fn as_row(&self) -> SparseRow<'_> {
+        SparseRow::new(self.len, &self.offsets, &self.values)
+    }
+
     /// Checks the representation invariants.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.offsets.len() != self.values.len() {
-            return Err(format!(
-                "offsets ({}) and values ({}) length mismatch",
-                self.offsets.len(),
-                self.values.len()
-            ));
-        }
-        let mut prev: Option<u32> = None;
-        for &o in &self.offsets {
-            if o as usize >= self.len {
-                return Err(format!("offset {o} out of range for len {}", self.len));
-            }
-            if let Some(p) = prev {
-                if o <= p {
-                    return Err(format!("offsets not strictly increasing at {o}"));
-                }
-            }
-            prev = Some(o);
-        }
-        if self.values.contains(&0.0) {
-            return Err("stored value is zero".to_string());
-        }
-        Ok(())
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), RowError> {
+        self.as_row().validate()
     }
 
     /// Logical length of the vector.
@@ -105,11 +291,7 @@ impl SparseVec {
 
     /// Fraction of non-zero elements (1.0 for a zero-length vector).
     pub fn density(&self) -> f64 {
-        if self.len == 0 {
-            1.0
-        } else {
-            self.nnz() as f64 / self.len as f64
-        }
+        self.as_row().density()
     }
 
     /// The sorted offsets of the non-zero elements.
@@ -124,34 +306,21 @@ impl SparseVec {
 
     /// Iterates over `(offset, value)` pairs in increasing offset order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f32)> + '_ {
-        self.offsets
-            .iter()
-            .zip(&self.values)
-            .map(|(&o, &v)| (o as usize, v))
+        self.as_row().iter()
     }
 
     /// Value at `index` (zero when not stored).
-    ///
-    /// `O(log nnz)` binary search.
     ///
     /// # Panics
     ///
     /// Panics if `index >= len`.
     pub fn get(&self, index: usize) -> f32 {
-        assert!(index < self.len, "index {index} out of range {}", self.len);
-        match self.offsets.binary_search(&(index as u32)) {
-            Ok(pos) => self.values[pos],
-            Err(_) => 0.0,
-        }
+        self.as_row().get(index)
     }
 
     /// Expands back to a dense vector.
     pub fn to_dense(&self) -> Vec<f32> {
-        let mut dense = vec![0.0; self.len];
-        for (o, v) in self.iter() {
-            dense[o] = v;
-        }
-        dense
+        self.as_row().to_dense()
     }
 
     /// Appends a non-zero element with an offset beyond the current last.
@@ -172,13 +341,13 @@ impl SparseVec {
 
     /// Index of the first stored offset `>= index`, for cursor-based scans.
     pub fn lower_bound(&self, index: usize) -> usize {
-        self.offsets.partition_point(|&o| (o as usize) < index)
+        self.as_row().lower_bound(index)
     }
 
     /// Number of 16-bit words this vector occupies in the compressed
     /// on-chip format (one word per value plus one offset word per value).
     pub fn storage_words(&self) -> usize {
-        2 * self.nnz()
+        self.as_row().storage_words()
     }
 }
 
@@ -257,13 +426,39 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_unsorted_offsets() {
-        let unsorted = SparseVec {
-            len: 4,
-            offsets: vec![3, 1],
-            values: vec![1.0, 2.0],
-        };
-        assert!(unsorted.validate().is_err());
+    fn validate_names_each_broken_invariant() {
+        let row = |len, offsets: Vec<u32>, values: Vec<f32>| SparseVec { len, offsets, values };
+        assert_eq!(
+            row(4, vec![1, 2], vec![1.0]).validate(),
+            Err(RowError::LengthMismatch {
+                offsets: 2,
+                values: 1
+            })
+        );
+        assert_eq!(
+            row(4, vec![1, 4], vec![1.0, 2.0]).validate(),
+            Err(RowError::OffsetOutOfRange { offset: 4, len: 4 })
+        );
+        assert_eq!(
+            row(4, vec![3, 1], vec![1.0, 2.0]).validate(),
+            Err(RowError::NotIncreasing { offset: 1 })
+        );
+        assert_eq!(
+            row(4, vec![1, 1], vec![1.0, 2.0]).validate(),
+            Err(RowError::NotIncreasing { offset: 1 })
+        );
+        assert_eq!(
+            row(4, vec![0, 2], vec![1.0, -0.0]).validate(),
+            Err(RowError::StoredZero { offset: 2 })
+        );
+        assert_eq!(row(4, vec![0, 2], vec![f32::NAN, 1.0]).validate(), Ok(()));
+    }
+
+    #[test]
+    fn from_dense_drops_signed_zeros_and_keeps_non_finite() {
+        let s = SparseVec::from_dense(&[-0.0, f32::NAN, 0.0, f32::NEG_INFINITY, 1e-45]);
+        assert_eq!(s.offsets(), &[1, 3, 4]);
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

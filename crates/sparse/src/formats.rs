@@ -30,7 +30,7 @@
 //! assert!(storage_words(&row, RowFormat::OffsetValue) < 8);
 //! ```
 
-use crate::compressed::SparseVec;
+use crate::compressed::SparseRow;
 
 /// A row storage format, costed in 16-bit words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,7 +70,7 @@ impl RowFormat {
 /// Number of 4-bit delta slots needed to encode the gap structure of a
 /// row: one slot per non-zero plus one escape slot per 15 positions of
 /// preceding zero-run.
-fn offset_delta_slots(row: &SparseVec) -> u64 {
+fn offset_delta_slots(row: SparseRow<'_>) -> u64 {
     let mut slots = 0u64;
     let mut prev: i64 = -1;
     for (pos, _) in row.iter() {
@@ -84,7 +84,7 @@ fn offset_delta_slots(row: &SparseVec) -> u64 {
 
 /// Zero-run / literal-run segments of a row, byte-header granularity
 /// (runs longer than 255 split).
-fn rle_headers(row: &SparseVec) -> u64 {
+fn rle_headers(row: SparseRow<'_>) -> u64 {
     let mut headers = 0u64;
     let mut prev: i64 = -1;
     let mut literal_open = false;
@@ -114,7 +114,8 @@ fn rle_headers(row: &SparseVec) -> u64 {
 }
 
 /// Storage cost of one row under `format`, in 16-bit words.
-pub fn storage_words(row: &SparseVec, format: RowFormat) -> u64 {
+pub fn storage_words<'a>(row: impl Into<SparseRow<'a>>, format: RowFormat) -> u64 {
+    let row = row.into();
     let nnz = row.nnz() as u64;
     let len = row.len() as u64;
     match format {
@@ -126,7 +127,8 @@ pub fn storage_words(row: &SparseVec, format: RowFormat) -> u64 {
 }
 
 /// The cheapest format for one row, with its cost.
-pub fn best_format(row: &SparseVec) -> (RowFormat, u64) {
+pub fn best_format<'a>(row: impl Into<SparseRow<'a>>) -> (RowFormat, u64) {
+    let row = row.into();
     RowFormat::ALL
         .iter()
         .map(|&f| (f, storage_words(row, f)))
@@ -136,7 +138,8 @@ pub fn best_format(row: &SparseVec) -> (RowFormat, u64) {
 
 /// Compression ratio of `format` relative to dense storage (1.0 for an
 /// empty row).
-pub fn compression_ratio(row: &SparseVec, format: RowFormat) -> f64 {
+pub fn compression_ratio<'a>(row: impl Into<SparseRow<'a>>, format: RowFormat) -> f64 {
+    let row = row.into();
     if row.is_empty() {
         return 1.0;
     }
@@ -146,6 +149,7 @@ pub fn compression_ratio(row: &SparseVec, format: RowFormat) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressed::SparseVec;
 
     fn row_with_density(len: usize, every: usize) -> SparseVec {
         let dense: Vec<f32> = (0..len).map(|i| if i % every == 0 { 1.0 } else { 0.0 }).collect();
@@ -208,7 +212,7 @@ mod tests {
         dense[0] = 1.0;
         dense[101] = 1.0;
         let row = SparseVec::from_dense(&dense);
-        let slots = super::offset_delta_slots(&row);
+        let slots = super::offset_delta_slots(row.as_row());
         assert_eq!(slots, 2 + 100 / 15);
         assert_eq!(storage_words(&row, RowFormat::OffsetValue), 2 + slots.div_ceil(4));
     }

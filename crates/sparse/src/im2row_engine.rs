@@ -61,7 +61,7 @@
 //! else; both produce identical bits and [`Im2RowEngine::portable`] pins
 //! the portable path.
 
-use crate::compressed::SparseVec;
+use crate::compressed::SparseRow;
 use crate::engine::{scalar_band, BandContext, KernelEngine, StageOp};
 use crate::rowconv::SparseFeatureMap;
 use crate::simd_engine::{avx2_available, contains_negative_zero};
@@ -150,7 +150,7 @@ pub struct Im2RowEngine {
 /// Writes the rows of `fm` selected by `select` into a dense
 /// channel-major buffer (`channels × height × width`); unselected rows are
 /// left zero (they are only read through the sparse fallback).
-fn densify_map(fm: &SparseFeatureMap, select: impl Fn(&SparseVec) -> bool) -> Vec<f32> {
+fn densify_map(fm: &SparseFeatureMap, select: impl Fn(SparseRow<'_>) -> bool) -> Vec<f32> {
     let (c, h, w) = (fm.channels(), fm.height(), fm.width());
     let mut dense = vec![0.0f32; c * h * w];
     for ci in 0..c {
@@ -202,7 +202,7 @@ impl Im2RowEngine {
         }
     }
 
-    fn row_worthy(row: &SparseVec) -> bool {
+    fn row_worthy(row: SparseRow<'_>) -> bool {
         row.nnz() * CUTOFF >= row.len()
     }
 

@@ -115,7 +115,7 @@ pub mod simd_engine;
 pub mod src;
 pub mod work;
 
-pub use compressed::SparseVec;
+pub use compressed::{RowError, SparseRow, SparseVec};
 pub use context::ExecutionContext;
 pub use engine::{BandContext, BatchOut, KernelEngine, ParallelEngine, ScalarEngine, StageOp};
 pub use fixed_engine::FixedPointEngine;

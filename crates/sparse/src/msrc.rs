@@ -6,7 +6,7 @@
 //! skipped entirely (§IV-A). The mask of allowed positions is the non-zero
 //! offset list of the forward input activations.
 
-use crate::compressed::SparseVec;
+use crate::compressed::SparseRow;
 use crate::mask::RowMask;
 use sparsetrain_tensor::conv::ConvGeometry;
 
@@ -25,8 +25,8 @@ use sparsetrain_tensor::conv::ConvGeometry;
 /// # Panics
 ///
 /// Panics if `kernel_row.len() != geom.kernel` or `mask.len() != out.len()`.
-pub fn msrc_accumulate(
-    grad: &SparseVec,
+pub fn msrc_accumulate<'a>(
+    grad: impl Into<SparseRow<'a>>,
     kernel_row: &[f32],
     geom: ConvGeometry,
     mask: &RowMask,
@@ -37,7 +37,7 @@ pub fn msrc_accumulate(
     let stride = geom.stride as isize;
     let pad = geom.pad as isize;
     let out_len = out.len() as isize;
-    for (ox, g) in grad.iter() {
+    for (ox, g) in grad.into().iter() {
         let base = ox as isize * stride - pad;
         for (v, &w) in kernel_row.iter().enumerate() {
             if w == 0.0 {
@@ -67,8 +67,8 @@ pub fn msrc_accumulate(
 /// let out = msrc_conv(&grad, &[1.0], ConvGeometry::new(1, 1, 0), &mask, 3);
 /// assert_eq!(out, vec![1.0, 0.0, 1.0]);
 /// ```
-pub fn msrc_conv(
-    grad: &SparseVec,
+pub fn msrc_conv<'a>(
+    grad: impl Into<SparseRow<'a>>,
     kernel_row: &[f32],
     geom: ConvGeometry,
     mask: &RowMask,
@@ -81,10 +81,11 @@ pub fn msrc_conv(
 
 /// Counts the gradient non-zeros whose entire scatter window falls outside
 /// the mask — the loads the PE skips via look-ahead (§V, Port-3 offsets).
-pub fn fully_masked_loads(grad: &SparseVec, geom: ConvGeometry, mask: &RowMask) -> usize {
+pub fn fully_masked_loads<'a>(grad: impl Into<SparseRow<'a>>, geom: ConvGeometry, mask: &RowMask) -> usize {
     let stride = geom.stride as isize;
     let pad = geom.pad as isize;
-    grad.iter()
+    grad.into()
+        .iter()
         .filter(|&(ox, _)| {
             let base = ox as isize * stride - pad;
             let start = base.max(0) as usize;
@@ -97,6 +98,7 @@ pub fn fully_masked_loads(grad: &SparseVec, geom: ConvGeometry, mask: &RowMask) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressed::SparseVec;
 
     #[test]
     fn unmasked_equals_src_scatter() {

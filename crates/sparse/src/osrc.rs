@@ -7,7 +7,7 @@
 //!
 //! `dw[v] = Σ_ox dO[ox] · I[ox · stride − pad + v]`, `v ∈ [0, K)`.
 
-use crate::compressed::SparseVec;
+use crate::compressed::SparseRow;
 use sparsetrain_tensor::conv::ConvGeometry;
 
 /// Accumulates one OSRC operation into a caller-provided `K`-tap slice —
@@ -24,7 +24,13 @@ use sparsetrain_tensor::conv::ConvGeometry;
 ///
 /// Panics if `dw.len() != geom.kernel`; panics in debug builds if the
 /// operand lengths are inconsistent with `geom`.
-pub fn osrc_accumulate(input: &SparseVec, grad: &SparseVec, geom: ConvGeometry, dw: &mut [f32]) {
+pub fn osrc_accumulate<'a, 'b>(
+    input: impl Into<SparseRow<'a>>,
+    grad: impl Into<SparseRow<'b>>,
+    geom: ConvGeometry,
+    dw: &mut [f32],
+) {
+    let (input, grad) = (input.into(), grad.into());
     assert_eq!(dw.len(), geom.kernel, "tap buffer length mismatch");
     debug_assert_eq!(
         grad.len(),
@@ -78,7 +84,11 @@ pub fn osrc_accumulate(input: &SparseVec, grad: &SparseVec, geom: ConvGeometry, 
 ///
 /// Panics (in debug builds) if the operand lengths are inconsistent with
 /// `geom` — i.e. `grad.len() != geom.output_extent(input.len())`.
-pub fn osrc_conv(input: &SparseVec, grad: &SparseVec, geom: ConvGeometry) -> Vec<f32> {
+pub fn osrc_conv<'a, 'b>(
+    input: impl Into<SparseRow<'a>>,
+    grad: impl Into<SparseRow<'b>>,
+    geom: ConvGeometry,
+) -> Vec<f32> {
     let mut dw = vec![0.0; geom.kernel];
     osrc_accumulate(input, grad, geom, &mut dw);
     dw
@@ -86,7 +96,12 @@ pub fn osrc_conv(input: &SparseVec, grad: &SparseVec, geom: ConvGeometry) -> Vec
 
 /// Number of overlapping non-zero `(input, grad)` pairs — the MAC count of
 /// an OSRC operation, used by the analytic work model.
-pub fn osrc_pair_count(input: &SparseVec, grad: &SparseVec, geom: ConvGeometry) -> u64 {
+pub fn osrc_pair_count<'a, 'b>(
+    input: impl Into<SparseRow<'a>>,
+    grad: impl Into<SparseRow<'b>>,
+    geom: ConvGeometry,
+) -> u64 {
+    let (input, grad) = (input.into(), grad.into());
     let k = geom.kernel as isize;
     let stride = geom.stride as isize;
     let pad = geom.pad as isize;
@@ -111,6 +126,7 @@ pub fn osrc_pair_count(input: &SparseVec, grad: &SparseVec, geom: ConvGeometry) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressed::SparseVec;
 
     fn dense_osrc(input: &[f32], grad: &[f32], geom: ConvGeometry) -> Vec<f32> {
         let mut dw = vec![0.0; geom.kernel];

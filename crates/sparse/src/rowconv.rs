@@ -15,14 +15,21 @@
 //! All engines accumulate through the kernels' scratch APIs, so no per-row
 //! heap allocation happens on any path.
 
-use crate::compressed::SparseVec;
+use crate::compressed::{RowError, SparseRow};
 use crate::engine::{ScalarEngine, StageOp};
-use crate::mask::RowMask;
+use crate::mask::{mask_of, set_bits, RowMask, RUN};
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
 
 /// A feature map stored as compressed rows — the on-chip layout of sparse
 /// activations and gradients.
+///
+/// One arena per map, as the PPU writes one offset–value stream per map:
+/// the non-zeros of all `channels × height` rows (channel-major) sit in
+/// `offsets` / `values`, row `r` at `row_ptr[r]..row_ptr[r + 1]`, and
+/// `words` holds each row's non-zero bitmask (`⌈width/64⌉` words per row)
+/// from the same compare. The layout is a function of the dense map alone,
+/// so equality is equality of maps.
 ///
 /// ```
 /// use sparsetrain_sparse::rowconv::SparseFeatureMap;
@@ -31,6 +38,7 @@ use sparsetrain_tensor::{Tensor3, Tensor4};
 /// let t = Tensor3::from_fn(2, 2, 4, |_, _, x| if x % 2 == 0 { 1.0 } else { 0.0 });
 /// let fm = SparseFeatureMap::from_tensor(&t);
 /// assert_eq!(fm.density(), 0.5);
+/// assert_eq!(fm.row(1, 0).offsets(), &[0, 2]);
 /// assert_eq!(fm.to_tensor(), t);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -38,25 +46,119 @@ pub struct SparseFeatureMap {
     channels: usize,
     height: usize,
     width: usize,
-    rows: Vec<SparseVec>,
+    row_ptr: Vec<u32>,
+    offsets: Vec<u32>,
+    values: Vec<f32>,
+    words: Vec<u64>,
 }
 
 impl SparseFeatureMap {
-    /// Compresses a dense feature map row by row.
+    /// Compresses a dense feature map, dropping exact zeros (`±0.0`; NaN
+    /// and ±∞ are kept) — the one way a map is built.
+    ///
+    /// One branch-free classification sweep writes every row's mask words
+    /// and row pointer; the arena is then allocated at its exact size and
+    /// filled by walking the set bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map holds more than `u32::MAX` elements.
     pub fn from_tensor(t: &Tensor3) -> Self {
-        let (c, h, w) = t.shape();
-        let mut rows = Vec::with_capacity(c * h);
-        for ci in 0..c {
-            for y in 0..h {
-                rows.push(SparseVec::from_dense(t.row(ci, y)));
+        let (channels, height, width) = t.shape();
+        assert!(
+            u32::try_from(t.len()).is_ok(),
+            "a map indexes its non-zeros with u32"
+        );
+        let rows = channels * height;
+        let per_row = width.div_ceil(RUN);
+        let row_of = |r: usize| &t.as_slice()[r * width..][..width];
+        let mut words = Vec::with_capacity(rows * per_row);
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        let mut nnz = 0u32;
+        row_ptr.push(nnz);
+        for r in 0..rows {
+            for run in row_of(r).chunks(RUN) {
+                let word = mask_of(run, |v| v != 0.0);
+                nnz += word.count_ones();
+                words.push(word);
+            }
+            row_ptr.push(nnz);
+        }
+        let mut offsets = vec![0u32; nnz as usize];
+        let mut values = vec![0f32; nnz as usize];
+        for (r, row_words) in words.chunks_exact(per_row.max(1)).enumerate() {
+            let (row, range) = (row_of(r), row_ptr[r] as usize..row_ptr[r + 1] as usize);
+            let bits = row_words
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &word)| set_bits(i * RUN, word));
+            for ((o, v), x) in offsets[range.clone()]
+                .iter_mut()
+                .zip(&mut values[range])
+                .zip(bits)
+            {
+                *o = x as u32;
+                *v = row[x];
             }
         }
-        Self {
-            channels: c,
-            height: h,
-            width: w,
-            rows,
+        let map = Self {
+            channels,
+            height,
+            width,
+            row_ptr,
+            offsets,
+            values,
+            words,
+        };
+        debug_assert_eq!(map.validate(), Ok(()));
+        map
+    }
+
+    /// Checks the arena's invariants: every row is a valid compressed row
+    /// (see [`SparseRow::validate`]), the row pointers delimit the rows,
+    /// and the mask words are exactly the stored offsets.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), RowError> {
+        if self.offsets.len() != self.values.len() {
+            return Err(RowError::LengthMismatch {
+                offsets: self.offsets.len(),
+                values: self.values.len(),
+            });
         }
+        let rows = self.channels * self.height;
+        let per_row = self.width.div_ceil(RUN);
+        if self.row_ptr.len() != rows + 1 || self.row_ptr[0] != 0 {
+            return Err(RowError::RowPtr { row: 0 });
+        }
+        if self.row_ptr[rows] as usize != self.values.len() {
+            return Err(RowError::RowPtr { row: rows });
+        }
+        if self.words.len() != rows * per_row {
+            return Err(RowError::MaskDisagrees { row: rows });
+        }
+        for r in 0..rows {
+            let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+            if lo > hi || hi > self.values.len() {
+                return Err(RowError::RowPtr { row: r });
+            }
+            let row = SparseRow::new(self.width, &self.offsets[lo..hi], &self.values[lo..hi]);
+            row.validate()?;
+            // Sorted and in range now, so word `i` holds a run of them.
+            let mut offsets = row.offsets().iter().map(|&o| o as usize).peekable();
+            for (i, &word) in self.words[r * per_row..][..per_row].iter().enumerate() {
+                let mut want = 0u64;
+                while let Some(o) = offsets.next_if(|o| o / RUN == i) {
+                    want |= 1 << (o % RUN);
+                }
+                if word != want {
+                    return Err(RowError::MaskDisagrees { row: r });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Number of channels.
@@ -74,19 +176,23 @@ impl SparseFeatureMap {
         self.width
     }
 
-    /// The compressed row for channel `c`, spatial row `y`.
+    /// The compressed row for channel `c`, spatial row `y`, lent from the
+    /// arena.
     ///
     /// # Panics
     ///
     /// Panics if out of bounds.
-    pub fn row(&self, c: usize, y: usize) -> &SparseVec {
+    #[inline]
+    pub fn row(&self, c: usize, y: usize) -> SparseRow<'_> {
         assert!(c < self.channels && y < self.height);
-        &self.rows[c * self.height + y]
+        let r = c * self.height + y;
+        let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+        SparseRow::new(self.width, &self.offsets[lo..hi], &self.values[lo..hi])
     }
 
     /// Total non-zero count.
     pub fn nnz(&self) -> usize {
-        self.rows.iter().map(SparseVec::nnz).sum()
+        self.values.len()
     }
 
     /// Overall density (1.0 if the map has no elements).
@@ -99,13 +205,24 @@ impl SparseFeatureMap {
         }
     }
 
+    /// Each row's slice of `offsets` / `values`, rows in channel-major
+    /// order.
+    fn row_ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.row_ptr
+            .windows(2)
+            .map(|ptr| ptr[0] as usize..ptr[1] as usize)
+    }
+
     /// Expands back to a dense tensor.
     pub fn to_tensor(&self) -> Tensor3 {
         let mut t = Tensor3::zeros(self.channels, self.height, self.width);
-        for ci in 0..self.channels {
-            for y in 0..self.height {
-                let dense = self.row(ci, y).to_dense();
-                t.row_mut(ci, y).copy_from_slice(&dense);
+        for (dense, range) in t
+            .as_mut_slice()
+            .chunks_exact_mut(self.width.max(1))
+            .zip(self.row_ranges())
+        {
+            for (&o, &v) in self.offsets[range.clone()].iter().zip(&self.values[range]) {
+                dense[o as usize] = v;
             }
         }
         t
@@ -116,39 +233,42 @@ impl SparseFeatureMap {
     /// (quantization underflow produces genuinely empty positions, exactly
     /// as a fixed-point datapath would store them).
     pub fn map_values(&self, f: impl Fn(f32) -> f32) -> Self {
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                let mut mapped = SparseVec::zeros(row.len());
-                for (offset, value) in row.iter() {
-                    let m = f(value);
-                    if m != 0.0 {
-                        mapped.push(offset, m);
-                    }
+        let per_row = self.width.div_ceil(RUN);
+        let mut mapped = Self {
+            row_ptr: Vec::with_capacity(self.row_ptr.len()),
+            offsets: Vec::with_capacity(self.nnz()),
+            values: Vec::with_capacity(self.nnz()),
+            words: vec![0; self.words.len()],
+            ..*self
+        };
+        mapped.row_ptr.push(0);
+        for (r, range) in self.row_ranges().enumerate() {
+            for (&o, &v) in self.offsets[range.clone()].iter().zip(&self.values[range]) {
+                let m = f(v);
+                if m != 0.0 {
+                    mapped.offsets.push(o);
+                    mapped.values.push(m);
+                    mapped.words[r * per_row + o as usize / RUN] |= 1 << (o as usize % RUN);
                 }
-                mapped
-            })
-            .collect();
-        Self {
-            channels: self.channels,
-            height: self.height,
-            width: self.width,
-            rows,
+            }
+            mapped.row_ptr.push(mapped.values.len() as u32);
         }
+        mapped
     }
 
-    /// Per-row non-zero masks (the Forward-step masks consumed by GTA).
+    /// Per-row non-zero masks (the Forward-step masks consumed by GTA),
+    /// copied from the map's mask words.
     pub fn masks(&self) -> Vec<RowMask> {
-        self.rows
-            .iter()
-            .map(|r| RowMask::from_offsets(r.len(), r.offsets()))
+        let rows = self.channels * self.height;
+        let per_row = self.width.div_ceil(RUN);
+        (0..rows)
+            .map(|r| RowMask::from_words(self.width, &self.words[r * per_row..][..per_row]))
             .collect()
     }
 
     /// Size of the compressed representation in 16-bit words.
     pub fn storage_words(&self) -> usize {
-        self.rows.iter().map(SparseVec::storage_words).sum()
+        2 * self.nnz()
     }
 }
 
@@ -337,6 +457,77 @@ mod tests {
             );
             assert_close(got.as_slice(), want.as_slice(), 1e-5);
         }
+    }
+
+    /// Each arena invariant, broken on its own in a map `from_tensor`
+    /// built, is the error `validate` names.
+    #[test]
+    fn validate_names_each_broken_arena_invariant() {
+        // Two channels × two rows of 70: row 1 is empty, so its pointers
+        // equal row 2's start; rows of 70 take two mask words each.
+        let t = Tensor3::from_fn(2, 2, 70, |c, y, x| match (c, y) {
+            (0, 1) => 0.0,
+            _ if x % 9 == c + y => x as f32 - 30.0,
+            _ => 0.0,
+        });
+        let fm = SparseFeatureMap::from_tensor(&t);
+        assert_eq!(fm.validate(), Ok(()));
+        assert_eq!(fm.row_ptr[1], fm.row_ptr[2], "row 1 is empty");
+        let broken = |edit: &dyn Fn(&mut SparseFeatureMap)| {
+            let mut bad = fm.clone();
+            edit(&mut bad);
+            bad.validate()
+        };
+        assert_eq!(
+            broken(&|m| {
+                m.values.pop();
+            }),
+            Err(RowError::LengthMismatch {
+                offsets: fm.nnz(),
+                values: fm.nnz() - 1
+            })
+        );
+        assert_eq!(
+            broken(&|m| m.row_ptr[2] = m.row_ptr[1] - 1),
+            Err(RowError::RowPtr { row: 1 })
+        );
+        assert_eq!(broken(&|m| m.row_ptr[0] = 1), Err(RowError::RowPtr { row: 0 }));
+        assert_eq!(
+            broken(&|m| {
+                m.row_ptr.pop();
+            }),
+            Err(RowError::RowPtr { row: 0 })
+        );
+        assert_eq!(
+            broken(&|m| {
+                let n = m.row_ptr.len();
+                m.row_ptr[n - 1] -= 1;
+            }),
+            Err(RowError::RowPtr { row: 4 })
+        );
+        let first = fm.offsets[0];
+        assert_eq!(
+            broken(&|m| m.values[0] = -0.0),
+            Err(RowError::StoredZero { offset: first })
+        );
+        assert_eq!(
+            broken(&|m| m.offsets[0] = 70),
+            Err(RowError::OffsetOutOfRange { offset: 70, len: 70 })
+        );
+        assert_eq!(
+            broken(&|m| m.offsets[1] = m.offsets[0]),
+            Err(RowError::NotIncreasing { offset: first })
+        );
+        assert_eq!(
+            broken(&|m| m.words[6] ^= 1 << 5),
+            Err(RowError::MaskDisagrees { row: 3 })
+        );
+        assert_eq!(
+            broken(&|m| {
+                m.words.push(0);
+            }),
+            Err(RowError::MaskDisagrees { row: 4 })
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! by all `K` kernel weights in one cycle and scattered into the output
 //! partial-sum register.
 
-use crate::compressed::SparseVec;
+use crate::compressed::SparseRow;
 use sparsetrain_tensor::conv::ConvGeometry;
 
 /// Accumulates one SRC operation into a dense output row.
@@ -20,12 +20,17 @@ use sparsetrain_tensor::conv::ConvGeometry;
 /// # Panics
 ///
 /// Panics if `kernel_row.len() != geom.kernel`.
-pub fn src_accumulate(input: &SparseVec, kernel_row: &[f32], geom: ConvGeometry, out: &mut [f32]) {
+pub fn src_accumulate<'a>(
+    input: impl Into<SparseRow<'a>>,
+    kernel_row: &[f32],
+    geom: ConvGeometry,
+    out: &mut [f32],
+) {
     assert_eq!(kernel_row.len(), geom.kernel, "kernel row length mismatch");
     let stride = geom.stride as isize;
     let pad = geom.pad as isize;
     let out_len = out.len() as isize;
-    for (ix, val) in input.iter() {
+    for (ix, val) in input.into().iter() {
         for (v, &w) in kernel_row.iter().enumerate() {
             if w == 0.0 {
                 continue;
@@ -55,7 +60,12 @@ pub fn src_accumulate(input: &SparseVec, kernel_row: &[f32], geom: ConvGeometry,
 /// let out = src_conv(&row, &[1.0], ConvGeometry::new(1, 1, 0), 4);
 /// assert_eq!(out, vec![0.0, 2.0, 0.0, 4.0]);
 /// ```
-pub fn src_conv(input: &SparseVec, kernel_row: &[f32], geom: ConvGeometry, out_len: usize) -> Vec<f32> {
+pub fn src_conv<'a>(
+    input: impl Into<SparseRow<'a>>,
+    kernel_row: &[f32],
+    geom: ConvGeometry,
+    out_len: usize,
+) -> Vec<f32> {
     let mut out = vec![0.0; out_len];
     src_accumulate(input, kernel_row, geom, &mut out);
     out
@@ -64,6 +74,7 @@ pub fn src_conv(input: &SparseVec, kernel_row: &[f32], geom: ConvGeometry, out_l
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressed::SparseVec;
 
     fn dense_row_conv(input: &[f32], kernel: &[f32], geom: ConvGeometry) -> Vec<f32> {
         let out_len = geom.output_extent(input.len());

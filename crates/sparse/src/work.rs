@@ -6,7 +6,7 @@
 //! operation; the cycle-exact PE model in `sparsetrain-sim` is tested to
 //! agree with them, and the fast whole-network simulator is built on them.
 
-use crate::compressed::SparseVec;
+use crate::compressed::SparseRow;
 use crate::mask::RowMask;
 use crate::msrc::fully_masked_loads;
 use crate::osrc::osrc_pair_count;
@@ -48,8 +48,8 @@ impl OpWork {
 ///
 /// A fully-zero input row is skipped with zero cycles (the controller never
 /// dispatches it — its compressed form is empty).
-pub fn src_work(input: &SparseVec, geom: ConvGeometry) -> OpWork {
-    let nnz = input.nnz() as u64;
+pub fn src_work<'a>(input: impl Into<SparseRow<'a>>, geom: ConvGeometry) -> OpWork {
+    let nnz = input.into().nnz() as u64;
     if nnz == 0 {
         return OpWork::skipped();
     }
@@ -63,7 +63,8 @@ pub fn src_work(input: &SparseVec, geom: ConvGeometry) -> OpWork {
 /// Work of one MSRC operation: like SRC over the non-zero gradients, but
 /// gradient elements whose whole scatter window is masked out are skipped
 /// by the Port-3 look-ahead at no cycle cost (§V).
-pub fn msrc_work(grad: &SparseVec, geom: ConvGeometry, mask: &RowMask) -> OpWork {
+pub fn msrc_work<'a>(grad: impl Into<SparseRow<'a>>, geom: ConvGeometry, mask: &RowMask) -> OpWork {
+    let grad = grad.into();
     let nnz = grad.nnz() as u64;
     if nnz == 0 {
         return OpWork::skipped();
@@ -89,7 +90,12 @@ pub fn msrc_work(grad: &SparseVec, geom: ConvGeometry, mask: &RowMask) -> OpWork
 /// element itself is a single load; the dominant term is
 /// `max(loads, pairs / K)` since the multiplier array retires `K` pairs per
 /// cycle. Rows with no overlapping non-zero pairs are skipped.
-pub fn osrc_work(input: &SparseVec, grad: &SparseVec, geom: ConvGeometry) -> OpWork {
+pub fn osrc_work<'a, 'b>(
+    input: impl Into<SparseRow<'a>>,
+    grad: impl Into<SparseRow<'b>>,
+    geom: ConvGeometry,
+) -> OpWork {
+    let (input, grad) = (input.into(), grad.into());
     let pairs = osrc_pair_count(input, grad, geom);
     if pairs == 0 {
         return OpWork::skipped();
@@ -111,6 +117,7 @@ pub fn osrc_work(input: &SparseVec, grad: &SparseVec, geom: ConvGeometry) -> OpW
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressed::SparseVec;
 
     #[test]
     fn src_work_counts_nonzeros() {
