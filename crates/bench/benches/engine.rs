@@ -8,16 +8,17 @@
 //! `target/bench-results.jsonl` (see the criterion shim) give a
 //! machine-readable cross-engine trajectory.
 //!
-//! The engine set is registry-driven: every registered engine runs by
-//! default, and setting `SPARSETRAIN_ENGINE=<name>` restricts the run to
-//! that single backend (`scalar`, `parallel`, `fixed`, …).
+//! The engine set is registry-driven: every distinct registered engine
+//! runs once by default (an alias such as `parallel:simd` is the engine
+//! its target already benched, so it is skipped), and setting
+//! `SPARSETRAIN_ENGINE=<name>` restricts the run to that single backend
+//! (`scalar`, `simd`, `fixed`, …).
 //!
-//! The parallel engine bands work across `samples × filters`; its win
-//! scales with hardware threads and batch size, and on 1 core it
-//! degenerates to one band (parity). No committed number shows a
-//! multi-core win yet; the place to measure one is `stbench`'s
-//! `resnet_pruned_mt` workload, not a ratio of these legs on a shared
-//! runner. The simd engine's win is
+//! Every engine's `run_batch` bands work across `samples × filters`; the
+//! win scales with hardware threads and batch size, and on 1 core it is
+//! one band (parity). No committed number shows a multi-core win yet; the
+//! place to measure one is `stbench`'s `resnet_pruned_mt` workload, not a
+//! ratio of these legs on a shared runner. The simd engine's win is
 //! lane-level — it walks the non-zeros with its lanes across the filter /
 //! channel axis — and shows up even on one core at every density and row
 //! width below; the im2row engine targets the near-dense `conv1` forward
@@ -58,12 +59,20 @@ use std::time::{Duration, Instant};
 const BATCH: usize = 8;
 
 /// The engines under test: the `SPARSETRAIN_ENGINE` override alone when
-/// set, every registered engine otherwise.
+/// set, otherwise every registered engine once — a handle whose engine an
+/// earlier one already names (an alias) is skipped. Engines compare by
+/// address *and* vtable: the zero-sized engines' statics may share an
+/// address with another engine's.
 fn engines() -> Vec<EngineHandle> {
-    match registry::env_override().expect("SPARSETRAIN_ENGINE must name a registered engine") {
-        Some(handle) => vec![handle],
-        None => registry::registry(),
+    let only = registry::env_override().expect("SPARSETRAIN_ENGINE must name a registered engine");
+    let mut distinct: Vec<EngineHandle> = Vec::new();
+    for handle in only.map_or_else(registry::registry, |handle| vec![handle]) {
+        let benched = |seen: &EngineHandle| std::ptr::eq(seen.engine(), handle.engine());
+        if !distinct.iter().any(benched) {
+            distinct.push(handle);
+        }
     }
+    distinct
 }
 
 /// One full layer stage per bench — `engine_forward`, `engine_input_grad`,
@@ -88,8 +97,7 @@ fn bench_stages(c: &mut Criterion) {
 
 /// Batched vs per-sample execution of one AlexNet-shape layer over a
 /// mini-batch, per engine: the batched entry points amortize dispatch and
-/// let the parallel engine band across `samples × filters` instead of
-/// filters alone.
+/// band across `samples × filters` instead of filters alone.
 fn bench_batched_vs_per_sample(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_forward_batched");
     group.sample_size(10);

@@ -2,8 +2,8 @@
 //!
 //! Runs the density-adaptive planner over the AlexNet-shape bench fixtures
 //! and renders the frozen per-(layer, stage) execution plan as a Markdown
-//! table (what `auto` decides at these densities and this pool size — the
-//! same bytes on every run). `--emit <file>` writes the plan as a binary
+//! table (what `auto` decides at these densities — the same bytes on every
+//! run, at every pool size). `--emit <file>` writes the plan as a binary
 //! `STPLAN` execution program; `--replay <file>` decodes such a program in
 //! a fresh process and runs the same fixtures under it, failing unless
 //! every program cell executed. The emitted artifact is also what

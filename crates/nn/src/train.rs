@@ -73,7 +73,7 @@ impl TrainConfig {
     }
 
     /// Returns the config with the named sparse row-dataflow engine
-    /// selected (`"scalar"`, `"parallel"`, `"fixed"`, `"auto"`, or
+    /// selected (`"scalar"`, `"simd"`, `"fixed"`, `"auto"`, or
     /// anything added with `sparsetrain_sparse::registry::register`).
     ///
     /// # Panics

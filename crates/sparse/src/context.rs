@@ -4,9 +4,9 @@
 //! pass instead of re-resolving an engine token at every layer: it owns the resolved `&'static dyn KernelEngine` (picked once,
 //! by [`EngineHandle`]) and, on the `"auto"` engine, the [`Plan`] that
 //! holds each decided (layer, stage) cell. Construction is name-driven — from a
-//! registry handle, a string (`"scalar"`, `"parallel"`, `"simd"`,
-//! `"parallel:simd"`, `"im2row"`, `"parallel:im2row"`, `"fixed"`,
-//! `"fixed:qI.F"`, `"auto"`, or anything registered), or the
+//! registry handle, a string (`"scalar"`, `"simd"`, `"im2row"`, `"fixed"`,
+//! `"fixed:qI.F"`, `"auto"`, the `"parallel:*"` aliases, or anything
+//! registered), or the
 //! `SPARSETRAIN_ENGINE` environment variable — so adding a backend never
 //! changes a call-site signature again: the simd and im2row engines each
 //! slotted into every selection path without touching one. Per-call
@@ -358,6 +358,7 @@ impl From<EngineHandle> for ExecutionContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_fixtures::REFERENCE;
 
     #[test]
     fn default_is_scalar() {
@@ -411,7 +412,7 @@ mod tests {
                 bias: None,
                 geom,
             };
-            assert_eq!(out.as_slice(), op.run_on(&crate::engine::ScalarEngine));
+            assert_eq!(out.as_slice(), op.run_on(&REFERENCE));
         }
     }
 

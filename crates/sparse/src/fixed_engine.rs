@@ -19,14 +19,15 @@
 //!   `engine_parity` suite).
 //!
 //! This is a *modelling* backend: it clones and quantizes its operands per
-//! call and makes no attempt at speed. It overrides [`KernelEngine::band`]
-//! alone (per op: quantize the [`StageOp`]'s operands, run the scalar
-//! reference band, round the store) and prepares nothing
-//! ([`crate::engine::BandContext`] stays empty); it is never composed with
-//! [`crate::engine::ParallelEngine`] — banding a quantization model would
-//! model nothing. A batch is the default sample-order
-//! [`KernelEngine::run_batch`], so a shared `dW` is rounded after every
-//! sample. Select it by name (`"fixed"`) via the
+//! band call and makes no attempt at speed. It overrides
+//! [`KernelEngine::band`] alone (per op: quantize the [`StageOp`]'s
+//! operands, run the scalar reference band, round the store) and prepares
+//! nothing ([`crate::engine::BandContext`] stays empty). A batch is the
+//! trait's [`KernelEngine::run_batch`], so on a pool of more than one
+//! worker it bands like every engine: the quantization is then repeated
+//! per band, which costs speed only — the store rounding is per element,
+//! so the result is the one-band result bit for bit — and a shared `dW`
+//! is rounded after every sample. Select it by name (`"fixed"`) via the
 //! [registry](crate::registry).
 
 use crate::engine::{scalar_band, BandContext, KernelEngine, StageOp};
@@ -75,10 +76,6 @@ impl Default for FixedPointEngine {
 }
 
 impl KernelEngine for FixedPointEngine {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
     fn band(&self, _ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
         for op in ops {
             self.quantized_band(op, lo, out);
@@ -230,13 +227,43 @@ mod tests {
     fn format_is_configurable() {
         let coarse = FixedPointEngine::new(QFormat::new(4));
         assert_eq!(coarse.format().frac_bits(), 4);
-        assert_eq!(coarse.name(), "fixed");
         let geom = ConvGeometry::unit();
         let input = SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, 1, vec![0.51]));
         let weights = Tensor4::from_vec(1, 1, 1, 1, vec![1.0]);
         // Q11.4 rounds 0.51 to 0.5.
         let out = forward(&input, &weights, None, geom).run_on(&coarse);
         assert_eq!(out, [0.5]);
+    }
+
+    /// Banding repeats the quantization per band, but the store rounds per
+    /// element, so every stage at any band count is the one-band result
+    /// bit for bit — per-sample outputs and the shared `dW` alike.
+    #[test]
+    fn bands_leave_the_quantized_result_alone() {
+        use crate::engine::test_fixtures::{batch_in_bands, fixtures, stage_ops};
+        let geom = ConvGeometry::new(3, 1, 1);
+        let engine = FixedPointEngine::q8_8();
+        let samples: Vec<_> = (0..3).map(|s| fixtures(60 + s, 45, 4, geom)).collect();
+        let weights = &samples[0].1;
+        let masks: Vec<_> = samples.iter().map(|s| s.0.masks()).collect();
+        for stage in 0..3 {
+            let ops: Vec<StageOp<'_>> = samples
+                .iter()
+                .zip(&masks)
+                .map(|((input, _, bias, dout), m)| {
+                    stage_ops(input, weights, Some(bias), dout, m, geom)[stage]
+                })
+                .collect();
+            let bits = |bands| -> Vec<u32> {
+                let outs = batch_in_bands(&engine, &ops, bands);
+                outs.concat().into_iter().map(f32::to_bits).collect()
+            };
+            let want = bits(1);
+            assert!(want.iter().any(|&b| b != 0), "{} is all zeros", ops[0].stage());
+            for bands in [1usize, 2, 3, 7] {
+                assert_eq!(bits(bands), want, "{} at {bands} bands", ops[0].stage());
+            }
+        }
     }
 
     #[test]

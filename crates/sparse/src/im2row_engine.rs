@@ -32,8 +32,8 @@
 //!
 //! The patch matrix is built **once per engine call** into the
 //! [`BandContext`] by [`KernelEngine::prepare`], above the band
-//! fan-out, and every band borrows it — under `"parallel:im2row"` the
-//! rayon bands share one lowering. Inside a band the loop order is
+//! fan-out, and every band borrows it — the rayon bands of one call share
+//! one lowering. Inside a band the loop order is
 //! filter-tile ⇒ output row ⇒ output position: the repacked weight tile
 //! (`patch_len × TILE` floats) stays register/L1-resident across a whole
 //! plane sweep while patch rows stream through, and each output row's
@@ -52,8 +52,8 @@
 //! GTA and GTW inherit the scalar band defaults: the backward operand (the
 //! pruned output gradient) is sparse by construction, which is the regime
 //! the SRC-family kernels and the simd engine's non-zero walks already
-//! serve; lowering it densely would do strictly more work. Use `"simd"` /
-//! `"parallel:simd"` when the backward stages dominate.
+//! serve; lowering it densely would do strictly more work. Use `"simd"`
+//! when the backward stages dominate.
 //!
 //! Like the simd engine, the micro-kernel is runtime-dispatched between an
 //! x86_64 AVX2 implementation (`vmulps`/`vaddps`, never `vfmadd`) and a
@@ -130,14 +130,14 @@ unsafe fn tile_kernel_avx2(acc: &mut [f32; TILE], prow: &[f32], wt: &[f32]) {
 // Im2RowEngine
 // ---------------------------------------------------------------------------
 
-/// The cache-blocked im2row engine, registered as `"im2row"` (and, banded
-/// across threads, as `"parallel:im2row"`).
+/// The cache-blocked im2row engine, registered as `"im2row"` (and under
+/// the alias `"parallel:im2row"`).
 ///
 /// ```
 /// use sparsetrain_sparse::{registry, Im2RowEngine};
 ///
 /// let handle = registry::lookup("im2row").unwrap();
-/// assert_eq!(handle.engine().name(), "im2row");
+/// assert_eq!(handle.name(), "im2row");
 /// // The portable micro-kernel is always available and bitwise-equal to
 /// // the AVX2 one.
 /// assert_eq!(Im2RowEngine::portable().active_path(), "portable");
@@ -426,10 +426,6 @@ impl Im2RowEngine {
 }
 
 impl KernelEngine for Im2RowEngine {
-    fn name(&self) -> &'static str {
-        "im2row"
-    }
-
     fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
         ops.iter().map(|op| self.prepare_one(op)).collect()
     }
@@ -458,8 +454,7 @@ impl KernelEngine for Im2RowEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::test_fixtures::{fixtures, stage_ops};
-    use crate::engine::{ParallelEngine, ScalarEngine};
+    use crate::engine::test_fixtures::{fixtures, stage_ops, InBands, REFERENCE};
     use sparsetrain_tensor::Tensor3;
 
     fn engines() -> Vec<(&'static str, Im2RowEngine)> {
@@ -504,7 +499,7 @@ mod tests {
                 // With bias, and without (accumulate into zeros).
                 for bias in [Some(&bias[..]), None] {
                     let op = forward(&input, &weights, bias, geom);
-                    let want = op.run_on(&ScalarEngine);
+                    let want = op.run_on(&REFERENCE);
                     for (label, engine) in engines() {
                         let ctx = format!("{label} k={} s={} d={density}", geom.kernel, geom.stride);
                         assert_eq!(op.run_on(&engine), want, "forward bias={} {ctx}", bias.is_some());
@@ -538,7 +533,7 @@ mod tests {
                 ((f * 5 + c * 3 + u * 2 + v) % 7) as f32 * 0.25 - 0.75
             });
             let op = forward(&input, &weights, None, geom);
-            let want = op.run_on(&ScalarEngine);
+            let want = op.run_on(&REFERENCE);
             for (path, engine) in engines() {
                 assert_eq!(op.run_on(&engine), want, "{label} boundary, {path}");
             }
@@ -556,7 +551,7 @@ mod tests {
         let input = SparseFeatureMap::from_tensor(&Tensor3::zeros(2, 5, 5));
         let weights = Tensor4::from_fn(2, 2, 3, 3, |_, _, _, _| 0.5);
         let op = forward(&input, &weights, Some(&[-0.0f32, 1.0]), geom);
-        let want = op.run_on(&ScalarEngine);
+        let want = op.run_on(&REFERENCE);
         for (label, engine) in engines() {
             assert_eq!(bits(&op.run_on(&engine)), bits(&want), "{label}");
         }
@@ -573,7 +568,7 @@ mod tests {
             .map(|i| if i % 3 == 0 { -0.0 } else { 0.25 })
             .collect();
         let mut want = seeded.clone();
-        ScalarEngine.run(&op, &mut want);
+        REFERENCE.run(&op, &mut want);
         for (label, engine) in engines() {
             let mut got = seeded.clone();
             engine.run(&op, &mut got);
@@ -581,17 +576,16 @@ mod tests {
         }
     }
 
-    /// `parallel:im2row` composition: im2row bands under thread-parallel
-    /// banding stay bitwise equal to scalar at every band count.
+    /// im2row bands under thread-parallel banding stay bitwise equal to
+    /// scalar at every band count.
     #[test]
     fn banded_im2row_matches_scalar() {
-        static IM2ROW: Im2RowEngine = Im2RowEngine::auto();
         let geom = ConvGeometry::new(3, 1, 1);
         let (input, weights, bias, _) = fixtures(5, 60, 10, geom);
         let op = forward(&input, &weights, Some(&bias), geom);
-        let want = op.run_on(&ScalarEngine);
+        let want = op.run_on(&REFERENCE);
         for threads in [0usize, 1, 2, 3, 8] {
-            let banded = ParallelEngine::over("test:parallel-im2row", &IM2ROW).banded(threads);
+            let banded = InBands(&Im2RowEngine::auto(), threads);
             assert_eq!(op.run_on(&banded), want, "threads {threads}");
         }
     }
@@ -625,7 +619,7 @@ mod tests {
         for op in &stage_ops(&input, &weights, None, &dout, &masks, geom)[1..] {
             assert_eq!(
                 op.run_on(&Im2RowEngine::auto()),
-                op.run_on(&ScalarEngine),
+                op.run_on(&REFERENCE),
                 "{}",
                 op.stage()
             );

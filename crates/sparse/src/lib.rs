@@ -31,20 +31,17 @@
 //!   every backend implements, one method per call shape:
 //!   [`KernelEngine::run`] accumulates one op into a caller slice, and
 //!   [`KernelEngine::run_batch`] streams a whole batch through one engine
-//!   call, defaulting to the sample-order execution that every override
-//!   must match bit for bit.
+//!   call. A backend implements [`KernelEngine::prepare`] and
+//!   [`KernelEngine::band`]; `run_batch` is the one body that deals those
+//!   bands over the batch's `samples × filters` (or channels) to the rayon
+//!   pool — multi-core speedup scales with batch size as well as layer
+//!   width, bitwise identical at every band count (disjoint output bands,
+//!   same per-row order).
 //! * [`engine::ScalarEngine`] — the reference semantics; its iteration
 //!   order *is* the floating-point specification.
-//! * [`engine::ParallelEngine`] — band-parallel over the batch's
-//!   `samples × filters` (or channels) on the batched paths, so multi-core
-//!   speedup scales with batch size as well as layer width; bitwise
-//!   identical to the scalar engine (disjoint output bands, same per-row
-//!   order). Bands delegate to an **inner engine** through
-//!   [`KernelEngine::band`], so thread-level and lane-level parallelism
-//!   compose.
 //! * [`engine::BandContext`] — the **band-context seam**: per-call operand
 //!   state (channel-contiguous weight re-layouts, im2row patch matrices)
-//!   built exactly once per engine call by the inner engine's
+//!   built exactly once per engine call by the engine's
 //!   [`KernelEngine::prepare`] *above* the band fan-out, then shared by
 //!   reference across every band — so banding an engine never multiplies
 //!   its per-call operand transformations.
@@ -70,10 +67,11 @@
 //!   `sparsetrain_tensor::qformat`. Other 16-bit grids resolve by name:
 //!   `"fixed:q4.12"` interns a Q4.12 engine on first lookup.
 //!
-//! Selection is **name-keyed and open**: [`registry`] maps `"scalar"`,
-//! `"parallel"`, `"simd"`, `"parallel:simd"`, `"im2row"`,
-//! `"parallel:im2row"`, `"fixed"`, `"fixed:qI.F"`, `"auto"` —
-//! plus any backend added with
+//! Selection is **name-keyed and open**, and the registry is the only
+//! place an engine has a name: [`registry`] maps `"scalar"`, `"simd"`,
+//! `"im2row"`, `"fixed"`, `"fixed:qI.F"`, `"auto"` (and the aliases
+//! `"parallel"`, `"parallel:simd"`, `"parallel:im2row"` of the first
+//! three) — plus any backend added with
 //! [`registry::register`] — to [`registry::EngineHandle`] tokens, resolved
 //! from strings (`FromStr`), configuration, or the `SPARSETRAIN_ENGINE`
 //! environment variable ([`registry::env_override`]). A resolved engine
@@ -117,7 +115,7 @@ pub mod work;
 
 pub use compressed::{RowError, SparseRow, SparseVec};
 pub use context::ExecutionContext;
-pub use engine::{BandContext, BatchOut, KernelEngine, ParallelEngine, ScalarEngine, StageOp};
+pub use engine::{BandContext, BatchOut, KernelEngine, ScalarEngine, StageOp};
 pub use fixed_engine::FixedPointEngine;
 pub use im2row_engine::Im2RowEngine;
 pub use mask::RowMask;

@@ -12,8 +12,8 @@
 //! win-region rule ([`heuristic_name`]) names its engine from the stage
 //! and the density of the operands in hand, and the decision is frozen.
 //! No clock is read, so a plan is a pure function of what the cells saw on
-//! their first execution (hence of model and seed) and of whether the
-//! rayon pool has more than one worker.
+//! their first execution (hence of model and seed) — not of the pool size,
+//! since every engine's `run_batch` sizes its own bands.
 //!
 //! Two pieces of machinery:
 //!
@@ -96,10 +96,9 @@ impl fmt::Display for Stage {
 const IM2ROW_FORWARD_DENSITY: f64 = 0.90;
 
 /// The win-region heuristic: the engine name for one cell, given the
-/// stage, the observed density of the cell's sparse operand (activations
-/// for Forward, pruned output gradients for the backward stages), and
-/// whether band parallelism is worth composing (more than one rayon
-/// worker).
+/// stage and the observed density of the cell's sparse operand
+/// (activations for Forward, pruned output gradients for the backward
+/// stages).
 ///
 /// Rules distilled from the engine benches: im2row wins the
 /// near-dense forward leg (`conv1`, density 0.95) and loses or ties from
@@ -107,20 +106,17 @@ const IM2ROW_FORWARD_DENSITY: f64 = 0.90;
 /// across the always-dense channel axis — wins every other leg on every
 /// stage, the d ≈ 0.05 pruned-gradient regime included, so the scalar
 /// kernels are never the heuristic's answer.
-pub fn heuristic_name(stage: Stage, density: f64, parallel: bool) -> &'static str {
-    match (stage, parallel) {
-        (Stage::Forward, false) if density >= IM2ROW_FORWARD_DENSITY => "im2row",
-        (Stage::Forward, true) if density >= IM2ROW_FORWARD_DENSITY => "parallel:im2row",
-        (_, false) => "simd",
-        (_, true) => "parallel:simd",
+pub fn heuristic_name(stage: Stage, density: f64) -> &'static str {
+    if stage == Stage::Forward && density >= IM2ROW_FORWARD_DENSITY {
+        "im2row"
+    } else {
+        "simd"
     }
 }
 
-/// [`heuristic_name`] resolved to a handle, with band parallelism composed
-/// in when the rayon pool has more than one worker.
+/// [`heuristic_name`] resolved to a handle.
 pub fn heuristic_handle(stage: Stage, density: f64) -> EngineHandle {
-    let name = heuristic_name(stage, density, rayon::current_num_threads() > 1);
-    lookup(name).expect("heuristic engines are always registered")
+    lookup(heuristic_name(stage, density)).expect("heuristic engines are always registered")
 }
 
 /// Mean density over a batch of sparse maps (total nnz / total elements).
@@ -456,10 +452,6 @@ pub fn env_plan() -> Result<Option<Plan>, PlanError> {
 pub struct AutoEngine;
 
 impl KernelEngine for AutoEngine {
-    fn name(&self) -> &'static str {
-        "auto"
-    }
-
     fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
         // An empty batch has no stage; it is the same no-op on any delegate.
         let stage = ops.first().map_or(Stage::Forward, StageOp::stage);
@@ -483,35 +475,25 @@ mod tests {
     #[test]
     fn heuristic_matches_the_measured_win_regions() {
         // Near-dense forward → the cache-blocked im2row lowering.
-        assert_eq!(heuristic_name(Stage::Forward, 0.95, false), "im2row");
+        assert_eq!(heuristic_name(Stage::Forward, 0.95), "im2row");
         // Every other leg → the non-zero walk with channel lanes.
-        assert_eq!(heuristic_name(Stage::Forward, 0.45, false), "simd");
-        assert_eq!(heuristic_name(Stage::Forward, 0.10, false), "simd");
-        assert_eq!(heuristic_name(Stage::InputGrad, 0.15, false), "simd");
-        assert_eq!(heuristic_name(Stage::WeightGrad, 0.25, false), "simd");
+        assert_eq!(heuristic_name(Stage::Forward, 0.45), "simd");
+        assert_eq!(heuristic_name(Stage::Forward, 0.10), "simd");
+        assert_eq!(heuristic_name(Stage::InputGrad, 0.15), "simd");
+        assert_eq!(heuristic_name(Stage::WeightGrad, 0.25), "simd");
         // The pruned d ≈ 0.05 backward regime included: simd's work is
         // proportional to the non-zeros too.
-        assert_eq!(heuristic_name(Stage::InputGrad, 0.05, false), "simd");
-        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05, false), "simd");
+        assert_eq!(heuristic_name(Stage::InputGrad, 0.05), "simd");
+        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05), "simd");
         // Gradient stages never take the forward-only im2row lowering.
-        assert_eq!(heuristic_name(Stage::InputGrad, 0.95, false), "simd");
-        // Band parallelism composes on multi-worker pools.
-        assert_eq!(heuristic_name(Stage::Forward, 0.95, true), "parallel:im2row");
-        assert_eq!(heuristic_name(Stage::InputGrad, 0.15, true), "parallel:simd");
-        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05, true), "parallel:simd");
+        assert_eq!(heuristic_name(Stage::InputGrad, 0.95), "simd");
         // Over the whole domain the rule only ever names a float engine
         // that beats scalar — never `scalar`, a `fixed*` grid (that would
-        // change numerics) or `auto` itself — and the pool size decides
-        // the `parallel:` wrap and nothing else.
+        // change numerics) or `auto` itself.
         for stage in Stage::ALL {
             for density in [0.0, 0.05, 0.45, 0.89, 0.90, 1.0] {
-                let seq = heuristic_name(stage, density, false);
+                let seq = heuristic_name(stage, density);
                 assert!(["simd", "im2row"].contains(&seq), "{stage} at {density}: {seq}");
-                assert_eq!(
-                    heuristic_name(stage, density, true),
-                    format!("parallel:{seq}"),
-                    "{stage} at {density}"
-                );
                 assert_eq!(
                     seq == "im2row",
                     stage == Stage::Forward && density >= 0.90,

@@ -3,19 +3,23 @@
 //! [`EngineHandle`] is a `Copy` token pairing a stable name with a
 //! `&'static dyn KernelEngine` — the unit of engine selection everywhere a
 //! backend is configured (`TrainConfig`, `ExecutionContext`, benches,
-//! examples, the `SPARSETRAIN_ENGINE` environment variable). Eight engines
-//! are registered at startup:
+//! examples, the `SPARSETRAIN_ENGINE` environment variable). The registry
+//! is the only place an engine has a name. Five engines are registered at
+//! startup:
 //!
-//! | name              | backend                                                      |
-//! |-------------------|--------------------------------------------------------------|
-//! | `scalar`          | [`crate::engine::ScalarEngine`] — the reference              |
-//! | `parallel`        | [`crate::engine::ParallelEngine`] — band-parallel            |
-//! | `simd`            | [`crate::simd_engine::SimdEngine`] — AVX2/portable lanes     |
-//! | `parallel:simd`   | [`ParallelEngine::over`] — simd inside each rayon band       |
-//! | `im2row`          | [`crate::im2row_engine::Im2RowEngine`] — cache-blocked dense |
-//! | `parallel:im2row` | [`ParallelEngine::over`] — im2row inside each rayon band     |
-//! | `fixed`           | [`crate::fixed_engine::FixedPointEngine`] — Q8.8             |
-//! | `auto`            | [`crate::planner::AutoEngine`] — density-adaptive dispatch   |
+//! | name     | backend                                                      |
+//! |----------|--------------------------------------------------------------|
+//! | `scalar` | [`crate::engine::ScalarEngine`] — the reference              |
+//! | `simd`   | [`crate::simd_engine::SimdEngine`] — AVX2/portable lanes     |
+//! | `im2row` | [`crate::im2row_engine::Im2RowEngine`] — cache-blocked dense |
+//! | `fixed`  | [`crate::fixed_engine::FixedPointEngine`] — Q8.8             |
+//! | `auto`   | [`crate::planner::AutoEngine`] — density-adaptive dispatch   |
+//!
+//! plus three aliases from when banding was an engine of its own (every
+//! engine's `run_batch` bands now): `parallel` / `parallel:simd` /
+//! `parallel:im2row` resolve to the engine of `scalar` / `simd` / `im2row`
+//! under their own names, so plans, snapshots and configs naming them
+//! still decode.
 //!
 //! In addition, `fixed:qI.F` names (e.g. `"fixed:q4.12"`) resolve to a
 //! [`FixedPointEngine`] in that 16-bit Q-format — parsed, interned and
@@ -28,7 +32,7 @@
 //! runtime, after which every name-driven selection path (config, env,
 //! `FromStr`) resolves it like a built-in.
 
-use crate::engine::{KernelEngine, ParallelEngine, ScalarEngine};
+use crate::engine::{KernelEngine, ScalarEngine};
 use crate::fixed_engine::FixedPointEngine;
 use crate::im2row_engine::Im2RowEngine;
 use crate::planner::AutoEngine;
@@ -39,7 +43,7 @@ use std::str::FromStr;
 use std::sync::{OnceLock, RwLock};
 
 /// Environment variable consulted by [`env_override`]: set it to a
-/// registered engine name (`scalar`, `parallel`, `fixed`, …) to select the
+/// registered engine name (`scalar`, `simd`, `fixed`, …) to select the
 /// kernel execution backend without touching code.
 pub const ENGINE_ENV: &str = "SPARSETRAIN_ENGINE";
 
@@ -55,7 +59,7 @@ pub struct EngineHandle {
 }
 
 impl EngineHandle {
-    /// The registered name (`"scalar"`, `"parallel"`, `"fixed"`, …).
+    /// The registered name (`"scalar"`, `"parallel:simd"`, `"fixed"`, …).
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -149,11 +153,8 @@ impl fmt::Display for UnknownEngine {
 impl std::error::Error for UnknownEngine {}
 
 static SCALAR: ScalarEngine = ScalarEngine;
-static PARALLEL: ParallelEngine = ParallelEngine::auto();
 static SIMD: SimdEngine = SimdEngine::auto();
-static PARALLEL_SIMD: ParallelEngine = ParallelEngine::over("parallel:simd", &SIMD);
 static IM2ROW: Im2RowEngine = Im2RowEngine::auto();
-static PARALLEL_IM2ROW: ParallelEngine = ParallelEngine::over("parallel:im2row", &IM2ROW);
 static FIXED: FixedPointEngine = FixedPointEngine::q8_8();
 static AUTO: AutoEngine = AutoEngine;
 
@@ -163,13 +164,13 @@ fn table() -> &'static RwLock<Vec<EngineHandle>> {
         RwLock::new(vec![
             EngineHandle {
                 name: "scalar",
-                summary: "single-threaded reference; iteration order is the specification",
+                summary: "the reference kernels; iteration order is the specification",
                 engine: &SCALAR,
             },
             EngineHandle {
                 name: "parallel",
-                summary: "band-parallel across samples and filters, bitwise equal to scalar",
-                engine: &PARALLEL,
+                summary: "alias of scalar",
+                engine: &SCALAR,
             },
             EngineHandle {
                 name: "simd",
@@ -179,9 +180,8 @@ fn table() -> &'static RwLock<Vec<EngineHandle>> {
             },
             EngineHandle {
                 name: "parallel:simd",
-                summary: "band-parallel across samples and filters with the simd engine \
-                          inside each band, bitwise equal to scalar",
-                engine: &PARALLEL_SIMD,
+                summary: "alias of simd",
+                engine: &SIMD,
             },
             EngineHandle {
                 name: "im2row",
@@ -191,9 +191,8 @@ fn table() -> &'static RwLock<Vec<EngineHandle>> {
             },
             EngineHandle {
                 name: "parallel:im2row",
-                summary: "band-parallel across samples and filters with the im2row \
-                          lowering inside each band, bitwise equal to scalar",
-                engine: &PARALLEL_IM2ROW,
+                summary: "alias of im2row",
+                engine: &IM2ROW,
             },
             EngineHandle {
                 name: "fixed",
@@ -358,7 +357,6 @@ mod tests {
         ] {
             let handle = lookup(name).expect(name);
             assert_eq!(handle.name(), name);
-            assert_eq!(handle.engine().name(), name);
             assert_eq!(handle.to_string(), name);
             assert!(!handle.summary().is_empty());
         }
@@ -388,7 +386,36 @@ mod tests {
         // `fixed:q8.8` is the parameterized spelling of the built-in grid.
         let q88 = lookup("fixed:q8.8").expect("valid spec");
         assert_ne!(q88, lookup("fixed").unwrap(), "distinct registration");
-        assert_eq!(q88.engine().name(), "fixed");
+    }
+
+    /// The `parallel:*` names are aliases: each resolves to its target's
+    /// engine static yet reports its own name everywhere a name shows —
+    /// `name()`, `Display`, the registered-name list of an error, and the
+    /// engine names an encoded plan stores.
+    #[test]
+    fn parallel_names_are_aliases_that_keep_their_own_name() {
+        use crate::planner::{Plan, Stage};
+        let listed = "warp-drive".parse::<EngineHandle>().unwrap_err().to_string();
+        let mut plan = Plan::new(lookup("parallel").expect("alias"));
+        for (alias, target) in [
+            ("parallel", "scalar"),
+            ("parallel:simd", "simd"),
+            ("parallel:im2row", "im2row"),
+        ] {
+            let (handle, target) = (lookup(alias).expect(alias), lookup(target).expect(target));
+            assert_eq!((handle.name(), handle.to_string()), (alias, alias.to_string()));
+            assert!(listed.contains(&format!(" {alias},")), "{listed}");
+            assert!(std::ptr::addr_eq(handle.engine(), target.engine()), "{alias}");
+            plan.set(alias, Stage::Forward, handle);
+            plan.set(alias, Stage::WeightGrad, target);
+        }
+        // Plan equality is equality of the cells' engine names.
+        let decoded = Plan::decode(&plan.encode().expect("encodes")).expect("decodes");
+        assert_eq!(decoded, plan);
+        assert_eq!(
+            decoded.resolve("parallel:simd", Stage::Forward).name(),
+            "parallel:simd"
+        );
     }
 
     #[test]

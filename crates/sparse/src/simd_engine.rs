@@ -58,9 +58,9 @@
 //! registers; Rust never contracts a separate multiply and add, so the
 //! enabled FMA feature is not used to fuse). Both produce identical bits;
 //! [`SimdEngine::portable`] pins the portable one for tests and
-//! cross-checks. Thread-level parallelism composes through
-//! [`crate::engine::ParallelEngine::over`]: the registry's
-//! `"parallel:simd"` runs these band workers inside each rayon band.
+//! cross-checks. Thread-level parallelism composes for free: the trait's
+//! [`KernelEngine::run_batch`] deals these band workers to the rayon pool
+//! (`"parallel:simd"` is a registry alias of `"simd"`).
 
 use crate::engine::{map_banded, scalar_band, BandContext, KernelEngine, StageOp};
 use crate::mask::RowMask;
@@ -431,14 +431,14 @@ unsafe fn stage_band_avx2(ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, 
 // SimdEngine
 // ---------------------------------------------------------------------------
 
-/// The runtime-dispatched vectorized engine, registered as `"simd"` (and,
-/// banded across threads, as `"parallel:simd"`).
+/// The runtime-dispatched vectorized engine, registered as `"simd"` (and
+/// under the alias `"parallel:simd"`).
 ///
 /// ```
 /// use sparsetrain_sparse::{registry, SimdEngine};
 ///
 /// let handle = registry::lookup("simd").unwrap();
-/// assert_eq!(handle.engine().name(), "simd");
+/// assert_eq!(handle.name(), "simd");
 /// // The portable path is always available and bitwise-equal to AVX2.
 /// assert_eq!(SimdEngine::portable().active_path(), "portable");
 /// ```
@@ -515,10 +515,6 @@ impl SimdEngine {
 }
 
 impl KernelEngine for SimdEngine {
-    fn name(&self) -> &'static str {
-        "simd"
-    }
-
     fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
         // GTW's channels-last copies are per sample: a contiguous run of
         // samples per band, priced one op per element copied.
@@ -580,8 +576,7 @@ impl KernelEngine for SimdEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::test_fixtures::{fixtures_with, sparse_tensor, stage_ops};
-    use crate::engine::{ParallelEngine, ScalarEngine};
+    use crate::engine::test_fixtures::{fixtures_with, sparse_tensor, stage_ops, InBands, REFERENCE};
     use sparsetrain_tensor::Tensor3;
 
     /// `(channels, filters)` of the fixtures: inside one lane block, and
@@ -629,7 +624,7 @@ mod tests {
                     let (input, weights, bias, dout) = fixtures_with(11 + density, density, c, f, geom);
                     let masks = input.masks();
                     for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
-                        let want = op.run_on(&ScalarEngine);
+                        let want = op.run_on(&REFERENCE);
                         for (label, simd) in engines() {
                             let ctx =
                                 format!("{label} k={} s={} d={density} c={c}", geom.kernel, geom.stride);
@@ -688,7 +683,7 @@ mod tests {
                 bias: Some(&bias),
                 geom,
             };
-            let want = op.run_on(&ScalarEngine);
+            let want = op.run_on(&REFERENCE);
             for (label, simd) in engines() {
                 assert_eq!(bits(&op.run_on(&simd)), bits(&want), "{label} c={c}");
             }
@@ -710,7 +705,7 @@ mod tests {
                     .map(|i| if i % 3 == 0 { -0.0 } else { 0.25 })
                     .collect();
                 let mut want = seeded.clone();
-                ScalarEngine.run(&op, &mut want);
+                REFERENCE.run(&op, &mut want);
                 for (label, simd) in engines() {
                     let mut got = seeded.clone();
                     simd.run(&op, &mut got);
@@ -720,19 +715,18 @@ mod tests {
         }
     }
 
-    /// `parallel:simd` composition: simd bands under thread-parallel
-    /// banding stay bitwise equal to scalar at every band count.
+    /// simd bands under thread-parallel banding stay bitwise equal to
+    /// scalar at every band count.
     #[test]
     fn banded_simd_matches_scalar() {
-        static SIMD: SimdEngine = SimdEngine::auto();
         let geom = ConvGeometry::new(3, 1, 1);
         for (c, f) in SHAPES {
             let (input, weights, bias, dout) = fixtures_with(5, 45, c, f, geom);
             let masks = input.masks();
             for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
-                let want = op.run_on(&ScalarEngine);
+                let want = op.run_on(&REFERENCE);
                 for threads in [0usize, 1, 2, 3, 8] {
-                    let banded = ParallelEngine::over("test:parallel-simd", &SIMD).banded(threads);
+                    let banded = InBands(&SimdEngine::auto(), threads);
                     assert_eq!(op.run_on(&banded), want, "{} threads {threads} c={c}", op.stage());
                 }
             }
@@ -755,7 +749,7 @@ mod tests {
             .collect();
         let mut want = seed.clone();
         for op in &ops {
-            ScalarEngine.run(op, &mut want);
+            REFERENCE.run(op, &mut want);
         }
         for (label, simd) in engines() {
             let unprepared: Vec<BandContext> = ops.iter().map(|_| BandContext::empty()).collect();

@@ -5,14 +5,14 @@
 //!   maps, kernels wider than the unpadded map, strides, padding), the
 //!   per-row densities (empty rows, empty maps), a pre-seeded output and
 //!   the band count, and hold every engine under test to the scalar
-//!   reference bit for bit, the scalar reference to the dense
+//!   reference at one band bit for bit, the scalar reference to the dense
 //!   `sparsetrain_tensor::conv` within tolerance, and every engine's
 //!   `run_batch` (fixed-point included) to its own sample-by-sample `run`;
 //! * the registry enumeration below automatically covers every registered
 //!   backend — including `simd` (runtime-dispatched AVX2/portable lanes),
-//!   `im2row` (cache-blocked dense lowering) and their `parallel:*` banded
-//!   compositions — or just the `SPARSETRAIN_ENGINE` override when set, as
-//!   in one cell of the CI engine matrix;
+//!   `im2row` (cache-blocked dense lowering) and their `parallel:*`
+//!   aliases, each banded by the pool — or just the `SPARSETRAIN_ENGINE`
+//!   override when set, as in one cell of the CI engine matrix;
 //! * one engine call prepares its [`BandContext`]s (the weight re-layout
 //!   every sample shares, im2row patches) exactly once regardless of band
 //!   count, and every band borrows the shared state;
@@ -24,10 +24,11 @@
 //! scalar per-row accumulation order, so any difference at all is a bug.
 
 use proptest::prelude::*;
+use sparsetrain_sparse::engine::run_batch_in_bands;
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::{
-    registry, BandContext, BatchOut, FixedPointEngine, KernelEngine, ParallelEngine, RowMask, ScalarEngine,
-    SimdEngine, Stage, StageOp,
+    registry, BandContext, BatchOut, FixedPointEngine, KernelEngine, RowMask, ScalarEngine, SimdEngine,
+    Stage, StageOp,
 };
 use sparsetrain_tensor::conv::{self, ConvGeometry};
 use sparsetrain_tensor::{Tensor3, Tensor4};
@@ -78,7 +79,7 @@ fn forward_op<'a>(input: &'a SparseFeatureMap, weights: &'a Tensor4, geom: ConvG
 // ---------------------------------------------------------------------------
 
 /// What every sample of one generated case shares: the stage, the layer
-/// shape, and the band count of the explicit-threads parallel engine.
+/// shape, and the explicit band count of the scalar engine under test.
 #[derive(Debug, Clone, Copy)]
 struct Layer {
     stage: Stage,
@@ -268,15 +269,29 @@ impl Layer {
     }
 }
 
-/// Every engine under test plus `banded` (the parallel engine at the
-/// case's explicit band count), each with whether it is a float engine —
-/// bitwise equal to scalar by contract.
-fn oracle_engines(banded: &ParallelEngine) -> Vec<(&'static str, &dyn KernelEngine, bool)> {
+/// `engine`'s batches at exactly the given band count, through the
+/// explicit-band entry, instead of the pool-sized one.
+struct InBands<'e>(&'e dyn KernelEngine, usize);
+
+impl KernelEngine for InBands<'_> {
+    fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
+        run_batch_in_bands(self.0, ops, out, self.1);
+    }
+}
+
+/// The scalar reference at one band: the unbanded order every oracle is
+/// computed in, whatever the pool size.
+const REFERENCE: InBands<'static> = InBands(&ScalarEngine, 1);
+
+/// Every engine under test plus `banded` (the scalar engine at the case's
+/// explicit band count), each with whether it is a float engine — bitwise
+/// equal to scalar by contract.
+fn oracle_engines<'a>(banded: &'a InBands<'a>) -> Vec<(&'static str, &'a dyn KernelEngine, bool)> {
     let mut engines: Vec<(&'static str, &dyn KernelEngine, bool)> = engines_under_test()
         .into_iter()
         .map(|h| (h.name(), h.engine(), !h.name().starts_with("fixed")))
         .collect();
-    engines.push(("parallel (explicit bands)", banded, true));
+    engines.push(("scalar (explicit bands)", banded, true));
     engines
 }
 
@@ -298,7 +313,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// One op of a generated stage and shape, into a pre-seeded output:
-    /// every float engine — and the parallel engine at every band count —
+    /// every float engine — and the scalar engine at every band count —
     /// equals the scalar reference bitwise, and the scalar reference
     /// agrees with the dense convolution. A GTA position the forward mask
     /// excludes keeps its seed bits on every float engine.
@@ -311,9 +326,9 @@ proptest! {
         let op = layer.op(&sample, &weights, bias);
 
         let mut want = sample.seed.clone();
-        ScalarEngine.run(&op, &mut want);
+        REFERENCE.run(&op, &mut want);
         assert_close(&want, &layer.dense_reference(&sample, &weights, bias), 1e-4)?;
-        for (name, engine, float) in oracle_engines(&ParallelEngine::with_threads(layer.threads)) {
+        for (name, engine, float) in oracle_engines(&InBands(&ScalarEngine, layer.threads)) {
             let mut got = sample.seed.clone();
             engine.run(&op, &mut got);
             if float {
@@ -357,8 +372,8 @@ proptest! {
             }
             outs
         };
-        let want = sample_by_sample(&ScalarEngine);
-        for (name, engine, float) in oracle_engines(&ParallelEngine::with_threads(layer.threads)) {
+        let want = sample_by_sample(&REFERENCE);
+        for (name, engine, float) in oracle_engines(&InBands(&ScalarEngine, layer.threads)) {
             let mut got = seeds.clone();
             let out = if shared {
                 BatchOut::Shared(&mut got[0])
@@ -389,7 +404,7 @@ proptest! {
         let fixed = registry::lookup("fixed").unwrap().engine();
         let op = forward_op(&input, &weights, geom);
         let got = op.run_on(fixed);
-        let want = op.run_on(&ScalarEngine);
+        let want = op.run_on(&REFERENCE);
         let eps = FixedPointEngine::q8_8().format().epsilon();
         let terms = (3 * geom.kernel * geom.kernel) as f32;
         let bound = terms * 1.76 * eps + eps / 2.0;
@@ -417,7 +432,7 @@ proptest! {
         let fixed = registry::lookup("fixed").unwrap().engine();
         let op = StageOp::WeightGrad { input: &input, dout: &dout, geom };
         let got = op.run_on(fixed);
-        let want = op.run_on(&ScalarEngine);
+        let want = op.run_on(&REFERENCE);
         let eps = FixedPointEngine::q8_8().format().epsilon();
         // Each tap accumulates at most Ho × Ow products.
         let terms = (H * W) as f32;
@@ -486,11 +501,11 @@ fn pruning_parity_across_engines() {
     }
 }
 
-/// The float engines (scalar, parallel, simd, parallel:simd, im2row,
-/// parallel:im2row) share one bitwise training trajectory with pruning
-/// enabled — banding the convolutions across threads, sweeping them across
-/// vector lanes, lowering dense layers through im2row patches, *and*
-/// banding the pruning change nothing.
+/// The float engines (scalar, simd, im2row, and the `parallel:*` aliases)
+/// share one bitwise training trajectory with pruning enabled — banding
+/// the convolutions across threads, sweeping them across vector lanes,
+/// lowering dense layers through im2row patches, *and* banding the pruning
+/// change nothing.
 #[test]
 fn pruned_training_identical_on_float_engines() {
     if registry::env_override().expect("valid engine").is_some() {
@@ -567,8 +582,8 @@ fn simd_portable_path_matches_dispatched() {
 /// once**, no matter how many bands the call fans out into, and every band
 /// receives the shared prepared state — the one weight re-layout of the
 /// call, held by every sample's context. Pinned through the public seam
-/// with a counting wrapper around the simd engine, which is exactly how
-/// `"parallel:simd"` is composed.
+/// with a counting wrapper around the simd engine, banded by the trait's
+/// own `run_batch` body.
 #[test]
 fn band_context_prepared_once_per_engine_call() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -580,10 +595,6 @@ fn band_context_prepared_once_per_engine_call() {
     }
 
     impl KernelEngine for CountingEngine {
-        fn name(&self) -> &'static str {
-            "counting-simd"
-        }
-
         fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
             self.prepares.fetch_add(1, Ordering::SeqCst);
             let ctxs = SimdEngine::auto().prepare(ops);
@@ -619,11 +630,11 @@ fn band_context_prepared_once_per_engine_call() {
     }));
     let weights = Tensor4::from_fn(8, 3, 3, 3, |f, c, u, v| ((f + c + u + v) % 5) as f32 * 0.25 - 0.5);
     let op = forward_op(&input, &weights, geom);
-    let want = op.run_on(&ScalarEngine);
+    let want = op.run_on(&REFERENCE);
 
     let mut expected_prepares = 0;
     for threads in [1usize, 2, 4, 7] {
-        let engine = ParallelEngine::over("test:counting", &COUNTING).banded(threads);
+        let engine = InBands(&COUNTING, threads);
         let bands_before = COUNTING.bands.load(Ordering::SeqCst);
         assert_eq!(op.run_on(&engine), want, "threads {threads}");
         expected_prepares += 1;
@@ -645,7 +656,7 @@ fn band_context_prepared_once_per_engine_call() {
     // Batched entry point: one preparation for the whole batch, not one
     // per sample or per band chunk.
     let ops = [op; 3];
-    let engine = ParallelEngine::over("test:counting", &COUNTING).banded(5);
+    let engine = InBands(&COUNTING, 5);
     let mut outs = vec![vec![0.0f32; op.out_len()]; ops.len()];
     engine.run_batch(
         &ops,
@@ -683,12 +694,7 @@ fn im2row_fallback_legs_match_scalar() {
 
     for geom in [ConvGeometry::new(3, 1, 1), ConvGeometry::new(3, 2, 1)] {
         let op = forward_op(&input, &weights, geom);
-        assert_eq!(
-            op.run_on(engine),
-            op.run_on(&ScalarEngine),
-            "stride {}",
-            geom.stride
-        );
+        assert_eq!(op.run_on(engine), op.run_on(&REFERENCE), "stride {}", geom.stride);
     }
 
     let geom = ConvGeometry::new(3, 1, 1);
@@ -703,7 +709,7 @@ fn im2row_fallback_legs_match_scalar() {
     let bits = |values: Vec<f32>| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(
         bits(op.run_on(engine)),
-        bits(op.run_on(&ScalarEngine)),
+        bits(op.run_on(&REFERENCE)),
         "-0.0 bias leg"
     );
 }

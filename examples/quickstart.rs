@@ -7,12 +7,13 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 //!
-//! Set `SPARSETRAIN_ENGINE` to `scalar`, `parallel`, `simd`,
-//! `parallel:simd`, `im2row`, `parallel:im2row`, `fixed`, a
+//! Set `SPARSETRAIN_ENGINE` to `scalar`, `simd`, `im2row`, `fixed`, a
 //! `fixed:qI.F` format, or `auto` (the density-adaptive planner: decides
 //! each layer/stage cell from its operand density once, then replays the
-//! frozen plan — identical output, adaptive speed) to run the training step's convolutions on a
-//! named kernel engine from the registry.
+//! frozen plan — identical output, adaptive speed) to run the training
+//! step's convolutions on a named kernel engine from the registry. Every
+//! engine bands across the rayon pool (`RAYON_NUM_THREADS`); the
+//! `parallel:*` names are aliases of the engines they wrap.
 
 use rand::rngs::StdRng;
 use rand::stream::StreamKey;

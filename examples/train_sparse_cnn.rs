@@ -7,12 +7,12 @@
 //! Pass a registered engine name (or set `SPARSETRAIN_ENGINE`) to execute
 //! the convolutions on the sparse row-dataflow engine layer instead of
 //! dense im2row:
-//! `cargo run --release --example train_sparse_cnn -- parallel:simd`
+//! `cargo run --release --example train_sparse_cnn -- simd`
 //! `SPARSETRAIN_ENGINE=fixed:q4.12 cargo run --release --example train_sparse_cnn`
-//! (registered engines: `scalar`, `parallel`, `simd`, `parallel:simd`,
-//! `im2row`, `parallel:im2row`, `fixed`, parameterized `fixed:qI.F`
-//! formats, plus anything added through
-//! `sparsetrain::sparse::registry::register`).
+//! (registered engines: `scalar`, `simd`, `im2row`, `fixed`, `auto`,
+//! parameterized `fixed:qI.F` formats, the `parallel:*` aliases, plus
+//! anything added through `sparsetrain::sparse::registry::register`).
+//! Every engine bands across the rayon pool.
 //!
 //! Set `SPARSETRAIN_CHECKPOINT_DIR=/some/dir` to snapshot each run after
 //! every epoch (atomic write + keep-3 rotation); per-epoch metrics stream
