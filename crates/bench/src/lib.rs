@@ -26,8 +26,8 @@
 //! fault-injection campaign behind `sparsetrain-bench chaos`: seeded
 //! crash/corruption scenarios that must recover bitwise through the
 //! training supervisor. The Criterion benches in `benches/` are local
-//! tools — kernel engines, the ISA codec, the memory and simulator models
-//! and the pruning design-choice ablations; wall-clock training numbers
+//! tools — kernel engines, the memory and simulator models and the
+//! pruning design-choice ablations; wall-clock training numbers
 //! are `stbench`'s.
 
 pub mod chaos;

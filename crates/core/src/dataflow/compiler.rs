@@ -1,20 +1,18 @@
-//! The "simple compiler": lowers a network trace into an explicit
-//! instruction program.
+//! The "simple compiler": lowers a network trace into the paper's
+//! instruction list.
 //!
 //! The paper drives its simulator through a compiler that converts PyTorch
-//! models into internal instructions. [`compile`] is the equivalent here:
-//! it materializes the per-task instruction stream of every layer and
-//! stage, with the operand sizes the controller needs for dispatch. The
-//! simulator itself consumes the lazy visitors in [`super::ops`] (no
-//! allocation); the compiled [`Program`] is the inspectable artifact — it
-//! is what you would ship to a real device, and its instruction counts are
-//! the basis for the static schedule summaries below.
+//! models into internal instructions (§V). [`compile`] materialises the
+//! §IV op visitors in [`super::ops`] as that list: one [`Instr`] per SRC /
+//! MSRC / OSRC row operation of every layer and stage, with its operand
+//! sizes. The simulator consumes the visitors directly (no allocation), so
+//! the [`Program`] is an inspectable count of the work, not an input to it.
 
 use super::ops::{self, StepKind};
 use super::trace::{LayerTrace, NetworkTrace};
 
-/// One 1-D convolution instruction, with the operand metadata the
-/// controller dispatches on (sizes, not data — data stays in the buffer).
+/// One 1-D convolution instruction, with its operand metadata (sizes, not
+/// data — data stays in the buffer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Instr {
     /// Index of the layer in the network.
@@ -54,20 +52,6 @@ impl Program {
         self.instrs.is_empty()
     }
 
-    /// Number of distinct `(layer, step, task)` scheduling tasks.
-    pub fn task_count(&self) -> usize {
-        let mut count = 0usize;
-        let mut last: Option<(u32, StepKind, u32)> = None;
-        for i in &self.instrs {
-            let key = (i.layer, i.step, i.task);
-            if last != Some(key) {
-                count += 1;
-                last = Some(key);
-            }
-        }
-        count
-    }
-
     /// Instruction count per training stage.
     pub fn instrs_per_step(&self) -> [usize; 3] {
         let mut counts = [0usize; 3];
@@ -80,14 +64,6 @@ impl Program {
             counts[idx] += 1;
         }
         counts
-    }
-
-    /// Total Port-1 operand traffic (values) the program streams.
-    pub fn total_stream_values(&self) -> u64 {
-        self.instrs
-            .iter()
-            .map(|i| i.port1_nnz as u64 + i.port2_nnz as u64)
-            .sum()
     }
 }
 
@@ -197,8 +173,8 @@ mod tests {
     #[test]
     fn task_grouping_is_contiguous() {
         let p = compile(&trace());
-        // Within one (layer, step), tasks must be non-decreasing — the
-        // controller relies on this to keep a task on one PE.
+        // Within one (layer, step), tasks must be non-decreasing: all of a
+        // task's instructions run back-to-back on one PE.
         let mut last: Option<(u32, StepKind, u32)> = None;
         for i in &p.instrs {
             if let Some((l, s, t)) = last {
@@ -208,7 +184,6 @@ mod tests {
             }
             last = Some((i.layer, i.step, i.task));
         }
-        assert!(p.task_count() > 0);
     }
 
     #[test]
@@ -226,6 +201,5 @@ mod tests {
     fn empty_network_compiles_empty() {
         let p = compile(&NetworkTrace::new("e", "d"));
         assert!(p.is_empty());
-        assert_eq!(p.total_stream_values(), 0);
     }
 }

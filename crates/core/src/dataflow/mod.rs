@@ -15,11 +15,14 @@
 //! 3. The simulator (`sparsetrain-sim`) schedules tasks onto PE groups and
 //!    costs them with either the cycle-exact PE model or the analytic work
 //!    model.
+//!
+//! [`compile`] materialises step 2 as the paper's instruction list, one
+//! [`Instr`] per row operation; its length is the count of work the
+//! simulator walks. The simulator itself consumes the [`ops`] visitors
+//! directly and never reads a compiled [`Program`].
 
 pub mod analysis;
-pub mod asm;
 pub mod compiler;
-pub mod encoding;
 pub mod ops;
 pub mod synth;
 pub mod trace;
@@ -29,4 +32,4 @@ pub use compiler::{compile, Instr, Program};
 pub use ops::{
     for_each_forward_op, for_each_gta_op, for_each_gtw_op, MsrcOp, OsrcOp, SrcOp, StepKind, TaskId,
 };
-pub use trace::{ConvLayerTrace, FcLayerTrace, LayerTrace, NetworkTrace};
+pub use trace::{ConvLayerTrace, FcLayerTrace, LayerTrace, NetworkTrace, TraceError, TraceErrorKind};

@@ -26,7 +26,7 @@
 //! trace.validate().unwrap();
 //! ```
 
-use super::trace::{ConvLayerTrace, FcLayerTrace, LayerTrace, NetworkTrace};
+use super::trace::{ConvLayerTrace, FcLayerTrace, LayerTrace, NetworkTrace, TraceError, TraceErrorKind};
 use rand::Rng;
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
@@ -101,30 +101,43 @@ impl SynthLayer {
         (self.size + 2 * pad - self.kernel) / self.stride + 1
     }
 
-    /// Checks the specification for degenerate values.
+    /// Checks the specification for degenerate values. The error names
+    /// the layer `synth_conv`: a spec does not know its index in the net.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.channels == 0 || self.filters == 0 {
-            return Err("channel counts must be positive".into());
+    /// Returns the first invalid field.
+    pub fn validate(&self) -> Result<(), TraceError> {
+        self.check().map_err(|kind| TraceError {
+            layer: "synth_conv".into(),
+            kind,
+        })
+    }
+
+    fn check(&self) -> Result<(), TraceErrorKind> {
+        for (quantity, value) in [
+            ("channels", self.channels),
+            ("filters", self.filters),
+            ("size", self.size),
+            ("kernel", self.kernel),
+            ("stride", self.stride),
+        ] {
+            if value == 0 {
+                return Err(TraceErrorKind::NotPositive { quantity });
+            }
         }
-        if self.size == 0 {
-            return Err("map size must be positive".into());
+        if self.kernel > self.size {
+            return Err(TraceErrorKind::KernelExceedsInput {
+                kernel: self.kernel,
+                extent: self.size,
+            });
         }
-        if self.kernel == 0 || self.kernel > self.size {
-            return Err(format!("kernel {} invalid for size {}", self.kernel, self.size));
-        }
-        if self.stride == 0 {
-            return Err("stride must be positive".into());
-        }
-        for (name, d) in [
+        for (quantity, density) in [
             ("input_density", self.input_density),
             ("dout_density", self.dout_density),
         ] {
-            if !(0.0..=1.0).contains(&d) {
-                return Err(format!("{name} {d} outside [0, 1]"));
+            if !(0.0..=1.0).contains(&density) {
+                return Err(TraceErrorKind::DensityOutOfRange { quantity, density });
             }
         }
         Ok(())
@@ -350,13 +363,24 @@ mod tests {
 
     #[test]
     fn invalid_specs_are_rejected() {
-        assert!(SynthLayer::conv(0, 1, 8, 3).validate().is_err());
-        assert!(SynthLayer::conv(1, 1, 8, 9).validate().is_err());
-        assert!(SynthLayer::conv(1, 1, 8, 3).stride(0).validate().is_err());
-        assert!(SynthLayer::conv(1, 1, 8, 3)
+        let kind = |spec: SynthLayer| spec.validate().unwrap_err().kind;
+        assert_eq!(
+            kind(SynthLayer::conv(0, 1, 8, 3)),
+            TraceErrorKind::NotPositive { quantity: "channels" }
+        );
+        assert_eq!(
+            kind(SynthLayer::conv(1, 1, 8, 9)),
+            TraceErrorKind::KernelExceedsInput { kernel: 9, extent: 8 }
+        );
+        assert_eq!(
+            kind(SynthLayer::conv(1, 1, 8, 3).stride(0)),
+            TraceErrorKind::NotPositive { quantity: "stride" }
+        );
+        let err = SynthLayer::conv(1, 1, 8, 3)
             .input_density(1.5)
             .validate()
-            .is_err());
+            .unwrap_err();
+        assert_eq!(err.to_string(), "synth_conv: input_density 1.5 outside [0, 1]");
     }
 
     #[test]

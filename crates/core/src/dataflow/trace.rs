@@ -11,6 +11,122 @@
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::RowMask;
 use sparsetrain_tensor::conv::ConvGeometry;
+use std::fmt;
+
+/// The quantity a [`TraceError`] found out of range or inconsistent.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TraceErrorKind {
+    /// A count, extent, kernel size or stride that must be positive is zero.
+    NotPositive {
+        /// Which quantity (`"kernel"`, `"stride"`, `"channels"`, …).
+        quantity: &'static str,
+    },
+    /// The kernel is larger than the (padded) input extent it slides over.
+    KernelExceedsInput {
+        /// Kernel size `K`.
+        kernel: usize,
+        /// The input extent, padding included.
+        extent: usize,
+    },
+    /// A density lies outside `[0, 1]`.
+    DensityOutOfRange {
+        /// Which density.
+        quantity: &'static str,
+        /// Its value.
+        density: f64,
+    },
+    /// `dO` has a different channel count than the layer has filters.
+    DoutChannels {
+        /// Channels of `dO`.
+        dout: usize,
+        /// Filters of the layer.
+        filters: usize,
+    },
+    /// `dO`'s `(height, width)` disagrees with the geometry's output extent.
+    DoutShape {
+        /// `dO`'s `(height, width)`.
+        dout: (usize, usize),
+        /// The geometry's `(Ho, Wo)`.
+        expected: (usize, usize),
+    },
+    /// The layer needs its input gradient but has the wrong number of masks.
+    MaskCount {
+        /// Masks present.
+        masks: usize,
+        /// `(channel, row)` pairs of the input.
+        rows: usize,
+    },
+}
+
+/// An inconsistent layer trace or synthetic layer spec, as reported by
+/// [`ConvLayerTrace::validate`], [`NetworkTrace::validate`] and
+/// [`SynthLayer::validate`](super::synth::SynthLayer::validate).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceError {
+    /// Name of the layer at fault.
+    pub layer: String,
+    /// What was wrong with it.
+    pub kind: TraceErrorKind,
+}
+
+impl fmt::Display for TraceErrorKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            TraceErrorKind::NotPositive { quantity } => write!(f, "{quantity} must be positive"),
+            TraceErrorKind::KernelExceedsInput { kernel, extent } => {
+                write!(f, "kernel {kernel} larger than input extent {extent}")
+            }
+            TraceErrorKind::DensityOutOfRange { quantity, density } => {
+                write!(f, "{quantity} {density} outside [0, 1]")
+            }
+            TraceErrorKind::DoutChannels { dout, filters } => {
+                write!(f, "dout channels {dout} != filters {filters}")
+            }
+            TraceErrorKind::DoutShape { dout, expected } => write!(
+                f,
+                "dout {}x{} inconsistent with geometry ({}x{})",
+                dout.0, dout.1, expected.0, expected.1
+            ),
+            TraceErrorKind::MaskCount { masks, rows } => {
+                write!(f, "{masks} masks for {rows} (channel, row) pairs")
+            }
+        }
+    }
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.layer, self.kind)
+    }
+}
+
+impl std::error::Error for TraceError {}
+
+/// The output `(Ho, Wo)` of an `h × w` input under `geom`, or why the
+/// geometry cannot slide over it. Never panics, unlike
+/// [`ConvGeometry::output_extent`].
+pub(crate) fn checked_output_shape(
+    geom: &ConvGeometry,
+    h: usize,
+    w: usize,
+) -> Result<(usize, usize), TraceErrorKind> {
+    for (quantity, value) in [("kernel", geom.kernel), ("stride", geom.stride)] {
+        if value == 0 {
+            return Err(TraceErrorKind::NotPositive { quantity });
+        }
+    }
+    let extent = |n: usize| {
+        let padded = n.saturating_add(geom.pad.saturating_mul(2));
+        match padded.checked_sub(geom.kernel) {
+            Some(span) => Ok(span / geom.stride + 1),
+            None => Err(TraceErrorKind::KernelExceedsInput {
+                kernel: geom.kernel,
+                extent: padded,
+            }),
+        }
+    };
+    Ok((extent(h)?, extent(w)?))
+}
 
 /// Trace of one convolutional layer for one training sample.
 #[derive(Debug, Clone)]
@@ -67,37 +183,36 @@ impl ConvLayerTrace {
         )
     }
 
-    /// Checks internal consistency of the trace.
+    /// Checks internal consistency of the trace. Never panics.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first inconsistency found.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns the first inconsistency found.
+    pub fn validate(&self) -> Result<(), TraceError> {
+        self.check().map_err(|kind| TraceError {
+            layer: self.name.clone(),
+            kind,
+        })
+    }
+
+    fn check(&self) -> Result<(), TraceErrorKind> {
         if self.dout.channels() != self.filters {
-            return Err(format!(
-                "{}: dout channels {} != filters {}",
-                self.name,
-                self.dout.channels(),
-                self.filters
-            ));
+            return Err(TraceErrorKind::DoutChannels {
+                dout: self.dout.channels(),
+                filters: self.filters,
+            });
         }
-        if self.dout.height() != self.out_height() || self.dout.width() != self.out_width() {
-            return Err(format!(
-                "{}: dout {}x{} inconsistent with geometry ({}x{})",
-                self.name,
-                self.dout.height(),
-                self.dout.width(),
-                self.out_height(),
-                self.out_width()
-            ));
+        let expected = checked_output_shape(&self.geom, self.input.height(), self.input.width())?;
+        let dout = (self.dout.height(), self.dout.width());
+        if dout != expected {
+            return Err(TraceErrorKind::DoutShape { dout, expected });
         }
-        if self.needs_input_grad && self.input_masks.len() != self.input.channels() * self.input.height() {
-            return Err(format!(
-                "{}: {} masks for {} (channel, row) pairs",
-                self.name,
-                self.input_masks.len(),
-                self.input.channels() * self.input.height()
-            ));
+        let rows = self.input.channels() * self.input.height();
+        if self.needs_input_grad && self.input_masks.len() != rows {
+            return Err(TraceErrorKind::MaskCount {
+                masks: self.input_masks.len(),
+                rows,
+            });
         }
         Ok(())
     }
@@ -247,7 +362,7 @@ impl NetworkTrace {
     /// # Errors
     ///
     /// Returns the first validation failure.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), TraceError> {
         for l in &self.layers {
             if let LayerTrace::Conv(t) = l {
                 t.validate()?;
@@ -308,14 +423,48 @@ mod tests {
     fn conv_trace_detects_bad_dout() {
         let mut t = tiny_conv_trace();
         t.filters = 5;
-        assert!(t.validate().is_err());
+        let err = t.validate().unwrap_err();
+        assert_eq!(err.layer, "tiny");
+        assert_eq!(err.kind, TraceErrorKind::DoutChannels { dout: 3, filters: 5 });
+        assert_eq!(err.to_string(), "tiny: dout channels 3 != filters 5");
     }
 
     #[test]
     fn conv_trace_detects_missing_masks() {
         let mut t = tiny_conv_trace();
         t.input_masks.pop();
-        assert!(t.validate().is_err());
+        assert_eq!(
+            t.validate().unwrap_err().kind,
+            TraceErrorKind::MaskCount { masks: 7, rows: 8 }
+        );
+    }
+
+    #[test]
+    fn conv_trace_validate_never_panics_on_bad_geometry() {
+        let mut t = tiny_conv_trace();
+        t.geom.stride = 0;
+        assert_eq!(
+            t.validate().unwrap_err().kind,
+            TraceErrorKind::NotPositive { quantity: "stride" }
+        );
+        t.geom = ConvGeometry::new(7, 1, 1);
+        assert_eq!(
+            t.validate().unwrap_err().kind,
+            TraceErrorKind::KernelExceedsInput { kernel: 7, extent: 6 }
+        );
+        t.geom = ConvGeometry::new(3, 1, usize::MAX);
+        assert!(matches!(
+            t.validate().unwrap_err().kind,
+            TraceErrorKind::DoutShape { .. }
+        ));
+        t.geom = ConvGeometry::new(3, 2, 1);
+        assert_eq!(
+            t.validate().unwrap_err().kind,
+            TraceErrorKind::DoutShape {
+                dout: (4, 4),
+                expected: (2, 2)
+            }
+        );
     }
 
     #[test]

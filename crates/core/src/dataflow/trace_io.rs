@@ -19,7 +19,9 @@
 //! Masks are not stored separately: they are reconstructed from the input
 //! rows' offsets (which is exactly how the hardware treats them).
 
-use super::trace::{ConvLayerTrace, FcLayerTrace, LayerTrace, NetworkTrace};
+use super::trace::{
+    checked_output_shape, ConvLayerTrace, FcLayerTrace, LayerTrace, NetworkTrace, TraceErrorKind,
+};
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::SparseRow;
 use sparsetrain_tensor::conv::ConvGeometry;
@@ -97,7 +99,7 @@ fn write_row(out: &mut String, row: SparseRow<'_>) {
 }
 
 /// What was wrong with the line a [`TraceParseError`] points at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceParseErrorKind {
     /// The input ended where another line was required (`end` included).
     UnexpectedEnd,
@@ -113,10 +115,14 @@ pub enum TraceParseErrorKind {
     OffsetOutOfRange { offset: usize, width: usize },
     /// A row lists a different number of non-zeros than it declares.
     NnzMismatch { declared: usize, listed: usize },
+    /// A `conv` or `dout` line whose numbers parse but cannot describe a
+    /// layer: a zero kernel or stride, a kernel larger than the padded
+    /// input, or a `dout` shape the geometry does not produce.
+    Inconsistent(TraceErrorKind),
 }
 
 /// A malformed trace: the 1-based line at fault and what was wrong with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceParseError {
     /// 1-based line number (one past the last line when the input ended early).
     pub line: usize,
@@ -138,6 +144,7 @@ impl fmt::Display for TraceParseError {
             NnzMismatch { declared, listed } => {
                 write!(f, "row declared {declared} non-zeros but listed {listed}")
             }
+            Inconsistent(kind) => write!(f, "{kind}"),
         }
     }
 }
@@ -225,10 +232,24 @@ pub fn from_text(text: &str) -> Result<NetworkTrace, TraceParseError> {
                     .next()
                     .ok_or_else(|| cur.err(Expected("layer name")))?
                     .to_string();
-                let [k, stride, pad, filters, c, h, w, nig] = cur.numbers(parts)?;
+                let [kernel, stride, pad, filters, c, h, w, nig] = cur.numbers(parts)?;
+                let conv_line = cur.line;
+                // A literal, not `ConvGeometry::new`, which asserts what
+                // `checked_output_shape` reports as an error.
+                let geom = ConvGeometry { kernel, stride, pad };
+                let (eh, ew) = checked_output_shape(&geom, h, w).map_err(|k| cur.err(Inconsistent(k)))?;
                 let input = read_map(&mut cur, c, h, w)?;
                 let dout_header = cur.expect("dout")?;
                 let [f, ho, wo] = cur.numbers(dout_header)?;
+                if f != filters {
+                    return Err(cur.err(Inconsistent(TraceErrorKind::DoutChannels { dout: f, filters })));
+                }
+                if (ho, wo) != (eh, ew) {
+                    return Err(cur.err(Inconsistent(TraceErrorKind::DoutShape {
+                        dout: (ho, wo),
+                        expected: (eh, ew),
+                    })));
+                }
                 let dout = read_map(&mut cur, f, ho, wo)?;
                 let needs_input_grad = nig != 0;
                 let input_masks = if needs_input_grad {
@@ -236,15 +257,20 @@ pub fn from_text(text: &str) -> Result<NetworkTrace, TraceParseError> {
                 } else {
                     Vec::new()
                 };
-                trace.layers.push(LayerTrace::Conv(ConvLayerTrace {
+                let layer = ConvLayerTrace {
                     name,
-                    geom: ConvGeometry::new(k, stride, pad),
+                    geom,
                     filters,
                     input,
                     input_masks,
                     dout,
                     needs_input_grad,
-                }));
+                };
+                layer.validate().map_err(|e| TraceParseError {
+                    line: conv_line,
+                    kind: Inconsistent(e.kind),
+                })?;
+                trace.layers.push(LayerTrace::Conv(layer));
             }
             Some("fc") => {
                 let name = parts
@@ -383,6 +409,63 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("line 5") && err.to_string().contains("declared"));
+    }
+
+    /// The error `from_text` returns for a one-conv trace whose `conv`
+    /// line carries `geometry` (`k stride pad filters C H W`) and whose
+    /// `dout` line carries `dout`; every row is empty.
+    fn conv_error(geometry: &str, dout: &str) -> TraceParseError {
+        let nums = |s: &str| s.split(' ').map(|n| n.parse().unwrap()).collect::<Vec<usize>>();
+        let (g, d) = (nums(geometry), nums(dout));
+        let rows = |n: usize| "row 0\n".repeat(n);
+        let text = format!(
+            "sparsetrain-trace v1\nmodel m\ndataset d\nconv c {geometry} 1\n{}dout {dout}\n{}end\n",
+            rows(g[4] * g[5]),
+            rows(d[0] * d[1])
+        );
+        from_text(&text).unwrap_err()
+    }
+
+    #[test]
+    fn rejects_zero_kernel_or_stride() {
+        for (geometry, quantity) in [("1 0 0 1 1 1 2", "stride"), ("0 1 0 1 1 1 2", "kernel")] {
+            let err = conv_error(geometry, "1 1 2");
+            assert_eq!(err.line, 4);
+            assert_eq!(
+                err.kind,
+                TraceParseErrorKind::Inconsistent(TraceErrorKind::NotPositive { quantity })
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_kernel_larger_than_padded_input() {
+        let err = conv_error("3 1 0 1 1 1 2", "1 1 1");
+        assert_eq!(err.line, 4);
+        assert_eq!(
+            err.kind,
+            TraceParseErrorKind::Inconsistent(TraceErrorKind::KernelExceedsInput { kernel: 3, extent: 1 })
+        );
+        assert!(err.to_string().contains("kernel 3 larger than input extent 1"));
+    }
+
+    #[test]
+    fn rejects_dout_shape_the_geometry_does_not_produce() {
+        let err = conv_error("1 1 0 1 1 1 2", "1 1 3");
+        // The `dout` line follows the conv line and its one input row.
+        assert_eq!(err.line, 6);
+        assert_eq!(
+            err.kind,
+            TraceParseErrorKind::Inconsistent(TraceErrorKind::DoutShape {
+                dout: (1, 3),
+                expected: (1, 2)
+            })
+        );
+        let err = conv_error("1 1 0 1 1 1 2", "2 1 2");
+        assert_eq!(
+            err.kind,
+            TraceParseErrorKind::Inconsistent(TraceErrorKind::DoutChannels { dout: 2, filters: 1 })
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests of the trace text format: arbitrary traces round-trip
-//! losslessly and the parser rejects corrupted input without panicking.
+//! losslessly and the parser rejects corrupted input without panicking:
+//! whatever it accepts passes `validate`.
 
 use proptest::prelude::*;
 use sparsetrain_core::dataflow::{trace_io, ConvLayerTrace, FcLayerTrace, LayerTrace, NetworkTrace};
@@ -92,20 +93,29 @@ proptest! {
     }
 
     #[test]
-    fn parser_never_panics_on_corruption(trace in arb_trace(), cut in 0usize..400, flip in 0usize..400) {
+    fn parser_never_panics_on_corruption(
+        trace in arb_trace(),
+        cut in 0usize..400,
+        flip in 0usize..400,
+        substitute in prop_oneof![Just(b'?'), Just(b'0'), Just(b'9')],
+    ) {
         let mut text = trace_io::to_text(&trace);
         // Truncate somewhere.
         let cut = cut.min(text.len());
         text.truncate(cut);
-        let _ = trace_io::from_text(&text); // must return Err or Ok, not panic
-        // Corrupt a byte (keep UTF-8 validity by using an ASCII substitute).
+        // Must return Err or Ok, not panic, and an Ok is a valid trace.
+        if let Ok(parsed) = trace_io::from_text(&text) {
+            prop_assert_eq!(parsed.validate(), Ok(()));
+        }
+        // Corrupt a byte (keep UTF-8 validity by using an ASCII substitute;
+        // a digit can zero a kernel or stride or reshape a map).
         let mut bytes = text.into_bytes();
         if !bytes.is_empty() {
             let i = flip % bytes.len();
-            bytes[i] = b'?';
+            bytes[i] = substitute;
         }
-        if let Ok(s) = String::from_utf8(bytes) {
-            let _ = trace_io::from_text(&s);
+        if let Ok(Ok(parsed)) = String::from_utf8(bytes).map(|s| trace_io::from_text(&s)) {
+            prop_assert_eq!(parsed.validate(), Ok(()));
         }
     }
 }

@@ -4,7 +4,8 @@
 //! The simulated machine consists of PE groups (3 PEs + 1 PPU each), a
 //! banked global SRAM buffer, off-chip DRAM and a controller. Convolution
 //! layers execute as streams of SRC / MSRC / OSRC row operations enumerated
-//! from a captured [`sparsetrain_core::dataflow::NetworkTrace`]; the
+//! from a captured [`sparsetrain_core::dataflow::NetworkTrace`] by the §IV
+//! op visitors (the simulator walks the trace, not a compiled program); the
 //! controller assigns each *task* (one output row's operations) to the
 //! least-loaded PE.
 //!
@@ -45,7 +46,6 @@
 pub mod baseline;
 pub mod buffer;
 pub mod config;
-pub mod controller;
 pub mod dram;
 pub mod energy;
 pub mod group;
