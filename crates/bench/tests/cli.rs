@@ -37,6 +37,22 @@ fn experiments_exit_zero_and_print_back_to_back_under_their_parent_titles() {
     assert_eq!(both.stdout, [format.stdout, fifo.stdout].concat());
 }
 
+/// `sweep format` is the production caller of `sparse::formats`; its five
+/// density rows are pinned byte for byte (padding included).
+#[test]
+fn sweep_format_prints_the_pinned_density_rows() {
+    let out = bench(&["sweep", "format"]);
+    assert!(out.status.success());
+    let rows = "\
+1.00     32.0   40.0          34.0    33.0        dense       \n\
+0.50     32.0   20.3          17.9    24.8        bitmap      \n\
+0.25     32.0   10.3          9.9     14.7        bitmap      \n\
+0.10     32.0   4.4           5.2     7.0         offset+value\n\
+0.03     32.0   1.6           2.9     2.8         offset+value\n";
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(rows), "{stdout}");
+}
+
 #[test]
 fn unknown_names_exit_two_with_the_tables_names() {
     let names = |group| in_group(group).map(|e| e.name).collect::<Vec<_>>().join(", ");

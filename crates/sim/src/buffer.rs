@@ -20,6 +20,8 @@
 //! assert_eq!(cycles, 1, "conflict-free access takes one cycle");
 //! ```
 
+use crate::config::ConfigError;
+
 /// Geometry of the banked buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferConfig {
@@ -62,18 +64,15 @@ impl BufferConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.banks == 0 {
-            return Err("bank count must be positive".into());
-        }
-        if self.words_per_bank_per_cycle == 0 {
-            return Err("bank port width must be positive".into());
-        }
-        if self.capacity_words == 0 {
-            return Err("capacity must be positive".into());
-        }
-        Ok(())
+    /// Returns the first invalid field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::check(self.banks > 0, "banks", "positive")?;
+        ConfigError::check(
+            self.words_per_bank_per_cycle > 0,
+            "words_per_bank_per_cycle",
+            "positive",
+        )?;
+        ConfigError::check(self.capacity_words > 0, "capacity_words", "positive")
     }
 }
 

@@ -1,4 +1,38 @@
-//! Architecture configuration.
+//! Architecture configuration, and the one error every simulator
+//! configuration's `validate` returns.
+
+use std::fmt;
+
+/// A simulator configuration field holding a value the models cannot run
+/// with, as reported by [`ArchConfig::validate`],
+/// [`BufferConfig::validate`](crate::buffer::BufferConfig::validate) and
+/// [`DramConfig::validate`](crate::dram::DramConfig::validate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending field.
+    pub field: &'static str,
+    /// What the field must be.
+    pub requirement: &'static str,
+}
+
+impl ConfigError {
+    /// `Ok` when `holds`, else the error naming `field`.
+    pub(crate) fn check(holds: bool, field: &'static str, requirement: &'static str) -> Result<(), Self> {
+        holds.then_some(()).ok_or(Self { field, requirement })
+    }
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "invalid configuration: {} must be {}",
+            self.field, self.requirement
+        )
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Parameters of the simulated accelerator.
 ///
@@ -75,24 +109,20 @@ impl ArchConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.pe_groups == 0 || self.pes_per_group == 0 {
-            return Err("PE counts must be positive".into());
-        }
-        if self.mac_lanes == 0 {
-            return Err("mac_lanes must be positive".into());
-        }
-        if self.sram_words_per_cycle == 0 || self.dram_words_per_cycle == 0 {
-            return Err("bandwidths must be positive".into());
-        }
-        if self.clock_mhz <= 0.0 {
-            return Err("clock must be positive".into());
-        }
-        if self.batch_size == 0 {
-            return Err("batch size must be positive".into());
-        }
-        Ok(())
+    /// Returns the first invalid field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::check(self.pe_groups > 0, "pe_groups", "positive")?;
+        ConfigError::check(self.pes_per_group > 0, "pes_per_group", "positive")?;
+        ConfigError::check(self.mac_lanes > 0, "mac_lanes", "positive")?;
+        ConfigError::check(self.word_bytes > 0, "word_bytes", "positive")?;
+        ConfigError::check(self.sram_words_per_cycle > 0, "sram_words_per_cycle", "positive")?;
+        ConfigError::check(self.dram_words_per_cycle > 0, "dram_words_per_cycle", "positive")?;
+        ConfigError::check(
+            self.clock_mhz.is_finite() && self.clock_mhz > 0.0,
+            "clock_mhz",
+            "finite and positive",
+        )?;
+        ConfigError::check(self.batch_size > 0, "batch_size", "positive")
     }
 }
 
@@ -119,5 +149,21 @@ mod tests {
         let mut cfg = ArchConfig::tiny();
         cfg.mac_lanes = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    /// A zero word size used to pass and then divide by zero in
+    /// `simulate`; a NaN clock passed because `NaN <= 0.0` is false.
+    #[test]
+    fn validation_names_word_bytes_and_non_finite_clocks() {
+        let mut cfg = ArchConfig::tiny();
+        cfg.word_bytes = 0;
+        assert_eq!(cfg.validate().unwrap_err().field, "word_bytes");
+        for clock in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0] {
+            let mut cfg = ArchConfig::tiny();
+            cfg.clock_mhz = clock;
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err.field, "clock_mhz", "{clock}");
+            assert!(err.to_string().contains("clock_mhz"), "{err}");
+        }
     }
 }

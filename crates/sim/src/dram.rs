@@ -21,6 +21,7 @@
 //! assert!(stats.row_misses <= 1 + 4096 / dram.config().row_words as u64);
 //! ```
 
+use crate::config::ConfigError;
 use std::fmt;
 
 /// Timing parameters of the DRAM device, in accelerator clock cycles.
@@ -61,18 +62,16 @@ impl DramConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.burst_words == 0 || self.row_words == 0 || self.banks == 0 {
-            return Err("burst, row and bank sizes must be positive".into());
-        }
-        if !self.row_words.is_multiple_of(self.burst_words) {
-            return Err(format!(
-                "row_words {} must be a multiple of burst_words {}",
-                self.row_words, self.burst_words
-            ));
-        }
-        Ok(())
+    /// Returns the first invalid field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::check(self.burst_words > 0, "burst_words", "positive")?;
+        ConfigError::check(self.row_words > 0, "row_words", "positive")?;
+        ConfigError::check(self.banks > 0, "banks", "positive")?;
+        ConfigError::check(
+            self.row_words.is_multiple_of(self.burst_words),
+            "row_words",
+            "a multiple of burst_words",
+        )
     }
 }
 

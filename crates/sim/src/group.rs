@@ -98,17 +98,18 @@ impl<'a> PeGroup<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pe::one_row;
+    use sparsetrain_sparse::rowconv::SparseFeatureMap;
     use sparsetrain_sparse::work::{src_work, OpWork};
-    use sparsetrain_sparse::SparseVec;
     use sparsetrain_tensor::conv::ConvGeometry;
 
-    fn rows() -> Vec<SparseVec> {
+    fn rows() -> Vec<SparseFeatureMap> {
         vec![
-            SparseVec::from_dense(&[1.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 0.0]),
-            SparseVec::from_dense(&[0.0; 8]),
-            SparseVec::from_dense(&[1.0; 8]),
-            SparseVec::from_dense(&[0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 5.0]),
-            SparseVec::from_dense(&[1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0]),
+            one_row(&[1.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 0.0]),
+            one_row(&[0.0; 8]),
+            one_row(&[1.0; 8]),
+            one_row(&[0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 5.0]),
+            one_row(&[1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0]),
         ]
     }
 
@@ -125,12 +126,12 @@ mod tests {
             group.enqueue(
                 pe,
                 QueuedOp::Src(SrcOp {
-                    input: row.as_row(),
+                    input: row.row(0, 0),
                     geom,
                     out_len: 8,
                 }),
             );
-            expected[pe] += src_work(row, geom).cycles;
+            expected[pe] += src_work(row.row(0, 0), geom).cycles;
         }
         let makespan = group.run();
         assert_eq!(makespan, *expected.iter().max().unwrap());
@@ -146,12 +147,12 @@ mod tests {
             group.enqueue(
                 i % 2,
                 QueuedOp::Src(SrcOp {
-                    input: row.as_row(),
+                    input: row.row(0, 0),
                     geom,
                     out_len: 8,
                 }),
             );
-            expected = expected.add(&src_work(row, geom));
+            expected = expected.add(&src_work(row.row(0, 0), geom));
         }
         group.run();
         assert_eq!(group.total_macs(), expected.macs);
@@ -166,13 +167,13 @@ mod tests {
     #[test]
     fn zero_work_ops_are_skipped_in_queue() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let zero = SparseVec::zeros(8);
-        let nonzero = SparseVec::from_dense(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        let zero = one_row(&[0.0; 8]);
+        let nonzero = one_row(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         let mut group = PeGroup::new(1, 11);
         group.enqueue(
             0,
             QueuedOp::Src(SrcOp {
-                input: zero.as_row(),
+                input: zero.row(0, 0),
                 geom,
                 out_len: 8,
             }),
@@ -180,7 +181,7 @@ mod tests {
         group.enqueue(
             0,
             QueuedOp::Src(SrcOp {
-                input: nonzero.as_row(),
+                input: nonzero.row(0, 0),
                 geom,
                 out_len: 8,
             }),
@@ -188,12 +189,12 @@ mod tests {
         group.enqueue(
             0,
             QueuedOp::Src(SrcOp {
-                input: zero.as_row(),
+                input: zero.row(0, 0),
                 geom,
                 out_len: 8,
             }),
         );
         let makespan = group.run();
-        assert_eq!(makespan, src_work(&nonzero, geom).cycles);
+        assert_eq!(makespan, src_work(nonzero.row(0, 0), geom).cycles);
     }
 }

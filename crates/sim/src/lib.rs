@@ -58,6 +58,6 @@ pub mod report;
 pub mod sched;
 pub mod update;
 
-pub use config::ArchConfig;
+pub use config::{ArchConfig, ConfigError};
 pub use machine::Machine;
 pub use report::SimReport;

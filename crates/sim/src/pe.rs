@@ -221,16 +221,19 @@ fn count_pairs(input: SparseRow<'_>, grad: SparseRow<'_>, k: usize, stride: usiz
     pairs
 }
 
+/// A one-row (`1 × 1 × len`) map of `dense`, for unit tests.
+#[cfg(test)]
+pub(crate) fn one_row(dense: &[f32]) -> sparsetrain_sparse::rowconv::SparseFeatureMap {
+    let t = sparsetrain_tensor::Tensor3::from_vec(1, 1, dense.len(), dense.to_vec());
+    sparsetrain_sparse::rowconv::SparseFeatureMap::from_tensor(&t)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
-    use sparsetrain_sparse::{RowMask, SparseVec};
+    use sparsetrain_sparse::RowMask;
     use sparsetrain_tensor::conv::ConvGeometry;
-
-    fn sparse(pattern: &[f32]) -> SparseVec {
-        SparseVec::from_dense(pattern)
-    }
 
     #[test]
     fn src_cycles_match_work_model() {
@@ -241,16 +244,16 @@ mod tests {
             vec![0.0; 8],
             vec![5.0],
         ] {
-            let input = sparse(&pattern);
+            let input = one_row(&pattern);
             let op = SrcOp {
-                input: input.as_row(),
+                input: input.row(0, 0),
                 geom,
                 out_len: pattern.len(),
             };
             let mut pe = CycleExactPe::new(11);
             pe.issue_src(&op);
             let got = pe.run_to_completion();
-            let want = src_work(&input, geom);
+            let want = src_work(input.row(0, 0), geom);
             assert_eq!(got, want, "pattern {pattern:?}");
         }
     }
@@ -258,11 +261,11 @@ mod tests {
     #[test]
     fn msrc_cycles_match_work_model() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let grad = sparse(&[1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0]);
+        let grad = one_row(&[1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0]);
         for mask_offsets in [vec![3u32], vec![0, 1, 2, 3, 4, 5, 6, 7], vec![], vec![7]] {
             let mask = RowMask::from_offsets(8, &mask_offsets);
             let op = MsrcOp {
-                grad: grad.as_row(),
+                grad: grad.row(0, 0),
                 mask: &mask,
                 geom,
                 out_len: 8,
@@ -270,7 +273,7 @@ mod tests {
             let mut pe = CycleExactPe::new(11);
             pe.issue_msrc(&op);
             let got = pe.run_to_completion();
-            let want = msrc_work(&grad, geom, &mask);
+            let want = msrc_work(grad.row(0, 0), geom, &mask);
             assert_eq!(got, want, "mask {mask_offsets:?}");
         }
     }
@@ -287,17 +290,17 @@ mod tests {
             (vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], vec![0.0; 8]),
         ];
         for (i_pat, g_pat) in cases {
-            let input = sparse(&i_pat);
-            let grad = sparse(&g_pat);
+            let input = one_row(&i_pat);
+            let grad = one_row(&g_pat);
             let op = OsrcOp {
-                input: input.as_row(),
-                grad: grad.as_row(),
+                input: input.row(0, 0),
+                grad: grad.row(0, 0),
                 geom,
             };
             let mut pe = CycleExactPe::new(11);
             pe.issue_osrc(&op);
             let got = pe.run_to_completion();
-            let want = osrc_work(&input, &grad, geom);
+            let want = osrc_work(input.row(0, 0), grad.row(0, 0), geom);
             assert_eq!(got.cycles, want.cycles, "cycles for {i_pat:?} x {g_pat:?}");
             assert_eq!(got.macs, want.macs, "macs for {i_pat:?} x {g_pat:?}");
             assert_eq!(got.loads, want.loads, "loads for {i_pat:?} x {g_pat:?}");
@@ -307,9 +310,9 @@ mod tests {
     #[test]
     fn zero_work_op_takes_zero_cycles() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let input = sparse(&[0.0; 8]);
+        let input = one_row(&[0.0; 8]);
         let op = SrcOp {
-            input: input.as_row(),
+            input: input.row(0, 0),
             geom,
             out_len: 8,
         };
@@ -322,17 +325,17 @@ mod tests {
     #[test]
     fn pe_reusable_across_ops() {
         let geom = ConvGeometry::new(1, 1, 0);
-        let a = sparse(&[1.0, 2.0]);
-        let b = sparse(&[3.0]);
+        let a = one_row(&[1.0, 2.0]);
+        let b = one_row(&[3.0]);
         let mut pe = CycleExactPe::new(1);
         pe.issue_src(&SrcOp {
-            input: a.as_row(),
+            input: a.row(0, 0),
             geom,
             out_len: 2,
         });
         pe.run_to_completion();
         pe.issue_src(&SrcOp {
-            input: b.as_row(),
+            input: b.row(0, 0),
             geom,
             out_len: 1,
         });
@@ -345,15 +348,15 @@ mod tests {
     #[should_panic(expected = "already has an operation")]
     fn double_issue_panics() {
         let geom = ConvGeometry::new(1, 1, 0);
-        let a = sparse(&[1.0]);
+        let a = one_row(&[1.0]);
         let mut pe = CycleExactPe::new(1);
         pe.issue_src(&SrcOp {
-            input: a.as_row(),
+            input: a.row(0, 0),
             geom,
             out_len: 1,
         });
         pe.issue_src(&SrcOp {
-            input: a.as_row(),
+            input: a.row(0, 0),
             geom,
             out_len: 1,
         });

@@ -10,7 +10,8 @@
 
 use crate::prune_unit::PruneUnit;
 use sparsetrain_core::prune::{determine_threshold, sigma_hat};
-use sparsetrain_sparse::SparseVec;
+use sparsetrain_sparse::rowconv::SparseFeatureMap;
+use sparsetrain_tensor::Tensor3;
 
 /// Functional model of one PPU.
 ///
@@ -18,7 +19,8 @@ use sparsetrain_sparse::SparseVec;
 /// use sparsetrain_sim::ppu::Ppu;
 /// let mut ppu = Ppu::new();
 /// let row = ppu.process_row(&[-1.0, 2.0, 0.0, 3.0], true);
-/// assert_eq!(row.to_dense(), vec![0.0, 2.0, 0.0, 3.0]);
+/// assert_eq!(row.to_tensor().as_slice(), &[0.0, 2.0, 0.0, 3.0]);
+/// assert_eq!(row.row(0, 0).offsets(), &[1, 3]);
 /// assert_eq!(ppu.words_written(), 4); // 2 non-zeros x (offset + value)
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -37,14 +39,20 @@ impl Ppu {
     }
 
     /// Processes one finished row: optional ReLU, then compression.
-    /// Returns the compressed row that is written back to the buffer.
-    pub fn process_row(&mut self, row: &[f32], apply_relu: bool) -> SparseVec {
+    /// Returns the compressed row that is written back to the buffer, as a
+    /// `1 × 1 × len` map (read it through `row(0, 0)`).
+    pub fn process_row(&mut self, row: &[f32], apply_relu: bool) -> SparseFeatureMap {
         let processed: Vec<f32> = if apply_relu {
             row.iter().map(|&v| v.max(0.0)).collect()
         } else {
             row.to_vec()
         };
-        let compressed = SparseVec::from_dense(&processed);
+        self.write_back(processed)
+    }
+
+    /// Compresses one processed row for write-back and counts its words.
+    fn write_back(&mut self, processed: Vec<f32>) -> SparseFeatureMap {
+        let compressed = SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, processed.len(), processed));
         self.words_written += compressed.storage_words() as u64;
         self.rows_processed += 1;
         compressed
@@ -65,13 +73,10 @@ impl Ppu {
     /// hardware taps the stream), prune in-stream through `unit`, then
     /// compress the surviving row for write-back. One value per cycle
     /// end to end — pruning adds no traffic and no stalls.
-    pub fn process_grad_row(&mut self, grads: &[f32], unit: &mut PruneUnit) -> SparseVec {
+    pub fn process_grad_row(&mut self, grads: &[f32], unit: &mut PruneUnit) -> SparseFeatureMap {
         self.accumulate_gradients(grads);
         let pruned = unit.process(grads);
-        let compressed = SparseVec::from_dense(&pruned);
-        self.words_written += compressed.storage_words() as u64;
-        self.rows_processed += 1;
-        compressed
+        self.write_back(pruned)
     }
 
     /// The accumulated bias gradient (`Σ g`).
@@ -113,7 +118,7 @@ mod tests {
     fn relu_then_compress() {
         let mut ppu = Ppu::new();
         let out = ppu.process_row(&[-3.0, 1.0, -0.5, 2.0], true);
-        assert_eq!(out.to_dense(), vec![0.0, 1.0, 0.0, 2.0]);
+        assert_eq!(out.to_tensor().as_slice(), &[0.0, 1.0, 0.0, 2.0]);
         assert_eq!(out.nnz(), 2);
     }
 
@@ -121,7 +126,7 @@ mod tests {
     fn bypass_keeps_negatives() {
         let mut ppu = Ppu::new();
         let out = ppu.process_row(&[-3.0, 0.0, 2.0], false);
-        assert_eq!(out.to_dense(), vec![-3.0, 0.0, 2.0]);
+        assert_eq!(out.to_tensor().as_slice(), &[-3.0, 0.0, 2.0]);
     }
 
     #[test]
@@ -164,7 +169,7 @@ mod tests {
         let grads = [0.5f32, 0.01, -0.02, 0.0, -0.9];
         let out = ppu.process_grad_row(&grads, &mut unit);
         // Large values survive untouched; sub-τ̂ values became 0 or ±τ̂.
-        let dense = out.to_dense();
+        let dense = out.to_tensor().as_slice().to_vec();
         assert_eq!(dense[0], 0.5);
         assert_eq!(dense[4], -0.9);
         for &v in &dense[1..4] {

@@ -6,11 +6,18 @@ use proptest::prelude::*;
 use sparsetrain_core::dataflow::{MsrcOp, OsrcOp, SrcOp};
 use sparsetrain_sim::group::{PeGroup, QueuedOp};
 use sparsetrain_sim::pe::CycleExactPe;
+use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
-use sparsetrain_sparse::{RowMask, SparseVec};
+use sparsetrain_sparse::RowMask;
 use sparsetrain_tensor::conv::ConvGeometry;
+use sparsetrain_tensor::Tensor3;
 
-fn arb_sparse_row(len: usize) -> impl Strategy<Value = SparseVec> {
+/// `dense` as a one-row map.
+fn one_row(dense: Vec<f32>) -> SparseFeatureMap {
+    SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, dense.len(), dense))
+}
+
+fn arb_sparse_row(len: usize) -> impl Strategy<Value = SparseFeatureMap> {
     proptest::collection::vec(
         prop_oneof![
             55u32 => Just(0.0f32),
@@ -18,7 +25,7 @@ fn arb_sparse_row(len: usize) -> impl Strategy<Value = SparseVec> {
         ],
         len,
     )
-    .prop_map(|dense| SparseVec::from_dense(&dense))
+    .prop_map(one_row)
 }
 
 fn arb_geom() -> impl Strategy<Value = ConvGeometry> {
@@ -30,11 +37,11 @@ proptest! {
 
     #[test]
     fn src_pe_equals_work_model(row in arb_sparse_row(40), geom in arb_geom()) {
-        let op = SrcOp { input: row.as_row(), geom, out_len: 40 };
+        let op = SrcOp { input: row.row(0, 0), geom, out_len: 40 };
         let mut pe = CycleExactPe::new(11);
         pe.issue_src(&op);
         let got = pe.run_to_completion();
-        prop_assert_eq!(got, src_work(&row, geom));
+        prop_assert_eq!(got, src_work(row.row(0, 0), geom));
     }
 
     #[test]
@@ -43,12 +50,12 @@ proptest! {
         mask_pattern in arb_sparse_row(40),
         geom in arb_geom(),
     ) {
-        let mask = RowMask::from_offsets(40, mask_pattern.offsets());
-        let op = MsrcOp { grad: grad.as_row(), mask: &mask, geom, out_len: 40 };
+        let mask = RowMask::from_offsets(40, mask_pattern.row(0, 0).offsets());
+        let op = MsrcOp { grad: grad.row(0, 0), mask: &mask, geom, out_len: 40 };
         let mut pe = CycleExactPe::new(11);
         pe.issue_msrc(&op);
         let got = pe.run_to_completion();
-        prop_assert_eq!(got, msrc_work(&grad, geom, &mask));
+        prop_assert_eq!(got, msrc_work(grad.row(0, 0), geom, &mask));
     }
 
     #[test]
@@ -58,12 +65,12 @@ proptest! {
         let grad_dense: Vec<f32> = (0..out_len)
             .map(|i| if i % 3 == 0 { 1.0 } else { 0.0 })
             .collect();
-        let grad = SparseVec::from_dense(&grad_dense);
-        let op = OsrcOp { input: input.as_row(), grad: grad.as_row(), geom };
+        let grad = one_row(grad_dense);
+        let op = OsrcOp { input: input.row(0, 0), grad: grad.row(0, 0), geom };
         let mut pe = CycleExactPe::new(11);
         pe.issue_osrc(&op);
         let got = pe.run_to_completion();
-        prop_assert_eq!(got, osrc_work(&input, &grad, geom));
+        prop_assert_eq!(got, osrc_work(input.row(0, 0), grad.row(0, 0), geom));
     }
 
     /// A PE group's lock-step execution of queued ops finishes in exactly
@@ -78,8 +85,8 @@ proptest! {
         let mut expected = vec![0u64; pes];
         for (i, row) in rows.iter().enumerate() {
             let pe = i % pes;
-            group.enqueue(pe, QueuedOp::Src(SrcOp { input: row.as_row(), geom, out_len: 24 }));
-            expected[pe] += src_work(row, geom).cycles;
+            group.enqueue(pe, QueuedOp::Src(SrcOp { input: row.row(0, 0), geom, out_len: 24 }));
+            expected[pe] += src_work(row.row(0, 0), geom).cycles;
         }
         let makespan = group.run();
         prop_assert_eq!(makespan, *expected.iter().max().unwrap());

@@ -23,11 +23,13 @@
 //!
 //! ```
 //! use sparsetrain_sparse::formats::{storage_words, RowFormat};
-//! use sparsetrain_sparse::SparseVec;
+//! use sparsetrain_sparse::rowconv::SparseFeatureMap;
+//! use sparsetrain_tensor::Tensor3;
 //!
-//! let row = SparseVec::from_dense(&[0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0]);
-//! assert_eq!(storage_words(&row, RowFormat::Dense), 8);
-//! assert!(storage_words(&row, RowFormat::OffsetValue) < 8);
+//! let dense = vec![0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0];
+//! let map = SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, 8, dense));
+//! assert_eq!(storage_words(map.row(0, 0), RowFormat::Dense), 8);
+//! assert!(storage_words(map.row(0, 0), RowFormat::OffsetValue) < 8);
 //! ```
 
 use crate::compressed::SparseRow;
@@ -114,8 +116,7 @@ fn rle_headers(row: SparseRow<'_>) -> u64 {
 }
 
 /// Storage cost of one row under `format`, in 16-bit words.
-pub fn storage_words<'a>(row: impl Into<SparseRow<'a>>, format: RowFormat) -> u64 {
-    let row = row.into();
+pub fn storage_words(row: SparseRow<'_>, format: RowFormat) -> u64 {
     let nnz = row.nnz() as u64;
     let len = row.len() as u64;
     match format {
@@ -127,8 +128,7 @@ pub fn storage_words<'a>(row: impl Into<SparseRow<'a>>, format: RowFormat) -> u6
 }
 
 /// The cheapest format for one row, with its cost.
-pub fn best_format<'a>(row: impl Into<SparseRow<'a>>) -> (RowFormat, u64) {
-    let row = row.into();
+pub fn best_format(row: SparseRow<'_>) -> (RowFormat, u64) {
     RowFormat::ALL
         .iter()
         .map(|&f| (f, storage_words(row, f)))
@@ -138,8 +138,7 @@ pub fn best_format<'a>(row: impl Into<SparseRow<'a>>) -> (RowFormat, u64) {
 
 /// Compression ratio of `format` relative to dense storage (1.0 for an
 /// empty row).
-pub fn compression_ratio<'a>(row: impl Into<SparseRow<'a>>, format: RowFormat) -> f64 {
-    let row = row.into();
+pub fn compression_ratio(row: SparseRow<'_>, format: RowFormat) -> f64 {
     if row.is_empty() {
         return 1.0;
     }
@@ -149,49 +148,52 @@ pub fn compression_ratio<'a>(row: impl Into<SparseRow<'a>>, format: RowFormat) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressed::SparseVec;
+    use crate::rowconv::{one_row, SparseFeatureMap};
 
-    fn row_with_density(len: usize, every: usize) -> SparseVec {
+    fn row_with_density(len: usize, every: usize) -> SparseFeatureMap {
         let dense: Vec<f32> = (0..len).map(|i| if i % every == 0 { 1.0 } else { 0.0 }).collect();
-        SparseVec::from_dense(&dense)
+        one_row(&dense)
     }
 
     #[test]
     fn dense_cost_is_length() {
-        let row = row_with_density(64, 3);
-        assert_eq!(storage_words(&row, RowFormat::Dense), 64);
+        let map = row_with_density(64, 3);
+        assert_eq!(storage_words(map.row(0, 0), RowFormat::Dense), 64);
     }
 
     #[test]
     fn empty_row_costs_almost_nothing_compressed() {
-        let row = SparseVec::zeros(256);
-        assert_eq!(storage_words(&row, RowFormat::OffsetValue), 0);
-        assert_eq!(storage_words(&row, RowFormat::Bitmap), 16); // the bitmap itself
-        assert!(storage_words(&row, RowFormat::RunLength) <= 1);
-        assert_eq!(storage_words(&row, RowFormat::Dense), 256);
+        let map = one_row(&[0.0; 256]);
+        let row = map.row(0, 0);
+        assert_eq!(storage_words(row, RowFormat::OffsetValue), 0);
+        assert_eq!(storage_words(row, RowFormat::Bitmap), 16); // the bitmap itself
+        assert!(storage_words(row, RowFormat::RunLength) <= 1);
+        assert_eq!(storage_words(row, RowFormat::Dense), 256);
     }
 
     #[test]
     fn full_row_prefers_dense() {
-        let row = row_with_density(64, 1);
-        let (best, words) = best_format(&row);
+        let map = row_with_density(64, 1);
+        let row = map.row(0, 0);
+        let (best, words) = best_format(row);
         assert_eq!(words, 64);
         // Dense and RLE tie at nnz + 1 header vs len; dense must be
         // among the minima.
-        assert!(storage_words(&row, RowFormat::Dense) <= storage_words(&row, best) + 1);
-        assert!(storage_words(&row, RowFormat::Bitmap) == 64 + 4);
-        assert!(storage_words(&row, RowFormat::OffsetValue) == 64 + 16);
+        assert!(storage_words(row, RowFormat::Dense) <= storage_words(row, best) + 1);
+        assert!(storage_words(row, RowFormat::Bitmap) == 64 + 4);
+        assert!(storage_words(row, RowFormat::OffsetValue) == 64 + 16);
     }
 
     #[test]
     fn sparse_rows_compress_well() {
-        let row = row_with_density(1024, 16); // ~6% dense
+        let map = row_with_density(1024, 16); // ~6% dense
+        let row = map.row(0, 0);
         for f in [RowFormat::OffsetValue, RowFormat::Bitmap, RowFormat::RunLength] {
             assert!(
-                compression_ratio(&row, f) > 4.0,
+                compression_ratio(row, f) > 4.0,
                 "{} ratio {:.2}",
                 f.name(),
-                compression_ratio(&row, f)
+                compression_ratio(row, f)
             );
         }
     }
@@ -199,8 +201,8 @@ mod tests {
     #[test]
     fn bitmap_overhead_is_density_independent() {
         for every in [2usize, 4, 16, 64] {
-            let row = row_with_density(256, every);
-            let overhead = storage_words(&row, RowFormat::Bitmap) - row.nnz() as u64;
+            let map = row_with_density(256, every);
+            let overhead = storage_words(map.row(0, 0), RowFormat::Bitmap) - map.nnz() as u64;
             assert_eq!(overhead, 16);
         }
     }
@@ -211,24 +213,28 @@ mod tests {
         let mut dense = vec![0.0f32; 128];
         dense[0] = 1.0;
         dense[101] = 1.0;
-        let row = SparseVec::from_dense(&dense);
-        let slots = super::offset_delta_slots(row.as_row());
+        let map = one_row(&dense);
+        let slots = super::offset_delta_slots(map.row(0, 0));
         assert_eq!(slots, 2 + 100 / 15);
-        assert_eq!(storage_words(&row, RowFormat::OffsetValue), 2 + slots.div_ceil(4));
+        assert_eq!(
+            storage_words(map.row(0, 0), RowFormat::OffsetValue),
+            2 + slots.div_ceil(4)
+        );
     }
 
     #[test]
     fn crossover_bitmap_beats_offsets_at_high_density() {
         // Offset encoding pays ~nnz/4 extra words; bitmap pays len/16.
         // They cross at density 1/4: above it bitmap is cheaper.
-        let dense_row = row_with_density(256, 2); // 50%
+        let map = row_with_density(256, 2); // 50%
+        let dense_row = map.row(0, 0);
         assert!(
-            storage_words(&dense_row, RowFormat::Bitmap) < storage_words(&dense_row, RowFormat::OffsetValue)
+            storage_words(dense_row, RowFormat::Bitmap) < storage_words(dense_row, RowFormat::OffsetValue)
         );
-        let sparse_row = row_with_density(256, 16); // ~6%
+        let map = row_with_density(256, 16); // ~6%
+        let sparse_row = map.row(0, 0);
         assert!(
-            storage_words(&sparse_row, RowFormat::OffsetValue)
-                <= storage_words(&sparse_row, RowFormat::Bitmap)
+            storage_words(sparse_row, RowFormat::OffsetValue) <= storage_words(sparse_row, RowFormat::Bitmap)
         );
     }
 
@@ -240,20 +246,21 @@ mod tests {
         for v in dense.iter_mut().skip(100).take(32) {
             *v = 1.0;
         }
-        let row = SparseVec::from_dense(&dense);
-        let rle = storage_words(&row, RowFormat::RunLength);
-        assert!(rle < storage_words(&row, RowFormat::Bitmap));
-        assert!(rle <= storage_words(&row, RowFormat::OffsetValue));
+        let map = one_row(&dense);
+        let row = map.row(0, 0);
+        let rle = storage_words(row, RowFormat::RunLength);
+        assert!(rle < storage_words(row, RowFormat::Bitmap));
+        assert!(rle <= storage_words(row, RowFormat::OffsetValue));
     }
 
     #[test]
     fn best_format_returns_the_minimum() {
         for every in [1usize, 2, 5, 17, 100] {
-            let row = row_with_density(300, every);
-            let (best, words) = best_format(&row);
+            let map = row_with_density(300, every);
+            let (best, words) = best_format(map.row(0, 0));
             for f in RowFormat::ALL {
                 assert!(
-                    storage_words(&row, f) >= words,
+                    storage_words(map.row(0, 0), f) >= words,
                     "{} beat reported best {}",
                     f.name(),
                     best.name()

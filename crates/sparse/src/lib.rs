@@ -1,30 +1,31 @@
-//! Compressed sparse row vectors and the SparseTrain 1-D convolution kernels.
+//! Compressed sparse rows and the SparseTrain 1-D convolution kernels.
 //!
 //! The paper's dataflow (§IV) decomposes every 2-D convolution of CNN
 //! training into 1-D row convolutions, one of three flavours:
 //!
-//! * [`src::src_conv`] — **SRC** (Sparse Row Convolution): the Forward step.
-//!   A sparse activation row is convolved with a short dense kernel row.
-//! * [`msrc::msrc_conv`] — **MSRC** (Masked SRC): the GTA step. A sparse
-//!   output-gradient row is convolved with a (rotated) kernel row, and
-//!   output positions that the downstream ReLU mask will zero anyway are
-//!   skipped entirely.
-//! * [`osrc::osrc_conv`] — **OSRC** (Output-Store Row Convolution): the GTW
-//!   step. Two sparse rows are correlated; only `K` output positions exist
-//!   and are held in a scratchpad for the whole convolution.
+//! * [`src::src_accumulate`] — **SRC** (Sparse Row Convolution): the
+//!   Forward step. A sparse activation row is convolved with a short dense
+//!   kernel row.
+//! * [`msrc::msrc_accumulate`] — **MSRC** (Masked SRC): the GTA step. A
+//!   sparse output-gradient row is convolved with a (rotated) kernel row,
+//!   and output positions that the downstream ReLU mask will zero anyway
+//!   are skipped entirely.
+//! * [`osrc::osrc_accumulate`] — **OSRC** (Output-Store Row Convolution):
+//!   the GTW step. Two sparse rows are correlated; only `K` output
+//!   positions exist and are held in a scratchpad for the whole
+//!   convolution.
 //!
-//! [`rowconv`] rebuilds the full 2-D convolutions of all three training
-//! stages from these primitives and is validated against the dense reference
-//! in `sparsetrain-tensor`; [`work`] provides the analytic PE cycle model
-//! for each primitive, which the cycle-exact simulator is checked against.
+//! Each kernel reads [`SparseRow`]s lent by a
+//! [`rowconv::SparseFeatureMap`], the one compressed storage type, and
+//! accumulates into a caller-provided slice, so the hot loops never touch
+//! the heap. [`work`] provides the analytic PE cycle model for each
+//! primitive, which the cycle-exact simulator is checked against.
 //!
 //! # The execution engine layer
 //!
-//! All three kernels expose *accumulate-into-scratch* APIs
-//! ([`src::src_accumulate`], [`msrc::msrc_accumulate`],
-//! [`osrc::osrc_accumulate`]) that write into caller-provided slices: the
-//! hot loops never touch the heap. [`engine`] builds the layer-level
-//! execution seam on top of them:
+//! [`engine`] builds the layer-level execution seam on top of the kernels,
+//! and every engine is validated against the dense references in
+//! `sparsetrain-tensor`:
 //!
 //! * [`engine::StageOp`] — one Forward / GTA / GTW convolution of one
 //!   sample as a borrowed value, and [`engine::KernelEngine`] — the trait
@@ -113,7 +114,7 @@ pub mod simd_engine;
 pub mod src;
 pub mod work;
 
-pub use compressed::{RowError, SparseRow, SparseVec};
+pub use compressed::{RowError, SparseRow};
 pub use context::ExecutionContext;
 pub use engine::{BandContext, BatchOut, KernelEngine, ScalarEngine, StageOp};
 pub use fixed_engine::FixedPointEngine;

@@ -20,17 +20,24 @@ use sparsetrain_tensor::conv::ConvGeometry;
 /// over the output rows of one kernel row build the full weight gradient in
 /// place.
 ///
+/// ```
+/// use sparsetrain_sparse::{osrc::osrc_accumulate, rowconv::SparseFeatureMap};
+/// use sparsetrain_tensor::{conv::ConvGeometry, Tensor3};
+///
+/// let row = |dense: Vec<f32>| SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, dense.len(), dense));
+/// let (input, grad) = (row(vec![1.0, 2.0, 3.0, 4.0]), row(vec![1.0, 0.0, 1.0]));
+/// // K=2, stride 1, no pad: dw[v] = sum_ox g[ox] * i[ox+v]
+/// let mut dw = vec![0.0; 2];
+/// osrc_accumulate(input.row(0, 0), grad.row(0, 0), ConvGeometry::new(2, 1, 0), &mut dw);
+/// assert_eq!(dw, vec![1.0 + 3.0, 2.0 + 4.0]);
+/// ```
+///
 /// # Panics
 ///
 /// Panics if `dw.len() != geom.kernel`; panics in debug builds if the
-/// operand lengths are inconsistent with `geom`.
-pub fn osrc_accumulate<'a, 'b>(
-    input: impl Into<SparseRow<'a>>,
-    grad: impl Into<SparseRow<'b>>,
-    geom: ConvGeometry,
-    dw: &mut [f32],
-) {
-    let (input, grad) = (input.into(), grad.into());
+/// operand lengths are inconsistent with `geom` — i.e.
+/// `grad.len() != geom.output_extent(input.len())`.
+pub fn osrc_accumulate(input: SparseRow<'_>, grad: SparseRow<'_>, geom: ConvGeometry, dw: &mut [f32]) {
     assert_eq!(dw.len(), geom.kernel, "tap buffer length mismatch");
     debug_assert_eq!(
         grad.len(),
@@ -66,42 +73,9 @@ pub fn osrc_accumulate<'a, 'b>(
     }
 }
 
-/// Performs one OSRC operation, producing `K` weight-gradient taps in a
-/// fresh vector. Thin allocating wrapper over [`osrc_accumulate`].
-///
-/// ```
-/// use sparsetrain_sparse::{SparseVec, osrc::osrc_conv};
-/// use sparsetrain_tensor::conv::ConvGeometry;
-///
-/// let input = SparseVec::from_dense(&[1.0, 2.0, 3.0, 4.0]);
-/// let grad = SparseVec::from_dense(&[1.0, 0.0, 1.0]);
-/// // K=2, stride 1, no pad: dw[v] = sum_ox g[ox] * i[ox+v]
-/// let dw = osrc_conv(&input, &grad, ConvGeometry::new(2, 1, 0));
-/// assert_eq!(dw, vec![1.0 + 3.0, 2.0 + 4.0]);
-/// ```
-///
-/// # Panics
-///
-/// Panics (in debug builds) if the operand lengths are inconsistent with
-/// `geom` — i.e. `grad.len() != geom.output_extent(input.len())`.
-pub fn osrc_conv<'a, 'b>(
-    input: impl Into<SparseRow<'a>>,
-    grad: impl Into<SparseRow<'b>>,
-    geom: ConvGeometry,
-) -> Vec<f32> {
-    let mut dw = vec![0.0; geom.kernel];
-    osrc_accumulate(input, grad, geom, &mut dw);
-    dw
-}
-
 /// Number of overlapping non-zero `(input, grad)` pairs — the MAC count of
 /// an OSRC operation, used by the analytic work model.
-pub fn osrc_pair_count<'a, 'b>(
-    input: impl Into<SparseRow<'a>>,
-    grad: impl Into<SparseRow<'b>>,
-    geom: ConvGeometry,
-) -> u64 {
-    let (input, grad) = (input.into(), grad.into());
+pub fn osrc_pair_count(input: SparseRow<'_>, grad: SparseRow<'_>, geom: ConvGeometry) -> u64 {
     let k = geom.kernel as isize;
     let stride = geom.stride as isize;
     let pad = geom.pad as isize;
@@ -126,7 +100,13 @@ pub fn osrc_pair_count<'a, 'b>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressed::SparseVec;
+    use crate::rowconv::one_row;
+
+    fn taps(input: &[f32], grad: &[f32], geom: ConvGeometry) -> Vec<f32> {
+        let mut dw = vec![0.0; geom.kernel];
+        osrc_accumulate(one_row(input).row(0, 0), one_row(grad).row(0, 0), geom, &mut dw);
+        dw
+    }
 
     fn dense_osrc(input: &[f32], grad: &[f32], geom: ConvGeometry) -> Vec<f32> {
         let mut dw = vec![0.0; geom.kernel];
@@ -146,11 +126,7 @@ mod tests {
         let input = [0.0, 1.0, 0.0, 2.0, 3.0, 0.0, 4.0, 0.0];
         let geom = ConvGeometry::new(3, 1, 1);
         let grad = [1.0, 0.0, -1.0, 0.0, 2.0, 0.0, 0.0, 1.0];
-        let got = osrc_conv(
-            &SparseVec::from_dense(&input),
-            &SparseVec::from_dense(&grad),
-            geom,
-        );
+        let got = taps(&input, &grad, geom);
         let want = dense_osrc(&input, &grad, geom);
         assert_eq!(got, want);
     }
@@ -161,11 +137,7 @@ mod tests {
         let geom = ConvGeometry::new(3, 2, 1);
         let out_len = geom.output_extent(input.len());
         let grad_dense: Vec<f32> = (0..out_len).map(|i| if i % 2 == 0 { 1.5 } else { 0.0 }).collect();
-        let got = osrc_conv(
-            &SparseVec::from_dense(&input),
-            &SparseVec::from_dense(&grad_dense),
-            geom,
-        );
+        let got = taps(&input, &grad_dense, geom);
         let want = dense_osrc(&input, &grad_dense, geom);
         assert_eq!(got, want);
     }
@@ -173,27 +145,24 @@ mod tests {
     #[test]
     fn zero_operands_give_zero() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let dw = osrc_conv(&SparseVec::zeros(8), &SparseVec::zeros(8), geom);
+        let dw = taps(&[0.0; 8], &[0.0; 8], geom);
         assert_eq!(dw, vec![0.0; 3]);
     }
 
     #[test]
     fn pair_count_matches_manual() {
-        let input = SparseVec::from_dense(&[1.0, 0.0, 1.0, 0.0]);
-        let grad = SparseVec::from_dense(&[0.0, 1.0, 0.0, 1.0]);
+        let (input, grad) = (one_row(&[1.0, 0.0, 1.0, 0.0]), one_row(&[0.0, 1.0, 0.0, 1.0]));
         let geom = ConvGeometry::new(3, 1, 1);
         // grad nz at ox=1 (window ix 0..3): input nz 0, 2 -> 2 pairs
         // grad nz at ox=3 (window ix 2..5): input nz 2 -> 1 pair
-        assert_eq!(osrc_pair_count(&input, &grad, geom), 3);
+        assert_eq!(osrc_pair_count(input.row(0, 0), grad.row(0, 0), geom), 3);
     }
 
     #[test]
     fn cursor_never_misses_window_restart() {
         // Overlapping windows must both see the shared input non-zero.
-        let input = SparseVec::from_dense(&[0.0, 5.0, 0.0, 0.0]);
-        let grad = SparseVec::from_dense(&[1.0, 1.0, 0.0, 0.0]);
         let geom = ConvGeometry::new(3, 1, 1);
-        let dw = osrc_conv(&input, &grad, geom);
+        let dw = taps(&[0.0, 5.0, 0.0, 0.0], &[1.0, 1.0, 0.0, 0.0], geom);
         // ox=0 base=-1: ix=1 -> v=2 ; ox=1 base=0: ix=1 -> v=1
         assert_eq!(dw, vec![0.0, 5.0, 5.0]);
     }

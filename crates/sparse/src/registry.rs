@@ -256,15 +256,21 @@ pub fn lookup_or_parse(name: &str) -> Result<EngineHandle, UnknownEngine> {
 }
 
 /// Parses the `qI.F` payload of a `fixed:qI.F` engine name into a 16-bit
-/// Q-format.
+/// Q-format. `I` and `F` must be spelled canonically (decimal digits, no
+/// sign, no leading zero), so each format has exactly one name and
+/// interning stays bounded.
 fn parse_fixed_spec(name: &str) -> Result<QFormat, String> {
     let spec = name.strip_prefix("fixed:").expect("caller checked prefix");
     let usage = "expected \"fixed:qI.F\" with I integer bits (sign included) and F \
                  fractional bits summing to 16, e.g. \"fixed:q4.12\"";
+    // A canonical spelling is the one `u32`'s `Display` prints back.
+    let canonical = |s: &str| match s.parse::<u32>() {
+        Ok(n) if n.to_string() == s => Ok(n),
+        _ => Err(usage.to_string()),
+    };
     let digits = spec.strip_prefix('q').ok_or_else(|| usage.to_string())?;
     let (int_s, frac_s) = digits.split_once('.').ok_or_else(|| usage.to_string())?;
-    let int: u32 = int_s.parse().map_err(|_| usage.to_string())?;
-    let frac: u32 = frac_s.parse().map_err(|_| usage.to_string())?;
+    let (int, frac) = (canonical(int_s)?, canonical(frac_s)?);
     if int.checked_add(frac) != Some(16) {
         return Err(format!("q{int}.{frac} is not a 16-bit format ({usage})"));
     }
@@ -438,6 +444,30 @@ mod tests {
                 "unhelpful error for {bad}: {msg}"
             );
         }
+    }
+
+    /// Each 16-bit format has one name: a sign or a leading zero is the
+    /// usage error, and interns nothing.
+    #[test]
+    fn non_canonical_fixed_specs_are_rejected_without_interning() {
+        lookup("fixed:q8.8").expect("canonical spelling");
+        let q88 = || registry().iter().filter(|h| h.summary().contains("Q8.8")).count();
+        let before = q88();
+        for bad in [
+            "fixed:q08.8",
+            "fixed:q008.8",
+            "fixed:q+8.8",
+            "fixed:q8.08",
+            "fixed:q8.+8",
+            "fixed:q016.0",
+        ] {
+            let msg = bad.parse::<EngineHandle>().unwrap_err().to_string();
+            assert!(msg.contains("fixed:qI.F"), "{bad}: {msg}");
+            assert!(lookup(bad).is_none(), "{bad} must not resolve");
+            assert!(registry().iter().all(|h| h.name() != bad), "{bad} was interned");
+        }
+        assert_eq!(q88(), before, "a non-canonical spelling interned a Q8.8 engine");
+        assert!(lookup("fixed:q16.0").is_some(), "a lone zero is canonical");
     }
 
     #[test]

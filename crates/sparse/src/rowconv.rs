@@ -1,25 +1,15 @@
-//! Row-decomposed 2-D convolutions — the functional model of the dataflow.
+//! The compressed feature map — the on-chip layout of sparse activations
+//! and gradients, and the only owner of compressed rows.
 //!
-//! These functions rebuild the three training-stage convolutions exactly as
-//! the accelerator executes them: each 2-D convolution is disassembled into
-//! channel-level and then row-level 1-D operations (Fig. 6), dispatched to
-//! the SRC/MSRC/OSRC primitives. They must produce bit-identical results to
-//! the dense references in [`sparsetrain_tensor::conv`] (up to f32
-//! accumulation order), which the tests verify.
-//!
-//! Execution is delegated to a [`crate::engine::KernelEngine`]: the plain
-//! functions keep the original signatures and run the stage's
-//! [`StageOp`] on [`crate::engine::ScalarEngine`]; arbitrary engines take
-//! the same op through [`StageOp::run_on`] or the trait's `run` /
-//! `run_batch`.
-//! All engines accumulate through the kernels' scratch APIs, so no per-row
-//! heap allocation happens on any path.
+//! A [`SparseFeatureMap`] is what the PPU writes back (§V): every row of
+//! every channel as one offset–value stream. The kernels read it row by row
+//! through [`SparseFeatureMap::row`]; the three training-stage
+//! convolutions over whole maps are [`crate::engine::StageOp`]s, run by any
+//! [`crate::engine::KernelEngine`].
 
 use crate::compressed::{RowError, SparseRow};
-use crate::engine::{ScalarEngine, StageOp};
 use crate::mask::{mask_of, set_bits, RowMask, RUN};
-use sparsetrain_tensor::conv::ConvGeometry;
-use sparsetrain_tensor::{Tensor3, Tensor4};
+use sparsetrain_tensor::Tensor3;
 
 /// A feature map stored as compressed rows — the on-chip layout of sparse
 /// activations and gradients.
@@ -272,83 +262,18 @@ impl SparseFeatureMap {
     }
 }
 
-/// Forward step on the reference [`ScalarEngine`].
-///
-/// Equivalent to [`sparsetrain_tensor::conv::forward`]; every output row is
-/// the accumulation of `C × K` SRC operations.
-///
-/// # Panics
-///
-/// Panics on shape mismatches between `input`, `weights` and `geom`.
-pub fn forward_rows(
-    input: &SparseFeatureMap,
-    weights: &Tensor4,
-    bias: Option<&[f32]>,
-    geom: ConvGeometry,
-) -> Tensor3 {
-    let op = StageOp::Forward {
-        input,
-        weights,
-        bias,
-        geom,
-    };
-    let oh = geom.output_extent(input.height());
-    let ow = geom.output_extent(input.width());
-    Tensor3::from_vec(weights.filters(), oh, ow, op.run_on(&ScalarEngine))
-}
-
-/// GTA step on the reference [`ScalarEngine`].
-///
-/// `dout` is the (sparse) output-gradient map; `masks` are the per-row
-/// non-zero masks of the layer's forward *input* (one per `(channel, row)`
-/// in channel-major order, as produced by [`SparseFeatureMap::masks`]).
-/// Positions absent from the mask are skipped and left zero — exactly the
-/// ReLU-backward fusion of the paper.
-///
-/// Equivalent to [`sparsetrain_tensor::conv::input_grad`] followed by
-/// masking.
-///
-/// # Panics
-///
-/// Panics on shape mismatches.
-pub fn input_grad_rows(
-    dout: &SparseFeatureMap,
-    weights: &Tensor4,
-    geom: ConvGeometry,
-    in_h: usize,
-    in_w: usize,
-    masks: &[RowMask],
-) -> Tensor3 {
-    let op = StageOp::InputGrad {
-        dout,
-        weights,
-        geom,
-        masks,
-        in_h,
-        in_w,
-    };
-    Tensor3::from_vec(weights.channels(), in_h, in_w, op.run_on(&ScalarEngine))
-}
-
-/// GTW step on the reference [`ScalarEngine`].
-///
-/// Equivalent to [`sparsetrain_tensor::conv::weight_grad`]; each kernel row
-/// of `dW[fi][ci]` accumulates `Ho` OSRC results in place (no per-row tap
-/// scratch).
-///
-/// # Panics
-///
-/// Panics on shape mismatches.
-pub fn weight_grad_rows(input: &SparseFeatureMap, dout: &SparseFeatureMap, geom: ConvGeometry) -> Tensor4 {
-    let op = StageOp::WeightGrad { input, dout, geom };
-    let (f, c, k) = (dout.channels(), input.channels(), geom.kernel);
-    Tensor4::from_vec(f, c, k, k, op.run_on(&ScalarEngine))
+/// A one-row (`1 × 1 × len`) map of `dense`, for unit tests.
+#[cfg(test)]
+pub(crate) fn one_row(dense: &[f32]) -> SparseFeatureMap {
+    SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, dense.len(), dense.to_vec()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparsetrain_tensor::conv;
+    use crate::engine::{ScalarEngine, StageOp};
+    use sparsetrain_tensor::conv::{self, ConvGeometry};
+    use sparsetrain_tensor::Tensor4;
 
     fn assert_close(a: &[f32], b: &[f32], tol: f32) {
         assert_eq!(a.len(), b.len());
@@ -393,8 +318,13 @@ mod tests {
             let bias: Vec<f32> = (0..4).map(|_| pseudo(&mut seed)).collect();
             let want = conv::forward(&input, &weights, Some(&bias), geom);
             let fm = SparseFeatureMap::from_tensor(&input);
-            let got = forward_rows(&fm, &weights, Some(&bias), geom);
-            assert_close(got.as_slice(), want.as_slice(), 1e-5);
+            let op = StageOp::Forward {
+                input: &fm,
+                weights: &weights,
+                bias: Some(&bias),
+                geom,
+            };
+            assert_close(&op.run_on(&ScalarEngine), want.as_slice(), 1e-5);
         }
     }
 
@@ -410,8 +340,15 @@ mod tests {
             let want = conv::input_grad(&dout, &weights, geom, h, w);
             let fm = SparseFeatureMap::from_tensor(&dout);
             let masks: Vec<RowMask> = (0..3 * h).map(|_| RowMask::full(w)).collect();
-            let got = input_grad_rows(&fm, &weights, geom, h, w, &masks);
-            assert_close(got.as_slice(), want.as_slice(), 1e-5);
+            let op = StageOp::InputGrad {
+                dout: &fm,
+                weights: &weights,
+                geom,
+                masks: &masks,
+                in_h: h,
+                in_w: w,
+            };
+            assert_close(&op.run_on(&ScalarEngine), want.as_slice(), 1e-5);
         }
     }
 
@@ -425,7 +362,14 @@ mod tests {
         let in_fm = SparseFeatureMap::from_tensor(&forward_input);
         let masks = in_fm.masks();
         let fm = SparseFeatureMap::from_tensor(&dout);
-        let got = input_grad_rows(&fm, &weights, geom, 6, 6, &masks);
+        let op = StageOp::InputGrad {
+            dout: &fm,
+            weights: &weights,
+            geom,
+            masks: &masks,
+            in_h: 6,
+            in_w: 6,
+        };
         // Reference: dense input grad, then zero where forward input was zero
         // (the ReLU-backward rule).
         let mut want = conv::input_grad(&dout, &weights, geom, 6, 6);
@@ -438,7 +382,7 @@ mod tests {
                 }
             }
         }
-        assert_close(got.as_slice(), want.as_slice(), 1e-5);
+        assert_close(&op.run_on(&ScalarEngine), want.as_slice(), 1e-5);
     }
 
     #[test]
@@ -450,12 +394,16 @@ mod tests {
             let oh = geom.output_extent(8);
             let dout = sparse_tensor(2, oh, oh, 30, &mut seed);
             let want = conv::weight_grad(&input, &dout, geom);
-            let got = weight_grad_rows(
-                &SparseFeatureMap::from_tensor(&input),
-                &SparseFeatureMap::from_tensor(&dout),
-                geom,
+            let (input, dout) = (
+                SparseFeatureMap::from_tensor(&input),
+                SparseFeatureMap::from_tensor(&dout),
             );
-            assert_close(got.as_slice(), want.as_slice(), 1e-5);
+            let op = StageOp::WeightGrad {
+                input: &input,
+                dout: &dout,
+                geom,
+            };
+            assert_close(&op.run_on(&ScalarEngine), want.as_slice(), 1e-5);
         }
     }
 

@@ -17,20 +17,26 @@ use sparsetrain_tensor::conv::ConvGeometry;
 /// range). This is exactly one of the `K` 1-D convolutions whose sum forms
 /// one output row of the Forward step.
 ///
+/// ```
+/// use sparsetrain_sparse::{rowconv::SparseFeatureMap, src::src_accumulate};
+/// use sparsetrain_tensor::{conv::ConvGeometry, Tensor3};
+///
+/// // Identity 1-tap kernel adds the input row.
+/// let row = SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, 4, vec![0.0, 2.0, 0.0, 4.0]));
+/// let mut out = vec![1.0; 4];
+/// src_accumulate(row.row(0, 0), &[1.0], ConvGeometry::new(1, 1, 0), &mut out);
+/// assert_eq!(out, vec![1.0, 3.0, 1.0, 5.0]);
+/// ```
+///
 /// # Panics
 ///
 /// Panics if `kernel_row.len() != geom.kernel`.
-pub fn src_accumulate<'a>(
-    input: impl Into<SparseRow<'a>>,
-    kernel_row: &[f32],
-    geom: ConvGeometry,
-    out: &mut [f32],
-) {
+pub fn src_accumulate(input: SparseRow<'_>, kernel_row: &[f32], geom: ConvGeometry, out: &mut [f32]) {
     assert_eq!(kernel_row.len(), geom.kernel, "kernel row length mismatch");
     let stride = geom.stride as isize;
     let pad = geom.pad as isize;
     let out_len = out.len() as isize;
-    for (ix, val) in input.into().iter() {
+    for (ix, val) in input.iter() {
         for (v, &w) in kernel_row.iter().enumerate() {
             if w == 0.0 {
                 continue;
@@ -48,33 +54,16 @@ pub fn src_accumulate<'a>(
     }
 }
 
-/// Performs one SRC operation into a fresh zeroed output row of length
-/// `out_len`.
-///
-/// ```
-/// use sparsetrain_sparse::{SparseVec, src::src_conv};
-/// use sparsetrain_tensor::conv::ConvGeometry;
-///
-/// // Identity 1-tap kernel reproduces the input row.
-/// let row = SparseVec::from_dense(&[0.0, 2.0, 0.0, 4.0]);
-/// let out = src_conv(&row, &[1.0], ConvGeometry::new(1, 1, 0), 4);
-/// assert_eq!(out, vec![0.0, 2.0, 0.0, 4.0]);
-/// ```
-pub fn src_conv<'a>(
-    input: impl Into<SparseRow<'a>>,
-    kernel_row: &[f32],
-    geom: ConvGeometry,
-    out_len: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0; out_len];
-    src_accumulate(input, kernel_row, geom, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressed::SparseVec;
+    use crate::rowconv::one_row;
+
+    fn sparse_conv(dense: &[f32], kernel: &[f32], geom: ConvGeometry, out_len: usize) -> Vec<f32> {
+        let mut out = vec![0.0; out_len];
+        src_accumulate(one_row(dense).row(0, 0), kernel, geom, &mut out);
+        out
+    }
 
     fn dense_row_conv(input: &[f32], kernel: &[f32], geom: ConvGeometry) -> Vec<f32> {
         let out_len = geom.output_extent(input.len());
@@ -95,8 +84,7 @@ mod tests {
         let dense = [0.0, 1.0, 0.0, 2.0, 3.0, 0.0, 0.0, 4.0];
         let kernel = [0.5, -1.0, 2.0];
         let geom = ConvGeometry::new(3, 1, 1);
-        let sparse = SparseVec::from_dense(&dense);
-        let got = src_conv(&sparse, &kernel, geom, geom.output_extent(dense.len()));
+        let got = sparse_conv(&dense, &kernel, geom, geom.output_extent(dense.len()));
         let want = dense_row_conv(&dense, &kernel, geom);
         assert_eq!(got, want);
     }
@@ -106,26 +94,24 @@ mod tests {
         let dense = [1.0, 0.0, -2.0, 0.0, 3.0, 0.0, 0.0, 5.0, 0.0];
         let kernel = [1.0, 2.0, 3.0];
         let geom = ConvGeometry::new(3, 2, 1);
-        let sparse = SparseVec::from_dense(&dense);
-        let got = src_conv(&sparse, &kernel, geom, geom.output_extent(dense.len()));
+        let got = sparse_conv(&dense, &kernel, geom, geom.output_extent(dense.len()));
         let want = dense_row_conv(&dense, &kernel, geom);
         assert_eq!(got, want);
     }
 
     #[test]
     fn all_zero_input_produces_zero() {
-        let sparse = SparseVec::zeros(16);
         let geom = ConvGeometry::new(3, 1, 1);
-        let out = src_conv(&sparse, &[1.0, 1.0, 1.0], geom, 16);
+        let out = sparse_conv(&[0.0; 16], &[1.0, 1.0, 1.0], geom, 16);
         assert!(out.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn accumulate_adds_to_existing() {
-        let sparse = SparseVec::from_dense(&[1.0, 0.0, 0.0]);
+        let sparse = one_row(&[1.0, 0.0, 0.0]);
         let geom = ConvGeometry::new(1, 1, 0);
         let mut out = vec![10.0, 20.0, 30.0];
-        src_accumulate(&sparse, &[2.0], geom, &mut out);
+        src_accumulate(sparse.row(0, 0), &[2.0], geom, &mut out);
         assert_eq!(out, vec![12.0, 20.0, 30.0]);
     }
 
@@ -134,8 +120,7 @@ mod tests {
         let dense = [1.0, 2.0, 3.0, 4.0];
         let kernel = [1.0, 1.0];
         let geom = ConvGeometry::new(2, 1, 0);
-        let sparse = SparseVec::from_dense(&dense);
-        let got = src_conv(&sparse, &kernel, geom, geom.output_extent(4));
+        let got = sparse_conv(&dense, &kernel, geom, geom.output_extent(4));
         assert_eq!(got, vec![3.0, 5.0, 7.0]);
     }
 }

@@ -48,8 +48,8 @@ impl OpWork {
 ///
 /// A fully-zero input row is skipped with zero cycles (the controller never
 /// dispatches it — its compressed form is empty).
-pub fn src_work<'a>(input: impl Into<SparseRow<'a>>, geom: ConvGeometry) -> OpWork {
-    let nnz = input.into().nnz() as u64;
+pub fn src_work(input: SparseRow<'_>, geom: ConvGeometry) -> OpWork {
+    let nnz = input.nnz() as u64;
     if nnz == 0 {
         return OpWork::skipped();
     }
@@ -63,8 +63,7 @@ pub fn src_work<'a>(input: impl Into<SparseRow<'a>>, geom: ConvGeometry) -> OpWo
 /// Work of one MSRC operation: like SRC over the non-zero gradients, but
 /// gradient elements whose whole scatter window is masked out are skipped
 /// by the Port-3 look-ahead at no cycle cost (§V).
-pub fn msrc_work<'a>(grad: impl Into<SparseRow<'a>>, geom: ConvGeometry, mask: &RowMask) -> OpWork {
-    let grad = grad.into();
+pub fn msrc_work(grad: SparseRow<'_>, geom: ConvGeometry, mask: &RowMask) -> OpWork {
     let nnz = grad.nnz() as u64;
     if nnz == 0 {
         return OpWork::skipped();
@@ -90,12 +89,7 @@ pub fn msrc_work<'a>(grad: impl Into<SparseRow<'a>>, geom: ConvGeometry, mask: &
 /// element itself is a single load; the dominant term is
 /// `max(loads, pairs / K)` since the multiplier array retires `K` pairs per
 /// cycle. Rows with no overlapping non-zero pairs are skipped.
-pub fn osrc_work<'a, 'b>(
-    input: impl Into<SparseRow<'a>>,
-    grad: impl Into<SparseRow<'b>>,
-    geom: ConvGeometry,
-) -> OpWork {
-    let (input, grad) = (input.into(), grad.into());
+pub fn osrc_work(input: SparseRow<'_>, grad: SparseRow<'_>, geom: ConvGeometry) -> OpWork {
     let pairs = osrc_pair_count(input, grad, geom);
     if pairs == 0 {
         return OpWork::skipped();
@@ -117,12 +111,12 @@ pub fn osrc_work<'a, 'b>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressed::SparseVec;
+    use crate::rowconv::one_row;
 
     #[test]
     fn src_work_counts_nonzeros() {
-        let v = SparseVec::from_dense(&[0.0, 1.0, 0.0, 2.0, 3.0]);
-        let w = src_work(&v, ConvGeometry::new(3, 1, 1));
+        let v = one_row(&[0.0, 1.0, 0.0, 2.0, 3.0]);
+        let w = src_work(v.row(0, 0), ConvGeometry::new(3, 1, 1));
         assert_eq!(w.cycles, OP_SETUP_CYCLES + 3);
         assert_eq!(w.macs, 9);
         assert_eq!(w.loads, 3);
@@ -130,34 +124,37 @@ mod tests {
 
     #[test]
     fn src_zero_row_skipped() {
-        let v = SparseVec::zeros(32);
-        assert_eq!(src_work(&v, ConvGeometry::new(3, 1, 1)), OpWork::skipped());
+        let v = one_row(&[0.0; 32]);
+        assert_eq!(
+            src_work(v.row(0, 0), ConvGeometry::new(3, 1, 1)),
+            OpWork::skipped()
+        );
     }
 
     #[test]
     fn msrc_masked_loads_cost_nothing() {
-        let grad = SparseVec::from_dense(&[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]);
+        let grad = one_row(&[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]);
         let geom = ConvGeometry::new(3, 1, 1);
         let mask = RowMask::from_offsets(6, &[3]); // only grad[4]'s window hits
-        let w = msrc_work(&grad, geom, &mask);
+        let w = msrc_work(grad.row(0, 0), geom, &mask);
         assert_eq!(w.cycles, OP_SETUP_CYCLES + 1);
         assert_eq!(w.loads, 1);
     }
 
     #[test]
     fn msrc_fully_masked_row_skipped() {
-        let grad = SparseVec::from_dense(&[1.0, 1.0]);
+        let grad = one_row(&[1.0, 1.0]);
         let geom = ConvGeometry::new(1, 1, 0);
         let mask = RowMask::empty(2);
-        assert_eq!(msrc_work(&grad, geom, &mask), OpWork::skipped());
+        assert_eq!(msrc_work(grad.row(0, 0), geom, &mask), OpWork::skipped());
     }
 
     #[test]
     fn osrc_work_streams_both_operands() {
-        let input = SparseVec::from_dense(&[1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
-        let grad = SparseVec::from_dense(&[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+        let input = one_row(&[1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+        let grad = one_row(&[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
         let geom = ConvGeometry::new(3, 1, 1);
-        let w = osrc_work(&input, &grad, geom);
+        let w = osrc_work(input.row(0, 0), grad.row(0, 0), geom);
         assert!(w.macs > 0);
         assert_eq!(w.loads, 8);
         assert!(w.cycles >= OP_SETUP_CYCLES + 6); // input stream dominates
@@ -165,10 +162,13 @@ mod tests {
 
     #[test]
     fn osrc_disjoint_operands_skipped() {
-        let input = SparseVec::from_dense(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        let grad = SparseVec::from_dense(&[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
+        let input = one_row(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        let grad = one_row(&[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
         let geom = ConvGeometry::new(1, 1, 0);
-        assert_eq!(osrc_work(&input, &grad, geom), OpWork::skipped());
+        assert_eq!(
+            osrc_work(input.row(0, 0), grad.row(0, 0), geom),
+            OpWork::skipped()
+        );
     }
 
     #[test]

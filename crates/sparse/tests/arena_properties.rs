@@ -1,5 +1,5 @@
 //! A map's arena is the per-row model laid out once: every row it lends
-//! equals `SparseVec::from_dense` of that dense row, bit for bit, and
+//! equals a plain filter of that dense row's non-zeros, bit for bit, and
 //! every derived quantity (`to_tensor`, `masks`, `nnz`, `storage_words`,
 //! `map_values`) equals the same quantity summed or mapped row by row —
 //! at row widths on both sides of every mask-word boundary, with all-zero
@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
-use sparsetrain_sparse::{RowMask, SparseRow, SparseVec};
+use sparsetrain_sparse::{RowMask, SparseRow};
 use sparsetrain_tensor::Tensor3;
 
 const WIDTHS: [usize; 6] = [1, 7, 63, 64, 65, 130];
@@ -53,17 +53,27 @@ fn arb_tensor() -> impl Strategy<Value = Tensor3> {
         })
 }
 
-/// Equal as stored bits (`==` on the rows would call two NaNs unequal).
-fn same_row(a: SparseRow<'_>, b: SparseRow<'_>) -> bool {
-    let bits = |r: SparseRow<'_>| r.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    a.len() == b.len() && a.offsets() == b.offsets() && bits(a) == bits(b)
+/// One reference row: its non-zeros' offsets and values.
+type Pairs = (Vec<u32>, Vec<f32>);
+
+/// Equal to a `len`-position reference row as stored bits (`==` on the
+/// values would call two NaNs unequal).
+fn same_row(a: SparseRow<'_>, len: usize, (offsets, values): &Pairs) -> bool {
+    let bits = |vs: &[f32]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    a.len() == len && a.offsets() == offsets.as_slice() && bits(a.values()) == bits(values)
 }
 
-/// The per-row reference: each dense row compressed on its own.
-fn reference_rows(t: &Tensor3) -> Vec<SparseVec> {
+/// The per-row reference: each dense row's non-zeros (`±0.0` dropped,
+/// NaN and ±∞ kept), filtered on their own.
+fn reference_rows(t: &Tensor3) -> Vec<Pairs> {
     let (c, h, _) = t.shape();
     (0..c * h)
-        .map(|r| SparseVec::from_dense(t.row(r / h, r % h)))
+        .map(|r| {
+            let row = t.row(r / h, r % h).iter().enumerate();
+            row.filter(|&(_, &v)| v != 0.0)
+                .map(|(o, &v)| (o as u32, v))
+                .unzip()
+        })
         .collect()
 }
 
@@ -78,14 +88,15 @@ proptest! {
         prop_assert_eq!((fm.channels(), fm.height(), fm.width()), (c, h, w));
         let want = reference_rows(&t);
         for (r, row) in want.iter().enumerate() {
-            prop_assert!(same_row(fm.row(r / h, r % h), row.as_row()), "row {}", r);
+            prop_assert!(same_row(fm.row(r / h, r % h), w, row), "row {}", r);
         }
-        prop_assert_eq!(fm.nnz(), want.iter().map(SparseVec::nnz).sum::<usize>());
-        prop_assert_eq!(fm.storage_words(), want.iter().map(SparseVec::storage_words).sum::<usize>());
+        let nnz = want.iter().map(|(_, values)| values.len()).sum::<usize>();
+        prop_assert_eq!(fm.nnz(), nnz);
+        prop_assert_eq!(fm.storage_words(), 2 * nnz);
         let masks = fm.masks();
         prop_assert_eq!(masks.len(), want.len());
-        for (r, (mask, row)) in masks.iter().zip(&want).enumerate() {
-            prop_assert_eq!(mask, &RowMask::from_offsets(w, row.offsets()), "mask of row {}", r);
+        for (r, (mask, (offsets, _))) in masks.iter().zip(&want).enumerate() {
+            prop_assert_eq!(mask, &RowMask::from_offsets(w, offsets), "mask of row {}", r);
         }
     }
 
@@ -118,15 +129,15 @@ proptest! {
         prop_assert_eq!(mapped.validate(), Ok(()));
         let (_, h, w) = t.shape();
         let masks = mapped.masks();
-        for (r, row) in reference_rows(&t).iter().enumerate() {
-            let mut want = SparseVec::zeros(w);
-            for (o, v) in row.iter() {
-                if f(v) != 0.0 {
-                    want.push(o, f(v));
-                }
-            }
-            prop_assert!(same_row(mapped.row(r / h, r % h), want.as_row()), "row {}", r);
-            prop_assert_eq!(&masks[r], &RowMask::from_offsets(w, want.offsets()), "mask of row {}", r);
+        for (r, (offsets, values)) in reference_rows(&t).iter().enumerate() {
+            let want: Pairs = offsets
+                .iter()
+                .zip(values)
+                .map(|(&o, &v)| (o, f(v)))
+                .filter(|&(_, m)| m != 0.0)
+                .unzip();
+            prop_assert!(same_row(mapped.row(r / h, r % h), w, &want), "row {}", r);
+            prop_assert_eq!(&masks[r], &RowMask::from_offsets(w, &want.0), "mask of row {}", r);
         }
     }
 }

@@ -1,14 +1,21 @@
 //! Property-based tests of the sparse kernels' algebraic invariants.
 
 use proptest::prelude::*;
-use sparsetrain_sparse::msrc::{fully_masked_loads, msrc_conv};
-use sparsetrain_sparse::osrc::{osrc_conv, osrc_pair_count};
-use sparsetrain_sparse::src::{src_accumulate, src_conv};
+use sparsetrain_sparse::msrc::{fully_masked_loads, msrc_accumulate};
+use sparsetrain_sparse::osrc::{osrc_accumulate, osrc_pair_count};
+use sparsetrain_sparse::rowconv::SparseFeatureMap;
+use sparsetrain_sparse::src::src_accumulate;
 use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
-use sparsetrain_sparse::{RowMask, SparseVec};
+use sparsetrain_sparse::RowMask;
 use sparsetrain_tensor::conv::ConvGeometry;
+use sparsetrain_tensor::Tensor3;
 
-fn arb_sparse_row(len: usize) -> impl Strategy<Value = SparseVec> {
+/// `dense` as a one-row map.
+fn one_row(dense: Vec<f32>) -> SparseFeatureMap {
+    SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, dense.len(), dense))
+}
+
+fn arb_sparse_row(len: usize) -> impl Strategy<Value = SparseFeatureMap> {
     proptest::collection::vec(
         prop_oneof![
             60u32 => Just(0.0f32),
@@ -16,7 +23,7 @@ fn arb_sparse_row(len: usize) -> impl Strategy<Value = SparseVec> {
         ],
         len,
     )
-    .prop_map(|dense| SparseVec::from_dense(&dense))
+    .prop_map(one_row)
 }
 
 fn arb_geom() -> impl Strategy<Value = ConvGeometry> {
@@ -26,12 +33,12 @@ fn arb_geom() -> impl Strategy<Value = ConvGeometry> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// SparseVec dense roundtrip is lossless.
+    /// A one-row map's dense roundtrip is lossless.
     #[test]
     fn compressed_roundtrip(row in arb_sparse_row(64)) {
-        let dense = row.to_dense();
-        prop_assert!(row.validate().is_ok());
-        prop_assert_eq!(SparseVec::from_dense(&dense), row);
+        let dense = row.to_tensor();
+        prop_assert!(row.row(0, 0).validate().is_ok());
+        prop_assert_eq!(SparseFeatureMap::from_tensor(&dense), row);
     }
 
     /// SRC is linear: conv(a + b) == conv(a) + conv(b) element-wise.
@@ -44,10 +51,15 @@ proptest! {
         let kernel: Vec<f32> = (0..geom.kernel).map(|i| 0.5 + i as f32 * 0.25).collect();
         if 32 + 2 * geom.pad < geom.kernel { return Ok(()); }
         let out_len = geom.output_extent(32);
-        let ca = src_conv(&a, &kernel, geom, out_len);
-        let cb = src_conv(&b, &kernel, geom, out_len);
-        let sum_dense: Vec<f32> = a.to_dense().iter().zip(b.to_dense()).map(|(x, y)| x + y).collect();
-        let csum = src_conv(&SparseVec::from_dense(&sum_dense), &kernel, geom, out_len);
+        let conv = |row: &SparseFeatureMap| {
+            let mut out = vec![0.0; out_len];
+            src_accumulate(row.row(0, 0), &kernel, geom, &mut out);
+            out
+        };
+        let (ca, cb) = (conv(&a), conv(&b));
+        let (da, db) = (a.to_tensor(), b.to_tensor());
+        let sum_dense: Vec<f32> = da.as_slice().iter().zip(db.as_slice()).map(|(x, y)| x + y).collect();
+        let csum = conv(&one_row(sum_dense));
         for i in 0..out_len {
             prop_assert!(
                 (csum[i] - (ca[i] + cb[i])).abs() < 1e-3 * (1.0 + csum[i].abs()),
@@ -64,9 +76,10 @@ proptest! {
     ) {
         let geom = ConvGeometry::new(3, 1, 1);
         let kernel = [1.0f32, -0.5, 0.25];
-        let fresh = src_conv(&row, &kernel, geom, 24);
+        let mut fresh = vec![0.0; 24];
+        src_accumulate(row.row(0, 0), &kernel, geom, &mut fresh);
         let mut acc = base.clone();
-        src_accumulate(&row, &kernel, geom, &mut acc);
+        src_accumulate(row.row(0, 0), &kernel, geom, &mut acc);
         for i in 0..24 {
             prop_assert!((acc[i] - (base[i] + fresh[i])).abs() < 1e-5);
         }
@@ -77,10 +90,12 @@ proptest! {
     #[test]
     fn msrc_mask_extremes(grad in arb_sparse_row(32), geom in arb_geom(), kernel_seed in 0u32..100) {
         let kernel: Vec<f32> = (0..geom.kernel).map(|i| ((kernel_seed + i as u32) % 7) as f32 - 3.0).collect();
+        let grad = grad.row(0, 0);
         let empty = RowMask::empty(32);
-        let out = msrc_conv(&grad, &kernel, geom, &empty, 32);
+        let mut out = vec![0.0; 32];
+        msrc_accumulate(grad, &kernel, geom, &empty, &mut out);
         prop_assert!(out.iter().all(|&v| v == 0.0), "empty mask must produce zeros");
-        prop_assert_eq!(fully_masked_loads(&grad, geom, &empty), grad.nnz());
+        prop_assert_eq!(fully_masked_loads(grad, geom, &empty), grad.nnz());
         // With a full mask, only gradients whose entire scatter window is
         // out of bounds are skipped (stride can push windows past the row).
         let full = RowMask::full(32);
@@ -91,7 +106,7 @@ proptest! {
                 base >= 32 || base + geom.kernel as isize <= 0
             })
             .count();
-        prop_assert_eq!(fully_masked_loads(&grad, geom, &full), out_of_bounds);
+        prop_assert_eq!(fully_masked_loads(grad, geom, &full), out_of_bounds);
     }
 
     /// OSRC commutes with the dense definition for random operands.
@@ -110,9 +125,11 @@ proptest! {
                 if v == 0 { 0.0 } else { v as f32 - 2.0 }
             })
             .collect();
-        let grad = SparseVec::from_dense(&grad_dense);
-        let got = osrc_conv(&input, &grad, geom);
-        let in_dense = input.to_dense();
+        let grad = one_row(grad_dense.clone());
+        let mut got = vec![0.0f32; geom.kernel];
+        osrc_accumulate(input.row(0, 0), grad.row(0, 0), geom, &mut got);
+        let in_dense = input.to_tensor();
+        let in_dense = in_dense.as_slice();
         let mut want = vec![0.0f32; geom.kernel];
         for (ox, &g) in grad_dense.iter().enumerate() {
             for (v, w) in want.iter_mut().enumerate() {
@@ -139,16 +156,17 @@ proptest! {
         mask_row in arb_sparse_row(48),
     ) {
         let geom = ConvGeometry::new(3, 1, 1);
-        let sw = src_work(&row, geom);
+        let (row, grad) = (row.row(0, 0), grad.row(0, 0));
+        let sw = src_work(row, geom);
         prop_assert_eq!(sw.loads, row.nnz() as u64);
         prop_assert_eq!(sw.macs, row.nnz() as u64 * 3);
 
-        let mask = RowMask::from_offsets(48, SparseVec::from_dense(&mask_row.to_dense()).offsets());
-        let mw = msrc_work(&grad, geom, &mask);
+        let mask = RowMask::from_offsets(48, mask_row.row(0, 0).offsets());
+        let mw = msrc_work(grad, geom, &mask);
         prop_assert!(mw.loads <= grad.nnz() as u64);
 
-        let ow = osrc_work(&row, &grad, geom);
-        prop_assert_eq!(ow.macs, osrc_pair_count(&row, &grad, geom));
+        let ow = osrc_work(row, grad, geom);
+        prop_assert_eq!(ow.macs, osrc_pair_count(row, grad, geom));
         if ow.macs > 0 {
             prop_assert!(ow.cycles >= ow.macs.div_ceil(3));
         }

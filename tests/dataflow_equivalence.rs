@@ -3,8 +3,8 @@
 //! reference convolutions (what the training framework executes) compute.
 
 use proptest::prelude::*;
-use sparsetrain::sparse::rowconv::{forward_rows, input_grad_rows, weight_grad_rows, SparseFeatureMap};
-use sparsetrain::sparse::RowMask;
+use sparsetrain::sparse::rowconv::SparseFeatureMap;
+use sparsetrain::sparse::{RowMask, ScalarEngine, StageOp};
 use sparsetrain::tensor::conv::{self, ConvGeometry};
 use sparsetrain::tensor::{Tensor3, Tensor4};
 
@@ -44,8 +44,9 @@ proptest! {
     ) {
         let geom = ConvGeometry::new(3, stride, 1);
         let want = conv::forward(&input, &weights, None, geom);
-        let got = forward_rows(&SparseFeatureMap::from_tensor(&input), &weights, None, geom);
-        prop_assert!(close(got.as_slice(), want.as_slice()));
+        let input = SparseFeatureMap::from_tensor(&input);
+        let op = StageOp::Forward { input: &input, weights: &weights, bias: None, geom };
+        prop_assert!(close(&op.run_on(&ScalarEngine), want.as_slice()));
     }
 
     #[test]
@@ -57,7 +58,9 @@ proptest! {
         let geom = ConvGeometry::new(3, 1, 1);
         let fm = SparseFeatureMap::from_tensor(&forward_input);
         let masks = fm.masks();
-        let got = input_grad_rows(&SparseFeatureMap::from_tensor(&dout), &weights, geom, 6, 6, &masks);
+        let dout_fm = SparseFeatureMap::from_tensor(&dout);
+        let op =
+            StageOp::InputGrad { dout: &dout_fm, weights: &weights, geom, masks: &masks, in_h: 6, in_w: 6 };
         let mut want = conv::input_grad(&dout, &weights, geom, 6, 6);
         for c in 0..2 {
             for y in 0..6 {
@@ -68,7 +71,7 @@ proptest! {
                 }
             }
         }
-        prop_assert!(close(got.as_slice(), want.as_slice()));
+        prop_assert!(close(&op.run_on(&ScalarEngine), want.as_slice()));
     }
 
     #[test]
@@ -78,12 +81,9 @@ proptest! {
     ) {
         let geom = ConvGeometry::new(3, 1, 1);
         let want = conv::weight_grad(&input, &dout, geom);
-        let got = weight_grad_rows(
-            &SparseFeatureMap::from_tensor(&input),
-            &SparseFeatureMap::from_tensor(&dout),
-            geom,
-        );
-        prop_assert!(close(got.as_slice(), want.as_slice()));
+        let (input, dout) = (SparseFeatureMap::from_tensor(&input), SparseFeatureMap::from_tensor(&dout));
+        let op = StageOp::WeightGrad { input: &input, dout: &dout, geom };
+        prop_assert!(close(&op.run_on(&ScalarEngine), want.as_slice()));
     }
 
     #[test]
@@ -99,14 +99,15 @@ fn full_mask_is_identity_for_gta() {
     let dout = Tensor3::from_fn(2, 4, 4, |c, y, x| ((c + y + x) % 3) as f32 - 1.0);
     let weights = Tensor4::from_fn(2, 2, 3, 3, |f, c, u, v| ((f + c + u + v) % 5) as f32 * 0.2 - 0.4);
     let masks: Vec<RowMask> = (0..2 * 4).map(|_| RowMask::full(4)).collect();
-    let got = input_grad_rows(
-        &SparseFeatureMap::from_tensor(&dout),
-        &weights,
+    let dout_fm = SparseFeatureMap::from_tensor(&dout);
+    let op = StageOp::InputGrad {
+        dout: &dout_fm,
+        weights: &weights,
         geom,
-        4,
-        4,
-        &masks,
-    );
+        masks: &masks,
+        in_h: 4,
+        in_w: 4,
+    };
     let want = conv::input_grad(&dout, &weights, geom, 4, 4);
-    assert!(close(got.as_slice(), want.as_slice()));
+    assert!(close(&op.run_on(&ScalarEngine), want.as_slice()));
 }
