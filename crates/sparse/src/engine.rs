@@ -79,9 +79,10 @@ use std::sync::Arc;
 /// of the bands:
 ///
 /// * `weights` — the call's kernel weights re-laid so the lane axis is
-///   contiguous (the simd engine's `[u][ci][v][F]` / `[fi][u][v][C]`
-///   copies). The re-layout does not depend on the sample, so the contexts
-///   of one call hold the **same** allocation by reference count,
+///   contiguous (the simd engine's `[u][ci][K-1-v][F]` / `[fi][u][v][C]`
+///   copies), tagged with the stage they were re-laid for. The re-layout
+///   does not depend on the sample, so the contexts of one call hold the
+///   **same** allocation by reference count,
 /// * `dense` — a dense copy of the op's sparse operand map, in the layout
 ///   the preparing engine reads (the simd engine's channels-last
 ///   `H × W × C` input copy for GTW),
@@ -103,7 +104,7 @@ use std::sync::Arc;
 /// preparation cost is already amortized within each sub-batch.
 #[derive(Debug, Default)]
 pub struct BandContext {
-    weights: Option<Arc<[f32]>>,
+    weights: Option<(Stage, Arc<[f32]>)>,
     dense: Vec<f32>,
     patches: Vec<f32>,
     patch_len: usize,
@@ -121,16 +122,25 @@ impl BandContext {
         self.weights.is_none() && self.dense.is_empty() && self.patches.is_empty()
     }
 
-    /// Attaches the call's re-laid kernel weights; every context of one
-    /// engine call is handed a clone of the same `Arc`.
-    pub fn set_weights(&mut self, weights: Arc<[f32]>) {
-        self.weights = Some(weights);
+    /// Attaches the call's kernel weights as re-laid for `stage`; every
+    /// context of one engine call is handed a clone of the same `Arc`.
+    pub fn set_weights(&mut self, stage: Stage, weights: Arc<[f32]>) {
+        self.weights = Some((stage, weights));
     }
 
     /// The call's re-laid kernel weights, or `None` when none were
     /// prepared.
     pub fn weights(&self) -> Option<&Arc<[f32]>> {
-        self.weights.as_ref()
+        self.weights.as_ref().map(|(_, wt)| wt)
+    }
+
+    /// The re-laid kernel weights when they were re-laid for `stage`, or
+    /// `None` (none prepared, or prepared for another stage's layout).
+    pub fn weights_for(&self, stage: Stage) -> Option<&Arc<[f32]>> {
+        self.weights
+            .as_ref()
+            .filter(|(s, _)| *s == stage)
+            .map(|(_, wt)| wt)
     }
 
     /// Attaches a dense copy of the op's sparse operand map.

@@ -11,44 +11,63 @@
 //! The kernel weights are re-laid once per engine call so the lane axis is
 //! contiguous ([`KernelEngine::prepare`]; the contexts of a batch share
 //! the one copy), and each stage accumulates into a small tile laid out
-//! the same way:
+//! the same way. Like the paper's PE, which multiplies one non-zero by all
+//! `K` weights of a kernel row in one cycle, every kernel does **one
+//! contiguous multiply-add per (non-zero, kernel row)**: the taps a
+//! non-zero reaches through one kernel row are one run of the weight
+//! panel, against one run of the tile.
 //!
-//! * **SRC (Forward)** — per output row a `[Ow][F-band]` tile seeded from
-//!   the bias or the pre-seeded `out`; then
-//!   `for u, ci, (ix, x) in input.row(ci, iy), v:`
-//!   `tile[ox] += x · wT[u][ci][v][·]`, and the tile is transposed back
-//!   into the `[F][Oh][Ow]` planes.
-//! * **MSRC (GTA)** — an `[H][W][C-band]` tile seeded from `din`; then
-//!   `for fi, oy, u, (ox, g) in dout.row(fi, oy), v:`
-//!   `tile[iy][ix] += g · wT[fi][u][v][·]`, written back **only where the
-//!   forward mask allows** — a masked-out position keeps its seed bits, as
-//!   the scalar skip leaves it.
+//! * **SRC (Forward)** — the panel is `[u][ci][K-1-v][F]`, taps
+//!   *reversed*; per output row a `[Ow][F-band]` tile seeded from the bias
+//!   or the pre-seeded `out`; then
+//!   `for u, ci, (ix, x) in input.row(ci, iy):`
+//!   `tile[t-v_hi ..= t-v_lo] += x · wT[u][ci][K-1-v_hi ..= K-1-v_lo]`
+//!   with `t = ix + pad` and `v_lo..=v_hi` the taps landing on the row —
+//!   at stride 1 tap `v` feeds column `ox = t − v`, so those columns are
+//!   consecutive tile rows and, reversed, their weights consecutive panel
+//!   rows — and the tile is transposed back into the `[F][Oh][Ow]` planes.
+//! * **MSRC (GTA)** — the panel is `[fi][u][v][C]`; an `[H][W][C-band]`
+//!   tile seeded from `din`; then
+//!   `for fi, oy, u, (ox, g) in dout.row(fi, oy):`
+//!   `tile[iy][ix_lo..ix_hi] += g · wT[fi][u][v_lo..v_hi]` (the window
+//!   and the taps advance together at any stride), written back **only
+//!   where the forward mask allows** — a masked-out position keeps its
+//!   seed bits, as the scalar skip leaves it.
 //! * **OSRC (GTW)** — the `dW` band transposed to `[f][u][v][C]` once per
 //!   band call (however many samples add into it); then
 //!   `for sample, fi, oy, u, (ox, g) in dout.row(fi, oy):`
-//!   `dwT[f][u][v_lo..v_hi] += g · inCL[iy][ix_lo..ix_hi]` — one run over
-//!   the taps the non-zero reaches, against a channels-last dense copy of
-//!   the input built in `prepare` — and transposed back.
+//!   `dwT[f][u][v_lo..v_hi] += g · inCL[iy][ix_lo..ix_hi]`, against a
+//!   channels-last dense copy of the input built in `prepare`, and
+//!   transposed back.
+//!
+//! A run spans whole lane rows only when the band holds every filter
+//! (Forward) or channel (GTA) — a band of a split layer reads a window of
+//! each panel row — and Forward's columns are consecutive only at
+//! stride 1. Outside those two conditions (a stride ≠ 1 Forward, a band
+//! with `n < F` or `n < C`) the same non-zero walk issues one lane-width
+//! multiply-add per tap instead, reading the same panels; GTW always runs
+//! over whole rows, since its lanes are the band's own transposed `dW`.
 //!
 //! Every output element still receives its contributions in the scalar
 //! per-element order — Forward `(u, ci, ix↑)`, GTA `(fi, oy↑, ox↑)`, GTW
 //! `(sample, oy↑, ox↑)`: the loop nests above are the scalar ones with the
-//! per-filter (per-channel) loop moved innermost, and no two lanes ever
-//! share an element — one two-rounding `acc + x·w` at a time (the scalar
-//! kernels never fuse into `mul_add`, so neither does this engine — an FMA
-//! would change the rounding). The only extra terms are the `x · 0 = ±0.0`
-//! of a zero weight or zero input in some lane where the scalar kernels
-//! skip; `acc + ±0.0 = acc` exactly, because an accumulator that starts
-//! as anything but `-0.0` can never become `-0.0` under round-to-nearest
-//! (an exactly cancelling sum rounds to `+0.0`). The one representable
-//! hazard — a caller-supplied literal `-0.0` in the bias or the pre-seeded
-//! accumulator — falls back to the scalar band code itself (a cheap
-//! one-pass bit scan guards every band). That is the only fallback: no
-//! density cutoff, no stride condition.
+//! per-filter (per-channel) loop moved innermost and one non-zero's taps
+//! merged into a run that gives each element it covers one term, and no
+//! two lanes ever share an element — one two-rounding `acc + x·w` at a
+//! time (the scalar kernels never fuse into `mul_add`, so neither does
+//! this engine — an FMA would change the rounding). The only extra terms
+//! are the `x · 0 = ±0.0` of a zero weight or zero input in some lane
+//! where the scalar kernels skip; `acc + ±0.0 = acc` exactly, because an
+//! accumulator that starts as anything but `-0.0` can never become `-0.0`
+//! under round-to-nearest (an exactly cancelling sum rounds to `+0.0`).
+//! The one representable hazard — a caller-supplied literal `-0.0` in the
+//! bias or the pre-seeded accumulator — falls back to the scalar band code
+//! itself (a cheap one-pass bit scan guards every band). That is the only
+//! fallback to the scalar code: no density cutoff, no stride condition.
 //!
 //! A band invoked with contexts lacking the prepared state (direct band
-//! calls, a foreign engine's contexts) prepares locally, so results never
-//! depend on who prepared.
+//! calls, a foreign engine's contexts, weights re-laid for another stage)
+//! prepares locally, so results never depend on who prepared.
 //!
 //! Two instantiations of the same loops sit behind one runtime dispatch,
 //! taken **once per band**: the portable one (fixed `[f32; 8]` blocks that
@@ -97,8 +116,11 @@ pub(crate) fn avx2_available() -> bool {
 /// updated and stored back by value: that shape compiles to one vector
 /// load-multiply-add-store per block at whatever width the enclosing band
 /// function was compiled for, where updating the block through the slice
-/// makes LLVM re-vectorize across blocks (8× unrolled, masked tail) at
-/// 2.3× the cost on the 16–48-wide rows these kernels sweep.
+/// makes LLVM re-vectorize across blocks (8× unrolled, masked tail). At
+/// the fused runs' lengths (one to `K` lane rows of 16–48 filters) that
+/// costs the Forward kernel 1.6× in situ (conv1 / conv2 of `alexnet_pruned`
+/// 2.2×, GTA 1.2×, GTW even) — though an isolated loop over one slice
+/// times the two shapes alike, so re-measure any change here in the band.
 #[inline(always)]
 fn axpy(dst: &mut [f32], src: &[f32], w: f32) {
     debug_assert_eq!(dst.len(), src.len());
@@ -122,8 +144,8 @@ fn axpy(dst: &mut [f32], src: &[f32], w: f32) {
 // ---------------------------------------------------------------------------
 
 /// The kernel weights re-laid with the stage's lane axis innermost:
-/// `[u][ci][v][F]` for Forward (lanes across filters), `[fi][u][v][C]`
-/// for GTA (lanes across channels).
+/// `[u][ci][K-1-v][F]` for Forward (lanes across filters, taps reversed),
+/// `[fi][u][v][C]` for GTA (lanes across channels).
 fn relay_weights(weights: &Tensor4, stage: Stage) -> Arc<[f32]> {
     let (f, c, k, kw) = weights.shape();
     let mut wt = vec![0.0f32; weights.len()];
@@ -132,7 +154,7 @@ fn relay_weights(weights: &Tensor4, stage: Stage) -> Arc<[f32]> {
             for u in 0..k {
                 for (v, &w) in weights.kernel_row(fi, ci, u).iter().enumerate() {
                     let at = match stage {
-                        Stage::Forward => ((u * c + ci) * kw + v) * f + fi,
+                        Stage::Forward => ((u * c + ci) * kw + kw - 1 - v) * f + fi,
                         _ => ((fi * k + u) * kw + v) * c + ci,
                     };
                     wt[at] = w;
@@ -158,13 +180,13 @@ fn channels_last(fm: &SparseFeatureMap) -> Vec<f32> {
     dense
 }
 
-/// Whether `ctx` carries the state `op`'s kernel reads, at the size the
-/// kernel will index it.
+/// Whether `ctx` carries the state `op`'s kernel reads, in the stage's
+/// layout and at the size the kernel will index it.
 fn prepared(ctx: &BandContext, op: &StageOp<'_>) -> bool {
     match *op {
-        StageOp::Forward { weights, .. } | StageOp::InputGrad { weights, .. } => {
-            ctx.weights().is_some_and(|wt| wt.len() == weights.len())
-        }
+        StageOp::Forward { weights, .. } | StageOp::InputGrad { weights, .. } => ctx
+            .weights_for(op.stage())
+            .is_some_and(|wt| wt.len() == weights.len()),
         StageOp::WeightGrad { input, .. } => {
             ctx.dense().len() == input.channels() * input.height() * input.width()
         }
@@ -194,7 +216,7 @@ fn taps_on_row(ox: usize, geom: ConvGeometry, in_w: usize) -> (usize, usize) {
 }
 
 /// SRC of filters `f_lo..` of `f` into `out` (whole `Oh × Ow` planes);
-/// `wt` is the `[u][ci][v][F]` re-layout.
+/// `wt` is the `[u][ci][K-1-v][F]` re-layout.
 #[inline(always)]
 fn forward_band(
     wt: &[f32],
@@ -208,6 +230,9 @@ fn forward_band(
     let (c, h, k) = (input.channels(), input.height(), geom.kernel);
     let (oh, ow) = (geom.output_extent(h), geom.output_extent(input.width()));
     let n = out.len() / (oh * ow);
+    // One span per non-zero needs consecutive columns (stride 1) and whole
+    // panel rows (every filter in the band).
+    let fused = geom.stride == 1 && n == f;
     let mut tile = vec![0.0f32; ow * n];
     for oy in 0..oh {
         for (fi, plane) in out.chunks(oh * ow).enumerate() {
@@ -221,7 +246,25 @@ fn forward_band(
             };
             for ci in 0..c {
                 let taps = &wt[(u * c + ci) * k * f..][..k * f];
-                for (ix, x) in input.row(ci, iy).iter() {
+                let row = input.row(ci, iy);
+                if fused {
+                    for (ix, x) in row.iter() {
+                        // Taps `v_lo..=v_hi` carry column `ix` to the
+                        // columns `t − v_hi ..= t − v_lo`, whose weights are
+                        // the reversed panel rows `K−1−v_hi ..= K−1−v_lo`
+                        // (never empty: `ix < W` keeps `t < Ow + K − 1`).
+                        let t = ix + geom.pad;
+                        let (v_lo, v_hi) = ((t + 1).saturating_sub(ow), t.min(k - 1));
+                        let len = (v_hi + 1 - v_lo) * n;
+                        axpy(
+                            &mut tile[(t - v_hi) * n..][..len],
+                            &taps[(k - 1 - v_hi) * n..][..len],
+                            x,
+                        );
+                    }
+                    continue;
+                }
+                for (ix, x) in row.iter() {
                     // Tap `v` carries column `ix` to `ox = (ix + pad − v) /
                     // stride` when that divides: start at the first tap on
                     // the stride grid and step along it, `ox` descending
@@ -230,7 +273,7 @@ fn forward_band(
                     let (mut v, mut ox) = (t % geom.stride, t / geom.stride);
                     while v < k && v <= t {
                         if ox < ow {
-                            axpy(&mut tile[ox * n..][..n], &taps[v * f + f_lo..][..n], x);
+                            axpy(&mut tile[ox * n..][..n], &taps[(k - 1 - v) * f + f_lo..][..n], x);
                         }
                         v += geom.stride;
                         ox = ox.wrapping_sub(1);
@@ -263,6 +306,9 @@ fn input_grad_band(
 ) {
     let (f, k, plane) = (dout.channels(), geom.kernel, in_h * in_w);
     let n = din.len() / plane;
+    // One span per non-zero needs whole panel rows (every channel in the
+    // band); the window and the taps advance together at any stride.
+    let fused = n == c;
     let mut tile = vec![0.0f32; plane * n];
     for (ci, seed) in din.chunks(plane).enumerate() {
         for (p, &v) in seed.iter().enumerate() {
@@ -282,6 +328,17 @@ fn input_grad_band(
                 let taps = &wt[(fi * k + u) * k * c..][..k * c];
                 for (ox, g) in grow.iter() {
                     let (v_lo, v_hi) = taps_on_row(ox, geom, in_w);
+                    if fused {
+                        if v_lo < v_hi {
+                            let ix = ox * geom.stride + v_lo - geom.pad;
+                            axpy(
+                                &mut tile[(iy * in_w + ix) * n..][..(v_hi - v_lo) * n],
+                                &taps[v_lo * c..v_hi * c],
+                                g,
+                            );
+                        }
+                        continue;
+                    }
                     for v in v_lo..v_hi {
                         let ix = ox * geom.stride + v - geom.pad;
                         axpy(
@@ -382,7 +439,7 @@ fn weight_grad_band(
 /// ops of one shared accumulator — with prepared `ctxs`.
 #[inline(always)]
 fn stage_band(ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
-    let relaid = || ctxs[0].weights().expect("prepared above");
+    let relaid = || ctxs[0].weights_for(ops[0].stage()).expect("prepared above");
     match ops[0] {
         StageOp::Forward {
             input,
@@ -548,7 +605,7 @@ impl KernelEngine for SimdEngine {
                         _ => relay_weights(weights, stage),
                     };
                     last = Some((stage, weights, relaid.clone()));
-                    ctx.set_weights(relaid);
+                    ctx.set_weights(stage, relaid);
                 }
                 ctx
             })
@@ -576,7 +633,7 @@ impl KernelEngine for SimdEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::test_fixtures::{fixtures_with, sparse_tensor, stage_ops, InBands, REFERENCE};
+    use crate::engine::test_fixtures::{fixtures_with, pseudo, sparse_tensor, stage_ops, InBands, REFERENCE};
     use sparsetrain_tensor::Tensor3;
 
     /// `(channels, filters)` of the fixtures: inside one lane block, and
@@ -632,6 +689,70 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The fused runs at their edges, bitwise against the reference: rows
+    /// narrower than the kernel (`Ow < K`), `K = 5` with `pad = 2`,
+    /// single-column maps, AlexNet's widest panel (48 lanes, six blocks) —
+    /// and, on two or more bands, the same ops with the filters (channels)
+    /// split across bands, where `n < F` (`n < C`) takes the per-tap walk.
+    #[test]
+    fn fused_runs_and_split_bands_match_scalar_bitwise() {
+        let mut s = 23u64;
+        for (k, stride, pad) in [(5, 1, 2), (3, 1, 1), (3, 1, 0), (5, 2, 2)] {
+            let geom = ConvGeometry::new(k, stride, pad);
+            // `(h, w)`: one column, narrower than the kernel, wider.
+            for (h, w) in [(7, 1), (6, 2), (5, 9)] {
+                if w + 2 * pad < k {
+                    continue;
+                }
+                for (c, f) in [(5, 48), (48, 9)] {
+                    let input = SparseFeatureMap::from_tensor(&sparse_tensor(c, h, w, 60, &mut s));
+                    let weights = Tensor4::from_fn(f, c, k, k, |_, _, _, _| pseudo(&mut s));
+                    let bias: Vec<f32> = (0..f).map(|_| pseudo(&mut s)).collect();
+                    let (oh, ow) = (geom.output_extent(h), geom.output_extent(w));
+                    let dout = SparseFeatureMap::from_tensor(&sparse_tensor(f, oh, ow, 60, &mut s));
+                    let masks = input.masks();
+                    for op in stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom) {
+                        let want = bits(&op.run_on(&REFERENCE));
+                        for (label, simd) in engines() {
+                            for bands in [1usize, 2, 5] {
+                                let got = op.run_on(&InBands(&simd, bands));
+                                let ctx = format!("{label} k={k} s={stride} p={pad} {h}x{w} c={c} f={f}");
+                                assert_eq!(bits(&got), want, "{} {ctx} bands={bands}", op.stage());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A context whose weights were re-laid for another stage is not
+    /// trusted: GTA's `[fi][u][v][C]` panel has the length of Forward's, so
+    /// only the recorded stage tells the two apart, and the band prepares
+    /// locally instead.
+    #[test]
+    fn context_prepared_for_another_stage_is_not_trusted() {
+        let geom = ConvGeometry::new(3, 1, 1);
+        let (input, weights, bias, dout) = fixtures_with(9, 60, 17, 9, geom);
+        let masks = input.masks();
+        let [forward, input_grad, _] = stage_ops(&input, &weights, Some(&bias), &dout, &masks, geom);
+        for (op, other) in [(forward, input_grad), (input_grad, forward)] {
+            let want = bits(&op.run_on(&REFERENCE));
+            for (label, simd) in engines() {
+                let ctxs = simd.prepare(&[other]);
+                let mut got = vec![0.0; op.out_len()];
+                simd.band(&ctxs, &[op], 0, &mut got);
+                assert_eq!(
+                    bits(&got),
+                    want,
+                    "{} on {} contexts, {label}",
+                    op.stage(),
+                    other.stage()
+                );
             }
         }
     }

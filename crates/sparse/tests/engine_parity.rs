@@ -91,8 +91,9 @@ struct Layer {
 }
 
 /// Channel / filter counts: below one lane block, at its boundary (7, 8,
-/// 9) and across two (16, 17) — the simd engine's lanes run along this
-/// axis.
+/// 9), across two (16, 17) and AlexNet's widest panel (48: six blocks, so
+/// one fused run of the simd engine spans up to `K × 48` lanes) — the
+/// simd engine's lanes run along this axis.
 fn arb_width() -> impl Strategy<Value = usize> {
     prop_oneof![
         1usize..=4,
@@ -100,7 +101,8 @@ fn arb_width() -> impl Strategy<Value = usize> {
         Just(8usize),
         Just(9usize),
         Just(16usize),
-        Just(17usize)
+        Just(17usize),
+        Just(48usize)
     ]
 }
 
