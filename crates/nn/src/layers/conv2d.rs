@@ -160,6 +160,23 @@ fn compress<'t>(n: usize, sample: impl Fn(usize) -> &'t Tensor3 + Sync) -> Vec<S
     map_banded(n, elements, &|s| SparseFeatureMap::from_tensor(sample(s)))
 }
 
+/// Adds one sample's bias gradient — each channel's sum of `dout` — into
+/// `bgrad`, from the compressed map's stored non-zeros in row order. The
+/// bits are those of `conv::bias_grad` over the dense map: the channel sum
+/// starts at `+0.0`, so it is never `-0.0`, and the `±0.0` terms it skips
+/// would leave it unchanged.
+fn add_bias_grad(bgrad: &mut [f32], dout: &SparseFeatureMap) {
+    for (fi, bg) in bgrad.iter_mut().enumerate() {
+        let mut sum = 0.0f32;
+        for y in 0..dout.height() {
+            for &v in dout.row(fi, y).values() {
+                sum += v;
+            }
+        }
+        *bg += sum;
+    }
+}
+
 impl Layer for Conv2d {
     fn name(&self) -> &str {
         &self.name
@@ -286,10 +303,8 @@ impl Layer for Conv2d {
                     self.geom,
                     &mut self.wgrad,
                 );
-                for g in &grads {
-                    for (bg, d) in self.bgrad.iter_mut().zip(conv::bias_grad(g)) {
-                        *bg += d;
-                    }
+                for fm in &dout_fms {
+                    add_bias_grad(&mut self.bgrad, fm);
                 }
                 // Each din takes its own sample's spatial extent, so
                 // mixed-shape batches stay correct (the engine's batched
@@ -537,6 +552,45 @@ mod tests {
         assert_eq!(count, 3);
         assert!(f64::from_bits(sum) > 0.0 && f64::from_bits(sum) < 3.0);
         assert_eq!(density_state(false), (sum, count));
+    }
+
+    /// The sparse-rows arm sums the bias gradient from the compressed
+    /// maps; it holds the bits of `conv::bias_grad` over the dense
+    /// gradients, accumulated over the batch — through natural zeros, a
+    /// channel of `-0.0` only, NaN, ±∞ and an all-zero sample.
+    #[test]
+    fn sparse_bias_grad_matches_the_dense_sum_bitwise() {
+        let geom = ConvGeometry::new(3, 1, 1);
+        let mut conv = Conv2d::new("c", 2, 4, geom, 8);
+        conv.set_sparse_execution(true);
+        let xs: Vec<Tensor3> = (0..4)
+            .map(|s| Tensor3::from_fn(2, 3, 5, |c, y, x| ((c + y * x + s) % 3) as f32 * 0.5))
+            .collect();
+        conv.forward(xs.into(), &mut ctx(), true);
+        let grads: Vec<Tensor3> = (0..4)
+            .map(|s| {
+                Tensor3::from_fn(4, 3, 5, |c, y, x| match (s, c, (y * 5 + x + c) % 6) {
+                    (3, _, r) => [0.0, -0.0][r % 2],
+                    (_, 0, _) => -0.0,
+                    (1, 1, 0) => f32::NAN,
+                    (2, 2, 0) => f32::INFINITY,
+                    (2, 3, 1) => f32::NEG_INFINITY,
+                    (_, _, 0 | 3) => 0.0,
+                    (_, _, 1) => -0.0,
+                    (_, c, r) => (r as f32 - 2.5) * 0.375 + c as f32 * 0.125 + s as f32 * 0.0625,
+                })
+            })
+            .collect();
+        let mut want = vec![0.0f32; 4];
+        for g in &grads {
+            for (w, d) in want.iter_mut().zip(conv::bias_grad(g)) {
+                *w += d;
+            }
+        }
+        conv.backward(grads, &mut ctx(), &StepStreams::new(0, 0, 0));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&conv.bgrad), bits(&want));
+        assert!(conv.bgrad[1].is_nan() && conv.bgrad[2].is_infinite());
     }
 
     #[test]

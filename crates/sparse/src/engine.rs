@@ -84,8 +84,8 @@ use std::sync::Arc;
 ///   does not depend on the sample, so the contexts of one call hold the
 ///   **same** allocation by reference count,
 /// * `dense` — a dense copy of the op's sparse operand map, in the layout
-///   the preparing engine reads (the simd engine's channels-last
-///   `H × W × C` input copy for GTW),
+///   the preparing engine reads (the simd engine's zero-padded
+///   channels-last `H × Wp × C` input copy for GTW),
 /// * `patches` / `patch_len` / `dense_rows` — the im2row engine's blocked
 ///   receptive-field patch matrix plus its per-output-row classification.
 ///

@@ -21,14 +21,16 @@
 //!   at a time (multiply then add; no FMA contraction).
 //! * **Extra zero terms are exact.** The dense reduction includes terms
 //!   the scalar kernels skip (stored-zero activations, zero kernel taps,
-//!   zero-padded window positions); each contributes `±0.0`, and an
-//!   accumulator that does not start as literal `-0.0` can never become
-//!   `-0.0` under round-to-nearest, so those adds are bit-exact no-ops.
+//!   zero-padded window positions); with finite operands each contributes
+//!   `±0.0`, and an accumulator that does not start as literal `-0.0` can
+//!   never become `-0.0` under round-to-nearest, so those adds are
+//!   bit-exact no-ops.
 //! * **Everything else falls back to the scalar band code itself**:
-//!   strides ≠ 1, a literal `-0.0` bias (or pre-seeded accumulator), and
-//!   any output row fed by a row sparser than the density cutoff — so
-//!   parity is unconditional, enforced by the unmodified `engine_parity`
-//!   and `prune_determinism` suites.
+//!   strides ≠ 1, a literal `-0.0` bias (or pre-seeded accumulator), a
+//!   non-finite input or weight (whose product with a skipped zero is
+//!   NaN), and any output row fed by a row sparser than the density
+//!   cutoff — enforced by the unmodified `engine_parity` and
+//!   `prune_determinism` suites.
 //!
 //! The patch matrix is built **once per engine call** into the
 //! [`BandContext`] by [`KernelEngine::prepare`], above the band
@@ -409,13 +411,15 @@ impl Im2RowEngine {
     fn prepare_one(&self, op: &StageOp<'_>) -> BandContext {
         let mut ctx = BandContext::empty();
         // Only Forward is lowered; and when every band will fall back
-        // anyway (stride ≠ 1, literal -0.0 bias), the lowering would be
-        // wasted work.
+        // anyway, the lowering would be wasted work.
         if let StageOp::Forward {
-            input, bias, geom, ..
+            input,
+            weights,
+            bias,
+            geom,
         } = *op
         {
-            if geom.stride == 1 && !bias.is_some_and(contains_negative_zero) {
+            if lowers(input, weights, geom, bias.unwrap_or(&[])) {
                 if let Some(plan) = self.build_forward_plan(input, geom) {
                     ctx.set_patches(plan.patches, plan.plen, plan.dense_rows);
                 }
@@ -423,6 +427,19 @@ impl Im2RowEngine {
         }
         ctx
     }
+}
+
+/// Whether the lowering holds the scalar bits for a Forward op whose
+/// output starts from `seed` (the bias, or the pre-seeded accumulator when
+/// there is none): stride 1, no literal `-0.0` seed (only the scalar skips
+/// preserve its sign bit), and finite operands — the reduction multiplies
+/// every weight by every patch element, zeros included, and `±∞ · 0` is a
+/// NaN the scalar skips never form.
+fn lowers(input: &SparseFeatureMap, weights: &Tensor4, geom: ConvGeometry, seed: &[f32]) -> bool {
+    geom.stride == 1
+        && !contains_negative_zero(seed)
+        && input.is_finite()
+        && weights.as_slice().iter().all(|w| w.is_finite())
 }
 
 impl KernelEngine for Im2RowEngine {
@@ -434,15 +451,12 @@ impl KernelEngine for Im2RowEngine {
         assert_eq!(ctxs.len(), ops.len(), "one context per op");
         for (ctx, op) in ctxs.iter().zip(ops) {
             match *op {
-                // Stride ≠ 1 and literal -0.0 seeds (bias, or the pre-seeded
-                // accumulator when there is none) are only preserved by the
-                // scalar skips.
                 StageOp::Forward {
                     input,
                     weights,
                     bias,
                     geom,
-                } if geom.stride == 1 && !contains_negative_zero(bias.unwrap_or(&*out)) => {
+                } if lowers(input, weights, geom, bias.unwrap_or(&*out)) => {
                     self.src_band(ctx, input, weights, bias, geom, lo, out);
                 }
                 _ => scalar_band(op, lo, out),

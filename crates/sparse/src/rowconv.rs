@@ -18,8 +18,9 @@ use sparsetrain_tensor::Tensor3;
 /// the non-zeros of all `channels × height` rows (channel-major) sit in
 /// `offsets` / `values`, row `r` at `row_ptr[r]..row_ptr[r + 1]`, and
 /// `words` holds each row's non-zero bitmask (`⌈width/64⌉` words per row)
-/// from the same compare. The layout is a function of the dense map alone,
-/// so equality is equality of maps.
+/// from the same compare, and `finite` whether every stored value is
+/// finite. The layout is a function of the dense map alone, so equality is
+/// equality of maps.
 ///
 /// ```
 /// use sparsetrain_sparse::rowconv::SparseFeatureMap;
@@ -40,6 +41,7 @@ pub struct SparseFeatureMap {
     offsets: Vec<u32>,
     values: Vec<f32>,
     words: Vec<u64>,
+    finite: bool,
 }
 
 impl SparseFeatureMap {
@@ -76,6 +78,7 @@ impl SparseFeatureMap {
         }
         let mut offsets = vec![0u32; nnz as usize];
         let mut values = vec![0f32; nnz as usize];
+        let mut finite = true;
         for (r, row_words) in words.chunks_exact(per_row.max(1)).enumerate() {
             let (row, range) = (row_of(r), row_ptr[r] as usize..row_ptr[r + 1] as usize);
             let bits = row_words
@@ -89,6 +92,7 @@ impl SparseFeatureMap {
             {
                 *o = x as u32;
                 *v = row[x];
+                finite &= row[x].is_finite();
             }
         }
         let map = Self {
@@ -99,6 +103,7 @@ impl SparseFeatureMap {
             offsets,
             values,
             words,
+            finite,
         };
         debug_assert_eq!(map.validate(), Ok(()));
         map
@@ -185,6 +190,11 @@ impl SparseFeatureMap {
         self.values.len()
     }
 
+    /// Whether every stored value is finite (no ±∞, no NaN).
+    pub fn is_finite(&self) -> bool {
+        self.finite
+    }
+
     /// Overall density (1.0 if the map has no elements).
     pub fn density(&self) -> f64 {
         let total = self.channels * self.height * self.width;
@@ -229,6 +239,7 @@ impl SparseFeatureMap {
             offsets: Vec::with_capacity(self.nnz()),
             values: Vec::with_capacity(self.nnz()),
             words: vec![0; self.words.len()],
+            finite: true,
             ..*self
         };
         mapped.row_ptr.push(0);
@@ -238,6 +249,7 @@ impl SparseFeatureMap {
                 if m != 0.0 {
                     mapped.offsets.push(o);
                     mapped.values.push(m);
+                    mapped.finite &= m.is_finite();
                     mapped.words[r * per_row + o as usize / RUN] |= 1 << (o as usize % RUN);
                 }
             }
@@ -489,5 +501,16 @@ mod tests {
             masks.iter().map(RowMask::count).sum::<usize>(),
             t.as_slice().iter().filter(|&&v| v != 0.0).count()
         );
+        assert!(fm.is_finite());
+        // One non-finite stored value marks the map; a mapping that drops
+        // it (to 0.0) clears the mark.
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let mut t = t.clone();
+            t.set(1, 2, 3, bad);
+            let fm = SparseFeatureMap::from_tensor(&t);
+            assert!(!fm.is_finite(), "{bad}");
+            assert!(fm.map_values(|v| if v.is_finite() { v } else { 0.0 }).is_finite());
+            assert!(!fm.map_values(|v| v).is_finite());
+        }
     }
 }

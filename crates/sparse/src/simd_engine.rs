@@ -6,47 +6,63 @@
 //! its vector lanes on the **filter / channel axis**, the one axis of a
 //! convolution that is always dense and always wide (16–512). Work stays
 //! proportional to the non-zeros at any row width, any density and any
-//! stride; the results stay **bitwise identical** to the scalar engine.
+//! stride; the results stay **bitwise identical** to the scalar engine
+//! (the last paragraphs below say how, and where the scalar code itself
+//! runs instead).
 //!
 //! The kernel weights are re-laid once per engine call so the lane axis is
 //! contiguous ([`KernelEngine::prepare`]; the contexts of a batch share
 //! the one copy), and each stage accumulates into a small tile laid out
 //! the same way. Like the paper's PE, which multiplies one non-zero by all
 //! `K` weights of a kernel row in one cycle, every kernel does **one
-//! contiguous multiply-add per (non-zero, kernel row)**: the taps a
+//! contiguous `K`-tap multiply-add per (non-zero, kernel row)**: the taps a
 //! non-zero reaches through one kernel row are one run of the weight
-//! panel, against one run of the tile.
+//! panel, against one run of the tile. The tiles are **padded** with spare
+//! columns so that every non-zero's whole run lands inside them, at an
+//! offset fixed by its column alone: no run is clipped at a row edge. The
+//! taps that fall off the row land in the spare columns, which are never
+//! read back.
 //!
 //! * **SRC (Forward)** — the panel is `[u][ci][K-1-v][F]`, taps
-//!   *reversed*; per output row a `[Ow][F-band]` tile seeded from the bias
-//!   or the pre-seeded `out`; then
+//!   *reversed*; per output row an `[Ow + 2(K−1)][F-band]` tile holding
+//!   output column `ox` at `ox + K − 1`, seeded from the bias or the
+//!   pre-seeded `out`; then
 //!   `for u, ci, (ix, x) in input.row(ci, iy):`
-//!   `tile[t-v_hi ..= t-v_lo] += x · wT[u][ci][K-1-v_hi ..= K-1-v_lo]`
-//!   with `t = ix + pad` and `v_lo..=v_hi` the taps landing on the row —
-//!   at stride 1 tap `v` feeds column `ox = t − v`, so those columns are
-//!   consecutive tile rows and, reversed, their weights consecutive panel
-//!   rows — and the tile is transposed back into the `[F][Oh][Ow]` planes.
-//! * **MSRC (GTA)** — the panel is `[fi][u][v][C]`; an `[H][W][C-band]`
-//!   tile seeded from `din`; then
+//!   `tile[t .. t+K] += x · wT[u][ci][0..K]` with `t = ix + pad` — at
+//!   stride 1 tap `v` feeds output column `t − v`, tile column
+//!   `t + K−1−v`, the same offset as its reversed panel row — and the
+//!   real columns are transposed back into the `[F][Oh][Ow]` planes.
+//! * **MSRC (GTA)** — the panel is `[fi][u][v][C]`; an `[H][Wp][C-band]`
+//!   tile holding input column `ix` at `ix + pad` (`padded_width`: `pad`
+//!   spare columns on the left, enough on the right to reach
+//!   `(Ow − 1)·s + K`), seeded from `din`; then
 //!   `for fi, oy, u, (ox, g) in dout.row(fi, oy):`
-//!   `tile[iy][ix_lo..ix_hi] += g · wT[fi][u][v_lo..v_hi]` (the window
-//!   and the taps advance together at any stride), written back **only
-//!   where the forward mask allows** — a masked-out position keeps its
-//!   seed bits, as the scalar skip leaves it.
+//!   `tile[iy][ox·s .. ox·s+K] += g · wT[fi][u][0..K]`, written back
+//!   **only where the forward mask allows** — a masked-out position keeps
+//!   its seed bits, as the scalar skip leaves it.
 //! * **OSRC (GTW)** — the `dW` band transposed to `[f][u][v][C]` once per
 //!   band call (however many samples add into it); then
 //!   `for sample, fi, oy, u, (ox, g) in dout.row(fi, oy):`
-//!   `dwT[f][u][v_lo..v_hi] += g · inCL[iy][ix_lo..ix_hi]`, against a
-//!   channels-last dense copy of the input built in `prepare`, and
-//!   transposed back.
+//!   `dwT[f][u][0..K] += g · inCL[iy][ox·s .. ox·s+K]`, against a
+//!   channels-last `[H][Wp][C]` copy of the input, zero-padded like the
+//!   GTA tile and built once per sample in `prepare`, and transposed back.
 //!
 //! A run spans whole lane rows only when the band holds every filter
 //! (Forward) or channel (GTA) — a band of a split layer reads a window of
 //! each panel row — and Forward's columns are consecutive only at
 //! stride 1. Outside those two conditions (a stride ≠ 1 Forward, a band
 //! with `n < F` or `n < C`) the same non-zero walk issues one lane-width
-//! multiply-add per tap instead, reading the same panels; GTW always runs
-//! over whole rows, since its lanes are the band's own transposed `dW`.
+//! multiply-add per tap instead, into the same padded tiles; GTW always
+//! runs over whole rows, since its lanes are the band's own transposed
+//! `dW`. Neither walk computes a tap range per non-zero. The whole-row
+//! runs of a band all have one length, `K·n` lanes, so the two row walks
+//! (`scatter_row` for Forward and GTA, `gather_row` for GTW) are
+//! instantiated per whole lane-block count (`span`: an unrolled,
+//! straight-line update plus a tail) and picked by a jump on that
+//! band-constant length before the row's non-zeros are visited. Only the
+//! counts the benchmark nets reach are instantiated (1, 2, 3, 6, 12, 18
+//! blocks), each timed faster than the looped `axpy` in situ; every
+//! other length, and the per-tap walks, keep the loop.
 //!
 //! Every output element still receives its contributions in the scalar
 //! per-element order — Forward `(u, ci, ix↑)`, GTA `(fi, oy↑, ox↑)`, GTW
@@ -56,14 +72,23 @@
 //! two lanes ever share an element — one two-rounding `acc + x·w` at a
 //! time (the scalar kernels never fuse into `mul_add`, so neither does
 //! this engine — an FMA would change the rounding). The only extra terms
-//! are the `x · 0 = ±0.0` of a zero weight or zero input in some lane
-//! where the scalar kernels skip; `acc + ±0.0 = acc` exactly, because an
-//! accumulator that starts as anything but `-0.0` can never become `-0.0`
-//! under round-to-nearest (an exactly cancelling sum rounds to `+0.0`).
-//! The one representable hazard — a caller-supplied literal `-0.0` in the
-//! bias or the pre-seeded accumulator — falls back to the scalar band code
-//! itself (a cheap one-pass bit scan guards every band). That is the only
-//! fallback to the scalar code: no density cutoff, no stride condition.
+//! are products of a sparse-operand value and a zero the scalar kernels
+//! skip: a zero weight, a zero of GTW's dense input copy, a padded column.
+//! For a finite value that is `±0.0`, and `acc + ±0.0 = acc` exactly,
+//! because an accumulator that starts as anything but `-0.0` can never
+//! become `-0.0` under round-to-nearest (an exactly cancelling sum rounds
+//! to `+0.0`). Two hazards remain, and both take the scalar band code
+//! itself:
+//!
+//! * a caller-supplied literal `-0.0` in the bias or the pre-seeded
+//!   accumulator (a cheap one-pass bit scan guards every band);
+//! * a non-finite value in the sparse operand — the input for Forward,
+//!   `dout` for GTA and GTW — whose `±∞ · 0` or `NaN · 0` is a NaN the
+//!   scalar skips never form ([`SparseFeatureMap::is_finite`], recorded
+//!   when the map is built).
+//!
+//! There is no other fallback to the scalar code: no density cutoff, no
+//! stride condition.
 //!
 //! A band invoked with contexts lacking the prepared state (direct band
 //! calls, a foreign engine's contexts, weights re-laid for another stage)
@@ -81,6 +106,7 @@
 //! [`KernelEngine::run_batch`] deals these band workers to the rayon pool
 //! (`"parallel:simd"` is a registry alias of `"simd"`).
 
+use crate::compressed::SparseRow;
 use crate::engine::{map_banded, scalar_band, BandContext, KernelEngine, StageOp};
 use crate::mask::RowMask;
 use crate::planner::Stage;
@@ -117,26 +143,64 @@ pub(crate) fn avx2_available() -> bool {
 /// load-multiply-add-store per block at whatever width the enclosing band
 /// function was compiled for, where updating the block through the slice
 /// makes LLVM re-vectorize across blocks (8× unrolled, masked tail). At
-/// the fused runs' lengths (one to `K` lane rows of 16–48 filters) that
-/// costs the Forward kernel 1.6× in situ (conv1 / conv2 of `alexnet_pruned`
+/// the runs' lengths (one to `K` lane rows of 16–48 filters) that costs
+/// the Forward kernel 1.6× in situ (conv1 / conv2 of `alexnet_pruned`
 /// 2.2×, GTA 1.2×, GTW even) — though an isolated loop over one slice
 /// times the two shapes alike, so re-measure any change here in the band.
 #[inline(always)]
 fn axpy(dst: &mut [f32], src: &[f32], w: f32) {
     debug_assert_eq!(dst.len(), src.len());
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    for (db, sb) in (&mut d).zip(&mut s) {
-        let mut acc: [f32; LANES] = (&*db).try_into().expect("exact chunk");
-        let sv: [f32; LANES] = sb.try_into().expect("exact chunk");
+    let (blocks, tail) = dst.as_chunks_mut::<LANES>();
+    let (src_blocks, src_tail) = src.as_chunks::<LANES>();
+    for (db, sb) in blocks.iter_mut().zip(src_blocks) {
+        let mut acc = *db;
         for i in 0..LANES {
-            acc[i] += sv[i] * w;
+            acc[i] += sb[i] * w;
         }
-        db.copy_from_slice(&acc);
+        *db = acc;
     }
-    for (d1, s1) in d.into_remainder().iter_mut().zip(s.remainder()) {
+    for (d1, s1) in tail.iter_mut().zip(src_tail) {
         *d1 += *s1 * w;
     }
+}
+
+/// [`axpy`] over a run of `B` whole lane blocks plus a tail of fewer than
+/// `LANES` lanes: the blocks are a count fixed at compile time, so they
+/// unroll into straight-line code with no loop bound to compute per run.
+/// `B = 0` stands for every length `with_blocks!` does not instantiate:
+/// the looped [`axpy`].
+#[inline(always)]
+fn span<const B: usize>(dst: &mut [f32], src: &[f32], w: f32) {
+    if B == 0 {
+        return axpy(dst, src, w);
+    }
+    debug_assert_eq!(dst.len(), src.len());
+    let (blocks, tail) = dst.split_at_mut(B * LANES);
+    let (src_blocks, src_tail) = src.split_at(B * LANES);
+    axpy(blocks, src_blocks, w);
+    // The bound tells LLVM what the split guarantees, so it does not
+    // vectorize a loop that never reaches a block.
+    for (d, s) in tail.iter_mut().zip(src_tail).take(LANES - 1) {
+        *d += *s * w;
+    }
+}
+
+/// Calls `$walk::<B>$args` with `B` the whole lane blocks of a `$lanes`-lane
+/// run, for the counts the benchmark nets reach — `K = 3` over 8, 16, 32 or
+/// 48 lanes, `K = 1` over 8 or 16 — each of which measured faster straight
+/// than looped; any other length takes `B = 0`, the loop.
+macro_rules! with_blocks {
+    ($lanes:expr, $walk:ident $args:tt) => {
+        match $lanes / LANES {
+            1 => $walk::<1> $args,
+            2 => $walk::<2> $args,
+            3 => $walk::<3> $args,
+            6 => $walk::<6> $args,
+            12 => $walk::<12> $args,
+            18 => $walk::<18> $args,
+            _ => $walk::<0> $args,
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -165,15 +229,26 @@ fn relay_weights(weights: &Tensor4, stage: Stage) -> Arc<[f32]> {
     wt.into()
 }
 
-/// A dense channels-last (`[H][W][C]`) copy of `fm`: the `C` values one
-/// GTW tap reads are contiguous, and so are the taps of one kernel row.
-fn channels_last(fm: &SparseFeatureMap) -> Vec<f32> {
+/// Columns of a GTA tile row and of a GTW channels-last input row: the `w`
+/// input columns, `pad` in, and on the right enough spare columns for the
+/// whole window of each of the `ow` output columns — tap `v` of output
+/// column `ox` reaches input column `ox·s + v − pad`, column `ox·s + v` here.
+fn padded_width(w: usize, ow: usize, geom: ConvGeometry) -> usize {
+    (w + geom.pad).max(ow.saturating_sub(1) * geom.stride + geom.kernel)
+}
+
+/// A dense channels-last (`[H][Wp][C]`) copy of `fm` with input column
+/// `ix` at `ix + pad` ([`padded_width`] for `ow` output columns), zeros
+/// elsewhere: the `C` values one GTW tap reads are contiguous, and so are
+/// all `K` taps of one output column.
+fn channels_last(fm: &SparseFeatureMap, ow: usize, geom: ConvGeometry) -> Vec<f32> {
     let (c, h, w) = (fm.channels(), fm.height(), fm.width());
-    let mut dense = vec![0.0f32; c * h * w];
+    let wp = padded_width(w, ow, geom);
+    let mut dense = vec![0.0f32; h * wp * c];
     for ci in 0..c {
         for y in 0..h {
             for (ix, x) in fm.row(ci, y).iter() {
-                dense[(y * w + ix) * c + ci] = x;
+                dense[(y * wp + ix + geom.pad) * c + ci] = x;
             }
         }
     }
@@ -187,8 +262,9 @@ fn prepared(ctx: &BandContext, op: &StageOp<'_>) -> bool {
         StageOp::Forward { weights, .. } | StageOp::InputGrad { weights, .. } => ctx
             .weights_for(op.stage())
             .is_some_and(|wt| wt.len() == weights.len()),
-        StageOp::WeightGrad { input, .. } => {
-            ctx.dense().len() == input.channels() * input.height() * input.width()
+        StageOp::WeightGrad { input, dout, geom } => {
+            let wp = padded_width(input.width(), dout.width(), geom);
+            ctx.dense().len() == input.height() * wp * input.channels()
         }
     }
 }
@@ -204,15 +280,22 @@ fn input_row(oy: usize, u: usize, geom: ConvGeometry, h: usize) -> Option<usize>
     (oy * geom.stride + u).checked_sub(geom.pad).filter(|&iy| iy < h)
 }
 
-/// The taps `v_lo..v_hi` through which output column `ox` reaches an
-/// `in_w`-wide input row; tap `v` reaches column `ox·stride + v − pad`.
+/// The whole runs of Forward and GTA over one sparse row: non-zero `o`
+/// adds its value times the panel `taps` into `tile` from lane `o · step`.
 #[inline(always)]
-fn taps_on_row(ox: usize, geom: ConvGeometry, in_w: usize) -> (usize, usize) {
-    let left = ox * geom.stride;
-    (
-        geom.pad.saturating_sub(left),
-        geom.kernel.min((in_w + geom.pad).saturating_sub(left)),
-    )
+fn scatter_row<const B: usize>(row: SparseRow<'_>, taps: &[f32], tile: &mut [f32], step: usize) {
+    for (o, x) in row.iter() {
+        span::<B>(&mut tile[o * step..][..taps.len()], taps, x);
+    }
+}
+
+/// GTW's runs over one `dout` row: non-zero `o` adds its value times the
+/// input window of `irow` from lane `o · step` into `taps`.
+#[inline(always)]
+fn gather_row<const B: usize>(row: SparseRow<'_>, irow: &[f32], taps: &mut [f32], step: usize) {
+    for (o, g) in row.iter() {
+        span::<B>(taps, &irow[o * step..][..taps.len()], g);
+    }
 }
 
 /// SRC of filters `f_lo..` of `f` into `out` (whole `Oh × Ow` planes);
@@ -227,17 +310,19 @@ fn forward_band(
     f_lo: usize,
     out: &mut [f32],
 ) {
-    let (c, h, k) = (input.channels(), input.height(), geom.kernel);
+    let (c, h, k, s) = (input.channels(), input.height(), geom.kernel, geom.stride);
     let (oh, ow) = (geom.output_extent(h), geom.output_extent(input.width()));
     let n = out.len() / (oh * ow);
-    // One span per non-zero needs consecutive columns (stride 1) and whole
+    // One run per non-zero needs consecutive columns (stride 1) and whole
     // panel rows (every filter in the band).
-    let fused = geom.stride == 1 && n == f;
-    let mut tile = vec![0.0f32; ow * n];
+    let whole = s == 1 && n == f;
+    // Output column `ox` at tile column `ox + K − 1`: with `t = ix + pad`,
+    // every tap lands on `(t − v) / s + K − 1 ∈ [0, Ow + 2(K−1))`.
+    let mut tile = vec![0.0f32; (ow + 2 * (k - 1)) * n];
     for oy in 0..oh {
         for (fi, plane) in out.chunks(oh * ow).enumerate() {
             for ox in 0..ow {
-                tile[ox * n + fi] = bias.map_or(plane[oy * ow + ox], |b| b[f_lo + fi]);
+                tile[(ox + k - 1) * n + fi] = bias.map_or(plane[oy * ow + ox], |b| b[f_lo + fi]);
             }
         }
         for u in 0..k {
@@ -247,50 +332,37 @@ fn forward_band(
             for ci in 0..c {
                 let taps = &wt[(u * c + ci) * k * f..][..k * f];
                 let row = input.row(ci, iy);
-                if fused {
-                    for (ix, x) in row.iter() {
-                        // Taps `v_lo..=v_hi` carry column `ix` to the
-                        // columns `t − v_hi ..= t − v_lo`, whose weights are
-                        // the reversed panel rows `K−1−v_hi ..= K−1−v_lo`
-                        // (never empty: `ix < W` keeps `t < Ow + K − 1`).
-                        let t = ix + geom.pad;
-                        let (v_lo, v_hi) = ((t + 1).saturating_sub(ow), t.min(k - 1));
-                        let len = (v_hi + 1 - v_lo) * n;
-                        axpy(
-                            &mut tile[(t - v_hi) * n..][..len],
-                            &taps[(k - 1 - v_hi) * n..][..len],
-                            x,
-                        );
-                    }
+                if whole {
+                    // Non-zero `ix` covers tile columns `t .. t+K` with
+                    // `t = ix + pad`: tap `v` feeds output column `t − v`,
+                    // tile column `t + K−1−v`, from panel row `K−1−v`.
+                    with_blocks!(k * n, scatter_row(row, taps, &mut tile[geom.pad * n..], n));
                     continue;
                 }
                 for (ix, x) in row.iter() {
-                    // Tap `v` carries column `ix` to `ox = (ix + pad − v) /
-                    // stride` when that divides: start at the first tap on
-                    // the stride grid and step along it, `ox` descending
-                    // (it wraps only on the step that ends the walk).
+                    // Tap `v` carries column `ix` to output column
+                    // `(t − v) / s` when that divides: the taps on the
+                    // stride grid, tile columns descending.
                     let t = ix + geom.pad;
-                    let (mut v, mut ox) = (t % geom.stride, t / geom.stride);
-                    while v < k && v <= t {
-                        if ox < ow {
-                            axpy(&mut tile[ox * n..][..n], &taps[(k - 1 - v) * f + f_lo..][..n], x);
-                        }
-                        v += geom.stride;
-                        ox = ox.wrapping_sub(1);
+                    let mut col = t / s + k;
+                    for v in (t % s..k).step_by(s) {
+                        col -= 1;
+                        axpy(&mut tile[col * n..][..n], &taps[(k - 1 - v) * f + f_lo..][..n], x);
                     }
                 }
             }
         }
         for (fi, plane) in out.chunks_mut(oh * ow).enumerate() {
             for ox in 0..ow {
-                plane[oy * ow + ox] = tile[ox * n + fi];
+                plane[oy * ow + ox] = tile[(ox + k - 1) * n + fi];
             }
         }
     }
 }
 
 /// MSRC of channels `c_lo..` of `c` into `din` (whole `H × W` planes);
-/// `wt` is the `[fi][u][v][C]` re-layout.
+/// `wt` is the `[fi][u][v][C]` re-layout, and the tile row holds input
+/// column `ix` at `ix + pad` ([`padded_width`]).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn input_grad_band(
@@ -304,15 +376,19 @@ fn input_grad_band(
     c_lo: usize,
     din: &mut [f32],
 ) {
-    let (f, k, plane) = (dout.channels(), geom.kernel, in_h * in_w);
+    let (f, k, s, plane) = (dout.channels(), geom.kernel, geom.stride, in_h * in_w);
     let n = din.len() / plane;
-    // One span per non-zero needs whole panel rows (every channel in the
+    // One run per non-zero needs whole panel rows (every channel in the
     // band); the window and the taps advance together at any stride.
-    let fused = n == c;
-    let mut tile = vec![0.0f32; plane * n];
+    let whole = n == c;
+    let wp = padded_width(in_w, dout.width(), geom);
+    let at = |iy: usize, ix: usize| (iy * wp + ix + geom.pad) * n;
+    let mut tile = vec![0.0f32; in_h * wp * n];
     for (ci, seed) in din.chunks(plane).enumerate() {
-        for (p, &v) in seed.iter().enumerate() {
-            tile[p * n + ci] = v;
+        for (iy, seed_row) in seed.chunks(in_w).enumerate() {
+            for (ix, &v) in seed_row.iter().enumerate() {
+                tile[at(iy, ix) + ci] = v;
+            }
         }
     }
     for fi in 0..f {
@@ -326,26 +402,15 @@ fn input_grad_band(
                     continue;
                 };
                 let taps = &wt[(fi * k + u) * k * c..][..k * c];
+                let row = &mut tile[iy * wp * n..][..wp * n];
+                if whole {
+                    // Non-zero `ox` covers tile columns `ox·s .. ox·s + K`.
+                    with_blocks!(k * n, scatter_row(grow, taps, row, s * n));
+                    continue;
+                }
                 for (ox, g) in grow.iter() {
-                    let (v_lo, v_hi) = taps_on_row(ox, geom, in_w);
-                    if fused {
-                        if v_lo < v_hi {
-                            let ix = ox * geom.stride + v_lo - geom.pad;
-                            axpy(
-                                &mut tile[(iy * in_w + ix) * n..][..(v_hi - v_lo) * n],
-                                &taps[v_lo * c..v_hi * c],
-                                g,
-                            );
-                        }
-                        continue;
-                    }
-                    for v in v_lo..v_hi {
-                        let ix = ox * geom.stride + v - geom.pad;
-                        axpy(
-                            &mut tile[(iy * in_w + ix) * n..][..n],
-                            &taps[v * c + c_lo..][..n],
-                            g,
-                        );
+                    for v in 0..k {
+                        axpy(&mut row[(ox * s + v) * n..][..n], &taps[v * c + c_lo..][..n], g);
                     }
                 }
             }
@@ -358,7 +423,7 @@ fn input_grad_band(
             let mask = &masks[(c_lo + ci) * in_h + iy];
             assert_eq!(mask.len(), in_w, "mask length must match the input row");
             for ix in mask.iter() {
-                dst[iy * in_w + ix] = tile[(iy * in_w + ix) * n + ci];
+                dst[iy * in_w + ix] = tile[at(iy, ix) + ci];
             }
         }
     }
@@ -383,8 +448,8 @@ fn for_each_dw_cell(n: usize, c: usize, k: usize, mut visit: impl FnMut(usize, u
 }
 
 /// OSRC of filters `f_lo..` of every op, in order, into `dw` (whole
-/// `C × K × K` blocks); each context's `dense` is its op's channels-last
-/// input copy.
+/// `C × K × K` blocks); each context's `dense` is its op's padded
+/// channels-last input copy ([`channels_last`]).
 #[inline(always)]
 fn weight_grad_band(
     ctxs: &[BandContext],
@@ -404,7 +469,8 @@ fn weight_grad_band(
         let StageOp::WeightGrad { input, dout, geom } = *op else {
             unreachable!("weight_grad_band is only handed GTW ops");
         };
-        let (h, w_in) = (input.height(), input.width());
+        let h = input.height();
+        let wp = padded_width(input.width(), dout.width(), geom);
         for f in 0..n {
             for oy in 0..dout.height() {
                 let grow = dout.row(f_lo + f, oy);
@@ -416,18 +482,9 @@ fn weight_grad_band(
                         continue;
                     };
                     let taps = &mut dwt[(f * k + u) * k * c..][..k * c];
-                    let irow = &ctx.dense()[iy * w_in * c..][..w_in * c];
-                    for (ox, g) in grow.iter() {
-                        let (v_lo, v_hi) = taps_on_row(ox, geom, w_in);
-                        if v_lo < v_hi {
-                            let ix = ox * geom.stride + v_lo - geom.pad;
-                            axpy(
-                                &mut taps[v_lo * c..v_hi * c],
-                                &irow[ix * c..][..(v_hi - v_lo) * c],
-                                g,
-                            );
-                        }
-                    }
+                    let irow = &ctx.dense()[iy * wp * c..][..wp * c];
+                    // Non-zero `ox` reads input columns `ox·s .. ox·s + K`.
+                    with_blocks!(k * c, gather_row(grow, irow, taps, geom.stride * c));
                 }
             }
         }
@@ -536,16 +593,18 @@ impl SimdEngine {
     }
 
     /// Runs one stage's kernel over `ops` (see [`stage_band`]) — or the
-    /// scalar band code itself when the seed holds a literal `-0.0`, which
-    /// only the scalar skip of zero operands preserves: in the bias, or in
-    /// the pre-seeded accumulator no bias overwrites. (An accumulator free
-    /// of `-0.0` stays so, so one scan covers every op adding into it.)
+    /// scalar band code itself where only the scalar skip of zero operands
+    /// holds the bits: when the seed holds a literal `-0.0` (in the bias,
+    /// or in the pre-seeded accumulator no bias overwrites; an accumulator
+    /// free of `-0.0` stays so, so one scan covers every op adding into
+    /// it), or when an op's sparse operand holds a non-finite value, whose
+    /// product with a skipped zero is NaN.
     fn kernel(&self, ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
         let seed = match ops[0] {
             StageOp::Forward { bias: Some(b), .. } => b,
             _ => &*out,
         };
-        if contains_negative_zero(seed) {
+        if contains_negative_zero(seed) || !ops.iter().all(|op| op.operand().is_finite()) {
             return ops.iter().for_each(|op| scalar_band(op, lo, out));
         }
         if out.is_empty() {
@@ -575,18 +634,20 @@ impl KernelEngine for SimdEngine {
     fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
         // GTW's channels-last copies are per sample: a contiguous run of
         // samples per band, priced one op per element copied.
-        fn gtw_input<'a>(op: &StageOp<'a>) -> Option<&'a SparseFeatureMap> {
+        fn gtw_input<'a>(op: &StageOp<'a>) -> Option<(&'a SparseFeatureMap, usize, ConvGeometry)> {
             match *op {
-                StageOp::WeightGrad { input, .. } => Some(input),
+                StageOp::WeightGrad { input, dout, geom } => Some((input, dout.width(), geom)),
                 _ => None,
             }
         }
         let elements = ops
             .iter()
             .filter_map(gtw_input)
-            .map(|fm| fm.channels() * fm.height() * fm.width())
+            .map(|(fm, _, _)| fm.channels() * fm.height() * fm.width())
             .sum();
-        let copies = map_banded(ops.len(), elements, &|s| gtw_input(&ops[s]).map(channels_last));
+        let copies = map_banded(ops.len(), elements, &|s| {
+            gtw_input(&ops[s]).map(|(fm, ow, geom)| channels_last(fm, ow, geom))
+        });
         // The re-layout depends on the weights and the stage alone: ops
         // that repeat the previous op's pair (every op of a training
         // batch does) share its copy.
@@ -655,13 +716,15 @@ mod tests {
     fn banded_channels_last_copies_equal_the_sequential_ones() {
         use crate::engine::map_in_bands;
         let mut s = 5u64;
+        let geom = ConvGeometry::new(3, 2, 1);
+        let ow = geom.output_extent(7);
         let fms: Vec<SparseFeatureMap> = (0..16)
             .map(|_| SparseFeatureMap::from_tensor(&sparse_tensor(5, 6, 7, 30, &mut s)))
             .collect();
         for n in [0usize, 1, 16] {
-            let want: Vec<Vec<f32>> = fms[..n].iter().map(channels_last).collect();
+            let want: Vec<Vec<f32>> = fms[..n].iter().map(|fm| channels_last(fm, ow, geom)).collect();
             for bands in [1usize, 2, 3, 4, 7] {
-                let got = map_in_bands(n, bands, &|i| channels_last(&fms[i]));
+                let got = map_in_bands(n, bands, &|i| channels_last(&fms[i], ow, geom));
                 assert_eq!(got, want, "{n} samples on {bands} bands");
             }
         }
@@ -693,22 +756,30 @@ mod tests {
         }
     }
 
-    /// The fused runs at their edges, bitwise against the reference: rows
-    /// narrower than the kernel (`Ow < K`), `K = 5` with `pad = 2`,
-    /// single-column maps, AlexNet's widest panel (48 lanes, six blocks) —
-    /// and, on two or more bands, the same ops with the filters (channels)
-    /// split across bands, where `n < F` (`n < C`) takes the per-tap walk.
+    /// The whole-row runs on padded tiles at their edges, bitwise against
+    /// the reference: rows narrower than the kernel (`Ow < K`, at stride 1
+    /// and 2), `K = 5` with `pad = 2`, single-column maps, stride-2 GTA /
+    /// GTW at `K = 3, pad = 1` and `K = 1` at stride 2 (ResNet's
+    /// downsampling conv and shortcut), 8-filter / 8-channel layers (ResNet
+    /// stage 0), AlexNet's widest panel (48 lanes, six blocks), every
+    /// straight-line block count (16 / 32 lanes bring 2, 6 and 12), one
+    /// with a tail (`K = 3` over 9 filters: three blocks and three lanes),
+    /// and runs outside the straight-line set
+    /// (`K = 5` over 48 lanes: 30 blocks; `K = 1` over 5 lanes)
+    /// — and, on two or more bands, the same ops with the filters
+    /// (channels) split across bands, where `n < F` (`n < C`) takes the
+    /// per-tap walk.
     #[test]
     fn fused_runs_and_split_bands_match_scalar_bitwise() {
         let mut s = 23u64;
-        for (k, stride, pad) in [(5, 1, 2), (3, 1, 1), (3, 1, 0), (5, 2, 2)] {
+        for (k, stride, pad) in [(5, 1, 2), (3, 1, 1), (3, 1, 0), (5, 2, 2), (3, 2, 1), (1, 2, 0)] {
             let geom = ConvGeometry::new(k, stride, pad);
             // `(h, w)`: one column, narrower than the kernel, wider.
             for (h, w) in [(7, 1), (6, 2), (5, 9)] {
                 if w + 2 * pad < k {
                     continue;
                 }
-                for (c, f) in [(5, 48), (48, 9)] {
+                for (c, f) in [(5, 48), (48, 9), (8, 8), (16, 32)] {
                     let input = SparseFeatureMap::from_tensor(&sparse_tensor(c, h, w, 60, &mut s));
                     let weights = Tensor4::from_fn(f, c, k, k, |_, _, _, _| pseudo(&mut s));
                     let bias: Vec<f32> = (0..f).map(|_| pseudo(&mut s)).collect();

@@ -451,6 +451,95 @@ proptest! {
     }
 }
 
+/// Non-finite values beside the zeros the scalar kernels skip — zero
+/// weights, zero inputs, padded columns: `±∞ · 0` and `NaN · 0` are NaN,
+/// so an engine that multiplies such a zero instead of skipping it
+/// diverges. First in the sparse operands (the input, `dout`), then in the
+/// weights. Every float engine, every stage, at 1, 2 and 5 bands and at
+/// the pool's own count, holds the scalar reference's bits.
+#[test]
+fn non_finite_operands_match_scalar_bitwise() {
+    let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let engines: Vec<registry::EngineHandle> = engines_under_test()
+        .into_iter()
+        .filter(|h| !h.name().starts_with("fixed"))
+        .collect();
+    for geom in [ConvGeometry::new(3, 1, 1), ConvGeometry::new(3, 2, 1)] {
+        let (oh, ow) = (geom.output_extent(4), geom.output_extent(4));
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            for in_weights in [false, true] {
+                // A 2 × 4 × 4 checkerboard input and a 3-filter `dout` of
+                // the same pattern; every third weight is an exact zero.
+                let mut input = Tensor3::from_fn(2, 4, 4, |c, y, x| {
+                    if (c + y + x) % 2 == 0 {
+                        0.5 + (c + y) as f32 * 0.25 - x as f32 * 0.125
+                    } else {
+                        0.0
+                    }
+                });
+                let mut dout = Tensor3::from_fn(3, oh, ow, |f, y, x| {
+                    if (f + y + x) % 2 == 1 {
+                        0.75 - (f + x) as f32 * 0.25 + y as f32 * 0.125
+                    } else {
+                        0.0
+                    }
+                });
+                let mut weights = Tensor4::from_fn(3, 2, 3, 3, |f, c, u, v| {
+                    if (f + c + u + v) % 3 == 0 {
+                        0.0
+                    } else {
+                        ((f * 5 + c * 3 + u * 2 + v) % 7) as f32 * 0.25 - 0.625
+                    }
+                });
+                if in_weights {
+                    weights.as_mut_slice()[10] = bad;
+                } else {
+                    input.set(0, 1, 2, bad);
+                    dout.set(1, 0, 0, bad);
+                }
+                let (input, dout) = (
+                    SparseFeatureMap::from_tensor(&input),
+                    SparseFeatureMap::from_tensor(&dout),
+                );
+                let masks = input.masks();
+                let ops = [
+                    forward_op(&input, &weights, geom),
+                    StageOp::InputGrad {
+                        dout: &dout,
+                        weights: &weights,
+                        geom,
+                        masks: &masks,
+                        in_h: 4,
+                        in_w: 4,
+                    },
+                    StageOp::WeightGrad {
+                        input: &input,
+                        dout: &dout,
+                        geom,
+                    },
+                ];
+                for op in ops {
+                    let want = bits(&op.run_on(&REFERENCE));
+                    for handle in &engines {
+                        let ctx = format!(
+                            "{} on {}, {bad} in the {}, stride {}",
+                            op.stage(),
+                            handle.name(),
+                            if in_weights { "weights" } else { "operands" },
+                            geom.stride
+                        );
+                        assert_eq!(bits(&op.run_on(handle.engine())), want, "{ctx}, pool bands");
+                        for bands in [1usize, 2, 5] {
+                            let got = op.run_on(&InBands(handle.engine(), bands));
+                            assert_eq!(bits(&got), want, "{ctx}, {bands} bands");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Pruning leg of the engine matrix
 // ---------------------------------------------------------------------------
