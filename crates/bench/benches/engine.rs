@@ -21,14 +21,12 @@
 //! ratio of these legs on a shared runner. The simd engine's win is
 //! lane-level — it walks the non-zeros with its lanes across the filter /
 //! channel axis — and shows up even on one core at every density and row
-//! width below; the im2row engine targets the near-dense `conv1` forward
-//! leg, the one place its register-tiled patch reduction still beats the
-//! non-zero walk. The `engine_end_to_end` group runs all three stages of each
-//! layer through the planned `ExecutionContext` seam, pitting the `auto`
-//! planner's per-(layer, stage) choices against every single global
-//! engine. The `pruning` group covers the stochastic pruning stage: the
-//! one pass on 1 band vs on pool-sized bands, across batch sizes and input
-//! densities, with the rayon worker count in the label. The `fork_join`
+//! width below. With every alias skipped that is three engines: `scalar`,
+//! `simd` and `fixed`. The `engine_end_to_end` group runs all three stages
+//! of each layer through the per-layer `ExecutionContext` entry points the
+//! training step uses. The `pruning` group covers the stochastic pruning
+//! stage: the one pass on 1 band vs on pool-sized bands, across batch sizes
+//! and input densities, with the rayon worker count in the label. The `fork_join`
 //! group is the measurement the banding threshold
 //! (`engine::MIN_OPS_PER_BAND`) is derived from: the round trip of a
 //! two-task `rayon::scope` at four gaps between calls. The `compress`
@@ -152,12 +150,8 @@ fn bench_batched_vs_per_sample(c: &mut Criterion) {
 }
 
 /// One full training step (Forward + GTA + GTW) of each AlexNet-shape
-/// layer through the planned `ExecutionContext` entry points — the
-/// `auto`-vs-best-single-engine comparison. Fixed engines execute every
-/// stage on themselves; the `auto` leg decides each (layer, stage) cell on
-/// its first iteration and then replays the frozen plan, so its time
-/// should match or beat the best single engine on every layer and clearly
-/// beat the worst end to end.
+/// layer through the per-layer `ExecutionContext` entry points, per
+/// engine: the three stages as `Conv2d` dispatches them.
 fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_end_to_end");
     group.sample_size(10);

@@ -223,7 +223,7 @@ pub fn run(seed: u64, extra: usize, out: &str) -> Result<(String, bool), String>
     for outcome in &report.outcomes {
         writeln!(file, "{}", outcome.to_jsonl()).map_err(|e| format!("cannot write {out}: {e}"))?;
     }
-    let mut summary = report.to_markdown();
+    let mut summary = report.markdown();
     let _ = writeln!(
         summary,
         "\nAppended {} scenario records to `{out}`.",

@@ -71,7 +71,7 @@ impl CampaignReport {
     }
 
     /// Renders the campaign as a Markdown summary table.
-    pub fn to_markdown(&self) -> String {
+    pub fn markdown(&self) -> String {
         let mut out = format!(
             "## Chaos campaign (seed {}, {} steps/epoch, engine `{ENGINE}`)\n\n",
             self.seed, self.steps_per_epoch
@@ -163,7 +163,7 @@ mod tests {
                 elapsed_ms: 10,
             }],
         };
-        let md = report.to_markdown();
+        let md = report.markdown();
         assert!(md.contains("**FAIL**"), "{md}");
         assert!(md.contains("parameters diverged"), "{md}");
         assert!(!report.all_pass());

@@ -19,15 +19,6 @@ pub enum Command {
         /// `--models`, or every evaluated model.
         models: Vec<ModelKind>,
     },
-    /// `plan`: decide (and `--emit`) or `--replay` an execution plan.
-    Plan {
-        /// Write the decided plan as a binary `STPLAN` program.
-        emit: Option<String>,
-        /// Decode this `STPLAN` program and run the fixtures under it.
-        replay: Option<String>,
-        /// Also append the Markdown summary here.
-        summary: Option<String>,
-    },
     /// `chaos`: the seeded fault-injection campaign.
     Chaos {
         /// Campaign seed.
@@ -102,16 +93,15 @@ fn value<'a>(rest: &mut Iter<'a, String>, flag: &str) -> Result<&'a str, UsageEr
     value.ok_or_else(|| bad_flag(flag, "needs a value"))
 }
 
-const SUBCOMMANDS: [&str; 4] = ["repro", "sweep", "plan", "chaos"];
+const SUBCOMMANDS: [&str; 3] = ["repro", "sweep", "chaos"];
 
-/// The usage text: the four subcommands, then the experiment table.
+/// The usage text: the three subcommands, then the experiment table.
 pub fn usage() -> String {
     let names = |group| in_group(group).map(|e| e.name).collect::<Vec<_>>().join("|");
     let mut text = format!(
         "usage: sparsetrain-bench <{}> ...\n\n  \
          repro <{}>... [--models {}]\n  \
          sweep <{}>...\n  \
-         plan  [--emit <file>] [--replay <file>] [--summary <path>]\n  \
          chaos [--seed 42] [--extra 2] [--out target/chaos-results.jsonl] [--summary <path>]\n\n\
          SPARSETRAIN_PROFILE=quick|full sets the scale of repro and sweep (default quick).\n\n\
          experiments:\n",
@@ -135,23 +125,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
     let mut rest = args.iter();
     match rest.next().map(String::as_str) {
         Some(group @ ("repro" | "sweep")) => parse_experiments(group, rest),
-        Some("plan") => {
-            let (mut emit, mut replay, mut summary) = (None, None, None);
-            while let Some(flag) = rest.next() {
-                let slot = match flag.as_str() {
-                    "--emit" => &mut emit,
-                    "--replay" => &mut replay,
-                    "--summary" => &mut summary,
-                    _ => return Err(bad_flag(flag, "unknown flag")),
-                };
-                *slot = Some(value(&mut rest, flag)?.to_string());
-            }
-            Ok(Command::Plan {
-                emit,
-                replay,
-                summary,
-            })
-        }
         Some("chaos") => {
             let (mut seed, mut extra, mut summary) = (42, 2, None);
             let mut out = "target/chaos-results.jsonl".to_string();
@@ -241,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_and_chaos_flags_parse_with_their_defaults() {
+    fn chaos_flags_parse_with_their_defaults() {
         let Ok(Command::Chaos {
             seed,
             extra,
@@ -255,10 +228,6 @@ mod tests {
             (seed, extra, out.as_str(), summary),
             (7, 2, "target/chaos-results.jsonl", None)
         );
-        let Ok(Command::Plan { emit, replay, .. }) = parse_line("plan --emit p.stplan") else {
-            panic!("`plan --emit` is valid");
-        };
-        assert_eq!((emit.as_deref(), replay), (Some("p.stplan"), None));
     }
 
     #[test]
@@ -293,14 +262,17 @@ mod tests {
                 "sweep arch --models alexnet",
                 bad_flag("--models", "does not apply to arch"),
             ),
-            ("plan --emit", bad_flag("--emit", "needs a value")),
+            ("chaos --out", bad_flag("--out", "needs a value")),
             (
                 "chaos --seed x",
                 bad_flag("--seed", "invalid digit found in string"),
             ),
             // Flags that went with the deleted subcommands and spellings,
             // or belong to another subcommand.
-            ("plan --min-ratio 1.5", bad_flag("--min-ratio", "unknown flag")),
+            (
+                "plan --emit p.stplan",
+                bad_name("subcommand", Some("plan"), SUBCOMMANDS),
+            ),
             ("chaos --emit x", bad_flag("--emit", "unknown flag")),
             ("repro table2 --quick", bad_flag("--quick", "unknown flag")),
         ];
@@ -313,7 +285,7 @@ mod tests {
         );
         assert_eq!(
             bad_name("subcommand", None, SUBCOMMANDS).to_string(),
-            "no subcommand given (one of: repro, sweep, plan, chaos)"
+            "no subcommand given (one of: repro, sweep, chaos)"
         );
     }
 }

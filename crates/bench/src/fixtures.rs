@@ -1,7 +1,5 @@
-//! The AlexNet-shape layer workloads that `sparsetrain-bench plan` and the
-//! engine bench share: one layer table, one seeded operand generator, so
-//! the plan the CI artifact records is decided on exactly the operands
-//! the bench times.
+//! The AlexNet-shape layer workloads of the engine bench: one layer table
+//! and one seeded operand generator.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,10 +12,8 @@ use sparsetrain_tensor::{Tensor3, Tensor4};
 /// AlexNet-style layer shapes (channels, filters, spatial size) at the
 /// width the paper's Table I evaluates, with representative densities for
 /// the input activations and pruned output gradients. `conv1` is the
-/// dense early layer (near-dense raw-image input, wide rows) where the
-/// cache-blocked `im2row` lowering is expected to win; sparsity grows and
-/// rows shrink down the stack, handing the advantage to the sparse
-/// row kernels.
+/// dense early layer (near-dense raw-image input, wide rows); sparsity
+/// grows and rows shrink down the stack.
 pub const LAYERS: [(&str, usize, usize, usize, f64, f64); 4] = [
     ("conv1_3x64x32", 3, 64, 32, 0.95, 0.25),
     ("conv2_64x128x16", 64, 128, 16, 0.45, 0.15),
@@ -107,8 +103,8 @@ impl LayerFixture {
     }
 
     /// One training step of the layer — Forward, GTA, GTW on a batch of
-    /// one — through `ctx`'s planned entry points, under the plan cells
-    /// of `layer`. Returns the three results.
+    /// one — through `ctx`'s per-layer entry points, as `layer`. Returns
+    /// the three results.
     pub fn train_step(
         &self,
         ctx: &mut ExecutionContext,

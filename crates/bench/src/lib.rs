@@ -20,10 +20,9 @@
 //!
 //! [`cli`] is the argument parser, [`profile`] the one scale switch
 //! (`SPARSETRAIN_PROFILE`; the substitutions it scales are listed in
-//! `docs/ARCHITECTURE.md`, *Substitutions*). [`plan`] is the compiled-plan
-//! emit/replay loop behind `sparsetrain-bench plan` (over [`fixtures`],
-//! the layer operands it shares with the engine bench), and [`chaos`] the
-//! fault-injection campaign behind `sparsetrain-bench chaos`: seeded
+//! `docs/ARCHITECTURE.md`, *Substitutions*), [`fixtures`] the layer
+//! operands of the engine bench, and [`chaos`] the fault-injection
+//! campaign behind `sparsetrain-bench chaos`: seeded
 //! crash/corruption scenarios that must recover bitwise through the
 //! training supervisor. The Criterion benches in `benches/` are local
 //! tools — kernel engines, the memory and simulator models and the
@@ -34,6 +33,5 @@ pub mod chaos;
 pub mod cli;
 pub mod experiments;
 pub mod fixtures;
-pub mod plan;
 pub mod profile;
 pub mod table;

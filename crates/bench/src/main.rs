@@ -5,18 +5,17 @@
 //!   `sparsetrain_bench::experiments::EXPERIMENTS`, in the order given, in
 //!   one session (asking for `fig8 fig9` simulates their shared grid
 //!   once). `SPARSETRAIN_PROFILE` sets the scale.
-//! * `plan` — see `sparsetrain_bench::plan`.
 //! * `chaos` — see `sparsetrain_bench::chaos`.
 //!
-//! Exit status: 0 on success, 1 when `plan --replay` or `chaos` ran and
-//! failed, 2 for a rejected command line or an I/O error. This binary
+//! Exit status: 0 on success, 1 when `chaos` ran and failed, 2 for a
+//! rejected command line or an I/O error. This binary
 //! measures no time — `stbench` owns the wall-clock numbers, and `stbench
 //! compare` is the repo's one perf gate.
 
+use sparsetrain_bench::chaos;
 use sparsetrain_bench::cli::{self, Command};
 use sparsetrain_bench::experiments::{self, Session};
 use sparsetrain_bench::profile::Profile;
-use sparsetrain_bench::{chaos, plan};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -38,11 +37,6 @@ fn run(command: Command) -> Result<bool, String> {
             experiments::run(&experiments, &mut Session::new(Profile::from_env()?, models));
             Ok(true)
         }
-        Command::Plan {
-            emit,
-            replay,
-            summary,
-        } => Ok(report(plan::run(emit.as_deref(), replay.as_deref())?, summary)),
         Command::Chaos {
             seed,
             extra,

@@ -1,18 +1,17 @@
 //! Drives the built `sparsetrain-bench` binary across the process
-//! boundary: exit codes, what goes to stdout and what to stderr, and the
-//! plan file `plan --emit` writes. Only the runs that are instant in a
-//! debug build happen here; the parser's rejections and the name table are
-//! unit-tested in the library.
+//! boundary: exit codes and what goes to stdout and what to stderr. Only
+//! the runs that are instant in a debug build happen here; the parser's
+//! rejections and the name table are unit-tested in the library.
 
 use sparsetrain_bench::experiments::in_group;
 use std::process::{Command, Output};
 
-/// Runs the binary with `SPARSETRAIN_PROFILE` and `SPARSETRAIN_PLAN` unset
-/// (empty counts as unset) unless `vars` set them.
+/// Runs the binary with `SPARSETRAIN_PROFILE` unset (empty counts as
+/// unset) unless `vars` set it.
 fn bench_with(vars: &[(&str, &str)], args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sparsetrain-bench"))
         .args(args)
-        .envs([("SPARSETRAIN_PROFILE", ""), ("SPARSETRAIN_PLAN", "")])
+        .env("SPARSETRAIN_PROFILE", "")
         .envs(vars.iter().copied())
         .output()
         .expect("the binary runs")
@@ -59,8 +58,8 @@ fn unknown_names_exit_two_with_the_tables_names() {
     let cases = [
         (vec!["repro", "table3"], names("repro")),
         (vec!["sweep", "fig8"], names("sweep")),
-        (vec!["multicore"], "repro, sweep, plan, chaos".to_string()),
-        (vec![], "repro, sweep, plan, chaos".to_string()),
+        (vec!["multicore"], "repro, sweep, chaos".to_string()),
+        (vec![], "repro, sweep, chaos".to_string()),
     ];
     for (args, listed) in cases {
         let out = bench(&args);
@@ -71,24 +70,6 @@ fn unknown_names_exit_two_with_the_tables_names() {
         assert!(stderr.contains(&listed), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: sparsetrain-bench"), "{args:?}: {stderr}");
     }
-}
-
-/// Every engine's `run_batch` sizes its own bands from the pool, so the
-/// plan `auto` freezes names the same engines on a pool of one as on a
-/// pool of two: the emitted `STPLAN` files are byte-identical.
-#[test]
-fn the_emitted_plan_does_not_depend_on_the_pool_size() {
-    let emit = |threads: &str| {
-        let path =
-            std::env::temp_dir().join(format!("sparsetrain-cli-plan-{}-{threads}", std::process::id()));
-        let path_arg = path.to_str().expect("utf-8 temp path");
-        let out = bench_with(&[("RAYON_NUM_THREADS", threads)], &["plan", "--emit", path_arg]);
-        assert!(out.status.success(), "{threads} threads: {out:?}");
-        let bytes = std::fs::read(&path).expect("the plan was written");
-        std::fs::remove_file(&path).ok();
-        bytes
-    };
-    assert_eq!(emit("1"), emit("2"));
 }
 
 #[test]

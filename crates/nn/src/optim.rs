@@ -1,4 +1,4 @@
-//! Optimizers: SGD with momentum (the paper's choice) and Adam (extension).
+//! The optimizer: SGD with momentum and L2 weight decay, the paper's choice.
 
 use crate::layer::Layer;
 
@@ -96,118 +96,6 @@ impl Sgd {
     /// re-validated against the parameters on the next step.
     pub fn restore_velocities(&mut self, velocities: Vec<Vec<f32>>) {
         self.velocities = velocities;
-    }
-}
-
-/// Adam optimizer (Kingma & Ba), with decoupled-style L2 applied to the
-/// gradient as in the classic formulation.
-///
-/// The paper trains with SGD; Adam is provided for the extension
-/// experiments (its three-tensor state is also what makes the
-/// weight-update stage model's `UpdateRule::Adam` cost realistic).
-///
-/// ```
-/// use sparsetrain_nn::optim::Adam;
-/// let adam = Adam::new(1e-3);
-/// assert_eq!(adam.learning_rate(), 1e-3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    step_count: u64,
-    first_moments: Vec<Vec<f32>>,
-    second_moments: Vec<Vec<f32>>,
-}
-
-impl Adam {
-    /// Creates an Adam optimizer with the conventional β₁ = 0.9,
-    /// β₂ = 0.999, ε = 1e-8 and no weight decay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn new(lr: f32) -> Self {
-        Self::with_config(lr, 0.9, 0.999, 1e-8, 0.0)
-    }
-
-    /// Creates a fully configured Adam optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`, either β ∉ [0, 1), `eps <= 0` or
-    /// `weight_decay < 0`.
-    pub fn with_config(lr: f32, beta1: f32, beta2: f32, eps: f32, weight_decay: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1), "beta1 must be in [0, 1)");
-        assert!((0.0..1.0).contains(&beta2), "beta2 must be in [0, 1)");
-        assert!(eps > 0.0, "eps must be positive");
-        assert!(weight_decay >= 0.0, "weight decay must be non-negative");
-        Self {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
-            step_count: 0,
-            first_moments: Vec::new(),
-            second_moments: Vec::new(),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate (for schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    /// Applies one Adam step to every parameter of `net` (`grad_scale`
-    /// as in [`Sgd::step`]).
-    pub fn step(&mut self, net: &mut dyn Layer, grad_scale: f32) {
-        self.step_count += 1;
-        let t = self.step_count as f32;
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
-        let (b1, b2, lr, eps, wd) = (self.beta1, self.beta2, self.lr, self.eps, self.weight_decay);
-        let m = &mut self.first_moments;
-        let v = &mut self.second_moments;
-        let mut index = 0usize;
-        net.visit_params(&mut |param, grad| {
-            if m.len() <= index {
-                m.push(vec![0.0; param.len()]);
-                v.push(vec![0.0; param.len()]);
-            }
-            let (mi, vi) = (&mut m[index], &mut v[index]);
-            assert_eq!(
-                mi.len(),
-                param.len(),
-                "parameter {index} changed size between steps"
-            );
-            for i in 0..param.len() {
-                let g = grad[i] * grad_scale + wd * param[i];
-                mi[i] = b1 * mi[i] + (1.0 - b1) * g;
-                vi[i] = b2 * vi[i] + (1.0 - b2) * g * g;
-                let m_hat = mi[i] / bias1;
-                let v_hat = vi[i] / bias2;
-                param[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-            index += 1;
-        });
-    }
-
-    /// Drops all moment state and the step counter.
-    pub fn reset(&mut self) {
-        self.first_moments.clear();
-        self.second_moments.clear();
-        self.step_count = 0;
     }
 }
 
@@ -317,60 +205,5 @@ mod tests {
     #[should_panic(expected = "learning rate must be positive")]
     fn zero_lr_rejected() {
         let _ = Sgd::new(0.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut s = Scalar {
-            w: vec![0.0],
-            g: vec![0.0],
-        };
-        let mut adam = Adam::new(0.1);
-        for _ in 0..300 {
-            s.g[0] = 2.0 * (s.w[0] - 3.0);
-            adam.step(&mut s, 1.0);
-        }
-        assert!((s.w[0] - 3.0).abs() < 1e-2, "w = {}", s.w[0]);
-    }
-
-    #[test]
-    fn adam_handles_badly_scaled_gradients() {
-        // Adam normalizes per-coordinate scale; SGD at the same lr
-        // diverges or crawls on a 1e4-conditioned quadratic.
-        let run_adam = |scale: f32| {
-            let mut s = Scalar {
-                w: vec![0.0],
-                g: vec![0.0],
-            };
-            let mut adam = Adam::new(0.05);
-            for _ in 0..500 {
-                s.g[0] = 2.0 * scale * (s.w[0] - 3.0);
-                adam.step(&mut s, 1.0);
-            }
-            s.w[0]
-        };
-        assert!((run_adam(1e-4) - 3.0).abs() < 0.1, "tiny gradients");
-        assert!((run_adam(1e4) - 3.0).abs() < 0.1, "huge gradients");
-    }
-
-    #[test]
-    fn adam_reset_clears_state() {
-        let mut s = Scalar {
-            w: vec![0.0],
-            g: vec![1.0],
-        };
-        let mut adam = Adam::new(0.01);
-        adam.step(&mut s, 1.0);
-        adam.reset();
-        // After reset the first step behaves like a fresh optimizer.
-        let w_before = s.w[0];
-        adam.step(&mut s, 1.0);
-        assert!((s.w[0] - (w_before - 0.01)).abs() < 1e-4);
-    }
-
-    #[test]
-    #[should_panic(expected = "beta1")]
-    fn adam_rejects_bad_beta() {
-        let _ = Adam::with_config(0.1, 1.0, 0.999, 1e-8, 0.0);
     }
 }

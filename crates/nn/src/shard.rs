@@ -225,8 +225,9 @@ pub enum WorkerReply {
 }
 
 /// How worker replicas execute kernels. Resolved once per pool: when the
-/// coordinator's `auto` planner froze a plan, the plan is distributed as
-/// compiled `STPLAN` bytes and replayed verbatim on every worker.
+/// coordinator's `auto` context holds a plan (from `SPARSETRAIN_PLAN` or a
+/// resumed snapshot), the plan is distributed as compiled `STPLAN` bytes
+/// and replayed verbatim on every worker.
 #[derive(Debug, Clone)]
 pub enum EngineSetup {
     /// Default dense (im2row) execution on the scalar context.

@@ -456,8 +456,8 @@ impl Trainer {
 
     /// Spawns the worker pool if the config shards training and no pool is
     /// live: replicates the network as the respawn template and resolves
-    /// the engine setup — distributing the frozen execution plan as
-    /// compiled `STPLAN` bytes when the `auto` planner holds one.
+    /// the engine setup — distributing the execution plan as compiled
+    /// `STPLAN` bytes when the `auto` context holds one.
     fn ensure_shard_pool(&mut self) {
         let Some(spec) = self.config.shard.clone() else {
             return;
@@ -466,7 +466,7 @@ impl Trainer {
             return;
         }
         let setup = if let Some(plan) = self.ctx.plan() {
-            EngineSetup::Program(plan.encode().expect("frozen plans are always encodable"))
+            EngineSetup::Program(plan.encode().expect("plans are always encodable"))
         } else if let Some(handle) = self.config.engine {
             EngineSetup::Engine(handle)
         } else {
@@ -512,7 +512,7 @@ impl Trainer {
     /// Captures the complete mutable training state as a [`Snapshot`]:
     /// parameters, optimizer velocities, pruner statistics, RNG positions,
     /// the `(seed, epoch, step)` ladder, and the active execution plan (if
-    /// the `auto` planner froze one — embedded as its `STPLAN` bytes,
+    /// the `auto` context holds one — embedded as its `STPLAN` bytes,
     /// [`Plan::encode`]). Feeding it to [`Trainer::resume`] on a fresh
     /// trainer reproduces the remaining run bitwise.
     pub fn snapshot(&self) -> Snapshot {
@@ -537,7 +537,7 @@ impl Trainer {
             plan: self
                 .ctx
                 .plan()
-                .map(|plan| PlanPayload::Program(plan.encode().expect("frozen plans are always encodable"))),
+                .map(|plan| PlanPayload::Program(plan.encode().expect("plans are always encodable"))),
             optimizer: OptimizerState {
                 lr: self.sgd.learning_rate(),
                 velocities: self.sgd.velocities().to_vec(),
@@ -553,7 +553,7 @@ impl Trainer {
     ///
     /// When the snapshot embeds an execution plan — binary program or
     /// legacy text payload — and this trainer runs on the `auto` engine,
-    /// the frozen plan is replayed instead of being decided afresh (an
+    /// the context routes its cells through that plan from here on (an
     /// explicitly pinned engine takes precedence over the plan).
     ///
     /// # Errors

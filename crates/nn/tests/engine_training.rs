@@ -93,16 +93,24 @@ fn scalar_and_parallel_training_trajectories_are_bitwise_equal() {
     assert_eq!(scalar, parallel);
 }
 
-/// The planner leaves the training trajectory unchanged and decides the
-/// same plan every time: every engine the density rule names is
-/// bitwise-identical to scalar, so two epochs under `auto` — the first
-/// deciding and freezing each (layer, stage) cell, the second replaying
-/// the plan — must land bit-for-bit on the scalar trajectory; and since no
-/// clock is read, a second `auto` run of the same seed and data must freeze
-/// a byte-identical program, which a resumed trainer carries on unchanged.
+/// A plan handed to an `auto` context leaves the training trajectory
+/// unchanged and travels with the snapshot: every engine a plan names here
+/// is bitwise-identical to scalar, so two epochs with the plan's cells
+/// routed to `parallel:im2row`, `scalar`, `parallel` and (by default)
+/// `simd` must land bit-for-bit on the scalar trajectory; running records
+/// nothing into the plan, two runs embed byte-identical programs, and a
+/// resumed trainer carries the same plan on.
 #[test]
 fn auto_planner_training_trajectory_is_bitwise_scalar() {
+    use sparsetrain_sparse::{Plan, Stage};
     let (train, _) = SyntheticSpec::tiny(2).generate();
+    let handed_in = || {
+        let mut plan = Plan::new("simd".parse().unwrap());
+        plan.set("conv1", Stage::Forward, "parallel:im2row".parse().unwrap());
+        plan.set("conv1", Stage::WeightGrad, "scalar".parse().unwrap());
+        plan.set("conv2", Stage::InputGrad, "parallel".parse().unwrap());
+        plan
+    };
     let fresh = |name: &str| {
         Trainer::new(
             models::mini_cnn(2, 4, None),
@@ -112,6 +120,9 @@ fn auto_planner_training_trajectory_is_bitwise_scalar() {
     // The plan and snapshot after one epoch, the parameters after two.
     let run = |name: &str| {
         let mut trainer = fresh(name);
+        if name == "auto" {
+            *trainer.context_mut() = ExecutionContext::with_plan(handed_in());
+        }
         trainer.train_epoch(&train);
         let plan = trainer.context_mut().plan().cloned();
         let snap = trainer.snapshot();
@@ -126,18 +137,15 @@ fn auto_planner_training_trajectory_is_bitwise_scalar() {
     let (scalar_params, scalar_plan, _) = run("scalar");
     assert_eq!(auto_params, scalar_params);
     assert!(scalar_plan.is_none());
-    let auto_plan = auto_plan.expect("auto context is planned");
-    assert!(
-        !auto_plan.is_empty(),
-        "the first epoch must freeze at least one plan cell"
-    );
+    let auto_plan = auto_plan.expect("auto context holds the plan handed in");
+    assert_eq!(auto_plan, handed_in(), "running changed a plan cell");
 
     let (_, again_plan, _) = run("auto");
-    let encode = |plan: &sparsetrain_sparse::Plan| plan.encode().expect("frozen plans encode");
+    let encode = |plan: &Plan| plan.encode().expect("plans encode");
     assert_eq!(
         encode(&auto_plan),
-        encode(&again_plan.expect("auto context is planned")),
-        "two auto runs of one seed froze different plans"
+        encode(&again_plan.expect("auto context holds the plan handed in")),
+        "two auto runs of one seed carried different plans"
     );
     let mut resumed = fresh("auto");
     resumed.resume(&auto_snap).expect("resume");

@@ -16,7 +16,7 @@ use sparsetrain_nn::models;
 use sparsetrain_nn::supervisor::{SuperviseError, Supervisor, SupervisorConfig};
 use sparsetrain_nn::train::{ResumeError, TrainConfig, Trainer};
 use sparsetrain_nn::Layer;
-use sparsetrain_sparse::PlanError;
+use sparsetrain_sparse::{ExecutionContext, Plan, PlanError};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -324,9 +324,11 @@ fn flipped_plan_bit_is_a_typed_resume_error_never_a_panic() {
     let train = dataset();
     let auto = || make_trainer(TrainConfig::quick().with_engine_name("auto"));
     let mut first = auto();
+    let plan = Plan::from_text("default simd\nconv1 forward scalar\nconv2 weight_grad parallel:simd\n");
+    *first.context_mut() = ExecutionContext::with_plan(plan.expect("plan parses"));
     first.train_epoch(&train);
     let snap = first.snapshot();
-    assert!(snap.plan.is_some(), "an auto run embeds its frozen plan");
+    assert!(snap.plan.is_some(), "a planned auto run embeds its plan");
 
     // One seeded bit of the embedded STPLAN bytes flips on the first
     // decode. Wherever it lands — header, section frame, string id, stage

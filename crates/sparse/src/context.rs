@@ -1,16 +1,16 @@
-//! The execution context: one resolved engine plus its execution plan.
+//! The execution context: one resolved engine plus, on `auto`, the plan
+//! it was handed.
 //!
 //! [`ExecutionContext`] is the object call sites thread through a training
-//! pass instead of re-resolving an engine token at every layer: it owns the resolved `&'static dyn KernelEngine` (picked once,
-//! by [`EngineHandle`]) and, on the `"auto"` engine, the [`Plan`] that
-//! holds each decided (layer, stage) cell. Construction is name-driven — from a
-//! registry handle, a string (`"scalar"`, `"simd"`, `"im2row"`, `"fixed"`,
-//! `"fixed:qI.F"`, `"auto"`, the `"parallel:*"` aliases, or anything
-//! registered), or the
-//! `SPARSETRAIN_ENGINE` environment variable — so adding a backend never
-//! changes a call-site signature again: the simd and im2row engines each
-//! slotted into every selection path without touching one. Per-call
-//! operand state travels on the engine seam itself
+//! pass instead of re-resolving an engine token at every layer: it owns the
+//! resolved `&'static dyn KernelEngine` (picked once, by [`EngineHandle`])
+//! and, on the `"auto"` engine, the [`Plan`] a file or snapshot handed in.
+//! Construction is name-driven — from a registry handle, a string
+//! (`"scalar"`, `"simd"`, `"fixed"`, `"fixed:qI.F"`, the `"parallel"`,
+//! `"parallel:simd"`, `"im2row"`, `"parallel:im2row"` and `"auto"`
+//! aliases, or anything registered), or the `SPARSETRAIN_ENGINE`
+//! environment variable — so adding a backend never changes a call-site
+//! signature. Per-call operand state travels on the engine seam itself
 //! ([`crate::engine::BandContext`], built by the engine's `prepare`), not
 //! in this context, so a context stays valid across calls of any shape.
 //!
@@ -20,18 +20,14 @@
 //! [`ExecutionContext::forward_batch_for`],
 //! [`ExecutionContext::input_grad_batch_for_into`] and
 //! [`ExecutionContext::weight_grad_batch_for`] — each a thin wrapper that
-//! builds the batch's [`StageOp`]s and hands them to one planned-dispatch
-//! function. Selecting the `"auto"` engine attaches a [`Plan`], and they
-//! then resolve their engine **per (layer, stage) cell** instead of globally.
-//! The first execution of an undecided cell decides it — the win-region
-//! rule ([`heuristic_handle`]) names the engine from the stage and the
-//! batch's operand density — and freezes the decision; no clock is read,
-//! so the same run always freezes the same plan. The plan starts empty, or
-//! from the serialized plan file `SPARSETRAIN_PLAN` names, whose cells
-//! then stay as pinned. Every engine the rule names is bitwise-identical
-//! to the scalar reference, so planning affects speed, never results.
-//! Contexts on any other engine treat the planned entry points as plain
-//! batched calls on the resolved engine.
+//! builds the batch's [`StageOp`]s and hands them to one dispatch
+//! function. A context holding a [`Plan`] runs each `(layer, stage)` cell
+//! on the engine the plan names for it, and a cell the plan does not name
+//! on the plan's default engine; nothing is decided or recorded at run
+//! time. Only an `"auto"` context holds a plan, and only when one is handed
+//! in: the file `SPARSETRAIN_PLAN` names, a snapshot the trainer resumes,
+//! or [`ExecutionContext::with_plan`]. Every other context, `"auto"`
+//! without a plan included, runs every cell on its own engine.
 //!
 //! ```
 //! use sparsetrain_sparse::ExecutionContext;
@@ -43,42 +39,50 @@
 
 use crate::engine::{BatchOut, KernelEngine, StageOp};
 use crate::mask::RowMask;
-use crate::planner::{batch_density, env_plan, heuristic_handle, Plan, Stage};
+use crate::planner::{env_plan, Plan, Stage};
 use crate::registry::{env_override, lookup, EngineHandle, UnknownEngine};
 use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
 use std::cell::Cell;
 
-/// The reference engine: the quarantine fallback and a fresh plan's default.
+/// The reference engine: the quarantine fallback.
 fn scalar_handle() -> EngineHandle {
     lookup("scalar").expect("scalar engine is always registered")
 }
 
-/// A resolved engine plus, on the `"auto"` engine, its execution plan.
+/// Whether two handles dispatch to the same engine: an alias and its
+/// target do. Compared by address *and* vtable, because the zero-sized
+/// engines' statics may share an address with another engine's.
+fn same_engine(a: EngineHandle, b: EngineHandle) -> bool {
+    std::ptr::eq(a.engine(), b.engine())
+}
+
+/// A resolved engine plus, on the `"auto"` engine, the plan it was handed.
 ///
 /// # Quarantine
 ///
 /// A supervisor that catches an engine panicking mid-band can
 /// [`quarantine`](ExecutionContext::quarantine) that engine: every
-/// subsequent dispatch of it (direct or planned) silently falls
-/// back to the `scalar` reference engine instead. Because every float
-/// engine is parity-pinned bitwise to scalar, quarantine degrades speed,
-/// never the training trajectory. (`fixed` is outside that parity
-/// guarantee — quarantining a fixed-point context changes its numerics,
-/// which is why the supervisor only ever quarantines float engines.)
+/// subsequent dispatch of it — under any of its names, direct or planned —
+/// silently falls back to the `scalar` reference engine instead. Because
+/// every float engine is parity-pinned bitwise to scalar, quarantine
+/// degrades speed, never the training trajectory. (`fixed` is outside that
+/// parity guarantee — quarantining a fixed-point context changes its
+/// numerics, which is why the supervisor only ever quarantines float
+/// engines.)
 #[derive(Debug)]
 pub struct ExecutionContext {
     handle: EngineHandle,
     plan: Option<Plan>,
-    quarantined: Vec<String>,
+    quarantined: Vec<EngineHandle>,
     last_dispatch: Cell<Option<&'static str>>,
 }
 
 impl ExecutionContext {
     /// Context executing on the engine `handle` resolves to. Selecting the
-    /// `"auto"` engine attaches a [`Plan`] — empty by default, the one
-    /// loaded from the plan file `SPARSETRAIN_PLAN` names when set.
+    /// `"auto"` engine while `SPARSETRAIN_PLAN` names a plan file attaches
+    /// that plan.
     ///
     /// # Panics
     ///
@@ -86,11 +90,11 @@ impl ExecutionContext {
     /// be read or parsed (consistent with the other misconfigured-
     /// environment panics on the selection paths).
     pub fn new(handle: EngineHandle) -> Self {
-        let plan = (handle.name() == "auto").then(|| {
-            env_plan()
-                .unwrap_or_else(|e| panic!("{e}"))
-                .unwrap_or_else(|| Plan::new(scalar_handle()))
-        });
+        let plan = if handle.name() == "auto" {
+            env_plan().unwrap_or_else(|e| panic!("{e}"))
+        } else {
+            None
+        };
         Self {
             handle,
             plan,
@@ -104,9 +108,9 @@ impl ExecutionContext {
         Self::new(scalar_handle())
     }
 
-    /// A planned context starting from `plan`: the planned entry points
-    /// resolve each (layer, stage) cell through it, the density rule
-    /// deciding (and freezing) cells the plan misses.
+    /// An `"auto"` context holding `plan`: the planned entry points run
+    /// each (layer, stage) cell on the engine `plan` names for it, or on
+    /// its default engine.
     pub fn with_plan(plan: Plan) -> Self {
         Self {
             handle: lookup("auto").expect("auto engine is always registered"),
@@ -143,35 +147,46 @@ impl ExecutionContext {
 
     /// The resolved engine's registered name. This is the *configured*
     /// name — it does not change when the engine is quarantined, so
-    /// identity checks (auto-selection reporting, snapshot validation)
-    /// keep working; [`last_dispatched_engine`](Self::last_dispatched_engine)
-    /// reports what actually ran.
+    /// identity checks (snapshot validation, reporting) keep working;
+    /// [`last_dispatched_engine`](Self::last_dispatched_engine) reports
+    /// what actually ran.
     pub fn engine_name(&self) -> &'static str {
         self.handle.name()
     }
 
     // -- Quarantine ----------------------------------------------------------
 
-    /// Quarantines `name`: every later dispatch of that engine falls back
-    /// to `scalar`. Returns `true` if the engine was newly quarantined,
-    /// `false` for duplicates and for `"scalar"` itself (the reference
-    /// engine is the fallback and can never be quarantined).
+    /// Quarantines the engine `name` resolves to: every later dispatch of
+    /// that engine, under any of its names, falls back to `scalar`.
+    /// Returns `true` if the engine was newly quarantined, `false` when it
+    /// already was (under this or another name), when `name` does not
+    /// resolve, and for any name of the scalar engine itself (`"scalar"`,
+    /// `"parallel"`: the reference engine is the fallback and can never be
+    /// quarantined).
     pub fn quarantine(&mut self, name: &str) -> bool {
-        if name == "scalar" || self.is_quarantined(name) {
+        let Some(handle) = lookup(name) else {
+            return false;
+        };
+        if same_engine(handle, scalar_handle()) || self.quarantines(handle) {
             return false;
         }
-        self.quarantined.push(name.to_string());
+        self.quarantined.push(handle);
         true
     }
 
-    /// Whether `name` is currently quarantined.
+    /// Whether the engine `name` resolves to is currently quarantined.
     pub fn is_quarantined(&self, name: &str) -> bool {
-        self.quarantined.iter().any(|q| q == name)
+        lookup(name).is_some_and(|handle| self.quarantines(handle))
     }
 
-    /// Names of all quarantined engines, in quarantine order.
-    pub fn quarantined(&self) -> &[String] {
-        &self.quarantined
+    /// Whether `handle`'s engine is on the quarantine list.
+    fn quarantines(&self, handle: EngineHandle) -> bool {
+        self.quarantined.iter().any(|&q| same_engine(q, handle))
+    }
+
+    /// The names engines were quarantined under, in quarantine order.
+    pub fn quarantined(&self) -> Vec<&'static str> {
+        self.quarantined.iter().map(EngineHandle::name).collect()
     }
 
     /// The engine name of the most recent dispatch through this context
@@ -181,10 +196,10 @@ impl ExecutionContext {
         self.last_dispatch.get()
     }
 
-    /// Maps `handle` through the quarantine list: a quarantined engine
-    /// resolves to `scalar`, anything else resolves to itself.
+    /// Maps `handle` through the quarantine list: a handle dispatching to
+    /// a quarantined engine resolves to `scalar`, anything else to itself.
     fn effective(&self, handle: EngineHandle) -> EngineHandle {
-        if self.is_quarantined(handle.name()) {
+        if self.quarantines(handle) {
             scalar_handle()
         } else {
             handle
@@ -203,9 +218,8 @@ impl ExecutionContext {
         effective.engine()
     }
 
-    /// The execution plan as decided so far — `Some` only on planned
-    /// (`"auto"`) contexts. A cell appears here once its first execution
-    /// froze its engine.
+    /// The plan this context routes cells through — `Some` only on an
+    /// `"auto"` context that was handed one.
     pub fn plan(&self) -> Option<&Plan> {
         self.plan.as_ref()
     }
@@ -213,31 +227,25 @@ impl ExecutionContext {
     // -- Planned entry points ------------------------------------------------
     //
     // The per-(layer, stage) seam: callers with a layer identity (Conv2d)
-    // resolve their engine through the plan. The three public methods only
-    // build the batch's `StageOp`s and its `BatchOut`; `run_planned` holds
-    // the one copy of the decision logic.
+    // resolve their engine through the plan, when there is one. The three
+    // public methods only build the batch's `StageOp`s and its `BatchOut`;
+    // `run_cell` holds the one copy of the resolution.
 
-    /// Runs one batch of `stage` ops for `layer` into `out`, on the engine
-    /// its `(layer, stage)` cell resolves to, through
-    /// [`dispatch`](Self::dispatch): the context's own engine when it is
-    /// not planned, otherwise the cell's frozen engine — decided here, on
-    /// the cell's first execution, from the stage and the batch's operand
-    /// density when the plan does not hold it yet.
-    fn run_planned(&mut self, layer: &str, stage: Stage, ops: &[StageOp<'_>], out: BatchOut<'_>) {
-        let handle = match &mut self.plan {
-            None => self.handle,
-            Some(plan) => plan.get(layer, stage).unwrap_or_else(|| {
-                let decided = heuristic_handle(stage, batch_density(ops.iter().map(StageOp::operand)));
-                plan.set(layer, stage, decided);
-                decided
-            }),
-        };
+    /// Runs one batch of `stage` ops for `layer` into `out`, through
+    /// [`dispatch`](Self::dispatch), on the engine the plan names for the
+    /// `(layer, stage)` cell (its default when the plan does not name it),
+    /// or on the context's own engine when there is no plan.
+    fn run_cell(&self, layer: &str, stage: Stage, ops: &[StageOp<'_>], out: BatchOut<'_>) {
+        let handle = self
+            .plan
+            .as_ref()
+            .map_or(self.handle, |plan| plan.resolve(layer, stage));
         self.dispatch(handle).run_batch(ops, out);
     }
 
     /// Planned batched forward step: one freshly allocated output per
     /// input, computed on the engine the `(layer, Forward)` cell resolves
-    /// to (the context's own engine when it is not planned).
+    /// to (the context's own engine when it holds no plan).
     ///
     /// # Panics
     ///
@@ -268,7 +276,7 @@ impl ExecutionContext {
             })
             .collect();
         let slices = outs.iter_mut().map(Tensor3::as_mut_slice).collect();
-        self.run_planned(layer, Stage::Forward, &ops, BatchOut::PerSample(slices));
+        self.run_cell(layer, Stage::Forward, &ops, BatchOut::PerSample(slices));
         outs
     }
 
@@ -306,7 +314,7 @@ impl ExecutionContext {
             })
             .collect();
         let slices = dins.iter_mut().map(Tensor3::as_mut_slice).collect();
-        self.run_planned(layer, Stage::InputGrad, &ops, BatchOut::PerSample(slices));
+        self.run_cell(layer, Stage::InputGrad, &ops, BatchOut::PerSample(slices));
     }
 
     /// Planned batched GTW step: every sample's weight gradient is added
@@ -334,7 +342,7 @@ impl ExecutionContext {
             let shape = (dout.channels(), input.channels(), geom.kernel, geom.kernel);
             assert_eq!(dw.shape(), shape, "dw tensor shape mismatch");
         }
-        self.run_planned(
+        self.run_cell(
             layer,
             Stage::WeightGrad,
             &ops,
@@ -433,41 +441,22 @@ mod tests {
     }
 
     #[test]
-    fn auto_context_freezes_each_cell_and_stays_bitwise_scalar() {
+    fn auto_without_a_plan_runs_its_own_engine_bitwise_scalar() {
         let mut auto = ExecutionContext::by_name("auto").unwrap();
         let mut scalar = ExecutionContext::scalar();
         let (inputs, weights, geom) = batch_fixture();
-        assert_eq!(auto.plan().map(Plan::len), Some(0));
+        assert!(auto.plan().is_none(), "no plan was handed in");
 
-        // Forward: the first execution decides the cell and returns
-        // scalar's bits.
-        let first = auto.forward_batch_for("c1", &inputs, &weights, None, geom);
-        let reference = scalar.forward_batch_for("c1", &inputs, &weights, None, geom);
-        for (a, b) in first.iter().zip(&reference) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
-        let frozen = auto
-            .plan()
-            .unwrap()
-            .get("c1", Stage::Forward)
-            .expect("cell frozen");
-        // The replayed second call takes the frozen engine and agrees.
-        let replayed = auto.forward_batch_for("c1", &inputs, &weights, None, geom);
-        for (a, b) in replayed.iter().zip(&reference) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
-        assert_eq!(auto.plan().unwrap().get("c1", Stage::Forward), Some(frozen));
+        let outs = auto.forward_batch_for("c1", &inputs, &weights, None, geom);
+        assert_scalar_forward(&outs, &inputs, &weights, geom);
+        assert_eq!(auto.last_dispatched_engine(), Some("auto"));
 
-        // GTW: the deciding call must accumulate exactly one execution
-        // into dw.
         let mut dw_auto = Tensor4::zeros(2, 2, 3, 3);
         let mut dw_scalar = Tensor4::zeros(2, 2, 3, 3);
         auto.weight_grad_batch_for("c1", &inputs, &inputs, geom, &mut dw_auto);
         scalar.weight_grad_batch_for("c1", &inputs, &inputs, geom, &mut dw_scalar);
         assert_eq!(dw_auto.as_slice(), dw_scalar.as_slice());
-        assert!(auto.plan().unwrap().get("c1", Stage::WeightGrad).is_some());
 
-        // GTA likewise, through the into-style planned path.
         let masks: Vec<Vec<RowMask>> = inputs.iter().map(SparseFeatureMap::masks).collect();
         let mut dins_auto: Vec<Tensor3> = inputs.iter().map(|_| Tensor3::zeros(2, 5, 5)).collect();
         let mut dins_scalar = dins_auto.clone();
@@ -476,7 +465,7 @@ mod tests {
         for (a, b) in dins_auto.iter().zip(&dins_scalar) {
             assert_eq!(a.as_slice(), b.as_slice());
         }
-        assert_eq!(auto.plan().map(Plan::len), Some(3), "all three cells frozen");
+        assert!(auto.plan().is_none(), "running records nothing");
     }
 
     #[test]
@@ -505,7 +494,7 @@ mod tests {
 
     #[test]
     fn replayed_plan_cells_respect_quarantine_at_dispatch() {
-        let mut plan = Plan::new(lookup("scalar").unwrap());
+        let mut plan = Plan::new(lookup("simd").unwrap());
         plan.set("c1", Stage::Forward, lookup("simd").unwrap());
         let mut ctx = ExecutionContext::with_plan(plan);
         for handle in crate::registry::registry() {
@@ -520,54 +509,53 @@ mod tests {
         );
         assert_scalar_forward(&outs, &inputs, &weights, geom);
 
-        // A cell the replayed plan misses is filled by the density
-        // heuristic — never the scalar engine, and every other engine is
-        // quarantined — and must be remapped at dispatch just the same.
+        // A cell the plan does not name runs on the plan's default engine,
+        // and is remapped at dispatch just the same.
         let outs = ctx.forward_batch_for("c2", &inputs, &weights, None, geom);
-        let filled = ctx
-            .plan()
-            .unwrap()
-            .get("c2", Stage::Forward)
-            .expect("heuristic froze the cell");
-        assert_ne!(
-            filled.name(),
-            "scalar",
-            "scalar has no win region for the heuristic to pick"
-        );
+        assert_eq!(ctx.plan().unwrap().get("c2", Stage::Forward), None);
         assert_eq!(
             ctx.last_dispatched_engine(),
             Some("scalar"),
-            "heuristic cell remapped"
+            "default cell remapped"
         );
         assert_scalar_forward(&outs, &inputs, &weights, geom);
     }
 
+    /// Quarantine follows the engine, not the name: once `simd` is
+    /// quarantined, a cell pinned to its alias `parallel:simd` falls back
+    /// to scalar too, and no name of the scalar engine can be quarantined.
     #[test]
-    fn replayed_plan_is_honoured_and_heuristic_fills_gaps() {
+    fn quarantine_follows_the_engine_not_the_name() {
+        let mut plan = Plan::new(lookup("scalar").unwrap());
+        plan.set("c1", Stage::Forward, lookup("parallel:simd").unwrap());
+        let mut ctx = ExecutionContext::with_plan(plan);
+        assert!(ctx.quarantine("simd"));
+        let (inputs, weights, geom) = batch_fixture();
+        let outs = ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
+        assert_eq!(ctx.last_dispatched_engine(), Some("scalar"));
+        assert_scalar_forward(&outs, &inputs, &weights, geom);
+
+        assert!(ctx.is_quarantined("parallel:simd"));
+        assert!(ctx.is_quarantined("auto"));
+        assert!(!ctx.quarantine("im2row"), "already quarantined as simd");
+        assert!(!ctx.quarantine("parallel"), "an alias of the fallback engine");
+        assert!(!ctx.is_quarantined("parallel"));
+        assert_eq!(ctx.quarantined(), ["simd"]);
+    }
+
+    #[test]
+    fn replayed_plan_is_honoured_and_unnamed_cells_run_the_default() {
         let mut plan = Plan::new(lookup("scalar").unwrap());
         plan.set("c1", Stage::Forward, lookup("simd").unwrap());
-        let mut ctx = ExecutionContext::with_plan(plan);
+        let mut ctx = ExecutionContext::with_plan(plan.clone());
         assert_eq!(ctx.engine_name(), "auto");
         let (inputs, weights, geom) = batch_fixture();
         let outs = ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
         assert_scalar_forward(&outs, &inputs, &weights, geom);
-        // The pinned cell stays pinned; an unplanned cell is decided by
-        // the heuristic and then frozen.
-        assert_eq!(
-            ctx.plan().unwrap().get("c1", Stage::Forward).unwrap().name(),
-            "simd"
-        );
+        assert_eq!(ctx.last_dispatched_engine(), Some("simd"));
         let mut dw = Tensor4::zeros(2, 2, 3, 3);
         ctx.weight_grad_batch_for("c1", &inputs, &inputs, geom, &mut dw);
-        let decided = ctx
-            .plan()
-            .unwrap()
-            .get("c1", Stage::WeightGrad)
-            .expect("heuristic froze the cell");
-        assert!(
-            ["simd", "parallel:simd"].contains(&decided.name()),
-            "the backward stages fill with the non-zero walk, got {}",
-            decided.name()
-        );
+        assert_eq!(ctx.last_dispatched_engine(), Some("scalar"));
+        assert_eq!(ctx.plan(), Some(&plan), "running changes no cell");
     }
 }

@@ -39,9 +39,8 @@
 //! into every band worker. Backends use it to hoist per-call operand
 //! transformations — the simd engine's channel-contiguous weight re-layout
 //! (one per call, shared by every sample's context) and channels-last
-//! input copy, the im2row engine's blocked patch matrix — above the
-//! fan-out, so `B` bands share one preparation instead of redoing it `B`
-//! times.
+//! input copy — above the fan-out, so `B` bands share one preparation
+//! instead of redoing it `B` times.
 //!
 //! [`for_each_band`] is a free function, not an engine method: the other
 //! position-pure batch work in a step — the stochastic pruner's snap/zero
@@ -51,11 +50,12 @@
 //!
 //! Engine selection is name-keyed, and the registry is the only place an
 //! engine has a name: [`crate::registry`] maps `"scalar"` / `"simd"` /
-//! `"im2row"` / `"fixed"` / `"fixed:qI.F"` / `"auto"` (the `parallel:*`
-//! names are aliases of the first three, and anything can be registered
-//! at runtime) to engine instances, and
+//! `"fixed"` / `"fixed:qI.F"` (`parallel` is an alias of scalar,
+//! `parallel:simd` / `im2row` / `parallel:im2row` / `auto` of simd, and
+//! anything can be registered at runtime) to engine instances, and
 //! [`crate::context::ExecutionContext`] carries the resolved engine (and,
-//! on `auto`, its plan) through `sparsetrain-nn`'s `Trainer`/`Conv2d`; the
+//! on `auto`, any plan it was handed) through `sparsetrain-nn`'s
+//! `Trainer`/`Conv2d`; the
 //! simulator's cycle accounting consumes the same op enumeration and is
 //! engine-agnostic by construction.
 
@@ -85,9 +85,7 @@ use std::sync::Arc;
 ///   **same** allocation by reference count,
 /// * `dense` — a dense copy of the op's sparse operand map, in the layout
 ///   the preparing engine reads (the simd engine's zero-padded
-///   channels-last `H × Wp × C` input copy for GTW),
-/// * `patches` / `patch_len` / `dense_rows` — the im2row engine's blocked
-///   receptive-field patch matrix plus its per-output-row classification.
+///   channels-last `H × Wp × C` input copy for GTW).
 ///
 /// The scalar reference needs no preparation and returns empty contexts;
 /// band workers must treat a context lacking their state as "prepare
@@ -98,17 +96,14 @@ use std::sync::Arc;
 /// Memory tradeoff: a batched call holds **one context per sample** for
 /// the duration of the call (every sample's bands may run concurrently,
 /// so no context can be dropped early). With a preparing engine that is
-/// `batch × per-sample state` — e.g. the im2row patch matrix,
-/// `Oh·Ow·C·K²` floats per sample. Callers streaming very large batches
-/// through memory-hungry engines should split the batch; the per-call
-/// preparation cost is already amortized within each sub-batch.
+/// `batch × per-sample state` — e.g. the simd engine's dense GTW input
+/// copy. Callers streaming very large batches through memory-hungry
+/// engines should split the batch; the per-call preparation cost is
+/// already amortized within each sub-batch.
 #[derive(Debug, Default)]
 pub struct BandContext {
     weights: Option<(Stage, Arc<[f32]>)>,
     dense: Vec<f32>,
-    patches: Vec<f32>,
-    patch_len: usize,
-    dense_rows: Vec<bool>,
 }
 
 impl BandContext {
@@ -119,7 +114,7 @@ impl BandContext {
 
     /// Whether no prepared state is attached at all.
     pub fn is_empty(&self) -> bool {
-        self.weights.is_none() && self.dense.is_empty() && self.patches.is_empty()
+        self.weights.is_none() && self.dense.is_empty()
     }
 
     /// Attaches the call's kernel weights as re-laid for `stage`; every
@@ -151,31 +146,6 @@ impl BandContext {
     /// The dense operand copy, or `&[]` when none was prepared.
     pub fn dense(&self) -> &[f32] {
         &self.dense
-    }
-
-    /// Attaches an im2row patch matrix: one `patch_len`-wide row per
-    /// output position, plus the per-output-row flags saying which rows
-    /// were materialized (and thus qualify for the dense micro-kernel).
-    pub fn set_patches(&mut self, patches: Vec<f32>, patch_len: usize, dense_rows: Vec<bool>) {
-        self.patches = patches;
-        self.patch_len = patch_len;
-        self.dense_rows = dense_rows;
-    }
-
-    /// The im2row patch matrix, or `&[]` when none was prepared.
-    pub fn patches(&self) -> &[f32] {
-        &self.patches
-    }
-
-    /// Patch-row width of [`BandContext::patches`] (0 when none).
-    pub fn patch_len(&self) -> usize {
-        self.patch_len
-    }
-
-    /// Per-output-row micro-kernel eligibility flags (empty when no patch
-    /// matrix was prepared).
-    pub fn dense_rows(&self) -> &[bool] {
-        &self.dense_rows
     }
 }
 
@@ -270,9 +240,8 @@ impl StageOp<'_> {
         units * unit_len
     }
 
-    /// The sparse operand whose density decides the op's win region
-    /// ([`crate::planner::heuristic_name`]): the activations for Forward,
-    /// the (pruned) output gradients for GTA and GTW.
+    /// The sparse operand the op sweeps: the activations for Forward, the
+    /// (pruned) output gradients for GTA and GTW.
     pub fn operand(&self) -> &SparseFeatureMap {
         match *self {
             StageOp::Forward { input, .. } => input,
@@ -404,8 +373,8 @@ impl<'a> BatchOut<'a> {
 /// pre-seeded by the caller) and must produce results bitwise identical to
 /// [`ScalarEngine`], whose defaults these are. A backend overrides
 /// `prepare` + `band`; `run_batch` is those two dealt into bands plus the
-/// shape checks (overridden only by an engine that delegates whole calls,
-/// `auto`), and `run` is the `run_batch` of one op. An engine has no name
+/// shape checks (overridden only by test wrappers that pin the band
+/// count), and `run` is the `run_batch` of one op. An engine has no name
 /// of its own: the registry names it
 /// ([`crate::registry::EngineHandle::name`]).
 pub trait KernelEngine: Send + Sync {
@@ -668,8 +637,7 @@ fn run_banded<E: KernelEngine + ?Sized>(
 
 /// [`KernelEngine::run_batch`]'s body with the band count given instead of
 /// sized from the pool — for the band-count invariance tests. It bands
-/// `engine`'s own `prepare` / `band`, so an engine that overrides
-/// `run_batch` to delegate (`auto`) is bypassed.
+/// `engine`'s own `prepare` / `band`, bypassing any `run_batch` override.
 #[doc(hidden)]
 pub fn run_batch_in_bands<E: KernelEngine + ?Sized>(
     engine: &E,
@@ -791,7 +759,7 @@ pub fn map_in_bands<T: Send>(n: usize, bands: usize, f: &(dyn Fn(usize) -> T + S
 }
 
 /// The one copy of the pseudo-random sparse fixtures the engine unit
-/// tests (here, `simd_engine`, `im2row_engine`) share.
+/// tests (here and `simd_engine`) share.
 #[cfg(test)]
 pub(crate) mod test_fixtures {
     use super::*;

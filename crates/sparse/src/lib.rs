@@ -41,7 +41,7 @@
 //! * [`engine::ScalarEngine`] — the reference semantics; its iteration
 //!   order *is* the floating-point specification.
 //! * [`engine::BandContext`] — the **band-context seam**: per-call operand
-//!   state (channel-contiguous weight re-layouts, im2row patch matrices)
+//!   state (channel-contiguous weight re-layouts, dense operand copies)
 //!   built exactly once per engine call by the engine's
 //!   [`KernelEngine::prepare`] *above* the band fan-out, then shared by
 //!   reference across every band — so banding an engine never multiplies
@@ -56,13 +56,6 @@
 //!   and the portable `[f32; 8]` lane-blocked build otherwise; only
 //!   literal `-0.0` biases or pre-seeded accumulators fall back to the
 //!   scalar code itself.
-//! * [`im2row_engine::Im2RowEngine`] — the cache-blocked dense lowering
-//!   for dense early layers: receptive fields are materialized once per
-//!   call into `(u, ci, v)`-ordered patch rows (the scalar accumulation
-//!   order, so parity stays bitwise) inside the [`engine::BandContext`],
-//!   and a register-tiled micro-kernel reduces each patch row against
-//!   eight filters at a time. Output rows fed by rows below the density
-//!   cutoff, strides ≠ 1 and `-0.0` seeds keep the sparse scalar path.
 //! * [`fixed_engine::FixedPointEngine`] — the Q8.8 datapath model
 //!   mirroring the paper's 16-bit RTL, built on
 //!   `sparsetrain_tensor::qformat`. Other 16-bit grids resolve by name:
@@ -70,39 +63,29 @@
 //!
 //! Selection is **name-keyed and open**, and the registry is the only
 //! place an engine has a name: [`registry`] maps `"scalar"`, `"simd"`,
-//! `"im2row"`, `"fixed"`, `"fixed:qI.F"`, `"auto"` (and the aliases
-//! `"parallel"`, `"parallel:simd"`, `"parallel:im2row"` of the first
-//! three) — plus any backend added with
-//! [`registry::register`] — to [`registry::EngineHandle`] tokens, resolved
-//! from strings (`FromStr`), configuration, or the `SPARSETRAIN_ENGINE`
-//! environment variable ([`registry::env_override`]). A resolved engine
-//! travels as a [`context::ExecutionContext`] (engine + plan), which
-//! `sparsetrain-nn` threads through every `Layer::forward`/`backward` — no
-//! call site ever re-resolves a token.
+//! `"fixed"` and `"fixed:qI.F"` (plus the aliases `"parallel"` of scalar
+//! and `"parallel:simd"`, `"im2row"`, `"parallel:im2row"`, `"auto"` of
+//! simd) — and any backend added with [`registry::register`] — to
+//! [`registry::EngineHandle`] tokens, resolved from strings (`FromStr`),
+//! configuration, or the `SPARSETRAIN_ENGINE` environment variable
+//! ([`registry::env_override`]). A resolved engine travels as a
+//! [`context::ExecutionContext`], which `sparsetrain-nn` threads through
+//! every `Layer::forward`/`backward` — no call site ever re-resolves a
+//! token.
 //!
-//! [`planner`] closes the loop the paper's scheduler closes in hardware:
-//! operand density differs per layer and per stage and keeps falling as
-//! pruning bites, and the engines have *disjoint* win regions (im2row on
-//! near-dense forward legs, simd's non-zero walk everywhere else). A
-//! [`planner::Plan`] maps `(layer, stage)` cells to engines; the `"auto"`
-//! engine ([`planner::AutoEngine`]) applies the win-region rule per call
-//! on observed density, and a planned [`ExecutionContext`] upgrades that
-//! to decide-once: the first execution of each cell names its engine from
-//! the stage and operand density and freezes it, later executions replay
-//! the frozen plan (or a plan file named by `SPARSETRAIN_PLAN`). No clock
-//! is read, so the same run always freezes the same plan, and every engine
-//! the rule names is bitwise identical to the scalar reference, so
-//! planning affects speed, never results.
-//! A plan is its own serialized form: [`Plan::encode`] / [`Plan::decode`]
-//! ([`plan_program`], the `STPLAN` codec) are the one way it crosses a
-//! process, worker or checkpoint boundary.
+//! [`planner::Plan`] maps `(layer, stage)` cells to engines, with a default
+//! for the cells it does not name. An `"auto"` context carries one only when
+//! a file (`SPARSETRAIN_PLAN`) or a resumed snapshot hands it in; nothing
+//! is decided at run time. A plan is its own serialized form:
+//! [`Plan::encode`] / [`Plan::decode`] ([`plan_program`], the `STPLAN`
+//! codec) are the one way it crosses a process, worker or checkpoint
+//! boundary.
 
 pub mod compressed;
 pub mod context;
 pub mod engine;
 pub mod fixed_engine;
 pub mod formats;
-pub mod im2row_engine;
 pub mod mask;
 pub mod msrc;
 pub mod osrc;
@@ -118,8 +101,7 @@ pub use compressed::{RowError, SparseRow};
 pub use context::ExecutionContext;
 pub use engine::{BandContext, BatchOut, KernelEngine, ScalarEngine, StageOp};
 pub use fixed_engine::FixedPointEngine;
-pub use im2row_engine::Im2RowEngine;
 pub use mask::RowMask;
-pub use planner::{AutoEngine, Plan, PlanError, Stage, PLAN_ENV};
+pub use planner::{Plan, PlanError, Stage, PLAN_ENV};
 pub use registry::{EngineHandle, UnknownEngine, ENGINE_ENV};
 pub use simd_engine::SimdEngine;

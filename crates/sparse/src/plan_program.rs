@@ -1,13 +1,13 @@
 //! The `STPLAN` codec: a [`Plan`]'s compact, versioned binary form.
 //!
-//! This is the artifact an ahead-of-time planner ships to a fresh process
-//! (`SPARSETRAIN_PLAN`), to the sharded workers, and into the checkpoint
-//! file. There is one plan type and it encodes itself:
+//! This is the form a plan takes to a fresh process (`SPARSETRAIN_PLAN`),
+//! to the sharded workers, and into the checkpoint file. There is one plan
+//! type and it encodes itself:
 //!
 //! * [`Plan::encode`] writes a header (magic `STPLAN`, version) and two
 //!   sections: a string table interning the layer and engine names, and
 //!   the cell table (default engine id, then one `(layer id, stage,
-//!   engine id)` row per decided cell in [`Plan::cells`] order). The
+//!   engine id)` row per named cell in [`Plan::cells`] order). The
 //!   encoding is canonical — one byte string per plan.
 //! * [`Plan::decode`] is the inverse, over the same length-prefixed
 //!   section framing as the checkpoint `.stck` container
@@ -95,7 +95,7 @@ fn stage_from_code(code: u8) -> Option<Stage> {
 
 impl Plan {
     /// Serializes the plan into the versioned `STPLAN` container: the
-    /// string table, then the default engine and every decided cell in
+    /// string table, then the default engine and every named cell in
     /// [`Plan::cells`] order. Names are interned in first-use order
     /// (default engine, then each cell's layer and engine), so equal plans
     /// encode to equal bytes.

@@ -1,56 +1,36 @@
-//! Density-adaptive execution planning: one engine per (layer, stage).
+//! Execution plans: one engine per (layer, stage) cell, as a record.
 //!
-//! The registry's engines have *disjoint win regions* — the cache-blocked
-//! im2row lowering dominates near-dense forward legs, the simd engine's
-//! non-zero walk wins everything else — yet a global engine name applies
-//! one backend to every convolution of every stage. This module closes
-//! that gap the way the paper's compiler does: execution is planned **per
-//! cell**, where a cell is a `(layer id, stage)` pair and the stages are
-//! the three training convolutions ([`Stage::Forward`],
-//! [`Stage::InputGrad`] for GTA, [`Stage::WeightGrad`] for GTW), and a
-//! cell is **decided, not raced**: the first time it executes, the
-//! win-region rule ([`heuristic_name`]) names its engine from the stage
-//! and the density of the operands in hand, and the decision is frozen.
-//! No clock is read, so a plan is a pure function of what the cells saw on
-//! their first execution (hence of model and seed) — not of the pool size,
-//! since every engine's `run_batch` sizes its own bands.
+//! A cell is a `(layer id, stage)` pair, where the stages are the three
+//! training convolutions ([`Stage::Forward`], [`Stage::InputGrad`] for GTA,
+//! [`Stage::WeightGrad`] for GTW). A [`Plan`] maps cells to
+//! [`EngineHandle`]s, with a default engine for the cells it does not
+//! name. Nothing here decides anything: an `"auto"`
+//! [`crate::ExecutionContext`] carries a plan only when one is handed in —
+//! loaded from the file the [`PLAN_ENV`] (`SPARSETRAIN_PLAN`) variable
+//! names ([`env_plan`]), or embedded in a snapshot the trainer resumes —
+//! and otherwise runs `simd`, which `auto` is a registry alias of.
 //!
-//! Two pieces of machinery:
-//!
-//! * [`Plan`] — the frozen decision table mapping cells to
-//!   [`EngineHandle`]s, with a default engine for unplanned cells. An
-//!   `"auto"` [`crate::ExecutionContext`] carries one (empty at first,
-//!   filled cell by cell). A plan serializes itself to the binary
-//!   `STPLAN` format ([`Plan::encode`] / [`Plan::decode`], in
-//!   [`crate::plan_program`]) so it can be saved and replayed via the
-//!   [`PLAN_ENV`] (`SPARSETRAIN_PLAN`) environment variable — which also
-//!   accepts the legacy line-oriented text format ([`Plan::from_text`]),
-//!   sniffing the binary magic — and renders as a Markdown table
-//!   ([`Plan::to_markdown`]) for reports. Every engine the rule names is
-//!   bitwise-identical to the scalar reference (the parity suites enforce
-//!   this; the fixed-point engines are never named), so a plan affects
-//!   speed, never results.
-//! * [`AutoEngine`] — the `"auto"` registry entry itself: a
-//!   [`KernelEngine`] that applies the same rule per call. It covers every
-//!   call site that has no layer identity to plan against (benches, raw
-//!   engine calls); the planned entry points on `ExecutionContext` add the
-//!   decide-once-and-freeze layer on top.
+//! A plan serializes itself to the binary `STPLAN` format
+//! ([`Plan::encode`] / [`Plan::decode`], in [`crate::plan_program`]);
+//! [`load_plan`] also accepts the legacy line-oriented text format
+//! ([`Plan::from_text`]), sniffing the binary magic. Every float engine is
+//! bitwise-identical to the scalar reference (the parity suites enforce
+//! this), so a plan over float engines affects speed, never results.
 
-use crate::engine::{BatchOut, KernelEngine, StageOp};
 use crate::plan_program::{is_binary_plan, DecodeError};
 use crate::registry::{lookup, lookup_or_parse, EngineHandle, UnknownEngine};
-use crate::rowconv::SparseFeatureMap;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Environment variable naming a serialized plan file — either the
 /// line-oriented text format or a compiled `STPLAN` binary program
 /// ([`load_plan`] sniffs the magic). When set (and the `"auto"` engine is
-/// selected), the context starts from the loaded plan instead of an empty
-/// one — see [`env_plan`].
+/// selected), the context routes each cell through the loaded plan — see
+/// [`env_plan`].
 pub const PLAN_ENV: &str = "SPARSETRAIN_PLAN";
 
-/// The three training-stage convolutions a plan decides independently.
+/// The three training-stage convolutions; a plan names an engine for each
+/// independently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// SRC: the forward convolution (sparse activations × weights).
@@ -86,51 +66,6 @@ impl Stage {
 impl fmt::Display for Stage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Density above which the forward stage takes the cache-blocked im2row
-/// dense lowering: near-dense inputs (the raw image in front of `conv1`),
-/// where there is nothing to skip and the register-tiled patch reduction
-/// carries the call.
-const IM2ROW_FORWARD_DENSITY: f64 = 0.90;
-
-/// The win-region heuristic: the engine name for one cell, given the
-/// stage and the observed density of the cell's sparse operand
-/// (activations for Forward, pruned output gradients for the backward
-/// stages).
-///
-/// Rules distilled from the engine benches: im2row wins the
-/// near-dense forward leg (`conv1`, density 0.95) and loses or ties from
-/// density 0.45 down; simd — work proportional to the non-zeros, lanes
-/// across the always-dense channel axis — wins every other leg on every
-/// stage, the d ≈ 0.05 pruned-gradient regime included, so the scalar
-/// kernels are never the heuristic's answer.
-pub fn heuristic_name(stage: Stage, density: f64) -> &'static str {
-    if stage == Stage::Forward && density >= IM2ROW_FORWARD_DENSITY {
-        "im2row"
-    } else {
-        "simd"
-    }
-}
-
-/// [`heuristic_name`] resolved to a handle.
-pub fn heuristic_handle(stage: Stage, density: f64) -> EngineHandle {
-    lookup(heuristic_name(stage, density)).expect("heuristic engines are always registered")
-}
-
-/// Mean density over a batch of sparse maps (total nnz / total elements).
-pub fn batch_density<'a>(maps: impl IntoIterator<Item = &'a SparseFeatureMap>) -> f64 {
-    let mut nnz = 0usize;
-    let mut total = 0usize;
-    for m in maps {
-        nnz += m.nnz();
-        total += m.channels() * m.height() * m.width();
-    }
-    if total == 0 {
-        0.0
-    } else {
-        nnz as f64 / total as f64
     }
 }
 
@@ -230,8 +165,8 @@ fn check_layer_id(layer: &str) -> Result<(), PlanError> {
     Ok(())
 }
 
-/// A frozen execution plan: `(layer id, stage) → engine`, with a default
-/// engine for cells the plan does not name.
+/// An execution plan: `(layer id, stage) → engine`, with a default engine
+/// for cells the plan does not name.
 ///
 /// ```
 /// use sparsetrain_sparse::planner::{Plan, Stage};
@@ -247,10 +182,10 @@ fn check_layer_id(layer: &str) -> Result<(), PlanError> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
     default: EngineHandle,
-    /// Per layer, the decided engine of each stage (indexed by
+    /// Per layer, the named engine of each stage (indexed by
     /// `Stage as usize`, i.e. in [`Stage::ALL`] order). A layer is present
-    /// only once one of its stages is decided, so derived equality is
-    /// equality of the decided cells.
+    /// only once one of its stages is named, so derived equality is
+    /// equality of the named cells.
     cells: BTreeMap<String, [Option<EngineHandle>; 3]>,
 }
 
@@ -295,7 +230,7 @@ impl Plan {
         Ok(())
     }
 
-    /// The planned engine for a cell, if one was decided.
+    /// The planned engine for a cell, if the plan names one.
     pub fn get(&self, layer: &str, stage: Stage) -> Option<EngineHandle> {
         self.cells.get(layer)?[stage as usize]
     }
@@ -305,17 +240,17 @@ impl Plan {
         self.get(layer, stage).unwrap_or(self.default)
     }
 
-    /// Number of decided cells.
+    /// Number of named cells.
     pub fn len(&self) -> usize {
         self.cells().count()
     }
 
-    /// Whether no cell has been decided yet.
+    /// Whether the plan names no cell.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
     }
 
-    /// Iterates the decided cells in `(layer, stage)` order.
+    /// Iterates the named cells in `(layer, stage)` order.
     pub fn cells(&self) -> impl Iterator<Item = (&str, Stage, EngineHandle)> {
         self.cells.iter().flat_map(|(layer, stages)| {
             Stage::ALL
@@ -372,26 +307,6 @@ impl Plan {
         }
         Ok(plan)
     }
-
-    /// Renders the plan as a Markdown table: one row per layer, one column
-    /// per stage, unplanned cells shown as the default engine.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::from("| layer | forward | input_grad | weight_grad |\n|---|---|---|---|\n");
-        for (layer, stages) in &self.cells {
-            let cell = |stage: Stage| {
-                stages[stage as usize]
-                    .map_or_else(|| format!("({})", self.default.name()), |h| h.name().to_string())
-            };
-            out.push_str(&format!(
-                "| {layer} | {} | {} | {} |\n",
-                cell(Stage::Forward),
-                cell(Stage::InputGrad),
-                cell(Stage::WeightGrad)
-            ));
-        }
-        out.push_str(&format!("\nDefault engine: `{}`.\n", self.default.name()));
-        out
-    }
 }
 
 /// Loads and parses a serialized plan file — a compiled `STPLAN` binary
@@ -437,70 +352,12 @@ pub fn env_plan() -> Result<Option<Plan>, PlanError> {
     }
 }
 
-/// The `"auto"` registry engine: density-adaptive per-call dispatch.
-///
-/// Every call inspects its sparse operand's density and delegates to the
-/// win-region heuristic's engine ([`heuristic_name`]) — the activations
-/// for Forward, the (pruned) output gradients for GTA and GTW. All
-/// delegates are float engines bitwise-identical to the scalar reference,
-/// so `auto` is itself bitwise-identical to `scalar` on every call, at
-/// whatever speed the densities allow. Call sites with a layer identity
-/// get the per-(layer, stage) decide-once-and-freeze treatment through
-/// [`crate::ExecutionContext`]'s planned entry points; this engine is the
-/// zero-configuration floor underneath.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AutoEngine;
-
-impl KernelEngine for AutoEngine {
-    fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
-        // An empty batch has no stage; it is the same no-op on any delegate.
-        let stage = ops.first().map_or(Stage::Forward, StageOp::stage);
-        heuristic_handle(stage, batch_density(ops.iter().map(StageOp::operand)))
-            .engine()
-            .run_batch(ops, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ScalarEngine;
-    use sparsetrain_tensor::conv::ConvGeometry;
-    use sparsetrain_tensor::{Tensor3, Tensor4};
 
     fn handle(name: &str) -> EngineHandle {
         lookup(name).expect(name)
-    }
-
-    #[test]
-    fn heuristic_matches_the_measured_win_regions() {
-        // Near-dense forward → the cache-blocked im2row lowering.
-        assert_eq!(heuristic_name(Stage::Forward, 0.95), "im2row");
-        // Every other leg → the non-zero walk with channel lanes.
-        assert_eq!(heuristic_name(Stage::Forward, 0.45), "simd");
-        assert_eq!(heuristic_name(Stage::Forward, 0.10), "simd");
-        assert_eq!(heuristic_name(Stage::InputGrad, 0.15), "simd");
-        assert_eq!(heuristic_name(Stage::WeightGrad, 0.25), "simd");
-        // The pruned d ≈ 0.05 backward regime included: simd's work is
-        // proportional to the non-zeros too.
-        assert_eq!(heuristic_name(Stage::InputGrad, 0.05), "simd");
-        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05), "simd");
-        // Gradient stages never take the forward-only im2row lowering.
-        assert_eq!(heuristic_name(Stage::InputGrad, 0.95), "simd");
-        // Over the whole domain the rule only ever names a float engine
-        // that beats scalar — never `scalar`, a `fixed*` grid (that would
-        // change numerics) or `auto` itself.
-        for stage in Stage::ALL {
-            for density in [0.0, 0.05, 0.45, 0.89, 0.90, 1.0] {
-                let seq = heuristic_name(stage, density);
-                assert!(["simd", "im2row"].contains(&seq), "{stage} at {density}: {seq}");
-                assert_eq!(
-                    seq == "im2row",
-                    stage == Stage::Forward && density >= 0.90,
-                    "{stage} at {density}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -601,22 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_renders_markdown() {
-        let mut plan = Plan::new(handle("scalar"));
-        plan.set("conv1", Stage::Forward, handle("im2row"));
-        plan.set("conv1", Stage::InputGrad, handle("simd"));
-        plan.set("conv2", Stage::WeightGrad, handle("parallel"));
-        let md = plan.to_markdown();
-        assert!(
-            md.contains("| layer | forward | input_grad | weight_grad |"),
-            "{md}"
-        );
-        assert!(md.contains("| conv1 | im2row | simd | (scalar) |"), "{md}");
-        assert!(md.contains("| conv2 | (scalar) | (scalar) | parallel |"), "{md}");
-        assert!(md.contains("Default engine: `scalar`"), "{md}");
-    }
-
-    #[test]
     fn plan_file_loads_through_env_path_machinery() {
         let path = std::env::temp_dir().join(format!("sparsetrain-plan-{}.txt", std::process::id()));
         let path = path.to_str().expect("utf-8 temp path").to_string();
@@ -627,74 +468,5 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let err = load_plan(&path).unwrap_err();
         assert!(err.to_string().contains("cannot read"), "{err}");
-    }
-
-    #[test]
-    fn auto_engine_is_bitwise_identical_to_scalar() {
-        let geom = ConvGeometry::new(3, 1, 1);
-        // One near-dense map (im2row territory) and one sparse map (simd
-        // territory): the delegate changes, the bits must not.
-        for density in [97u64, 5] {
-            let mut seed = 0x5EED + density;
-            let mut pseudo = move || {
-                seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((seed >> 33) % 1000) as f32 / 1000.0 - 0.5
-            };
-            let input = Tensor3::from_fn(3, 9, 9, |c, y, x| {
-                if (c + 3 * y + 7 * x) as u64 % 100 < density {
-                    pseudo()
-                } else {
-                    0.0
-                }
-            });
-            let dout = Tensor3::from_fn(4, 9, 9, |c, y, x| {
-                if (5 * c + y + 2 * x) as u64 % 100 < density {
-                    pseudo()
-                } else {
-                    0.0
-                }
-            });
-            let weights = Tensor4::from_fn(4, 3, 3, 3, |_, _, _, _| pseudo());
-            let bias: Vec<f32> = (0..4).map(|_| pseudo()).collect();
-            let input = SparseFeatureMap::from_tensor(&input);
-            let dout = SparseFeatureMap::from_tensor(&dout);
-            let masks = input.masks();
-
-            let ops = [
-                StageOp::Forward {
-                    input: &input,
-                    weights: &weights,
-                    bias: Some(&bias),
-                    geom,
-                },
-                StageOp::InputGrad {
-                    dout: &dout,
-                    weights: &weights,
-                    geom,
-                    masks: &masks,
-                    in_h: 9,
-                    in_w: 9,
-                },
-                StageOp::WeightGrad {
-                    input: &input,
-                    dout: &dout,
-                    geom,
-                },
-            ];
-            for op in ops {
-                assert_eq!(op.run_on(&AutoEngine), op.run_on(&ScalarEngine), "{}", op.stage());
-            }
-        }
-    }
-
-    #[test]
-    fn batch_density_aggregates_over_samples() {
-        let dense = SparseFeatureMap::from_tensor(&Tensor3::from_fn(1, 2, 2, |_, _, _| 1.0));
-        let empty = SparseFeatureMap::from_tensor(&Tensor3::zeros(1, 2, 2));
-        assert_eq!(batch_density(std::slice::from_ref(&dense)), 1.0);
-        assert_eq!(batch_density(&[dense, empty]), 0.5);
-        assert_eq!(batch_density(&[]), 0.0);
     }
 }

@@ -4,22 +4,24 @@
 //! `&'static dyn KernelEngine` — the unit of engine selection everywhere a
 //! backend is configured (`TrainConfig`, `ExecutionContext`, benches,
 //! examples, the `SPARSETRAIN_ENGINE` environment variable). The registry
-//! is the only place an engine has a name. Five engines are registered at
+//! is the only place an engine has a name. Three engines are registered at
 //! startup:
 //!
-//! | name     | backend                                                      |
-//! |----------|--------------------------------------------------------------|
-//! | `scalar` | [`crate::engine::ScalarEngine`] — the reference              |
-//! | `simd`   | [`crate::simd_engine::SimdEngine`] — AVX2/portable lanes     |
-//! | `im2row` | [`crate::im2row_engine::Im2RowEngine`] — cache-blocked dense |
-//! | `fixed`  | [`crate::fixed_engine::FixedPointEngine`] — Q8.8             |
-//! | `auto`   | [`crate::planner::AutoEngine`] — density-adaptive dispatch   |
+//! | name     | backend                                                  |
+//! |----------|----------------------------------------------------------|
+//! | `scalar` | [`crate::engine::ScalarEngine`] — the reference          |
+//! | `simd`   | [`crate::simd_engine::SimdEngine`] — AVX2/portable lanes |
+//! | `fixed`  | [`crate::fixed_engine::FixedPointEngine`] — Q8.8         |
 //!
-//! plus three aliases from when banding was an engine of its own (every
-//! engine's `run_batch` bands now): `parallel` / `parallel:simd` /
-//! `parallel:im2row` resolve to the engine of `scalar` / `simd` / `im2row`
+//! plus five aliases that resolve to the engine of `scalar` or `simd`
 //! under their own names, so plans, snapshots and configs naming them
-//! still decode.
+//! still decode: `parallel` (scalar) and `parallel:simd` are left from when
+//! banding was an engine of its own (every engine's `run_batch` bands
+//! now); `im2row` and `parallel:im2row` (simd) from a dense-lowering engine
+//! that won one near-dense forward cell per net; and `auto` (simd) from the
+//! density planner that chose between them. An `auto` context still routes
+//! cells through a plan when one is handed in (see
+//! [`crate::context::ExecutionContext`]).
 //!
 //! In addition, `fixed:qI.F` names (e.g. `"fixed:q4.12"`) resolve to a
 //! [`FixedPointEngine`] in that 16-bit Q-format — parsed, interned and
@@ -34,8 +36,6 @@
 
 use crate::engine::{KernelEngine, ScalarEngine};
 use crate::fixed_engine::FixedPointEngine;
-use crate::im2row_engine::Im2RowEngine;
-use crate::planner::AutoEngine;
 use crate::simd_engine::SimdEngine;
 use sparsetrain_tensor::qformat::QFormat;
 use std::fmt;
@@ -143,8 +143,8 @@ impl fmt::Display for UnknownEngine {
         }
         write!(
             f,
-            " (registered: {}; \"fixed:qI.F\" selects a parameterized 16-bit grid, \"auto\" plans \
-             per layer/stage and honours a serialized SPARSETRAIN_PLAN)",
+            " (registered: {}; \"fixed:qI.F\" selects a parameterized 16-bit grid, \"auto\" runs \
+             simd except where a SPARSETRAIN_PLAN file names another engine)",
             self.known.join(", ")
         )
     }
@@ -154,9 +154,7 @@ impl std::error::Error for UnknownEngine {}
 
 static SCALAR: ScalarEngine = ScalarEngine;
 static SIMD: SimdEngine = SimdEngine::auto();
-static IM2ROW: Im2RowEngine = Im2RowEngine::auto();
 static FIXED: FixedPointEngine = FixedPointEngine::q8_8();
-static AUTO: AutoEngine = AutoEngine;
 
 fn table() -> &'static RwLock<Vec<EngineHandle>> {
     static TABLE: OnceLock<RwLock<Vec<EngineHandle>>> = OnceLock::new();
@@ -185,14 +183,13 @@ fn table() -> &'static RwLock<Vec<EngineHandle>> {
             },
             EngineHandle {
                 name: "im2row",
-                summary: "cache-blocked im2row dense lowering for dense early layers, \
-                          bitwise equal to scalar",
-                engine: &IM2ROW,
+                summary: "alias of simd",
+                engine: &SIMD,
             },
             EngineHandle {
                 name: "parallel:im2row",
-                summary: "alias of im2row",
-                engine: &IM2ROW,
+                summary: "alias of simd",
+                engine: &SIMD,
             },
             EngineHandle {
                 name: "fixed",
@@ -201,10 +198,9 @@ fn table() -> &'static RwLock<Vec<EngineHandle>> {
             },
             EngineHandle {
                 name: "auto",
-                summary: "density-adaptive selection over the float engines (per-call win-region \
-                          heuristic; decided once per (layer, stage) and frozen in the plan), \
-                          bitwise equal to scalar",
-                engine: &AUTO,
+                summary: "alias of simd; follows a plan named by SPARSETRAIN_PLAN or embedded in a \
+                          resumed snapshot",
+                engine: &SIMD,
             },
         ])
     })

@@ -118,13 +118,12 @@ use std::sync::Arc;
 /// Vector lane-block width (f32 lanes per block, one AVX2 register).
 const LANES: usize = 8;
 
-pub(crate) fn contains_negative_zero(values: &[f32]) -> bool {
+fn contains_negative_zero(values: &[f32]) -> bool {
     values.iter().any(|v| v.to_bits() == (-0.0f32).to_bits())
 }
 
-/// Whether this process supports the AVX2+FMA fast path (shared with the
-/// im2row engine's dispatch).
-pub(crate) fn avx2_available() -> bool {
+/// Whether this process supports the AVX2+FMA fast path.
+fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::OnceLock;

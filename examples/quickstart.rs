@@ -7,13 +7,14 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 //!
-//! Set `SPARSETRAIN_ENGINE` to `scalar`, `simd`, `im2row`, `fixed`, a
-//! `fixed:qI.F` format, or `auto` (the density-adaptive planner: decides
-//! each layer/stage cell from its operand density once, then replays the
-//! frozen plan — identical output, adaptive speed) to run the training
-//! step's convolutions on a named kernel engine from the registry. Every
-//! engine bands across the rayon pool (`RAYON_NUM_THREADS`); the
-//! `parallel:*` names are aliases of the engines they wrap.
+//! Set `SPARSETRAIN_ENGINE` to `scalar`, `simd`, `fixed` or a `fixed:qI.F`
+//! format to run the training step's convolutions on a named kernel engine
+//! from the registry. Every engine bands across the rayon pool
+//! (`RAYON_NUM_THREADS`). `parallel` is an alias of `scalar`;
+//! `parallel:simd`, `im2row`, `parallel:im2row` and `auto` are aliases of
+//! `simd`. Under `auto`, `SPARSETRAIN_PLAN` may name a plan file that pins
+//! engines per layer and stage — identical output, since every float
+//! engine is bitwise equal to `scalar`.
 
 use rand::rngs::StdRng;
 use rand::stream::StreamKey;

@@ -9,9 +9,10 @@
 //! dense im2row:
 //! `cargo run --release --example train_sparse_cnn -- simd`
 //! `SPARSETRAIN_ENGINE=fixed:q4.12 cargo run --release --example train_sparse_cnn`
-//! (registered engines: `scalar`, `simd`, `im2row`, `fixed`, `auto`,
-//! parameterized `fixed:qI.F` formats, the `parallel:*` aliases, plus
-//! anything added through `sparsetrain::sparse::registry::register`).
+//! (registered engines: `scalar`, `simd`, `fixed`, parameterized
+//! `fixed:qI.F` formats, the aliases `parallel`, `parallel:simd`, `im2row`,
+//! `parallel:im2row` and `auto`, plus anything added through
+//! `sparsetrain::sparse::registry::register`).
 //! Every engine bands across the rayon pool.
 //!
 //! Set `SPARSETRAIN_CHECKPOINT_DIR=/some/dir` to snapshot each run after

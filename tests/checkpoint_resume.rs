@@ -12,7 +12,7 @@ use sparsetrain::nn::layer::Layer;
 use sparsetrain::nn::metrics::MetricStore;
 use sparsetrain::nn::models;
 use sparsetrain::nn::train::{TrainConfig, Trainer};
-use sparsetrain::sparse::Plan;
+use sparsetrain::sparse::{ExecutionContext, Plan, Stage};
 
 /// The float engines the bitwise-resume guarantee is enforced on (`auto`
 /// additionally exercises plan embed/replay; fixed-point engines are
@@ -51,8 +51,8 @@ fn params(t: &mut Trainer) -> Vec<u32> {
 }
 
 /// Full-state comparison through the codec itself, with the embedded plan
-/// stripped: `auto` may freeze different (but bitwise-equivalent) plans in
-/// different runs, and the guarantee covers the numeric state.
+/// stripped: the guarantee covers the numeric state, not which engines
+/// computed it.
 fn state_bytes(t: &Trainer) -> Vec<u8> {
     let mut snap = t.snapshot();
     snap.plan = None;
@@ -180,11 +180,18 @@ fn mid_epoch_checkpoint_resumes_bitwise_from_disk() {
 #[test]
 fn resume_replays_the_frozen_auto_plan() {
     let (train, _) = data();
+    assert_eq!(
+        trainer("auto", None).snapshot().plan,
+        None,
+        "an auto run with no plan handed in embeds none"
+    );
     let mut first = trainer("auto", None);
+    let text = "default scalar\nconv1 forward im2row\nconv2 weight_grad simd\n";
+    *first.context_mut() = ExecutionContext::with_plan(Plan::from_text(text).expect("plan parses"));
     first.train_epoch(&train);
     let snap = first.snapshot();
-    // Snapshots embed the frozen plan as a compiled binary program.
-    let payload = snap.plan.clone().expect("auto run embeds its plan");
+    // Snapshots embed the plan as a compiled binary program.
+    let payload = snap.plan.clone().expect("a planned auto run embeds its plan");
     let PlanPayload::Program(bytes) = &payload else {
         panic!("snapshots embed the binary program form, got {payload:?}");
     };
@@ -193,7 +200,7 @@ fn resume_replays_the_frozen_auto_plan() {
 
     let mut resumed = trainer("auto", None);
     resumed.resume(&snap).expect("resume");
-    // The resumed context carries the frozen plan instead of deciding afresh.
+    // The resumed context carries the embedded plan.
     let replayed = resumed.snapshot().plan.expect("plan survives resume");
     assert_eq!(payload, replayed, "plan changed across resume");
 
@@ -202,6 +209,66 @@ fn resume_replays_the_frozen_auto_plan() {
     pinned.resume(&snap).expect("resume under pinned engine");
     assert_eq!(pinned.engine_name(), "scalar");
     assert_eq!(pinned.snapshot().plan, None);
+}
+
+/// Hex digits (whitespace ignored) → bytes.
+fn unhex(hex: &str) -> Vec<u8> {
+    let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    let byte = |pair: &[u8]| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap();
+    digits.chunks(2).map(byte).collect()
+}
+
+/// The committed golden plan — the `STPLAN` file of `plan_program`'s
+/// `sample_plan`: default `simd`, `conv1` forward on `parallel:im2row`,
+/// `conv1` weight_grad on `scalar`, `conv2` input_grad on `parallel` —
+/// embedded in a `.stck` snapshot. An `auto` trainer resumed from it
+/// decodes the plan, routes those cells through it, and lands bit for bit
+/// on a straight `simd` run.
+#[test]
+fn resume_decodes_the_golden_plan_and_trains_bitwise() {
+    let golden = unhex(
+        "5354504c414e0100 0100 0000 02000000 \
+         010000004700000000000000 06000000 0400000073696d64 05000000636f6e7631 \
+            0f000000706172616c6c656c3a696d32726f77 060000007363616c6172 05000000636f6e7632 \
+            08000000706172616c6c656c \
+         020000002300000000000000 00000000 03000000 010000000002000000 010000000203000000 \
+            040000000105000000",
+    );
+    let (train, _) = data();
+    let mut straight = trainer("simd", None);
+    straight.train_epoch(&train);
+    straight.train_epoch(&train);
+
+    let mut first = trainer("simd", None);
+    first.train_epoch(&train);
+    let mut snap = first.snapshot();
+    snap.plan = Some(PlanPayload::Program(golden.clone()));
+    let stck = snap.encode().expect("snapshot encodes");
+    drop(first);
+
+    let mut resumed = trainer("auto", None);
+    resumed
+        .resume(&Snapshot::decode(&stck).expect("snapshot decodes"))
+        .expect("the golden plan resumes");
+    let plan = resumed
+        .context_mut()
+        .plan()
+        .expect("the resumed context holds the plan");
+    assert_eq!(plan.encode().expect("encodes"), golden, "not the golden plan");
+    for (layer, stage, engine) in [
+        ("conv1", Stage::Forward, "parallel:im2row"),
+        ("conv1", Stage::InputGrad, "simd"),
+        ("conv1", Stage::WeightGrad, "scalar"),
+        ("conv2", Stage::InputGrad, "parallel"),
+    ] {
+        assert_eq!(plan.resolve(layer, stage).name(), engine, "{layer} {stage}");
+    }
+    resumed.train_epoch(&train);
+    assert_eq!(
+        params(&mut straight),
+        params(&mut resumed),
+        "training under the golden plan left the simd trajectory"
+    );
 }
 
 #[test]
