@@ -3,6 +3,7 @@
 //! table).
 
 use super::ENGINE;
+use sparsetrain_nn::metrics::escape_json;
 use std::fmt::Write as _;
 
 /// One scenario's verdict.
@@ -33,22 +34,24 @@ pub struct ScenarioOutcome {
 impl ScenarioOutcome {
     /// Renders the outcome as one `{"chaos":{...}}` jsonl line.
     pub fn to_jsonl(&self) -> String {
-        let quarantined: Vec<String> = self.quarantined.iter().map(|q| format!("\"{q}\"")).collect();
-        let kinds: Vec<String> = self.kinds.iter().map(|k| format!("\"{k}\"")).collect();
+        let strings = |items: &[String]| {
+            let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape_json(s))).collect();
+            quoted.join(",")
+        };
         format!(
             "{{\"chaos\":{{\"name\":\"{}\",\"pass\":{},\"recoveries\":{},\"quarantined\":[{}],\
              \"kinds\":[{}],\"skipped\":{},\"backoff_ms\":{},\"recover_ms\":{},\"elapsed_ms\":{},\
              \"detail\":\"{}\"}}}}",
-            self.name,
+            escape_json(&self.name),
             self.pass,
             self.recoveries,
-            quarantined.join(","),
-            kinds.join(","),
+            strings(&self.quarantined),
+            strings(&self.kinds),
             self.skipped,
             self.backoff_ms,
             self.recover_ms,
             self.elapsed_ms,
-            self.detail.replace('\\', "\\\\").replace('"', "\\\""),
+            escape_json(&self.detail),
         )
     }
 }
@@ -142,6 +145,30 @@ mod tests {
             "{\"chaos\":{\"name\":\"torn-write-newest\",\"pass\":true,\"recoveries\":1,\
              \"quarantined\":[],\"kinds\":[\"kill\"],\"skipped\":1,\"backoff_ms\":0,\
              \"recover_ms\":2,\"elapsed_ms\":100,\"detail\":\"ok\"}}"
+        );
+    }
+
+    /// An escaped `assert_eq!` panic message spans several lines; its
+    /// record must still be one jsonl line.
+    #[test]
+    fn multi_line_details_stay_on_one_jsonl_line() {
+        let outcome = ScenarioOutcome {
+            name: "engine-panic".into(),
+            pass: false,
+            detail: "left: 1\n right: 2\t\"q\"".into(),
+            recoveries: 0,
+            quarantined: vec!["simd".into()],
+            kinds: vec![],
+            skipped: 0,
+            backoff_ms: 0,
+            recover_ms: 0,
+            elapsed_ms: 5,
+        };
+        let line = outcome.to_jsonl();
+        assert_eq!(line.lines().count(), 1, "{line}");
+        assert!(
+            line.ends_with("\"detail\":\"left: 1\\n right: 2\\t\\\"q\\\"\"}}"),
+            "{line}"
         );
     }
 

@@ -25,8 +25,8 @@
 //! campaign behind `sparsetrain-bench chaos`: seeded
 //! crash/corruption scenarios that must recover bitwise through the
 //! training supervisor. The Criterion benches in `benches/` are local
-//! tools — kernel engines, the memory and simulator models and the
-//! pruning design-choice ablations; wall-clock training numbers
+//! tools — kernel engines, the simulator and the pruning design-choice
+//! ablations; wall-clock training numbers
 //! are `stbench`'s.
 
 pub mod chaos;

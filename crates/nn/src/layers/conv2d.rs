@@ -116,13 +116,8 @@ impl Conv2d {
         self.geom
     }
 
-    /// Selects how the layer executes (dense im2row or engine-driven
-    /// sparse row dataflow).
-    pub fn set_execution(&mut self, execution: ConvExecution) {
-        self.execution = execution;
-    }
-
-    /// The active execution mode.
+    /// The active execution mode (set through
+    /// [`Layer::set_sparse_execution`]).
     pub fn execution(&self) -> ConvExecution {
         self.execution
     }

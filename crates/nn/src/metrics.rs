@@ -187,7 +187,7 @@ impl MetricRecord {
 }
 
 /// Escapes a free-text string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

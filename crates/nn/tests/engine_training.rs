@@ -45,7 +45,7 @@ fn sparse_rows_forward_matches_im2row() {
         let mut ctx = ExecutionContext::by_name(name).unwrap();
         let mut dense = Conv2d::new("c", 3, 4, ConvGeometry::new(3, 1, 1), 42);
         let mut rows = Conv2d::new("c", 3, 4, ConvGeometry::new(3, 1, 1), 42);
-        rows.set_execution(ConvExecution::SparseRows);
+        rows.set_sparse_execution(true);
         assert_eq!(rows.execution(), ConvExecution::SparseRows);
         let x = sparse_input();
         let a = dense.forward(vec![x.clone()].into(), &mut ctx, false);

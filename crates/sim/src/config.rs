@@ -1,12 +1,9 @@
-//! Architecture configuration, and the one error every simulator
-//! configuration's `validate` returns.
+//! Architecture configuration, and the error its `validate` returns.
 
 use std::fmt;
 
 /// A simulator configuration field holding a value the models cannot run
-/// with, as reported by [`ArchConfig::validate`],
-/// [`BufferConfig::validate`](crate::buffer::BufferConfig::validate) and
-/// [`DramConfig::validate`](crate::dram::DramConfig::validate).
+/// with, as reported by [`ArchConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfigError {
     /// The offending field.

@@ -1,5 +1,6 @@
 //! PE-group co-simulation: 3 cycle-exact PEs executing assigned task
-//! queues (the group's PPU is modelled on its own, in [`crate::ppu`]).
+//! queues (the group's PPU is not modelled here; its pruning stage is
+//! [`crate::prune_unit`]).
 //!
 //! This is the bridge between the cycle-exact PE model and the whole-
 //! machine scheduler: a group executes its queues one op at a time, ticking

@@ -19,13 +19,10 @@
 //! technology constants for SparseTrain and the baseline, so relative
 //! numbers (Fig. 9) are meaningful.
 //!
-//! Around the core machine sit refinement models that turn its
-//! assumptions into checked results: [`dram`] (row-buffer DRAM — why flat
-//! bandwidth holds for streams), [`buffer`] (banked SRAM conflicts),
-//! [`sched`] (controller scheduling policies vs the makespan lower
-//! bound), [`pipeline`] (double-buffered DMA hiding), [`update`] (the
-//! weight-update stage §II scopes out) and [`prune_unit`] (the PPU's
-//! LFSR-based in-stream pruning stage).
+//! Beside the machine sit [`sched`] (the controller's scheduling policies
+//! vs the makespan lower bound), [`update`] (the weight-update stage §II
+//! scopes out) and [`prune_unit`] (the PPU's LFSR-based in-stream pruning
+//! stage).
 //!
 //! # Example
 //!
@@ -44,15 +41,11 @@
 //! ```
 
 pub mod baseline;
-pub mod buffer;
 pub mod config;
-pub mod dram;
 pub mod energy;
 pub mod group;
 pub mod machine;
 pub mod pe;
-pub mod pipeline;
-pub mod ppu;
 pub mod prune_unit;
 pub mod report;
 pub mod sched;

@@ -1,10 +1,7 @@
-//! Property tests for the architecture refinement models: scheduling,
-//! DRAM, banked buffer, pipeline and the weight-update stage.
+//! Property tests for the controller's scheduling policies and the
+//! weight-update stage.
 
 use proptest::prelude::*;
-use sparsetrain_sim::buffer::{BankedBuffer, BufferConfig};
-use sparsetrain_sim::dram::{DramConfig, DramModel};
-use sparsetrain_sim::pipeline::{pipeline_latency, Stage};
 use sparsetrain_sim::sched::{compare_policies, lower_bound, schedule, Policy};
 use sparsetrain_sim::update::{update_cost, UpdateRule};
 use sparsetrain_sim::ArchConfig;
@@ -46,88 +43,6 @@ proptest! {
             let u = r.utilization();
             prop_assert!((0.0..=1.0 + 1e-12).contains(&u));
         }
-    }
-
-    // ---- DRAM -------------------------------------------------------
-
-    #[test]
-    fn dram_accounting_is_consistent(
-        transfers in prop::collection::vec((0u64..1_000_000, 0u64..5000), 1..20),
-    ) {
-        let mut dram = DramModel::new(DramConfig::lpddr4_like());
-        for (addr, words) in transfers {
-            let s = dram.read(addr, words);
-            prop_assert_eq!(s.bursts, s.row_hits + s.row_misses);
-            prop_assert!(s.cycles >= s.bursts * dram.config().burst_cycles);
-            if words > 0 {
-                let bw = dram.config().burst_words as u64;
-                let expected = (addr + words - 1) / bw - addr / bw + 1;
-                prop_assert_eq!(s.bursts, expected);
-            }
-        }
-        let l = dram.lifetime();
-        prop_assert_eq!(l.bursts, l.row_hits + l.row_misses);
-    }
-
-    #[test]
-    fn dram_energy_is_monotone_in_traffic(words in 1u64..100_000) {
-        let mut dram = DramModel::new(DramConfig::lpddr4_like());
-        let small = dram.read(0, words);
-        dram.precharge_all();
-        let large = dram.read(0, words * 2);
-        prop_assert!(dram.energy_pj(&large) >= dram.energy_pj(&small));
-    }
-
-    // ---- banked buffer ----------------------------------------------
-
-    #[test]
-    fn buffer_cycles_bounded_by_request_count(
-        addrs in prop::collection::vec(0u64..10_000, 0..256),
-        banks in 1usize..64,
-    ) {
-        let mut buf = BankedBuffer::new(BufferConfig {
-            banks,
-            words_per_bank_per_cycle: 1,
-            capacity_words: 1 << 16,
-        });
-        let cycles = buf.service(&addrs);
-        // Worst case: everything in one bank. Best case: perfect spread.
-        prop_assert!(cycles <= addrs.len() as u64);
-        prop_assert!(cycles >= (addrs.len() as u64).div_ceil(banks as u64));
-    }
-
-    #[test]
-    fn buffer_stream_never_beats_peak(
-        words in 1u64..10_000,
-        width in 1usize..256,
-    ) {
-        let cfg = BufferConfig::tiny();
-        let mut buf = BankedBuffer::new(cfg);
-        buf.service_stream(0, words, width);
-        prop_assert!(
-            buf.stats().achieved_bandwidth() <= cfg.peak_words_per_cycle() as f64 + 1e-9
-        );
-    }
-
-    // ---- pipeline ----------------------------------------------------
-
-    #[test]
-    fn pipeline_is_between_compute_and_serial(
-        stages in prop::collection::vec((0u64..10_000, 0u64..10_000), 0..50),
-    ) {
-        let stages: Vec<Stage> = stages
-            .into_iter()
-            .enumerate()
-            .map(|(i, (c, d))| Stage {
-                label: format!("s{i}"),
-                compute_cycles: c,
-                dma_cycles: d,
-            })
-            .collect();
-        let r = pipeline_latency(&stages);
-        prop_assert!(r.pipelined_cycles <= r.serial_cycles);
-        prop_assert!(r.pipelined_cycles >= r.compute_cycles);
-        prop_assert!(r.overlap_saving() >= -1e-12);
     }
 
     // ---- weight update -----------------------------------------------

@@ -390,23 +390,25 @@ mod tests {
         assert_ne!(q88, lookup("fixed").unwrap(), "distinct registration");
     }
 
-    /// The `parallel:*` names are aliases: each resolves to its target's
-    /// engine static yet reports its own name everywhere a name shows —
-    /// `name()`, `Display`, the registered-name list of an error, and the
-    /// engine names an encoded plan stores.
+    /// Every alias resolves to its target's engine static yet reports its
+    /// own name everywhere a name shows — `name()`, `Display`, the
+    /// registered-name list of an error, and the engine names an encoded
+    /// plan stores.
     #[test]
-    fn parallel_names_are_aliases_that_keep_their_own_name() {
+    fn aliases_keep_their_own_name() {
         use crate::planner::{Plan, Stage};
-        let listed = "warp-drive".parse::<EngineHandle>().unwrap_err().to_string();
+        let listed = "warp-drive".parse::<EngineHandle>().unwrap_err().known;
         let mut plan = Plan::new(lookup("parallel").expect("alias"));
         for (alias, target) in [
             ("parallel", "scalar"),
             ("parallel:simd", "simd"),
             ("parallel:im2row", "im2row"),
+            ("im2row", "simd"),
+            ("auto", "simd"),
         ] {
             let (handle, target) = (lookup(alias).expect(alias), lookup(target).expect(target));
             assert_eq!((handle.name(), handle.to_string()), (alias, alias.to_string()));
-            assert!(listed.contains(&format!(" {alias},")), "{listed}");
+            assert!(listed.contains(&alias), "{listed:?}");
             assert!(std::ptr::addr_eq(handle.engine(), target.engine()), "{alias}");
             plan.set(alias, Stage::Forward, handle);
             plan.set(alias, Stage::WeightGrad, target);

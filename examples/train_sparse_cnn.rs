@@ -34,7 +34,7 @@ fn main() {
             None => {
                 let known: Vec<_> = registry::registry().iter().map(|h| h.name()).collect();
                 eprintln!(
-                    "unknown engine {name:?} (registered: {}); using im2row",
+                    "unknown engine {name:?} (registered: {}); running dense convolutions",
                     known.join(", ")
                 );
                 None

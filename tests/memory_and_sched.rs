@@ -1,18 +1,16 @@
-//! Integration: the memory-system and scheduling refinements are
-//! consistent with the whole-network simulator's assumptions.
+//! Integration: the controller's scheduling policy, and the `Machine`'s
+//! assumption that weight DMA hides behind compute, checked on its own
+//! reports.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparsetrain::core::dataflow::synth::{SynthLayer, SynthNet};
-use sparsetrain::core::dataflow::{for_each_forward_op, LayerTrace};
-use sparsetrain::sim::buffer::{BankedBuffer, BufferConfig};
-use sparsetrain::sim::dram::{DramConfig, DramModel};
-use sparsetrain::sim::pipeline::{pipeline_latency, stages_from_report};
+use sparsetrain::core::dataflow::{for_each_forward_op, LayerTrace, NetworkTrace};
 use sparsetrain::sim::sched::{compare_policies, lower_bound, Policy};
 use sparsetrain::sim::{ArchConfig, Machine};
 use sparsetrain::sparse::work::src_work;
 
-fn synth_trace(density: f64) -> sparsetrain::core::dataflow::NetworkTrace {
+fn synth_trace(density: f64) -> NetworkTrace {
     let mut rng = StdRng::seed_from_u64(99);
     SynthNet::new("mem-sched", "synthetic")
         .conv(
@@ -34,36 +32,27 @@ fn synth_trace(density: f64) -> sparsetrain::core::dataflow::NetworkTrace {
         .generate(&mut rng)
 }
 
-#[test]
-fn streaming_dram_sustains_near_peak_bandwidth() {
-    // The simulator assumes flat DRAM bandwidth for streamed spills; the
-    // row-buffer model must justify that: > 90% of peak on streams.
-    let mut dram = DramModel::new(DramConfig::lpddr4_like());
-    let stats = dram.read(0, 512 * 1024);
-    let peak = dram.config().burst_words as f64 / dram.config().burst_cycles as f64;
-    let achieved = dram.effective_bandwidth(&stats);
-    assert!(
-        achieved > 0.9 * peak,
-        "stream bandwidth {achieved:.2} below 90% of peak {peak:.2}"
-    );
+/// One training step as the controller runs it, as `(compute, dma)`
+/// cycles per step: every forward in layer order, then each layer's GTA
+/// and GTW in reverse layer order. Steps with neither (the first layer's
+/// skipped GTA) are left out. DMA is the step's DRAM words at the
+/// configured bandwidth.
+fn step_timeline(machine: &Machine, trace: &NetworkTrace) -> Vec<(u64, u64)> {
+    let report = machine.simulate(trace);
+    let dma = |words: u64| words.div_ceil(machine.config().dram_words_per_cycle);
+    let forwards = report.layers.iter().map(|l| &l.steps[0]);
+    let backwards = report.layers.iter().rev().flat_map(|l| &l.steps[1..]);
+    forwards
+        .chain(backwards)
+        .map(|s| (s.cycles, dma(s.dram_words)))
+        .filter(|&(compute, dma)| compute > 0 || dma > 0)
+        .collect()
 }
 
-#[test]
-fn interleaved_buffer_supports_configured_bandwidth() {
-    // ArchConfig promises `sram_words_per_cycle` aggregate bandwidth; a
-    // banked buffer with that many single-port banks delivers it on the
-    // interleaved streams the compressed format produces.
-    let cfg = ArchConfig::paper_default();
-    let banks = cfg.sram_words_per_cycle as usize;
-    let mut buf = BankedBuffer::new(BufferConfig {
-        banks,
-        words_per_bank_per_cycle: 1,
-        capacity_words: cfg.buffer_bytes / cfg.word_bytes,
-    });
-    let words = 64 * banks as u64;
-    let cycles = buf.service_stream(0, words, banks);
-    assert_eq!(cycles, 64, "interleaved stream must hit one word/bank/cycle");
-    assert_eq!(buf.stats().conflict_cycles, 0);
+/// Steps whose successor's DMA does not fit under their own compute: the
+/// bubbles a double-buffered prefetch cannot hide.
+fn exposed_steps(timeline: &[(u64, u64)]) -> usize {
+    timeline.windows(2).filter(|w| w[1].1 > w[0].0).count()
 }
 
 #[test]
@@ -108,23 +97,18 @@ fn controller_policy_is_near_optimal_on_real_task_lists() {
 
 #[test]
 fn pipeline_model_confirms_dma_hiding_at_paper_buffer_size() {
-    // The Machine treats per-batch weight traffic as overlapped. The
-    // pipeline model, built from the Machine's own report, must agree:
-    // pipelined latency ≈ compute latency (no exposed DMA beyond the
-    // first prefetch).
+    // The Machine treats per-batch weight traffic as overlapped: each
+    // step's DMA must be prefetchable behind the previous step's compute.
     let trace = synth_trace(0.4);
     let machine = Machine::new(ArchConfig::paper_default());
-    let report = machine.simulate(&trace);
-    let stages = stages_from_report(&report, machine.config());
+    let timeline = step_timeline(&machine, &trace);
     // 3 forwards + (gta, gtw) per layer, minus the first layer's skipped
     // GTA which the controller never schedules.
-    assert_eq!(stages.len(), 3 + 2 * 3 - 1);
-    let p = pipeline_latency(&stages);
-    assert!(p.pipelined_cycles <= p.serial_cycles);
-    assert!(
-        p.dma_hidden(),
-        "paper-size buffer should hide DMA: {} exposed stages",
-        p.exposed_stages
+    assert_eq!(timeline.len(), 3 + 2 * 3 - 1);
+    assert_eq!(
+        exposed_steps(&timeline),
+        0,
+        "paper-size buffer should hide DMA: {timeline:?}"
     );
 }
 
@@ -136,15 +120,11 @@ fn starved_dram_exposes_pipeline_bubbles() {
     let mut cfg = ArchConfig::paper_default();
     cfg.dram_words_per_cycle = 1;
     cfg.batch_size = 1; // no amortization
-    let machine = Machine::new(cfg);
-    let report = machine.simulate(&trace);
-    let stages = stages_from_report(&report, machine.config());
-    let p = pipeline_latency(&stages);
+    let timeline = step_timeline(&Machine::new(cfg), &trace);
     assert!(
-        p.exposed_stages > 0,
-        "1 word/cycle DRAM cannot hide weight traffic"
+        exposed_steps(&timeline) > 0,
+        "1 word/cycle DRAM cannot hide weight traffic: {timeline:?}"
     );
-    assert!(p.pipelined_cycles > p.compute_cycles);
 }
 
 #[test]
