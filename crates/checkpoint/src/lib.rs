@@ -6,8 +6,10 @@
 //! `StreamSeeds` ladder position, the shuffling RNG, and the frozen execution plan. This crate
 //! captures all of that in a [`Snapshot`], serializes it with a derive-free versioned binary
 //! codec (no external serde — see [`codec`]), and persists it atomically with keep-K rotation
-//! (see [`policy`]). A run killed at any step and resumed from a snapshot is **bitwise
-//! identical** to the uninterrupted run.
+//! (see [`policy`]), either on the caller's thread or on a background writer thread
+//! ([`CheckpointManager::save_in_background`]) so that the write overlaps training. A run
+//! killed at any step and resumed from a snapshot is **bitwise identical** to the
+//! uninterrupted run.
 //!
 //! The trainer-facing integration (`Trainer::snapshot` / `Trainer::resume`) lives in
 //! `sparsetrain-nn`; this crate is deliberately plain data + IO (its only dependencies are the

@@ -3,6 +3,9 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::thread::{self, JoinHandle};
 
 use crate::codec::DecodeError;
 use crate::snapshot::Snapshot;
@@ -123,7 +126,52 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// Writes snapshots atomically (write `.tmp`, fsync, rename) and rotates old files.
+/// Background writes handed off and not yet on disk, in this process.
+static PENDING: Mutex<usize> = Mutex::new(0);
+/// Signalled whenever a background write finishes.
+static SETTLED: Condvar = Condvar::new();
+
+/// Blocks until every background write this process handed off has
+/// finished. Everything here that reads or sweeps a run directory calls it
+/// first, so a reader in the writer's process never sees a directory one
+/// hand-off behind.
+fn wait_for_background_writes() {
+    let mut pending = PENDING.lock().unwrap_or_else(PoisonError::into_inner);
+    while *pending > 0 {
+        pending = SETTLED.wait(pending).unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
+/// Counts one background write from its hand-off until the writer thread
+/// drops it, on success, error or panic alike.
+struct PendingWrite;
+
+impl PendingWrite {
+    fn start() -> Self {
+        *PENDING.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        PendingWrite
+    }
+}
+
+impl Drop for PendingWrite {
+    fn drop(&mut self) {
+        *PENDING.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        SETTLED.notify_all();
+    }
+}
+
+/// Writes snapshots atomically (write `.tmp`, fsync, rename, fsync the
+/// directory) and rotates old files.
+///
+/// [`CheckpointManager::save`] writes on the caller's thread.
+/// [`CheckpointManager::save_in_background`] hands the snapshot to the
+/// manager's writer thread and returns, so the write overlaps whatever the
+/// caller does next. The writer persists snapshots in hand-off order, one at
+/// a time, with one more queued behind it; a hand-off blocks only while the
+/// writer is two behind. [`CheckpointManager::flush`], a foreground save and
+/// dropping the manager wait for the queue to drain. The fault seam is
+/// consulted at the hand-off, on the caller's thread, so an injected fault
+/// lands on the same save either way.
 ///
 /// ```
 /// use sparsetrain_checkpoint::{
@@ -139,8 +187,10 @@ impl std::error::Error for LoadError {}
 ///     optimizer: OptimizerState { lr: 0.1, velocities: vec![] },
 ///     layers: vec![],
 /// };
-/// let path = mgr.save(&snap)?;
-/// assert_eq!(sparsetrain_checkpoint::load(&path)?.position.seed, 1);
+/// mgr.save_in_background(snap.clone())?;
+/// // ... the caller's next step runs while the write is in flight ...
+/// mgr.flush()?;
+/// assert_eq!(sparsetrain_checkpoint::load(&mgr.files()[0])?, snap);
 /// # std::fs::remove_dir_all(&dir).ok();
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -148,6 +198,79 @@ impl std::error::Error for LoadError {}
 pub struct CheckpointManager {
     policy: CheckpointPolicy,
     written: Vec<PathBuf>,
+    /// Spawned by the first background save.
+    writer: Option<Writer>,
+}
+
+/// One snapshot for the writer thread: where it goes, the files keep-K
+/// rotation removes once it is there, and its count in `PENDING`.
+struct Job {
+    snap: Snapshot,
+    torn: bool,
+    path: PathBuf,
+    rotated: Vec<PathBuf>,
+    _pending: PendingWrite,
+}
+
+/// A manager's writer thread. Jobs go in through a one-slot queue and their
+/// results come back in the same order.
+#[derive(Debug)]
+struct Writer {
+    jobs: SyncSender<Job>,
+    results: Receiver<io::Result<()>>,
+    /// Jobs handed off whose result has not been collected.
+    outstanding: usize,
+    thread: JoinHandle<()>,
+}
+
+impl Writer {
+    fn spawn() -> io::Result<Writer> {
+        let (jobs, queue) = mpsc::sync_channel::<Job>(1);
+        let (done, results) = mpsc::channel();
+        let thread = thread::Builder::new().name("stck-writer".into()).spawn(move || {
+            for job in queue {
+                let result = persist(&job.snap, job.torn, &job.path, &job.rotated);
+                if done.send(result).is_err() {
+                    break;
+                }
+            }
+        })?;
+        Ok(Writer {
+            jobs,
+            results,
+            outstanding: 0,
+            thread,
+        })
+    }
+
+    fn hand_off(&mut self, job: Job) -> io::Result<()> {
+        self.jobs.send(job).map_err(|_| writer_stopped())?;
+        self.outstanding += 1;
+        Ok(())
+    }
+
+    /// Collects the results already in, or every outstanding one when
+    /// `wait` is set, and returns the first error among them.
+    fn collect(&mut self, wait: bool) -> io::Result<()> {
+        let mut first = Ok(());
+        while self.outstanding > 0 {
+            let received = if wait {
+                self.results.recv().map_err(|_| writer_stopped())
+            } else {
+                match self.results.try_recv() {
+                    Err(TryRecvError::Empty) => break,
+                    received => received.map_err(|_| writer_stopped()),
+                }
+            };
+            self.outstanding -= 1;
+            first = first.and(received.and_then(|persisted| persisted));
+        }
+        first
+    }
+}
+
+fn writer_stopped() -> io::Error {
+    io::Error::other("the checkpoint writer thread stopped")
 }
 
 impl CheckpointManager {
@@ -156,10 +279,16 @@ impl CheckpointManager {
     /// keeps working across resumed processes).
     pub fn new(policy: CheckpointPolicy) -> io::Result<Self> {
         fs::create_dir_all(&policy.dir)?;
+        // A `.tmp` file of this process's own writer is not an orphan.
+        wait_for_background_writes();
         sweep_orphaned_tmp(&policy.dir)?;
         let mut written = snapshot_files(&policy.dir)?;
         sort_chronologically(&mut written);
-        Ok(CheckpointManager { policy, written })
+        Ok(CheckpointManager {
+            policy,
+            written,
+            writer: None,
+        })
     }
 
     /// The policy this manager enforces.
@@ -167,80 +296,155 @@ impl CheckpointManager {
         &self.policy
     }
 
-    /// Encode and persist `snap` atomically, then rotate down to `keep` files.
-    /// Returns the final snapshot path.
+    /// Encode and persist `snap` atomically on this thread, then rotate down to `keep`
+    /// files. Waits for the background writer's queue to drain first. Returns the final
+    /// snapshot path.
     pub fn save(&mut self, snap: &Snapshot) -> io::Result<PathBuf> {
-        let mut bytes = snap
-            .encode()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        // Fault seams: a write-error fault fails the save before anything hits
-        // disk (an ENOSPC-style transient); a torn-write fault persists only a
-        // prefix but still completes the rename, leaving a corrupt final file
-        // for recovery scans to detect and skip.
-        match sparsetrain_faults::on_checkpoint_write() {
-            Some(sparsetrain_faults::WriteFault::Error) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::StorageFull,
-                    "injected checkpoint write failure (ENOSPC)",
-                ));
-            }
-            Some(sparsetrain_faults::WriteFault::Torn) => {
-                let half = bytes.len() / 2;
-                bytes.truncate(half);
-            }
-            None => {}
+        self.flush()?;
+        let torn = write_fault()?;
+        let (path, rotated) = self.rotation_after(snap);
+        persist(snap, torn, &path, &rotated)?;
+        self.track(&path, rotated.len());
+        Ok(path)
+    }
+
+    /// Hand `snap` to the background writer, which encodes, persists and
+    /// rotates like [`CheckpointManager::save`], and return without waiting
+    /// for the disk (unless the writer is two snapshots behind).
+    ///
+    /// Returns the first error among the background writes that finished
+    /// since the last call, before handing anything off; the error of a
+    /// write still in flight surfaces at a later hand-off or at
+    /// [`CheckpointManager::flush`]. An injected write-error fault fails this
+    /// call before anything is handed off.
+    pub fn save_in_background(&mut self, snap: Snapshot) -> io::Result<()> {
+        if let Some(writer) = &mut self.writer {
+            writer.collect(false)?;
         }
+        let torn = write_fault()?;
+        let (path, rotated) = self.rotation_after(&snap);
+        self.track(&path, rotated.len());
+        let writer = match &mut self.writer {
+            Some(writer) => writer,
+            None => self.writer.insert(Writer::spawn()?),
+        };
+        writer.hand_off(Job {
+            snap,
+            torn,
+            path,
+            rotated,
+            _pending: PendingWrite::start(),
+        })
+    }
+
+    /// Wait until every snapshot handed to the background writer is on disk
+    /// and rotated; returns the first of their errors.
+    pub fn flush(&mut self) -> io::Result<()> {
+        match &mut self.writer {
+            Some(writer) => writer.collect(true),
+            None => Ok(()),
+        }
+    }
+
+    /// Where `snap` goes, and the oldest tracked files keep-K rotation
+    /// removes once it is there.
+    fn rotation_after(&self, snap: &Snapshot) -> (PathBuf, Vec<PathBuf>) {
         let name = format!(
             "ckpt-e{:05}-s{:09}.{SNAPSHOT_EXT}",
             snap.position.epoch, snap.position.step
         );
-        let path = self.policy.dir.join(&name);
-        let tmp = self.policy.dir.join(format!("{name}.tmp"));
-        {
-            let mut file = fs::File::create(&tmp)?;
-            io::Write::write_all(&mut file, &bytes)?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        // The rename is only durable once the directory entry itself is on disk.
-        sync_dir(&self.policy.dir)?;
-        if !self.written.contains(&path) {
-            self.written.push(path.clone());
-        }
-        self.rotate()?;
-        Ok(path)
+        let path = self.policy.dir.join(name);
+        let tracked = self.written.len() + usize::from(!self.written.contains(&path));
+        let excess = match self.policy.keep {
+            0 => 0,
+            keep => tracked.saturating_sub(keep),
+        };
+        (path, self.written[..excess].to_vec())
     }
 
-    fn rotate(&mut self) -> io::Result<()> {
-        if self.policy.keep == 0 {
-            return Ok(());
+    /// `path` joins the tracked files and the `rotated` oldest leave.
+    fn track(&mut self, path: &Path, rotated: usize) {
+        self.written.drain(..rotated);
+        if !self.written.iter().any(|p| p == path) {
+            self.written.push(path.to_path_buf());
         }
-        while self.written.len() > self.policy.keep {
-            let old = self.written.remove(0);
-            match fs::remove_file(&old) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
     }
 
-    /// Paths of the snapshot files this manager currently tracks, oldest first.
+    /// Paths of the snapshot files this manager wrote, adopted or handed to its writer, oldest
+    /// first. A failed background write stays listed, and the files it would have rotated stay
+    /// on disk unlisted until a fresh manager adopts them.
     pub fn files(&self) -> &[PathBuf] {
         &self.written
     }
 }
 
+/// Dropping the manager waits for its writer's queue to drain and joins the
+/// writer thread. The error of a write nobody flushed is dropped here; call
+/// [`CheckpointManager::flush`] to see it.
+impl Drop for CheckpointManager {
+    fn drop(&mut self) {
+        let _ = self.flush();
+        if let Some(Writer { jobs, thread, .. }) = self.writer.take() {
+            // Closing the queue ends the thread's loop. A panic of the thread
+            // has already surfaced as an error of the flush above.
+            drop(jobs);
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The write fault seam: `Err` for an injected write error (an ENOSPC-style
+/// transient that fails the save before anything hits disk), `Ok(true)` for
+/// a torn write (only a prefix is persisted, but the rename still completes,
+/// leaving a corrupt final file for recovery scans to detect and skip).
+fn write_fault() -> io::Result<bool> {
+    match sparsetrain_faults::on_checkpoint_write() {
+        Some(sparsetrain_faults::WriteFault::Error) => Err(io::Error::new(
+            io::ErrorKind::StorageFull,
+            "injected checkpoint write failure (ENOSPC)",
+        )),
+        Some(sparsetrain_faults::WriteFault::Torn) => Ok(true),
+        None => Ok(false),
+    }
+}
+
+/// Encode `snap` and persist it at `path` atomically — write `.tmp`, fsync,
+/// rename, fsync the directory — then delete the `rotated` files. `torn`
+/// keeps only the first half of the bytes.
+fn persist(snap: &Snapshot, torn: bool, path: &Path, rotated: &[PathBuf]) -> io::Result<()> {
+    let mut bytes = snap
+        .encode()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    if torn {
+        bytes.truncate(bytes.len() / 2);
+    }
+    let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
+    {
+        let mut file = fs::File::create(&tmp)?;
+        io::Write::write_all(&mut file, &bytes)?;
+        file.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    // The rename is only durable once the directory entry itself is on disk.
+    sync_dir(path.parent().expect("snapshot paths sit in the run directory"))?;
+    for old in rotated {
+        match fs::remove_file(old) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// Most recent snapshot file in `dir`, by numeric `(epoch, step)` position, if any.
 pub fn latest_in(dir: &Path) -> io::Result<Option<PathBuf>> {
-    let mut files = snapshot_files(dir)?;
-    sort_chronologically(&mut files);
-    Ok(files.pop())
+    Ok(snapshot_files_in(dir)?.pop())
 }
 
 /// Read and decode a snapshot file.
 pub fn load(path: &Path) -> Result<Snapshot, LoadError> {
+    wait_for_background_writes();
     let mut bytes = fs::read(path).map_err(|error| LoadError::Io {
         path: path.to_path_buf(),
         error,
@@ -354,8 +558,10 @@ fn sync_dir(_dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Snapshot files in `dir`, oldest first by numeric `(epoch, step)`.
+/// Snapshot files in `dir`, oldest first by numeric `(epoch, step)`, once
+/// every background write of this process has landed.
 pub fn snapshot_files_in(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    wait_for_background_writes();
     let mut files = snapshot_files(dir)?;
     sort_chronologically(&mut files);
     Ok(files)
@@ -404,6 +610,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sparsetrain-ckpt-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn file_names(mgr: &CheckpointManager) -> Vec<String> {
+        mgr.files()
+            .iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+            .collect()
     }
 
     /// Fault plans are process-global, and every save, load and scan
@@ -476,6 +689,74 @@ mod tests {
     }
 
     #[test]
+    fn background_saves_write_what_foreground_saves_write() {
+        let _g = fault_test_guard();
+        let fg = temp_dir("foreground");
+        let bg = temp_dir("background");
+        let mut fg_mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&fg, 1).with_keep(2)).unwrap();
+        let mut bg_mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&bg, 1).with_keep(2)).unwrap();
+        for step in 1..=4 {
+            fg_mgr.save(&tiny_snapshot(0, step)).unwrap();
+            bg_mgr.save_in_background(tiny_snapshot(0, step)).unwrap();
+            // A reader in this process waits for the writes in flight, so the
+            // newest file is already the one just handed off.
+            let newest = latest_in(&bg).unwrap().expect("the hand-off has landed");
+            assert_eq!(load(&newest).unwrap().position.step, step);
+        }
+        // Two more hand-offs back to back: the second queues behind the first.
+        for step in 5..=6 {
+            fg_mgr.save(&tiny_snapshot(0, step)).unwrap();
+            bg_mgr.save_in_background(tiny_snapshot(0, step)).unwrap();
+        }
+        bg_mgr.flush().unwrap();
+        assert_eq!(file_names(&bg_mgr), file_names(&fg_mgr));
+        assert_eq!(snapshot_files_in(&bg).unwrap(), bg_mgr.files(), "keep 2 on disk");
+        for (a, b) in fg_mgr.files().iter().zip(bg_mgr.files()) {
+            assert_eq!(fs::read(a).unwrap(), fs::read(b).unwrap());
+        }
+        fs::remove_dir_all(&fg).unwrap();
+        fs::remove_dir_all(&bg).unwrap();
+    }
+
+    #[test]
+    fn dropping_the_manager_lands_and_rotates_the_write_in_flight() {
+        let _g = fault_test_guard();
+        let dir = temp_dir("drop-in-flight");
+        let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(1)).unwrap();
+        mgr.save_in_background(tiny_snapshot(0, 1)).unwrap();
+        mgr.save_in_background(tiny_snapshot(0, 2)).unwrap();
+        drop(mgr);
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["ckpt-e00000-s000000002.stck"], "keep 1 on disk, no .tmp");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_background_write_surfaces_at_the_next_save() {
+        let _g = fault_test_guard();
+        let dir = temp_dir("bg-io-error");
+        let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(0)).unwrap();
+        // The directory vanishes under the writer: its `.tmp` cannot be created.
+        fs::remove_dir_all(&dir).unwrap();
+        mgr.save_in_background(tiny_snapshot(0, 1))
+            .expect("the hand-off itself succeeds");
+        // Wait for it to land without collecting its result.
+        assert!(snapshot_files_in(&dir).unwrap().is_empty());
+        let err = mgr
+            .save_in_background(tiny_snapshot(0, 2))
+            .expect_err("the next hand-off returns the failed write's error");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        mgr.save_in_background(tiny_snapshot(0, 3))
+            .expect("an error is returned once");
+        let err = mgr.flush().expect_err("flush returns the last write's error");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        mgr.flush().expect("nothing left in flight");
+    }
+
+    #[test]
     fn manager_adopts_existing_files() {
         let _g = fault_test_guard();
         let dir = temp_dir("adopt");
@@ -488,11 +769,7 @@ mod tests {
         assert_eq!(mgr.files().len(), 2);
         mgr.save(&tiny_snapshot(3, 30)).unwrap();
         assert_eq!(mgr.files().len(), 2);
-        let names: Vec<_> = mgr
-            .files()
-            .iter()
-            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
-            .collect();
+        let names = file_names(&mgr);
         assert!(
             names[0].contains("e00002") && names[1].contains("e00003"),
             "kept: {names:?}"
@@ -639,37 +916,51 @@ mod tests {
     #[test]
     fn injected_write_faults_tear_and_fail_saves() {
         let _g = fault_test_guard();
-        let dir = temp_dir("fault-write");
-        let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(0)).unwrap();
-        sparsetrain_faults::install(
-            sparsetrain_faults::FaultPlan::new(5)
-                .with(
-                    sparsetrain_faults::Site::CkptWriteError,
-                    sparsetrain_faults::Trigger::At(0),
-                )
-                .with(
-                    sparsetrain_faults::Site::CkptWriteTorn,
-                    sparsetrain_faults::Trigger::At(1),
-                ),
-        );
-        let err = mgr
-            .save(&tiny_snapshot(1, 10))
-            .expect_err("write-error fault fails the save");
-        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
-        assert!(latest_in(&dir).unwrap().is_none(), "nothing hit disk");
+        // The same plan lands on the same saves whether they write on this
+        // thread or hand off to the background writer.
+        for background in [false, true] {
+            let dir = temp_dir(if background {
+                "fault-write-bg"
+            } else {
+                "fault-write"
+            });
+            let mut mgr =
+                CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(0)).unwrap();
+            let mut save = |snap: Snapshot| -> io::Result<PathBuf> {
+                if background {
+                    mgr.save_in_background(snap)?;
+                    mgr.flush()?;
+                    Ok(mgr.files().last().expect("a write was handed off").clone())
+                } else {
+                    mgr.save(&snap)
+                }
+            };
+            sparsetrain_faults::install(
+                sparsetrain_faults::FaultPlan::new(5)
+                    .with(
+                        sparsetrain_faults::Site::CkptWriteError,
+                        sparsetrain_faults::Trigger::At(0),
+                    )
+                    .with(
+                        sparsetrain_faults::Site::CkptWriteTorn,
+                        sparsetrain_faults::Trigger::At(1),
+                    ),
+            );
+            let err = save(tiny_snapshot(1, 10)).expect_err("write-error fault fails the save");
+            assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+            assert!(latest_in(&dir).unwrap().is_none(), "nothing hit disk");
 
-        let torn = mgr
-            .save(&tiny_snapshot(2, 20))
-            .expect("torn write still renames into place");
-        assert!(matches!(load(&torn), Err(LoadError::Decode { .. })));
+            let torn = save(tiny_snapshot(2, 20)).expect("torn write still renames into place");
+            assert!(matches!(load(&torn), Err(LoadError::Decode { .. })));
 
-        let good = mgr.save(&tiny_snapshot(3, 30)).expect("faults exhausted");
-        sparsetrain_faults::clear();
-        assert_eq!(load(&good).unwrap().position.epoch, 3);
-        // The recovery scan rides over the torn file.
-        let outcome = scan_latest_valid(&dir).unwrap();
-        assert_eq!(outcome.latest_valid.unwrap().1.position.epoch, 3);
-        fs::remove_dir_all(&dir).unwrap();
+            let good = save(tiny_snapshot(3, 30)).expect("faults exhausted");
+            sparsetrain_faults::clear();
+            assert_eq!(load(&good).unwrap().position.epoch, 3);
+            // The recovery scan rides over the torn file.
+            let outcome = scan_latest_valid(&dir).unwrap();
+            assert_eq!(outcome.latest_valid.unwrap().1.position.epoch, 3);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

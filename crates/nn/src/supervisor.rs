@@ -283,7 +283,17 @@ impl Supervisor {
             let shadow = trainer.snapshot();
             let step_before = trainer.stream_seeds().step();
             let started = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| trainer.train_epoch(train))) {
+            // The epoch's last checkpoint lands inside the isolation, so a
+            // failing background write is classified and retried like any
+            // other panic instead of surfacing after the run.
+            let run_epoch = || {
+                let stats = trainer.train_epoch(train);
+                trainer
+                    .flush_checkpoints()
+                    .unwrap_or_else(|e| panic!("cannot write checkpoint: {e}"));
+                stats
+            };
+            match catch_unwind(AssertUnwindSafe(run_epoch)) {
                 Ok(stats) => {
                     streak = 0;
                     let epoch = trainer.stream_seeds().epoch();
@@ -361,6 +371,11 @@ impl Supervisor {
     /// unrecoverable.
     fn recover(&self, trainer: &mut Trainer, shadow: &Snapshot) -> Result<Recovery, SuperviseError> {
         let mut skipped: Vec<String> = Vec::new();
+        // A write handed off before the failure still lands (or fails) first,
+        // so the scan below always sees the same directory.
+        if let Err(e) = trainer.flush_checkpoints() {
+            skipped.push(format!("background checkpoint write failed: {e}"));
+        }
         let dir = trainer.checkpoints().map(|mgr| mgr.policy().dir.clone());
         if let Some(dir) = dir {
             match scan_latest_valid(&dir) {

@@ -487,12 +487,16 @@ impl Trainer {
         self.shard_pool.as_ref().map(ShardPool::health)
     }
 
-    /// Writes a snapshot when the checkpoint policy says one is due —
-    /// `epoch_boundary` selects between the per-epoch and per-step cadence.
+    /// Hands a snapshot to the checkpoint manager's background writer when
+    /// the checkpoint policy says one is due — `epoch_boundary` selects
+    /// between the per-epoch and per-step cadence. The write overlaps the
+    /// steps that follow; the hand-off blocks only while the writer is two
+    /// snapshots behind.
     ///
     /// # Panics
     ///
-    /// Panics when the snapshot cannot be persisted; silently losing
+    /// Panics when a snapshot cannot be persisted (an injected write error
+    /// at this hand-off, a real one at a later hand-off); silently losing
     /// checkpoints would defeat their purpose.
     fn write_due_checkpoint(&mut self, epoch_boundary: bool) {
         let due = match &self.checkpoints {
@@ -505,8 +509,22 @@ impl Trainer {
         }
         let snap = self.snapshot();
         let mgr = self.checkpoints.as_mut().expect("due implies a manager");
-        mgr.save(&snap)
+        mgr.save_in_background(snap)
             .unwrap_or_else(|e| panic!("cannot write checkpoint: {e}"));
+    }
+
+    /// Waits until every checkpoint handed to the background writer is on
+    /// disk and rotated. [`Trainer::train`] ends with it; dropping the
+    /// trainer also waits, but drops the writes' errors.
+    ///
+    /// # Errors
+    ///
+    /// The first I/O error among those writes.
+    pub fn flush_checkpoints(&mut self) -> std::io::Result<()> {
+        match &mut self.checkpoints {
+            Some(mgr) => mgr.flush(),
+            None => Ok(()),
+        }
     }
 
     /// Captures the complete mutable training state as a [`Snapshot`]:
@@ -623,7 +641,12 @@ impl Trainer {
     ///
     /// Epoch numbers continue across [`Trainer::resume`] — a run resumed at
     /// epoch 3 records epochs 4, 5, … — so trajectories of a straight run
-    /// and a resumed run line up record-for-record.
+    /// and a resumed run line up record-for-record. Returns once the last
+    /// checkpoint is on disk ([`Trainer::flush_checkpoints`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a checkpoint cannot be persisted.
     pub fn train(
         &mut self,
         train: &Dataset,
@@ -641,6 +664,8 @@ impl Trainer {
             epochs_run += 1;
             stopped = self.record_epoch(stats, step_before, started, val, metrics, stops);
         }
+        self.flush_checkpoints()
+            .unwrap_or_else(|e| panic!("cannot write checkpoint: {e}"));
         TrainOutcome { epochs_run, stopped }
     }
 
@@ -1035,6 +1060,30 @@ mod tests {
 
         assert_eq!(all_params(&mut straight), all_params(&mut resumed));
         assert_eq!(straight.stream_seeds(), resumed.stream_seeds());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_background_checkpoint_records_the_state_at_its_hand_off() {
+        let (train, _) = SyntheticSpec::tiny(3).generate();
+        let dir = std::env::temp_dir().join(format!("sparsetrain-handoff-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config =
+            TrainConfig::quick().with_checkpoint_policy(CheckpointPolicy::every_epochs(&dir, 1).with_keep(0));
+        let mut trainer = Trainer::new(models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2))), config);
+        trainer.train_epoch(&train);
+        let handed_off = trainer.snapshot().encode().unwrap();
+        // The next epoch trains while the first epoch's write is in flight.
+        trainer.train(&train, None, 1, &mut MetricStore::new(), &mut []);
+        let files = trainer.checkpoints().expect("manager active").files().to_vec();
+        assert_eq!(files.len(), 2, "{files:?}");
+        assert_eq!(std::fs::read(&files[0]).unwrap(), handed_off);
+        // Read without the checkpoint crate's wait: `train` returned with
+        // its last write landed.
+        assert_eq!(
+            std::fs::read(&files[1]).unwrap(),
+            trainer.snapshot().encode().unwrap()
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -161,6 +161,34 @@ fn kill_mid_epoch_recovers_bitwise_from_disk() {
 }
 
 #[test]
+fn kill_right_after_a_checkpoint_resumes_from_that_checkpoint() {
+    let _g = FaultGuard::lock();
+    let train = dataset();
+    let e = steps_per_epoch(&train);
+    let (ref_bits, _) = reference(&train, TrainConfig::quick());
+    // The kill lands right after a cadence step, while that step's snapshot
+    // may still sit in the background writer's queue: recovery waits for it
+    // and resumes there, not from the snapshot three steps older.
+    let step = (e + 1).next_multiple_of(3);
+    let dir = temp_dir("kill-after-ckpt");
+    let config = TrainConfig::quick().with_checkpoint_policy(CheckpointPolicy::every_steps(&dir, 3));
+    faults::install(FaultPlan::new(42).with(Site::StepKill, Trigger::At(step - 1)));
+    let mut trainer = make_trainer(config);
+    let mut metrics = MetricStore::new();
+    let out = quick_supervisor()
+        .train(&mut trainer, &train, None, 3, &mut metrics, &mut [])
+        .unwrap();
+
+    assert_eq!(out.recoveries, 1);
+    let rec = &metrics.recoveries()[0];
+    assert_eq!((rec.kind.as_str(), rec.source.as_str()), ("kill", "disk"));
+    assert_eq!(rec.resumed_step, step);
+    assert!(rec.skipped.is_empty(), "{:?}", rec.skipped);
+    assert_eq!(param_bits(&mut trainer), ref_bits);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn loader_fault_retries_via_shadow_and_stays_bitwise() {
     let _g = FaultGuard::lock();
     let train = dataset();
