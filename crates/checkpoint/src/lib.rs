@@ -3,7 +3,7 @@
 //! Because pruning randomness is counter-based (the Philox stream ladder in
 //! `sparsetrain_core::prune::stream`), a training run's entire trajectory is a pure function of
 //! its recorded state: model parameters, optimizer velocities, pruner accumulators, the
-//! `StreamSeeds` ladder position, the shuffling RNG, and the frozen execution plan. This crate
+//! `StreamSeeds` ladder position and the shuffling RNG. This crate
 //! captures all of that in a [`Snapshot`], serializes it with a derive-free versioned binary
 //! codec (no external serde — see [`codec`]), and persists it atomically with keep-K rotation
 //! (see [`policy`]), either on the caller's thread or on a background writer thread
@@ -29,13 +29,13 @@
 //! |---|---|---|---|
 //! | 1 | `position` | mandatory | run seed + epoch/step/steps-into-epoch counters |
 //! | 2 | `shuffle-rng` | mandatory | the dataset-shuffle RNG's four `u64` state words |
-//! | 3 | `plan` | optional¹ | the frozen execution plan as legacy text |
+//! | 3 | `plan` | optional¹ | a legacy execution plan as text |
 //! | 4 | `optimizer` | mandatory | learning rate + per-tensor momentum velocity buffers |
 //! | 5 | `layers` | mandatory | per-layer params / RNG / density / pruner state entries |
-//! | 6 | `plan-program` | optional¹ | the frozen plan as a compiled binary `STPLAN` program |
+//! | 6 | `plan-program` | optional¹ | a legacy plan as a binary `STPLAN` program |
 //!
-//! ¹ A snapshot carries its plan in exactly one of the two forms; a container holding both is
-//! rejected as a duplicate section. The normative byte-level layout (including the per-kind
+//! ¹ Only older snapshots carry a plan, in at most one of the two forms; a container holding
+//! both is rejected as a duplicate section. The normative byte-level layout (including the per-kind
 //! `layers` bodies) is `docs/FORMATS.md` at the repository root; the implementation is
 //! [`codec`], whose golden-byte tests pin the layout — any change there is a wire-format
 //! break and must bump [`codec::VERSION`].

@@ -79,15 +79,16 @@ impl LayerState {
     }
 }
 
-/// A frozen execution plan embedded in a snapshot, in either of the planner's serialized forms.
-/// The bytes are opaque here — this crate stores and round-trips them bit-exactly; the trainer
-/// resolves them through the planner's parsers on resume.
+/// A legacy execution plan embedded in a snapshot, in either of its serialized forms. The bytes
+/// are opaque here — this crate stores and round-trips them bit-exactly; on an `auto` resume the
+/// trainer reads them with `sparsetrain_sparse::legacy_plan`'s decoders, checks the plan
+/// float-only and ignores it. The trainer itself embeds no plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanPayload {
     /// The line-oriented text format (`Plan::from_text` parses it) — what snapshots before the binary
     /// program format carried.
     Text(String),
-    /// A compiled `STPLAN` binary execution program (`Plan::encode`).
+    /// A binary `STPLAN` execution program (`Plan::decode` reads it).
     Program(Vec<u8>),
 }
 
@@ -98,7 +99,8 @@ pub struct Snapshot {
     pub position: RunPosition,
     /// Shuffling `StdRng` (xoshiro256++) state as captured at the start of the current epoch.
     pub shuffle_rng: [u64; 4],
-    /// Frozen execution plan, if the run used the `auto` engine.
+    /// Legacy execution plan, carried by snapshots from before plans were dropped; `None` in
+    /// every snapshot the trainer takes now.
     pub plan: Option<PlanPayload>,
     /// Optimizer state.
     pub optimizer: OptimizerState,

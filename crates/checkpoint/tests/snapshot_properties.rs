@@ -1,5 +1,5 @@
 //! Property and corruption tests for the binary `.stck` snapshot format,
-//! mirroring the `STPLAN` suite in `crates/sparse/tests/plan_program.rs`:
+//! alongside the `STPLAN` reader suite in `crates/sparse/tests/plan_program.rs`:
 //! arbitrary snapshots round-trip losslessly through `encode` → `decode`,
 //! encoding is canonical (encode∘decode is the identity on bytes), and
 //! corrupted input — random truncation, random byte mutation — returns a

@@ -1,6 +1,6 @@
 //! The house binary container, written once.
 //!
-//! Every sectioned artifact this workspace persists (`.stck` snapshots, `STPLAN` execution
+//! Every sectioned artifact this workspace reads (`.stck` snapshots, legacy `STPLAN` execution
 //! programs) is the same frame around format-specific payloads (all integers little-endian,
 //! floats as IEEE-754 bit patterns):
 //!

@@ -2,10 +2,9 @@
 //!
 //! Recovery code that is only exercised by hand-built fixtures is recovery
 //! code that has never run. This crate plants *injection sites* at the real
-//! failure seams — checkpoint write/read I/O, plan decoding, engine
-//! dispatch, the data loader, the optimizer-step boundary, the shard
-//! workers — and drives them from a [`FaultPlan`]: a seeded, counter-keyed
-//! schedule of faults.
+//! failure seams — checkpoint write/read I/O, engine dispatch, the data
+//! loader, the optimizer-step boundary, the shard workers — and drives
+//! them from a [`FaultPlan`]: a seeded, counter-keyed schedule of faults.
 //!
 //! # Sites
 //!
@@ -15,7 +14,6 @@
 //! | `ckpt.write-error` | checkpoint save ([`on_checkpoint_write`]) | save fails with an ENOSPC-shaped `io::Error` before writing |
 //! | `ckpt.read-short` | checkpoint load ([`on_checkpoint_read`]) | the file reads back truncated to half |
 //! | `ckpt.read-flip` | checkpoint load ([`on_checkpoint_read`]) | one seeded bit flipped in the read bytes |
-//! | `plan.flip` | plan decode ([`on_plan_decode`]) | one seeded bit flipped in the `STPLAN` program |
 //! | `engine.panic` | engine dispatch ([`on_engine_dispatch`]) | the dispatch panics (`:engine` filter available) |
 //! | `loader.error` | batch assembly ([`on_loader`]) | the batch fetch panics |
 //! | `step.kill` | optimizer-step boundary ([`on_step_kill`]) | SIGKILL-shaped crash of the epoch loop |
@@ -93,8 +91,6 @@ pub enum Site {
     CkptReadShort,
     /// Checkpoint load sees one flipped bit.
     CkptReadFlip,
-    /// Execution-plan decode sees one flipped bit.
-    PlanDecodeFlip,
     /// Engine dispatch panics (a kernel blowing up mid-band).
     EnginePanic,
     /// The data loader fails while assembling a batch.
@@ -115,12 +111,11 @@ pub enum Site {
 
 impl Site {
     /// Every defined site.
-    pub const ALL: [Site; 10] = [
+    pub const ALL: [Site; 9] = [
         Site::CkptWriteTorn,
         Site::CkptWriteError,
         Site::CkptReadShort,
         Site::CkptReadFlip,
-        Site::PlanDecodeFlip,
         Site::EnginePanic,
         Site::LoaderError,
         Site::StepKill,
@@ -136,7 +131,6 @@ impl Site {
             Site::CkptWriteError => "ckpt.write-error",
             Site::CkptReadShort => "ckpt.read-short",
             Site::CkptReadFlip => "ckpt.read-flip",
-            Site::PlanDecodeFlip => "plan.flip",
             Site::EnginePanic => "engine.panic",
             Site::LoaderError => "loader.error",
             Site::StepKill => "step.kill",
@@ -444,12 +438,6 @@ pub fn on_checkpoint_read() -> Option<ReadFault> {
     }
 }
 
-/// Plan-decode hook: `Some(salt)` means flip the bit `salt` selects in the
-/// encoded plan bytes before decoding.
-pub fn on_plan_decode() -> Option<u64> {
-    fire(Site::PlanDecodeFlip, None)
-}
-
 /// Engine-dispatch hook: `true` means the caller must panic (via
 /// [`panic_injected`] with the engine name as detail, so the supervisor
 /// can quarantine it).
@@ -538,7 +526,6 @@ mod tests {
         assert!(!is_active());
         assert!(on_checkpoint_write().is_none());
         assert!(on_checkpoint_read().is_none());
-        assert!(on_plan_decode().is_none());
         assert!(!on_engine_dispatch("scalar"));
         assert!(!on_loader());
         assert!(!on_step_kill());
@@ -656,6 +643,7 @@ mod tests {
             "step.kill@x",
             "loader.error~1.5",
             "loader.error~p",
+            "seed=1;plan.flip@0",
         ] {
             assert!(FaultPlan::from_spec(bad).is_err(), "{bad:?} should not parse");
         }

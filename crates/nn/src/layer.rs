@@ -162,8 +162,8 @@ impl FromIterator<Tensor3> for Batch<'static> {
 /// batch while convolution executes one batched engine call.
 ///
 /// Both passes receive the session's [`ExecutionContext`] — the engine
-/// resolved once (by name, through the registry) plus, on `auto`, its
-/// plan — so no layer ever re-resolves an engine token.
+/// resolved once (by name, through the registry) — so no layer ever
+/// re-resolves an engine token.
 ///
 /// Beyond compute, the trait carries the instrumentation the experiments
 /// need: parameter visitation for the optimizer, activation-gradient

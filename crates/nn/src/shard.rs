@@ -47,7 +47,7 @@ use crate::sequential::Sequential;
 use crate::supervisor::{panic_text, SupervisorConfig};
 use crate::train::step_body;
 use sparsetrain_core::prune::{SiteStats, StreamSeeds};
-use sparsetrain_sparse::{EngineHandle, ExecutionContext, Plan};
+use sparsetrain_sparse::{EngineHandle, ExecutionContext};
 use sparsetrain_tensor::Tensor3;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -224,36 +224,21 @@ pub enum WorkerReply {
     },
 }
 
-/// How worker replicas execute kernels. Resolved once per pool: when the
-/// coordinator's `auto` context holds a plan (from `SPARSETRAIN_PLAN` or a
-/// resumed snapshot), the plan is distributed as compiled `STPLAN` bytes
-/// and replayed verbatim on every worker.
+/// How worker replicas execute kernels, resolved once per pool.
 #[derive(Debug, Clone)]
 pub enum EngineSetup {
     /// Default dense (im2row) execution on the scalar context.
     Dense,
     /// Engine-driven sparse execution on the named backend.
     Engine(EngineHandle),
-    /// Sparse execution replaying an encoded execution program
-    /// ([`Plan::encode`]).
-    Program(Vec<u8>),
 }
 
 impl EngineSetup {
     /// Builds a worker's execution context.
-    ///
-    /// # Panics
-    ///
-    /// Panics when embedded program bytes do not decode — the coordinator
-    /// encoded them from a live plan, so corruption here is a bug, not an
-    /// input error.
     pub fn context(&self) -> ExecutionContext {
         match self {
             EngineSetup::Dense => ExecutionContext::scalar(),
             EngineSetup::Engine(handle) => ExecutionContext::new(*handle),
-            EngineSetup::Program(bytes) => ExecutionContext::with_plan(
-                Plan::decode(bytes).expect("coordinator-encoded plan must decode"),
-            ),
         }
     }
 
@@ -267,7 +252,6 @@ impl EngineSetup {
         match self {
             EngineSetup::Dense => "scalar",
             EngineSetup::Engine(handle) => handle.name(),
-            EngineSetup::Program(_) => "auto",
         }
     }
 }

@@ -333,12 +333,6 @@ impl Supervisor {
                     let failed_step = trainer.stream_seeds().step();
                     let recover_started = Instant::now();
                     let recovery = self.recover(trainer, &shadow)?;
-                    // Resuming may rebuild the execution context (a
-                    // snapshot embedding a plan replaces it), dropping the
-                    // quarantine list — re-apply the full set.
-                    for engine in &quarantined {
-                        trainer.context_mut().quarantine(engine);
-                    }
                     recoveries += 1;
                     metrics.record_recovery(RecoveryRecord {
                         kind: failure.kind.to_string(),

@@ -163,8 +163,9 @@ pub enum ResumeError {
         /// The state kind (`"params"`, `"rng"`, …).
         kind: &'static str,
     },
-    /// The embedded execution plan did not decode, or names an engine the
-    /// registry does not have.
+    /// On an `auto` trainer, the snapshot's legacy execution plan did not
+    /// decode, or names an engine the registry does not have or one other
+    /// than `scalar` / `simd` ([`PlanError::NotFloat`]).
     Plan(PlanError),
 }
 
@@ -233,8 +234,8 @@ pub struct Trainer {
     resume_skip: u64,
     checkpoints: Option<CheckpointManager>,
     /// The worker pool when the config shards training; spawned lazily so
-    /// that `resume` can tear it down (a resumed plan must reach the
-    /// workers) and the next epoch rebuilds it.
+    /// that `resume` can tear it down and the next epoch rebuilds it from
+    /// the restored network.
     shard_pool: Option<ShardPool>,
 }
 
@@ -456,8 +457,7 @@ impl Trainer {
 
     /// Spawns the worker pool if the config shards training and no pool is
     /// live: replicates the network as the respawn template and resolves
-    /// the engine setup — distributing the execution plan as compiled
-    /// `STPLAN` bytes when the `auto` context holds one.
+    /// the engine setup.
     fn ensure_shard_pool(&mut self) {
         let Some(spec) = self.config.shard.clone() else {
             return;
@@ -465,13 +465,7 @@ impl Trainer {
         if self.shard_pool.is_some() {
             return;
         }
-        let setup = if let Some(plan) = self.ctx.plan() {
-            EngineSetup::Program(plan.encode().expect("plans are always encodable"))
-        } else if let Some(handle) = self.config.engine {
-            EngineSetup::Engine(handle)
-        } else {
-            EngineSetup::Dense
-        };
+        let setup = self.config.engine.map_or(EngineSetup::Dense, EngineSetup::Engine);
         let template = self
             .net
             .try_replicate()
@@ -529,10 +523,9 @@ impl Trainer {
 
     /// Captures the complete mutable training state as a [`Snapshot`]:
     /// parameters, optimizer velocities, pruner statistics, RNG positions,
-    /// the `(seed, epoch, step)` ladder, and the active execution plan (if
-    /// the `auto` context holds one — embedded as its `STPLAN` bytes,
-    /// [`Plan::encode`]). Feeding it to [`Trainer::resume`] on a fresh
-    /// trainer reproduces the remaining run bitwise.
+    /// the `(seed, epoch, step)` ladder. It embeds no execution plan.
+    /// Feeding it to [`Trainer::resume`] on a fresh trainer reproduces the
+    /// remaining run bitwise.
     pub fn snapshot(&self) -> Snapshot {
         // Mid-epoch the shuffle must be replayed from the epoch's start, so
         // store the pre-shuffle state; at an epoch boundary the live state
@@ -552,10 +545,7 @@ impl Trainer {
                 steps_into_epoch: self.steps_into_epoch,
             },
             shuffle_rng,
-            plan: self
-                .ctx
-                .plan()
-                .map(|plan| PlanPayload::Program(plan.encode().expect("plans are always encodable"))),
+            plan: None,
             optimizer: OptimizerState {
                 lr: self.sgd.learning_rate(),
                 velocities: self.sgd.velocities().to_vec(),
@@ -569,16 +559,18 @@ impl Trainer {
     /// seed as the run that produced the snapshot; continuing afterwards
     /// reproduces the original trajectory bitwise.
     ///
-    /// When the snapshot embeds an execution plan — binary program or
-    /// legacy text payload — and this trainer runs on the `auto` engine,
-    /// the context routes its cells through that plan from here on (an
-    /// explicitly pinned engine takes precedence over the plan).
+    /// When the snapshot embeds a legacy execution plan — binary program or
+    /// text payload — and this trainer runs on the `auto` engine, the plan
+    /// is read and checked float-only ([`sparsetrain_sparse::Plan::check_float`]),
+    /// then ignored: its cells all run on `scalar` or `simd`, which are
+    /// bitwise equal. A pinned engine ignores the plan unread.
     ///
     /// # Errors
     ///
-    /// Rejects seed mismatches, unparseable embedded plans, and layer state
-    /// that no layer claims or that disagrees with the network's shapes.
-    /// The trainer may be partially restored after a layer error.
+    /// Rejects seed mismatches, on `auto` embedded plans that do not parse
+    /// or name an engine other than `scalar` / `simd`, and layer state that
+    /// no layer claims or that disagrees with the network's shapes. The
+    /// trainer may be partially restored after a layer error.
     pub fn resume(&mut self, snap: &Snapshot) -> Result<(), ResumeError> {
         if snap.position.seed != self.config.seed {
             return Err(ResumeError::SeedMismatch {
@@ -586,26 +578,13 @@ impl Trainer {
                 config: self.config.seed,
             });
         }
-        if let Some(payload) = &snap.plan {
-            if self.ctx.engine_name() == "auto" {
-                let plan = match payload {
-                    PlanPayload::Text(text) => Plan::from_text(text),
-                    PlanPayload::Program(bytes) => {
-                        // Fault seam: a plan-decode fault flips one seeded
-                        // bit in the embedded program (cloning only when the
-                        // fault actually fires), which must surface as a
-                        // typed ResumeError so recovery skips this snapshot.
-                        let flipped = sparsetrain_faults::on_plan_decode().map(|salt| {
-                            let mut bytes = bytes.clone();
-                            sparsetrain_faults::flip_bit(&mut bytes, salt);
-                            bytes
-                        });
-                        Plan::decode(flipped.as_deref().unwrap_or(bytes))
-                    }
-                }
-                .map_err(ResumeError::Plan)?;
-                self.ctx = ExecutionContext::with_plan(plan);
+        if let (Some(payload), "auto") = (&snap.plan, self.ctx.engine_name()) {
+            match payload {
+                PlanPayload::Text(text) => Plan::from_text(text),
+                PlanPayload::Program(bytes) => Plan::decode(bytes),
             }
+            .and_then(|plan| plan.check_float())
+            .map_err(ResumeError::Plan)?;
         }
         for state in &snap.layers {
             match self.net.restore_state(state) {
@@ -626,10 +605,9 @@ impl Trainer {
         self.epoch_start_rng = snap.shuffle_rng;
         self.steps_into_epoch = snap.position.steps_into_epoch;
         self.resume_skip = snap.position.steps_into_epoch;
-        // A resumed snapshot may have installed a different execution plan;
-        // tear the worker pool down so the next epoch respawns it with the
-        // restored plan (snapshots are shard-agnostic, so resuming under a
-        // different worker count is fine).
+        // Tear the worker pool down so the next epoch respawns it from the
+        // restored network (snapshots are shard-agnostic, so resuming under
+        // a different worker count is fine).
         self.shard_pool = None;
         Ok(())
     }

@@ -93,110 +93,6 @@ fn scalar_and_parallel_training_trajectories_are_bitwise_equal() {
     assert_eq!(scalar, parallel);
 }
 
-/// A plan handed to an `auto` context leaves the training trajectory
-/// unchanged and travels with the snapshot: every engine a plan names here
-/// is bitwise-identical to scalar, so two epochs with the plan's cells
-/// routed to `parallel:im2row`, `scalar`, `parallel` and (by default)
-/// `simd` must land bit-for-bit on the scalar trajectory; running records
-/// nothing into the plan, two runs embed byte-identical programs, and a
-/// resumed trainer carries the same plan on.
-#[test]
-fn auto_planner_training_trajectory_is_bitwise_scalar() {
-    use sparsetrain_sparse::{Plan, Stage};
-    let (train, _) = SyntheticSpec::tiny(2).generate();
-    let handed_in = || {
-        let mut plan = Plan::new("simd".parse().unwrap());
-        plan.set("conv1", Stage::Forward, "parallel:im2row".parse().unwrap());
-        plan.set("conv1", Stage::WeightGrad, "scalar".parse().unwrap());
-        plan.set("conv2", Stage::InputGrad, "parallel".parse().unwrap());
-        plan
-    };
-    let fresh = |name: &str| {
-        Trainer::new(
-            models::mini_cnn(2, 4, None),
-            TrainConfig::quick().with_engine_name(name),
-        )
-    };
-    // The plan and snapshot after one epoch, the parameters after two.
-    let run = |name: &str| {
-        let mut trainer = fresh(name);
-        if name == "auto" {
-            *trainer.context_mut() = ExecutionContext::with_plan(handed_in());
-        }
-        trainer.train_epoch(&train);
-        let plan = trainer.context_mut().plan().cloned();
-        let snap = trainer.snapshot();
-        trainer.train_epoch(&train);
-        let mut params = Vec::new();
-        trainer.network_mut().visit_params(&mut |w: &mut [f32], _| {
-            params.extend_from_slice(w);
-        });
-        (params, plan, snap)
-    };
-    let (auto_params, auto_plan, auto_snap) = run("auto");
-    let (scalar_params, scalar_plan, _) = run("scalar");
-    assert_eq!(auto_params, scalar_params);
-    assert!(scalar_plan.is_none());
-    let auto_plan = auto_plan.expect("auto context holds the plan handed in");
-    assert_eq!(auto_plan, handed_in(), "running changed a plan cell");
-
-    let (_, again_plan, _) = run("auto");
-    let encode = |plan: &Plan| plan.encode().expect("plans encode");
-    assert_eq!(
-        encode(&auto_plan),
-        encode(&again_plan.expect("auto context holds the plan handed in")),
-        "two auto runs of one seed carried different plans"
-    );
-    let mut resumed = fresh("auto");
-    resumed.resume(&auto_snap).expect("resume");
-    assert_eq!(
-        resumed.context_mut().plan(),
-        Some(&auto_plan),
-        "the resumed trainer reports different cells"
-    );
-}
-
-/// A replayed plan is honoured end to end: pin one conv's forward cell to
-/// `simd` through `ExecutionContext::with_plan`, train, and check the plan
-/// kept the pinned decision while the trajectory stayed bitwise scalar.
-#[test]
-fn replayed_plan_trains_on_the_pinned_engines() {
-    use sparsetrain_sparse::{Plan, Stage};
-    let (train, _) = SyntheticSpec::tiny(2).generate();
-    let scalar = {
-        let mut trainer = Trainer::new(
-            models::mini_cnn(2, 4, None),
-            TrainConfig::quick().with_engine_name("scalar"),
-        );
-        trainer.train_epoch(&train);
-        let mut params = Vec::new();
-        trainer.network_mut().visit_params(&mut |w: &mut [f32], _| {
-            params.extend_from_slice(w);
-        });
-        params
-    };
-    let mut plan = Plan::new("scalar".parse().unwrap());
-    plan.set("conv1", Stage::Forward, "simd".parse().unwrap());
-    let mut trainer = Trainer::new(
-        models::mini_cnn(2, 4, None),
-        TrainConfig::quick().with_engine_name("auto"),
-    );
-    *trainer.context_mut() = ExecutionContext::with_plan(plan);
-    trainer.train_epoch(&train);
-    let decided = trainer
-        .context_mut()
-        .plan()
-        .expect("planned context")
-        .get("conv1", Stage::Forward)
-        .expect("pinned cell survives replay");
-    assert_eq!(decided.name(), "simd");
-    let mut params = Vec::new();
-    trainer.network_mut().visit_params(&mut |w: &mut [f32], _| {
-        params.extend_from_slice(w);
-    });
-    assert_eq!(params, scalar);
-}
-
 /// End-to-end engine selection by name for **every** registered engine —
 /// the fixed-point backend included: one epoch must execute and produce
 /// finite loss on each (Q8.8 gradients underflow on toy nets, so learning

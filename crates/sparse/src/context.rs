@@ -1,10 +1,8 @@
-//! The execution context: one resolved engine plus, on `auto`, the plan
-//! it was handed.
+//! The execution context: one resolved engine plus its quarantine list.
 //!
 //! [`ExecutionContext`] is the object call sites thread through a training
 //! pass instead of re-resolving an engine token at every layer: it owns the
-//! resolved `&'static dyn KernelEngine` (picked once, by [`EngineHandle`])
-//! and, on the `"auto"` engine, the [`Plan`] a file or snapshot handed in.
+//! resolved `&'static dyn KernelEngine` (picked once, by [`EngineHandle`]).
 //! Construction is name-driven — from a registry handle, a string
 //! (`"scalar"`, `"simd"`, `"fixed"`, `"fixed:qI.F"`, the `"parallel"`,
 //! `"parallel:simd"`, `"im2row"`, `"parallel:im2row"` and `"auto"`
@@ -14,33 +12,27 @@
 //! ([`crate::engine::BandContext`], built by the engine's `prepare`), not
 //! in this context, so a context stays valid across calls of any shape.
 //!
-//! # Planned execution
-//!
-//! Convolutions run through three entry points keyed by a layer id —
+//! Convolutions run through three batch entry points —
 //! [`ExecutionContext::forward_batch_for`],
 //! [`ExecutionContext::input_grad_batch_for_into`] and
 //! [`ExecutionContext::weight_grad_batch_for`] — each a thin wrapper that
-//! builds the batch's [`StageOp`]s and hands them to one dispatch
-//! function. A context holding a [`Plan`] runs each `(layer, stage)` cell
-//! on the engine the plan names for it, and a cell the plan does not name
-//! on the plan's default engine; nothing is decided or recorded at run
-//! time. Only an `"auto"` context holds a plan, and only when one is handed
-//! in: the file `SPARSETRAIN_PLAN` names, a snapshot the trainer resumes,
-//! or [`ExecutionContext::with_plan`]. Every other context, `"auto"`
-//! without a plan included, runs every cell on its own engine.
+//! builds the batch's [`StageOp`]s and hands them to the context's one
+//! engine. An `"auto"` context built while `SPARSETRAIN_PLAN` names a
+//! legacy plan file reads the plan and checks it float-only
+//! ([`crate::legacy_plan`]), then runs `simd` like any other `"auto"`
+//! context.
 //!
 //! ```
 //! use sparsetrain_sparse::ExecutionContext;
 //!
-//! let mut ctx = ExecutionContext::by_name("parallel:simd").unwrap();
+//! let ctx = ExecutionContext::by_name("parallel:simd").unwrap();
 //! assert_eq!(ctx.engine_name(), "parallel:simd");
-//! assert!(ctx.plan().is_none()); // not a planned context
 //! ```
 
 use crate::engine::{BatchOut, KernelEngine, StageOp};
+use crate::legacy_plan::{check_env_plan, Plan};
 use crate::mask::RowMask;
-use crate::planner::{env_plan, Plan, Stage};
-use crate::registry::{env_override, lookup, EngineHandle, UnknownEngine};
+use crate::registry::{env_override, lookup, same_engine, EngineHandle, UnknownEngine};
 use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
@@ -51,20 +43,13 @@ fn scalar_handle() -> EngineHandle {
     lookup("scalar").expect("scalar engine is always registered")
 }
 
-/// Whether two handles dispatch to the same engine: an alias and its
-/// target do. Compared by address *and* vtable, because the zero-sized
-/// engines' statics may share an address with another engine's.
-fn same_engine(a: EngineHandle, b: EngineHandle) -> bool {
-    std::ptr::eq(a.engine(), b.engine())
-}
-
-/// A resolved engine plus, on the `"auto"` engine, the plan it was handed.
+/// A resolved engine plus its quarantine list.
 ///
 /// # Quarantine
 ///
 /// A supervisor that catches an engine panicking mid-band can
 /// [`quarantine`](ExecutionContext::quarantine) that engine: every
-/// subsequent dispatch of it — under any of its names, direct or planned —
+/// subsequent dispatch of it — under any of its names —
 /// silently falls back to the `scalar` reference engine instead. Because
 /// every float engine is parity-pinned bitwise to scalar, quarantine
 /// degrades speed, never the training trajectory. (`fixed` is outside that
@@ -74,30 +59,28 @@ fn same_engine(a: EngineHandle, b: EngineHandle) -> bool {
 #[derive(Debug)]
 pub struct ExecutionContext {
     handle: EngineHandle,
-    plan: Option<Plan>,
     quarantined: Vec<EngineHandle>,
     last_dispatch: Cell<Option<&'static str>>,
 }
 
 impl ExecutionContext {
     /// Context executing on the engine `handle` resolves to. Selecting the
-    /// `"auto"` engine while `SPARSETRAIN_PLAN` names a plan file attaches
-    /// that plan.
+    /// `"auto"` engine while `SPARSETRAIN_PLAN` names a legacy plan file
+    /// reads that plan and checks it float-only
+    /// ([`crate::legacy_plan::check_env_plan`]); a float plan is ignored.
     ///
     /// # Panics
     ///
     /// Panics when `SPARSETRAIN_PLAN` is set but names a file that cannot
-    /// be read or parsed (consistent with the other misconfigured-
-    /// environment panics on the selection paths).
+    /// be read or parsed, or a plan naming an engine other than `scalar` /
+    /// `simd` (consistent with the other misconfigured-environment panics
+    /// on the selection paths).
     pub fn new(handle: EngineHandle) -> Self {
-        let plan = if handle.name() == "auto" {
-            env_plan().unwrap_or_else(|e| panic!("{e}"))
-        } else {
-            None
-        };
+        if handle.name() == "auto" {
+            check_env_plan().unwrap_or_else(|e| panic!("{e}"));
+        }
         Self {
             handle,
-            plan,
             quarantined: Vec::new(),
             last_dispatch: Cell::new(None),
         }
@@ -106,18 +89,6 @@ impl ExecutionContext {
     /// Context on the reference scalar engine.
     pub fn scalar() -> Self {
         Self::new(scalar_handle())
-    }
-
-    /// An `"auto"` context holding `plan`: the planned entry points run
-    /// each (layer, stage) cell on the engine `plan` names for it, or on
-    /// its default engine.
-    pub fn with_plan(plan: Plan) -> Self {
-        Self {
-            handle: lookup("auto").expect("auto engine is always registered"),
-            plan: Some(plan),
-            quarantined: Vec::new(),
-            last_dispatch: Cell::new(None),
-        }
     }
 
     /// Context on a registered engine, by name.
@@ -196,21 +167,16 @@ impl ExecutionContext {
         self.last_dispatch.get()
     }
 
-    /// Maps `handle` through the quarantine list: a handle dispatching to
-    /// a quarantined engine resolves to `scalar`, anything else to itself.
-    fn effective(&self, handle: EngineHandle) -> EngineHandle {
-        if self.quarantines(handle) {
+    /// The single choke point every execution goes through: maps the
+    /// context's engine through the quarantine list (a quarantined engine
+    /// runs as `scalar`), records the dispatched engine, and gives the
+    /// fault-injection layer its engine-panic seam.
+    fn dispatch(&self) -> &'static dyn KernelEngine {
+        let effective = if self.quarantines(self.handle) {
             scalar_handle()
         } else {
-            handle
-        }
-    }
-
-    /// The single choke point every execution goes through: applies the
-    /// quarantine mapping, records the dispatched engine, and gives the
-    /// fault-injection layer its engine-panic seam.
-    fn dispatch(&self, handle: EngineHandle) -> &'static dyn KernelEngine {
-        let effective = self.effective(handle);
+            self.handle
+        };
         self.last_dispatch.set(Some(effective.name()));
         if sparsetrain_faults::on_engine_dispatch(effective.name()) {
             sparsetrain_faults::panic_injected(sparsetrain_faults::Site::EnginePanic, effective.name());
@@ -218,41 +184,27 @@ impl ExecutionContext {
         effective.engine()
     }
 
-    /// The plan this context routes cells through — `Some` only on an
-    /// `"auto"` context that was handed one.
+    /// Always `None`: a context holds no plan. A legacy plan is read,
+    /// checked float-only and ignored ([`crate::legacy_plan`]). The method
+    /// stays only because the `stbench` benchmark harness, which must build
+    /// unedited, still reads it; it goes with the harness's next revision.
     pub fn plan(&self) -> Option<&Plan> {
-        self.plan.as_ref()
+        None
     }
 
-    // -- Planned entry points ------------------------------------------------
+    // -- Batch entry points --------------------------------------------------
     //
-    // The per-(layer, stage) seam: callers with a layer identity (Conv2d)
-    // resolve their engine through the plan, when there is one. The three
-    // public methods only build the batch's `StageOp`s and its `BatchOut`;
-    // `run_cell` holds the one copy of the resolution.
+    // The `layer` argument is unused: every cell runs on the context's one
+    // engine. It stays for the `stbench` harness, as `plan` does.
 
-    /// Runs one batch of `stage` ops for `layer` into `out`, through
-    /// [`dispatch`](Self::dispatch), on the engine the plan names for the
-    /// `(layer, stage)` cell (its default when the plan does not name it),
-    /// or on the context's own engine when there is no plan.
-    fn run_cell(&self, layer: &str, stage: Stage, ops: &[StageOp<'_>], out: BatchOut<'_>) {
-        let handle = self
-            .plan
-            .as_ref()
-            .map_or(self.handle, |plan| plan.resolve(layer, stage));
-        self.dispatch(handle).run_batch(ops, out);
-    }
-
-    /// Planned batched forward step: one freshly allocated output per
-    /// input, computed on the engine the `(layer, Forward)` cell resolves
-    /// to (the context's own engine when it holds no plan).
+    /// Batched forward step: one freshly allocated output per input.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches.
     pub fn forward_batch_for(
         &mut self,
-        layer: &str,
+        _layer: &str,
         inputs: &[SparseFeatureMap],
         weights: &Tensor4,
         bias: Option<&[f32]>,
@@ -276,14 +228,13 @@ impl ExecutionContext {
             })
             .collect();
         let slices = outs.iter_mut().map(Tensor3::as_mut_slice).collect();
-        self.run_cell(layer, Stage::Forward, &ops, BatchOut::PerSample(slices));
+        self.dispatch().run_batch(&ops, BatchOut::PerSample(slices));
         outs
     }
 
-    /// Planned batched GTA step, accumulating into the pre-seeded `dins`
-    /// (each sample's `din` sets its own spatial extent; `masks[s]` are
-    /// sample `s`'s forward non-zero masks), resolved per
-    /// `(layer, InputGrad)` cell on planned contexts.
+    /// Batched GTA step, accumulating into the pre-seeded `dins` (each
+    /// sample's `din` sets its own spatial extent; `masks[s]` are sample
+    /// `s`'s forward non-zero masks).
     ///
     /// # Panics
     ///
@@ -291,7 +242,7 @@ impl ExecutionContext {
     /// mismatches.
     pub fn input_grad_batch_for_into(
         &mut self,
-        layer: &str,
+        _layer: &str,
         douts: &[SparseFeatureMap],
         weights: &Tensor4,
         geom: ConvGeometry,
@@ -314,19 +265,18 @@ impl ExecutionContext {
             })
             .collect();
         let slices = dins.iter_mut().map(Tensor3::as_mut_slice).collect();
-        self.run_cell(layer, Stage::InputGrad, &ops, BatchOut::PerSample(slices));
+        self.dispatch().run_batch(&ops, BatchOut::PerSample(slices));
     }
 
-    /// Planned batched GTW step: every sample's weight gradient is added
-    /// into the shared `dw` in sample order, resolved per
-    /// `(layer, WeightGrad)` cell on planned contexts.
+    /// Batched GTW step: every sample's weight gradient is added into the
+    /// shared `dw` in sample order.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() != douts.len()` or on shape mismatches.
     pub fn weight_grad_batch_for(
         &mut self,
-        layer: &str,
+        _layer: &str,
         inputs: &[SparseFeatureMap],
         douts: &[SparseFeatureMap],
         geom: ConvGeometry,
@@ -342,12 +292,8 @@ impl ExecutionContext {
             let shape = (dout.channels(), input.channels(), geom.kernel, geom.kernel);
             assert_eq!(dw.shape(), shape, "dw tensor shape mismatch");
         }
-        self.run_cell(
-            layer,
-            Stage::WeightGrad,
-            &ops,
-            BatchOut::Shared(dw.as_mut_slice()),
-        );
+        self.dispatch()
+            .run_batch(&ops, BatchOut::Shared(dw.as_mut_slice()));
     }
 }
 
@@ -381,7 +327,6 @@ mod tests {
         for name in ["scalar", "parallel", "fixed"] {
             let ctx = ExecutionContext::by_name(name).unwrap();
             assert_eq!(ctx.engine_name(), name);
-            assert!(ctx.plan().is_none(), "{name} must not attach a plan");
         }
         assert_eq!(ExecutionContext::by_name("auto").unwrap().engine_name(), "auto");
         assert!(ExecutionContext::by_name("nope").is_err());
@@ -425,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_entry_points_run_the_resolved_engine_on_unplanned_contexts() {
+    fn entry_points_run_the_resolved_engine() {
         let mut ctx = ExecutionContext::by_name("parallel").unwrap();
         let (inputs, weights, geom) = batch_fixture();
         let outs = ctx.forward_batch_for("conv1", &inputs, &weights, None, geom);
@@ -434,18 +379,13 @@ mod tests {
         let mut dw = Tensor4::zeros(2, 2, 3, 3);
         ctx.weight_grad_batch_for("conv1", &inputs, &inputs, geom, &mut dw);
         assert!(dw.as_slice().iter().any(|&v| v != 0.0));
-        assert!(
-            ctx.plan().is_none(),
-            "no plan state accrues on an unplanned context"
-        );
     }
 
     #[test]
-    fn auto_without_a_plan_runs_its_own_engine_bitwise_scalar() {
+    fn auto_runs_its_own_engine_bitwise_scalar() {
         let mut auto = ExecutionContext::by_name("auto").unwrap();
         let mut scalar = ExecutionContext::scalar();
         let (inputs, weights, geom) = batch_fixture();
-        assert!(auto.plan().is_none(), "no plan was handed in");
 
         let outs = auto.forward_batch_for("c1", &inputs, &weights, None, geom);
         assert_scalar_forward(&outs, &inputs, &weights, geom);
@@ -465,7 +405,6 @@ mod tests {
         for (a, b) in dins_auto.iter().zip(&dins_scalar) {
             assert_eq!(a.as_slice(), b.as_slice());
         }
-        assert!(auto.plan().is_none(), "running records nothing");
     }
 
     #[test]
@@ -492,43 +431,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replayed_plan_cells_respect_quarantine_at_dispatch() {
-        let mut plan = Plan::new(lookup("simd").unwrap());
-        plan.set("c1", Stage::Forward, lookup("simd").unwrap());
-        let mut ctx = ExecutionContext::with_plan(plan);
-        for handle in crate::registry::registry() {
-            ctx.quarantine(handle.name());
-        }
-        let (inputs, weights, geom) = batch_fixture();
-        let outs = ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
-        assert_eq!(
-            ctx.last_dispatched_engine(),
-            Some("scalar"),
-            "pinned cell remapped"
-        );
-        assert_scalar_forward(&outs, &inputs, &weights, geom);
-
-        // A cell the plan does not name runs on the plan's default engine,
-        // and is remapped at dispatch just the same.
-        let outs = ctx.forward_batch_for("c2", &inputs, &weights, None, geom);
-        assert_eq!(ctx.plan().unwrap().get("c2", Stage::Forward), None);
-        assert_eq!(
-            ctx.last_dispatched_engine(),
-            Some("scalar"),
-            "default cell remapped"
-        );
-        assert_scalar_forward(&outs, &inputs, &weights, geom);
-    }
-
     /// Quarantine follows the engine, not the name: once `simd` is
-    /// quarantined, a cell pinned to its alias `parallel:simd` falls back
-    /// to scalar too, and no name of the scalar engine can be quarantined.
+    /// quarantined, a context on its alias `parallel:simd` falls back to
+    /// scalar too, and no name of the scalar engine can be quarantined.
     #[test]
     fn quarantine_follows_the_engine_not_the_name() {
-        let mut plan = Plan::new(lookup("scalar").unwrap());
-        plan.set("c1", Stage::Forward, lookup("parallel:simd").unwrap());
-        let mut ctx = ExecutionContext::with_plan(plan);
+        let mut ctx = ExecutionContext::by_name("parallel:simd").unwrap();
         assert!(ctx.quarantine("simd"));
         let (inputs, weights, geom) = batch_fixture();
         let outs = ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
@@ -541,21 +449,5 @@ mod tests {
         assert!(!ctx.quarantine("parallel"), "an alias of the fallback engine");
         assert!(!ctx.is_quarantined("parallel"));
         assert_eq!(ctx.quarantined(), ["simd"]);
-    }
-
-    #[test]
-    fn replayed_plan_is_honoured_and_unnamed_cells_run_the_default() {
-        let mut plan = Plan::new(lookup("scalar").unwrap());
-        plan.set("c1", Stage::Forward, lookup("simd").unwrap());
-        let mut ctx = ExecutionContext::with_plan(plan.clone());
-        assert_eq!(ctx.engine_name(), "auto");
-        let (inputs, weights, geom) = batch_fixture();
-        let outs = ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
-        assert_scalar_forward(&outs, &inputs, &weights, geom);
-        assert_eq!(ctx.last_dispatched_engine(), Some("simd"));
-        let mut dw = Tensor4::zeros(2, 2, 3, 3);
-        ctx.weight_grad_batch_for("c1", &inputs, &inputs, geom, &mut dw);
-        assert_eq!(ctx.last_dispatched_engine(), Some("scalar"));
-        assert_eq!(ctx.plan(), Some(&plan), "running changes no cell");
     }
 }

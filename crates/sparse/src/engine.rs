@@ -53,21 +53,53 @@
 //! `"fixed"` / `"fixed:qI.F"` (`parallel` is an alias of scalar,
 //! `parallel:simd` / `im2row` / `parallel:im2row` / `auto` of simd, and
 //! anything can be registered at runtime) to engine instances, and
-//! [`crate::context::ExecutionContext`] carries the resolved engine (and,
-//! on `auto`, any plan it was handed) through `sparsetrain-nn`'s
-//! `Trainer`/`Conv2d`; the
+//! [`crate::context::ExecutionContext`] carries the resolved engine
+//! through `sparsetrain-nn`'s `Trainer`/`Conv2d`; the
 //! simulator's cycle accounting consumes the same op enumeration and is
 //! engine-agnostic by construction.
 
 use crate::mask::RowMask;
 use crate::msrc::msrc_accumulate;
 use crate::osrc::osrc_accumulate;
-use crate::planner::Stage;
 use crate::rowconv::SparseFeatureMap;
 use crate::src::src_accumulate;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::Tensor4;
+use std::fmt;
 use std::sync::Arc;
+
+/// The three training-stage convolutions, one per [`StageOp`] variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Stage {
+    /// SRC: the forward convolution (sparse activations × weights).
+    Forward,
+    /// MSRC / GTA: the input-gradient convolution (sparse output
+    /// gradients × rotated weights, forward masks fused).
+    InputGrad,
+    /// OSRC / GTW: the weight-gradient correlation (sparse activations ×
+    /// sparse output gradients).
+    WeightGrad,
+}
+
+impl Stage {
+    /// All stages, in execution order.
+    pub const ALL: [Stage; 3] = [Stage::Forward, Stage::InputGrad, Stage::WeightGrad];
+
+    /// The stable name (`forward`, `input_grad`, `weight_grad`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Forward => "forward",
+            Stage::InputGrad => "input_grad",
+            Stage::WeightGrad => "weight_grad",
+        }
+    }
+}
+
+impl fmt::Display for Stage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// Per-call operand state of one op, shared by every band of one engine
 /// call.

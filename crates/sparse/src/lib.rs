@@ -71,26 +71,24 @@
 //! ([`registry::env_override`]). A resolved engine travels as a
 //! [`context::ExecutionContext`], which `sparsetrain-nn` threads through
 //! every `Layer::forward`/`backward` — no call site ever re-resolves a
-//! token.
+//! token. The context is one engine plus its quarantine list.
 //!
-//! [`planner::Plan`] maps `(layer, stage)` cells to engines, with a default
-//! for the cells it does not name. An `"auto"` context carries one only when
-//! a file (`SPARSETRAIN_PLAN`) or a resumed snapshot hands it in; nothing
-//! is decided at run time. A plan is its own serialized form:
-//! [`Plan::encode`] / [`Plan::decode`] ([`plan_program`], the `STPLAN`
-//! codec) are the one way it crosses a process, worker or checkpoint
-//! boundary.
+//! A legacy [`legacy_plan::Plan`] (one engine per `(layer, stage)` cell)
+//! can still arrive on an `"auto"` context, from the file
+//! `SPARSETRAIN_PLAN` names or from a resumed snapshot. It is read by the
+//! text and `STPLAN` decoders and checked float-only. A float plan is
+//! ignored, which is bitwise identical to running it; a plan naming any
+//! other engine is a typed error.
 
 pub mod compressed;
 pub mod context;
 pub mod engine;
 pub mod fixed_engine;
 pub mod formats;
+pub mod legacy_plan;
 pub mod mask;
 pub mod msrc;
 pub mod osrc;
-pub mod plan_program;
-pub mod planner;
 pub mod registry;
 pub mod rowconv;
 pub mod simd_engine;
@@ -99,9 +97,9 @@ pub mod work;
 
 pub use compressed::{RowError, SparseRow};
 pub use context::ExecutionContext;
-pub use engine::{BandContext, BatchOut, KernelEngine, ScalarEngine, StageOp};
+pub use engine::{BandContext, BatchOut, KernelEngine, ScalarEngine, Stage, StageOp};
 pub use fixed_engine::FixedPointEngine;
+pub use legacy_plan::{Plan, PlanError, PLAN_ENV};
 pub use mask::RowMask;
-pub use planner::{Plan, PlanError, Stage, PLAN_ENV};
 pub use registry::{EngineHandle, UnknownEngine, ENGINE_ENV};
 pub use simd_engine::SimdEngine;

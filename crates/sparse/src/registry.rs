@@ -14,14 +14,14 @@
 //! | `fixed`  | [`crate::fixed_engine::FixedPointEngine`] — Q8.8         |
 //!
 //! plus five aliases that resolve to the engine of `scalar` or `simd`
-//! under their own names, so plans, snapshots and configs naming them
-//! still decode: `parallel` (scalar) and `parallel:simd` are left from when
-//! banding was an engine of its own (every engine's `run_batch` bands
+//! under their own names, so legacy plans, snapshots and configs naming
+//! them still decode: `parallel` (scalar) and `parallel:simd` are left from
+//! when banding was an engine of its own (every engine's `run_batch` bands
 //! now); `im2row` and `parallel:im2row` (simd) from a dense-lowering engine
 //! that won one near-dense forward cell per net; and `auto` (simd) from the
-//! density planner that chose between them. An `auto` context still routes
-//! cells through a plan when one is handed in (see
-//! [`crate::context::ExecutionContext`]).
+//! density planner that chose between them. An `auto` context checks a
+//! legacy plan it is handed float-only and ignores it (see
+//! [`crate::legacy_plan`]).
 //!
 //! In addition, `fixed:qI.F` names (e.g. `"fixed:q4.12"`) resolve to a
 //! [`FixedPointEngine`] in that 16-bit Q-format — parsed, interned and
@@ -73,6 +73,13 @@ impl EngineHandle {
     pub fn engine(&self) -> &'static dyn KernelEngine {
         self.engine
     }
+}
+
+/// Whether two handles dispatch to the same engine: an alias and its
+/// target do. Compared by address *and* vtable, because the zero-sized
+/// engines' statics may share an address with another engine's.
+pub(crate) fn same_engine(a: EngineHandle, b: EngineHandle) -> bool {
+    std::ptr::eq(a.engine(), b.engine())
 }
 
 impl PartialEq for EngineHandle {
@@ -143,8 +150,8 @@ impl fmt::Display for UnknownEngine {
         }
         write!(
             f,
-            " (registered: {}; \"fixed:qI.F\" selects a parameterized 16-bit grid, \"auto\" runs \
-             simd except where a SPARSETRAIN_PLAN file names another engine)",
+            " (registered: {}; \"fixed:qI.F\" selects a parameterized 16-bit grid, \"auto\" is an \
+             alias of simd)",
             self.known.join(", ")
         )
     }
@@ -198,8 +205,8 @@ fn table() -> &'static RwLock<Vec<EngineHandle>> {
             },
             EngineHandle {
                 name: "auto",
-                summary: "alias of simd; follows a plan named by SPARSETRAIN_PLAN or embedded in a \
-                          resumed snapshot",
+                summary: "alias of simd; a legacy plan it is handed (SPARSETRAIN_PLAN, a resumed \
+                          snapshot) is checked float-only and ignored",
                 engine: &SIMD,
             },
         ])
@@ -391,14 +398,11 @@ mod tests {
     }
 
     /// Every alias resolves to its target's engine static yet reports its
-    /// own name everywhere a name shows — `name()`, `Display`, the
-    /// registered-name list of an error, and the engine names an encoded
-    /// plan stores.
+    /// own name everywhere a name shows — `name()`, `Display` and the
+    /// registered-name list of an error.
     #[test]
     fn aliases_keep_their_own_name() {
-        use crate::planner::{Plan, Stage};
         let listed = "warp-drive".parse::<EngineHandle>().unwrap_err().known;
-        let mut plan = Plan::new(lookup("parallel").expect("alias"));
         for (alias, target) in [
             ("parallel", "scalar"),
             ("parallel:simd", "simd"),
@@ -409,17 +413,8 @@ mod tests {
             let (handle, target) = (lookup(alias).expect(alias), lookup(target).expect(target));
             assert_eq!((handle.name(), handle.to_string()), (alias, alias.to_string()));
             assert!(listed.contains(&alias), "{listed:?}");
-            assert!(std::ptr::addr_eq(handle.engine(), target.engine()), "{alias}");
-            plan.set(alias, Stage::Forward, handle);
-            plan.set(alias, Stage::WeightGrad, target);
+            assert!(same_engine(handle, target), "{alias}");
         }
-        // Plan equality is equality of the cells' engine names.
-        let decoded = Plan::decode(&plan.encode().expect("encodes")).expect("decodes");
-        assert_eq!(decoded, plan);
-        assert_eq!(
-            decoded.resolve("parallel:simd", Stage::Forward).name(),
-            "parallel:simd"
-        );
     }
 
     #[test]
@@ -479,9 +474,8 @@ mod tests {
             assert!(msg.contains(name), "{msg}");
         }
         // A typoed SPARSETRAIN_ENGINE is self-diagnosing: the message also
-        // names the parameterized and planned selection specs.
+        // names the parameterized selection spec.
         assert!(msg.contains("fixed:qI.F"), "{msg}");
-        assert!(msg.contains("SPARSETRAIN_PLAN"), "{msg}");
     }
 
     #[test]

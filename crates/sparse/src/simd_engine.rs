@@ -107,9 +107,8 @@
 //! (`"parallel:simd"` is a registry alias of `"simd"`).
 
 use crate::compressed::SparseRow;
-use crate::engine::{map_banded, scalar_band, BandContext, KernelEngine, StageOp};
+use crate::engine::{map_banded, scalar_band, BandContext, KernelEngine, Stage, StageOp};
 use crate::mask::RowMask;
-use crate::planner::Stage;
 use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::Tensor4;

@@ -11,11 +11,12 @@ use sparsetrain::nn::data::{Dataset, SyntheticSpec};
 use sparsetrain::nn::layer::Layer;
 use sparsetrain::nn::metrics::MetricStore;
 use sparsetrain::nn::models;
-use sparsetrain::nn::train::{TrainConfig, Trainer};
-use sparsetrain::sparse::{ExecutionContext, Plan, Stage};
+use sparsetrain::nn::train::{ResumeError, TrainConfig, Trainer};
+use sparsetrain::sparse::legacy_plan::load_plan;
+use sparsetrain::sparse::{Plan, PlanError, Stage};
 
 /// The float engines the bitwise-resume guarantee is enforced on (`auto`
-/// additionally exercises plan embed/replay; fixed-point engines are
+/// additionally reads and checks legacy plans; fixed-point engines are
 /// excluded by design — they are not bitwise-equal to scalar to begin
 /// with).
 const ENGINES: [&str; 3] = ["scalar", "parallel:simd", "auto"];
@@ -50,13 +51,9 @@ fn params(t: &mut Trainer) -> Vec<u32> {
     out
 }
 
-/// Full-state comparison through the codec itself, with the embedded plan
-/// stripped: the guarantee covers the numeric state, not which engines
-/// computed it.
+/// Full-state comparison through the codec itself.
 fn state_bytes(t: &Trainer) -> Vec<u8> {
-    let mut snap = t.snapshot();
-    snap.plan = None;
-    snap.encode().expect("snapshot encodes")
+    t.snapshot().encode().expect("snapshot encodes")
 }
 
 #[test]
@@ -177,38 +174,88 @@ fn mid_epoch_checkpoint_resumes_bitwise_from_disk() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// `simd` trained for two epochs straight: the trajectory a resume from
+/// [`simd_snapshot`] must land on.
+fn straight_simd() -> Trainer {
+    let (train, _) = data();
+    let mut straight = trainer("simd", None);
+    straight.train_epoch(&train);
+    straight.train_epoch(&train);
+    straight
+}
+
+/// A `simd` snapshot after one epoch, carrying `plan`.
+fn simd_snapshot(plan: Option<PlanPayload>) -> Snapshot {
+    let (train, _) = data();
+    let mut first = trainer("simd", None);
+    first.train_epoch(&train);
+    Snapshot {
+        plan,
+        ..first.snapshot()
+    }
+}
+
+/// An `auto` run embeds no plan. A float plan a snapshot still carries is
+/// read, checked and ignored: the `auto` resume lands on the `simd`
+/// trajectory bit for bit, and a pinned engine resumes without reading it.
 #[test]
 fn resume_replays_the_frozen_auto_plan() {
     let (train, _) = data();
     assert_eq!(
         trainer("auto", None).snapshot().plan,
         None,
-        "an auto run with no plan handed in embeds none"
+        "an auto run embeds no plan"
     );
-    let mut first = trainer("auto", None);
+
     let text = "default scalar\nconv1 forward im2row\nconv2 weight_grad simd\n";
-    *first.context_mut() = ExecutionContext::with_plan(Plan::from_text(text).expect("plan parses"));
-    first.train_epoch(&train);
-    let snap = first.snapshot();
-    // Snapshots embed the plan as a compiled binary program.
-    let payload = snap.plan.clone().expect("a planned auto run embeds its plan");
-    let PlanPayload::Program(bytes) = &payload else {
-        panic!("snapshots embed the binary program form, got {payload:?}");
-    };
-    let plan = Plan::decode(bytes).expect("embedded program decodes");
-    assert!(!plan.is_empty());
-
+    let snap = simd_snapshot(Some(PlanPayload::Text(text.to_string())));
     let mut resumed = trainer("auto", None);
-    resumed.resume(&snap).expect("resume");
-    // The resumed context carries the embedded plan.
-    let replayed = resumed.snapshot().plan.expect("plan survives resume");
-    assert_eq!(payload, replayed, "plan changed across resume");
+    resumed.resume(&snap).expect("a float plan resumes");
+    assert_eq!(
+        resumed.snapshot().plan,
+        None,
+        "an ignored plan is not re-embedded"
+    );
+    resumed.train_epoch(&train);
+    assert_eq!(params(&mut straight_simd()), params(&mut resumed));
 
-    // A pinned engine ignores the embedded plan.
+    // A pinned engine ignores the embedded plan unread, even a fixed-point one.
+    let fixed = simd_snapshot(Some(PlanPayload::Text("conv1 forward fixed\n".into())));
     let mut pinned = trainer("scalar", None);
-    pinned.resume(&snap).expect("resume under pinned engine");
+    pinned.resume(&fixed).expect("resume under pinned engine");
     assert_eq!(pinned.engine_name(), "scalar");
-    assert_eq!(pinned.snapshot().plan, None);
+}
+
+/// A plan naming a fixed-point engine cannot be ignored without changing
+/// results, so an `auto` resume refuses it with a typed error naming the
+/// cell. A plan file naming a parameterized grid fails the same check,
+/// the one an `auto` context runs on `SPARSETRAIN_PLAN`.
+#[test]
+fn resume_rejects_a_plan_naming_a_fixed_point_engine() {
+    let snap = simd_snapshot(Some(PlanPayload::Text("conv1 forward fixed\n".into())));
+    let err = trainer("auto", None)
+        .resume(&snap)
+        .expect_err("a fixed cell is refused");
+    assert!(
+        matches!(
+            &err,
+            ResumeError::Plan(PlanError::NotFloat { cell, engine: "fixed" }) if cell == "conv1 forward"
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("conv1 forward"), "{err}");
+
+    let path = std::env::temp_dir().join(format!("sparsetrain-fixed-plan-{}.txt", std::process::id()));
+    std::fs::write(&path, "default simd\nconv2 weight_grad fixed:q4.12\n").expect("plan file written");
+    let plan = load_plan(path.to_str().expect("utf-8 temp path")).expect("the file parses");
+    std::fs::remove_file(&path).expect("cleanup");
+    assert_eq!(
+        plan.check_float(),
+        Err(PlanError::NotFloat {
+            cell: "conv2 weight_grad".to_string(),
+            engine: "fixed:q4.12"
+        })
+    );
 }
 
 /// Hex digits (whitespace ignored) → bytes.
@@ -218,12 +265,12 @@ fn unhex(hex: &str) -> Vec<u8> {
     digits.chunks(2).map(byte).collect()
 }
 
-/// The committed golden plan — the `STPLAN` file of `plan_program`'s
-/// `sample_plan`: default `simd`, `conv1` forward on `parallel:im2row`,
+/// The committed golden plan — the `STPLAN` file of `legacy_plan`'s
+/// golden test: default `simd`, `conv1` forward on `parallel:im2row`,
 /// `conv1` weight_grad on `scalar`, `conv2` input_grad on `parallel` —
 /// embedded in a `.stck` snapshot. An `auto` trainer resumed from it
-/// decodes the plan, routes those cells through it, and lands bit for bit
-/// on a straight `simd` run.
+/// decodes the plan, finds every cell float, ignores it, and lands bit for
+/// bit on a straight `simd` run.
 #[test]
 fn resume_decodes_the_golden_plan_and_trains_bitwise() {
     let golden = unhex(
@@ -234,67 +281,50 @@ fn resume_decodes_the_golden_plan_and_trains_bitwise() {
          020000002300000000000000 00000000 03000000 010000000002000000 010000000203000000 \
             040000000105000000",
     );
+    let plan = Plan::decode(&golden).expect("the golden plan decodes");
+    let cells: Vec<_> = plan.cells().map(|(l, s, e)| (l, s, e.name())).collect();
+    assert_eq!(plan.default_engine().name(), "simd");
+    assert_eq!(
+        cells,
+        [
+            ("conv1", Stage::Forward, "parallel:im2row"),
+            ("conv1", Stage::WeightGrad, "scalar"),
+            ("conv2", Stage::InputGrad, "parallel"),
+        ]
+    );
+
     let (train, _) = data();
-    let mut straight = trainer("simd", None);
-    straight.train_epoch(&train);
-    straight.train_epoch(&train);
-
-    let mut first = trainer("simd", None);
-    first.train_epoch(&train);
-    let mut snap = first.snapshot();
-    snap.plan = Some(PlanPayload::Program(golden.clone()));
-    let stck = snap.encode().expect("snapshot encodes");
-    drop(first);
-
+    let stck = simd_snapshot(Some(PlanPayload::Program(golden)))
+        .encode()
+        .expect("snapshot encodes");
     let mut resumed = trainer("auto", None);
     resumed
         .resume(&Snapshot::decode(&stck).expect("snapshot decodes"))
         .expect("the golden plan resumes");
-    let plan = resumed
-        .context_mut()
-        .plan()
-        .expect("the resumed context holds the plan");
-    assert_eq!(plan.encode().expect("encodes"), golden, "not the golden plan");
-    for (layer, stage, engine) in [
-        ("conv1", Stage::Forward, "parallel:im2row"),
-        ("conv1", Stage::InputGrad, "simd"),
-        ("conv1", Stage::WeightGrad, "scalar"),
-        ("conv2", Stage::InputGrad, "parallel"),
-    ] {
-        assert_eq!(plan.resolve(layer, stage).name(), engine, "{layer} {stage}");
-    }
     resumed.train_epoch(&train);
     assert_eq!(
-        params(&mut straight),
+        params(&mut straight_simd()),
         params(&mut resumed),
-        "training under the golden plan left the simd trajectory"
+        "resuming the golden plan left the simd trajectory"
     );
 }
 
 #[test]
 fn resume_accepts_legacy_text_plan_payloads() {
     // Snapshots written before the binary program format carried the
-    // line-oriented text form; resume must keep honouring them.
-    let (train, _) = data();
-    let mut first = trainer("auto", None);
-    first.train_epoch(&train);
-    let mut snap = first.snapshot();
+    // line-oriented text form; an auto resume still reads and checks it.
     let text = "# sparsetrain execution plan v1\n\
                 default scalar\n\
                 conv1 forward im2row\n\
                 conv1 weight_grad simd\n";
-    let plan = Plan::from_text(text).expect("legacy text parses");
-    snap.plan = Some(PlanPayload::Text(text.to_string()));
-
+    let mut snap = simd_snapshot(Some(PlanPayload::Text(text.to_string())));
     let mut resumed = trainer("auto", None);
     resumed.resume(&snap).expect("text-payload resume");
-    let replayed = resumed.snapshot().plan.expect("plan survives resume");
-    // Re-snapshotting normalizes to the binary form; the plan inside is unchanged.
-    let PlanPayload::Program(replayed_bytes) = &replayed else {
-        panic!("snapshots always re-embed the binary form, got {replayed:?}");
-    };
-    let replayed_plan = Plan::decode(replayed_bytes).expect("decodes");
-    assert_eq!(replayed_plan, plan, "plan changed across text-payload resume");
+    assert_eq!(
+        resumed.snapshot().plan,
+        None,
+        "an ignored plan is not re-embedded"
+    );
 
     // A corrupt text payload surfaces as a typed resume error.
     snap.plan = Some(PlanPayload::Text("conv1 sideways simd".to_string()));
