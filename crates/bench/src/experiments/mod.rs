@@ -189,8 +189,9 @@ pub fn run(experiments: &[&Experiment], session: &mut Session) {
 }
 
 /// A trainer under the evaluation's one recipe (batch 16, lr 0.01,
-/// momentum 0.9, weight decay 1e-4, dense execution): only the model, the
-/// pruning setting and the two seeds differ between experiments.
+/// momentum 0.9, weight decay 1e-4, the default `simd` engine): only the
+/// model, the pruning setting and the two seeds differ between
+/// experiments.
 pub(crate) fn trainer(
     model: ModelKind,
     spec: &SyntheticSpec,

@@ -269,9 +269,10 @@ pub trait Layer: Send {
         self.for_each_child_mut(&mut |c| c.set_prune_frozen(frozen));
     }
 
-    /// Switches layers with a sparse row-dataflow path (`Conv2d`) between
-    /// dense execution and engine-driven SRC/MSRC/OSRC execution on the
-    /// context's engine. Layers without such a path ignore the call.
+    /// Walks the children and nothing else: every `Conv2d` runs on the
+    /// context's engine, so no layer acts on the call. It stays because
+    /// the `stbench` benchmark harness, which must build unedited, still
+    /// forwards and calls it.
     fn set_sparse_execution(&mut self, enabled: bool) {
         self.for_each_child_mut(&mut |c| c.set_sparse_execution(enabled));
     }

@@ -9,30 +9,18 @@ use sparsetrain_core::prune::StepStreams;
 use sparsetrain_sparse::engine::map_banded;
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::{ExecutionContext, RowMask};
-use sparsetrain_tensor::conv::{self, ConvGeometry};
-use sparsetrain_tensor::{im2row, init, stats, Tensor3, Tensor4};
-
-/// How a [`Conv2d`] executes its three training-stage convolutions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConvExecution {
-    /// Dense im2row forward and dense reference backward — the original
-    /// execution mode, bit-for-bit identical to the seed semantics.
-    #[default]
-    Im2row,
-    /// Sparse row dataflow on the execution context's engine, one batched
-    /// engine call per stage: SRC for Forward, OSRC for GTW, and MSRC for
-    /// GTA with the forward non-zero masks fused in (the paper's
-    /// ReLU-backward fusion — input-gradient positions whose forward
-    /// activation was zero stay zero).
-    SparseRows,
-}
+use sparsetrain_tensor::conv::ConvGeometry;
+use sparsetrain_tensor::{init, Tensor3, Tensor4};
 
 /// A trainable 2-D convolution.
 ///
-/// Forward uses the im2row-lowered convolution (verified against the dense
-/// reference); backward accumulates weight/bias gradients over the batch
-/// and produces input gradients (skipped for the first layer of a network
-/// via [`Conv2d::set_first_layer`]).
+/// Every stage runs as one batched call on the execution context's
+/// engine, over the sparse row dataflow: SRC for Forward, OSRC for GTW
+/// (each sample's `dW` summed from `+0.0`, then added into the batch
+/// gradient in sample order), and MSRC for GTA with the forward non-zero
+/// masks fused in — the paper's ReLU-backward fusion: input-gradient
+/// positions whose forward activation was zero stay zero. GTA is skipped
+/// for the first layer of a network ([`Conv2d::set_first_layer`]).
 ///
 /// Instrumentation: the layer records the density of its incoming output
 /// gradients each backward pass (Table II's ρ_nnz), and when capture is
@@ -48,12 +36,9 @@ pub struct Conv2d {
     bias: Vec<f32>,
     wgrad: Tensor4,
     bgrad: Vec<f32>,
-    ctx_inputs: Vec<Tensor3>,
-    // Compressed forms of ctx_inputs, kept only in SparseRows mode so the
-    // backward pass (and trace capture) reuse the forward pass's
-    // dense-to-sparse conversion instead of redoing it per sample.
+    // The compressed inputs of the last training forward, which backward
+    // (and trace capture) reuse and then drop.
     ctx_input_fms: Vec<SparseFeatureMap>,
-    execution: ConvExecution,
     first_layer: bool,
     capture: bool,
     captured: Option<ConvLayerTrace>,
@@ -92,9 +77,7 @@ impl Conv2d {
             weights,
             bias: vec![0.0; out_channels],
             bgrad: vec![0.0; out_channels],
-            ctx_inputs: Vec::new(),
             ctx_input_fms: Vec::new(),
-            execution: ConvExecution::default(),
             first_layer: false,
             capture: false,
             captured: None,
@@ -111,17 +94,6 @@ impl Conv2d {
         self.first_layer = first;
     }
 
-    /// The layer's convolution geometry.
-    pub fn geometry(&self) -> ConvGeometry {
-        self.geom
-    }
-
-    /// The active execution mode (set through
-    /// [`Layer::set_sparse_execution`]).
-    pub fn execution(&self) -> ConvExecution {
-        self.execution
-    }
-
     /// Immutable access to the weights (for tests and inspection).
     pub fn weights(&self) -> &Tensor4 {
         &self.weights
@@ -133,16 +105,6 @@ impl Conv2d {
             None
         } else {
             Some(self.dout_density_sum / self.dout_density_count as f64)
-        }
-    }
-
-    /// Instruments ρ_nnz of dO over the whole batch: `nnz` non-zeros among
-    /// the elements of `grads`.
-    fn note_dout_density(&mut self, nnz: usize, grads: &[Tensor3]) {
-        let total: usize = grads.iter().map(Tensor3::len).sum();
-        if total > 0 && !self.stats_frozen {
-            self.dout_density_sum += nnz as f64 / total as f64;
-            self.dout_density_count += 1;
         }
     }
 }
@@ -190,36 +152,18 @@ impl Layer for Conv2d {
                 self.name
             );
         }
-        match self.execution {
-            ConvExecution::Im2row => {
-                let out: Batch<'static> = xs
-                    .iter()
-                    .map(|x| im2row::forward(x, &self.weights, Some(&self.bias), self.geom))
-                    .collect();
-                if train {
-                    // The dense backward needs the inputs; samples borrowed
-                    // from the dataset are cloned only here and only now.
-                    self.ctx_inputs = xs.into_owned();
-                    self.ctx_input_fms.clear();
-                }
-                out
-            }
-            ConvExecution::SparseRows => {
-                // One batched engine call; the compressed maps alone are
-                // cached for backward, so dense activations borrowed from
-                // the dataset are never cloned.
-                let fms = compress(xs.len(), |s| &xs[s]);
-                let out = ctx
-                    .forward_batch_for(&self.name, &fms, &self.weights, Some(&self.bias), self.geom)
-                    .into_iter()
-                    .collect();
-                if train {
-                    self.ctx_inputs.clear();
-                    self.ctx_input_fms = fms;
-                }
-                out
-            }
+        // One batched engine call; the compressed maps alone are cached for
+        // backward, so dense activations borrowed from the dataset are
+        // never cloned.
+        let fms = compress(xs.len(), |s| &xs[s]);
+        let out = ctx
+            .forward_batch_for(&self.name, &fms, &self.weights, Some(&self.bias), self.geom)
+            .into_iter()
+            .collect();
+        if train {
+            self.ctx_input_fms = fms;
         }
+        out
     }
 
     fn backward(
@@ -228,23 +172,19 @@ impl Layer for Conv2d {
         ctx: &mut ExecutionContext,
         _streams: &StepStreams,
     ) -> Vec<Tensor3> {
-        let cached = match self.execution {
-            ConvExecution::Im2row => self.ctx_inputs.len(),
-            ConvExecution::SparseRows => self.ctx_input_fms.len(),
-        };
+        // The cached maps are dropped when this pass is done, so a second
+        // backward needs a fresh forward.
+        let input_fms = std::mem::take(&mut self.ctx_input_fms);
         assert_eq!(
             grads.len(),
-            cached,
+            input_fms.len(),
             "{}: backward called with mismatched batch",
             self.name
         );
         if self.capture {
             // Snapshot sample 0 as a dataflow trace, reusing the forward
-            // pass's compression when the sparse-rows mode cached it.
-            let input_fm = match self.ctx_input_fms.first() {
-                Some(fm) => fm.clone(),
-                None => SparseFeatureMap::from_tensor(&self.ctx_inputs[0]),
-            };
+            // pass's compression.
+            let input_fm = input_fms[0].clone();
             let masks = if self.first_layer {
                 Vec::new()
             } else {
@@ -261,75 +201,38 @@ impl Layer for Conv2d {
             });
         }
 
-        match self.execution {
-            ConvExecution::Im2row => {
-                self.note_dout_density(grads.iter().map(|g| stats::nnz(g.as_slice())).sum(), &grads);
-                let mut dins = Vec::with_capacity(grads.len());
-                for (x, g) in self.ctx_inputs.iter().zip(&grads) {
-                    let dw = conv::weight_grad(x, g, self.geom);
-                    self.wgrad.add_assign(&dw);
-                    for (bg, d) in self.bgrad.iter_mut().zip(conv::bias_grad(g)) {
-                        *bg += d;
-                    }
-                    if self.first_layer {
-                        dins.push(Tensor3::zeros(x.channels(), x.height(), x.width()));
-                    } else {
-                        dins.push(conv::input_grad(
-                            g,
-                            &self.weights,
-                            self.geom,
-                            x.height(),
-                            x.width(),
-                        ));
-                    }
-                }
-                dins
-            }
-            ConvExecution::SparseRows => {
-                let dout_fms = compress(grads.len(), |s| &grads[s]);
-                // The compressed maps already counted their non-zeros.
-                self.note_dout_density(dout_fms.iter().map(SparseFeatureMap::nnz).sum(), &grads);
-                // Batched GTW accumulates every sample straight into the
-                // batch gradient — one engine call, no per-sample scratch.
-                ctx.weight_grad_batch_for(
-                    &self.name,
-                    &self.ctx_input_fms,
-                    &dout_fms,
-                    self.geom,
-                    &mut self.wgrad,
-                );
-                for fm in &dout_fms {
-                    add_bias_grad(&mut self.bgrad, fm);
-                }
-                // Each din takes its own sample's spatial extent, so
-                // mixed-shape batches stay correct (the engine's batched
-                // GTA falls back to per-sample execution for them).
-                let mut dins: Vec<Tensor3> = self
-                    .ctx_input_fms
-                    .iter()
-                    .map(|fm| Tensor3::zeros(fm.channels(), fm.height(), fm.width()))
-                    .collect();
-                if !self.first_layer {
-                    // Batched GTA with the forward masks fused in (the
-                    // paper's ReLU-backward fusion): positions whose
-                    // forward input was zero keep a zero gradient. The
-                    // first layer skips GTA — the network input needs no
-                    // gradient — and returns the zero tensors as-is.
-                    let fms = &self.ctx_input_fms;
-                    let elements = dins.iter().map(Tensor3::len).sum();
-                    let masks: Vec<Vec<RowMask>> = map_banded(fms.len(), elements, &|s| fms[s].masks());
-                    ctx.input_grad_batch_for_into(
-                        &self.name,
-                        &dout_fms,
-                        &self.weights,
-                        self.geom,
-                        &masks,
-                        &mut dins,
-                    );
-                }
-                dins
-            }
+        let dout_fms = compress(grads.len(), |s| &grads[s]);
+        // ρ_nnz of dO over the whole batch, from the non-zeros the
+        // compressed maps already counted.
+        let total: usize = grads.iter().map(Tensor3::len).sum();
+        if total > 0 && !self.stats_frozen {
+            let nnz: usize = dout_fms.iter().map(SparseFeatureMap::nnz).sum();
+            self.dout_density_sum += nnz as f64 / total as f64;
+            self.dout_density_count += 1;
         }
+        // Batched GTW adds every sample's gradient into the batch gradient,
+        // in sample order — one engine call.
+        ctx.weight_grad_batch_for(&self.name, &input_fms, &dout_fms, self.geom, &mut self.wgrad);
+        for fm in &dout_fms {
+            add_bias_grad(&mut self.bgrad, fm);
+        }
+        // Each din takes its own sample's spatial extent, so mixed-shape
+        // batches stay correct (the engine's batched GTA falls back to
+        // per-sample execution for them).
+        let mut dins: Vec<Tensor3> = input_fms
+            .iter()
+            .map(|fm| Tensor3::zeros(fm.channels(), fm.height(), fm.width()))
+            .collect();
+        if !self.first_layer {
+            // Batched GTA with the forward masks fused in (the paper's
+            // ReLU-backward fusion): positions whose forward input was zero
+            // keep a zero gradient. The first layer skips GTA — the network
+            // input needs no gradient — and returns the zero tensors as-is.
+            let elements = dins.iter().map(Tensor3::len).sum();
+            let masks: Vec<Vec<RowMask>> = map_banded(input_fms.len(), elements, &|s| input_fms[s].masks());
+            ctx.input_grad_batch_for_into(&self.name, &dout_fms, &self.weights, self.geom, &masks, &mut dins);
+        }
+        dins
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
@@ -347,14 +250,6 @@ impl Layer for Conv2d {
         if !enable {
             self.captured = None;
         }
-    }
-
-    fn set_sparse_execution(&mut self, enabled: bool) {
-        self.execution = if enabled {
-            ConvExecution::SparseRows
-        } else {
-            ConvExecution::Im2row
-        };
     }
 
     fn collect_traces(&self, out: &mut Vec<LayerTrace>) {
@@ -424,6 +319,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparsetrain_tensor::{conv, stats};
 
     fn ctx() -> ExecutionContext {
         ExecutionContext::scalar()
@@ -508,56 +404,61 @@ mod tests {
         conv.reset_density_stats();
         assert_eq!(conv.mean_dout_density(), None);
 
-        // The sparse-rows arm counts through the compressed maps it builds,
-        // the im2row arm scans the dense gradients: the same integers, so
-        // the checkpointed accumulators hold the same bits — over a batch
-        // with natural zeros, −0.0 (a zero to both) and an all-zero sample.
-        let density_state = |sparse: bool| {
-            let mut conv = Conv2d::new("c", 2, 3, ConvGeometry::new(3, 1, 1), 5);
-            conv.set_sparse_execution(sparse);
-            for step in 0..3 {
-                let xs: Vec<Tensor3> = (0..3)
-                    .map(|s| Tensor3::from_fn(2, 4, 5, |c, y, x| ((c + y * x + s + step) % 3) as f32))
-                    .collect();
-                conv.forward(xs.into(), &mut ctx(), true);
-                let grads: Vec<Tensor3> = (0..3)
-                    .map(|s| {
-                        Tensor3::from_fn(3, 4, 5, |c, y, x| match (c + y + 2 * x + step) % 4 {
-                            _ if s == 2 => 0.0,
-                            0 => 0.5,
-                            1 => -0.0,
-                            2 => -1.5,
-                            _ => 0.0,
-                        })
+        // The layer counts through the compressed maps it builds; the
+        // checkpointed accumulators hold the bits of the dense count — over
+        // a batch with natural zeros, −0.0 (a zero to both) and an
+        // all-zero sample.
+        let mut conv = Conv2d::new("c", 2, 3, ConvGeometry::new(3, 1, 1), 5);
+        let mut want = 0.0f64;
+        for step in 0..3 {
+            conv.forward(vec![Tensor3::zeros(2, 4, 5); 3].into(), &mut ctx(), true);
+            let grads: Vec<Tensor3> = (0..3)
+                .map(|s| {
+                    Tensor3::from_fn(3, 4, 5, |c, y, x| match (c + y + 2 * x + step) % 4 {
+                        _ if s == 2 => 0.0,
+                        0 => 0.5,
+                        1 => -0.0,
+                        2 => -1.5,
+                        _ => 0.0,
                     })
-                    .collect();
-                conv.backward(grads, &mut ctx(), &StepStreams::new(0, 0, step as u64));
-            }
-            let mut state = Vec::new();
-            conv.collect_state(&mut state);
-            state
-                .into_iter()
-                .find_map(|s| match s {
-                    LayerState::Density { sum, count, .. } => Some((sum.to_bits(), count)),
-                    _ => None,
                 })
-                .expect("a conv layer snapshots its density accumulators")
-        };
-        let (sum, count) = density_state(true);
-        assert_eq!(count, 3);
-        assert!(f64::from_bits(sum) > 0.0 && f64::from_bits(sum) < 3.0);
-        assert_eq!(density_state(false), (sum, count));
+                .collect();
+            let nnz: usize = grads.iter().map(|g| stats::nnz(g.as_slice())).sum();
+            want += nnz as f64 / (3 * 3 * 4 * 5) as f64;
+            conv.backward(grads, &mut ctx(), &StepStreams::new(0, 0, step as u64));
+        }
+        let mut state = Vec::new();
+        conv.collect_state(&mut state);
+        let density = state.into_iter().find_map(|s| match s {
+            LayerState::Density { sum, count, .. } => Some((sum.to_bits(), count)),
+            _ => None,
+        });
+        assert_eq!(density, Some((want.to_bits(), 3)));
+        assert!(want > 0.0 && want < 3.0);
     }
 
-    /// The sparse-rows arm sums the bias gradient from the compressed
-    /// maps; it holds the bits of `conv::bias_grad` over the dense
-    /// gradients, accumulated over the batch — through natural zeros, a
-    /// channel of `-0.0` only, NaN, ±∞ and an all-zero sample.
+    /// A backward pass drops the cached input maps, so a second backward
+    /// without a fresh forward is a batch mismatch.
+    #[test]
+    #[should_panic(expected = "backward called with mismatched batch")]
+    fn backward_consumes_the_cached_inputs() {
+        let mut conv = Conv2d::new("c", 1, 1, ConvGeometry::new(1, 1, 0), 9);
+        let xs = vec![Tensor3::from_vec(1, 1, 2, vec![1.0, 2.0])];
+        conv.forward(xs.into(), &mut ctx(), true);
+        let grads = || vec![Tensor3::from_vec(1, 1, 2, vec![1.0, 1.0])];
+        conv.backward(grads(), &mut ctx(), &StepStreams::new(0, 0, 0));
+        assert!(conv.ctx_input_fms.is_empty());
+        conv.backward(grads(), &mut ctx(), &StepStreams::new(0, 0, 1));
+    }
+
+    /// The layer sums the bias gradient from the compressed maps; it holds
+    /// the bits of `conv::bias_grad` over the dense gradients, accumulated
+    /// over the batch — through natural zeros, a channel of `-0.0` only,
+    /// NaN, ±∞ and an all-zero sample.
     #[test]
     fn sparse_bias_grad_matches_the_dense_sum_bitwise() {
         let geom = ConvGeometry::new(3, 1, 1);
         let mut conv = Conv2d::new("c", 2, 4, geom, 8);
-        conv.set_sparse_execution(true);
         let xs: Vec<Tensor3> = (0..4)
             .map(|s| Tensor3::from_fn(2, 3, 5, |c, y, x| ((c + y * x + s) % 3) as f32 * 0.5))
             .collect();

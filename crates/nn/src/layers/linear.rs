@@ -22,7 +22,7 @@ pub struct Linear {
     bias: Vec<f32>,
     wgrad: Matrix,
     bgrad: Vec<f32>,
-    ctx_inputs: Vec<Vec<f32>>,
+    saved_inputs: Vec<Vec<f32>>,
     capture: bool,
     captured: Option<FcLayerTrace>,
     needs_input_grad: bool,
@@ -48,7 +48,7 @@ impl Linear {
             bias: vec![0.0; out_features],
             wgrad: Matrix::zeros(out_features, in_features),
             bgrad: vec![0.0; out_features],
-            ctx_inputs: Vec::new(),
+            saved_inputs: Vec::new(),
             capture: false,
             captured: None,
             needs_input_grad: true,
@@ -101,7 +101,7 @@ impl Layer for Linear {
             })
             .collect();
         if train {
-            self.ctx_inputs = inputs;
+            self.saved_inputs = inputs;
         }
         outs
     }
@@ -114,12 +114,12 @@ impl Layer for Linear {
     ) -> Vec<Tensor3> {
         assert_eq!(
             grads.len(),
-            self.ctx_inputs.len(),
+            self.saved_inputs.len(),
             "{}: no stored context",
             self.name
         );
         if self.capture {
-            let x = &self.ctx_inputs[0];
+            let x = &self.saved_inputs[0];
             let g = grads[0].as_slice();
             let input_nnz = x.iter().filter(|&&v| v != 0.0).count();
             self.captured = Some(FcLayerTrace {
@@ -134,7 +134,7 @@ impl Layer for Linear {
         }
         grads
             .iter()
-            .zip(&self.ctx_inputs)
+            .zip(&self.saved_inputs)
             .map(|(g, x)| {
                 let gv = g.as_slice();
                 self.wgrad.rank1_update(1.0, gv, x);

@@ -12,7 +12,7 @@ pub mod relu;
 
 pub use avgpool::GlobalAvgPool;
 pub use batchnorm::BatchNorm2d;
-pub use conv2d::{Conv2d, ConvExecution};
+pub use conv2d::Conv2d;
 pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;

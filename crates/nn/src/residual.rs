@@ -161,45 +161,4 @@ mod tests {
         let b = ResidualBlock::new("b", main, Some(short));
         assert_eq!(b.param_count(), (2 * 2 + 2) * 2);
     }
-
-    #[test]
-    fn set_sparse_execution_reaches_both_paths() {
-        use std::sync::{Arc, Mutex};
-
-        struct ExecutionProbe {
-            got: Arc<Mutex<Option<bool>>>,
-        }
-        impl Layer for ExecutionProbe {
-            fn name(&self) -> &str {
-                "probe"
-            }
-            fn forward<'a>(&mut self, xs: Batch<'a>, _ctx: &mut ExecutionContext, _train: bool) -> Batch<'a> {
-                xs
-            }
-            fn backward(
-                &mut self,
-                grads: Vec<Tensor3>,
-                _ctx: &mut ExecutionContext,
-                _streams: &StepStreams,
-            ) -> Vec<Tensor3> {
-                grads
-            }
-            fn set_sparse_execution(&mut self, enabled: bool) {
-                *self.got.lock().unwrap() = Some(enabled);
-            }
-        }
-
-        let main_probe = Arc::new(Mutex::new(None));
-        let short_probe = Arc::new(Mutex::new(None));
-        let main = Sequential::new("m").push(ExecutionProbe {
-            got: Arc::clone(&main_probe),
-        });
-        let short = Sequential::new("s").push(ExecutionProbe {
-            got: Arc::clone(&short_probe),
-        });
-        let mut b = ResidualBlock::new("b", main, Some(short));
-        b.set_sparse_execution(true);
-        assert_eq!(*main_probe.lock().unwrap(), Some(true));
-        assert_eq!(*short_probe.lock().unwrap(), Some(true));
-    }
 }

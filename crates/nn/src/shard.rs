@@ -47,7 +47,7 @@ use crate::sequential::Sequential;
 use crate::supervisor::{panic_text, SupervisorConfig};
 use crate::train::step_body;
 use sparsetrain_core::prune::{SiteStats, StreamSeeds};
-use sparsetrain_sparse::{EngineHandle, ExecutionContext};
+use sparsetrain_sparse::{registry, EngineHandle, ExecutionContext};
 use sparsetrain_tensor::Tensor3;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -227,32 +227,25 @@ pub enum WorkerReply {
 /// How worker replicas execute kernels, resolved once per pool.
 #[derive(Debug, Clone)]
 pub enum EngineSetup {
-    /// Default dense (im2row) execution on the scalar context.
+    /// The default engine, `simd`: what a trainer whose config names no
+    /// engine runs on.
     Dense,
-    /// Engine-driven sparse execution on the named backend.
+    /// The named backend.
     Engine(EngineHandle),
 }
 
 impl EngineSetup {
+    /// The engine this setup resolves to.
+    pub fn handle(&self) -> EngineHandle {
+        match self {
+            EngineSetup::Dense => registry::lookup("simd").expect("simd engine is always registered"),
+            EngineSetup::Engine(handle) => *handle,
+        }
+    }
+
     /// Builds a worker's execution context.
     pub fn context(&self) -> ExecutionContext {
-        match self {
-            EngineSetup::Dense => ExecutionContext::scalar(),
-            EngineSetup::Engine(handle) => ExecutionContext::new(*handle),
-        }
-    }
-
-    /// Whether layers should run their sparse row-dataflow paths.
-    pub fn sparse(&self) -> bool {
-        !matches!(self, EngineSetup::Dense)
-    }
-
-    /// The engine name a quarantine of this setup would name.
-    pub fn engine_label(&self) -> &str {
-        match self {
-            EngineSetup::Dense => "scalar",
-            EngineSetup::Engine(handle) => handle.name(),
-        }
+        ExecutionContext::new(self.handle())
     }
 }
 
@@ -400,9 +393,6 @@ fn worker_loop(
 ) {
     let mut ctx = setup.context();
     net.set_shard_prune(true);
-    if setup.sparse() {
-        net.set_sparse_execution(true);
-    }
     while let Ok(cmd) = commands.recv() {
         if let Some(ms) = cmd.slow_ms {
             std::thread::sleep(Duration::from_millis(ms));
@@ -653,7 +643,7 @@ impl ShardPool {
             );
         }
         std::thread::sleep(RETRY.backoff_delay(streak));
-        let engine = self.setup.engine_label();
+        let engine = self.setup.handle().name();
         if streak >= 2 && engine != "scalar" && !self.quarantined[rank].iter().any(|e| e == engine) {
             self.quarantined[rank].push(engine.to_string());
             self.health.quarantines += 1;

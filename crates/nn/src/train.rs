@@ -30,11 +30,10 @@ pub struct TrainConfig {
     pub weight_decay: f32,
     /// RNG seed (shuffling and stochastic pruning).
     pub seed: u64,
-    /// Kernel execution engine for the sparse row-dataflow hot paths.
-    /// `None` keeps every layer on its default (dense im2row) execution;
-    /// `Some(handle)` switches `Conv2d` layers to engine-driven
-    /// SRC/MSRC/OSRC execution on the named backend (resolved through the
-    /// open registry — see [`TrainConfig::with_engine_name`]).
+    /// Kernel execution engine every `Conv2d` runs its SRC/MSRC/OSRC
+    /// stages on, resolved through the open registry (see
+    /// [`TrainConfig::with_engine_name`]). `None` means the default,
+    /// `simd`.
     pub engine: Option<EngineHandle>,
     /// Checkpoint cadence and run directory; `None` disables snapshots.
     pub checkpoint: Option<CheckpointPolicy>,
@@ -101,6 +100,11 @@ impl TrainConfig {
             self.engine = Some(handle);
         }
         self
+    }
+
+    /// The engine setup the trainer and its shard workers run on.
+    fn engine_setup(&self) -> EngineSetup {
+        self.engine.map_or(EngineSetup::Dense, EngineSetup::Engine)
     }
 
     /// Returns the config with periodic checkpointing under `policy`.
@@ -240,10 +244,9 @@ pub struct Trainer {
 }
 
 impl Trainer {
-    /// Creates a trainer owning the network. When the config selects a
-    /// kernel engine, the trainer resolves it once into its
-    /// [`ExecutionContext`] and switches every layer with a sparse
-    /// row-dataflow path to engine-driven execution.
+    /// Creates a trainer owning the network. The trainer resolves the
+    /// config's kernel engine (`simd` when it names none) once into its
+    /// [`ExecutionContext`].
     ///
     /// # Panics
     ///
@@ -272,17 +275,11 @@ impl Trainer {
         Ok(Self::build(net, config))
     }
 
-    fn build(mut net: Sequential, config: TrainConfig) -> Self {
+    fn build(net: Sequential, config: TrainConfig) -> Self {
         // Arm the fault-injection layer from SPARSETRAIN_FAULTS (a no-op
         // unless the variable is set; one env read per process).
         sparsetrain_faults::init_from_env();
-        let ctx = match config.engine {
-            Some(handle) => {
-                net.set_sparse_execution(true);
-                ExecutionContext::new(handle)
-            }
-            None => ExecutionContext::scalar(),
-        };
+        let ctx = config.engine_setup().context();
         let checkpoints = config.checkpoint.clone().map(|policy| {
             CheckpointManager::new(policy)
                 .unwrap_or_else(|e| panic!("cannot initialise checkpoint directory: {e}"))
@@ -324,8 +321,8 @@ impl Trainer {
         self.streams
     }
 
-    /// Name of the resolved kernel engine (`"scalar"` when training on the
-    /// default dense execution).
+    /// Name of the resolved kernel engine (`"simd"` when the config names
+    /// none).
     pub fn engine_name(&self) -> &'static str {
         self.ctx.engine_name()
     }
@@ -465,7 +462,7 @@ impl Trainer {
         if self.shard_pool.is_some() {
             return;
         }
-        let setup = self.config.engine.map_or(EngineSetup::Dense, EngineSetup::Engine);
+        let setup = self.config.engine_setup();
         let template = self
             .net
             .try_replicate()

@@ -109,6 +109,34 @@ fn sharded_run_matches_single_threaded_run_bitwise() {
     );
 }
 
+/// The classic-loop equality holds on every float engine, not only the
+/// default: each engine's batched GTW sums a sample's `dW` from `+0.0` and
+/// adds it into the batch gradient in sample order, the bracket the shard
+/// reduce forms.
+#[test]
+fn sharded_run_matches_single_threaded_run_on_every_float_engine() {
+    let guard = FaultGuard::lock();
+    let train = dataset();
+    for engine in ["scalar", "simd"] {
+        let net = models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2)));
+        let mut classic = Trainer::new(net, TrainConfig::quick().with_engine_name(engine));
+        classic.train_epoch(&train);
+        classic.train_epoch(&train);
+        let classic_bits = param_bits(&mut classic);
+        let sharded_bits = guard.run_sharded(&train, Some(engine), 2);
+        let differing = classic_bits
+            .iter()
+            .zip(&sharded_bits)
+            .filter(|(a, b)| a != b)
+            .count();
+        let of = classic_bits.len();
+        assert_eq!(
+            differing, 0,
+            "on {engine}, sharded and classic differ in {differing} of {of} parameters"
+        );
+    }
+}
+
 #[test]
 fn epoch_stats_are_worker_count_invariant() {
     let guard = FaultGuard::lock();

@@ -6,11 +6,12 @@
 //! Construction is name-driven — from a registry handle, a string
 //! (`"scalar"`, `"simd"`, `"fixed"`, `"fixed:qI.F"`, the `"parallel"`,
 //! `"parallel:simd"`, `"im2row"`, `"parallel:im2row"` and `"auto"`
-//! aliases, or anything registered), or the `SPARSETRAIN_ENGINE`
-//! environment variable — so adding a backend never changes a call-site
-//! signature. Per-call operand state travels on the engine seam itself
-//! ([`crate::engine::BandContext`], built by the engine's `prepare`), not
-//! in this context, so a context stays valid across calls of any shape.
+//! aliases, or anything registered; `SPARSETRAIN_ENGINE` resolves through
+//! [`crate::registry::env_override`]) — so adding a backend never changes
+//! a call-site signature. Per-call operand state travels on the engine
+//! seam itself ([`crate::engine::BandContext`], built by the engine's
+//! `prepare`), not in this context, so a context stays valid across calls
+//! of any shape.
 //!
 //! Convolutions run through three batch entry points —
 //! [`ExecutionContext::forward_batch_for`],
@@ -32,7 +33,7 @@
 use crate::engine::{BatchOut, KernelEngine, StageOp};
 use crate::legacy_plan::{check_env_plan, Plan};
 use crate::mask::RowMask;
-use crate::registry::{env_override, lookup, same_engine, EngineHandle, UnknownEngine};
+use crate::registry::{lookup, same_engine, EngineHandle, UnknownEngine};
 use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
@@ -98,17 +99,6 @@ impl ExecutionContext {
     /// Returns [`UnknownEngine`] when `name` is not registered.
     pub fn by_name(name: &str) -> Result<Self, UnknownEngine> {
         name.parse().map(Self::new)
-    }
-
-    /// Context from the `SPARSETRAIN_ENGINE` environment override, falling
-    /// back to the scalar engine when the variable is unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownEngine`] when the variable names an unregistered
-    /// engine.
-    pub fn from_env() -> Result<Self, UnknownEngine> {
-        Ok(env_override()?.map_or_else(Self::scalar, Self::new))
     }
 
     /// The registry handle this context resolved.
@@ -300,12 +290,6 @@ impl ExecutionContext {
 impl Default for ExecutionContext {
     fn default() -> Self {
         Self::scalar()
-    }
-}
-
-impl From<EngineHandle> for ExecutionContext {
-    fn from(handle: EngineHandle) -> Self {
-        Self::new(handle)
     }
 }
 

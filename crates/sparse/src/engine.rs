@@ -224,8 +224,10 @@ pub enum StageOp<'a> {
         /// Width of the input-gradient planes.
         in_w: usize,
     },
-    /// OSRC / GTW: `dW[fi][ci][u] += Σ_oy OSRC(I row, dO row)`, accumulated
-    /// directly into the kernel rows of `dW`.
+    /// OSRC / GTW: the sample's `dW[fi][ci][u] = Σ_oy OSRC(I row, dO row)`,
+    /// summed from `+0.0` and then added into the kernel rows of `dW` — so
+    /// a batch's `dW` is the sum of per-sample gradients in sample order,
+    /// the bracket a sharded run's reduce forms too.
     WeightGrad {
         /// The sparse activations of the forward pass.
         input: &'a SparseFeatureMap,
@@ -435,9 +437,7 @@ pub trait KernelEngine: Send + Sync {
     /// Overrides may panic when `ctxs` and `ops` differ in length.
     fn band(&self, ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
         let _ = ctxs;
-        for op in ops {
-            scalar_band(op, lo, out);
-        }
+        scalar_bands(ops, lo, out);
     }
 
     /// Runs a whole batch in one engine call — the accelerator streams
@@ -474,8 +474,36 @@ pub trait KernelEngine: Send + Sync {
 // is one big band)
 // ---------------------------------------------------------------------------
 
-/// The scalar reference for units `lo..` of `op` — the default
-/// [`KernelEngine::band`] and every backend's fallback.
+/// The scalar reference for units `lo..` of every op of `ops`, in order —
+/// the default [`KernelEngine::band`] and every backend's fallback. A GTW
+/// op sums its sample's `dW` in a scratch from `+0.0`, which
+/// [`add_and_clear`] then adds into `out`.
+pub(crate) fn scalar_bands(ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
+    let mut dw = Vec::new();
+    for op in ops {
+        if op.stage() == Stage::WeightGrad {
+            dw.resize(out.len(), 0.0);
+            scalar_band(op, lo, &mut dw);
+            add_and_clear(out, &mut dw);
+        } else {
+            scalar_band(op, lo, out);
+        }
+    }
+}
+
+/// Adds one sample's `dW` into the accumulator `acc` and leaves `sample`
+/// at `+0.0` for the next one: the single extra pass GTW's per-sample
+/// bracket costs.
+#[inline(always)]
+pub(crate) fn add_and_clear(acc: &mut [f32], sample: &mut [f32]) {
+    for (d, s) in acc.iter_mut().zip(sample) {
+        *d += *s;
+        *s = 0.0;
+    }
+}
+
+/// The scalar reference for units `lo..` of one op, accumulated straight
+/// into `out`.
 pub(crate) fn scalar_band(op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
     match *op {
         StageOp::Forward {

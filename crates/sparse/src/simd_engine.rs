@@ -43,9 +43,12 @@
 //! * **OSRC (GTW)** — the `dW` band transposed to `[f][u][v][C]` once per
 //!   band call (however many samples add into it); then
 //!   `for sample, fi, oy, u, (ox, g) in dout.row(fi, oy):`
-//!   `dwT[f][u][0..K] += g · inCL[iy][ox·s .. ox·s+K]`, against a
+//!   `sT[f][u][0..K] += g · inCL[iy][ox·s .. ox·s+K]` into a per-sample
+//!   scratch `sT` of the same layout, from `+0.0`, against a
 //!   channels-last `[H][Wp][C]` copy of the input, zero-padded like the
-//!   GTA tile and built once per sample in `prepare`, and transposed back.
+//!   GTA tile and built once per sample in `prepare`; each sample's `sT`
+//!   is added into `dwT` (and cleared in the same sweep), and `dwT` is
+//!   transposed back.
 //!
 //! A run spans whole lane rows only when the band holds every filter
 //! (Forward) or channel (GTA) — a band of a split layer reads a window of
@@ -66,12 +69,13 @@
 //!
 //! Every output element still receives its contributions in the scalar
 //! per-element order — Forward `(u, ci, ix↑)`, GTA `(fi, oy↑, ox↑)`, GTW
-//! `(sample, oy↑, ox↑)`: the loop nests above are the scalar ones with the
-//! per-filter (per-channel) loop moved innermost and one non-zero's taps
-//! merged into a run that gives each element it covers one term, and no
-//! two lanes ever share an element — one two-rounding `acc + x·w` at a
-//! time (the scalar kernels never fuse into `mul_add`, so neither does
-//! this engine — an FMA would change the rounding). The only extra terms
+//! `(oy↑, ox↑)` within a sample, then the samples' sums in order: the
+//! loop nests above are the scalar ones with the per-filter (per-channel)
+//! loop moved innermost and one non-zero's taps merged into a run that
+//! gives each element it covers one term, and no two lanes ever share an
+//! element — one two-rounding `acc + x·w` at a time (the scalar kernels
+//! never fuse into `mul_add`, so neither does this engine — an FMA would
+//! change the rounding). The only extra terms
 //! are products of a sparse-operand value and a zero the scalar kernels
 //! skip: a zero weight, a zero of GTW's dense input copy, a padded column.
 //! For a finite value that is `±0.0`, and `acc + ±0.0 = acc` exactly,
@@ -107,7 +111,7 @@
 //! (`"parallel:simd"` is a registry alias of `"simd"`).
 
 use crate::compressed::SparseRow;
-use crate::engine::{map_banded, scalar_band, BandContext, KernelEngine, Stage, StageOp};
+use crate::engine::{add_and_clear, map_banded, scalar_bands, BandContext, KernelEngine, Stage, StageOp};
 use crate::mask::RowMask;
 use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
@@ -463,6 +467,9 @@ fn weight_grad_band(
     // the channels-last input window it reads.
     let mut dwt = vec![0.0f32; dw.len()];
     for_each_dw_cell(n, c, k, |at, relaid| dwt[relaid] = dw[at]);
+    // Each sample sums its own `dW` from `+0.0`, in the same layout, and
+    // is then added into the accumulator (the scalar engine's bracket).
+    let mut sample = vec![0.0f32; dw.len()];
     for (ctx, op) in ctxs.iter().zip(ops) {
         let StageOp::WeightGrad { input, dout, geom } = *op else {
             unreachable!("weight_grad_band is only handed GTW ops");
@@ -479,13 +486,14 @@ fn weight_grad_band(
                     let Some(iy) = input_row(oy, u, geom, h) else {
                         continue;
                     };
-                    let taps = &mut dwt[(f * k + u) * k * c..][..k * c];
+                    let taps = &mut sample[(f * k + u) * k * c..][..k * c];
                     let irow = &ctx.dense()[iy * wp * c..][..wp * c];
                     // Non-zero `ox` reads input columns `ox·s .. ox·s + K`.
                     with_blocks!(k * c, gather_row(grow, irow, taps, geom.stride * c));
                 }
             }
         }
+        add_and_clear(&mut dwt, &mut sample);
     }
     for_each_dw_cell(n, c, k, |at, relaid| dw[at] = dwt[relaid]);
 }
@@ -603,7 +611,7 @@ impl SimdEngine {
             _ => &*out,
         };
         if contains_negative_zero(seed) || !ops.iter().all(|op| op.operand().is_finite()) {
-            return ops.iter().for_each(|op| scalar_band(op, lo, out));
+            return scalar_bands(ops, lo, out);
         }
         if out.is_empty() {
             return;

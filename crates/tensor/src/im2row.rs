@@ -1,11 +1,11 @@
-//! im2row-lowered convolution — a faster functional path for training.
+//! im2row-lowered convolution.
 //!
 //! The naive reference in [`crate::conv`] is the ground truth; this module
 //! lowers the forward convolution to a patch-matrix × kernel-matrix product
-//! with better locality, and is verified against the reference. The
-//! training framework uses it to keep CPU experiment times reasonable; the
-//! accelerator never sees it (its dataflow is the row decomposition in
-//! `sparsetrain-sparse`).
+//! with better locality, and is verified against the reference. No layer
+//! calls it — training runs the row dataflow of `sparsetrain-sparse` — and
+//! it stays only because the `stbench` benchmark harness times it as its
+//! dense forward leg.
 
 use crate::conv::ConvGeometry;
 use crate::tensor::{Tensor3, Tensor4};

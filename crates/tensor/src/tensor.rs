@@ -329,18 +329,6 @@ impl Tensor4 {
         self.data
     }
 
-    /// Element-wise addition of another tensor of identical shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add_assign(&mut self, other: &Tensor4) {
-        assert_eq!(self.shape, other.shape, "shape mismatch in add_assign");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += *b;
-        }
-    }
-
     /// Multiplies every element by `s`.
     pub fn scale(&mut self, s: f32) {
         for v in &mut self.data {

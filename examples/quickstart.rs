@@ -7,9 +7,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 //!
-//! Set `SPARSETRAIN_ENGINE` to `scalar`, `simd`, `fixed` or a `fixed:qI.F`
-//! format to run the training step's convolutions on a named kernel engine
-//! from the registry. Every engine bands across the rayon pool
+//! The training step's convolutions run on `simd` unless
+//! `SPARSETRAIN_ENGINE` names another kernel engine from the registry:
+//! `scalar`, `fixed` or a `fixed:qI.F` format. Every engine bands across the rayon pool
 //! (`RAYON_NUM_THREADS`). `parallel` is an alias of `scalar`;
 //! `parallel:simd`, `im2row`, `parallel:im2row` and `auto` are aliases of
 //! `simd`. Under `auto`, `SPARSETRAIN_PLAN` may name a legacy plan file: a
@@ -53,7 +53,7 @@ fn main() {
     let (train, test) = SyntheticSpec::tiny(4).generate();
     let net = models::mini_cnn(4, 8, Some(PruneConfig::paper_default()));
     // SPARSETRAIN_ENGINE selects a registered kernel engine by name; unset
-    // keeps the dense im2row execution.
+    // runs `simd`, bitwise equal to `scalar`.
     let mut trainer = Trainer::new(net, TrainConfig::quick().with_env_engine());
     println!("kernel engine: {}", trainer.engine_name());
     for epoch in 0..5 {

@@ -4,10 +4,10 @@
 //!
 //! Run with: `cargo run --release --example train_sparse_cnn`
 //!
-//! Pass a registered engine name (or set `SPARSETRAIN_ENGINE`) to execute
-//! the convolutions on the sparse row-dataflow engine layer instead of
-//! dense im2row:
-//! `cargo run --release --example train_sparse_cnn -- simd`
+//! The convolutions run on the `simd` row-dataflow engine unless a
+//! registered engine name is passed (or set in `SPARSETRAIN_ENGINE`); an
+//! unknown name falls back to `simd` with a warning:
+//! `cargo run --release --example train_sparse_cnn -- scalar`
 //! `SPARSETRAIN_ENGINE=fixed:q4.12 cargo run --release --example train_sparse_cnn`
 //! (registered engines: `scalar`, `simd`, `fixed`, parameterized
 //! `fixed:qI.F` formats, the aliases `parallel`, `parallel:simd`, `im2row`,
@@ -34,7 +34,7 @@ fn main() {
             None => {
                 let known: Vec<_> = registry::registry().iter().map(|h| h.name()).collect();
                 eprintln!(
-                    "unknown engine {name:?} (registered: {}); running dense convolutions",
+                    "unknown engine {name:?} (registered: {}); running the default simd engine",
                     known.join(", ")
                 );
                 None
