@@ -133,39 +133,43 @@ impl SyntheticSpec {
         (train, test)
     }
 
+    /// Draws `n` samples, then shuffles them. Each image is written once,
+    /// straight from its prototype, and the shuffle moves images into
+    /// their slots, so the split is never held twice.
     fn sample_split(&self, prototypes: &[Tensor3], n: usize, rng: &mut StdRng) -> Dataset {
-        let mut images = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            let label = i % self.classes; // balanced classes
-            let proto = &prototypes[label];
-            let mut img = proto.clone();
-            // Per-sample jitter: additive noise plus a small global
-            // brightness shift, the classic "same class, different image".
-            let shift = sample_standard_normal(rng) * 0.1;
-            img.map_inplace(|v| v + shift);
-            for v in img.as_mut_slice() {
-                *v += sample_standard_normal(rng) * self.noise;
-            }
-            // Renormalize to roughly unit variance so the task difficulty
-            // (signal-to-noise ratio) is decoupled from the input scale the
-            // optimizer sees.
-            let scale = 1.0 / (1.0 + self.noise * self.noise).sqrt();
-            img.scale(scale);
-            images.push(img);
-            labels.push(label);
-        }
+        // Renormalize to roughly unit variance so the task difficulty
+        // (signal-to-noise ratio) is decoupled from the input scale the
+        // optimizer sees.
+        let scale = 1.0 / (1.0 + self.noise * self.noise).sqrt();
+        let mut drawn: Vec<Option<Tensor3>> = (0..n)
+            .map(|i| {
+                // Balanced classes. Per-sample jitter: a small global
+                // brightness shift plus additive noise, the classic "same
+                // class, different image".
+                let proto = &prototypes[i % self.classes];
+                let shift = sample_standard_normal(rng) * 0.1;
+                let data = proto
+                    .as_slice()
+                    .iter()
+                    .map(|&p| ((p + shift) + sample_standard_normal(rng) * self.noise) * scale)
+                    .collect();
+                let (c, h, w) = proto.shape();
+                Some(Tensor3::from_vec(c, h, w, data))
+            })
+            .collect();
         // Shuffle so batches are class-mixed.
         let mut order: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
             let j = rng.gen_range(0..=i);
             order.swap(i, j);
         }
-        let images = order.iter().map(|&i| images[i].clone()).collect();
-        let labels = order.iter().map(|&i| labels[i]).collect();
+        let images = order
+            .iter()
+            .map(|&i| drawn[i].take().expect("a permutation visits each slot once"))
+            .collect();
         Dataset {
             images,
-            labels,
+            labels: order.iter().map(|&i| i % self.classes).collect(),
             num_classes: self.classes,
         }
     }
@@ -217,6 +221,42 @@ mod tests {
         let (b, _) = SyntheticSpec::tiny(3).generate();
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.images[0], b.images[0]);
+    }
+
+    /// FNV-1a over both splits: each label as a little-endian `u64`, then
+    /// its image's `f32` bits.
+    fn fnv1a(spec: &SyntheticSpec) -> u64 {
+        let (train, test) = spec.generate();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for set in [&train, &test] {
+            for (img, &label) in set.images.iter().zip(&set.labels) {
+                eat(&(label as u64).to_le_bytes());
+                for v in img.as_slice() {
+                    eat(&v.to_bits().to_le_bytes());
+                }
+            }
+        }
+        h
+    }
+
+    /// The generated bytes themselves, not only run-to-run agreement: any
+    /// change to the draw order or the rounding of a sample moves these.
+    #[test]
+    fn generated_bytes_are_pinned() {
+        let cifar16 = SyntheticSpec {
+            size: 16,
+            ..SyntheticSpec::cifar10_like()
+        };
+        assert_eq!(
+            [fnv1a(&SyntheticSpec::tiny(3)), fnv1a(&cifar16)],
+            [0xc421_c965_b849_f717, 0xff92_05ba_dcf3_e171],
+            "FNV-1a of (tiny(3), 16×16 cifar10_like)"
+        );
     }
 
     #[test]

@@ -1,5 +1,9 @@
 //! Compressing a map and taking its masks allocates a constant number of
-//! heap blocks — the arena's handful — however many rows the map has.
+//! heap blocks — the arena's handful — however many rows the map has, and
+//! generating a synthetic dataset holds one copy of it: the live-heap peak
+//! during `SyntheticSpec::generate` stays within 1.1 × the bytes it returns
+//! (plus 64 KiB), so no second image buffer exists while the splits are
+//! shuffled.
 //!
 //! A counting global allocator tallies the blocks each thread allocates,
 //! so the count is exact for work done on the test's own thread whatever
@@ -66,6 +70,16 @@ fn blocks_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (BLOCKS.with(Cell::get) - before, out)
 }
 
+/// Restarts this thread's live-heap high-water mark at the current live
+/// bytes, and returns them.
+fn reset_live_peak() -> isize {
+    LIVE.with(|l| {
+        let (live, _) = l.get();
+        l.set((live, live));
+        live
+    })
+}
+
 /// A `c × h × w` map with about `density_pct` % non-zeros.
 fn map(c: usize, h: usize, w: usize, density_pct: u64) -> Tensor3 {
     let mut s = 0x9E37_79B9_7F4A_7C15u64;
@@ -101,6 +115,31 @@ fn compress_and_masks_allocate_a_constant_number_of_blocks() {
         counts,
         vec![5; counts.len()],
         "blocks per from_tensor + masks, by map"
+    );
+}
+
+#[test]
+fn generation_holds_one_copy_of_the_dataset() {
+    use sparsetrain_nn::data::{Dataset, SyntheticSpec};
+
+    let spec = SyntheticSpec {
+        train_samples: 2000,
+        size: 16,
+        ..SyntheticSpec::cifar10_like()
+    };
+    let start = reset_live_peak();
+    let (train, test) = spec.generate();
+    let peak = LIVE.with(Cell::get).1 - start;
+    let held = |d: &Dataset| {
+        d.images.capacity() * std::mem::size_of::<Tensor3>()
+            + d.labels.capacity() * std::mem::size_of::<usize>()
+            + d.images.iter().map(Tensor3::len).sum::<usize>() * std::mem::size_of::<f32>()
+    };
+    let returned = (held(&train) + held(&test)) as f64;
+    assert!(
+        peak as f64 <= 1.1 * returned + 65536.0,
+        "live-heap peak during generate is {peak} B, {:.2}× the {returned} B it returns",
+        peak as f64 / returned
     );
 }
 
@@ -152,11 +191,7 @@ fn alexnet_pruned_step() {
     let batches: Vec<Dataset> = (0..STEPS)
         .map(|s| slice(160 + s * BATCH..160 + (s + 1) * BATCH))
         .collect();
-    let start = LIVE.with(|l| {
-        let (live, _) = l.get();
-        l.set((live, live));
-        live
-    });
+    let start = reset_live_peak();
     let (blocks, ()) = blocks_during(|| {
         for batch in &batches {
             trainer.train_epoch(batch);
