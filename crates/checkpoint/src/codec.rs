@@ -1,57 +1,21 @@
-//! Derive-free binary codec for [`Snapshot`]: the `.stck` instance of the house container.
+//! Derive-free binary codec for [`Snapshot`]: the payload field layouts of the `.stck` sections.
 //!
 //! The framing — header, tagged length-prefixed sections, primitive encodings, and every
-//! strictness rule of decoding — is `sparsetrain_container`; this module supplies the magic,
-//! the version, the section table and the payload field layouts.
+//! strictness rule of decoding — is [`crate::framing`]; this module lays out each section's
+//! fields.
 //!
 //! Sections appear at most once each; `Position`, `ShuffleRng`, `Optimizer`, and `Layers` are
-//! mandatory, `Plan` and `PlanProgram` are optional (and mutually exclusive: a snapshot carries
-//! its frozen plan either as legacy text or as a compiled `STPLAN` binary program, never both).
-//! Corrupt snapshots are typed [`DecodeError`]s that name the offending section, never panics.
+//! mandatory, `Plan` and `PlanProgram` are optional (and mutually exclusive: a snapshot from an
+//! older build carries its plan either as text or as a binary program, never both). Corrupt
+//! snapshots are typed [`DecodeError`]s that name the offending section, never panics.
 
-use sparsetrain_container::{Reader, SectionId, Sections, Writer};
-
+use crate::framing::{DecodeError, EncodeError, Reader, Section, Sections, Writer};
 use crate::snapshot::{LayerState, OptimizerState, PlanPayload, PrunerState, RunPosition, Snapshot};
-
-/// File magic: "STCKPT" + format epoch byte + NUL.
-pub const MAGIC: [u8; 8] = *b"STCKPT\x01\x00";
-/// Current snapshot format version.
-pub const VERSION: u16 = 1;
 
 const KIND_PARAMS: u8 = 1;
 const KIND_RNG: u8 = 2;
 const KIND_DENSITY: u8 = 3;
 const KIND_PRUNER: u8 = 4;
-
-/// The named sections of the snapshot container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Section {
-    Position,
-    ShuffleRng,
-    Plan,
-    Optimizer,
-    Layers,
-    PlanProgram,
-}
-
-impl SectionId for Section {
-    const MAGIC: [u8; 8] = MAGIC;
-    const VERSION: u16 = VERSION;
-    const DOCUMENT: &'static str = "snapshot";
-    const TABLE: &'static [(Self, u16, &'static str)] = &[
-        (Section::Position, 1, "position"),
-        (Section::ShuffleRng, 2, "shuffle-rng"),
-        (Section::Plan, 3, "plan"),
-        (Section::Optimizer, 4, "optimizer"),
-        (Section::Layers, 5, "layers"),
-        (Section::PlanProgram, 6, "plan-program"),
-    ];
-}
-
-/// Errors raised while encoding a snapshot.
-pub type EncodeError = sparsetrain_container::EncodeError<Section>;
-/// Errors raised while decoding a snapshot. Every variant names the region at fault.
-pub type DecodeError = sparsetrain_container::DecodeError<Section>;
 
 /// Serialize a snapshot into the versioned container format.
 pub fn encode_snapshot(snap: &Snapshot) -> Result<Vec<u8>, EncodeError> {
@@ -96,7 +60,7 @@ pub fn encode_snapshot(snap: &Snapshot) -> Result<Vec<u8>, EncodeError> {
     Ok(w.finish())
 }
 
-fn encode_layer_state(w: &mut Writer<Section>, entry: &LayerState) -> Result<(), EncodeError> {
+fn encode_layer_state(w: &mut Writer, entry: &LayerState) -> Result<(), EncodeError> {
     match entry {
         LayerState::Params { layer, tensors } => {
             w.u8(KIND_PARAMS);
@@ -201,7 +165,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, DecodeError> {
     })
 }
 
-fn decode_layer_state(r: &mut Reader<'_, Section>) -> Result<LayerState, DecodeError> {
+fn decode_layer_state(r: &mut Reader<'_>) -> Result<LayerState, DecodeError> {
     let kind = r.u8()?;
     let layer = r.str("layer name")?;
     match kind {
@@ -371,12 +335,145 @@ mod tests {
         }
     }
 
+    /// A container file whose header declares `count` sections, followed by the hex `parts`
+    /// verbatim.
+    fn file(count: u8, parts: &[&str]) -> Vec<u8> {
+        let mut bytes = golden_file(count, "");
+        bytes.truncate(16);
+        bytes.extend(unhex(&parts.concat()));
+        bytes
+    }
+
     /// A container file holding exactly the given golden sections, in the given order.
     fn file_of(sections: &[&str]) -> Vec<u8> {
-        let mut bytes = golden_file(sections.len() as u8, "");
-        bytes.truncate(16);
-        bytes.extend(unhex(&sections.concat()));
+        file(sections.len() as u8, sections)
+    }
+
+    /// The golden text-plan file with the byte at `at` replaced.
+    fn patched(at: usize, byte: u8) -> Vec<u8> {
+        let mut bytes = golden_file(5, GOLDEN_PLAN_TEXT);
+        bytes[at] = byte;
         bytes
+    }
+
+    #[test]
+    fn section_order_is_free_and_plans_are_optional() {
+        let reordered = [
+            GOLDEN_LAYERS,
+            GOLDEN_PLAN_TEXT,
+            GOLDEN_OPTIMIZER,
+            GOLDEN_SHUFFLE_RNG,
+            GOLDEN_POSITION,
+        ];
+        assert_eq!(Snapshot::decode(&file_of(&reordered)), Ok(sample_snapshot()));
+        let bare = [
+            GOLDEN_OPTIMIZER,
+            GOLDEN_POSITION,
+            GOLDEN_LAYERS,
+            GOLDEN_SHUFFLE_RNG,
+        ];
+        let decoded = Snapshot::decode(&file_of(&bare)).unwrap();
+        assert_eq!(
+            decoded,
+            Snapshot {
+                plan: None,
+                ..sample_snapshot()
+            }
+        );
+    }
+
+    #[test]
+    fn framing_corruption_is_typed() {
+        use DecodeError::*;
+        let good = golden_file(5, GOLDEN_PLAN_TEXT);
+        let all = [
+            GOLDEN_POSITION,
+            GOLDEN_SHUFFLE_RNG,
+            GOLDEN_PLAN_TEXT,
+            GOLDEN_OPTIMIZER,
+            GOLDEN_LAYERS,
+        ];
+        let truncated = |section| TruncatedSection { section };
+        // `position` declares 33 bytes, one more than its four `u64` fields.
+        let long_position = GOLDEN_POSITION.replacen("0100000020", "0100000021", 1) + " 00";
+        let cases: Vec<(&str, Vec<u8>, DecodeError)> = vec![
+            ("empty input", vec![], TruncatedHeader),
+            ("short header", good[..15].to_vec(), TruncatedHeader),
+            ("flipped magic", patched(0, 0xAC), BadMagic),
+            ("another format epoch", patched(6, 2), BadMagic),
+            ("wrong version", patched(8, 0x7F), UnsupportedVersion(0x7F)),
+            // A section header cut short cannot name its section.
+            ("short section header", good[..16 + 11].to_vec(), TruncatedHeader),
+            ("count promises a sixth section", file(6, &all), TruncatedHeader),
+            (
+                "payload cut short",
+                good[..16 + 12 + 3].to_vec(),
+                truncated(Section::Position),
+            ),
+            (
+                "last byte missing",
+                good[..good.len() - 1].to_vec(),
+                truncated(Section::Layers),
+            ),
+            ("unknown tag", patched(17, 0xEE), UnknownSection { tag: 0xEE01 }),
+            (
+                "duplicate tag",
+                file_of(&[GOLDEN_POSITION, GOLDEN_POSITION]),
+                DuplicateSection {
+                    section: Section::Position,
+                },
+            ),
+            (
+                "missing mandatory tag",
+                file_of(&all[1..]),
+                MissingSection {
+                    section: Section::Position,
+                },
+            ),
+            (
+                "trailing bytes",
+                file(5, &[all.concat().as_str(), "6a756e6b"]),
+                TrailingBytes { extra: 4 },
+            ),
+            // The `layers` section: a 12-byte section header and 237 payload bytes.
+            (
+                "section beyond the count",
+                file(4, &all),
+                TrailingBytes { extra: 249 },
+            ),
+            // Lengths no input can back: `u64::MAX`, and one whose low 32 bits alone (32) would
+            // fit what follows — a cast that wrapped on a 32-bit target would accept it.
+            (
+                "length u64::MAX",
+                file(1, &["01000000 ffffffffffffffff 00000000"]),
+                truncated(Section::Position),
+            ),
+            (
+                "length 2^32 + 32",
+                patched(16 + 8, 1),
+                truncated(Section::Position),
+            ),
+            (
+                "payload longer than its fields",
+                file_of(&[
+                    long_position.as_str(),
+                    GOLDEN_SHUFFLE_RNG,
+                    GOLDEN_OPTIMIZER,
+                    GOLDEN_LAYERS,
+                ]),
+                InvalidField {
+                    section: Section::Position,
+                    field: "section length",
+                },
+            ),
+        ];
+        for (what, bytes, want) in cases {
+            assert_eq!(Snapshot::decode(&bytes), Err(want), "{what}");
+        }
+        // Every strict prefix fails; none panics.
+        for cut in 0..good.len() {
+            assert!(Snapshot::decode(&good[..cut]).is_err(), "cut {cut}");
+        }
     }
 
     #[test]
@@ -396,8 +493,7 @@ mod tests {
 
     #[test]
     fn mandatory_sections_are_required() {
-        // The framing itself is tested once, in `sparsetrain-container`; which sections a
-        // snapshot cannot do without is this format's.
+        // Which sections a snapshot cannot do without is the codec's, not the framing's.
         let all = [
             (Section::Position, GOLDEN_POSITION),
             (Section::ShuffleRng, GOLDEN_SHUFFLE_RNG),

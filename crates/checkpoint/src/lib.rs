@@ -12,9 +12,8 @@
 //! uninterrupted run.
 //!
 //! The trainer-facing integration (`Trainer::snapshot` / `Trainer::resume`) lives in
-//! `sparsetrain-nn`; this crate is deliberately plain data + IO (its only dependencies are the
-//! shared container framing, `sparsetrain-container`, and the zero-cost `sparsetrain-faults`
-//! injection seams threaded through save and load).
+//! `sparsetrain-nn`; this crate is deliberately plain data + IO (its only dependency is the
+//! zero-cost `sparsetrain-faults` injection seams threaded through save and load).
 //!
 //! Recovery support: [`policy::scan_latest_valid`] walks a run directory newest-first and
 //! returns the newest snapshot that actually decodes, reporting (not aborting on) corrupt or
@@ -29,22 +28,26 @@
 //! |---|---|---|---|
 //! | 1 | `position` | mandatory | run seed + epoch/step/steps-into-epoch counters |
 //! | 2 | `shuffle-rng` | mandatory | the dataset-shuffle RNG's four `u64` state words |
-//! | 3 | `plan` | optional¹ | a legacy execution plan as text |
+//! | 3 | `plan` | optional¹ | a legacy execution plan as text, kept verbatim |
 //! | 4 | `optimizer` | mandatory | learning rate + per-tensor momentum velocity buffers |
 //! | 5 | `layers` | mandatory | per-layer params / RNG / density / pruner state entries |
-//! | 6 | `plan-program` | optional¹ | a legacy plan as a binary `STPLAN` program |
+//! | 6 | `plan-program` | optional¹ | a legacy plan as a binary `STPLAN` program, kept verbatim |
 //!
 //! ¹ Only older snapshots carry a plan, in at most one of the two forms; a container holding
-//! both is rejected as a duplicate section. The normative byte-level layout (including the per-kind
-//! `layers` bodies) is `docs/FORMATS.md` at the repository root; the implementation is
-//! [`codec`], whose golden-byte tests pin the layout — any change there is a wire-format
-//! break and must bump [`codec::VERSION`].
+//! both is rejected as a duplicate section. The codec decodes the payload as opaque bytes; an
+//! `auto` trainer refuses to resume from it. The normative byte-level layout (including the
+//! per-kind `layers` bodies) is `docs/FORMATS.md` at the repository root; the implementation is
+//! the framing module (header and section frames) plus [`codec`] (payload fields), whose
+//! golden-byte tests pin the layout — any change there is a wire-format break and must bump
+//! the framing's `VERSION`.
 
 pub mod codec;
+mod framing;
 pub mod policy;
 pub mod snapshot;
 
-pub use codec::{decode_snapshot, encode_snapshot, DecodeError, EncodeError, Section};
+pub use codec::{decode_snapshot, encode_snapshot};
+pub use framing::{DecodeError, EncodeError, Section};
 pub use policy::{
     latest_in, load, scan_latest_valid, snapshot_files_in, CheckpointManager, CheckpointPolicy, LoadError,
     ScanOutcome, CHECKPOINT_DIR_ENV,

@@ -7,11 +7,11 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 
-use crate::codec::DecodeError;
+use crate::framing::DecodeError;
 use crate::snapshot::Snapshot;
 
 /// Environment variable naming the checkpoint run directory, consistent with
-/// `SPARSETRAIN_ENGINE` / `SPARSETRAIN_PLAN`.
+/// `SPARSETRAIN_ENGINE`.
 pub const CHECKPOINT_DIR_ENV: &str = "SPARSETRAIN_CHECKPOINT_DIR";
 
 /// File extension for snapshot files.

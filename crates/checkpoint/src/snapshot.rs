@@ -79,16 +79,16 @@ impl LayerState {
     }
 }
 
-/// A legacy execution plan embedded in a snapshot, in either of its serialized forms. The bytes
-/// are opaque here — this crate stores and round-trips them bit-exactly; on an `auto` resume the
-/// trainer reads them with `sparsetrain_sparse::legacy_plan`'s decoders, checks the plan
-/// float-only and ignores it. The trainer itself embeds no plan.
+/// A legacy execution plan embedded in a snapshot by an older build, in either of its serialized
+/// forms. The content is opaque here — this crate stores and round-trips it bit-exactly, and
+/// nothing parses it: an `auto` resume refuses a snapshot that carries one, a pinned engine
+/// ignores it. The trainer itself embeds no plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanPayload {
-    /// The line-oriented text format (`Plan::from_text` parses it) — what snapshots before the binary
+    /// The line-oriented text format (section `plan`, tag 3) — what snapshots before the binary
     /// program format carried.
     Text(String),
-    /// A binary `STPLAN` execution program (`Plan::decode` reads it).
+    /// A binary `STPLAN` execution program (section `plan-program`, tag 6).
     Program(Vec<u8>),
 }
 

@@ -1,10 +1,9 @@
-//! Property and corruption tests for the binary `.stck` snapshot format,
-//! alongside the `STPLAN` reader suite in `crates/sparse/tests/plan_program.rs`:
+//! Property and corruption tests for the binary `.stck` snapshot format:
 //! arbitrary snapshots round-trip losslessly through `encode` → `decode`,
 //! encoding is canonical (encode∘decode is the identity on bytes), and
 //! corrupted input — random truncation, random byte mutation — returns a
-//! typed [`DecodeError`], never panics. The framing's
-//! own corruption matrix is tested once, in `sparsetrain-container`; the
+//! typed [`DecodeError`], never panics. The framing's own corruption
+//! matrix is the codec's unit test `framing_corruption_is_typed`; the
 //! wiring test at the bottom pins this format's magic and version.
 
 use proptest::prelude::*;

@@ -69,7 +69,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Environment variable holding a fault-plan spec, consistent with
-/// `SPARSETRAIN_ENGINE` / `SPARSETRAIN_PLAN` / `SPARSETRAIN_CHECKPOINT_DIR`.
+/// `SPARSETRAIN_ENGINE` / `SPARSETRAIN_CHECKPOINT_DIR`.
 pub const FAULTS_ENV: &str = "SPARSETRAIN_FAULTS";
 
 /// Domain separator folded under the run seed for every fault draw

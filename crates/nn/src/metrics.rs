@@ -163,23 +163,28 @@ impl MetricRecord {
     /// Renders the record as one JSON object per line, in the same style as
     /// the bench trajectory (`target/bench-results.jsonl`): fixed key
     /// order, `{}`-formatted (shortest round-trip) floats, absent optional
-    /// fields omitted.
+    /// fields omitted. A NaN or infinite value, which JSON cannot spell
+    /// (a diverged epoch's loss), is written `null`.
     pub fn to_jsonl(&self) -> String {
+        let num = |v: f64, text: String| if v.is_finite() { text } else { "null".to_string() };
         let mut line = format!(
             "{{\"epoch\":{},\"loss\":{},\"accuracy\":{}",
-            self.epoch, self.loss, self.accuracy
+            self.epoch,
+            num(self.loss, self.loss.to_string()),
+            num(self.accuracy, self.accuracy.to_string())
         );
-        if let Some(v) = self.val_loss {
-            line.push_str(&format!(",\"val_loss\":{v}"));
-        }
-        if let Some(v) = self.val_accuracy {
-            line.push_str(&format!(",\"val_accuracy\":{v}"));
-        }
-        if let Some(v) = self.rho_nnz {
-            line.push_str(&format!(",\"rho_nnz\":{v}"));
+        let optional = [
+            ("val_loss", self.val_loss),
+            ("val_accuracy", self.val_accuracy),
+            ("rho_nnz", self.rho_nnz),
+        ];
+        for (key, v) in optional {
+            if let Some(v) = v {
+                line.push_str(&format!(",\"{key}\":{}", num(v, v.to_string())));
+            }
         }
         if let Some(v) = self.step_latency_ns {
-            line.push_str(&format!(",\"step_latency_ns\":{v:.3}"));
+            line.push_str(&format!(",\"step_latency_ns\":{}", num(v, format!("{v:.3}"))));
         }
         line.push('}');
         line
@@ -633,6 +638,21 @@ mod tests {
             full.to_jsonl(),
             "{\"epoch\":2,\"loss\":0.125,\"accuracy\":0.5,\"val_loss\":0.5,\
              \"val_accuracy\":0.75,\"rho_nnz\":0.1,\"step_latency_ns\":1234.500}"
+        );
+    }
+
+    #[test]
+    fn jsonl_line_writes_null_for_non_finite_values() {
+        let mut diverged = record(3, f64::NAN);
+        diverged.accuracy = f64::INFINITY;
+        diverged.val_loss = Some(f64::NEG_INFINITY);
+        diverged.val_accuracy = Some(0.75);
+        diverged.rho_nnz = Some(f64::NAN);
+        diverged.step_latency_ns = Some(f64::INFINITY);
+        assert_eq!(
+            diverged.to_jsonl(),
+            "{\"epoch\":3,\"loss\":null,\"accuracy\":null,\"val_loss\":null,\
+             \"val_accuracy\":0.75,\"rho_nnz\":null,\"step_latency_ns\":null}"
         );
     }
 

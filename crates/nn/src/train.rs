@@ -10,11 +10,11 @@ use crate::shard::{self, EngineSetup, ShardError, ShardPool, ShardSpec, StepInpu
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparsetrain_checkpoint::{
-    CheckpointManager, CheckpointPolicy, OptimizerState, PlanPayload, RunPosition, Snapshot,
+    CheckpointManager, CheckpointPolicy, OptimizerState, PlanPayload, RunPosition, Section, Snapshot,
 };
 use sparsetrain_core::dataflow::NetworkTrace;
 use sparsetrain_core::prune::{StepStreams, StreamSeeds};
-use sparsetrain_sparse::{registry, EngineHandle, ExecutionContext, Plan, PlanError};
+use sparsetrain_sparse::{registry, EngineHandle, ExecutionContext};
 use sparsetrain_tensor::Tensor3;
 
 /// Training hyper-parameters.
@@ -115,7 +115,7 @@ impl TrainConfig {
 
     /// Applies the `SPARSETRAIN_CHECKPOINT_DIR` environment override, if
     /// set: snapshots after every epoch into the named directory
-    /// (consistent with `SPARSETRAIN_ENGINE` / `SPARSETRAIN_PLAN`).
+    /// (consistent with `SPARSETRAIN_ENGINE`).
     pub fn with_env_checkpoint_dir(mut self) -> Self {
         if let Some(policy) = CheckpointPolicy::from_env() {
             self.checkpoint = Some(policy);
@@ -167,10 +167,14 @@ pub enum ResumeError {
         /// The state kind (`"params"`, `"rng"`, …).
         kind: &'static str,
     },
-    /// On an `auto` trainer, the snapshot's legacy execution plan did not
-    /// decode, or names an engine the registry does not have or one other
-    /// than `scalar` / `simd` ([`PlanError::NotFloat`]).
-    Plan(PlanError),
+    /// On an `auto` trainer, the snapshot carries a legacy execution plan
+    /// (a `plan` or `plan-program` section). Plans are no longer read, and
+    /// one may pin an engine that is not bitwise equal to `simd`, so the
+    /// resume is refused rather than the plan ignored.
+    LegacyPlan {
+        /// The `.stck` section holding the plan.
+        section: Section,
+    },
 }
 
 impl std::fmt::Display for ResumeError {
@@ -187,7 +191,13 @@ impl std::fmt::Display for ResumeError {
                 "no layer in the network claimed the snapshot's {kind} state for layer \"{layer}\" \
                  (the snapshot was taken from a differently-shaped model)"
             ),
-            ResumeError::Plan(e) => write!(f, "embedded execution plan rejected: {e}"),
+            ResumeError::LegacyPlan { section } => write!(
+                f,
+                "the snapshot carries a legacy execution plan (section {}), which an auto run no \
+                 longer reads: resume it under a pinned engine (e.g. SPARSETRAIN_ENGINE=simd), \
+                 which ignores the plan; only builds up to 12d3f1c can check it",
+                section.name()
+            ),
         }
     }
 }
@@ -556,18 +566,15 @@ impl Trainer {
     /// seed as the run that produced the snapshot; continuing afterwards
     /// reproduces the original trajectory bitwise.
     ///
-    /// When the snapshot embeds a legacy execution plan — binary program or
-    /// text payload — and this trainer runs on the `auto` engine, the plan
-    /// is read and checked float-only ([`sparsetrain_sparse::Plan::check_float`]),
-    /// then ignored: its cells all run on `scalar` or `simd`, which are
-    /// bitwise equal. A pinned engine ignores the plan unread.
+    /// A snapshot from an older build may embed a legacy execution plan —
+    /// binary program or text payload. A pinned engine ignores it unread;
+    /// an `auto` trainer refuses it ([`ResumeError::LegacyPlan`]).
     ///
     /// # Errors
     ///
-    /// Rejects seed mismatches, on `auto` embedded plans that do not parse
-    /// or name an engine other than `scalar` / `simd`, and layer state that
-    /// no layer claims or that disagrees with the network's shapes. The
-    /// trainer may be partially restored after a layer error.
+    /// Rejects seed mismatches, on `auto` an embedded plan, and layer state
+    /// that no layer claims or that disagrees with the network's shapes.
+    /// The trainer may be partially restored after a layer error.
     pub fn resume(&mut self, snap: &Snapshot) -> Result<(), ResumeError> {
         if snap.position.seed != self.config.seed {
             return Err(ResumeError::SeedMismatch {
@@ -576,12 +583,11 @@ impl Trainer {
             });
         }
         if let (Some(payload), "auto") = (&snap.plan, self.ctx.engine_name()) {
-            match payload {
-                PlanPayload::Text(text) => Plan::from_text(text),
-                PlanPayload::Program(bytes) => Plan::decode(bytes),
-            }
-            .and_then(|plan| plan.check_float())
-            .map_err(ResumeError::Plan)?;
+            let section = match payload {
+                PlanPayload::Text(_) => Section::Plan,
+                PlanPayload::Program(_) => Section::PlanProgram,
+            };
+            return Err(ResumeError::LegacyPlan { section });
         }
         for state in &snap.layers {
             match self.net.restore_state(state) {
@@ -1150,8 +1156,13 @@ mod tests {
             "{unclaimed}"
         );
 
-        let plan = ResumeError::Plan(Plan::decode(b"not a plan").unwrap_err()).to_string();
-        assert!(plan.contains("shorter than its header"), "{plan}");
+        let plan = ResumeError::LegacyPlan {
+            section: Section::PlanProgram,
+        }
+        .to_string();
+        for needle in ["section plan-program", "SPARSETRAIN_ENGINE=simd", "12d3f1c"] {
+            assert!(plan.contains(needle), "{plan} lacks {needle:?}");
+        }
     }
 
     #[test]

@@ -18,10 +18,8 @@
 //! [`ExecutionContext::input_grad_batch_for_into`] and
 //! [`ExecutionContext::weight_grad_batch_for`] — each a thin wrapper that
 //! builds the batch's [`StageOp`]s and hands them to the context's one
-//! engine. An `"auto"` context built while `SPARSETRAIN_PLAN` names a
-//! legacy plan file reads the plan and checks it float-only
-//! ([`crate::legacy_plan`]), then runs `simd` like any other `"auto"`
-//! context.
+//! engine. Execution plans are gone: an `"auto"` context built while
+//! `SPARSETRAIN_PLAN` is set refuses to start.
 //!
 //! ```
 //! use sparsetrain_sparse::ExecutionContext;
@@ -30,8 +28,7 @@
 //! assert_eq!(ctx.engine_name(), "parallel:simd");
 //! ```
 
-use crate::engine::{BatchOut, KernelEngine, StageOp};
-use crate::legacy_plan::{check_env_plan, Plan};
+use crate::engine::{BatchOut, KernelEngine, Stage, StageOp};
 use crate::mask::RowMask;
 use crate::registry::{lookup, same_engine, EngineHandle, UnknownEngine};
 use crate::rowconv::SparseFeatureMap;
@@ -65,20 +62,24 @@ pub struct ExecutionContext {
 }
 
 impl ExecutionContext {
-    /// Context executing on the engine `handle` resolves to. Selecting the
-    /// `"auto"` engine while `SPARSETRAIN_PLAN` names a legacy plan file
-    /// reads that plan and checks it float-only
-    /// ([`crate::legacy_plan::check_env_plan`]); a float plan is ignored.
+    /// Context executing on the engine `handle` resolves to.
     ///
     /// # Panics
     ///
-    /// Panics when `SPARSETRAIN_PLAN` is set but names a file that cannot
-    /// be read or parsed, or a plan naming an engine other than `scalar` /
-    /// `simd` (consistent with the other misconfigured-environment panics
-    /// on the selection paths).
+    /// Panics when `handle` is `"auto"` and `SPARSETRAIN_PLAN` is set and
+    /// non-empty: plans were removed, and an `"auto"` run was the one that
+    /// read them (consistent with the other misconfigured-environment
+    /// panics on the selection paths). A pinned engine never reads it.
     pub fn new(handle: EngineHandle) -> Self {
         if handle.name() == "auto" {
-            check_env_plan().unwrap_or_else(|e| panic!("{e}"));
+            if let Some(path) = std::env::var_os("SPARSETRAIN_PLAN").filter(|path| !path.is_empty()) {
+                panic!(
+                    "SPARSETRAIN_PLAN is set ({}), but execution plans were removed at commit \
+                     73d723f: unset it, or pin an engine (e.g. SPARSETRAIN_ENGINE=simd), which \
+                     never reads it",
+                    path.to_string_lossy()
+                );
+            }
         }
         Self {
             handle,
@@ -174,10 +175,7 @@ impl ExecutionContext {
         effective.engine()
     }
 
-    /// Always `None`: a context holds no plan. A legacy plan is read,
-    /// checked float-only and ignored ([`crate::legacy_plan`]). The method
-    /// stays only because the `stbench` benchmark harness, which must build
-    /// unedited, still reads it; it goes with the harness's next revision.
+    /// Always `None`; exists only until the benchmark item's (7), as [`Plan`] does.
     pub fn plan(&self) -> Option<&Plan> {
         None
     }
@@ -287,6 +285,18 @@ impl ExecutionContext {
     }
 }
 
+/// A legacy execution plan. It cannot be constructed: it stays, with
+/// [`ExecutionContext::plan`], only until the benchmark harness drops both
+/// (ROADMAP.md, the benchmark item's (7)).
+pub enum Plan {}
+
+impl Plan {
+    /// Always empty.
+    pub fn cells(&self) -> impl Iterator<Item = (&str, Stage, EngineHandle)> {
+        std::iter::empty()
+    }
+}
+
 impl Default for ExecutionContext {
     fn default() -> Self {
         Self::scalar()
@@ -314,6 +324,31 @@ mod tests {
         }
         assert_eq!(ExecutionContext::by_name("auto").unwrap().engine_name(), "auto");
         assert!(ExecutionContext::by_name("nope").is_err());
+    }
+
+    /// An `auto` context refuses a plan file; a pinned one never reads it.
+    /// The variable is process-global, so the check runs in a child process
+    /// that runs only this test.
+    #[test]
+    fn auto_refuses_a_plan_file() {
+        const NAME: &str = "context::tests::auto_refuses_a_plan_file";
+        if std::env::var_os("SPARSETRAIN_PLAN").is_some() {
+            assert_eq!(ExecutionContext::by_name("simd").unwrap().engine_name(), "simd");
+            ExecutionContext::by_name("auto").unwrap();
+            return;
+        }
+        let exe = std::env::current_exe().expect("test binary path");
+        let child = std::process::Command::new(exe)
+            .args([NAME, "--exact", "--nocapture", "--test-threads=1"])
+            .env("SPARSETRAIN_PLAN", "plan.txt")
+            .output()
+            .expect("test binary runs");
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert!(!child.status.success(), "auto accepted a plan file: {stderr}");
+        assert!(
+            stderr.contains("SPARSETRAIN_PLAN is set (plan.txt), but execution plans were removed"),
+            "{stderr}"
+        );
     }
 
     fn batch_fixture() -> (Vec<SparseFeatureMap>, Tensor4, ConvGeometry) {

@@ -73,19 +73,16 @@
 //! every `Layer::forward`/`backward` — no call site ever re-resolves a
 //! token. The context is one engine plus its quarantine list.
 //!
-//! A legacy [`legacy_plan::Plan`] (one engine per `(layer, stage)` cell)
-//! can still arrive on an `"auto"` context, from the file
-//! `SPARSETRAIN_PLAN` names or from a resumed snapshot. It is read by the
-//! text and `STPLAN` decoders and checked float-only. A float plan is
-//! ignored, which is bitwise identical to running it; a plan naming any
-//! other engine is a typed error.
+//! Execution plans (one engine per `(layer, stage)` cell) are gone: an
+//! `"auto"` context refuses a `SPARSETRAIN_PLAN` file at construction, and
+//! the trainer refuses to resume an `"auto"` run from a snapshot that
+//! carries a plan.
 
 pub mod compressed;
 pub mod context;
 pub mod engine;
 pub mod fixed_engine;
 pub mod formats;
-pub mod legacy_plan;
 pub mod mask;
 pub mod msrc;
 pub mod osrc;
@@ -96,10 +93,9 @@ pub mod src;
 pub mod work;
 
 pub use compressed::{RowError, SparseRow};
-pub use context::ExecutionContext;
+pub use context::{ExecutionContext, Plan};
 pub use engine::{BandContext, BatchOut, KernelEngine, ScalarEngine, Stage, StageOp};
 pub use fixed_engine::FixedPointEngine;
-pub use legacy_plan::{Plan, PlanError, PLAN_ENV};
 pub use mask::RowMask;
 pub use registry::{EngineHandle, UnknownEngine, ENGINE_ENV};
 pub use simd_engine::SimdEngine;

@@ -14,14 +14,13 @@
 //! | `fixed`  | [`crate::fixed_engine::FixedPointEngine`] — Q8.8         |
 //!
 //! plus five aliases that resolve to the engine of `scalar` or `simd`
-//! under their own names, so legacy plans, snapshots and configs naming
-//! them still decode: `parallel` (scalar) and `parallel:simd` are left from
-//! when banding was an engine of its own (every engine's `run_batch` bands
-//! now); `im2row` and `parallel:im2row` (simd) from a dense-lowering engine
-//! that won one near-dense forward cell per net; and `auto` (simd) from the
-//! density planner that chose between them. An `auto` context checks a
-//! legacy plan it is handed float-only and ignores it (see
-//! [`crate::legacy_plan`]).
+//! under their own names, so configs naming them still resolve: `parallel`
+//! (scalar) and `parallel:simd` are left from when banding was an engine
+//! of its own (every engine's `run_batch` bands now); `im2row` and
+//! `parallel:im2row` (simd) from a dense-lowering engine that won one
+//! near-dense forward cell per net; and `auto` (simd) from the density
+//! planner that chose between them. An `auto` context refuses a legacy
+//! plan ([`crate::context::ExecutionContext::new`]).
 //!
 //! In addition, `fixed:qI.F` names (e.g. `"fixed:q4.12"`) resolve to a
 //! [`FixedPointEngine`] in that 16-bit Q-format — parsed, interned and
@@ -205,8 +204,7 @@ fn table() -> &'static RwLock<Vec<EngineHandle>> {
             },
             EngineHandle {
                 name: "auto",
-                summary: "alias of simd; a legacy plan it is handed (SPARSETRAIN_PLAN, a resumed \
-                          snapshot) is checked float-only and ignored",
+                summary: "alias of simd",
                 engine: &SIMD,
             },
         ])

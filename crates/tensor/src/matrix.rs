@@ -188,13 +188,6 @@ impl Matrix {
         }
     }
 
-    /// Multiplies every element by `s`.
-    pub fn scale(&mut self, s: f32) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
     /// Fills the matrix with a constant.
     pub fn fill(&mut self, value: f32) {
         self.data.fill(value);
@@ -239,11 +232,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_add_assign() {
+    fn add_assign() {
         let mut a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         let b = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
         a.add_assign(&b);
-        a.scale(2.0);
-        assert_eq!(a.as_slice(), &[8.0, 12.0]);
+        assert_eq!(a.as_slice(), &[4.0, 6.0]);
     }
 }

@@ -176,13 +176,6 @@ impl Tensor3 {
             *a += *b;
         }
     }
-
-    /// Multiplies every element by `s`.
-    pub fn scale(&mut self, s: f32) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
 }
 
 /// A dense `F × C × KH × KW` weight tensor stored row-major.
@@ -329,13 +322,6 @@ impl Tensor4 {
         self.data
     }
 
-    /// Multiplies every element by `s`.
-    pub fn scale(&mut self, s: f32) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
     /// Fills the tensor with a constant.
     pub fn fill(&mut self, value: f32) {
         self.data.fill(value);
@@ -374,12 +360,11 @@ mod tests {
     }
 
     #[test]
-    fn tensor3_add_assign_and_scale() {
+    fn tensor3_add_assign() {
         let mut a = Tensor3::from_vec(1, 1, 3, vec![1.0, 2.0, 3.0]);
         let b = Tensor3::from_vec(1, 1, 3, vec![10.0, 20.0, 30.0]);
         a.add_assign(&b);
-        a.scale(0.5);
-        assert_eq!(a.as_slice(), &[5.5, 11.0, 16.5]);
+        assert_eq!(a.as_slice(), &[11.0, 22.0, 33.0]);
     }
 
     #[test]

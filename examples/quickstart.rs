@@ -12,10 +12,7 @@
 //! `scalar`, `fixed` or a `fixed:qI.F` format. Every engine bands across the rayon pool
 //! (`RAYON_NUM_THREADS`). `parallel` is an alias of `scalar`;
 //! `parallel:simd`, `im2row`, `parallel:im2row` and `auto` are aliases of
-//! `simd`. Under `auto`, `SPARSETRAIN_PLAN` may name a legacy plan file: a
-//! plan naming only float engines is ignored (identical output, since every
-//! float engine is bitwise equal to `scalar`), and one naming `fixed` stops
-//! the run with an error naming the cell.
+//! `simd`.
 
 use rand::rngs::StdRng;
 use rand::stream::StreamKey;

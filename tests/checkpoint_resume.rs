@@ -5,20 +5,17 @@
 //! `resume-determinism` job runs this suite again at `RAYON_NUM_THREADS=4`
 //! so band-parallel reductions are covered too.
 
-use sparsetrain::checkpoint::{self, CheckpointPolicy, PlanPayload, Snapshot};
+use sparsetrain::checkpoint::{self, CheckpointPolicy, PlanPayload, Section, Snapshot};
 use sparsetrain::core::prune::PruneConfig;
 use sparsetrain::nn::data::{Dataset, SyntheticSpec};
 use sparsetrain::nn::layer::Layer;
 use sparsetrain::nn::metrics::MetricStore;
 use sparsetrain::nn::models;
 use sparsetrain::nn::train::{ResumeError, TrainConfig, Trainer};
-use sparsetrain::sparse::legacy_plan::load_plan;
-use sparsetrain::sparse::{Plan, PlanError, Stage};
 
 /// The float engines the bitwise-resume guarantee is enforced on (`auto`
-/// additionally reads and checks legacy plans; fixed-point engines are
-/// excluded by design — they are not bitwise-equal to scalar to begin
-/// with).
+/// is an alias of `simd`; fixed-point engines are excluded by design —
+/// they are not bitwise-equal to scalar to begin with).
 const ENGINES: [&str; 3] = ["scalar", "parallel:simd", "auto"];
 
 fn data() -> (Dataset, Dataset) {
@@ -195,69 +192,6 @@ fn simd_snapshot(plan: Option<PlanPayload>) -> Snapshot {
     }
 }
 
-/// An `auto` run embeds no plan. A float plan a snapshot still carries is
-/// read, checked and ignored: the `auto` resume lands on the `simd`
-/// trajectory bit for bit, and a pinned engine resumes without reading it.
-#[test]
-fn resume_replays_the_frozen_auto_plan() {
-    let (train, _) = data();
-    assert_eq!(
-        trainer("auto", None).snapshot().plan,
-        None,
-        "an auto run embeds no plan"
-    );
-
-    let text = "default scalar\nconv1 forward im2row\nconv2 weight_grad simd\n";
-    let snap = simd_snapshot(Some(PlanPayload::Text(text.to_string())));
-    let mut resumed = trainer("auto", None);
-    resumed.resume(&snap).expect("a float plan resumes");
-    assert_eq!(
-        resumed.snapshot().plan,
-        None,
-        "an ignored plan is not re-embedded"
-    );
-    resumed.train_epoch(&train);
-    assert_eq!(params(&mut straight_simd()), params(&mut resumed));
-
-    // A pinned engine ignores the embedded plan unread, even a fixed-point one.
-    let fixed = simd_snapshot(Some(PlanPayload::Text("conv1 forward fixed\n".into())));
-    let mut pinned = trainer("scalar", None);
-    pinned.resume(&fixed).expect("resume under pinned engine");
-    assert_eq!(pinned.engine_name(), "scalar");
-}
-
-/// A plan naming a fixed-point engine cannot be ignored without changing
-/// results, so an `auto` resume refuses it with a typed error naming the
-/// cell. A plan file naming a parameterized grid fails the same check,
-/// the one an `auto` context runs on `SPARSETRAIN_PLAN`.
-#[test]
-fn resume_rejects_a_plan_naming_a_fixed_point_engine() {
-    let snap = simd_snapshot(Some(PlanPayload::Text("conv1 forward fixed\n".into())));
-    let err = trainer("auto", None)
-        .resume(&snap)
-        .expect_err("a fixed cell is refused");
-    assert!(
-        matches!(
-            &err,
-            ResumeError::Plan(PlanError::NotFloat { cell, engine: "fixed" }) if cell == "conv1 forward"
-        ),
-        "{err:?}"
-    );
-    assert!(err.to_string().contains("conv1 forward"), "{err}");
-
-    let path = std::env::temp_dir().join(format!("sparsetrain-fixed-plan-{}.txt", std::process::id()));
-    std::fs::write(&path, "default simd\nconv2 weight_grad fixed:q4.12\n").expect("plan file written");
-    let plan = load_plan(path.to_str().expect("utf-8 temp path")).expect("the file parses");
-    std::fs::remove_file(&path).expect("cleanup");
-    assert_eq!(
-        plan.check_float(),
-        Err(PlanError::NotFloat {
-            cell: "conv2 weight_grad".to_string(),
-            engine: "fixed:q4.12"
-        })
-    );
-}
-
 /// Hex digits (whitespace ignored) → bytes.
 fn unhex(hex: &str) -> Vec<u8> {
     let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
@@ -265,71 +199,66 @@ fn unhex(hex: &str) -> Vec<u8> {
     digits.chunks(2).map(byte).collect()
 }
 
-/// The committed golden plan — the `STPLAN` file of `legacy_plan`'s
-/// golden test: default `simd`, `conv1` forward on `parallel:im2row`,
-/// `conv1` weight_grad on `scalar`, `conv2` input_grad on `parallel` —
-/// embedded in a `.stck` snapshot. An `auto` trainer resumed from it
-/// decodes the plan, finds every cell float, ignores it, and lands bit for
-/// bit on a straight `simd` run.
-#[test]
-fn resume_decodes_the_golden_plan_and_trains_bitwise() {
-    let golden = unhex(
-        "5354504c414e0100 0100 0000 02000000 \
-         010000004700000000000000 06000000 0400000073696d64 05000000636f6e7631 \
-            0f000000706172616c6c656c3a696d32726f77 060000007363616c6172 05000000636f6e7632 \
-            08000000706172616c6c656c \
-         020000002300000000000000 00000000 03000000 010000000002000000 010000000203000000 \
-            040000000105000000",
-    );
-    let plan = Plan::decode(&golden).expect("the golden plan decodes");
-    let cells: Vec<_> = plan.cells().map(|(l, s, e)| (l, s, e.name())).collect();
-    assert_eq!(plan.default_engine().name(), "simd");
-    assert_eq!(
-        cells,
-        [
-            ("conv1", Stage::Forward, "parallel:im2row"),
-            ("conv1", Stage::WeightGrad, "scalar"),
-            ("conv2", Stage::InputGrad, "parallel"),
-        ]
-    );
+/// A binary plan program an older build wrote (default `simd`; `conv1`
+/// forward on `parallel:im2row`, `conv1` weight_grad on `scalar`, `conv2`
+/// input_grad on `parallel`), carried here as the opaque payload of a
+/// `plan-program` section.
+const GOLDEN_PROGRAM: &str = "5354504c414e0100 0100 0000 02000000 \
+    010000004700000000000000 06000000 0400000073696d64 05000000636f6e7631 \
+       0f000000706172616c6c656c3a696d32726f77 060000007363616c6172 05000000636f6e7632 \
+       08000000706172616c6c656c \
+    020000002300000000000000 00000000 03000000 010000000002000000 010000000203000000 \
+       040000000105000000";
 
-    let (train, _) = data();
-    let stck = simd_snapshot(Some(PlanPayload::Program(golden)))
-        .encode()
-        .expect("snapshot encodes");
-    let mut resumed = trainer("auto", None);
-    resumed
-        .resume(&Snapshot::decode(&stck).expect("snapshot decodes"))
-        .expect("the golden plan resumes");
-    resumed.train_epoch(&train);
-    assert_eq!(
-        params(&mut straight_simd()),
-        params(&mut resumed),
-        "resuming the golden plan left the simd trajectory"
-    );
-}
-
+/// A snapshot carrying a legacy plan, as text (here naming `fixed`, which
+/// could not be ignored without changing results) or as a binary program,
+/// is refused by an `auto` resume with a typed error naming the section. A
+/// pinned engine resumes it, ignores the plan unread, and lands bit for
+/// bit on the `simd` trajectory. An `auto` run embeds no plan.
 #[test]
-fn resume_accepts_legacy_text_plan_payloads() {
-    // Snapshots written before the binary program format carried the
-    // line-oriented text form; an auto resume still reads and checks it.
-    let text = "# sparsetrain execution plan v1\n\
-                default scalar\n\
-                conv1 forward im2row\n\
-                conv1 weight_grad simd\n";
-    let mut snap = simd_snapshot(Some(PlanPayload::Text(text.to_string())));
-    let mut resumed = trainer("auto", None);
-    resumed.resume(&snap).expect("text-payload resume");
+fn plan_sections_are_refused_on_auto_and_ignored_when_pinned() {
     assert_eq!(
-        resumed.snapshot().plan,
+        trainer("auto", None).snapshot().plan,
         None,
-        "an ignored plan is not re-embedded"
+        "an auto run embeds no plan"
     );
+    let (train, _) = data();
+    let straight = params(&mut straight_simd());
+    let text = "default scalar\nconv1 forward im2row\nconv2 weight_grad fixed\n";
+    for (payload, section) in [
+        (PlanPayload::Text(text.to_string()), Section::Plan),
+        (PlanPayload::Program(unhex(GOLDEN_PROGRAM)), Section::PlanProgram),
+    ] {
+        // Through the codec, as a snapshot file from an older build arrives.
+        let bytes = simd_snapshot(Some(payload)).encode().expect("snapshot encodes");
+        let snap = Snapshot::decode(&bytes).expect("snapshot decodes");
 
-    // A corrupt text payload surfaces as a typed resume error.
-    snap.plan = Some(PlanPayload::Text("conv1 sideways simd".to_string()));
-    let err = trainer("auto", None)
-        .resume(&snap)
-        .expect_err("bad plan rejected");
-    assert!(err.to_string().contains("sideways"), "{err}");
+        let err = trainer("auto", None)
+            .resume(&snap)
+            .expect_err("auto refuses a plan");
+        assert!(
+            matches!(err, ResumeError::LegacyPlan { section: s } if s == section),
+            "{err:?}"
+        );
+        let shown = err.to_string();
+        assert!(shown.contains(&format!("section {}", section.name())), "{shown}");
+
+        for engine in ["scalar", "simd"] {
+            let mut resumed = trainer(engine, None);
+            resumed
+                .resume(&snap)
+                .unwrap_or_else(|e| panic!("{engine}: resume failed: {e}"));
+            assert_eq!(
+                resumed.snapshot().plan,
+                None,
+                "{engine}: an ignored plan is not re-embedded"
+            );
+            resumed.train_epoch(&train);
+            assert_eq!(
+                params(&mut resumed),
+                straight,
+                "{engine} left the simd trajectory"
+            );
+        }
+    }
 }
