@@ -199,6 +199,67 @@ fn unhex(hex: &str) -> Vec<u8> {
     digits.chunks(2).map(byte).collect()
 }
 
+/// Round-trips a `simd` snapshot carrying `payload` through the codec, as a
+/// snapshot file from an older build arrives, and checks the one rule for
+/// plan sections: an `auto` resume refuses it with a typed error naming
+/// `section`; a pinned engine resumes it, ignores the plan unread, and
+/// lands bit for bit on the `simd` trajectory. Returns the decoded
+/// snapshot.
+fn assert_refused_on_auto_and_ignored_when_pinned(payload: PlanPayload, section: Section) -> Snapshot {
+    let bytes = simd_snapshot(Some(payload)).encode().expect("snapshot encodes");
+    let snap = Snapshot::decode(&bytes).expect("snapshot decodes");
+
+    let err = trainer("auto", None)
+        .resume(&snap)
+        .expect_err("auto refuses a plan");
+    assert!(
+        matches!(err, ResumeError::LegacyPlan { section: s } if s == section),
+        "{err:?}"
+    );
+    let shown = err.to_string();
+    assert!(shown.contains(&format!("section {}", section.name())), "{shown}");
+
+    let (train, _) = data();
+    let straight = params(&mut straight_simd());
+    for engine in ["scalar", "simd"] {
+        let mut resumed = trainer(engine, None);
+        resumed
+            .resume(&snap)
+            .unwrap_or_else(|e| panic!("{engine}: resume failed: {e}"));
+        assert_eq!(
+            resumed.snapshot().plan,
+            None,
+            "{engine}: an ignored plan is not re-embedded"
+        );
+        resumed.train_epoch(&train);
+        assert_eq!(
+            params(&mut resumed),
+            straight,
+            "{engine} left the simd trajectory"
+        );
+    }
+    snap
+}
+
+/// Snapshots written before the binary program format carried the
+/// line-oriented text form: refused on `auto`, resumed when pinned.
+#[test]
+fn resume_accepts_legacy_text_plan_payloads() {
+    let text = "# sparsetrain execution plan v1\n\
+                default scalar\n\
+                conv1 forward im2row\n\
+                conv1 weight_grad simd\n";
+    assert_refused_on_auto_and_ignored_when_pinned(PlanPayload::Text(text.to_string()), Section::Plan);
+}
+
+/// A plan naming `fixed` could not be ignored without changing results;
+/// with no decoder left to tell, `auto` refuses every plan, this one too.
+#[test]
+fn resume_rejects_a_plan_naming_a_fixed_point_engine() {
+    let text = "default scalar\nconv1 forward im2row\nconv2 weight_grad fixed\n";
+    assert_refused_on_auto_and_ignored_when_pinned(PlanPayload::Text(text.to_string()), Section::Plan);
+}
+
 /// A binary plan program an older build wrote (default `simd`; `conv1`
 /// forward on `parallel:im2row`, `conv1` weight_grad on `scalar`, `conv2`
 /// input_grad on `parallel`), carried here as the opaque payload of a
@@ -210,55 +271,33 @@ const GOLDEN_PROGRAM: &str = "5354504c414e0100 0100 0000 02000000 \
     020000002300000000000000 00000000 03000000 010000000002000000 010000000203000000 \
        040000000105000000";
 
-/// A snapshot carrying a legacy plan, as text (here naming `fixed`, which
-/// could not be ignored without changing results) or as a binary program,
-/// is refused by an `auto` resume with a typed error naming the section. A
-/// pinned engine resumes it, ignores the plan unread, and lands bit for
-/// bit on the `simd` trajectory. An `auto` run embeds no plan.
+/// The codec decodes the committed golden program verbatim; `auto` refuses
+/// it and a pinned engine trains past it bit for bit.
 #[test]
-fn plan_sections_are_refused_on_auto_and_ignored_when_pinned() {
-    assert_eq!(
-        trainer("auto", None).snapshot().plan,
-        None,
-        "an auto run embeds no plan"
+fn resume_decodes_the_golden_plan_and_trains_bitwise() {
+    let golden = unhex(GOLDEN_PROGRAM);
+    let snap = assert_refused_on_auto_and_ignored_when_pinned(
+        PlanPayload::Program(golden.clone()),
+        Section::PlanProgram,
     );
+    assert_eq!(snap.plan, Some(PlanPayload::Program(golden)));
+}
+
+/// `auto` is frozen to `simd` and embeds no plan: an `auto` snapshot,
+/// through the codec, resumes on `auto` and lands on the `simd` trajectory
+/// bit for bit.
+#[test]
+fn resume_replays_the_frozen_auto_plan() {
     let (train, _) = data();
-    let straight = params(&mut straight_simd());
-    let text = "default scalar\nconv1 forward im2row\nconv2 weight_grad fixed\n";
-    for (payload, section) in [
-        (PlanPayload::Text(text.to_string()), Section::Plan),
-        (PlanPayload::Program(unhex(GOLDEN_PROGRAM)), Section::PlanProgram),
-    ] {
-        // Through the codec, as a snapshot file from an older build arrives.
-        let bytes = simd_snapshot(Some(payload)).encode().expect("snapshot encodes");
-        let snap = Snapshot::decode(&bytes).expect("snapshot decodes");
+    let mut first = trainer("auto", None);
+    assert_eq!(first.snapshot().plan, None, "an auto run embeds no plan");
+    first.train_epoch(&train);
+    let bytes = first.snapshot().encode().expect("snapshot encodes");
+    let snap = Snapshot::decode(&bytes).expect("snapshot decodes");
+    assert_eq!(snap.plan, None, "an auto run embeds no plan");
 
-        let err = trainer("auto", None)
-            .resume(&snap)
-            .expect_err("auto refuses a plan");
-        assert!(
-            matches!(err, ResumeError::LegacyPlan { section: s } if s == section),
-            "{err:?}"
-        );
-        let shown = err.to_string();
-        assert!(shown.contains(&format!("section {}", section.name())), "{shown}");
-
-        for engine in ["scalar", "simd"] {
-            let mut resumed = trainer(engine, None);
-            resumed
-                .resume(&snap)
-                .unwrap_or_else(|e| panic!("{engine}: resume failed: {e}"));
-            assert_eq!(
-                resumed.snapshot().plan,
-                None,
-                "{engine}: an ignored plan is not re-embedded"
-            );
-            resumed.train_epoch(&train);
-            assert_eq!(
-                params(&mut resumed),
-                straight,
-                "{engine} left the simd trajectory"
-            );
-        }
-    }
+    let mut resumed = trainer("auto", None);
+    resumed.resume(&snap).expect("an auto snapshot resumes on auto");
+    resumed.train_epoch(&train);
+    assert_eq!(params(&mut straight_simd()), params(&mut resumed));
 }
