@@ -21,6 +21,14 @@
 //! word) with the high word reserved (always zero today; a future 2-D
 //! offset can use it without changing any existing stream).
 //!
+//! Two reads of a stream exist. [`StreamKey::word_at`] /
+//! [`StreamKey::uniform_at`] spend one block per position and read its
+//! first 64-bit word (fault injection and the chaos campaign draw this
+//! way). [`KeySchedule`], the draw of stochastic pruning, reads all 128
+//! output bits of a block as four 32-bit words, one per consecutive
+//! position, and keeps the top 24 bits of each: four `f32` draws per
+//! ten-round block, where `word_at` uses half a block for one.
+//!
 //! ```
 //! use rand::stream::StreamKey;
 //!
@@ -56,15 +64,16 @@ const fn philox_round_keys(key: u64) -> [u64; PHILOX_ROUNDS as usize] {
 
 /// The Philox 2×64 round core over `N` independent counters: encrypts
 /// each 128-bit counter `(x0[lane], 0)` under pre-folded round keys and
-/// returns each block's first output word. The single source of the round
-/// arithmetic, shared by [`StreamKey::word_at`] and [`KeySchedule`]; with
-/// `N > 1` the lanes' multiply chains are independent, so they overlap in
-/// the pipeline instead of waiting on one another.
+/// returns each block's two output words `(x0, x1)`. The single source of
+/// the round arithmetic, shared by [`StreamKey::word_at`] (which reads
+/// `x0`) and [`KeySchedule`] (which reads all 128 bits); with `N > 1` the
+/// lanes' multiply chains are independent, so they overlap in the
+/// pipeline instead of waiting on one another.
 #[inline]
 const fn philox_blocks<const N: usize>(
     round_keys: &[u64; PHILOX_ROUNDS as usize],
     mut x0: [u64; N],
-) -> [u64; N] {
+) -> ([u64; N], [u64; N]) {
     let mut x1 = [0u64; N];
     let mut round = 0;
     while round < round_keys.len() {
@@ -77,17 +86,14 @@ const fn philox_blocks<const N: usize>(
         }
         round += 1;
     }
-    x0
+    (x0, x1)
 }
 
-/// The `[0, 1)` draw of an output word, rounded to `f32`: bitwise
-/// `uniform as f32` of the 53-bit [`StreamKey::uniform_at`] value. The
-/// 53-bit integer is exact in `f64` and the scale is a power of two, so
-/// rounding the integer straight to `f32` and scaling rounds the same real
-/// number once, to the same bits (pinned by the stability goldens).
+/// The `[0, 1)` draw of a 32-bit output word: its top 24 bits × 2⁻²⁴,
+/// exact in `f32`.
 #[inline]
-fn unit_f32(word: u64) -> f32 {
-    (word >> 11) as f32 * (1.0 / (1u64 << 53) as f32)
+fn unit24(word: u32) -> f32 {
+    (word >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
 }
 
 /// SplitMix64 finalizer: a strong 64-bit bijective mixer, used to fold
@@ -150,7 +156,7 @@ impl StreamKey {
     /// The random 64-bit word at position `offset` of this stream — a pure
     /// function of `(key, offset)`.
     pub const fn word_at(self, offset: u64) -> u64 {
-        philox_blocks(&philox_round_keys(self.key), [offset])[0]
+        philox_blocks(&philox_round_keys(self.key), [offset]).0[0]
     }
 
     /// The uniform `[0, 1)` draw at position `offset` of this stream (53
@@ -159,9 +165,8 @@ impl StreamKey {
         (self.word_at(offset) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// This stream's key schedule, folded once: the handle a consumer of
-    /// many scattered draws (stochastic pruning's snap/zero sweep) reads
-    /// them through.
+    /// This stream's key schedule, folded once: the handle stochastic
+    /// pruning's snap/zero sweep reads its four-per-block draws through.
     pub const fn schedule(self) -> KeySchedule {
         KeySchedule {
             round_keys: philox_round_keys(self.key),
@@ -178,32 +183,52 @@ impl StreamKey {
     }
 }
 
-/// One stream's pre-folded Philox round keys ([`StreamKey::schedule`]).
+/// One stream's pre-folded Philox round keys ([`StreamKey::schedule`]),
+/// and the stream's `f32` draw: four draws per Philox block.
 ///
-/// Philox's per-round keys `kᵣ = key + r·W` do not depend on the counter,
-/// so they are computed once and every draw after that costs only the ten
-/// multiply rounds. Draws stay pure functions of `(key, position)`: which
-/// positions are evaluated, in what order and how many at a time cannot
-/// change any of them.
+/// Position `p` reads 32-bit word `p mod 4` of block `⌊p/4⌋` (the block
+/// whose counter is `⌊p/4⌋`), in the order `x0` low, `x0` high, `x1` low,
+/// `x1` high, and uses its top 24 bits × 2⁻²⁴ ([`KeySchedule::draw_at`]).
+/// So one block of ten multiply rounds pays for four consecutive
+/// positions. Philox's per-round keys `kᵣ = key + r·W` do not depend on
+/// the counter, so they are computed once. Draws stay pure functions of
+/// `(key, position)`: which positions are evaluated, in what order and how
+/// many at a time cannot change any of them. Positions wrap modulo 2⁶⁴,
+/// and so, since 4 divides 2⁶⁴, do blocks: position `2⁶⁴ − 1` is word 3 of
+/// block `2⁶² − 1`, and position 0 after it word 0 of block 0.
+///
+/// ```
+/// use rand::stream::StreamKey;
+///
+/// let schedule = StreamKey::new(42).schedule();
+/// let [block] = schedule.draw_blocks([3]); // positions 12..16
+/// assert_eq!(block[1].to_bits(), schedule.draw_at(13).to_bits());
+/// assert!((0.0..1.0).contains(&block[1]));
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct KeySchedule {
     round_keys: [u64; PHILOX_ROUNDS as usize],
 }
 
 impl KeySchedule {
-    /// The uniform `[0, 1)` draw at position `pos`, bitwise equal to
-    /// `uniform_at(pos) as f32`.
+    /// The draws of positions `4·b .. 4·b + 4` for each of `N` blocks `b`
+    /// (any `N` — they need not be consecutive), the blocks' counters in
+    /// flight through one round loop.
     #[inline]
-    pub fn uniform_f32_at(&self, pos: u64) -> f32 {
-        unit_f32(philox_blocks(&self.round_keys, [pos])[0])
+    pub fn draw_blocks<const N: usize>(&self, blocks: [u64; N]) -> [[f32; 4]; N] {
+        let (x0, x1) = philox_blocks(&self.round_keys, blocks);
+        let mut draws = [[0.0; 4]; N];
+        for ((d, w0), w1) in draws.iter_mut().zip(x0).zip(x1) {
+            *d = [w0 as u32, (w0 >> 32) as u32, w1 as u32, (w1 >> 32) as u32].map(unit24);
+        }
+        draws
     }
 
-    /// The draws at four positions (any four — they need not be
-    /// consecutive), each bitwise equal to `uniform_at(pos[i]) as f32`,
-    /// with the four counters in flight through one round loop.
+    /// The draw at position `pos` — the definition every batched read
+    /// ([`KeySchedule::draw_blocks`]) equals.
     #[inline]
-    pub fn uniform_f32_at4(&self, pos: [u64; 4]) -> [f32; 4] {
-        philox_blocks(&self.round_keys, pos).map(unit_f32)
+    pub fn draw_at(&self, pos: u64) -> f32 {
+        self.draw_blocks([pos / 4])[0][(pos % 4) as usize]
     }
 }
 
@@ -363,67 +388,124 @@ mod tests {
         for (i, (got, want)) in cases.iter().enumerate() {
             assert_eq!(got, want, "golden {i}: got {got:#018X}, want {want:#018X}");
         }
+    }
 
-        // The schedule's draws are pinned to the per-element ladder: one
-        // at a time and four in flight, at scattered (non-consecutive)
-        // positions, every draw must be bitwise `uniform_at` rounded to
-        // f32, for fresh, derived and named keys, at plain and
-        // counter-wrapping offsets.
-        for key in [root, derived, named] {
-            let schedule = key.schedule();
-            for offset in [0u64, 1, 12_345, u64::MAX - 3] {
-                let pos: Vec<u64> = (0..20u64).map(|i| offset.wrapping_add(i * i * 7)).collect();
-                let want: Vec<u32> = pos
-                    .iter()
-                    .map(|&p| (key.uniform_at(p) as f32).to_bits())
-                    .collect();
-                let single: Vec<u32> = pos
-                    .iter()
-                    .map(|&p| schedule.uniform_f32_at(p).to_bits())
-                    .collect();
-                assert_eq!(
-                    single, want,
-                    "single draws diverged from uniform_at at offset {offset}"
-                );
-                let four: Vec<u32> = pos
-                    .chunks_exact(4)
-                    .flat_map(|p| schedule.uniform_f32_at4([p[0], p[1], p[2], p[3]]))
-                    .map(f32::to_bits)
-                    .collect();
-                assert_eq!(
-                    four, want,
-                    "four-in-flight draws diverged from uniform_at at offset {offset}"
-                );
-            }
+    /// Stability goldens of the block draw: the bits of
+    /// [`KeySchedule::draw_at`] for fresh, derived and named keys, at all
+    /// four words of a block, mid-stream, and at the counter's last
+    /// position. An intentional change of the draw must re-anchor them
+    /// (and every seed-sensitive pruning capture); an accidental one fails
+    /// here first.
+    #[test]
+    fn block_draw_goldens() {
+        let root = StreamKey::new(0).schedule();
+        let derived = StreamKey::new(42).derive(1).derive(2).schedule();
+        let named = StreamKey::new(7).derive_str("conv1").schedule();
+        let cases: [(f32, u32); 10] = [
+            (root.draw_at(0), 0x3F18_43D7),
+            (root.draw_at(1), 0x3F4A_00A0),
+            (root.draw_at(2), 0x3F49_A845),
+            (root.draw_at(3), 0x3ECD_8484),
+            (root.draw_at(4), 0x3EF5_DEB0),
+            (root.draw_at(u64::MAX), 0x3F33_4C0F),
+            (derived.draw_at(0), 0x3EF9_523C),
+            (derived.draw_at(12_345), 0x3EAC_F280),
+            (named.draw_at(3), 0x3F09_350A),
+            (named.draw_at(14), 0x3EF0_42FC),
+        ];
+        for (i, (got, want)) in cases.iter().enumerate() {
+            let got = got.to_bits();
+            assert_eq!(got, *want, "golden {i}: got {got:#010X}, want {want:#010X}");
         }
     }
 
-    /// `unit_f32` rounds the 53-bit integer once where `uniform_at(..) as
-    /// f32` rounds its exact f64 value once — the same real number up to a
-    /// power-of-two scale, so the same bits. Walk the cases where a second
-    /// rounding would show: ties, the carry into the next binade, and the
-    /// largest word.
+    /// The block draw is the definition: position `p` is word `p mod 4` of
+    /// block `⌊p/4⌋` in the order `x0` low, `x0` high, `x1` low, `x1`
+    /// high, top 24 bits × 2⁻²⁴. Words 0 and 1 tie it to the `word_at`
+    /// goldens above; one block at a time and four in flight, scattered
+    /// (non-consecutive) blocks, counter-wrapping ones included, read the
+    /// same bits.
     #[test]
-    fn f32_draw_rounds_like_the_f64_draw() {
-        let reference = |word: u64| ((word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) as f32;
-        let mut words = vec![0u64, 1 << 11, u64::MAX, u64::MAX - (1 << 11)];
-        for top in [24u32, 30, 40, 52] {
-            // A 24-bit significand ending in a tie, just below it, just
-            // above it, and all-ones (rounds up into the next binade).
-            let lead = 1u64 << top;
-            let half = lead >> 24;
-            for low in [half, half.wrapping_sub(1), half + 1, lead - 1, half | (half << 1)] {
-                words.push((lead | low) << 11);
+    fn block_draws_read_the_four_words_of_the_block() {
+        let scale = 1.0 / (1u64 << 24) as f64;
+        for key in [
+            StreamKey::new(0),
+            StreamKey::new(42).derive(1),
+            StreamKey::new(7).derive_str("conv1"),
+        ] {
+            let schedule = key.schedule();
+            for offset in [0u64, 1, 12_345, u64::MAX - 3] {
+                let pos: Vec<u64> = (0..20u64).map(|i| offset.wrapping_add(i * i * 7)).collect();
+                for &p in &pos {
+                    let (x0, x1) = philox_blocks(&philox_round_keys(key.value()), [p / 4]);
+                    assert_eq!(x0[0], key.word_at(p / 4));
+                    let word = [x0[0], x0[0] >> 32, x1[0], x1[0] >> 32][(p % 4) as usize] as u32;
+                    let want = (word >> 8) as f64 * scale;
+                    assert_eq!(schedule.draw_at(p) as f64, want, "position {p}");
+                }
+                let blocks: Vec<u64> = pos.iter().map(|p| p / 4).collect();
+                let want: Vec<u32> = blocks
+                    .iter()
+                    .flat_map(|&b| (0..4).map(move |w| schedule.draw_at(b * 4 + w).to_bits()))
+                    .collect();
+                let one: Vec<u32> = blocks
+                    .iter()
+                    .flat_map(|&b| schedule.draw_blocks([b])[0])
+                    .map(f32::to_bits)
+                    .collect();
+                let four: Vec<u32> = blocks
+                    .chunks_exact(4)
+                    .flat_map(|b| {
+                        schedule
+                            .draw_blocks([b[0], b[1], b[2], b[3]])
+                            .into_iter()
+                            .flatten()
+                    })
+                    .map(f32::to_bits)
+                    .collect();
+                assert_eq!(one, want, "one block at a time, offset {offset}");
+                assert_eq!(four, want, "four blocks in flight, offset {offset}");
             }
         }
-        let key = StreamKey::new(99);
-        words.extend((0..4096).map(|i| key.word_at(i)));
-        for word in words {
-            assert_eq!(
-                unit_f32(word).to_bits(),
-                reference(word).to_bits(),
-                "word {word:#018X}"
-            );
+        // The extreme words map to 0 and 1 − 2⁻²⁴, so every draw is in
+        // [0, 1); the last position of the counter is word 3 of the last
+        // block.
+        assert_eq!((unit24(0), unit24(0xFF)), (0.0, 0.0));
+        assert_eq!(unit24(u32::MAX) as f64, 1.0 - scale);
+        let schedule = StreamKey::new(0).schedule();
+        assert_eq!(
+            schedule.draw_at(u64::MAX).to_bits(),
+            schedule.draw_blocks([u64::MAX / 4])[0][3].to_bits()
+        );
+    }
+
+    /// The four words of a block are as uniform and as uncorrelated as
+    /// draws from distinct blocks: chi-squared over 16 bins (df = 15,
+    /// 99.9th percentile 37.7) and lag-1 / lag-4 correlation of
+    /// consecutive positions.
+    #[test]
+    fn block_draws_are_uniform_and_uncorrelated() {
+        let schedule = StreamKey::new(2024).derive(9).schedule();
+        let n = 65_536u64;
+        let draws: Vec<f64> = (0..n).map(|p| schedule.draw_at(p) as f64).collect();
+        let mut bins = [0u64; 16];
+        for &r in &draws {
+            bins[(r * 16.0) as usize] += 1;
+        }
+        let expected = n as f64 / 16.0;
+        let chi2: f64 = bins
+            .iter()
+            .map(|&b| (b as f64 - expected).powi(2) / expected)
+            .sum();
+        assert!(chi2 < 37.7, "chi-squared {chi2} over 16 bins (df=15, p<0.001)");
+        let mean = draws.iter().sum::<f64>() / n as f64;
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+        for lag in [1usize, 2, 3, 4] {
+            let (xs, ys) = (&draws[..draws.len() - lag], &draws[lag..]);
+            let cov: f64 = xs.iter().zip(ys).map(|(x, y)| (x - 0.5) * (y - 0.5)).sum();
+            let var: f64 = draws.iter().map(|x| (x - 0.5) * (x - 0.5)).sum();
+            let r = cov / var;
+            assert!(r.abs() < 0.03, "lag-{lag} draws correlate: r = {r}");
         }
     }
 

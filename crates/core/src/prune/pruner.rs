@@ -238,11 +238,7 @@ impl LayerPruner {
 
         self.stats.batches += 1;
         self.stats.last_predicted_tau = predicted;
-        let density = if batch.elements == 0 {
-            1.0
-        } else {
-            (batch.outcome.kept + batch.outcome.snapped) as f64 / batch.elements as f64
-        };
+        let density = batch.outcome.density();
         self.stats.last_density = Some(density);
         if predicted.is_some() {
             self.stats.density_sum += density;

@@ -11,10 +11,12 @@
 //! * [`prune_slice_at`] — the production path: each element's draw is read
 //!   from a counter-based stream ([`rand::stream::StreamKey`]) at that
 //!   element's position, so results are independent of visitation order
-//!   and thread count (see [`crate::prune::stream`]). Like the PPU, which
-//!   only ever sees the non-zeros of the compressed stream, its work
-//!   follows the non-zeros: a draw is evaluated only where a non-zero
-//!   lies below `τ`.
+//!   and thread count (see [`crate::prune::stream`]). One Philox block
+//!   serves four consecutive positions (a 24-bit draw each, where the
+//!   PPU's LFSR lanes hand 16), and, like the PPU, which only ever sees
+//!   the non-zeros of the compressed stream, its work follows the
+//!   non-zeros: a block is computed only where one of its positions holds
+//!   a non-zero below `τ`.
 //! * [`prune_slice`] — the element-order reference mirroring the hardware
 //!   PPU, whose LFSR lanes hand one draw per *non-zero sub-threshold*
 //!   value in stream order. Order-dependent by design; used by the
@@ -41,14 +43,16 @@ impl PruneOutcome {
         self.kept + self.snapped + self.zeroed
     }
 
-    /// Density of the pruned output (non-zero fraction), counting inputs
-    /// that were already zero as zeros. Returns 1.0 for an empty pass.
-    pub fn density(&self, already_zero: usize) -> f64 {
+    /// Density of the pruned output: the non-zero (kept or snapped)
+    /// fraction. Inputs that were already zero are counted in `zeroed` by
+    /// both prune passes, so they need no separate correction. Returns 1.0
+    /// for an empty pass.
+    pub fn density(&self) -> f64 {
         let total = self.total();
         if total == 0 {
             return 1.0;
         }
-        (self.kept + self.snapped - already_zero.min(self.kept)) as f64 / total as f64
+        (self.kept + self.snapped) as f64 / total as f64
     }
 }
 
@@ -127,8 +131,8 @@ pub(super) fn abs_sum_nonzeros(part: &[f32]) -> (f64, usize) {
 
 /// Applies the stochastic pruning rule to every element of `grads` with
 /// threshold `tau`, in place, drawing each element's randomness from the
-/// counter-based stream `key` at position `offset + index`. Returns the
-/// outcome counts.
+/// counter-based stream `key` at position `offset + index`
+/// ([`rand::stream::KeySchedule::draw_at`]). Returns the outcome counts.
 ///
 /// Because the draw for an element is a pure function of `(key, position)`,
 /// the result is independent of visitation order: pruning a slice whole,
@@ -136,13 +140,13 @@ pub(super) fn abs_sum_nonzeros(part: &[f32]) -> (f64, usize) {
 /// threads produces bitwise-identical gradients. `tau <= 0` disables
 /// pruning, and exact zeros stay zero, exactly as in [`prune_slice`].
 ///
-/// The work follows the non-zeros. Each 64-element run is classified
-/// branch-free into bitmasks; only the positions where a non-zero lies
-/// below `tau` are visited at all, and only there is a draw evaluated —
-/// on demand, at the element's own position (the f32 rounding of the
-/// stream's 53-bit uniform), through the key schedule folded once per
-/// call and four positions at a time. Zeros and kept values cost their
-/// share of the classification and nothing else.
+/// The work follows the candidates (non-zeros below `tau`). Each
+/// 64-element run is classified branch-free into bitmasks; a run with no
+/// candidate costs its classification and nothing else. Otherwise only
+/// the Philox blocks holding a candidate's position are computed (one
+/// block serves four consecutive positions), four blocks in flight, and
+/// the whole run is then settled branch-free: each candidate snaps or
+/// zeroes by a select, every other element is written back unchanged.
 ///
 /// ```
 /// use sparsetrain_core::prune::prune_slice_at;
@@ -161,59 +165,75 @@ pub(super) fn abs_sum_nonzeros(part: &[f32]) -> (f64, usize) {
 /// assert_eq!(parts, whole);
 /// ```
 pub fn prune_slice_at(grads: &mut [f32], tau: f64, key: StreamKey, offset: u64) -> PruneOutcome {
+    let nonzeros = grads.iter().filter(|&&g| g != 0.0).count();
     if tau <= 0.0 {
-        let kept = grads.iter().filter(|&&g| g != 0.0).count();
         return PruneOutcome {
-            kept,
+            kept: nonzeros,
             snapped: 0,
-            zeroed: grads.len() - kept,
+            zeroed: grads.len() - nonzeros,
         };
     }
     let tau_f = tau as f32;
     let schedule = key.schedule();
-    // r ~ U[0,1) at the element's stream position: keep ±τ iff |g| > τ·r
-    // ⇔ with probability |g|/τ. A select, not a branch — the outcome is a
-    // coin flip by construction.
-    let settle = |g: &mut f32, r: f32| -> usize {
-        let snap = (g.abs() as f64) > tau * r as f64;
-        *g = if snap { tau_f.copysign(*g) } else { 0.0 };
-        snap as usize
-    };
-    let (mut nonzeros, mut drawn, mut snapped) = (0usize, 0usize, 0usize);
-    // Indices awaiting a draw, carried across runs so the draws are taken
-    // four at a time however the candidates are scattered.
-    let mut pending = [0usize; 4];
-    let mut waiting = 0usize;
-    for start in (0..grads.len()).step_by(RUN) {
-        let run = &grads[start..(start + RUN).min(grads.len())];
-        nonzeros += mask_of(run, |g| g != 0.0).count_ones() as usize;
-        // NaN and ±∞ compare false here and are kept; −0.0 is a zero.
-        let mut candidates = mask_of(run, |g| g != 0.0 && (g.abs() as f64) < tau);
+    // NaN and ±∞ compare false here and are kept; −0.0 is a zero.
+    let is_candidate = |g: f32| (g != 0.0) & ((g.abs() as f64) < tau);
+    let mut drawn = 0usize;
+    for (start, run) in (0..).step_by(RUN).zip(grads.chunks_mut(RUN)) {
+        let candidates = mask_of(run, is_candidate);
+        if candidates == 0 {
+            continue;
+        }
         drawn += candidates.count_ones() as usize;
-        while candidates != 0 {
-            pending[waiting] = start + candidates.trailing_zeros() as usize;
-            candidates &= candidates - 1;
-            waiting += 1;
-            if waiting == pending.len() {
-                waiting = 0;
-                let draws = schedule.uniform_f32_at4(pending.map(|i| offset.wrapping_add(i as u64)));
-                for (&i, r) in pending.iter().zip(draws) {
-                    snapped += settle(&mut grads[i], r);
-                }
+        // The run's first position sits `lead` words into its block, so
+        // element `i` reads `draws[lead + i]` and block `k` of the run
+        // fills `draws[4k..4k + 4]`. Bit 4k of `holding` is set iff block
+        // `k` holds a candidate; those blocks are listed branch-free.
+        let first = offset.wrapping_add(start);
+        let (aligned, lead) = (first & !3, (first & 3) as usize);
+        let spread = (candidates as u128) << lead;
+        let holding = (spread | spread >> 1 | spread >> 2 | spread >> 3) & NIBBLE_LOWS;
+        let mut blocks = [0usize; RUN / 4 + 1];
+        let mut listed = 0;
+        for k in 0..blocks.len() {
+            blocks[listed] = k;
+            listed += (holding >> (4 * k)) as usize & 1;
+        }
+        // Four blocks in flight; a short last group repeats its last block.
+        // Each block's counter is taken from its own (wrapped) position,
+        // so a run crossing 2⁶⁴ reads block 0 after block 2⁶² − 1.
+        let mut draws = [0f32; RUN + 4];
+        for group in blocks[..listed].chunks(4) {
+            let last = group[group.len() - 1];
+            let ks = [0, 1, 2, 3].map(|j| *group.get(j).unwrap_or(&last));
+            let quads = schedule.draw_blocks(ks.map(|k| aligned.wrapping_add(4 * k as u64) / 4));
+            for (k, quad) in ks.into_iter().zip(quads) {
+                draws[4 * k..][..4].copy_from_slice(&quad);
             }
         }
-    }
-    for &i in &pending[..waiting] {
-        let r = schedule.uniform_f32_at(offset.wrapping_add(i as u64));
-        snapped += settle(&mut grads[i], r);
+        // r ~ U[0,1) at the element's stream position: keep ±τ iff
+        // |g| > τ·r ⇔ with probability |g|/τ. Selects, not branches — the
+        // outcome is a coin flip by construction — over the whole run;
+        // every other element is written back unchanged.
+        for (g, &r) in run.iter_mut().zip(&draws[lead..]) {
+            let snap = (g.abs() as f64) > tau * r as f64;
+            let settled = if snap { tau_f.copysign(*g) } else { 0.0 };
+            *g = if is_candidate(*g) { settled } else { *g };
+        }
     }
     let kept = nonzeros - drawn;
+    // A snapped value is ±τ as f32, never zero: a candidate is a non-zero
+    // f32 below τ, so τ rounds to at least the smallest subnormal.
+    let snapped = grads.iter().filter(|&&g| g != 0.0).count() - kept;
     PruneOutcome {
         kept,
         snapped,
         zeroed: grads.len() - kept - snapped,
     }
 }
+
+/// Bit `4k` set for every `k`: the low bit of each 4-bit group of a
+/// `u128`.
+const NIBBLE_LOWS: u128 = u128::MAX / 0xF;
 
 #[cfg(test)]
 mod tests {
@@ -329,16 +349,18 @@ mod tests {
     }
 
     /// The rule one element at a time, each draw read straight off the
-    /// stream at the element's position: what [`prune_slice_at`] must equal
-    /// bit for bit however it batches its work.
+    /// stream at the element's position (word `p mod 4` of Philox block
+    /// `⌊p/4⌋`): what [`prune_slice_at`] must equal bit for bit however it
+    /// batches its work.
     fn prune_reference(grads: &mut [f32], tau: f64, key: StreamKey, offset: u64) -> PruneOutcome {
+        let schedule = key.schedule();
         let mut out = PruneOutcome::default();
         for (i, g) in grads.iter_mut().enumerate() {
             let a = g.abs() as f64;
             if *g == 0.0 {
                 out.zeroed += 1;
             } else if a < tau {
-                let r = key.uniform_at(offset.wrapping_add(i as u64)) as f32 as f64;
+                let r = schedule.draw_at(offset.wrapping_add(i as u64)) as f64;
                 if a > tau * r {
                     *g = if *g > 0.0 { tau as f32 } else { -(tau as f32) };
                     out.snapped += 1;
@@ -400,7 +422,18 @@ mod tests {
                         })
                         .collect();
                     let key = StreamKey::new(len as u64).derive((density * 100.0) as u64);
-                    for offset in [0u64, 12_345, u64::MAX - 3] {
+                    // Every residue of the offset mod 4 (a run starting
+                    // mid-block), and runs crossing 2⁶⁴ at each residue.
+                    for offset in [
+                        0u64,
+                        12_345,
+                        6,
+                        7,
+                        u64::MAX - 3,
+                        u64::MAX - 40,
+                        u64::MAX - 1,
+                        u64::MAX - 2,
+                    ] {
                         let mut want = base.clone();
                         let want_out = prune_reference(&mut want, tau, key, offset);
                         // Every two-way split, the whole slice (split 0)
@@ -461,7 +494,25 @@ mod tests {
             zeroed: 2,
         };
         assert_eq!(out.total(), 10);
-        assert_eq!(out.density(0), 0.8);
+        assert_eq!(out.density(), 0.8);
+    }
+
+    /// Inputs that were already zero are `zeroed` in the outcome and count
+    /// once: the density is the output's non-zero fraction.
+    #[test]
+    fn density_counts_zero_inputs_once() {
+        let mut g = vec![0.0, 0.5, -0.0, 2.0, 0.0, -0.001, 0.0009, 0.0];
+        let out = prune_slice_at(&mut g, 0.01, StreamKey::new(3), 0);
+        assert_eq!((out.kept, out.total()), (2, 8));
+        let nonzeros = g.iter().filter(|&&v| v != 0.0).count();
+        assert_eq!(out.kept + out.snapped, nonzeros);
+        assert_eq!(out.density(), nonzeros as f64 / 8.0);
+        let zeros_in = PruneOutcome {
+            kept: 3,
+            snapped: 1,
+            zeroed: 4,
+        };
+        assert_eq!(zeros_in.density(), 0.5);
     }
 
     #[test]
@@ -469,6 +520,6 @@ mod tests {
         let mut g: Vec<f32> = Vec::new();
         let out = prune_slice(&mut g, 0.1, &mut StdRng::seed_from_u64(0));
         assert_eq!(out.total(), 0);
-        assert_eq!(out.density(0), 1.0);
+        assert_eq!(out.density(), 1.0);
     }
 }

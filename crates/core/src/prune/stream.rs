@@ -31,6 +31,12 @@
 //! [`BatchStream::contiguous`] instead strings the parts of one *logical
 //! vector* onto a single stream, making `prune_batch_parts` invariant to
 //! how the vector is split into parts.
+//!
+//! The element offset is the stream position `p` the draw is read at:
+//! word `p mod 4` of Philox block `⌊p/4⌋`, top 24 bits
+//! ([`rand::stream::KeySchedule`]). Four consecutive elements share one
+//! block, but each still reads its own word, so where a band, a part or a
+//! shard begins — mid-block included — changes no draw.
 
 use rand::stream::StreamKey;
 

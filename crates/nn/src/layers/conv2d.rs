@@ -118,19 +118,14 @@ fn compress<'t>(n: usize, sample: impl Fn(usize) -> &'t Tensor3 + Sync) -> Vec<S
 }
 
 /// Adds one sample's bias gradient — each channel's sum of `dout` — into
-/// `bgrad`, from the compressed map's stored non-zeros in row order. The
-/// bits are those of `conv::bias_grad` over the dense map: the channel sum
-/// starts at `+0.0`, so it is never `-0.0`, and the `±0.0` terms it skips
-/// would leave it unchanged.
+/// `bgrad`, from the compressed map's stored non-zeros: each channel's
+/// contiguous arena slice, in row order. The bits are those of
+/// `conv::bias_grad` over the dense map: the channel sum starts at `+0.0`,
+/// so it is never `-0.0`, and the `±0.0` terms it skips would leave it
+/// unchanged.
 fn add_bias_grad(bgrad: &mut [f32], dout: &SparseFeatureMap) {
-    for (fi, bg) in bgrad.iter_mut().enumerate() {
-        let mut sum = 0.0f32;
-        for y in 0..dout.height() {
-            for &v in dout.row(fi, y).values() {
-                sum += v;
-            }
-        }
-        *bg += sum;
+    for (c, bg) in bgrad.iter_mut().enumerate() {
+        *bg += dout.channel_values(c).iter().fold(0.0f32, |sum, &v| sum + v);
     }
 }
 

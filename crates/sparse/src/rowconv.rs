@@ -6,9 +6,14 @@
 //! through [`SparseFeatureMap::row`]; the three training-stage
 //! convolutions over whole maps are [`crate::engine::StageOp`]s, run by any
 //! [`crate::engine::KernelEngine`].
+//!
+//! [`SparseFeatureMap::from_tensor`] is the one way a map is built, and it
+//! classifies the map flat: one mask word per 64 elements of the whole
+//! map, whatever the row width, from which each row's mask words are
+//! sliced. A 4-wide row costs a sixteenth of a word, not a word of its own.
 
 use crate::compressed::{RowError, SparseRow};
-use crate::mask::{mask_of, set_bits, RowMask, RUN};
+use crate::mask::{mask_of, RowMask, RUN};
 use sparsetrain_tensor::Tensor3;
 
 /// A feature map stored as compressed rows — the on-chip layout of sparse
@@ -48,9 +53,12 @@ impl SparseFeatureMap {
     /// Compresses a dense feature map, dropping exact zeros (`±0.0`; NaN
     /// and ±∞ are kept) — the one way a map is built.
     ///
-    /// One branch-free classification sweep writes every row's mask words
-    /// and row pointer; the arena is then allocated at its exact size and
-    /// filled by walking the set bits.
+    /// One branch-free classification of the flat map, 64 elements to a
+    /// run word whatever the row width; each row's mask words are sliced
+    /// out of the run words (a row may straddle two of them), and the row
+    /// pointers counted from them. The arena is then allocated at its
+    /// exact size and filled in one walk of the run words' set bits, each
+    /// element's row offset its flat position modulo the width.
     ///
     /// # Panics
     ///
@@ -61,40 +69,53 @@ impl SparseFeatureMap {
             u32::try_from(t.len()).is_ok(),
             "a map indexes its non-zeros with u32"
         );
+        let flat = t.as_slice();
         let rows = channels * height;
         let per_row = width.div_ceil(RUN);
-        let row_of = |r: usize| &t.as_slice()[r * width..][..width];
-        let mut words = Vec::with_capacity(rows * per_row);
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        let mut nnz = 0u32;
-        row_ptr.push(nnz);
-        for r in 0..rows {
-            for run in row_of(r).chunks(RUN) {
-                let word = mask_of(run, |v| v != 0.0);
-                nnz += word.count_ones();
-                words.push(word);
-            }
-            row_ptr.push(nnz);
+        // The rows' mask words, then the run words and one zero word past
+        // them, so a row in the last run word reads a zero as its second.
+        let mut words = vec![0u64; rows * per_row + flat.len().div_ceil(RUN) + 1];
+        let (sliced, runs) = words.split_at_mut(rows * per_row);
+        for (word, run) in runs.iter_mut().zip(flat.chunks(RUN)) {
+            *word = mask_of(run, |v| v != 0.0);
         }
+        // Word `i` of row `r` holds positions `r·width + 64·i` onwards:
+        // one shift of the two run words they lie in.
+        for (r, row) in sliced.chunks_exact_mut(per_row.max(1)).enumerate() {
+            for (i, word) in row.iter_mut().enumerate() {
+                let start = r * width + i * RUN;
+                let len = (width - i * RUN).min(RUN);
+                let pair = runs[start / RUN] as u128 | (runs[start / RUN + 1] as u128) << RUN;
+                *word = (pair >> (start % RUN)) as u64 & (u64::MAX >> (RUN - len));
+            }
+        }
+        let mut nnz = 0u32;
+        let row_ptr: Vec<u32> = std::iter::once(0)
+            .chain((0..rows).map(|r| {
+                nnz += sliced[r * per_row..][..per_row]
+                    .iter()
+                    .map(|w| w.count_ones())
+                    .sum::<u32>();
+                nnz
+            }))
+            .collect();
         let mut offsets = vec![0u32; nnz as usize];
         let mut values = vec![0f32; nnz as usize];
         let mut finite = true;
-        for (r, row_words) in words.chunks_exact(per_row.max(1)).enumerate() {
-            let (row, range) = (row_of(r), row_ptr[r] as usize..row_ptr[r + 1] as usize);
-            let bits = row_words
-                .iter()
-                .enumerate()
-                .flat_map(|(i, &word)| set_bits(i * RUN, word));
-            for ((o, v), x) in offsets[range.clone()]
-                .iter_mut()
-                .zip(&mut values[range])
-                .zip(bits)
-            {
-                *o = x as u32;
-                *v = row[x];
-                finite &= row[x].is_finite();
+        let column = Modulus::new(width);
+        let mut k = 0;
+        for (base, &run) in (0..).step_by(RUN).zip(&*runs) {
+            let mut bits = run;
+            while bits != 0 {
+                let p = base + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                offsets[k] = column.of(p as u32);
+                values[k] = flat[p];
+                finite &= flat[p].is_finite();
+                k += 1;
             }
         }
+        words.truncate(rows * per_row);
         let map = Self {
             channels,
             height,
@@ -185,6 +206,18 @@ impl SparseFeatureMap {
         SparseRow::new(self.width, &self.offsets[lo..hi], &self.values[lo..hi])
     }
 
+    /// The stored non-zeros of channel `c`, every row of it in row order:
+    /// one contiguous slice of the arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of bounds.
+    pub fn channel_values(&self, c: usize) -> &[f32] {
+        assert!(c < self.channels);
+        let (lo, hi) = (self.row_ptr[c * self.height], self.row_ptr[(c + 1) * self.height]);
+        &self.values[lo as usize..hi as usize]
+    }
+
     /// Total non-zero count.
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -271,6 +304,34 @@ impl SparseFeatureMap {
     /// Size of the compressed representation in 16-bit words.
     pub fn storage_words(&self) -> usize {
         2 * self.nnz()
+    }
+}
+
+/// `p mod d` for 32-bit `p` by two multiplies instead of a division
+/// (Lemire, Kaser & Kurz, "Faster remainder by direct computation", 2019):
+/// with `m = ⌈2⁶⁴ / d⌉`, the remainder is the high word of
+/// `(m·p mod 2⁶⁴) · d`, exact for every `p, d < 2³²`.
+#[derive(Debug, Clone, Copy)]
+struct Modulus {
+    d: u64,
+    m: u64,
+}
+
+impl Modulus {
+    /// The modulus `d ≥ 1` (0 is treated as 1: no position to reduce).
+    fn new(d: usize) -> Self {
+        let d = d.max(1) as u64;
+        debug_assert!(d <= u32::MAX as u64);
+        // d = 1 wraps m to 0, which gives the remainder 0.
+        Self {
+            d,
+            m: (u64::MAX / d).wrapping_add(1),
+        }
+    }
+
+    #[inline]
+    fn of(self, p: u32) -> u32 {
+        ((self.m.wrapping_mul(p as u64) as u128 * self.d as u128) >> 64) as u32
     }
 }
 
@@ -488,6 +549,76 @@ mod tests {
             }),
             Err(RowError::MaskDisagrees { row: 4 })
         );
+    }
+
+    /// The flat classifier slices rows out of 64-element run words: at
+    /// every width up to two words (and the empty row), rows that start
+    /// mid-word and straddle two run words hold exactly their own
+    /// non-zeros, and each channel's arena slice is its rows' values in
+    /// row order.
+    #[test]
+    fn rows_sliced_from_run_words_equal_the_dense_rows() {
+        for width in 0..=130 {
+            let t = Tensor3::from_fn(3, 5, width, |c, y, x| match (c * 7 + y * 3 + x * 5) % 4 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (x + 1) as f32 * if y % 2 == 0 { 1.0 } else { -1.0 },
+            });
+            let fm = SparseFeatureMap::from_tensor(&t);
+            assert_eq!(fm.validate(), Ok(()), "width {width}");
+            for c in 0..3 {
+                let mut channel = Vec::new();
+                for y in 0..5 {
+                    let (offsets, values): (Vec<u32>, Vec<f32>) = (0..width)
+                        .filter(|&x| t.get(c, y, x) != 0.0)
+                        .map(|x| (x as u32, t.get(c, y, x)))
+                        .unzip();
+                    let row = fm.row(c, y);
+                    assert_eq!(row.offsets(), offsets.as_slice(), "width {width} row {c}.{y}");
+                    assert_eq!(row.values(), values.as_slice(), "width {width} row {c}.{y}");
+                    channel.extend(values);
+                }
+                assert_eq!(
+                    fm.channel_values(c),
+                    channel.as_slice(),
+                    "width {width} channel {c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn modulus_equals_the_remainder() {
+        let mut seed = 99;
+        let mut word = || {
+            pseudo(&mut seed);
+            seed as u32
+        };
+        for d in [
+            1u32,
+            2,
+            3,
+            4,
+            7,
+            16,
+            63,
+            64,
+            65,
+            130,
+            1000,
+            65_537,
+            u32::MAX - 1,
+            u32::MAX,
+        ] {
+            let modulus = Modulus::new(d as usize);
+            for p in [0, 1, d - 1, d, d.wrapping_add(1), u32::MAX - 1, u32::MAX] {
+                assert_eq!(modulus.of(p), p % d, "{p} mod {d}");
+            }
+            for _ in 0..1000 {
+                let p = word();
+                assert_eq!(modulus.of(p), p % d, "{p} mod {d}");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! equals a plain filter of that dense row's non-zeros, bit for bit, and
 //! every derived quantity (`to_tensor`, `masks`, `nnz`, `storage_words`,
 //! `map_values`) equals the same quantity summed or mapped row by row —
-//! at row widths on both sides of every mask-word boundary, with all-zero
+//! at row widths on both sides of every mask-word boundary and at the
+//! widths the models train at (4, 16, 32), with all-zero
 //! channels, signed zeros, NaN, ±∞ and subnormals in the data.
 
 use proptest::prelude::*;
@@ -10,7 +11,7 @@ use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::{RowMask, SparseRow};
 use sparsetrain_tensor::Tensor3;
 
-const WIDTHS: [usize; 6] = [1, 7, 63, 64, 65, 130];
+const WIDTHS: [usize; 9] = [1, 4, 7, 16, 32, 63, 64, 65, 130];
 const MAX_C: usize = 3;
 const MAX_H: usize = 3;
 const MAX_W: usize = 130;
