@@ -247,6 +247,15 @@ impl LayerPruner {
         self.stats.last_outcome = Some(batch.outcome);
     }
 
+    /// Clears the reported density statistics — the sum and count behind
+    /// [`PruneStats::mean_density`] — and nothing else: the FIFO, the
+    /// thresholds and the batch count stay, so pruning goes on exactly as
+    /// before and the mean covers only the batches absorbed from here on.
+    pub fn reset_density_stats(&mut self) {
+        self.stats.density_sum = 0.0;
+        self.stats.density_count = 0;
+    }
+
     /// Clears the FIFO and statistics (e.g. when the learning-rate schedule
     /// changes the gradient scale abruptly).
     pub fn reset(&mut self) {

@@ -145,9 +145,9 @@ impl Layer for PruneHook {
     }
 
     fn reset_density_stats(&mut self) {
-        // Keep the FIFO (threshold state) but clear reported statistics by
-        // re-creating stats via reset would lose warm-up; statistics are
-        // cheap enough to keep, so this is a no-op by design.
+        if let Some(pruner) = &mut self.pruner {
+            pruner.reset_density_stats();
+        }
     }
 
     fn collect_state(&self, out: &mut Vec<LayerState>) {
@@ -354,6 +354,37 @@ mod tests {
         hook.grad_densities(&mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].1 > 0.0 && out[0].1 <= 1.0);
+    }
+
+    /// A reset clears the reported mean density — the next report covers
+    /// only the batches after it — and leaves the thresholds alone.
+    #[test]
+    fn reset_density_stats_restarts_the_mean_and_keeps_the_thresholds() {
+        let mut hook = PruneHook::new("h", Some(PruneConfig::new(0.8, 2)));
+        let mut rng = StdRng::seed_from_u64(4);
+        for s in 0..4 {
+            hook.backward(batch(&mut rng, 2), &mut ExecutionContext::scalar(), &step(s));
+        }
+        let pruner = hook.pruner().unwrap();
+        let (tau, batches) = (pruner.predicted_threshold(), pruner.stats().batches);
+        assert!(pruner.stats().mean_density().is_some());
+
+        hook.reset_density_stats();
+        let pruner = hook.pruner().unwrap();
+        assert_eq!(pruner.stats().mean_density(), None, "the reset cleared the mean");
+        assert_eq!(pruner.predicted_threshold(), tau, "the FIFO stays");
+        assert_eq!(pruner.stats().batches, batches, "the batch count stays");
+        let mut out = Vec::new();
+        hook.grad_densities(&mut out);
+        assert!(out.is_empty(), "nothing to report until the next batch");
+
+        hook.backward(batch(&mut rng, 2), &mut ExecutionContext::scalar(), &step(4));
+        let stats = hook.pruner().unwrap().stats();
+        assert_eq!(
+            stats.mean_density(),
+            stats.last_density(),
+            "the mean covers one batch"
+        );
     }
 
     #[test]

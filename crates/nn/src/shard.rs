@@ -453,7 +453,11 @@ fn run_granule(
     let correct = step_body(net, ctx, xs, &granule.labels, &streams, &mut loss);
     let mut prune_stats = Vec::new();
     net.take_shard_stats(&mut prune_stats);
-    let mut flat = Vec::new();
+    // Sized up front: the coordinator holds every granule's gradients until
+    // the step reduces, so a doubling `Vec`'s slack would be held 16 times.
+    let mut len = 0;
+    net.visit_params(&mut |_, g| len += g.len());
+    let mut flat = Vec::with_capacity(len);
     net.visit_params(&mut |_, g| flat.extend_from_slice(g));
     GranuleResult {
         index: granule.index,

@@ -18,7 +18,11 @@
 //! [`ExecutionContext::input_grad_batch_for_into`] and
 //! [`ExecutionContext::weight_grad_batch_for`] — each a thin wrapper that
 //! builds the batch's [`StageOp`]s and hands them to the context's one
-//! engine. Execution plans are gone: an `"auto"` context built while
+//! engine. A call of one op draws its weight panels from the context's
+//! [`PanelCache`] — the panels the engine re-laid on earlier calls, reused
+//! while the weights keep their bits — so a shard worker's one-sample
+//! granules re-lay each conv once per step, not once per sample.
+//! Execution plans are gone: an `"auto"` context built while
 //! `SPARSETRAIN_PLAN` is set refuses to start.
 //!
 //! ```
@@ -28,8 +32,9 @@
 //! assert_eq!(ctx.engine_name(), "parallel:simd");
 //! ```
 
-use crate::engine::{BatchOut, KernelEngine, Stage, StageOp};
+use crate::engine::{run_batch_cached, BatchOut, KernelEngine, Stage, StageOp};
 use crate::mask::RowMask;
+use crate::panels::PanelCache;
 use crate::registry::{lookup, same_engine, EngineHandle, UnknownEngine};
 use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
@@ -41,7 +46,7 @@ fn scalar_handle() -> EngineHandle {
     lookup("scalar").expect("scalar engine is always registered")
 }
 
-/// A resolved engine plus its quarantine list.
+/// A resolved engine plus its quarantine list and its weight-panel cache.
 ///
 /// # Quarantine
 ///
@@ -59,6 +64,7 @@ pub struct ExecutionContext {
     handle: EngineHandle,
     quarantined: Vec<EngineHandle>,
     last_dispatch: Cell<Option<&'static str>>,
+    panels: PanelCache,
 }
 
 impl ExecutionContext {
@@ -85,6 +91,7 @@ impl ExecutionContext {
             handle,
             quarantined: Vec::new(),
             last_dispatch: Cell::new(None),
+            panels: PanelCache::new(),
         }
     }
 
@@ -175,6 +182,19 @@ impl ExecutionContext {
         effective.engine()
     }
 
+    /// Runs `ops` on the dispatched engine. A batch re-lays its weights
+    /// once for all of its samples; a call of one op — a shard worker's
+    /// one-sample granule — would re-lay them per sample, so it alone
+    /// draws its panels from the context's cache. (A batch's panels would
+    /// only hold memory: its weights change every step.)
+    fn run(&mut self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
+        let engine = self.dispatch();
+        match ops {
+            [_] => run_batch_cached(engine, ops, out, &mut self.panels),
+            _ => engine.run_batch(ops, out),
+        }
+    }
+
     /// Always `None`; exists only until the benchmark item's (7), as [`Plan`] does.
     pub fn plan(&self) -> Option<&Plan> {
         None
@@ -216,7 +236,7 @@ impl ExecutionContext {
             })
             .collect();
         let slices = outs.iter_mut().map(Tensor3::as_mut_slice).collect();
-        self.dispatch().run_batch(&ops, BatchOut::PerSample(slices));
+        self.run(&ops, BatchOut::PerSample(slices));
         outs
     }
 
@@ -253,7 +273,7 @@ impl ExecutionContext {
             })
             .collect();
         let slices = dins.iter_mut().map(Tensor3::as_mut_slice).collect();
-        self.dispatch().run_batch(&ops, BatchOut::PerSample(slices));
+        self.run(&ops, BatchOut::PerSample(slices));
     }
 
     /// Batched GTW step: every sample's weight gradient is added into the
@@ -280,8 +300,7 @@ impl ExecutionContext {
             let shape = (dout.channels(), input.channels(), geom.kernel, geom.kernel);
             assert_eq!(dw.shape(), shape, "dw tensor shape mismatch");
         }
-        self.dispatch()
-            .run_batch(&ops, BatchOut::Shared(dw.as_mut_slice()));
+        self.run(&ops, BatchOut::Shared(dw.as_mut_slice()));
     }
 }
 

@@ -40,7 +40,12 @@
 //! transformations — the simd engine's channel-contiguous weight re-layout
 //! (one per call, shared by every sample's context) and channels-last
 //! input copy — above the fan-out, so `B` bands share one preparation
-//! instead of redoing it `B` times.
+//! instead of redoing it `B` times. The weight re-layout is the engine's
+//! [`KernelEngine::panel`] hook (engines that read the weights in place
+//! leave it at its default, `None`); [`KernelEngine::prepare_cached`]
+//! draws the panels from a [`PanelCache`] the caller keeps across calls
+//! instead, which [`run_batch_cached`] — the
+//! [`crate::ExecutionContext`]'s one-op calls — bands.
 //!
 //! [`for_each_band`] is a free function, not an engine method: the other
 //! position-pure batch work in a step — the stochastic pruner's snap/zero
@@ -61,6 +66,7 @@
 use crate::mask::RowMask;
 use crate::msrc::msrc_accumulate;
 use crate::osrc::osrc_accumulate;
+use crate::panels::PanelCache;
 use crate::rowconv::SparseFeatureMap;
 use crate::src::src_accumulate;
 use sparsetrain_tensor::conv::ConvGeometry;
@@ -414,11 +420,30 @@ impl<'a> BatchOut<'a> {
 pub trait KernelEngine: Send + Sync {
     /// Builds the per-call operand state of `ops`, one context per op in
     /// order — invoked **once** per engine call, above the band fan-out,
-    /// so state that does not depend on the sample (a weight re-layout) is
+    /// so state that does not depend on the sample (a weight panel) is
     /// built once and shared by the call's contexts. The default prepares
     /// nothing.
     fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
         ops.iter().map(|_| BandContext::empty()).collect()
+    }
+
+    /// Builds the panel `stage`'s bands read: `weights` re-laid for the
+    /// engine's lanes (a permutation, `weights.len()` elements), which
+    /// [`prepare`](Self::prepare) attaches to the call's contexts and a
+    /// [`PanelCache`] keeps across calls. The default, for engines that
+    /// read the weights in place, builds none.
+    fn panel(&self, stage: Stage, weights: &Tensor4) -> Option<Arc<[f32]>> {
+        let _ = (stage, weights);
+        None
+    }
+
+    /// [`prepare`](Self::prepare), drawing the weight panels from
+    /// `panels` — a cache the caller keeps across calls
+    /// ([`crate::ExecutionContext`] does) — instead of building them.
+    /// The default, for engines that build no panels, ignores `panels`.
+    fn prepare_cached(&self, ops: &[StageOp<'_>], panels: &mut PanelCache) -> Vec<BandContext> {
+        let _ = panels;
+        self.prepare(ops)
     }
 
     /// Adds the output units `lo..lo + n` of every op of `ops`, in order,
@@ -455,7 +480,7 @@ pub trait KernelEngine: Send + Sync {
     ///
     /// Panics on batch length or shape mismatches ([`BatchOut::check`]).
     fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
-        run_banded(self, ops, out, &bands_for);
+        run_banded(self, ops, out, &bands_for, None);
     }
 
     /// Runs one op into `out`: the [`KernelEngine::run_batch`] of a batch
@@ -648,20 +673,25 @@ impl KernelEngine for ScalarEngine {}
 // ---------------------------------------------------------------------------
 
 /// The body of every [`KernelEngine::run_batch`]: checks the batch,
-/// prepares it once and deals `engine`'s `band` calls into
-/// `bands(units, work)` bands. Each band writes disjoint output units in
-/// the scalar per-row accumulation order, so the band count changes
-/// wall-clock, never values.
+/// prepares it once (its panels drawn from `panels` when given) and deals
+/// `engine`'s `band` calls into `bands(units, work)` bands. Each band
+/// writes disjoint output units in the scalar per-row accumulation order,
+/// so the band count changes wall-clock, never values.
 fn run_banded<E: KernelEngine + ?Sized>(
     engine: &E,
     ops: &[StageOp<'_>],
     out: BatchOut<'_>,
     bands: &dyn Fn(usize, usize) -> usize,
+    mut panels: Option<&mut PanelCache>,
 ) {
     out.check(ops);
     let Some(first) = ops.first() else { return };
     let (units, unit_len) = first.split();
     let work: usize = ops.iter().map(StageOp::work).sum();
+    let mut prepare = |ops: &[StageOp<'_>]| match panels.as_deref_mut() {
+        Some(panels) => engine.prepare_cached(ops, panels),
+        None => engine.prepare(ops),
+    };
     match out {
         // Mixed-shape batches band per sample instead (still bitwise equal
         // to the scalar order — banding never reorders accumulation).
@@ -672,12 +702,13 @@ fn run_banded<E: KernelEngine + ?Sized>(
                     std::slice::from_ref(op),
                     BatchOut::PerSample(vec![out]),
                     bands,
+                    panels.as_deref_mut(),
                 );
             }
         }
         // The samples are the parts: bands cut `samples × units`.
         BatchOut::PerSample(outs) => {
-            let ctxs = engine.prepare(ops);
+            let ctxs = prepare(ops);
             for_each_band(outs, unit_len, bands(ops.len() * units, work), &|s, lo, piece| {
                 engine.band(&ctxs[s..=s], &ops[s..=s], lo, piece);
             });
@@ -687,12 +718,29 @@ fn run_banded<E: KernelEngine + ?Sized>(
         // per-element accumulation sequence identical to the per-sample
         // path.
         BatchOut::Shared(acc) => {
-            let ctxs = engine.prepare(ops);
+            let ctxs = prepare(ops);
             for_each_band(vec![acc], unit_len, bands(units, work), &|_, lo, piece| {
                 engine.band(&ctxs, ops, lo, piece);
             });
         }
     }
+}
+
+/// [`KernelEngine::run_batch`]'s body with the weight panels drawn from
+/// `panels` ([`KernelEngine::prepare_cached`]): the batch entry points of
+/// [`crate::ExecutionContext`], which keeps the cache. It bands `engine`'s
+/// own `prepare_cached` / `band`, bypassing any `run_batch` override.
+///
+/// # Panics
+///
+/// Panics on batch length or shape mismatches ([`BatchOut::check`]).
+pub fn run_batch_cached<E: KernelEngine + ?Sized>(
+    engine: &E,
+    ops: &[StageOp<'_>],
+    out: BatchOut<'_>,
+    panels: &mut PanelCache,
+) {
+    run_banded(engine, ops, out, &bands_for, Some(panels));
 }
 
 /// [`KernelEngine::run_batch`]'s body with the band count given instead of
@@ -705,7 +753,20 @@ pub fn run_batch_in_bands<E: KernelEngine + ?Sized>(
     out: BatchOut<'_>,
     bands: usize,
 ) {
-    run_banded(engine, ops, out, &|_, _| bands);
+    run_banded(engine, ops, out, &|_, _| bands, None);
+}
+
+/// [`run_batch_cached`] with the band count given instead of sized from
+/// the pool — for the band-count invariance tests of the panel cache.
+#[doc(hidden)]
+pub fn run_cached_in_bands<E: KernelEngine + ?Sized>(
+    engine: &E,
+    ops: &[StageOp<'_>],
+    out: BatchOut<'_>,
+    bands: usize,
+    panels: &mut PanelCache,
+) {
+    run_banded(engine, ops, out, &|_, _| bands, Some(panels));
 }
 
 /// Ops (sparse MACs, or elements of per-element glue) a band must carry to
@@ -735,8 +796,8 @@ pub fn bands_for(units: usize, work: usize) -> usize {
 /// pieces in order — a run crossing a part boundary is one piece per part,
 /// so a piece is always a contiguous unit range of one part, starting at
 /// that part's unit `first_unit`. The last band runs on the calling
-/// thread, which would otherwise idle inside the scope; one band spawns
-/// nothing.
+/// thread, which would otherwise idle inside the scope; one band runs
+/// there without entering a scope at all.
 ///
 /// Every unit is visited exactly once, but in no defined order across
 /// bands: `work` must be position-pure — its effect on a unit may depend
@@ -760,6 +821,16 @@ pub fn for_each_band<T: Send>(
     let unit_len = unit_len.max(1);
     let units: usize = parts.iter().map(|part| part.len() / unit_len).sum();
     let per_band = units.div_ceil(bands.max(1)).max(1);
+    if per_band >= units {
+        // One band: it runs here, with no scope to enter.
+        for (p, part) in parts.into_iter().enumerate() {
+            assert_eq!(part.len() % unit_len, 0, "part {p} is not whole units");
+            if !part.is_empty() {
+                work(p, 0, part);
+            }
+        }
+        return;
+    }
     let run = move |band: Vec<(usize, usize, &mut [T])>| {
         for (part, first_unit, piece) in band {
             work(part, first_unit, piece);

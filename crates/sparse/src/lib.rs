@@ -46,6 +46,10 @@
 //!   [`KernelEngine::prepare`] *above* the band fan-out, then shared by
 //!   reference across every band — so banding an engine never multiplies
 //!   its per-call operand transformations.
+//! * [`panels::PanelCache`] — the weight panels an engine re-lays
+//!   ([`KernelEngine::panel`]) kept across calls by the
+//!   [`context::ExecutionContext`], reused while the weights keep their
+//!   bits — so a one-sample call re-lays nothing the step already did.
 //! * [`simd_engine::SimdEngine`] — the vectorized backend: it walks the
 //!   stored non-zeros in the scalar engine's order and runs its lanes
 //!   across the *filter / channel axis* (always dense, never a reduction),
@@ -86,6 +90,7 @@ pub mod formats;
 pub mod mask;
 pub mod msrc;
 pub mod osrc;
+pub mod panels;
 pub mod registry;
 pub mod rowconv;
 pub mod simd_engine;
@@ -97,5 +102,6 @@ pub use context::{ExecutionContext, Plan};
 pub use engine::{BandContext, BatchOut, KernelEngine, ScalarEngine, Stage, StageOp};
 pub use fixed_engine::FixedPointEngine;
 pub use mask::RowMask;
+pub use panels::PanelCache;
 pub use registry::{EngineHandle, UnknownEngine, ENGINE_ENV};
 pub use simd_engine::SimdEngine;

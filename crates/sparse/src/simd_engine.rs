@@ -10,9 +10,14 @@
 //! (the last paragraphs below say how, and where the scalar code itself
 //! runs instead).
 //!
-//! The kernel weights are re-laid once per engine call so the lane axis is
-//! contiguous ([`KernelEngine::prepare`]; the contexts of a batch share
-//! the one copy), and each stage accumulates into a small tile laid out
+//! The kernel weights are re-laid into a **panel** whose lane axis is
+//! contiguous ([`KernelEngine::panel`]), once per engine call
+//! ([`KernelEngine::prepare`]; the contexts of a batch share the one
+//! copy) — and, for the one-op calls of an
+//! [`crate::ExecutionContext`], once per weight bits: the context's
+//! [`PanelCache`] hands the panel back while the weights keep their bits,
+//! so a shard worker re-lays each conv once per step, not once per
+//! one-sample granule. Each stage accumulates into a small tile laid out
 //! the same way. Like the paper's PE, which multiplies one non-zero by all
 //! `K` weights of a kernel row in one cycle, every kernel does **one
 //! contiguous `K`-tap multiply-add per (non-zero, kernel row)**: the taps a
@@ -25,30 +30,34 @@
 //!
 //! * **SRC (Forward)** — the panel is `[u][ci][K-1-v][F]`, taps
 //!   *reversed*; per output row an `[Ow + 2(K−1)][F-band]` tile holding
-//!   output column `ox` at `ox + K − 1`, seeded from the bias or the
-//!   pre-seeded `out`; then
+//!   output column `ox` at `ox + K − 1`, seeded from the bias (one slice
+//!   copy per column) or the pre-seeded `out`; then
 //!   `for u, ci, (ix, x) in input.row(ci, iy):`
 //!   `tile[t .. t+K] += x · wT[u][ci][0..K]` with `t = ix + pad` — at
 //!   stride 1 tap `v` feeds output column `t − v`, tile column
 //!   `t + K−1−v`, the same offset as its reversed panel row — and the
-//!   real columns are transposed back into the `[F][Oh][Ow]` planes.
+//!   real columns are transposed back into the `[F][Oh][Ow]` planes, an
+//!   `8 × 8` block at a time.
 //! * **MSRC (GTA)** — the panel is `[fi][u][v][C]`; an `[H][Wp][C-band]`
 //!   tile holding input column `ix` at `ix + pad` (`padded_width`: `pad`
 //!   spare columns on the left, enough on the right to reach
-//!   `(Ow − 1)·s + K`), seeded from `din`; then
+//!   `(Ow − 1)·s + K`), seeded from `din` (or left zeroed when `din` is
+//!   all `+0.0`, as `Conv2d`'s fresh buffers are); then
 //!   `for fi, oy, u, (ox, g) in dout.row(fi, oy):`
 //!   `tile[iy][ox·s .. ox·s+K] += g · wT[fi][u][0..K]`, written back
 //!   **only where the forward mask allows** — a masked-out position keeps
 //!   its seed bits, as the scalar skip leaves it.
-//! * **OSRC (GTW)** — the `dW` band transposed to `[f][u][v][C]` once per
-//!   band call (however many samples add into it); then
+//! * **OSRC (GTW)** —
 //!   `for sample, fi, oy, u, (ox, g) in dout.row(fi, oy):`
 //!   `sT[f][u][0..K] += g · inCL[iy][ox·s .. ox·s+K]` into a per-sample
-//!   scratch `sT` of the same layout, from `+0.0`, against a
+//!   scratch `sT` laid out `[f][u][v][C]`, from `+0.0`, against a
 //!   channels-last `[H][Wp][C]` copy of the input, zero-padded like the
-//!   GTA tile and built once per sample in `prepare`; each sample's `sT`
-//!   is added into `dwT` (and cleared in the same sweep), and `dwT` is
-//!   transposed back.
+//!   GTA tile and built once per sample in `prepare`. A single op's `sT`
+//!   is added straight into `dW`, one add per element; the ops of a batch
+//!   add theirs into the `dW` band transposed to `[f][u][v][C]` once per
+//!   band call (`dwT`, cleared `sT` in the same sweep), and `dwT` is
+//!   transposed back. Either way each element of `dW` receives each
+//!   sample's sum in one add, in sample order.
 //!
 //! A run spans whole lane rows only when the band holds every filter
 //! (Forward) or channel (GTA) — a band of a split layer reads a window of
@@ -113,6 +122,7 @@
 use crate::compressed::SparseRow;
 use crate::engine::{add_and_clear, map_banded, scalar_bands, BandContext, KernelEngine, Stage, StageOp};
 use crate::mask::RowMask;
+use crate::panels::PanelCache;
 use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::Tensor4;
@@ -214,7 +224,8 @@ macro_rules! with_blocks {
 /// `[fi][u][v][C]` for GTA (lanes across channels).
 fn relay_weights(weights: &Tensor4, stage: Stage) -> Arc<[f32]> {
     let (f, c, k, kw) = weights.shape();
-    let mut wt = vec![0.0f32; weights.len()];
+    let mut panel: Arc<[f32]> = std::iter::repeat_n(0.0f32, weights.len()).collect();
+    let wt = Arc::get_mut(&mut panel).expect("a new panel has one owner");
     for fi in 0..f {
         for ci in 0..c {
             for u in 0..k {
@@ -228,7 +239,7 @@ fn relay_weights(weights: &Tensor4, stage: Stage) -> Arc<[f32]> {
             }
         }
     }
-    wt.into()
+    panel
 }
 
 /// Columns of a GTA tile row and of a GTW channels-last input row: the `w`
@@ -322,9 +333,20 @@ fn forward_band(
     // every tap lands on `(t − v) / s + K − 1 ∈ [0, Ow + 2(K−1))`.
     let mut tile = vec![0.0f32; (ow + 2 * (k - 1)) * n];
     for oy in 0..oh {
-        for (fi, plane) in out.chunks(oh * ow).enumerate() {
-            for ox in 0..ow {
-                tile[(ox + k - 1) * n + fi] = bias.map_or(plane[oy * ow + ox], |b| b[f_lo + fi]);
+        let real = &mut tile[(k - 1) * n..][..ow * n];
+        match bias {
+            // A column of the tile is the band's filters: one copy each.
+            Some(b) => {
+                for col in real.chunks_exact_mut(n) {
+                    col.copy_from_slice(&b[f_lo..f_lo + n]);
+                }
+            }
+            None => {
+                for (fi, plane) in out.chunks(oh * ow).enumerate() {
+                    for (ox, &v) in plane[oy * ow..][..ow].iter().enumerate() {
+                        real[ox * n + fi] = v;
+                    }
+                }
             }
         }
         for u in 0..k {
@@ -354,9 +376,38 @@ fn forward_band(
                 }
             }
         }
-        for (fi, plane) in out.chunks_mut(oh * ow).enumerate() {
-            for ox in 0..ow {
-                plane[oy * ow + ox] = tile[(ox + k - 1) * n + fi];
+        write_back(&tile[(k - 1) * n..][..ow * n], n, oy * ow, oh * ow, out);
+    }
+}
+
+/// Transposes one output row's `[Ow][n]` tile columns into row `at / Ow`
+/// of the `n` `[Oh][Ow]` planes of `out` (`plane` elements each), an
+/// `8 × 8` block at a time: eight contiguous tile reads, eight contiguous
+/// plane writes.
+#[inline(always)]
+fn write_back(tile: &[f32], n: usize, at: usize, plane: usize, out: &mut [f32]) {
+    let ow = tile.len() / n;
+    for f0 in (0..n).step_by(LANES) {
+        let nf = LANES.min(n - f0);
+        for x0 in (0..ow).step_by(LANES) {
+            let nx = LANES.min(ow - x0);
+            if nf < LANES || nx < LANES {
+                for f in f0..f0 + nf {
+                    for x in x0..x0 + nx {
+                        out[f * plane + at + x] = tile[x * n + f];
+                    }
+                }
+                continue;
+            }
+            let mut block = [[0.0f32; LANES]; LANES];
+            for (x, row) in block.iter_mut().enumerate() {
+                row.copy_from_slice(&tile[(x0 + x) * n + f0..][..LANES]);
+            }
+            for f in 0..LANES {
+                let dst = &mut out[(f0 + f) * plane + at + x0..][..LANES];
+                for (x, d) in dst.iter_mut().enumerate() {
+                    *d = block[x][f];
+                }
             }
         }
     }
@@ -386,10 +437,13 @@ fn input_grad_band(
     let wp = padded_width(in_w, dout.width(), geom);
     let at = |iy: usize, ix: usize| (iy * wp + ix + geom.pad) * n;
     let mut tile = vec![0.0f32; in_h * wp * n];
-    for (ci, seed) in din.chunks(plane).enumerate() {
-        for (iy, seed_row) in seed.chunks(in_w).enumerate() {
-            for (ix, &v) in seed_row.iter().enumerate() {
-                tile[at(iy, ix) + ci] = v;
+    // A `din` of `+0.0` (every fresh `Conv2d` buffer) is the zeroed tile.
+    if din.iter().any(|v| v.to_bits() != 0) {
+        for (ci, seed) in din.chunks(plane).enumerate() {
+            for (iy, seed_row) in seed.chunks(in_w).enumerate() {
+                for (ix, &v) in seed_row.iter().enumerate() {
+                    tile[at(iy, ix) + ci] = v;
+                }
             }
         }
     }
@@ -449,9 +503,49 @@ fn for_each_dw_cell(n: usize, c: usize, k: usize, mut visit: impl FnMut(usize, u
     }
 }
 
+/// Sums one sample's `dW` for filters `f_lo..` into `sample`, laid out
+/// `[f][u][v][C]` and holding `+0.0`: the taps one gradient non-zero
+/// feeds through one kernel row are then one contiguous run, matching
+/// the channels-last input window (`ctx.dense()`) it reads.
+#[inline(always)]
+fn sample_weight_grad(
+    ctx: &BandContext,
+    op: &StageOp<'_>,
+    c: usize,
+    k: usize,
+    f_lo: usize,
+    sample: &mut [f32],
+) {
+    let StageOp::WeightGrad { input, dout, geom } = *op else {
+        unreachable!("weight_grad_band is only handed GTW ops");
+    };
+    let h = input.height();
+    let wp = padded_width(input.width(), dout.width(), geom);
+    for f in 0..sample.len() / (c * k * k) {
+        for oy in 0..dout.height() {
+            let grow = dout.row(f_lo + f, oy);
+            if grow.nnz() == 0 {
+                continue;
+            }
+            for u in 0..k {
+                let Some(iy) = input_row(oy, u, geom, h) else {
+                    continue;
+                };
+                let taps = &mut sample[(f * k + u) * k * c..][..k * c];
+                let irow = &ctx.dense()[iy * wp * c..][..wp * c];
+                // Non-zero `ox` reads input columns `ox·s .. ox·s + K`.
+                with_blocks!(k * c, gather_row(grow, irow, taps, geom.stride * c));
+            }
+        }
+    }
+}
+
 /// OSRC of filters `f_lo..` of every op, in order, into `dw` (whole
 /// `C × K × K` blocks); each context's `dense` is its op's padded
-/// channels-last input copy ([`channels_last`]).
+/// channels-last input copy ([`channels_last`]). Each sample sums its own
+/// `dW` from `+0.0` and is then added into `dw` (the scalar engine's
+/// bracket): one op adds straight into `dw`; more share an accumulator in
+/// the samples' layout, transposed in and out once per band call.
 #[inline(always)]
 fn weight_grad_band(
     ctxs: &[BandContext],
@@ -462,37 +556,16 @@ fn weight_grad_band(
     dw: &mut [f32],
 ) {
     let n = dw.len() / (c * k * k);
-    // The band re-laid `[f][u][v][C]`: the taps one gradient non-zero
-    // feeds through one kernel row are then one contiguous run, matching
-    // the channels-last input window it reads.
+    let mut sample = vec![0.0f32; dw.len()];
+    if let ([ctx], [op]) = (ctxs, ops) {
+        sample_weight_grad(ctx, op, c, k, f_lo, &mut sample);
+        for_each_dw_cell(n, c, k, |at, relaid| dw[at] += sample[relaid]);
+        return;
+    }
     let mut dwt = vec![0.0f32; dw.len()];
     for_each_dw_cell(n, c, k, |at, relaid| dwt[relaid] = dw[at]);
-    // Each sample sums its own `dW` from `+0.0`, in the same layout, and
-    // is then added into the accumulator (the scalar engine's bracket).
-    let mut sample = vec![0.0f32; dw.len()];
     for (ctx, op) in ctxs.iter().zip(ops) {
-        let StageOp::WeightGrad { input, dout, geom } = *op else {
-            unreachable!("weight_grad_band is only handed GTW ops");
-        };
-        let h = input.height();
-        let wp = padded_width(input.width(), dout.width(), geom);
-        for f in 0..n {
-            for oy in 0..dout.height() {
-                let grow = dout.row(f_lo + f, oy);
-                if grow.nnz() == 0 {
-                    continue;
-                }
-                for u in 0..k {
-                    let Some(iy) = input_row(oy, u, geom, h) else {
-                        continue;
-                    };
-                    let taps = &mut sample[(f * k + u) * k * c..][..k * c];
-                    let irow = &ctx.dense()[iy * wp * c..][..wp * c];
-                    // Non-zero `ox` reads input columns `ox·s .. ox·s + K`.
-                    with_blocks!(k * c, gather_row(grow, irow, taps, geom.stride * c));
-                }
-            }
-        }
+        sample_weight_grad(ctx, op, c, k, f_lo, &mut sample);
         add_and_clear(&mut dwt, &mut sample);
     }
     for_each_dw_cell(n, c, k, |at, relaid| dw[at] = dwt[relaid]);
@@ -636,8 +709,10 @@ impl SimdEngine {
     }
 }
 
-impl KernelEngine for SimdEngine {
-    fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
+impl SimdEngine {
+    /// [`KernelEngine::prepare`], with the weight panels drawn from
+    /// `panels` when given and built here otherwise.
+    fn prepare_from(&self, ops: &[StageOp<'_>], mut panels: Option<&mut PanelCache>) -> Vec<BandContext> {
         // GTW's channels-last copies are per sample: a contiguous run of
         // samples per band, priced one op per element copied.
         fn gtw_input<'a>(op: &StageOp<'a>) -> Option<(&'a SparseFeatureMap, usize, ConvGeometry)> {
@@ -651,32 +726,54 @@ impl KernelEngine for SimdEngine {
             .filter_map(gtw_input)
             .map(|(fm, _, _)| fm.channels() * fm.height() * fm.width())
             .sum();
-        let copies = map_banded(ops.len(), elements, &|s| {
-            gtw_input(&ops[s]).map(|(fm, ow, geom)| channels_last(fm, ow, geom))
-        });
-        // The re-layout depends on the weights and the stage alone: ops
-        // that repeat the previous op's pair (every op of a training
-        // batch does) share its copy.
+        // Forward and GTA copy nothing: no list of empty copies either.
+        let copies = if elements > 0 {
+            map_banded(ops.len(), elements, &|s| {
+                gtw_input(&ops[s]).map(|(fm, ow, geom)| channels_last(fm, ow, geom))
+            })
+        } else {
+            Vec::new()
+        };
+        let mut copies = copies.into_iter();
+        // The panel depends on the weights and the stage alone: ops that
+        // repeat the previous op's pair (every op of a training batch does)
+        // share its copy — the weights are borrowed for the whole call, so
+        // the same address holds the same bits.
         let mut last: Option<(Stage, &Tensor4, Arc<[f32]>)> = None;
         ops.iter()
-            .zip(copies)
-            .map(|(op, copy)| {
+            .map(|op| {
                 let mut ctx = BandContext::empty();
-                if let Some(dense) = copy {
+                if let Some(dense) = copies.next().flatten() {
                     ctx.set_dense(dense);
                 }
                 if let StageOp::Forward { weights, .. } | StageOp::InputGrad { weights, .. } = *op {
                     let stage = op.stage();
-                    let relaid = match &last {
-                        Some((s, w, wt)) if *s == stage && std::ptr::eq(*w, weights) => wt.clone(),
-                        _ => relay_weights(weights, stage),
-                    };
+                    let relaid = match (&last, panels.as_deref_mut()) {
+                        (Some((s, w, wt)), _) if *s == stage && std::ptr::eq(*w, weights) => Some(wt.clone()),
+                        (_, Some(panels)) => panels.panel(self, stage, weights),
+                        (_, None) => self.panel(stage, weights),
+                    }
+                    .expect("simd re-lays Forward and GTA weights");
                     last = Some((stage, weights, relaid.clone()));
                     ctx.set_weights(stage, relaid);
                 }
                 ctx
             })
             .collect()
+    }
+}
+
+impl KernelEngine for SimdEngine {
+    fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
+        self.prepare_from(ops, None)
+    }
+
+    fn panel(&self, stage: Stage, weights: &Tensor4) -> Option<Arc<[f32]>> {
+        (stage != Stage::WeightGrad).then(|| relay_weights(weights, stage))
+    }
+
+    fn prepare_cached(&self, ops: &[StageOp<'_>], panels: &mut PanelCache) -> Vec<BandContext> {
+        self.prepare_from(ops, Some(panels))
     }
 
     fn band(&self, ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {

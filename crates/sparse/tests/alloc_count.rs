@@ -143,6 +143,41 @@ fn generation_holds_one_copy_of_the_dataset() {
     );
 }
 
+/// A shard granule's three engine calls on one sample — Forward, GTA and
+/// GTW of a `16 → 32`-filter conv on `8 × 8` maps, small enough for one
+/// band — allocate a fixed handful of blocks once the context's panel
+/// cache is warm: the outputs and the op lists, the contexts, one tile or
+/// scratch per stage and GTW's channels-last input copy. No weight panel
+/// is re-laid and no scope is entered.
+#[test]
+fn warm_one_sample_calls_allocate_a_fixed_number_of_blocks() {
+    use sparsetrain_sparse::{ExecutionContext, RowMask};
+    use sparsetrain_tensor::conv::ConvGeometry;
+    use sparsetrain_tensor::Tensor4;
+
+    let geom = ConvGeometry::new(3, 1, 1);
+    let input = vec![SparseFeatureMap::from_tensor(&map(16, 8, 8, 50))];
+    let dout = vec![SparseFeatureMap::from_tensor(&map(32, 8, 8, 30))];
+    let masks: Vec<Vec<RowMask>> = vec![input[0].masks()];
+    let weights = Tensor4::from_fn(32, 16, 3, 3, |f, c, u, v| {
+        ((f + 2 * c + 3 * u + v) % 7) as f32 * 0.25 - 0.75
+    });
+    let bias = vec![0.125f32; 32];
+    let mut ctx = ExecutionContext::by_name("simd").unwrap();
+    let mut dw = Tensor4::zeros(32, 16, 3, 3);
+    let mut dins = vec![Tensor3::zeros(16, 8, 8)];
+    let step = |ctx: &mut ExecutionContext, dins: &mut [Tensor3], dw: &mut Tensor4| {
+        let out = ctx.forward_batch_for("conv", &input, &weights, Some(&bias), geom);
+        ctx.input_grad_batch_for_into("conv", &dout, &weights, geom, &masks, dins);
+        ctx.weight_grad_batch_for("conv", &input, &dout, geom, dw);
+        out
+    };
+    step(&mut ctx, &mut dins, &mut dw);
+    let (blocks, out) = blocks_during(|| step(&mut ctx, &mut dins, &mut dw));
+    assert_eq!(out.len(), 1);
+    assert_eq!(blocks, 16, "heap blocks of a warm one-sample Forward + GTA + GTW");
+}
+
 /// `alexnet_pruned`'s set-up, then the blocks of its next steps: a report,
 /// not a check (it prints; run it as the module docs say).
 #[test]

@@ -24,11 +24,12 @@
 //! scalar per-row accumulation order, so any difference at all is a bug.
 
 use proptest::prelude::*;
-use sparsetrain_sparse::engine::run_batch_in_bands;
+use sparsetrain_sparse::engine::{run_batch_in_bands, run_cached_in_bands};
+use sparsetrain_sparse::panels::PANEL_CACHE_BYTES;
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::{
-    registry, BandContext, BatchOut, FixedPointEngine, KernelEngine, RowMask, ScalarEngine, SimdEngine,
-    Stage, StageOp,
+    registry, BandContext, BatchOut, FixedPointEngine, KernelEngine, PanelCache, RowMask, ScalarEngine,
+    SimdEngine, Stage, StageOp,
 };
 use sparsetrain_tensor::conv::{self, ConvGeometry};
 use sparsetrain_tensor::{Tensor3, Tensor4};
@@ -802,5 +803,246 @@ fn im2row_fallback_legs_match_scalar() {
         bits(op.run_on(engine)),
         bits(op.run_on(&REFERENCE)),
         "-0.0 bias leg"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Seeds, the two GTW paths and the panel cache, at 1 and 4 bands
+// ---------------------------------------------------------------------------
+
+/// A deterministic `c × h × w` map with about `pct` % non-zeros, none of
+/// them `-0.0`.
+fn seeded_map(c: usize, h: usize, w: usize, pct: u64, s: &mut u64) -> Tensor3 {
+    Tensor3::from_fn(c, h, w, |_, _, _| {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        if *s % 100 < pct {
+            (*s % 1000) as f32 / 400.0 - 1.25 + 1e-3
+        } else {
+            0.0
+        }
+    })
+}
+
+/// A non-zero seed for an output of `len` elements.
+fn preseeded(len: usize) -> Vec<f32> {
+    (0..len).map(|i| 0.375 - (i % 11) as f32 * 0.0625).collect()
+}
+
+/// A layer's operands: `c → f` filters over `h × w` maps, `3 × 3`, pad 1.
+struct Operands {
+    input: SparseFeatureMap,
+    dout: SparseFeatureMap,
+    masks: Vec<RowMask>,
+    weights: Tensor4,
+    geom: ConvGeometry,
+}
+
+fn operands(c: usize, f: usize, hw: usize, seed: u64) -> Operands {
+    let mut s = seed;
+    let geom = ConvGeometry::new(3, 1, 1);
+    let input = SparseFeatureMap::from_tensor(&seeded_map(c, hw, hw, 55, &mut s));
+    let dout = SparseFeatureMap::from_tensor(&seeded_map(f, hw, hw, 30, &mut s));
+    let masks = input.masks();
+    let weights = Tensor4::from_vec(
+        f,
+        c,
+        3,
+        3,
+        seeded_map(1, 1, f * c * 9, 100, &mut s).as_slice().to_vec(),
+    );
+    Operands {
+        input,
+        dout,
+        masks,
+        weights,
+        geom,
+    }
+}
+
+impl Operands {
+    /// Forward (no bias) and GTA on these operands' `weights`.
+    fn ops_with<'a>(&'a self, weights: &'a Tensor4) -> [StageOp<'a>; 2] {
+        [
+            forward_op(&self.input, weights, self.geom),
+            StageOp::InputGrad {
+                dout: &self.dout,
+                weights,
+                geom: self.geom,
+                masks: &self.masks,
+                in_h: self.input.height(),
+                in_w: self.input.width(),
+            },
+        ]
+    }
+}
+
+/// `op` on `engine` at `bands` bands into a copy of `seed`.
+fn run_seeded(engine: &dyn KernelEngine, op: StageOp<'_>, bands: usize, seed: &[f32]) -> Vec<f32> {
+    let mut out = seed.to_vec();
+    run_batch_in_bands(engine, &[op], BatchOut::PerSample(vec![&mut out]), bands);
+    out
+}
+
+/// Bit patterns, so `-0.0` and `+0.0` differ.
+fn bits_of(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The simd engine's seeding branches on pre-seeded outputs: a Forward
+/// without bias reads its seed from `out` (with a bias it copies the bias
+/// into each tile column), and a GTA into a non-zero `din` seeds its tile
+/// from it (an all-`+0.0` `din` skips the seed).
+#[test]
+fn preseeded_forward_and_gta_match_scalar() {
+    let layer = operands(17, 9, 6, 0x5EED);
+    let bias: Vec<f32> = (0..9).map(|i| i as f32 * 0.25 - 1.0).collect();
+    let [forward, input_grad] = layer.ops_with(&layer.weights);
+    let with_bias = StageOp::Forward {
+        input: &layer.input,
+        weights: &layer.weights,
+        bias: Some(&bias),
+        geom: layer.geom,
+    };
+    for op in [forward, with_bias, input_grad] {
+        for seed in [vec![0.0; op.out_len()], preseeded(op.out_len())] {
+            let want = bits_of(&run_seeded(&REFERENCE, op, 1, &seed));
+            for simd in [SimdEngine::auto(), SimdEngine::portable()] {
+                for bands in [1, 4] {
+                    let got = run_seeded(&simd, op, bands, &seed);
+                    assert_eq!(bits_of(&got), want, "{} at {bands} bands", op.stage());
+                }
+            }
+        }
+    }
+}
+
+/// GTW's two paths into a non-zero `dW`: one op adds its sample's `dW`
+/// straight in, more share a transposed accumulator.
+#[test]
+fn preseeded_weight_grad_matches_scalar_on_both_paths() {
+    let layers: Vec<Operands> = (0..3).map(|s| operands(17, 9, 6, 0xD0 + s)).collect();
+    let ops: Vec<StageOp<'_>> = layers
+        .iter()
+        .map(|l| StageOp::WeightGrad {
+            input: &l.input,
+            dout: &l.dout,
+            geom: l.geom,
+        })
+        .collect();
+    for ops in [&ops[..1], &ops[..]] {
+        let seed = preseeded(ops[0].out_len());
+        let run = |engine: &dyn KernelEngine, bands: usize| {
+            let mut dw = seed.clone();
+            run_batch_in_bands(engine, ops, BatchOut::Shared(&mut dw), bands);
+            bits_of(&dw)
+        };
+        let want = run(&REFERENCE, 1);
+        for simd in [SimdEngine::auto(), SimdEngine::portable()] {
+            for bands in [1, 4] {
+                assert_eq!(run(&simd, bands), want, "{} ops at {bands} bands", ops.len());
+            }
+        }
+    }
+}
+
+/// Forward and GTA of one sample on `weights` through `cache`, bitwise
+/// against the scalar reference at 1 and 4 bands.
+fn assert_cached_matches_scalar(layer: &Operands, weights: &Tensor4, cache: &mut PanelCache, what: &str) {
+    for op in layer.ops_with(weights) {
+        let seed = preseeded(op.out_len());
+        let want = bits_of(&run_seeded(&REFERENCE, op, 1, &seed));
+        for bands in [1, 4] {
+            let mut out = seed.clone();
+            run_cached_in_bands(
+                &SimdEngine::auto(),
+                &[op],
+                BatchOut::PerSample(vec![&mut out]),
+                bands,
+                cache,
+            );
+            assert_eq!(bits_of(&out), want, "{what}: {} at {bands} bands", op.stage());
+        }
+    }
+}
+
+/// Weights mutated in place keep their address but not their bits: the
+/// cache must build new panels, never hand out the old ones.
+#[test]
+fn cache_rebuilds_panels_for_weights_mutated_in_place() {
+    let layer = operands(16, 32, 8, 0xCAFE);
+    let mut weights = layer.weights.clone();
+    let mut cache = PanelCache::new();
+    assert_cached_matches_scalar(&layer, &weights, &mut cache, "first use");
+    for step in 0..3 {
+        for (i, w) in weights.as_mut_slice().iter_mut().enumerate() {
+            if i % 5 == step {
+                *w = *w * 0.5 + 0.125;
+            }
+        }
+        // One element, signed zero: equal as floats, not as bits.
+        weights.as_mut_slice()[7] = if step % 2 == 0 { -0.0 } else { 0.0 };
+        assert_cached_matches_scalar(&layer, &weights, &mut cache, "after an in-place step");
+    }
+    assert!(cache.bytes() <= PANEL_CACHE_BYTES);
+}
+
+/// A snapshot round trip: the conv's weights are stepped and then restored
+/// from the snapshot, bits and all. The restored weights hit the entry
+/// built before the step, and the results stay the scalar ones.
+#[test]
+fn cache_serves_weights_restored_from_a_snapshot() {
+    use sparsetrain_nn::layer::Layer;
+    use sparsetrain_nn::layers::Conv2d;
+
+    let layer = operands(16, 32, 8, 0xBEEF);
+    let mut conv = Conv2d::new("conv", 16, 32, layer.geom, 9);
+    let mut state = Vec::new();
+    conv.collect_state(&mut state);
+    let mut cache = PanelCache::new();
+    assert_cached_matches_scalar(&layer, conv.weights(), &mut cache, "before the step");
+    let held = cache.len();
+
+    conv.visit_params(&mut |w, _| w.iter_mut().for_each(|v| *v -= 0.01));
+    assert_cached_matches_scalar(&layer, conv.weights(), &mut cache, "after the step");
+    for s in &state {
+        conv.restore_state(s).expect("own snapshot restores");
+    }
+    assert_cached_matches_scalar(&layer, conv.weights(), &mut cache, "restored");
+    assert!(
+        cache.len() <= held + 1,
+        "the restored weights found their old entry"
+    );
+}
+
+/// Two tensors holding the same bits share one entry, and either serves
+/// the other's calls.
+#[test]
+fn cache_shares_an_entry_between_tensors_with_equal_bits() {
+    let layer = operands(16, 32, 8, 0xF00D);
+    let twin = layer.weights.clone();
+    let mut cache = PanelCache::new();
+    assert_cached_matches_scalar(&layer, &layer.weights, &mut cache, "original");
+    assert_cached_matches_scalar(&layer, &twin, &mut cache, "twin");
+    assert_eq!(cache.len(), 1, "equal bits, one entry");
+}
+
+/// More weight tensors than the cap holds, revisited in a cycle: entries
+/// are evicted, the bytes stay under the cap, and every call is still the
+/// scalar result.
+#[test]
+fn cache_evicts_when_more_keys_than_the_cap_holds() {
+    let layers: Vec<Operands> = (0..4).map(|s| operands(16, 32, 8, 0xA0 + s)).collect();
+    let mut cache = PanelCache::new();
+    for round in 0..2 {
+        for layer in &layers {
+            assert_cached_matches_scalar(layer, &layer.weights, &mut cache, &format!("round {round}"));
+            assert!(cache.bytes() <= PANEL_CACHE_BYTES);
+        }
+    }
+    assert!(
+        cache.len() < layers.len(),
+        "four 54 KiB entries cannot all be held"
     );
 }
