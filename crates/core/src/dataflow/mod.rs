@@ -26,7 +26,6 @@ pub mod compiler;
 pub mod ops;
 pub mod synth;
 pub mod trace;
-pub mod trace_io;
 
 pub use compiler::{compile, Instr, Program};
 pub use ops::{

@@ -442,6 +442,12 @@ mod tests {
     #[test]
     fn conv_trace_validate_never_panics_on_bad_geometry() {
         let mut t = tiny_conv_trace();
+        t.geom.kernel = 0;
+        assert_eq!(
+            t.validate().unwrap_err().kind,
+            TraceErrorKind::NotPositive { quantity: "kernel" }
+        );
+        t.geom.kernel = 3;
         t.geom.stride = 0;
         assert_eq!(
             t.validate().unwrap_err().kind,

@@ -745,28 +745,18 @@ pub fn run_batch_cached<E: KernelEngine + ?Sized>(
 
 /// [`KernelEngine::run_batch`]'s body with the band count given instead of
 /// sized from the pool — for the band-count invariance tests. It bands
-/// `engine`'s own `prepare` / `band`, bypassing any `run_batch` override.
+/// `engine`'s own `prepare` / `band`, bypassing any `run_batch` override;
+/// with `panels` it draws the weight panels from that cache, as
+/// [`run_batch_cached`] does.
 #[doc(hidden)]
 pub fn run_batch_in_bands<E: KernelEngine + ?Sized>(
     engine: &E,
     ops: &[StageOp<'_>],
     out: BatchOut<'_>,
     bands: usize,
+    panels: Option<&mut PanelCache>,
 ) {
-    run_banded(engine, ops, out, &|_, _| bands, None);
-}
-
-/// [`run_batch_cached`] with the band count given instead of sized from
-/// the pool — for the band-count invariance tests of the panel cache.
-#[doc(hidden)]
-pub fn run_cached_in_bands<E: KernelEngine + ?Sized>(
-    engine: &E,
-    ops: &[StageOp<'_>],
-    out: BatchOut<'_>,
-    bands: usize,
-    panels: &mut PanelCache,
-) {
-    run_banded(engine, ops, out, &|_, _| bands, Some(panels));
+    run_banded(engine, ops, out, &|_, _| bands, panels);
 }
 
 /// Ops (sparse MACs, or elements of per-element glue) a band must carry to
@@ -902,7 +892,7 @@ pub(crate) mod test_fixtures {
 
     impl KernelEngine for InBands<'_> {
         fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
-            run_batch_in_bands(self.0, ops, out, self.1);
+            run_batch_in_bands(self.0, ops, out, self.1, None);
         }
     }
 
@@ -924,7 +914,7 @@ pub(crate) mod test_fixtures {
         } else {
             BatchOut::PerSample(outs.iter_mut().map(Vec::as_mut_slice).collect())
         };
-        run_batch_in_bands(engine, ops, out, bands);
+        run_batch_in_bands(engine, ops, out, bands, None);
         outs
     }
 

@@ -24,7 +24,7 @@
 //! scalar per-row accumulation order, so any difference at all is a bug.
 
 use proptest::prelude::*;
-use sparsetrain_sparse::engine::{run_batch_in_bands, run_cached_in_bands};
+use sparsetrain_sparse::engine::run_batch_in_bands;
 use sparsetrain_sparse::panels::PANEL_CACHE_BYTES;
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::{
@@ -278,7 +278,7 @@ struct InBands<'e>(&'e dyn KernelEngine, usize);
 
 impl KernelEngine for InBands<'_> {
     fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
-        run_batch_in_bands(self.0, ops, out, self.1);
+        run_batch_in_bands(self.0, ops, out, self.1, None);
     }
 }
 
@@ -881,7 +881,7 @@ impl Operands {
 /// `op` on `engine` at `bands` bands into a copy of `seed`.
 fn run_seeded(engine: &dyn KernelEngine, op: StageOp<'_>, bands: usize, seed: &[f32]) -> Vec<f32> {
     let mut out = seed.to_vec();
-    run_batch_in_bands(engine, &[op], BatchOut::PerSample(vec![&mut out]), bands);
+    run_batch_in_bands(engine, &[op], BatchOut::PerSample(vec![&mut out]), bands, None);
     out
 }
 
@@ -935,7 +935,7 @@ fn preseeded_weight_grad_matches_scalar_on_both_paths() {
         let seed = preseeded(ops[0].out_len());
         let run = |engine: &dyn KernelEngine, bands: usize| {
             let mut dw = seed.clone();
-            run_batch_in_bands(engine, ops, BatchOut::Shared(&mut dw), bands);
+            run_batch_in_bands(engine, ops, BatchOut::Shared(&mut dw), bands, None);
             bits_of(&dw)
         };
         let want = run(&REFERENCE, 1);
@@ -955,12 +955,12 @@ fn assert_cached_matches_scalar(layer: &Operands, weights: &Tensor4, cache: &mut
         let want = bits_of(&run_seeded(&REFERENCE, op, 1, &seed));
         for bands in [1, 4] {
             let mut out = seed.clone();
-            run_cached_in_bands(
+            run_batch_in_bands(
                 &SimdEngine::auto(),
                 &[op],
                 BatchOut::PerSample(vec![&mut out]),
                 bands,
-                cache,
+                Some(&mut *cache),
             );
             assert_eq!(bits_of(&out), want, "{what}: {} at {bands} bands", op.stage());
         }

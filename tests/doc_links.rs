@@ -2,8 +2,9 @@
 //! `README.md` and `docs/*.md` must resolve to an existing file, so the
 //! architecture book cannot rot silently. External URLs and pure
 //! `#anchor` links are skipped; fenced code blocks are ignored — except
-//! that every `--example X`, `--bench X` and `--bin X` inside one must
-//! name a cargo target that exists, so a quoted command cannot outlive the
+//! that every `--example X`, `--bench X`, `--bin X` and `--test X` inside
+//! one, or anywhere in `.github/workflows/ci.yml`, must name a cargo
+//! target that exists, so a quoted command or a CI step cannot outlive the
 //! target it runs. Source files the prose names in back-ticks by their
 //! repository path must exist too, so a deleted file cannot leave its
 //! mention behind.
@@ -94,8 +95,8 @@ fn relative_links_in_readme_and_docs_resolve() {
 
 /// Whether some workspace package (the root, `crates/*`, `crates/compat/*`)
 /// has a target `name` of the kind `flag` selects: an auto-discovered file
-/// (`examples/`, `benches/`, `src/bin/`), or for `--bin` a package of that
-/// name with a `src/main.rs`.
+/// (`examples/`, `benches/`, `tests/`, `src/bin/`), or for `--bin` a
+/// package of that name with a `src/main.rs`.
 fn target_exists(root: &Path, flag: &str, name: &str) -> bool {
     let mut packages = vec![root.to_path_buf()];
     for parent in ["crates", "crates/compat"] {
@@ -105,6 +106,7 @@ fn target_exists(root: &Path, flag: &str, name: &str) -> bool {
     packages.iter().any(|dir| match flag {
         "--example" => dir.join(format!("examples/{name}.rs")).exists(),
         "--bench" => dir.join(format!("benches/{name}.rs")).exists(),
+        "--test" => dir.join(format!("tests/{name}.rs")).exists(),
         _ => {
             let package_is_named = |manifest: String| {
                 let mut package = manifest.lines().skip_while(|l| l.trim() != "[package]");
@@ -122,13 +124,10 @@ fn cargo_targets_named_in_fenced_blocks_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut checked = 0usize;
     let mut stale = Vec::new();
-    for_each_doc_line(root, |file, line_no, line, in_fence| {
-        if !in_fence {
-            return;
-        }
+    let mut check_line = |file: &Path, line_no: usize, line: &str| {
         let mut words = line.split_whitespace();
         while let Some(flag) = words.next() {
-            if !matches!(flag, "--example" | "--bench" | "--bin") {
+            if !matches!(flag, "--example" | "--bench" | "--bin" | "--test") {
                 continue;
             }
             let Some(name) = words.next() else { continue };
@@ -140,10 +139,22 @@ fn cargo_targets_named_in_fenced_blocks_exist() {
                 ));
             }
         }
+    };
+    for_each_doc_line(root, |file, line_no, line, in_fence| {
+        if in_fence {
+            check_line(file, line_no, line);
+        }
     });
+    // CI steps run cargo commands too: every workflow line counts as fenced.
+    let ci = root.join(".github/workflows/ci.yml");
+    let workflow =
+        std::fs::read_to_string(&ci).unwrap_or_else(|e| panic!("cannot read {}: {e}", ci.display()));
+    for (idx, line) in workflow.lines().enumerate() {
+        check_line(&ci, idx + 1, line);
+    }
     assert!(
         checked > 0,
-        "the docs quote cargo commands; finding none means the walk broke"
+        "the docs and CI quote cargo commands; finding none means the walk broke"
     );
     assert!(
         stale.is_empty(),
