@@ -1,8 +1,8 @@
 //! Derive-free binary codec for [`Snapshot`]: the payload field layouts of the `.stck` sections.
 //!
 //! The framing — header, tagged length-prefixed sections, primitive encodings, and every
-//! strictness rule of decoding — is [`crate::framing`]; this module lays out each section's
-//! fields.
+//! strictness rule of decoding — is the crate's private `framing` module; this module lays out
+//! each section's fields.
 //!
 //! Sections appear at most once each; `Position`, `ShuffleRng`, `Optimizer`, and `Layers` are
 //! mandatory, `Plan` and `PlanProgram` are optional (and mutually exclusive: a snapshot from an

@@ -243,13 +243,15 @@ impl Writer {
 
     pub(crate) fn f32_slice(&mut self, field: &'static str, xs: &[f32]) -> Result<(), EncodeError> {
         self.count(field, xs.len())?;
-        xs.iter().for_each(|&x| self.f32(x));
+        self.out.reserve(4 * xs.len());
+        self.out.extend(xs.iter().flat_map(|x| x.to_bits().to_le_bytes()));
         Ok(())
     }
 
     pub(crate) fn f64_slice(&mut self, field: &'static str, xs: &[f64]) -> Result<(), EncodeError> {
         self.count(field, xs.len())?;
-        xs.iter().for_each(|&x| self.f64(x));
+        self.out.reserve(8 * xs.len());
+        self.out.extend(xs.iter().flat_map(|x| x.to_bits().to_le_bytes()));
         Ok(())
     }
 

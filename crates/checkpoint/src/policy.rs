@@ -3,6 +3,7 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -173,6 +174,12 @@ impl Drop for PendingWrite {
 /// consulted at the hand-off, on the caller's thread, so an injected fault
 /// lands on the same save either way.
 ///
+/// The writer recycles the oldest file rotation retires: instead of
+/// deleting it, it renames it to a `.tmp` name of its own, and its next
+/// write overwrites that file rather than creating one. While the manager
+/// lives, the run directory may hold that one spare; the writer deletes it
+/// when it stops.
+///
 /// ```
 /// use sparsetrain_checkpoint::{
 ///     CheckpointManager, CheckpointPolicy, OptimizerState, RunPosition, Snapshot,
@@ -227,13 +234,15 @@ impl Writer {
     fn spawn() -> io::Result<Writer> {
         let (jobs, queue) = mpsc::sync_channel::<Job>(1);
         let (done, results) = mpsc::channel();
+        let mut spare = Spare::new();
         let thread = thread::Builder::new().name("stck-writer".into()).spawn(move || {
             for job in queue {
-                let result = persist(&job.snap, job.torn, &job.path, &job.rotated);
+                let result = persist(&job.snap, job.torn, &job.path, &job.rotated, Some(&mut spare));
                 if done.send(result).is_err() {
                     break;
                 }
             }
+            spare.delete();
         })?;
         Ok(Writer {
             jobs,
@@ -303,7 +312,7 @@ impl CheckpointManager {
         self.flush()?;
         let torn = write_fault()?;
         let (path, rotated) = self.rotation_after(snap);
-        persist(snap, torn, &path, &rotated)?;
+        persist(snap, torn, &path, &rotated, None)?;
         self.track(&path, rotated.len());
         Ok(path)
     }
@@ -408,26 +417,51 @@ fn write_fault() -> io::Result<bool> {
     }
 }
 
-/// Encode `snap` and persist it at `path` atomically — write `.tmp`, fsync,
-/// rename, fsync the directory — then delete the `rotated` files. `torn`
-/// keeps only the first half of the bytes.
-fn persist(snap: &Snapshot, torn: bool, path: &Path, rotated: &[PathBuf]) -> io::Result<()> {
+/// Encode `snap` and persist it at `path` atomically — write a temp file,
+/// fsync, rename, fsync the directory — then retire the `rotated` files.
+/// `torn` keeps only the first half of the bytes.
+///
+/// With a writer's `spare`, the temp file is the spare when one is on disk
+/// (overwritten and cut to the new length) and the oldest rotated file
+/// becomes the next spare instead of being deleted; the rest are deleted.
+/// Either way a file leaves the kept set only once its successor is
+/// durable.
+fn persist(
+    snap: &Snapshot,
+    torn: bool,
+    path: &Path,
+    rotated: &[PathBuf],
+    mut spare: Option<&mut Spare>,
+) -> io::Result<()> {
     let mut bytes = snap
         .encode()
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     if torn {
         bytes.truncate(bytes.len() / 2);
     }
-    let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
-    {
-        let mut file = fs::File::create(&tmp)?;
+    let tmp = {
+        let (mut file, tmp) = match spare.as_deref_mut().and_then(Spare::open) {
+            Some(recycled) => recycled,
+            None => {
+                let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
+                (fs::File::create(&tmp)?, tmp)
+            }
+        };
         io::Write::write_all(&mut file, &bytes)?;
+        // A recycled spare may be longer than this snapshot.
+        file.set_len(bytes.len() as u64)?;
         file.sync_all()?;
-    }
+        tmp
+    };
     fs::rename(&tmp, path)?;
     // The rename is only durable once the directory entry itself is on disk.
     sync_dir(path.parent().expect("snapshot paths sit in the run directory"))?;
     for old in rotated {
+        if let Some(spare) = spare.as_deref_mut() {
+            if spare.retire(old)? {
+                continue;
+            }
+        }
         match fs::remove_file(old) {
             Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -435,6 +469,68 @@ fn persist(snap: &Snapshot, torn: bool, path: &Path, rotated: &[PathBuf]) -> io:
         }
     }
     Ok(())
+}
+
+/// Spares named so far in this process, so each writer's is its own.
+static SPARES: AtomicUsize = AtomicUsize::new(0);
+
+/// A writer thread's recycled temp file: a file rotation retired, renamed
+/// to `spare-<pid>-<n>.stck.tmp` in the run directory. Overwriting it
+/// costs less than creating a fresh file and deleting the retired one. The
+/// name ends in `.stck.tmp`, so a crash leaves only what the orphan sweep
+/// removes.
+struct Spare {
+    name: String,
+    /// The spare's path, once a file has been retired to it.
+    path: Option<PathBuf>,
+    /// Whether a retired file waits at `path` for the next write.
+    ready: bool,
+}
+
+impl Spare {
+    fn new() -> Self {
+        let n = SPARES.fetch_add(1, Ordering::Relaxed);
+        Spare {
+            name: format!("spare-{}-{n}.{SNAPSHOT_EXT}.tmp", std::process::id()),
+            path: None,
+            ready: false,
+        }
+    }
+
+    /// The waiting spare, opened for overwriting, and its path. `None`
+    /// when none waits, or it is gone (another manager's sweep).
+    fn open(&mut self) -> Option<(fs::File, PathBuf)> {
+        if !std::mem::take(&mut self.ready) {
+            return None;
+        }
+        let path = self.path.clone()?;
+        let file = fs::OpenOptions::new().write(true).open(&path).ok()?;
+        Some((file, path))
+    }
+
+    /// Renames `old` to the spare unless one waits already; `false` when
+    /// it did not (one waits, or `old` is gone).
+    fn retire(&mut self, old: &Path) -> io::Result<bool> {
+        if self.ready {
+            return Ok(false);
+        }
+        let path = self.path.get_or_insert_with(|| old.with_file_name(&self.name));
+        match fs::rename(old, path) {
+            Ok(()) => {
+                self.ready = true;
+                Ok(true)
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Deletes the spare, whether it waits or a failed write left it.
+    fn delete(&mut self) {
+        if let Some(path) = &self.path {
+            let _ = fs::remove_file(path);
+        }
+    }
 }
 
 /// Most recent snapshot file in `dir`, by numeric `(epoch, step)` position, if any.
@@ -586,7 +682,7 @@ fn snapshot_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{OptimizerState, RunPosition};
+    use crate::snapshot::{LayerState, OptimizerState, RunPosition};
 
     fn tiny_snapshot(epoch: u64, step: u64) -> Snapshot {
         Snapshot {
@@ -731,6 +827,106 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, ["ckpt-e00000-s000000002.stck"], "keep 1 on disk, no .tmp");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot whose file is `floats` × 4 bytes plus framing, with
+    /// distinct bit patterns.
+    fn sized_snapshot(step: u64, floats: usize) -> Snapshot {
+        let mut snap = tiny_snapshot(0, step);
+        snap.layers = vec![LayerState::Params {
+            layer: "fc".into(),
+            tensors: vec![(0..floats).map(|i| (i as f32 + step as f32).sin()).collect()],
+        }];
+        snap
+    }
+
+    /// The `*.stck.tmp` files in `dir`.
+    fn tmp_files(dir: &Path) -> Vec<PathBuf> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.to_string_lossy().ends_with(&format!(".{SNAPSHOT_EXT}.tmp")))
+            .collect()
+    }
+
+    #[test]
+    fn background_rotation_keeps_at_most_one_spare() {
+        let _g = fault_test_guard();
+        let dir = temp_dir("spare-count");
+        let keep = 2;
+        let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(keep)).unwrap();
+        for step in 1..=keep as u64 + 3 {
+            mgr.save_in_background(sized_snapshot(step, 64)).unwrap();
+        }
+        mgr.flush().unwrap();
+        assert_eq!(snapshot_files_in(&dir).unwrap(), mgr.files());
+        let spares = tmp_files(&dir);
+        assert!(spares.len() <= 1, "one spare at most: {spares:?}");
+        for (path, step) in mgr.files().iter().zip(4..) {
+            assert_eq!(load(path).unwrap(), sized_snapshot(step, 64));
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dropping_the_manager_deletes_the_spare() {
+        let _g = fault_test_guard();
+        let dir = temp_dir("spare-drop");
+        let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(1)).unwrap();
+        for step in 1..=4 {
+            mgr.save_in_background(sized_snapshot(step, 64)).unwrap();
+        }
+        drop(mgr);
+        assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+        assert_eq!(snapshot_files_in(&dir).unwrap().len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_shorter_than_the_spare_loads_bitwise() {
+        let _g = fault_test_guard();
+        let dir = temp_dir("spare-shorter");
+        let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(1)).unwrap();
+        // The second save retires the first, long file; the third, short
+        // one is written over it.
+        mgr.save_in_background(sized_snapshot(1, 4096)).unwrap();
+        mgr.save_in_background(sized_snapshot(2, 4096)).unwrap();
+        mgr.flush().unwrap();
+        assert_eq!(tmp_files(&dir).len(), 1, "the retired file waits as the spare");
+        mgr.save_in_background(sized_snapshot(3, 16)).unwrap();
+        mgr.flush().unwrap();
+        let newest = latest_in(&dir).unwrap().expect("a snapshot is on disk");
+        assert_eq!(
+            fs::read(&newest).unwrap(),
+            sized_snapshot(3, 16).encode().unwrap()
+        );
+        assert_eq!(load(&newest).unwrap(), sized_snapshot(3, 16));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_write_into_a_recycled_spare_is_skipped_by_the_scan() {
+        let _g = fault_test_guard();
+        let dir = temp_dir("spare-torn");
+        let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(2)).unwrap();
+        for step in 1..=3 {
+            mgr.save_in_background(sized_snapshot(step, 256)).unwrap();
+        }
+        mgr.flush().unwrap();
+        assert_eq!(tmp_files(&dir).len(), 1, "the retired file waits as the spare");
+        sparsetrain_faults::install(sparsetrain_faults::FaultPlan::new(7).with(
+            sparsetrain_faults::Site::CkptWriteTorn,
+            sparsetrain_faults::Trigger::At(0),
+        ));
+        mgr.save_in_background(sized_snapshot(4, 256)).unwrap();
+        mgr.flush().unwrap();
+        sparsetrain_faults::clear();
+        let outcome = scan_latest_valid(&dir).unwrap();
+        let (_, snap) = outcome.latest_valid.expect("the older snapshot is valid");
+        assert_eq!(snap, sized_snapshot(3, 256));
+        assert_eq!(outcome.skipped.len(), 1, "{:?}", outcome.skipped);
+        assert!(outcome.skipped[0].path().to_string_lossy().contains("s000000004"));
         fs::remove_dir_all(&dir).unwrap();
     }
 

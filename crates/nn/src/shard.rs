@@ -50,7 +50,7 @@ use sparsetrain_core::prune::{SiteStats, StreamSeeds};
 use sparsetrain_sparse::{registry, EngineHandle, ExecutionContext};
 use sparsetrain_tensor::Tensor3;
 use std::collections::BTreeMap;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// The per-rank retry policy — the supervisor's, at step scale:
@@ -154,20 +154,14 @@ pub struct GranuleSpec {
 /// Plain data — a process/socket transport can serialize it.
 #[derive(Debug, Clone)]
 pub struct StepCommand {
-    /// Stream-ladder coordinates of the step (`seed`, `epoch`, `step`).
-    pub seed: u64,
-    /// Epoch coordinate.
-    pub epoch: u64,
-    /// Step coordinate.
-    pub step: u64,
-    /// Coordinator parameters, flattened in `visit_params` order; the
-    /// worker loads them before computing (respawned workers are thereby
-    /// in sync for free).
-    pub params: Vec<f32>,
-    /// Per-site predicted pruning thresholds broadcast for this step.
-    pub taus: Vec<(String, Option<f64>)>,
-    /// The granules assigned to this worker.
-    pub granules: Vec<GranuleSpec>,
+    /// The step: its stream-ladder coordinates, the coordinator's
+    /// flattened parameters (the worker loads them before computing, so a
+    /// respawned worker is in sync for free), the broadcast thresholds and
+    /// every granule. Shared by every command of the step, retries
+    /// included.
+    pub input: Arc<StepInput>,
+    /// Indices of the granules this worker runs, in order.
+    pub granules: Vec<usize>,
     /// Engines the worker must quarantine before computing.
     pub quarantine: Vec<String>,
     /// Fault injection: die instead of computing (`worker.kill`).
@@ -194,25 +188,25 @@ pub struct GranuleResult {
     pub prune_stats: Vec<(String, SiteStats)>,
 }
 
-/// A worker-to-coordinator message.
+/// A granule that panicked on its worker.
+#[derive(Debug, Clone)]
+pub struct GranuleFailure {
+    /// The granule's global index.
+    pub index: usize,
+    /// Rendered panic payload.
+    pub detail: String,
+}
+
+/// A worker-to-coordinator message: one per command.
 #[derive(Debug)]
 pub enum WorkerReply {
-    /// One granule finished.
-    Granule {
+    /// The worker ran every granule of its command. A granule that
+    /// panicked is a failure; the worker survives it and runs the rest.
+    Done {
         /// Reporting worker.
         rank: usize,
-        /// The granule's contribution.
-        result: GranuleResult,
-    },
-    /// One granule panicked; the worker survives and continues with its
-    /// remaining granules.
-    Failed {
-        /// Reporting worker.
-        rank: usize,
-        /// Index of the failed granule.
-        granule: usize,
-        /// Rendered panic payload.
-        detail: String,
+        /// One outcome per granule, in the command's order.
+        granules: Vec<Result<GranuleResult, GranuleFailure>>,
     },
     /// The worker is gone (injected kill, or its loop panicked). A socket
     /// transport maps disconnects to this variant.
@@ -252,13 +246,14 @@ impl EngineSetup {
 /// The coordinator's view of a worker pool: submit commands per rank,
 /// receive replies from any rank, respawn dead ranks.
 ///
-/// Implementations deliver every submitted command to the named rank and
-/// surface worker death as [`WorkerReply::Died`] (cooperatively or via
-/// disconnect detection) — the coordinator never polls liveness. The
-/// `replica` handed to [`WorkerTransport::respawn`] is the in-process
-/// seed for the new worker; an out-of-process transport may ignore it and
-/// rebuild from its own configuration, since parameters arrive with every
-/// command anyway.
+/// Implementations deliver every submitted command to the named rank,
+/// which answers it with one [`WorkerReply::Done`] holding every granule's
+/// outcome, and surface worker death as [`WorkerReply::Died`]
+/// (cooperatively or via disconnect detection) — the coordinator never
+/// polls liveness. The `replica` handed to [`WorkerTransport::respawn`] is
+/// the in-process seed for the new worker; an out-of-process transport may
+/// ignore it and rebuild from its own configuration, since parameters
+/// arrive with every command anyway.
 pub trait WorkerTransport {
     /// Number of ranks.
     fn workers(&self) -> usize;
@@ -400,50 +395,57 @@ fn worker_loop(
         if cmd.kill {
             let _ = replies.send(WorkerReply::Died {
                 rank,
-                detail: format!("injected worker.kill at step {}", cmd.step),
+                detail: format!("injected worker.kill at step {}", cmd.input.step),
             });
             return;
         }
         for engine in &cmd.quarantine {
             ctx.quarantine(engine);
         }
+        let input = &*cmd.input;
         let mut offset = 0usize;
         net.visit_params(&mut |p, _| {
-            p.copy_from_slice(&cmd.params[offset..offset + p.len()]);
+            p.copy_from_slice(&input.params[offset..offset + p.len()]);
             offset += p.len();
         });
-        net.set_shard_taus(&cmd.taus);
-        for granule in &cmd.granules {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_granule(&mut net, &mut ctx, &cmd, granule)
-            }));
-            let reply = match outcome {
-                Ok(result) => WorkerReply::Granule { rank, result },
-                Err(payload) => WorkerReply::Failed {
-                    rank,
-                    granule: granule.index,
-                    detail: panic_text(payload.as_ref())
-                        .unwrap_or("non-string panic payload")
-                        .to_string(),
-                },
-            };
-            if replies.send(reply).is_err() {
-                return; // coordinator gone
-            }
+        net.set_shard_taus(&input.taus);
+        let granules = cmd
+            .granules
+            .iter()
+            .map(|&g| {
+                let granule = &input.granules[g];
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_granule(&mut net, &mut ctx, input, granule)
+                }))
+                .map_err(|payload| {
+                    // The hooks the failed granule got through recorded
+                    // stats the next granule must not report as its own.
+                    net.take_shard_stats(&mut Vec::new());
+                    GranuleFailure {
+                        index: granule.index,
+                        detail: panic_text(payload.as_ref())
+                            .unwrap_or("non-string panic payload")
+                            .to_string(),
+                    }
+                })
+            })
+            .collect();
+        if replies.send(WorkerReply::Done { rank, granules }).is_err() {
+            return; // coordinator gone
         }
     }
 }
 
 /// [`step_body`] over one granule on a worker replica. Pure in the
-/// granule given the command's parameters and thresholds: replaying it on
+/// granule given the step's parameters and thresholds: replaying it on
 /// any rank reproduces the identical result.
 fn run_granule(
     net: &mut Sequential,
     ctx: &mut ExecutionContext,
-    cmd: &StepCommand,
+    input: &StepInput,
     granule: &GranuleSpec,
 ) -> GranuleResult {
-    let streams = StreamSeeds::at(cmd.seed, cmd.epoch, cmd.step)
+    let streams = StreamSeeds::at(input.seed, input.epoch, input.step)
         .streams()
         .with_sample_base(granule.sample_base);
     let xs = Batch::borrowed(&granule.images);
@@ -578,6 +580,7 @@ impl ShardPool {
     /// Panics when a rank exceeds the retry budget; the outer
     /// supervisor classifies and recovers at epoch scale.
     pub fn run_step(&mut self, input: &StepInput) -> StepReduction {
+        let shared = Arc::new(input.clone());
         let workers = self.transport.workers();
         let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); workers];
         for granule in &input.granules {
@@ -594,27 +597,35 @@ impl ShardPool {
             if outstanding[rank].is_empty() && !kill {
                 continue;
             }
-            let cmd = self.command(input, &outstanding[rank], kill, slow_ms, rank);
+            let cmd = self.command(&shared, &outstanding[rank], kill, slow_ms, rank);
             self.transport.submit(rank, cmd);
         }
 
         let mut collected: BTreeMap<usize, GranuleResult> = BTreeMap::new();
         while collected.len() < input.granules.len() {
             match self.transport.recv() {
-                WorkerReply::Granule { rank, result } => {
-                    self.streaks[rank] = 0;
-                    outstanding[rank].retain(|&g| g != result.index);
-                    collected.insert(result.index, result);
-                }
-                WorkerReply::Failed {
-                    rank,
-                    granule,
-                    detail,
-                } => {
-                    self.note_failure(rank, &detail);
-                    self.health.retries += 1;
-                    let cmd = self.command(input, &[granule], false, None, rank);
-                    self.transport.submit(rank, cmd);
+                WorkerReply::Done { rank, granules } => {
+                    // In the command's order, as if each granule had
+                    // replied on its own: a success resets the streak.
+                    let mut failed = Vec::new();
+                    for outcome in granules {
+                        match outcome {
+                            Ok(result) => {
+                                self.streaks[rank] = 0;
+                                outstanding[rank].retain(|&g| g != result.index);
+                                collected.insert(result.index, result);
+                            }
+                            Err(failure) => {
+                                self.note_failure(rank, &failure.detail);
+                                self.health.retries += 1;
+                                failed.push(failure.index);
+                            }
+                        }
+                    }
+                    if !failed.is_empty() {
+                        let cmd = self.command(&shared, &failed, false, None, rank);
+                        self.transport.submit(rank, cmd);
+                    }
                 }
                 WorkerReply::Died { rank, detail } => {
                     self.note_failure(rank, &detail);
@@ -625,8 +636,7 @@ impl ShardPool {
                         .expect("template replicated at spawn, so it replicates now");
                     self.transport.respawn(rank, replica);
                     if !outstanding[rank].is_empty() {
-                        let pending = outstanding[rank].clone();
-                        let cmd = self.command(input, &pending, false, None, rank);
+                        let cmd = self.command(&shared, &outstanding[rank], false, None, rank);
                         self.transport.submit(rank, cmd);
                     }
                 }
@@ -656,19 +666,15 @@ impl ShardPool {
 
     fn command(
         &self,
-        input: &StepInput,
+        input: &Arc<StepInput>,
         granules: &[usize],
         kill: bool,
         slow_ms: Option<u64>,
         rank: usize,
     ) -> StepCommand {
         StepCommand {
-            seed: input.seed,
-            epoch: input.epoch,
-            step: input.step,
-            params: input.params.clone(),
-            taus: input.taus.clone(),
-            granules: granules.iter().map(|&g| input.granules[g].clone()).collect(),
+            input: Arc::clone(input),
+            granules: granules.to_vec(),
             quarantine: self.quarantined[rank].clone(),
             kill,
             slow_ms,

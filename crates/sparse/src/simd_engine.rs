@@ -559,7 +559,16 @@ fn weight_grad_band(
     let mut sample = vec![0.0f32; dw.len()];
     if let ([ctx], [op]) = (ctxs, ops) {
         sample_weight_grad(ctx, op, c, k, f_lo, &mut sample);
-        for_each_dw_cell(n, c, k, |at, relaid| dw[at] += sample[relaid]);
+        // `dW` in its own order, each cell reading its tap of the
+        // filter's `[u][v][C]` block.
+        let kk = k * k;
+        for (dw_f, sample_f) in dw.chunks_exact_mut(c * kk).zip(sample.chunks_exact(kk * c)) {
+            for (ci, dw_c) in dw_f.chunks_exact_mut(kk).enumerate() {
+                for (d, s) in dw_c.iter_mut().zip(sample_f[ci..].iter().step_by(c)) {
+                    *d += *s;
+                }
+            }
+        }
         return;
     }
     let mut dwt = vec![0.0f32; dw.len()];
