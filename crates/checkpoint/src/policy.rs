@@ -313,7 +313,7 @@ impl CheckpointManager {
         let torn = write_fault()?;
         let (path, rotated) = self.rotation_after(snap);
         persist(snap, torn, &path, &rotated, None)?;
-        self.track(&path, rotated.len());
+        self.track(&path, &rotated);
         Ok(path)
     }
 
@@ -332,7 +332,7 @@ impl CheckpointManager {
         }
         let torn = write_fault()?;
         let (path, rotated) = self.rotation_after(&snap);
-        self.track(&path, rotated.len());
+        self.track(&path, &rotated);
         let writer = match &mut self.writer {
             Some(writer) => writer,
             None => self.writer.insert(Writer::spawn()?),
@@ -356,7 +356,8 @@ impl CheckpointManager {
     }
 
     /// Where `snap` goes, and the oldest tracked files keep-K rotation
-    /// removes once it is there.
+    /// removes once it is there — never `snap`'s own path, which a save of
+    /// an already tracked position writes again.
     fn rotation_after(&self, snap: &Snapshot) -> (PathBuf, Vec<PathBuf>) {
         let name = format!(
             "ckpt-e{:05}-s{:09}.{SNAPSHOT_EXT}",
@@ -368,12 +369,19 @@ impl CheckpointManager {
             0 => 0,
             keep => tracked.saturating_sub(keep),
         };
-        (path, self.written[..excess].to_vec())
+        let rotated = self
+            .written
+            .iter()
+            .filter(|p| **p != path)
+            .take(excess)
+            .cloned()
+            .collect();
+        (path, rotated)
     }
 
-    /// `path` joins the tracked files and the `rotated` oldest leave.
-    fn track(&mut self, path: &Path, rotated: usize) {
-        self.written.drain(..rotated);
+    /// `path` joins the tracked files and the `rotated` ones leave.
+    fn track(&mut self, path: &Path, rotated: &[PathBuf]) {
+        self.written.retain(|p| !rotated.contains(p));
         if !self.written.iter().any(|p| p == path) {
             self.written.push(path.to_path_buf());
         }
@@ -971,6 +979,45 @@ mod tests {
             "kept: {names:?}"
         );
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Saving a position a fresh manager adopted writes its file again;
+    /// rotation removes the other files, never the one just written, on
+    /// both save paths.
+    #[test]
+    fn saving_an_adopted_position_again_never_rotates_it_out() {
+        let _g = fault_test_guard();
+        for background in [false, true] {
+            let dir = temp_dir(&format!("resave-{background}"));
+            let mut mgr =
+                CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(0)).unwrap();
+            for step in 1..=3 {
+                mgr.save(&tiny_snapshot(0, step)).unwrap();
+            }
+            drop(mgr);
+            let mut mgr =
+                CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(1)).unwrap();
+            let want = dir.join("ckpt-e00000-s000000001.stck");
+            if background {
+                mgr.save_in_background(tiny_snapshot(0, 1)).unwrap();
+                mgr.flush().unwrap();
+            } else {
+                assert_eq!(mgr.save(&tiny_snapshot(0, 1)).unwrap(), want);
+            }
+            assert_eq!(
+                mgr.files(),
+                std::slice::from_ref(&want),
+                "background: {background}"
+            );
+            assert_eq!(
+                snapshot_files_in(&dir).unwrap(),
+                std::slice::from_ref(&want),
+                "background: {background}"
+            );
+            assert_eq!(load(&want).unwrap().position.step, 1);
+            drop(mgr);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -69,12 +69,16 @@ impl Layer for MaxPool2d {
             for ci in 0..c {
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0u32;
+                        // Seeded from the window's first element, so a
+                        // window with nothing above -inf (all -inf, or a NaN
+                        // first) still routes its gradient inside itself.
+                        let (y0, x0) = (oy * self.stride, ox * self.stride);
+                        let mut best = x.get(ci, y0, x0);
+                        let mut best_idx = ((ci * h + y0) * w + x0) as u32;
                         for dy in 0..self.kernel {
-                            let iy = oy * self.stride + dy;
+                            let iy = y0 + dy;
                             for dx in 0..self.kernel {
-                                let ix = ox * self.stride + dx;
+                                let ix = x0 + dx;
                                 let v = x.get(ci, iy, ix);
                                 if v > best {
                                     best = v;
@@ -157,6 +161,28 @@ mod tests {
         );
         let nnz = din[0].as_slice().iter().filter(|&&v| v != 0.0).count();
         assert_eq!(nnz, 2 * 4 * 4); // one per output element
+    }
+
+    /// A window holding nothing above -inf routes its gradient to its own
+    /// first element, not to element 0 of the map; a NaN first element
+    /// propagates to the output.
+    #[test]
+    fn window_without_a_finite_maximum_keeps_its_gradient_inside() {
+        let ninf = f32::NEG_INFINITY;
+        let mut pool = MaxPool2d::new("p", 2, 2);
+        let x = Tensor3::from_vec(1, 2, 4, vec![1.0, 2.0, ninf, ninf, 3.0, 4.0, ninf, ninf]);
+        let out = pool.forward(vec![x].into(), &mut ExecutionContext::scalar(), true);
+        assert_eq!(out[0].as_slice(), &[4.0, ninf]);
+        let din = pool.backward(
+            vec![Tensor3::from_vec(1, 1, 2, vec![1.5, 2.5])],
+            &mut ExecutionContext::scalar(),
+            &StepStreams::new(0, 0, 0),
+        );
+        assert_eq!(din[0].as_slice(), &[0.0, 0.0, 2.5, 0.0, 0.0, 1.5, 0.0, 0.0]);
+
+        let x = Tensor3::from_vec(1, 2, 2, vec![f32::NAN, 1.0, 2.0, 3.0]);
+        let out = pool.forward(vec![x].into(), &mut ExecutionContext::scalar(), true);
+        assert!(out[0].as_slice()[0].is_nan());
     }
 
     #[test]

@@ -100,8 +100,29 @@
 //!   scalar skips never form ([`SparseFeatureMap::is_finite`], recorded
 //!   when the map is built).
 //!
-//! There is no other fallback to the scalar code: no density cutoff, no
-//! stride condition.
+//! There is no other fallback to the scalar code, and no density cutoff:
+//! one exact property of an op picks its loop. When the `dout` of a GTA or
+//! GTW op holds **no zero** (`nnz == channels · height · width`, counted
+//! as the map is built; BatchNorm leaves every gradient so), the walk's
+//! load, add and store of a tile run per non-zero buys nothing, and an
+//! output-stationary kernel runs instead, per op:
+//!
+//! * **GTA at stride 1** keeps `R` input columns × `B` lane blocks of one
+//!   `din` row in registers (four blocks by two columns, two by four, or
+//!   one by twelve: at most 12 accumulators) over every `(fi, oy↑, ox↑)`.
+//!   It reads the panel, and `dout` from the map's own arena (a map with
+//!   no zero stores its dense planes), copied once into zero-padded rows.
+//!   The row is seeded and written back through the mask as the walk's
+//!   tile is. The padding adds `0 · w` terms, which are `±0.0` only for a
+//!   finite `w`, so an op whose weights hold a non-finite value walks.
+//! * **GTW at any stride** keeps one kernel row's `K · C` taps of up to four
+//!   filters in registers over every `(oy↑, ox↑)`, against the
+//!   channels-last input copy, and stores the sample's sum into `sT`,
+//!   which reaches `dW` as above.
+//!
+//! Both give each element its terms in the walk's order, so the bits are
+//! the walk's. A map with a single zero, every Forward op and GTA at
+//! stride ≠ 1 take the walk.
 //!
 //! A band invoked with contexts lacking the prepared state (direct band
 //! calls, a foreign engine's contexts, weights re-laid for another stage)
@@ -131,8 +152,16 @@ use std::sync::Arc;
 /// Vector lane-block width (f32 lanes per block, one AVX2 register).
 const LANES: usize = 8;
 
+/// Whether any of `values` has bits `pred` accepts: a fold with no early
+/// exit, so the scan vectorizes (an early-exit `any` runs one element a
+/// step, which costs the dense kernels' small maps a tenth of their time).
+#[inline(always)]
+fn any_bits(values: &[f32], pred: impl Fn(u32) -> bool) -> bool {
+    values.iter().fold(false, |any, v| any | pred(v.to_bits()))
+}
+
 fn contains_negative_zero(values: &[f32]) -> bool {
-    values.iter().any(|v| v.to_bits() == (-0.0f32).to_bits())
+    any_bits(values, |bits| bits == (-0.0f32).to_bits())
 }
 
 /// Whether this process supports the AVX2+FMA fast path.
@@ -438,7 +467,7 @@ fn input_grad_band(
     let at = |iy: usize, ix: usize| (iy * wp + ix + geom.pad) * n;
     let mut tile = vec![0.0f32; in_h * wp * n];
     // A `din` of `+0.0` (every fresh `Conv2d` buffer) is the zeroed tile.
-    if din.iter().any(|v| v.to_bits() != 0) {
+    if any_bits(din, |bits| bits != 0) {
         for (ci, seed) in din.chunks(plane).enumerate() {
             for (iy, seed_row) in seed.chunks(in_w).enumerate() {
                 for (ix, &v) in seed_row.iter().enumerate() {
@@ -485,6 +514,280 @@ fn input_grad_band(
     }
 }
 
+/// Whether `fm` stores every one of its elements: no zero to skip, so the
+/// dense kernels below visit exactly the terms the walk does.
+fn has_no_zero(fm: &SparseFeatureMap) -> bool {
+    fm.nnz() == fm.channels() * fm.height() * fm.width()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Dense GTA / GTW kernel calls on this thread, for the tests.
+    static DENSE_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts a dense kernel call (tests only).
+#[inline(always)]
+fn note_dense_call() {
+    #[cfg(test)]
+    DENSE_CALLS.with(|calls| calls.set(calls.get() + 1));
+}
+
+/// The first `t ≤ LANES` values of `src` as a lane block, zeros after.
+#[inline(always)]
+fn partial_block(src: &[f32], t: usize) -> [f32; LANES] {
+    let mut block = [0.0f32; LANES];
+    block[..t].copy_from_slice(&src[..t]);
+    block
+}
+
+/// The operands of one dense GTA band: `dout`'s planes, each row
+/// zero-padded to `wq` columns so every tap of every input column reads
+/// inside it, and the band's weights as lane blocks.
+struct GtaRows<'a> {
+    planes: &'a [f32],
+    oh: usize,
+    wq: usize,
+    /// Padded column of input column `0`'s tap `v = 0`; tap `v` of input
+    /// column `ix` reads padded column `ix + o − v`.
+    o: usize,
+    /// The weights, one run of `stride` lane blocks per `(fi, u, v)`, the
+    /// band's lanes from block `b_lo` of each run.
+    wt: &'a [[f32; LANES]],
+    stride: usize,
+    b_lo: usize,
+    k: usize,
+    f: usize,
+}
+
+/// `R` input columns × `B` lane blocks of one `din` row, held in registers
+/// over every `(fi, oy↑, ox↑)` term: `tile` holds the columns' seeds
+/// (column stride `n8`) and takes their sums; the lanes are the band's
+/// blocks `b0..`, and `u_lo..u_hi` the kernel rows whose output row
+/// `top − u` exists. `K` fixes the kernel size at compile time (`0`: read
+/// it from `rows`).
+#[inline(always)]
+fn gta_block<const B: usize, const R: usize, const K: usize>(
+    rows: &GtaRows<'_>,
+    tile: &mut [f32],
+    n8: usize,
+    ix0: usize,
+    b0: usize,
+    top: usize,
+    (u_lo, u_hi): (usize, usize),
+) {
+    let mut acc = [[[0.0f32; LANES]; B]; R];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        for (b, acc_rb) in acc_r.iter_mut().enumerate() {
+            *acc_rb = *tile[r * n8 + b * LANES..]
+                .first_chunk()
+                .expect("a whole lane block");
+        }
+    }
+    let k = if K == 0 { rows.k } else { K };
+    for fi in 0..rows.f {
+        // Output rows ascending: kernel rows descending.
+        for u in (u_lo..u_hi).rev() {
+            // Padded columns from tap `K − 1` of column `ix0` on.
+            let grow = &rows.planes[(fi * rows.oh + top - u) * rows.wq + ix0 + rows.o + 1 - k..];
+            let taps = &rows.wt[(fi * k + u) * k * rows.stride + rows.b_lo + b0..];
+            // Output columns ascending: taps descending.
+            for v in (0..k).rev() {
+                // By value: a borrowed block keeps the sums in memory.
+                let w: [[f32; LANES]; B] = *taps[v * rows.stride..].first_chunk().expect("B lane blocks");
+                let g: &[f32; R] = grow[k - 1 - v..]
+                    .first_chunk()
+                    .expect("R columns of the padded row");
+                for (acc_r, &g) in acc.iter_mut().zip(g) {
+                    for (acc_rb, wb) in acc_r.iter_mut().zip(&w) {
+                        for i in 0..LANES {
+                            acc_rb[i] += g * wb[i];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        for (b, acc_rb) in acc_r.iter().enumerate() {
+            tile[r * n8 + b * LANES..][..LANES].copy_from_slice(acc_rb);
+        }
+    }
+}
+
+/// Every column of one `din` row for `B` lane blocks from block `b0`:
+/// blocks of `R` columns, then of four, then one column at a time.
+#[inline(always)]
+fn gta_lanes<const B: usize, const R: usize, const K: usize>(
+    rows: &GtaRows<'_>,
+    tile: &mut [f32],
+    n8: usize,
+    in_w: usize,
+    b0: usize,
+    top: usize,
+    u_range: (usize, usize),
+) {
+    let mut ix0 = 0;
+    while ix0 < in_w {
+        let at = &mut tile[ix0 * n8 + b0 * LANES..];
+        ix0 += match in_w - ix0 {
+            left if left >= R => {
+                gta_block::<B, R, K>(rows, at, n8, ix0, b0, top, u_range);
+                R
+            }
+            4.. => {
+                gta_block::<B, 4, K>(rows, at, n8, ix0, b0, top, u_range);
+                4
+            }
+            _ => {
+                gta_block::<B, 1, K>(rows, at, n8, ix0, b0, top, u_range);
+                1
+            }
+        };
+    }
+}
+
+/// One `din` row's tile over all `n8 / LANES` lane blocks of the band, at
+/// most 12 accumulators at a time: four blocks by two columns, two by
+/// four, or one by twelve (the square `8 × 8` block is left out: LLVM
+/// vectorizes it across columns and shuffles every term).
+#[inline(always)]
+fn gta_row<const K: usize>(
+    rows: &GtaRows<'_>,
+    tile: &mut [f32],
+    n8: usize,
+    in_w: usize,
+    top: usize,
+    u_range: (usize, usize),
+) {
+    let blocks = n8 / LANES;
+    let mut b0 = 0;
+    while b0 < blocks {
+        b0 += match blocks - b0 {
+            4.. => {
+                gta_lanes::<4, 2, K>(rows, tile, n8, in_w, b0, top, u_range);
+                4
+            }
+            2 | 3 => {
+                gta_lanes::<2, 4, K>(rows, tile, n8, in_w, b0, top, u_range);
+                2
+            }
+            _ => {
+                gta_lanes::<1, 12, K>(rows, tile, n8, in_w, b0, top, u_range);
+                1
+            }
+        };
+    }
+}
+
+/// GTA of channels `c_lo..` of `c` into `din` when `dout` holds no zero,
+/// at stride 1: output-stationary instead of [`input_grad_band`]'s walk.
+/// Each input row's `[W][n8]` tile is seeded from `din` as the walk's is,
+/// summed in register blocks ([`gta_block`]) over `(fi, oy↑, ox↑)` —
+/// every element's scalar order — and written back through the forward
+/// mask. `dout` is read from the map's own arena (a map with no zero
+/// stores its dense planes), copied once into zero-padded rows: the
+/// padding's `0·w` terms add `±0.0`, which needs finite weights
+/// ([`input_grad_takes_dense`]). The panel is read in place when the band
+/// covers whole lane blocks, and re-laid zero-padded to `n8` lanes
+/// otherwise (the padding lanes are never written back).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn input_grad_dense_band(
+    wt: &[f32],
+    c: usize,
+    dout: &SparseFeatureMap,
+    geom: ConvGeometry,
+    masks: &[RowMask],
+    in_h: usize,
+    in_w: usize,
+    c_lo: usize,
+    din: &mut [f32],
+) {
+    note_dense_call();
+    let (f, k, oh, ow, plane) = (
+        dout.channels(),
+        geom.kernel,
+        dout.height(),
+        dout.width(),
+        in_h * in_w,
+    );
+    let n = din.len() / plane;
+    let n8 = n.next_multiple_of(LANES);
+    // Tap `v` of input column `ix` reads output column `ix + pad − v`,
+    // which lies in `[−q, Ow + q)`: padded column `ox + q`.
+    let q = (k - 1).saturating_sub(geom.pad);
+    let wq = ow + 2 * q;
+    let mut planes = vec![0.0f32; f * oh * wq];
+    for fi in 0..f {
+        for (oy, grow) in dout.channel_values(fi).chunks_exact(ow).enumerate() {
+            planes[(fi * oh + oy) * wq + q..][..ow].copy_from_slice(grow);
+        }
+    }
+    let relaid: Vec<[f32; LANES]>;
+    let (blocks, stride, b_lo) =
+        if c.is_multiple_of(LANES) && c_lo.is_multiple_of(LANES) && n.is_multiple_of(LANES) {
+            (wt.as_chunks::<LANES>().0, c / LANES, c_lo / LANES)
+        } else {
+            relaid = wt
+                .chunks_exact(c)
+                .flat_map(|taps| {
+                    taps[c_lo..][..n]
+                        .chunks(LANES)
+                        .map(|lanes| partial_block(lanes, lanes.len()))
+                })
+                .collect();
+            (&relaid[..], n8 / LANES, 0)
+        };
+    let rows = GtaRows {
+        planes: &planes,
+        oh,
+        wq,
+        o: geom.pad + q,
+        wt: blocks,
+        stride,
+        b_lo,
+        k,
+        f,
+    };
+    let seeded = any_bits(din, |bits| bits != 0);
+    let mut tile = vec![0.0f32; in_w * n8];
+    for iy in 0..in_h {
+        if seeded {
+            for (ci, seed) in din.chunks(plane).enumerate() {
+                for (ix, &v) in seed[iy * in_w..][..in_w].iter().enumerate() {
+                    tile[ix * n8 + ci] = v;
+                }
+            }
+        } else {
+            tile.fill(0.0);
+        }
+        // Output row `top − u` for kernel row `u`, where it exists.
+        let top = iy + geom.pad;
+        let u_range = ((top + 1).saturating_sub(oh), k.min(top + 1));
+        // `K = 3` (every 3 × 3 conv) with its taps unrolled.
+        match k {
+            3 => gta_row::<3>(&rows, &mut tile, n8, in_w, top, u_range),
+            _ => gta_row::<0>(&rows, &mut tile, n8, in_w, top, u_range),
+        }
+        for (ci, dst) in din.chunks_mut(plane).enumerate() {
+            let mask = &masks[(c_lo + ci) * in_h + iy];
+            assert_eq!(mask.len(), in_w, "mask length must match the input row");
+            for ix in mask.iter() {
+                dst[iy * in_w + ix] = tile[ix * n8 + ci];
+            }
+        }
+    }
+}
+
+/// Whether a GTA op takes [`input_grad_dense_band`]: stride 1, a `dout`
+/// with no zero, and finite weights (`wt`, the panel), whose products with
+/// the padding are then `±0.0`.
+fn input_grad_takes_dense(dout: &SparseFeatureMap, geom: ConvGeometry, wt: &[f32]) -> bool {
+    let non_finite = |bits: u32| bits & 0x7f80_0000 == 0x7f80_0000;
+    geom.stride == 1 && has_no_zero(dout) && !any_bits(wt, non_finite)
+}
+
 /// Calls `visit(at, relaid)` for every cell of an `n`-filter `dW` band:
 /// its index in the band's own `[f][ci][u][v]` order and in the
 /// `[f][u][v][C]` re-layout.
@@ -521,6 +824,9 @@ fn sample_weight_grad(
     };
     let h = input.height();
     let wp = padded_width(input.width(), dout.width(), geom);
+    if has_no_zero(dout) {
+        return weight_grad_dense(ctx.dense(), dout, geom, h, wp, c, f_lo, sample);
+    }
     for f in 0..sample.len() / (c * k * k) {
         for oy in 0..dout.height() {
             let grow = dout.row(f_lo + f, oy);
@@ -536,6 +842,161 @@ fn sample_weight_grad(
                 // Non-zero `ox` reads input columns `ox·s .. ox·s + K`.
                 with_blocks!(k * c, gather_row(grow, irow, taps, geom.stride * c));
             }
+        }
+    }
+}
+
+/// The input rows and gradient planes of one dense GTW band.
+struct GtwRows<'a> {
+    /// The channels-last input copy, `row` values a row.
+    dense: &'a [f32],
+    row: usize,
+    /// The gradients: filter `f` of the band is `dout` channel `f_lo + f`.
+    dout: &'a SparseFeatureMap,
+    f_lo: usize,
+    /// Lanes between output columns: `stride · c`.
+    step: usize,
+    geom: ConvGeometry,
+    /// Input rows.
+    h: usize,
+}
+
+/// `FB` filters × `J` lane blocks of kernel row `u`'s taps, held in
+/// registers over every `(oy↑, ox↑)` whose input row exists, from
+/// `+0.0`: filters `f0..` of the plane arena, lanes `lane..` of the row's
+/// `K·C`-lane window (`t` of them in a partial block when `!FULL`), stored
+/// into `sample` at filter `f0`'s lane `lane` (filter stride `fstride`).
+#[inline(always)]
+fn gtw_block<const FB: usize, const J: usize, const FULL: bool>(
+    rows: &GtwRows<'_>,
+    u: usize,
+    f0: usize,
+    lane: usize,
+    t: usize,
+    sample: &mut [f32],
+    fstride: usize,
+) {
+    let mut acc = [[[0.0f32; LANES]; J]; FB];
+    let ow = rows.dout.width();
+    // A map with no zero stores each channel as its dense plane.
+    let planes: [&[f32]; FB] = std::array::from_fn(|fb| rows.dout.channel_values(rows.f_lo + f0 + fb));
+    for oy in 0..rows.dout.height() {
+        let Some(iy) = input_row(oy, u, rows.geom, rows.h) else {
+            continue;
+        };
+        let irow = &rows.dense[iy * rows.row + lane..];
+        let grads: [&[f32]; FB] = std::array::from_fn(|fb| &planes[fb][oy * ow..][..ow]);
+        for ox in 0..ow {
+            let window = &irow[ox * rows.step..];
+            let x: [[f32; LANES]; J] = if FULL {
+                *window.as_chunks().0.first_chunk().expect("J lane blocks")
+            } else {
+                std::array::from_fn(|j| partial_block(&window[j * LANES..], t))
+            };
+            for (acc_f, grow) in acc.iter_mut().zip(&grads) {
+                let g = grow[ox];
+                for (acc_fj, xj) in acc_f.iter_mut().zip(&x) {
+                    for i in 0..LANES {
+                        acc_fj[i] += g * xj[i];
+                    }
+                }
+            }
+        }
+    }
+    for (fb, acc_f) in acc.iter().enumerate() {
+        let dst = &mut sample[fb * fstride..];
+        for (j, acc_fj) in acc_f.iter().enumerate() {
+            let len = if FULL { LANES } else { t };
+            dst[j * LANES..][..len].copy_from_slice(&acc_fj[..len]);
+        }
+    }
+}
+
+/// Every filter of one lane chunk of kernel row `u`: groups of `FB`
+/// filters, one at a time past the last whole group.
+#[inline(always)]
+fn gtw_filters<const FB: usize, const J: usize, const FULL: bool>(
+    rows: &GtwRows<'_>,
+    u: usize,
+    n: usize,
+    lane: usize,
+    t: usize,
+    sample: &mut [f32],
+    fstride: usize,
+) {
+    let whole = n - n % FB;
+    for f in (0..whole).step_by(FB) {
+        gtw_block::<FB, J, FULL>(rows, u, f, lane, t, &mut sample[f * fstride..], fstride);
+    }
+    for f in whole..n {
+        gtw_block::<1, J, FULL>(rows, u, f, lane, t, &mut sample[f * fstride..], fstride);
+    }
+}
+
+/// One sample's `dW` for filters `f_lo..` when `dout` holds no zero, into
+/// the `[f][u][v][C]` `sample` at `+0.0`: output-stationary instead of
+/// [`sample_weight_grad`]'s walk. Each kernel row's `K·C` taps of a few
+/// filters stay in registers ([`gtw_block`]) over every `(oy↑, ox↑)` —
+/// the scalar order — reading `dout` from the map's own arena (a map with
+/// no zero stores its dense planes) against the channels-last input copy
+/// `dense`, whose zeros add the walk's `±0.0` terms.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn weight_grad_dense(
+    dense: &[f32],
+    dout: &SparseFeatureMap,
+    geom: ConvGeometry,
+    h: usize,
+    wp: usize,
+    c: usize,
+    f_lo: usize,
+    sample: &mut [f32],
+) {
+    note_dense_call();
+    let k = geom.kernel;
+    let lanes = k * c;
+    let fstride = k * lanes;
+    let n = sample.len() / fstride;
+    let rows = GtwRows {
+        dense,
+        row: wp * c,
+        dout,
+        f_lo,
+        step: geom.stride * c,
+        geom,
+        h,
+    };
+    let (full, t) = (lanes / LANES, lanes % LANES);
+    for u in 0..k {
+        let taps = &mut sample[u * lanes..];
+        // Chunks of six lane blocks, two filters at a time, or of up to
+        // three blocks, four filters at a time: at most 12 accumulators.
+        let mut j = 0;
+        while j < full {
+            let lane = j * LANES;
+            let chunk = &mut taps[lane..];
+            j += match full - j {
+                1 => {
+                    gtw_filters::<4, 1, true>(&rows, u, n, lane, 0, chunk, fstride);
+                    1
+                }
+                2 => {
+                    gtw_filters::<4, 2, true>(&rows, u, n, lane, 0, chunk, fstride);
+                    2
+                }
+                3..=5 => {
+                    gtw_filters::<4, 3, true>(&rows, u, n, lane, 0, chunk, fstride);
+                    3
+                }
+                _ => {
+                    gtw_filters::<2, 6, true>(&rows, u, n, lane, 0, chunk, fstride);
+                    6
+                }
+            };
+        }
+        if t > 0 {
+            let lane = full * LANES;
+            gtw_filters::<4, 1, false>(&rows, u, n, lane, t, &mut taps[lane..], fstride);
         }
     }
 }
@@ -599,17 +1060,16 @@ fn stage_band(ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f
             masks,
             in_h,
             in_w,
-        } => input_grad_band(
-            relaid(),
-            weights.channels(),
-            dout,
-            geom,
-            masks,
-            in_h,
-            in_w,
-            lo,
-            out,
-        ),
+        } => {
+            let (wt, c) = (relaid(), weights.channels());
+            // Called by name, never through a pointer: either kernel must
+            // inline into the AVX2 instantiation.
+            if input_grad_takes_dense(dout, geom, wt) {
+                input_grad_dense_band(wt, c, dout, geom, masks, in_h, in_w, lo, out)
+            } else {
+                input_grad_band(wt, c, dout, geom, masks, in_h, in_w, lo, out)
+            }
+        }
         StageOp::WeightGrad { input, geom, .. } => {
             weight_grad_band(ctxs, ops, input.channels(), geom.kernel, lo, out)
         }
@@ -909,6 +1369,158 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// A `c × h × w` gradient with no zero: the shape the dense GTA / GTW
+    /// kernels take.
+    fn no_zero_map(c: usize, h: usize, w: usize, s: &mut u64) -> SparseFeatureMap {
+        let t = Tensor3::from_fn(c, h, w, |_, _, _| match pseudo(s) {
+            0.0 => 0.5,
+            v => v,
+        });
+        let map = SparseFeatureMap::from_tensor(&t);
+        assert!(has_no_zero(&map));
+        map
+    }
+
+    /// Weights with exact zeros sprinkled in, which the scalar kernels skip.
+    fn weights_with_zeros(f: usize, c: usize, k: usize, s: &mut u64) -> Tensor4 {
+        Tensor4::from_fn(f, c, k, k, |_, _, _, _| match pseudo(s) {
+            v if v.abs() < 0.1 => 0.0,
+            v => v,
+        })
+    }
+
+    /// A `dout` with no zero takes the dense GTA (stride 1) and GTW (any
+    /// stride) kernels, which must match the scalar reference bit for bit
+    /// at every kernel size, stride, padding and lane count — whole lane
+    /// blocks, partial ones, a band's window of the panel — on 1, 2 and 5
+    /// bands, one op and a batch of three, zeroed and pre-seeded.
+    #[test]
+    fn no_zero_gradients_match_scalar_bitwise() {
+        use crate::engine::test_fixtures::batch_in_bands;
+        let mut s = 71u64;
+        for (k, stride, pad) in [
+            (1, 1, 0),
+            (1, 2, 1),
+            (3, 1, 1),
+            (3, 1, 0),
+            (3, 2, 1),
+            (5, 1, 2),
+            (5, 2, 1),
+        ] {
+            let geom = ConvGeometry::new(k, stride, pad);
+            for (c, f) in [(3, 8), (8, 3), (9, 16), (16, 9), (32, 48), (48, 32)] {
+                let (h, w) = (5, 7);
+                let (oh, ow) = (geom.output_extent(h), geom.output_extent(w));
+                let weights = weights_with_zeros(f, c, k, &mut s);
+                let samples: Vec<_> = (0..3)
+                    .map(|_| {
+                        let input = SparseFeatureMap::from_tensor(&sparse_tensor(c, h, w, 55, &mut s));
+                        let masks = input.masks();
+                        (input, no_zero_map(f, oh, ow, &mut s), masks)
+                    })
+                    .collect();
+                let gta: Vec<StageOp<'_>> = samples
+                    .iter()
+                    .map(|(_, dout, masks)| StageOp::InputGrad {
+                        dout,
+                        weights: &weights,
+                        geom,
+                        masks,
+                        in_h: h,
+                        in_w: w,
+                    })
+                    .collect();
+                let gtw: Vec<StageOp<'_>> = samples
+                    .iter()
+                    .map(|(input, dout, _)| StageOp::WeightGrad { input, dout, geom })
+                    .collect();
+                for ops in [&gta[..1], &gta[..], &gtw[..1], &gtw[..]] {
+                    let want: Vec<Vec<u32>> = batch_in_bands(&REFERENCE, ops, 1)
+                        .iter()
+                        .map(|o| bits(o))
+                        .collect();
+                    let seed: Vec<f32> = (0..ops[0].out_len())
+                        .map(|i| 0.25 - (i % 5) as f32 * 0.125)
+                        .collect();
+                    let mut seeded_want = seed.clone();
+                    REFERENCE.run(&ops[0], &mut seeded_want);
+                    for (label, simd) in engines() {
+                        for bands in [1usize, 2, 5] {
+                            let ctx = format!(
+                                "{} {label} k={k} s={stride} p={pad} c={c} f={f} ops={} bands={bands}",
+                                ops[0].stage(),
+                                ops.len()
+                            );
+                            let got: Vec<Vec<u32>> = batch_in_bands(&simd, ops, bands)
+                                .iter()
+                                .map(|o| bits(o))
+                                .collect();
+                            assert_eq!(got, want, "{ctx}");
+                            let mut seeded = seed.clone();
+                            InBands(&simd, bands).run(&ops[0], &mut seeded);
+                            assert_eq!(bits(&seeded), bits(&seeded_want), "{ctx} pre-seeded");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The dense kernels run exactly when the op's gradient holds no zero
+    /// (GTA also needs stride 1 and finite weights), counted on this
+    /// thread through direct band calls; a map with a single zero, a
+    /// stride-2 GTA and a GTA over an infinite weight take the walk.
+    #[test]
+    fn dense_kernels_run_only_on_gradients_without_zeros() {
+        let mut s = 3u64;
+        let (c, f, h, w) = (16, 8, 6, 6);
+        let input = SparseFeatureMap::from_tensor(&sparse_tensor(c, h, w, 55, &mut s));
+        let masks = input.masks();
+        let weights = weights_with_zeros(f, c, 3, &mut s);
+        let mut infinite = weights.clone();
+        infinite.as_mut_slice()[5] = f32::INFINITY;
+        let unit = ConvGeometry::new(3, 1, 1);
+        let dense = no_zero_map(f, h, w, &mut s);
+        let mut one_zero = dense.to_tensor();
+        one_zero.as_mut_slice()[17] = 0.0;
+        let one_zero = SparseFeatureMap::from_tensor(&one_zero);
+        let strided = ConvGeometry::new(3, 2, 1);
+        let dense_strided = no_zero_map(f, strided.output_extent(h), strided.output_extent(w), &mut s);
+        let gta = |dout, weights, geom| StageOp::InputGrad {
+            dout,
+            weights,
+            geom,
+            masks: &masks,
+            in_h: h,
+            in_w: w,
+        };
+        let gtw = |dout, geom| StageOp::WeightGrad {
+            input: &input,
+            dout,
+            geom,
+        };
+        let cases = [
+            (gta(&dense, &weights, unit), true),
+            (gtw(&dense, unit), true),
+            (gtw(&dense_strided, strided), true),
+            (gta(&one_zero, &weights, unit), false),
+            (gtw(&one_zero, unit), false),
+            (gta(&dense_strided, &weights, strided), false),
+            (gta(&dense, &infinite, unit), false),
+        ];
+        for (op, dense_kernel) in cases {
+            let want = bits(&op.run_on(&REFERENCE));
+            for (label, simd) in engines() {
+                let before = DENSE_CALLS.with(|calls| calls.get());
+                let mut got = vec![0.0; op.out_len()];
+                simd.band(&simd.prepare(&[op]), &[op], 0, &mut got);
+                let ran = DENSE_CALLS.with(|calls| calls.get()) - before;
+                assert_eq!(ran, usize::from(dense_kernel), "{} {label}", op.stage());
+                assert_eq!(bits(&got), want, "{} {label}", op.stage());
             }
         }
     }

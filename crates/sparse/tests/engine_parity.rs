@@ -1046,3 +1046,200 @@ fn cache_evicts_when_more_keys_than_the_cap_holds() {
         "four 54 KiB entries cannot all be held"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Gradients with no zero: the simd engine's dense GTA and GTW kernels
+// ---------------------------------------------------------------------------
+
+/// A `c × h × w` map with no zero: the gradient shape on which the simd
+/// engine swaps its non-zero walk for output-stationary kernels.
+fn no_zero_map(c: usize, h: usize, w: usize, s: &mut u64) -> SparseFeatureMap {
+    let map = SparseFeatureMap::from_tensor(&seeded_map(c, h, w, 100, s));
+    assert_eq!(map.nnz(), c * h * w);
+    map
+}
+
+/// The float engines under test plus the portable simd path.
+fn float_engines() -> Vec<(&'static str, &'static dyn KernelEngine)> {
+    static PORTABLE: SimdEngine = SimdEngine::portable();
+    let mut engines: Vec<(&'static str, &'static dyn KernelEngine)> = engines_under_test()
+        .into_iter()
+        .filter(|h| !h.name().starts_with("fixed"))
+        .map(|h| (h.name(), h.engine()))
+        .collect();
+    engines.push(("simd (portable)", &PORTABLE));
+    engines
+}
+
+/// GTA and GTW of three samples whose gradients hold no zero — plus a
+/// fourth whose gradient holds exactly one, which the walk takes — on
+/// pre-seeded outputs: every float engine matches the scalar reference bit
+/// for bit as a batch at 1, 2 and 5 bands, and as one-op calls drawing
+/// their panels from a cache. Every kernel size (1, 3, 5), stride (1, 2)
+/// and padding (0–2), with channel / filter counts 3, 8, 9, 16, 32 and 48
+/// (whole lane blocks, partial ones, both) rotating through the shapes.
+#[test]
+fn gradients_without_zeros_match_scalar_bitwise() {
+    let widths = [(3, 48), (8, 32), (9, 16), (16, 9), (32, 8), (48, 3)];
+    let mut s = 0x0DE5_u64;
+    let mut case = 0;
+    for k in [1, 3, 5] {
+        for stride in [1, 2] {
+            for pad in 0..=2 {
+                let geom = ConvGeometry::new(k, stride, pad);
+                let (c, f) = widths[case % widths.len()];
+                case += 1;
+                let (h, w) = (5, 6);
+                let (oh, ow) = (geom.output_extent(h), geom.output_extent(w));
+                let weights = Tensor4::from_vec(
+                    f,
+                    c,
+                    k,
+                    k,
+                    seeded_map(1, 1, f * c * k * k, 90, &mut s).as_slice().to_vec(),
+                );
+                let mut douts: Vec<SparseFeatureMap> =
+                    (0..3).map(|_| no_zero_map(f, oh, ow, &mut s)).collect();
+                let mut one_zero = douts[0].to_tensor();
+                one_zero.as_mut_slice()[(f * oh * ow) / 2] = 0.0;
+                douts.push(SparseFeatureMap::from_tensor(&one_zero));
+                let inputs: Vec<SparseFeatureMap> = (0..4)
+                    .map(|_| SparseFeatureMap::from_tensor(&seeded_map(c, h, w, 55, &mut s)))
+                    .collect();
+                let masks: Vec<Vec<RowMask>> = inputs.iter().map(SparseFeatureMap::masks).collect();
+                let gta: Vec<StageOp<'_>> = (0..4)
+                    .map(|i| StageOp::InputGrad {
+                        dout: &douts[i],
+                        weights: &weights,
+                        geom,
+                        masks: &masks[i],
+                        in_h: h,
+                        in_w: w,
+                    })
+                    .collect();
+                let gtw: Vec<StageOp<'_>> = (0..4)
+                    .map(|i| StageOp::WeightGrad {
+                        input: &inputs[i],
+                        dout: &douts[i],
+                        geom,
+                    })
+                    .collect();
+                let what = format!("k={k} s={stride} p={pad} c={c} f={f}");
+                for ops in [&gta[..], &gtw[..]] {
+                    let shared = ops[0].stage() == Stage::WeightGrad;
+                    let seeds: Vec<Vec<f32>> = (0..if shared { 1 } else { ops.len() })
+                        .map(|_| preseeded(ops[0].out_len()))
+                        .collect();
+                    let run = |engine: &dyn KernelEngine, bands: usize| {
+                        let mut outs = seeds.clone();
+                        let out = if shared {
+                            BatchOut::Shared(&mut outs[0])
+                        } else {
+                            BatchOut::PerSample(outs.iter_mut().map(Vec::as_mut_slice).collect())
+                        };
+                        run_batch_in_bands(engine, ops, out, bands, None);
+                        outs.iter().map(|o| bits_of(o)).collect::<Vec<_>>()
+                    };
+                    let want = run(&REFERENCE, 1);
+                    for (name, engine) in float_engines() {
+                        for bands in [1, 2, 5] {
+                            assert_eq!(
+                                run(engine, bands),
+                                want,
+                                "{} {name} {what} batch at {bands} bands",
+                                ops[0].stage()
+                            );
+                        }
+                        let mut cache = PanelCache::new();
+                        for op in ops {
+                            let seed = preseeded(op.out_len());
+                            let want = bits_of(&run_seeded(&REFERENCE, *op, 1, &seed));
+                            for bands in [1, 2, 5] {
+                                let mut out = seed.clone();
+                                run_batch_in_bands(
+                                    engine,
+                                    &[*op],
+                                    BatchOut::PerSample(vec![&mut out]),
+                                    bands,
+                                    Some(&mut cache),
+                                );
+                                assert_eq!(
+                                    bits_of(&out),
+                                    want,
+                                    "{} {name} {what} cached one-op call at {bands} bands",
+                                    op.stage()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The hazards the dense kernels must not paper over, on gradients with
+/// no zero: a `din` / `dW` seeded with `-0.0`, an infinite weight (whose
+/// product with GTA's zero padding would be NaN) and a NaN in `dout`. Every
+/// float engine keeps the scalar reference's bits at 1, 2 and 5 bands.
+#[test]
+fn gradients_without_zeros_keep_the_hazard_fallbacks() {
+    let mut s = 0xFA11_u64;
+    let geom = ConvGeometry::new(3, 1, 1);
+    let (c, f, hw) = (16, 8, 6);
+    let input = SparseFeatureMap::from_tensor(&seeded_map(c, hw, hw, 55, &mut s));
+    let masks = input.masks();
+    let weights = Tensor4::from_vec(
+        f,
+        c,
+        3,
+        3,
+        seeded_map(1, 1, f * c * 9, 90, &mut s).as_slice().to_vec(),
+    );
+    let mut infinite = weights.clone();
+    // Filter 0, channel 4, tap (0, 0): it reads GTA's padded column.
+    infinite.as_mut_slice()[36] = f32::INFINITY;
+    let dense = no_zero_map(f, hw, hw, &mut s);
+    let mut nan = dense.to_tensor();
+    nan.as_mut_slice()[9] = f32::NAN;
+    let nan = SparseFeatureMap::from_tensor(&nan);
+    for (dout, weights, negative_zero, what) in [
+        (&dense, &weights, true, "-0.0 seed"),
+        (&dense, &infinite, false, "infinite weight"),
+        (&nan, &weights, false, "NaN in dout"),
+    ] {
+        let ops = [
+            StageOp::InputGrad {
+                dout,
+                weights,
+                geom,
+                masks: &masks,
+                in_h: hw,
+                in_w: hw,
+            },
+            StageOp::WeightGrad {
+                input: &input,
+                dout,
+                geom,
+            },
+        ];
+        for op in ops {
+            let mut seed = preseeded(op.out_len());
+            if negative_zero {
+                seed.iter_mut().step_by(4).for_each(|v| *v = -0.0);
+            }
+            let want = bits_of(&run_seeded(&REFERENCE, op, 1, &seed));
+            for (name, engine) in float_engines() {
+                for bands in [1, 2, 5] {
+                    let got = run_seeded(engine, op, bands, &seed);
+                    assert_eq!(
+                        bits_of(&got),
+                        want,
+                        "{} {name} {what} at {bands} bands",
+                        op.stage()
+                    );
+                }
+            }
+        }
+    }
+}
