@@ -70,8 +70,10 @@ impl Layer for MaxPool2d {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         // Seeded from the window's first element, so a
-                        // window with nothing above -inf (all -inf, or a NaN
-                        // first) still routes its gradient inside itself.
+                        // window with nothing above -inf (all -inf or NaN)
+                        // still routes its gradient inside itself. A NaN in
+                        // the first position propagates; a NaN elsewhere
+                        // loses every comparison.
                         let (y0, x0) = (oy * self.stride, ox * self.stride);
                         let mut best = x.get(ci, y0, x0);
                         let mut best_idx = ((ci * h + y0) * w + x0) as u32;
@@ -164,8 +166,9 @@ mod tests {
     }
 
     /// A window holding nothing above -inf routes its gradient to its own
-    /// first element, not to element 0 of the map; a NaN first element
-    /// propagates to the output.
+    /// first element, not to element 0 of the map. A NaN in a window's
+    /// first position propagates to the output; a NaN elsewhere loses every
+    /// comparison.
     #[test]
     fn window_without_a_finite_maximum_keeps_its_gradient_inside() {
         let ninf = f32::NEG_INFINITY;
@@ -180,9 +183,27 @@ mod tests {
         );
         assert_eq!(din[0].as_slice(), &[0.0, 0.0, 2.5, 0.0, 0.0, 1.5, 0.0, 0.0]);
 
-        let x = Tensor3::from_vec(1, 2, 2, vec![f32::NAN, 1.0, 2.0, 3.0]);
-        let out = pool.forward(vec![x].into(), &mut ExecutionContext::scalar(), true);
-        assert!(out[0].as_slice()[0].is_nan());
+        for at in 0..4 {
+            let mut values = vec![1.0, 2.0, 3.0, 4.0];
+            values[at] = f32::NAN;
+            let x = Tensor3::from_vec(1, 2, 2, values);
+            let out = pool.forward(vec![x].into(), &mut ExecutionContext::scalar(), true);
+            let din = pool.backward(
+                vec![Tensor3::from_vec(1, 1, 1, vec![1.5])],
+                &mut ExecutionContext::scalar(),
+                &StepStreams::new(0, 0, 0),
+            );
+            // The first element, or else the window's finite maximum.
+            let (want_out, taken) = match at {
+                0 => (f32::NAN, 0),
+                3 => (3.0, 2),
+                _ => (4.0, 3),
+            };
+            assert_eq!(out[0].as_slice()[0].to_bits(), want_out.to_bits(), "NaN at {at}");
+            let mut want = [0.0; 4];
+            want[taken] = 1.5;
+            assert_eq!(din[0].as_slice(), &want, "NaN at {at}");
+        }
     }
 
     #[test]

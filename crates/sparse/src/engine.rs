@@ -121,6 +121,9 @@ impl fmt::Display for Stage {
 ///   copies), tagged with the stage they were re-laid for. The re-layout
 ///   does not depend on the sample, so the contexts of one call hold the
 ///   **same** allocation by reference count,
+/// * `weights_finite` — whether the preparing engine found every re-laid
+///   weight finite, checked once per call beside the re-layout (`false`,
+///   the safe answer, when it did not check),
 /// * `dense` — a dense copy of the op's sparse operand map, in the layout
 ///   the preparing engine reads (the simd engine's zero-padded
 ///   channels-last `H × Wp × C` input copy for GTW).
@@ -141,6 +144,7 @@ impl fmt::Display for Stage {
 #[derive(Debug, Default)]
 pub struct BandContext {
     weights: Option<(Stage, Arc<[f32]>)>,
+    weights_finite: bool,
     dense: Vec<f32>,
 }
 
@@ -157,8 +161,22 @@ impl BandContext {
 
     /// Attaches the call's kernel weights as re-laid for `stage`; every
     /// context of one engine call is handed a clone of the same `Arc`.
+    /// The weights count as unchecked for finiteness until
+    /// [`BandContext::set_weights_finite`] says otherwise.
     pub fn set_weights(&mut self, stage: Stage, weights: Arc<[f32]>) {
         self.weights = Some((stage, weights));
+        self.weights_finite = false;
+    }
+
+    /// Records whether every attached re-laid weight is finite.
+    pub fn set_weights_finite(&mut self, finite: bool) {
+        self.weights_finite = finite;
+    }
+
+    /// Whether the attached re-laid weights were checked and found finite
+    /// (`false` when unchecked).
+    pub fn weights_finite(&self) -> bool {
+        self.weights_finite
     }
 
     /// The call's re-laid kernel weights, or `None` when none were

@@ -114,7 +114,9 @@
 //!   no zero stores its dense planes), copied once into zero-padded rows.
 //!   The row is seeded and written back through the mask as the walk's
 //!   tile is. The padding adds `0 · w` terms, which are `±0.0` only for a
-//!   finite `w`, so an op whose weights hold a non-finite value walks.
+//!   finite `w`, so an op whose weights hold a non-finite value walks
+//!   (`prepare` checks the panel once per call and records the answer in
+//!   every context, [`BandContext::weights_finite`]).
 //! * **GTW at any stride** keeps one kernel row's `K · C` taps of up to four
 //!   filters in registers over every `(oy↑, ox↑)`, against the
 //!   channels-last input copy, and stores the sample's sum into `sT`,
@@ -464,16 +466,13 @@ fn input_grad_band(
     // band); the window and the taps advance together at any stride.
     let whole = n == c;
     let wp = padded_width(in_w, dout.width(), geom);
-    let at = |iy: usize, ix: usize| (iy * wp + ix + geom.pad) * n;
+    // Tile row `iy` from input column `0` on.
+    let at = |iy: usize| (iy * wp + geom.pad) * n;
     let mut tile = vec![0.0f32; in_h * wp * n];
     // A `din` of `+0.0` (every fresh `Conv2d` buffer) is the zeroed tile.
     if any_bits(din, |bits| bits != 0) {
-        for (ci, seed) in din.chunks(plane).enumerate() {
-            for (iy, seed_row) in seed.chunks(in_w).enumerate() {
-                for (ix, &v) in seed_row.iter().enumerate() {
-                    tile[at(iy, ix) + ci] = v;
-                }
-            }
+        for iy in 0..in_h {
+            seed_row(din, (in_h, in_w), iy, &mut tile[at(iy)..], n);
         }
     }
     for fi in 0..f {
@@ -501,15 +500,41 @@ fn input_grad_band(
             }
         }
     }
-    // Only the positions the forward mask allows take the tile's value;
-    // the rest keep their seed, as the scalar skip leaves them.
-    for (ci, dst) in din.chunks_mut(plane).enumerate() {
-        for iy in 0..in_h {
-            let mask = &masks[(c_lo + ci) * in_h + iy];
-            assert_eq!(mask.len(), in_w, "mask length must match the input row");
-            for ix in mask.iter() {
-                dst[iy * in_w + ix] = tile[at(iy, ix) + ci];
-            }
+    for iy in 0..in_h {
+        write_row(&tile[at(iy)..], n, masks, c_lo, (in_h, in_w), iy, din);
+    }
+}
+
+/// Seeds one `din` row's tile from row `iy` of every `in_h × in_w` plane
+/// of `din`: channel `ci` of column `ix` at `tile[ix · step + ci]`.
+#[inline(always)]
+fn seed_row(din: &[f32], (in_h, in_w): (usize, usize), iy: usize, tile: &mut [f32], step: usize) {
+    for (ci, seed) in din.chunks(in_h * in_w).enumerate() {
+        for (ix, &v) in seed[iy * in_w..][..in_w].iter().enumerate() {
+            tile[ix * step + ci] = v;
+        }
+    }
+}
+
+/// Writes one `din` row's tile (laid out as [`seed_row`]'s) back into row
+/// `iy` of the planes of channels `c_lo..`. Only the positions the forward
+/// mask allows take the tile's value; the rest keep their seed, as the
+/// scalar skip leaves them.
+#[inline(always)]
+fn write_row(
+    tile: &[f32],
+    step: usize,
+    masks: &[RowMask],
+    c_lo: usize,
+    (in_h, in_w): (usize, usize),
+    iy: usize,
+    din: &mut [f32],
+) {
+    for (ci, dst) in din.chunks_mut(in_h * in_w).enumerate() {
+        let mask = &masks[(c_lo + ci) * in_h + iy];
+        assert_eq!(mask.len(), in_w, "mask length must match the input row");
+        for ix in mask.iter() {
+            dst[iy * in_w + ix] = tile[ix * step + ci];
         }
     }
 }
@@ -754,11 +779,7 @@ fn input_grad_dense_band(
     let mut tile = vec![0.0f32; in_w * n8];
     for iy in 0..in_h {
         if seeded {
-            for (ci, seed) in din.chunks(plane).enumerate() {
-                for (ix, &v) in seed[iy * in_w..][..in_w].iter().enumerate() {
-                    tile[ix * n8 + ci] = v;
-                }
-            }
+            seed_row(din, (in_h, in_w), iy, &mut tile, n8);
         } else {
             tile.fill(0.0);
         }
@@ -770,22 +791,20 @@ fn input_grad_dense_band(
             3 => gta_row::<3>(&rows, &mut tile, n8, in_w, top, u_range),
             _ => gta_row::<0>(&rows, &mut tile, n8, in_w, top, u_range),
         }
-        for (ci, dst) in din.chunks_mut(plane).enumerate() {
-            let mask = &masks[(c_lo + ci) * in_h + iy];
-            assert_eq!(mask.len(), in_w, "mask length must match the input row");
-            for ix in mask.iter() {
-                dst[iy * in_w + ix] = tile[ix * n8 + ci];
-            }
-        }
+        write_row(&tile, n8, masks, c_lo, (in_h, in_w), iy, din);
     }
 }
 
 /// Whether a GTA op takes [`input_grad_dense_band`]: stride 1, a `dout`
-/// with no zero, and finite weights (`wt`, the panel), whose products with
-/// the padding are then `±0.0`.
-fn input_grad_takes_dense(dout: &SparseFeatureMap, geom: ConvGeometry, wt: &[f32]) -> bool {
-    let non_finite = |bits: u32| bits & 0x7f80_0000 == 0x7f80_0000;
-    geom.stride == 1 && has_no_zero(dout) && !any_bits(wt, non_finite)
+/// with no zero, and finite weights (checked once per call, as the panel
+/// is prepared), whose products with the padding are then `±0.0`.
+fn input_grad_takes_dense(dout: &SparseFeatureMap, geom: ConvGeometry, finite_weights: bool) -> bool {
+    geom.stride == 1 && has_no_zero(dout) && finite_weights
+}
+
+/// Whether every value is finite: no exponent of all ones.
+fn all_finite(values: &[f32]) -> bool {
+    !any_bits(values, |bits| bits & 0x7f80_0000 == 0x7f80_0000)
 }
 
 /// Calls `visit(at, relaid)` for every cell of an `n`-filter `dW` band:
@@ -1064,7 +1083,7 @@ fn stage_band(ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f
             let (wt, c) = (relaid(), weights.channels());
             // Called by name, never through a pointer: either kernel must
             // inline into the AVX2 instantiation.
-            if input_grad_takes_dense(dout, geom, wt) {
+            if input_grad_takes_dense(dout, geom, ctxs[0].weights_finite()) {
                 input_grad_dense_band(wt, c, dout, geom, masks, in_h, in_w, lo, out)
             } else {
                 input_grad_band(wt, c, dout, geom, masks, in_h, in_w, lo, out)
@@ -1208,7 +1227,8 @@ impl SimdEngine {
         // repeat the previous op's pair (every op of a training batch does)
         // share its copy — the weights are borrowed for the whole call, so
         // the same address holds the same bits.
-        let mut last: Option<(Stage, &Tensor4, Arc<[f32]>)> = None;
+        // GTA's panel is checked for a non-finite weight with it, once.
+        let mut last: Option<(Stage, &Tensor4, Arc<[f32]>, bool)> = None;
         ops.iter()
             .map(|op| {
                 let mut ctx = BandContext::empty();
@@ -1217,14 +1237,23 @@ impl SimdEngine {
                 }
                 if let StageOp::Forward { weights, .. } | StageOp::InputGrad { weights, .. } = *op {
                     let stage = op.stage();
-                    let relaid = match (&last, panels.as_deref_mut()) {
-                        (Some((s, w, wt)), _) if *s == stage && std::ptr::eq(*w, weights) => Some(wt.clone()),
-                        (_, Some(panels)) => panels.panel(self, stage, weights),
-                        (_, None) => self.panel(stage, weights),
-                    }
-                    .expect("simd re-lays Forward and GTA weights");
-                    last = Some((stage, weights, relaid.clone()));
+                    let (relaid, finite) = match (&last, panels.as_deref_mut()) {
+                        (Some((s, w, wt, finite)), _) if *s == stage && std::ptr::eq(*w, weights) => {
+                            (wt.clone(), *finite)
+                        }
+                        (_, panels) => {
+                            let relaid = match panels {
+                                Some(panels) => panels.panel(self, stage, weights),
+                                None => self.panel(stage, weights),
+                            }
+                            .expect("simd re-lays Forward and GTA weights");
+                            let finite = stage == Stage::InputGrad && all_finite(&relaid);
+                            (relaid, finite)
+                        }
+                    };
+                    last = Some((stage, weights, relaid.clone(), finite));
                     ctx.set_weights(stage, relaid);
+                    ctx.set_weights_finite(finite);
                 }
                 ctx
             })
@@ -1523,6 +1552,56 @@ mod tests {
                 assert_eq!(bits(&got), want, "{} {label}", op.stage());
             }
         }
+    }
+
+    /// `prepare` checks GTA's panel for a non-finite weight once per call
+    /// and hands every context the answer; a context carrying the panel
+    /// but no check walks, with the same bits.
+    #[test]
+    fn gta_contexts_carry_the_panel_finiteness_check() {
+        let mut s = 9u64;
+        let (c, f, h, w) = (8, 8, 5, 5);
+        let geom = ConvGeometry::new(3, 1, 1);
+        let input = SparseFeatureMap::from_tensor(&sparse_tensor(c, h, w, 50, &mut s));
+        let masks = input.masks();
+        let weights = weights_with_zeros(f, c, 3, &mut s);
+        let mut nan = weights.clone();
+        nan.as_mut_slice()[11] = f32::NAN;
+        let douts: Vec<_> = (0..3).map(|_| no_zero_map(f, h, w, &mut s)).collect();
+        let gta = |dout, weights| StageOp::InputGrad {
+            dout,
+            weights,
+            geom,
+            masks: &masks,
+            in_h: h,
+            in_w: w,
+        };
+        let simd = SimdEngine::auto();
+        for (weights, finite) in [(&weights, true), (&nan, false)] {
+            let ops: Vec<_> = douts.iter().map(|dout| gta(dout, weights)).collect();
+            let ctxs = simd.prepare(&ops);
+            assert!(ctxs.iter().all(|ctx| ctx.weights_finite() == finite));
+        }
+        let forward = StageOp::Forward {
+            input: &input,
+            weights: &weights,
+            bias: None,
+            geom,
+        };
+        assert!(!simd.prepare(&[forward])[0].weights_finite());
+
+        let op = gta(&douts[0], &weights);
+        let mut unchecked = BandContext::empty();
+        unchecked.set_weights(Stage::InputGrad, simd.panel(Stage::InputGrad, &weights).unwrap());
+        let before = DENSE_CALLS.with(|calls| calls.get());
+        let mut got = vec![0.0; op.out_len()];
+        simd.band(std::slice::from_ref(&unchecked), &[op], 0, &mut got);
+        assert_eq!(
+            DENSE_CALLS.with(|calls| calls.get()),
+            before,
+            "an unchecked panel walks"
+        );
+        assert_eq!(bits(&got), bits(&op.run_on(&REFERENCE)));
     }
 
     /// A context whose weights were re-laid for another stage is not
