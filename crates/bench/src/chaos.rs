@@ -1,217 +1,931 @@
-//! The chaos campaign behind `sparsetrain-bench chaos` and the CI `chaos`
-//! job.
+//! The guarantee matrix: every bitwise contract of `docs/DETERMINISM.md`
+//! as a named [`Row`] over one runner, and the chaos campaign behind
+//! `sparsetrain-bench chaos` as its fault rows.
 //!
-//! Each scenario installs a seeded [`FaultPlan`] (kill mid-epoch, torn
-//! checkpoint write, truncated read, injected engine panic, or a storm of
-//! all of them), runs a short supervised training job through the faults,
-//! and asserts the recovered run's final parameters are **bitwise
-//! identical** to a fault-free reference run. Because every fault draw is
-//! counter-keyed and every site is checked on the trainer's main thread,
-//! the campaign is reproducible at any `RAYON_NUM_THREADS`.
+//! `run` trains one point of the `Axes` — model, engine, shard worker
+//! count, interruption, injected faults, pruning — and returns its
+//! `Outcome`: the final parameter bits, the encoded `.stck` state, the
+//! metric jsonl and the recovery records. [`scenario`] holds a row to its
+//! expectations and to its model's fault-free reference run, computed once
+//! per process: parameters, the whole `.stck` and every metric record must
+//! match bit for bit. One pair of fields is exempt: the loss and accuracy
+//! of an epoch in which a mid-epoch resume lands cover only the batches
+//! trained after it. `fixed` is outside the bitwise guarantee and only has
+//! to train to a finite loss.
 //!
-//! `extra` appends seeded randomized kill scenarios (kill step drawn from
-//! the campaign seed's [`StreamKey`] ladder) on top of the five named
-//! ones, so successive CI runs with different seeds keep widening
-//! coverage without losing reproducibility.
+//! Fault state is process-global: every run, the references included,
+//! holds one guard, and the guard clears the fault plan when it is
+//! dropped. Every fault draw is counter-keyed and every site is checked on
+//! the trainer's main thread, so the matrix replays at any
+//! `RAYON_NUM_THREADS`. `crates/bench/tests/guarantees.rs` runs every row;
+//! the `chaos` subcommand runs the fault rows plus `extra` seeded kills,
+//! whose kill step is drawn from the campaign seed's [`StreamKey`] ladder.
 
 mod report;
 
 pub use report::{CampaignReport, ScenarioOutcome};
 
 use rand::stream::StreamKey;
-use sparsetrain_checkpoint::CheckpointPolicy;
+use sparsetrain_checkpoint::{self as checkpoint, CheckpointPolicy, Snapshot};
 use sparsetrain_core::prune::PruneConfig;
 use sparsetrain_faults::{self as faults, FaultPlan, Site, Trigger};
 use sparsetrain_nn::data::{Dataset, SyntheticSpec};
 use sparsetrain_nn::layer::Layer;
-use sparsetrain_nn::metrics::MetricStore;
+use sparsetrain_nn::metrics::{MetricRecord, MetricStore, RecoveryRecord};
 use sparsetrain_nn::models;
-use sparsetrain_nn::supervisor::{Supervisor, SupervisorConfig};
+use sparsetrain_nn::sequential::Sequential;
+use sparsetrain_nn::shard::ShardError;
+use sparsetrain_nn::supervisor::{SuperviseError, SupervisedOutcome, Supervisor, SupervisorConfig};
 use sparsetrain_nn::train::{TrainConfig, Trainer};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Engine under test: parity-pinned, so quarantine fallback to scalar must
-/// be bitwise-neutral.
+/// Engine of the campaign's fault rows: an alias of `simd`, so an engine
+/// panic quarantines it by name and the fallback to `scalar` must be
+/// bitwise-neutral.
 const ENGINE: &str = "parallel:simd";
 
-/// Epochs per scenario run.
-const EPOCHS: usize = 3;
-
-/// Checkpoint step cadence of every scenario.
+/// Checkpoint step cadence of the supervised rows.
 const CADENCE: u64 = 3;
 
 /// Domain separator for the campaign's own randomized-scenario draws
 /// (disjoint from the faults crate's `FAULT_DOMAIN`: b"CHAOS").
 const CHAOS_DOMAIN: u64 = 0x0043_4841_4F53;
 
-/// What a scenario injects and what it must observe beyond bitwise
-/// equality.
-struct Scenario {
-    name: String,
-    plan: FaultPlan,
-    min_recoveries: usize,
-    expect_quarantined: Option<&'static str>,
-    /// Expect at least one corrupt snapshot skipped during recovery.
-    expect_skipped: bool,
+/// A network the matrix trains, at the test suites' tiny size, on three
+/// classes of 3 × 8 × 8 images in batches of eight.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Model {
+    /// `models::mini_cnn`: two convolutions and a classifier; the one
+    /// shardable model.
+    MiniCnn,
+    /// AlexNet at width 4: five convolutions, train-mode Dropout.
+    Alexnet,
+    /// ResNet-18 at width 4: BatchNorm and residual blocks.
+    Resnet18,
 }
 
-fn fixture_dataset() -> Dataset {
-    SyntheticSpec::tiny(3).generate().0
-}
+impl Model {
+    const ALL: [Model; 3] = [Model::MiniCnn, Model::Alexnet, Model::Resnet18];
 
-fn make_trainer(config: TrainConfig) -> Trainer {
-    Trainer::new(models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2))), config)
-}
-
-fn param_bits(trainer: &mut Trainer) -> Vec<u32> {
-    let mut bits = Vec::new();
-    trainer
-        .network_mut()
-        .visit_params(&mut |w, _| bits.extend(w.iter().map(|v| v.to_bits())));
-    bits
-}
-
-fn supervisor() -> Supervisor {
-    Supervisor::new(SupervisorConfig {
-        max_retries: 5,
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(8),
-    })
-}
-
-/// The five named scenarios plus `extra` seeded randomized kills.
-///
-/// `e` is the fixture's steps per epoch; `s` below is a checkpoint-cadence
-/// step deep enough into epoch 2 that the *previous* snapshot still beats
-/// the supervisor's epoch-boundary shadow — so corrupting the newest
-/// snapshot genuinely exercises the skip-and-fall-back path.
-fn scenarios(seed: u64, extra: usize, e: u64) -> Vec<Scenario> {
-    let s = (e + 5).div_ceil(CADENCE) * CADENCE;
-    let mut list = vec![
-        // SIGKILL-shaped crash mid-epoch 2: resume from the newest snapshot.
-        Scenario {
-            name: "kill-mid-epoch".into(),
-            plan: FaultPlan::new(seed).with(Site::StepKill, Trigger::At(e + e / 2)),
-            min_recoveries: 1,
-            expect_quarantined: None,
-            expect_skipped: false,
-        },
-        // The write at step s is torn (truncated but renamed into place),
-        // then the process dies right after: recovery must skip the corrupt
-        // newest snapshot and restart from the older valid one.
-        Scenario {
-            name: "torn-write-newest".into(),
-            plan: FaultPlan::new(seed)
-                .with(Site::CkptWriteTorn, Trigger::At(s / CADENCE - 1))
-                .with(Site::StepKill, Trigger::At(s - 1)),
-            min_recoveries: 1,
-            expect_quarantined: None,
-            expect_skipped: true,
-        },
-        // A kernel engine blows up mid-dispatch: quarantine it and degrade
-        // to scalar, bitwise-neutrally.
-        Scenario {
-            name: "engine-panic".into(),
-            plan: FaultPlan::new(seed).with_engine(Site::EnginePanic, Trigger::At(20), ENGINE),
-            min_recoveries: 1,
-            expect_quarantined: Some(ENGINE),
-            expect_skipped: false,
-        },
-        // The newest snapshot reads back short (torn at rest): the first
-        // load of the recovery scan is truncated and must be skipped.
-        Scenario {
-            name: "short-read-newest".into(),
-            plan: FaultPlan::new(seed)
-                .with(Site::CkptReadShort, Trigger::At(0))
-                .with(Site::StepKill, Trigger::At(s - 1)),
-            min_recoveries: 1,
-            expect_quarantined: None,
-            expect_skipped: true,
-        },
-        // Everything at once: an ENOSPC-shaped write failure, a torn write,
-        // an engine panic and a kill, in one run. `engine.panic` counts
-        // convolution dispatches, five a step on this net: occurrence 143
-        // is conv2's second backward dispatch of the 29th executed step,
-        // after the kill and its replay.
-        Scenario {
-            name: "storm".into(),
-            plan: FaultPlan::new(seed)
-                .with(Site::CkptWriteError, Trigger::At(2))
-                .with(Site::CkptWriteTorn, Trigger::At(4))
-                .with_engine(Site::EnginePanic, Trigger::At(143), ENGINE)
-                .with(Site::StepKill, Trigger::At(s - 1)),
-            min_recoveries: 3,
-            expect_quarantined: Some(ENGINE),
-            expect_skipped: false,
-        },
-    ];
-    // Seeded randomized kills: the kill step is a pure function of
-    // (campaign seed, scenario index) via the stream ladder, so "random"
-    // still replays exactly.
-    let key = StreamKey::new(seed).derive(CHAOS_DOMAIN);
-    for i in 0..extra {
-        let kill_step = 1 + key.derive(i as u64).word_at(0) % (EPOCHS as u64 * e - 1);
-        list.push(Scenario {
-            name: format!("random-kill-{i}@{kill_step}"),
-            plan: FaultPlan::new(seed ^ (i as u64 + 1)).with(Site::StepKill, Trigger::At(kill_step - 1)),
-            min_recoveries: 1,
-            expect_quarantined: None,
-            expect_skipped: false,
-        });
-    }
-    list
-}
-
-/// Runs the full campaign: fault-free reference first, then every
-/// scenario, asserting each recovered run reproduces the reference
-/// parameters bit for bit.
-pub fn run_campaign(seed: u64, extra: usize) -> Result<CampaignReport, String> {
-    let train = fixture_dataset();
-    let e = {
-        let mut probe = make_trainer(TrainConfig::quick());
-        probe.train_epoch(&train);
-        probe.stream_seeds().step()
-    };
-
-    // Fault-free supervised reference run (no checkpoints, no faults).
-    faults::clear();
-    let reference = {
-        let mut trainer = make_trainer(TrainConfig::quick().with_engine_name(ENGINE));
-        let mut metrics = MetricStore::new();
-        let out = supervisor()
-            .train(&mut trainer, &train, None, EPOCHS, &mut metrics, &mut [])
-            .map_err(|err| format!("fault-free reference run failed: {err}"))?;
-        if out.recoveries != 0 {
-            return Err(format!(
-                "fault-free reference run performed {} recoveries",
-                out.recoveries
-            ));
+    fn name(self) -> &'static str {
+        match self {
+            Model::MiniCnn => "mini",
+            Model::Alexnet => "alexnet",
+            Model::Resnet18 => "resnet18",
         }
-        param_bits(&mut trainer)
-    };
+    }
 
-    let mut outcomes = Vec::new();
-    for scenario in scenarios(seed, extra, e) {
-        outcomes.push(run_scenario(&scenario, &train, &reference));
+    fn net(self, prune: bool) -> Sequential {
+        let prune = prune.then(|| PruneConfig::new(0.9, 2));
+        match self {
+            Model::MiniCnn => models::mini_cnn(3, 4, prune),
+            Model::Alexnet => models::alexnet(3, 8, 3, 4, prune, 11),
+            Model::Resnet18 => models::resnet18(3, 3, 4, prune, 11),
+        }
+    }
+
+    fn config(self) -> TrainConfig {
+        match self {
+            Model::MiniCnn => TrainConfig::quick(),
+            Model::Alexnet | Model::Resnet18 => TrainConfig {
+                lr: 0.01,
+                weight_decay: 1e-4,
+                seed: 5,
+                ..TrainConfig::quick()
+            },
+        }
+    }
+
+    /// Epochs of every run: three where the fault rows aim at epoch 2.
+    fn epochs(self) -> usize {
+        match self {
+            Model::MiniCnn => 3,
+            Model::Alexnet | Model::Resnet18 => 2,
+        }
+    }
+}
+
+/// The engine and worker count a trainer runs on.
+#[derive(Clone, Copy, Debug, Default)]
+struct Leg {
+    /// Registered engine name; `None` trains on the default, `simd`.
+    engine: Option<&'static str>,
+    /// Shard worker count; `None` trains on the classic loop.
+    workers: Option<usize>,
+}
+
+impl Leg {
+    fn on(engine: &'static str) -> Self {
+        Leg {
+            engine: Some(engine),
+            workers: None,
+        }
+    }
+
+    fn sharded(workers: usize) -> Self {
+        Leg {
+            engine: None,
+            workers: Some(workers),
+        }
+    }
+
+    fn config(self, model: Model) -> TrainConfig {
+        let mut config = model.config();
+        if let Some(name) = self.engine {
+            config = config.with_engine_name(name);
+        }
+        if let Some(n) = self.workers {
+            config = config.with_workers(n);
+        }
+        config
+    }
+}
+
+/// How a run is cut in two. The second half runs on its own leg in a
+/// fresh trainer that sees only the snapshot, as after a process death.
+#[derive(Clone, Debug)]
+enum Interrupt {
+    /// One straight run.
+    None,
+    /// Train one epoch, encode the snapshot, drop the trainer, then decode
+    /// and resume the bytes.
+    Boundary(Leg),
+    /// Checkpoint to disk every `MID_EPOCH_CADENCE` steps, keeping two
+    /// snapshots; the process dies inside epoch 2, which goes unrecorded,
+    /// and the newest snapshot, which must lie inside it, is resumed.
+    MidEpoch(Leg),
+}
+
+/// The cadence of [`Interrupt::MidEpoch`]: not a divisor of the nine
+/// steps an epoch takes, so the newest snapshot of epoch 2 lies inside it.
+const MID_EPOCH_CADENCE: u64 = 5;
+
+/// What is injected into a run.
+#[derive(Clone, Debug)]
+enum Faults {
+    None,
+    /// A plan for an unsupervised run: worker kills and slowdowns, which
+    /// the shard pool rides through on its own.
+    Plan(FaultPlan),
+    /// A plan for a run under the supervisor, which checkpoints every
+    /// `cadence` steps (keeping three) or, with `None`, can only recover
+    /// from its in-memory shadow.
+    Supervised {
+        plan: FaultPlan,
+        cadence: Option<u64>,
+        max_retries: usize,
+    },
+}
+
+/// One point of the matrix.
+#[derive(Clone, Debug)]
+struct Axes {
+    model: Model,
+    /// Registered engine name; `None` trains on the default, `simd`.
+    engine: Option<&'static str>,
+    /// Shard worker count; `None` trains on the classic loop.
+    workers: Option<usize>,
+    interrupt: Interrupt,
+    faults: Faults,
+    /// Gradient pruning at p = 0.9 at every prune site.
+    prune: bool,
+}
+
+impl Axes {
+    /// The model's reference point: `simd`, classic loop, straight,
+    /// fault-free, pruned.
+    fn reference(model: Model) -> Self {
+        Axes {
+            model,
+            engine: None,
+            workers: None,
+            interrupt: Interrupt::None,
+            faults: Faults::None,
+            prune: true,
+        }
+    }
+
+    fn on(model: Model, leg: Leg) -> Self {
+        Axes {
+            engine: leg.engine,
+            workers: leg.workers,
+            ..Axes::reference(model)
+        }
+    }
+
+    fn cut(self, interrupt: Interrupt) -> Self {
+        Axes { interrupt, ..self }
+    }
+
+    fn leg(&self) -> Leg {
+        Leg {
+            engine: self.engine,
+            workers: self.workers,
+        }
+    }
+
+    /// The leg the run ends on.
+    fn last_leg(&self) -> Leg {
+        match self.interrupt {
+            Interrupt::None => self.leg(),
+            Interrupt::Boundary(then) | Interrupt::MidEpoch(then) => then,
+        }
+    }
+}
+
+/// Everything a run leaves behind that a guarantee speaks about.
+#[derive(Debug, Default)]
+struct Outcome {
+    /// Final parameters as bit patterns (`-0.0` and NaN payloads count).
+    params: Vec<u32>,
+    /// The final `Trainer::snapshot().encode()`: parameters, optimizer
+    /// velocities, pruner and ρ_nnz state, the stream-ladder position and
+    /// the shuffle RNG.
+    state: Vec<u8>,
+    /// Every epoch record, across a resume.
+    records: Vec<MetricRecord>,
+    /// The metric jsonl file both halves of the run appended to.
+    jsonl: String,
+    /// The supervisor's recovery records, in order.
+    recoveries: Vec<RecoveryRecord>,
+    /// Epochs (1-based) whose record starts at a mid-epoch resume and so
+    /// covers only the batches trained after it.
+    landings: Vec<u64>,
+    /// What the supervisor returned, for a supervised run.
+    supervised: Option<Result<SupervisedOutcome, SuperviseError>>,
+    /// The layers the sharder refused; such a run never trains.
+    vetoed: Option<Vec<String>>,
+    /// The engine name the final trainer reports, and whether that engine
+    /// ended the run quarantined.
+    engine: &'static str,
+    engine_quarantined: bool,
+    /// Shard workers respawned by the final trainer's pool.
+    respawns: usize,
+}
+
+static GUARD: Mutex<()> = Mutex::new(());
+
+/// Serialises runs, which share the process-global fault plan, and
+/// clears the plan when dropped — also when a run panics.
+struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl FaultGuard {
+    fn lock() -> Self {
+        let guard = FaultGuard(GUARD.lock().unwrap_or_else(|e| e.into_inner()));
+        faults::clear();
+        guard
+    }
+}
+
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
         faults::clear();
     }
-    Ok(CampaignReport {
-        seed,
-        steps_per_epoch: e,
-        outcomes,
-    })
 }
 
-/// The `chaos` subcommand: runs the campaign, appends one
-/// `{"chaos":{...}}` jsonl line per scenario to `out`, and returns the
-/// Markdown summary and whether every scenario landed bitwise on the
-/// fault-free run.
-pub fn run(seed: u64, extra: usize, out: &str) -> Result<(String, bool), String> {
-    let report = run_campaign(seed, extra)?;
+/// The `(train, test)` sets every run uses.
+fn data() -> &'static (Dataset, Dataset) {
+    static DATA: OnceLock<(Dataset, Dataset)> = OnceLock::new();
+    DATA.get_or_init(|| SyntheticSpec::tiny(3).generate())
+}
+
+/// Optimizer steps per epoch, the unit fault triggers are aimed in.
+fn steps_per_epoch() -> u64 {
+    data().0.len().div_ceil(TrainConfig::quick().batch_size) as u64
+}
+
+/// A fresh directory for one run's checkpoints and metric file.
+fn run_dir() -> PathBuf {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let n = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("sparsetrain-matrix-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+    dir
+}
+
+/// A fresh trainer on `leg` that continues from `snap`, whose own
+/// snapshot must then encode to `snap`'s bytes.
+fn resumed(axes: &Axes, leg: Leg, snap: &Snapshot) -> Trainer {
+    let mut trainer = Trainer::new(axes.model.net(axes.prune), leg.config(axes.model));
+    trainer
+        .resume(snap)
+        .unwrap_or_else(|e| panic!("resume on {leg:?} failed: {e}"));
+    let encode = |s: &Snapshot| s.encode().expect("snapshot encodes");
+    assert!(
+        encode(&trainer.snapshot()) == encode(snap),
+        "resume on {leg:?} changed the state"
+    );
+    trainer
+}
+
+/// Trains one point of the matrix under the fault guard and returns what
+/// it left behind. Panics when an interruption finds no snapshot where it
+/// needs one.
+fn run(axes: &Axes) -> Outcome {
+    let _guard = FaultGuard::lock();
+    let (train, val) = (&data().0, Some(&data().1));
+    let (epochs, e) = (axes.model.epochs(), steps_per_epoch());
+    let dir = run_dir();
+    let ckpt_dir = dir.join("ckpt");
+    let mut config = axes.leg().config(axes.model);
+    let policy = match (&axes.interrupt, &axes.faults) {
+        (_, Faults::Supervised { cadence: Some(n), .. }) => Some((*n, 3)),
+        (Interrupt::MidEpoch(_), _) => Some((MID_EPOCH_CADENCE, 2)),
+        _ => None,
+    };
+    if let Some((cadence, keep)) = policy {
+        config =
+            config.with_checkpoint_policy(CheckpointPolicy::every_steps(&ckpt_dir, cadence).with_keep(keep));
+    }
+    if let Faults::Plan(plan) | Faults::Supervised { plan, .. } = &axes.faults {
+        faults::install(plan.clone());
+    }
+    let mut outcome = Outcome::default();
+    let mut trainer = match Trainer::new_sharded(axes.model.net(axes.prune), config) {
+        Ok(trainer) => trainer,
+        Err(ShardError::Unshardable(layers)) => {
+            outcome.vetoed = Some(layers);
+            let _ = std::fs::remove_dir_all(&dir);
+            return outcome;
+        }
+        Err(err) => panic!("{err}"),
+    };
+    let metrics_path = dir.join("metrics.jsonl");
+    let mut metrics = MetricStore::with_jsonl(&metrics_path);
+    match (&axes.interrupt, &axes.faults) {
+        (Interrupt::None, Faults::Supervised { max_retries, .. }) => {
+            let supervisor = Supervisor::new(SupervisorConfig {
+                max_retries: *max_retries,
+                backoff_base: Duration::from_millis(1),
+                backoff_max: Duration::from_millis(8),
+            });
+            outcome.supervised =
+                Some(supervisor.train(&mut trainer, train, val, epochs, &mut metrics, &mut []));
+        }
+        (_, Faults::Supervised { .. }) => panic!("a supervised row has no interruption of its own"),
+        (Interrupt::None, _) => {
+            trainer.train(train, val, epochs, &mut metrics, &mut []);
+        }
+        (Interrupt::Boundary(then), _) => {
+            trainer.train(train, val, 1, &mut metrics, &mut []);
+            let bytes = trainer.snapshot().encode().expect("snapshot encodes");
+            drop(trainer);
+            trainer = resumed(axes, *then, &Snapshot::decode(&bytes).expect("snapshot decodes"));
+            trainer.train(train, val, epochs - 1, &mut metrics, &mut []);
+        }
+        (Interrupt::MidEpoch(then), _) => {
+            trainer.train(train, val, 1, &mut metrics, &mut []);
+            trainer.train_epoch(train);
+            trainer.flush_checkpoints().expect("checkpoints written");
+            let kept = trainer.checkpoints().expect("manager active").files().len();
+            assert!(kept <= 2, "keep-2 rotation left {kept} snapshots");
+            drop(trainer);
+            let latest = checkpoint::latest_in(&ckpt_dir).expect("directory readable");
+            let snap = checkpoint::load(&latest.expect("a snapshot on disk")).expect("snapshot loads");
+            let at = snap.position;
+            assert!(
+                at.epoch == 1 && (1..e).contains(&at.steps_into_epoch),
+                "expected the newest snapshot inside epoch 2, got {at:?}"
+            );
+            outcome.landings.push(2);
+            trainer = resumed(axes, *then, &snap);
+            trainer.train(train, val, epochs - 1, &mut metrics, &mut []);
+        }
+    }
+    for rec in metrics.recoveries() {
+        if rec.resumed_step != rec.resumed_epoch * e {
+            outcome.landings.push(rec.resumed_epoch + 1);
+        }
+    }
+    trainer
+        .network_mut()
+        .visit_params(&mut |w, _| outcome.params.extend(w.iter().map(|v| v.to_bits())));
+    outcome.state = trainer.snapshot().encode().expect("snapshot encodes");
+    outcome.records = metrics.records().to_vec();
+    outcome.recoveries = metrics.recoveries().to_vec();
+    outcome.engine = trainer.engine_name();
+    outcome.engine_quarantined = trainer.context_mut().is_quarantined(outcome.engine);
+    outcome.respawns = trainer.shard_health().map_or(0, |h| h.respawns);
+    drop((trainer, metrics));
+    outcome.jsonl = std::fs::read_to_string(&metrics_path).unwrap_or_default();
+    let _ = std::fs::remove_dir_all(&dir);
+    outcome
+}
+
+/// The fault-free reference run of `model`, computed once per process.
+fn reference(model: Model) -> &'static Outcome {
+    static REFERENCES: [OnceLock<Outcome>; 3] = [const { OnceLock::new() }; 3];
+    let slot = Model::ALL.iter().position(|&m| m == model).expect("listed");
+    REFERENCES[slot].get_or_init(|| run(&Axes::reference(model)))
+}
+
+/// One recovery record a row expects.
+#[derive(Clone, Debug)]
+struct Recovery {
+    kind: &'static str,
+    source: &'static str,
+    attempt: u64,
+    /// The `(epoch, step)` the run restarted from.
+    resumed: (u64, u64),
+    /// Corrupt snapshots skipped on the way.
+    skipped: usize,
+    quarantined: Option<&'static str>,
+}
+
+fn recovery(kind: &'static str, source: &'static str, resumed: (u64, u64)) -> Recovery {
+    Recovery {
+        kind,
+        source,
+        attempt: 1,
+        resumed,
+        skipped: 0,
+        quarantined: None,
+    }
+}
+
+impl Recovery {
+    fn matches(&self, r: &RecoveryRecord) -> bool {
+        r.kind == self.kind
+            && r.source == self.source
+            && r.attempt == self.attempt
+            && (r.resumed_epoch, r.resumed_step) == self.resumed
+            && r.skipped.len() == self.skipped
+            && r.quarantined.as_deref() == self.quarantined
+    }
+}
+
+/// What a row must observe beyond matching its model's reference.
+#[derive(Clone, Debug, Default)]
+struct Expect {
+    /// Every recovery record, in order; `None` checks only the count below.
+    recoveries: Option<Vec<Recovery>>,
+    min_recoveries: usize,
+    /// The engine the supervisor quarantined, if any.
+    quarantined: Option<&'static str>,
+    /// At least one shard worker respawned.
+    respawned: bool,
+    /// The sharder refuses the model, naming a layer containing this.
+    vetoed: Option<&'static str>,
+    /// The supervisor gives up after this many attempts, its last failure
+    /// naming this fault site.
+    gives_up: Option<(usize, &'static str)>,
+}
+
+/// A named point of the matrix and what it must observe.
+#[derive(Clone, Debug)]
+pub struct Row {
+    /// Stable name: the jsonl key and what `docs/DETERMINISM.md` cites.
+    pub name: String,
+    axes: Axes,
+    expect: Expect,
+}
+
+impl Row {
+    fn new(name: impl Into<String>, axes: Axes) -> Self {
+        Row {
+            name: name.into(),
+            axes,
+            expect: Expect::default(),
+        }
+    }
+
+    fn expecting(mut self, set: impl FnOnce(&mut Expect)) -> Self {
+        set(&mut self.expect);
+        self
+    }
+
+    /// The engine names the row trains on: the first leg's and the last's.
+    pub fn engines(&self) -> [&'static str; 2] {
+        [self.axes.leg(), self.axes.last_leg()].map(|leg| leg.engine.unwrap_or("simd"))
+    }
+}
+
+/// A supervised `mini` row on `leg`, under a supervisor with five retries
+/// that checkpoints every `cadence` steps.
+fn supervised(name: &str, leg: Leg, plan: FaultPlan, cadence: Option<u64>) -> Row {
+    let faults = Faults::Supervised {
+        plan,
+        cadence,
+        max_retries: 5,
+    };
+    Row::new(
+        name,
+        Axes {
+            faults,
+            ..Axes::on(Model::MiniCnn, leg)
+        },
+    )
+}
+
+/// Every named row, its fault plans drawn from `seed`.
+pub fn rows(seed: u64) -> Vec<Row> {
+    let mini = Model::MiniCnn;
+    let mut rows = Vec::new();
+    // Engine × interruption: each float engine once, on every model.
+    for model in Model::ALL {
+        for engine in ["scalar", "simd"] {
+            let axes = Axes::on(model, Leg::on(engine));
+            let boundary = axes.clone().cut(Interrupt::Boundary(Leg::on(engine)));
+            let mid_epoch = axes.cut(Interrupt::MidEpoch(Leg::on(engine)));
+            rows.push(Row::new(format!("{}-boundary-{engine}", model.name()), boundary));
+            rows.push(Row::new(
+                format!("{}-mid-epoch-{engine}", model.name()),
+                mid_epoch,
+            ));
+        }
+    }
+    let scalar_to_simd =
+        Axes::on(Model::Alexnet, Leg::on("scalar")).cut(Interrupt::Boundary(Leg::on("simd")));
+    rows.push(Row::new("alexnet-boundary-scalar-to-simd", scalar_to_simd));
+    let simd_to_scalar = Axes::on(mini, Leg::on("simd")).cut(Interrupt::MidEpoch(Leg::on("scalar")));
+    rows.push(Row::new("mini-mid-epoch-simd-to-scalar", simd_to_scalar));
+    let fixed = Axes::on(mini, Leg::on("fixed"));
+    rows.push(Row::new(
+        "mini-fixed",
+        Axes {
+            prune: false,
+            ..fixed
+        },
+    ));
+
+    // Sharding: worker count × float engine against the classic loop, and
+    // what the pool rides through.
+    for engine in ["scalar", "simd"] {
+        for n in [1, 2, 4] {
+            let leg = Leg {
+                engine: Some(engine),
+                workers: Some(n),
+            };
+            rows.push(Row::new(format!("shard-n{n}-{engine}"), Axes::on(mini, leg)));
+        }
+    }
+    let four = |plan| Axes {
+        faults: Faults::Plan(plan),
+        ..Axes::on(mini, Leg::sharded(4))
+    };
+    // Rank 2 dies at its third kill check (step 3 of epoch 1): the pool
+    // respawns it from the template and replays its granules.
+    let kill = FaultPlan::new(seed).with_engine(Site::WorkerKill, Trigger::At(2), "2");
+    rows.push(Row::new("shard-worker-kill", four(kill)).expecting(|x| x.respawned = true));
+    // Every rank stalls for a seeded delay on every step: replies arrive
+    // in scrambled order, but the reduction is keyed by granule index.
+    let slow = FaultPlan::new(seed).with(Site::WorkerSlow, Trigger::Prob(1.0));
+    rows.push(Row::new("shard-slow-workers", four(slow)));
+    let two = Axes::on(mini, Leg::sharded(2));
+    let boundary = two.clone().cut(Interrupt::Boundary(Leg::sharded(4)));
+    rows.push(Row::new("shard-n2-to-n4-boundary", boundary));
+    rows.push(Row::new(
+        "shard-n2-to-n4-mid-epoch",
+        two.cut(Interrupt::MidEpoch(Leg::sharded(4))),
+    ));
+    // Train-mode Dropout draws from a sequential RNG, BatchNorm reads the
+    // whole batch: the sharder refuses both, naming the layers.
+    for (model, blocker) in [(Model::Alexnet, "drop"), (Model::Resnet18, "bn")] {
+        let name = format!("shard-veto-{}", model.name());
+        rows.push(Row::new(name, Axes::on(model, Leg::sharded(2))).expecting(|x| x.vetoed = Some(blocker)));
+    }
+
+    // The supervisor: the chaos campaign's scenarios and its own cases.
+    let e = steps_per_epoch();
+    let (simd, campaign, two) = (Leg::default(), Leg::on(ENGINE), Leg::sharded(2));
+    let plan = || FaultPlan::new(seed);
+    let exactly = |recoveries: Vec<Recovery>| move |x: &mut Expect| x.recoveries = Some(recoveries);
+    let disk = |step: u64| recovery("kill", "disk", (step / e, step));
+    // The step-kill site is checked once per completed step, so `At(n)`
+    // crashes the epoch loop right after step n + 1: `e + e / 2` aims
+    // mid-epoch 2, whose newest snapshot sits on the cadence below.
+    let kill_at = e + e / 2;
+    let newest = (kill_at + 1) / CADENCE * CADENCE;
+    let kill = || plan().with(Site::StepKill, Trigger::At(kill_at));
+    rows.push(supervised("supervised-clean", simd, plan(), Some(CADENCE)).expecting(exactly(vec![])));
+    // A SIGKILL-shaped crash mid-epoch 2, on either kind of step: resume
+    // from the newest snapshot.
+    for (name, leg) in [("kill-mid-epoch", campaign), ("kill-mid-epoch-sharded", two)] {
+        rows.push(supervised(name, leg, kill(), Some(CADENCE)).expecting(exactly(vec![disk(newest)])));
+    }
+    // The kill lands right after a cadence step, while that step's snapshot
+    // may still sit in the background writer's queue: recovery waits for
+    // it and resumes there.
+    let after = (e + 1).next_multiple_of(CADENCE);
+    let kill_after = plan().with(Site::StepKill, Trigger::At(after - 1));
+    let row = supervised("kill-after-checkpoint", simd, kill_after, Some(CADENCE));
+    rows.push(row.expecting(exactly(vec![disk(after)])));
+    // A cadence step deep enough into epoch 2 that the snapshot before it
+    // still beats the supervisor's epoch-boundary shadow, so a corrupt
+    // newest snapshot exercises the skip-and-fall-back path.
+    let s = (e + 5).div_ceil(CADENCE) * CADENCE;
+    let older = Recovery {
+        skipped: 1,
+        ..disk(s - CADENCE)
+    };
+    // The write at step s is torn (truncated but renamed into place), then
+    // the process dies right after it: recovery skips the corrupt newest
+    // snapshot, names it, and restarts from the older one.
+    let torn = plan()
+        .with(Site::CkptWriteTorn, Trigger::At(s / CADENCE - 1))
+        .with(Site::StepKill, Trigger::At(s - 1));
+    let row = supervised("torn-write-newest", campaign, torn, Some(CADENCE));
+    rows.push(row.expecting(exactly(vec![older.clone()])));
+    // A kernel engine blows up mid-dispatch in epoch 1: quarantine it and
+    // degrade to scalar, bitwise-neutrally; the trainer still reports the
+    // configured name.
+    let quarantine = |step| Recovery {
+        kind: "engine-panic",
+        quarantined: Some(ENGINE),
+        ..disk(step)
+    };
+    let panic = plan().with_engine(Site::EnginePanic, Trigger::At(20), ENGINE);
+    let row = supervised("engine-panic", campaign, panic, Some(CADENCE))
+        .expecting(|x| x.quarantined = Some(ENGINE));
+    rows.push(row.expecting(exactly(vec![quarantine(3)])));
+    // The newest snapshot reads back short (torn at rest): the first load
+    // of the recovery scan is truncated and skipped.
+    let short_read = plan()
+        .with(Site::CkptReadShort, Trigger::At(0))
+        .with(Site::StepKill, Trigger::At(s - 1));
+    let row = supervised("short-read-newest", campaign, short_read, Some(CADENCE));
+    rows.push(row.expecting(exactly(vec![older])));
+    // Everything at once: an ENOSPC-shaped write failure, a torn write, an
+    // engine panic and a kill, in one run. `engine.panic` counts
+    // convolution dispatches, five a training step on this net and six a
+    // validation pass: occurrence 155 is conv2's second backward dispatch
+    // of the 29th executed step, after the kill and its replay. The kill
+    // resumes from the step-9 snapshot, taken before epoch 1 ended.
+    let storm = plan()
+        .with(Site::CkptWriteError, Trigger::At(2))
+        .with(Site::CkptWriteTorn, Trigger::At(4))
+        .with_engine(Site::EnginePanic, Trigger::At(155), ENGINE)
+        .with(Site::StepKill, Trigger::At(s - 1));
+    let storm_recoveries = vec![
+        recovery("transient-io", "disk", (0, 6)),
+        Recovery {
+            skipped: 1,
+            ..recovery("kill", "disk", (0, 9))
+        },
+        quarantine(21),
+    ];
+    let row = supervised("storm", campaign, storm, Some(CADENCE)).expecting(|x| x.quarantined = Some(ENGINE));
+    rows.push(row.expecting(exactly(storm_recoveries)));
+    // The loader site is checked once per trained batch, so `At(e + 1)`
+    // fires on the second batch of epoch 2, and without checkpoints the
+    // shadow of epoch 2's start is all the run can fall back to.
+    for (name, leg) in [("loader-fault", simd), ("loader-fault-sharded", two)] {
+        let loader = plan().with(Site::LoaderError, Trigger::At(e + 1));
+        let row = supervised(name, leg, loader, None);
+        rows.push(row.expecting(exactly(vec![recovery("loader", "shadow", (1, e))])));
+    }
+    // Every batch fails, forever: the supervisor gives up after its retry
+    // budget of two instead of spinning, with both recoveries on record.
+    let mut row = supervised("retries-exhausted", simd, plan(), None);
+    row.axes.faults = Faults::Supervised {
+        plan: plan().with(Site::LoaderError, Trigger::Prob(1.0)),
+        cadence: None,
+        max_retries: 2,
+    };
+    let retries = (1..=2).map(|attempt| Recovery {
+        attempt,
+        ..recovery("loader", "shadow", (0, 0))
+    });
+    let row = row.expecting(|x| x.gives_up = Some((3, "loader.error")));
+    rows.push(row.expecting(exactly(retries.collect())));
+    rows
+}
+
+/// `extra` seeded kills: the kill step is a pure function of (campaign
+/// seed, index) through the stream ladder, so "random" still replays
+/// exactly.
+fn random_kills(seed: u64, extra: usize) -> Vec<Row> {
+    let steps = Model::MiniCnn.epochs() as u64 * steps_per_epoch();
+    let key = StreamKey::new(seed).derive(CHAOS_DOMAIN);
+    (0..extra)
+        .map(|i| {
+            let kill_step = 1 + key.derive(i as u64).word_at(0) % (steps - 1);
+            let plan = FaultPlan::new(seed ^ (i as u64 + 1)).with(Site::StepKill, Trigger::At(kill_step - 1));
+            let row = supervised(
+                &format!("random-kill-{i}@{kill_step}"),
+                Leg::on(ENGINE),
+                plan,
+                Some(CADENCE),
+            );
+            row.expecting(|x| x.min_recoveries = 1)
+        })
+        .collect()
+}
+
+/// The records as jsonl lines, with the loss and accuracy of the
+/// `landings` epochs zeroed.
+fn masked(records: &[MetricRecord], landings: &[u64]) -> Vec<String> {
+    let mask = |r: &MetricRecord| {
+        let mut r = r.clone();
+        if landings.contains(&r.epoch) {
+            (r.loss, r.accuracy) = (0.0, 0.0);
+        }
+        r.to_jsonl()
+    };
+    records.iter().map(mask).collect()
+}
+
+/// Holds `out` to `row`'s expectations and to its model's reference;
+/// `Err` says what failed first.
+fn verify(row: &Row, out: &Outcome) -> Result<(), String> {
+    let ex = &row.expect;
+    match (&out.vetoed, ex.vetoed) {
+        (Some(layers), Some(needle)) if layers.iter().any(|l| l.contains(needle)) => return Ok(()),
+        (Some(layers), _) => return Err(format!("the sharder refused the model: {layers:?}")),
+        (None, Some(needle)) => return Err(format!("expected the sharder to refuse a `{needle}` layer")),
+        (None, None) => {}
+    }
+    let engine = row.axes.last_leg().engine.unwrap_or("simd");
+    if out.engine != engine {
+        return Err(format!("the trainer runs `{}`, not `{engine}`", out.engine));
+    }
+    if out.engine_quarantined != ex.quarantined.is_some() {
+        return Err(format!("`{engine}` quarantined: {}", out.engine_quarantined));
+    }
+
+    // The supervisor's verdict and its recovery records.
+    let recoveries = &out.recoveries;
+    match (&out.supervised, ex.gives_up) {
+        (Some(Err(SuperviseError::RetriesExhausted { attempts, last })), Some((n, site))) => {
+            if *attempts != n || !last.contains(site) {
+                return Err(format!(
+                    "gave up after {attempts} attempts on `{last}`, want {n} on {site}"
+                ));
+            }
+        }
+        (Some(Err(err)), _) => return Err(format!("supervisor gave up: {err}")),
+        (_, Some(_)) => return Err("expected the supervisor to give up".into()),
+        (Some(Ok(s)), None) => {
+            let quarantined: Vec<&str> = ex.quarantined.into_iter().collect();
+            if s.outcome.epochs_run != row.axes.model.epochs()
+                || s.recoveries != recoveries.len()
+                || s.quarantined != quarantined
+            {
+                return Err(format!("the supervised run ended as {s:?}"));
+            }
+        }
+        (None, None) => {}
+    }
+    let exact = ex.recoveries.as_ref().is_none_or(|want| {
+        want.len() == recoveries.len() && want.iter().zip(recoveries).all(|(w, r)| w.matches(r))
+    });
+    if !exact || recoveries.len() < ex.min_recoveries {
+        let seen: Vec<String> = recoveries.iter().map(RecoveryRecord::to_jsonl).collect();
+        return Err(format!(
+            "recoveries {seen:?}, want {:?} (at least {})",
+            ex.recoveries, ex.min_recoveries
+        ));
+    }
+    if let Some(s) = recoveries
+        .iter()
+        .flat_map(|r| &r.skipped)
+        .find(|s| !s.contains(".stck"))
+    {
+        return Err(format!("a skip report does not name its snapshot file: {s}"));
+    }
+    let transient = |r: &&RecoveryRecord| matches!(r.kind.as_str(), "loader" | "transient-io");
+    if let Some(r) = recoveries.iter().filter(transient).find(|r| r.backoff_ms == 0) {
+        return Err(format!(
+            "a transient fault retried without backing off: {}",
+            r.to_jsonl()
+        ));
+    }
+    if ex.respawned && out.respawns == 0 {
+        return Err("the killed worker was never respawned".into());
+    }
+
+    // The metric file holds every record and recovery as one complete
+    // line each, in order.
+    let (recovery_lines, record_lines): (Vec<&str>, Vec<&str>) =
+        out.jsonl.lines().partition(|l| l.starts_with("{\"recovery\":{"));
+    let records: Vec<String> = out.records.iter().map(MetricRecord::to_jsonl).collect();
+    let recovery_jsonl: Vec<String> = recoveries.iter().map(RecoveryRecord::to_jsonl).collect();
+    if record_lines != records || recovery_lines != recovery_jsonl || !out.jsonl.ends_with('\n') {
+        return Err(format!(
+            "the metric file does not hold the run's records:\n{}",
+            out.jsonl
+        ));
+    }
+    if ex.gives_up.is_some() {
+        return Ok(());
+    }
+    if engine.starts_with("fixed") {
+        // Outside the bitwise guarantee: it only has to train.
+        let finite = out.records.iter().all(|r| r.loss.is_finite());
+        if finite && out.records.len() == row.axes.model.epochs() {
+            return Ok(());
+        }
+        return Err(format!("records: {records:?}"));
+    }
+
+    // Bit for bit against the reference.
+    let reference = reference(row.axes.model);
+    if out.params != reference.params {
+        let diverged = out
+            .params
+            .iter()
+            .zip(&reference.params)
+            .filter(|(a, b)| a != b)
+            .count();
+        let of = reference.params.len();
+        return Err(format!(
+            "final parameters diverged from the reference ({diverged} of {of} words differ)"
+        ));
+    }
+    if out.state != reference.state {
+        let at = out.state.iter().zip(&reference.state).position(|(a, b)| a != b);
+        let (got, want) = (out.state.len(), reference.state.len());
+        return Err(format!(
+            "the encoded .stck state differs from the reference ({got} against {want} bytes, first difference at {at:?})"
+        ));
+    }
+    let (got, want) = (
+        masked(&out.records, &out.landings),
+        masked(&reference.records, &out.landings),
+    );
+    match (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)) {
+        Some(i) => Err(format!(
+            "metric record {} differs from the reference: got {:?}, want {:?}",
+            i + 1,
+            got.get(i),
+            want.get(i)
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Runs `row` and holds it to its expectations: the verdict as a
+/// campaign record.
+pub fn scenario(row: &Row) -> ScenarioOutcome {
+    let started = Instant::now();
+    let mut record = ScenarioOutcome {
+        name: row.name.clone(),
+        pass: false,
+        detail: "ok".into(),
+        recoveries: 0,
+        quarantined: Vec::new(),
+        kinds: Vec::new(),
+        skipped: 0,
+        backoff_ms: 0,
+        recover_ms: 0,
+        elapsed_ms: 0,
+    };
+    let checked = catch_unwind(AssertUnwindSafe(|| {
+        let out = run(&row.axes);
+        let verdict = verify(row, &out);
+        (out, verdict)
+    }));
+    match checked {
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            record.detail = format!("escaped the supervisor: {msg}");
+        }
+        Ok((out, verdict)) => {
+            record.recoveries = out.recoveries.len();
+            if let Some(Ok(s)) = &out.supervised {
+                record.quarantined = s.quarantined.clone();
+            }
+            for rec in &out.recoveries {
+                record.kinds.push(rec.kind.clone());
+                record.skipped += rec.skipped.len();
+                record.backoff_ms += rec.backoff_ms;
+                record.recover_ms += rec.recover_ms;
+            }
+            match verdict {
+                Ok(()) => record.pass = true,
+                Err(detail) => record.detail = detail,
+            }
+        }
+    }
+    record.elapsed_ms = started.elapsed().as_millis() as u64;
+    record
+}
+
+/// The `chaos` subcommand: runs every fault row and `extra` seeded kills,
+/// appends one `{"chaos":{...}}` jsonl line per scenario to `out`, and
+/// returns the Markdown summary and whether every scenario held.
+pub fn run_campaign(seed: u64, extra: usize, out: &str) -> Result<(String, bool), String> {
+    let mut rows: Vec<Row> = rows(seed)
+        .into_iter()
+        .filter(|r| !matches!(r.axes.faults, Faults::None))
+        .collect();
+    rows.extend(random_kills(seed, extra));
+    let report = CampaignReport {
+        seed,
+        steps_per_epoch: steps_per_epoch(),
+        outcomes: rows.iter().map(scenario).collect(),
+    };
     if let Some(parent) = std::path::Path::new(out).parent() {
         let _ = std::fs::create_dir_all(parent);
     }
@@ -232,128 +946,34 @@ pub fn run(seed: u64, extra: usize, out: &str) -> Result<(String, bool), String>
     Ok((summary, report.all_pass()))
 }
 
-fn scenario_dir(name: &str) -> PathBuf {
-    let slug: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    std::env::temp_dir().join(format!("sparsetrain-chaos-{}-{slug}", std::process::id()))
-}
-
-fn run_scenario(scenario: &Scenario, train: &Dataset, reference: &[u32]) -> ScenarioOutcome {
-    let started = Instant::now();
-    let dir = scenario_dir(&scenario.name);
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut outcome = ScenarioOutcome {
-        name: scenario.name.clone(),
-        pass: false,
-        detail: "ok".into(),
-        recoveries: 0,
-        quarantined: Vec::new(),
-        kinds: Vec::new(),
-        skipped: 0,
-        backoff_ms: 0,
-        recover_ms: 0,
-        elapsed_ms: 0,
-    };
-
-    faults::install(scenario.plan.clone());
-    let config = TrainConfig::quick()
-        .with_engine_name(ENGINE)
-        .with_checkpoint_policy(CheckpointPolicy::every_steps(&dir, CADENCE).with_keep(3));
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        let mut trainer = make_trainer(config);
-        let mut metrics = MetricStore::new();
-        let supervised = supervisor().train(&mut trainer, train, None, EPOCHS, &mut metrics, &mut []);
-        (supervised, param_bits(&mut trainer), metrics)
-    }));
-    faults::clear();
-
-    match run {
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic payload");
-            outcome.detail = format!("escaped the supervisor: {msg}");
-        }
-        Ok((Err(err), _, metrics)) => {
-            outcome.recoveries = metrics.recoveries().len();
-            outcome.detail = format!("supervisor gave up: {err}");
-        }
-        Ok((Ok(supervised), bits, metrics)) => {
-            outcome.recoveries = supervised.recoveries;
-            outcome.quarantined = supervised.quarantined.clone();
-            for rec in metrics.recoveries() {
-                outcome.kinds.push(rec.kind.clone());
-                outcome.skipped += rec.skipped.len();
-                outcome.backoff_ms += rec.backoff_ms;
-                outcome.recover_ms += rec.recover_ms;
-            }
-            outcome.detail =
-                check_expectations(scenario, &supervised.quarantined, &outcome, &bits, reference);
-            outcome.pass = outcome.detail == "ok";
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    outcome.elapsed_ms = started.elapsed().as_millis() as u64;
-    outcome
-}
-
-fn check_expectations(
-    scenario: &Scenario,
-    quarantined: &[String],
-    outcome: &ScenarioOutcome,
-    bits: &[u32],
-    reference: &[u32],
-) -> String {
-    if bits != reference {
-        let diverged = bits.iter().zip(reference).filter(|(a, b)| a != b).count();
-        return format!(
-            "final parameters diverged from the fault-free run ({diverged} of {} words differ)",
-            reference.len()
-        );
-    }
-    if outcome.recoveries < scenario.min_recoveries {
-        return format!(
-            "expected at least {} recoveries, saw {}",
-            scenario.min_recoveries, outcome.recoveries
-        );
-    }
-    if let Some(engine) = scenario.expect_quarantined {
-        if !quarantined.iter().any(|q| q == engine) {
-            return format!("expected `{engine}` to be quarantined, got {quarantined:?}");
-        }
-    }
-    if scenario.expect_skipped && outcome.skipped == 0 {
-        return "expected at least one corrupt snapshot to be skipped".into();
-    }
-    "ok".into()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn scenario_list_scales_with_extra_and_stays_seeded() {
-        let a = scenarios(42, 2, 13);
-        let b = scenarios(42, 2, 13);
-        assert_eq!(a.len(), 7);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name, "randomized scenarios must replay from the seed");
-            assert_eq!(x.plan, y.plan);
-        }
-        assert_eq!(scenarios(42, 0, 13).len(), 5);
-        // A different campaign seed produces different fault plans.
-        let c = scenarios(43, 2, 13);
-        assert_ne!(a[5].plan, c[5].plan);
+    fn row_names_are_unique_and_kills_stay_seeded() {
+        let mut names: Vec<String> = rows(42).into_iter().map(|r| r.name).collect();
+        let count = names.len();
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), count, "{names:?}");
+
+        let plans = |seed| -> Vec<(String, String)> {
+            let kills = random_kills(seed, 2).into_iter();
+            kills
+                .map(|r| match r.axes.faults {
+                    Faults::Supervised { plan, .. } => (r.name, plan.to_spec()),
+                    other => panic!("{other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(plans(42).len(), 2);
+        assert_eq!(
+            plans(42),
+            plans(42),
+            "randomized scenarios must replay from the seed"
+        );
+        assert_ne!(plans(42), plans(43), "another campaign seed draws other plans");
+        assert!(random_kills(42, 0).is_empty());
     }
 }

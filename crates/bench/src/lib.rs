@@ -21,13 +21,13 @@
 //! [`cli`] is the argument parser, [`profile`] the one scale switch
 //! (`SPARSETRAIN_PROFILE`; the substitutions it scales are listed in
 //! `docs/ARCHITECTURE.md`, *Substitutions*), [`fixtures`] the layer
-//! operands of the engine bench, and [`chaos`] the fault-injection
-//! campaign behind `sparsetrain-bench chaos`: seeded
-//! crash/corruption scenarios that must recover bitwise through the
-//! training supervisor. The Criterion benches in `benches/` are local
-//! tools — kernel engines, the simulator and the pruning design-choice
-//! ablations; wall-clock training numbers
-//! are `stbench`'s.
+//! operands of the engine bench, and [`chaos`] the guarantee matrix: the
+//! named rows of `docs/DETERMINISM.md`, each held bit for bit to its
+//! model's reference run, whose fault rows are the seeded crash/corruption
+//! campaign behind `sparsetrain-bench chaos`. The Criterion benches in
+//! `benches/` are local tools — kernel engines, the simulator and the
+//! pruning design-choice ablations; wall-clock training numbers are
+//! `stbench`'s.
 
 pub mod chaos;
 pub mod cli;

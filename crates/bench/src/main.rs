@@ -42,7 +42,7 @@ fn run(command: Command) -> Result<bool, String> {
             extra,
             out,
             summary,
-        } => Ok(report(chaos::run(seed, extra, &out)?, summary)),
+        } => Ok(report(chaos::run_campaign(seed, extra, &out)?, summary)),
     }
 }
 

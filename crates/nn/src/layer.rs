@@ -333,7 +333,9 @@ pub trait Layer: Send {
     /// statelessly under the coordinator-broadcast threshold (set per
     /// step via [`Layer::set_shard_taus`]) and records per-backward
     /// [`SiteStats`] for [`Layer::take_shard_stats`] instead of stepping
-    /// its own pruner. Layers without pruning state ignore the call.
+    /// its own pruner; a `Conv2d` records its batch's `dO` non-zero and
+    /// element counts instead of adding to its ρ_nnz accumulators. Other
+    /// layers ignore the call.
     fn set_shard_prune(&mut self, worker: bool) {
         self.for_each_child_mut(&mut |c| c.set_shard_prune(worker));
     }
@@ -344,9 +346,9 @@ pub trait Layer: Send {
         self.for_each_child_mut(&mut |c| c.set_shard_taus(taus));
     }
 
-    /// Moves the [`SiteStats`] recorded by worker-mode pruning hooks
-    /// since the last call out as `(site name, stats)` pairs, in forward
-    /// order.
+    /// Moves the [`SiteStats`] recorded by worker-mode pruning hooks and
+    /// convolutions since the last call out as `(layer name, stats)`
+    /// pairs, in forward order.
     fn take_shard_stats(&mut self, out: &mut Vec<(String, SiteStats)>) {
         self.for_each_child_mut(&mut |c| c.take_shard_stats(out));
     }
@@ -361,7 +363,8 @@ pub trait Layer: Send {
     /// Coordinator side of the reduction: advances each pruning hook's
     /// authoritative pruner by one batch using the granule-order-reduced
     /// stats whose name matches (see
-    /// `sparsetrain_core::prune::LayerPruner::absorb_batch`).
+    /// `sparsetrain_core::prune::LayerPruner::absorb_batch`), and adds
+    /// each convolution's batch `dO` density from its reduced counts.
     fn absorb_prune_stats(&mut self, stats: &[(String, SiteStats)]) {
         self.for_each_child_mut(&mut |c| c.absorb_prune_stats(stats));
     }

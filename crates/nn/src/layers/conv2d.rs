@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparsetrain_checkpoint::LayerState;
 use sparsetrain_core::dataflow::{ConvLayerTrace, LayerTrace};
-use sparsetrain_core::prune::StepStreams;
+use sparsetrain_core::prune::{PruneOutcome, SiteStats, StepStreams};
 use sparsetrain_sparse::engine::map_banded;
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::{ExecutionContext, RowMask};
@@ -25,7 +25,10 @@ use sparsetrain_tensor::{init, Tensor3, Tensor4};
 /// Instrumentation: the layer records the density of its incoming output
 /// gradients each backward pass (Table II's ρ_nnz), and when capture is
 /// enabled it snapshots a [`ConvLayerTrace`] of sample 0 for the
-/// accelerator simulator.
+/// accelerator simulator. A shard worker's replica records its granule's
+/// `dO` counts instead ([`Layer::set_shard_prune`]), and the coordinator
+/// adds the batch's density from their granule-order sum, so a sharded
+/// run keeps the classic loop's accumulators bit for bit.
 #[derive(Clone)]
 pub struct Conv2d {
     name: String,
@@ -47,6 +50,9 @@ pub struct Conv2d {
     // Set during probe passes, which must leave the accumulators (snapshot
     // state) untouched.
     stats_frozen: bool,
+    // Shard-worker mode, when set: each backward pass records its batch's
+    // `dO` counts here instead of adding to the accumulators.
+    shard_counts: Option<Vec<SiteStats>>,
 }
 
 impl Conv2d {
@@ -84,6 +90,7 @@ impl Conv2d {
             dout_density_sum: 0.0,
             dout_density_count: 0,
             stats_frozen: false,
+            shard_counts: None,
         }
     }
 
@@ -97,6 +104,15 @@ impl Conv2d {
     /// Immutable access to the weights (for tests and inspection).
     pub fn weights(&self) -> &Tensor4 {
         &self.weights
+    }
+
+    /// Adds one batch's `dO` density — `nnz` non-zeros among `elements` —
+    /// to the ρ_nnz accumulators. An empty batch adds nothing.
+    fn add_dout_density(&mut self, nnz: usize, elements: usize) {
+        if elements > 0 {
+            self.dout_density_sum += nnz as f64 / elements as f64;
+            self.dout_density_count += 1;
+        }
     }
 
     /// Mean density of incoming output gradients since the last reset.
@@ -198,12 +214,25 @@ impl Layer for Conv2d {
 
         let dout_fms = compress(grads.len(), |s| &grads[s]);
         // ρ_nnz of dO over the whole batch, from the non-zeros the
-        // compressed maps already counted.
-        let total: usize = grads.iter().map(Tensor3::len).sum();
-        if total > 0 && !self.stats_frozen {
+        // compressed maps already counted. A shard worker hands the counts
+        // to the coordinator as `SiteStats` (non-zeros as `kept`, the rest
+        // as `zeroed`): integers, so their granule-order sum is the batch's
+        // exact count whatever the split.
+        if !self.stats_frozen {
+            let total: usize = grads.iter().map(Tensor3::len).sum();
             let nnz: usize = dout_fms.iter().map(SparseFeatureMap::nnz).sum();
-            self.dout_density_sum += nnz as f64 / total as f64;
-            self.dout_density_count += 1;
+            match &mut self.shard_counts {
+                Some(counts) => counts.push(SiteStats {
+                    abs_sum: 0.0,
+                    elements: total,
+                    outcome: PruneOutcome {
+                        kept: nnz,
+                        snapped: 0,
+                        zeroed: total - nnz,
+                    },
+                }),
+                None => self.add_dout_density(nnz, total),
+            }
         }
         // Batched GTW adds every sample's gradient into the batch gradient,
         // in sample order — one engine call.
@@ -266,6 +295,22 @@ impl Layer for Conv2d {
 
     fn set_prune_frozen(&mut self, frozen: bool) {
         self.stats_frozen = frozen;
+    }
+
+    fn set_shard_prune(&mut self, worker: bool) {
+        self.shard_counts = worker.then(Vec::new);
+    }
+
+    fn take_shard_stats(&mut self, out: &mut Vec<(String, SiteStats)>) {
+        if let Some(counts) = &mut self.shard_counts {
+            out.extend(counts.drain(..).map(|c| (self.name.clone(), c)));
+        }
+    }
+
+    fn absorb_prune_stats(&mut self, stats: &[(String, SiteStats)]) {
+        if let Some((_, batch)) = stats.iter().find(|(n, _)| *n == self.name) {
+            self.add_dout_density(batch.outcome.kept, batch.elements);
+        }
     }
 
     fn collect_state(&self, out: &mut Vec<LayerState>) {

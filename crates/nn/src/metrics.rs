@@ -3,8 +3,8 @@
 //! Table II reports top-1 accuracy; the convergence study (§VI-B) needs a
 //! finer view to show that pruned and unpruned runs agree not just in the
 //! headline number but in *which* classes they learn. This module
-//! provides a confusion matrix with the derived per-class precision /
-//! recall / F1.
+//! provides a confusion matrix, the per-epoch metric store and the
+//! early-stopping rules.
 //!
 //! # Example
 //!
@@ -16,7 +16,7 @@
 //! cm.record(1, 1);
 //! cm.record(2, 1); // true 2 predicted as 1
 //! assert_eq!(cm.accuracy(), 2.0 / 3.0);
-//! assert_eq!(cm.recall(2), Some(0.0));
+//! assert_eq!(cm.count(2, 1), 1);
 //! ```
 
 /// A square confusion matrix: `count(true class, predicted class)`.
@@ -82,50 +82,6 @@ impl ConfusionMatrix {
         }
         let correct: u64 = (0..self.classes).map(|c| self.count(c, c)).sum();
         correct as f64 / total as f64
-    }
-
-    /// Precision of one class: `tp / (tp + fp)`. `None` when the class
-    /// was never predicted.
-    pub fn precision(&self, class: usize) -> Option<f64> {
-        let tp = self.count(class, class);
-        let predicted: u64 = (0..self.classes).map(|t| self.count(t, class)).sum();
-        (predicted > 0).then(|| tp as f64 / predicted as f64)
-    }
-
-    /// Recall of one class: `tp / (tp + fn)`. `None` when the class
-    /// never occurred.
-    pub fn recall(&self, class: usize) -> Option<f64> {
-        let tp = self.count(class, class);
-        let actual: u64 = (0..self.classes).map(|p| self.count(class, p)).sum();
-        (actual > 0).then(|| tp as f64 / actual as f64)
-    }
-
-    /// F1 of one class (`None` when precision or recall is undefined, or
-    /// both are zero).
-    pub fn f1(&self, class: usize) -> Option<f64> {
-        let p = self.precision(class)?;
-        let r = self.recall(class)?;
-        if p + r == 0.0 {
-            return None;
-        }
-        Some(2.0 * p * r / (p + r))
-    }
-
-    /// Merges another matrix into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the class counts differ.
-    pub fn merge(&mut self, other: &ConfusionMatrix) {
-        assert_eq!(self.classes, other.classes, "class count mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
-
-    /// Clears all counts.
-    pub fn reset(&mut self) {
-        self.counts.fill(0);
     }
 }
 
@@ -365,17 +321,12 @@ impl MetricStore {
             });
     }
 
-    /// Builder form of [`MetricStore::set_record_latency`].
+    /// Enables step-latency recording. Off by default: wall-clock
+    /// readings differ run to run, and the bitwise-resume guarantee covers
+    /// the *deterministic* fields only.
     pub fn with_latency(mut self) -> Self {
         self.record_latency = true;
         self
-    }
-
-    /// Enables (or disables) step-latency recording. Off by default:
-    /// wall-clock readings differ run to run, and the bitwise-resume
-    /// guarantee covers the *deterministic* fields only.
-    pub fn set_record_latency(&mut self, enable: bool) {
-        self.record_latency = enable;
     }
 
     /// Appends one record (and writes its jsonl line, if a path is set).
@@ -502,38 +453,6 @@ impl StopCondition for TargetAccuracy {
     }
 }
 
-/// Stops when the wall-clock budget is exhausted. The clock starts at the
-/// first `check` call, so constructing the rule ahead of training is free.
-#[derive(Debug, Clone)]
-pub struct WallClockBudget {
-    budget: std::time::Duration,
-    started: Option<std::time::Instant>,
-}
-
-impl WallClockBudget {
-    /// Creates the rule.
-    pub fn new(budget: std::time::Duration) -> Self {
-        WallClockBudget {
-            budget,
-            started: None,
-        }
-    }
-}
-
-impl StopCondition for WallClockBudget {
-    fn check(&mut self, _record: &MetricRecord) -> Option<String> {
-        let started = *self.started.get_or_insert_with(std::time::Instant::now);
-        let elapsed = started.elapsed();
-        (elapsed >= self.budget).then(|| {
-            format!(
-                "wall-clock budget exhausted ({:.1}s >= {:.1}s)",
-                elapsed.as_secs_f64(),
-                self.budget.as_secs_f64()
-            )
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,24 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn precision_recall_f1() {
-        let mut cm = ConfusionMatrix::new(3);
-        // Class 0: 2 correct, 1 predicted elsewhere; one 1 misread as 0.
-        cm.record(0, 0);
-        cm.record(0, 0);
-        cm.record(0, 2);
-        cm.record(1, 0);
-        cm.record(1, 1);
-        assert_eq!(cm.precision(0), Some(2.0 / 3.0));
-        assert_eq!(cm.recall(0), Some(2.0 / 3.0));
-        let f1 = cm.f1(0).unwrap();
-        assert!((f1 - 2.0 / 3.0).abs() < 1e-12);
-        // Class 2 never occurred as truth: recall undefined.
-        assert_eq!(cm.recall(2), None);
-        assert_eq!(cm.f1(2), None);
-    }
-
-    #[test]
     fn perfect_predictions_score_one() {
         let mut cm = ConfusionMatrix::new(4);
         for c in 0..4 {
@@ -585,19 +486,6 @@ mod tests {
         let mut cm = ConfusionMatrix::new(3);
         cm.record_logits(2, &[0.0, 0.2, 0.9]);
         assert_eq!(cm.count(2, 2), 1);
-    }
-
-    #[test]
-    fn merge_and_reset() {
-        let mut a = ConfusionMatrix::new(2);
-        let mut b = ConfusionMatrix::new(2);
-        a.record(0, 0);
-        b.record(1, 0);
-        a.merge(&b);
-        assert_eq!(a.total(), 2);
-        a.reset();
-        assert_eq!(a.total(), 0);
-        assert_eq!(a.accuracy(), 0.0);
     }
 
     #[test]
@@ -762,7 +650,7 @@ mod tests {
         r.step_latency_ns = Some(99.0);
         store.record(r.clone());
         assert_eq!(store.last().unwrap().step_latency_ns, None);
-        store.set_record_latency(true);
+        let mut store = MetricStore::new().with_latency();
         store.record(r);
         assert_eq!(store.last().unwrap().step_latency_ns, Some(99.0));
     }
@@ -801,14 +689,6 @@ mod tests {
         r.accuracy = 0.9;
         r.val_accuracy = Some(0.5);
         assert_eq!(t.check(&r), None);
-    }
-
-    #[test]
-    fn wall_clock_budget_elapses() {
-        let mut w = WallClockBudget::new(std::time::Duration::ZERO);
-        assert!(w.check(&record(1, 0.5)).is_some());
-        let mut w = WallClockBudget::new(std::time::Duration::from_secs(3600));
-        assert_eq!(w.check(&record(1, 0.5)), None);
     }
 
     #[test]

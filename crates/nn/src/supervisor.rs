@@ -16,10 +16,13 @@
 //!
 //! Because training is a pure function of the recorded state, a recovered
 //! run lands **bitwise** on the uninterrupted run's trajectory: resuming
-//! from an older snapshot merely replays more steps, and replayed epochs
-//! produce identical metric records (so duplicates are suppressed rather
-//! than re-recorded). Every recovery is appended to the [`MetricStore`]
-//! as a structured [`RecoveryRecord`] jsonl line.
+//! from an older snapshot merely replays more steps, and a replayed epoch
+//! that was already recorded is not recorded again. The metric records
+//! match the uninterrupted run's except where a recovery resumed
+//! mid-epoch from disk: that epoch's record covers only the batches
+//! trained after the resume, so its loss and accuracy differ. Every
+//! recovery is appended to the [`MetricStore`] as a structured
+//! [`RecoveryRecord`] jsonl line.
 //!
 //! ```
 //! use sparsetrain_nn::data::SyntheticSpec;
@@ -248,9 +251,9 @@ impl Supervisor {
     /// through panics: classify, back off, quarantine, restore from the
     /// newest valid snapshot (disk first, in-memory shadow as fallback)
     /// and continue. Metric records for epochs already recorded before a
-    /// rollback are suppressed on replay — deterministic re-runs produce
-    /// identical records, so the trajectory file stays identical to an
-    /// uninterrupted run's.
+    /// rollback are suppressed on replay, so each epoch is recorded once;
+    /// an epoch resumed mid-way from disk records the loss and accuracy of
+    /// its remaining batches only.
     ///
     /// # Errors
     ///

@@ -940,110 +940,6 @@ mod tests {
         assert_eq!(run(false), run(true), "probe passes perturbed the trajectory");
     }
 
-    fn all_params(trainer: &mut Trainer) -> Vec<f32> {
-        let mut weights = Vec::new();
-        trainer
-            .network_mut()
-            .visit_params(&mut |w, _| weights.extend_from_slice(w));
-        weights
-    }
-
-    #[test]
-    fn resume_restores_state_byte_identically() {
-        let (train, _) = SyntheticSpec::tiny(3).generate();
-        let make = || {
-            Trainer::new(
-                models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2))),
-                TrainConfig::quick(),
-            )
-        };
-        let mut first = make();
-        first.train_epoch(&train);
-        let snap = first.snapshot();
-        let mut resumed = make();
-        resumed.resume(&snap).unwrap();
-        assert_eq!(
-            all_params(&mut first),
-            all_params(&mut resumed),
-            "params differ right after resume"
-        );
-        assert_eq!(first.stream_seeds(), resumed.stream_seeds());
-        assert_eq!(
-            snap.encode().unwrap(),
-            resumed.snapshot().encode().unwrap(),
-            "re-snapshot differs"
-        );
-    }
-
-    #[test]
-    fn snapshot_resume_continues_bitwise_at_epoch_boundary() {
-        let (train, _) = SyntheticSpec::tiny(3).generate();
-        let make = || {
-            Trainer::new(
-                models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2))),
-                TrainConfig::quick(),
-            )
-        };
-        let mut straight = make();
-        straight.train_epoch(&train);
-
-        let mut first = make();
-        first.train_epoch(&train);
-        let snap = first.snapshot();
-        let bytes = snap.encode().unwrap();
-        drop(first);
-
-        let mut resumed = make();
-        resumed
-            .resume(&sparsetrain_checkpoint::Snapshot::decode(&bytes).unwrap())
-            .unwrap();
-        let stats_resumed = resumed.train_epoch(&train);
-        let stats_straight = straight.train_epoch(&train);
-
-        assert_eq!(all_params(&mut straight), all_params(&mut resumed));
-        assert_eq!(stats_straight, stats_resumed, "epoch stats diverged after resume");
-    }
-
-    #[test]
-    fn snapshot_resume_continues_bitwise_mid_epoch() {
-        let (train, _) = SyntheticSpec::tiny(3).generate();
-        let make = || {
-            Trainer::new(
-                models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2))),
-                TrainConfig::quick(),
-            )
-        };
-        // Straight run: two epochs.
-        let mut straight = make();
-        straight.train_epoch(&train);
-        straight.train_epoch(&train);
-
-        // Checkpoint every 3 steps: the last due snapshot lands mid-epoch 2.
-        let dir = std::env::temp_dir().join(format!("sparsetrain-midresume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config =
-            TrainConfig::quick().with_checkpoint_policy(CheckpointPolicy::every_steps(&dir, 3).with_keep(1));
-        let mut first = Trainer::new(models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2))), config);
-        first.train_epoch(&train);
-        first.train_epoch(&train);
-        let latest = sparsetrain_checkpoint::latest_in(&dir)
-            .unwrap()
-            .expect("snapshot written");
-        let snap = sparsetrain_checkpoint::load(&latest).unwrap();
-        assert!(
-            snap.position.steps_into_epoch > 0,
-            "expected a mid-epoch snapshot"
-        );
-
-        let mut resumed = make();
-        resumed.resume(&snap).unwrap();
-        resumed.train_epoch(&train); // finishes the partial epoch
-
-        assert_eq!(all_params(&mut straight), all_params(&mut resumed));
-        assert_eq!(straight.stream_seeds(), resumed.stream_seeds());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn a_background_checkpoint_records_the_state_at_its_hand_off() {
         let (train, _) = SyntheticSpec::tiny(3).generate();

@@ -8,14 +8,14 @@
 //!   reference at one band bit for bit, the scalar reference to the dense
 //!   `sparsetrain_tensor::conv` within tolerance, and every engine's
 //!   `run_batch` (fixed-point included) to its own sample-by-sample `run`;
-//! * the registry enumeration below automatically covers every registered
-//!   backend — including `simd` (runtime-dispatched AVX2/portable lanes),
-//!   `im2row` (cache-blocked dense lowering) and their `parallel:*`
-//!   aliases, each banded by the pool — or just the `SPARSETRAIN_ENGINE`
-//!   override when set, as in one cell of the CI engine matrix;
+//! * the registry enumeration below automatically covers every distinct
+//!   registered engine once — `scalar`, `simd` (runtime-dispatched
+//!   AVX2/portable lanes) and `fixed`, each banded by the pool; an alias
+//!   is the engine it names — or just the `SPARSETRAIN_ENGINE` override
+//!   when set, as in one cell of the CI engine matrix;
 //! * one engine call prepares its [`BandContext`]s (the weight re-layout
-//!   every sample shares, im2row patches) exactly once regardless of band
-//!   count, and every band borrows the shared state;
+//!   every sample shares) exactly once regardless of band count, and
+//!   every band borrows the shared state;
 //! * the Q8.8 [`FixedPointEngine`] stays within its analytic quantization
 //!   error bounds against the scalar reference (golden tests).
 //!
@@ -57,12 +57,22 @@ fn arb_geom() -> impl Strategy<Value = ConvGeometry> {
     (1usize..=3, 1usize..=2, 0usize..=1).prop_map(|(k, s, p)| ConvGeometry::new(k, s, p))
 }
 
-/// The registry engines under test: restricted to the `SPARSETRAIN_ENGINE`
-/// override when set (the CI matrix leg), the whole registry otherwise.
+/// The registry engines under test: the `SPARSETRAIN_ENGINE` override when
+/// set (the CI matrix leg), otherwise each distinct engine of the registry
+/// once, under the first name it was registered by — an alias dispatches
+/// to the very engine its target does, so testing it again proves nothing.
 fn engines_under_test() -> Vec<registry::EngineHandle> {
     match registry::env_override().expect("SPARSETRAIN_ENGINE must name a registered engine") {
         Some(handle) => vec![handle],
-        None => registry::registry(),
+        None => {
+            let mut distinct: Vec<registry::EngineHandle> = Vec::new();
+            for handle in registry::registry() {
+                if !distinct.iter().any(|d| std::ptr::eq(d.engine(), handle.engine())) {
+                    distinct.push(handle);
+                }
+            }
+            distinct
+        }
     }
 }
 
@@ -570,7 +580,7 @@ fn pruned_epoch(handle: registry::EngineHandle) -> PrunedEpoch {
     PrunedEpoch { weights, tapped }
 }
 
-/// For every registered engine: a pruned training epoch is deterministic
+/// For every distinct engine: a pruned training epoch is deterministic
 /// (two independent runs agree bitwise) — the fixed-point engine included,
 /// whose convolution datapath is outside the float parity guarantee.
 #[test]
@@ -593,11 +603,10 @@ fn pruning_parity_across_engines() {
     }
 }
 
-/// The float engines (scalar, simd, im2row, and the `parallel:*` aliases)
-/// share one bitwise training trajectory with pruning enabled — banding
-/// the convolutions across threads, sweeping them across vector lanes,
-/// lowering dense layers through im2row patches, *and* banding the pruning
-/// change nothing.
+/// The float engines (`scalar` and `simd`, each once: the aliases
+/// dispatch to one of them) share one bitwise training trajectory with
+/// pruning enabled — banding the convolutions across threads, sweeping
+/// them across vector lanes *and* banding the pruning change nothing.
 #[test]
 fn pruned_training_identical_on_float_engines() {
     if registry::env_override().expect("valid engine").is_some() {
@@ -606,8 +615,12 @@ fn pruned_training_identical_on_float_engines() {
         return;
     }
     let scalar = pruned_epoch(registry::lookup("scalar").unwrap());
-    for name in ["parallel", "simd", "parallel:simd", "im2row", "parallel:im2row"] {
-        let other = pruned_epoch(registry::lookup(name).unwrap());
+    let others = engines_under_test()
+        .into_iter()
+        .filter(|h| h.name() != "scalar" && !h.name().starts_with("fixed"));
+    for handle in others {
+        let name = handle.name();
+        let other = pruned_epoch(handle);
         assert_eq!(
             scalar.weights, other.weights,
             "{name}: pruned weights diverged from scalar"
@@ -764,19 +777,20 @@ fn band_context_prepared_once_per_engine_call() {
     );
 }
 
-/// The im2row fallback legs through the registry handle: stride ≠ 1 (the
-/// lowering is stride-1 only), a literal -0.0 bias (only the scalar skips
-/// preserve its sign bit), and a map straddling the density cutoff (mixed
-/// micro-kernel/sparse output rows) all stay bitwise equal to scalar.
+/// `simd`'s scalar fallback legs, reached through an alias handle
+/// (`im2row`): a stride-2 Forward beside stride 1, on a map mixing a dense
+/// channel with sparse ones, and a literal -0.0 bias (only the scalar
+/// skips preserve its sign bit) stay bitwise equal to scalar.
 #[test]
-fn im2row_fallback_legs_match_scalar() {
+fn simd_stride_and_negative_zero_bias_legs_match_scalar_through_an_alias() {
     let engine = registry::lookup("im2row").expect("registered").engine();
+    assert!(std::ptr::eq(engine, registry::lookup("simd").unwrap().engine()));
     let weights = Tensor4::from_fn(9, 3, 3, 3, |f, c, u, v| {
         ((f * 7 + c * 5 + u * 3 + v) % 9) as f32 * 0.125 - 0.5
     });
 
-    // Mixed-density map: channel 0 dense, channel 1 at the 1/8 cutoff
-    // boundary, channel 2 far below it.
+    // Mixed-density map: channel 0 dense, channel 1 at one in eight,
+    // channel 2 far sparser.
     let input = SparseFeatureMap::from_tensor(&Tensor3::from_fn(3, H, 16, |c, y, x| match c {
         0 => 0.3 + (y + x) as f32 * 0.05,
         1 if (y + x) % 8 == 0 => 1.0 + y as f32 * 0.25,
