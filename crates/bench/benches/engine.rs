@@ -58,15 +58,12 @@ const BATCH: usize = 8;
 
 /// The engines under test: the `SPARSETRAIN_ENGINE` override alone when
 /// set, otherwise every registered engine once — a handle whose engine an
-/// earlier one already names (an alias) is skipped. Engines compare by
-/// address *and* vtable: the zero-sized engines' statics may share an
-/// address with another engine's.
+/// earlier one already names (an alias) is skipped.
 fn engines() -> Vec<EngineHandle> {
     let only = registry::env_override().expect("SPARSETRAIN_ENGINE must name a registered engine");
     let mut distinct: Vec<EngineHandle> = Vec::new();
-    for handle in only.map_or_else(registry::registry, |handle| vec![handle]) {
-        let benched = |seen: &EngineHandle| std::ptr::eq(seen.engine(), handle.engine());
-        if !distinct.iter().any(benched) {
+    for handle in only.map_or_else(|| registry::registry().to_vec(), |handle| vec![handle]) {
+        if !distinct.iter().any(|seen| seen.same_engine(handle)) {
             distinct.push(handle);
         }
     }
@@ -140,6 +137,7 @@ fn bench_batched_vs_per_sample(c: &mut Criterion) {
                     engine.run_batch(
                         &ops,
                         BatchOut::PerSample(outs.iter_mut().map(Vec::as_mut_slice).collect()),
+                        None,
                     );
                     black_box(outs)
                 });

@@ -14,7 +14,7 @@
 //! | `ckpt.write-error` | checkpoint save ([`on_checkpoint_write`]) | save fails with an ENOSPC-shaped `io::Error` before writing |
 //! | `ckpt.read-short` | checkpoint load ([`on_checkpoint_read`]) | the file reads back truncated to half |
 //! | `ckpt.read-flip` | checkpoint load ([`on_checkpoint_read`]) | one seeded bit flipped in the read bytes |
-//! | `engine.panic` | engine dispatch ([`on_engine_dispatch`]) | the dispatch panics (`:engine` filter available) |
+//! | `engine.panic` | engine dispatch ([`on_engine_dispatch`]): every convolution dispatch, evaluation forwards included | the dispatch panics (`:engine` filter available) |
 //! | `loader.error` | batch assembly ([`on_loader`]) | the batch fetch panics |
 //! | `step.kill` | optimizer-step boundary ([`on_step_kill`]) | SIGKILL-shaped crash of the epoch loop |
 //! | `worker.kill` | shard coordinator ([`on_worker_kill`]) | a shard worker dies mid-step, abandoning its granules (`:rank` filter) |
@@ -441,6 +441,11 @@ pub fn on_checkpoint_read() -> Option<ReadFault> {
 /// Engine-dispatch hook: `true` means the caller must panic (via
 /// [`panic_injected`] with the engine name as detail, so the supervisor
 /// can quarantine it).
+///
+/// Called once per convolution dispatch — a Forward, GTA or GTW of one
+/// conv on one batch — in training and evaluation alike: a validation
+/// pass's forward dispatches count too, so a run that starts validating
+/// moves every later occurrence of this site.
 pub fn on_engine_dispatch(engine: &str) -> bool {
     fire(Site::EnginePanic, Some(engine)).is_some()
 }

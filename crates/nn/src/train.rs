@@ -31,7 +31,7 @@ pub struct TrainConfig {
     /// RNG seed (shuffling and stochastic pruning).
     pub seed: u64,
     /// Kernel execution engine every `Conv2d` runs its SRC/MSRC/OSRC
-    /// stages on, resolved through the open registry (see
+    /// stages on, resolved through the engine registry (see
     /// [`TrainConfig::with_engine_name`]). `None` means the default,
     /// `simd`.
     pub engine: Option<EngineHandle>,
@@ -72,8 +72,8 @@ impl TrainConfig {
     }
 
     /// Returns the config with the named sparse row-dataflow engine
-    /// selected (`"scalar"`, `"simd"`, `"fixed"`, `"auto"`, or
-    /// anything added with `sparsetrain_sparse::registry::register`).
+    /// selected (`"scalar"`, `"simd"`, `"fixed"`, `"fixed:qI.F"`, or an
+    /// alias such as `"auto"`).
     ///
     /// # Panics
     ///

@@ -4,10 +4,10 @@
 //! pass instead of re-resolving an engine token at every layer: it owns the
 //! resolved `&'static dyn KernelEngine` (picked once, by [`EngineHandle`]).
 //! Construction is name-driven — from a registry handle, a string
-//! (`"scalar"`, `"simd"`, `"fixed"`, `"fixed:qI.F"`, the `"parallel"`,
+//! (`"scalar"`, `"simd"`, `"fixed"`, `"fixed:qI.F"`, or the `"parallel"`,
 //! `"parallel:simd"`, `"im2row"`, `"parallel:im2row"` and `"auto"`
-//! aliases, or anything registered; `SPARSETRAIN_ENGINE` resolves through
-//! [`crate::registry::env_override`]) — so adding a backend never changes
+//! aliases; `SPARSETRAIN_ENGINE` resolves through
+//! [`crate::registry::env_override`]) — so choosing a backend never changes
 //! a call-site signature. Per-call operand state travels on the engine
 //! seam itself ([`crate::engine::BandContext`], built by the engine's
 //! `prepare`), not in this context, so a context stays valid across calls
@@ -32,10 +32,10 @@
 //! assert_eq!(ctx.engine_name(), "parallel:simd");
 //! ```
 
-use crate::engine::{run_batch_cached, BatchOut, KernelEngine, Stage, StageOp};
+use crate::engine::{BatchOut, KernelEngine, Stage, StageOp};
 use crate::mask::RowMask;
 use crate::panels::PanelCache;
-use crate::registry::{lookup, same_engine, EngineHandle, UnknownEngine};
+use crate::registry::{lookup, EngineHandle, UnknownEngine};
 use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
@@ -136,7 +136,7 @@ impl ExecutionContext {
         let Some(handle) = lookup(name) else {
             return false;
         };
-        if same_engine(handle, scalar_handle()) || self.quarantines(handle) {
+        if handle.same_engine(scalar_handle()) || self.quarantines(handle) {
             return false;
         }
         self.quarantined.push(handle);
@@ -150,7 +150,7 @@ impl ExecutionContext {
 
     /// Whether `handle`'s engine is on the quarantine list.
     fn quarantines(&self, handle: EngineHandle) -> bool {
-        self.quarantined.iter().any(|&q| same_engine(q, handle))
+        self.quarantined.iter().any(|q| q.same_engine(handle))
     }
 
     /// The names engines were quarantined under, in quarantine order.
@@ -189,10 +189,8 @@ impl ExecutionContext {
     /// only hold memory: its weights change every step.)
     fn run(&mut self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
         let engine = self.dispatch();
-        match ops {
-            [_] => run_batch_cached(engine, ops, out, &mut self.panels),
-            _ => engine.run_batch(ops, out),
-        }
+        let panels = (ops.len() == 1).then_some(&mut self.panels);
+        engine.run_batch(ops, out, panels);
     }
 
     /// Always `None`; exists only until the benchmark item's (7), as [`Plan`] does.
@@ -487,5 +485,20 @@ mod tests {
         assert!(!ctx.quarantine("parallel"), "an alias of the fallback engine");
         assert!(!ctx.is_quarantined("parallel"));
         assert_eq!(ctx.quarantined(), ["simd"]);
+    }
+
+    /// `fixed:q8.8` computes on `fixed`'s grid, but it is a table entry of
+    /// its own: quarantining either leaves the other running.
+    #[test]
+    fn fixed_q8_8_and_fixed_quarantine_apart() {
+        for (quarantined, other) in [("fixed", "fixed:q8.8"), ("fixed:q8.8", "fixed")] {
+            let mut ctx = ExecutionContext::by_name(other).unwrap();
+            assert!(ctx.quarantine(quarantined));
+            assert!(ctx.is_quarantined(quarantined));
+            assert!(!ctx.is_quarantined(other), "{quarantined} quarantined {other}");
+            let (inputs, weights, geom) = batch_fixture();
+            ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
+            assert_eq!(ctx.last_dispatched_engine(), Some(other));
+        }
     }
 }

@@ -3,14 +3,14 @@
 //! The paper's accelerator has one 1-D convolution datapath switched
 //! between three modes — SRC for Forward, MSRC for GTA, OSRC for GTW — and
 //! this module is the software seam that models it: a training-stage
-//! convolution is a **value**, [`StageOp`], and [`KernelEngine`] has one
-//! method per call shape, each taking the op. Every op accumulates into a
+//! convolution is a **value**, [`StageOp`], and [`KernelEngine`] is two
+//! hooks and one runner, each taking ops. Every op accumulates into a
 //! caller-provided slice through the kernels' accumulate-into-scratch APIs
 //! ([`crate::src::src_accumulate`], [`crate::msrc::msrc_accumulate`],
 //! [`crate::osrc::osrc_accumulate`]), so the inner loops perform **zero
 //! per-row heap allocations** on every engine.
 //!
-//! The call shapes:
+//! The seam:
 //!
 //! * [`KernelEngine::prepare`] / [`KernelEngine::band`] — what a backend
 //!   implements: an op's output splits into independent contiguous *units*
@@ -26,7 +26,7 @@
 //!   [`for_each_band`], one task per band, sized by [`bands_for`] — one
 //!   band on a pool of one. Banding is dispatch, not a backend: multi-core
 //!   speedup scales with batch size as well as layer width on every engine.
-//!   [`KernelEngine::run`] is the batch of one op.
+//!   [`StageOp::run_on`] is the batch of one op.
 //!
 //! Bands are disjoint output units whose per-row accumulation order is
 //! untouched, so the result is **bitwise identical** at every band count.
@@ -40,12 +40,11 @@
 //! transformations — the simd engine's channel-contiguous weight re-layout
 //! (one per call, shared by every sample's context) and channels-last
 //! input copy — above the fan-out, so `B` bands share one preparation
-//! instead of redoing it `B` times. The weight re-layout is the engine's
-//! [`KernelEngine::panel`] hook (engines that read the weights in place
-//! leave it at its default, `None`); [`KernelEngine::prepare_cached`]
-//! draws the panels from a [`PanelCache`] the caller keeps across calls
-//! instead, which [`run_batch_cached`] — the
-//! [`crate::ExecutionContext`]'s one-op calls — bands.
+//! instead of redoing it `B` times. A caller that keeps a [`PanelCache`]
+//! across calls — the [`crate::ExecutionContext`], for its one-op calls —
+//! hands it to `run_batch`, which hands it to `prepare`: an engine that
+//! re-lays its weights draws the re-layout from the cache instead of
+//! building it, and one that reads them in place ignores the cache.
 //!
 //! [`for_each_band`] is a free function, not an engine method: the other
 //! position-pure batch work in a step — the stochastic pruner's snap/zero
@@ -56,8 +55,8 @@
 //! Engine selection is name-keyed, and the registry is the only place an
 //! engine has a name: [`crate::registry`] maps `"scalar"` / `"simd"` /
 //! `"fixed"` / `"fixed:qI.F"` (`parallel` is an alias of scalar,
-//! `parallel:simd` / `im2row` / `parallel:im2row` / `auto` of simd, and
-//! anything can be registered at runtime) to engine instances, and
+//! `parallel:simd` / `im2row` / `parallel:im2row` / `auto` of simd) to
+//! engine instances, and
 //! [`crate::context::ExecutionContext`] carries the resolved engine
 //! through `sparsetrain-nn`'s `Trainer`/`Conv2d`; the
 //! simulator's cycle accounting consumes the same op enumeration and is
@@ -367,15 +366,20 @@ impl StageOp<'_> {
         assert_eq!(out_len, self.out_len(), "{} output length mismatch", self.stage());
     }
 
-    /// Runs this op on `engine` into a freshly zeroed output buffer — the
-    /// allocating convenience for tests, benches and one-off calls.
+    /// Runs this op on `engine` into a freshly zeroed output buffer: the
+    /// [`KernelEngine::run_batch`] of a batch of one — the allocating
+    /// convenience for tests, benches and one-off calls.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches.
     pub fn run_on<E: KernelEngine + ?Sized>(&self, engine: &E) -> Vec<f32> {
         let mut out = vec![0.0; self.out_len()];
-        engine.run(self, &mut out);
+        engine.run_batch(
+            std::slice::from_ref(self),
+            BatchOut::PerSample(vec![&mut out]),
+            None,
+        );
         out
     }
 }
@@ -429,39 +433,23 @@ impl<'a> BatchOut<'a> {
 ///
 /// Every method accumulates into caller-provided slices (pre-zeroed or
 /// pre-seeded by the caller) and must produce results bitwise identical to
-/// [`ScalarEngine`], whose defaults these are. A backend overrides
-/// `prepare` + `band`; `run_batch` is those two dealt into bands plus the
-/// shape checks (overridden only by test wrappers that pin the band
-/// count), and `run` is the `run_batch` of one op. An engine has no name
-/// of its own: the registry names it
+/// [`ScalarEngine`], whose defaults these are. A backend overrides the two
+/// hooks, `prepare` + `band`; `run_batch` is those two dealt into bands
+/// plus the shape checks (overridden only by test wrappers that pin the
+/// band count). An engine has no name of its own: the registry names it
 /// ([`crate::registry::EngineHandle::name`]).
 pub trait KernelEngine: Send + Sync {
     /// Builds the per-call operand state of `ops`, one context per op in
     /// order — invoked **once** per engine call, above the band fan-out,
     /// so state that does not depend on the sample (a weight panel) is
-    /// built once and shared by the call's contexts. The default prepares
-    /// nothing.
-    fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
-        ops.iter().map(|_| BandContext::empty()).collect()
-    }
-
-    /// Builds the panel `stage`'s bands read: `weights` re-laid for the
-    /// engine's lanes (a permutation, `weights.len()` elements), which
-    /// [`prepare`](Self::prepare) attaches to the call's contexts and a
-    /// [`PanelCache`] keeps across calls. The default, for engines that
-    /// read the weights in place, builds none.
-    fn panel(&self, stage: Stage, weights: &Tensor4) -> Option<Arc<[f32]>> {
-        let _ = (stage, weights);
-        None
-    }
-
-    /// [`prepare`](Self::prepare), drawing the weight panels from
-    /// `panels` — a cache the caller keeps across calls
-    /// ([`crate::ExecutionContext`] does) — instead of building them.
-    /// The default, for engines that build no panels, ignores `panels`.
-    fn prepare_cached(&self, ops: &[StageOp<'_>], panels: &mut PanelCache) -> Vec<BandContext> {
+    /// built once and shared by the call's contexts. An engine that
+    /// re-lays the weights takes the re-layout from `panels` when given —
+    /// a cache the caller keeps across calls
+    /// ([`PanelCache::panel`]) — and builds it otherwise. The default
+    /// prepares nothing and ignores `panels`.
+    fn prepare(&self, ops: &[StageOp<'_>], panels: Option<&mut PanelCache>) -> Vec<BandContext> {
         let _ = panels;
-        self.prepare(ops)
+        ops.iter().map(|_| BandContext::empty()).collect()
     }
 
     /// Adds the output units `lo..lo + n` of every op of `ops`, in order,
@@ -492,23 +480,14 @@ pub trait KernelEngine: Send + Sync {
     /// band that is the samples in order as whole-range bands, which
     /// *defines* the result; at any other count it is bitwise the same
     /// (verified by the `engine_parity` property tests). A per-sample
-    /// batch whose ops split differently runs sample by sample.
+    /// batch whose ops split differently runs sample by sample. `panels`
+    /// goes to [`prepare`](Self::prepare).
     ///
     /// # Panics
     ///
     /// Panics on batch length or shape mismatches ([`BatchOut::check`]).
-    fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
-        run_banded(self, ops, out, &bands_for, None);
-    }
-
-    /// Runs one op into `out`: the [`KernelEngine::run_batch`] of a batch
-    /// of one. Engines override `run_batch`, never this.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches ([`StageOp::check`]).
-    fn run(&self, op: &StageOp<'_>, out: &mut [f32]) {
-        self.run_batch(std::slice::from_ref(op), BatchOut::PerSample(vec![out]));
+    fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>, panels: Option<&mut PanelCache>) {
+        run_banded(self, ops, out, &bands_for, panels);
     }
 }
 
@@ -706,10 +685,6 @@ fn run_banded<E: KernelEngine + ?Sized>(
     let Some(first) = ops.first() else { return };
     let (units, unit_len) = first.split();
     let work: usize = ops.iter().map(StageOp::work).sum();
-    let mut prepare = |ops: &[StageOp<'_>]| match panels.as_deref_mut() {
-        Some(panels) => engine.prepare_cached(ops, panels),
-        None => engine.prepare(ops),
-    };
     match out {
         // Mixed-shape batches band per sample instead (still bitwise equal
         // to the scalar order — banding never reorders accumulation).
@@ -726,7 +701,7 @@ fn run_banded<E: KernelEngine + ?Sized>(
         }
         // The samples are the parts: bands cut `samples × units`.
         BatchOut::PerSample(outs) => {
-            let ctxs = prepare(ops);
+            let ctxs = engine.prepare(ops, panels);
             for_each_band(outs, unit_len, bands(ops.len() * units, work), &|s, lo, piece| {
                 engine.band(&ctxs[s..=s], &ops[s..=s], lo, piece);
             });
@@ -736,7 +711,7 @@ fn run_banded<E: KernelEngine + ?Sized>(
         // per-element accumulation sequence identical to the per-sample
         // path.
         BatchOut::Shared(acc) => {
-            let ctxs = prepare(ops);
+            let ctxs = engine.prepare(ops, panels);
             for_each_band(vec![acc], unit_len, bands(units, work), &|_, lo, piece| {
                 engine.band(&ctxs, ops, lo, piece);
             });
@@ -744,28 +719,9 @@ fn run_banded<E: KernelEngine + ?Sized>(
     }
 }
 
-/// [`KernelEngine::run_batch`]'s body with the weight panels drawn from
-/// `panels` ([`KernelEngine::prepare_cached`]): the batch entry points of
-/// [`crate::ExecutionContext`], which keeps the cache. It bands `engine`'s
-/// own `prepare_cached` / `band`, bypassing any `run_batch` override.
-///
-/// # Panics
-///
-/// Panics on batch length or shape mismatches ([`BatchOut::check`]).
-pub fn run_batch_cached<E: KernelEngine + ?Sized>(
-    engine: &E,
-    ops: &[StageOp<'_>],
-    out: BatchOut<'_>,
-    panels: &mut PanelCache,
-) {
-    run_banded(engine, ops, out, &bands_for, Some(panels));
-}
-
 /// [`KernelEngine::run_batch`]'s body with the band count given instead of
 /// sized from the pool — for the band-count invariance tests. It bands
-/// `engine`'s own `prepare` / `band`, bypassing any `run_batch` override;
-/// with `panels` it draws the weight panels from that cache, as
-/// [`run_batch_cached`] does.
+/// `engine`'s own `prepare` / `band`, bypassing any `run_batch` override.
 #[doc(hidden)]
 pub fn run_batch_in_bands<E: KernelEngine + ?Sized>(
     engine: &E,
@@ -909,14 +865,19 @@ pub(crate) mod test_fixtures {
     pub(crate) struct InBands<'e>(pub(crate) &'e dyn KernelEngine, pub(crate) usize);
 
     impl KernelEngine for InBands<'_> {
-        fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
-            run_batch_in_bands(self.0, ops, out, self.1, None);
+        fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>, panels: Option<&mut PanelCache>) {
+            run_batch_in_bands(self.0, ops, out, self.1, panels);
         }
     }
 
     /// The scalar reference at one band: the unbanded order every parity
     /// oracle is computed in, whatever the pool size.
     pub(crate) const REFERENCE: InBands<'static> = InBands(&ScalarEngine, 1);
+
+    /// `op` on `engine`, added into the pre-seeded `out`: a batch of one.
+    pub(crate) fn run_into(engine: &dyn KernelEngine, op: &StageOp<'_>, out: &mut [f32]) {
+        engine.run_batch(std::slice::from_ref(op), BatchOut::PerSample(vec![out]), None);
+    }
 
     /// One stage's batch on `engine` at `bands` bands into zeroed outputs:
     /// one per sample, or the one shared `dW` of a GTW batch.
@@ -1032,7 +993,7 @@ pub(crate) mod test_fixtures {
 
 #[cfg(test)]
 mod tests {
-    use super::test_fixtures::{batch_in_bands, fixtures, stage_ops, InBands, REFERENCE};
+    use super::test_fixtures::{batch_in_bands, fixtures, run_into, stage_ops, InBands, REFERENCE};
     use super::*;
 
     const GEOM: ConvGeometry = ConvGeometry {
@@ -1077,7 +1038,7 @@ mod tests {
             let mut want: Vec<Vec<f32>> =
                 vec![vec![0.0; ops[0].out_len()]; if shared { 1 } else { ops.len() }];
             for (s, op) in ops.iter().enumerate() {
-                REFERENCE.run(op, &mut want[if shared { 0 } else { s }]);
+                run_into(&REFERENCE, op, &mut want[if shared { 0 } else { s }]);
             }
             for threads in [1usize, 2, 3, 7, 8] {
                 let got = batch_in_bands(&ScalarEngine, &ops, threads);
@@ -1119,8 +1080,8 @@ mod tests {
     fn empty_batches_are_no_ops() {
         let mut dw = vec![0.0f32; 36];
         for engine in [&REFERENCE as &dyn KernelEngine, &ScalarEngine] {
-            engine.run_batch(&[], BatchOut::PerSample(Vec::new()));
-            engine.run_batch(&[], BatchOut::Shared(&mut dw));
+            engine.run_batch(&[], BatchOut::PerSample(Vec::new()), None);
+            engine.run_batch(&[], BatchOut::Shared(&mut dw), None);
         }
         assert!(dw.iter().all(|&v| v == 0.0));
     }
@@ -1135,7 +1096,21 @@ mod tests {
             bias: None,
             geom: GEOM,
         };
-        ScalarEngine.run(&op, &mut vec![0.0; op.out_len() - 1]);
+        run_into(&ScalarEngine, &op, &mut vec![0.0; op.out_len() - 1]);
+    }
+
+    /// The scalar reference reads the weights in place: it prepares empty
+    /// contexts, one per op, and leaves a cache it is handed empty.
+    #[test]
+    fn scalar_prepares_empty_contexts_and_leaves_the_cache_alone() {
+        let (input, weights, bias, dout) = fixtures(5, 40, 4, GEOM);
+        let masks = input.masks();
+        let ops = stage_ops(&input, &weights, Some(&bias), &dout, &masks, GEOM);
+        let mut cache = PanelCache::new();
+        let ctxs = ScalarEngine.prepare(&ops, Some(&mut cache));
+        assert_eq!(ctxs.len(), ops.len());
+        assert!(ctxs.iter().all(BandContext::is_empty));
+        assert!(cache.is_empty() && cache.bytes() == 0);
     }
 
     /// The splitter deals work per band, not per piece: 16 equal parts on

@@ -284,7 +284,7 @@ mod tests {
             geom,
         };
         let mut dw = vec![0.0f32; op.out_len()];
-        engine.run_batch(&[op, op], crate::engine::BatchOut::Shared(&mut dw));
+        engine.run_batch(&[op, op], crate::engine::BatchOut::Shared(&mut dw), None);
         let eps = engine.format().epsilon();
         for &v in &dw {
             let steps = v / eps;

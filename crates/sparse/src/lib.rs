@@ -29,12 +29,12 @@
 //!
 //! * [`engine::StageOp`] — one Forward / GTA / GTW convolution of one
 //!   sample as a borrowed value, and [`engine::KernelEngine`] — the trait
-//!   every backend implements, one method per call shape:
-//!   [`KernelEngine::run`] accumulates one op into a caller slice, and
-//!   [`KernelEngine::run_batch`] streams a whole batch through one engine
-//!   call. A backend implements [`KernelEngine::prepare`] and
-//!   [`KernelEngine::band`]; `run_batch` is the one body that deals those
-//!   bands over the batch's `samples × filters` (or channels) to the rayon
+//!   every backend implements: two hooks, [`KernelEngine::prepare`] and
+//!   [`KernelEngine::band`], and one runner, [`KernelEngine::run_batch`],
+//!   which streams a whole batch through one engine call
+//!   ([`StageOp::run_on`] is the batch of one). `run_batch` is the one
+//!   body that deals those bands over the batch's `samples × filters` (or
+//!   channels) to the rayon
 //!   pool — multi-core speedup scales with batch size as well as layer
 //!   width, bitwise identical at every band count (disjoint output bands,
 //!   same per-row order).
@@ -46,10 +46,10 @@
 //!   [`KernelEngine::prepare`] *above* the band fan-out, then shared by
 //!   reference across every band — so banding an engine never multiplies
 //!   its per-call operand transformations.
-//! * [`panels::PanelCache`] — the weight panels an engine re-lays
-//!   ([`KernelEngine::panel`]) kept across calls by the
-//!   [`context::ExecutionContext`], reused while the weights keep their
-//!   bits — so a one-sample call re-lays nothing the step already did.
+//! * [`panels::PanelCache`] — the weight panels an engine re-lays in
+//!   `prepare`, kept across calls by the [`context::ExecutionContext`] and
+//!   reused while the weights keep their bits — so a one-sample call
+//!   re-lays nothing the step already did.
 //! * [`simd_engine::SimdEngine`] — the vectorized backend: it walks the
 //!   stored non-zeros in the scalar engine's order and runs its lanes
 //!   across the *filter / channel axis* (always dense, never a reduction),
@@ -63,13 +63,13 @@
 //! * [`fixed_engine::FixedPointEngine`] — the Q8.8 datapath model
 //!   mirroring the paper's 16-bit RTL, built on
 //!   `sparsetrain_tensor::qformat`. Other 16-bit grids resolve by name:
-//!   `"fixed:q4.12"` interns a Q4.12 engine on first lookup.
+//!   `"fixed:q4.12"` is a Q4.12 engine.
 //!
-//! Selection is **name-keyed and open**, and the registry is the only
-//! place an engine has a name: [`registry`] maps `"scalar"`, `"simd"`,
-//! `"fixed"` and `"fixed:qI.F"` (plus the aliases `"parallel"` of scalar
-//! and `"parallel:simd"`, `"im2row"`, `"parallel:im2row"`, `"auto"` of
-//! simd) — and any backend added with [`registry::register`] — to
+//! Selection is **name-keyed**, and the registry — a fixed table — is the
+//! only place an engine has a name: [`registry`] maps `"scalar"`,
+//! `"simd"`, `"fixed"` and `"fixed:qI.F"` (plus the aliases `"parallel"`
+//! of scalar and `"parallel:simd"`, `"im2row"`, `"parallel:im2row"`,
+//! `"auto"` of simd) to
 //! [`registry::EngineHandle`] tokens, resolved from strings (`FromStr`),
 //! configuration, or the `SPARSETRAIN_ENGINE` environment variable
 //! ([`registry::env_override`]). A resolved engine travels as a

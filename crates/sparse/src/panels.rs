@@ -1,8 +1,8 @@
 //! An exact cache of re-laid kernel-weight panels, kept across engine calls.
 //!
-//! An engine that re-lays the kernel weights for its lanes
-//! ([`KernelEngine::panel`]: the simd engine's `[u][ci][K-1-v][F]` Forward
-//! and `[fi][u][v][C]` GTA panels) builds them once per engine call. A
+//! An engine that re-lays the kernel weights for its lanes (the simd
+//! engine's `[u][ci][K-1-v][F]` Forward and `[fi][u][v][C]` GTA panels)
+//! builds them once per engine call. A
 //! shard worker makes one call per one-sample granule, so without a cache
 //! it re-lays every conv's weights once per *sample*, although the weights
 //! change only once per step. [`PanelCache`] keeps the panels an
@@ -20,10 +20,12 @@
 //!   not fit beside its own entry in an otherwise empty cache is handed
 //!   out, not kept, and evicts nothing.
 //!
-//! Only the panels of one engine reach a cache: a context's engine, or the
-//! scalar engine it falls back to, which re-lays nothing.
+//! The cache knows no engine: whoever asks for a panel passes the function
+//! that builds it. Only the panels of one engine reach a cache: a
+//! context's engine, or the scalar engine it falls back to, which asks for
+//! none.
 
-use crate::engine::{KernelEngine, Stage};
+use crate::engine::Stage;
 use sparsetrain_tensor::Tensor4;
 use std::sync::Arc;
 
@@ -95,23 +97,27 @@ impl PanelCache {
         self.bytes
     }
 
-    /// `engine`'s `stage` panel of `weights`: the cached one when an entry
-    /// holds weights of the same shape and bits, otherwise the one
-    /// [`KernelEngine::panel`] builds now, which the cache then keeps.
-    /// `None` when the engine re-lays nothing.
-    pub fn panel<E: KernelEngine + ?Sized>(
+    /// The `stage` panel of `weights`: the cached one when an entry holds
+    /// weights of the same shape and bits, otherwise the one `build` makes
+    /// now — `weights` re-laid, `weights.len()` elements — which the cache
+    /// then keeps.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `build` returns a panel of another length.
+    pub fn panel(
         &mut self,
-        engine: &E,
         stage: Stage,
         weights: &Tensor4,
-    ) -> Option<Arc<[f32]>> {
+        build: impl FnOnce() -> Arc<[f32]>,
+    ) -> Arc<[f32]> {
         let hit = self.entries.iter().position(|entry| entry.holds(weights));
         if let Some(at) = hit {
             let entry = self.entries.remove(at);
             self.entries.push(entry);
             let entry = self.entries.last().expect("just pushed");
             if let Some((_, panel)) = entry.panels.iter().find(|(s, _)| *s == stage) {
-                return Some(panel.clone());
+                return panel.clone();
             }
         }
         // A panel is the weights re-laid: as many elements as the weights.
@@ -124,13 +130,13 @@ impl PanelCache {
             None => (0, 2 * panel_bytes),
         };
         if held + grown > PANEL_CACHE_BYTES {
-            return engine.panel(stage, weights);
+            return build();
         }
         while self.bytes + grown > PANEL_CACHE_BYTES {
             let evicted = self.entries.remove(0);
             self.bytes -= evicted.bytes();
         }
-        let panel = engine.panel(stage, weights)?;
+        let panel = build();
         assert_eq!(panel.len(), weights.len(), "a panel re-lays the weights");
         match hit {
             Some(_) => {
@@ -144,15 +150,13 @@ impl PanelCache {
             }),
         }
         self.bytes += grown;
-        Some(panel)
+        panel
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ScalarEngine;
-    use crate::SimdEngine;
 
     fn weights(f: usize, c: usize, scale: f32) -> Tensor4 {
         Tensor4::from_fn(f, c, 3, 3, |fi, ci, u, v| {
@@ -160,22 +164,32 @@ mod tests {
         })
     }
 
+    /// A stand-in re-layout: the weights reversed, told apart per stage.
+    fn relay(stage: Stage, w: &Tensor4) -> Arc<[f32]> {
+        let sign = if stage == Stage::Forward { 1.0 } else { -1.0 };
+        w.as_slice().iter().rev().map(|v| sign * v).collect()
+    }
+
+    /// `stage`'s panel of `w` through `cache`.
+    fn panel(cache: &mut PanelCache, stage: Stage, w: &Tensor4) -> Arc<[f32]> {
+        cache.panel(stage, w, || relay(stage, w))
+    }
+
     #[test]
     fn hits_share_the_panel_and_changed_bits_miss() {
         let mut cache = PanelCache::new();
-        let simd = SimdEngine::auto();
         let mut w = weights(4, 3, 0.5);
-        let first = cache.panel(&simd, Stage::Forward, &w).unwrap();
-        let again = cache.panel(&simd, Stage::Forward, &w.clone()).unwrap();
+        let first = panel(&mut cache, Stage::Forward, &w);
+        let again = panel(&mut cache, Stage::Forward, &w.clone());
         assert!(Arc::ptr_eq(&first, &again), "equal bits in another tensor hit");
-        let gta = cache.panel(&simd, Stage::InputGrad, &w).unwrap();
+        let gta = panel(&mut cache, Stage::InputGrad, &w);
         assert!(!Arc::ptr_eq(&first, &gta), "stages keep their own panels");
         assert_eq!(cache.len(), 1, "one copy serves both stages");
 
         w.as_mut_slice()[5] = -0.0;
-        let rebuilt = cache.panel(&simd, Stage::Forward, &w).unwrap();
+        let rebuilt = panel(&mut cache, Stage::Forward, &w);
         assert!(!Arc::ptr_eq(&first, &rebuilt));
-        assert_eq!(*rebuilt, *simd.panel(Stage::Forward, &w).unwrap());
+        assert_eq!(*rebuilt, *relay(Stage::Forward, &w));
         assert_eq!(cache.len(), 2);
     }
 
@@ -189,31 +203,21 @@ mod tests {
     #[test]
     fn eviction_keeps_the_cap_and_the_recent_entries() {
         let mut cache = PanelCache::new();
-        let simd = SimdEngine::auto();
         // 16 × 16 × 3 × 3 weights: 9 KiB, 18 KiB with one panel.
         let ws: Vec<Tensor4> = (0..6).map(|i| weights(16, 16, 1.0 + i as f32)).collect();
         for w in &ws {
-            cache.panel(&simd, Stage::Forward, w);
+            panel(&mut cache, Stage::Forward, w);
             assert!(cache.bytes() <= PANEL_CACHE_BYTES);
         }
         assert_eq!(cache.len(), 3);
-        let recent = cache.panel(&simd, Stage::Forward, &ws[5]).unwrap();
-        assert!(Arc::ptr_eq(
-            &recent,
-            &cache.panel(&simd, Stage::Forward, &ws[5]).unwrap()
-        ));
+        let recent = panel(&mut cache, Stage::Forward, &ws[5]);
+        assert!(Arc::ptr_eq(&recent, &panel(&mut cache, Stage::Forward, &ws[5])));
         // Larger than the cap on its own: built, never kept.
         let big = weights(64, 64, 0.25);
-        assert!(cache.panel(&simd, Stage::Forward, &big).is_some());
+        assert_eq!(
+            *panel(&mut cache, Stage::Forward, &big),
+            *relay(Stage::Forward, &big)
+        );
         assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
-    fn engines_that_relay_nothing_leave_the_cache_empty() {
-        let mut cache = PanelCache::new();
-        assert!(cache
-            .panel(&ScalarEngine, Stage::Forward, &weights(4, 3, 0.5))
-            .is_none());
-        assert!(cache.is_empty() && cache.bytes() == 0);
     }
 }

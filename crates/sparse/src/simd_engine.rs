@@ -11,10 +11,9 @@
 //! runs instead).
 //!
 //! The kernel weights are re-laid into a **panel** whose lane axis is
-//! contiguous ([`KernelEngine::panel`]), once per engine call
-//! ([`KernelEngine::prepare`]; the contexts of a batch share the one
-//! copy) — and, for the one-op calls of an
-//! [`crate::ExecutionContext`], once per weight bits: the context's
+//! contiguous, once per engine call ([`KernelEngine::prepare`]; the
+//! contexts of a batch share the one copy) — and, for the one-op calls of
+//! an [`crate::ExecutionContext`], once per weight bits: the context's
 //! [`PanelCache`] hands the panel back while the weights keep their bits,
 //! so a shard worker re-lays each conv once per step, not once per
 //! one-sample granule. Each stage accumulates into a small tile laid out
@@ -1183,7 +1182,7 @@ impl SimdEngine {
         let ctxs = if ctxs.iter().zip(ops).all(|(ctx, op)| prepared(ctx, op)) {
             ctxs
         } else {
-            local = self.prepare(ops);
+            local = self.prepare(ops, None);
             &local
         };
         #[cfg(target_arch = "x86_64")]
@@ -1197,10 +1196,8 @@ impl SimdEngine {
     }
 }
 
-impl SimdEngine {
-    /// [`KernelEngine::prepare`], with the weight panels drawn from
-    /// `panels` when given and built here otherwise.
-    fn prepare_from(&self, ops: &[StageOp<'_>], mut panels: Option<&mut PanelCache>) -> Vec<BandContext> {
+impl KernelEngine for SimdEngine {
+    fn prepare(&self, ops: &[StageOp<'_>], mut panels: Option<&mut PanelCache>) -> Vec<BandContext> {
         // GTW's channels-last copies are per sample: a contiguous run of
         // samples per band, priced one op per element copied.
         fn gtw_input<'a>(op: &StageOp<'a>) -> Option<(&'a SparseFeatureMap, usize, ConvGeometry)> {
@@ -1243,10 +1240,11 @@ impl SimdEngine {
                         }
                         (_, panels) => {
                             let relaid = match panels {
-                                Some(panels) => panels.panel(self, stage, weights),
-                                None => self.panel(stage, weights),
-                            }
-                            .expect("simd re-lays Forward and GTA weights");
+                                Some(panels) => {
+                                    panels.panel(stage, weights, || relay_weights(weights, stage))
+                                }
+                                None => relay_weights(weights, stage),
+                            };
                             let finite = stage == Stage::InputGrad && all_finite(&relaid);
                             (relaid, finite)
                         }
@@ -1258,20 +1256,6 @@ impl SimdEngine {
                 ctx
             })
             .collect()
-    }
-}
-
-impl KernelEngine for SimdEngine {
-    fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
-        self.prepare_from(ops, None)
-    }
-
-    fn panel(&self, stage: Stage, weights: &Tensor4) -> Option<Arc<[f32]>> {
-        (stage != Stage::WeightGrad).then(|| relay_weights(weights, stage))
-    }
-
-    fn prepare_cached(&self, ops: &[StageOp<'_>], panels: &mut PanelCache) -> Vec<BandContext> {
-        self.prepare_from(ops, Some(panels))
     }
 
     fn band(&self, ctxs: &[BandContext], ops: &[StageOp<'_>], lo: usize, out: &mut [f32]) {
@@ -1295,7 +1279,9 @@ impl KernelEngine for SimdEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::test_fixtures::{fixtures_with, pseudo, sparse_tensor, stage_ops, InBands, REFERENCE};
+    use crate::engine::test_fixtures::{
+        fixtures_with, pseudo, run_into, sparse_tensor, stage_ops, InBands, REFERENCE,
+    };
     use sparsetrain_tensor::Tensor3;
 
     /// `(channels, filters)` of the fixtures: inside one lane block, and
@@ -1476,7 +1462,7 @@ mod tests {
                         .map(|i| 0.25 - (i % 5) as f32 * 0.125)
                         .collect();
                     let mut seeded_want = seed.clone();
-                    REFERENCE.run(&ops[0], &mut seeded_want);
+                    run_into(&REFERENCE, &ops[0], &mut seeded_want);
                     for (label, simd) in engines() {
                         for bands in [1usize, 2, 5] {
                             let ctx = format!(
@@ -1490,7 +1476,7 @@ mod tests {
                                 .collect();
                             assert_eq!(got, want, "{ctx}");
                             let mut seeded = seed.clone();
-                            InBands(&simd, bands).run(&ops[0], &mut seeded);
+                            run_into(&InBands(&simd, bands), &ops[0], &mut seeded);
                             assert_eq!(bits(&seeded), bits(&seeded_want), "{ctx} pre-seeded");
                         }
                     }
@@ -1546,7 +1532,7 @@ mod tests {
             for (label, simd) in engines() {
                 let before = DENSE_CALLS.with(|calls| calls.get());
                 let mut got = vec![0.0; op.out_len()];
-                simd.band(&simd.prepare(&[op]), &[op], 0, &mut got);
+                simd.band(&simd.prepare(&[op], None), &[op], 0, &mut got);
                 let ran = DENSE_CALLS.with(|calls| calls.get()) - before;
                 assert_eq!(ran, usize::from(dense_kernel), "{} {label}", op.stage());
                 assert_eq!(bits(&got), want, "{} {label}", op.stage());
@@ -1579,7 +1565,7 @@ mod tests {
         let simd = SimdEngine::auto();
         for (weights, finite) in [(&weights, true), (&nan, false)] {
             let ops: Vec<_> = douts.iter().map(|dout| gta(dout, weights)).collect();
-            let ctxs = simd.prepare(&ops);
+            let ctxs = simd.prepare(&ops, None);
             assert!(ctxs.iter().all(|ctx| ctx.weights_finite() == finite));
         }
         let forward = StageOp::Forward {
@@ -1588,11 +1574,11 @@ mod tests {
             bias: None,
             geom,
         };
-        assert!(!simd.prepare(&[forward])[0].weights_finite());
+        assert!(!simd.prepare(&[forward], None)[0].weights_finite());
 
         let op = gta(&douts[0], &weights);
         let mut unchecked = BandContext::empty();
-        unchecked.set_weights(Stage::InputGrad, simd.panel(Stage::InputGrad, &weights).unwrap());
+        unchecked.set_weights(Stage::InputGrad, relay_weights(&weights, Stage::InputGrad));
         let before = DENSE_CALLS.with(|calls| calls.get());
         let mut got = vec![0.0; op.out_len()];
         simd.band(std::slice::from_ref(&unchecked), &[op], 0, &mut got);
@@ -1617,7 +1603,7 @@ mod tests {
         for (op, other) in [(forward, input_grad), (input_grad, forward)] {
             let want = bits(&op.run_on(&REFERENCE));
             for (label, simd) in engines() {
-                let ctxs = simd.prepare(&[other]);
+                let ctxs = simd.prepare(&[other], None);
                 let mut got = vec![0.0; op.out_len()];
                 simd.band(&ctxs, &[op], 0, &mut got);
                 assert_eq!(
@@ -1700,10 +1686,10 @@ mod tests {
                     .map(|i| if i % 3 == 0 { -0.0 } else { 0.25 })
                     .collect();
                 let mut want = seeded.clone();
-                REFERENCE.run(&op, &mut want);
+                run_into(&REFERENCE, &op, &mut want);
                 for (label, simd) in engines() {
                     let mut got = seeded.clone();
-                    simd.run(&op, &mut got);
+                    run_into(&simd, &op, &mut got);
                     assert_eq!(bits(&got), bits(&want), "{} {label} c={c}", op.stage());
                 }
             }
@@ -1744,11 +1730,11 @@ mod tests {
             .collect();
         let mut want = seed.clone();
         for op in &ops {
-            REFERENCE.run(op, &mut want);
+            run_into(&REFERENCE, op, &mut want);
         }
         for (label, simd) in engines() {
             let unprepared: Vec<BandContext> = ops.iter().map(|_| BandContext::empty()).collect();
-            for ctxs in [simd.prepare(&ops), unprepared] {
+            for ctxs in [simd.prepare(&ops, None), unprepared] {
                 let mut got = seed.clone();
                 simd.band(&ctxs, &ops, 0, &mut got);
                 assert_eq!(got, want, "{label}");

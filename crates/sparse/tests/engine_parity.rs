@@ -7,7 +7,7 @@
 //!   the band count, and hold every engine under test to the scalar
 //!   reference at one band bit for bit, the scalar reference to the dense
 //!   `sparsetrain_tensor::conv` within tolerance, and every engine's
-//!   `run_batch` (fixed-point included) to its own sample-by-sample `run`;
+//!   `run_batch` (fixed-point included) to its own sample-by-sample runs;
 //! * the registry enumeration below automatically covers every distinct
 //!   registered engine once — `scalar`, `simd` (runtime-dispatched
 //!   AVX2/portable lanes) and `fixed`, each banded by the pool; an alias
@@ -59,21 +59,26 @@ fn arb_geom() -> impl Strategy<Value = ConvGeometry> {
 
 /// The registry engines under test: the `SPARSETRAIN_ENGINE` override when
 /// set (the CI matrix leg), otherwise each distinct engine of the registry
-/// once, under the first name it was registered by — an alias dispatches
-/// to the very engine its target does, so testing it again proves nothing.
+/// once, under the first name it is listed by — an alias dispatches to the
+/// very engine its target does, so testing it again proves nothing.
 fn engines_under_test() -> Vec<registry::EngineHandle> {
     match registry::env_override().expect("SPARSETRAIN_ENGINE must name a registered engine") {
         Some(handle) => vec![handle],
         None => {
             let mut distinct: Vec<registry::EngineHandle> = Vec::new();
-            for handle in registry::registry() {
-                if !distinct.iter().any(|d| std::ptr::eq(d.engine(), handle.engine())) {
+            for &handle in registry::registry() {
+                if !distinct.iter().any(|d| d.same_engine(handle)) {
                     distinct.push(handle);
                 }
             }
             distinct
         }
     }
+}
+
+/// `op` on `engine`, added into the pre-seeded `out`: a batch of one.
+fn run_into(engine: &dyn KernelEngine, op: &StageOp<'_>, out: &mut [f32]) {
+    engine.run_batch(std::slice::from_ref(op), BatchOut::PerSample(vec![out]), None);
 }
 
 fn forward_op<'a>(input: &'a SparseFeatureMap, weights: &'a Tensor4, geom: ConvGeometry) -> StageOp<'a> {
@@ -287,8 +292,8 @@ impl Layer {
 struct InBands<'e>(&'e dyn KernelEngine, usize);
 
 impl KernelEngine for InBands<'_> {
-    fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>) {
-        run_batch_in_bands(self.0, ops, out, self.1, None);
+    fn run_batch(&self, ops: &[StageOp<'_>], out: BatchOut<'_>, panels: Option<&mut PanelCache>) {
+        run_batch_in_bands(self.0, ops, out, self.1, panels);
     }
 }
 
@@ -339,11 +344,11 @@ proptest! {
         let op = layer.op(&sample, &weights, bias);
 
         let mut want = sample.seed.clone();
-        REFERENCE.run(&op, &mut want);
+        run_into(&REFERENCE, &op, &mut want);
         assert_close(&want, &layer.dense_reference(&sample, &weights, bias), 1e-4)?;
         for (name, engine, float) in oracle_engines(&InBands(&ScalarEngine, layer.threads)) {
             let mut got = sample.seed.clone();
-            engine.run(&op, &mut got);
+            run_into(engine, &op, &mut got);
             if float {
                 prop_assert_eq!(&got, &want, "engine {} on {:?} {:?}", name, layer, op.split());
             }
@@ -361,7 +366,7 @@ proptest! {
     /// A batch of up to four samples of a generated stage — mixed shapes
     /// half of the time — in one `run_batch` call: per-sample outputs for
     /// Forward and GTA, the shared accumulator for GTW. Every engine,
-    /// fixed-point included, equals its own sample-by-sample `run`, and
+    /// fixed-point included, equals its own sample-by-sample runs, and
     /// every float engine the scalar reference.
     #[test]
     fn batch_parity(layer in arb_layer(), n in 1usize..=4, mixed in any::<bool>(), fill in any::<u64>()) {
@@ -381,7 +386,7 @@ proptest! {
         let sample_by_sample = |engine: &dyn KernelEngine| {
             let mut outs = seeds.clone();
             for (s, op) in ops.iter().enumerate() {
-                engine.run(op, &mut outs[if shared { 0 } else { s }]);
+                run_into(engine, op, &mut outs[if shared { 0 } else { s }]);
             }
             outs
         };
@@ -393,7 +398,7 @@ proptest! {
             } else {
                 BatchOut::PerSample(got.iter_mut().map(Vec::as_mut_slice).collect())
             };
-            engine.run_batch(&ops, out);
+            engine.run_batch(&ops, out, None);
             prop_assert_eq!(&got, &sample_by_sample(engine), "engine {} batch vs per-sample, {:?}", name, layer);
             if float {
                 prop_assert_eq!(&got, &want, "engine {} batch vs scalar, {:?}", name, layer);
@@ -700,9 +705,9 @@ fn band_context_prepared_once_per_engine_call() {
     }
 
     impl KernelEngine for CountingEngine {
-        fn prepare(&self, ops: &[StageOp<'_>]) -> Vec<BandContext> {
+        fn prepare(&self, ops: &[StageOp<'_>], panels: Option<&mut PanelCache>) -> Vec<BandContext> {
             self.prepares.fetch_add(1, Ordering::SeqCst);
-            let ctxs = SimdEngine::auto().prepare(ops);
+            let ctxs = SimdEngine::auto().prepare(ops, panels);
             // The re-layout is per engine call, not per sample: every
             // context of the batch holds the same allocation.
             let first = ctxs[0].weights().expect("forward prepares a weight re-layout");
@@ -766,6 +771,7 @@ fn band_context_prepared_once_per_engine_call() {
     engine.run_batch(
         &ops,
         BatchOut::PerSample(outs.iter_mut().map(Vec::as_mut_slice).collect()),
+        None,
     );
     for out in &outs {
         assert_eq!(out, &want);
@@ -783,8 +789,9 @@ fn band_context_prepared_once_per_engine_call() {
 /// skips preserve its sign bit) stay bitwise equal to scalar.
 #[test]
 fn simd_stride_and_negative_zero_bias_legs_match_scalar_through_an_alias() {
-    let engine = registry::lookup("im2row").expect("registered").engine();
-    assert!(std::ptr::eq(engine, registry::lookup("simd").unwrap().engine()));
+    let handle = registry::lookup("im2row").expect("registered");
+    assert!(handle.same_engine(registry::lookup("simd").unwrap()));
+    let engine = handle.engine();
     let weights = Tensor4::from_fn(9, 3, 3, 3, |f, c, u, v| {
         ((f * 7 + c * 5 + u * 3 + v) % 9) as f32 * 0.125 - 0.5
     });

@@ -10,9 +10,8 @@
 //! `cargo run --release --example train_sparse_cnn -- scalar`
 //! `SPARSETRAIN_ENGINE=fixed:q4.12 cargo run --release --example train_sparse_cnn`
 //! (registered engines: `scalar`, `simd`, `fixed`, parameterized
-//! `fixed:qI.F` formats, the aliases `parallel`, `parallel:simd`, `im2row`,
-//! `parallel:im2row` and `auto`, plus anything added through
-//! `sparsetrain::sparse::registry::register`).
+//! `fixed:qI.F` formats, and the aliases `parallel`, `parallel:simd`,
+//! `im2row`, `parallel:im2row` and `auto`).
 //! Every engine bands across the rayon pool.
 //!
 //! Set `SPARSETRAIN_CHECKPOINT_DIR=/some/dir` to snapshot each run after
