@@ -13,10 +13,10 @@
 //! trained after it. `fixed` is outside the bitwise guarantee and only has
 //! to train to a finite loss.
 //!
-//! Fault state is process-global: every run, the references included,
-//! holds one guard, and the guard clears the fault plan when it is
-//! dropped. Every fault draw is counter-keyed and every site is checked on
-//! the trainer's main thread, so the matrix replays at any
+//! A run arms its own fault plan and hands the handle to its trainers, the
+//! resumed one included, so runs share nothing and the rows can run side
+//! by side. Every fault draw is counter-keyed and every site a row aims at
+//! is checked on the trainer's thread, so the matrix replays at any
 //! `RAYON_NUM_THREADS`. `crates/bench/tests/guarantees.rs` runs every row;
 //! the `chaos` subcommand runs the fault rows plus `extra` seeded kills,
 //! whose kill step is drawn from the campaign seed's [`StreamKey`] ladder.
@@ -28,7 +28,7 @@ pub use report::{CampaignReport, ScenarioOutcome};
 use rand::stream::StreamKey;
 use sparsetrain_checkpoint::{self as checkpoint, CheckpointPolicy, Snapshot};
 use sparsetrain_core::prune::PruneConfig;
-use sparsetrain_faults::{self as faults, FaultPlan, Site, Trigger};
+use sparsetrain_faults::{FaultPlan, Faults, Site, Trigger};
 use sparsetrain_nn::data::{Dataset, SyntheticSpec};
 use sparsetrain_nn::layer::Layer;
 use sparsetrain_nn::metrics::{MetricRecord, MetricStore, RecoveryRecord};
@@ -42,7 +42,7 @@ use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Engine of the campaign's fault rows: an alias of `simd`, so an engine
@@ -168,7 +168,7 @@ const MID_EPOCH_CADENCE: u64 = 5;
 
 /// What is injected into a run.
 #[derive(Clone, Debug)]
-enum Faults {
+enum Injection {
     None,
     /// A plan for an unsupervised run: worker kills and slowdowns, which
     /// the shard pool rides through on its own.
@@ -187,12 +187,10 @@ enum Faults {
 #[derive(Clone, Debug)]
 struct Axes {
     model: Model,
-    /// Registered engine name; `None` trains on the default, `simd`.
-    engine: Option<&'static str>,
-    /// Shard worker count; `None` trains on the classic loop.
-    workers: Option<usize>,
+    /// The engine and worker count the run starts on.
+    leg: Leg,
     interrupt: Interrupt,
-    faults: Faults,
+    faults: Injection,
     /// Gradient pruning at p = 0.9 at every prune site.
     prune: bool,
 }
@@ -203,18 +201,16 @@ impl Axes {
     fn reference(model: Model) -> Self {
         Axes {
             model,
-            engine: None,
-            workers: None,
+            leg: Leg::default(),
             interrupt: Interrupt::None,
-            faults: Faults::None,
+            faults: Injection::None,
             prune: true,
         }
     }
 
     fn on(model: Model, leg: Leg) -> Self {
         Axes {
-            engine: leg.engine,
-            workers: leg.workers,
+            leg,
             ..Axes::reference(model)
         }
     }
@@ -223,17 +219,10 @@ impl Axes {
         Axes { interrupt, ..self }
     }
 
-    fn leg(&self) -> Leg {
-        Leg {
-            engine: self.engine,
-            workers: self.workers,
-        }
-    }
-
     /// The leg the run ends on.
     fn last_leg(&self) -> Leg {
         match self.interrupt {
-            Interrupt::None => self.leg(),
+            Interrupt::None => self.leg,
             Interrupt::Boundary(then) | Interrupt::MidEpoch(then) => then,
         }
     }
@@ -269,26 +258,6 @@ struct Outcome {
     respawns: usize,
 }
 
-static GUARD: Mutex<()> = Mutex::new(());
-
-/// Serialises runs, which share the process-global fault plan, and
-/// clears the plan when dropped — also when a run panics.
-struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl FaultGuard {
-    fn lock() -> Self {
-        let guard = FaultGuard(GUARD.lock().unwrap_or_else(|e| e.into_inner()));
-        faults::clear();
-        guard
-    }
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        faults::clear();
-    }
-}
-
 /// The `(train, test)` sets every run uses.
 fn data() -> &'static (Dataset, Dataset) {
     static DATA: OnceLock<(Dataset, Dataset)> = OnceLock::new();
@@ -310,10 +279,11 @@ fn run_dir() -> PathBuf {
     dir
 }
 
-/// A fresh trainer on `leg` that continues from `snap`, whose own
-/// snapshot must then encode to `snap`'s bytes.
-fn resumed(axes: &Axes, leg: Leg, snap: &Snapshot) -> Trainer {
-    let mut trainer = Trainer::new(axes.model.net(axes.prune), leg.config(axes.model));
+/// A fresh trainer on `leg` under the run's `faults` that continues from
+/// `snap`, whose own snapshot must then encode to `snap`'s bytes.
+fn resumed(axes: &Axes, leg: Leg, snap: &Snapshot, faults: &Faults) -> Trainer {
+    let mut trainer =
+        Trainer::new(axes.model.net(axes.prune), leg.config(axes.model)).with_faults(faults.clone());
     trainer
         .resume(snap)
         .unwrap_or_else(|e| panic!("resume on {leg:?} failed: {e}"));
@@ -325,18 +295,16 @@ fn resumed(axes: &Axes, leg: Leg, snap: &Snapshot) -> Trainer {
     trainer
 }
 
-/// Trains one point of the matrix under the fault guard and returns what
-/// it left behind. Panics when an interruption finds no snapshot where it
-/// needs one.
+/// Trains one point of the matrix and returns what it left behind. Panics
+/// when an interruption finds no snapshot where it needs one.
 fn run(axes: &Axes) -> Outcome {
-    let _guard = FaultGuard::lock();
     let (train, val) = (&data().0, Some(&data().1));
     let (epochs, e) = (axes.model.epochs(), steps_per_epoch());
     let dir = run_dir();
     let ckpt_dir = dir.join("ckpt");
-    let mut config = axes.leg().config(axes.model);
+    let mut config = axes.leg.config(axes.model);
     let policy = match (&axes.interrupt, &axes.faults) {
-        (_, Faults::Supervised { cadence: Some(n), .. }) => Some((*n, 3)),
+        (_, Injection::Supervised { cadence: Some(n), .. }) => Some((*n, 3)),
         (Interrupt::MidEpoch(_), _) => Some((MID_EPOCH_CADENCE, 2)),
         _ => None,
     };
@@ -344,12 +312,13 @@ fn run(axes: &Axes) -> Outcome {
         config =
             config.with_checkpoint_policy(CheckpointPolicy::every_steps(&ckpt_dir, cadence).with_keep(keep));
     }
-    if let Faults::Plan(plan) | Faults::Supervised { plan, .. } = &axes.faults {
-        faults::install(plan.clone());
-    }
+    let faults = match &axes.faults {
+        Injection::Plan(plan) | Injection::Supervised { plan, .. } => plan.clone().arm(),
+        Injection::None => Faults::default(),
+    };
     let mut outcome = Outcome::default();
     let mut trainer = match Trainer::new_sharded(axes.model.net(axes.prune), config) {
-        Ok(trainer) => trainer,
+        Ok(trainer) => trainer.with_faults(faults.clone()),
         Err(ShardError::Unshardable(layers)) => {
             outcome.vetoed = Some(layers);
             let _ = std::fs::remove_dir_all(&dir);
@@ -360,7 +329,7 @@ fn run(axes: &Axes) -> Outcome {
     let metrics_path = dir.join("metrics.jsonl");
     let mut metrics = MetricStore::with_jsonl(&metrics_path);
     match (&axes.interrupt, &axes.faults) {
-        (Interrupt::None, Faults::Supervised { max_retries, .. }) => {
+        (Interrupt::None, Injection::Supervised { max_retries, .. }) => {
             let supervisor = Supervisor::new(SupervisorConfig {
                 max_retries: *max_retries,
                 backoff_base: Duration::from_millis(1),
@@ -369,7 +338,7 @@ fn run(axes: &Axes) -> Outcome {
             outcome.supervised =
                 Some(supervisor.train(&mut trainer, train, val, epochs, &mut metrics, &mut []));
         }
-        (_, Faults::Supervised { .. }) => panic!("a supervised row has no interruption of its own"),
+        (_, Injection::Supervised { .. }) => panic!("a supervised row has no interruption of its own"),
         (Interrupt::None, _) => {
             trainer.train(train, val, epochs, &mut metrics, &mut []);
         }
@@ -377,7 +346,8 @@ fn run(axes: &Axes) -> Outcome {
             trainer.train(train, val, 1, &mut metrics, &mut []);
             let bytes = trainer.snapshot().encode().expect("snapshot encodes");
             drop(trainer);
-            trainer = resumed(axes, *then, &Snapshot::decode(&bytes).expect("snapshot decodes"));
+            let snap = Snapshot::decode(&bytes).expect("snapshot decodes");
+            trainer = resumed(axes, *then, &snap, &faults);
             trainer.train(train, val, epochs - 1, &mut metrics, &mut []);
         }
         (Interrupt::MidEpoch(then), _) => {
@@ -395,7 +365,7 @@ fn run(axes: &Axes) -> Outcome {
                 "expected the newest snapshot inside epoch 2, got {at:?}"
             );
             outcome.landings.push(2);
-            trainer = resumed(axes, *then, &snap);
+            trainer = resumed(axes, *then, &snap, &faults);
             trainer.train(train, val, epochs - 1, &mut metrics, &mut []);
         }
     }
@@ -503,14 +473,14 @@ impl Row {
 
     /// The engine names the row trains on: the first leg's and the last's.
     pub fn engines(&self) -> [&'static str; 2] {
-        [self.axes.leg(), self.axes.last_leg()].map(|leg| leg.engine.unwrap_or("simd"))
+        [self.axes.leg, self.axes.last_leg()].map(|leg| leg.engine.unwrap_or("simd"))
     }
 }
 
 /// A supervised `mini` row on `leg`, under a supervisor with five retries
 /// that checkpoints every `cadence` steps.
 fn supervised(name: &str, leg: Leg, plan: FaultPlan, cadence: Option<u64>) -> Row {
-    let faults = Faults::Supervised {
+    let faults = Injection::Supervised {
         plan,
         cadence,
         max_retries: 5,
@@ -567,7 +537,7 @@ pub fn rows(seed: u64) -> Vec<Row> {
         }
     }
     let four = |plan| Axes {
-        faults: Faults::Plan(plan),
+        faults: Injection::Plan(plan),
         ..Axes::on(mini, Leg::sharded(4))
     };
     // Rank 2 dies at its third kill check (step 3 of epoch 1): the pool
@@ -653,15 +623,16 @@ pub fn rows(seed: u64) -> Vec<Row> {
     let row = supervised("short-read-newest", campaign, short_read, Some(CADENCE));
     rows.push(row.expecting(exactly(vec![older])));
     // Everything at once: an ENOSPC-shaped write failure, a torn write, an
-    // engine panic and a kill, in one run. `engine.panic` counts
-    // convolution dispatches, five a training step on this net and six a
-    // validation pass: occurrence 155 is conv2's second backward dispatch
-    // of the 29th executed step, after the kill and its replay. The kill
-    // resumes from the step-9 snapshot, taken before epoch 1 ended.
+    // engine panic and a kill, in one run. `engine.panic` counts the
+    // convolution dispatches of training steps only, five a step on this
+    // net, replayed steps included: occurrence 143 is conv2's second
+    // backward dispatch of the 29th executed step, after the kill and its
+    // replay. The kill resumes from the step-9 snapshot, taken before
+    // epoch 1 ended.
     let storm = plan()
         .with(Site::CkptWriteError, Trigger::At(2))
         .with(Site::CkptWriteTorn, Trigger::At(4))
-        .with_engine(Site::EnginePanic, Trigger::At(155), ENGINE)
+        .with_engine(Site::EnginePanic, Trigger::At(143), ENGINE)
         .with(Site::StepKill, Trigger::At(s - 1));
     let storm_recoveries = vec![
         recovery("transient-io", "disk", (0, 6)),
@@ -684,7 +655,7 @@ pub fn rows(seed: u64) -> Vec<Row> {
     // Every batch fails, forever: the supervisor gives up after its retry
     // budget of two instead of spinning, with both recoveries on record.
     let mut row = supervised("retries-exhausted", simd, plan(), None);
-    row.axes.faults = Faults::Supervised {
+    row.axes.faults = Injection::Supervised {
         plan: plan().with(Site::LoaderError, Trigger::Prob(1.0)),
         cadence: None,
         max_retries: 2,
@@ -884,11 +855,8 @@ pub fn scenario(row: &Row) -> ScenarioOutcome {
     }));
     match checked {
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic payload");
+            let text = sparsetrain_nn::supervisor::panic_text(payload.as_ref());
+            let msg = text.unwrap_or("non-string panic payload");
             record.detail = format!("escaped the supervisor: {msg}");
         }
         Ok((out, verdict)) => {
@@ -918,7 +886,7 @@ pub fn scenario(row: &Row) -> ScenarioOutcome {
 pub fn run_campaign(seed: u64, extra: usize, out: &str) -> Result<(String, bool), String> {
     let mut rows: Vec<Row> = rows(seed)
         .into_iter()
-        .filter(|r| !matches!(r.axes.faults, Faults::None))
+        .filter(|r| !matches!(r.axes.faults, Injection::None))
         .collect();
     rows.extend(random_kills(seed, extra));
     let report = CampaignReport {
@@ -962,7 +930,7 @@ mod tests {
             let kills = random_kills(seed, 2).into_iter();
             kills
                 .map(|r| match r.axes.faults {
-                    Faults::Supervised { plan, .. } => (r.name, plan.to_spec()),
+                    Injection::Supervised { plan, .. } => (r.name, plan.to_spec()),
                     other => panic!("{other:?}"),
                 })
                 .collect()

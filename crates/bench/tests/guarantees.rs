@@ -4,31 +4,41 @@
 //! `docs/DETERMINISM.md` names the rows that prove each axis of the
 //! guarantee; this suite keeps the two lists equal.
 //!
-//! CI runs it in release at `RAYON_NUM_THREADS` 1 and 4 with eight test
-//! threads: the rows share the process-global fault plan, and the
-//! runner's guard is what keeps them from spending each other's faults.
+//! Every run holds its own fault plan, so the rows run side by side:
+//! `every_row_holds` deals them to one thread per available core (never
+//! more than there are rows). CI runs the suite in release at
+//! `RAYON_NUM_THREADS` 1 and 4 with eight test threads.
 
-use sparsetrain_bench::chaos;
+use sparsetrain_bench::chaos::{self, ScenarioOutcome};
 use sparsetrain_nn::models;
 use sparsetrain_nn::train::{TrainConfig, Trainer};
 use sparsetrain_sparse::registry;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
 fn every_row_holds() {
-    let failures: Vec<String> = chaos::rows(42)
-        .iter()
-        .map(|row| {
-            let outcome = chaos::scenario(row);
-            eprintln!(
-                "{:<32} {:>6} ms  {}",
-                outcome.name, outcome.elapsed_ms, outcome.detail
-            );
-            outcome
-        })
-        .filter(|o| !o.pass)
-        .map(|o| format!("{}: {}", o.name, o.detail))
-        .collect();
+    let rows = chaos::rows(42);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let next = AtomicUsize::new(0);
+    let run_rows = || -> Vec<(usize, ScenarioOutcome)> {
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < rows.len());
+        std::iter::from_fn(claim)
+            .map(|i| (i, chaos::scenario(&rows[i])))
+            .collect()
+    };
+    let mut outcomes: Vec<(usize, ScenarioOutcome)> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..cores.min(rows.len())).map(|_| s.spawn(run_rows)).collect();
+        threads.into_iter().flat_map(|t| t.join().unwrap()).collect()
+    });
+    outcomes.sort_by_key(|&(i, _)| i);
+    let mut failures = Vec::new();
+    for (_, o) in &outcomes {
+        eprintln!("{:<32} {:>6} ms  {}", o.name, o.elapsed_ms, o.detail);
+        if !o.pass {
+            failures.push(format!("{}: {}", o.name, o.detail));
+        }
+    }
     assert!(
         failures.is_empty(),
         "{} rows failed:\n{}",

@@ -13,7 +13,7 @@
 //!
 //! The trainer-facing integration (`Trainer::snapshot` / `Trainer::resume`) lives in
 //! `sparsetrain-nn`; this crate is deliberately plain data + IO (its only dependency is the
-//! zero-cost `sparsetrain-faults` injection seams threaded through save and load).
+//! `sparsetrain-faults` handle a manager and a recovery scan can be given; without one, no seam fires).
 //!
 //! Recovery support: [`policy::scan_latest_valid`] walks a run directory newest-first and
 //! returns the newest snapshot that actually decodes, reporting (not aborting on) corrupt or

@@ -8,6 +8,8 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 
+use sparsetrain_faults::Faults;
+
 use crate::framing::DecodeError;
 use crate::snapshot::Snapshot;
 
@@ -170,9 +172,9 @@ impl Drop for PendingWrite {
 /// caller does next. The writer persists snapshots in hand-off order, one at
 /// a time, with one more queued behind it; a hand-off blocks only while the
 /// writer is two behind. [`CheckpointManager::flush`], a foreground save and
-/// dropping the manager wait for the queue to drain. The fault seam is
-/// consulted at the hand-off, on the caller's thread, so an injected fault
-/// lands on the same save either way.
+/// dropping the manager wait for the queue to drain. The write fault seam
+/// ([`CheckpointManager::set_faults`]) is consulted at the hand-off, on the
+/// caller's thread, so an injected fault lands on the same save either way.
 ///
 /// The writer recycles the oldest file rotation retires: instead of
 /// deleting it, it renames it to a `.tmp` name of its own, and its next
@@ -207,6 +209,7 @@ pub struct CheckpointManager {
     written: Vec<PathBuf>,
     /// Spawned by the first background save.
     writer: Option<Writer>,
+    faults: Faults,
 }
 
 /// One snapshot for the writer thread: where it goes, the files keep-K
@@ -297,7 +300,14 @@ impl CheckpointManager {
             policy,
             written,
             writer: None,
+            faults: Faults::default(),
         })
+    }
+
+    /// Hands every later save's write fault seam to `faults`; a manager
+    /// starts with the default handle, which injects nothing.
+    pub fn set_faults(&mut self, faults: Faults) {
+        self.faults = faults;
     }
 
     /// The policy this manager enforces.
@@ -310,7 +320,7 @@ impl CheckpointManager {
     /// snapshot path.
     pub fn save(&mut self, snap: &Snapshot) -> io::Result<PathBuf> {
         self.flush()?;
-        let torn = write_fault()?;
+        let torn = self.faults.on_checkpoint_write()?;
         let (path, rotated) = self.rotation_after(snap);
         persist(snap, torn, &path, &rotated, None)?;
         self.track(&path, &rotated);
@@ -330,7 +340,7 @@ impl CheckpointManager {
         if let Some(writer) = &mut self.writer {
             writer.collect(false)?;
         }
-        let torn = write_fault()?;
+        let torn = self.faults.on_checkpoint_write()?;
         let (path, rotated) = self.rotation_after(&snap);
         self.track(&path, &rotated);
         let writer = match &mut self.writer {
@@ -407,21 +417,6 @@ impl Drop for CheckpointManager {
             drop(jobs);
             let _ = thread.join();
         }
-    }
-}
-
-/// The write fault seam: `Err` for an injected write error (an ENOSPC-style
-/// transient that fails the save before anything hits disk), `Ok(true)` for
-/// a torn write (only a prefix is persisted, but the rename still completes,
-/// leaving a corrupt final file for recovery scans to detect and skip).
-fn write_fault() -> io::Result<bool> {
-    match sparsetrain_faults::on_checkpoint_write() {
-        Some(sparsetrain_faults::WriteFault::Error) => Err(io::Error::new(
-            io::ErrorKind::StorageFull,
-            "injected checkpoint write failure (ENOSPC)",
-        )),
-        Some(sparsetrain_faults::WriteFault::Torn) => Ok(true),
-        None => Ok(false),
     }
 }
 
@@ -549,23 +544,17 @@ pub fn latest_in(dir: &Path) -> io::Result<Option<PathBuf>> {
 /// Read and decode a snapshot file.
 pub fn load(path: &Path) -> Result<Snapshot, LoadError> {
     wait_for_background_writes();
+    read(path, &Faults::default())
+}
+
+/// Reads and decodes `path` through the read fault seam: a short read or a
+/// flipped bit must surface as a typed decode error, never a panic.
+fn read(path: &Path, faults: &Faults) -> Result<Snapshot, LoadError> {
     let mut bytes = fs::read(path).map_err(|error| LoadError::Io {
         path: path.to_path_buf(),
         error,
     })?;
-    // Fault seams: a short-read fault drops the second half of the bytes; a
-    // bit-flip fault corrupts one seeded bit. Both must surface as typed
-    // decode errors, never panics.
-    match sparsetrain_faults::on_checkpoint_read() {
-        Some(sparsetrain_faults::ReadFault::Short) => {
-            let half = bytes.len() / 2;
-            bytes.truncate(half);
-        }
-        Some(sparsetrain_faults::ReadFault::BitFlip { salt }) => {
-            sparsetrain_faults::flip_bit(&mut bytes, salt);
-        }
-        None => {}
-    }
+    faults.on_checkpoint_read(&mut bytes);
     Snapshot::decode(&bytes).map_err(|error| LoadError::Decode {
         path: path.to_path_buf(),
         error,
@@ -587,11 +576,12 @@ pub struct ScanOutcome {
 /// Scan `dir` newest-first for a snapshot that loads, skipping corrupt,
 /// truncated, or unreadable files instead of aborting — a crashed run's
 /// torn final write must not block resuming from the older valid snapshot
-/// behind it. Only directory enumeration itself can fail.
-pub fn scan_latest_valid(dir: &Path) -> io::Result<ScanOutcome> {
+/// behind it. Each read goes through `faults`' read seam. Only directory
+/// enumeration itself can fail.
+pub fn scan_latest_valid(dir: &Path, faults: &Faults) -> io::Result<ScanOutcome> {
     let mut skipped = Vec::new();
     for path in snapshot_files_in(dir)?.into_iter().rev() {
-        match load(&path) {
+        match read(&path, faults) {
             Ok(snap) => {
                 return Ok(ScanOutcome {
                     latest_valid: Some((path, snap)),
@@ -691,6 +681,7 @@ fn snapshot_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
 mod tests {
     use super::*;
     use crate::snapshot::{LayerState, OptimizerState, RunPosition};
+    use sparsetrain_faults::{FaultPlan, Site, Trigger};
 
     fn tiny_snapshot(epoch: u64, step: u64) -> Snapshot {
         Snapshot {
@@ -723,30 +714,6 @@ mod tests {
             .collect()
     }
 
-    /// Fault plans are process-global, and every save, load and scan
-    /// consults them: every test that does any of these holds the guard, so
-    /// no other test's save can spend a fault test's trigger.
-    struct FaultGuard {
-        _gate: std::sync::MutexGuard<'static, ()>,
-    }
-
-    /// Clears any plan on the way out, so a panicking fault test cannot
-    /// leave one installed for the next guard holder.
-    impl Drop for FaultGuard {
-        fn drop(&mut self) {
-            sparsetrain_faults::clear();
-        }
-    }
-
-    /// Serializes the tests that touch the disk (tolerating poison from a
-    /// panicking one).
-    fn fault_test_guard() -> FaultGuard {
-        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        FaultGuard {
-            _gate: GATE.lock().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
     #[test]
     fn cadence_checks() {
         let p = CheckpointPolicy::every_steps("/tmp/x", 10);
@@ -771,7 +738,6 @@ mod tests {
 
     #[test]
     fn save_rotate_and_reload() {
-        let _g = fault_test_guard();
         let dir = temp_dir("rotate");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_epochs(&dir, 1).with_keep(2)).unwrap();
         for epoch in 1..=4 {
@@ -794,7 +760,6 @@ mod tests {
 
     #[test]
     fn background_saves_write_what_foreground_saves_write() {
-        let _g = fault_test_guard();
         let fg = temp_dir("foreground");
         let bg = temp_dir("background");
         let mut fg_mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&fg, 1).with_keep(2)).unwrap();
@@ -824,7 +789,6 @@ mod tests {
 
     #[test]
     fn dropping_the_manager_lands_and_rotates_the_write_in_flight() {
-        let _g = fault_test_guard();
         let dir = temp_dir("drop-in-flight");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(1)).unwrap();
         mgr.save_in_background(tiny_snapshot(0, 1)).unwrap();
@@ -860,7 +824,6 @@ mod tests {
 
     #[test]
     fn background_rotation_keeps_at_most_one_spare() {
-        let _g = fault_test_guard();
         let dir = temp_dir("spare-count");
         let keep = 2;
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(keep)).unwrap();
@@ -879,7 +842,6 @@ mod tests {
 
     #[test]
     fn dropping_the_manager_deletes_the_spare() {
-        let _g = fault_test_guard();
         let dir = temp_dir("spare-drop");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(1)).unwrap();
         for step in 1..=4 {
@@ -893,7 +855,6 @@ mod tests {
 
     #[test]
     fn a_snapshot_shorter_than_the_spare_loads_bitwise() {
-        let _g = fault_test_guard();
         let dir = temp_dir("spare-shorter");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(1)).unwrap();
         // The second save retires the first, long file; the third, short
@@ -915,7 +876,6 @@ mod tests {
 
     #[test]
     fn a_torn_write_into_a_recycled_spare_is_skipped_by_the_scan() {
-        let _g = fault_test_guard();
         let dir = temp_dir("spare-torn");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(2)).unwrap();
         for step in 1..=3 {
@@ -923,14 +883,10 @@ mod tests {
         }
         mgr.flush().unwrap();
         assert_eq!(tmp_files(&dir).len(), 1, "the retired file waits as the spare");
-        sparsetrain_faults::install(sparsetrain_faults::FaultPlan::new(7).with(
-            sparsetrain_faults::Site::CkptWriteTorn,
-            sparsetrain_faults::Trigger::At(0),
-        ));
+        mgr.set_faults(FaultPlan::new(7).with(Site::CkptWriteTorn, Trigger::At(0)).arm());
         mgr.save_in_background(sized_snapshot(4, 256)).unwrap();
         mgr.flush().unwrap();
-        sparsetrain_faults::clear();
-        let outcome = scan_latest_valid(&dir).unwrap();
+        let outcome = scan_latest_valid(&dir, &Faults::default()).unwrap();
         let (_, snap) = outcome.latest_valid.expect("the older snapshot is valid");
         assert_eq!(snap, sized_snapshot(3, 256));
         assert_eq!(outcome.skipped.len(), 1, "{:?}", outcome.skipped);
@@ -940,7 +896,6 @@ mod tests {
 
     #[test]
     fn a_failed_background_write_surfaces_at_the_next_save() {
-        let _g = fault_test_guard();
         let dir = temp_dir("bg-io-error");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(0)).unwrap();
         // The directory vanishes under the writer: its `.tmp` cannot be created.
@@ -962,7 +917,6 @@ mod tests {
 
     #[test]
     fn manager_adopts_existing_files() {
-        let _g = fault_test_guard();
         let dir = temp_dir("adopt");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_epochs(&dir, 1).with_keep(2)).unwrap();
         mgr.save(&tiny_snapshot(1, 10)).unwrap();
@@ -986,7 +940,6 @@ mod tests {
     /// both save paths.
     #[test]
     fn saving_an_adopted_position_again_never_rotates_it_out() {
-        let _g = fault_test_guard();
         for background in [false, true] {
             let dir = temp_dir(&format!("resave-{background}"));
             let mut mgr =
@@ -1022,7 +975,6 @@ mod tests {
 
     #[test]
     fn latest_in_orders_numerically_across_padding_overflow() {
-        let _g = fault_test_guard();
         // Regression: step 1_000_000_000 outgrows the `{:09}` zero padding, so a
         // lexicographic sort ranked it *before* 999_999_999 and resume picked the older file.
         let dir = temp_dir("overflow");
@@ -1052,7 +1004,6 @@ mod tests {
 
     #[test]
     fn manager_sweeps_orphaned_tmp_files() {
-        let _g = fault_test_guard();
         // Regression: a crash between write and rename stranded `*.stck.tmp` files forever.
         let dir = temp_dir("sweep");
         fs::create_dir_all(&dir).unwrap();
@@ -1070,7 +1021,6 @@ mod tests {
 
     #[test]
     fn load_reports_typed_errors_naming_the_file() {
-        let _g = fault_test_guard();
         let dir = temp_dir("load-errors");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.stck");
@@ -1098,7 +1048,6 @@ mod tests {
 
     #[test]
     fn scan_skips_truncated_newest_and_resumes_from_older_valid() {
-        let _g = fault_test_guard();
         // Regression: a torn final write must not block recovery — the scan
         // has to report the corrupt newest file by name and fall back to the
         // valid snapshot behind it.
@@ -1109,7 +1058,7 @@ mod tests {
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
 
-        let outcome = scan_latest_valid(&dir).unwrap();
+        let outcome = scan_latest_valid(&dir, &Faults::default()).unwrap();
         let (path, snap) = outcome.latest_valid.expect("older snapshot is valid");
         assert_eq!(snap.position.epoch, 1);
         assert!(path.to_string_lossy().contains("e00001"));
@@ -1125,13 +1074,12 @@ mod tests {
 
     #[test]
     fn scan_skips_zero_length_newest() {
-        let _g = fault_test_guard();
         let dir = temp_dir("scan-empty");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(0)).unwrap();
         mgr.save(&tiny_snapshot(1, 10)).unwrap();
         fs::write(dir.join("ckpt-e00002-s000000020.stck"), b"").unwrap();
 
-        let outcome = scan_latest_valid(&dir).unwrap();
+        let outcome = scan_latest_valid(&dir, &Faults::default()).unwrap();
         let (_, snap) = outcome.latest_valid.expect("older snapshot is valid");
         assert_eq!(snap.position.epoch, 1);
         assert_eq!(outcome.skipped.len(), 1);
@@ -1141,24 +1089,22 @@ mod tests {
 
     #[test]
     fn scan_with_no_valid_snapshot_reports_every_skip() {
-        let _g = fault_test_guard();
         let dir = temp_dir("scan-none");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("ckpt-e00001-s000000010.stck"), b"garbage").unwrap();
         fs::write(dir.join("ckpt-e00002-s000000020.stck"), b"").unwrap();
-        let outcome = scan_latest_valid(&dir).unwrap();
+        let outcome = scan_latest_valid(&dir, &Faults::default()).unwrap();
         assert!(outcome.latest_valid.is_none());
         assert_eq!(outcome.skipped.len(), 2, "{:?}", outcome.skipped);
         // An empty directory scans clean.
         let empty = temp_dir("scan-void");
-        let outcome = scan_latest_valid(&empty).unwrap();
+        let outcome = scan_latest_valid(&empty, &Faults::default()).unwrap();
         assert!(outcome.latest_valid.is_none() && outcome.skipped.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn injected_write_faults_tear_and_fail_saves() {
-        let _g = fault_test_guard();
         // The same plan lands on the same saves whether they write on this
         // thread or hand off to the background writer.
         for background in [false, true] {
@@ -1169,6 +1115,12 @@ mod tests {
             });
             let mut mgr =
                 CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(0)).unwrap();
+            mgr.set_faults(
+                FaultPlan::new(5)
+                    .with(Site::CkptWriteError, Trigger::At(0))
+                    .with(Site::CkptWriteTorn, Trigger::At(1))
+                    .arm(),
+            );
             let mut save = |snap: Snapshot| -> io::Result<PathBuf> {
                 if background {
                     mgr.save_in_background(snap)?;
@@ -1178,17 +1130,6 @@ mod tests {
                     mgr.save(&snap)
                 }
             };
-            sparsetrain_faults::install(
-                sparsetrain_faults::FaultPlan::new(5)
-                    .with(
-                        sparsetrain_faults::Site::CkptWriteError,
-                        sparsetrain_faults::Trigger::At(0),
-                    )
-                    .with(
-                        sparsetrain_faults::Site::CkptWriteTorn,
-                        sparsetrain_faults::Trigger::At(1),
-                    ),
-            );
             let err = save(tiny_snapshot(1, 10)).expect_err("write-error fault fails the save");
             assert_eq!(err.kind(), io::ErrorKind::StorageFull);
             assert!(latest_in(&dir).unwrap().is_none(), "nothing hit disk");
@@ -1197,10 +1138,9 @@ mod tests {
             assert!(matches!(load(&torn), Err(LoadError::Decode { .. })));
 
             let good = save(tiny_snapshot(3, 30)).expect("faults exhausted");
-            sparsetrain_faults::clear();
             assert_eq!(load(&good).unwrap().position.epoch, 3);
             // The recovery scan rides over the torn file.
-            let outcome = scan_latest_valid(&dir).unwrap();
+            let outcome = scan_latest_valid(&dir, &Faults::default()).unwrap();
             assert_eq!(outcome.latest_valid.unwrap().1.position.epoch, 3);
             fs::remove_dir_all(&dir).unwrap();
         }
@@ -1208,30 +1148,24 @@ mod tests {
 
     #[test]
     fn injected_read_faults_surface_as_decode_errors() {
-        let _g = fault_test_guard();
         let dir = temp_dir("fault-read");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(0)).unwrap();
         let path = mgr.save(&tiny_snapshot(1, 10)).unwrap();
-        sparsetrain_faults::install(
-            sparsetrain_faults::FaultPlan::new(6)
-                .with(
-                    sparsetrain_faults::Site::CkptReadShort,
-                    sparsetrain_faults::Trigger::At(0),
-                )
-                .with(
-                    sparsetrain_faults::Site::CkptReadFlip,
-                    sparsetrain_faults::Trigger::At(1),
-                ),
-        );
-        assert!(matches!(load(&path), Err(LoadError::Decode { .. })), "short read");
+        let faults = FaultPlan::new(6)
+            .with(Site::CkptReadShort, Trigger::At(0))
+            .with(Site::CkptReadFlip, Trigger::At(1))
+            .arm();
+        let short = scan_latest_valid(&dir, &faults).unwrap();
+        assert!(short.latest_valid.is_none(), "short read");
+        assert!(matches!(short.skipped[..], [LoadError::Decode { .. }]));
         // The format has no checksum, so a flipped bit either fails to decode
         // or decodes to a *different* snapshot — never silently round-trips.
-        match load(&path) {
-            Err(LoadError::Decode { .. }) => {}
-            Ok(snap) => assert_ne!(snap, tiny_snapshot(1, 10), "flip must corrupt something"),
-            other => panic!("unexpected: {other:?}"),
+        if let Some((_, snap)) = scan_latest_valid(&dir, &faults).unwrap().latest_valid {
+            assert_ne!(snap, tiny_snapshot(1, 10), "flip must corrupt something");
         }
-        sparsetrain_faults::clear();
+        let clean = scan_latest_valid(&dir, &faults).unwrap();
+        assert_eq!(clean.latest_valid.unwrap().1.position.epoch, 1);
+        // `load` never consults a fault seam.
         assert_eq!(load(&path).unwrap().position.epoch, 1);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -8,17 +8,17 @@
 //!
 //! # Sites
 //!
-//! | spec name | seam (hook) | effect when fired |
+//! | spec name | seam (hook on [`Faults`]) | effect when fired |
 //! |---|---|---|
-//! | `ckpt.torn-write` | checkpoint save ([`on_checkpoint_write`]) | only a truncated prefix is persisted, rename still completes |
-//! | `ckpt.write-error` | checkpoint save ([`on_checkpoint_write`]) | save fails with an ENOSPC-shaped `io::Error` before writing |
-//! | `ckpt.read-short` | checkpoint load ([`on_checkpoint_read`]) | the file reads back truncated to half |
-//! | `ckpt.read-flip` | checkpoint load ([`on_checkpoint_read`]) | one seeded bit flipped in the read bytes |
-//! | `engine.panic` | engine dispatch ([`on_engine_dispatch`]): every convolution dispatch, evaluation forwards included | the dispatch panics (`:engine` filter available) |
-//! | `loader.error` | batch assembly ([`on_loader`]) | the batch fetch panics |
-//! | `step.kill` | optimizer-step boundary ([`on_step_kill`]) | SIGKILL-shaped crash of the epoch loop |
-//! | `worker.kill` | shard coordinator ([`on_worker_kill`]) | a shard worker dies mid-step, abandoning its granules (`:rank` filter) |
-//! | `worker.slow` | shard coordinator ([`on_worker_slow`]) | a shard worker stalls for a seeded delay, scrambling completion order (`:rank` filter) |
+//! | `ckpt.torn-write` | checkpoint save hand-off ([`Faults::on_checkpoint_write`]) | only a truncated prefix is persisted, rename still completes |
+//! | `ckpt.write-error` | checkpoint save hand-off ([`Faults::on_checkpoint_write`]) | save fails with an ENOSPC-shaped `io::Error` before writing |
+//! | `ckpt.read-short` | recovery scan ([`Faults::on_checkpoint_read`]) | the file reads back truncated to half |
+//! | `ckpt.read-flip` | recovery scan ([`Faults::on_checkpoint_read`]) | one seeded bit flipped in the read bytes |
+//! | `engine.panic` | engine dispatch ([`Faults::on_engine_dispatch`]): every convolution dispatch of a training step, none of evaluation | the dispatch panics (`:engine` filter available) |
+//! | `loader.error` | batch assembly ([`Faults::on_loader`]) | the batch fetch panics |
+//! | `step.kill` | optimizer-step boundary ([`Faults::on_step_kill`]) | SIGKILL-shaped crash of the epoch loop |
+//! | `worker.kill` | shard coordinator ([`Faults::on_worker_kill`]) | a shard worker dies mid-step, abandoning its granules (`:rank` filter) |
+//! | `worker.slow` | shard coordinator ([`Faults::on_worker_slow`]) | a shard worker stalls for a seeded delay, scrambling completion order (`:rank` filter) |
 //!
 //! # Determinism
 //!
@@ -26,23 +26,21 @@
 //! `(seed, site, directive, occurrence)`: each directive keeps its own
 //! occurrence counter, and the decision for occurrence `k` draws from the
 //! Philox [`StreamKey`] ladder under the [`FAULT_DOMAIN`] separator —
-//! exactly the scheme stochastic pruning uses, so a fault campaign replays
-//! bitwise at any `RAYON_NUM_THREADS`. (All sites sit on the trainer's
-//! driver thread, above the band fan-out, so occurrence order itself is
-//! thread-count independent.)
-//!
-//! # Cost when disabled
-//!
-//! Every `on_*` hook opens with a single relaxed [`AtomicBool`] load and
-//! returns immediately when no plan is installed — branch-predicted to
-//! free on the hot path. Production runs without `SPARSETRAIN_FAULTS` pay
-//! nothing else.
+//! exactly the scheme stochastic pruning uses. Every site but one is
+//! checked on the trainer's thread (the shard pool's coordinator runs there),
+//! above the band fan-out, so a campaign replays bitwise at any
+//! `RAYON_NUM_THREADS`. The exception is a sharded run's `engine.panic`: the
+//! workers count their granules' dispatches on one shared counter in arrival
+//! order, so only a one-worker run replays it exactly.
 //!
 //! # Activation
 //!
-//! Either programmatically ([`install`] / [`clear`], as the chaos campaign
-//! runner does per scenario) or through the [`FAULTS_ENV`] environment
-//! variable, parsed once by [`init_from_env`]:
+//! A plan belongs to one run. [`FaultPlan::arm`] turns it into a [`Faults`]
+//! handle — the plan plus its counters — that the trainer holds and lends to
+//! its seams: the execution context (for each training step), the checkpoint
+//! manager, the shard pool and its workers, and the recovery scan. A resumed
+//! trainer handed the same handle continues its counters. A trainer starts
+//! with the plan the [`FAULTS_ENV`] variable names, if any:
 //!
 //! ```text
 //! SPARSETRAIN_FAULTS="seed=42;step.kill@7;ckpt.torn-write@2;engine.panic@50:parallel:simd"
@@ -65,8 +63,8 @@
 //! ```
 
 use rand::stream::StreamKey;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Environment variable holding a fault-plan spec, consistent with
 /// `SPARSETRAIN_ENGINE` / `SPARSETRAIN_CHECKPOINT_DIR`.
@@ -301,186 +299,143 @@ impl FaultPlan {
     }
 }
 
-/// Installed plan plus its per-directive occurrence counters.
-struct State {
+/// An armed [`FaultPlan`]: the plan plus one occurrence counter per
+/// directive, shared by every clone. A run lends clones to its seams, so two
+/// runs in one process never see each other's faults. The default handle
+/// holds no plan: each hook on it returns after one `Option` test.
+#[derive(Debug, Clone, Default)]
+pub struct Faults(Option<Arc<Armed>>);
+
+#[derive(Debug)]
+struct Armed {
     plan: FaultPlan,
     counters: Vec<AtomicU64>,
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<Arc<State>>> = Mutex::new(None);
-
-/// Installs `plan`, arming every hook, with fresh occurrence counters.
-/// Replaces any previously installed plan.
-pub fn install(plan: FaultPlan) {
-    let state = Arc::new(State {
-        counters: plan.directives.iter().map(|_| AtomicU64::new(0)).collect(),
-        plan,
-    });
-    *STATE.lock().expect("fault state lock") = Some(state);
-    ACTIVE.store(true, Ordering::Release);
-}
-
-/// Disarms every hook (they return to the single-load fast path).
-pub fn clear() {
-    ACTIVE.store(false, Ordering::Release);
-    *STATE.lock().expect("fault state lock") = None;
-}
-
-/// Whether a plan is installed.
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Reads [`FAULTS_ENV`] exactly once per process and installs the plan it
-/// specifies, if any. Call-site friendly: every subsequent call is a no-op.
-///
-/// # Panics
-///
-/// Panics when the variable is set but does not parse — a misconfigured
-/// environment, consistent with the other `SPARSETRAIN_*` overrides.
-pub fn init_from_env() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        if let Ok(spec) = std::env::var(FAULTS_ENV) {
-            if !spec.is_empty() {
-                install(FaultPlan::from_spec(&spec).unwrap_or_else(|e| panic!("{e}")));
-            }
-        }
-    });
-}
-
-/// Checks every directive for `site` (respecting the engine filter),
-/// advancing the eligible-occurrence counter of each. Returns the seeded
-/// salt word of the first directive that fires, if any.
-fn fire(site: Site, engine: Option<&str>) -> Option<u64> {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return None;
+impl FaultPlan {
+    /// Arms the plan with fresh occurrence counters.
+    pub fn arm(self) -> Faults {
+        Faults(Some(Arc::new(Armed {
+            counters: self.directives.iter().map(|_| AtomicU64::new(0)).collect(),
+            plan: self,
+        })))
     }
-    let state = STATE.lock().expect("fault state lock").clone()?;
-    let mut salt = None;
-    for (index, d) in state.plan.directives.iter().enumerate() {
-        if d.site != site {
-            continue;
-        }
-        if let Some(want) = &d.engine {
-            if engine != Some(want.as_str()) {
+}
+
+impl Armed {
+    /// Checks every directive for `site` (respecting the filter), advancing
+    /// the eligible-occurrence counter of each. Returns the seeded salt
+    /// word of the first directive that fires, if any.
+    fn fire(&self, site: Site, filter: Option<&str>) -> Option<u64> {
+        let mut salt = None;
+        for (index, d) in self.plan.directives.iter().enumerate() {
+            if d.site != site {
                 continue;
             }
+            if let Some(want) = &d.engine {
+                if filter != Some(want.as_str()) {
+                    continue;
+                }
+            }
+            let k = self.counters[index].fetch_add(1, Ordering::Relaxed);
+            let key = StreamKey::new(self.plan.seed)
+                .derive(FAULT_DOMAIN)
+                .derive_str(site.name())
+                .derive(index as u64);
+            let hit = match d.trigger {
+                Trigger::At(n) => k == n,
+                Trigger::Prob(p) => key.uniform_at(k) < p,
+            };
+            if hit && salt.is_none() {
+                salt = Some(key.word_at(k));
+            }
         }
-        let k = state.counters[index].fetch_add(1, Ordering::Relaxed);
-        let key = StreamKey::new(state.plan.seed)
-            .derive(FAULT_DOMAIN)
-            .derive_str(site.name())
-            .derive(index as u64);
-        let hit = match d.trigger {
-            Trigger::At(n) => k == n,
-            Trigger::Prob(p) => key.uniform_at(k) < p,
+        salt
+    }
+}
+
+impl Faults {
+    /// Checkpoint-save hook: `Err` fails the save with an ENOSPC-shaped
+    /// transient before anything is written; `Ok(true)` tears it (only a
+    /// prefix of the bytes is persisted, but the rename still completes,
+    /// leaving a corrupt final file for recovery scans to skip). A write
+    /// error takes precedence when both fire on the same save.
+    pub fn on_checkpoint_write(&self) -> std::io::Result<bool> {
+        let Some(armed) = self.0.as_deref() else {
+            return Ok(false);
         };
-        if hit && salt.is_none() {
-            salt = Some(key.word_at(k));
+        let error = armed.fire(Site::CkptWriteError, None).is_some();
+        let torn = armed.fire(Site::CkptWriteTorn, None).is_some();
+        if error {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::StorageFull,
+                "injected checkpoint write failure (ENOSPC)",
+            ));
+        }
+        Ok(torn)
+    }
+
+    /// Checkpoint-read hook over the `bytes` just read: a short read drops
+    /// their second half, a bit flip flips one seeded bit; a short read
+    /// takes precedence when both fire on the same read.
+    pub fn on_checkpoint_read(&self, bytes: &mut Vec<u8>) {
+        let Some(armed) = self.0.as_deref() else {
+            return;
+        };
+        let short = armed.fire(Site::CkptReadShort, None).is_some();
+        let flip = armed.fire(Site::CkptReadFlip, None);
+        if short {
+            bytes.truncate(bytes.len() / 2);
+        } else if let Some(salt) = flip {
+            flip_bit(bytes, salt);
         }
     }
-    salt
-}
 
-/// What [`on_checkpoint_write`] asks the save path to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
-    /// Persist only a truncated prefix of the snapshot bytes (and complete
-    /// the rename, leaving a corrupt final file).
-    Torn,
-    /// Fail the save with a transient I/O error before writing anything.
-    Error,
-}
-
-/// What [`on_checkpoint_read`] asks the load path to do to the bytes read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadFault {
-    /// Drop the second half of the bytes.
-    Short,
-    /// Flip the bit `salt` selects (see [`flip_bit`]).
-    BitFlip {
-        /// Seeded word choosing the bit position.
-        salt: u64,
-    },
-}
-
-/// Checkpoint-save hook; write-error directives take precedence over
-/// torn-write directives when both fire on the same save.
-pub fn on_checkpoint_write() -> Option<WriteFault> {
-    if !is_active() {
-        return None;
+    /// Engine-dispatch hook: `true` means the caller must panic (via
+    /// [`panic_injected`] with the engine name as detail, so the supervisor
+    /// can quarantine it). The execution context holds a run's handle only
+    /// while a training step runs, so only a training step's convolution
+    /// dispatches count; evaluation and probe passes never do.
+    pub fn on_engine_dispatch(&self, engine: &str) -> bool {
+        self.fire(Site::EnginePanic, Some(engine)).is_some()
     }
-    let error = fire(Site::CkptWriteError, None).is_some();
-    let torn = fire(Site::CkptWriteTorn, None).is_some();
-    if error {
-        Some(WriteFault::Error)
-    } else if torn {
-        Some(WriteFault::Torn)
-    } else {
-        None
+
+    /// Data-loader hook: `true` means batch assembly must fail.
+    pub fn on_loader(&self) -> bool {
+        self.fire(Site::LoaderError, None).is_some()
     }
-}
 
-/// Checkpoint-load hook; short reads take precedence over bit flips when
-/// both fire on the same load.
-pub fn on_checkpoint_read() -> Option<ReadFault> {
-    if !is_active() {
-        return None;
+    /// Step-boundary hook: `true` means the process "dies" here.
+    pub fn on_step_kill(&self) -> bool {
+        self.fire(Site::StepKill, None).is_some()
     }
-    let short = fire(Site::CkptReadShort, None).is_some();
-    let flip = fire(Site::CkptReadFlip, None);
-    if short {
-        Some(ReadFault::Short)
-    } else {
-        flip.map(|salt| ReadFault::BitFlip { salt })
+
+    /// Shard-worker kill hook: `true` means worker `rank` must die mid-step
+    /// (abandon its granules, exit its thread). The pool's coordinator checks
+    /// it once per `(step, rank)` in rank order, so the campaign replays at
+    /// any worker and thread count; the worker then carries the kill out.
+    pub fn on_worker_kill(&self, rank: usize) -> bool {
+        self.0.is_some() && self.fire(Site::WorkerKill, Some(&rank.to_string())).is_some()
     }
-}
 
-/// Engine-dispatch hook: `true` means the caller must panic (via
-/// [`panic_injected`] with the engine name as detail, so the supervisor
-/// can quarantine it).
-///
-/// Called once per convolution dispatch — a Forward, GTA or GTW of one
-/// conv on one batch — in training and evaluation alike: a validation
-/// pass's forward dispatches count too, so a run that starts validating
-/// moves every later occurrence of this site.
-pub fn on_engine_dispatch(engine: &str) -> bool {
-    fire(Site::EnginePanic, Some(engine)).is_some()
-}
+    /// Shard-worker stall hook: `Some(salt)` means worker `rank` must sleep a
+    /// salt-derived delay before its next granule. Checked coordinator-side
+    /// like [`Faults::on_worker_kill`]. The delay only perturbs completion
+    /// *order*; the rank-ordered reduction keeps results bitwise regardless.
+    pub fn on_worker_slow(&self, rank: usize) -> Option<u64> {
+        self.0.as_ref()?;
+        self.fire(Site::WorkerSlow, Some(&rank.to_string()))
+    }
 
-/// Data-loader hook: `true` means batch assembly must fail.
-pub fn on_loader() -> bool {
-    fire(Site::LoaderError, None).is_some()
-}
-
-/// Step-boundary hook: `true` means the process "dies" here.
-pub fn on_step_kill() -> bool {
-    fire(Site::StepKill, None).is_some()
-}
-
-/// Shard-worker kill hook: `true` means worker `rank` must die mid-step
-/// (abandon its granules, exit its thread). Checked by the *coordinator*
-/// once per `(step, rank)` in rank order on the driver thread, so the
-/// occurrence counter — and with it the whole campaign — replays
-/// identically at any worker count and thread count; the kill itself is
-/// then executed worker-side.
-pub fn on_worker_kill(rank: usize) -> bool {
-    fire(Site::WorkerKill, Some(&rank.to_string())).is_some()
-}
-
-/// Shard-worker stall hook: `Some(salt)` means worker `rank` must sleep a
-/// salt-derived delay before its next granule. Checked coordinator-side
-/// like [`on_worker_kill`]. The delay only perturbs completion *order*;
-/// the rank-ordered reduction keeps results bitwise regardless.
-pub fn on_worker_slow(rank: usize) -> Option<u64> {
-    fire(Site::WorkerSlow, Some(&rank.to_string()))
+    /// [`Armed::fire`] on the armed plan; `None` without one.
+    fn fire(&self, site: Site, filter: Option<&str>) -> Option<u64> {
+        self.0.as_deref()?.fire(site, filter)
+    }
 }
 
 /// Flips the single bit `salt` selects (mod the buffer's bit length);
 /// no-op on an empty buffer.
-pub fn flip_bit(bytes: &mut [u8], salt: u64) {
+fn flip_bit(bytes: &mut [u8], salt: u64) {
     if bytes.is_empty() {
         return;
     }
@@ -517,54 +472,57 @@ pub fn panic_injected(site: Site, detail: impl Into<String>) -> ! {
 mod tests {
     use super::*;
 
-    /// The hooks read process-global state; tests touching it serialize
-    /// here (and tolerate a poisoned lock from an unrelated test panic).
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
-    fn inactive_hooks_fire_nothing() {
-        let _g = guard();
-        clear();
-        assert!(!is_active());
-        assert!(on_checkpoint_write().is_none());
-        assert!(on_checkpoint_read().is_none());
-        assert!(!on_engine_dispatch("scalar"));
-        assert!(!on_loader());
-        assert!(!on_step_kill());
+    fn a_handle_without_a_plan_fires_nothing() {
+        let faults = Faults::default();
+        assert!(!faults.on_checkpoint_write().unwrap());
+        let mut bytes = vec![7u8; 8];
+        faults.on_checkpoint_read(&mut bytes);
+        assert_eq!(bytes, [7; 8]);
+        assert!(!faults.on_engine_dispatch("scalar"));
+        assert!(!faults.on_loader());
+        assert!(!faults.on_step_kill());
+        assert!(!faults.on_worker_kill(0));
+        assert!(faults.on_worker_slow(0).is_none());
     }
 
     #[test]
     fn exact_occurrence_fires_exactly_once() {
-        let _g = guard();
-        install(FaultPlan::new(1).with(Site::StepKill, Trigger::At(2)));
-        let fires: Vec<bool> = (0..6).map(|_| on_step_kill()).collect();
+        let faults = FaultPlan::new(1).with(Site::StepKill, Trigger::At(2)).arm();
+        let fires: Vec<bool> = (0..6).map(|_| faults.on_step_kill()).collect();
         assert_eq!(fires, [false, false, true, false, false, false]);
-        clear();
+    }
+
+    /// Clones share one set of counters; another arming of the plan
+    /// counts on its own.
+    #[test]
+    fn clones_share_counters_and_armings_do_not() {
+        let plan = FaultPlan::new(1).with(Site::StepKill, Trigger::At(1));
+        let (a, other) = (plan.clone().arm(), plan.arm());
+        assert!(!a.on_step_kill());
+        assert!(a.clone().on_step_kill(), "a clone sees occurrence 1");
+        assert_eq!([other.on_step_kill(), other.on_step_kill()], [false, true]);
     }
 
     #[test]
     fn engine_filter_counts_only_matching_dispatches() {
-        let _g = guard();
-        install(FaultPlan::new(1).with_engine(Site::EnginePanic, Trigger::At(1), "simd"));
-        assert!(!on_engine_dispatch("simd")); // occurrence 0
-        assert!(!on_engine_dispatch("scalar")); // filtered out, does not count
-        assert!(!on_engine_dispatch("parallel"));
-        assert!(on_engine_dispatch("simd")); // occurrence 1 fires
-        assert!(!on_engine_dispatch("simd"));
-        clear();
+        let faults = FaultPlan::new(1)
+            .with_engine(Site::EnginePanic, Trigger::At(1), "simd")
+            .arm();
+        assert!(!faults.on_engine_dispatch("simd")); // occurrence 0
+        assert!(!faults.on_engine_dispatch("scalar")); // filtered out, does not count
+        assert!(!faults.on_engine_dispatch("parallel"));
+        assert!(faults.on_engine_dispatch("simd")); // occurrence 1 fires
+        assert!(!faults.on_engine_dispatch("simd"));
     }
 
     #[test]
     fn probability_draws_are_seed_deterministic() {
-        let _g = guard();
         let run = |seed: u64| -> Vec<bool> {
-            install(FaultPlan::new(seed).with(Site::LoaderError, Trigger::Prob(0.5)));
-            let fires = (0..64).map(|_| on_loader()).collect();
-            clear();
-            fires
+            let faults = FaultPlan::new(seed)
+                .with(Site::LoaderError, Trigger::Prob(0.5))
+                .arm();
+            (0..64).map(|_| faults.on_loader()).collect()
         };
         let a = run(7);
         assert_eq!(a, run(7), "same seed must replay the same schedule");
@@ -572,51 +530,47 @@ mod tests {
         assert!(a.iter().any(|&f| f) && a.iter().any(|&f| !f));
     }
 
+    /// The first save and the first read each fire both of their faults:
+    /// the write error and the short read take precedence.
     #[test]
     fn write_and_read_hooks_map_sites_to_actions() {
-        let _g = guard();
-        install(
-            FaultPlan::new(3)
-                .with(Site::CkptWriteError, Trigger::At(0))
-                .with(Site::CkptWriteTorn, Trigger::At(1))
-                .with(Site::CkptReadShort, Trigger::At(0))
-                .with(Site::CkptReadFlip, Trigger::At(1)),
-        );
-        assert_eq!(on_checkpoint_write(), Some(WriteFault::Error));
-        assert_eq!(on_checkpoint_write(), Some(WriteFault::Torn));
-        assert_eq!(on_checkpoint_write(), None);
-        assert_eq!(on_checkpoint_read(), Some(ReadFault::Short));
-        assert!(matches!(on_checkpoint_read(), Some(ReadFault::BitFlip { .. })));
-        assert_eq!(on_checkpoint_read(), None);
-        clear();
+        let faults = FaultPlan::new(3)
+            .with(Site::CkptWriteError, Trigger::At(0))
+            .with(Site::CkptWriteTorn, Trigger::At(0))
+            .with(Site::CkptWriteTorn, Trigger::At(1))
+            .with(Site::CkptReadShort, Trigger::At(0))
+            .with(Site::CkptReadFlip, Trigger::At(0))
+            .with(Site::CkptReadFlip, Trigger::At(1))
+            .arm();
+        let error = faults.on_checkpoint_write().unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::StorageFull);
+        assert!(faults.on_checkpoint_write().unwrap(), "torn");
+        assert!(!faults.on_checkpoint_write().unwrap());
+        let read = || {
+            let mut bytes = vec![0u8; 16];
+            faults.on_checkpoint_read(&mut bytes);
+            bytes
+        };
+        assert_eq!(read(), [0; 8], "a short read keeps the first half");
+        let flipped = read();
+        assert_eq!(flipped.len(), 16);
+        assert_eq!(flipped.iter().map(|b| b.count_ones()).sum::<u32>(), 1);
+        assert_eq!(read(), [0; 16]);
     }
 
     #[test]
     fn worker_sites_filter_by_rank() {
-        let _g = guard();
-        install(
-            FaultPlan::new(5)
-                .with_engine(Site::WorkerKill, Trigger::At(1), "1")
-                .with(Site::WorkerSlow, Trigger::At(0)),
-        );
-        assert!(!on_worker_kill(1)); // rank 1, occurrence 0
-        assert!(!on_worker_kill(0)); // filtered out, does not count
-        assert!(on_worker_kill(1)); // rank 1, occurrence 1 fires
-        assert!(!on_worker_kill(1));
+        let faults = FaultPlan::new(5)
+            .with_engine(Site::WorkerKill, Trigger::At(1), "1")
+            .with(Site::WorkerSlow, Trigger::At(0))
+            .arm();
+        assert!(!faults.on_worker_kill(1)); // rank 1, occurrence 0
+        assert!(!faults.on_worker_kill(0)); // filtered out, does not count
+        assert!(faults.on_worker_kill(1)); // rank 1, occurrence 1 fires
+        assert!(!faults.on_worker_kill(1));
         // Unfiltered slow directive counts every rank's occurrences.
-        assert!(on_worker_slow(3).is_some());
-        assert!(on_worker_slow(3).is_none());
-        clear();
-    }
-
-    #[test]
-    fn worker_spec_round_trips() {
-        let plan = FaultPlan::new(9)
-            .with_engine(Site::WorkerKill, Trigger::At(2), "1")
-            .with(Site::WorkerSlow, Trigger::Prob(0.5));
-        let spec = plan.to_spec();
-        assert_eq!(spec, "seed=9;worker.kill@2:1;worker.slow~0.5");
-        assert_eq!(FaultPlan::from_spec(&spec).unwrap(), plan);
+        assert!(faults.on_worker_slow(3).is_some());
+        assert!(faults.on_worker_slow(3).is_none());
     }
 
     #[test]
@@ -625,11 +579,13 @@ mod tests {
             .with(Site::StepKill, Trigger::At(7))
             .with(Site::CkptWriteTorn, Trigger::At(2))
             .with_engine(Site::EnginePanic, Trigger::At(50), "parallel:simd")
-            .with(Site::LoaderError, Trigger::Prob(0.25));
+            .with(Site::LoaderError, Trigger::Prob(0.25))
+            .with_engine(Site::WorkerKill, Trigger::At(2), "1");
         let spec = plan.to_spec();
         assert_eq!(
             spec,
-            "seed=42;step.kill@7;ckpt.torn-write@2;engine.panic@50:parallel:simd;loader.error~0.25"
+            "seed=42;step.kill@7;ckpt.torn-write@2;engine.panic@50:parallel:simd;loader.error~0.25;\
+             worker.kill@2:1"
         );
         assert_eq!(FaultPlan::from_spec(&spec).unwrap(), plan);
         // Whitespace and empty items are tolerated.

@@ -47,6 +47,7 @@ use crate::sequential::Sequential;
 use crate::supervisor::{panic_text, SupervisorConfig};
 use crate::train::step_body;
 use sparsetrain_core::prune::{SiteStats, StreamSeeds};
+use sparsetrain_faults::Faults;
 use sparsetrain_sparse::{registry, EngineHandle, ExecutionContext};
 use sparsetrain_tensor::Tensor3;
 use std::collections::BTreeMap;
@@ -277,6 +278,7 @@ pub trait WorkerTransport {
 /// over per-rank mpsc channels, replies multiplexed onto one channel.
 pub struct ThreadTransport {
     setup: EngineSetup,
+    faults: Faults,
     reply_tx: mpsc::Sender<WorkerReply>,
     replies: mpsc::Receiver<WorkerReply>,
     workers: Vec<WorkerHandle>,
@@ -292,15 +294,22 @@ impl ThreadTransport {
     /// it means a worker vanished without its cooperative death message.
     const RECV_DEADLINE: Duration = Duration::from_secs(60);
 
-    /// Spawns `workers` threads, each owning a replica of `template`.
+    /// Spawns `workers` threads, each owning a replica of `template`; every
+    /// worker, spawned or respawned, runs its granules under `faults`.
     ///
     /// # Errors
     ///
     /// [`ShardError::NotReplicable`] when the template refuses to clone.
-    pub fn spawn(workers: usize, template: &Sequential, setup: EngineSetup) -> Result<Self, ShardError> {
+    pub fn spawn(
+        workers: usize,
+        template: &Sequential,
+        setup: EngineSetup,
+        faults: Faults,
+    ) -> Result<Self, ShardError> {
         let (reply_tx, replies) = mpsc::channel();
         let mut transport = ThreadTransport {
             setup,
+            faults,
             reply_tx,
             replies,
             workers: Vec::with_capacity(workers),
@@ -318,8 +327,8 @@ impl ThreadTransport {
     fn launch(&self, rank: usize, replica: Sequential) -> WorkerHandle {
         let (command_tx, commands) = mpsc::channel();
         let replies = self.reply_tx.clone();
-        let setup = self.setup.clone();
-        let thread = std::thread::spawn(move || worker_loop(rank, replica, setup, commands, replies));
+        let (setup, faults) = (self.setup.clone(), self.faults.clone());
+        let thread = std::thread::spawn(move || worker_loop(rank, replica, setup, faults, commands, replies));
         WorkerHandle {
             commands: Some(command_tx),
             thread: Some(thread),
@@ -383,6 +392,7 @@ fn worker_loop(
     rank: usize,
     mut net: Sequential,
     setup: EngineSetup,
+    faults: Faults,
     commands: mpsc::Receiver<StepCommand>,
     replies: mpsc::Sender<WorkerReply>,
 ) {
@@ -415,7 +425,7 @@ fn worker_loop(
             .map(|&g| {
                 let granule = &input.granules[g];
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_granule(&mut net, &mut ctx, input, granule)
+                    run_granule(&mut net, &mut ctx, faults.clone(), input, granule)
                 }))
                 .map_err(|payload| {
                     // The hooks the failed granule got through recorded
@@ -442,6 +452,7 @@ fn worker_loop(
 fn run_granule(
     net: &mut Sequential,
     ctx: &mut ExecutionContext,
+    faults: Faults,
     input: &StepInput,
     granule: &GranuleSpec,
 ) -> GranuleResult {
@@ -452,7 +463,7 @@ fn run_granule(
     // A fresh accumulator per granule: the coordinator sums granule losses
     // in granule order, which is what makes the loss worker-count-invariant.
     let mut loss = 0.0f64;
-    let correct = step_body(net, ctx, xs, &granule.labels, &streams, &mut loss);
+    let correct = step_body(net, ctx, faults, xs, &granule.labels, &streams, &mut loss);
     let mut prune_stats = Vec::new();
     net.take_shard_stats(&mut prune_stats);
     // Sized up front: the coordinator holds every granule's gradients until
@@ -527,21 +538,35 @@ pub struct ShardPool {
     /// Engines quarantined per rank, re-broadcast with every command.
     quarantined: Vec<Vec<String>>,
     health: ShardHealth,
+    faults: Faults,
 }
 
 impl ShardPool {
-    /// A pool over the in-process [`ThreadTransport`].
+    /// A pool over the in-process [`ThreadTransport`], with no fault plan.
     ///
     /// # Errors
     ///
     /// [`ShardError::NoWorkers`] / [`ShardError::NotReplicable`] via
     /// [`validate`] and replica construction.
     pub fn threads(spec: ShardSpec, template: Sequential, setup: EngineSetup) -> Result<Self, ShardError> {
+        Self::armed(spec, template, setup, Faults::default())
+    }
+
+    /// [`ShardPool::threads`] under a run's `faults`: the coordinator
+    /// checks the `worker.*` sites, the workers `engine.panic`.
+    pub(crate) fn armed(
+        spec: ShardSpec,
+        template: Sequential,
+        setup: EngineSetup,
+        faults: Faults,
+    ) -> Result<Self, ShardError> {
         if spec.workers == 0 {
             return Err(ShardError::NoWorkers);
         }
-        let transport = ThreadTransport::spawn(spec.workers, &template, setup.clone())?;
-        Ok(Self::with_transport(template, setup, Box::new(transport)))
+        let transport = ThreadTransport::spawn(spec.workers, &template, setup.clone(), faults.clone())?;
+        let mut pool = Self::with_transport(template, setup, Box::new(transport));
+        pool.faults = faults;
+        Ok(pool)
     }
 
     /// A pool over an externally built transport (the seam for process or
@@ -559,6 +584,7 @@ impl ShardPool {
             streaks: vec![0; workers],
             quarantined: vec![Vec::new(); workers],
             health: ShardHealth::default(),
+            faults: Faults::default(),
         }
     }
 
@@ -588,12 +614,10 @@ impl ShardPool {
         }
         let mut outstanding = assigned;
         for rank in 0..workers {
-            // Deterministic fault schedule: exactly one kill/slow check
-            // per (step, rank), in rank order. The slow salt is a raw
-            // stream word; clamp it to a bounded stall that still
-            // scrambles completion order.
-            let kill = sparsetrain_faults::on_worker_kill(rank);
-            let slow_ms = sparsetrain_faults::on_worker_slow(rank).map(|salt| 1 + salt % 20);
+            // One kill/slow check per (step, rank), in rank order; the slow
+            // salt is clamped to a bounded stall that still scrambles order.
+            let kill = self.faults.on_worker_kill(rank);
+            let slow_ms = self.faults.on_worker_slow(rank).map(|salt| 1 + salt % 20);
             if outstanding[rank].is_empty() && !kill {
                 continue;
             }

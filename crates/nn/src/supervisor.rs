@@ -48,6 +48,7 @@ use sparsetrain_checkpoint::{scan_latest_valid, LoadError, Snapshot};
 use sparsetrain_faults::{InjectedFault, Site};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
 use std::time::{Duration, Instant};
 
 /// Retry and backoff policy of a [`Supervisor`].
@@ -137,7 +138,7 @@ struct Failure {
 }
 
 /// The text of a string panic payload (what `panic!` carries), if any.
-pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> Option<&str> {
+pub fn panic_text(payload: &(dyn Any + Send)) -> Option<&str> {
     payload
         .downcast_ref::<String>()
         .map(String::as_str)
@@ -200,14 +201,15 @@ fn classify(payload: &(dyn Any + Send), last_engine: Option<&'static str>, strea
     }
 }
 
-/// RAII filter over the global panic hook: injected-fault panics are
-/// expected control flow under a supervisor, so their default
-/// stderr backtrace spam is suppressed; every other panic still reaches
-/// the previously-installed hook. Dropping restores the default hook.
-struct HookGuard;
-
-impl HookGuard {
-    fn install() -> Self {
+/// Filters the process's panic hook: injected-fault panics are expected
+/// control flow under a supervisor, so their stderr backtrace spam is
+/// suppressed; every other panic still reaches the hook that was installed
+/// when the first supervised run started. The filter is installed once per
+/// process and never taken down, so the caller's hook outlives every
+/// supervised run, and overlapping runs share the one filter.
+fn filter_panic_hook() {
+    static FILTER: Once = Once::new();
+    FILTER.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let payload = info.payload();
@@ -218,15 +220,7 @@ impl HookGuard {
                 prev(info);
             }
         }));
-        HookGuard
-    }
-}
-
-impl Drop for HookGuard {
-    fn drop(&mut self) {
-        // Removing our filter reinstates the default hook.
-        let _ = std::panic::take_hook();
-    }
+    });
 }
 
 /// Wraps a [`Trainer`] in crash isolation, retry/backoff, engine
@@ -240,11 +234,6 @@ impl Supervisor {
     /// A supervisor with the given retry/backoff policy.
     pub fn new(config: SupervisorConfig) -> Self {
         Supervisor { config }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
     }
 
     /// Runs up to `epochs` epochs like [`Trainer::train`], but rides
@@ -269,7 +258,7 @@ impl Supervisor {
         metrics: &mut MetricStore,
         stops: &mut [Box<dyn StopCondition>],
     ) -> Result<SupervisedOutcome, SuperviseError> {
-        let _hook = HookGuard::install();
+        filter_panic_hook();
         let target = trainer.stream_seeds().epoch() + epochs as u64;
         let mut last_recorded = trainer.stream_seeds().epoch();
         let mut epochs_run = 0usize;
@@ -375,7 +364,7 @@ impl Supervisor {
         }
         let dir = trainer.checkpoints().map(|mgr| mgr.policy().dir.clone());
         if let Some(dir) = dir {
-            match scan_latest_valid(&dir) {
+            match scan_latest_valid(&dir, &trainer.faults) {
                 Ok(outcome) => {
                     skipped.extend(outcome.skipped.iter().map(LoadError::to_string));
                     if let Some((path, snap)) = outcome.latest_valid {

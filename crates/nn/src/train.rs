@@ -14,6 +14,7 @@ use sparsetrain_checkpoint::{
 };
 use sparsetrain_core::dataflow::NetworkTrace;
 use sparsetrain_core::prune::{StepStreams, StreamSeeds};
+use sparsetrain_faults::{FaultPlan, Faults, Site, FAULTS_ENV};
 use sparsetrain_sparse::{registry, EngineHandle, ExecutionContext};
 use sparsetrain_tensor::Tensor3;
 
@@ -251,6 +252,9 @@ pub struct Trainer {
     /// that `resume` can tear it down and the next epoch rebuilds it from
     /// the restored network.
     shard_pool: Option<ShardPool>,
+    /// The run's fault handle: checked here (loader, step kill) and lent to
+    /// the context per step, the checkpoint manager, pool and recovery scan.
+    pub(crate) faults: Faults,
 }
 
 impl Trainer {
@@ -285,10 +289,9 @@ impl Trainer {
         Ok(Self::build(net, config))
     }
 
+    /// The trainer under the plan `SPARSETRAIN_FAULTS` names, if any (a
+    /// spec that does not parse panics, like the other overrides).
     fn build(net: Sequential, config: TrainConfig) -> Self {
-        // Arm the fault-injection layer from SPARSETRAIN_FAULTS (a no-op
-        // unless the variable is set; one env read per process).
-        sparsetrain_faults::init_from_env();
         let ctx = config.engine_setup().context();
         let checkpoints = config.checkpoint.clone().map(|policy| {
             CheckpointManager::new(policy)
@@ -307,7 +310,26 @@ impl Trainer {
             resume_skip: 0,
             checkpoints,
             shard_pool: None,
+            faults: Faults::default(),
         }
+        .with_faults(match std::env::var(FAULTS_ENV) {
+            Ok(spec) if !spec.is_empty() => FaultPlan::from_spec(&spec)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .arm(),
+            _ => Faults::default(),
+        })
+    }
+
+    /// Returns the trainer running under `faults` instead of the plan
+    /// `SPARSETRAIN_FAULTS` names. Clones share the handle's counters, so
+    /// a resumed trainer handed a run's handle continues its fault schedule.
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        if let Some(mgr) = &mut self.checkpoints {
+            mgr.set_faults(faults.clone());
+        }
+        self.shard_pool = None;
+        self.faults = faults;
+        self
     }
 
     /// Borrow the network (e.g. for inspection).
@@ -381,9 +403,9 @@ impl Trainer {
             }
             // Fault seam: a loader fault fails batch assembly, surfacing as
             // a panic the supervisor classifies as transient.
-            if sparsetrain_faults::on_loader() {
+            if self.faults.on_loader() {
                 sparsetrain_faults::panic_injected(
-                    sparsetrain_faults::Site::LoaderError,
+                    Site::LoaderError,
                     format!("batch {chunk_idx} of epoch {}", self.streams.epoch() + 1),
                 );
             }
@@ -391,7 +413,7 @@ impl Trainer {
             correct += if self.shard_pool.is_some() {
                 self.sharded_step(data, chunk, &mut total_loss)
             } else {
-                self.local_step(data, chunk, &mut total_loss)
+                self.local_step(data, chunk, &mut total_loss, self.faults.clone())
             };
             self.streams.advance_step();
             self.sgd.step(&mut self.net, 1.0 / chunk.len() as f32);
@@ -400,9 +422,9 @@ impl Trainer {
             // Fault seam: a step-kill fault "crashes the process" right
             // after a step (and any due checkpoint) completed — the point a
             // real SIGKILL is most likely to land.
-            if sparsetrain_faults::on_step_kill() {
+            if self.faults.on_step_kill() {
                 sparsetrain_faults::panic_injected(
-                    sparsetrain_faults::Site::StepKill,
+                    Site::StepKill,
                     format!("after step {}", self.streams.step()),
                 );
             }
@@ -417,17 +439,17 @@ impl Trainer {
         }
     }
 
-    /// One step computed on the coordinator: [`step_body`] over the batch
-    /// `chunk` indexes, leaving the gradients in the network. Each
-    /// sample's loss is added to `loss` in sample order; returns the
-    /// correctly classified count.
-    fn local_step(&mut self, data: &Dataset, chunk: &[usize], loss: &mut f64) -> usize {
+    /// One step computed on the coordinator: [`step_body`] under `faults`
+    /// over the batch `chunk` indexes, leaving the gradients in the
+    /// network. Each sample's loss is added to `loss` in sample order;
+    /// returns the correctly classified count.
+    fn local_step(&mut self, data: &Dataset, chunk: &[usize], loss: &mut f64, faults: Faults) -> usize {
         // The batch borrows straight from the dataset — no per-image
         // clone; layers take ownership only where backward needs it.
         let xs = Batch::gather(&data.images, chunk);
         let labels: Vec<usize> = chunk.iter().map(|&i| data.labels[i]).collect();
         let step = self.streams.streams();
-        step_body(&mut self.net, &mut self.ctx, xs, &labels, &step, loss)
+        step_body(&mut self.net, &mut self.ctx, faults, xs, &labels, &step, loss)
     }
 
     /// The sharded counterpart of [`Trainer::local_step`]: the batch is
@@ -477,7 +499,7 @@ impl Trainer {
             .net
             .try_replicate()
             .expect("shardability was validated at construction");
-        let pool = ShardPool::threads(spec, template, setup)
+        let pool = ShardPool::armed(spec, template, setup, self.faults.clone())
             .unwrap_or_else(|e| panic!("cannot spawn shard worker pool: {e}"));
         self.shard_pool = Some(pool);
     }
@@ -780,15 +802,15 @@ impl Trainer {
     /// `start` (wrapped), off the training path. It reuses the upcoming
     /// step's stream coordinates without advancing the ladder and runs
     /// with pruning state frozen (predicted thresholds applied, no
-    /// FIFO/statistics updates), then discards the gradient side effects,
-    /// so inspecting a run never perturbs it.
+    /// FIFO/statistics updates) and no fault plan, then discards the
+    /// gradient side effects, so inspecting a run never perturbs it.
     fn probe_pass(&mut self, data: &Dataset, start: usize) {
         assert!(!data.is_empty(), "cannot probe an empty dataset");
         let n = data.len();
         let bs = self.config.batch_size.min(n);
         let indices: Vec<usize> = (0..bs).map(|i| (start + i) % n).collect();
         self.net.set_prune_frozen(true);
-        self.local_step(data, &indices, &mut 0.0);
+        self.local_step(data, &indices, &mut 0.0, Faults::default());
         self.net.set_prune_frozen(false);
         self.net.zero_grads();
     }
@@ -799,6 +821,9 @@ impl Trainer {
 /// `streams` — leaving the batch's summed gradients in `net`. The local
 /// step, a shard worker's granule and the probe pass all run exactly this.
 ///
+/// `ctx` holds `faults` for the length of the body, also when it unwinds,
+/// so `engine.panic` counts the dispatches of steps only, never evaluation's.
+///
 /// Each sample's loss is added to the caller's `loss` accumulator in
 /// sample order. The bracketing is contract: the local path hands in the
 /// epoch's running total (per-sample adds across batch boundaries), a
@@ -807,11 +832,21 @@ impl Trainer {
 pub(crate) fn step_body(
     net: &mut Sequential,
     ctx: &mut ExecutionContext,
+    faults: Faults,
     xs: Batch<'_>,
     labels: &[usize],
     streams: &StepStreams,
     loss: &mut f64,
 ) -> usize {
+    struct Lent<'a>(&'a mut ExecutionContext);
+    impl Drop for Lent<'_> {
+        fn drop(&mut self) {
+            self.0.set_faults(Faults::default());
+        }
+    }
+    ctx.set_faults(faults);
+    let lent = Lent(ctx);
+    let ctx = &mut *lent.0;
     net.zero_grads();
     let outs = net.forward(xs, ctx, true);
     let mut correct = 0usize;
@@ -833,6 +868,8 @@ mod tests {
     use crate::data::SyntheticSpec;
     use crate::models;
     use sparsetrain_core::prune::PruneConfig;
+    use sparsetrain_faults::Trigger;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn training_reduces_loss() {
@@ -1083,5 +1120,51 @@ mod tests {
             num_classes: 2,
         };
         let _ = trainer.train_epoch(&empty);
+    }
+
+    /// Trains `mini_cnn` for three epochs under `faults`, validating on
+    /// `val` after each: whether the run died, its step, its encoded state.
+    fn faulted_run(train: &Dataset, val: Option<&Dataset>, faults: Faults) -> (bool, u64, Vec<u8>) {
+        let mut trainer =
+            Trainer::new(models::mini_cnn(3, 4, None), TrainConfig::quick()).with_faults(faults);
+        let run = AssertUnwindSafe(|| trainer.train(train, val, 3, &mut MetricStore::new(), &mut []));
+        let died = catch_unwind(run).is_err();
+        (died, trainer.streams.step(), trainer.snapshot().encode().unwrap())
+    }
+
+    /// Two runs train at once, only one of them armed: it dies after its
+    /// own step `k + 1`, and the other trains as it does alone, bit for bit.
+    #[test]
+    fn a_plan_stays_with_its_run() {
+        let (train, _) = SyntheticSpec::tiny(3).generate();
+        let solo = faulted_run(&train, None, Faults::default());
+        let kill = FaultPlan::new(1).with(Site::StepKill, Trigger::At(4)).arm();
+        let (armed, unarmed) = std::thread::scope(|s| {
+            let armed = s.spawn(|| faulted_run(&train, None, kill));
+            let unarmed = s.spawn(|| faulted_run(&train, None, Faults::default()));
+            (armed.join().unwrap(), unarmed.join().unwrap())
+        });
+        assert_eq!((armed.0, armed.1), (true, 5));
+        assert!(!solo.0);
+        assert_eq!(unarmed, solo);
+    }
+
+    /// The same `engine.panic@57` — the third of step 12's five dispatches,
+    /// in epoch 2 — lands on the same step whether or not the run validates
+    /// after epoch 1: evaluation dispatches neither count nor fire.
+    #[test]
+    fn engine_panic_counts_training_dispatches_only() {
+        let (train, val) = SyntheticSpec::tiny(3).generate();
+        let panic = || FaultPlan::new(1).with(Site::EnginePanic, Trigger::At(57)).arm();
+        let (validated, unvalidated) = (
+            faulted_run(&train, Some(&val), panic()),
+            faulted_run(&train, None, panic()),
+        );
+        assert_eq!(
+            (validated.0, validated.1),
+            (true, 11),
+            "the panic lands inside step 12"
+        );
+        assert_eq!((unvalidated.0, unvalidated.1), (true, 11));
     }
 }

@@ -1,12 +1,9 @@
 //! The worker pool's message traffic: a rank answers each command with
 //! one reply, and a granule that fails inside that reply is replayed to
 //! the same bits.
-//!
-//! One test, so nothing else in this process consults the fault plan it
-//! installs.
 
 use sparsetrain_core::prune::PruneConfig;
-use sparsetrain_faults::{self as faults, FaultPlan, Site, Trigger};
+use sparsetrain_faults::{FaultPlan, Faults, Site, Trigger};
 use sparsetrain_nn::data::SyntheticSpec;
 use sparsetrain_nn::models;
 use sparsetrain_nn::sequential::Sequential;
@@ -44,8 +41,9 @@ impl WorkerTransport for Counting {
 }
 
 /// One step of eight one-sample granules on a fresh pool of `workers`
-/// ranks; returns the reduction, the replies taken and the retries.
-fn one_step(workers: usize) -> (StepReduction, usize, usize) {
+/// ranks whose workers hold `faults`; returns the reduction, the replies
+/// taken and the retries.
+fn one_step(workers: usize, faults: Faults) -> (StepReduction, usize, usize) {
     let (data, _) = SyntheticSpec::tiny(3).generate();
     let chunk: Vec<usize> = (0..8).collect();
     let mut template = models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2)));
@@ -55,7 +53,7 @@ fn one_step(workers: usize) -> (StepReduction, usize, usize) {
     template.collect_prune_taus(&mut taus);
     let replies = Arc::new(AtomicUsize::new(0));
     let transport = Counting {
-        inner: ThreadTransport::spawn(workers, &template, EngineSetup::Dense).unwrap(),
+        inner: ThreadTransport::spawn(workers, &template, EngineSetup::Dense, faults).unwrap(),
         replies: Arc::clone(&replies),
     };
     let mut pool = ShardPool::with_transport(template, EngineSetup::Dense, Box::new(transport));
@@ -81,7 +79,7 @@ fn bits(r: &StepReduction) -> (u64, usize, Vec<u32>) {
 
 #[test]
 fn one_reply_per_rank_and_a_failed_granule_replays_bitwise() {
-    let (clean, replies, retries) = one_step(2);
+    let (clean, replies, retries) = one_step(2, Faults::default());
     assert_eq!(replies, 2, "a fault-free step takes one reply per rank");
     assert_eq!(retries, 0);
     assert_eq!(clean.samples, 8);
@@ -90,9 +88,8 @@ fn one_reply_per_rank_and_a_failed_granule_replays_bitwise() {
     // convolution dispatch is the first granule's conv2 backward, after
     // its prune2 hook has recorded stats. The granule fails inside the
     // rank's reply, is sent back, and the reduction keeps its bits.
-    faults::install(FaultPlan::new(11).with_engine(Site::EnginePanic, Trigger::At(2), "simd"));
-    let (faulted, replies, retries) = one_step(1);
-    faults::clear();
+    let panic = FaultPlan::new(11).with_engine(Site::EnginePanic, Trigger::At(2), "simd");
+    let (faulted, replies, retries) = one_step(1, panic.arm());
     assert_eq!(retries, 1, "exactly the faulted granule is retried");
     assert_eq!(replies, 2, "the command's reply, then the retry's");
     assert_eq!(bits(&faulted), bits(&clean));

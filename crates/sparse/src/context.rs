@@ -37,6 +37,7 @@ use crate::mask::RowMask;
 use crate::panels::PanelCache;
 use crate::registry::{lookup, EngineHandle, UnknownEngine};
 use crate::rowconv::SparseFeatureMap;
+use sparsetrain_faults::{Faults, Site};
 use sparsetrain_tensor::conv::ConvGeometry;
 use sparsetrain_tensor::{Tensor3, Tensor4};
 use std::cell::Cell;
@@ -65,6 +66,7 @@ pub struct ExecutionContext {
     quarantined: Vec<EngineHandle>,
     last_dispatch: Cell<Option<&'static str>>,
     panels: PanelCache,
+    faults: Faults,
 }
 
 impl ExecutionContext {
@@ -92,6 +94,7 @@ impl ExecutionContext {
             quarantined: Vec::new(),
             last_dispatch: Cell::new(None),
             panels: PanelCache::new(),
+            faults: Faults::default(),
         }
     }
 
@@ -165,6 +168,13 @@ impl ExecutionContext {
         self.last_dispatch.get()
     }
 
+    /// Hands the engine-panic seam of later dispatches to `faults` (a new
+    /// context holds none). A trainer lends its run's handle for the length
+    /// of a training step only, so evaluation and probe passes never count.
+    pub fn set_faults(&mut self, faults: Faults) {
+        self.faults = faults;
+    }
+
     /// The single choke point every execution goes through: maps the
     /// context's engine through the quarantine list (a quarantined engine
     /// runs as `scalar`), records the dispatched engine, and gives the
@@ -176,8 +186,8 @@ impl ExecutionContext {
             self.handle
         };
         self.last_dispatch.set(Some(effective.name()));
-        if sparsetrain_faults::on_engine_dispatch(effective.name()) {
-            sparsetrain_faults::panic_injected(sparsetrain_faults::Site::EnginePanic, effective.name());
+        if self.faults.on_engine_dispatch(effective.name()) {
+            sparsetrain_faults::panic_injected(Site::EnginePanic, effective.name());
         }
         effective.engine()
     }
