@@ -24,10 +24,9 @@
 //! operands of the engine bench, and [`chaos`] the guarantee matrix: the
 //! named rows of `docs/DETERMINISM.md`, each held bit for bit to its
 //! model's reference run, whose fault rows are the seeded crash/corruption
-//! campaign behind `sparsetrain-bench chaos`. The Criterion benches in
-//! `benches/` are local tools — kernel engines, the simulator and the
-//! pruning design-choice ablations; wall-clock training numbers are
-//! `stbench`'s.
+//! campaign behind `sparsetrain-bench chaos`. The one Criterion bench,
+//! `benches/engine.rs`, times the kernel engines as a local tool;
+//! wall-clock training numbers are `stbench`'s.
 
 pub mod chaos;
 pub mod cli;

@@ -36,6 +36,6 @@ pub use predictor::{EmaPredictor, FifoPredictor, LastValuePredictor, ThresholdPr
 pub use pruner::{
     prune_pass, LayerPruner, PruneConfig, PruneStats, PrunerRestoreError, PrunerSnapshot, SiteStats,
 };
-pub use stochastic::{prune_slice, prune_slice_at, PruneOutcome};
+pub use stochastic::{prune_slice_at, PruneOutcome};
 pub use stream::{BatchStream, StepStreams, StreamSeeds, SHARD_DOMAIN};
-pub use threshold::{determine_threshold, sigma_hat, threshold_from_slice};
+pub use threshold::{determine_threshold, sigma_hat};

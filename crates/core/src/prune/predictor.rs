@@ -8,7 +8,7 @@
 //! paper's FIFO, an exponential-moving-average variant and a last-value
 //! baseline, and includes a replay harness ([`evaluate_predictor`]) that
 //! scores any predictor against a recorded threshold sequence — the
-//! `ablation` benches and the FIFO-depth sweep are built on it.
+//! FIFO-depth sweep (`sweep fifo`) is built on it.
 //!
 //! # Example
 //!

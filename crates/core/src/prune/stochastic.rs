@@ -5,25 +5,16 @@
 //! `sign(g)·τ` with probability `|g|/τ` and to `0` otherwise, which keeps
 //! `E[ĝ] = (|g|/τ)·sign(g)·τ = g` — the update is unbiased.
 //!
-//! Two implementations of the rule live here, differing only in where the
-//! random draw comes from:
-//!
-//! * [`prune_slice_at`] — the production path: each element's draw is read
-//!   from a counter-based stream ([`rand::stream::StreamKey`]) at that
-//!   element's position, so results are independent of visitation order
-//!   and thread count (see [`crate::prune::stream`]). One Philox block
-//!   serves four consecutive positions (a 24-bit draw each, where the
-//!   PPU's LFSR lanes hand 16), and, like the PPU, which only ever sees
-//!   the non-zeros of the compressed stream, its work follows the
-//!   non-zeros: a block is computed only where one of its positions holds
-//!   a non-zero below `τ`.
-//! * [`prune_slice`] — the element-order reference mirroring the hardware
-//!   PPU, whose LFSR lanes hand one draw per *non-zero sub-threshold*
-//!   value in stream order. Order-dependent by design; used by the
-//!   simulator cross-checks and statistical property tests.
+//! [`prune_slice_at`] applies the rule. Each element's draw is read from
+//! a counter-based stream ([`rand::stream::StreamKey`]) at that element's
+//! position, so results are independent of visitation order and thread
+//! count (see [`crate::prune::stream`]). One Philox block serves four
+//! consecutive positions (a 24-bit draw each, where the PPU's LFSR lanes
+//! hand 16), and, like the PPU, which only ever sees the non-zeros of the
+//! compressed stream, its work follows the non-zeros: a block is computed
+//! only where one of its positions holds a non-zero below `τ`.
 
 use rand::stream::StreamKey;
-use rand::Rng;
 use sparsetrain_sparse::mask::{mask_of, RUN};
 
 /// Outcome counts of one pruning pass, for instrumentation.
@@ -44,9 +35,8 @@ impl PruneOutcome {
     }
 
     /// Density of the pruned output: the non-zero (kept or snapped)
-    /// fraction. Inputs that were already zero are counted in `zeroed` by
-    /// both prune passes, so they need no separate correction. Returns 1.0
-    /// for an empty pass.
+    /// fraction. Inputs that were already zero are counted in `zeroed`, so
+    /// they need no separate correction. Returns 1.0 for an empty pass.
     pub fn density(&self) -> f64 {
         let total = self.total();
         if total == 0 {
@@ -54,57 +44,6 @@ impl PruneOutcome {
         }
         (self.kept + self.snapped) as f64 / total as f64
     }
-}
-
-/// Applies the stochastic pruning rule to every element of `grads` with
-/// threshold `tau`, in place. Returns the outcome counts.
-///
-/// `tau <= 0` disables pruning (everything is kept).
-///
-/// Exact zeros are counted as `zeroed` (they stay zero and never consume a
-/// random draw, matching the hardware, which only sees non-zero gradients
-/// in the compressed stream).
-///
-/// ```
-/// use sparsetrain_core::prune::prune_slice;
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mut g = vec![0.5, -0.001, 0.0008, 2.0];
-/// let out = prune_slice(&mut g, 0.01, &mut StdRng::seed_from_u64(0));
-/// assert_eq!(out.kept, 2);               // 0.5 and 2.0 pass through
-/// assert_eq!(out.snapped + out.zeroed, 2);
-/// for &v in &g {
-///     assert!(v == 0.0 || v.abs() >= 0.01 - 1e-9 || v == 0.5 || v == 2.0);
-/// }
-/// ```
-pub fn prune_slice<R: Rng + ?Sized>(grads: &mut [f32], tau: f64, rng: &mut R) -> PruneOutcome {
-    let mut outcome = PruneOutcome::default();
-    if tau <= 0.0 {
-        outcome.kept = grads.iter().filter(|&&g| g != 0.0).count();
-        outcome.zeroed = grads.len() - outcome.kept;
-        return outcome;
-    }
-    let tau_f = tau as f32;
-    for g in grads.iter_mut() {
-        let a = g.abs();
-        if *g == 0.0 {
-            outcome.zeroed += 1;
-        } else if (a as f64) < tau {
-            // r ~ U[0,1): keep ±τ iff |g| > τ·r  ⇔  with probability |g|/τ.
-            let r: f64 = rng.gen();
-            if (a as f64) > tau * r {
-                *g = if *g > 0.0 { tau_f } else { -tau_f };
-                outcome.snapped += 1;
-            } else {
-                *g = 0.0;
-                outcome.zeroed += 1;
-            }
-        } else {
-            outcome.kept += 1;
-        }
-    }
-    outcome
 }
 
 /// `Σ|g|` over `part` and its non-zero count, visiting the non-zeros only.
@@ -138,7 +77,8 @@ pub(super) fn abs_sum_nonzeros(part: &[f32]) -> (f64, usize) {
 /// the result is independent of visitation order: pruning a slice whole,
 /// in arbitrary sub-slices (with matching offsets), or banded across
 /// threads produces bitwise-identical gradients. `tau <= 0` disables
-/// pruning, and exact zeros stay zero, exactly as in [`prune_slice`].
+/// pruning (everything is kept). Exact zeros stay zero, count as
+/// `zeroed` and take no draw.
 ///
 /// The work follows the candidates (non-zeros below `tau`). Each
 /// 64-element run is classified branch-free into bitmasks; a run with no
@@ -238,46 +178,22 @@ const NIBBLE_LOWS: u128 = u128::MAX / 0xF;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn zero_tau_keeps_everything() {
-        let mut g = vec![0.1, -0.2, 0.0];
-        let out = prune_slice(&mut g, 0.0, &mut StdRng::seed_from_u64(0));
-        assert_eq!(g, vec![0.1, -0.2, 0.0]);
-        assert_eq!(out.kept, 2);
-        assert_eq!(out.zeroed, 1);
-    }
 
     #[test]
     fn large_values_pass_through() {
         let mut g = vec![1.0, -1.0];
-        let out = prune_slice(&mut g, 0.5, &mut StdRng::seed_from_u64(0));
+        let out = prune_slice_at(&mut g, 0.5, StreamKey::new(0), 5);
         assert_eq!(g, vec![1.0, -1.0]);
         assert_eq!(out.kept, 2);
     }
 
     #[test]
-    fn small_values_become_zero_or_tau() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut g: Vec<f32> = (0..1000).map(|i| (i as f32 - 500.0) * 1e-5).collect();
-        prune_slice(&mut g, 0.01, &mut rng);
-        for &v in &g {
-            assert!(
-                v == 0.0 || (v.abs() - 0.01).abs() < 1e-9,
-                "value {v} is neither 0 nor ±τ"
-            );
-        }
-    }
-
-    #[test]
     fn signs_are_preserved_when_snapped() {
-        let mut rng = StdRng::seed_from_u64(1);
         // Values just below τ snap with high probability; check sign.
         let mut g = vec![0.0099f32; 50];
         g.extend(vec![-0.0099f32; 50]);
-        prune_slice(&mut g, 0.01, &mut rng);
+        let out = prune_slice_at(&mut g, 0.01, StreamKey::new(1), 3);
+        assert!(out.snapped > 0);
         for (i, &v) in g.iter().enumerate() {
             if v != 0.0 {
                 if i < 50 {
@@ -287,35 +203,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn expectation_is_preserved() {
-        // The core unbiasedness property: E[ĝ] = g.
-        let mut rng = StdRng::seed_from_u64(7);
-        let g0 = 0.003f32;
-        let tau = 0.01f64;
-        let n = 200_000;
-        let mut sum = 0.0f64;
-        for _ in 0..n {
-            let mut g = [g0];
-            prune_slice(&mut g, tau, &mut rng);
-            sum += g[0] as f64;
-        }
-        let mean = sum / n as f64;
-        assert!((mean - g0 as f64).abs() < 2e-4, "E[pruned] = {mean}, want {g0}");
-    }
-
-    #[test]
-    fn snap_probability_matches_ratio() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let tau = 0.01f64;
-        let g0 = 0.007f32; // expect snapped with prob 0.7
-        let n = 100_000;
-        let mut g: Vec<f32> = vec![g0; n];
-        let out = prune_slice(&mut g, tau, &mut rng);
-        let frac = out.snapped as f64 / n as f64;
-        assert!((frac - 0.7).abs() < 0.01, "snap fraction {frac}, want 0.7");
     }
 
     #[test]
@@ -518,7 +405,7 @@ mod tests {
     #[test]
     fn empty_slice_is_noop() {
         let mut g: Vec<f32> = Vec::new();
-        let out = prune_slice(&mut g, 0.1, &mut StdRng::seed_from_u64(0));
+        let out = prune_slice_at(&mut g, 0.1, StreamKey::new(0), 7);
         assert_eq!(out.total(), 0);
         assert_eq!(out.density(), 1.0);
     }

@@ -51,13 +51,6 @@ pub fn determine_threshold(sigma: f64, p: f64) -> f64 {
     phi_inv((1.0 + p) / 2.0) * sigma
 }
 
-/// Convenience: threshold straight from a gradient slice (two passes over
-/// the data; the streaming [`super::LayerPruner`] avoids this).
-pub fn threshold_from_slice(grads: &[f32], p: f64) -> f64 {
-    let abs_sum: f64 = grads.iter().map(|&g| (g as f64).abs()).sum();
-    determine_threshold(sigma_hat(abs_sum, grads.len()), p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,22 +76,6 @@ mod tests {
             (est - sigma).abs() / sigma < 0.02,
             "estimated {est} vs true {sigma}"
         );
-    }
-
-    #[test]
-    fn threshold_prunes_target_fraction_of_normal_data() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 50_000;
-        let data: Vec<f32> = (0..n).map(|_| sample_standard_normal(&mut rng) * 0.3).collect();
-        for &p in &[0.5, 0.7, 0.9, 0.99] {
-            let tau = threshold_from_slice(&data, p);
-            let below = data.iter().filter(|&&g| (g as f64).abs() < tau).count();
-            let frac = below as f64 / n as f64;
-            assert!(
-                (frac - p).abs() < 0.02,
-                "p={p}: fraction below threshold was {frac}"
-            );
-        }
     }
 
     #[test]

@@ -236,7 +236,8 @@ pub trait Layer: Send {
         self.for_each_child(&mut |c| c.collect_traces(out));
     }
 
-    /// Appends `(layer name, last activation-gradient density)` pairs.
+    /// Appends one `(conv name, mean dO density)` pair per convolution
+    /// (Table II's ρ_nnz); a prune site adds none of its own.
     fn grad_densities(&self, out: &mut Vec<(String, f64)>) {
         self.for_each_child(&mut |c| c.grad_densities(out));
     }

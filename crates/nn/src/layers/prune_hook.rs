@@ -123,14 +123,6 @@ impl Layer for PruneHook {
         self.frozen = frozen;
     }
 
-    fn grad_densities(&self, out: &mut Vec<(String, f64)>) {
-        if let Some(p) = &self.pruner {
-            if let Some(d) = p.stats().mean_density() {
-                out.push((self.name.clone(), d));
-            }
-        }
-    }
-
     fn set_grad_tap(&mut self, enable: bool) {
         self.tap_enabled = enable;
         if !enable {
@@ -350,10 +342,8 @@ mod tests {
             let grads = batch(&mut rng, 2);
             hook.backward(grads, &mut ExecutionContext::scalar(), &step(s));
         }
-        let mut out = Vec::new();
-        hook.grad_densities(&mut out);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].1 > 0.0 && out[0].1 <= 1.0);
+        let density = hook.pruner().unwrap().stats().mean_density().unwrap();
+        assert!(density > 0.0 && density <= 1.0);
     }
 
     /// A reset clears the reported mean density — the next report covers
@@ -374,9 +364,6 @@ mod tests {
         assert_eq!(pruner.stats().mean_density(), None, "the reset cleared the mean");
         assert_eq!(pruner.predicted_threshold(), tau, "the FIFO stays");
         assert_eq!(pruner.stats().batches, batches, "the batch count stays");
-        let mut out = Vec::new();
-        hook.grad_densities(&mut out);
-        assert!(out.is_empty(), "nothing to report until the next batch");
 
         hook.backward(batch(&mut rng, 2), &mut ExecutionContext::scalar(), &step(4));
         let stats = hook.pruner().unwrap().stats();

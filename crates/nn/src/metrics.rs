@@ -1,93 +1,32 @@
-//! Classification metrics beyond plain accuracy.
+//! Per-epoch training metrics and early stopping.
 //!
-//! Table II reports top-1 accuracy; the convergence study (§VI-B) needs a
-//! finer view to show that pruned and unpruned runs agree not just in the
-//! headline number but in *which* classes they learn. This module
-//! provides a confusion matrix, the per-epoch metric store and the
-//! early-stopping rules.
+//! `Trainer::train` records one [`MetricRecord`] per epoch into a
+//! [`MetricStore`] (optionally appended to a jsonl file) and polls its
+//! [`StopCondition`]s after every epoch; the supervisor logs each
+//! recovery it makes into the same store as a [`RecoveryRecord`].
 //!
 //! # Example
 //!
 //! ```
-//! use sparsetrain_nn::metrics::ConfusionMatrix;
+//! use sparsetrain_nn::metrics::{MetricRecord, Patience, StopCondition};
 //!
-//! let mut cm = ConfusionMatrix::new(3);
-//! cm.record(0, 0);
-//! cm.record(1, 1);
-//! cm.record(2, 1); // true 2 predicted as 1
-//! assert_eq!(cm.accuracy(), 2.0 / 3.0);
-//! assert_eq!(cm.count(2, 1), 1);
+//! let epoch = |epoch, loss| MetricRecord {
+//!     epoch,
+//!     loss,
+//!     accuracy: 0.5,
+//!     val_loss: None,
+//!     val_accuracy: None,
+//!     rho_nnz: Some(0.25),
+//!     step_latency_ns: None,
+//! };
+//! assert_eq!(
+//!     epoch(1, 0.5).to_jsonl(),
+//!     "{\"epoch\":1,\"loss\":0.5,\"accuracy\":0.5,\"rho_nnz\":0.25}"
+//! );
+//! let mut stop = Patience::new(1);
+//! assert_eq!(stop.check(&epoch(1, 0.5)), None);
+//! assert!(stop.check(&epoch(2, 0.5)).is_some()); // no improvement
 //! ```
-
-/// A square confusion matrix: `count(true class, predicted class)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty matrix over `classes` classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes == 0`.
-    pub fn new(classes: usize) -> Self {
-        assert!(classes > 0, "need at least one class");
-        Self {
-            classes,
-            counts: vec![0; classes * classes],
-        }
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Records one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn record(&mut self, true_class: usize, predicted: usize) {
-        assert!(
-            true_class < self.classes && predicted < self.classes,
-            "class out of range"
-        );
-        self.counts[true_class * self.classes + predicted] += 1;
-    }
-
-    /// Records a prediction straight from logits (argmax).
-    pub fn record_logits(&mut self, true_class: usize, logits: &[f32]) {
-        let pred = crate::loss::argmax(logits);
-        self.record(true_class, pred);
-    }
-
-    /// The count for `(true_class, predicted)`.
-    pub fn count(&self, true_class: usize, predicted: usize) -> u64 {
-        self.counts[true_class * self.classes + predicted]
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy (0 when empty).
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let correct: u64 = (0..self.classes).map(|c| self.count(c, c)).sum();
-        correct as f64 / total as f64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-epoch training metrics and early stopping
-// ---------------------------------------------------------------------------
 
 /// One epoch's training metrics, as recorded by `Trainer::train`.
 ///
@@ -107,7 +46,8 @@ pub struct MetricRecord {
     pub val_loss: Option<f64>,
     /// Validation accuracy, when a validation set was supplied.
     pub val_accuracy: Option<f64>,
-    /// Mean activation-gradient density ρ_nnz across pruning sites.
+    /// Mean activation-gradient density ρ_nnz over the convolutions' `dO`
+    /// (`Trainer::mean_grad_density`).
     pub rho_nnz: Option<f64>,
     /// Mean optimizer-step latency in nanoseconds. Only recorded when the
     /// store has latency enabled — wall-clock readings are inherently
@@ -456,50 +396,6 @@ impl StopCondition for TargetAccuracy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn confusion_matrix_basic_counts() {
-        let mut cm = ConfusionMatrix::new(2);
-        cm.record(0, 0);
-        cm.record(0, 0);
-        cm.record(0, 1);
-        cm.record(1, 1);
-        assert_eq!(cm.count(0, 0), 2);
-        assert_eq!(cm.count(0, 1), 1);
-        assert_eq!(cm.total(), 4);
-        assert_eq!(cm.accuracy(), 0.75);
-    }
-
-    #[test]
-    fn perfect_predictions_score_one() {
-        let mut cm = ConfusionMatrix::new(4);
-        for c in 0..4 {
-            for _ in 0..5 {
-                cm.record(c, c);
-            }
-        }
-        assert_eq!(cm.accuracy(), 1.0);
-    }
-
-    #[test]
-    fn record_logits_uses_argmax() {
-        let mut cm = ConfusionMatrix::new(3);
-        cm.record_logits(2, &[0.0, 0.2, 0.9]);
-        assert_eq!(cm.count(2, 2), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "class out of range")]
-    fn out_of_range_record_panics() {
-        let mut cm = ConfusionMatrix::new(2);
-        cm.record(2, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one class")]
-    fn zero_classes_panics() {
-        let _ = ConfusionMatrix::new(0);
-    }
 
     fn record(epoch: u64, loss: f64) -> MetricRecord {
         MetricRecord {

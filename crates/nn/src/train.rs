@@ -730,8 +730,9 @@ impl Trainer {
         self.evaluate_stats(data).accuracy
     }
 
-    /// Mean activation-gradient density over all instrumented layers
-    /// (Table II's ρ_nnz), or `None` before any backward pass.
+    /// Mean activation-gradient density (Table II's ρ_nnz): the mean of
+    /// [`Trainer::grad_densities`], one entry per convolution, or `None`
+    /// before any backward pass.
     pub fn mean_grad_density(&self) -> Option<f64> {
         let mut densities = Vec::new();
         self.net.grad_densities(&mut densities);
@@ -742,7 +743,8 @@ impl Trainer {
         }
     }
 
-    /// Per-layer `(name, density)` pairs.
+    /// One `(conv name, mean dO density)` pair per convolution, over the
+    /// batches since the last density reset.
     pub fn grad_densities(&self) -> Vec<(String, f64)> {
         let mut densities = Vec::new();
         self.net.grad_densities(&mut densities);
@@ -913,6 +915,24 @@ mod tests {
         assert!(acc > 1.0 / 3.0 + 0.1, "pruned accuracy {acc} not above chance");
         let density = trainer.mean_grad_density().expect("density recorded");
         assert!(density < 1.0);
+    }
+
+    /// ρ_nnz counts each convolution's `dO` once: a prune site's own
+    /// statistics are no second entry.
+    #[test]
+    fn grad_densities_name_each_conv_once() {
+        let (train, _) = SyntheticSpec::tiny(3).generate();
+        let net = models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2)));
+        let mut trainer = Trainer::new(net, TrainConfig::quick());
+        for _ in 0..2 {
+            trainer.train_epoch(&train);
+        }
+        let names: Vec<String> = trainer
+            .grad_densities()
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(names, ["conv1", "conv2"]);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! one value per cycle while maintaining the `Σg` / `Σ|g|` accumulators
 //! the PPU already carries.
 //!
-//! The unit is validated against the software pruner in two ways: the
+//! The unit's tests hold it to the rule training runs
+//! ([`sparsetrain_core::prune::prune_slice_at`]) in two ways: the
 //! expectation-preservation property (`E[ĝ] = g`) holds with the LFSR's
-//! uniforms, and the achieved density matches the software pruner within
+//! uniforms, and the achieved density matches `prune_slice_at`'s within
 //! sampling noise — so the cycle/energy accounting of the machine, which
 //! charges the prune nothing beyond the PPU stream it already pays for,
 //! is justified.
@@ -285,8 +286,9 @@ mod tests {
     #[test]
     fn density_matches_software_pruner() {
         use rand::rngs::StdRng;
+        use rand::stream::StreamKey;
         use rand::SeedableRng;
-        use sparsetrain_core::prune::prune_slice;
+        use sparsetrain_core::prune::prune_slice_at;
         use sparsetrain_tensor::init::sample_standard_normal;
 
         let mut rng = StdRng::seed_from_u64(42);
@@ -295,9 +297,10 @@ mod tests {
             .collect();
         let tau = 0.08f64;
 
-        // Software reference (Algorithm 1's inner loop).
+        // The rule training runs (Algorithm 1's inner loop), from a
+        // position mid-Philox-block.
         let mut sw = grads.clone();
-        let out = prune_slice(&mut sw, tau, &mut rng);
+        let out = prune_slice_at(&mut sw, tau, StreamKey::new(42).derive(7), 4_001);
         let sw_density = (out.kept + out.snapped) as f64 / grads.len() as f64;
 
         // Hardware unit.

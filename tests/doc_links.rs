@@ -3,9 +3,9 @@
 //! architecture book cannot rot silently. External URLs and pure
 //! `#anchor` links are skipped; fenced code blocks are ignored — except
 //! that every `--example X`, `--bench X`, `--bin X` and `--test X` inside
-//! one, or anywhere in `.github/workflows/ci.yml`, must name a cargo
-//! target that exists, so a quoted command or a CI step cannot outlive the
-//! target it runs. Source files the prose names in back-ticks by their
+//! one, or anywhere in `.github/workflows/ci.yml` or the verify skill's
+//! `SKILL.md`, must name a cargo target that exists, so a quoted command
+//! or a CI step cannot outlive the target it runs. Source files the prose names in back-ticks by their
 //! repository path must exist too, so a deleted file cannot leave its
 //! mention behind.
 
@@ -119,18 +119,32 @@ fn target_exists(root: &Path, flag: &str, name: &str) -> bool {
     })
 }
 
+/// The `(flag, name)` pairs a line's cargo commands select. A command may
+/// open an inline code span (`` `--bench engine` ``), so one leading
+/// back-tick on the flag and closing punctuation on the name are dropped;
+/// a flag glued to other text (`--example/--bench`, `(--test`) is prose.
+fn cargo_targets_in(line: &str) -> Vec<(&str, &str)> {
+    let mut out = Vec::new();
+    let mut words = line.split_whitespace();
+    while let Some(word) = words.next() {
+        let flag = word.strip_prefix('`').unwrap_or(word);
+        if !matches!(flag, "--example" | "--bench" | "--bin" | "--test") {
+            continue;
+        }
+        if let Some(name) = words.next() {
+            out.push((flag, name.trim_end_matches(['`', ',', '.', ';', ':', ')'])));
+        }
+    }
+    out
+}
+
 #[test]
 fn cargo_targets_named_in_fenced_blocks_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut checked = 0usize;
     let mut stale = Vec::new();
     let mut check_line = |file: &Path, line_no: usize, line: &str| {
-        let mut words = line.split_whitespace();
-        while let Some(flag) = words.next() {
-            if !matches!(flag, "--example" | "--bench" | "--bin" | "--test") {
-                continue;
-            }
-            let Some(name) = words.next() else { continue };
+        for (flag, name) in cargo_targets_in(line) {
             checked += 1;
             if !target_exists(root, flag, name) {
                 stale.push(format!(
@@ -145,12 +159,15 @@ fn cargo_targets_named_in_fenced_blocks_exist() {
             check_line(file, line_no, line);
         }
     });
-    // CI steps run cargo commands too: every workflow line counts as fenced.
-    let ci = root.join(".github/workflows/ci.yml");
-    let workflow =
-        std::fs::read_to_string(&ci).unwrap_or_else(|e| panic!("cannot read {}: {e}", ci.display()));
-    for (idx, line) in workflow.lines().enumerate() {
-        check_line(&ci, idx + 1, line);
+    // CI steps and the verify skill run cargo commands too: every line of
+    // theirs counts as fenced.
+    for file in [".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"] {
+        let path = root.join(file);
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for (idx, line) in text.lines().enumerate() {
+            check_line(&path, idx + 1, line);
+        }
     }
     assert!(
         checked > 0,

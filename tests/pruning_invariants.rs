@@ -1,26 +1,30 @@
-//! Property-based tests of the pruning algorithm's invariants (§III).
+//! Property-based tests of the pruning algorithm's invariants (§III), on
+//! the rule training runs: [`prune_slice_at`] at a drawn stream key and
+//! offset (any residue mod 4, so a slice may start mid-Philox-block).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::stream::StreamKey;
 use rand::SeedableRng;
 use sparsetrain::core::prune::{
-    determine_threshold, prune_slice, sigma_hat, threshold_from_slice, BatchStream, LayerPruner, PruneConfig,
+    determine_threshold, prune_slice_at, sigma_hat, BatchStream, LayerPruner, PruneConfig,
 };
 use sparsetrain::tensor::init::sample_standard_normal;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every output value is 0, ±τ, or an untouched input with |g| ≥ τ.
+    /// Every output value is 0, ±τ with the input's sign, or an untouched
+    /// input with |g| ≥ τ.
     #[test]
     fn outputs_are_in_the_ternary_set(
         grads in proptest::collection::vec(-1.0f32..1.0, 1..200),
         tau in 0.01f64..0.5,
         seed in 0u64..1000,
+        offset in any::<u64>(),
     ) {
         let mut g = grads.clone();
-        prune_slice(&mut g, tau, &mut StdRng::seed_from_u64(seed));
+        prune_slice_at(&mut g, tau, StreamKey::new(seed), offset);
         for (before, after) in grads.iter().zip(&g) {
             if (before.abs() as f64) >= tau {
                 prop_assert_eq!(before, after);
@@ -42,10 +46,11 @@ proptest! {
         grads in proptest::collection::vec(-1.0f32..1.0, 0..300),
         tau in 0.0f64..0.5,
         seed in 0u64..1000,
+        offset in any::<u64>(),
     ) {
         let before = grads.iter().filter(|&&v| v != 0.0).count();
         let mut g = grads;
-        prune_slice(&mut g, tau, &mut StdRng::seed_from_u64(seed));
+        prune_slice_at(&mut g, tau, StreamKey::new(seed), offset);
         let after = g.iter().filter(|&&v| v != 0.0).count();
         prop_assert!(after <= before);
     }
@@ -75,17 +80,21 @@ proptest! {
 }
 
 /// The headline invariant: stochastic pruning preserves the expected value
-/// of each gradient (so SGD remains unbiased).
+/// of each gradient (so SGD remains unbiased). One element per call, at
+/// consecutive positions from an offset that is not a multiple of 4.
 #[test]
 fn expectation_preserved_over_many_draws() {
-    let mut rng = StdRng::seed_from_u64(99);
-    for &g0 in &[0.002f32, -0.006, 0.0095] {
+    let key = StreamKey::new(99);
+    for (&g0, offset) in [0.002f32, -0.006, 0.0095]
+        .iter()
+        .zip([1u64, 1 << 40 | 2, u64::MAX - 50_000])
+    {
         let tau = 0.01f64;
         let n = 100_000;
         let mut sum = 0.0f64;
-        for _ in 0..n {
+        for i in 0..n {
             let mut g = [g0];
-            prune_slice(&mut g, tau, &mut rng);
+            prune_slice_at(&mut g, tau, key, offset.wrapping_add(i));
             sum += g[0] as f64;
         }
         let mean = sum / n as f64;
@@ -100,8 +109,9 @@ fn target_sparsity_achieved_on_normal_data() {
     let mut rng = StdRng::seed_from_u64(4);
     let n = 60_000;
     let data: Vec<f32> = (0..n).map(|_| sample_standard_normal(&mut rng) * 0.3).collect();
-    for &p in &[0.7, 0.9] {
-        let tau = threshold_from_slice(&data, p);
+    let abs_sum: f64 = data.iter().map(|&g| (g as f64).abs()).sum();
+    for &p in &[0.5, 0.7, 0.9, 0.99] {
+        let tau = determine_threshold(sigma_hat(abs_sum, n), p);
         let below = data.iter().filter(|&&g| (g.abs() as f64) < tau).count() as f64 / n as f64;
         assert!((below - p).abs() < 0.02, "p={p}: got {below}");
     }

@@ -9,7 +9,6 @@ use rand::stream::StreamKey;
 use sparsetrain::core::prune::diagnostics::DistributionSummary;
 use sparsetrain::core::prune::{BatchStream, PruneConfig};
 use sparsetrain::nn::data::SyntheticSpec;
-use sparsetrain::nn::metrics::ConfusionMatrix;
 use sparsetrain::nn::models;
 use sparsetrain::nn::train::{TrainConfig, Trainer};
 use sparsetrain::nn::Layer;
@@ -38,7 +37,7 @@ fn weight_quantization_preserves_predictions() {
 
     // Predictions in f32.
     let xs: Vec<Tensor3> = data.images.iter().take(24).cloned().collect();
-    let labels: Vec<usize> = data.labels.iter().take(24).copied().collect();
+    let n = xs.len();
     let f32_out = trainer
         .network_mut()
         .forward(xs.clone().into(), &mut ExecutionContext::scalar(), false);
@@ -55,23 +54,19 @@ fn weight_quantization_preserves_predictions() {
         .network_mut()
         .forward(xs.into(), &mut ExecutionContext::scalar(), false);
 
-    let mut cm_f32 = ConfusionMatrix::new(4);
-    let mut cm_q = ConfusionMatrix::new(4);
+    // At most one disagreement in 24 samples also bounds the accuracy gap
+    // by 1/24.
     let mut agree = 0usize;
-    for ((a, b), &label) in f32_out.iter().zip(&q_out).zip(&labels) {
-        cm_f32.record_logits(label, a.as_slice());
-        cm_q.record_logits(label, b.as_slice());
+    for (a, b) in f32_out.iter().zip(&q_out) {
         if sparsetrain::nn::loss::argmax(a.as_slice()) == sparsetrain::nn::loss::argmax(b.as_slice()) {
             agree += 1;
         }
     }
     assert!(
-        agree >= labels.len() - 1,
-        "quantized net disagreed on {}/{} samples",
-        labels.len() - agree,
-        labels.len()
+        agree >= n - 1,
+        "quantized net disagreed on {}/{n} samples",
+        n - agree
     );
-    assert!((cm_f32.accuracy() - cm_q.accuracy()).abs() <= 0.05);
 }
 
 #[test]
