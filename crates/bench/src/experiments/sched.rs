@@ -13,9 +13,7 @@ use crate::table::{fmt, render};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparsetrain_core::dataflow::synth::{SynthLayer, SynthNet};
-use sparsetrain_core::dataflow::{
-    for_each_forward_op, for_each_gta_op, for_each_gtw_op, ConvLayerTrace, LayerTrace,
-};
+use sparsetrain_core::dataflow::{ConvLayerTrace, LayerTrace};
 use sparsetrain_sim::sched::{lower_bound, schedule, Policy};
 use sparsetrain_sim::{ArchConfig, Machine};
 use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
@@ -23,25 +21,17 @@ use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
 /// Per-task cycle totals of every stage of one conv layer.
 fn task_cycles(layer: &ConvLayerTrace) -> Vec<u64> {
     let mut tasks: Vec<u64> = Vec::new();
-    let mut push = |task: usize, cycles: u64, last: &mut usize| {
-        if task != *last {
+    let mut last = None;
+    let mut push = |stage_task: (usize, usize), cycles: u64| {
+        if last != Some(stage_task) {
             tasks.push(0);
-            *last = task;
+            last = Some(stage_task);
         }
         *tasks.last_mut().expect("pushed above") += cycles;
     };
-    let mut last = usize::MAX;
-    for_each_forward_op(layer, |t, op| {
-        push(t, src_work(op.input, op.geom).cycles, &mut last)
-    });
-    let mut last = usize::MAX;
-    for_each_gta_op(layer, |t, op| {
-        push(t, msrc_work(op.grad, op.geom, op.mask).cycles, &mut last)
-    });
-    let mut last = usize::MAX;
-    for_each_gtw_op(layer, |t, op| {
-        push(t, osrc_work(op.input, op.grad, op.geom).cycles, &mut last)
-    });
+    layer.forward_ops(|t, op| push((0, t), src_work(op.input, op.geom).cycles));
+    layer.gta_ops(|t, op| push((1, t), msrc_work(op.grad, op.geom, op.mask).cycles));
+    layer.gtw_ops(|t, op| push((2, t), osrc_work(op.input, op.grad, op.geom).cycles));
     tasks
 }
 

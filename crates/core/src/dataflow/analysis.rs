@@ -8,11 +8,11 @@
 //! scheduling/bandwidth/overhead loss, a useful architecture diagnostic
 //! that the tests here pin down.
 
-use super::ops::{self, StepKind};
 use super::trace::{ConvLayerTrace, LayerTrace, NetworkTrace};
 use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
 
-/// Static work counts of one trace, by stage.
+/// Static work counts of one trace, by stage (indexed in
+/// `sparsetrain_sparse::Stage` order: Forward, GTA, GTW).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkSummary {
     /// Dense MACs a baseline must perform (Forward; GTA and GTW have the
@@ -44,23 +44,6 @@ impl WorkSummary {
         }
         self.total_dense_macs() as f64 / sparse as f64
     }
-
-    /// Per-stage MAC reduction factors (dense/sparse; 1.0 for idle stages).
-    pub fn stage_reduction(&self, kind: StepKind) -> f64 {
-        let idx = stage_index(kind);
-        if self.sparse_macs[idx] == 0 {
-            return 1.0;
-        }
-        self.dense_macs[idx] as f64 / self.sparse_macs[idx] as f64
-    }
-}
-
-fn stage_index(kind: StepKind) -> usize {
-    match kind {
-        StepKind::Forward => 0,
-        StepKind::Gta => 1,
-        StepKind::Gtw => 2,
-    }
 }
 
 /// Computes the static work summary of a conv layer.
@@ -71,17 +54,17 @@ pub fn analyze_conv(conv: &ConvLayerTrace) -> WorkSummary {
     s.dense_macs[1] = if conv.needs_input_grad { dense } else { 0 };
     s.dense_macs[2] = dense;
 
-    ops::for_each_forward_op(conv, |_, op| {
+    conv.forward_ops(|_, op| {
         let w = src_work(op.input, op.geom);
         s.sparse_macs[0] += w.macs;
         s.sparse_cycles[0] += w.cycles;
     });
-    ops::for_each_gta_op(conv, |_, op| {
+    conv.gta_ops(|_, op| {
         let w = msrc_work(op.grad, op.geom, op.mask);
         s.sparse_macs[1] += w.macs;
         s.sparse_cycles[1] += w.cycles;
     });
-    ops::for_each_gtw_op(conv, |_, op| {
+    conv.gtw_ops(|_, op| {
         let w = osrc_work(op.input, op.grad, op.geom);
         s.sparse_macs[2] += w.macs;
         s.sparse_cycles[2] += w.cycles;
@@ -199,8 +182,8 @@ mod tests {
         let s = analyze_conv(&conv_trace(3));
         // GTW multiplies two sparse operands — its reduction should be the
         // strongest of the three stages.
-        let f = s.stage_reduction(StepKind::Forward);
-        let gtw = s.stage_reduction(StepKind::Gtw);
+        let reduction = |stage: usize| s.dense_macs[stage] as f64 / s.sparse_macs[stage] as f64;
+        let (f, gtw) = (reduction(0), reduction(2));
         assert!(gtw > f, "GTW reduction {gtw} should exceed Forward {f}");
     }
 }

@@ -3,13 +3,14 @@
 //!
 //! The paper drives its simulator through a compiler that converts PyTorch
 //! models into internal instructions (§V). [`compile`] materialises the
-//! §IV op visitors in [`super::ops`] as that list: one [`Instr`] per SRC /
-//! MSRC / OSRC row operation of every layer and stage, with its operand
-//! sizes. The simulator consumes the visitors directly (no allocation), so
-//! the [`Program`] is an inspectable count of the work, not an input to it.
+//! one enumeration of the §IV row operations (`sparsetrain_sparse::ops`,
+//! the list the scalar engine executes) as that list: one [`Instr`] per
+//! SRC / MSRC / OSRC op of every layer and stage, with its operand sizes.
+//! The simulator walks the same ops directly (no allocation), so the
+//! [`Program`] is an inspectable count of the work, not an input to it.
 
-use super::ops::{self, StepKind};
 use super::trace::{LayerTrace, NetworkTrace};
+use sparsetrain_sparse::Stage;
 
 /// One 1-D convolution instruction, with its operand metadata (sizes, not
 /// data — data stays in the buffer).
@@ -18,7 +19,7 @@ pub struct Instr {
     /// Index of the layer in the network.
     pub layer: u32,
     /// Which training stage the instruction belongs to.
-    pub step: StepKind,
+    pub step: Stage,
     /// Scheduling task this instruction contributes to (instructions of a
     /// task run back-to-back on one PE).
     pub task: u32,
@@ -52,16 +53,11 @@ impl Program {
         self.instrs.is_empty()
     }
 
-    /// Instruction count per training stage.
+    /// Instruction count per training stage, in [`Stage`] order.
     pub fn instrs_per_step(&self) -> [usize; 3] {
         let mut counts = [0usize; 3];
         for i in &self.instrs {
-            let idx = match i.step {
-                StepKind::Forward => 0,
-                StepKind::Gta => 1,
-                StepKind::Gtw => 2,
-            };
-            counts[idx] += 1;
+            counts[i.step as usize] += 1;
         }
         counts
     }
@@ -77,44 +73,24 @@ pub fn compile(trace: &NetworkTrace) -> Program {
         let LayerTrace::Conv(conv) = layer else {
             continue;
         };
-        let layer = layer_idx as u32;
-        let kernel = conv.geom.kernel as u8;
-        let stride = conv.geom.stride as u8;
-        ops::for_each_forward_op(conv, |task, op| {
-            program.instrs.push(Instr {
-                layer,
-                step: StepKind::Forward,
-                task: task as u32,
-                kernel,
-                stride,
-                port1_nnz: op.input.nnz() as u32,
-                port2_nnz: 0,
-                mask_nnz: 0,
-            });
+        // `[port1, port2, mask]` non-zeros of one op.
+        let instr = |step, task: usize, [port1, port2, mask]: [usize; 3]| Instr {
+            layer: layer_idx as u32,
+            step,
+            task: task as u32,
+            kernel: conv.geom.kernel as u8,
+            stride: conv.geom.stride as u8,
+            port1_nnz: port1 as u32,
+            port2_nnz: port2 as u32,
+            mask_nnz: mask as u32,
+        };
+        let instrs = &mut program.instrs;
+        conv.forward_ops(|task, op| instrs.push(instr(Stage::Forward, task, [op.input.nnz(), 0, 0])));
+        conv.gta_ops(|task, op| {
+            instrs.push(instr(Stage::InputGrad, task, [op.grad.nnz(), 0, op.mask.count()]));
         });
-        ops::for_each_gta_op(conv, |task, op| {
-            program.instrs.push(Instr {
-                layer,
-                step: StepKind::Gta,
-                task: task as u32,
-                kernel,
-                stride,
-                port1_nnz: op.grad.nnz() as u32,
-                port2_nnz: 0,
-                mask_nnz: op.mask.count() as u32,
-            });
-        });
-        ops::for_each_gtw_op(conv, |task, op| {
-            program.instrs.push(Instr {
-                layer,
-                step: StepKind::Gtw,
-                task: task as u32,
-                kernel,
-                stride,
-                port1_nnz: op.input.nnz() as u32,
-                port2_nnz: op.grad.nnz() as u32,
-                mask_nnz: 0,
-            });
+        conv.gtw_ops(|task, op| {
+            instrs.push(instr(Stage::WeightGrad, task, [op.input.nnz(), op.grad.nnz(), 0]));
         });
     }
     program
@@ -166,7 +142,7 @@ mod tests {
             _ => unreachable!(),
         };
         let mut fwd = 0usize;
-        ops::for_each_forward_op(conv, |_, _| fwd += 1);
+        conv.forward_ops(|_, _| fwd += 1);
         assert_eq!(p.instrs_per_step()[0], fwd);
     }
 
@@ -175,7 +151,7 @@ mod tests {
         let p = compile(&trace());
         // Within one (layer, step), tasks must be non-decreasing: all of a
         // task's instructions run back-to-back on one PE.
-        let mut last: Option<(u32, StepKind, u32)> = None;
+        let mut last: Option<(u32, Stage, u32)> = None;
         for i in &p.instrs {
             if let Some((l, s, t)) = last {
                 if l == i.layer && s == i.step {
@@ -189,10 +165,10 @@ mod tests {
     #[test]
     fn osrc_instrs_have_two_streams() {
         let p = compile(&trace());
-        for i in p.instrs.iter().filter(|i| i.step == StepKind::Gtw) {
+        for i in p.instrs.iter().filter(|i| i.step == Stage::WeightGrad) {
             assert!(i.port1_nnz > 0 && i.port2_nnz > 0);
         }
-        for i in p.instrs.iter().filter(|i| i.step != StepKind::Gtw) {
+        for i in p.instrs.iter().filter(|i| i.step != Stage::WeightGrad) {
             assert_eq!(i.port2_nnz, 0);
         }
     }

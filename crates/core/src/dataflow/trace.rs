@@ -8,6 +8,9 @@
 //! the natural sparsity from ReLU/MaxPool and the artificial sparsity from
 //! gradient pruning.
 
+use sparsetrain_sparse::ops::{
+    for_each_forward_op, for_each_gta_op, for_each_gtw_op, MsrcOp, OsrcOp, SrcOp, TaskId,
+};
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::RowMask;
 use sparsetrain_tensor::conv::ConvGeometry;
@@ -152,6 +155,26 @@ pub struct ConvLayerTrace {
 }
 
 impl ConvLayerTrace {
+    /// The layer's Forward SRC ops: [`for_each_forward_op`] over every
+    /// filter.
+    pub fn forward_ops<'a>(&'a self, on_op: impl FnMut(TaskId, SrcOp<'a>)) {
+        for_each_forward_op(&self.input, self.geom, 0..self.filters, on_op);
+    }
+
+    /// The layer's GTA MSRC ops: [`for_each_gta_op`] over every channel,
+    /// or none when the layer does not need its input gradient.
+    pub fn gta_ops<'a>(&'a self, on_op: impl FnMut(TaskId, MsrcOp<'a>)) {
+        if self.needs_input_grad {
+            let (channels, h) = (self.input.channels(), self.input.height());
+            for_each_gta_op(&self.dout, &self.input_masks, self.geom, h, 0..channels, on_op);
+        }
+    }
+
+    /// The layer's GTW OSRC ops: [`for_each_gtw_op`] over every filter.
+    pub fn gtw_ops<'a>(&'a self, on_op: impl FnMut(TaskId, OsrcOp<'a>)) {
+        for_each_gtw_op(&self.input, &self.dout, self.geom, 0..self.filters, on_op);
+    }
+
     /// Output spatial height `Ho`.
     pub fn out_height(&self) -> usize {
         self.geom.output_extent(self.input.height())

@@ -227,7 +227,10 @@ impl LayerPruner {
         // push below changes it.
         let predicted = self.predicted_threshold();
 
-        if self.config.target_sparsity > 0.0 {
+        // A non-finite Σ|g| (a ±∞ or NaN gradient) determines no τ: pushed,
+        // an +∞ would zero the next `fifo_depth` batches and a NaN would
+        // leave them unpruned.
+        if self.config.target_sparsity > 0.0 && batch.abs_sum.is_finite() {
             let tau = determine_threshold(
                 sigma_hat(batch.abs_sum, batch.elements),
                 self.config.target_sparsity,
@@ -612,6 +615,38 @@ mod tests {
         pruner.reset();
         assert!(!pruner.is_warm());
         assert_eq!(pruner.stats().batches, 0);
+    }
+
+    /// One +∞ or NaN element in batch 5 of twelve leaves the FIFO as
+    /// batch 4 left it, so every later prediction stays finite.
+    #[test]
+    fn non_finite_batch_pushes_no_threshold() {
+        for bad in [f32::INFINITY, f32::NAN] {
+            let mut rng = StdRng::seed_from_u64(14);
+            let mut pruner = LayerPruner::new(PruneConfig::new(0.9, 4));
+            let mut fifo_after_4 = Vec::new();
+            for step in 0..12 {
+                let mut batch = normal_batch(&mut rng, 4096, 0.1);
+                if step == 5 {
+                    batch[1000] = bad;
+                }
+                let determined = pruner.stats().last_determined_tau;
+                pruner.prune_batch(&mut batch, &stream(step));
+                let fifo: Vec<f64> = pruner.fifo.values().collect();
+                match step {
+                    4 => fifo_after_4 = fifo,
+                    5 => {
+                        assert_eq!(fifo, fifo_after_4, "{bad} in batch 5 moved the FIFO");
+                        assert_eq!(pruner.stats().last_determined_tau, determined);
+                    }
+                    6.. => {
+                        let tau = pruner.stats().last_predicted_tau.expect("warm");
+                        assert!(tau.is_finite(), "{bad} in batch 5: τ {tau} at batch {step}");
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 
     #[test]

@@ -80,6 +80,12 @@ pub(super) fn abs_sum_nonzeros(part: &[f32]) -> (f64, usize) {
 /// pruning (everything is kept). Exact zeros stay zero, count as
 /// `zeroed` and take no draw.
 ///
+/// Non-finite values: a ±∞ or NaN element is never a candidate, so it is
+/// kept unchanged. A NaN `tau` prunes nothing (no `|g| < tau` holds); an
+/// +∞ `tau` makes every finite non-zero a candidate that never snaps, so
+/// it zeroes them all. [`super::LayerPruner`] never determines either: a
+/// batch whose `Σ|g|` is not finite pushes no threshold.
+///
 /// The work follows the candidates (non-zeros below `tau`). Each
 /// 64-element run is classified branch-free into bitmasks; a run with no
 /// candidate costs its classification and nothing else. Otherwise only

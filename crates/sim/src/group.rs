@@ -9,7 +9,7 @@
 //! scheduler uses. The tests pin that equality down.
 
 use crate::pe::CycleExactPe;
-use sparsetrain_core::dataflow::{MsrcOp, OsrcOp, SrcOp};
+use sparsetrain_sparse::ops::{MsrcOp, OsrcOp, SrcOp};
 
 /// One operation assigned to a PE queue.
 pub enum QueuedOp<'a> {
@@ -100,6 +100,7 @@ impl<'a> PeGroup<'a> {
 mod tests {
     use super::*;
     use crate::pe::one_row;
+    use sparsetrain_sparse::ops::OpAt;
     use sparsetrain_sparse::rowconv::SparseFeatureMap;
     use sparsetrain_sparse::work::{src_work, OpWork};
     use sparsetrain_tensor::conv::ConvGeometry;
@@ -129,7 +130,7 @@ mod tests {
                 QueuedOp::Src(SrcOp {
                     input: row.row(0, 0),
                     geom,
-                    out_len: 8,
+                    at: OpAt::default(),
                 }),
             );
             expected[pe] += src_work(row.row(0, 0), geom).cycles;
@@ -150,7 +151,7 @@ mod tests {
                 QueuedOp::Src(SrcOp {
                     input: row.row(0, 0),
                     geom,
-                    out_len: 8,
+                    at: OpAt::default(),
                 }),
             );
             expected = expected.add(&src_work(row.row(0, 0), geom));
@@ -176,7 +177,7 @@ mod tests {
             QueuedOp::Src(SrcOp {
                 input: zero.row(0, 0),
                 geom,
-                out_len: 8,
+                at: OpAt::default(),
             }),
         );
         group.enqueue(
@@ -184,7 +185,7 @@ mod tests {
             QueuedOp::Src(SrcOp {
                 input: nonzero.row(0, 0),
                 geom,
-                out_len: 8,
+                at: OpAt::default(),
             }),
         );
         group.enqueue(
@@ -192,7 +193,7 @@ mod tests {
             QueuedOp::Src(SrcOp {
                 input: zero.row(0, 0),
                 geom,
-                out_len: 8,
+                at: OpAt::default(),
             }),
         );
         let makespan = group.run();

@@ -5,9 +5,10 @@
 //! banked global SRAM buffer, off-chip DRAM and a controller. Convolution
 //! layers execute as streams of SRC / MSRC / OSRC row operations enumerated
 //! from a captured [`sparsetrain_core::dataflow::NetworkTrace`] by the §IV
-//! op visitors (the simulator walks the trace, not a compiled program); the
-//! controller assigns each *task* (one output row's operations) to the
-//! least-loaded PE.
+//! op visitors of [`sparsetrain_sparse::ops`], the same list the scalar
+//! reference engine executes (the simulator walks the trace, not a compiled
+//! program); the controller assigns each *task* (one output row's
+//! operations) to the least-loaded PE.
 //!
 //! Two timing engines are provided and tested to agree exactly:
 //!

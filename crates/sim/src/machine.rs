@@ -16,11 +16,9 @@ use crate::config::ArchConfig;
 use crate::energy::{EnergyMeter, EnergyModel};
 use crate::report::{LayerReport, SimReport, StepReport};
 use crate::sched::{schedule, Policy};
-use sparsetrain_core::dataflow::{ConvLayerTrace, FcLayerTrace, LayerTrace, NetworkTrace, TaskId};
+use sparsetrain_core::dataflow::{ConvLayerTrace, FcLayerTrace, LayerTrace, NetworkTrace};
+use sparsetrain_sparse::ops::TaskId;
 use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work, OpWork};
-
-// Re-export the op visitors under the names used here.
-use sparsetrain_core::dataflow::ops as df_ops;
 
 /// On-chip operand storage format, which sets the buffer traffic per
 /// operand value.
@@ -250,7 +248,7 @@ impl Machine {
         // offset + value when compressed) and the kernel row held in Reg-1
         // (K words per op).
         let mut acc = StepAccumulator::new(pes, self.policy);
-        df_ops::for_each_forward_op(conv, |task, op| {
+        conv.forward_ops(|task, op| {
             let work = src_work(op.input, op.geom);
             acc.on_op(task, work, format.words_for(work.loads) + k);
         });
@@ -267,7 +265,7 @@ impl Machine {
         // mask entry, folded into writes below. Writes: the dI rows
         // (bounded by the masks).
         let mut acc = StepAccumulator::new(pes, self.policy);
-        df_ops::for_each_gta_op(conv, |task, op| {
+        conv.gta_ops(|task, op| {
             let work = msrc_work(op.grad, op.geom, op.mask);
             acc.on_op(task, work, format.words_for(work.loads) + k);
         });
@@ -282,7 +280,7 @@ impl Machine {
         // ---- GTW: OSRC ops. Reads: both operand streams.
         // Writes: one kernel row of dW per task plus the bias gradients.
         let mut acc = StepAccumulator::new(pes, self.policy);
-        df_ops::for_each_gtw_op(conv, |task, op| {
+        conv.gtw_ops(|task, op| {
             let work = osrc_work(op.input, op.grad, op.geom);
             acc.on_op(task, work, format.words_for(work.loads));
         });

@@ -12,7 +12,7 @@
 //! [`sparsetrain_sparse::work`] — the property the tests here pin down and
 //! that justifies using the work model for whole-network simulation.
 
-use sparsetrain_core::dataflow::{MsrcOp, OsrcOp, SrcOp};
+use sparsetrain_sparse::ops::{MsrcOp, OsrcOp, SrcOp};
 use sparsetrain_sparse::work::{OpWork, OP_SETUP_CYCLES};
 use sparsetrain_sparse::SparseRow;
 
@@ -231,6 +231,7 @@ pub(crate) fn one_row(dense: &[f32]) -> sparsetrain_sparse::rowconv::SparseFeatu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparsetrain_sparse::ops::OpAt;
     use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
     use sparsetrain_sparse::RowMask;
     use sparsetrain_tensor::conv::ConvGeometry;
@@ -248,7 +249,7 @@ mod tests {
             let op = SrcOp {
                 input: input.row(0, 0),
                 geom,
-                out_len: pattern.len(),
+                at: OpAt::default(),
             };
             let mut pe = CycleExactPe::new(11);
             pe.issue_src(&op);
@@ -268,7 +269,7 @@ mod tests {
                 grad: grad.row(0, 0),
                 mask: &mask,
                 geom,
-                out_len: 8,
+                at: OpAt::default(),
             };
             let mut pe = CycleExactPe::new(11);
             pe.issue_msrc(&op);
@@ -296,6 +297,7 @@ mod tests {
                 input: input.row(0, 0),
                 grad: grad.row(0, 0),
                 geom,
+                at: OpAt::default(),
             };
             let mut pe = CycleExactPe::new(11);
             pe.issue_osrc(&op);
@@ -314,7 +316,7 @@ mod tests {
         let op = SrcOp {
             input: input.row(0, 0),
             geom,
-            out_len: 8,
+            at: OpAt::default(),
         };
         let mut pe = CycleExactPe::new(3);
         pe.issue_src(&op);
@@ -331,13 +333,13 @@ mod tests {
         pe.issue_src(&SrcOp {
             input: a.row(0, 0),
             geom,
-            out_len: 2,
+            at: OpAt::default(),
         });
         pe.run_to_completion();
         pe.issue_src(&SrcOp {
             input: b.row(0, 0),
             geom,
-            out_len: 1,
+            at: OpAt::default(),
         });
         pe.run_to_completion();
         assert_eq!(pe.busy_cycles, (OP_SETUP_CYCLES + 2) + (OP_SETUP_CYCLES + 1));
@@ -353,12 +355,12 @@ mod tests {
         pe.issue_src(&SrcOp {
             input: a.row(0, 0),
             geom,
-            out_len: 1,
+            at: OpAt::default(),
         });
         pe.issue_src(&SrcOp {
             input: a.row(0, 0),
             geom,
-            out_len: 1,
+            at: OpAt::default(),
         });
     }
 }

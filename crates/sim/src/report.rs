@@ -42,7 +42,9 @@ pub struct LayerReport {
 }
 
 impl LayerReport {
-    /// The report for a specific stage.
+    /// The report for a specific stage. (Keyed by
+    /// [`StepKind`] rather than `sparsetrain_sparse::Stage` only because
+    /// `stbench` names it; see its doc.)
     pub fn step(&self, kind: StepKind) -> &StepReport {
         match kind {
             StepKind::Forward => &self.steps[0],

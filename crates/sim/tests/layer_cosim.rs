@@ -4,7 +4,7 @@
 //! the end-to-end guarantee that the fast whole-network simulator computes
 //! cycle-accurate numbers.
 
-use sparsetrain_core::dataflow::{for_each_forward_op, for_each_gta_op, for_each_gtw_op, ConvLayerTrace};
+use sparsetrain_core::dataflow::ConvLayerTrace;
 use sparsetrain_sim::group::{PeGroup, QueuedOp};
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
@@ -50,21 +50,21 @@ fn cosim_stage(trace: &ConvLayerTrace, pes: usize, stage: &str) -> (u64, u64) {
     // (the controller contract).
     match stage {
         "forward" => {
-            for_each_forward_op(trace, |task, op| {
+            trace.forward_ops(|task, op| {
                 let pe = task % pes;
                 predicted[pe] += src_work(op.input, op.geom).cycles;
                 group.enqueue(pe, QueuedOp::Src(op));
             });
         }
         "gta" => {
-            for_each_gta_op(trace, |task, op| {
+            trace.gta_ops(|task, op| {
                 let pe = task % pes;
                 predicted[pe] += msrc_work(op.grad, op.geom, op.mask).cycles;
                 group.enqueue(pe, QueuedOp::Msrc(op));
             });
         }
         "gtw" => {
-            for_each_gtw_op(trace, |task, op| {
+            trace.gtw_ops(|task, op| {
                 let pe = task % pes;
                 predicted[pe] += osrc_work(op.input, op.grad, op.geom).cycles;
                 group.enqueue(pe, QueuedOp::Osrc(op));
@@ -115,7 +115,7 @@ fn cosim_mac_totals_are_consistent() {
     let trace = make_trace(1);
     let mut group = PeGroup::new(1, 11);
     let mut expected_macs = 0u64;
-    for_each_forward_op(&trace, |_, op| {
+    trace.forward_ops(|_, op| {
         expected_macs += src_work(op.input, op.geom).macs;
         group.enqueue(0, QueuedOp::Src(op));
     });

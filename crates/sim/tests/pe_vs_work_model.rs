@@ -3,9 +3,9 @@
 //! justifies running whole-network simulations on the closed form.
 
 use proptest::prelude::*;
-use sparsetrain_core::dataflow::{MsrcOp, OsrcOp, SrcOp};
 use sparsetrain_sim::group::{PeGroup, QueuedOp};
 use sparsetrain_sim::pe::CycleExactPe;
+use sparsetrain_sparse::ops::{MsrcOp, OpAt, OsrcOp, SrcOp};
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
 use sparsetrain_sparse::RowMask;
@@ -37,7 +37,7 @@ proptest! {
 
     #[test]
     fn src_pe_equals_work_model(row in arb_sparse_row(40), geom in arb_geom()) {
-        let op = SrcOp { input: row.row(0, 0), geom, out_len: 40 };
+        let op = SrcOp { input: row.row(0, 0), geom, at: OpAt::default()};
         let mut pe = CycleExactPe::new(11);
         pe.issue_src(&op);
         let got = pe.run_to_completion();
@@ -51,7 +51,7 @@ proptest! {
         geom in arb_geom(),
     ) {
         let mask = RowMask::from_offsets(40, mask_pattern.row(0, 0).offsets());
-        let op = MsrcOp { grad: grad.row(0, 0), mask: &mask, geom, out_len: 40 };
+        let op = MsrcOp { grad: grad.row(0, 0), mask: &mask, geom, at: OpAt::default()};
         let mut pe = CycleExactPe::new(11);
         pe.issue_msrc(&op);
         let got = pe.run_to_completion();
@@ -66,7 +66,7 @@ proptest! {
             .map(|i| if i % 3 == 0 { 1.0 } else { 0.0 })
             .collect();
         let grad = one_row(grad_dense);
-        let op = OsrcOp { input: input.row(0, 0), grad: grad.row(0, 0), geom };
+        let op = OsrcOp { input: input.row(0, 0), grad: grad.row(0, 0), geom, at: OpAt::default() };
         let mut pe = CycleExactPe::new(11);
         pe.issue_osrc(&op);
         let got = pe.run_to_completion();
@@ -85,7 +85,7 @@ proptest! {
         let mut expected = vec![0u64; pes];
         for (i, row) in rows.iter().enumerate() {
             let pe = i % pes;
-            group.enqueue(pe, QueuedOp::Src(SrcOp { input: row.row(0, 0), geom, out_len: 24 }));
+            group.enqueue(pe, QueuedOp::Src(SrcOp { input: row.row(0, 0), geom, at: OpAt::default()}));
             expected[pe] += src_work(row.row(0, 0), geom).cycles;
         }
         let makespan = group.run();

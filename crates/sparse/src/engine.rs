@@ -58,12 +58,17 @@
 //! `parallel:simd` / `im2row` / `parallel:im2row` / `auto` of simd) to
 //! engine instances, and
 //! [`crate::context::ExecutionContext`] carries the resolved engine
-//! through `sparsetrain-nn`'s `Trainer`/`Conv2d`; the
-//! simulator's cycle accounting consumes the same op enumeration and is
-//! engine-agnostic by construction.
+//! through `sparsetrain-nn`'s `Trainer`/`Conv2d`.
+//!
+//! [`ScalarEngine`]'s band is the [`crate::ops`] visitor of its stage over
+//! the band's units, each op run through its `*_accumulate` kernel. The
+//! simulator's cycle accounting walks the same visitors, pricing each op
+//! with [`crate::work`] instead, so it is engine-agnostic by construction
+//! and prices exactly the ops the reference runs.
 
 use crate::mask::RowMask;
 use crate::msrc::msrc_accumulate;
+use crate::ops::{for_each_forward_op, for_each_gta_op, for_each_gtw_op};
 use crate::osrc::osrc_accumulate;
 use crate::panels::PanelCache;
 use crate::rowconv::SparseFeatureMap;
@@ -525,15 +530,34 @@ pub(crate) fn add_and_clear(acc: &mut [f32], sample: &mut [f32]) {
 }
 
 /// The scalar reference for units `lo..` of one op, accumulated straight
-/// into `out`.
+/// into `out`: a Forward bias first fills its filter planes, then the
+/// stage's [`crate::ops`] visitor runs over the band's units and each op
+/// goes through its kernel into the output row its task names. A task id
+/// counts rows from the start of the whole output, so the band's rows
+/// start at task `first`.
 pub(crate) fn scalar_band(op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
+    let (_, unit_len) = op.split();
+    let units = lo..lo + out.len() / unit_len;
     match *op {
         StageOp::Forward {
             input,
             weights,
             bias,
             geom,
-        } => scalar_forward_band(input, weights, bias, geom, lo, out),
+        } => {
+            if let Some(bias) = bias {
+                for (plane, &b) in out.chunks_mut(unit_len).zip(&bias[units.clone()]) {
+                    plane.fill(b);
+                }
+            }
+            let ow = geom.output_extent(input.width());
+            let first = lo * unit_len / ow;
+            for_each_forward_op(input, geom, units, |task, op| {
+                let row = &mut out[(task - first) * ow..][..ow];
+                let krow = weights.kernel_row(op.at.fi, op.at.ci, op.at.u);
+                src_accumulate(op.input, krow, geom, row);
+            });
+        }
         StageOp::InputGrad {
             dout,
             weights,
@@ -541,114 +565,20 @@ pub(crate) fn scalar_band(op: &StageOp<'_>, lo: usize, out: &mut [f32]) {
             masks,
             in_h,
             in_w,
-        } => scalar_input_grad_band(dout, weights, geom, masks, in_h, in_w, lo, out),
-        StageOp::WeightGrad { input, dout, geom } => scalar_weight_grad_band(input, dout, geom, lo, out),
-    }
-}
-
-/// Computes the forward rows of filters `f_lo..f_lo + n` into `out_band`
-/// (`n` contiguous `Oh × Ow` filter planes).
-fn scalar_forward_band(
-    input: &SparseFeatureMap,
-    weights: &Tensor4,
-    bias: Option<&[f32]>,
-    geom: ConvGeometry,
-    f_lo: usize,
-    out_band: &mut [f32],
-) {
-    let h = input.height() as isize;
-    let oh = geom.output_extent(input.height());
-    let ow = geom.output_extent(input.width());
-    for (bf, plane) in out_band.chunks_mut(oh * ow).enumerate() {
-        let fi = f_lo + bf;
-        if let Some(b) = bias {
-            plane.fill(b[fi]);
+        } => {
+            let first = lo * in_h;
+            for_each_gta_op(dout, masks, geom, in_h, units, |task, op| {
+                let row = &mut out[(task - first) * in_w..][..in_w];
+                let krow = weights.kernel_row(op.at.fi, op.at.ci, op.at.u);
+                msrc_accumulate(op.grad, krow, geom, op.mask, row);
+            });
         }
-        for (oy, out_row) in plane.chunks_mut(ow).enumerate() {
-            for u in 0..geom.kernel {
-                let iy = (oy * geom.stride) as isize - geom.pad as isize + u as isize;
-                if iy < 0 || iy >= h {
-                    continue;
-                }
-                for ci in 0..input.channels() {
-                    let krow = weights.kernel_row(fi, ci, u);
-                    src_accumulate(input.row(ci, iy as usize), krow, geom, out_row);
-                }
-            }
-        }
-    }
-}
-
-/// Computes the input-gradient rows of channels `c_lo..c_lo + n` into
-/// `din_band` (`n` contiguous `H × W` channel planes).
-#[allow(clippy::too_many_arguments)]
-fn scalar_input_grad_band(
-    dout: &SparseFeatureMap,
-    weights: &Tensor4,
-    geom: ConvGeometry,
-    masks: &[RowMask],
-    in_h: usize,
-    in_w: usize,
-    c_lo: usize,
-    din_band: &mut [f32],
-) {
-    for (bc, plane) in din_band.chunks_mut(in_h * in_w).enumerate() {
-        let ci = c_lo + bc;
-        for fi in 0..dout.channels() {
-            for oy in 0..dout.height() {
-                let grow = dout.row(fi, oy);
-                if grow.nnz() == 0 {
-                    continue;
-                }
-                for u in 0..geom.kernel {
-                    let iy = (oy * geom.stride) as isize - geom.pad as isize + u as isize;
-                    if iy < 0 || iy >= in_h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    let out_row = &mut plane[iy * in_w..(iy + 1) * in_w];
-                    msrc_accumulate(
-                        grow,
-                        weights.kernel_row(fi, ci, u),
-                        geom,
-                        &masks[ci * in_h + iy],
-                        out_row,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Accumulates the weight gradients of filters `f_lo..f_lo + n` into
-/// `dw_band` (`n` contiguous `C × K × K` filter blocks).
-fn scalar_weight_grad_band(
-    input: &SparseFeatureMap,
-    dout: &SparseFeatureMap,
-    geom: ConvGeometry,
-    f_lo: usize,
-    dw_band: &mut [f32],
-) {
-    let c = input.channels();
-    let k = geom.kernel;
-    for (bf, block) in dw_band.chunks_mut(c * k * k).enumerate() {
-        let fi = f_lo + bf;
-        for ci in 0..c {
-            for u in 0..k {
-                let taps = &mut block[(ci * k + u) * k..(ci * k + u + 1) * k];
-                for oy in 0..dout.height() {
-                    let iy = (oy * geom.stride) as isize - geom.pad as isize + u as isize;
-                    if iy < 0 || iy >= input.height() as isize {
-                        continue;
-                    }
-                    let irow = input.row(ci, iy as usize);
-                    let grow = dout.row(fi, oy);
-                    if irow.nnz() == 0 || grow.nnz() == 0 {
-                        continue;
-                    }
-                    osrc_accumulate(irow, grow, geom, taps);
-                }
-            }
+        StageOp::WeightGrad { input, dout, geom } => {
+            let k = geom.kernel;
+            let first = lo * unit_len / k;
+            for_each_gtw_op(input, dout, geom, units, |task, op| {
+                osrc_accumulate(op.input, op.grad, geom, &mut out[(task - first) * k..][..k]);
+            });
         }
     }
 }

@@ -21,6 +21,14 @@
 //! the heap. [`work`] provides the analytic PE cycle model for each
 //! primitive, which the cycle-exact simulator is checked against.
 //!
+//! [`ops`] lists the row operations once: one visitor per stage
+//! ([`ops::for_each_forward_op`], [`ops::for_each_gta_op`],
+//! [`ops::for_each_gtw_op`]) yields every SRC / MSRC / OSRC op of a unit
+//! range, grouped into tasks, in the order the reference engine executes
+//! them. The scalar engine runs each op through its kernel; the simulator,
+//! the static analysis and the compiler in `sparsetrain-core` price or
+//! count the same ops through [`work`].
+//!
 //! # The execution engine layer
 //!
 //! [`engine`] builds the layer-level execution seam on top of the kernels,
@@ -38,8 +46,9 @@
 //!   pool — multi-core speedup scales with batch size as well as layer
 //!   width, bitwise identical at every band count (disjoint output bands,
 //!   same per-row order).
-//! * [`engine::ScalarEngine`] — the reference semantics; its iteration
-//!   order *is* the floating-point specification.
+//! * [`engine::ScalarEngine`] — the reference semantics: the [`ops`]
+//!   visitors calling the kernels, whose order *is* the floating-point
+//!   specification.
 //! * [`engine::BandContext`] — the **band-context seam**: per-call operand
 //!   state (channel-contiguous weight re-layouts, dense operand copies)
 //!   built exactly once per engine call by the engine's
@@ -89,6 +98,7 @@ pub mod fixed_engine;
 pub mod formats;
 pub mod mask;
 pub mod msrc;
+pub mod ops;
 pub mod osrc;
 pub mod panels;
 pub mod registry;

@@ -144,6 +144,7 @@
 use crate::compressed::SparseRow;
 use crate::engine::{add_and_clear, map_banded, scalar_bands, BandContext, KernelEngine, Stage, StageOp};
 use crate::mask::RowMask;
+use crate::ops::input_row;
 use crate::panels::PanelCache;
 use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::conv::ConvGeometry;
@@ -315,13 +316,6 @@ fn prepared(ctx: &BandContext, op: &StageOp<'_>) -> bool {
 // ---------------------------------------------------------------------------
 // The three band kernels
 // ---------------------------------------------------------------------------
-
-/// The input row that output row `oy` reads through kernel row `u`, when
-/// it lies on the `h`-row map.
-#[inline(always)]
-fn input_row(oy: usize, u: usize, geom: ConvGeometry, h: usize) -> Option<usize> {
-    (oy * geom.stride + u).checked_sub(geom.pad).filter(|&iy| iy < h)
-}
 
 /// The whole runs of Forward and GTA over one sparse row: non-zero `o`
 /// adds its value times the panel `taps` into `tile` from lane `o · step`.

@@ -146,9 +146,11 @@ fn generation_holds_one_copy_of_the_dataset() {
 /// A shard granule's three engine calls on one sample — Forward, GTA and
 /// GTW of a `16 → 32`-filter conv on `8 × 8` maps, small enough for one
 /// band — allocate a fixed handful of blocks once the context's panel
-/// cache is warm: the outputs and the op lists, the contexts, one tile or
-/// scratch per stage and GTW's channels-last input copy. No weight panel
-/// is re-laid and no scope is entered.
+/// cache is warm. On `simd`: the outputs and the op lists, the contexts,
+/// one tile or scratch per stage and GTW's channels-last input copy; no
+/// weight panel is re-laid and no scope is entered. On `scalar`, which
+/// runs the shared op enumeration (`sparse::ops`), 12: the enumeration
+/// allocates nothing per op or per call.
 #[test]
 fn warm_one_sample_calls_allocate_a_fixed_number_of_blocks() {
     use sparsetrain_sparse::{ExecutionContext, RowMask};
@@ -163,19 +165,24 @@ fn warm_one_sample_calls_allocate_a_fixed_number_of_blocks() {
         ((f + 2 * c + 3 * u + v) % 7) as f32 * 0.25 - 0.75
     });
     let bias = vec![0.125f32; 32];
-    let mut ctx = ExecutionContext::by_name("simd").unwrap();
-    let mut dw = Tensor4::zeros(32, 16, 3, 3);
-    let mut dins = vec![Tensor3::zeros(16, 8, 8)];
     let step = |ctx: &mut ExecutionContext, dins: &mut [Tensor3], dw: &mut Tensor4| {
         let out = ctx.forward_batch_for("conv", &input, &weights, Some(&bias), geom);
         ctx.input_grad_batch_for_into("conv", &dout, &weights, geom, &masks, dins);
         ctx.weight_grad_batch_for("conv", &input, &dout, geom, dw);
         out
     };
-    step(&mut ctx, &mut dins, &mut dw);
-    let (blocks, out) = blocks_during(|| step(&mut ctx, &mut dins, &mut dw));
-    assert_eq!(out.len(), 1);
-    assert_eq!(blocks, 16, "heap blocks of a warm one-sample Forward + GTA + GTW");
+    for (engine, want) in [("simd", 16), ("scalar", 12)] {
+        let mut ctx = ExecutionContext::by_name(engine).unwrap();
+        let mut dw = Tensor4::zeros(32, 16, 3, 3);
+        let mut dins = vec![Tensor3::zeros(16, 8, 8)];
+        step(&mut ctx, &mut dins, &mut dw);
+        let (blocks, out) = blocks_during(|| step(&mut ctx, &mut dins, &mut dw));
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            blocks, want,
+            "heap blocks of a warm one-sample Forward + GTA + GTW on {engine}"
+        );
+    }
 }
 
 /// `alexnet_pruned`'s set-up, then the blocks of its next steps: a report,

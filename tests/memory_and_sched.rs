@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparsetrain::core::dataflow::synth::{SynthLayer, SynthNet};
-use sparsetrain::core::dataflow::{for_each_forward_op, LayerTrace, NetworkTrace};
+use sparsetrain::core::dataflow::{LayerTrace, NetworkTrace};
 use sparsetrain::sim::sched::{compare_policies, lower_bound, Policy};
 use sparsetrain::sim::{ArchConfig, Machine};
 use sparsetrain::sparse::work::src_work;
@@ -73,7 +73,7 @@ fn controller_policy_is_near_optimal_on_real_task_lists() {
         };
         let mut tasks: Vec<u64> = Vec::new();
         let mut last = usize::MAX;
-        for_each_forward_op(conv, |t, op| {
+        conv.forward_ops(|t, op| {
             if t != last {
                 tasks.push(0);
                 last = t;
