@@ -544,9 +544,12 @@ pub fn rows(seed: u64) -> Vec<Row> {
     // respawns it from the template and replays its granules.
     let kill = FaultPlan::new(seed).with_engine(Site::WorkerKill, Trigger::At(2), "2");
     rows.push(Row::new("shard-worker-kill", four(kill)).expecting(|x| x.respawned = true));
-    // Every rank stalls for a seeded delay on every step: replies arrive
-    // in scrambled order, but the reduction is keyed by granule index.
-    let slow = FaultPlan::new(seed).with(Site::WorkerSlow, Trigger::Prob(1.0));
+    // A rank stalls for a seeded 1–20 ms on one `(step, rank)` in ten: its
+    // reply comes after those of higher ranks, but the reduction is keyed
+    // by granule index. One in ten keeps the row's sleeps below the
+    // ResNet-18 rows' training time; the `shard_transport` suite shows the
+    // replies still arrive out of rank order under this plan.
+    let slow = FaultPlan::new(seed).with(Site::WorkerSlow, Trigger::Prob(0.1));
     rows.push(Row::new("shard-slow-workers", four(slow)));
     let two = Axes::on(mini, Leg::sharded(2));
     let boundary = two.clone().cut(Interrupt::Boundary(Leg::sharded(4)));

@@ -249,7 +249,7 @@ impl FaultPlan {
                 .ok_or_else(|| SpecError(format!("unknown site {:?}", &item[..at])))?;
             let rest = &item[at + 1..];
             // The engine filter is everything after the *first* ':', so
-            // composite engine names (parallel:simd, fixed:q8.8) survive.
+            // composite engine names (parallel:simd) survive.
             let (value, engine) = match rest.split_once(':') {
                 Some((v, e)) if !e.is_empty() => (v, Some(e.to_string())),
                 Some((v, _)) => (v, None),
@@ -511,7 +511,7 @@ mod tests {
             .arm();
         assert!(!faults.on_engine_dispatch("simd")); // occurrence 0
         assert!(!faults.on_engine_dispatch("scalar")); // filtered out, does not count
-        assert!(!faults.on_engine_dispatch("parallel"));
+        assert!(!faults.on_engine_dispatch("fixed"));
         assert!(faults.on_engine_dispatch("simd")); // occurrence 1 fires
         assert!(!faults.on_engine_dispatch("simd"));
     }

@@ -17,7 +17,6 @@
 //!     val_loss: None,
 //!     val_accuracy: None,
 //!     rho_nnz: Some(0.25),
-//!     step_latency_ns: None,
 //! };
 //! assert_eq!(
 //!     epoch(1, 0.5).to_jsonl(),
@@ -49,10 +48,6 @@ pub struct MetricRecord {
     /// Mean activation-gradient density ρ_nnz over the convolutions' `dO`
     /// (`Trainer::mean_grad_density`).
     pub rho_nnz: Option<f64>,
-    /// Mean optimizer-step latency in nanoseconds. Only recorded when the
-    /// store has latency enabled — wall-clock readings are inherently
-    /// non-reproducible, so determinism comparisons keep this off.
-    pub step_latency_ns: Option<f64>,
 }
 
 impl MetricRecord {
@@ -78,9 +73,6 @@ impl MetricRecord {
             if let Some(v) = v {
                 line.push_str(&format!(",\"{key}\":{}", num(v, v.to_string())));
             }
-        }
-        if let Some(v) = self.step_latency_ns {
-            line.push_str(&format!(",\"step_latency_ns\":{}", num(v, format!("{v:.3}"))));
         }
         line.push('}');
         line
@@ -195,7 +187,6 @@ pub struct MetricStore {
     recoveries: Vec<RecoveryRecord>,
     path: Option<std::path::PathBuf>,
     file: Option<std::fs::File>,
-    record_latency: bool,
 }
 
 impl MetricStore {
@@ -211,7 +202,6 @@ impl MetricStore {
             recoveries: Vec::new(),
             path: Some(path.into()),
             file: None,
-            record_latency: false,
         }
     }
 
@@ -261,14 +251,6 @@ impl MetricStore {
             });
     }
 
-    /// Enables step-latency recording. Off by default: wall-clock
-    /// readings differ run to run, and the bitwise-resume guarantee covers
-    /// the *deterministic* fields only.
-    pub fn with_latency(mut self) -> Self {
-        self.record_latency = true;
-        self
-    }
-
     /// Appends one record (and writes its jsonl line, if a path is set).
     ///
     /// # Panics
@@ -276,10 +258,7 @@ impl MetricStore {
     /// Panics if the jsonl file cannot be written — metric loss is a
     /// misconfigured environment, consistent with the trainer's handling
     /// of `SPARSETRAIN_*` misconfiguration.
-    pub fn record(&mut self, mut record: MetricRecord) {
-        if !self.record_latency {
-            record.step_latency_ns = None;
-        }
+    pub fn record(&mut self, record: MetricRecord) {
         self.append_line(&record.to_jsonl());
         self.records.push(record);
     }
@@ -405,7 +384,6 @@ mod tests {
             val_loss: None,
             val_accuracy: None,
             rho_nnz: None,
-            step_latency_ns: None,
         }
     }
 
@@ -417,11 +395,10 @@ mod tests {
         full.val_loss = Some(0.5);
         full.val_accuracy = Some(0.75);
         full.rho_nnz = Some(0.1);
-        full.step_latency_ns = Some(1234.5);
         assert_eq!(
             full.to_jsonl(),
             "{\"epoch\":2,\"loss\":0.125,\"accuracy\":0.5,\"val_loss\":0.5,\
-             \"val_accuracy\":0.75,\"rho_nnz\":0.1,\"step_latency_ns\":1234.500}"
+             \"val_accuracy\":0.75,\"rho_nnz\":0.1}"
         );
     }
 
@@ -432,11 +409,10 @@ mod tests {
         diverged.val_loss = Some(f64::NEG_INFINITY);
         diverged.val_accuracy = Some(0.75);
         diverged.rho_nnz = Some(f64::NAN);
-        diverged.step_latency_ns = Some(f64::INFINITY);
         assert_eq!(
             diverged.to_jsonl(),
             "{\"epoch\":3,\"loss\":null,\"accuracy\":null,\"val_loss\":null,\
-             \"val_accuracy\":0.75,\"rho_nnz\":null,\"step_latency_ns\":null}"
+             \"val_accuracy\":0.75,\"rho_nnz\":null}"
         );
     }
 
@@ -537,18 +513,6 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[1].starts_with("{\"recovery\":{"));
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn latency_is_dropped_unless_enabled() {
-        let mut store = MetricStore::new();
-        let mut r = record(1, 0.5);
-        r.step_latency_ns = Some(99.0);
-        store.record(r.clone());
-        assert_eq!(store.last().unwrap().step_latency_ns, None);
-        let mut store = MetricStore::new().with_latency();
-        store.record(r);
-        assert_eq!(store.last().unwrap().step_latency_ns, Some(99.0));
     }
 
     #[test]

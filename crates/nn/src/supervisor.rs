@@ -273,8 +273,6 @@ impl Supervisor {
             // snapshot correctly too — resume replays the shuffle and skips
             // the already-trained batches.)
             let shadow = trainer.snapshot();
-            let step_before = trainer.stream_seeds().step();
-            let started = Instant::now();
             // The epoch's last checkpoint lands inside the isolation, so a
             // failing background write is classified and retried like any
             // other panic instead of surfacing after the run.
@@ -294,7 +292,7 @@ impl Supervisor {
                     }
                     last_recorded = epoch;
                     epochs_run += 1;
-                    stopped = trainer.record_epoch(stats, step_before, started, val, metrics, stops);
+                    stopped = trainer.record_epoch(stats, val, metrics, stops);
                 }
                 Err(payload) => {
                     streak += 1;

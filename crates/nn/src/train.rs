@@ -73,20 +73,14 @@ impl TrainConfig {
     }
 
     /// Returns the config with the named sparse row-dataflow engine
-    /// selected (`"scalar"`, `"simd"`, `"fixed"`, `"fixed:qI.F"`, or an
-    /// alias such as `"auto"`).
+    /// selected (`"scalar"`, `"simd"`, `"fixed"`, or an alias such as
+    /// `"auto"`).
     ///
     /// # Panics
     ///
     /// Panics when `name` is not registered, listing the known engines.
     pub fn with_engine_name(mut self, name: &str) -> Self {
         let handle: EngineHandle = name.parse().unwrap_or_else(|e| panic!("{e}"));
-        self.engine = Some(handle);
-        self
-    }
-
-    /// Returns the config with an already-resolved engine handle.
-    pub fn with_engine_handle(mut self, handle: EngineHandle) -> Self {
         self.engine = Some(handle);
         self
     }
@@ -639,8 +633,8 @@ impl Trainer {
 
     /// Runs up to `epochs` training epochs, recording one [`MetricRecord`]
     /// per epoch into `metrics` (training loss/accuracy, validation stats
-    /// when `val` is given, mean ρ_nnz, and mean per-step latency), and
-    /// consulting `stops` after every epoch.
+    /// when `val` is given, and mean ρ_nnz), and consulting `stops` after
+    /// every epoch.
     ///
     /// Epoch numbers continue across [`Trainer::resume`] — a run resumed at
     /// epoch 3 records epochs 4, 5, … — so trajectories of a straight run
@@ -661,11 +655,9 @@ impl Trainer {
         let mut epochs_run = 0;
         let mut stopped = None;
         while epochs_run < epochs && stopped.is_none() {
-            let step_before = self.streams.step();
-            let started = std::time::Instant::now();
             let stats = self.train_epoch(train);
             epochs_run += 1;
-            stopped = self.record_epoch(stats, step_before, started, val, metrics, stops);
+            stopped = self.record_epoch(stats, val, metrics, stops);
         }
         self.flush_checkpoints()
             .unwrap_or_else(|e| panic!("cannot write checkpoint: {e}"));
@@ -673,21 +665,17 @@ impl Trainer {
     }
 
     /// Records the epoch that just finished — its training stats,
-    /// validation stats when `val` is given, mean ρ_nnz, and the mean
-    /// per-step latency since `started` — as one [`MetricRecord`], then
-    /// asks the stop conditions; returns the first stop reason. The epoch
-    /// loops of [`Trainer::train`] and the supervisor both end in this.
+    /// validation stats when `val` is given, and mean ρ_nnz — as one
+    /// [`MetricRecord`], then asks the stop conditions; returns the first
+    /// stop reason. The epoch loops of [`Trainer::train`] and the
+    /// supervisor both end in this.
     pub(crate) fn record_epoch(
         &mut self,
         stats: EpochStats,
-        step_before: u64,
-        started: std::time::Instant,
         val: Option<&Dataset>,
         metrics: &mut MetricStore,
         stops: &mut [Box<dyn StopCondition>],
     ) -> Option<String> {
-        let elapsed = started.elapsed();
-        let steps = self.streams.step() - step_before;
         let vstats = val.map(|d| self.evaluate_stats(d));
         metrics.record(MetricRecord {
             epoch: self.streams.epoch(),
@@ -696,7 +684,6 @@ impl Trainer {
             val_loss: vstats.map(|s| s.loss),
             val_accuracy: vstats.map(|s| s.accuracy),
             rho_nnz: self.mean_grad_density(),
-            step_latency_ns: (steps > 0).then(|| elapsed.as_nanos() as f64 / steps as f64),
         });
         let record = metrics.last().expect("record just pushed").clone();
         stops.iter_mut().find_map(|stop| stop.check(&record))
@@ -1055,7 +1042,7 @@ mod tests {
         let (train, test) = SyntheticSpec::tiny(3).generate();
         let net = models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2)));
         let mut trainer = Trainer::new(net, TrainConfig::quick());
-        let mut store = MetricStore::new().with_latency();
+        let mut store = MetricStore::new();
         let mut stops: Vec<Box<dyn StopCondition>> = vec![Box::new(TargetAccuracy::new(2.0))];
         let outcome = trainer.train(&train, Some(&test), 3, &mut store, &mut stops);
         assert_eq!(outcome.epochs_run, 3);
@@ -1065,7 +1052,6 @@ mod tests {
         assert_eq!(rec.epoch, 3);
         assert!(rec.val_loss.is_some() && rec.val_accuracy.is_some());
         assert!(rec.rho_nnz.is_some(), "pruned net must report density");
-        assert!(rec.step_latency_ns.is_some(), "harness records latency");
 
         // A vanishing learning rate stalls the loss, so patience triggers.
         let net = models::mini_cnn(3, 4, None);

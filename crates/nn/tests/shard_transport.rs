@@ -1,6 +1,6 @@
 //! The worker pool's message traffic: a rank answers each command with
-//! one reply, and a granule that fails inside that reply is replayed to
-//! the same bits.
+//! one reply, a granule that fails inside that reply is replayed to the
+//! same bits, and stalled ranks reply out of rank order to the same bits.
 
 use sparsetrain_core::prune::PruneConfig;
 use sparsetrain_faults::{FaultPlan, Faults, Site, Trigger};
@@ -12,16 +12,16 @@ use sparsetrain_nn::shard::{
     WorkerTransport,
 };
 use sparsetrain_nn::Layer;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// A [`ThreadTransport`] that counts the replies the coordinator takes.
-struct Counting {
+/// A [`ThreadTransport`] that logs the rank of every reply the
+/// coordinator takes, in arrival order.
+struct Recording {
     inner: ThreadTransport,
-    replies: Arc<AtomicUsize>,
+    ranks: Arc<Mutex<Vec<usize>>>,
 }
 
-impl WorkerTransport for Counting {
+impl WorkerTransport for Recording {
     fn workers(&self) -> usize {
         self.inner.workers()
     }
@@ -31,8 +31,10 @@ impl WorkerTransport for Counting {
     }
 
     fn recv(&mut self) -> WorkerReply {
-        self.replies.fetch_add(1, Ordering::Relaxed);
-        self.inner.recv()
+        let reply = self.inner.recv();
+        let (WorkerReply::Done { rank, .. } | WorkerReply::Died { rank, .. }) = reply;
+        self.ranks.lock().unwrap().push(rank);
+        reply
     }
 
     fn respawn(&mut self, rank: usize, replica: Sequential) {
@@ -40,32 +42,40 @@ impl WorkerTransport for Counting {
     }
 }
 
-/// One step of eight one-sample granules on a fresh pool of `workers`
-/// ranks whose workers hold `faults`; returns the reduction, the replies
-/// taken and the retries.
-fn one_step(workers: usize, faults: Faults) -> (StepReduction, usize, usize) {
+/// A fresh pool of `workers` ranks whose workers hold `faults`, the log
+/// of its replies' ranks, and step `step`'s input: eight one-sample
+/// granules of the tiny dataset.
+fn pool(workers: usize, faults: Faults) -> (ShardPool, Arc<Mutex<Vec<usize>>>, impl Fn(u64) -> StepInput) {
     let (data, _) = SyntheticSpec::tiny(3).generate();
-    let chunk: Vec<usize> = (0..8).collect();
     let mut template = models::mini_cnn(3, 4, Some(PruneConfig::new(0.9, 2)));
     let mut params = Vec::new();
     template.visit_params(&mut |p, _| params.extend_from_slice(p));
     let mut taus = Vec::new();
     template.collect_prune_taus(&mut taus);
-    let replies = Arc::new(AtomicUsize::new(0));
-    let transport = Counting {
+    let ranks = Arc::new(Mutex::new(Vec::new()));
+    let transport = Recording {
         inner: ThreadTransport::spawn(workers, &template, EngineSetup::Dense, faults).unwrap(),
-        replies: Arc::clone(&replies),
+        ranks: Arc::clone(&ranks),
     };
-    let mut pool = ShardPool::with_transport(template, EngineSetup::Dense, Box::new(transport));
-    let reduced = pool.run_step(&StepInput {
+    let pool = ShardPool::with_transport(template, EngineSetup::Dense, Box::new(transport));
+    let chunk: Vec<usize> = (0..8).collect();
+    let input = move |step| StepInput {
         seed: 3,
         epoch: 0,
-        step: 1,
-        params,
-        taus,
+        step,
+        params: params.clone(),
+        taus: taus.clone(),
         granules: shard::granules_of(&data, &chunk, 1),
-    });
-    let taken = replies.load(Ordering::Relaxed);
+    };
+    (pool, ranks, input)
+}
+
+/// One step on a fresh pool; returns the reduction, the replies taken and
+/// the retries.
+fn one_step(workers: usize, faults: Faults) -> (StepReduction, usize, usize) {
+    let (mut pool, ranks, input) = pool(workers, faults);
+    let reduced = pool.run_step(&input(1));
+    let taken = ranks.lock().unwrap().len();
     (reduced, taken, pool.health().retries)
 }
 
@@ -94,4 +104,32 @@ fn one_reply_per_rank_and_a_failed_granule_replays_bitwise() {
     assert_eq!(replies, 2, "the command's reply, then the retry's");
     assert_eq!(bits(&faulted), bits(&clean));
     assert_eq!(faulted.prune_stats, clean.prune_stats);
+}
+
+/// Under the guarantee matrix's `shard-slow-workers` plan (a seeded 1–20
+/// ms stall per `(step, rank)` with probability 0.1) replies still arrive
+/// out of rank order — on some steps a lower rank answers after a higher
+/// one — and every step reduces to the fault-free pool's bits. Four
+/// racing worker threads scramble the order without the plan too; the
+/// count of both goes to stderr.
+#[test]
+fn stalled_ranks_reply_out_of_rank_order_and_reduce_bitwise() {
+    const STEPS: u64 = 30;
+    let slow = FaultPlan::new(42).with(Site::WorkerSlow, Trigger::Prob(0.1));
+    let (mut stalled, ranks, input) = pool(4, slow.arm());
+    let (mut clean, clean_ranks, _) = pool(4, Faults::default());
+    let out_of_order = |log: &Mutex<Vec<usize>>| {
+        let order = std::mem::take(&mut *log.lock().unwrap());
+        assert_eq!(order.len(), 4, "one reply per rank");
+        usize::from(order.windows(2).any(|w| w[0] > w[1]))
+    };
+    let (mut scrambled, mut clean_scrambled) = (0, 0);
+    for step in 0..STEPS {
+        let (got, want) = (stalled.run_step(&input(step)), clean.run_step(&input(step)));
+        assert_eq!(bits(&got), bits(&want), "step {step}");
+        scrambled += out_of_order(&ranks);
+        clean_scrambled += out_of_order(&clean_ranks);
+    }
+    eprintln!("out of rank order: {scrambled} of {STEPS} steps under the plan, {clean_scrambled} without it");
+    assert!(scrambled > 0, "no stalled step replied out of rank order");
 }

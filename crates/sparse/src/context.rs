@@ -4,9 +4,8 @@
 //! pass instead of re-resolving an engine token at every layer: it owns the
 //! resolved `&'static dyn KernelEngine` (picked once, by [`EngineHandle`]).
 //! Construction is name-driven — from a registry handle, a string
-//! (`"scalar"`, `"simd"`, `"fixed"`, `"fixed:qI.F"`, or the `"parallel"`,
-//! `"parallel:simd"`, `"im2row"`, `"parallel:im2row"` and `"auto"`
-//! aliases; `SPARSETRAIN_ENGINE` resolves through
+//! (`"scalar"`, `"simd"`, `"fixed"`, or the `"parallel:simd"`, `"im2row"`
+//! and `"auto"` aliases of `simd`; `SPARSETRAIN_ENGINE` resolves through
 //! [`crate::registry::env_override`]) — so choosing a backend never changes
 //! a call-site signature. Per-call operand state travels on the engine
 //! seam itself ([`crate::engine::BandContext`], built by the engine's
@@ -132,9 +131,8 @@ impl ExecutionContext {
     /// that engine, under any of its names, falls back to `scalar`.
     /// Returns `true` if the engine was newly quarantined, `false` when it
     /// already was (under this or another name), when `name` does not
-    /// resolve, and for any name of the scalar engine itself (`"scalar"`,
-    /// `"parallel"`: the reference engine is the fallback and can never be
-    /// quarantined).
+    /// resolve, and for the scalar engine itself (the reference engine is
+    /// the fallback and can never be quarantined).
     pub fn quarantine(&mut self, name: &str) -> bool {
         let Some(handle) = lookup(name) else {
             return false;
@@ -345,7 +343,7 @@ mod tests {
 
     #[test]
     fn by_name_resolves_every_builtin() {
-        for name in ["scalar", "parallel", "fixed"] {
+        for name in ["scalar", "simd", "fixed"] {
             let ctx = ExecutionContext::by_name(name).unwrap();
             assert_eq!(ctx.engine_name(), name);
         }
@@ -417,11 +415,11 @@ mod tests {
 
     #[test]
     fn entry_points_run_the_resolved_engine() {
-        let mut ctx = ExecutionContext::by_name("parallel").unwrap();
+        let mut ctx = ExecutionContext::by_name("scalar").unwrap();
         let (inputs, weights, geom) = batch_fixture();
         let outs = ctx.forward_batch_for("conv1", &inputs, &weights, None, geom);
         assert_scalar_forward(&outs, &inputs, &weights, geom);
-        assert_eq!(ctx.last_dispatched_engine(), Some("parallel"));
+        assert_eq!(ctx.last_dispatched_engine(), Some("scalar"));
         let mut dw = Tensor4::zeros(2, 2, 3, 3);
         ctx.weight_grad_batch_for("conv1", &inputs, &inputs, geom, &mut dw);
         assert!(dw.as_slice().iter().any(|&v| v != 0.0));
@@ -479,7 +477,7 @@ mod tests {
 
     /// Quarantine follows the engine, not the name: once `simd` is
     /// quarantined, a context on its alias `parallel:simd` falls back to
-    /// scalar too, and no name of the scalar engine can be quarantined.
+    /// scalar too, and the scalar engine cannot be quarantined.
     #[test]
     fn quarantine_follows_the_engine_not_the_name() {
         let mut ctx = ExecutionContext::by_name("parallel:simd").unwrap();
@@ -492,23 +490,8 @@ mod tests {
         assert!(ctx.is_quarantined("parallel:simd"));
         assert!(ctx.is_quarantined("auto"));
         assert!(!ctx.quarantine("im2row"), "already quarantined as simd");
-        assert!(!ctx.quarantine("parallel"), "an alias of the fallback engine");
-        assert!(!ctx.is_quarantined("parallel"));
+        assert!(!ctx.quarantine("scalar"), "the fallback engine");
+        assert!(!ctx.is_quarantined("scalar"));
         assert_eq!(ctx.quarantined(), ["simd"]);
-    }
-
-    /// `fixed:q8.8` computes on `fixed`'s grid, but it is a table entry of
-    /// its own: quarantining either leaves the other running.
-    #[test]
-    fn fixed_q8_8_and_fixed_quarantine_apart() {
-        for (quarantined, other) in [("fixed", "fixed:q8.8"), ("fixed:q8.8", "fixed")] {
-            let mut ctx = ExecutionContext::by_name(other).unwrap();
-            assert!(ctx.quarantine(quarantined));
-            assert!(ctx.is_quarantined(quarantined));
-            assert!(!ctx.is_quarantined(other), "{quarantined} quarantined {other}");
-            let (inputs, weights, geom) = batch_fixture();
-            ctx.forward_batch_for("c1", &inputs, &weights, None, geom);
-            assert_eq!(ctx.last_dispatched_engine(), Some(other));
-        }
     }
 }

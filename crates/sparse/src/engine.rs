@@ -54,8 +54,7 @@
 //!
 //! Engine selection is name-keyed, and the registry is the only place an
 //! engine has a name: [`crate::registry`] maps `"scalar"` / `"simd"` /
-//! `"fixed"` / `"fixed:qI.F"` (`parallel` is an alias of scalar,
-//! `parallel:simd` / `im2row` / `parallel:im2row` / `auto` of simd) to
+//! `"fixed"` (`parallel:simd` / `im2row` / `auto` are aliases of simd) to
 //! engine instances, and
 //! [`crate::context::ExecutionContext`] carries the resolved engine
 //! through `sparsetrain-nn`'s `Trainer`/`Conv2d`.

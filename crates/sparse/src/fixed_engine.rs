@@ -1,13 +1,14 @@
-//! Q-format fixed-point kernel engine mirroring the 16-bit RTL datapath.
+//! Q8.8 fixed-point kernel engine mirroring the 16-bit RTL datapath.
 //!
 //! The paper's accelerator computes in 16-bit fixed point while the
 //! reference training runs in float. [`FixedPointEngine`] models that
 //! datapath at the engine seam: every operand entering a convolution stage
 //! (activation/gradient rows, kernel taps, bias) is first rounded to the
-//! engine's [`QFormat`], the row accumulation itself runs in `f32`
-//! (modelling the hardware's wide accumulator), and the stage's result
-//! tensor is rounded again on store — so outputs, input gradients and the
-//! accumulated weight gradients all live on the 16-bit grid.
+//! Q8.8 grid (a [`QFormat`] with 8 fractional bits), the row accumulation
+//! itself runs in `f32` (modelling the hardware's wide accumulator), and
+//! the stage's result tensor is rounded again on store — so outputs, input
+//! gradients and the accumulated weight gradients all live on the 16-bit
+//! grid.
 //!
 //! Two consequences the tests pin down:
 //!
@@ -35,43 +36,24 @@ use crate::rowconv::SparseFeatureMap;
 use sparsetrain_tensor::qformat::QFormat;
 use sparsetrain_tensor::Tensor4;
 
-/// Kernel engine that executes all three training stages on a 16-bit
-/// Q-format grid (default Q8.8, the paper-typical activation format).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedPointEngine {
-    fmt: QFormat,
-}
+/// The 16-bit grid the engine computes on: Q8.8, the paper-typical
+/// activation format.
+const FORMAT: QFormat = QFormat::q8_8();
+
+/// Kernel engine that executes all three training stages on the Q8.8
+/// grid.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FixedPointEngine;
 
 impl FixedPointEngine {
-    /// Engine computing in the given 16-bit Q-format.
-    pub const fn new(fmt: QFormat) -> Self {
-        Self { fmt }
-    }
-
-    /// The paper-typical Q8.8 datapath.
-    pub const fn q8_8() -> Self {
-        Self::new(QFormat::q8_8())
-    }
-
-    /// The Q-format this engine computes in.
-    pub const fn format(&self) -> QFormat {
-        self.fmt
-    }
-
     fn quantize_map(&self, fm: &SparseFeatureMap) -> SparseFeatureMap {
-        fm.map_values(|v| self.fmt.roundtrip(v))
+        fm.map_values(|v| FORMAT.roundtrip(v))
     }
 
     fn quantize_weights(&self, weights: &Tensor4) -> Tensor4 {
         let mut q = weights.clone();
-        self.fmt.roundtrip_slice(q.as_mut_slice());
+        FORMAT.roundtrip_slice(q.as_mut_slice());
         q
-    }
-}
-
-impl Default for FixedPointEngine {
-    fn default() -> Self {
-        Self::q8_8()
     }
 }
 
@@ -95,7 +77,7 @@ impl FixedPointEngine {
             } => {
                 let q_input = self.quantize_map(input);
                 let q_weights = self.quantize_weights(weights);
-                let q_bias = bias.map(|b| b.iter().map(|&v| self.fmt.roundtrip(v)).collect::<Vec<f32>>());
+                let q_bias = bias.map(|b| b.iter().map(|&v| FORMAT.roundtrip(v)).collect::<Vec<f32>>());
                 let q_op = StageOp::Forward {
                     input: &q_input,
                     weights: &q_weights,
@@ -138,7 +120,7 @@ impl FixedPointEngine {
         // The store is rounded after every op. For GTW that means after
         // every sample of a batch (`band` runs this in sample order on the
         // shared `dW`), modelling a Q-format gradient accumulator memory.
-        self.fmt.roundtrip_slice(out);
+        FORMAT.roundtrip_slice(out);
     }
 }
 
@@ -188,7 +170,7 @@ mod tests {
         let weights = grid_weights();
         let bias = [0.5f32, -0.25, 0.0];
         let op = forward(&input, &weights, Some(&bias), geom);
-        assert_eq!(op.run_on(&FixedPointEngine::q8_8()), op.run_on(&ScalarEngine));
+        assert_eq!(op.run_on(&FixedPointEngine), op.run_on(&ScalarEngine));
     }
 
     #[test]
@@ -200,9 +182,9 @@ mod tests {
         let weights = Tensor4::from_fn(2, 2, 3, 3, |f, c, u, v| {
             ((f * 31 + c * 17 + u * 5 + v) % 9) as f32 * 0.211 - 0.8
         });
-        let engine = FixedPointEngine::q8_8();
+        let engine = FixedPointEngine;
         let out = forward(&input, &weights, None, geom).run_on(&engine);
-        let eps = engine.format().epsilon();
+        let eps = FORMAT.epsilon();
         for &v in &out {
             let steps = v / eps;
             assert_eq!(steps, steps.round(), "output {v} is off the Q8.8 grid");
@@ -214,25 +196,13 @@ mod tests {
         let geom = ConvGeometry::unit();
         let input = SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, 2, vec![100.0, -100.0]));
         let weights = Tensor4::from_vec(1, 1, 1, 1, vec![100.0]);
-        let engine = FixedPointEngine::q8_8();
+        let engine = FixedPointEngine;
         let out = forward(&input, &weights, None, geom).run_on(&engine);
-        let eps = engine.format().epsilon();
+        let eps = FORMAT.epsilon();
         // The operands are representable but their product is far outside
         // the format's range; the 16-bit store saturates it (two's
         // complement: the negative rail reaches one epsilon further).
-        assert_eq!(out, [engine.format().max_value(), i16::MIN as f32 * eps]);
-    }
-
-    #[test]
-    fn format_is_configurable() {
-        let coarse = FixedPointEngine::new(QFormat::new(4));
-        assert_eq!(coarse.format().frac_bits(), 4);
-        let geom = ConvGeometry::unit();
-        let input = SparseFeatureMap::from_tensor(&Tensor3::from_vec(1, 1, 1, vec![0.51]));
-        let weights = Tensor4::from_vec(1, 1, 1, 1, vec![1.0]);
-        // Q11.4 rounds 0.51 to 0.5.
-        let out = forward(&input, &weights, None, geom).run_on(&coarse);
-        assert_eq!(out, [0.5]);
+        assert_eq!(out, [FORMAT.max_value(), i16::MIN as f32 * eps]);
     }
 
     /// Banding repeats the quantization per band, but the store rounds per
@@ -242,7 +212,7 @@ mod tests {
     fn bands_leave_the_quantized_result_alone() {
         use crate::engine::test_fixtures::{batch_in_bands, fixtures, stage_ops};
         let geom = ConvGeometry::new(3, 1, 1);
-        let engine = FixedPointEngine::q8_8();
+        let engine = FixedPointEngine;
         let samples: Vec<_> = (0..3).map(|s| fixtures(60 + s, 45, 4, geom)).collect();
         let weights = &samples[0].1;
         let masks: Vec<_> = samples.iter().map(|s| s.0.masks()).collect();
@@ -269,7 +239,7 @@ mod tests {
     #[test]
     fn weight_grad_accumulator_stays_on_grid() {
         let geom = ConvGeometry::new(3, 1, 1);
-        let engine = FixedPointEngine::q8_8();
+        let engine = FixedPointEngine;
         let input = grid_map();
         let dout = SparseFeatureMap::from_tensor(&Tensor3::from_fn(3, 4, 4, |c, y, x| {
             if (c + y * x) % 3 == 0 {
@@ -285,7 +255,7 @@ mod tests {
         };
         let mut dw = vec![0.0f32; op.out_len()];
         engine.run_batch(&[op, op], crate::engine::BatchOut::Shared(&mut dw), None);
-        let eps = engine.format().epsilon();
+        let eps = FORMAT.epsilon();
         for &v in &dw {
             let steps = v / eps;
             assert_eq!(steps, steps.round(), "dW {v} is off the Q8.8 grid");

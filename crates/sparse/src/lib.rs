@@ -71,20 +71,18 @@
 //!   scalar code itself.
 //! * [`fixed_engine::FixedPointEngine`] — the Q8.8 datapath model
 //!   mirroring the paper's 16-bit RTL, built on
-//!   `sparsetrain_tensor::qformat`. Other 16-bit grids resolve by name:
-//!   `"fixed:q4.12"` is a Q4.12 engine.
+//!   `sparsetrain_tensor::qformat`.
 //!
 //! Selection is **name-keyed**, and the registry — a fixed table — is the
 //! only place an engine has a name: [`registry`] maps `"scalar"`,
-//! `"simd"`, `"fixed"` and `"fixed:qI.F"` (plus the aliases `"parallel"`
-//! of scalar and `"parallel:simd"`, `"im2row"`, `"parallel:im2row"`,
-//! `"auto"` of simd) to
-//! [`registry::EngineHandle`] tokens, resolved from strings (`FromStr`),
-//! configuration, or the `SPARSETRAIN_ENGINE` environment variable
-//! ([`registry::env_override`]). A resolved engine travels as a
-//! [`context::ExecutionContext`], which `sparsetrain-nn` threads through
-//! every `Layer::forward`/`backward` — no call site ever re-resolves a
-//! token. The context is one engine plus its quarantine list.
+//! `"simd"` and `"fixed"` (plus the aliases `"parallel:simd"`, `"im2row"`
+//! and `"auto"` of simd) to [`registry::EngineHandle`] tokens, resolved
+//! from strings (`FromStr`), configuration, or the `SPARSETRAIN_ENGINE`
+//! environment variable ([`registry::env_override`]). A resolved engine
+//! travels as a [`context::ExecutionContext`], which `sparsetrain-nn`
+//! threads through every `Layer::forward`/`backward` — no call site ever
+//! re-resolves a token. The context is one engine plus its quarantine
+//! list.
 //!
 //! Execution plans (one engine per `(layer, stage)` cell) are gone: an
 //! `"auto"` context refuses a `SPARSETRAIN_PLAN` file at construction, and

@@ -155,7 +155,15 @@ pub fn for_each_gta_op<'a>(
             // Gradient rows with oy·s in [iy + pad − K + 1, iy + pad].
             let hi = iy + geom.pad;
             let oys = hi.saturating_sub(geom.kernel - 1).div_ceil(s)..(hi / s + 1).min(dout.height());
+            if oys.is_empty() {
+                continue;
+            }
             for fi in 0..dout.channels() {
+                // A filter whose window holds no non-zero has no ops here:
+                // skip it on the row pointers, not row by row.
+                if dout.rows_nnz(fi, oys.clone()) == 0 {
+                    continue;
+                }
                 for oy in oys.clone() {
                     let grad = dout.row(fi, oy);
                     if grad.nnz() > 0 {

@@ -15,6 +15,7 @@
 use crate::compressed::{RowError, SparseRow};
 use crate::mask::{mask_of, RowMask, RUN};
 use sparsetrain_tensor::Tensor3;
+use std::ops::Range;
 
 /// A feature map stored as compressed rows — the on-chip layout of sparse
 /// activations and gradients.
@@ -204,6 +205,15 @@ impl SparseFeatureMap {
         let r = c * self.height + y;
         let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
         SparseRow::new(self.width, &self.offsets[lo..hi], &self.values[lo..hi])
+    }
+
+    /// The stored non-zeros of rows `ys` of channel `c`, read off the row
+    /// pointers (a channel's rows are contiguous in the arena): one
+    /// subtraction, however many rows.
+    pub(crate) fn rows_nnz(&self, c: usize, ys: Range<usize>) -> usize {
+        debug_assert!(c < self.channels && ys.start <= ys.end && ys.end <= self.height);
+        let base = c * self.height;
+        (self.row_ptr[base + ys.end] - self.row_ptr[base + ys.start]) as usize
     }
 
     /// The stored non-zeros of channel `c`, every row of it in row order:

@@ -28,10 +28,11 @@ use sparsetrain_sparse::engine::run_batch_in_bands;
 use sparsetrain_sparse::panels::PANEL_CACHE_BYTES;
 use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::{
-    registry, BandContext, BatchOut, FixedPointEngine, KernelEngine, PanelCache, RowMask, ScalarEngine,
-    SimdEngine, Stage, StageOp,
+    registry, BandContext, BatchOut, KernelEngine, PanelCache, RowMask, ScalarEngine, SimdEngine, Stage,
+    StageOp,
 };
 use sparsetrain_tensor::conv::{self, ConvGeometry};
+use sparsetrain_tensor::qformat::QFormat;
 use sparsetrain_tensor::{Tensor3, Tensor4};
 
 const H: usize = 6;
@@ -423,7 +424,7 @@ proptest! {
         let op = forward_op(&input, &weights, geom);
         let got = op.run_on(fixed);
         let want = op.run_on(&REFERENCE);
-        let eps = FixedPointEngine::q8_8().format().epsilon();
+        let eps = QFormat::q8_8().epsilon();
         let terms = (3 * geom.kernel * geom.kernel) as f32;
         let bound = terms * 1.76 * eps + eps / 2.0;
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -451,7 +452,7 @@ proptest! {
         let op = StageOp::WeightGrad { input: &input, dout: &dout, geom };
         let got = op.run_on(fixed);
         let want = op.run_on(&REFERENCE);
-        let eps = FixedPointEngine::q8_8().format().epsilon();
+        let eps = QFormat::q8_8().epsilon();
         // Each tap accumulates at most Ho × Ow products.
         let terms = (H * W) as f32;
         let bound = terms * 2.1 * eps + eps / 2.0;
@@ -575,7 +576,7 @@ fn pruned_epoch(handle: registry::EngineHandle) -> PrunedEpoch {
 
     let (train, _) = SyntheticSpec::tiny(3).generate();
     let net = models::mini_cnn(3, 4, Some(sparsetrain_core::prune::PruneConfig::new(0.9, 2)));
-    let mut trainer = Trainer::new(net, TrainConfig::quick().with_engine_handle(handle));
+    let mut trainer = Trainer::new(net, TrainConfig::quick().with_engine_name(handle.name()));
     trainer.train_epoch(&train);
     let tapped = trainer.tap_gradients(&train);
     let mut weights = Vec::new();

@@ -9,10 +9,9 @@
 //!
 //! The training step's convolutions run on `simd` unless
 //! `SPARSETRAIN_ENGINE` names another kernel engine from the registry:
-//! `scalar`, `fixed` or a `fixed:qI.F` format. Every engine bands across the rayon pool
-//! (`RAYON_NUM_THREADS`). `parallel` is an alias of `scalar`;
-//! `parallel:simd`, `im2row`, `parallel:im2row` and `auto` are aliases of
-//! `simd`.
+//! `scalar` or `fixed` (Q8.8). Every engine bands across the rayon pool
+//! (`RAYON_NUM_THREADS`). `parallel:simd`, `im2row` and `auto` are aliases
+//! of `simd`.
 
 use rand::rngs::StdRng;
 use rand::stream::StreamKey;

@@ -8,10 +8,9 @@
 //! registered engine name is passed (or set in `SPARSETRAIN_ENGINE`); an
 //! unknown name falls back to `simd` with a warning:
 //! `cargo run --release --example train_sparse_cnn -- scalar`
-//! `SPARSETRAIN_ENGINE=fixed:q4.12 cargo run --release --example train_sparse_cnn`
-//! (registered engines: `scalar`, `simd`, `fixed`, parameterized
-//! `fixed:qI.F` formats, and the aliases `parallel`, `parallel:simd`,
-//! `im2row`, `parallel:im2row` and `auto`).
+//! `SPARSETRAIN_ENGINE=fixed cargo run --release --example train_sparse_cnn`
+//! (registered engines: `scalar`, `simd`, `fixed` (Q8.8), and the aliases
+//! `parallel:simd`, `im2row` and `auto` of `simd`).
 //! Every engine bands across the rayon pool.
 //!
 //! Set `SPARSETRAIN_CHECKPOINT_DIR=/some/dir` to snapshot each run after
@@ -78,8 +77,7 @@ fn main() {
         // With SPARSETRAIN_CHECKPOINT_DIR set, each epoch ends with an
         // atomically-written snapshot any later run can resume bitwise.
         let mut trainer = Trainer::new(net, base.with_env_checkpoint_dir());
-        let mut metrics =
-            MetricStore::with_jsonl(format!("target/train-metrics-{label}.jsonl")).with_latency();
+        let mut metrics = MetricStore::with_jsonl(format!("target/train-metrics-{label}.jsonl"));
         let mut stops: Vec<Box<dyn StopCondition>> = vec![Box::new(Patience::new(3))];
         // Two segments implement the step LR schedule (0.01 for four
         // epochs, then 0.002); epoch numbering continues across them.

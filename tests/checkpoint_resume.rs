@@ -131,7 +131,8 @@ fn resume_rejects_a_plan_naming_a_fixed_point_engine() {
 /// A binary plan program an older build wrote (default `simd`; `conv1`
 /// forward on `parallel:im2row`, `conv1` weight_grad on `scalar`, `conv2`
 /// input_grad on `parallel`), carried here as the opaque payload of a
-/// `plan-program` section.
+/// `plan-program` section. Two of those names no longer resolve; nothing
+/// resolves the payload, so they need not.
 const GOLDEN_PROGRAM: &str = "5354504c414e0100 0100 0000 02000000 \
     010000004700000000000000 06000000 0400000073696d64 05000000636f6e7631 \
        0f000000706172616c6c656c3a696d32726f77 060000007363616c6172 05000000636f6e7632 \
