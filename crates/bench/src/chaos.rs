@@ -241,6 +241,8 @@ struct Outcome {
     records: Vec<MetricRecord>,
     /// The metric jsonl file both halves of the run appended to.
     jsonl: String,
+    /// The run's directory, gone by the time the outcome is returned.
+    dir: PathBuf,
     /// The supervisor's recovery records, in order.
     recoveries: Vec<RecoveryRecord>,
     /// Epochs (1-based) whose record starts at a mid-epoch resume and so
@@ -386,6 +388,7 @@ fn run(axes: &Axes) -> Outcome {
     drop((trainer, metrics));
     outcome.jsonl = std::fs::read_to_string(&metrics_path).unwrap_or_default();
     let _ = std::fs::remove_dir_all(&dir);
+    outcome.dir = dir;
     outcome
 }
 
@@ -848,7 +851,6 @@ pub fn scenario(row: &Row) -> ScenarioOutcome {
         kinds: Vec::new(),
         skipped: 0,
         backoff_ms: 0,
-        recover_ms: 0,
         elapsed_ms: 0,
     };
     let checked = catch_unwind(AssertUnwindSafe(|| {
@@ -871,7 +873,6 @@ pub fn scenario(row: &Row) -> ScenarioOutcome {
                 record.kinds.push(rec.kind.clone());
                 record.skipped += rec.skipped.len();
                 record.backoff_ms += rec.backoff_ms;
-                record.recover_ms += rec.recover_ms;
             }
             match verdict {
                 Ok(()) => record.pass = true,
@@ -946,5 +947,21 @@ mod tests {
         );
         assert_ne!(plans(42), plans(43), "another campaign seed draws other plans");
         assert!(random_kills(42, 0).is_empty());
+    }
+
+    /// A recovery record holds no measured field: two runs of one
+    /// supervised row write the same metric jsonl, recovery lines included.
+    /// The row recovers from disk, and its record names the torn file it
+    /// skipped, so each run's own directory is masked.
+    #[test]
+    fn a_supervised_row_writes_the_same_metric_jsonl_twice() {
+        let row = rows(42)
+            .into_iter()
+            .find(|r| r.name == "torn-write-newest")
+            .expect("a row");
+        let jsonl = |out: Outcome| out.jsonl.replace(&*out.dir.to_string_lossy(), "<run>");
+        let (first, second) = (jsonl(run(&row.axes)), jsonl(run(&row.axes)));
+        assert!(first.contains("{\"recovery\":{"), "{first}");
+        assert_eq!(first, second);
     }
 }

@@ -22,12 +22,11 @@ pub struct ScenarioOutcome {
     pub kinds: Vec<String>,
     /// Corrupt/unreadable snapshots skipped across all recoveries.
     pub skipped: usize,
-    /// Total backoff slept across recoveries, in milliseconds.
+    /// Total backoff slept across recoveries, in milliseconds (the
+    /// configured delays).
     pub backoff_ms: u64,
-    /// Total time spent restoring state across recoveries (time to
-    /// recover), in milliseconds.
-    pub recover_ms: u64,
-    /// Scenario wall-clock, in milliseconds.
+    /// Scenario wall-clock, in milliseconds: the record's one measured
+    /// field.
     pub elapsed_ms: u64,
 }
 
@@ -40,7 +39,7 @@ impl ScenarioOutcome {
         };
         format!(
             "{{\"chaos\":{{\"name\":\"{}\",\"pass\":{},\"recoveries\":{},\"quarantined\":[{}],\
-             \"kinds\":[{}],\"skipped\":{},\"backoff_ms\":{},\"recover_ms\":{},\"elapsed_ms\":{},\
+             \"kinds\":[{}],\"skipped\":{},\"backoff_ms\":{},\"elapsed_ms\":{},\
              \"detail\":\"{}\"}}}}",
             escape_json(&self.name),
             self.pass,
@@ -49,7 +48,6 @@ impl ScenarioOutcome {
             strings(&self.kinds),
             self.skipped,
             self.backoff_ms,
-            self.recover_ms,
             self.elapsed_ms,
             escape_json(&self.detail),
         )
@@ -81,13 +79,13 @@ impl CampaignReport {
         );
         let _ = writeln!(
             out,
-            "| scenario | verdict | recoveries | kinds | quarantined | skipped | backoff | recover |"
+            "| scenario | verdict | recoveries | kinds | quarantined | skipped | backoff |"
         );
-        let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
+        let _ = writeln!(out, "|---|---|---|---|---|---|---|");
         for o in &self.outcomes {
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {} | {} | {} | {} ms | {} ms |",
+                "| {} | {} | {} | {} | {} | {} | {} ms |",
                 o.name,
                 if o.pass { "PASS" } else { "**FAIL**" },
                 o.recoveries,
@@ -103,7 +101,6 @@ impl CampaignReport {
                 },
                 o.skipped,
                 o.backoff_ms,
-                o.recover_ms,
             );
         }
         let failed: Vec<&ScenarioOutcome> = self.outcomes.iter().filter(|o| !o.pass).collect();
@@ -137,14 +134,13 @@ mod tests {
             kinds: vec!["kill".into()],
             skipped: 1,
             backoff_ms: 0,
-            recover_ms: 2,
             elapsed_ms: 100,
         };
         assert_eq!(
             outcome.to_jsonl(),
             "{\"chaos\":{\"name\":\"torn-write-newest\",\"pass\":true,\"recoveries\":1,\
              \"quarantined\":[],\"kinds\":[\"kill\"],\"skipped\":1,\"backoff_ms\":0,\
-             \"recover_ms\":2,\"elapsed_ms\":100,\"detail\":\"ok\"}}"
+             \"elapsed_ms\":100,\"detail\":\"ok\"}}"
         );
     }
 
@@ -161,7 +157,6 @@ mod tests {
             kinds: vec![],
             skipped: 0,
             backoff_ms: 0,
-            recover_ms: 0,
             elapsed_ms: 5,
         };
         let line = outcome.to_jsonl();
@@ -186,7 +181,6 @@ mod tests {
                 kinds: vec!["kill".into()],
                 skipped: 0,
                 backoff_ms: 0,
-                recover_ms: 1,
                 elapsed_ms: 10,
             }],
         };

@@ -10,54 +10,113 @@
 //! snapshots are typed [`DecodeError`]s that name the offending section, never panics.
 
 use crate::framing::{DecodeError, EncodeError, Reader, Section, Sections, Writer};
-use crate::snapshot::{LayerState, OptimizerState, PlanPayload, PrunerState, RunPosition, Snapshot};
+use crate::snapshot::{LayerState, OptimizerState, PlanPayload, RunPosition, Snapshot};
+use sparsetrain_core::prune::{PruneConfig, PruneOutcome, PruneStats, PrunerSnapshot};
 
 const KIND_PARAMS: u8 = 1;
 const KIND_RNG: u8 = 2;
 const KIND_DENSITY: u8 = 3;
 const KIND_PRUNER: u8 = 4;
 
-/// Serialize a snapshot into the versioned container format.
-pub fn encode_snapshot(snap: &Snapshot) -> Result<Vec<u8>, EncodeError> {
-    let mut w = Writer::new();
+impl Snapshot {
+    /// Serialize this snapshot into the versioned container format.
+    pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
+        let mut w = Writer::new();
 
-    w.begin(Section::Position);
-    w.u64(snap.position.seed);
-    w.u64(snap.position.epoch);
-    w.u64(snap.position.step);
-    w.u64(snap.position.steps_into_epoch);
+        w.begin(Section::Position);
+        w.u64(self.position.seed);
+        w.u64(self.position.epoch);
+        w.u64(self.position.step);
+        w.u64(self.position.steps_into_epoch);
 
-    w.begin(Section::ShuffleRng);
-    for &word in &snap.shuffle_rng {
-        w.u64(word);
-    }
-
-    match &snap.plan {
-        Some(PlanPayload::Text(text)) => {
-            w.begin(Section::Plan);
-            w.str("plan text", text)?;
+        w.begin(Section::ShuffleRng);
+        for &word in &self.shuffle_rng {
+            w.u64(word);
         }
-        Some(PlanPayload::Program(bytes)) => {
-            w.begin(Section::PlanProgram);
-            w.bytes("plan program bytes", bytes)?;
+
+        match &self.plan {
+            Some(PlanPayload::Text(text)) => {
+                w.begin(Section::Plan);
+                w.str("plan text", text)?;
+            }
+            Some(PlanPayload::Program(bytes)) => {
+                w.begin(Section::PlanProgram);
+                w.bytes("plan program bytes", bytes)?;
+            }
+            None => {}
         }
-        None => {}
+
+        w.begin(Section::Optimizer);
+        w.f32(self.optimizer.lr);
+        w.count("velocity buffers", self.optimizer.velocities.len())?;
+        for vel in &self.optimizer.velocities {
+            w.f32_slice("velocity values", vel)?;
+        }
+
+        w.begin(Section::Layers);
+        w.count("layer entries", self.layers.len())?;
+        for entry in &self.layers {
+            encode_layer_state(&mut w, entry)?;
+        }
+
+        Ok(w.finish())
     }
 
-    w.begin(Section::Optimizer);
-    w.f32(snap.optimizer.lr);
-    w.count("velocity buffers", snap.optimizer.velocities.len())?;
-    for vel in &snap.optimizer.velocities {
-        w.f32_slice("velocity values", vel)?;
-    }
+    /// Parse a snapshot from the versioned container format.
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let sections = Sections::parse(bytes)?;
 
-    w.begin(Section::Layers);
-    w.count("layer entries", snap.layers.len())?;
-    for entry in &snap.layers {
-        encode_layer_state(&mut w, entry)?;
-    }
+        // One plan slot: a file carrying both forms repeats it, and the second is the duplicate.
+        let mut plans = sections
+            .present()
+            .filter(|s| matches!(s, Section::Plan | Section::PlanProgram));
+        if let Some(section) = plans.nth(1) {
+            return Err(DecodeError::DuplicateSection { section });
+        }
 
-    Ok(w.finish())
+        let mut r = sections.required(Section::Position)?;
+        let position = RunPosition {
+            seed: r.u64()?,
+            epoch: r.u64()?,
+            step: r.u64()?,
+            steps_into_epoch: r.u64()?,
+        };
+        r.finish()?;
+
+        let mut r = sections.required(Section::ShuffleRng)?;
+        let shuffle_rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        r.finish()?;
+
+        let mut plan = None;
+        if let Some(mut r) = sections.optional(Section::Plan) {
+            plan = Some(PlanPayload::Text(r.str("plan text")?));
+            r.finish()?;
+        }
+        if let Some(mut r) = sections.optional(Section::PlanProgram) {
+            plan = Some(PlanPayload::Program(r.byte_vec()?));
+            r.finish()?;
+        }
+
+        let mut r = sections.required(Section::Optimizer)?;
+        let optimizer = OptimizerState {
+            lr: r.f32()?,
+            velocities: r.seq(4, Reader::f32_vec)?,
+        };
+        r.finish()?;
+
+        let mut r = sections.required(Section::Layers)?;
+        // The smallest entry: a kind byte, an empty name, an empty tensor list.
+        let layers = r.seq(9, decode_layer_state)?;
+        r.finish()?;
+
+        Ok(Snapshot {
+            position,
+            shuffle_rng,
+            plan,
+            optimizer,
+            layers,
+        })
+    }
 }
 
 fn encode_layer_state(w: &mut Writer, entry: &LayerState) -> Result<(), EncodeError> {
@@ -86,83 +145,28 @@ fn encode_layer_state(w: &mut Writer, entry: &LayerState) -> Result<(), EncodeEr
         LayerState::Pruner { layer, state } => {
             w.u8(KIND_PRUNER);
             w.str("layer name", layer)?;
-            w.f64(state.target_sparsity);
-            w.u64(state.fifo_depth);
+            let stats = &state.stats;
+            w.f64(state.config.target_sparsity);
+            w.usize(state.config.fifo_depth);
             w.f64_slice("fifo values", &state.fifo)?;
-            w.u64(state.batches);
-            match &state.last_outcome {
-                Some([kept, snapped, zeroed]) => {
+            w.usize(stats.batches);
+            match &stats.last_outcome {
+                Some(outcome) => {
                     w.u8(1);
-                    w.u64(*kept);
-                    w.u64(*snapped);
-                    w.u64(*zeroed);
+                    w.usize(outcome.kept);
+                    w.usize(outcome.snapped);
+                    w.usize(outcome.zeroed);
                 }
                 None => w.u8(0),
             }
-            w.opt_f64(state.last_density);
-            w.f64(state.density_sum);
-            w.u64(state.density_count);
-            w.opt_f64(state.last_predicted_tau);
-            w.opt_f64(state.last_determined_tau);
+            w.opt_f64(stats.last_density);
+            w.f64(stats.density_sum);
+            w.usize(stats.density_count);
+            w.opt_f64(stats.last_predicted_tau);
+            w.opt_f64(stats.last_determined_tau);
         }
     }
     Ok(())
-}
-
-/// Parse a snapshot from the versioned container format.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, DecodeError> {
-    let sections = Sections::parse(bytes)?;
-
-    // One plan slot: a file carrying both forms repeats it, and the second is the duplicate.
-    let mut plans = sections
-        .present()
-        .filter(|s| matches!(s, Section::Plan | Section::PlanProgram));
-    if let Some(section) = plans.nth(1) {
-        return Err(DecodeError::DuplicateSection { section });
-    }
-
-    let mut r = sections.required(Section::Position)?;
-    let position = RunPosition {
-        seed: r.u64()?,
-        epoch: r.u64()?,
-        step: r.u64()?,
-        steps_into_epoch: r.u64()?,
-    };
-    r.finish()?;
-
-    let mut r = sections.required(Section::ShuffleRng)?;
-    let shuffle_rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    r.finish()?;
-
-    let mut plan = None;
-    if let Some(mut r) = sections.optional(Section::Plan) {
-        plan = Some(PlanPayload::Text(r.str("plan text")?));
-        r.finish()?;
-    }
-    if let Some(mut r) = sections.optional(Section::PlanProgram) {
-        plan = Some(PlanPayload::Program(r.byte_vec()?));
-        r.finish()?;
-    }
-
-    let mut r = sections.required(Section::Optimizer)?;
-    let optimizer = OptimizerState {
-        lr: r.f32()?,
-        velocities: r.seq(4, Reader::f32_vec)?,
-    };
-    r.finish()?;
-
-    let mut r = sections.required(Section::Layers)?;
-    // The smallest entry: a kind byte, an empty name, an empty tensor list.
-    let layers = r.seq(9, decode_layer_state)?;
-    r.finish()?;
-
-    Ok(Snapshot {
-        position,
-        shuffle_rng,
-        plan,
-        optimizer,
-        layers,
-    })
 }
 
 fn decode_layer_state(r: &mut Reader<'_>) -> Result<LayerState, DecodeError> {
@@ -183,49 +187,36 @@ fn decode_layer_state(r: &mut Reader<'_>) -> Result<LayerState, DecodeError> {
             Ok(LayerState::Density { layer, sum, count })
         }
         KIND_PRUNER => {
-            let target_sparsity = r.f64()?;
-            let fifo_depth = r.u64()?;
+            let config = PruneConfig {
+                target_sparsity: r.f64()?,
+                fifo_depth: r.usize("pruner fifo depth")?,
+            };
             let fifo = r.f64_vec()?;
-            let batches = r.u64()?;
+            let batches = r.usize("pruner batches")?;
             let last_outcome = match r.u8()? {
                 0 => None,
-                1 => Some([r.u64()?, r.u64()?, r.u64()?]),
+                1 => Some(PruneOutcome {
+                    kept: r.usize("pruner outcome")?,
+                    snapped: r.usize("pruner outcome")?,
+                    zeroed: r.usize("pruner outcome")?,
+                }),
                 _ => return Err(r.invalid("pruner outcome tag")),
             };
-            let last_density = r.opt_f64("pruner last density")?;
-            let density_sum = r.f64()?;
-            let density_count = r.u64()?;
-            let last_predicted_tau = r.opt_f64("pruner predicted tau")?;
-            let last_determined_tau = r.opt_f64("pruner determined tau")?;
+            let stats = PruneStats {
+                batches,
+                last_outcome,
+                last_density: r.opt_f64("pruner last density")?,
+                density_sum: r.f64()?,
+                density_count: r.usize("pruner density count")?,
+                last_predicted_tau: r.opt_f64("pruner predicted tau")?,
+                last_determined_tau: r.opt_f64("pruner determined tau")?,
+            };
             Ok(LayerState::Pruner {
                 layer,
-                state: Box::new(PrunerState {
-                    target_sparsity,
-                    fifo_depth,
-                    fifo,
-                    batches,
-                    last_outcome,
-                    last_density,
-                    density_sum,
-                    density_count,
-                    last_predicted_tau,
-                    last_determined_tau,
-                }),
+                state: Box::new(PrunerSnapshot { config, fifo, stats }),
             })
         }
         _ => Err(r.invalid("layer state kind")),
-    }
-}
-
-impl Snapshot {
-    /// Serialize this snapshot; see [`encode_snapshot`].
-    pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
-        encode_snapshot(self)
-    }
-
-    /// Parse a snapshot; see [`decode_snapshot`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        decode_snapshot(bytes)
     }
 }
 
@@ -265,17 +256,25 @@ mod tests {
                 },
                 LayerState::Pruner {
                     layer: "prune_conv1".to_string(),
-                    state: Box::new(PrunerState {
-                        target_sparsity: 0.9,
-                        fifo_depth: 5,
+                    state: Box::new(PrunerSnapshot {
+                        config: PruneConfig {
+                            target_sparsity: 0.9,
+                            fifo_depth: 5,
+                        },
                         fifo: vec![0.125, 0.25],
-                        batches: 11,
-                        last_outcome: Some([10, 3, 87]),
-                        last_density: Some(0.13),
-                        density_sum: 1.43,
-                        density_count: 11,
-                        last_predicted_tau: Some(0.21),
-                        last_determined_tau: None,
+                        stats: PruneStats {
+                            batches: 11,
+                            last_outcome: Some(PruneOutcome {
+                                kept: 10,
+                                snapped: 3,
+                                zeroed: 87,
+                            }),
+                            last_density: Some(0.13),
+                            density_sum: 1.43,
+                            density_count: 11,
+                            last_predicted_tau: Some(0.21),
+                            last_determined_tau: None,
+                        },
                     }),
                 },
             ],

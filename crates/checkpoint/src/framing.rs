@@ -212,6 +212,11 @@ impl Writer {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// An in-memory count or depth as a `u64`. Lossless: `usize` is at most 64 bits wide here.
+    pub(crate) fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+
     pub(crate) fn f32(&mut self, v: f32) {
         self.u32(v.to_bits());
     }
@@ -373,6 +378,13 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A `u64` read back into an in-memory count or depth; a value this target's `usize` cannot
+    /// hold is an invalid `field`.
+    pub(crate) fn usize(&mut self, field: &'static str) -> Result<usize, DecodeError> {
+        let v = self.u64()?;
+        usize::try_from(v).map_err(|_| self.invalid(field))
     }
 
     pub(crate) fn f32(&mut self) -> Result<f32, DecodeError> {

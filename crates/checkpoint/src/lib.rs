@@ -6,14 +6,16 @@
 //! `StreamSeeds` ladder position and the shuffling RNG. This crate
 //! captures all of that in a [`Snapshot`], serializes it with a derive-free versioned binary
 //! codec (no external serde — see [`codec`]), and persists it atomically with keep-K rotation
-//! (see [`policy`]), either on the caller's thread or on a background writer thread
-//! ([`CheckpointManager::save_in_background`]) so that the write overlaps training. A run
-//! killed at any step and resumed from a snapshot is **bitwise identical** to the
-//! uninterrupted run.
+//! (see [`policy`]). Every write runs on the manager's writer thread:
+//! [`CheckpointManager::save_in_background`] hands a snapshot off so that the write overlaps
+//! training, and [`CheckpointManager::save`] hands one off and waits for it. A run killed at any
+//! step and resumed from a snapshot is **bitwise identical** to the uninterrupted run.
 //!
 //! The trainer-facing integration (`Trainer::snapshot` / `Trainer::resume`) lives in
-//! `sparsetrain-nn`; this crate is deliberately plain data + IO (its only dependency is the
-//! `sparsetrain-faults` handle a manager and a recovery scan can be given; without one, no seam fires).
+//! `sparsetrain-nn`; this crate is deliberately plain data + IO. It depends on
+//! `sparsetrain-core` for the one type it encodes from there, the pruner's own export
+//! `PrunerSnapshot`, and on the `sparsetrain-faults` handle a manager and a recovery scan can be
+//! given (without one, no seam fires).
 //!
 //! Recovery support: [`policy::scan_latest_valid`] walks a run directory newest-first and
 //! returns the newest snapshot that actually decodes, reporting (not aborting on) corrupt or
@@ -46,10 +48,9 @@ mod framing;
 pub mod policy;
 pub mod snapshot;
 
-pub use codec::{decode_snapshot, encode_snapshot};
 pub use framing::{DecodeError, EncodeError, Section};
 pub use policy::{
     latest_in, load, scan_latest_valid, snapshot_files_in, CheckpointManager, CheckpointPolicy, LoadError,
     ScanOutcome, CHECKPOINT_DIR_ENV,
 };
-pub use snapshot::{LayerState, OptimizerState, PlanPayload, PrunerState, RunPosition, Snapshot};
+pub use snapshot::{LayerState, OptimizerState, PlanPayload, RunPosition, Snapshot};

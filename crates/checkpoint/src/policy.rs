@@ -166,15 +166,16 @@ impl Drop for PendingWrite {
 /// Writes snapshots atomically (write `.tmp`, fsync, rename, fsync the
 /// directory) and rotates old files.
 ///
-/// [`CheckpointManager::save`] writes on the caller's thread.
-/// [`CheckpointManager::save_in_background`] hands the snapshot to the
-/// manager's writer thread and returns, so the write overlaps whatever the
-/// caller does next. The writer persists snapshots in hand-off order, one at
-/// a time, with one more queued behind it; a hand-off blocks only while the
-/// writer is two behind. [`CheckpointManager::flush`], a foreground save and
-/// dropping the manager wait for the queue to drain. The write fault seam
+/// Every write runs on the manager's writer thread, spawned by the first
+/// save. [`CheckpointManager::save_in_background`] hands the snapshot off
+/// and returns, so the write overlaps whatever the caller does next;
+/// [`CheckpointManager::save`] hands a copy off and waits for it. The writer
+/// persists snapshots in hand-off order, one at a time, with one more
+/// queued behind it; a hand-off blocks only while the writer is two behind.
+/// [`CheckpointManager::flush`], a foreground save and dropping the manager
+/// wait for the queue to drain. The write fault seam
 /// ([`CheckpointManager::set_faults`]) is consulted at the hand-off, on the
-/// caller's thread, so an injected fault lands on the same save either way.
+/// caller's thread.
 ///
 /// The writer recycles the oldest file rotation retires: instead of
 /// deleting it, it renames it to a `.tmp` name of its own, and its next
@@ -207,7 +208,7 @@ impl Drop for PendingWrite {
 pub struct CheckpointManager {
     policy: CheckpointPolicy,
     written: Vec<PathBuf>,
-    /// Spawned by the first background save.
+    /// Spawned by the first save.
     writer: Option<Writer>,
     faults: Faults,
 }
@@ -240,7 +241,7 @@ impl Writer {
         let mut spare = Spare::new();
         let thread = thread::Builder::new().name("stck-writer".into()).spawn(move || {
             for job in queue {
-                let result = persist(&job.snap, job.torn, &job.path, &job.rotated, Some(&mut spare));
+                let result = persist(&job.snap, job.torn, &job.path, &job.rotated, &mut spare);
                 if done.send(result).is_err() {
                     break;
                 }
@@ -315,21 +316,19 @@ impl CheckpointManager {
         &self.policy
     }
 
-    /// Encode and persist `snap` atomically on this thread, then rotate down to `keep`
-    /// files. Waits for the background writer's queue to drain first. Returns the final
-    /// snapshot path.
+    /// Hand a copy of `snap` to the writer thread, as
+    /// [`CheckpointManager::save_in_background`] does, and wait until it and
+    /// every earlier hand-off are on disk and rotated. Returns the final
+    /// snapshot path, or the first error among those writes.
     pub fn save(&mut self, snap: &Snapshot) -> io::Result<PathBuf> {
+        let path = self.enqueue(snap.clone())?;
         self.flush()?;
-        let torn = self.faults.on_checkpoint_write()?;
-        let (path, rotated) = self.rotation_after(snap);
-        persist(snap, torn, &path, &rotated, None)?;
-        self.track(&path, &rotated);
         Ok(path)
     }
 
     /// Hand `snap` to the background writer, which encodes, persists and
-    /// rotates like [`CheckpointManager::save`], and return without waiting
-    /// for the disk (unless the writer is two snapshots behind).
+    /// rotates it, and return without waiting for the disk (unless the
+    /// writer is two snapshots behind).
     ///
     /// Returns the first error among the background writes that finished
     /// since the last call, before handing anything off; the error of a
@@ -337,6 +336,11 @@ impl CheckpointManager {
     /// [`CheckpointManager::flush`]. An injected write-error fault fails this
     /// call before anything is handed off.
     pub fn save_in_background(&mut self, snap: Snapshot) -> io::Result<()> {
+        self.enqueue(snap).map(drop)
+    }
+
+    /// Hands `snap` to the writer for both saves; returns the path it goes to.
+    fn enqueue(&mut self, snap: Snapshot) -> io::Result<PathBuf> {
         if let Some(writer) = &mut self.writer {
             writer.collect(false)?;
         }
@@ -350,10 +354,11 @@ impl CheckpointManager {
         writer.hand_off(Job {
             snap,
             torn,
-            path,
+            path: path.clone(),
             rotated,
             _pending: PendingWrite::start(),
-        })
+        })?;
+        Ok(path)
     }
 
     /// Wait until every snapshot handed to the background writer is on disk
@@ -398,7 +403,7 @@ impl CheckpointManager {
     }
 
     /// Paths of the snapshot files this manager wrote, adopted or handed to its writer, oldest
-    /// first. A failed background write stays listed, and the files it would have rotated stay
+    /// first. A failed write stays listed, and the files it would have rotated stay
     /// on disk unlisted until a fresh manager adopts them.
     pub fn files(&self) -> &[PathBuf] {
         &self.written
@@ -424,17 +429,16 @@ impl Drop for CheckpointManager {
 /// fsync, rename, fsync the directory — then retire the `rotated` files.
 /// `torn` keeps only the first half of the bytes.
 ///
-/// With a writer's `spare`, the temp file is the spare when one is on disk
-/// (overwritten and cut to the new length) and the oldest rotated file
-/// becomes the next spare instead of being deleted; the rest are deleted.
-/// Either way a file leaves the kept set only once its successor is
-/// durable.
+/// The temp file is the writer's `spare` when one is on disk (overwritten
+/// and cut to the new length), and the oldest rotated file becomes the next
+/// spare instead of being deleted; the rest are deleted. A file leaves the
+/// kept set only once its successor is durable.
 fn persist(
     snap: &Snapshot,
     torn: bool,
     path: &Path,
     rotated: &[PathBuf],
-    mut spare: Option<&mut Spare>,
+    spare: &mut Spare,
 ) -> io::Result<()> {
     let mut bytes = snap
         .encode()
@@ -443,7 +447,7 @@ fn persist(
         bytes.truncate(bytes.len() / 2);
     }
     let tmp = {
-        let (mut file, tmp) = match spare.as_deref_mut().and_then(Spare::open) {
+        let (mut file, tmp) = match spare.open() {
             Some(recycled) => recycled,
             None => {
                 let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
@@ -460,10 +464,8 @@ fn persist(
     // The rename is only durable once the directory entry itself is on disk.
     sync_dir(path.parent().expect("snapshot paths sit in the run directory"))?;
     for old in rotated {
-        if let Some(spare) = spare.as_deref_mut() {
-            if spare.retire(old)? {
-                continue;
-            }
+        if spare.retire(old)? {
+            continue;
         }
         match fs::remove_file(old) {
             Ok(()) => {}
@@ -748,43 +750,22 @@ mod tests {
         assert!(latest.to_string_lossy().contains("e00004"));
         let snap = load(&latest).unwrap();
         assert_eq!(snap.position.epoch, 4);
-        // No .tmp leftovers after atomic renames.
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "tmp files left behind: {leftovers:?}");
+        // The atomic renames leave no `.tmp` file but the one spare the
+        // live manager's writer recycles, and that one goes with it.
+        let tmp = |dir: &Path| -> Vec<String> {
+            let names = fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name());
+            let names = names.map(|n| n.to_string_lossy().into_owned());
+            names.filter(|n| n.ends_with(".tmp")).collect()
+        };
+        let live = tmp(&dir);
+        let spare = |n: &String| n.starts_with("spare-") && n.ends_with(&format!(".{SNAPSHOT_EXT}.tmp"));
+        assert!(
+            live.len() <= 1 && live.iter().all(spare),
+            "tmp files left behind: {live:?}"
+        );
+        drop(mgr);
+        assert_eq!(tmp(&dir), Vec::<String>::new(), "the spare outlived its manager");
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn background_saves_write_what_foreground_saves_write() {
-        let fg = temp_dir("foreground");
-        let bg = temp_dir("background");
-        let mut fg_mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&fg, 1).with_keep(2)).unwrap();
-        let mut bg_mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&bg, 1).with_keep(2)).unwrap();
-        for step in 1..=4 {
-            fg_mgr.save(&tiny_snapshot(0, step)).unwrap();
-            bg_mgr.save_in_background(tiny_snapshot(0, step)).unwrap();
-            // A reader in this process waits for the writes in flight, so the
-            // newest file is already the one just handed off.
-            let newest = latest_in(&bg).unwrap().expect("the hand-off has landed");
-            assert_eq!(load(&newest).unwrap().position.step, step);
-        }
-        // Two more hand-offs back to back: the second queues behind the first.
-        for step in 5..=6 {
-            fg_mgr.save(&tiny_snapshot(0, step)).unwrap();
-            bg_mgr.save_in_background(tiny_snapshot(0, step)).unwrap();
-        }
-        bg_mgr.flush().unwrap();
-        assert_eq!(file_names(&bg_mgr), file_names(&fg_mgr));
-        assert_eq!(snapshot_files_in(&bg).unwrap(), bg_mgr.files(), "keep 2 on disk");
-        for (a, b) in fg_mgr.files().iter().zip(bg_mgr.files()) {
-            assert_eq!(fs::read(a).unwrap(), fs::read(b).unwrap());
-        }
-        fs::remove_dir_all(&fg).unwrap();
-        fs::remove_dir_all(&bg).unwrap();
     }
 
     #[test]
@@ -822,35 +803,52 @@ mod tests {
             .collect()
     }
 
+    /// Saves `snap` through `save` when `foreground`, else through
+    /// `save_in_background`.
+    fn save_either(mgr: &mut CheckpointManager, snap: Snapshot, foreground: bool) {
+        if foreground {
+            mgr.save(&snap).unwrap();
+        } else {
+            mgr.save_in_background(snap).unwrap();
+        }
+    }
+
     #[test]
     fn background_rotation_keeps_at_most_one_spare() {
-        let dir = temp_dir("spare-count");
-        let keep = 2;
-        let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(keep)).unwrap();
-        for step in 1..=keep as u64 + 3 {
-            mgr.save_in_background(sized_snapshot(step, 64)).unwrap();
+        for foreground in [false, true] {
+            let dir = temp_dir(&format!("spare-count-{foreground}"));
+            let keep = 2;
+            let mut mgr =
+                CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(keep)).unwrap();
+            for step in 1..=keep as u64 + 3 {
+                save_either(&mut mgr, sized_snapshot(step, 64), foreground);
+            }
+            mgr.flush().unwrap();
+            assert_eq!(snapshot_files_in(&dir).unwrap(), mgr.files());
+            let spares = tmp_files(&dir);
+            assert!(spares.len() <= 1, "one spare at most: {spares:?}");
+            for (path, step) in mgr.files().iter().zip(4..) {
+                assert_eq!(load(path).unwrap(), sized_snapshot(step, 64));
+            }
+            drop(mgr);
+            fs::remove_dir_all(&dir).unwrap();
         }
-        mgr.flush().unwrap();
-        assert_eq!(snapshot_files_in(&dir).unwrap(), mgr.files());
-        let spares = tmp_files(&dir);
-        assert!(spares.len() <= 1, "one spare at most: {spares:?}");
-        for (path, step) in mgr.files().iter().zip(4..) {
-            assert_eq!(load(path).unwrap(), sized_snapshot(step, 64));
-        }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn dropping_the_manager_deletes_the_spare() {
-        let dir = temp_dir("spare-drop");
-        let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(1)).unwrap();
-        for step in 1..=4 {
-            mgr.save_in_background(sized_snapshot(step, 64)).unwrap();
+        for foreground in [false, true] {
+            let dir = temp_dir(&format!("spare-drop-{foreground}"));
+            let mut mgr =
+                CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(1)).unwrap();
+            for step in 1..=4 {
+                save_either(&mut mgr, sized_snapshot(step, 64), foreground);
+            }
+            drop(mgr);
+            assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+            assert_eq!(snapshot_files_in(&dir).unwrap().len(), 1);
+            fs::remove_dir_all(&dir).unwrap();
         }
-        drop(mgr);
-        assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
-        assert_eq!(snapshot_files_in(&dir).unwrap().len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -936,8 +934,8 @@ mod tests {
     }
 
     /// Saving a position a fresh manager adopted writes its file again;
-    /// rotation removes the other files, never the one just written, on
-    /// both save paths.
+    /// rotation removes the other files, never the one just written, by
+    /// either save.
     #[test]
     fn saving_an_adopted_position_again_never_rotates_it_out() {
         for background in [false, true] {
@@ -1105,8 +1103,8 @@ mod tests {
 
     #[test]
     fn injected_write_faults_tear_and_fail_saves() {
-        // The same plan lands on the same saves whether they write on this
-        // thread or hand off to the background writer.
+        // The same plan lands on the same saves whether the caller waits
+        // for each write or flushes after handing it off.
         for background in [false, true] {
             let dir = temp_dir(if background {
                 "fault-write-bg"

@@ -4,6 +4,8 @@
 //! network/optimizer/pruner state and the codec serializes them bit-exactly (floats travel as
 //! their IEEE-754 bit patterns, never through a decimal representation).
 
+use sparsetrain_core::prune::PrunerSnapshot;
+
 /// Position of a run inside the deterministic stream ladder.
 ///
 /// `seed`/`epoch`/`step` mirror `StreamSeeds`; `steps_into_epoch` counts optimizer steps taken
@@ -25,23 +27,6 @@ pub struct OptimizerState {
     pub velocities: Vec<Vec<f32>>,
 }
 
-/// Serialized `LayerPruner` state: config echo (validated on restore), FIFO contents, and the
-/// running outcome statistics that feed `mean_density` / tau reporting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrunerState {
-    pub target_sparsity: f64,
-    pub fifo_depth: u64,
-    pub fifo: Vec<f64>,
-    pub batches: u64,
-    /// `(kept, snapped, zeroed)` of the most recent prune, if any.
-    pub last_outcome: Option<[u64; 3]>,
-    pub last_density: Option<f64>,
-    pub density_sum: f64,
-    pub density_count: u64,
-    pub last_predicted_tau: Option<f64>,
-    pub last_determined_tau: Option<f64>,
-}
-
 /// One unit of per-layer state. A layer may contribute several entries (e.g. a conv layer
 /// contributes its parameters and its gradient-density counters).
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +38,12 @@ pub enum LayerState {
     Rng { layer: String, state: [u64; 4] },
     /// Gradient-density accumulators (sum of per-batch densities and batch count).
     Density { layer: String, sum: f64, count: u64 },
-    /// An Algorithm-1 `LayerPruner` attached to the layer.
-    Pruner { layer: String, state: Box<PrunerState> },
+    /// An Algorithm-1 `LayerPruner` attached to the layer, as its own
+    /// `LayerPruner::snapshot_state` export.
+    Pruner {
+        layer: String,
+        state: Box<PrunerSnapshot>,
+    },
 }
 
 impl LayerState {

@@ -7,9 +7,8 @@
 //! wiring test at the bottom pins this format's magic and version.
 
 use proptest::prelude::*;
-use sparsetrain_checkpoint::{
-    DecodeError, LayerState, OptimizerState, PlanPayload, PrunerState, RunPosition, Snapshot,
-};
+use sparsetrain_checkpoint::{DecodeError, LayerState, OptimizerState, PlanPayload, RunPosition, Snapshot};
+use sparsetrain_core::prune::{PruneConfig, PruneOutcome, PruneStats, PrunerSnapshot};
 
 /// Exact-in-f32 finite values (small dyadic rationals), so the derived
 /// `PartialEq` round-trip comparison never meets NaN.
@@ -44,17 +43,24 @@ fn arb_rng_state() -> impl Strategy<Value = [u64; 4]> {
     (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(a, b, c, d)| [a, b, c, d])
 }
 
-fn arb_pruner() -> impl Strategy<Value = PrunerState> {
+fn arb_pruner() -> impl Strategy<Value = PrunerSnapshot> {
     (
         (0.0f64..=1.0).prop_map(|s| (s * 256.0).round() / 256.0),
-        1u64..64,
+        1usize..64,
         prop::collection::vec(arb_f64(), 0..6),
-        any::<u64>(),
-        (any::<bool>(), any::<u64>(), any::<u64>(), any::<u64>())
-            .prop_map(|(some, k, s, z)| some.then_some([k, s, z])),
+        any::<usize>(),
+        (any::<bool>(), any::<usize>(), any::<usize>(), any::<usize>()).prop_map(
+            |(some, kept, snapped, zeroed)| {
+                some.then_some(PruneOutcome {
+                    kept,
+                    snapped,
+                    zeroed,
+                })
+            },
+        ),
         arb_opt_f64(),
         arb_f64(),
-        any::<u64>(),
+        any::<usize>(),
         arb_opt_f64(),
         arb_opt_f64(),
     )
@@ -70,17 +76,21 @@ fn arb_pruner() -> impl Strategy<Value = PrunerState> {
                 density_count,
                 last_predicted_tau,
                 last_determined_tau,
-            )| PrunerState {
-                target_sparsity,
-                fifo_depth,
+            )| PrunerSnapshot {
+                config: PruneConfig {
+                    target_sparsity,
+                    fifo_depth,
+                },
                 fifo,
-                batches,
-                last_outcome,
-                last_density,
-                density_sum,
-                density_count,
-                last_predicted_tau,
-                last_determined_tau,
+                stats: PruneStats {
+                    batches,
+                    last_outcome,
+                    last_density,
+                    density_sum,
+                    density_count,
+                    last_predicted_tau,
+                    last_determined_tau,
+                },
             },
         )
 }

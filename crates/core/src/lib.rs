@@ -25,7 +25,7 @@
 //!     pruner.prune_batch(&mut grads, &BatchStream::contiguous(seed.derive(batch)));
 //! }
 //! // After the FIFO warms up, batches are substantially sparsified.
-//! assert!(pruner.stats().last_density().unwrap() < 0.6);
+//! assert!(pruner.stats().last_density.unwrap() < 0.6);
 //! ```
 
 pub mod dataflow;

@@ -46,15 +46,6 @@ impl PruneConfig {
     pub fn paper_default() -> Self {
         Self::new(0.9, 4)
     }
-
-    /// A disabled pruner (`p = 0`): batches pass through unchanged but
-    /// statistics are still collected — this is the dense baseline.
-    pub fn disabled() -> Self {
-        Self {
-            target_sparsity: 0.0,
-            fifo_depth: 1,
-        }
-    }
 }
 
 impl Default for PruneConfig {
@@ -63,7 +54,8 @@ impl Default for PruneConfig {
     }
 }
 
-/// Running statistics reported by a [`LayerPruner`].
+/// Running statistics reported by a [`LayerPruner`]; a
+/// [`PrunerSnapshot`] carries them whole.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PruneStats {
     /// Batches processed so far.
@@ -71,31 +63,15 @@ pub struct PruneStats {
     /// Outcome of the most recent batch.
     pub last_outcome: Option<PruneOutcome>,
     /// Density (non-zero fraction) of the most recent pruned batch.
-    last_density: Option<f64>,
+    pub last_density: Option<f64>,
     /// Sum of post-prune densities, for averaging.
-    density_sum: f64,
+    pub density_sum: f64,
     /// Batches included in `density_sum` (those pruned after warm-up).
-    density_count: usize,
+    pub density_count: usize,
     /// Most recent predicted threshold (None until warm).
     pub last_predicted_tau: Option<f64>,
     /// Most recent determined threshold.
     pub last_determined_tau: Option<f64>,
-}
-
-impl PruneStats {
-    /// Post-prune density of the most recent batch, if any.
-    pub fn last_density(&self) -> Option<f64> {
-        self.last_density
-    }
-
-    /// Mean post-prune density over all batches processed after warm-up.
-    pub fn mean_density(&self) -> Option<f64> {
-        if self.density_count == 0 {
-            None
-        } else {
-            Some(self.density_sum / self.density_count as f64)
-        }
-    }
 }
 
 fn add_outcomes(a: PruneOutcome, b: PruneOutcome) -> PruneOutcome {
@@ -250,35 +226,21 @@ impl LayerPruner {
         self.stats.last_outcome = Some(batch.outcome);
     }
 
-    /// Clears the reported density statistics — the sum and count behind
-    /// [`PruneStats::mean_density`] — and nothing else: the FIFO, the
+    /// Clears the reported density statistics — [`PruneStats::density_sum`]
+    /// and [`PruneStats::density_count`] — and nothing else: the FIFO, the
     /// thresholds and the batch count stay, so pruning goes on exactly as
-    /// before and the mean covers only the batches absorbed from here on.
+    /// before and the sum covers only the batches absorbed from here on.
     pub fn reset_density_stats(&mut self) {
         self.stats.density_sum = 0.0;
         self.stats.density_count = 0;
     }
 
-    /// Clears the FIFO and statistics (e.g. when the learning-rate schedule
-    /// changes the gradient scale abruptly).
-    pub fn reset(&mut self) {
-        self.fifo.reset();
-        self.stats = PruneStats::default();
-    }
-
     /// Exports the pruner's complete mutable state for checkpointing.
     pub fn snapshot_state(&self) -> PrunerSnapshot {
         PrunerSnapshot {
-            target_sparsity: self.config.target_sparsity,
-            fifo_depth: self.config.fifo_depth,
+            config: self.config,
             fifo: self.fifo.values().collect(),
-            batches: self.stats.batches,
-            last_outcome: self.stats.last_outcome,
-            last_density: self.stats.last_density,
-            density_sum: self.stats.density_sum,
-            density_count: self.stats.density_count,
-            last_predicted_tau: self.stats.last_predicted_tau,
-            last_determined_tau: self.stats.last_determined_tau,
+            stats: self.stats.clone(),
         }
     }
 
@@ -287,15 +249,15 @@ impl LayerPruner {
     /// restoring into a differently-configured pruner would silently change
     /// the trajectory, so it is an error instead.
     pub fn restore_state(&mut self, snap: &PrunerSnapshot) -> Result<(), PrunerRestoreError> {
-        if snap.target_sparsity != self.config.target_sparsity {
+        if snap.config.target_sparsity != self.config.target_sparsity {
             return Err(PrunerRestoreError::SparsityMismatch {
-                snapshot: snap.target_sparsity,
+                snapshot: snap.config.target_sparsity,
                 configured: self.config.target_sparsity,
             });
         }
-        if snap.fifo_depth != self.config.fifo_depth {
+        if snap.config.fifo_depth != self.config.fifo_depth {
             return Err(PrunerRestoreError::FifoDepthMismatch {
-                snapshot: snap.fifo_depth,
+                snapshot: snap.config.fifo_depth,
                 configured: self.config.fifo_depth,
             });
         }
@@ -306,15 +268,7 @@ impl LayerPruner {
             });
         }
         self.fifo.load(&snap.fifo);
-        self.stats = PruneStats {
-            batches: snap.batches,
-            last_outcome: snap.last_outcome,
-            last_density: snap.last_density,
-            density_sum: snap.density_sum,
-            density_count: snap.density_count,
-            last_predicted_tau: snap.last_predicted_tau,
-            last_determined_tau: snap.last_determined_tau,
-        };
+        self.stats = snap.stats.clone();
         Ok(())
     }
 }
@@ -368,29 +322,16 @@ impl std::error::Error for PrunerRestoreError {}
 
 /// Plain-data export of a [`LayerPruner`]'s mutable state plus a config
 /// echo, produced by [`LayerPruner::snapshot_state`] and consumed by
-/// [`LayerPruner::restore_state`]. The checkpoint crate serializes this.
+/// [`LayerPruner::restore_state`]. It is also the `.stck` pruner record:
+/// the checkpoint crate encodes and decodes this type as it is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrunerSnapshot {
-    /// Config echo: target sparsity the pruner was built with.
-    pub target_sparsity: f64,
-    /// Config echo: FIFO depth the pruner was built with.
-    pub fifo_depth: usize,
+    /// Config echo: the configuration the pruner was built with.
+    pub config: PruneConfig,
     /// FIFO contents, oldest first.
     pub fifo: Vec<f64>,
-    /// Batches processed.
-    pub batches: usize,
-    /// Outcome of the most recent batch.
-    pub last_outcome: Option<PruneOutcome>,
-    /// Density of the most recent pruned batch.
-    pub last_density: Option<f64>,
-    /// Running density sum.
-    pub density_sum: f64,
-    /// Batches included in the density sum.
-    pub density_count: usize,
-    /// Most recent predicted threshold.
-    pub last_predicted_tau: Option<f64>,
-    /// Most recent determined threshold.
-    pub last_determined_tau: Option<f64>,
+    /// Running statistics.
+    pub stats: PruneStats,
 }
 
 /// Algorithm 1's single pass, stateless: accumulates `Σ|g|` over the
@@ -550,7 +491,7 @@ mod tests {
                 let mut batch = normal_batch(&mut rng, 20_000, 0.05);
                 pruner.prune_batch(&mut batch, &stream(step));
             }
-            let density = pruner.stats().last_density().unwrap();
+            let density = pruner.stats().last_density.unwrap();
             // Stochastic pruning re-inserts ±τ values: of the fraction p
             // below τ, E[|g|/τ | |g|<τ] survive. For a centred normal the
             // survivor fraction is meaningful, so density lands between
@@ -566,7 +507,8 @@ mod tests {
 
     #[test]
     fn disabled_pruner_passes_through() {
-        let mut pruner = LayerPruner::new(PruneConfig::disabled());
+        // p = 0: batches pass through unchanged, statistics still collected.
+        let mut pruner = LayerPruner::new(PruneConfig::new(0.0, 1));
         let mut rng = StdRng::seed_from_u64(1);
         let mut batch = normal_batch(&mut rng, 100, 1.0);
         let before = batch.clone();
@@ -602,19 +544,7 @@ mod tests {
             pruner.prune_batch(&mut batch, &stream(step));
         }
         assert_eq!(pruner.stats().batches, 6);
-        assert!(pruner.stats().mean_density().is_some());
-    }
-
-    #[test]
-    fn reset_returns_to_cold() {
-        let mut pruner = LayerPruner::new(PruneConfig::new(0.9, 1));
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut batch = normal_batch(&mut rng, 100, 0.1);
-        pruner.prune_batch(&mut batch, &stream(0));
-        assert!(pruner.is_warm());
-        pruner.reset();
-        assert!(!pruner.is_warm());
-        assert_eq!(pruner.stats().batches, 0);
+        assert!(pruner.stats().density_count > 0);
     }
 
     /// One +∞ or NaN element in batch 5 of twelve leaves the FIFO as

@@ -8,10 +8,8 @@
 //! gradient about to become that CONV layer's `dO` operand.
 
 use crate::layer::{Batch, Layer};
-use sparsetrain_checkpoint::{LayerState, PrunerState};
-use sparsetrain_core::prune::{
-    prune_pass, LayerPruner, PruneConfig, PruneOutcome, PrunerSnapshot, SiteStats, StepStreams,
-};
+use sparsetrain_checkpoint::LayerState;
+use sparsetrain_core::prune::{prune_pass, LayerPruner, PruneConfig, SiteStats, StepStreams};
 use sparsetrain_sparse::ExecutionContext;
 use sparsetrain_tensor::Tensor3;
 
@@ -146,7 +144,7 @@ impl Layer for PruneHook {
         if let Some(pruner) = &self.pruner {
             out.push(LayerState::Pruner {
                 layer: self.name.clone(),
-                state: Box::new(pruner_state_from(&pruner.snapshot_state())),
+                state: Box::new(pruner.snapshot_state()),
             });
         }
     }
@@ -198,51 +196,11 @@ impl Layer for PruneHook {
                         self.name
                     )
                 })?;
-                pruner
-                    .restore_state(&pruner_snapshot_from(state))
-                    .map_err(|e| e.to_string())?;
+                pruner.restore_state(state).map_err(|e| e.to_string())?;
                 Ok(true)
             }
             _ => Ok(false),
         }
-    }
-}
-
-/// Core → checkpoint plain-data conversion.
-fn pruner_state_from(snap: &PrunerSnapshot) -> PrunerState {
-    PrunerState {
-        target_sparsity: snap.target_sparsity,
-        fifo_depth: snap.fifo_depth as u64,
-        fifo: snap.fifo.clone(),
-        batches: snap.batches as u64,
-        last_outcome: snap
-            .last_outcome
-            .map(|o| [o.kept as u64, o.snapped as u64, o.zeroed as u64]),
-        last_density: snap.last_density,
-        density_sum: snap.density_sum,
-        density_count: snap.density_count as u64,
-        last_predicted_tau: snap.last_predicted_tau,
-        last_determined_tau: snap.last_determined_tau,
-    }
-}
-
-/// Checkpoint → core plain-data conversion.
-fn pruner_snapshot_from(state: &PrunerState) -> PrunerSnapshot {
-    PrunerSnapshot {
-        target_sparsity: state.target_sparsity,
-        fifo_depth: state.fifo_depth as usize,
-        fifo: state.fifo.clone(),
-        batches: state.batches as usize,
-        last_outcome: state.last_outcome.map(|[kept, snapped, zeroed]| PruneOutcome {
-            kept: kept as usize,
-            snapped: snapped as usize,
-            zeroed: zeroed as usize,
-        }),
-        last_density: state.last_density,
-        density_sum: state.density_sum,
-        density_count: state.density_count as usize,
-        last_predicted_tau: state.last_predicted_tau,
-        last_determined_tau: state.last_determined_tau,
     }
 }
 
@@ -342,14 +300,16 @@ mod tests {
             let grads = batch(&mut rng, 2);
             hook.backward(grads, &mut ExecutionContext::scalar(), &step(s));
         }
-        let density = hook.pruner().unwrap().stats().mean_density().unwrap();
+        let stats = hook.pruner().unwrap().stats();
+        assert!(stats.density_count > 0);
+        let density = stats.density_sum / stats.density_count as f64;
         assert!(density > 0.0 && density <= 1.0);
     }
 
-    /// A reset clears the reported mean density — the next report covers
+    /// A reset clears the reported density sum — the next report covers
     /// only the batches after it — and leaves the thresholds alone.
     #[test]
-    fn reset_density_stats_restarts_the_mean_and_keeps_the_thresholds() {
+    fn reset_density_stats_restarts_the_sum_and_keeps_the_thresholds() {
         let mut hook = PruneHook::new("h", Some(PruneConfig::new(0.8, 2)));
         let mut rng = StdRng::seed_from_u64(4);
         for s in 0..4 {
@@ -357,20 +317,29 @@ mod tests {
         }
         let pruner = hook.pruner().unwrap();
         let (tau, batches) = (pruner.predicted_threshold(), pruner.stats().batches);
-        assert!(pruner.stats().mean_density().is_some());
+        assert!(pruner.stats().density_count > 0);
 
         hook.reset_density_stats();
-        let pruner = hook.pruner().unwrap();
-        assert_eq!(pruner.stats().mean_density(), None, "the reset cleared the mean");
-        assert_eq!(pruner.predicted_threshold(), tau, "the FIFO stays");
-        assert_eq!(pruner.stats().batches, batches, "the batch count stays");
+        let stats = hook.pruner().unwrap().stats();
+        assert_eq!(
+            (stats.density_sum, stats.density_count),
+            (0.0, 0),
+            "the reset cleared the sum"
+        );
+        assert_eq!(
+            hook.pruner().unwrap().predicted_threshold(),
+            tau,
+            "the FIFO stays"
+        );
+        assert_eq!(stats.batches, batches, "the batch count stays");
 
         hook.backward(batch(&mut rng, 2), &mut ExecutionContext::scalar(), &step(4));
         let stats = hook.pruner().unwrap().stats();
+        assert_eq!(stats.density_count, 1);
         assert_eq!(
-            stats.mean_density(),
-            stats.last_density(),
-            "the mean covers one batch"
+            Some(stats.density_sum),
+            stats.last_density,
+            "the sum covers one batch"
         );
     }
 

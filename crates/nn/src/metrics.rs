@@ -124,10 +124,9 @@ pub struct RecoveryRecord {
     /// Snapshot files the recovery scan skipped as corrupt/unreadable,
     /// with their typed errors rendered to text.
     pub skipped: Vec<String>,
-    /// Backoff slept before this recovery, in milliseconds.
+    /// Backoff slept before this recovery, in milliseconds: the configured
+    /// delay, not a measured one.
     pub backoff_ms: u64,
-    /// Wall-clock time the recovery itself took, in milliseconds.
-    pub recover_ms: u64,
 }
 
 impl RecoveryRecord {
@@ -162,10 +161,7 @@ impl RecoveryRecord {
             }
             line.push(']');
         }
-        line.push_str(&format!(
-            ",\"backoff_ms\":{},\"recover_ms\":{}}}}}",
-            self.backoff_ms, self.recover_ms
-        ));
+        line.push_str(&format!(",\"backoff_ms\":{}}}}}", self.backoff_ms));
         line
     }
 }
@@ -351,27 +347,6 @@ impl StopCondition for Patience {
     }
 }
 
-/// Stops when the validation accuracy (or training accuracy, if no
-/// validation set is supplied) reaches `target`.
-#[derive(Debug, Clone, Copy)]
-pub struct TargetAccuracy {
-    target: f64,
-}
-
-impl TargetAccuracy {
-    /// Creates the rule; `target` is a fraction in `[0, 1]`.
-    pub fn new(target: f64) -> Self {
-        TargetAccuracy { target }
-    }
-}
-
-impl StopCondition for TargetAccuracy {
-    fn check(&mut self, record: &MetricRecord) -> Option<String> {
-        let acc = record.val_accuracy.unwrap_or(record.accuracy);
-        (acc >= self.target).then(|| format!("accuracy {acc} reached target {}", self.target))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,7 +444,6 @@ mod tests {
             source: "disk".to_string(),
             skipped: vec![],
             backoff_ms: 0,
-            recover_ms: 3,
         }
     }
 
@@ -480,7 +454,7 @@ mod tests {
             line,
             "{\"recovery\":{\"kind\":\"kill\",\"detail\":\"injected fault at step.kill: after step 7\",\
              \"epoch\":2,\"step\":7,\"attempt\":1,\"resumed_epoch\":1,\"resumed_step\":6,\
-             \"source\":\"disk\",\"backoff_ms\":0,\"recover_ms\":3}}"
+             \"source\":\"disk\",\"backoff_ms\":0}}"
         );
         let mut full = recovery("engine-panic");
         full.detail = "a \"quoted\"\npayload".to_string();
@@ -534,21 +508,6 @@ mod tests {
         let mut r2 = record(2, 0.05); // train loss improves...
         r2.val_loss = Some(6.0); // ...but validation loss worsens
         assert!(p.check(&r2).is_some());
-    }
-
-    #[test]
-    fn target_accuracy_triggers() {
-        let mut t = TargetAccuracy::new(0.6);
-        assert_eq!(t.check(&record(1, 0.5)), None); // accuracy 0.5
-        let mut r = record(2, 0.4);
-        r.accuracy = 0.7;
-        assert!(t.check(&r).is_some_and(|s| s.contains("0.6")));
-        // Validation accuracy takes precedence when present.
-        let mut t = TargetAccuracy::new(0.6);
-        let mut r = record(1, 0.4);
-        r.accuracy = 0.9;
-        r.val_accuracy = Some(0.5);
-        assert_eq!(t.check(&r), None);
     }
 
     #[test]

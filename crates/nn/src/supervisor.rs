@@ -49,7 +49,7 @@ use sparsetrain_faults::{InjectedFault, Site};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Retry and backoff policy of a [`Supervisor`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -321,7 +321,6 @@ impl Supervisor {
                     });
                     let failed_epoch = trainer.stream_seeds().epoch();
                     let failed_step = trainer.stream_seeds().step();
-                    let recover_started = Instant::now();
                     let recovery = self.recover(trainer, &shadow)?;
                     recoveries += 1;
                     metrics.record_recovery(RecoveryRecord {
@@ -336,7 +335,6 @@ impl Supervisor {
                         source: recovery.source.to_string(),
                         skipped: recovery.skipped,
                         backoff_ms: backoff.as_millis() as u64,
-                        recover_ms: recover_started.elapsed().as_millis() as u64,
                     });
                 }
             }

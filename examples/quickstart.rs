@@ -36,7 +36,7 @@ fn main() {
             .map(|_| sample_standard_normal(&mut rng) * 0.05)
             .collect();
         pruner.prune_batch(&mut grads, &BatchStream::contiguous(prune_key.derive(batch)));
-        if let Some(d) = pruner.stats().last_density() {
+        if let Some(d) = pruner.stats().last_density {
             println!(
                 "batch {batch}: density {:.3} (predicted tau {:.5})",
                 d,

@@ -131,7 +131,7 @@ fn layer_pruner_tracks_drifting_scale() {
             .map(|_| sample_standard_normal(&mut rng) * sigma)
             .collect();
         pruner.prune_batch(&mut g, &BatchStream::contiguous(key.derive(step)));
-        last_density = pruner.stats().last_density().unwrap();
+        last_density = pruner.stats().last_density.unwrap();
     }
     assert!(
         last_density < 0.6,
@@ -172,7 +172,7 @@ fn hardware_path_matches_software_pruner() {
         let sw_warm = software.is_warm(); // state *entering* this batch
         let mut sw = grads.clone();
         software.prune_batch(&mut sw, &BatchStream::contiguous(sw_key.derive(batch as u64)));
-        let sw_density = software.stats().last_density().unwrap();
+        let sw_density = software.stats().last_density.unwrap();
 
         let tau_hat = fifo.predict().unwrap_or(0.0);
         unit.reset_stats();

@@ -110,7 +110,7 @@ fn gradient_statistics_survive_quantization() {
             pruner.prune_batch(&mut batch, &BatchStream::contiguous(key.derive(0))); // warm the FIFO
             let mut batch = data.to_vec();
             pruner.prune_batch(&mut batch, &BatchStream::contiguous(key.derive(1)));
-            pruner.stats().last_density().unwrap()
+            pruner.stats().last_density.unwrap()
         };
         let d = density(values);
         let dq = density(&quantized);
